@@ -1,8 +1,10 @@
 package main
 
 import (
+	"runtime"
 	"testing"
 
+	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/apps/broadleaf"
 	"weseer/internal/apps/shopizer"
@@ -15,8 +17,11 @@ import (
 )
 
 // TestFunnelInvariants guards the owner-charged funnel accounting on
-// the Table II workload at parallelism 1, 4, and 16: the memoization
-// split SolverCalls + MemoHits == GroupsSolved must hold, Stats.Engine
+// the Table II workload and a generated corpus at parallelism 1, 4, and
+// 16: the memoization split SolverCalls + MemoHits == GroupsSolved and
+// the two-level ordering SolverCalls <= CanonCalls <= GroupsSolved must
+// hold (with the values pinned: a memo change that moves them has to say
+// so), Stats.Engine
 // must aggregate to the same counters at every worker count (each
 // distinct canonical formula is charged exactly once, by the call that
 // owned it), and the deterministic funnel must not vary with
@@ -27,12 +32,19 @@ func TestFunnelInvariants(t *testing.T) {
 		name  string
 		scm   *schema.Schema
 		tests []appkit.UnitTest
+		// groups = solver calls + memo hits, over canon calls shapes
+		groups, calls, hits, shapes int
 	}
 	blApp := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
 	shApp := shopizer.New(shopizer.Fixes{}, minidb.Config{})
+	genApp, err := apps.Open("gen:7,templates=96", apps.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	targets := []target{
-		{"broadleaf", broadleaf.Schema(), blApp.UnitTests()},
-		{"shopizer", shopizer.Schema(), shApp.UnitTests()},
+		{"broadleaf", broadleaf.Schema(), blApp.UnitTests(), 199, 102, 97, 156},
+		{"shopizer", shopizer.Schema(), shApp.UnitTests(), 127, 124, 3, 124},
+		{"gen:7,templates=96", genApp.Schema(), genApp.UnitTests(), 315, 118, 197, 136},
 	}
 
 	for _, tg := range targets {
@@ -50,6 +62,15 @@ func TestFunnelInvariants(t *testing.T) {
 			if s.SolverCalls+s.MemoHits != s.GroupsSolved {
 				t.Errorf("%s/p%d: SolverCalls %d + MemoHits %d != GroupsSolved %d",
 					tg.name, workers, s.SolverCalls, s.MemoHits, s.GroupsSolved)
+			}
+			if !(s.SolverCalls <= s.CanonCalls && s.CanonCalls <= s.GroupsSolved) {
+				t.Errorf("%s/p%d: want SolverCalls %d <= CanonCalls %d <= GroupsSolved %d",
+					tg.name, workers, s.SolverCalls, s.CanonCalls, s.GroupsSolved)
+			}
+			if s.GroupsSolved != tg.groups || s.SolverCalls != tg.calls || s.MemoHits != tg.hits || s.CanonCalls != tg.shapes {
+				t.Errorf("%s/p%d: funnel %d = %d + %d over %d shapes, pinned %d = %d + %d over %d",
+					tg.name, workers, s.GroupsSolved, s.SolverCalls, s.MemoHits, s.CanonCalls,
+					tg.groups, tg.calls, tg.hits, tg.shapes)
 			}
 			if s.SolverCalls > 0 && s.Engine == (solver.Stats{}) {
 				t.Errorf("%s/p%d: Engine counters are all zero after %d solver calls",
@@ -74,6 +95,7 @@ func TestFunnelInvariants(t *testing.T) {
 				"weseer_funnel_groups_solved_total":      s.GroupsSolved,
 				"weseer_funnel_solver_calls_total":       s.SolverCalls,
 				"weseer_funnel_memo_hits_total":          s.MemoHits,
+				"weseer_canon_calls_total":               s.CanonCalls,
 				"weseer_solver_sat_total":                s.SolverSAT,
 				"weseer_solver_unsat_total":              s.SolverUNSAT,
 				"weseer_solver_unknown_total":            s.SolverUnknown,
@@ -94,5 +116,46 @@ func TestFunnelInvariants(t *testing.T) {
 			t.Logf("%s/p%d: %d groups = %d solver calls + %d memo hits",
 				tg.name, workers, s.GroupsSolved, s.SolverCalls, s.MemoHits)
 		}
+	}
+}
+
+// TestRepeatedAnalysisHeapGrowth is the daemon's view of the memo table:
+// the same batch analyzed 50 times in one process, as `weseer serve`
+// re-analyzes re-ingested traces. The process-global interner keeps what
+// it is handed forever, so live heap grows with every analysis; keying
+// the memo's first level on shape strings and leaving edge conditions
+// un-interned cut that from ~1.7 MB to ~0.4 MB per analysis of this
+// corpus. The bound sits between the two, so regressing to per-group
+// interning fails it.
+func TestRepeatedAnalysisHeapGrowth(t *testing.T) {
+	app, err := apps.Open("gen:7,templates=96", apps.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveMB := func() float64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc) / (1 << 20)
+	}
+	const warm, total = 10, 50
+	var base float64
+	for i := 1; i <= total; i++ {
+		res := core.NewAnalyzer(app.Schema(), core.WithParallelism(2)).Analyze(traces)
+		if res.Stats.CanonCalls != 136 {
+			t.Fatalf("analysis %d: %d canon calls, want 136", i, res.Stats.CanonCalls)
+		}
+		if i == warm {
+			base = liveMB()
+		}
+	}
+	perAnalysis := (liveMB() - base) / (total - warm)
+	t.Logf("live heap grows %.2f MB per repeated analysis", perAnalysis)
+	if perAnalysis > 1.0 {
+		t.Errorf("live heap grows %.2f MB per repeated analysis, want <= 1.0 (parent commit: ~1.7)", perAnalysis)
 	}
 }

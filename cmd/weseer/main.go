@@ -588,6 +588,7 @@ type jsonStats struct {
 	GroupsSolved     int `json:"groups_solved"`
 	SolverCalls      int `json:"solver_calls"`
 	MemoHits         int `json:"memo_hits"`
+	CanonCalls       int `json:"canon_calls"`
 	SAT              int `json:"sat"`
 	UNSAT            int `json:"unsat"`
 	Unknown          int `json:"unknown"`
@@ -633,6 +634,7 @@ func statsJSON(s core.Stats) jsonStats {
 		GroupsSolved:     s.GroupsSolved,
 		SolverCalls:      s.SolverCalls,
 		MemoHits:         s.MemoHits,
+		CanonCalls:       s.CanonCalls,
 		SAT:              s.SolverSAT,
 		UNSAT:            s.SolverUNSAT,
 		Unknown:          s.SolverUnknown,

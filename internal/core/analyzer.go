@@ -45,9 +45,12 @@ type Analyzer struct {
 	ps   *prescreenState // Phase-0 state, set per Analyze call
 	// edgeMemo caches C-edge conflict conditions per Analyze call: every
 	// cycle sharing an edge used to rebuild an identical condition. Keyed
-	// by edgeKey; values are interned smt.Expr. Safe for the phase-3
-	// workers (sync.Map, and the cached expressions are immutable).
+	// by edgeKey; values are *condVars. Safe for the phase-3 workers
+	// (sync.Map, and the cached expressions are immutable).
 	edgeMemo *sync.Map
+	// pcMemo caches each renamed trace's path conditions with their
+	// variable sets per Analyze call (*trace.Trace → []condVars), likewise.
+	pcMemo *sync.Map
 }
 
 // prescreenState caches the static shapes Phase-0 screens against, so
@@ -145,7 +148,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*
 	}
 
 	a.ps = nil
-	a.edgeMemo = &sync.Map{}
+	a.edgeMemo, a.pcMemo = &sync.Map{}, &sync.Map{}
 	if a.opts.StaticPrescreen {
 		a.ps = &prescreenState{
 			txns:  map[*trace.Txn]staticlint.TxnShape{},

@@ -1,23 +1,28 @@
 package core
 
-// Solver-call memoization for the parallel discharge stage.
+// Solver-call memoization for the parallel discharge stage: a two-level
+// singleflight table, shape key → canonical key → verdict (DESIGN.md, key decision 8).
 //
-// Candidate cycles from different transaction pairs frequently reduce to
-// alpha-equivalent conflict formulas (the same statement templates under
-// different instance prefixes). The memo table keys on the canonicalized
-// formula (smt.Canon), hash-consed via smt.Intern so the lookup is a map
-// probe on an interface value rather than a rendered-string compare, and
-// solves the canonical expression itself, so the cached verdict —
-// including the satisfying model — is independent of which candidate
-// happened to compute it. Each caller then translates the
-// canonical model back through its own inverse rename map, which keeps
-// reports byte-identical whether a verdict came from the solver or the
-// cache, at any parallelism.
+// Level one keys on the formula's shape (smt.Shape: names numbered in
+// first-occurrence order, rendered in one pass into a reused buffer), so a
+// group whose formula is a plain renaming of an earlier one — most groups
+// of a large corpus — pays neither canonicalization nor interning.
+// smt.Canon runs once per shape, on the shape's own renamed formula; Canon
+// is equivariant under renaming, so that result composed with the caller's
+// renaming (smt.Shape.Rebase, built only when a SAT model has to be
+// translated back) is exactly what Canon returns for the caller's formula.
 //
-// The table is a singleflight: concurrent callers with the same key block
-// on the first caller's ready channel instead of solving twice. With that
-// discipline SolverCalls equals the number of distinct canonical keys
-// discharged, so the funnel stats are deterministic too.
+// Level two keys on the canonical formula, interned so the probe is an
+// interface compare, and solves the canonical expression itself: the
+// cached verdict and model do not depend on which candidate computed them,
+// and each caller translates the model back through its own renaming. That
+// keeps reports byte-identical whether a verdict came from the solver or
+// the cache, at any parallelism. Shapes that Canon's stronger equivalences
+// (operand order, constant abstraction, shifts) identify meet here.
+//
+// Concurrent callers with the same key wait for the first instead of
+// computing twice, so CanonCalls is the number of distinct shapes and
+// SolverCalls the number of distinct canonical keys: deterministic.
 
 import (
 	"context"
@@ -28,6 +33,13 @@ import (
 	"weseer/internal/solver"
 )
 
+// shapeEntry is level one: the canonicalization of one formula shape.
+type shapeEntry struct {
+	once  sync.Once
+	canon smt.CanonResult // of the shape's own renamed formula
+	key   smt.Expr        // canon.Expr interned: the level-two key
+}
+
 type memoEntry struct {
 	ready  chan struct{}
 	status solver.Status
@@ -36,13 +48,22 @@ type memoEntry struct {
 
 type memoTable struct {
 	mu sync.Mutex
+	// shapes is level one; its size is Stats.CanonCalls — entries, not
+	// computes, so the count does not depend on scheduling.
+	shapes map[string]*shapeEntry
 	// entries is keyed on the interned canonical formula: structural
 	// equality of canonical forms is interface equality after interning.
 	entries map[smt.Expr]*memoEntry
+	// scratch recycles shape buffers across groups and workers.
+	scratch sync.Pool
 }
 
 func newMemoTable() *memoTable {
-	return &memoTable{entries: map[smt.Expr]*memoEntry{}}
+	return &memoTable{
+		shapes:  map[string]*shapeEntry{},
+		entries: map[smt.Expr]*memoEntry{},
+		scratch: sync.Pool{New: func() any { return new(smt.Shape) }},
+	}
 }
 
 // solve discharges formula through the table. The second return reports a
@@ -50,24 +71,38 @@ func newMemoTable() *memoTable {
 // concurrently computing) entry without a solver call. The owner of a
 // miss charges the call and its wall time to out.
 func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limits, out *chainOutcome) (solver.Result, bool) {
-	c := smt.Canon(formula)
-	key := smt.Intern(c.Expr)
+	sh := m.scratch.Get().(*smt.Shape)
+	defer m.scratch.Put(sh)
+	sh.Reset(formula)
+
 	m.mu.Lock()
-	if e, ok := m.entries[key]; ok {
+	s, ok := m.shapes[string(sh.Key())] // no copy for the lookup
+	if !ok {
+		s = &shapeEntry{}
+		m.shapes[string(sh.Key())] = s
+	}
+	m.mu.Unlock()
+	s.once.Do(func() {
+		s.canon = smt.Canon(sh.Expr())
+		s.key = smt.Intern(s.canon.Expr)
+	})
+
+	m.mu.Lock()
+	if e, ok := m.entries[s.key]; ok {
 		m.mu.Unlock()
 		select {
 		case <-e.ready:
-			return translateResult(e, c), true
+			return translateResult(e, s, sh), true
 		case <-ctx.Done():
 			return solver.Result{Status: solver.UNKNOWN}, false
 		}
 	}
 	e := &memoEntry{ready: make(chan struct{})}
-	m.entries[key] = e
+	m.entries[s.key] = e
 	m.mu.Unlock()
 
 	start := time.Now()
-	sres := solver.SolveCtx(ctx, c.Expr, lim)
+	sres := solver.SolveCtx(ctx, s.canon.Expr, lim)
 	out.solverTime += time.Since(start)
 	out.solverCalls++
 	out.engine.Add(sres.Stats)
@@ -75,9 +110,10 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limi
 	if ctx.Err() != nil {
 		// A canceled solve yields UNKNOWN regardless of the formula —
 		// drop the entry rather than poison the table, then wake waiters
-		// (they share the canceled ctx and will bail the same way).
+		// (they share the canceled ctx and will bail the same way). The
+		// shape entry stays: Canon is not cancelable, so it is complete.
 		m.mu.Lock()
-		delete(m.entries, key)
+		delete(m.entries, s.key)
 		m.mu.Unlock()
 		e.status = solver.UNKNOWN
 		close(e.ready)
@@ -87,12 +123,15 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limi
 	e.status = sres.Status
 	e.model = sres.Model
 	close(e.ready)
-	return translateResult(e, c), false
+	return translateResult(e, s, sh), false
 }
 
 // translateResult maps an entry's canonical-space verdict back into the
 // caller's original variable (and, for constant-abstracted formulas,
-// value) space.
-func translateResult(e *memoEntry, c smt.CanonResult) solver.Result {
-	return solver.Result{Status: e.status, Model: smt.TranslateModel(e.model, c)}
+// value) space. Only a model needs the caller's renaming composed.
+func translateResult(e *memoEntry, s *shapeEntry, sh *smt.Shape) solver.Result {
+	if e.model == nil {
+		return solver.Result{Status: e.status}
+	}
+	return solver.Result{Status: e.status, Model: smt.TranslateModel(e.model, sh.Rebase(s.canon))}
 }

@@ -145,6 +145,12 @@ func (a *Analyzer) discharge(ctx context.Context, chains []*chain, workers int, 
 			res.Deadlocks = append(res.Deadlocks, o.deadlock)
 		}
 	}
+	if memo != nil {
+		res.Stats.CanonCalls = len(memo.shapes) // workers are done
+		if o != nil {
+			o.P().CanonCalls.Add(int64(res.Stats.CanonCalls))
+		}
+	}
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -293,36 +299,86 @@ func (a *Analyzer) cycleFormula(cyc Cycle) smt.Expr {
 	edge1 := a.edgeCondCached(cyc.S1b, cyc.S2a, "r1.")
 	edge2 := a.edgeCondCached(cyc.S2b, cyc.S1a, "r2.")
 
-	last1 := maxSeq(cyc.S1a, cyc.S1b)
-	last2 := maxSeq(cyc.S2a, cyc.S2b)
-	var pcs []smt.Expr
-	pcs = append(pcs, cyc.T1.Trace.PathCondsBefore(last1)...)
-	pcs = append(pcs, cyc.T2.Trace.PathCondsBefore(last2)...)
-	parts := []smt.Expr{edge1, edge2}
-	parts = append(parts, coneOfInfluence(smt.VarSet(edge1, edge2), pcs)...)
-	return smt.And(parts...)
+	pcs := a.pathCondsBefore(nil, cyc.T1.Trace, maxSeq(cyc.S1a, cyc.S1b))
+	pcs = a.pathCondsBefore(pcs, cyc.T2.Trace, maxSeq(cyc.S2a, cyc.S2b))
+	seed := make(map[string]struct{}, len(edge1.vars)+len(edge2.vars))
+	for _, e := range [2]*condVars{edge1, edge2} {
+		for _, v := range e.vars {
+			seed[v] = struct{}{}
+		}
+	}
+	return smt.And(coneOfInfluence([]smt.Expr{edge1.cond, edge2.cond}, seed, pcs)...)
 }
 
-// coneOfInfluence keeps the conditions transitively connected to the seed
-// variable set.
-func coneOfInfluence(seed map[string]smt.Sort, conds []smt.Expr) []smt.Expr {
-	type entry struct {
-		cond smt.Expr
-		vars map[string]smt.Sort
-		in   bool
+// CycleFormulas returns the formula phase 3 builds for every coarse
+// cycle of the traces, in enumeration order — the memo table's input,
+// exposed for canonicalization tests and for dumping a run's queries.
+func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]smt.Expr, error) {
+	a.ps = nil
+	a.edgeMemo, a.pcMemo = &sync.Map{}, &sync.Map{}
+	chains, err := a.enumerate(ctx, traces, 1, &Result{})
+	var out []smt.Expr
+	for _, ch := range chains {
+		for _, cyc := range ch.cycles {
+			out = append(out, a.cycleFormula(cyc))
+		}
 	}
-	entries := make([]entry, len(conds))
-	for i, c := range conds {
-		entries[i] = entry{cond: c, vars: smt.VarSet(c)}
+	return out, err
+}
+
+// condVars is a condition with the names of its variables, computed
+// once where it is built — per edge, per renamed trace — so the cone of
+// influence of each cycle sharing it walks no expression again.
+type condVars struct {
+	cond  smt.Expr
+	vars  []string
+	after int // path conditions only: PathCond.AfterStmt
+}
+
+func newCondVars(cond smt.Expr, after int) condVars {
+	set := smt.VarSet(cond)
+	vars := make([]string, 0, len(set))
+	for v := range set {
+		vars = append(vars, v)
 	}
+	return condVars{cond: cond, vars: vars, after: after}
+}
+
+// pathCondsBefore appends to dst the renamed trace's path conditions
+// recorded before statement seq (what Trace.PathCondsBefore selects), in
+// order, with their variable sets, which are computed once per trace.
+// Workers may race to build the same trace's slice; the builds are
+// identical, so either is kept.
+func (a *Analyzer) pathCondsBefore(dst []*condVars, tr *trace.Trace, seq int) []*condVars {
+	v, ok := a.pcMemo.Load(tr)
+	if !ok {
+		conds := make([]condVars, len(tr.PathConds))
+		for i, pc := range tr.PathConds {
+			conds[i] = newCondVars(pc.Cond, pc.AfterStmt)
+		}
+		v, _ = a.pcMemo.LoadOrStore(tr, conds)
+	}
+	conds := v.([]condVars)
+	for i := range conds {
+		if conds[i].after <= seq {
+			dst = append(dst, &conds[i])
+		}
+	}
+	return dst
+}
+
+// coneOfInfluence appends to out the conditions transitively connected to
+// the seed variable set, in their given order.
+func coneOfInfluence(out []smt.Expr, seed map[string]struct{}, conds []*condVars) []smt.Expr {
+	in := make([]bool, len(conds))
 	for changed := true; changed; {
 		changed = false
-		for i := range entries {
-			if entries[i].in {
+		for i, c := range conds {
+			if in[i] {
 				continue
 			}
 			touch := false
-			for v := range entries[i].vars {
+			for _, v := range c.vars {
 				if _, ok := seed[v]; ok {
 					touch = true
 					break
@@ -331,17 +387,15 @@ func coneOfInfluence(seed map[string]smt.Sort, conds []smt.Expr) []smt.Expr {
 			if !touch {
 				continue
 			}
-			entries[i].in = true
-			changed = true
-			for v, s := range entries[i].vars {
-				seed[v] = s
+			in[i], changed = true, true
+			for _, v := range c.vars {
+				seed[v] = struct{}{}
 			}
 		}
 	}
-	var out []smt.Expr
-	for _, e := range entries {
-		if e.in {
-			out = append(out, e.cond)
+	for i, c := range conds {
+		if in[i] {
+			out = append(out, c.cond)
 		}
 	}
 	return out
@@ -358,30 +412,31 @@ type edgeKey struct {
 // edgeCondCached builds — or reuses — the conflict condition of one
 // C-edge. Cycles overlap heavily: every cycle sharing a C-edge used to
 // rebuild an identical condition expression from scratch. The cache
-// builds each distinct edge once per Analyze call and interns the
-// result, so downstream canonicalization hits its per-node memo on the
-// shared subtrees. Fresh range variables are prefixed per edge
-// ("rng.r1.", "rng.r2."), which keeps the built condition independent
-// of whatever the cycle's other edge minted.
-func (a *Analyzer) edgeCondCached(x, y *trace.Stmt, rowPrefix string) smt.Expr {
+// builds each distinct edge once per Analyze call, together with its
+// variable set. It is not interned: nothing downstream keys on edge
+// pointers, and the process-global interner would retain every edge of
+// every run. Fresh range variables are prefixed per edge ("rng.r1.",
+// "rng.r2."), which keeps the built condition independent of whatever
+// the cycle's other edge minted.
+func (a *Analyzer) edgeCondCached(x, y *trace.Stmt, rowPrefix string) *condVars {
 	k := edgeKey{x: x, y: y, rowPrefix: rowPrefix}
 	if e, ok := a.edgeMemo.Load(k); ok {
 		if o := a.opts.Observer; o != nil {
 			o.P().EdgeCacheHits.Inc()
 		}
-		return e.(smt.Expr)
+		return e.(*condVars)
 	}
 	nm := lockmodel.NewNamer("rng." + rowPrefix)
-	e := smt.Intern(edgeCond(x, y, a.scm, rowPrefix, nm, a.opts.UseConcretePlans))
+	e := newCondVars(edgeCond(x, y, a.scm, rowPrefix, nm, a.opts.UseConcretePlans), 0)
 	// Hit/build attribution is metrics-only and may race benignly between
 	// workers building the same edge — it never reaches the report.
 	if o := a.opts.Observer; o != nil {
 		o.P().EdgeCacheBuilds.Inc()
 	}
 	// Concurrent workers may race to build the same edge; both builds are
-	// identical and interned, so either value is fine to keep.
-	actual, _ := a.edgeMemo.LoadOrStore(k, e)
-	return actual.(smt.Expr)
+	// structurally identical, so either value is fine to keep.
+	actual, _ := a.edgeMemo.LoadOrStore(k, &e)
+	return actual.(*condVars)
 }
 
 // edgeCond builds the conflict condition of one C-edge, trying both

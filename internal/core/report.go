@@ -69,9 +69,14 @@ type Stats struct {
 	// Memoization split of GroupsSolved: SolverCalls discharges actually
 	// ran the solver (one per distinct canonical formula); MemoHits were
 	// served from the memo table. SolverCalls + MemoHits == GroupsSolved
-	// unless memoization is disabled (then MemoHits is 0).
+	// unless memoization is disabled (then MemoHits is 0). CanonCalls is
+	// the memo table's first level: the number of distinct formula shapes
+	// (formulas up to renaming) it canonicalized, so SolverCalls <=
+	// CanonCalls <= GroupsSolved. It counts table entries, hence is
+	// deterministic at any parallelism; zero when memoization is disabled.
 	SolverCalls int
 	MemoHits    int
+	CanonCalls  int
 
 	SolverSAT     int
 	SolverUNSAT   int
@@ -156,8 +161,8 @@ func (s Stats) Render() string {
 			s.PrescreenPairs, s.PrescreenPairsPruned, s.PrescreenSaved)
 	}
 	memo := ""
-	if s.MemoHits > 0 {
-		memo = fmt.Sprintf(", %d memo hits", s.MemoHits)
+	if s.MemoHits > 0 || s.CanonCalls > 0 {
+		memo = fmt.Sprintf(", %d memo hits over %d shapes", s.MemoHits, s.CanonCalls)
 	}
 	par := ""
 	if s.Parallelism > 1 {

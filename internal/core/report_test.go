@@ -16,7 +16,7 @@ func TestStatsRenderGolden(t *testing.T) {
 	full := Stats{
 		Traces: 6, Pairs: 192, PairsAfterPhase1: 16,
 		CoarseCycles: 826, LockFiltered: 214, GroupsSolved: 127,
-		SolverCalls: 124, MemoHits: 3,
+		SolverCalls: 124, MemoHits: 3, CanonCalls: 124,
 		SolverSAT: 18, SolverUNSAT: 108, SolverUnknown: 1,
 		Engine: solver.Stats{
 			Decisions: 411, Conflicts: 37, Propagations: 1902,
@@ -27,7 +27,7 @@ func TestStatsRenderGolden(t *testing.T) {
 	}
 	want := "phases: 6 traces, 192 txn pairs -> 16 after txn-level filter -> " +
 		"826 coarse cycles -> 214 lock-filtered, 127 groups solved via " +
-		"124 solver calls, 3 memo hits (SAT 18 / UNSAT 108 / UNKNOWN 1) " +
+		"124 solver calls, 3 memo hits over 124 shapes (SAT 18 / UNSAT 108 / UNKNOWN 1) " +
 		"in 1.52s on 4 workers\n" +
 		"engine: 411 decisions, 37 conflicts, 1902 propagations, " +
 		"35 learned clauses, 29 backjumps, 260 theory calls"

@@ -11,6 +11,7 @@ package history
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,8 +24,9 @@ import (
 )
 
 // maxIngestBody bounds one ingest request body (trace batches for a
-// whole app corpus are a few MB; this is a DoS guard, not a quota).
-const maxIngestBody = 256 << 20
+// whole app corpus are a few MB; this is a DoS guard, not a quota). A
+// larger body is refused with 413. A variable so tests can lower it.
+var maxIngestBody int64 = 256 << 20
 
 // AnalyzeFunc re-analyzes an ingested trace batch for the app named by
 // the request (or the server default when empty) and returns the
@@ -136,7 +138,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		m.IngestErrors.Inc()
 		httpError(w, code, format, args...)
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		fail(http.StatusRequestEntityTooLarge, "body exceeds the %d-byte ingest limit", tooBig.Limit)
+		return
+	}
 	if err != nil {
 		fail(http.StatusBadRequest, "read body: %v", err)
 		return

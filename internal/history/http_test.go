@@ -271,6 +271,37 @@ func TestIngestErrors(t *testing.T) {
 	}
 }
 
+// TestIngestOversizedBody checks that a body over the limit is refused
+// as such — 413 naming the limit — not truncated and then reported as a
+// JSON syntax error, and that a body exactly at the limit still gets in.
+func TestIngestOversizedBody(t *testing.T) {
+	_, ts, reg := newTestServer(t)
+	defer func(old int64) { maxIngestBody = old }(maxIngestBody)
+	maxIngestBody = 64
+
+	post := func(n int) (int, string) {
+		t.Helper()
+		body := "[" + strings.Repeat(" ", n-2) + "]" // n bytes of valid JSON
+		resp, err := http.Post(ts.URL+"/ingest?format=events", obs.ContentTypeJSON, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	if code, msg := post(int(maxIngestBody)); code != http.StatusOK {
+		t.Errorf("body at the limit: status %d %s", code, msg)
+	}
+	code, msg := post(int(maxIngestBody) + 1)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "64-byte ingest limit") {
+		t.Errorf("body one byte over the limit: status %d %s, want 413 naming the limit", code, msg)
+	}
+	if got := reg.Snapshot()["weseer_history_ingest_errors_total"]; got != 1 {
+		t.Errorf("ingest_errors_total = %v, want 1", got)
+	}
+}
+
 func TestEventsTextFormat(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
 	if _, err := srv.Store.Ingest(testEvents()); err != nil {

@@ -119,6 +119,7 @@ type PipelineMetrics struct {
 	GroupsSolved     *Counter
 	SolverCalls      *Counter
 	MemoHits         *Counter
+	CanonCalls       *Counter
 
 	PrescreenPairs       *Counter
 	PrescreenPairsPruned *Counter
@@ -160,6 +161,7 @@ func RegisterPipelineMetrics(reg *Registry) *PipelineMetrics {
 		GroupsSolved:     reg.Counter("weseer_funnel_groups_solved_total", "cycles discharged in the fine phase (memoized or not)"),
 		SolverCalls:      reg.Counter("weseer_funnel_solver_calls_total", "group discharges that ran the solver"),
 		MemoHits:         reg.Counter("weseer_funnel_memo_hits_total", "group discharges served from the solver-call memo table"),
+		CanonCalls:       reg.Counter("weseer_canon_calls_total", "distinct formula shapes canonicalized (memo level one)"),
 
 		PrescreenPairs:       reg.Counter("weseer_prescreen_pairs_total", "pairs examined by the phase-0 static screen"),
 		PrescreenPairsPruned: reg.Counter("weseer_prescreen_pairs_pruned_total", "pairs discarded before cycle enumeration"),

@@ -31,7 +31,7 @@ func BenchmarkCanon(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c1 := Canon(f1)
 		c2 := Canon(f2)
-		if c1.Key != c2.Key {
+		if c1.Key() != c2.Key() {
 			b.Fatal("alpha-variants canonicalized differently")
 		}
 	}

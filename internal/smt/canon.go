@@ -56,11 +56,9 @@ package smt
 // deterministic and equivalent inputs converge to one key.
 
 import (
-	"hash/fnv"
 	"math/big"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // CanonResult is the outcome of Canon.
@@ -73,10 +71,6 @@ type CanonResult struct {
 	// alpha-renaming, commutative reordering, and per-component injective
 	// constant remapping.
 	Expr Expr
-	// Key is Expr's string form — a stable identity usable as a memo
-	// key. Equivalent inputs produce equal keys; inputs differing in
-	// structure or in any corresponding sort produce distinct keys.
-	Key string
 	// Rename maps each original variable name and array root ID to its
 	// canonical name. The mapping is a bijection on the names occurring
 	// in the input, so it can be inverted to translate a model found for
@@ -97,14 +91,11 @@ type CanonResult struct {
 	shifted map[string]int64
 }
 
-// Hash returns a 64-bit FNV-1a hash of the canonical key, for compact
-// fingerprints in stats and logs. Key equality remains the authoritative
-// identity; Hash is advisory.
-func (c CanonResult) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(c.Key))
-	return h.Sum64()
-}
+// Key returns Expr's string form — a stable identity for logs and tests.
+// Equivalent inputs produce equal keys; inputs differing in structure or
+// in any corresponding sort produce distinct keys. It is rendered on
+// demand: the memo table keys on the interned Expr, not on this string.
+func (c CanonResult) Key() string { return c.Expr.String() }
 
 // Invert returns the canonical-to-original name mapping.
 func (c CanonResult) Invert() map[string]string {
@@ -115,26 +106,19 @@ func (c CanonResult) Invert() map[string]string {
 	return inv
 }
 
-// localKeyMemo caches localKey results process-wide, keyed on the Expr
-// interface value. The local key of a node is a pure function of its
-// structure, and the analyzer shares subtree pointers heavily (path
-// conditions repeat across cycles; edge conditions are cached per edge),
-// so identical pointers recur across Canon calls and the per-operand
-// canonicalization pass becomes a map hit.
-var localKeyMemo sync.Map // Expr → string
-
 // localKey canonicalizes x in isolation (including its own component
 // analysis) and returns its string form. The key is invariant under any
 // renaming of an enclosing formula.
 func localKey(x Expr) string {
-	if k, ok := localKeyMemo.Load(x); ok {
-		return k.(string)
-	}
-	m := newCanonMaps(analyzeComponents(x))
-	canonAssign(x, m)
-	k := applyMaps(x, m).String()
-	localKeyMemo.Store(x, k)
-	return k
+	return newCanonMaps(x, analyzeComponents(x)).render(x)
+}
+
+// render returns m.apply(x, "", 0).String() without building the tree.
+func (m *canonMaps) render(x Expr) string {
+	w := writer{buf: m.buf[:0], m: m}
+	w.expr(x, "", 0)
+	m.buf = w.buf
+	return string(w.buf)
 }
 
 // Canon canonicalizes e as described in the package comment above.
@@ -156,28 +140,23 @@ func Canon(e Expr) CanonResult {
 	// whole-formula assignment is applied, and that assignment is
 	// equivariant under renamings of the input, so equivalent inputs
 	// refine identically. Sort and renumber until a fixpoint (or a small
-	// cap — Canon stays a pure function either way).
+	// cap — Canon stays a pure function either way). m is always the
+	// assignment of the current e.
+	m := newCanonMaps(e, comp)
 	for i := 0; i < 4; i++ {
-		m := newCanonMaps(comp)
-		canonAssign(e, m)
-		sorted := acSort(e, func(x Expr) string { return applyMaps(x, m).String() })
+		sorted := acSort(e, m.render)
 		if sorted == e {
 			break
 		}
 		e = sorted
+		m = newCanonMaps(e, comp)
 	}
-
-	m := newCanonMaps(comp)
-	canonAssign(e, m)
-	canon := applyMaps(e, m)
-	return CanonResult{Expr: canon, Key: canon.String(), Rename: m.vars,
+	return CanonResult{Expr: m.apply(e, "", 0), Rename: m.vars,
 		abs: m.abs, ints: m.ints, strs: m.strs, shifted: m.shifted}
 }
 
 // ---------------------------------------------------------------------------
 // Symbol components
-
-func varSym(name string) string { return "v:" + name }
 
 // compInfo aggregates what a component's atoms observe about its values.
 type compInfo struct {
@@ -212,12 +191,16 @@ type components struct {
 
 func (c *components) find(x string) string {
 	p, ok := c.parent[x]
-	if !ok || p == x {
+	if !ok {
 		c.parent[x] = x
+	}
+	if !ok || p == x {
 		return x
 	}
 	r := c.find(p)
-	c.parent[x] = r
+	if r != p {
+		c.parent[x] = r
+	}
 	return r
 }
 
@@ -301,7 +284,7 @@ func walkAtoms(e Expr, c *components) {
 		sideFacts(t.R, &facts)
 		c.link(syms, facts)
 	case *Select:
-		syms := []string{varSym(t.Arr.ID)}
+		syms := []string{t.Arr.ID}
 		bad := t.Arr.KeySort == SortReal
 		// Real-keyed arrays also block the shift: their model entry keys
 		// are stored in string form that shiftKeyString cannot move.
@@ -386,7 +369,7 @@ func termSyms(e Expr, syms []string) ([]string, bool) {
 	case RealConst:
 		return syms, true
 	case Var:
-		return append(syms, varSym(t.Name)), t.S == SortReal
+		return append(syms, t.Name), t.S == SortReal
 	case *Arith:
 		syms, _ = termSyms(t.L, syms)
 		if t.R != nil {
@@ -413,65 +396,60 @@ type canonMaps struct {
 	nextInt int64
 	nextStr int
 	comp    *components
+	buf     []byte // render's scratch
 }
 
-func newCanonMaps(comp *components) *canonMaps {
-	return &canonMaps{vars: map[string]string{}, abs: map[string]string{},
+// newCanonMaps returns e's canonical assignment under the partition comp.
+func newCanonMaps(e Expr, comp *components) *canonMaps {
+	m := &canonMaps{vars: map[string]string{}, abs: map[string]string{},
 		shifted: map[string]int64{}, comp: comp}
+	canonAssign(e, m)
+	return m
 }
 
-// atomTag returns the component tag governing an atom's constants: the
-// component root of the atom's first variable, or "" (keep constants
-// concrete) when the atom has no variable or its component is tainted.
-func (m *canonMaps) atomTag(atom Expr) string {
-	sym := firstVarSym(atom)
-	if sym == "" {
-		return ""
+// atomCtx returns what governs an atom's constants, looked up through the
+// component of the atom's first variable: tag names the component's
+// constant map when it is untainted; otherwise d is the δ to subtract
+// from the atom's directly-compared constants when the component is
+// shift-normalized. ("", 0) keeps the constants concrete — no variable,
+// or a tainted component that does not shift.
+func (m *canonMaps) atomCtx(atom Expr) (tag string, d int64) {
+	sym, ok := firstVarSym(atom)
+	if !ok {
+		return "", 0
 	}
 	root := m.comp.find(sym)
-	if m.comp.tainted(root) {
-		return ""
+	if !m.comp.tainted(root) {
+		return root, 0
 	}
-	return root
+	d, _ = m.comp.delta(root)
+	return "", d
 }
 
-// atomShift returns the δ to subtract from an atom's directly-compared
-// constants when its component is shift-normalized.
-func (m *canonMaps) atomShift(atom Expr) (int64, bool) {
-	sym := firstVarSym(atom)
-	if sym == "" {
-		return 0, false
-	}
-	return m.comp.delta(m.comp.find(sym))
-}
-
-func firstVarSym(e Expr) string {
+func firstVarSym(e Expr) (string, bool) {
 	switch t := e.(type) {
 	case Var:
-		return varSym(t.Name)
+		return t.Name, true
 	case *Cmp:
-		if s := firstVarSym(t.L); s != "" {
-			return s
+		if s, ok := firstVarSym(t.L); ok {
+			return s, true
 		}
 		return firstVarSym(t.R)
 	case *Arith:
-		if s := firstVarSym(t.L); s != "" {
-			return s
+		if s, ok := firstVarSym(t.L); ok || t.R == nil {
+			return s, ok
 		}
-		if t.R != nil {
-			return firstVarSym(t.R)
-		}
-		return ""
+		return firstVarSym(t.R)
 	case *Select:
-		return varSym(t.Arr.ID)
+		return t.Arr.ID, true
 	default:
-		return ""
+		return "", false
 	}
 }
 
 // canonAssign walks the formula depth-first, left to right, assigning
 // canonical names (and, in untainted components, canonical constants) on
-// first occurrence. The walk mirrors applyMaps's node coverage.
+// first occurrence. The walk mirrors apply's node coverage.
 func canonAssign(e Expr, m *canonMaps) {
 	switch t := e.(type) {
 	case BoolConst:
@@ -490,11 +468,11 @@ func canonAssign(e Expr, m *canonMaps) {
 			canonAssign(t.R, m)
 			return
 		}
-		tag := m.atomTag(t)
+		tag, _ := m.atomCtx(t)
 		m.assignTerm(t.L, tag)
 		m.assignTerm(t.R, tag)
 	case *Select:
-		tag := m.atomTag(t)
+		tag, _ := m.atomCtx(t)
 		m.assignVar(t.Arr.ID, t.Arr.KeySort)
 		// Store keys newest-version-first, matching Array.String().
 		for cur := t.Arr; cur != nil; cur = cur.Parent {
@@ -542,7 +520,7 @@ func (m *canonMaps) assignTerm(e Expr, tag string) {
 			m.strs[tag] = mm
 		}
 		if _, ok := mm[t.S]; !ok {
-			mm[t.S] = "k" + itoa(m.nextStr)
+			mm[t.S] = "k" + strconv.Itoa(m.nextStr)
 			m.nextStr++
 		}
 	case Var:
@@ -565,128 +543,82 @@ func (m *canonMaps) assignVar(name string, s Sort) {
 	}
 	// Embedding the index first keeps names short; the sort suffix makes
 	// sort mismatches visible in the key.
-	canon := "c" + itoa(len(m.vars)) + ":" + s.String()
+	canon := "c" + strconv.Itoa(len(m.vars)) + ":" + s.String()
 	m.vars[name] = canon
-	if root := m.comp.find(varSym(name)); !m.comp.tainted(root) {
+	if root := m.comp.find(name); !m.comp.tainted(root) {
 		m.abs[canon] = root
 	} else if d, ok := m.comp.delta(root); ok {
 		m.shifted[canon] = d
 	}
 }
 
-// applyMaps rewrites e per the assignment: abstracted constant
-// occurrences replaced, then variables and array roots renamed.
-// Unassigned names and constants pass through unchanged.
-func applyMaps(e Expr, m *canonMaps) Expr {
-	if len(m.ints)+len(m.strs)+len(m.shifted) > 0 {
-		e = rewriteConsts(e, m, "")
-	}
-	return Rename(e, func(n string) string {
-		if c, ok := m.vars[n]; ok {
-			return c
-		}
-		return n
-	})
-}
-
-// rewriteConsts replaces constant occurrences per their atom's component
-// map. tag is "" at the formula level and set on entering an atom.
-func rewriteConsts(e Expr, m *canonMaps, tag string) Expr {
+// apply rewrites e per the assignment in one copy: abstracted constant
+// occurrences replaced, directly-compared constants of shift-normalized
+// components moved, then variables and array roots renamed. Unassigned
+// names and constants pass through unchanged. tag and d are the enclosing
+// atom's atomCtx; like the writer — which renders this very tree without
+// building it — d moves only an IntConst that is itself an atom side:
+// every other side shape sideFacts allows (a variable plus constant
+// offsets) tracks its variable, whose model value moves instead, so the
+// relative constants inside Arith stay concrete.
+func (m *canonMaps) apply(e Expr, tag string, d int64) Expr {
 	switch t := e.(type) {
-	case BoolConst, RealConst, Var:
+	case BoolConst, RealConst:
 		return e
 	case IntConst:
 		if c, ok := m.ints[tag][t.V]; ok {
 			return IntConst{V: c}
 		}
-		return e
+		return IntConst{V: t.V - d}
 	case StrConst:
 		if c, ok := m.strs[tag][t.S]; ok {
 			return StrConst{S: c}
 		}
 		return e
+	case Var:
+		return Var{Name: m.name(t.Name), S: t.S}
 	case *Arith:
 		var r Expr
 		if t.R != nil {
-			r = rewriteConsts(t.R, m, tag)
+			r = m.apply(t.R, tag, 0)
 		}
-		return &Arith{Op: t.Op, L: rewriteConsts(t.L, m, tag), R: r, S: t.S}
+		return &Arith{Op: t.Op, L: m.apply(t.L, tag, 0), R: r, S: t.S}
 	case *Cmp:
 		if t.L.Sort() != SortBool {
-			tag = m.atomTag(t)
-			if tag == "" {
-				if d, ok := m.atomShift(t); ok {
-					return &Cmp{Op: t.Op, L: shiftSide(t.L, d), R: shiftSide(t.R, d)}
-				}
-			}
+			tag, d = m.atomCtx(t)
 		}
-		return &Cmp{Op: t.Op, L: rewriteConsts(t.L, m, tag), R: rewriteConsts(t.R, m, tag)}
+		return &Cmp{Op: t.Op, L: m.apply(t.L, tag, d), R: m.apply(t.R, tag, d)}
 	case *NAry:
 		xs := make([]Expr, len(t.Xs))
 		for i, x := range t.Xs {
-			xs[i] = rewriteConsts(x, m, tag)
+			xs[i] = m.apply(x, tag, 0)
 		}
 		return &NAry{Conj: t.Conj, Xs: xs}
 	case Not:
-		return Not{X: rewriteConsts(t.X, m, tag)}
+		return Not{X: m.apply(t.X, tag, 0)}
 	case *Select:
-		tag = m.atomTag(t)
-		if tag == "" {
-			if d, ok := m.atomShift(t); ok {
-				return &Select{Arr: shiftArray(t.Arr, d), Key: shiftSide(t.Key, d)}
-			}
-		}
-		return &Select{Arr: rewriteConstsArray(t.Arr, m, tag), Key: rewriteConsts(t.Key, m, tag)}
+		tag, d = m.atomCtx(t)
+		return &Select{Arr: m.applyArray(t.Arr, tag, d), Key: m.apply(t.Key, tag, d)}
 	default:
-		panic("smt: rewriteConsts of unknown node")
+		panic("smt: Canon of unknown node")
 	}
 }
 
-func rewriteConstsArray(a *Array, m *canonMaps, tag string) *Array {
-	if a == nil {
-		return nil
-	}
-	r := &Array{
-		ID:       a.ID,
-		KeySort:  a.KeySort,
-		Version:  a.Version,
-		Parent:   rewriteConstsArray(a.Parent, m, tag),
-		StoreVal: a.StoreVal,
-	}
-	if a.StoreKey != nil {
-		r.StoreKey = rewriteConsts(a.StoreKey, m, tag)
+func (m *canonMaps) applyArray(a *Array, tag string, d int64) *Array {
+	r := &Array{ID: m.name(a.ID), KeySort: a.KeySort, Version: a.Version, StoreVal: a.StoreVal}
+	if a.Parent != nil {
+		r.Parent = m.applyArray(a.Parent, tag, d)
+		r.StoreKey = m.apply(a.StoreKey, tag, d)
 	}
 	return r
 }
 
-// shiftSide applies a shift-normalized component's δ to one atom side: a
-// lone Int constant is directly compared and moves by −δ; every other
-// side shape allowed by sideFacts (a variable plus constant offsets)
-// tracks its variable, whose model value moves instead, so the side is
-// kept verbatim — in particular the relative constants inside Arith stay
-// concrete.
-func shiftSide(e Expr, d int64) Expr {
-	if c, ok := e.(IntConst); ok {
-		return IntConst{V: c.V - d}
+// name returns n's canonical name (n itself when unassigned).
+func (m *canonMaps) name(n string) string {
+	if c, ok := m.vars[n]; ok {
+		return c
 	}
-	return e
-}
-
-func shiftArray(a *Array, d int64) *Array {
-	if a == nil {
-		return nil
-	}
-	r := &Array{
-		ID:       a.ID,
-		KeySort:  a.KeySort,
-		Version:  a.Version,
-		Parent:   shiftArray(a.Parent, d),
-		StoreVal: a.StoreVal,
-	}
-	if a.StoreKey != nil {
-		r.StoreKey = shiftSide(a.StoreKey, d)
-	}
-	return r
+	return n
 }
 
 // acSort rebuilds e with every And/Or operand list stably sorted by key.
@@ -818,7 +750,7 @@ func TranslateModel(m *Model, c CanonResult) *Model {
 				return StrValue(f)
 			}
 			for {
-				cand := "v" + itoa(nFreshStr)
+				cand := "v" + strconv.Itoa(nFreshStr)
 				nFreshStr++
 				if !origStrs[cand] {
 					freshStrs[v.Str] = cand
@@ -900,20 +832,4 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 	}
 	sort.Strings(ks)
 	return ks
-}
-
-// itoa formats a small non-negative int; inlined rather than strconv.Itoa
-// because it sits on Canon's hot path.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,0 +1,82 @@
+package smt_test
+
+// The parts of the canonicalization differential that need packages
+// which themselves import smt: the analyzer (for real cycle formulas)
+// and the solver (for FuzzCanon's semantic check).
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"weseer/internal/apps"
+	"weseer/internal/apps/appkit"
+	"weseer/internal/concolic"
+	"weseer/internal/core"
+	"weseer/internal/smt"
+	"weseer/internal/solver"
+)
+
+// TestCanonMatchesOracleOnCorpora runs the oracle differential — and the
+// shape-composition property the memo table's first level rests on —
+// over every cycle formula of the Table II apps and a generated corpus.
+func TestCanonMatchesOracleOnCorpora(t *testing.T) {
+	for _, spec := range []string{"broadleaf", "shopizer", "gen:7,templates=96"} {
+		app, err := apps.Open(spec, apps.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		formulas, err := core.NewAnalyzer(app.Schema()).CycleFormulas(context.Background(), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(formulas) < 100 {
+			t.Fatalf("%s: only %d cycle formulas — corpus broken?", spec, len(formulas))
+		}
+		for _, f := range formulas {
+			smt.CheckCanonAgainstOracle(t, f)
+		}
+		t.Logf("%s: %d cycle formulas agree with the oracle", spec, len(formulas))
+	}
+}
+
+// FuzzCanon checks what memoizing on Canon assumes: Canon(f).Expr is
+// equisatisfiable with f, and a model of it, translated back, satisfies
+// f by evaluation. Inconclusive solves prove nothing and are skipped.
+func FuzzCanon(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x02\x01\x03\x00\x02\x04\x01\x05\x02\x00\x03\x01"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		formula := smt.GenFormula(data)
+		smt.CheckCanonAgainstOracle(t, formula)
+		c := smt.Canon(formula)
+		// Bound each solve: a timed-out one is UNKNOWN and skipped, so a
+		// hard instance slows the fuzzer down without stalling it.
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		orig := solver.SolveCtx(ctx, formula, solver.Limits{})
+		canon := solver.SolveCtx(ctx, c.Expr, solver.Limits{})
+		if orig.Status == solver.UNKNOWN || canon.Status == solver.UNKNOWN {
+			t.Skip("inconclusive")
+		}
+		if orig.Status != canon.Status {
+			t.Fatalf("%s is %v but its canonical form %s is %v", formula, orig.Status, c.Expr, canon.Status)
+		}
+		if canon.Status == solver.SAT {
+			// The solver omits variables every retained constraint leaves
+			// free; they default in canonical space, so bind them there
+			// before values are translated.
+			for name, sort := range smt.VarSet(c.Expr) {
+				canon.Model.Vars[name] = canon.Model.Lookup(name, sort)
+			}
+			back := smt.TranslateModel(canon.Model, c)
+			if !smt.Eval(formula, back).B {
+				t.Fatalf("translated model %v does not satisfy %s\ncanonical: %s\nmodel: %v", back, formula, c.Expr, canon.Model)
+			}
+		}
+	})
+}

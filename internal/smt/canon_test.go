@@ -14,13 +14,10 @@ func TestCanonAlphaEquivalence(t *testing.T) {
 		return And(Ne(x, Int(-1)), Eq(r, p), Le(r, Add(x, Int(3))))
 	}
 	c1, c2 := Canon(mk("A1.")), Canon(mk("B7!"))
-	if c1.Key != c2.Key {
-		t.Fatalf("alpha-equivalent formulas got distinct keys:\n%s\n%s", c1.Key, c2.Key)
+	if c1.Key() != c2.Key() {
+		t.Fatalf("alpha-equivalent formulas got distinct keys:\n%s\n%s", c1.Key(), c2.Key())
 	}
-	if c1.Hash() != c2.Hash() {
-		t.Error("equal keys must hash equally")
-	}
-	if c1.Expr.String() != c1.Key {
+	if c1.Expr.String() != c1.Key() {
 		t.Errorf("Key must be the canonical expr's string form")
 	}
 }
@@ -52,8 +49,8 @@ func TestCanonDistinguishesStructure(t *testing.T) {
 		{Eq(NewVar("a", SortInt), Int(0)), &Cmp{Op: EQ, L: NewVar("a", SortReal), R: Int(0)}},
 	}
 	for i, c := range cases {
-		if Canon(c[0]).Key == Canon(c[1]).Key {
-			t.Errorf("case %d: distinct formulas share key %q", i, Canon(c[0]).Key)
+		if Canon(c[0]).Key() == Canon(c[1]).Key() {
+			t.Errorf("case %d: distinct formulas share key %q", i, Canon(c[0]).Key())
 		}
 	}
 }
@@ -84,7 +81,7 @@ func TestCanonRenameIsInvertibleBijection(t *testing.T) {
 		}
 		return n
 	})
-	if Canon(back).Key != c.Key {
+	if Canon(back).Key() != c.Key() {
 		t.Errorf("round trip changed formula:\n%s\n%s", f, back)
 	}
 	bv, fv := VarSet(back), VarSet(f)
@@ -104,10 +101,10 @@ func TestCanonCommutativeNormalization(t *testing.T) {
 	a, b := Gt(x, Int(0)), Eq(y, Int(7))
 
 	// Plain operand reordering of a conjunction.
-	if Canon(And(a, b)).Key != Canon(And(b, a)).Key {
+	if Canon(And(a, b)).Key() != Canon(And(b, a)).Key() {
 		t.Error("And(a,b) and And(b,a) should share a key")
 	}
-	if Canon(Or(a, b)).Key != Canon(Or(b, a)).Key {
+	if Canon(Or(a, b)).Key() != Canon(Or(b, a)).Key() {
 		t.Error("Or(a,b) and Or(b,a) should share a key")
 	}
 
@@ -125,12 +122,12 @@ func TestCanonCommutativeNormalization(t *testing.T) {
 	}
 	f1 := And(mk("A1.", "A2."), Lt(NewVar("A1.id", SortInt), Int(100)))
 	f2 := And(Lt(NewVar("A2.id", SortInt), Int(100)), mk("A2.", "A1."))
-	if Canon(f1).Key != Canon(f2).Key {
-		t.Errorf("mirror formulas got distinct keys:\n%s\n%s", Canon(f1).Key, Canon(f2).Key)
+	if Canon(f1).Key() != Canon(f2).Key() {
+		t.Errorf("mirror formulas got distinct keys:\n%s\n%s", Canon(f1).Key(), Canon(f2).Key())
 	}
 
 	// Sorting must not merge genuinely different formulas.
-	if Canon(And(a, b)).Key == Canon(And(a, Negate(b))).Key {
+	if Canon(And(a, b)).Key() == Canon(And(a, Negate(b))).Key() {
 		t.Error("distinct conjunctions share a key")
 	}
 }
@@ -170,8 +167,8 @@ func TestCanonConstantAbstraction(t *testing.T) {
 		return And(Eq(x, Int(n)), Ne(y, Str(s)), Read(NewArray("A1.rows", SortInt), x))
 	}
 	c1, c2 := Canon(mk(42, "acct")), Canon(mk(7, "sku"))
-	if c1.Key != c2.Key {
-		t.Fatalf("pure-equality formulas differing only in constants got distinct keys:\n%s\n%s", c1.Key, c2.Key)
+	if c1.Key() != c2.Key() {
+		t.Fatalf("pure-equality formulas differing only in constants got distinct keys:\n%s\n%s", c1.Key(), c2.Key())
 	}
 	if len(c1.ints) == 0 || len(c1.strs) == 0 {
 		t.Fatal("constant maps should be populated for abstracted components")
@@ -195,7 +192,7 @@ func TestCanonConstantAbstraction(t *testing.T) {
 	g := func(n int64) Expr {
 		return And(Lt(NewVar("qty", SortInt), Int(5)), Eq(x, Int(n)))
 	}
-	if Canon(g(5)).Key != Canon(g(9)).Key {
+	if Canon(g(5)).Key() != Canon(g(9)).Key() {
 		t.Error("constants of an untainted component should abstract despite taint elsewhere")
 	}
 	// Tainted-component constants keep their relative magnitudes: with the
@@ -205,7 +202,7 @@ func TestCanonConstantAbstraction(t *testing.T) {
 		qty := NewVar("qty", SortInt)
 		return And(Gt(qty, Int(0)), Lt(qty, Int(n)), Eq(x, Int(5)))
 	}
-	if Canon(h(5)).Key == Canon(h(6)).Key {
+	if Canon(h(5)).Key() == Canon(h(6)).Key() {
 		t.Error("tainted-component constant gaps must stay observable")
 	}
 }
@@ -226,8 +223,8 @@ func TestCanonShiftNormalization(t *testing.T) {
 		)
 	}
 	c10, c73 := Canon(mk(10)), Canon(mk(73))
-	if c10.Key != c73.Key {
-		t.Fatalf("offset-equivalent formulas got distinct keys:\n%s\n%s", c10.Key, c73.Key)
+	if c10.Key() != c73.Key() {
+		t.Fatalf("offset-equivalent formulas got distinct keys:\n%s\n%s", c10.Key(), c73.Key())
 	}
 	if len(c10.shifted) == 0 {
 		t.Fatal("expected a shift-normalized component")
@@ -240,7 +237,7 @@ func TestCanonShiftNormalization(t *testing.T) {
 		{Lt(Mul(x, Int(2)), Int(10)), Lt(Mul(x, Int(2)), Int(14))},
 		{Lt(Sub(x, y), Int(3)), Lt(Sub(x, y), Int(8))},
 	} {
-		if Canon(pair[0]).Key == Canon(pair[1]).Key {
+		if Canon(pair[0]).Key() == Canon(pair[1]).Key() {
 			t.Errorf("case %d: non-offset-invariant formulas share a key", i)
 		}
 	}
@@ -257,7 +254,7 @@ func TestCanonShiftModelTranslation(t *testing.T) {
 	)
 	c := Canon(f)
 	if len(c.shifted) == 0 {
-		t.Fatalf("expected shift normalization to apply: %s", c.Key)
+		t.Fatalf("expected shift normalization to apply: %s", c.Key())
 	}
 
 	cid := c.Rename["A1.id"]
@@ -265,7 +262,7 @@ func TestCanonShiftModelTranslation(t *testing.T) {
 	cm.Vars[cid] = IntValue(2) // satisfies 0 <= id' < 5 in the shifted space
 	cm.Arrays[c.Rename["A1.rows"]] = map[string]bool{}
 	if !Eval(c.Expr, cm).B {
-		t.Fatalf("canonical model does not satisfy canonical formula %s", c.Key)
+		t.Fatalf("canonical model does not satisfy canonical formula %s", c.Key())
 	}
 	om := TranslateModel(cm, c)
 	if !Eval(f, om).B {
@@ -339,9 +336,9 @@ func TestCanonTranslateModelConstants(t *testing.T) {
 func TestCanonDeterministicAcrossCalls(t *testing.T) {
 	x := NewVar("w", SortInt)
 	f := Or(Eq(x, Int(1)), And(Ne(x, Int(2)), Lt(x, NewVar("z", SortInt))))
-	k1 := Canon(f).Key
+	k1 := Canon(f).Key()
 	for i := 0; i < 50; i++ {
-		if k := Canon(f).Key; k != k1 {
+		if k := Canon(f).Key(); k != k1 {
 			t.Fatalf("nondeterministic key on iteration %d:\n%s\n%s", i, k1, k)
 		}
 	}

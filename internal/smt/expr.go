@@ -10,7 +10,7 @@ package smt
 import (
 	"fmt"
 	"math/big"
-	"strings"
+	"strconv"
 )
 
 // Sort identifies the type of an expression.
@@ -142,10 +142,10 @@ func (RealConst) Sort() Sort { return SortReal }
 // Sort implements Expr.
 func (StrConst) Sort() Sort { return SortString }
 
-func (c BoolConst) String() string { return fmt.Sprintf("%v", c.B) }
-func (c IntConst) String() string  { return fmt.Sprintf("%d", c.V) }
+func (c BoolConst) String() string { return strconv.FormatBool(c.B) }
+func (c IntConst) String() string  { return strconv.FormatInt(c.V, 10) }
 func (c RealConst) String() string { return c.V.RatString() }
-func (c StrConst) String() string  { return fmt.Sprintf("%q", c.S) }
+func (c StrConst) String() string  { return strconv.Quote(c.S) }
 
 // True and False are the Boolean constants.
 var (
@@ -225,12 +225,7 @@ type Arith struct {
 // Sort implements Expr.
 func (a *Arith) Sort() Sort { return a.S }
 
-func (a *Arith) String() string {
-	if a.Op == OpNeg {
-		return fmt.Sprintf("(- %s)", a.L)
-	}
-	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
-}
+func (a *Arith) String() string { return exprString(a) }
 
 func numSort(l, r Expr) Sort {
 	if l.Sort() == SortReal || (r != nil && r.Sort() == SortReal) {
@@ -297,9 +292,7 @@ type Cmp struct {
 // Sort implements Expr.
 func (*Cmp) Sort() Sort { return SortBool }
 
-func (c *Cmp) String() string {
-	return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R)
-}
+func (c *Cmp) String() string { return exprString(c) }
 
 // Compare returns the comparison atom (l op r), validating sorts.
 func Compare(op CmpOp, l, r Expr) Expr {
@@ -356,24 +349,14 @@ type NAry struct {
 // Sort implements Expr.
 func (*NAry) Sort() Sort { return SortBool }
 
-func (n *NAry) String() string {
-	op := "or"
-	if n.Conj {
-		op = "and"
-	}
-	parts := make([]string, len(n.Xs))
-	for i, x := range n.Xs {
-		parts[i] = x.String()
-	}
-	return fmt.Sprintf("(%s %s)", op, strings.Join(parts, " "))
-}
+func (n *NAry) String() string { return exprString(n) }
 
 // Not is Boolean negation.
 type Not struct{ X Expr }
 
 // Sort implements Expr.
 func (Not) Sort() Sort       { return SortBool }
-func (n Not) String() string { return fmt.Sprintf("(not %s)", n.X) }
+func (n Not) String() string { return exprString(n) }
 
 // And returns the conjunction of xs, flattening nested conjunctions and
 // folding constants. And() == True.
@@ -482,10 +465,9 @@ func (a *Array) Store(key Expr, val bool) *Array {
 }
 
 func (a *Array) String() string {
-	if a.Parent == nil {
-		return a.ID
-	}
-	return fmt.Sprintf("write(%s, %s, %v)", a.Parent, a.StoreKey, a.StoreVal)
+	var w writer
+	w.array(a, "", 0)
+	return string(w.buf)
 }
 
 // Select is the Boolean expression read(Arr, Key).
@@ -497,9 +479,7 @@ type Select struct {
 // Sort implements Expr.
 func (*Select) Sort() Sort { return SortBool }
 
-func (s *Select) String() string {
-	return fmt.Sprintf("read(%s, %s)", s.Arr, s.Key)
-}
+func (s *Select) String() string { return exprString(s) }
 
 // Read returns the Boolean expression read(a, key).
 func Read(a *Array, key Expr) Expr {

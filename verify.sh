@@ -70,6 +70,20 @@ rm -rf "$vetdir"
 echo "== go test -race (core, solver, smt, workload)"
 go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/...
 
+# The two-level memo table (shape key -> canonical key -> verdict) is
+# two singleflights sharing one mutex; hammer its concurrency and
+# cancellation tests repeatedly under the race detector.
+echo "== go test -race -count=10 (memo table)"
+go test -race -count=10 -run 'TestMemoTable' ./internal/core
+
+# Native fuzzing of the canonicalizer for a few seconds on top of the
+# checked-in seed corpus (which the plain test run above already
+# replays): Canon(f) must agree with the test-side string-based oracle,
+# be equisatisfiable with f, and its model must translate back to one
+# that satisfies f.
+echo "== go test -fuzz=FuzzCanon (5s)"
+go test -run=NONE -fuzz=FuzzCanon -fuzztime=5s ./internal/smt
+
 # Compile-and-run smoke of the microbenchmarks (one iteration each):
 # catches bit-rot in bench-only code without paying for real timing runs.
 echo "== go test -bench (1x smoke)"
