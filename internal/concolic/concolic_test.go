@@ -19,7 +19,8 @@ func testDB() *minidb.DB {
 		PrimaryKey("ID")
 	db := minidb.Open(s, minidb.Config{LockWaitTimeout: time.Second})
 	txn := db.Begin()
-	st, _ := prepare(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`)
+	prep, _ := Prepare(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`)
+	st := prep.Stmt
 	for i := int64(1); i <= 3; i++ {
 		if _, err := txn.Exec(st, []minidb.Datum{minidb.I64(i), minidb.I64(10 * i)}); err != nil {
 			panic(err)
@@ -383,4 +384,25 @@ func TestPathCondAfterStmt(t *testing.T) {
 	if len(before) != 1 {
 		t.Errorf("conds before stmt 0 = %d", len(before))
 	}
+}
+
+var benchLoc trace.CodeLoc
+
+// BenchmarkHere measures one stack capture: a hit is every event at a
+// call site after the first (walk + table lookup), a miss is a site's
+// first event (walk + symbolization + insert).
+func BenchmarkHere(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchLoc = Here(1)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			forgetSites()
+			benchLoc = Here(1)
+		}
+	})
 }

@@ -83,20 +83,28 @@ func (c *Conn) Aborted() bool {
 	return c.txn != nil && c.txn.State() == minidb.TxnAborted
 }
 
+// Prepared is one parsed statement template with its alias → table map.
+// Prepared statements are shared process-wide and must not be modified.
+type Prepared struct {
+	Stmt    sqlast.Stmt
+	Aliases map[string]string
+}
+
 // stmtCache memoizes template parsing — the "statement preparation"
 // driver functions of Sec. IV-A. Shared across connections.
-var stmtCache sync.Map // sql string → sqlast.Stmt
+var stmtCache sync.Map // sql string → *Prepared
 
-func prepare(sql string) (sqlast.Stmt, error) {
-	if st, ok := stmtCache.Load(sql); ok {
-		return st.(sqlast.Stmt), nil
+// Prepare parses a statement template, or returns the cached parse.
+func Prepare(sql string) (*Prepared, error) {
+	if p, ok := stmtCache.Load(sql); ok {
+		return p.(*Prepared), nil
 	}
 	st, err := sqlast.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	stmtCache.Store(sql, st)
-	return st, nil
+	p, _ := stmtCache.LoadOrStore(sql, &Prepared{Stmt: st, Aliases: sqlast.AliasMapOf(st)})
+	return p.(*Prepared), nil
 }
 
 // Rows is a fetched result set whose cells carry symbolic aliases.
@@ -141,10 +149,11 @@ func (c *Conn) Exec(sql string, params []Value, trigger trace.CodeLoc) (*Rows, e
 		}
 		return rows, nil
 	}
-	st, err := prepare(sql)
+	prep, err := Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
+	st := prep.Stmt
 	datums := make([]minidb.Datum, len(params))
 	for i, p := range params {
 		datums[i] = datumOf(p)
@@ -178,8 +187,9 @@ func (c *Conn) Exec(sql string, params []Value, trigger trace.CodeLoc) (*Rows, e
 	}
 
 	if c.e.recording() && c.cur != nil {
+		sent := Here(2)
 		if len(trigger.Frames) == 0 {
-			trigger = Here(2)
+			trigger = sent
 		}
 		rec := &trace.Stmt{
 			Seq:     seq,
@@ -187,7 +197,7 @@ func (c *Conn) Exec(sql string, params []Value, trigger trace.CodeLoc) (*Rows, e
 			SQL:     sql,
 			Parsed:  st,
 			Trigger: trigger,
-			Sent:    Here(2),
+			Sent:    sent,
 		}
 		// Record the engine's concrete execution plan (Sec. V-D future
 		// work): the analyzer can then model locks on exactly the indexes

@@ -20,6 +20,8 @@ import (
 	"math/big"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"weseer/internal/obs"
 	"weseer/internal/smt"
@@ -462,23 +464,61 @@ func (e *Engine) LibraryCall(name string, branches int, out Value) Value {
 // ---------------------------------------------------------------------------
 // Stack capture
 
+// stackDepth is how many raw frames Here walks.
+const stackDepth = 24
+
+// sites maps the raw return PCs of a stack walk to its filtered,
+// symbolized frames. Symbolizing (inline expansion, file/line lookup,
+// string building) costs an order of magnitude more than the walk and
+// depends only on the PCs, so it is done once per distinct PC sequence.
+// The table is process-wide because call sites are a property of the
+// binary, not of an engine or a run: it is bounded by the program's
+// static call paths into the engine, whatever the input.
+var sites = struct {
+	sync.Mutex
+	m     map[[stackDepth]uintptr][]trace.Frame
+	walks atomic.Int64
+}{m: map[[stackDepth]uintptr][]trace.Frame{}}
+
+// StackWalks returns how many stacks Here has walked in this process.
+func StackWalks() int64 { return sites.walks.Load() }
+
 // Here captures the current application stack, skipping `skip` frames of
 // the caller's own machinery and filtering out engine/ORM internals so
-// that reported trigger code points into application source.
+// that reported trigger code points into application source. Every
+// capture at one call site returns the same Frames slice, which callers
+// must not modify.
 func Here(skip int) trace.CodeLoc {
-	var pcs [24]uintptr
+	var pcs [stackDepth]uintptr
 	n := runtime.Callers(skip+1, pcs[:])
-	frames := runtime.CallersFrames(pcs[:n])
-	var loc trace.CodeLoc
+	sites.walks.Add(1)
+	sites.Lock()
+	frames, ok := sites.m[pcs]
+	if !ok {
+		// The symbolizer retains its argument; handing it a copy keeps pcs
+		// on the stack for the hits.
+		frames = symbolize(append([]uintptr(nil), pcs[:n]...))
+		sites.m[pcs] = frames
+	}
+	sites.Unlock()
+	return trace.CodeLoc{Frames: frames}
+}
+
+// symbolize resolves raw PCs to the application frames among them,
+// innermost first. The result's capacity equals its length, so an append
+// by a holder cannot write into the shared array.
+func symbolize(pcs []uintptr) []trace.Frame {
+	var out []trace.Frame
+	frames := runtime.CallersFrames(pcs)
 	for {
 		f, more := frames.Next()
 		if keepFrame(f.Function, f.File) {
-			loc.Frames = append(loc.Frames, trace.Frame{
+			out = append(out, trace.Frame{
 				Func: shortFunc(f.Function),
 				File: f.File,
 				Line: f.Line,
 			})
-			if len(loc.Frames) >= 6 {
+			if len(out) >= 6 {
 				break
 			}
 		}
@@ -486,7 +526,7 @@ func Here(skip int) trace.CodeLoc {
 			break
 		}
 	}
-	return loc
+	return out[:len(out):len(out)]
 }
 
 // keepFrame keeps application frames and drops engine/ORM internals and

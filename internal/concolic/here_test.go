@@ -1,0 +1,125 @@
+package concolic_test
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"weseer/internal/apps"
+	"weseer/internal/apps/appkit"
+	"weseer/internal/concolic"
+	"weseer/internal/trace"
+)
+
+// TestHereMatchesOracle checks the call-site table against the eager
+// symbolizer over everything real collection captures: every Trigger,
+// Sent and path-condition location of the evaluation apps and a generated
+// corpus must be a slice the table handed out, and must equal what
+// symbolizing that stack's PCs from scratch yields.
+func TestHereMatchesOracle(t *testing.T) {
+	for _, spec := range []string{"broadleaf", "shopizer", "gen:7,templates=96"} {
+		app, err := apps.Open(spec, apps.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites := concolic.SitePCs()
+		checked := 0
+		check := func(what string, loc trace.CodeLoc) {
+			if len(loc.Frames) == 0 {
+				return // modeled library conditions carry no location
+			}
+			pcs, ok := sites[&loc.Frames[0]]
+			if !ok {
+				t.Errorf("%s: %s location %v is not a call-site table entry", spec, what, loc)
+				return
+			}
+			if want := concolic.EagerFrames(pcs); !reflect.DeepEqual(loc.Frames, want) {
+				t.Errorf("%s: %s location\n got %v\nwant %v", spec, what, loc.Frames, want)
+			}
+			checked++
+		}
+		for _, tr := range traces {
+			for _, st := range tr.AllStmts() {
+				check("trigger", st.Trigger)
+				check("sent", st.Sent)
+			}
+			for _, pc := range tr.PathConds {
+				check("path-condition", pc.Loc)
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: no locations collected", spec)
+		}
+	}
+}
+
+// captureBoth captures one call site both ways; the two calls share a
+// source line so that equal stacks symbolize to equal frames. skip must
+// be at least 1: at 0 each capture starts with its own frame, and only
+// Here's is an engine frame that the filter drops.
+func captureBoth(skip int) (trace.CodeLoc, trace.CodeLoc) {
+	return concolic.Here(skip), concolic.EagerHere(skip)
+}
+
+// captureAtDepth calls captureBoth under n extra frames: each depth is a
+// distinct stack, and past the walk's depth the window is truncated.
+func captureAtDepth(n, skip int) (trace.CodeLoc, trace.CodeLoc) {
+	if n == 0 {
+		return captureBoth(skip)
+	}
+	return captureAtDepth(n-1, skip)
+}
+
+func TestHereMatchesEagerHere(t *testing.T) {
+	for _, depth := range []int{0, 1, 5, 17, 23, 24, 40} {
+		for skip := 1; skip <= 3; skip++ {
+			for round := 0; round < 2; round++ { // a miss, then a hit
+				got, want := captureAtDepth(depth, skip)
+				if len(want.Frames) == 0 {
+					t.Fatalf("depth %d skip %d: oracle captured nothing", depth, skip)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("depth %d skip %d round %d:\n got %v\nwant %v", depth, skip, round, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHereConcurrent drives the process-wide table from many goroutines
+// at once, through one common site and through sites of their own (run
+// under -race in verify.sh).
+func TestHereConcurrent(t *testing.T) {
+	const workers, rounds = 16, 200
+	common := make([]trace.CodeLoc, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				got, want := captureAtDepth(0, 1)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("worker %d: common site: got %v want %v", g, got, want)
+					return
+				}
+				common[g] = got
+				// Depth g+1 is this worker's own stack shape.
+				if got, want := captureAtDepth(g+1, 1); !reflect.DeepEqual(got, want) {
+					t.Errorf("worker %d: own site: got %v want %v", g, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < workers; g++ {
+		if len(common[g].Frames) == 0 || &common[g].Frames[0] != &common[0].Frames[0] {
+			t.Fatalf("workers 0 and %d hold different slices for one call site", g)
+		}
+	}
+}

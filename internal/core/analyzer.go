@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"weseer/internal/lockmodel"
 	"weseer/internal/obs"
 	"weseer/internal/schema"
 	"weseer/internal/smt"
@@ -51,6 +52,9 @@ type Analyzer struct {
 	// pcMemo caches each renamed trace's path conditions with their
 	// variable sets per Analyze call (*trace.Trace → []condVars), likewise.
 	pcMemo *sync.Map
+	// locks memoizes the template-level half of the lock model per Analyze
+	// call, shared by the lock filter and the edge-condition builds.
+	locks *lockmodel.Templates
 }
 
 // prescreenState caches the static shapes Phase-0 screens against, so
@@ -148,7 +152,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*
 	}
 
 	a.ps = nil
-	a.edgeMemo, a.pcMemo = &sync.Map{}, &sync.Map{}
+	a.edgeMemo, a.pcMemo, a.locks = &sync.Map{}, &sync.Map{}, lockmodel.NewTemplates(a.scm)
 	if a.opts.StaticPrescreen {
 		a.ps = &prescreenState{
 			txns:  map[*trace.Txn]staticlint.TxnShape{},

@@ -19,7 +19,6 @@ import (
 
 	"weseer/internal/lockmodel"
 	"weseer/internal/obs"
-	"weseer/internal/schema"
 	"weseer/internal/smt"
 	"weseer/internal/solver"
 	"weseer/internal/staticlint"
@@ -216,8 +215,8 @@ func (a *Analyzer) evalChain(ctx context.Context, ch *chain, memo *memoTable, ti
 func (a *Analyzer) fineCheckOne(ctx context.Context, cyc Cycle, key string, memo *memoTable, tid int, out *chainOutcome) *Deadlock {
 	// Quick filter: each C-edge needs a modeled lock collision.
 	if !a.opts.SkipLockFilter {
-		if !lockmodel.PotentialConflict(cyc.S1b, cyc.S2a, a.scm, a.opts.UseConcretePlans) ||
-			!lockmodel.PotentialConflict(cyc.S2b, cyc.S1a, a.scm, a.opts.UseConcretePlans) {
+		if !a.locks.PotentialConflict(cyc.S1b, cyc.S2a, a.opts.UseConcretePlans) ||
+			!a.locks.PotentialConflict(cyc.S2b, cyc.S1a, a.opts.UseConcretePlans) {
 			out.lockFiltered++
 			return nil
 		}
@@ -315,7 +314,7 @@ func (a *Analyzer) cycleFormula(cyc Cycle) smt.Expr {
 // exposed for canonicalization tests and for dumping a run's queries.
 func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]smt.Expr, error) {
 	a.ps = nil
-	a.edgeMemo, a.pcMemo = &sync.Map{}, &sync.Map{}
+	a.edgeMemo, a.pcMemo, a.locks = &sync.Map{}, &sync.Map{}, lockmodel.NewTemplates(a.scm)
 	chains, err := a.enumerate(ctx, traces, 1, &Result{})
 	var out []smt.Expr
 	for _, ch := range chains {
@@ -427,7 +426,7 @@ func (a *Analyzer) edgeCondCached(x, y *trace.Stmt, rowPrefix string) *condVars 
 		return e.(*condVars)
 	}
 	nm := lockmodel.NewNamer("rng." + rowPrefix)
-	e := newCondVars(edgeCond(x, y, a.scm, rowPrefix, nm, a.opts.UseConcretePlans), 0)
+	e := newCondVars(edgeCond(x, y, a.locks, rowPrefix, nm, a.opts.UseConcretePlans), 0)
 	// Hit/build attribution is metrics-only and may race benignly between
 	// workers building the same edge — it never reaches the report.
 	if o := a.opts.Observer; o != nil {
@@ -441,7 +440,7 @@ func (a *Analyzer) edgeCondCached(x, y *trace.Stmt, rowPrefix string) *condVars 
 
 // edgeCond builds the conflict condition of one C-edge, trying both
 // writer orientations and disjoining the satisfiable directions.
-func edgeCond(x, y *trace.Stmt, scm *schema.Schema, rowPrefix string, nm *lockmodel.Namer, usePlans bool) smt.Expr {
+func edgeCond(x, y *trace.Stmt, locks *lockmodel.Templates, rowPrefix string, nm *lockmodel.Namer, usePlans bool) smt.Expr {
 	var alts []smt.Expr
 	for _, o := range [2][2]*trace.Stmt{{x, y}, {y, x}} {
 		w, r := o[0], o[1]
@@ -459,7 +458,7 @@ func edgeCond(x, y *trace.Stmt, scm *schema.Schema, rowPrefix string, nm *lockmo
 		if !accessed {
 			continue
 		}
-		alts = append(alts, lockmodel.GenConflictCond(w, r, scm, wt, rowPrefix, nm, usePlans))
+		alts = append(alts, locks.ConflictCond(w, r, wt, rowPrefix, nm, usePlans))
 	}
 	return smt.Or(alts...)
 }

@@ -38,27 +38,28 @@ func (nm *Namer) fresh(hint string, sort smt.Sort) smt.Var {
 // with rowPrefix (e.g. "r1."). It returns False when the statements'
 // modeled locks cannot collide.
 func GenConflictCond(w, r *trace.Stmt, scm *schema.Schema, comTable, rowPrefix string, nm *Namer, usePlans bool) smt.Expr {
+	return NewTemplates(scm).ConflictCond(w, r, comTable, rowPrefix, nm, usePlans)
+}
+
+// ConflictCond is GenConflictCond with the statements' template-level
+// lock model taken from the memo.
+func (t *Templates) ConflictCond(w, r *trace.Stmt, comTable, rowPrefix string, nm *Namer, usePlans bool) smt.Expr {
 	wStmt, rStmt := w.Parsed, r.Parsed
 	if wStmt.WriteTable() != comTable {
 		return smt.False
 	}
-	rEmpty := r.Res != nil && r.Res.Empty
-	locksW := GenExclusiveLocks(wStmt, scm, comTable)
-	locksR := readLocksOf(r, scm, comTable, rEmpty, usePlans)
-	if usePlans {
-		locksW = FilterByPlan(locksW, w.Plan)
-	}
+	wTmpl, rTmpl := t.of(w, comTable), t.of(r, comTable)
+	locksW, locksR := wTmpl.locksFor(w, usePlans), rTmpl.locksFor(r, usePlans)
 	if !Conflicting(locksW, locksR) {
 		return smt.False
 	}
 
-	rAliases := aliasesOf(rStmt, comTable)
-	uc := &unifier{scm: scm, rowPrefix: rowPrefix, aliases: sqlast.AliasMapOf(rStmt)}
+	uc := &unifier{scm: t.scm, rowPrefix: rowPrefix, aliases: rTmpl.aliasMap}
 
 	// queryCondOf supplies INSERT statements' implied key equations.
 	rCond := sqlast.Cond{Preds: queryCondOf(rStmt), Ors: sqlast.QueryCondOf(rStmt).Ors}
 	readCond := uc.condExpr(rCond, r)
-	writeCond := unifiedCondForWrite(wStmt, w, scm, rAliases, rowPrefix)
+	writeCond := unifiedCondForWrite(wStmt, w, t.scm, wTmpl.aliasMap, rTmpl.aliases, rowPrefix)
 	assoc := associatedCond(r, rowPrefix)
 	conflict := smt.And(readCond, writeCond, assoc)
 
@@ -86,18 +87,6 @@ func GenConflictCond(w, r *trace.Stmt, scm *schema.Schema, comTable, rowPrefix s
 		}
 	}
 	return smt.Simplify(conflict)
-}
-
-// aliasesOf lists r's aliases bound to the common table.
-func aliasesOf(st sqlast.Stmt, table string) []string {
-	var out []string
-	for alias, t := range sqlast.AliasMapOf(st) {
-		if t == table {
-			out = append(out, alias)
-		}
-	}
-	sortStrings(out)
-	return out
 }
 
 // unifier rewrites predicates into smt expressions: column references
@@ -207,9 +196,8 @@ func (u *unifier) condExpr(c sqlast.Cond, st *trace.Stmt) smt.Expr {
 // unifiedCondForWrite maps the writer's condition onto each of the
 // reader's aliases of the common table and disjoins the results
 // (GenUnifiedCondForWrite).
-func unifiedCondForWrite(wStmt sqlast.Stmt, w *trace.Stmt, scm *schema.Schema, rAliases []string, rowPrefix string) smt.Expr {
+func unifiedCondForWrite(wStmt sqlast.Stmt, w *trace.Stmt, scm *schema.Schema, wAliasMap map[string]string, rAliases []string, rowPrefix string) smt.Expr {
 	preds := queryCondOf(wStmt)
-	wAliasMap := sqlast.AliasMapOf(wStmt)
 	var djs []smt.Expr
 	for _, ra := range rAliases {
 		// Rewrite the writer's own-table column references to the

@@ -8,6 +8,7 @@
 package lockmodel
 
 import (
+	"sort"
 	"strings"
 
 	"weseer/internal/schema"
@@ -47,7 +48,7 @@ func InferPossibleIndexes(st sqlast.Stmt, scm *schema.Schema) []IndexUse {
 	for a := range aliases {
 		allAliases = append(allAliases, a)
 	}
-	sortStrings(allAliases)
+	sort.Strings(allAliases)
 
 	usedKey := map[string]bool{}
 	var used []IndexUse
@@ -138,7 +139,7 @@ func predsKey(ps []sqlast.Pred) string {
 	for i, p := range ps {
 		parts[i] = p.String()
 	}
-	sortStrings(parts)
+	sort.Strings(parts)
 	return strings.Join(parts, "&")
 }
 
@@ -167,12 +168,4 @@ func insertPreds(ins *sqlast.Insert) []sqlast.Pred {
 		})
 	}
 	return preds
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -351,3 +351,44 @@ func TestWriteWriteConflictCond(t *testing.T) {
 		t.Errorf("conflicting updates must target one row: %s", res.Model)
 	}
 }
+
+// TestTemplatesSharedMatchesFresh: one memo shared across many instances
+// of the same templates — differing in parameters, in whether the read
+// came back empty, and in recorded plan — answers exactly as a fresh
+// memo per call (the package-level entry points) does.
+func TestTemplatesSharedMatchesFresh(t *testing.T) {
+	scm := fig1Schema()
+	sel := `SELECT * FROM Product p WHERE p.ID = ?`
+	row := func(prefix string) *trace.Result {
+		return &trace.Result{Cols: []string{"p.ID", "p.QTY"}, Sym: [][]smt.Var{{
+			{Name: prefix + "p.ID", S: smt.SortInt}, {Name: prefix + "p.QTY", S: smt.SortInt},
+		}}}
+	}
+	v := func(n string) smt.Expr { return smt.NewVar(n, smt.SortInt) }
+	planned := mkStmt(sel, []smt.Expr{v("c")}, &trace.Result{Cols: []string{"p.ID", "p.QTY"}, Empty: true})
+	planned.Plan = []trace.PlanStep{{Alias: "p", Table: "Product", Index: "PRIMARY"}}
+	stmts := []*trace.Stmt{
+		mkStmt(sel, []smt.Expr{v("a")}, row("A1.")),
+		mkStmt(sel, []smt.Expr{v("b")}, &trace.Result{Cols: []string{"p.ID", "p.QTY"}, Empty: true}),
+		planned,
+		mkStmt(q4, []smt.Expr{v("o")}, &trace.Result{Cols: []string{"oi.ID"}, Empty: true}),
+		mkStmt(q6, []smt.Expr{v("q1"), v("id1")}, nil),
+		mkStmt(q6, []smt.Expr{v("q2"), v("id2")}, nil),
+		mkStmt(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`, []smt.Expr{v("i"), v("iq")}, nil),
+	}
+	shared := NewTemplates(scm)
+	for _, usePlans := range []bool{false, true} {
+		for _, w := range stmts {
+			for _, r := range stmts {
+				if got, want := shared.PotentialConflict(w, r, usePlans), PotentialConflict(w, r, scm, usePlans); got != want {
+					t.Errorf("PotentialConflict(%q, %q, plans=%v) = %v, fresh %v", w.SQL, r.SQL, usePlans, got, want)
+				}
+				got := shared.ConflictCond(w, r, "Product", "r1.", NewNamer("e."), usePlans)
+				want := GenConflictCond(w, r, scm, "Product", "r1.", NewNamer("e."), usePlans)
+				if got.String() != want.String() {
+					t.Errorf("ConflictCond(%q, %q, plans=%v):\n got %s\nwant %s", w.SQL, r.SQL, usePlans, got, want)
+				}
+			}
+		}
+	}
+}

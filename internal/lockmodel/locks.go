@@ -222,22 +222,19 @@ func FilterByPlan(locks []Lock, plan []trace.PlanStep) []Lock {
 // usePlans, each side's locks are restricted to its recorded execution
 // plan.
 func PotentialConflict(a, b *trace.Stmt, scm *schema.Schema, usePlans bool) bool {
-	aEmpty := a.Res != nil && a.Res.Empty
-	bEmpty := b.Res != nil && b.Res.Empty
-	for _, o := range []struct {
-		w, r   *trace.Stmt
-		rEmpty bool
-	}{{a, b, bEmpty}, {b, a, aEmpty}} {
-		tab := commonWrittenTable(o.w.Parsed, o.r.Parsed)
+	return NewTemplates(scm).PotentialConflict(a, b, usePlans)
+}
+
+// PotentialConflict is the package-level PotentialConflict with the
+// statements' template-level lock model taken from the memo.
+func (t *Templates) PotentialConflict(a, b *trace.Stmt, usePlans bool) bool {
+	for _, o := range [2][2]*trace.Stmt{{a, b}, {b, a}} {
+		w, r := o[0], o[1]
+		tab := commonWrittenTable(w.Parsed, r.Parsed)
 		if tab == "" {
 			continue
 		}
-		wl := GenExclusiveLocks(o.w.Parsed, scm, tab)
-		rl := readLocksOf(o.r, scm, tab, o.rEmpty, usePlans)
-		if usePlans {
-			wl = FilterByPlan(wl, o.w.Plan)
-		}
-		if Conflicting(wl, rl) {
+		if Conflicting(t.of(w, tab).locksFor(w, usePlans), t.of(r, tab).locksFor(r, usePlans)) {
 			return true
 		}
 	}
@@ -252,16 +249,6 @@ func readLocks(st sqlast.Stmt, scm *schema.Schema, table string, isEmpty bool) [
 		return GenExclusiveLocks(st, scm, table)
 	}
 	return GenSharedLocks(st, scm, table, isEmpty)
-}
-
-// readLocksOf is readLocks over a recorded statement, optionally
-// restricted to its concrete execution plan.
-func readLocksOf(r *trace.Stmt, scm *schema.Schema, table string, isEmpty, usePlans bool) []Lock {
-	locks := readLocks(r.Parsed, scm, table, isEmpty)
-	if usePlans {
-		locks = FilterByPlan(locks, r.Plan)
-	}
-	return locks
 }
 
 func commonWrittenTable(w, r sqlast.Stmt) string {

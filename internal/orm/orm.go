@@ -11,6 +11,7 @@ package orm
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"weseer/internal/concolic"
@@ -134,16 +135,8 @@ func (en *Entity) Fields() []string {
 	for c := range en.fields {
 		out = append(out, c)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 func (en *Entity) String() string {

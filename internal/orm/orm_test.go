@@ -430,6 +430,66 @@ func TestModeOffRuns(t *testing.T) {
 	}
 }
 
+// ormRound exercises every ORM operation that names a code location:
+// find (miss and hit), query, lazy load, set, persist, merge (absent and
+// present), remove, ad-hoc exec and the flush that sends the buffered
+// writes.
+func ormRound(t *testing.T, s *Session) {
+	t.Helper()
+	err := s.Transactional(func() error {
+		p := s.Find("Product", concolic.Int(1))
+		s.Find("Product", concolic.Int(1))
+		s.Set(p, "QTY", concolic.Int(7))
+		s.Query(`SELECT * FROM OrderItem oi WHERE oi.O_ID = ?`, []concolic.Value{concolic.Int(1)}, "oi")
+		s.Lazy(s.Find("Orders", concolic.Int(1)), "OrdItems").Items()
+		fresh := s.NewEntity("Product")
+		s.Set(fresh, "ID", concolic.Int(50))
+		s.Set(fresh, "QTY", concolic.Int(1))
+		s.Persist(fresh)
+		absent := s.NewEntity("Product")
+		s.Set(absent, "ID", concolic.Int(51))
+		s.Set(absent, "QTY", concolic.Int(2))
+		s.Merge(absent)
+		present := s.NewEntity("Product")
+		s.Set(present, "ID", concolic.Int(1))
+		s.Set(present, "QTY", concolic.Int(3))
+		s.Merge(present)
+		if err := s.Flush(); err != nil {
+			return err
+		}
+		s.Remove(fresh)
+		_, err := s.Exec(`UPDATE Product SET QTY = ? WHERE ID = ?`, []concolic.Value{concolic.Int(9), concolic.Int(51)})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestModeOffCapturesNoStacks(t *testing.T) {
+	// With the engine off nothing can record a location, so the ORM must
+	// not pay for one: the load path (Figs. 10/11) walks no stack at all.
+	s, _, _ := setup(t, concolic.ModeOff)
+	before := concolic.StackWalks()
+	ormRound(t, s)
+	if n := concolic.StackWalks() - before; n != 0 {
+		t.Errorf("ModeOff round walked %d stacks, want 0", n)
+	}
+	// The same round on a recording engine does walk, so the counter
+	// would have seen it.
+	s, e, _ := setup(t, concolic.ModeInterpret)
+	before = concolic.StackWalks()
+	ormRound(t, s)
+	if n := concolic.StackWalks() - before; n == 0 {
+		t.Error("recording round walked no stacks: the counter is blind")
+	}
+	for _, st := range e.EndConcolic().AllStmts() {
+		if len(st.Trigger.Frames) == 0 || len(st.Sent.Frames) == 0 {
+			t.Errorf("recorded statement without a location: %s", st.SQL)
+		}
+	}
+}
+
 func stmtSQLs(stmts []*trace.Stmt) []string {
 	out := make([]string, len(stmts))
 	for i, s := range stmts {

@@ -41,6 +41,16 @@ func (s *Session) Mapping() *Mapping { return s.m }
 
 func (s *Session) engine() *concolic.Engine { return s.conn.Engine() }
 
+// here captures the code location of the caller's caller — the
+// application code that invoked an ORM operation. An engine that is off
+// records nothing, so no stack is walked for it.
+func (s *Session) here() trace.CodeLoc {
+	if s.engine().Mode() == concolic.ModeOff {
+		return trace.CodeLoc{}
+	}
+	return concolic.Here(3)
+}
+
 func (s *Session) tableCache(table string) *concolic.SymMap {
 	c := s.cache[table]
 	if c == nil {
@@ -118,7 +128,7 @@ func (s *Session) Find(table string, id concolic.Value) *Entity {
 	t := s.m.scm.Table(table)
 	pk := t.PrimaryIndex().Columns[0]
 	sql := fmt.Sprintf("SELECT * FROM %s t WHERE t.%s = ?", table, pk)
-	rows, err := s.conn.Exec(sql, []concolic.Value{id}, concolic.Here(2))
+	rows, err := s.conn.Exec(sql, []concolic.Value{id}, s.here())
 	if err != nil {
 		panic(&FlushError{Err: err})
 	}
@@ -133,19 +143,18 @@ func (s *Session) Find(table string, id concolic.Value) *Entity {
 // into the read cache; it returns the entities of the given target alias
 // in row order (duplicates collapse to the cached entity).
 func (s *Session) Query(sql string, params []concolic.Value, target string) []*Entity {
-	return s.query(sql, params, target, concolic.Here(2))
+	return s.query(sql, params, target, s.here())
 }
 
 func (s *Session) query(sql string, params []concolic.Value, target string, trigger trace.CodeLoc) []*Entity {
-	st, err := sqlast.Parse(sql)
+	prep, err := concolic.Prepare(sql)
 	if err != nil {
 		panic(fmt.Sprintf("orm: %v", err))
 	}
-	sel, ok := st.(*sqlast.Select)
-	if !ok {
+	if _, ok := prep.Stmt.(*sqlast.Select); !ok {
 		panic("orm: Query requires a SELECT")
 	}
-	aliasMap := sel.AliasMap()
+	aliasMap := prep.Aliases
 	if _, ok := aliasMap[target]; !ok {
 		panic(fmt.Sprintf("orm: target alias %q not in %q", target, sql))
 	}
@@ -214,7 +223,7 @@ func (ll *LazyList) Items() []*Entity {
 		for i, col := range ll.spec.OwnerParams {
 			params[i] = ll.owner.Get(col)
 		}
-		ll.items = ll.s.query(ll.spec.SQL, params, ll.spec.Target, concolic.Here(2))
+		ll.items = ll.s.query(ll.spec.SQL, params, ll.spec.Target, ll.s.here())
 		ll.loaded = true
 	}
 	return ll.items
@@ -255,7 +264,7 @@ func (s *Session) Set(en *Entity, col string, v concolic.Value) {
 		s.dirtyOrder = append(s.dirtyOrder, en)
 	}
 	en.dirty[col] = true
-	en.modLoc = concolic.Here(2)
+	en.modLoc = s.here()
 }
 
 // Persist schedules a transient entity for INSERT at the next flush.
@@ -264,7 +273,7 @@ func (s *Session) Persist(en *Entity) {
 	if en.state != stateNew {
 		panic("orm: Persist of a managed entity")
 	}
-	en.persistLoc = concolic.Here(2)
+	en.persistLoc = s.here()
 	s.pendingNew = append(s.pendingNew, en)
 	pk := s.m.scm.Table(en.Table).PrimaryIndex().Columns[0]
 	s.tableCache(en.Table).Put(en.Get(pk), en)
@@ -279,12 +288,13 @@ func (s *Session) Merge(en *Entity) *Entity {
 	pkCol := t.PrimaryIndex().Columns[0]
 	id := en.Get(pkCol)
 	sql := fmt.Sprintf("SELECT * FROM %s t WHERE t.%s = ?", en.Table, pkCol)
-	rows, err := s.conn.Exec(sql, []concolic.Value{id}, concolic.Here(2))
+	loc := s.here()
+	rows, err := s.conn.Exec(sql, []concolic.Value{id}, loc)
 	if err != nil {
 		panic(&FlushError{Err: err})
 	}
 	if rows.Empty() {
-		en.persistLoc = concolic.Here(2)
+		en.persistLoc = loc
 		en.state = stateNew
 		s.pendingNew = append(s.pendingNew, en)
 		s.tableCache(en.Table).Put(id, en)
@@ -304,7 +314,7 @@ func (s *Session) Merge(en *Entity) *Entity {
 // Remove schedules a managed entity for DELETE at flush.
 func (s *Session) Remove(en *Entity) {
 	en.state = stateRemoved
-	en.persistLoc = concolic.Here(2)
+	en.persistLoc = s.here()
 	s.pendingDel = append(s.pendingDel, en)
 	pk := s.m.scm.Table(en.Table).PrimaryIndex().Columns[0]
 	s.tableCache(en.Table).Remove(en.Get(pk))
@@ -395,5 +405,5 @@ func (s *Session) flushDelete(en *Entity) error {
 // Exec sends an ad-hoc statement through the session's connection —
 // applications use it for hand-written SQL such as fix f2's UPSERT.
 func (s *Session) Exec(sql string, params []concolic.Value) (*concolic.Rows, error) {
-	return s.conn.Exec(sql, params, concolic.Here(2))
+	return s.conn.Exec(sql, params, s.here())
 }

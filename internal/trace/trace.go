@@ -28,7 +28,10 @@ func (f Frame) String() string {
 	return fmt.Sprintf("%s (%s:%d)", f.Func, f.File, f.Line)
 }
 
-// CodeLoc is a captured stack trace, innermost frame first.
+// CodeLoc is a captured stack trace, innermost frame first. Frames is
+// shared and immutable: the collector hands every event captured at one
+// call site the same slice, and Trace.Rename copies a CodeLoc by value,
+// so a holder that wants different frames builds a new slice.
 type CodeLoc struct {
 	Frames []Frame `json:"frames,omitempty"`
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"weseer/internal/minidb"
@@ -113,6 +114,52 @@ func TestRename(t *testing.T) {
 	// Array ids renamed inside path conditions.
 	if got := r.PathConds[1].Cond.String(); got == tr.PathConds[1].Cond.String() {
 		t.Errorf("array PC unchanged: %s", got)
+	}
+}
+
+func TestCodeLocFramesNotAliasedByRename(t *testing.T) {
+	// The collector hands every event at one call site the same Frames
+	// slice. Renaming a trace and sending it through JSON must leave that
+	// slice as it was, and a decoded trace must own its frames.
+	shared := []Frame{{Func: "app.Checkout", File: "checkout.go", Line: 42}, {Func: "app.main", File: "main.go", Line: 7}}
+	want := append([]Frame(nil), shared...)
+	tr := sampleTrace()
+	for _, st := range tr.Txns[0].Stmts {
+		st.Trigger, st.Sent = CodeLoc{Frames: shared}, CodeLoc{Frames: shared}
+	}
+	for i := range tr.PathConds {
+		tr.PathConds[i].Loc = CodeLoc{Frames: shared}
+	}
+
+	r := tr.Rename("A1.")
+	for _, in := range []*Trace{tr, r} {
+		data, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Trace
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		locs := []CodeLoc{back.PathConds[0].Loc}
+		for _, st := range back.Txns[0].Stmts {
+			locs = append(locs, st.Trigger, st.Sent)
+		}
+		for _, loc := range locs {
+			if !reflect.DeepEqual(loc.Frames, want) {
+				t.Fatalf("frames lost in the round trip: %v", loc)
+			}
+			if &loc.Frames[0] == &shared[0] {
+				t.Fatal("decoded trace aliases the collector's shared frames")
+			}
+			loc.Frames[0].Line = -1 // a decoded trace's frames are its own
+		}
+	}
+	if got := r.Txns[0].Stmts[0].Trigger.Frames; !reflect.DeepEqual(got, want) {
+		t.Errorf("renamed trace's frames = %v", got)
+	}
+	if !reflect.DeepEqual(shared, want) {
+		t.Errorf("shared frames modified: %v", shared)
 	}
 }
 

@@ -66,9 +66,12 @@ rm -rf "$vetdir"
 # cancellation) is the concurrency-bearing code; run it under the race
 # detector, together with the concurrent-client workload harness that
 # drives the fix-verification loop. Scoped to the packages that
-# actually spawn goroutines to keep the gate fast.
-echo "== go test -race (core, solver, smt, workload)"
-go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/...
+# actually spawn goroutines to keep the gate fast — plus concolic and orm,
+# whose process-wide call-site table and prepared-statement cache are
+# shared by whatever collects or drives load concurrently.
+echo "== go test -race (core, solver, smt, workload, concolic, orm)"
+go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... \
+    ./internal/concolic/... ./internal/orm/...
 
 # The two-level memo table (shape key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
