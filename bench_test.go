@@ -9,6 +9,7 @@
 package weseer_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
+	"weseer/internal/schema"
 	"weseer/internal/smt"
 	"weseer/internal/solver"
 	"weseer/internal/trace"
@@ -66,8 +68,8 @@ func BenchmarkTable2_Diagnosis(b *testing.B) {
 	b.ResetTimer()
 	var found int
 	for i := 0; i < b.N; i++ {
-		blRes := core.New(broadleaf.Schema(), core.Options{}).Analyze(bl)
-		shRes := core.New(shopizer.Schema(), core.Options{}).Analyze(sh)
+		blRes := analyze(b, broadleaf.Schema(), bl)
+		shRes := analyze(b, shopizer.Schema(), sh)
 		ids := map[string]bool{}
 		for _, d := range blRes.Deadlocks {
 			ids[broadleaf.Classify(d)] = true
@@ -220,7 +222,7 @@ func BenchmarkBaseline_CoarseOnly(b *testing.B) {
 	b.ResetTimer()
 	var cycles int
 	for i := 0; i < b.N; i++ {
-		res := core.New(broadleaf.Schema(), core.Options{CoarseOnly: true}).Analyze(traces)
+		res := analyze(b, broadleaf.Schema(), traces, core.WithCoarseOnly())
 		cycles = res.Stats.CoarseCycles
 	}
 	b.ReportMetric(float64(cycles), "cycles")
@@ -231,7 +233,7 @@ func BenchmarkAblation_ThreePhase(b *testing.B) {
 	traces := collectOnce(b, "broadleaf")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.New(broadleaf.Schema(), core.Options{}).Analyze(traces)
+		analyze(b, broadleaf.Schema(), traces)
 	}
 }
 
@@ -241,7 +243,7 @@ func BenchmarkAblation_NoPhase1(b *testing.B) {
 	traces := collectOnce(b, "broadleaf")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.New(broadleaf.Schema(), core.Options{SkipPhase1: true}).Analyze(traces)
+		analyze(b, broadleaf.Schema(), traces, core.WithoutPhase1())
 	}
 }
 
@@ -251,7 +253,7 @@ func BenchmarkAblation_NoLockFilter(b *testing.B) {
 	traces := collectOnce(b, "broadleaf")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.New(broadleaf.Schema(), core.Options{SkipLockFilter: true}).Analyze(traces)
+		analyze(b, broadleaf.Schema(), traces, core.WithoutLockFilter())
 	}
 }
 
@@ -307,8 +309,18 @@ func BenchmarkAblation_ConcretePlans(b *testing.B) {
 	b.ResetTimer()
 	var groups int
 	for i := 0; i < b.N; i++ {
-		res := core.New(broadleaf.Schema(), core.Options{UseConcretePlans: true}).Analyze(traces)
+		res := analyze(b, broadleaf.Schema(), traces, core.WithConcretePlans())
 		groups = len(res.Deadlocks)
 	}
 	b.ReportMetric(float64(groups), "reports")
+}
+
+// analyze runs the full diagnosis and fails the test on an analysis error.
+func analyze(t testing.TB, scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
+	t.Helper()
+	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

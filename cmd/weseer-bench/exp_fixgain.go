@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -166,9 +165,7 @@ func fixgainAnalyze(spec string, apply []string, workers int, plan []fixapply.Fi
 	check(err)
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	check(err)
-	res, err := core.NewAnalyzer(app.Schema(), core.WithPrescreen(), core.WithParallelism(workers)).
-		AnalyzeContext(context.Background(), traces)
-	check(err)
+	res := analyze(app.Schema(), traces, core.WithPrescreen(), core.WithParallelism(workers))
 
 	out := fixgainAnalysis{Deadlocks: len(res.Deadlocks), Classes: map[string]int{}}
 	remaining := map[string]bool{}

@@ -1,34 +1,12 @@
 // Command weseer-bench regenerates every table and figure of the paper's
-// evaluation (Sec. VII) against the bundled model applications, plus a
-// scale sweep over synthetic generated corpora. Run -exp list for the
-// experiment table; -exp all runs everything in sequence.
+// evaluation (Sec. VII) against the bundled model applications, plus the
+// fix-verification loop. Run -exp list for the experiment table; -exp all
+// runs everything in sequence.
 //
 // Absolute numbers depend on this machine; the paper's claims are about
 // shape (who wins, by what order of magnitude, where the crossover sits).
-//
-// table2 additionally benchmarks the parallel memoized pipeline: the
-// same diagnosis at Parallelism=1 and at -parallel N, verifying the two
-// reports are byte-identical and measuring wall time, solver calls, and
-// memo hits. -out FILE (e.g. -out BENCH_table2.json) writes those
-// numbers as versioned JSON, and -solverout FILE (e.g. -out
-// BENCH_solver.json) writes the solver-engine breakdown — per-phase
-// times plus CDCL counters (decisions, conflicts, propagations, learned
-// clauses, backjumps, theory calls) — against the recorded pre-CDCL
-// baseline. Both writes are gated on the serial and parallel reports
-// being byte-identical; a mismatch exits non-zero instead.
-//
-// scale generates synthetic corpora (internal/appgen, opened through the
-// application registry as gen:<seed>,templates=N,...) at increasing
-// template counts, runs the full diagnosis serially and at -parallel N,
-// verifies byte-identical reports, and writes the speedup curve — with
-// the generator seed and full configuration embedded — to -scaleout
-// (default BENCH_scale.json).
-//
-// -traceout FILE and -metricsout FILE re-run the table2 parallel
-// diagnosis once more with an observer attached — after the identity
-// check, so instrumentation cannot skew the timed comparison — and
-// write the spans as Chrome trace_event JSON and the metrics in
-// Prometheus text format next to the BENCH files.
+// Performance of the pipeline itself — end to end and per layer — is
+// measured by the repository's one benchmark, `bash benchmark/run.sh`.
 //
 // -cpuprofile FILE and -memprofile FILE capture pprof profiles of
 // whatever experiments run.
@@ -36,14 +14,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"time"
 
 	"weseer/internal/apps"
@@ -53,7 +29,7 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
-	"weseer/internal/obs"
+	"weseer/internal/schema"
 	"weseer/internal/trace"
 	"weseer/internal/workload"
 )
@@ -61,13 +37,9 @@ import (
 var (
 	duration   = flag.Duration("duration", 500*time.Millisecond, "per-configuration workload duration (fig10/fig11)")
 	clientsF   = flag.String("clients", "8,64,128", "client counts for fig10/fig11")
-	parallelF  = flag.Int("parallel", 4, "worker count for the parallel-pipeline comparisons (table2, scale)")
-	outF       = flag.String("out", "", "write the table2 pipeline benchmark as versioned JSON to this file")
-	solverOutF = flag.String("solverout", "", "write the table2 solver-engine breakdown as versioned JSON to this file")
+	parallelF  = flag.Int("parallel", 4, "analysis worker count for -exp fixgain")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	traceOutF  = flag.String("traceout", "", "write a Chrome trace_event JSON of an observed table2 parallel run")
-	metricsF   = flag.String("metricsout", "", "write the observed table2 run's metrics in Prometheus text format")
 )
 
 // experiment is one entry in the self-registering experiment table.
@@ -95,7 +67,7 @@ func registerExp(seq int, name, desc string, run func()) {
 
 func init() {
 	registerExp(1, "table1", "Table I: target APIs and invocation counts", table1)
-	registerExp(2, "table2", "Table II: the 18 deadlocks, fixes, and the parallel pipeline bench", table2)
+	registerExp(2, "table2", "Table II: the 18 deadlocks, their fixes, and the Phase-0 prescreen comparison", table2)
 	registerExp(3, "table3", "Table III: unit-test runtime per engine mode", table3)
 	registerExp(4, "fig10", "Fig. 10: Broadleaf throughput across fix ablations", fig10)
 	registerExp(5, "fig11", "Fig. 11: Shopizer throughput across fix ablations", fig11)
@@ -179,6 +151,13 @@ func openApp(spec string) apps.App {
 	return app
 }
 
+// analyze runs the full diagnosis over traces.
+func analyze(scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
+	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
+	check(err)
+	return res
+}
+
 func clientCounts() []int {
 	var out []int
 	var n int
@@ -242,8 +221,8 @@ func table2() {
 	shTraces, err := appkit.Collect(shApp.UnitTests(), concolic.ModeConcolic)
 	check(err)
 
-	blRes := core.New(blApp.Schema(), core.Options{}).Analyze(blTraces)
-	shRes := core.New(shApp.Schema(), core.Options{}).Analyze(shTraces)
+	blRes := analyze(blApp.Schema(), blTraces)
+	shRes := analyze(shApp.Schema(), shTraces)
 
 	blFound := map[string]int{}
 	for _, d := range blRes.Deadlocks {
@@ -274,8 +253,8 @@ func table2() {
 	fmt.Println("Shopizer: ", shRes.Stats.Render())
 
 	// Phase-0 static prescreen: same diagnosis, fewer solver calls.
-	blPre := core.New(blApp.Schema(), core.Options{StaticPrescreen: true}).Analyze(blTraces)
-	shPre := core.New(shApp.Schema(), core.Options{StaticPrescreen: true}).Analyze(shTraces)
+	blPre := analyze(blApp.Schema(), blTraces, core.WithPrescreen())
+	shPre := analyze(shApp.Schema(), shTraces, core.WithPrescreen())
 	fmt.Println("\nwith -exp table2 static prescreen (weseer vet Phase-0):")
 	fmt.Println("Broadleaf:", blPre.Stats.Render())
 	fmt.Println("Shopizer: ", shPre.Stats.Render())
@@ -284,217 +263,6 @@ func table2() {
 	saved := blPre.Stats.PrescreenSaved + shPre.Stats.PrescreenSaved
 	fmt.Printf("solver calls: %d without prescreen -> %d with (%d saved, %d reports unchanged)\n",
 		off, on, saved, len(blPre.Deadlocks)+len(shPre.Deadlocks))
-
-	pipelineBench(blApp, shApp, blTraces, shTraces)
-}
-
-// pipelineRun is one timed diagnosis of both apps at a fixed worker
-// count; the two reports are concatenated for the identity check.
-type pipelineRun struct {
-	WallMS       int64 `json:"wall_ms"`
-	EnumMS       int64 `json:"enum_ms"`
-	FineMS       int64 `json:"fine_ms"`
-	SolverMS     int64 `json:"solver_ms"` // cumulative in-solver time across workers
-	GroupsSolved int   `json:"groups_solved"`
-	SolverCalls  int   `json:"solver_calls"`
-	MemoHits     int   `json:"memo_hits"`
-	Deadlocks    int   `json:"deadlocks"`
-
-	// CDCL(T) engine counters summed over the run's solver calls.
-	Decisions      int `json:"decisions"`
-	Conflicts      int `json:"conflicts"`
-	Propagations   int `json:"propagations"`
-	LearnedClauses int `json:"learned_clauses"`
-	Backjumps      int `json:"backjumps"`
-	TheoryCalls    int `json:"theory_calls"`
-
-	rendered string
-	found    int
-}
-
-// pipelineJSON is the versioned -out payload of the table2 pipeline
-// benchmark.
-type pipelineJSON struct {
-	Version          int         `json:"version"`
-	Parallelism      int         `json:"parallelism"`
-	Serial           pipelineRun `json:"serial"`
-	Parallel         pipelineRun `json:"parallel"`
-	Speedup          float64     `json:"speedup"`
-	MemoHitRate      float64     `json:"memo_hit_rate"`
-	Table2Found      int         `json:"table2_found"`
-	Table2Catalog    int         `json:"table2_catalog"`
-	ReportsIdentical bool        `json:"reports_identical"`
-}
-
-func timedRun(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace, workers int) pipelineRun {
-	diagnose := func(app apps.App, traces []*trace.Trace, b *strings.Builder, r *pipelineRun) {
-		res, err := core.NewAnalyzer(app.Schema(), core.WithParallelism(workers)).AnalyzeContext(context.Background(), traces)
-		check(err)
-		r.GroupsSolved += res.Stats.GroupsSolved
-		r.SolverCalls += res.Stats.SolverCalls
-		r.MemoHits += res.Stats.MemoHits
-		r.Deadlocks += len(res.Deadlocks)
-		r.EnumMS += res.Stats.EnumTime.Milliseconds()
-		r.FineMS += res.Stats.FineTime.Milliseconds()
-		r.SolverMS += res.Stats.SolverTime.Milliseconds()
-		r.Decisions += res.Stats.Engine.Decisions
-		r.Conflicts += res.Stats.Engine.Conflicts
-		r.Propagations += res.Stats.Engine.Propagations
-		r.LearnedClauses += res.Stats.Engine.LearnedClauses
-		r.Backjumps += res.Stats.Engine.Backjumps
-		r.TheoryCalls += res.Stats.Engine.TheoryCalls
-		seen := map[string]bool{}
-		for _, d := range res.Deadlocks {
-			b.WriteString(d.Render())
-			if id := app.Classify(d); id != "" && id != "extra" && id != "fp-checkout-applock" && !seen[id] {
-				seen[id] = true
-				r.found++
-			}
-		}
-	}
-	var r pipelineRun
-	var b strings.Builder
-	start := time.Now()
-	diagnose(blApp, blTraces, &b, &r)
-	diagnose(shApp, shTraces, &b, &r)
-	r.WallMS = time.Since(start).Milliseconds()
-	r.rendered = b.String()
-	return r
-}
-
-// pipelineBench compares the diagnosis at Parallelism=1 and -parallel N
-// over the Table II workload, checks the reports are byte-identical, and
-// optionally writes the numbers to -out.
-func pipelineBench(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace) {
-	workers := *parallelF
-	fmt.Printf("\nparallel pipeline (Parallelism=1 vs %d, memoized):\n", workers)
-	serial := timedRun(blApp, shApp, blTraces, shTraces, 1)
-	par := timedRun(blApp, shApp, blTraces, shTraces, workers)
-
-	identical := serial.rendered == par.rendered
-	out := pipelineJSON{
-		Version:          1,
-		Parallelism:      workers,
-		Serial:           serial,
-		Parallel:         par,
-		Table2Found:      par.found,
-		Table2Catalog:    len(broadleaf.Expectations()) + len(shopizer.Expectations()),
-		ReportsIdentical: identical,
-	}
-	if par.WallMS > 0 {
-		out.Speedup = float64(serial.WallMS) / float64(par.WallMS)
-	}
-	if par.GroupsSolved > 0 {
-		out.MemoHitRate = float64(par.MemoHits) / float64(par.GroupsSolved)
-	}
-
-	fmt.Printf("  serial:   %4d ms wall (solver %d ms), %d groups via %d solver calls (%d memo hits)\n",
-		serial.WallMS, serial.SolverMS, serial.GroupsSolved, serial.SolverCalls, serial.MemoHits)
-	fmt.Printf("  parallel: %4d ms wall (solver %d ms), %d groups via %d solver calls (%d memo hits)\n",
-		par.WallMS, par.SolverMS, par.GroupsSolved, par.SolverCalls, par.MemoHits)
-	fmt.Printf("  engine:   %d decisions, %d conflicts, %d propagations, %d learned clauses, %d backjumps, %d theory calls\n",
-		serial.Decisions, serial.Conflicts, serial.Propagations,
-		serial.LearnedClauses, serial.Backjumps, serial.TheoryCalls)
-	fmt.Printf("  speedup %.2fx, memo hit rate %.0f%%, reports byte-identical: %v, Table II %d/%d\n",
-		out.Speedup, 100*out.MemoHitRate, identical, out.Table2Found, out.Table2Catalog)
-	if !identical {
-		// Determinism is the contract the memoized parallel pipeline is
-		// built around; refuse to record benchmark artifacts that violate
-		// it.
-		fmt.Println("  ERROR: parallel report differs from serial — determinism bug; not writing BENCH files")
-		os.Exit(1)
-	}
-
-	if *outF != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		check(err)
-		check(os.WriteFile(*outF, append(data, '\n'), 0o644))
-		fmt.Printf("  wrote %s\n", *outF)
-	}
-	if *solverOutF != "" {
-		writeSolverBench(serial, par, workers)
-	}
-	if *traceOutF != "" || *metricsF != "" {
-		observedRun(blApp, shApp, blTraces, shTraces, workers)
-	}
-}
-
-// observedRun repeats the parallel table2 diagnosis with an observer
-// attached and writes the requested telemetry artifacts. It runs after
-// the serial/parallel identity check so instrumentation cannot skew the
-// timed comparison; one observer spans both apps, so the trace shows
-// two back-to-back analyze trees and the metrics aggregate the full
-// workload.
-func observedRun(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace, workers int) {
-	o := obs.NewObserver()
-	_, err := core.NewAnalyzer(blApp.Schema(),
-		core.WithParallelism(workers), core.WithObserver(o)).
-		AnalyzeContext(context.Background(), blTraces)
-	check(err)
-	_, err = core.NewAnalyzer(shApp.Schema(),
-		core.WithParallelism(workers), core.WithObserver(o)).
-		AnalyzeContext(context.Background(), shTraces)
-	check(err)
-	write := func(path string, render func(*os.File) error) {
-		f, err := os.Create(path)
-		check(err)
-		check(render(f))
-		check(f.Close())
-		fmt.Printf("  wrote %s\n", path)
-	}
-	if *traceOutF != "" {
-		write(*traceOutF, func(f *os.File) error { return o.Tracer.WriteChromeTrace(f) })
-	}
-	if *metricsF != "" {
-		write(*metricsF, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
-	}
-}
-
-// solverBaseline records the pre-CDCL engine's serial numbers on this
-// same Table II workload (linear-scan DPLL(T) with full-assignment
-// blocking clauses, string-keyed atom interning, uncached edge
-// conditions), measured on the reference container. The solver JSON
-// reports the current engine against it.
-type solverBaseline struct {
-	Engine       string `json:"engine"`
-	SerialWallMS int64  `json:"serial_wall_ms"`
-	SerialSlvMS  int64  `json:"serial_solver_ms"`
-}
-
-// solverJSON is the versioned -solverout payload.
-type solverJSON struct {
-	Version     int            `json:"version"`
-	Engine      string         `json:"engine"`
-	Parallelism int            `json:"parallelism"`
-	Baseline    solverBaseline `json:"baseline"`
-	Serial      pipelineRun    `json:"serial"`
-	Parallel    pipelineRun    `json:"parallel"`
-	// SolverSpeedup is baseline serial in-solver time over current serial
-	// in-solver time on the same workload.
-	SolverSpeedup float64 `json:"solver_speedup_vs_baseline"`
-}
-
-func writeSolverBench(serial, par pipelineRun, workers int) {
-	base := solverBaseline{
-		Engine:       "dpll-blocking-clauses (pre-CDCL)",
-		SerialWallMS: 753,
-		SerialSlvMS:  560,
-	}
-	out := solverJSON{
-		Version:     1,
-		Engine:      "cdcl-watched-literals + theory-core learning",
-		Parallelism: workers,
-		Baseline:    base,
-		Serial:      serial,
-		Parallel:    par,
-	}
-	if serial.SolverMS > 0 {
-		out.SolverSpeedup = float64(base.SerialSlvMS) / float64(serial.SolverMS)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	check(err)
-	check(os.WriteFile(*solverOutF, append(data, '\n'), 0o644))
-	fmt.Printf("  wrote %s (solver speedup vs pre-CDCL baseline: %.2fx)\n", *solverOutF, out.SolverSpeedup)
 }
 
 // ---------------------------------------------------------------------------
@@ -669,10 +437,10 @@ func baseline() {
 	shTraces, err := appkit.Collect(shApp.UnitTests(), concolic.ModeConcolic)
 	check(err)
 
-	blCoarse := core.New(blApp.Schema(), core.Options{CoarseOnly: true}).Analyze(blTraces)
-	shCoarse := core.New(shApp.Schema(), core.Options{CoarseOnly: true}).Analyze(shTraces)
-	blFine := core.New(blApp.Schema(), core.Options{}).Analyze(blTraces)
-	shFine := core.New(shApp.Schema(), core.Options{}).Analyze(shTraces)
+	blCoarse := analyze(blApp.Schema(), blTraces, core.WithCoarseOnly())
+	shCoarse := analyze(shApp.Schema(), shTraces, core.WithCoarseOnly())
+	blFine := analyze(blApp.Schema(), blTraces)
+	shFine := analyze(shApp.Schema(), shTraces)
 
 	total := blCoarse.Stats.CoarseCycles + shCoarse.Stats.CoarseCycles
 	fmt.Printf("coarse hold-and-wait cycles reported: %d (paper: 18,384)\n", total)

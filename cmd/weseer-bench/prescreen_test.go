@@ -51,8 +51,8 @@ func TestPrescreenSound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: collect: %v", tg.name, err)
 		}
-		off := core.New(tg.scm, core.Options{}).Analyze(traces)
-		on := core.New(tg.scm, core.Options{StaticPrescreen: true}).Analyze(traces)
+		off := analyze(tg.scm, traces)
+		on := analyze(tg.scm, traces, core.WithPrescreen())
 
 		// Identical reports: the prescreen may only discard candidates the
 		// solver would refute, never a satisfiable cycle.
@@ -133,7 +133,7 @@ func TestPrescreenSound(t *testing.T) {
 		onFlat.Stats = on.Stats.WithoutTimings()
 		serial := onFlat.Render()
 		for _, workers := range []int{4, 16} {
-			res := core.New(tg.scm, core.Options{StaticPrescreen: true, Parallelism: workers}).Analyze(traces)
+			res := analyze(tg.scm, traces, core.WithPrescreen(), core.WithParallelism(workers))
 			res.Stats = res.Stats.WithoutTimings()
 			if got := res.Render(); got != serial {
 				t.Errorf("%s: prescreen report differs at parallelism %d", tg.name, workers)

@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	weseer run     -app NAME [-fixed] [-apply f2,f5] [-fixplan] [-coarse] [-prescreen] [-enum-index=false] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [observability flags]
+//	weseer run     -app NAME [-fixed] [-apply f2,f5] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [observability flags]
 //	weseer collect -app NAME [-fixed] [-apply f2,f5] [-no-prune] -o traces.json
-//	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-enum-index=false] [-parallel N] [-timeout D] [-json] [observability flags]
+//	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [observability flags]
 //	weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
 //	weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [analysis flags]
 //	weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
@@ -32,9 +32,6 @@
 // replays every report against a live database — the paper's two
 // Sec. V-D future-work items. -prescreen enables the Phase-0 static
 // screen that discards trivially-UNSAT candidates before the solver.
-// -enum-index=false falls back to the serial quadratic phase-1/2 pair
-// loop instead of the indexed, parallel enumeration (ablation; the
-// report is byte-identical either way).
 //
 // -fixed applies every cataloged fix to the app before collection;
 // -apply applies a chosen subset by name (f1..f11 for the model apps,
@@ -132,9 +129,9 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  weseer run     -app NAME [-fixed] [-apply f2,f5] [-fixplan] [-coarse] [-prescreen] [-enum-index=false] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [obs flags]
+  weseer run     -app NAME [-fixed] [-apply f2,f5] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [obs flags]
   weseer collect -app NAME [-fixed] [-apply f2,f5] [-no-prune] -o traces.json
-  weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-enum-index=false] [-parallel N] [-timeout D] [-json] [obs flags]
+  weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [obs flags]
   weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
   weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [analysis flags]
   weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
@@ -216,36 +213,9 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 	return fl.Close()
 }
 
-// appUnit bundles what the CLI needs from an application.
-//
-// Deprecated: appUnit/makeApp are thin shims over the apps registry,
-// kept so the command's internal call sites stay shaped as before; new
-// code should call apps.Open directly.
-type appUnit struct {
-	app      apps.App
-	schema   *schema.Schema
-	db       *minidb.DB
-	tests    []appkit.UnitTest
-	classify func(*core.Deadlock) string
-	srcDir   string // "" when the app has no on-disk source (generated)
-}
-
-func makeApp(name string, fixed bool, apply []string) (*appUnit, error) {
-	app, err := apps.Open(name, apps.Options{Fixed: fixed, Apply: apply})
-	if err != nil {
-		return nil, err
-	}
-	u := &appUnit{
-		app:      app,
-		schema:   app.Schema(),
-		db:       app.DB(),
-		tests:    app.UnitTests(),
-		classify: app.Classify,
-	}
-	if s, ok := app.(apps.Sourcer); ok {
-		u.srcDir = s.SourceDir()
-	}
-	return u, nil
+// openApp resolves -app/-fixed/-apply through the application registry.
+func openApp(name string, fixed bool, apply string) (apps.App, error) {
+	return apps.Open(name, apps.Options{Fixed: fixed, Apply: splitApply(apply)})
 }
 
 // splitApply parses the -apply flag ("" = none, "f2,f9" = those fixes).
@@ -267,7 +237,6 @@ func cmdRun(args []string) (err error) {
 	fixplan := fs.Bool("fixplan", false, "print the ranked fix plan (internal/fixapply) after the report")
 	coarse := fs.Bool("coarse", false, "STEPDAD/REDACT-style coarse baseline (no SMT)")
 	prescreen := fs.Bool("prescreen", false, "enable the Phase-0 static prescreen (weseer vet analysis)")
-	enumIndex := fs.Bool("enum-index", true, "use the indexed, parallel phase-1/2 enumeration (=false: serial quadratic pair loop)")
 	plans := fs.Bool("plans", false, "restrict lock modeling to recorded execution plans (Sec. V-D)")
 	parallel := fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "bound the analysis wall time (0 = none)")
@@ -277,7 +246,7 @@ func cmdRun(args []string) (err error) {
 	of := registerObsFlags(fs)
 	fs.Parse(args)
 
-	app, err := makeApp(*appName, *fixed, splitApply(*apply))
+	app, err := openApp(*appName, *fixed, *apply)
 	if err != nil {
 		return err
 	}
@@ -294,7 +263,7 @@ func cmdRun(args []string) (err error) {
 	if o != nil {
 		collectOpts = append(collectOpts, concolic.WithObserver(o))
 	}
-	traces, err := appkit.Collect(app.tests, concolic.ModeConcolic, collectOpts...)
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic, collectOpts...)
 	if err != nil {
 		return err
 	}
@@ -305,7 +274,7 @@ func cmdRun(args []string) (err error) {
 				tr.API, len(tr.Txns), tr.Stats.Statements, tr.Stats.PathConds)
 		}
 	}
-	opts := analysisOptions(*coarse, *prescreen, *enumIndex, *parallel)
+	opts := analysisOptions(*coarse, *prescreen, *parallel)
 	if *plans {
 		opts = append(opts, core.WithConcretePlans())
 	}
@@ -317,18 +286,18 @@ func cmdRun(args []string) (err error) {
 		return err
 	}
 	if *jsonOut {
-		return printJSON(res, app.classify)
+		return printJSON(res, app.Classify)
 	}
-	printReport(res, app.classify, *verbose)
+	printReport(res, app.Classify, *verbose)
 	if *fixplan {
 		fmt.Println()
-		fmt.Print(fixapply.Render(fixapply.Plan(app.app, res)))
+		fmt.Print(fixapply.Render(fixapply.Plan(app, res)))
 	}
 	if *reproduce && !*coarse {
 		fmt.Println("\nautomatic reproduction (replaying each cycle against a rebuilt database):")
 		outcomes := replay.ReproduceReport(res, func() (*minidb.DB, []appkit.UnitTest) {
-			fresh, _ := makeApp(*appName, *fixed, splitApply(*apply))
-			return fresh.db, fresh.tests
+			fresh, _ := openApp(*appName, *fixed, *apply)
+			return fresh.DB(), fresh.UnitTests()
 		})
 		counts := map[replay.Status]int{}
 		for _, o := range outcomes {
@@ -350,7 +319,7 @@ func cmdCollect(args []string) error {
 	out := fs.String("o", "traces.json", "output file")
 	fs.Parse(args)
 
-	app, err := makeApp(*appName, *fixed, splitApply(*apply))
+	app, err := openApp(*appName, *fixed, *apply)
 	if err != nil {
 		return err
 	}
@@ -358,7 +327,7 @@ func cmdCollect(args []string) error {
 	if *noPrune {
 		opts = append(opts, concolic.WithoutPruning())
 	}
-	traces, err := appkit.Collect(app.tests, concolic.ModeConcolic, opts...)
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic, opts...)
 	if err != nil {
 		return err
 	}
@@ -383,7 +352,6 @@ func cmdAnalyze(args []string) (err error) {
 	in := fs.String("i", "traces.json", "input trace file")
 	coarse := fs.Bool("coarse", false, "coarse baseline (no SMT)")
 	prescreen := fs.Bool("prescreen", false, "enable the Phase-0 static prescreen (weseer vet analysis)")
-	enumIndex := fs.Bool("enum-index", true, "use the indexed, parallel phase-1/2 enumeration (=false: serial quadratic pair loop)")
 	parallel := fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "bound the analysis wall time (0 = none)")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable report instead of text")
@@ -392,7 +360,7 @@ func cmdAnalyze(args []string) (err error) {
 	of := registerObsFlags(fs)
 	fs.Parse(args)
 
-	app, err := makeApp(*appName, false, nil)
+	app, err := apps.Open(*appName, apps.Options{})
 	if err != nil {
 		return err
 	}
@@ -413,7 +381,7 @@ func cmdAnalyze(args []string) (err error) {
 			err = e
 		}
 	}()
-	opts := analysisOptions(*coarse, *prescreen, *enumIndex, *parallel)
+	opts := analysisOptions(*coarse, *prescreen, *parallel)
 	if o != nil {
 		opts = append(opts, core.WithObserver(o))
 	}
@@ -422,27 +390,24 @@ func cmdAnalyze(args []string) (err error) {
 		return err
 	}
 	if *jsonOut {
-		return printJSON(res, app.classify)
+		return printJSON(res, app.Classify)
 	}
-	printReport(res, app.classify, *verbose)
+	printReport(res, app.Classify, *verbose)
 	if *fixplan {
 		fmt.Println()
-		fmt.Print(fixapply.Render(fixapply.Plan(app.app, res)))
+		fmt.Print(fixapply.Render(fixapply.Plan(app, res)))
 	}
 	return nil
 }
 
 // analysisOptions translates the shared CLI flags into analyzer options.
-func analysisOptions(coarse, prescreen, enumIndex bool, parallel int) []core.Option {
+func analysisOptions(coarse, prescreen bool, parallel int) []core.Option {
 	var opts []core.Option
 	if coarse {
 		opts = append(opts, core.WithCoarseOnly())
 	}
 	if prescreen {
 		opts = append(opts, core.WithPrescreen())
-	}
-	if !enumIndex {
-		opts = append(opts, core.WithoutEnumIndex())
 	}
 	if parallel > 0 {
 		opts = append(opts, core.WithParallelism(parallel))
@@ -454,7 +419,7 @@ func analysisOptions(coarse, prescreen, enumIndex bool, parallel int) []core.Opt
 // optional deadline. On interruption the partial report is still
 // printed (after a note on stderr), since a truncated funnel is more
 // useful than nothing when a run is cut short.
-func analyzeCtx(app *appUnit, traces []*trace.Trace, timeout time.Duration, opts []core.Option) (*core.Result, error) {
+func analyzeCtx(app apps.App, traces []*trace.Trace, timeout time.Duration, opts []core.Option) (*core.Result, error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if timeout > 0 {
@@ -462,7 +427,7 @@ func analyzeCtx(app *appUnit, traces []*trace.Trace, timeout time.Duration, opts
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	res, err := core.NewAnalyzer(app.schema, opts...).AnalyzeContext(ctx, traces)
+	res, err := core.NewAnalyzer(app.Schema(), opts...).AnalyzeContext(ctx, traces)
 	switch {
 	case err == nil:
 	case errors.Is(err, context.Canceled):
@@ -610,8 +575,8 @@ type jsonStats struct {
 
 type jsonDeadlck struct {
 	// Fingerprint is the deadlock's stable identity (core.Fingerprint):
-	// the history store's dedup key, invariant across runs, parallelism,
-	// and enumeration mode.
+	// the history store's dedup key, invariant across runs and
+	// parallelism.
 	Fingerprint string    `json:"fingerprint"`
 	Catalog     string    `json:"catalog"` // Table II entry id, "" if unclassified
 	APIs        [2]string `json:"apis"`

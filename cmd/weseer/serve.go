@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"weseer/internal/apps"
 	"weseer/internal/core"
 	"weseer/internal/history"
 	"weseer/internal/obs"
@@ -42,7 +43,6 @@ func cmdServe(args []string) error {
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-ingest analysis wall-time bound (0 = none)")
 	coarse := fs.Bool("coarse", false, "coarse baseline analysis for ingested traces (no SMT)")
 	prescreen := fs.Bool("prescreen", false, "enable the Phase-0 static prescreen for ingested traces")
-	enumIndex := fs.Bool("enum-index", true, "use the indexed, parallel phase-1/2 enumeration")
 	parallel := fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)")
 	fs.Parse(args)
 
@@ -60,7 +60,6 @@ func cmdServe(args []string) error {
 		timeout:    *timeout,
 		coarse:     *coarse,
 		prescreen:  *prescreen,
-		enumIndex:  *enumIndex,
 		parallel:   *parallel,
 	})
 	ds, err := obs.StartDebugServer(*addr, o, srv.Routes()...)
@@ -87,7 +86,6 @@ type serveConfig struct {
 	timeout    time.Duration
 	coarse     bool
 	prescreen  bool
-	enumIndex  bool
 	parallel   int
 }
 
@@ -104,17 +102,17 @@ func newHistoryServer(st *history.Store, o *obs.Observer, cfg serveConfig) *hist
 			if appName == "" {
 				appName = cfg.defaultApp
 			}
-			app, err := makeApp(appName, false, nil)
+			app, err := apps.Open(appName, apps.Options{})
 			if err != nil {
 				return nil, err
 			}
-			opts := analysisOptions(cfg.coarse, cfg.prescreen, cfg.enumIndex, cfg.parallel)
+			opts := analysisOptions(cfg.coarse, cfg.prescreen, cfg.parallel)
 			opts = append(opts, core.WithObserver(o))
-			res, err := core.NewAnalyzer(app.schema, opts...).AnalyzeContext(ctx, traces)
+			res, err := core.NewAnalyzer(app.Schema(), opts...).AnalyzeContext(ctx, traces)
 			if err != nil {
 				return nil, err
 			}
-			return history.FromResult(res, appName, app.classify), nil
+			return history.FromResult(res, appName, app.Classify), nil
 		},
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/history"
@@ -30,7 +31,7 @@ func startDaemon(t *testing.T, storePath string) *daemon {
 		t.Fatal(err)
 	}
 	o := obs.NewObserver()
-	srv := newHistoryServer(st, o, serveConfig{defaultApp: "broadleaf", enumIndex: true})
+	srv := newHistoryServer(st, o, serveConfig{defaultApp: "broadleaf"})
 	ds, err := obs.StartDebugServer("127.0.0.1:0", o, srv.Routes()...)
 	if err != nil {
 		st.Close()
@@ -53,11 +54,11 @@ func (d *daemon) stop(t *testing.T) {
 // returns the trace batch as the JSON `weseer collect` would write.
 func collectTraces(t *testing.T, appName string) []byte {
 	t.Helper()
-	app, err := makeApp(appName, false, nil)
+	app, err := apps.Open(appName, apps.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := appkit.Collect(app.tests, concolic.ModeConcolic)
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -33,7 +34,10 @@ func main() {
 			tr.API, tr.Stats.Statements, tr.Stats.PathConds)
 	}
 
-	res := core.New(broadleaf.Schema(), core.Options{}).Analyze(traces)
+	res, err := core.NewAnalyzer(broadleaf.Schema()).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("\n" + res.Stats.Render())
 
 	found := map[string][]*core.Deadlock{}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -104,7 +105,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	res := weseer.Analyze(t.Schema(), traces, weseer.AnalyzerOptions{})
+	res, err := weseer.AnalyzeContext(context.Background(), t.Schema(), traces)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(res.Render())
 
 	// --- Runtime reproduction ------------------------------------------

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"weseer"
@@ -52,7 +53,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	res := weseer.Analyze(scm, traces, weseer.AnalyzerOptions{})
+	res, err := weseer.AnalyzeContext(context.Background(), scm, traces)
+	if err != nil {
+		panic(err)
+	}
 
 	// 5. Report.
 	fmt.Println(res.Render())

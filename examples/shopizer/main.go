@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -25,7 +26,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	res := core.New(shopizer.Schema(), core.Options{}).Analyze(traces)
+	res, err := core.NewAnalyzer(shopizer.Schema()).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(res.Stats.Render())
 
 	found := map[string]int{}

@@ -1,6 +1,7 @@
 package appgen
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
+	"weseer/internal/schema"
 	"weseer/internal/trace"
 )
 
@@ -108,7 +110,7 @@ func TestDeterminismAcrossBuildsAndParallelism(t *testing.T) {
 		if i%2 == 1 { // interleave the two builds: app identity must not matter
 			app, traces = a2, tr2
 		}
-		res := core.NewAnalyzer(app.Schema(), core.WithParallelism(par)).Analyze(traces)
+		res := analyze(t, app.Schema(), traces, core.WithParallelism(par))
 		reports = append(reports, render(app, res))
 	}
 	for i := 1; i < len(reports); i++ {
@@ -123,7 +125,7 @@ func TestPlantedClassesAllDiagnosedNoSpurious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewAnalyzer(a.Schema()).Analyze(collect(t, a))
+	res := analyze(t, a.Schema(), collect(t, a))
 	if len(res.Deadlocks) == 0 {
 		t.Fatal("no deadlocks diagnosed on a corpus with all classes planted")
 	}
@@ -151,7 +153,7 @@ func TestNoClassesMeansNoDeadlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewAnalyzer(a.Schema()).Analyze(collect(t, a))
+	res := analyze(t, a.Schema(), collect(t, a))
 	if len(res.Deadlocks) != 0 {
 		for _, d := range res.Deadlocks {
 			t.Logf("unexpected:\n%s", d.Render())
@@ -161,4 +163,14 @@ func TestNoClassesMeansNoDeadlocks(t *testing.T) {
 	if res.Stats.GroupsSolved == 0 {
 		t.Error("filler-only corpus produced no solver groups — hubs are not generating work")
 	}
+}
+
+// analyze runs the full diagnosis and fails the test on an analysis error.
+func analyze(t testing.TB, scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
+	t.Helper()
+	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -111,7 +112,10 @@ func renderApp(t *testing.T, app App) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewAnalyzer(app.Schema()).Analyze(traces)
+	res, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	// The goldens predate Stats.CanonCalls (the memo table's shape level);
 	// TestFunnelInvariants pins it, and the captured funnel line stays as
@@ -182,7 +186,10 @@ func TestTableIIInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := core.NewAnalyzer(app.Schema()).Analyze(traces)
+		res, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, d := range res.Deadlocks {
 			if id := app.Classify(d); strings.HasPrefix(id, "d") {
 				classes[id] = true

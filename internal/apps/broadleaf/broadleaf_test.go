@@ -1,6 +1,7 @@
 package broadleaf
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
+	"weseer/internal/schema"
 	"weseer/internal/sqlast"
 	"weseer/internal/trace"
 )
@@ -57,7 +59,7 @@ func TestTableIInvocations(t *testing.T) {
 // (d1–d13) is reported.
 func TestDiagnosisFindsTableII(t *testing.T) {
 	_, traces := collect(t, Fixes{})
-	res := core.New(Schema(), core.Options{}).Analyze(traces)
+	res := analyze(t, Schema(), traces)
 	found := map[string]int{}
 	for _, d := range res.Deadlocks {
 		found[Classify(d)]++
@@ -83,7 +85,7 @@ func TestDiagnosisFindsTableII(t *testing.T) {
 // the 13 confirmed deadlocks (the paper's 18,384-vs-18 observation).
 func TestCoarseBaselineExplodes(t *testing.T) {
 	_, traces := collect(t, Fixes{})
-	res := core.New(Schema(), core.Options{CoarseOnly: true}).Analyze(traces)
+	res := analyze(t, Schema(), traces, core.WithCoarseOnly())
 	if res.Stats.CoarseCycles < 10*len(Expectations()) {
 		t.Errorf("coarse baseline found only %d cycles; expected an explosion vs %d cataloged",
 			res.Stats.CoarseCycles, len(Expectations()))
@@ -101,9 +103,9 @@ func TestCoarseBaselineExplodes(t *testing.T) {
 // conservatively reportable.
 func TestFixedAppShrinksReports(t *testing.T) {
 	_, unfixedTraces := collect(t, Fixes{})
-	unfixed := core.New(Schema(), core.Options{}).Analyze(unfixedTraces)
+	unfixed := analyze(t, Schema(), unfixedTraces)
 	_, fixedTraces := collect(t, AllFixes())
-	fixed := core.New(Schema(), core.Options{}).Analyze(fixedTraces)
+	fixed := analyze(t, Schema(), fixedTraces)
 
 	found := map[string]int{}
 	for _, d := range fixed.Deadlocks {
@@ -351,8 +353,8 @@ func TestCheckoutOutOfStock(t *testing.T) {
 // than the conservative all-possible-indexes model.
 func TestConcretePlansKeepCatalog(t *testing.T) {
 	_, traces := collect(t, Fixes{})
-	conservative := core.New(Schema(), core.Options{}).Analyze(traces)
-	planned := core.New(Schema(), core.Options{UseConcretePlans: true}).Analyze(traces)
+	conservative := analyze(t, Schema(), traces)
+	planned := analyze(t, Schema(), traces, core.WithConcretePlans())
 	found := map[string]int{}
 	for _, d := range planned.Deadlocks {
 		found[Classify(d)]++
@@ -366,4 +368,14 @@ func TestConcretePlansKeepCatalog(t *testing.T) {
 		t.Errorf("concrete plans grew the report set: %d > %d",
 			len(planned.Deadlocks), len(conservative.Deadlocks))
 	}
+}
+
+// analyze runs the full diagnosis and fails the test on an analysis error.
+func analyze(t testing.TB, scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
+	t.Helper()
+	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -1,6 +1,7 @@
 package shopizer
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -39,7 +40,10 @@ func TestTableIInvocations(t *testing.T) {
 // cataloged deadlock d14–d18, all of them on the Product table.
 func TestDiagnosisFindsTableII(t *testing.T) {
 	traces := collect(t, Fixes{})
-	res := core.New(Schema(), core.Options{}).Analyze(traces)
+	res, err := core.NewAnalyzer(Schema()).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := map[string]int{}
 	for _, d := range res.Deadlocks {
 		id := Classify(d)

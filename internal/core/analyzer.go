@@ -19,8 +19,7 @@
 // chains via an order-preserving merge; stage 3 discharges the chains
 // on a worker pool with solver-call memoization (pipeline.go, memo.go);
 // stage 4 merges per-chain outcomes in canonical order. The report is
-// deterministic — byte identical — at every parallelism setting, and
-// identical with the index disabled (DisableEnumIndex).
+// deterministic — byte identical — at every parallelism setting.
 package core
 
 import (
@@ -42,7 +41,7 @@ import (
 // Analyzer runs deadlock diagnosis over collected traces.
 type Analyzer struct {
 	scm  *schema.Schema
-	opts Options
+	opts options
 	ps   *prescreenState // Phase-0 state, set per Analyze call
 	// edgeMemo caches C-edge conflict conditions per Analyze call: every
 	// cycle sharing an edge used to rebuild an identical condition. Keyed
@@ -115,25 +114,28 @@ type Deadlock struct {
 	Count int
 }
 
-// Analyze runs the three-phase diagnosis over the traces.
-//
-// Deprecated: use AnalyzeContext, which supports cancellation and
-// reports it as an error.
-func (a *Analyzer) Analyze(traces []*trace.Trace) *Result {
-	res, _ := a.AnalyzeContext(context.Background(), traces)
-	return res
-}
-
 // AnalyzeContext runs the three-phase diagnosis over the traces. Each
 // trace contributes two renamed instances ("A1.", "A2."), and every
 // cross-instance transaction pair — including pairs drawn from two
 // different APIs' traces — is examined, matching the paper's setup.
 //
-// Phase 3 runs on Options.Parallelism concurrent workers (default
-// GOMAXPROCS); the returned report does not depend on the worker count
-// or scheduling. When ctx is canceled mid-run the partial result
+// Enumeration and phase 3 run on WithParallelism concurrent workers
+// (default GOMAXPROCS); the returned report does not depend on the worker
+// count or scheduling. When ctx is canceled mid-run the partial result
 // gathered so far is returned together with ctx.Err().
 func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*Result, error) {
+	return a.analyze(ctx, traces, a.enumerateIndexed)
+}
+
+// enumFunc runs phases 1 and 2: transaction-pair filtering, the Phase-0
+// pair screen, and coarse-cycle enumeration. Candidate cycles sharing a
+// dedup key are collected into one chain, preserving global enumeration
+// order both across chains and within each chain.
+type enumFunc func(ctx context.Context, traces []*trace.Trace, workers int, res *Result) ([]*chain, error)
+
+// analyze is AnalyzeContext over a given enumeration: enumerateIndexed in
+// production; the differential tests also pass their naive pair loop.
+func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate enumFunc) (*Result, error) {
 	res := &Result{}
 	res.Stats.Traces = len(traces)
 	workers := a.opts.Parallelism
@@ -172,12 +174,10 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*
 	}
 
 	// Stages 1–2: pair filtering and coarse-cycle enumeration, grouped
-	// into dedup-key chains in first-occurrence order. The indexed path
-	// fans the per-instance work out over the same worker budget phase 3
-	// uses; its merge keeps chain order byte-compatible with the naive
-	// serial loop (the DisableEnumIndex ablation).
+	// into dedup-key chains in first-occurrence order, fanned out over the
+	// same worker budget phase 3 uses.
 	start := time.Now()
-	chains, err := a.enumerate(ctx, traces, workers, res)
+	chains, err := enumerate(ctx, traces, workers, res)
 	res.Stats.EnumTime = time.Since(start)
 	if o != nil {
 		spEnum.End(obs.Int("chains", len(chains)),
@@ -226,113 +226,10 @@ func (a *Analyzer) finishObs(o *obs.Observer, spAnalyze obs.Span, res *Result, e
 	res.Metrics = o.Snapshot()
 }
 
-// enumerate runs phases 1 and 2: transaction-pair filtering, the Phase-0
-// pair screen, and coarse-cycle enumeration. Candidate cycles sharing a
-// dedup key are collected into one chain, preserving global enumeration
-// order both across chains and within each chain. The default
-// implementation is the indexed, parallel one (enumerate.go); the naive
-// quadratic loop remains as the DisableEnumIndex ablation and as the
-// oracle the differential tests compare against.
-func (a *Analyzer) enumerate(ctx context.Context, traces []*trace.Trace, workers int, res *Result) ([]*chain, error) {
-	if !a.opts.DisableEnumIndex {
-		return a.enumerateIndexed(ctx, traces, workers, res)
-	}
-	return a.enumerateNaive(ctx, traces, res)
-}
-
-// enumerateNaive probes every cross-instance transaction pair —
-// O(instances²) in corpus size, serial.
-func (a *Analyzer) enumerateNaive(ctx context.Context, traces []*trace.Trace, res *Result) ([]*chain, error) {
-	// Pre-rename each trace once per role, and compute each renamed
-	// transaction's table signature once: phase 1 probes every pair, so
-	// rebuilding the accessed/written maps per probe is quadratic in
-	// corpus size.
-	inst1 := make([]*trace.Trace, len(traces))
-	inst2 := make([]*trace.Trace, len(traces))
-	sigs := map[*trace.Txn]txnSig{}
-	for i, tr := range traces {
-		inst1[i] = tr.Rename("A1.")
-		inst2[i] = tr.Rename("A2.")
-		for _, in := range []*trace.Trace{inst1[i], inst2[i]} {
-			for _, txn := range in.Txns {
-				acc, wr := txn.Tables()
-				sigs[txn] = txnSig{acc: acc, wr: wr}
-			}
-		}
-	}
-
-	byKey := map[string]*chain{}
-	var chains []*chain
-	add := func(cyc Cycle) {
-		key := cyc.dedupKey()
-		ch, ok := byKey[key]
-		if !ok {
-			ch = &chain{key: key}
-			byKey[key] = ch
-			chains = append(chains, ch)
-		}
-		ch.cycles = append(ch.cycles, cyc)
-	}
-
-	for i := range traces {
-		for j := i; j < len(traces); j++ {
-			for _, t1 := range inst1[i].Txns {
-				for _, t2 := range inst2[j].Txns {
-					if err := ctx.Err(); err != nil {
-						return chains, err
-					}
-					res.Stats.Pairs++
-					if !a.opts.SkipPhase1 && !sigs[t1].conflicts(sigs[t2]) {
-						continue
-					}
-					res.Stats.PairsAfterPhase1++
-					if a.ps != nil {
-						res.Stats.PrescreenPairs++
-						sh1 := a.ps.shape(traces[i].API, t1)
-						sh2 := a.ps.shape(traces[j].API, t2)
-						if !staticlint.PairDeadlockPossible(sh1, sh2, a.scm) {
-							res.Stats.PrescreenPairsPruned++
-							continue
-						}
-					}
-					// Instances are only allocated for pairs that survive the
-					// filters: on large corpora phase 1 rejects the vast
-					// majority of pairs.
-					p1 := &instance{API: traces[i].API, Prefix: "A1.", Txn: t1, Trace: inst1[i]}
-					p2 := &instance{API: traces[j].API, Prefix: "A2.", Txn: t2, Trace: inst2[j]}
-					res.Stats.CoarseCycles += a.enumeratePair(p1, p2, add)
-				}
-			}
-		}
-	}
-	return chains, nil
-}
-
 // txnSig is a transaction's cached table signature for the phase-1
 // screen.
 type txnSig struct {
 	acc, wr map[string]bool
-}
-
-// conflicts is phase 1: the pair can form a transaction conflict cycle
-// iff each transaction writes a table the other accesses.
-func (s txnSig) conflicts(o txnSig) bool {
-	oneWay := false
-	for t := range s.wr {
-		if o.acc[t] {
-			oneWay = true
-			break
-		}
-	}
-	if !oneWay {
-		return false
-	}
-	for t := range o.wr {
-		if s.acc[t] {
-			return true
-		}
-	}
-	return false
 }
 
 // coarseConflictTable is the coarse-grained C-edge test: a common table

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -113,11 +114,20 @@ func readOnlyTrace() *trace.Trace {
 	}
 }
 
+// analyze runs the full diagnosis over the Fig. 1 schema.
+func analyze(t *testing.T, traces []*trace.Trace, opts ...Option) *Result {
+	t.Helper()
+	res, err := NewAnalyzer(fig1Schema(), opts...).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFinishOrderDeadlockFound(t *testing.T) {
 	// The paper's running example: two concurrent finishOrder instances
 	// deadlock on Product (Fig. 4's cycle, confirmed as in Fig. 9).
-	a := New(fig1Schema(), Options{})
-	res := a.Analyze([]*trace.Trace{finishOrderTrace()})
+	res := analyze(t, []*trace.Trace{finishOrderTrace()})
 	if len(res.Deadlocks) != 1 {
 		t.Fatalf("deadlocks = %d\n%s", len(res.Deadlocks), res.Render())
 	}
@@ -141,8 +151,7 @@ func TestFinishOrderDeadlockFound(t *testing.T) {
 }
 
 func TestMergeGapDeadlockFound(t *testing.T) {
-	a := New(fig1Schema(), Options{})
-	res := a.Analyze([]*trace.Trace{mergeTrace()})
+	res := analyze(t, []*trace.Trace{mergeTrace()})
 	if len(res.Deadlocks) != 1 {
 		t.Fatalf("deadlocks = %d\n%s", len(res.Deadlocks), res.Render())
 	}
@@ -152,8 +161,7 @@ func TestMergeGapDeadlockFound(t *testing.T) {
 }
 
 func TestReadOnlyNoDeadlock(t *testing.T) {
-	a := New(fig1Schema(), Options{})
-	res := a.Analyze([]*trace.Trace{readOnlyTrace()})
+	res := analyze(t, []*trace.Trace{readOnlyTrace()})
 	if len(res.Deadlocks) != 0 {
 		t.Fatalf("read-only trace produced deadlocks:\n%s", res.Render())
 	}
@@ -163,8 +171,7 @@ func TestReadOnlyNoDeadlock(t *testing.T) {
 }
 
 func TestPhase1Filters(t *testing.T) {
-	a := New(fig1Schema(), Options{})
-	res := a.Analyze([]*trace.Trace{finishOrderTrace(), readOnlyTrace()})
+	res := analyze(t, []*trace.Trace{finishOrderTrace(), readOnlyTrace()})
 	// Pairs: (fo,fo), (fo,ro), (ro,ro) = 3; only (fo,fo) survives.
 	if res.Stats.Pairs != 3 || res.Stats.PairsAfterPhase1 != 1 {
 		t.Errorf("stats = %+v", res.Stats)
@@ -177,11 +184,9 @@ func TestPhase1Filters(t *testing.T) {
 func TestCoarseOnlyBaseline(t *testing.T) {
 	// The STEPDAD/REDACT-style baseline reports raw coarse cycles without
 	// lock modeling or SMT checking.
-	fine := New(fig1Schema(), Options{})
-	coarse := New(fig1Schema(), Options{CoarseOnly: true})
 	traces := []*trace.Trace{finishOrderTrace(), mergeTrace()}
-	fres := fine.Analyze(traces)
-	cres := coarse.Analyze(traces)
+	fres := analyze(t, traces)
+	cres := analyze(t, traces, WithCoarseOnly())
 	if cres.Stats.CoarseCycles == 0 {
 		t.Fatal("baseline found no coarse cycles")
 	}
@@ -205,10 +210,9 @@ func TestPathConditionEliminatesFalsePositive(t *testing.T) {
 	tr.PathConds = append(tr.PathConds,
 		trace.PathCond{AfterStmt: 1, Cond: smt.Eq(pid, oid)},
 	)
-	a := New(fig1Schema(), Options{})
 
 	// First, without the distinctness constraint the deadlock survives.
-	res := a.Analyze([]*trace.Trace{tr})
+	res := analyze(t, []*trace.Trace{tr})
 	if len(res.Deadlocks) != 1 {
 		t.Fatalf("expected the base deadlock, got %d", len(res.Deadlocks))
 	}
@@ -230,7 +234,7 @@ func TestPathConditionEliminatesFalsePositive(t *testing.T) {
 	tr3.PathConds = append(tr3.PathConds,
 		trace.PathCond{AfterStmt: 1, Cond: smt.Eq(pid, smt.Int(7))},
 	)
-	res3 := a.Analyze([]*trace.Trace{tr3})
+	res3 := analyze(t, []*trace.Trace{tr3})
 	if len(res3.Deadlocks) != 1 {
 		t.Fatalf("constant product still deadlocks: got %d", len(res3.Deadlocks))
 	}
@@ -241,7 +245,7 @@ func TestPathConditionEliminatesFalsePositive(t *testing.T) {
 		trace.PathCond{AfterStmt: 1, Cond: smt.Lt(pid, smt.Int(0))},
 		trace.PathCond{AfterStmt: 1, Cond: smt.Gt(pid, smt.Int(0))},
 	)
-	res4 := a.Analyze([]*trace.Trace{tr4})
+	res4 := analyze(t, []*trace.Trace{tr4})
 	if len(res4.Deadlocks) != 0 {
 		t.Fatalf("UNSAT path conditions still reported: %d", len(res4.Deadlocks))
 	}
@@ -252,8 +256,8 @@ func TestPathConditionEliminatesFalsePositive(t *testing.T) {
 
 func TestLockFilterAblation(t *testing.T) {
 	traces := []*trace.Trace{finishOrderTrace()}
-	withFilter := New(fig1Schema(), Options{}).Analyze(traces)
-	without := New(fig1Schema(), Options{SkipLockFilter: true}).Analyze(traces)
+	withFilter := analyze(t, traces)
+	without := analyze(t, traces, WithoutLockFilter())
 	if len(withFilter.Deadlocks) != len(without.Deadlocks) {
 		t.Errorf("lock filter changed results: %d vs %d", len(withFilter.Deadlocks), len(without.Deadlocks))
 	}
@@ -268,8 +272,7 @@ func TestCrossAPIDeadlock(t *testing.T) {
 	tr1 := finishOrderTrace()
 	tr2 := finishOrderTrace()
 	tr2.API = "Ship"
-	a := New(fig1Schema(), Options{})
-	res := a.Analyze([]*trace.Trace{tr1, tr2})
+	res := analyze(t, []*trace.Trace{tr1, tr2})
 	var sawCross bool
 	for _, d := range res.Deadlocks {
 		if d.APIs[0] != d.APIs[1] {
@@ -282,8 +285,7 @@ func TestCrossAPIDeadlock(t *testing.T) {
 }
 
 func TestRenderReport(t *testing.T) {
-	a := New(fig1Schema(), Options{})
-	res := a.Analyze([]*trace.Trace{finishOrderTrace()})
+	res := analyze(t, []*trace.Trace{finishOrderTrace()})
 	out := res.Render()
 	for _, want := range []string{"Checkout", "UPDATE Product", "app.go", "input", "dbrow", "holds lock", "waits at"} {
 		if !strings.Contains(out, want) {
@@ -293,8 +295,7 @@ func TestRenderReport(t *testing.T) {
 }
 
 func TestDedupFoldsCycles(t *testing.T) {
-	a := New(fig1Schema(), Options{})
-	res := a.Analyze([]*trace.Trace{finishOrderTrace()})
+	res := analyze(t, []*trace.Trace{finishOrderTrace()})
 	if len(res.Deadlocks) != 1 {
 		t.Fatalf("deadlocks = %d", len(res.Deadlocks))
 	}

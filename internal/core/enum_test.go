@@ -9,13 +9,105 @@ import (
 
 	"weseer/internal/schema"
 	"weseer/internal/smt"
+	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
 // Differential tests for the indexed, parallel phase-1/2 enumeration:
-// the serial quadratic loop (WithoutEnumIndex) is the oracle, and the
-// indexed path must reproduce its report byte-for-byte at any worker
-// count, on seeded random corpora as well as the curated workloads.
+// the serial quadratic loop (enumerateNaive, below) is the oracle, and
+// the indexed path must reproduce its chains and its report byte-for-byte
+// at any worker count, on seeded random corpora as well as the curated
+// workloads.
+
+// enumerateNaive is the reference enumFunc: it probes every
+// cross-instance transaction pair — O(instances²) in corpus size, serial
+// (the worker count is ignored).
+func (a *Analyzer) enumerateNaive(ctx context.Context, traces []*trace.Trace, _ int, res *Result) ([]*chain, error) {
+	// Pre-rename each trace once per role, and compute each renamed
+	// transaction's table signature once: phase 1 probes every pair, so
+	// rebuilding the accessed/written maps per probe is quadratic in
+	// corpus size.
+	inst1 := make([]*trace.Trace, len(traces))
+	inst2 := make([]*trace.Trace, len(traces))
+	sigs := map[*trace.Txn]txnSig{}
+	for i, tr := range traces {
+		inst1[i] = tr.Rename("A1.")
+		inst2[i] = tr.Rename("A2.")
+		for _, in := range []*trace.Trace{inst1[i], inst2[i]} {
+			for _, txn := range in.Txns {
+				acc, wr := txn.Tables()
+				sigs[txn] = txnSig{acc: acc, wr: wr}
+			}
+		}
+	}
+
+	byKey := map[string]*chain{}
+	var chains []*chain
+	add := func(cyc Cycle) {
+		key := cyc.dedupKey()
+		ch, ok := byKey[key]
+		if !ok {
+			ch = &chain{key: key}
+			byKey[key] = ch
+			chains = append(chains, ch)
+		}
+		ch.cycles = append(ch.cycles, cyc)
+	}
+
+	for i := range traces {
+		for j := i; j < len(traces); j++ {
+			for _, t1 := range inst1[i].Txns {
+				for _, t2 := range inst2[j].Txns {
+					if err := ctx.Err(); err != nil {
+						return chains, err
+					}
+					res.Stats.Pairs++
+					if !a.opts.SkipPhase1 && !sigs[t1].conflicts(sigs[t2]) {
+						continue
+					}
+					res.Stats.PairsAfterPhase1++
+					if a.ps != nil {
+						res.Stats.PrescreenPairs++
+						sh1 := a.ps.shape(traces[i].API, t1)
+						sh2 := a.ps.shape(traces[j].API, t2)
+						if !staticlint.PairDeadlockPossible(sh1, sh2, a.scm) {
+							res.Stats.PrescreenPairsPruned++
+							continue
+						}
+					}
+					// Instances are only allocated for pairs that survive the
+					// filters: on large corpora phase 1 rejects the vast
+					// majority of pairs.
+					p1 := &instance{API: traces[i].API, Prefix: "A1.", Txn: t1, Trace: inst1[i]}
+					p2 := &instance{API: traces[j].API, Prefix: "A2.", Txn: t2, Trace: inst2[j]}
+					res.Stats.CoarseCycles += a.enumeratePair(p1, p2, add)
+				}
+			}
+		}
+	}
+	return chains, nil
+}
+
+// conflicts is phase 1: the pair can form a transaction conflict cycle
+// iff each transaction writes a table the other accesses.
+func (s txnSig) conflicts(o txnSig) bool {
+	oneWay := false
+	for t := range s.wr {
+		if o.acc[t] {
+			oneWay = true
+			break
+		}
+	}
+	if !oneWay {
+		return false
+	}
+	for t := range o.wr {
+		if s.acc[t] {
+			return true
+		}
+	}
+	return false
+}
 
 // randSchema is a pool of simple keyed tables for the random corpora.
 func randSchema(tables int) *schema.Schema {
@@ -81,21 +173,59 @@ func comparable(s Stats) Stats {
 	return s
 }
 
+// enumOf is the seam the differential tests and benchmarks reach the
+// oracle through: the enumeration to hand a.analyze.
+func (a *Analyzer) enumOf(naive bool) enumFunc {
+	if naive {
+		return a.enumerateNaive
+	}
+	return a.enumerateIndexed
+}
+
+// analyzeRecording is a.analyze over the chosen enumeration, also
+// returning the chains that enumeration produced.
+func analyzeRecording(scm *schema.Schema, traces []*trace.Trace, naive bool, opts ...Option) (*Result, []*chain, error) {
+	a := NewAnalyzer(scm, opts...)
+	var chains []*chain
+	res, err := a.analyze(context.Background(), traces,
+		func(ctx context.Context, traces []*trace.Trace, workers int, res *Result) (_ []*chain, err error) {
+			chains, err = a.enumOf(naive)(ctx, traces, workers, res)
+			return chains, err
+		})
+	return res, chains, err
+}
+
+// chainSigs renders chains as their keys and, per chain, its cycles in
+// order — by value, since each enumeration renames its own instances.
+func chainSigs(chains []*chain) []string {
+	var out []string
+	for _, ch := range chains {
+		out = append(out, "chain "+ch.key)
+		for _, c := range ch.cycles {
+			out = append(out, fmt.Sprintf("%s%s#%d:%d>%d %s%s#%d:%d>%d %s %s",
+				c.T1.Prefix, c.T1.API, c.T1.Txn.ID, c.S1a.Seq, c.S1b.Seq,
+				c.T2.Prefix, c.T2.API, c.T2.Txn.ID, c.S2a.Seq, c.S2b.Seq, c.Table1, c.Table2))
+		}
+	}
+	return out
+}
+
 // diffRun asserts that the indexed enumeration at the given worker
-// counts reproduces the naive loop's report byte-for-byte under the
-// same extra options.
+// counts reproduces the naive loop's chains (keys, and cycle order within
+// each) and its report byte-for-byte under the same extra options.
 func diffRun(t *testing.T, scm *schema.Schema, traces []*trace.Trace, workerCounts []int, extra ...Option) {
 	t.Helper()
-	naive, err := NewAnalyzer(scm, append([]Option{WithoutEnumIndex(), WithParallelism(1)}, extra...)...).
-		AnalyzeContext(context.Background(), traces)
+	naive, naiveChains, err := analyzeRecording(scm, traces, true, append([]Option{WithParallelism(1)}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range workerCounts {
-		ix, err := NewAnalyzer(scm, append([]Option{WithParallelism(workers)}, extra...)...).
-			AnalyzeContext(context.Background(), traces)
+		ix, ixChains, err := analyzeRecording(scm, traces, false, append([]Option{WithParallelism(workers)}, extra...)...)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want, got := chainSigs(naiveChains), chainSigs(ixChains); !reflect.DeepEqual(want, got) {
+			t.Fatalf("p%d: indexed chains differ from naive oracle (%d vs %d lines)", workers, len(got), len(want))
 		}
 		if !reflect.DeepEqual(naive.Deadlocks, ix.Deadlocks) {
 			t.Fatalf("p%d: indexed deadlocks differ from naive oracle (%d vs %d)",
@@ -250,7 +380,8 @@ func TestEnumIndexedCancellation(t *testing.T) {
 
 // TestEnumIndexProbesDeterministic pins the new funnel counter: probes
 // are nonzero on the indexed path, stable across runs and worker
-// counts, and zero when the index is ablated away.
+// counts, and zero when phase 1 — and with it the index — is skipped (the
+// naive oracle's zero is asserted by diffRun).
 func TestEnumIndexProbesDeterministic(t *testing.T) {
 	traces := pipelineTraces()
 	base, err := NewAnalyzer(fig1Schema(), WithParallelism(1)).
@@ -271,15 +402,13 @@ func TestEnumIndexProbesDeterministic(t *testing.T) {
 			t.Errorf("p%d: IndexProbes = %d, want %d", workers, res.Stats.IndexProbes, base.Stats.IndexProbes)
 		}
 	}
-	for name, opt := range map[string]Option{"naive": WithoutEnumIndex(), "skip-phase1": WithoutPhase1()} {
-		res, err := NewAnalyzer(fig1Schema(), WithParallelism(1), opt).
-			AnalyzeContext(context.Background(), traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.IndexProbes != 0 {
-			t.Errorf("%s: IndexProbes = %d, want 0", name, res.Stats.IndexProbes)
-		}
+	res, err := NewAnalyzer(fig1Schema(), WithParallelism(1), WithoutPhase1()).
+		AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.IndexProbes != 0 {
+		t.Errorf("skip-phase1: IndexProbes = %d, want 0", res.Stats.IndexProbes)
 	}
 }
 
@@ -292,25 +421,19 @@ func benchCorpus() (*schema.Schema, []*trace.Trace) {
 	return randSchema(tables), randTraces(rng, 160, tables)
 }
 
-func benchEnum(b *testing.B, opts ...Option) {
+func benchEnum(b *testing.B, workers int, naive bool) {
 	scm, traces := benchCorpus()
-	opts = append(opts, WithCoarseOnly())
+	a := NewAnalyzer(scm, WithParallelism(workers), WithCoarseOnly())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces); err != nil {
+		if _, err := a.analyze(context.Background(), traces, a.enumOf(naive)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEnumNaive(b *testing.B) {
-	benchEnum(b, WithoutEnumIndex(), WithParallelism(1))
-}
+func BenchmarkEnumNaive(b *testing.B) { benchEnum(b, 1, true) }
 
-func BenchmarkEnumIndexed(b *testing.B) {
-	benchEnum(b, WithParallelism(1))
-}
+func BenchmarkEnumIndexed(b *testing.B) { benchEnum(b, 1, false) }
 
-func BenchmarkEnumIndexedParallel(b *testing.B) {
-	benchEnum(b, WithParallelism(4))
-}
+func BenchmarkEnumIndexedParallel(b *testing.B) { benchEnum(b, 4, false) }

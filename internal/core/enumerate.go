@@ -2,11 +2,11 @@ package core
 
 // Indexed, parallel candidate enumeration (phases 1–2).
 //
-// The naive reference loop (enumerateNaive, kept as the
-// DisableEnumIndex ablation and as the differential-test oracle) probes
-// every cross-instance transaction pair — O(instances²) signature
-// probes even though on large corpora almost no pair conflicts. The
-// indexed path inverts the phase-1 signature instead: per-table posting
+// The naive reference loop (enumerateNaive in enum_test.go, the
+// differential tests' oracle) probes every cross-instance transaction
+// pair — O(instances²) signature probes even though on large corpora
+// almost no pair conflicts. The indexed path inverts the phase-1
+// signature instead: per-table posting
 // lists of the A2-role instances that access, and that write, each
 // table. A pair survives phase 1 iff each side writes a table the other
 // accesses, so the exact survivor set for one A1-role instance L is

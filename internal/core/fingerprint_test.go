@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// fingerprintRun runs the pipeline workload and returns the report's
-// fingerprints in report order.
-func fingerprintRun(t *testing.T, opts ...Option) []string {
+// fingerprintRun runs the pipeline workload at the given worker count —
+// through the naive enumeration oracle when naive is set — and returns
+// the report's fingerprints in report order.
+func fingerprintRun(t *testing.T, workers int, naive bool) []string {
 	t.Helper()
-	res, err := NewAnalyzer(fig1Schema(), opts...).
-		AnalyzeContext(context.Background(), pipelineTraces())
+	a := NewAnalyzer(fig1Schema(), WithParallelism(workers))
+	res, err := a.analyze(context.Background(), pipelineTraces(), a.enumOf(naive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,25 +32,25 @@ func fingerprintRun(t *testing.T, opts ...Option) []string {
 }
 
 // TestFingerprintDeterminism pins the satellite guarantee: fingerprints
-// are byte-identical at parallelism 1/4/16 and invariant under the
-// enumeration-index ablation (-enum-index=false).
+// are byte-identical at parallelism 1/4/16 and equal to those of the
+// naive enumeration oracle.
 func TestFingerprintDeterminism(t *testing.T) {
-	base := fingerprintRun(t, WithParallelism(1))
+	base := fingerprintRun(t, 1, false)
 	for _, fp := range base {
 		if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(fp) {
 			t.Fatalf("malformed fingerprint %q", fp)
 		}
 	}
 	for _, workers := range []int{4, 16} {
-		got := fingerprintRun(t, WithParallelism(workers))
+		got := fingerprintRun(t, workers, false)
 		if strings.Join(got, ",") != strings.Join(base, ",") {
 			t.Errorf("parallelism %d changed fingerprints:\n got %v\nwant %v",
 				workers, got, base)
 		}
 	}
-	naive := fingerprintRun(t, WithParallelism(4), WithoutEnumIndex())
+	naive := fingerprintRun(t, 4, true)
 	if strings.Join(naive, ",") != strings.Join(base, ",") {
-		t.Errorf("-enum-index=false changed fingerprints:\n got %v\nwant %v", naive, base)
+		t.Errorf("naive enumeration changed fingerprints:\n got %v\nwant %v", naive, base)
 	}
 }
 

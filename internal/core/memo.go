@@ -6,14 +6,14 @@ package core
 // Level one keys on the formula's shape (smt.Shape: names numbered in
 // first-occurrence order, rendered in one pass into a reused buffer), so a
 // group whose formula is a plain renaming of an earlier one — most groups
-// of a large corpus — pays neither canonicalization nor interning.
+// of a large corpus — pays no canonicalization.
 // smt.Canon runs once per shape, on the shape's own renamed formula; Canon
 // is equivariant under renaming, so that result composed with the caller's
 // renaming (smt.Shape.Rebase, built only when a SAT model has to be
 // translated back) is exactly what Canon returns for the caller's formula.
 //
-// Level two keys on the canonical formula, interned so the probe is an
-// interface compare, and solves the canonical expression itself: the
+// Level two keys on the canonical formula's string (rendered once per
+// shape) and solves the canonical expression itself: the
 // cached verdict and model do not depend on which candidate computed them,
 // and each caller translates the model back through its own renaming. That
 // keeps reports byte-identical whether a verdict came from the solver or
@@ -37,7 +37,7 @@ import (
 type shapeEntry struct {
 	once  sync.Once
 	canon smt.CanonResult // of the shape's own renamed formula
-	key   smt.Expr        // canon.Expr interned: the level-two key
+	key   string          // canon.Key(): the level-two key
 }
 
 type memoEntry struct {
@@ -51,9 +51,8 @@ type memoTable struct {
 	// shapes is level one; its size is Stats.CanonCalls — entries, not
 	// computes, so the count does not depend on scheduling.
 	shapes map[string]*shapeEntry
-	// entries is keyed on the interned canonical formula: structural
-	// equality of canonical forms is interface equality after interning.
-	entries map[smt.Expr]*memoEntry
+	// entries is level two, keyed on the canonical formula's string.
+	entries map[string]*memoEntry
 	// scratch recycles shape buffers across groups and workers.
 	scratch sync.Pool
 }
@@ -61,7 +60,7 @@ type memoTable struct {
 func newMemoTable() *memoTable {
 	return &memoTable{
 		shapes:  map[string]*shapeEntry{},
-		entries: map[smt.Expr]*memoEntry{},
+		entries: map[string]*memoEntry{},
 		scratch: sync.Pool{New: func() any { return new(smt.Shape) }},
 	}
 }
@@ -84,7 +83,7 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limi
 	m.mu.Unlock()
 	s.once.Do(func() {
 		s.canon = smt.Canon(sh.Expr())
-		s.key = smt.Intern(s.canon.Expr)
+		s.key = s.canon.Key()
 	})
 
 	m.mu.Lock()

@@ -60,6 +60,27 @@ func renderResult(r solver.Result) string {
 	return r.Status.String() + " " + r.Model.String()
 }
 
+// CheckMemoAgainstDirect is the memo-vs-direct differential. The direct
+// discharge — one solver call per formula, on the formula as built — is
+// the reference; every formula, sent in order through one memo table as
+// phase 3 sends it, must get the reference's verdict, and the table must
+// have saved solver calls doing so. Exported for the corpus test in
+// package core_test, which (unlike this package) may import the apps.
+func CheckMemoAgainstDirect(t *testing.T, formulas []smt.Expr) {
+	t.Helper()
+	memo := newMemoTable()
+	var out chainOutcome
+	for i, f := range formulas {
+		got, _ := memo.solve(context.Background(), f, solver.Limits{}, &out)
+		if want := solver.Solve(f); got.Status != want.Status {
+			t.Errorf("formula %d: memoized verdict %v, direct solve %v: %s", i, got.Status, want.Status, f)
+		}
+	}
+	if out.solverCalls >= len(formulas) {
+		t.Errorf("%d solver calls for %d formulas: the memo saved nothing", out.solverCalls, len(formulas))
+	}
+}
+
 // TestMemoTableConcurrent drives the two-level table from 16 goroutines
 // that discharge the same and alpha-equivalent formulas in different
 // orders: one Canon per shape, one solver call per canonical key, and

@@ -6,109 +6,76 @@ import (
 	"weseer/internal/solver"
 )
 
-// Options configure an analysis run.
-//
-// Deprecated: the bool-flag struct is kept so existing callers compile
-// unchanged; new code should construct analyzers with NewAnalyzer and
-// functional options (WithParallelism, WithPrescreen, ...), which cover
-// every field here.
-type Options struct {
-	// CoarseOnly stops after phase 2 and reports raw coarse cycles — the
-	// STEPDAD/REDACT baseline mode (Sec. VII-B).
-	CoarseOnly bool
-	// SkipPhase1 disables the transaction-level filter (ablation).
-	SkipPhase1 bool
-	// SkipLockFilter disables the quick lock-collision test before SMT
-	// solving (ablation: every coarse cycle goes to the solver).
-	SkipLockFilter bool
-	// UseConcretePlans restricts lock modeling to each statement's
-	// recorded execution plan instead of every possible index — the
-	// paper's Sec. V-D future-work refinement, removing the
-	// all-join-orders source of false positives.
+// options is what the functional options below set; each field is
+// documented at its option.
+type options struct {
+	CoarseOnly       bool
+	SkipPhase1       bool
+	SkipLockFilter   bool
 	UseConcretePlans bool
-	// StaticPrescreen enables Phase-0: before lock generation and SMT
-	// discharge, candidate pairs and cycle groups are screened against
-	// the template-level lock-order analysis (internal/staticlint).
-	// Statements pinned to provably disjoint rigid point keys cannot
-	// collide, so refuted groups skip the solver entirely. The screen is
-	// an over-approximation: it only discards candidates whose conflict
-	// condition the solver would find trivially UNSAT, never a
-	// satisfiable cycle.
-	StaticPrescreen bool
-	// Solver bounds each satisfiability check.
-	Solver solver.Limits
-	// MaxCyclesPerPair caps coarse-cycle enumeration per transaction pair
-	// (0 = unlimited).
+	StaticPrescreen  bool
+	Solver           solver.Limits
 	MaxCyclesPerPair int
-	// Parallelism is the number of concurrent phase-3 workers discharging
-	// candidate cycles (0 = GOMAXPROCS). Reports are deterministic at any
-	// setting: results are merged per candidate index in canonical order.
-	Parallelism int
-	// DisableMemo turns off solver-call memoization (ablation): every
-	// discharged candidate runs its own solver call on the original,
-	// un-canonicalized formula.
-	DisableMemo bool
-	// DisableEnumIndex turns off the inverted table-conflict index and
-	// the parallel fan-out of phases 1–2 (ablation): enumeration falls
-	// back to the serial loop that probes every transaction-instance
-	// pair — O(instances²) in corpus size. Reports are byte-identical
-	// either way; the naive loop doubles as the differential-test oracle.
-	DisableEnumIndex bool
-	// Observer, when non-nil, receives spans, metrics, and progress from
-	// the run. Telemetry is observational only: the report is identical
-	// with or without it. Nil (the default) disables all instrumentation
-	// at zero cost — every hook is guarded on the observer.
-	Observer *obs.Observer
+	Parallelism      int
+	Observer         *obs.Observer
 }
 
 // Option is a functional analysis option, applied by NewAnalyzer.
-type Option func(*Options)
+type Option func(*options)
 
-// WithParallelism sets the number of concurrent phase-3 workers
-// (n <= 0 selects GOMAXPROCS).
+// WithParallelism sets the number of concurrent workers enumerating and
+// discharging candidate cycles (n <= 0 selects GOMAXPROCS). Reports are
+// deterministic at any setting: results are merged per candidate index in
+// canonical order.
 func WithParallelism(n int) Option {
-	return func(o *Options) { o.Parallelism = n }
+	return func(o *options) { o.Parallelism = n }
 }
 
-// WithPrescreen enables the Phase-0 static prescreen (the weseer vet
-// template analysis): candidate pairs and cycle groups whose conflict
-// condition is provably UNSAT are discarded before the solver.
+// WithPrescreen enables Phase-0: before lock generation and SMT discharge,
+// candidate pairs and cycle groups are screened against the template-level
+// lock-order analysis (internal/staticlint, the weseer vet analysis).
+// Statements pinned to provably disjoint rigid point keys cannot collide,
+// so refuted groups skip the solver entirely. The screen is an
+// over-approximation: it only discards candidates whose conflict condition
+// the solver would find trivially UNSAT, never a satisfiable cycle.
 func WithPrescreen() Option {
-	return func(o *Options) { o.StaticPrescreen = true }
+	return func(o *options) { o.StaticPrescreen = true }
 }
 
 // WithSolverLimits bounds each satisfiability check.
 func WithSolverLimits(l solver.Limits) Option {
-	return func(o *Options) { o.Solver = l }
+	return func(o *options) { o.Solver = l }
 }
 
 // WithCoarseOnly stops after phase 2 and reports raw coarse cycles — the
 // STEPDAD/REDACT baseline mode (Sec. VII-B).
 func WithCoarseOnly() Option {
-	return func(o *Options) { o.CoarseOnly = true }
+	return func(o *options) { o.CoarseOnly = true }
 }
 
-// WithConcretePlans restricts lock modeling to recorded execution plans
-// (the paper's Sec. V-D refinement).
+// WithConcretePlans restricts lock modeling to each statement's recorded
+// execution plan instead of every possible index — the paper's Sec. V-D
+// future-work refinement, removing the all-join-orders source of false
+// positives.
 func WithConcretePlans() Option {
-	return func(o *Options) { o.UseConcretePlans = true }
+	return func(o *options) { o.UseConcretePlans = true }
 }
 
 // WithMaxCyclesPerPair caps coarse-cycle enumeration per transaction
 // pair (0 = unlimited).
 func WithMaxCyclesPerPair(n int) Option {
-	return func(o *Options) { o.MaxCyclesPerPair = n }
+	return func(o *options) { o.MaxCyclesPerPair = n }
 }
 
 // WithoutPhase1 disables the transaction-level filter (ablation).
 func WithoutPhase1() Option {
-	return func(o *Options) { o.SkipPhase1 = true }
+	return func(o *options) { o.SkipPhase1 = true }
 }
 
 // WithoutLockFilter disables the quick lock-collision test before SMT
 // solving (ablation: every deduplicated coarse cycle goes to the solver).
 func WithoutLockFilter() Option {
-	return func(o *Options) { o.SkipLockFilter = true }
+	return func(o *options) { o.SkipLockFilter = true }
 }
 
 // WithObserver attaches an observability sink: the run emits spans
@@ -117,37 +84,18 @@ func WithoutLockFilter() Option {
 // solver call), funnel/engine metrics, and live progress into o.
 // Telemetry never feeds back into the analysis, so the determinism
 // guarantee — byte-identical reports at any parallelism — holds with
-// the observer attached. The default (nil) is a no-op.
+// the observer attached. The default (nil) disables all instrumentation
+// at zero cost: every hook is guarded on the observer.
 func WithObserver(o *obs.Observer) Option {
-	return func(opts *Options) { opts.Observer = o }
-}
-
-// WithoutMemo disables solver-call memoization (ablation).
-func WithoutMemo() Option {
-	return func(o *Options) { o.DisableMemo = true }
-}
-
-// WithoutEnumIndex disables the indexed, parallel candidate enumeration
-// (ablation): phases 1–2 fall back to the serial quadratic pair loop.
-// The report is byte-identical either way.
-func WithoutEnumIndex() Option {
-	return func(o *Options) { o.DisableEnumIndex = true }
+	return func(opts *options) { opts.Observer = o }
 }
 
 // NewAnalyzer returns an analyzer for a schema, configured by functional
-// options. This is the preferred constructor; New remains as a shim over
-// the legacy Options struct.
+// options.
 func NewAnalyzer(scm *schema.Schema, opts ...Option) *Analyzer {
-	var o Options
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return &Analyzer{scm: scm, opts: o}
-}
-
-// New returns an analyzer for a schema.
-//
-// Deprecated: use NewAnalyzer with functional options.
-func New(scm *schema.Schema, opts Options) *Analyzer {
-	return &Analyzer{scm: scm, opts: opts}
 }

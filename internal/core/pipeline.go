@@ -71,10 +71,7 @@ func (a *Analyzer) discharge(ctx context.Context, chains []*chain, workers int, 
 		return ctx.Err()
 	}
 
-	var memo *memoTable
-	if !a.opts.DisableMemo {
-		memo = newMemoTable()
-	}
+	memo := newMemoTable()
 	if workers > len(chains) {
 		workers = len(chains)
 	}
@@ -144,11 +141,9 @@ func (a *Analyzer) discharge(ctx context.Context, chains []*chain, workers int, 
 			res.Deadlocks = append(res.Deadlocks, o.deadlock)
 		}
 	}
-	if memo != nil {
-		res.Stats.CanonCalls = len(memo.shapes) // workers are done
-		if o != nil {
-			o.P().CanonCalls.Add(int64(res.Stats.CanonCalls))
-		}
+	res.Stats.CanonCalls = len(memo.shapes) // workers are done
+	if o != nil {
+		o.P().CanonCalls.Add(int64(res.Stats.CanonCalls))
 	}
 	if err == nil {
 		err = ctx.Err()
@@ -245,19 +240,9 @@ func (a *Analyzer) fineCheckOne(ctx context.Context, cyc Cycle, key string, memo
 		lim.Obs = o
 		lim.ObsTID = tid
 	}
-	var sres solver.Result
-	if memo != nil {
-		var hit bool
-		sres, hit = memo.solve(ctx, formula, lim, out)
-		if hit {
-			out.memoHits++
-		}
-	} else {
-		start := time.Now()
-		sres = solver.SolveCtx(ctx, formula, lim)
-		out.solverTime += time.Since(start)
-		out.solverCalls++
-		out.engine.Add(sres.Stats)
+	sres, hit := memo.solve(ctx, formula, lim, out)
+	if hit {
+		out.memoHits++
 	}
 	if err := ctx.Err(); err != nil {
 		// A canceled solve reports UNKNOWN; don't let it skew the funnel.
@@ -315,7 +300,7 @@ func (a *Analyzer) cycleFormula(cyc Cycle) smt.Expr {
 func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]smt.Expr, error) {
 	a.ps = nil
 	a.edgeMemo, a.pcMemo, a.locks = &sync.Map{}, &sync.Map{}, lockmodel.NewTemplates(a.scm)
-	chains, err := a.enumerate(ctx, traces, 1, &Result{})
+	chains, err := a.enumerateIndexed(ctx, traces, 1, &Result{})
 	var out []smt.Expr
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {
@@ -412,9 +397,7 @@ type edgeKey struct {
 // C-edge. Cycles overlap heavily: every cycle sharing a C-edge used to
 // rebuild an identical condition expression from scratch. The cache
 // builds each distinct edge once per Analyze call, together with its
-// variable set. It is not interned: nothing downstream keys on edge
-// pointers, and the process-global interner would retain every edge of
-// every run. Fresh range variables are prefixed per edge ("rng.r1.",
+// variable set. Fresh range variables are prefixed per edge ("rng.r1.",
 // "rng.r2."), which keeps the built condition independent of whatever
 // the cycle's other edge minted.
 func (a *Analyzer) edgeCondCached(x, y *trace.Stmt, rowPrefix string) *condVars {

@@ -79,7 +79,7 @@ func TestStatsRenderGolden(t *testing.T) {
 // TestResultRenderIncludesEngineLine checks the engine counters surface
 // in a real analysis report.
 func TestResultRenderIncludesEngineLine(t *testing.T) {
-	res := New(fig1Schema(), Options{}).Analyze(pipelineTraces())
+	res := analyze(t, pipelineTraces())
 	if res.Stats.SolverCalls == 0 {
 		t.Fatal("workload made no solver calls")
 	}

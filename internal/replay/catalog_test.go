@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -67,7 +68,10 @@ func TestCatalogReproducesDeadlocked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := core.NewAnalyzer(app.schema).Analyze(traces)
+		res, err := core.NewAnalyzer(app.schema).AnalyzeContext(context.Background(), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
 		byClass := map[string][]*core.Deadlock{}
 		for _, d := range res.Deadlocks {
 			if id := app.classify(d); len(id) >= 2 && id[0] == 'd' && id[1] >= '0' && id[1] <= '9' {

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"testing"
 
 	"weseer/internal/apps/appkit"
@@ -17,7 +18,10 @@ func analyzeBroadleaf(t *testing.T) (*core.Result, func() (*minidb.DB, []appkit.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.New(broadleaf.Schema(), core.Options{}).Analyze(traces)
+	res, err := core.NewAnalyzer(broadleaf.Schema()).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mkState := func() (*minidb.DB, []appkit.UnitTest) {
 		fresh := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
 		return fresh.DB, fresh.UnitTests()

@@ -6,7 +6,7 @@ import (
 )
 
 // benchExpr builds a formula with repeated structure, the shape Canon
-// and Intern see from the analyzer: per-row conjunctions instantiated
+// sees from the analyzer: per-row conjunctions instantiated
 // under different prefixes.
 func benchExpr(prefix string) Expr {
 	var parts []Expr
@@ -33,34 +33,6 @@ func BenchmarkCanon(b *testing.B) {
 		c2 := Canon(f2)
 		if c1.Key() != c2.Key() {
 			b.Fatal("alpha-variants canonicalized differently")
-		}
-	}
-}
-
-// BenchmarkIntern measures hash-consing a structurally fresh copy of an
-// already-interned formula: every node hashes and hits the bucket table
-// without inserting.
-func BenchmarkIntern(b *testing.B) {
-	Intern(benchExpr("A1.")) // warm the table
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := benchExpr("A1.") // fresh nodes, equal structure
-		if Intern(f) == nil {
-			b.Fatal("nil intern")
-		}
-	}
-}
-
-// BenchmarkExprHash measures the cached-hash fast path on an interned
-// node.
-func BenchmarkExprHash(b *testing.B) {
-	f := Intern(benchExpr("A1."))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ExprHash(f) == 0 {
-			b.Fatal("zero hash")
 		}
 	}
 }

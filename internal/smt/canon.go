@@ -91,10 +91,10 @@ type CanonResult struct {
 	shifted map[string]int64
 }
 
-// Key returns Expr's string form — a stable identity for logs and tests.
-// Equivalent inputs produce equal keys; inputs differing in structure or
-// in any corresponding sort produce distinct keys. It is rendered on
-// demand: the memo table keys on the interned Expr, not on this string.
+// Key returns Expr's string form, the identity the memo table's second
+// level keys on. Equivalent inputs produce equal keys; inputs differing in
+// structure or in any corresponding sort produce distinct keys (canonical
+// names carry their sorts). It is rendered on demand — once per shape.
 func (c CanonResult) Key() string { return c.Expr.String() }
 
 // Invert returns the canonical-to-original name mapping.

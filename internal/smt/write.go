@@ -7,15 +7,27 @@ import "strconv"
 // single pass and without fmt. With m set it renders m.apply(e) —
 // constants remapped per atom, names renamed — while walking e itself,
 // so a sort key costs no tree copy; with sh set it renders each variable
-// and array root as a first-occurrence placeholder.
+// and array root as a first-occurrence placeholder; with typed set it keeps
+// the names, quoted, and renders sorts as the shape key does, so the
+// string is injective.
 type writer struct {
-	buf []byte
-	m   *canonMaps
-	sh  *Shape
+	buf   []byte
+	m     *canonMaps
+	sh    *Shape
+	typed bool
 }
 
 func exprString(e Expr) string {
 	var w writer
+	w.expr(e, "", 0)
+	return string(w.buf)
+}
+
+// TypedString renders e with every name quoted and followed by its sort and
+// every Real constant marked: structurally different expressions render
+// differently, which String (no sorts, bare names) does not promise.
+func TypedString(e Expr) string {
+	w := writer{typed: true}
 	w.expr(e, "", 0)
 	return string(w.buf)
 }
@@ -29,6 +41,9 @@ func (w *writer) name(n string, s Sort) {
 		// "$<index>:<sort>" — the sort keeps the key injective.
 		w.buf = append(w.buf, '$')
 		w.buf = strconv.AppendInt(w.buf, int64(w.sh.index(n)), 10)
+		w.buf = append(w.buf, ':', '0'+byte(s))
+	case w.typed:
+		w.buf = strconv.AppendQuote(w.buf, n)
 		w.buf = append(w.buf, ':', '0'+byte(s))
 	case w.m != nil:
 		w.str(w.m.name(n))
@@ -53,7 +68,7 @@ func (w *writer) expr(e Expr, tag string, d int64) {
 		}
 		w.buf = strconv.AppendInt(w.buf, v, 10)
 	case RealConst:
-		if w.sh != nil {
+		if w.sh != nil || w.typed {
 			w.buf = append(w.buf, 'r') // Real(3) is not Int(3)
 		}
 		w.str(t.V.RatString())

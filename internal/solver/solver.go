@@ -307,21 +307,18 @@ type atomInfo struct {
 }
 
 // strPair interns string-equality atoms by their canonically ordered
-// operand pair; selKey interns select atoms by root array and hash-consed
-// key expression (interning makes structural key equality a pointer
-// compare).
+// operand pair; selKey interns select atoms by root array and the key
+// expression's injective rendering (smt.TypedString), so structurally
+// equal keys share one atom however many copies the formula holds.
 type strPair struct{ l, r strTerm }
 
-type selKey struct {
-	root string
-	key  smt.Expr
-}
+type selKey struct{ root, key string }
 
 type session struct {
 	lim   Limits
 	atoms []atomInfo
-	// Typed atom-interning indexes, replacing the old flat string-key map
-	// (which rebuilt a canonical key string per lookup).
+	// Atom-interning indexes, one per atom kind; they live and die with
+	// the session.
 	boolAtoms  map[string]int
 	strAtoms   map[strPair]int
 	selAtomIdx map[selKey]int
@@ -372,7 +369,7 @@ func (s *session) internStr(a, b strTerm) int {
 }
 
 func (s *session) internSel(root string, key smt.Expr) int {
-	k := selKey{root: root, key: key}
+	k := selKey{root: root, key: smt.TypedString(key)}
 	if id, ok := s.selAtomIdx[k]; ok {
 		return id
 	}
@@ -429,7 +426,7 @@ func (s *session) nnf(e smt.Expr, pos bool) (*pnode, bool) {
 			// expandSelects should have removed non-root selects.
 			return nil, false
 		}
-		id := s.internSel(t.Arr.ID, smt.Intern(t.Key))
+		id := s.internSel(t.Arr.ID, t.Key)
 		return &pnode{kind: pLit, lit: mkLit(id, !pos)}, true
 	case *smt.Cmp:
 		return s.nnfCmp(t, pos)
@@ -609,13 +606,6 @@ func (s *session) ackermann() {
 			}
 			si := mkLit(s.selAtoms[i], false)
 			sj := mkLit(s.selAtoms[j], false)
-			if ai.key == aj.key {
-				// Keys are hash-consed, so interface equality is
-				// structural identity: s_i ↔ s_j outright.
-				s.extraClauses = append(s.extraClauses,
-					[]lit{si.negate(), sj}, []lit{si, sj.negate()})
-				continue
-			}
 			if smt.IsConst(ai.key) && smt.IsConst(aj.key) {
 				if !smt.Eval(ai.key, nil).Equal(smt.Eval(aj.key, nil)) {
 					continue // provably distinct keys: independent

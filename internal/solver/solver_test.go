@@ -195,6 +195,48 @@ func TestArrayAckermann(t *testing.T) {
 	mustUNSAT(t, smt.And(f, smt.Eq(i, j)))
 }
 
+// TestSelectKeyInjective pins the per-session select-atom key: root plus
+// smt.TypedString of the key expression. Structurally different keys never
+// share an atom; structurally equal ones always do, whatever their
+// pointers — which is also why ackermann needs no equal-keys case.
+func TestSelectKeyInjective(t *testing.T) {
+	x, rx := smt.NewVar("x", smt.SortInt), smt.NewVar("x", smt.SortReal)
+	distinct := []smt.Expr{
+		x, rx, smt.NewVar("x", smt.SortString), smt.Str("x"), smt.Str(`"x":1`),
+		smt.Int(3), smt.Real(3, 1), smt.Str("3"),
+		smt.Add(x, smt.Int(3)), smt.Add(x, smt.Real(3, 1)), smt.Add(rx, smt.Int(3)),
+		smt.Add(smt.Int(3), x), smt.Sub(x, smt.Int(3)), smt.Neg(x),
+		smt.NewVar("(x + 3)", smt.SortInt), smt.NewVar("x:1", smt.SortInt),
+	}
+	s := &session{selAtomIdx: map[selKey]int{}}
+	for i, k := range distinct {
+		if id := s.internSel("A", k); id != i {
+			t.Errorf("key %d (%s) shares atom %d (%s)", i, k, id, distinct[id])
+		}
+	}
+	if id := s.internSel("B", x); id != len(distinct) {
+		t.Errorf("key x under root B shares atom %d of root A", id)
+	}
+	k1, k2 := smt.Add(x, smt.Int(3)), smt.Add(x, smt.Int(3))
+	if k1 == k2 {
+		t.Fatal("test needs pointer-distinct keys")
+	}
+	if a, b := s.internSel("A", k1), s.internSel("A", k2); a != 8 || b != 8 {
+		t.Errorf("equal keys x+3 interned as atoms %d and %d, want 8 (the first x+3)", a, b)
+	}
+	for i, ai := range s.atoms {
+		for _, aj := range s.atoms[:i] {
+			if ai.root == aj.root && ai.key == aj.key {
+				t.Errorf("distinct atoms carry one key %s", ai.key)
+			}
+		}
+	}
+	// End to end: the two reads are one atom, so this needs no congruence
+	// clause (x+3 = x+3 folds to a constant and would yield none).
+	arr := smt.NewArray("A", smt.SortInt)
+	mustUNSAT(t, smt.And(smt.Read(arr, k1), smt.Negate(smt.Read(arr, k2))))
+}
+
 func TestArrayStoreShadow(t *testing.T) {
 	arr := smt.NewArray("A", smt.SortString)
 	k := smt.NewVar("k", smt.SortString)

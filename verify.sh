@@ -112,7 +112,7 @@ go run ./internal/obs/obstest/validatecmd \
 # registry spec gen:<seed>,...) through collection and analysis end to
 # end. Guards the generator → registry → pipeline path and the planted
 # anti-pattern classification; bounded to a few seconds by the corpus
-# size. The full sweep lives in weseer-bench -exp scale.
+# size.
 echo "== generated-corpus smoke (weseer run -app gen:7,...)"
 genout=$(go run ./cmd/weseer run \
     -app "gen:7,templates=12,modules=3,tables=4,rows=6" -parallel 4)
@@ -121,13 +121,6 @@ echo "$genout" | grep -Eq '^  f1 +[0-9]+ report' || {
     echo "$genout" >&2
     exit 1
 }
-
-# Enumeration smoke: one tiny corpus through all three phase-1/2 modes
-# (naive pair loop, indexed, indexed-parallel). The experiment exits
-# nonzero unless the three reports are byte-identical, so this doubles
-# as a cross-process differential check; -enumout "" skips the artifact.
-echo "== enumeration smoke (weseer-bench -exp enum, tiny corpus)"
-go run ./cmd/weseer-bench -exp enum -enumsizes 24 -enumout "" >/dev/null
 
 # Fix-verification smoke: a tiny pinned-seed generated corpus through
 # the full fixgain loop — diagnose, plan ranked fixes, apply each
@@ -179,5 +172,26 @@ echo "$second" | grep -q ' 0 stored,' || {
 kill "$servepid" 2>/dev/null
 wait "$servepid" 2>/dev/null || true
 servepid=""
+
+# Surface inventory: every CLI flag and every exported analysis option,
+# diffed against the checked-in list, so a new knob is a reviewed one-line
+# change to surface.golden and never an accident.
+echo "== surface inventory (CLI flags + core options vs surface.golden)"
+go build -o "$servedir/weseer-bench" ./cmd/weseer-bench
+{
+    for sub in run collect analyze vet serve ingest history; do
+        "$servedir/weseer" $sub -h 2>&1 | sed -n "s/^  \\(-[a-z0-9-]*\\).*/weseer $sub \\1/p"
+    done
+    "$servedir/weseer-bench" -h 2>&1 | sed -n 's/^  \(-[a-z0-9-]*\).*/weseer-bench \1/p'
+    ls internal/core/*.go | grep -v _test.go | xargs grep -ho '^func With[A-Za-z0-9]*' |
+        sed 's/^func /core./' | LC_ALL=C sort
+} > "$servedir/surface.txt"
+diff -u surface.golden "$servedir/surface.txt" || {
+    echo "surface inventory: flags or options changed; review, then update surface.golden" >&2
+    exit 1
+}
+
+echo "non-test Go outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' \
+    -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l) lines"
 
 echo "verify: OK"

@@ -158,16 +158,11 @@ type (
 	Deadlock = core.Deadlock
 	// SolverLimits bound each satisfiability check.
 	SolverLimits = solver.Limits
-
-	// AnalyzerOptions configure an analysis run.
-	//
-	// Deprecated: use NewAnalyzer with functional options.
-	AnalyzerOptions = core.Options
 )
 
 // Functional analysis options, applied by NewAnalyzer.
 var (
-	// WithParallelism sets the number of concurrent phase-3 workers
+	// WithParallelism sets the number of concurrent analysis workers
 	// (n <= 0 selects GOMAXPROCS). Reports are deterministic at any
 	// setting.
 	WithParallelism = core.WithParallelism
@@ -185,12 +180,6 @@ var (
 	WithoutPhase1 = core.WithoutPhase1
 	// WithoutLockFilter disables the lock-collision test (ablation).
 	WithoutLockFilter = core.WithoutLockFilter
-	// WithoutMemo disables solver-call memoization (ablation).
-	WithoutMemo = core.WithoutMemo
-	// WithoutEnumIndex disables the indexed, parallel candidate
-	// enumeration (ablation): phases 1–2 fall back to the serial
-	// quadratic pair loop. Reports are byte-identical either way.
-	WithoutEnumIndex = core.WithoutEnumIndex
 	// WithObserver attaches an observability sink to the analysis.
 	WithObserver = core.WithObserver
 )
@@ -228,11 +217,4 @@ func NewAnalyzer(s *Schema, opts ...AnalyzerOption) *Analyzer {
 // NewAnalyzer(s, opts...).AnalyzeContext(ctx, traces).
 func AnalyzeContext(ctx context.Context, s *Schema, traces []*Trace, opts ...AnalyzerOption) (*AnalysisResult, error) {
 	return core.NewAnalyzer(s, opts...).AnalyzeContext(ctx, traces)
-}
-
-// Analyze runs WeSEER's three-phase deadlock diagnosis over the traces.
-//
-// Deprecated: use AnalyzeContext with functional options.
-func Analyze(s *Schema, traces []*Trace, opts AnalyzerOptions) *AnalysisResult {
-	return core.New(s, opts).Analyze(traces)
 }

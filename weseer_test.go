@@ -1,6 +1,7 @@
 package weseer_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -43,7 +44,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(traces) != 1 || traces[0].Stats.Statements != 2 {
 		t.Fatalf("trace shape: %d traces, %d stmts", len(traces), traces[0].Stats.Statements)
 	}
-	res := weseer.Analyze(scm, traces, weseer.AnalyzerOptions{})
+	res, err := weseer.AnalyzeContext(context.Background(), scm, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Deadlocks) != 1 {
 		t.Fatalf("deadlocks = %d, want the merge gap-lock cycle", len(res.Deadlocks))
 	}
@@ -72,7 +76,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed := weseer.Analyze(scm, fixedTraces, weseer.AnalyzerOptions{})
+	fixed, err := weseer.AnalyzeContext(context.Background(), scm, fixedTraces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(fixed.Deadlocks) != 0 {
 		t.Fatalf("persist variant still reports %d deadlocks", len(fixed.Deadlocks))
 	}
