@@ -15,38 +15,44 @@ package btree
 // nothing after the first bad frame can be trusted.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 )
 
 const logHeaderSize = 8
 
-// maxLogRecord bounds a single record so a garbage length prefix cannot
-// force a huge allocation during replay.
-const maxLogRecord = 1 << 26 // 64 MiB
+// maxLogRecord bounds a single record. Append refuses a longer one,
+// because replay takes a longer length prefix for garbage — a torn tail —
+// and drops it with every frame after it. A variable so tests can lower
+// it.
+var maxLogRecord = 1 << 26 // 64 MiB
 
-// Log is an append-only record log backed by one file.
+// Log is an append-only record log backed by one file. Not safe for
+// concurrent use.
 type Log struct {
-	f    *os.File
-	path string
-	size int64 // bytes of intact, replayed frames
+	f     *os.File
+	path  string
+	size  int64  // bytes of intact, replayed frames
+	frame []byte // Append's frame buffer, reused
 }
 
 // logChecksum is the FNV-1a 32-bit checksum of a payload.
 func logChecksum(p []byte) uint32 {
-	h := fnv.New32a()
-	h.Write(p)
-	return h.Sum32()
+	h := uint32(2166136261)
+	for _, b := range p {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return h
 }
 
 // OpenLog opens (creating if absent) the log at path and replays every
-// intact record through replay in append order. A torn final frame —
-// short header, short payload, or checksum mismatch — is truncated away;
-// a replay callback error aborts the open. The returned log is
-// positioned for appending.
+// intact record through replay in append order; rec is valid only during
+// the call. A torn final frame — short header, short payload, or checksum
+// mismatch — is truncated away; a replay callback error aborts the open.
+// The returned log is positioned for appending.
 func OpenLog(path string, replay func(rec []byte) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -70,25 +76,35 @@ func OpenLog(path string, replay func(rec []byte) error) (*Log, error) {
 	return l, nil
 }
 
-// replayAll scans the file from the start, invoking replay for each
-// intact frame and recording the offset of the last good frame end.
+// replayAll scans the file from the start through one buffered reader and
+// one payload buffer, invoking replay for each intact frame and recording
+// the offset of the last good frame end.
 func (l *Log) replayAll(replay func(rec []byte) error) error {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
+	fi, err := l.f.Stat()
+	if err != nil {
+		return err
+	}
+	r := bufio.NewReaderSize(l.f, 1<<16)
 	var off int64
-	hdr := make([]byte, logHeaderSize)
+	var hdr [logHeaderSize]byte
+	var payload []byte
 	for {
-		if _, err := io.ReadFull(l.f, hdr); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			break // clean EOF or torn header — intact prefix ends here
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
+		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxLogRecord {
-			break // garbage length: treat as torn tail
+		if n > int64(maxLogRecord) || n > fi.Size()-off-logHeaderSize {
+			break // garbage length or torn payload: nothing to allocate for
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(l.f, payload); err != nil {
+		if n > int64(cap(payload)) {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
 			break // torn payload
 		}
 		if logChecksum(payload) != sum {
@@ -99,7 +115,7 @@ func (l *Log) replayAll(replay func(rec []byte) error) error {
 				return fmt.Errorf("btree: log replay %s @%d: %w", l.path, off, err)
 			}
 		}
-		off += logHeaderSize + int64(n)
+		off += logHeaderSize + n
 	}
 	l.size = off
 	return nil
@@ -108,14 +124,17 @@ func (l *Log) replayAll(replay func(rec []byte) error) error {
 // Append writes one record. The frame is written with a single Write
 // call so a crash tears at most the final record.
 func (l *Log) Append(rec []byte) error {
-	frame := make([]byte, logHeaderSize+len(rec))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(rec)))
-	binary.LittleEndian.PutUint32(frame[4:8], logChecksum(rec))
-	copy(frame[logHeaderSize:], rec)
-	if _, err := l.f.Write(frame); err != nil {
+	if len(rec) > maxLogRecord {
+		return fmt.Errorf("btree: log record of %d bytes exceeds the %d-byte limit", len(rec), maxLogRecord)
+	}
+	var hdr [logHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
+	binary.LittleEndian.PutUint32(hdr[4:8], logChecksum(rec))
+	l.frame = append(append(l.frame[:0], hdr[:]...), rec...)
+	if _, err := l.f.Write(l.frame); err != nil {
 		return err
 	}
-	l.size += int64(len(frame))
+	l.size += int64(len(l.frame))
 	return nil
 }
 

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -156,4 +157,103 @@ func TestLogGarbageLength(t *testing.T) {
 	if len(recs) != 1 || string(recs[0]) != "good" {
 		t.Fatalf("replayed %q, want just \"good\"", recs)
 	}
+}
+
+// TestLogAppendRefusesOversized: a record replay would take for a torn
+// tail — and drop with everything after it — must not get into the log.
+func TestLogAppendRefusesOversized(t *testing.T) {
+	defer func(old int) { maxLogRecord = old }(maxLogRecord)
+	maxLogRecord = 64
+
+	path := filepath.Join(t.TempDir(), "big.wal")
+	l, _ := openCollect(t, path)
+	if err := l.Append(bytes.Repeat([]byte{'a'}, maxLogRecord)); err != nil {
+		t.Fatalf("record at the limit: %v", err)
+	}
+	size := l.Size()
+	if err := l.Append(bytes.Repeat([]byte{'b'}, maxLogRecord+1)); err == nil {
+		t.Fatal("Append accepted a record over the limit")
+	}
+	if l.Size() != size {
+		t.Fatalf("refused record moved Size from %d to %d", size, l.Size())
+	}
+	if err := l.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, recs := openCollect(t, path)
+	defer l2.Close()
+	if len(recs) != 2 || len(recs[0]) != maxLogRecord || string(recs[1]) != "after" {
+		t.Fatalf("replayed %d records, want the one at the limit and \"after\"", len(recs))
+	}
+}
+
+// frames encodes records the way Append does.
+func frames(recs ...string) []byte {
+	var out []byte
+	for _, r := range recs {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(r)))
+		out = binary.LittleEndian.AppendUint32(out, logChecksum([]byte(r)))
+		out = append(out, r...)
+	}
+	return out
+}
+
+// FuzzLogReplay opens a file of arbitrary bytes: OpenLog must not panic,
+// must keep a prefix of the file, and must leave a file that a second open
+// replays to the same records without truncating anything more.
+func FuzzLogReplay(f *testing.F) {
+	good := frames("alpha", "", "gamma-gamma")
+	f.Add([]byte{})
+	f.Add(good)
+	f.Add(good[:len(good)-3])                                             // torn payload
+	f.Add(good[:logHeaderSize+5+3])                                       // torn header
+	f.Add(append(frames("ok"), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0))       // garbage length
+	f.Add(append(frames("ok"), 0xff, 0xff, 0xff, 0x03, 0, 0, 0, 0, 'x'))  // length under the limit, past the end
+	f.Add(append(append(frames("ok"), 3, 0, 0, 0, 1, 2, 3, 4), "bad"...)) // checksum mismatch
+	f.Add(append(append(frames("ok"), 3, 0, 0, 0, 1, 2, 3, 4), good...))  // intact frames after a bad one
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, first := openCollect(t, path)
+		size := l.Size()
+		if size > int64(len(data)) {
+			t.Fatalf("Size %d of a %d-byte file", size, len(data))
+		}
+		var n int64
+		for _, r := range first {
+			n += logHeaderSize + int64(len(r))
+		}
+		if n != size {
+			t.Fatalf("replayed frames cover %d bytes, Size is %d", n, size)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(kept, data[:size]) {
+			t.Fatalf("file after open is not the first %d bytes of the input", size)
+		}
+
+		l2, second := openCollect(t, path)
+		defer l2.Close()
+		if l2.Size() != size {
+			t.Fatalf("second open truncated further: Size %d, was %d", l2.Size(), size)
+		}
+		if len(second) != len(first) {
+			t.Fatalf("second open replayed %d records, first %d", len(second), len(first))
+		}
+		for i := range first {
+			if !bytes.Equal(first[i], second[i]) {
+				t.Fatalf("record %d differs between opens", i)
+			}
+		}
+	})
 }

@@ -21,7 +21,7 @@
 package history
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -88,14 +88,9 @@ type IngestSummary struct {
 	Events   int `json:"events"`   // store size after the batch
 }
 
-// record is the on-disk record format, framed by btree.Log. "event"
-// introduces a new fingerprint; "touch" re-sights an existing one.
-type record struct {
-	T  string    `json:"t"` // "event" | "touch"
-	E  *Event    `json:"e,omitempty"`
-	FP string    `json:"fp,omitempty"`
-	At time.Time `json:"at,omitempty"`
-}
+// ErrInvalidEvent is wrapped by Ingest's error when the batch holds an
+// event the store cannot take; nothing of such a batch is stored.
+var ErrInvalidEvent = errors.New("history: invalid event")
 
 // Store is the embedded deadlock-history store. Safe for concurrent
 // use; queries take a read lock, ingest a write lock.
@@ -106,6 +101,7 @@ type Store struct {
 	tables    *btree.Map[string, *Rollup]
 	classes   *btree.Map[string, *Rollup]
 	pairs     *btree.Map[string, *Rollup]
+	strs      map[string]string // the decoder's shared strings, all held by events
 	sightings int
 	now       func() time.Time
 }
@@ -128,18 +124,13 @@ func Open(path string, opts ...StoreOption) (*Store, error) {
 		tables:  btree.New[string, *Rollup](strings.Compare),
 		classes: btree.New[string, *Rollup](strings.Compare),
 		pairs:   btree.New[string, *Rollup](strings.Compare),
+		strs:    map[string]string{},
 		now:     time.Now,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	log, err := btree.OpenLog(path, func(raw []byte) error {
-		var rec record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return err
-		}
-		return s.apply(rec)
-	})
+	log, err := btree.OpenLog(path, s.applyPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -147,13 +138,24 @@ func Open(path string, opts ...StoreOption) (*Store, error) {
 	return s, nil
 }
 
-// apply folds one record into the in-memory state. Live ingest and
-// reload replay go through this same function, so a reopened store is
-// state-identical to the one that wrote the log.
+// applyPayload decodes one log payload and folds it into the in-memory
+// state. It is the only way state changes: replay calls it on every frame
+// it reads, Ingest on every payload it has just appended, so a reopened
+// store is state-identical to the one that wrote the log and no stored
+// event shares memory with an Ingest caller.
+func (s *Store) applyPayload(raw []byte) error {
+	rec, err := decodeRecord(raw, s.strs)
+	if err != nil {
+		return err
+	}
+	return s.apply(rec)
+}
+
+// apply folds one decoded record into the in-memory state.
 func (s *Store) apply(rec record) error {
-	switch rec.T {
-	case "event":
-		e := rec.E
+	switch rec.kind {
+	case recEvent:
+		e := rec.e
 		if e == nil || e.Fingerprint == "" {
 			return fmt.Errorf("history: event record without fingerprint")
 		}
@@ -161,43 +163,43 @@ func (s *Store) apply(rec record) error {
 			// A duplicate event record only arises from a log written by
 			// a racing writer; fold it as a touch rather than corrupting
 			// the rollups.
-			return s.apply(record{T: "touch", FP: prev.Fingerprint, At: e.LastSeen})
+			return s.apply(record{kind: recTouch, fp: prev.Fingerprint, at: e.LastSeen})
 		}
 		s.events.Set(e.Fingerprint, e)
 		s.sightings += e.Seen
-		for _, t := range e.Tables {
-			s.bump(s.tables, t, e, true)
-		}
-		if e.Class != "" {
-			s.bump(s.classes, e.Class, e, true)
-		}
-		s.bump(s.pairs, PairKey(e.APIs[0], e.APIs[1]), e, true)
+		s.bumpRollups(e, true)
 		return nil
-	case "touch":
-		e, ok := s.events.Get(rec.FP)
+	case recTouch:
+		e, ok := s.events.Get(rec.fp)
 		if !ok {
-			return fmt.Errorf("history: touch of unknown fingerprint %s", rec.FP)
+			return fmt.Errorf("history: touch of unknown fingerprint %s", rec.fp)
 		}
 		e.Seen++
-		if rec.At.After(e.LastSeen) {
-			e.LastSeen = rec.At
+		if rec.at.After(e.LastSeen) {
+			e.LastSeen = rec.at
 		}
 		s.sightings++
-		for _, t := range e.Tables {
-			s.bump(s.tables, t, e, false)
-		}
-		if e.Class != "" {
-			s.bump(s.classes, e.Class, e, false)
-		}
-		s.bump(s.pairs, PairKey(e.APIs[0], e.APIs[1]), e, false)
+		s.bumpRollups(e, false)
 		return nil
 	default:
-		return fmt.Errorf("history: unknown record type %q", rec.T)
+		return fmt.Errorf("history: unknown record kind %d", rec.kind)
 	}
 }
 
+// bumpRollups folds a new event, or a new sighting of a known one, into
+// every rollup it belongs to.
+func (s *Store) bumpRollups(e *Event, newEvent bool) {
+	for _, t := range e.Tables {
+		bump(s.tables, t, e, newEvent)
+	}
+	if e.Class != "" {
+		bump(s.classes, e.Class, e, newEvent)
+	}
+	bump(s.pairs, PairKey(e.APIs[0], e.APIs[1]), e, newEvent)
+}
+
 // bump maintains one rollup map for an applied record.
-func (s *Store) bump(m *btree.Map[string, *Rollup], key string, e *Event, newEvent bool) {
+func bump(m *btree.Map[string, *Rollup], key string, e *Event, newEvent bool) {
 	r, ok := m.Get(key)
 	if !ok {
 		r = &Rollup{Key: key, FirstSeen: e.FirstSeen, LastSeen: e.LastSeen}
@@ -217,61 +219,59 @@ func (s *Store) bump(m *btree.Map[string, *Rollup], key string, e *Event, newEve
 	}
 }
 
-// normalize canonicalizes an incoming event: sorted unique tables and a
-// fingerprint-keyed identity. Returns an error for an unusable event.
-func normalize(e *Event) error {
-	if e.Fingerprint == "" {
-		return fmt.Errorf("history: event without fingerprint (APIs %v)", e.APIs)
-	}
-	seen := map[string]bool{}
-	tables := e.Tables[:0]
-	for _, t := range e.Tables {
-		if t != "" && !seen[t] {
-			seen[t] = true
-			tables = append(tables, t)
+// normTables copies an event's lock resources into scratch in stored
+// form: sorted, unique, no empty names.
+func normTables(scratch, tables []string) []string {
+	scratch = append(scratch[:0], tables...)
+	sort.Strings(scratch)
+	out := scratch[:0]
+	for _, t := range scratch {
+		if t != "" && (len(out) == 0 || out[len(out)-1] != t) {
+			out = append(out, t)
 		}
 	}
-	sort.Strings(tables)
-	e.Tables = tables
-	if e.Count <= 0 {
-		e.Count = 1
-	}
-	return nil
+	return out
 }
 
 // Ingest applies a batch of events idempotently by fingerprint: unknown
 // fingerprints are appended as full events, known ones as touch
-// records. One fsync per batch.
+// records. One fsync per batch. An event without a fingerprint fails the
+// whole batch with ErrInvalidEvent before anything is written. Ingest
+// neither modifies events nor keeps a reference into it: what the store
+// holds is decoded from the bytes it appended.
 func (s *Store) Ingest(events []Event) (IngestSummary, error) {
+	sum := IngestSummary{Received: len(events)}
+	for i := range events {
+		if events[i].Fingerprint == "" {
+			return sum, fmt.Errorf("%w: event %d has no fingerprint (APIs %v)", ErrInvalidEvent, i, events[i].APIs)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now().UTC()
-	sum := IngestSummary{Received: len(events)}
-	batchFP := map[string]bool{}
+	var buf []byte
+	var tables []string
 	for i := range events {
-		e := events[i] // copy: the stored pointer must not alias the caller's slice
-		if err := normalize(&e); err != nil {
-			return sum, err
-		}
 		var rec record
-		if _, ok := s.events.Get(e.Fingerprint); ok || batchFP[e.Fingerprint] {
-			rec = record{T: "touch", FP: e.Fingerprint, At: now}
+		if _, ok := s.events.Get(events[i].Fingerprint); ok {
+			rec = record{kind: recTouch, fp: events[i].Fingerprint, at: now}
 			sum.Deduped++
 		} else {
-			e.FirstSeen, e.LastSeen = now, now
-			e.Seen = 1
-			rec = record{T: "event", E: &e}
+			e := events[i] // shallow copy: Tables is replaced, never written through
+			tables = normTables(tables, e.Tables)
+			e.Tables = tables
+			if e.Count <= 0 {
+				e.Count = 1
+			}
+			e.Seen, e.FirstSeen, e.LastSeen = 1, now, now
+			rec = record{kind: recEvent, e: &e}
 			sum.Stored++
 		}
-		batchFP[e.Fingerprint] = true
-		raw, err := json.Marshal(rec)
-		if err != nil {
+		buf = appendRecord(buf[:0], rec)
+		if err := s.log.Append(buf); err != nil {
 			return sum, err
 		}
-		if err := s.log.Append(raw); err != nil {
-			return sum, err
-		}
-		if err := s.apply(rec); err != nil {
+		if err := s.applyPayload(buf); err != nil {
 			return sum, err
 		}
 	}
@@ -313,7 +313,8 @@ func (q EventQuery) match(e *Event) bool {
 }
 
 // Events returns matching events in fingerprint order (deterministic
-// across processes and reloads). The returned events are copies.
+// across processes and reloads). The returned events are shallow copies:
+// their Tables slices belong to the store and must not be written to.
 func (s *Store) Events(q EventQuery) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -2,6 +2,7 @@ package history
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -302,5 +303,58 @@ func TestManyEventsReload(t *testing.T) {
 	}
 	if s2.Len() != 500 {
 		t.Fatalf("len = %d", s2.Len())
+	}
+}
+
+// TestIngestAllOrNothing: an invalid event anywhere in a batch fails the
+// batch before a byte is appended or a rollup touched.
+func TestIngestAllOrNothing(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Ingest(testEvents()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	size, before := s.Size(), snapshot(t, s)
+	for bad := 0; bad < 3; bad++ {
+		batch := testEvents()
+		batch[bad].Fingerprint = ""
+		sum, err := s.Ingest(batch)
+		if !errors.Is(err, ErrInvalidEvent) {
+			t.Fatalf("bad event at %d: err = %v, want ErrInvalidEvent", bad, err)
+		}
+		if sum.Stored != 0 || sum.Deduped != 0 {
+			t.Errorf("bad event at %d: summary %+v claims work", bad, sum)
+		}
+		if s.Len() != 1 || s.Size() != size || string(snapshot(t, s)) != string(before) {
+			t.Fatalf("bad event at %d changed the store: %d events, %d bytes (was 1, %d)", bad, s.Len(), s.Size(), size)
+		}
+	}
+}
+
+// TestIngestLeavesCallerMemoryAlone: Ingest does not reorder or dedup the
+// caller's Tables in place, and the stored event does not change when the
+// caller later writes to what it passed in.
+func TestIngestLeavesCallerMemoryAlone(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	in := []Event{{Fingerprint: "00000000000000f6", APIs: [2]string{"A", "B"}, Tables: []string{"T2", "T1", "T2"}}}
+	if _, err := s.Ingest(in); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(in[0].Tables); got != "[T2 T1 T2]" {
+		t.Errorf("Ingest rewrote the caller's Tables to %s", got)
+	}
+	if in[0].Seen != 0 || in[0].Count != 0 || !in[0].FirstSeen.IsZero() {
+		t.Errorf("Ingest stamped the caller's event: %+v", in[0])
+	}
+	in[0].Tables[0], in[0].Tables[1] = "HACKED", "HACKED"
+	if got := fmt.Sprint(s.Events(EventQuery{})[0].Tables); got != "[T1 T2]" {
+		t.Errorf("stored Tables = %s after the caller wrote to its slice, want [T1 T2]", got)
 	}
 }

@@ -204,6 +204,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sum, err := s.Store.Ingest(events)
+	if errors.Is(err, ErrInvalidEvent) {
+		fail(http.StatusBadRequest, "ingest: %v", err)
+		return
+	}
 	if err != nil {
 		fail(http.StatusInternalServerError, "ingest: %v", err)
 		return

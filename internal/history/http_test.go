@@ -271,6 +271,24 @@ func TestIngestErrors(t *testing.T) {
 	}
 }
 
+// TestIngestInvalidEventIs400: an event the store refuses is the client's
+// error, and none of its batch is stored.
+func TestIngestInvalidEventIs400(t *testing.T) {
+	srv, ts, reg := newTestServer(t)
+	batch := testEvents()
+	batch[2].Fingerprint = ""
+	_, resp := postIngest(t, ts, "?format=events", batch)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("fingerprintless event: status %d, want 400", resp.StatusCode)
+	}
+	if n := srv.Store.Len(); n != 0 {
+		t.Errorf("refused batch left %d events in the store", n)
+	}
+	if got := reg.Snapshot()["weseer_history_ingest_errors_total"]; got != 1 {
+		t.Errorf("ingest_errors_total = %v, want 1", got)
+	}
+}
+
 // TestIngestOversizedBody checks that a body over the limit is refused
 // as such — 413 naming the limit — not truncated and then reported as a
 // JSON syntax error, and that a body exactly at the limit still gets in.

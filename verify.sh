@@ -87,6 +87,15 @@ go test -race -count=10 -run 'TestMemoTable' ./internal/core
 echo "== go test -fuzz=FuzzCanon (5s)"
 go test -run=NONE -fuzz=FuzzCanon -fuzztime=5s ./internal/smt
 
+# The two decoders that read bytes from disk, same treatment: a history
+# record payload (arbitrary bytes never panic, an accepted payload
+# re-encodes to itself, decode(encode(r)) == r) and a whole log file (any
+# contents open to a prefix that a second open replays identically).
+echo "== go test -fuzz=FuzzDecodeRecord (5s)"
+go test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/history
+echo "== go test -fuzz=FuzzLogReplay (5s)"
+go test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5s ./internal/btree
+
 # Compile-and-run smoke of the microbenchmarks (one iteration each):
 # catches bit-rot in bench-only code without paying for real timing runs.
 echo "== go test -bench (1x smoke)"
