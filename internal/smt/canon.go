@@ -106,11 +106,37 @@ func (c CanonResult) Invert() map[string]string {
 	return inv
 }
 
-// localKey canonicalizes x in isolation (including its own component
-// analysis) and returns its string form. The key is invariant under any
-// renaming of an enclosing formula.
-func localKey(x Expr) string {
-	return newCanonMaps(x, analyzeComponents(x)).render(x)
+// localKeyer canonicalizes operands in isolation, one after another: the
+// component analysis and the assignment of each are built in one set of
+// maps, cleared in between, because pass 1 keys every operand at every
+// nesting level and none of those assignments is kept.
+type localKeyer struct {
+	comp components
+	m    canonMaps
+}
+
+func newLocalKeyer() *localKeyer {
+	k := &localKeyer{comp: components{parent: map[string]string{}, info: map[string]compInfo{}}}
+	k.m = canonMaps{vars: map[string]string{}, abs: map[string]string{}, shifted: map[string]int64{}, comp: &k.comp}
+	return k
+}
+
+// key canonicalizes x in isolation (including its own component analysis)
+// and returns its string form. The key is invariant under any renaming of
+// an enclosing formula.
+func (k *localKeyer) key(x Expr) string {
+	clear(k.comp.parent)
+	clear(k.comp.info)
+	walkAtoms(x, &k.comp)
+	m := &k.m
+	clear(m.vars)
+	clear(m.abs)
+	clear(m.shifted)
+	clear(m.ints)
+	clear(m.strs)
+	m.nextInt, m.nextStr = 0, 0
+	canonAssign(x, m)
+	return m.render(x)
 }
 
 // render returns m.apply(x, "", 0).String() without building the tree.
@@ -128,7 +154,7 @@ func Canon(e Expr) CanonResult {
 	// renaming of the whole formula, so two equivalent inputs sort their
 	// operands identically even though their global first-occurrence
 	// numberings disagree.
-	e = acSort(e, localKey)
+	e = acSort(e, newLocalKeyer().key)
 
 	// The component partition is a function of the formula's atoms, so it
 	// is unaffected by the operand reordering below — compute it once.
@@ -186,7 +212,7 @@ func (i *compInfo) merge(o *compInfo) {
 // symbols share a component when some atom mentions both.
 type components struct {
 	parent map[string]string
-	info   map[string]*compInfo // keyed by root; nil means no observations
+	info   map[string]compInfo // keyed by root; absent means no observations
 }
 
 func (c *components) find(x string) string {
@@ -210,13 +236,11 @@ func (c *components) union(a, b string) {
 		return
 	}
 	c.parent[ra] = rb
-	if ia := c.info[ra]; ia != nil {
+	if ia, ok := c.info[ra]; ok {
 		delete(c.info, ra)
-		if ib := c.info[rb]; ib != nil {
-			ib.merge(ia)
-		} else {
-			c.info[rb] = ia
-		}
+		ib := c.info[rb] // the zero compInfo is merge's identity
+		ib.merge(&ia)
+		c.info[rb] = ib
 	}
 }
 
@@ -230,23 +254,17 @@ func (c *components) link(syms []string, facts compInfo) {
 		c.union(syms[0], s)
 	}
 	root := c.find(syms[0])
-	if i := c.info[root]; i != nil {
-		i.merge(&facts)
-	} else {
-		f := facts
-		c.info[root] = &f
-	}
+	i := c.info[root]
+	i.merge(&facts)
+	c.info[root] = i
 }
 
-func (c *components) tainted(root string) bool {
-	i := c.info[root]
-	return i != nil && i.tainted
-}
+func (c *components) tainted(root string) bool { return c.info[root].tainted }
 
 // delta returns the shift for a tainted but offset-invariant component.
 func (c *components) delta(root string) (int64, bool) {
 	i := c.info[root]
-	if i == nil || !i.tainted || i.noShift || !i.hasAbs || i.minAbs == 0 {
+	if !i.tainted || i.noShift || !i.hasAbs || i.minAbs == 0 {
 		return 0, false
 	}
 	return i.minAbs, true
@@ -254,7 +272,7 @@ func (c *components) delta(root string) (int64, bool) {
 
 // analyzeComponents partitions e's variables by walking its atoms.
 func analyzeComponents(e Expr) *components {
-	c := &components{parent: map[string]string{}, info: map[string]*compInfo{}}
+	c := &components{parent: map[string]string{}, info: map[string]compInfo{}}
 	walkAtoms(e, c)
 	return c
 }

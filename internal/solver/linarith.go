@@ -1,17 +1,16 @@
 package solver
 
-import (
-	"math/big"
-	"sort"
-
-	"weseer/internal/smt"
-)
-
 // This file implements the linear-arithmetic theory solver: Fourier–Motzkin
 // elimination over exact rationals with Gaussian pre-substitution of
 // equalities, branching over disequalities, and branch-and-bound for
 // integer-sorted variables. It both decides satisfiability and produces a
 // satisfying assignment for model construction.
+//
+// Variables are the session's dense ids (sorted-name order, so "smallest
+// id" is the "smallest name" every tie-break is defined by), constraints
+// are sparse rows over rat, and one check works in scratch the linSolver
+// owns: nothing here allocates unless a value outgrows int64 or the search
+// has to branch.
 
 type linOp uint8
 
@@ -22,148 +21,9 @@ const (
 	opNE
 )
 
-// linCon is the constraint Σ coeffs[x]·x  op  rhs.
-type linCon struct {
-	coeffs map[string]*big.Rat
-	rhs    *big.Rat
-	op     linOp
-
-	// fast is an int64 view of the constraint, built by buildFast for
-	// atom constraints only (which are immutable once interned). holds
-	// evaluates through it without big.Rat allocations whenever the
-	// assignment values are small integers. Mutable clones never carry it:
-	// clone() allocates a fresh linCon with fast == nil.
-	fast    []fastTerm
-	fastRHS int64
-}
-
-// fastTerm is one integer-coefficient term of the fast view.
-type fastTerm struct {
-	name string
-	co   int64
-}
-
-// fastLimit bounds the magnitudes admitted into the fast path so that
-// coefficient·value products and their running sum cannot overflow int64.
-const fastLimit = int64(1) << 31
-
-// buildFast caches the int64 view when every coefficient and the
-// right-hand side are small integers. Callers must only invoke it on
-// constraints that will never be mutated afterwards.
-func (c *linCon) buildFast() {
-	terms := make([]fastTerm, 0, len(c.coeffs))
-	for x, co := range c.coeffs {
-		v, ok := smallInt(co)
-		if !ok {
-			return
-		}
-		terms = append(terms, fastTerm{name: x, co: v})
-	}
-	rhs, ok := smallInt(c.rhs)
-	if !ok {
-		return
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].name < terms[j].name })
-	c.fast = terms
-	c.fastRHS = rhs
-}
-
-// smallInt reports r as an int64 when it is an integer below fastLimit.
-func smallInt(r *big.Rat) (int64, bool) {
-	if !r.IsInt() || !r.Num().IsInt64() {
-		return 0, false
-	}
-	v := r.Num().Int64()
-	if v >= fastLimit || v <= -fastLimit {
-		return 0, false
-	}
-	return v, true
-}
-
-// holdsFast evaluates the constraint through the int64 view. The second
-// return is false when some assignment value falls outside the small-int
-// range and the caller must take the exact big.Rat path.
-func (c *linCon) holdsFast(asn map[string]*big.Rat) (bool, bool) {
-	const sumLimit = int64(1) << 62
-	var sum int64
-	for _, t := range c.fast {
-		r, ok := asn[t.name]
-		if !ok {
-			continue // missing vars count as 0
-		}
-		v, small := smallInt(r)
-		if !small {
-			return false, false
-		}
-		// |co|,|v| < 2^31 keeps each product under 2^62, so adding one to
-		// a sum bounded by 2^62 cannot wrap; re-checking the bound after
-		// every addition keeps the invariant.
-		sum += t.co * v
-		if sum >= sumLimit || sum <= -sumLimit {
-			return false, false
-		}
-	}
-	switch c.op {
-	case opLE:
-		return sum <= c.fastRHS, true
-	case opLT:
-		return sum < c.fastRHS, true
-	case opEQ:
-		return sum == c.fastRHS, true
-	case opNE:
-		return sum != c.fastRHS, true
-	}
-	return false, false
-}
-
-func newLinCon(op linOp) *linCon {
-	return &linCon{coeffs: map[string]*big.Rat{}, rhs: new(big.Rat), op: op}
-}
-
-func (c *linCon) clone() *linCon {
-	n := newLinCon(c.op)
-	n.rhs.Set(c.rhs)
-	for k, v := range c.coeffs {
-		n.coeffs[k] = new(big.Rat).Set(v)
-	}
-	return n
-}
-
-// addTerm adds coeff·x to the left-hand side.
-func (c *linCon) addTerm(x string, coeff *big.Rat) {
-	if cur, ok := c.coeffs[x]; ok {
-		cur.Add(cur, coeff)
-		if cur.Sign() == 0 {
-			delete(c.coeffs, x)
-		}
-		return
-	}
-	if coeff.Sign() != 0 {
-		c.coeffs[x] = new(big.Rat).Set(coeff)
-	}
-}
-
-// eval returns lhs value under the assignment; missing vars count as 0.
-func (c *linCon) eval(asn map[string]*big.Rat) *big.Rat {
-	sum := new(big.Rat)
-	for x, co := range c.coeffs {
-		if v, ok := asn[x]; ok {
-			sum.Add(sum, new(big.Rat).Mul(co, v))
-		}
-	}
-	return sum
-}
-
-// holds reports whether the constraint is satisfied under a total
-// assignment of its variables.
-func (c *linCon) holds(asn map[string]*big.Rat) bool {
-	if c.fast != nil {
-		if res, ok := c.holdsFast(asn); ok {
-			return res
-		}
-	}
-	cmp := c.eval(asn).Cmp(c.rhs)
-	switch c.op {
+// holds reports whether lhs op rhs, given cmp = sign(lhs − rhs).
+func (op linOp) holds(cmp int) bool {
+	switch op {
 	case opLE:
 		return cmp <= 0
 	case opLT:
@@ -176,64 +36,92 @@ func (c *linCon) holds(asn map[string]*big.Rat) bool {
 	return false
 }
 
-// linearize converts a numeric smt expression into Σ coeff·x + constant.
-// It returns false if the expression is outside the linear fragment.
-func linearize(e smt.Expr, scale *big.Rat, coeffs map[string]*big.Rat, konst *big.Rat) bool {
-	switch t := e.(type) {
-	case smt.IntConst:
-		konst.Add(konst, new(big.Rat).Mul(scale, new(big.Rat).SetInt64(t.V)))
-		return true
-	case smt.RealConst:
-		konst.Add(konst, new(big.Rat).Mul(scale, t.V))
-		return true
-	case smt.Var:
-		if cur, ok := coeffs[t.Name]; ok {
-			cur.Add(cur, scale)
-			if cur.Sign() == 0 {
-				delete(coeffs, t.Name)
-			}
-		} else if scale.Sign() != 0 {
-			coeffs[t.Name] = new(big.Rat).Set(scale)
+// term is coefficient·variable.
+type term struct {
+	x  int32
+	co rat
+}
+
+// linCon is the constraint Σ terms op rhs. terms is sorted by variable id,
+// holds no zero coefficient and is never written after the row is built:
+// rows are copied by value and share it.
+type linCon struct {
+	terms []term
+	rhs   rat
+	op    linOp
+}
+
+// coeff returns the coefficient of x in c.
+func (c *linCon) coeff(x int32) (rat, bool) {
+	for _, t := range c.terms {
+		if t.x >= x {
+			return t.co, t.x == x
 		}
-		return true
-	case *smt.Arith:
-		switch t.Op {
-		case smt.OpAdd:
-			return linearize(t.L, scale, coeffs, konst) && linearize(t.R, scale, coeffs, konst)
-		case smt.OpSub:
-			neg := new(big.Rat).Neg(scale)
-			return linearize(t.L, scale, coeffs, konst) && linearize(t.R, neg, coeffs, konst)
-		case smt.OpNeg:
-			neg := new(big.Rat).Neg(scale)
-			return linearize(t.L, neg, coeffs, konst)
-		case smt.OpMul:
-			if k, ok := constRat(t.L); ok {
-				return linearize(t.R, new(big.Rat).Mul(scale, k), coeffs, konst)
-			}
-			if k, ok := constRat(t.R); ok {
-				return linearize(t.L, new(big.Rat).Mul(scale, k), coeffs, konst)
-			}
+	}
+	return rat{}, false
+}
+
+func (c *linCon) equal(o *linCon) bool {
+	if c.op != o.op || len(c.terms) != len(o.terms) || !c.rhs.equal(o.rhs) {
+		return false
+	}
+	for i, t := range c.terms {
+		if u := o.terms[i]; t.x != u.x || !t.co.equal(u.co) {
 			return false
 		}
 	}
-	return false
+	return true
 }
 
-func constRat(e smt.Expr) (*big.Rat, bool) {
-	switch t := e.(type) {
-	case smt.IntConst:
-		return new(big.Rat).SetInt64(t.V), true
-	case smt.RealConst:
-		return new(big.Rat).Set(t.V), true
+// hash fingerprints the row's content for atom interning.
+func (c *linCon) hash() uint64 {
+	h := c.rhs.hash(hashWord(14695981039346656037, uint64(c.op)))
+	for _, t := range c.terms {
+		h = t.co.hash(hashWord(h, uint64(t.x)))
 	}
-	return nil, false
+	return h
 }
 
-// allHold reports whether every constraint holds under the assignment
-// (missing variables evaluate as 0).
-func allHold(cons []*linCon, asn map[string]*big.Rat) bool {
-	for _, c := range cons {
-		if !c.holds(asn) {
+// negTerms appends −terms to dst.
+func negTerms(dst, terms []term) []term {
+	for _, t := range terms {
+		dst = append(dst, term{x: t.x, co: t.co.neg()})
+	}
+	return dst
+}
+
+// assignment maps variable ids to values; absent variables count as 0.
+type assignment struct {
+	val []rat
+	has []bool
+}
+
+func newAssignment(nvars int) assignment {
+	return assignment{val: make([]rat, nvars), has: make([]bool, nvars)}
+}
+
+func (a *assignment) set(x int32, v rat) { a.val[x], a.has[x] = v, true }
+
+// eval returns the left-hand side's value under the assignment.
+func (c *linCon) eval(a *assignment) rat {
+	sum := ratZero
+	for _, t := range c.terms {
+		if a.has[t.x] {
+			sum = sum.add(t.co.mul(a.val[t.x]))
+		}
+	}
+	return sum
+}
+
+// holds reports whether the constraint is satisfied under the assignment.
+func (c *linCon) holds(a *assignment) bool { return c.op.holds(c.eval(a).cmp(c.rhs)) }
+
+// constHolds decides a row with no terms left.
+func constHolds(c *linCon) bool { return c.op.holds(-c.rhs.sign()) }
+
+func allHold(cons []linCon, a *assignment) bool {
+	for i := range cons {
+		if !cons[i].holds(a) {
 			return false
 		}
 	}
@@ -264,168 +152,141 @@ func defaultFMLimits() fmLimits {
 	return fmLimits{maxConstraints: 200000, maxNEBranch: 24, maxIntDepth: 64}
 }
 
-// solveLinear decides the conjunction of constraints and, when satisfiable,
-// returns an assignment. intVars lists variables that must take integral
-// values.
-func solveLinear(cons []*linCon, intVars map[string]bool, lim fmLimits) (map[string]*big.Rat, linStatus) {
-	return solveNE(cons, intVars, lim, lim.maxNEBranch)
+// elimRecord remembers how a variable was eliminated so its value can be
+// recovered by back-substitution.
+type elimRecord struct {
+	x     int32
+	gauss bool
+	expr  linCon // gauss: x = Σ terms + rhs
+	// Fourier–Motzkin: the constraints that involved x are
+	// linSolver.bounds[lo:hi].
+	lo, hi int
+}
+
+// linSolver decides conjunctions of rows over variables [0, len(isInt)).
+// A linSAT answer leaves its assignment in asn until the next solve.
+type linSolver struct {
+	isInt []bool // variables that must take integral values
+	lim   fmLimits
+	asn   assignment
+
+	// Scratch of one solveRational run, reset at its start. terms is the
+	// arena derived rows are built in; work and next are the current and
+	// the next round's constraint lists; bounds keeps every eliminated
+	// variable's constraints for back-substitution.
+	terms      []term
+	work, next []linCon
+	bounds     []linCon
+	elims      []elimRecord
+	count      []int32 // per-variable occurrence counts of pickElimVar
+}
+
+func newLinSolver(isInt []bool, lim fmLimits) *linSolver {
+	return &linSolver{isInt: isInt, lim: lim, asn: newAssignment(len(isInt)), count: make([]int32, len(isInt))}
+}
+
+// solve decides rest ∧ nes, where nes are the disequalities.
+func (ls *linSolver) solve(rest, nes []linCon) linStatus {
+	return ls.solveNE(rest, nes, ls.lim.maxNEBranch)
 }
 
 // solveNE handles disequalities lazily: solve the relaxation without
 // them, and only case-split a disequality the relaxed model violates.
 // Executions rarely pin values onto their excluded points, so this
 // typically costs zero splits instead of 2^|NE|.
-func solveNE(cons []*linCon, intVars map[string]bool, lim fmLimits, neBudget int) (map[string]*big.Rat, linStatus) {
-	var nes, rest []*linCon
-	for _, c := range cons {
-		if c.op == opNE {
-			nes = append(nes, c)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	m, st := solveIntBB(rest, intVars, lim, lim.maxIntDepth)
-	if st != linSAT {
-		return nil, st
+func (ls *linSolver) solveNE(rest, nes []linCon, neBudget int) linStatus {
+	if st := ls.solveIntBB(rest, ls.lim.maxIntDepth); st != linSAT {
+		return st
 	}
 	violated := -1
-	for i, ne := range nes {
-		if !ne.holds(m) {
+	for i := range nes {
+		if !nes[i].holds(&ls.asn) {
 			violated = i
 			break
 		}
 	}
 	if violated < 0 {
-		return m, linSAT
+		return linSAT
 	}
 	if neBudget <= 0 {
-		return nil, linUNKNOWN
+		return linUNKNOWN
 	}
 	ne := nes[violated]
-	keep := make([]*linCon, 0, len(cons)-1)
-	keep = append(keep, rest...)
-	for i, other := range nes {
-		if i != violated {
-			keep = append(keep, other)
-		}
-	}
+	others := append(append(make([]linCon, 0, len(nes)-1), nes[:violated]...), nes[violated+1:]...)
 	unknown := false
-	for _, side := range []bool{true, false} { // lhs < rhs, then lhs > rhs
-		b := ne.clone()
-		b.op = opLT
-		if !side { // lhs > rhs  ⇔  -lhs < -rhs
-			for _, v := range b.coeffs {
-				v.Neg(v)
-			}
-			b.rhs.Neg(b.rhs)
-		}
-		m2, st2 := solveNE(append(cloneCons(keep), b), intVars, lim, neBudget-1)
-		switch st2 {
+	for _, b := range [2]linCon{
+		{terms: ne.terms, rhs: ne.rhs, op: opLT},                      // lhs < rhs
+		{terms: negTerms(nil, ne.terms), rhs: ne.rhs.neg(), op: opLT}, // lhs > rhs
+	} {
+		switch ls.solveNE(appendRow(rest, b), others, neBudget-1) {
 		case linSAT:
-			return m2, linSAT
+			return linSAT
 		case linUNKNOWN:
 			unknown = true
 		}
 	}
 	if unknown {
-		return nil, linUNKNOWN
+		return linUNKNOWN
 	}
-	return nil, linUNSAT
+	return linUNSAT
+}
+
+// appendRow returns a fresh cons ∪ {c}; branches must not share storage.
+func appendRow(cons []linCon, c linCon) []linCon {
+	return append(append(make([]linCon, 0, len(cons)+1), cons...), c)
 }
 
 // solveIntBB solves the rational relaxation and repairs fractional values
 // of integer variables by branch and bound.
-func solveIntBB(cons []*linCon, intVars map[string]bool, lim fmLimits, depth int) (map[string]*big.Rat, linStatus) {
-	if lim.stop != nil && lim.stop() {
-		return nil, linUNKNOWN
+func (ls *linSolver) solveIntBB(cons []linCon, depth int) linStatus {
+	if ls.lim.stop != nil && ls.lim.stop() {
+		return linUNKNOWN
 	}
-	m, st := solveRational(cons, lim)
-	if st != linSAT {
-		return nil, st
+	if st := ls.solveRational(cons); st != linSAT {
+		return st
 	}
-	var fracVar string
-	var fracVal *big.Rat
-	// Deterministic choice of the fractional variable to branch on.
-	names := make([]string, 0, len(m))
-	for x := range m {
-		names = append(names, x)
-	}
-	sort.Strings(names)
-	for _, x := range names {
-		if intVars[x] && !m[x].IsInt() {
-			fracVar, fracVal = x, m[x]
+	frac := int32(-1)
+	for x, isInt := range ls.isInt {
+		if isInt && ls.asn.has[x] && !ls.asn.val[x].isInt() {
+			frac = int32(x)
 			break
 		}
 	}
-	if fracVar == "" {
-		return m, linSAT
+	if frac < 0 {
+		return linSAT
 	}
 	if depth <= 0 {
-		return nil, linUNKNOWN
+		return linUNKNOWN
 	}
-	floor := ratFloor(fracVal)
+	floor := ls.asn.val[frac].floor()
 	unknown := false
-	// Branch x <= floor(v).
-	le := newLinCon(opLE)
-	le.coeffs[fracVar] = big.NewRat(1, 1)
-	le.rhs.Set(floor)
-	if m2, st := solveIntBB(append(cloneCons(cons), le), intVars, lim, depth-1); st == linSAT {
-		return m2, linSAT
-	} else if st == linUNKNOWN {
-		unknown = true
-	}
-	// Branch x >= floor(v)+1  ⇔  -x <= -(floor+1).
-	ge := newLinCon(opLE)
-	ge.coeffs[fracVar] = big.NewRat(-1, 1)
-	ge.rhs.Neg(new(big.Rat).Add(floor, big.NewRat(1, 1)))
-	if m2, st := solveIntBB(append(cloneCons(cons), ge), intVars, lim, depth-1); st == linSAT {
-		return m2, linSAT
-	} else if st == linUNKNOWN {
-		unknown = true
+	for _, b := range [2]linCon{
+		{terms: []term{{x: frac, co: ratOne}}, rhs: floor, op: opLE},                         // x ≤ ⌊v⌋
+		{terms: []term{{x: frac, co: ratOne.neg()}}, rhs: floor.add(ratOne).neg(), op: opLE}, // −x ≤ −(⌊v⌋+1)
+	} {
+		switch ls.solveIntBB(appendRow(cons, b), depth-1) {
+		case linSAT:
+			return linSAT
+		case linUNKNOWN:
+			unknown = true
+		}
 	}
 	if unknown {
-		return nil, linUNKNOWN
+		return linUNKNOWN
 	}
-	return nil, linUNSAT
-}
-
-func cloneCons(cons []*linCon) []*linCon {
-	out := make([]*linCon, len(cons))
-	copy(out, cons)
-	return out
-}
-
-func ratFloor(r *big.Rat) *big.Rat {
-	q := new(big.Int).Quo(r.Num(), r.Denom())
-	if r.Sign() < 0 && !r.IsInt() {
-		q.Sub(q, big.NewInt(1))
-	}
-	return new(big.Rat).SetInt(q)
-}
-
-// elimRecord remembers how a variable was eliminated so its value can be
-// recovered by back-substitution.
-type elimRecord struct {
-	x string
-	// For Gaussian elimination of x via an equality: x = expr.
-	eqExpr *linCon // interpretation: x = Σ coeffs·y + rhs
-	gauss  bool
-	bounds []*linCon // for FM: original constraints involving x
+	return linUNSAT
 }
 
 // solveRational runs Gaussian + Fourier–Motzkin elimination over Q.
-func solveRational(cons []*linCon, lim fmLimits) (map[string]*big.Rat, linStatus) {
-	work := make([]*linCon, 0, len(cons))
-	for _, c := range cons {
-		work = append(work, c.clone())
-	}
-	var elims []elimRecord
+func (ls *linSolver) solveRational(cons []linCon) linStatus {
+	ls.terms, ls.bounds, ls.elims = ls.terms[:0], ls.bounds[:0], ls.elims[:0]
+	ls.work = append(ls.work[:0], cons...)
 
 	// Phase 1: substitute away equalities.
 	for {
 		eqIdx := -1
-		for i, c := range work {
-			if c.op == opEQ && len(c.coeffs) > 0 {
+		for i := range ls.work {
+			if ls.work[i].op == opEQ && len(ls.work[i].terms) > 0 {
 				eqIdx = i
 				break
 			}
@@ -433,263 +294,221 @@ func solveRational(cons []*linCon, lim fmLimits) (map[string]*big.Rat, linStatus
 		if eqIdx < 0 {
 			break
 		}
-		eq := work[eqIdx]
-		x := pickVar(eq.coeffs)
-		a := eq.coeffs[x]
-		// x = (rhs - Σ other coeffs·y) / a
-		expr := newLinCon(opEQ)
-		expr.rhs = new(big.Rat).Quo(eq.rhs, a)
-		for y, co := range eq.coeffs {
-			if y == x {
-				continue
-			}
-			q := new(big.Rat).Quo(co, a)
-			q.Neg(q)
-			expr.coeffs[y] = q
+		// a·x + Σ co·y = rhs  →  x = rhs/a − Σ (co/a)·y, x the smallest id.
+		eq := ls.work[eqIdx]
+		x, inv := eq.terms[0].x, eq.terms[0].co.inv()
+		start := len(ls.terms)
+		for _, t := range eq.terms[1:] {
+			ls.terms = append(ls.terms, term{x: t.x, co: t.co.mul(inv).neg()})
 		}
-		elims = append(elims, elimRecord{x: x, eqExpr: expr, gauss: true})
-		work = append(work[:eqIdx], work[eqIdx+1:]...)
-		for _, c := range work {
-			substVar(c, x, expr)
+		expr := linCon{terms: ls.terms[start:len(ls.terms):len(ls.terms)], rhs: eq.rhs.mul(inv), op: opEQ}
+		ls.elims = append(ls.elims, elimRecord{x: x, gauss: true, expr: expr})
+		ls.work = append(ls.work[:eqIdx], ls.work[eqIdx+1:]...)
+		for i := range ls.work {
+			ls.substVar(&ls.work[i], x, &expr)
 		}
 	}
 
 	// Phase 2: Fourier–Motzkin on inequalities.
 	for {
-		if lim.stop != nil && lim.stop() {
-			return nil, linUNKNOWN
+		if ls.lim.stop != nil && ls.lim.stop() {
+			return linUNKNOWN
 		}
-		x := pickElimVar(work)
-		if x == "" {
+		x := ls.pickElimVar()
+		if x < 0 {
 			break
 		}
-		var lowers, uppers, rest []*linCon
-		var involved []*linCon
-		for _, c := range work {
-			co, ok := c.coeffs[x]
-			if !ok {
-				rest = append(rest, c)
-				continue
-			}
-			involved = append(involved, c)
-			if co.Sign() > 0 {
-				uppers = append(uppers, c) // a·x + e op b with a>0 → x ≤ (b-e)/a
-			} else {
-				lowers = append(lowers, c)
+		// a·x + e op b bounds x from below when a < 0, from above when a > 0.
+		lo := len(ls.bounds)
+		ls.next = ls.next[:0]
+		for i := range ls.work {
+			if a, ok := ls.work[i].coeff(x); !ok {
+				ls.next = append(ls.next, ls.work[i])
+			} else if a.sign() < 0 {
+				ls.bounds = append(ls.bounds, ls.work[i])
 			}
 		}
-		for _, lo := range lowers {
-			for _, hi := range uppers {
-				nc := combineFM(lo, hi, x)
-				if len(nc.coeffs) == 0 {
-					if !constHolds(nc) {
-						return nil, linUNSAT
-					}
-					continue
+		mid := len(ls.bounds)
+		for i := range ls.work {
+			if a, ok := ls.work[i].coeff(x); ok && a.sign() > 0 {
+				ls.bounds = append(ls.bounds, ls.work[i])
+			}
+		}
+		hi := len(ls.bounds)
+		for i := lo; i < mid; i++ {
+			for j := mid; j < hi; j++ {
+				nc := ls.combineFM(&ls.bounds[i], &ls.bounds[j], x)
+				if len(nc.terms) > 0 {
+					ls.next = append(ls.next, nc)
+				} else if !constHolds(&nc) {
+					return linUNSAT
 				}
-				rest = append(rest, nc)
 			}
 		}
-		if len(rest) > lim.maxConstraints {
-			return nil, linUNKNOWN
+		ls.work, ls.next = ls.next, ls.work
+		if len(ls.work) > ls.lim.maxConstraints {
+			return linUNKNOWN
 		}
-		elims = append(elims, elimRecord{x: x, bounds: involved})
-		work = rest
+		ls.elims = append(ls.elims, elimRecord{x: x, lo: lo, hi: hi})
 	}
 
 	// Only constant constraints remain.
-	for _, c := range work {
-		if len(c.coeffs) == 0 && !constHolds(c) {
-			return nil, linUNSAT
+	for i := range ls.work {
+		if !constHolds(&ls.work[i]) {
+			return linUNSAT
 		}
 	}
 
 	// Back-substitution, newest elimination first.
-	asn := map[string]*big.Rat{}
-	for i := len(elims) - 1; i >= 0; i-- {
-		rec := elims[i]
+	clear(ls.asn.has)
+	for i := len(ls.elims) - 1; i >= 0; i-- {
+		rec := &ls.elims[i]
 		if rec.gauss {
-			v := rec.eqExpr.eval(asn)
-			v.Add(v, rec.eqExpr.rhs)
-			asn[rec.x] = v
+			ls.asn.set(rec.x, rec.expr.eval(&ls.asn).add(rec.expr.rhs))
 			continue
 		}
-		v, ok := pickWithinBounds(rec.x, rec.bounds, asn)
+		v, ok := ls.pickWithinBounds(rec.x, ls.bounds[rec.lo:rec.hi])
 		if !ok {
 			// Should not happen if FM was performed correctly.
-			return nil, linUNKNOWN
+			return linUNKNOWN
 		}
-		asn[rec.x] = v
+		ls.asn.set(rec.x, v)
 	}
-	return asn, linSAT
+	return linSAT
 }
 
-func pickVar(coeffs map[string]*big.Rat) string {
-	best := ""
-	for x := range coeffs {
-		if best == "" || x < best {
-			best = x
+// pickElimVar picks the variable occurring in the fewest constraints of
+// work to bound the quadratic growth of FM (-1 when none has a variable).
+func (ls *linSolver) pickElimVar() int32 {
+	clear(ls.count)
+	for i := range ls.work {
+		for _, t := range ls.work[i].terms {
+			ls.count[t.x]++
+		}
+	}
+	best, bestN := int32(-1), int32(0)
+	for x, n := range ls.count {
+		if n > 0 && (best < 0 || n < bestN) {
+			best, bestN = int32(x), n
 		}
 	}
 	return best
 }
 
-// pickElimVar picks the variable occurring in the fewest constraints to
-// bound the quadratic growth of FM.
-func pickElimVar(cons []*linCon) string {
-	count := map[string]int{}
-	for _, c := range cons {
-		for x := range c.coeffs {
-			count[x]++
+// addScaled appends p·a + q·b without variable skip to the arena and
+// returns it as a row's terms.
+func (ls *linSolver) addScaled(p rat, a []term, q rat, b []term, skip int32) []term {
+	start := len(ls.terms)
+	for len(a) > 0 || len(b) > 0 {
+		var t term
+		switch {
+		case len(b) == 0 || (len(a) > 0 && a[0].x < b[0].x):
+			t, a = term{x: a[0].x, co: p.mul(a[0].co)}, a[1:]
+		case len(a) == 0 || b[0].x < a[0].x:
+			t, b = term{x: b[0].x, co: q.mul(b[0].co)}, b[1:]
+		default:
+			t, a, b = term{x: a[0].x, co: p.mul(a[0].co).add(q.mul(b[0].co))}, a[1:], b[1:]
+		}
+		if t.x != skip && t.co.sign() != 0 {
+			ls.terms = append(ls.terms, t)
 		}
 	}
-	best, bestN := "", -1
-	for x, n := range count {
-		if bestN == -1 || n < bestN || (n == bestN && x < best) {
-			best, bestN = x, n
-		}
+	return ls.terms[start:len(ls.terms):len(ls.terms)]
+}
+
+// substVar replaces x in c with expr (x = Σ expr.terms + expr.rhs).
+func (ls *linSolver) substVar(c *linCon, x int32, expr *linCon) {
+	co, ok := c.coeff(x)
+	if !ok {
+		return
 	}
-	return best
+	c.terms = ls.addScaled(ratOne, c.terms, co, expr.terms, x)
+	// co·expr.rhs is a constant on the left: lhs + co·k op rhs → lhs op rhs − co·k.
+	c.rhs = c.rhs.sub(co.mul(expr.rhs))
 }
 
 // combineFM resolves a lower-bound and an upper-bound constraint on x into
 // one constraint without x.
-func combineFM(lo, hi *linCon, x string) *linCon {
-	// lo: a·x + e1 op1 b1 with a<0  →  (e1-b1)/(-a) ≤ x  (strict if op1==LT)
-	// hi: c·x + e2 op2 b2 with c>0  →  x ≤ (b2-e2)/c
-	// Combined: (e1-b1)/(-a) OP (b2-e2)/c
-	a := new(big.Rat).Neg(lo.coeffs[x]) // a > 0
-	c := new(big.Rat).Set(hi.coeffs[x]) // c > 0
+func (ls *linSolver) combineFM(lo, hi *linCon, x int32) linCon {
+	// lo: −a·x + e1 op1 b1 and hi: c·x + e2 op2 b2 with a, c > 0 give
+	// (e1−b1)/a OP x OP (b2−e2)/c, i.e. c·e1 + a·e2 OP c·b1 + a·b2.
+	a, _ := lo.coeff(x)
+	a = a.neg()
+	c, _ := hi.coeff(x)
 	op := opLE
 	if lo.op == opLT || hi.op == opLT {
 		op = opLT
 	}
-	// c·(e1-b1) OP a·(b2-e2)  →  c·e1 + a·e2 OP c·b1 + a·b2
-	nc := newLinCon(op)
-	for y, co := range lo.coeffs {
-		if y == x {
-			continue
-		}
-		nc.addTerm(y, new(big.Rat).Mul(c, co))
+	return linCon{
+		terms: ls.addScaled(c, lo.terms, a, hi.terms, x),
+		rhs:   c.mul(lo.rhs).add(a.mul(hi.rhs)),
+		op:    op,
 	}
-	for y, co := range hi.coeffs {
-		if y == x {
-			continue
-		}
-		nc.addTerm(y, new(big.Rat).Mul(a, co))
-	}
-	nc.rhs.Add(new(big.Rat).Mul(c, lo.rhs), new(big.Rat).Mul(a, hi.rhs))
-	return nc
-}
-
-func constHolds(c *linCon) bool {
-	zero := new(big.Rat)
-	switch c.op {
-	case opLE:
-		return zero.Cmp(c.rhs) <= 0
-	case opLT:
-		return zero.Cmp(c.rhs) < 0
-	case opEQ:
-		return zero.Cmp(c.rhs) == 0
-	case opNE:
-		return zero.Cmp(c.rhs) != 0
-	}
-	return false
-}
-
-// substVar replaces x in c with expr (x = Σ coeffs·y + rhs).
-func substVar(c *linCon, x string, expr *linCon) {
-	co, ok := c.coeffs[x]
-	if !ok {
-		return
-	}
-	delete(c.coeffs, x)
-	for y, e := range expr.coeffs {
-		c.addTerm(y, new(big.Rat).Mul(co, e))
-	}
-	// co·rhs moves to the right-hand side with opposite sign... it is part
-	// of the lhs constant: lhs + co·exprRhs op rhs  →  lhs op rhs - co·exprRhs
-	c.rhs.Sub(c.rhs, new(big.Rat).Mul(co, expr.rhs))
 }
 
 // pickWithinBounds chooses a value for x satisfying every constraint in
 // bounds given the already-fixed assignment of the other variables. It
 // prefers integral values.
-func pickWithinBounds(x string, bounds []*linCon, asn map[string]*big.Rat) (*big.Rat, bool) {
-	var lo, hi *big.Rat
-	loStrict, hiStrict := false, false
-	for _, c := range bounds {
-		a := c.coeffs[x]
-		// a·x + Σ other ≤/<= rhs  →  x ≤ (rhs - other)/a for a>0
-		other := new(big.Rat)
-		for y, co := range c.coeffs {
-			if y == x {
-				continue
-			}
-			v, ok := asn[y]
-			if !ok {
-				v = new(big.Rat)
-			}
-			other.Add(other, new(big.Rat).Mul(co, v))
-		}
-		bound := new(big.Rat).Sub(c.rhs, other)
-		bound.Quo(bound, a)
+func (ls *linSolver) pickWithinBounds(x int32, bounds []linCon) (rat, bool) {
+	var lo, hi rat
+	hasLo, hasHi, loStrict, hiStrict := false, false, false, false
+	for i := range bounds {
+		c := &bounds[i]
+		// a·x + other op rhs  →  x op (rhs − other)/a, flipped when a < 0.
+		a, _ := c.coeff(x)
+		other := c.eval(&ls.asn) // x itself is still unassigned
+		bound := c.rhs.sub(other).mul(a.inv())
 		strict := c.op == opLT
-		if a.Sign() > 0 { // upper bound
-			if hi == nil || bound.Cmp(hi) < 0 || (bound.Cmp(hi) == 0 && strict) {
-				hi, hiStrict = bound, strict
+		cmp := -1 // against no bound yet, any bound is tighter
+		if a.sign() > 0 {
+			if hasHi {
+				cmp = bound.cmp(hi)
 			}
-		} else { // lower bound (inequality flips)
-			if lo == nil || bound.Cmp(lo) > 0 || (bound.Cmp(lo) == 0 && strict) {
-				lo, loStrict = bound, strict
+			if cmp < 0 || (cmp == 0 && strict) {
+				hi, hasHi, hiStrict = bound, true, strict
+			}
+		} else {
+			if hasLo {
+				cmp = lo.cmp(bound)
+			}
+			if cmp < 0 || (cmp == 0 && strict) {
+				lo, hasLo, loStrict = bound, true, strict
 			}
 		}
 	}
-	return chooseInInterval(lo, loStrict, hi, hiStrict)
+	return chooseInInterval(lo, hasLo, loStrict, hi, hasHi, hiStrict)
 }
 
-// chooseInInterval picks a value in the (possibly open) interval, favoring
-// integers, then simple rationals.
-func chooseInInterval(lo *big.Rat, loStrict bool, hi *big.Rat, hiStrict bool) (*big.Rat, bool) {
-	one := big.NewRat(1, 1)
+// chooseInInterval picks a value in the (possibly open, possibly
+// unbounded) interval, favoring integers, then simple rationals.
+func chooseInInterval(lo rat, hasLo, loStrict bool, hi rat, hasHi, hiStrict bool) (rat, bool) {
+	// The smallest integer above lo, or failing a lower bound the largest
+	// below hi.
+	var v rat
 	switch {
-	case lo == nil && hi == nil:
-		return new(big.Rat), true
-	case lo == nil:
-		v := ratFloor(hi)
-		if hiStrict && v.Cmp(hi) == 0 {
-			v.Sub(v, one)
+	case !hasLo && !hasHi:
+		return ratZero, true
+	case !hasLo:
+		v = hi.floor()
+		if hiStrict && v.equal(hi) {
+			v = v.sub(ratOne)
 		}
 		return v, true
-	case hi == nil:
-		v := ratCeil(lo)
-		if loStrict && v.Cmp(lo) == 0 {
-			v.Add(v, one)
+	default:
+		v = lo.ceil()
+		if loStrict && v.equal(lo) {
+			v = v.add(ratOne)
 		}
+	}
+	if !hasHi {
 		return v, true
 	}
-	cmp := lo.Cmp(hi)
-	if cmp > 0 || (cmp == 0 && (loStrict || hiStrict)) {
-		return nil, false
+	if cmp := lo.cmp(hi); cmp > 0 || (cmp == 0 && (loStrict || hiStrict)) {
+		return rat{}, false
 	}
-	// Try the smallest integer in the interval.
-	v := ratCeil(lo)
-	if loStrict && v.Cmp(lo) == 0 {
-		v.Add(v, one)
-	}
-	if c := v.Cmp(hi); c < 0 || (c == 0 && !hiStrict) {
+	if cmp := v.cmp(hi); cmp < 0 || (cmp == 0 && !hiStrict) {
 		return v, true
 	}
 	// No integer fits: midpoint.
-	mid := new(big.Rat).Add(lo, hi)
-	mid.Quo(mid, big.NewRat(2, 1))
-	return mid, true
-}
-
-func ratCeil(r *big.Rat) *big.Rat {
-	q := new(big.Int).Quo(r.Num(), r.Denom())
-	if r.Sign() > 0 && !r.IsInt() {
-		q.Add(q, big.NewInt(1))
-	}
-	return new(big.Rat).SetInt(q)
+	return lo.add(hi).mul(rat{n: 1, d: 2}), true
 }

@@ -13,10 +13,7 @@ package solver
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"io"
-	"math/big"
-	"sort"
+	"slices"
 	"time"
 
 	"weseer/internal/obs"
@@ -150,25 +147,11 @@ func SolveCtx(ctx context.Context, f smt.Expr, lim Limits) Result {
 // solveCtx is the uninstrumented body of SolveCtx.
 func solveCtx(ctx context.Context, f smt.Expr, lim Limits) Result {
 	lim.setDefaults()
-	s := &session{
-		lim:        lim,
-		boolAtoms:  map[string]int{},
-		strAtoms:   map[strPair]int{},
-		selAtomIdx: map[selKey]int{},
-		linBuckets: map[uint64][]int{},
-		intVars:    map[string]bool{},
-	}
 	if ctx != nil && ctx.Done() != nil {
-		stop := func() bool { return ctx.Err() != nil }
-		s.stop = stop
-		s.lim.FM.stop = stop
+		lim.FM.stop = func() bool { return ctx.Err() != nil }
 	}
 	f = smt.Simplify(f)
-	for name, srt := range smt.VarSet(f) {
-		if srt == smt.SortInt {
-			s.intVars[name] = true
-		}
-	}
+	s := newSession(f, lim)
 	f = expandSelects(f)
 
 	if c, ok := f.(smt.BoolConst); ok {
@@ -224,7 +207,7 @@ func solveCtx(ctx context.Context, f smt.Expr, lim Limits) Result {
 	}
 	checkedEvents := -1
 	for s.stats.TheoryCalls < lim.MaxTheoryCalls {
-		if s.stop != nil && s.stop() {
+		if s.lim.FM.stop != nil && s.lim.FM.stop() {
 			return Result{Status: UNKNOWN, Stats: s.stats}
 		}
 		if confl := d.propagate(); confl != nil {
@@ -295,15 +278,15 @@ const (
 
 type atomInfo struct {
 	kind atomKind
-	lin  *linCon // for aLin; op ∈ {opLE, opLT, opEQ}
-	// linNeg is the prebuilt negation of lin, so theory checks hand the
-	// arithmetic solver shared immutable constraints instead of cloning
-	// and negating per call.
-	linNeg *linCon
-	l, r   strTerm // for aStr (always an equality atom)
-	name   string  // for aBool
-	root   string  // for aSel
-	key    smt.Expr
+	// row indexes session.linRows, for aLin: the atom's constraint
+	// (op ∈ {opLE, opLT, opEQ}) and its prebuilt negation, so theory checks
+	// hand the arithmetic solver the atoms' immutable rows whichever way
+	// they are assigned.
+	row  int
+	l, r strTerm // for aStr (always an equality atom)
+	name string  // for aBool
+	root string  // for aSel
+	key  smt.Expr
 }
 
 // strPair interns string-equality atoms by their canonically ordered
@@ -322,22 +305,65 @@ type session struct {
 	boolAtoms  map[string]int
 	strAtoms   map[strPair]int
 	selAtomIdx map[selKey]int
-	// linBuckets indexes linear atoms by a 64-bit structural fingerprint;
-	// candidates within a bucket are compared coefficient-wise.
-	linBuckets map[uint64][]int
+	// linIndex maps linCon.hash to the linear atom holding that row; a
+	// row whose slot is taken by a different one probes hash+1, hash+2, ….
+	linIndex map[uint64]int
+	linRows  [][2]linCon // per linear atom: the row and its negation
 
-	intVars      map[string]bool
+	// The formula's variables, numbered in sorted-name order: the ids the
+	// arithmetic theory's rows, tie-breaks and assignments are written in.
+	varID    map[string]int32
+	varNames []string
+	lin      *linSolver
+
 	selAtoms     []int // indices of aSel atoms
 	extraClauses [][]lit
 	stats        Stats
-	// stop is polled inside the CDCL(T) loop; non-nil only for SolveCtx
-	// calls whose context can actually be canceled.
-	stop func() bool
-	// lastAsn caches the most recent satisfying arithmetic assignment;
-	// successive theory checks mostly extend a consistent partial
-	// assignment, so re-evaluating the cached model avoids a full
-	// Fourier–Motzkin run on the (common) still-satisfied path.
-	lastAsn map[string]*big.Rat
+	// lastAsn caches the most recent satisfying arithmetic assignment
+	// (valid once haveLast); successive theory checks mostly extend a
+	// consistent partial assignment, so re-evaluating the cached model
+	// avoids a full Fourier–Motzkin run on the (common) still-satisfied
+	// path.
+	lastAsn  assignment
+	haveLast bool
+
+	// Atomization scratch: acc accumulates one comparison's coefficient
+	// per variable, accIDs lists the variables it touched, row is the
+	// candidate atom, and slab is the chunk new atoms' terms are cut from.
+	acc    assignment
+	accIDs []int32
+	row    []term
+	slab   []term
+	// Theory-check scratch: the assigned atoms by theory and their rows.
+	linIDs, strIDs []int
+	rest, nes      []linCon
+}
+
+// newSession numbers the variables of f (already simplified).
+func newSession(f smt.Expr, lim Limits) *session {
+	vars := smt.VarSet(f)
+	s := &session{
+		lim:        lim,
+		boolAtoms:  map[string]int{},
+		strAtoms:   map[strPair]int{},
+		selAtomIdx: map[selKey]int{},
+		linIndex:   map[uint64]int{},
+		varID:      make(map[string]int32, len(vars)),
+		varNames:   make([]string, 0, len(vars)),
+	}
+	for name := range vars {
+		s.varNames = append(s.varNames, name)
+	}
+	slices.Sort(s.varNames)
+	isInt := make([]bool, len(s.varNames))
+	for id, name := range s.varNames {
+		s.varID[name] = int32(id)
+		isInt[id] = vars[name] == smt.SortInt
+	}
+	s.lin = newLinSolver(isInt, lim.FM)
+	s.lastAsn = newAssignment(len(isInt))
+	s.acc = newAssignment(len(isInt))
+	return s
 }
 
 func (s *session) addAtom(info atomInfo) int {
@@ -378,18 +404,34 @@ func (s *session) internSel(root string, key smt.Expr) int {
 	return id
 }
 
-func (s *session) internLin(lc *linCon) int {
-	h := linFingerprint(lc)
-	for _, id := range s.linBuckets[h] {
-		if linConEqual(s.atoms[id].lin, lc) {
+// internLin returns the atom of row lc, whose terms are scratch: a new
+// atom gets its own copy, and its negation, cut from the slab.
+func (s *session) internLin(lc linCon) int {
+	h := lc.hash()
+	for id, taken := s.linIndex[h]; taken; id, taken = s.linIndex[h] {
+		if s.linRows[s.atoms[id].row][0].equal(&lc) {
 			return id
 		}
+		h++
 	}
-	neg := negLinCon(lc)
-	lc.buildFast()
-	neg.buildFast()
-	id := s.addAtom(atomInfo{kind: aLin, lin: lc, linNeg: neg})
-	s.linBuckets[h] = append(s.linBuckets[h], id)
+	n := len(lc.terms)
+	if cap(s.slab)-len(s.slab) < 2*n {
+		s.slab = make([]term, 0, max(2*n, 2*cap(s.slab), 32))
+	}
+	s.slab = append(s.slab, lc.terms...)
+	lc.terms = s.slab[len(s.slab)-n : len(s.slab) : len(s.slab)]
+	neg := linCon{terms: lc.terms, rhs: lc.rhs, op: opNE} // ¬(e = b)
+	if lc.op != opEQ {
+		// ¬(e ≤ b) ⇔ −e < −b and ¬(e < b) ⇔ −e ≤ −b.
+		s.slab = negTerms(s.slab, lc.terms)
+		neg = linCon{terms: s.slab[len(s.slab)-n : len(s.slab) : len(s.slab)], rhs: lc.rhs.neg(), op: opLT}
+		if lc.op == opLT {
+			neg.op = opLE
+		}
+	}
+	id := s.addAtom(atomInfo{kind: aLin, row: len(s.linRows)})
+	s.linRows = append(s.linRows, [2]linCon{lc, neg})
+	s.linIndex[h] = id
 	return id
 }
 
@@ -472,127 +514,116 @@ func strTermOf(e smt.Expr) (strTerm, bool) {
 	return strTerm{}, false
 }
 
-// nnfNum atomizes a numeric comparison into a canonical linear atom.
-func (s *session) nnfNum(c *smt.Cmp, pos bool) (*pnode, bool) {
-	coeffs := map[string]*big.Rat{}
-	konst := new(big.Rat)
-	if !linearize(c.L, big.NewRat(1, 1), coeffs, konst) {
-		return nil, false
-	}
-	if !linearize(c.R, big.NewRat(-1, 1), coeffs, konst) {
-		return nil, false
-	}
-	// Now: Σ coeffs·x + konst  op  0  ⇔  Σ coeffs·x  op  -konst.
-	rhs := new(big.Rat).Neg(konst)
-	op := c.Op
-	neg := false
-	switch op {
-	case smt.GT: // Σ > rhs ⇔ -Σ < -rhs
-		negateLin(coeffs, rhs)
-		op = smt.LT
-	case smt.GE:
-		negateLin(coeffs, rhs)
-		op = smt.LE
-	case smt.NE:
-		op = smt.EQ
-		neg = true
-	}
-	if len(coeffs) == 0 {
-		zero := new(big.Rat)
-		var truth bool
-		switch op {
-		case smt.LT:
-			truth = zero.Cmp(rhs) < 0
-		case smt.LE:
-			truth = zero.Cmp(rhs) <= 0
-		case smt.EQ:
-			truth = zero.Cmp(rhs) == 0
-		}
-		return &pnode{kind: pConst, b: (truth != neg) == pos}, true
-	}
-	lc := newLinCon(opLE)
-	switch op {
-	case smt.LT:
-		lc.op = opLT
-	case smt.EQ:
-		lc.op = opEQ
-		// Canonical sign for equalities: coefficient of the smallest
-		// variable name is positive.
-		x := pickVar(coeffs)
-		if coeffs[x].Sign() < 0 {
-			negateLin(coeffs, rhs)
-		}
-	}
-	// Scale so the smallest variable's coefficient has magnitude 1.
-	x := pickVar(coeffs)
-	scale := new(big.Rat).Abs(coeffs[x])
-	inv := new(big.Rat).Inv(scale)
-	for _, v := range coeffs {
-		v.Mul(v, inv)
-	}
-	rhs.Mul(rhs, inv)
-	lc.coeffs = coeffs
-	lc.rhs = rhs
-	id := s.internLin(lc)
-	return &pnode{kind: pLit, lit: mkLit(id, neg == pos)}, true
-}
-
-func negateLin(coeffs map[string]*big.Rat, rhs *big.Rat) {
-	for _, v := range coeffs {
-		v.Neg(v)
-	}
-	rhs.Neg(rhs)
-}
-
-// negLinCon returns the constraint satisfied exactly when c is violated.
-func negLinCon(c *linCon) *linCon {
-	n := c.clone()
-	switch n.op {
-	case opLE: // ¬(e ≤ b) ⇔ -e < -b
-		negateLin(n.coeffs, n.rhs)
-		n.op = opLT
-	case opLT: // ¬(e < b) ⇔ -e ≤ -b
-		negateLin(n.coeffs, n.rhs)
-		n.op = opLE
-	case opEQ:
-		n.op = opNE
-	}
-	return n
-}
-
-// linFingerprint hashes the canonical content of a linear constraint —
-// sorted (name, coefficient) pairs, operator, right-hand side — streaming
-// directly into the hash instead of building a key string.
-func linFingerprint(c *linCon) uint64 {
-	names := make([]string, 0, len(c.coeffs))
-	for x := range c.coeffs {
-		names = append(names, x)
-	}
-	sort.Strings(names)
-	h := fnv.New64a()
-	h.Write([]byte{byte(c.op)})
-	io.WriteString(h, c.rhs.RatString())
-	for _, x := range names {
-		io.WriteString(h, "|")
-		io.WriteString(h, x)
-		io.WriteString(h, "*")
-		io.WriteString(h, c.coeffs[x].RatString())
-	}
-	return h.Sum64()
-}
-
-// linConEqual reports structural equality of two constraints.
-func linConEqual(a, b *linCon) bool {
-	if a.op != b.op || len(a.coeffs) != len(b.coeffs) || a.rhs.Cmp(b.rhs) != 0 {
-		return false
-	}
-	for x, av := range a.coeffs {
-		bv, ok := b.coeffs[x]
-		if !ok || av.Cmp(bv) != 0 {
+// linearize adds scale·e to the accumulator (variables) and konst
+// (constants). It returns false if e is outside the linear fragment.
+func (s *session) linearize(e smt.Expr, scale rat, konst *rat) bool {
+	switch t := e.(type) {
+	case smt.IntConst:
+		*konst = konst.add(scale.mul(ratInt(t.V)))
+		return true
+	case smt.RealConst:
+		*konst = konst.add(scale.mul(ratBig(t.V)))
+		return true
+	case smt.Var:
+		x, ok := s.varID[t.Name]
+		if !ok {
 			return false
 		}
+		if s.acc.has[x] {
+			s.acc.val[x] = s.acc.val[x].add(scale)
+		} else {
+			s.acc.set(x, scale)
+			s.accIDs = append(s.accIDs, x)
+		}
+		return true
+	case *smt.Arith:
+		switch t.Op {
+		case smt.OpAdd:
+			return s.linearize(t.L, scale, konst) && s.linearize(t.R, scale, konst)
+		case smt.OpSub:
+			return s.linearize(t.L, scale, konst) && s.linearize(t.R, scale.neg(), konst)
+		case smt.OpNeg:
+			return s.linearize(t.L, scale.neg(), konst)
+		case smt.OpMul:
+			if k, ok := constRat(t.L); ok {
+				return s.linearize(t.R, scale.mul(k), konst)
+			}
+			if k, ok := constRat(t.R); ok {
+				return s.linearize(t.L, scale.mul(k), konst)
+			}
+		}
 	}
-	return true
+	return false
+}
+
+func constRat(e smt.Expr) (rat, bool) {
+	switch t := e.(type) {
+	case smt.IntConst:
+		return ratInt(t.V), true
+	case smt.RealConst:
+		return ratBig(t.V), true
+	}
+	return rat{}, false
+}
+
+// flushRow empties the accumulator into s.row, sorted by variable id.
+func (s *session) flushRow() []term {
+	slices.Sort(s.accIDs)
+	s.row = s.row[:0]
+	for _, x := range s.accIDs {
+		if co := s.acc.val[x]; co.sign() != 0 {
+			s.row = append(s.row, term{x: x, co: co})
+		}
+		s.acc.has[x] = false
+	}
+	s.accIDs = s.accIDs[:0]
+	return s.row
+}
+
+// nnfNum atomizes a numeric comparison into a canonical linear atom.
+func (s *session) nnfNum(c *smt.Cmp, pos bool) (*pnode, bool) {
+	konst := ratZero
+	ok := s.linearize(c.L, ratOne, &konst) && s.linearize(c.R, ratOne.neg(), &konst)
+	terms := s.flushRow() // also on failure: the accumulator must end up empty
+	if !ok {
+		return nil, false
+	}
+	// Now: Σ terms + konst  op  0  ⇔  Σ terms  op  -konst.
+	rhs := konst.neg()
+	lc := linCon{op: opLE}
+	neg, flip := false, false
+	switch c.Op {
+	case smt.LT:
+		lc.op = opLT
+	case smt.GT: // Σ > rhs ⇔ -Σ < -rhs
+		lc.op, flip = opLT, true
+	case smt.GE:
+		flip = true
+	case smt.EQ, smt.NE:
+		lc.op, neg = opEQ, c.Op == smt.NE
+	}
+	if len(terms) == 0 {
+		if flip {
+			rhs = rhs.neg()
+		}
+		return &pnode{kind: pConst, b: (lc.op.holds(-rhs.sign()) != neg) == pos}, true
+	}
+	// Canonical form: the smallest variable's coefficient is ±1, and +1 in
+	// an equality.
+	lead := terms[0].co
+	k := lead.inv()
+	if (k.sign() < 0) != (flip || (lc.op == opEQ && lead.sign() < 0)) {
+		k = k.neg() // k = ±1/|lead|, negative when the row changes sign
+	}
+	if !k.equal(ratOne) {
+		for i := range terms {
+			terms[i].co = terms[i].co.mul(k)
+		}
+		rhs = rhs.mul(k)
+	}
+	lc.terms, lc.rhs = terms, rhs
+	id := s.internLin(lc)
+	return &pnode{kind: pLit, lit: mkLit(id, neg == pos)}, true
 }
 
 // ackermann adds congruence clauses for every pair of select atoms over
@@ -634,88 +665,79 @@ func (s *session) ackermann() {
 // shrunken unsat core of atom ids; on full consistency it constructs a
 // model.
 func (s *session) theoryCheck(d *cdcl) (*smt.Model, linStatus, []int) {
-	var linIDs, strIDs []int
+	s.linIDs, s.strIDs = s.linIDs[:0], s.strIDs[:0]
 	for id := range s.atoms {
 		if d.assign[id] == 0 {
 			continue
 		}
 		switch s.atoms[id].kind {
 		case aLin:
-			linIDs = append(linIDs, id)
+			s.linIDs = append(s.linIDs, id)
 		case aStr:
-			strIDs = append(strIDs, id)
+			s.strIDs = append(s.strIDs, id)
 		}
 	}
 	strCons := func(ids []int) []strConstraint {
 		out := make([]strConstraint, 0, len(ids))
 		for _, id := range ids {
-			info := s.atoms[id]
+			info := &s.atoms[id]
 			out = append(out, strConstraint{l: info.l, r: info.r, eq: d.assign[id] == 1})
 		}
 		return out
 	}
-	// The arithmetic solvers never mutate their input constraints (they
-	// clone internally before substitution), so assignments share the
-	// atoms' prebuilt positive/negated constraints directly.
-	linCons := func(ids []int) []*linCon {
-		out := make([]*linCon, 0, len(ids))
+	// rows gathers the assigned atoms' rows, disequalities apart, into the
+	// session's two lists; the arithmetic solver copies what it rewrites.
+	rows := func(ids []int) (rest, nes []linCon) {
+		s.rest, s.nes = s.rest[:0], s.nes[:0]
 		for _, id := range ids {
-			info := &s.atoms[id]
-			if d.assign[id] == 1 {
-				out = append(out, info.lin)
+			pair := &s.linRows[s.atoms[id].row]
+			c := &pair[0]
+			if d.assign[id] != 1 {
+				c = &pair[1]
+			}
+			if c.op == opNE {
+				s.nes = append(s.nes, *c)
 			} else {
-				out = append(out, info.linNeg)
+				s.rest = append(s.rest, *c)
 			}
 		}
-		return out
+		return s.rest, s.nes
 	}
 
-	strAsn, ok := solveStrings(strCons(strIDs))
-	if !ok {
-		core := shrinkCore(strIDs, func(ids []int) bool {
-			_, ok := solveStrings(strCons(ids))
-			return !ok
-		})
-		return nil, linUNSAT, core
+	var strAsn map[string]string
+	if len(s.strIDs) > 0 {
+		var ok bool
+		if strAsn, ok = solveStrings(strCons(s.strIDs)); !ok {
+			core := shrinkCore(s.strIDs, func(ids []int) bool {
+				_, ok := solveStrings(strCons(ids))
+				return !ok
+			})
+			return nil, linUNSAT, core
+		}
 	}
-	cons := linCons(linIDs)
-	var numAsn map[string]*big.Rat
-	if s.lastAsn != nil && allHold(cons, s.lastAsn) {
-		numAsn = s.lastAsn
-	} else {
-		var st linStatus
-		numAsn, st = solveLinear(cons, s.intVars, s.lim.FM)
-		if st == linUNSAT {
+	rest, nes := rows(s.linIDs)
+	if !s.haveLast || !allHold(rest, &s.lastAsn) || !allHold(nes, &s.lastAsn) {
+		switch s.lin.solve(rest, nes) {
+		case linUNSAT:
 			// Shrink the core against the rational relaxation (drop NE
 			// constraints, skip branch-and-bound): relaxation-UNSAT
 			// implies full-UNSAT, and the relaxed test is much cheaper.
 			relaxedUnsat := func(ids []int) bool {
-				var keep []*linCon
-				for _, c := range linCons(ids) {
-					if c.op != opNE {
-						keep = append(keep, c)
-					}
-				}
-				_, st := solveRational(keep, s.lim.FM)
-				return st == linUNSAT
+				rest, _ := rows(ids)
+				return s.lin.solveRational(rest) == linUNSAT
 			}
-			var core []int
-			if relaxedUnsat(linIDs) {
-				core = shrinkCore(linIDs, relaxedUnsat)
-			} else {
-				// The conflict needs NE or integrality reasoning; shrink
-				// with the full check under a tighter size cap.
-				core = shrinkCoreCapped(linIDs, 24, func(ids []int) bool {
-					_, st := solveLinear(linCons(ids), s.intVars, s.lim.FM)
-					return st == linUNSAT
-				})
+			if relaxedUnsat(s.linIDs) {
+				return nil, linUNSAT, shrinkCore(s.linIDs, relaxedUnsat)
 			}
-			return nil, linUNSAT, core
-		}
-		if st == linUNKNOWN {
+			// The conflict needs NE or integrality reasoning; shrink
+			// with the full check under a tighter size cap.
+			return nil, linUNSAT, shrinkCoreCapped(s.linIDs, 24, func(ids []int) bool {
+				return s.lin.solve(rows(ids)) == linUNSAT
+			})
+		case linUNKNOWN:
 			return nil, linUNKNOWN, nil
 		}
-		s.lastAsn = numAsn
+		s.lastAsn, s.lin.asn, s.haveLast = s.lin.asn, s.lastAsn, true
 	}
 	if !d.fullyAssigned() {
 		// Partial assignment: consistent so far; no model needed yet.
@@ -723,14 +745,18 @@ func (s *session) theoryCheck(d *cdcl) (*smt.Model, linStatus, []int) {
 	}
 
 	m := smt.NewModel()
-	for x, v := range numAsn {
-		if s.intVars[x] {
-			if !v.IsInt() {
-				return nil, linUNKNOWN, nil
-			}
-			m.Vars[x] = smt.IntValue(v.Num().Int64())
+	for x, name := range s.varNames {
+		if !s.lastAsn.has[x] {
+			continue
+		}
+		v := s.lastAsn.val[x]
+		if !s.lin.isInt[x] {
+			m.Vars[name] = smt.RealValue(v.big())
+		} else if i, ok := v.int64(); ok {
+			m.Vars[name] = smt.IntValue(i)
 		} else {
-			m.Vars[x] = smt.RealValue(v)
+			// Fractional, or an integer no smt.Value can hold.
+			return nil, linUNKNOWN, nil
 		}
 	}
 	for x, v := range strAsn {
@@ -765,8 +791,8 @@ func (s *session) theoryCheck(d *cdcl) (*smt.Model, linStatus, []int) {
 func (s *session) preferredPhase(d *cdcl, v int) bool {
 	if v < len(s.atoms) {
 		info := &s.atoms[v]
-		if info.kind == aLin && s.lastAsn != nil {
-			return info.lin.holds(s.lastAsn)
+		if info.kind == aLin && s.haveLast {
+			return s.linRows[info.row][0].holds(&s.lastAsn)
 		}
 	}
 	return d.savedPhase(v) == 1

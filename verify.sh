@@ -87,6 +87,12 @@ go test -race -count=10 -run 'TestMemoTable' ./internal/core
 echo "== go test -fuzz=FuzzCanon (5s)"
 go test -run=NONE -fuzz=FuzzCanon -fuzztime=5s ./internal/smt
 
+# The arithmetic theory against its test-side oracle (the map-and-big.Rat
+# solver it replaced): same status and, on SAT, the same assignment, on
+# random systems whose numbers sit both near 0 and near 2^62.
+echo "== go test -fuzz=FuzzLinarith (5s)"
+go test -run=NONE -fuzz=FuzzLinarith -fuzztime=5s ./internal/solver
+
 # The two decoders that read bytes from disk, same treatment: a history
 # record payload (arbitrary bytes never panic, an accepted payload
 # re-encodes to itself, decode(encode(r)) == r) and a whole log file (any
