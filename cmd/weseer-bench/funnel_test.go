@@ -108,6 +108,9 @@ func TestFunnelInvariants(t *testing.T) {
 						tg.name, workers, metric, got, want)
 				}
 			}
+			if got := snap["weseer_canon_microseconds_total"]; got != float64(s.CanonTime.Microseconds()) {
+				t.Errorf("%s/p%d: canon time metric %v µs != Stats.CanonTime %v", tg.name, workers, got, s.CanonTime)
+			}
 			if got := snap["weseer_solver_seconds_count"]; got != float64(s.SolverCalls) {
 				t.Errorf("%s/p%d: latency histogram count %v != SolverCalls %d",
 					tg.name, workers, got, s.SolverCalls)

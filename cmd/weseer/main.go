@@ -569,6 +569,7 @@ type jsonStats struct {
 
 	Parallelism  int   `json:"parallelism"`
 	SolverTimeMS int64 `json:"solver_time_ms"`
+	CanonTimeMS  int64 `json:"canon_time_ms"`
 	EnumTimeMS   int64 `json:"enum_time_ms"`
 	FineTimeMS   int64 `json:"fine_time_ms"`
 }
@@ -611,6 +612,7 @@ func statsJSON(s core.Stats) jsonStats {
 		TheoryCalls:      s.Engine.TheoryCalls,
 		Parallelism:      s.Parallelism,
 		SolverTimeMS:     s.SolverTime.Milliseconds(),
+		CanonTimeMS:      s.CanonTime.Milliseconds(),
 		EnumTimeMS:       s.EnumTime.Milliseconds(),
 		FineTimeMS:       s.FineTime.Milliseconds(),
 	}

@@ -117,11 +117,12 @@ func renderApp(t *testing.T, app App) string {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	// The goldens predate Stats.CanonCalls (the memo table's shape level);
-	// TestFunnelInvariants pins it, and the captured funnel line stays as
-	// it was.
+	// The goldens predate Stats.CanonCalls (the memo table's shape level)
+	// and Stats.CanonTime; TestFunnelInvariants pins the former, and the
+	// captured funnel line stays as it was.
 	funnel := fmt.Sprintf("funnel: %+v\n", res.Stats.WithoutTimings())
-	b.WriteString(strings.Replace(funnel, fmt.Sprintf(" CanonCalls:%d", res.Stats.CanonCalls), "", 1))
+	funnel = strings.Replace(funnel, fmt.Sprintf(" CanonCalls:%d", res.Stats.CanonCalls), "", 1)
+	b.WriteString(strings.Replace(funnel, " CanonTime:0s", "", 1))
 	counts := map[string]int{}
 	for _, d := range res.Deadlocks {
 		counts[app.Classify(d)]++

@@ -17,6 +17,7 @@ package btree
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,11 +25,17 @@ import (
 
 const logHeaderSize = 8
 
-// maxLogRecord bounds a single record. Append refuses a longer one,
-// because replay takes a longer length prefix for garbage — a torn tail —
-// and drops it with every frame after it. A variable so tests can lower
-// it.
-var maxLogRecord = 1 << 26 // 64 MiB
+// MaxLogRecord bounds a single record. Append refuses a longer one with
+// ErrRecordTooLarge, because replay takes a longer length prefix for
+// garbage — a torn tail — and drops it with every frame after it.
+const MaxLogRecord = 1 << 26 // 64 MiB
+
+// maxLogRecord is MaxLogRecord; a variable so tests can lower it.
+var maxLogRecord = MaxLogRecord
+
+// ErrRecordTooLarge is what Append's refusal of an over-long record wraps:
+// the caller's payload is at fault, not the log.
+var ErrRecordTooLarge = errors.New("btree: log record exceeds the size limit")
 
 // Log is an append-only record log backed by one file. Not safe for
 // concurrent use.
@@ -125,7 +132,7 @@ func (l *Log) replayAll(replay func(rec []byte) error) error {
 // call so a crash tears at most the final record.
 func (l *Log) Append(rec []byte) error {
 	if len(rec) > maxLogRecord {
-		return fmt.Errorf("btree: log record of %d bytes exceeds the %d-byte limit", len(rec), maxLogRecord)
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, len(rec), maxLogRecord)
 	}
 	var hdr [logHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))

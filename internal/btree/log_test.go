@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -171,8 +172,8 @@ func TestLogAppendRefusesOversized(t *testing.T) {
 		t.Fatalf("record at the limit: %v", err)
 	}
 	size := l.Size()
-	if err := l.Append(bytes.Repeat([]byte{'b'}, maxLogRecord+1)); err == nil {
-		t.Fatal("Append accepted a record over the limit")
+	if err := l.Append(bytes.Repeat([]byte{'b'}, maxLogRecord+1)); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("Append of a record over the limit: %v, want ErrRecordTooLarge", err)
 	}
 	if l.Size() != size {
 		t.Fatalf("refused record moved Size from %d to %d", size, l.Size())

@@ -7,15 +7,17 @@ package core
 // first-occurrence order, rendered in one pass into a reused buffer), so a
 // group whose formula is a plain renaming of an earlier one — most groups
 // of a large corpus — pays no canonicalization.
-// smt.Canon runs once per shape, on the shape's own renamed formula; Canon
-// is equivariant under renaming, so that result composed with the caller's
-// renaming (smt.Shape.Rebase, built only when a SAT model has to be
-// translated back) is exactly what Canon returns for the caller's formula.
+// Canonicalization runs once per shape, on the shape's symbol indices
+// (smt.Shape.Canon, in scratch the pooled Shape owns); Canon is equivariant
+// under renaming, so that result composed with the caller's renaming
+// (smt.Shape.Rebase, built only when a SAT model has to be translated
+// back) is exactly what Canon returns for the caller's formula.
 //
 // Level two keys on the canonical formula's string (rendered once per
-// shape) and solves the canonical expression itself: the
-// cached verdict and model do not depend on which candidate computed them,
-// and each caller translates the model back through its own renaming. That
+// shape) and solves the canonical expression itself — built by the owner
+// of a level-two miss, nobody else needs it: the cached verdict and model
+// do not depend on which candidate computed them, and each caller
+// translates the model back through its own renaming. That
 // keeps reports byte-identical whether a verdict came from the solver or
 // the cache, at any parallelism. Shapes that Canon's stronger equivalences
 // (operand order, constant abstraction, shifts) identify meet here.
@@ -36,8 +38,7 @@ import (
 // shapeEntry is level one: the canonicalization of one formula shape.
 type shapeEntry struct {
 	once  sync.Once
-	canon smt.CanonResult // of the shape's own renamed formula
-	key   string          // canon.Key(): the level-two key
+	canon *smt.ShapeCanon // its Key() is the level-two key
 }
 
 type memoEntry struct {
@@ -68,7 +69,8 @@ func newMemoTable() *memoTable {
 // solve discharges formula through the table. The second return reports a
 // memo hit: the verdict was served from an already-computed (or
 // concurrently computing) entry without a solver call. The owner of a
-// miss charges the call and its wall time to out.
+// miss charges the call and its wall time to out, as the owner of a new
+// shape does its canonicalization.
 func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limits, out *chainOutcome) (solver.Result, bool) {
 	sh := m.scratch.Get().(*smt.Shape)
 	defer m.scratch.Put(sh)
@@ -82,12 +84,14 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limi
 	}
 	m.mu.Unlock()
 	s.once.Do(func() {
-		s.canon = smt.Canon(sh.Expr())
-		s.key = s.canon.Key()
+		start := time.Now()
+		s.canon = sh.Canon()
+		out.canonTime += time.Since(start)
 	})
+	key := s.canon.Key()
 
 	m.mu.Lock()
-	if e, ok := m.entries[s.key]; ok {
+	if e, ok := m.entries[key]; ok {
 		m.mu.Unlock()
 		select {
 		case <-e.ready:
@@ -97,11 +101,12 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limi
 		}
 	}
 	e := &memoEntry{ready: make(chan struct{})}
-	m.entries[s.key] = e
+	m.entries[key] = e
 	m.mu.Unlock()
 
+	expr := s.canon.Expr()
 	start := time.Now()
-	sres := solver.SolveCtx(ctx, s.canon.Expr, lim)
+	sres := solver.SolveCtx(ctx, expr, lim)
 	out.solverTime += time.Since(start)
 	out.solverCalls++
 	out.engine.Add(sres.Stats)
@@ -112,7 +117,7 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limi
 		// (they share the canceled ctx and will bail the same way). The
 		// shape entry stays: Canon is not cancelable, so it is complete.
 		m.mu.Lock()
-		delete(m.entries, s.key)
+		delete(m.entries, key)
 		m.mu.Unlock()
 		e.status = solver.UNKNOWN
 		close(e.ready)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -184,6 +186,55 @@ func TestMemoTableCancellation(t *testing.T) {
 	}
 	if len(memo.shapes) != 2 {
 		t.Errorf("alpha-variant re-canonicalized: %d canon calls", len(memo.shapes))
+	}
+}
+
+// TestMemoLevelTwoHitBuildsNoExpr: a group whose shape is new but whose
+// canonical key is not pays for the canonicalization and nothing else —
+// the canonical expression is the owner of a level-two miss's to build. The
+// formula is a real cycle formula made unsatisfiable (no model to translate
+// back), the second shape the same conjunction with that one conjunct
+// moved to the front; the hit must allocate less than half of what building
+// its canonical expression alone would.
+func TestMemoLevelTwoHitBuildsNoExpr(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	formulas, err := NewAnalyzer(fig1Schema()).CycleFormulas(ctx, pipelineTraces())
+	if err != nil || len(formulas) == 0 {
+		t.Fatalf("fixture: %d formulas, err %v", len(formulas), err)
+	}
+	xs := formulas[0].(*smt.NAry).Xs
+	var unsat smt.Expr
+	for name, sort := range smt.VarSet(formulas[0]) {
+		if v := smt.NewVar(name, sort); sort == smt.SortInt {
+			unsat = smt.Lt(v, v)
+			break
+		}
+	}
+	plain := &smt.NAry{Conj: true, Xs: append(slices.Clone(xs), unsat)}
+	moved := &smt.NAry{Conj: true, Xs: append([]smt.Expr{unsat}, xs...)}
+
+	memo := newMemoTable()
+	var out chainOutcome
+	if res, hit := memo.solve(ctx, plain, solver.Limits{}, &out); hit || res.Status != solver.UNSAT {
+		t.Fatalf("first solve: hit %v, %v", hit, res.Status)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, hit := memo.solve(ctx, moved, solver.Limits{}, &out)
+	runtime.ReadMemStats(&after)
+	if !hit || res.Status != solver.UNSAT || len(memo.shapes) != 2 || out.solverCalls != 1 {
+		t.Fatalf("reordered formula: hit %v, %v, %d shapes, %d solver calls — want a level-two hit on a new shape",
+			hit, res.Status, len(memo.shapes), out.solverCalls)
+	}
+	var sh smt.Shape
+	sh.Reset(moved)
+	canon := memo.shapes[string(sh.Key())].canon
+	build := testing.AllocsPerRun(10, func() { canon.Expr() })
+	got := float64(after.Mallocs - before.Mallocs)
+	t.Logf("level-two hit: %v allocations; its canonical expression: %v", got, build)
+	if got >= build/2 {
+		t.Errorf("level-two hit made %v allocations; building its canonical expression takes %v", got, build)
 	}
 }
 

@@ -43,6 +43,7 @@ type chainOutcome struct {
 	sat, unsat     int
 	unknown        int
 	solverTime     time.Duration
+	canonTime      time.Duration
 	// engine aggregates the CDCL(T) counters of the solver calls this
 	// chain owned (memo hits charge nothing — the owning call counted).
 	engine solver.Stats
@@ -136,6 +137,7 @@ func (a *Analyzer) discharge(ctx context.Context, chains []*chain, workers int, 
 		res.Stats.SolverUNSAT += o.unsat
 		res.Stats.SolverUnknown += o.unknown
 		res.Stats.SolverTime += o.solverTime
+		res.Stats.CanonTime += o.canonTime
 		res.Stats.Engine.Add(o.engine)
 		if o.deadlock != nil {
 			res.Deadlocks = append(res.Deadlocks, o.deadlock)
@@ -144,6 +146,7 @@ func (a *Analyzer) discharge(ctx context.Context, chains []*chain, workers int, 
 	res.Stats.CanonCalls = len(memo.shapes) // workers are done
 	if o != nil {
 		o.P().CanonCalls.Add(int64(res.Stats.CanonCalls))
+		o.P().CanonMicros.Add(res.Stats.CanonTime.Microseconds())
 	}
 	if err == nil {
 		err = ctx.Err()

@@ -94,6 +94,7 @@ type Stats struct {
 	// the report does not.
 	Parallelism int
 	SolverTime  time.Duration // cumulative in-solver time across workers
+	CanonTime   time.Duration // cumulative canonicalization time (one per shape) across workers
 	EnumTime    time.Duration // wall time of phases 1–2 (pool + merge)
 	FineTime    time.Duration // wall time of phase 3 + merge
 }
@@ -105,6 +106,7 @@ type Stats struct {
 func (s Stats) WithoutTimings() Stats {
 	s.Parallelism = 0
 	s.SolverTime = 0
+	s.CanonTime = 0
 	s.EnumTime = 0
 	s.FineTime = 0
 	return s
@@ -164,6 +166,10 @@ func (s Stats) Render() string {
 	if s.MemoHits > 0 || s.CanonCalls > 0 {
 		memo = fmt.Sprintf(", %d memo hits over %d shapes", s.MemoHits, s.CanonCalls)
 	}
+	canon := ""
+	if s.CanonTime > 0 {
+		canon = fmt.Sprintf(" (canon %v)", s.CanonTime.Round(1000))
+	}
 	par := ""
 	if s.Parallelism > 1 {
 		par = fmt.Sprintf(" on %d workers", s.Parallelism)
@@ -176,10 +182,10 @@ func (s Stats) Render() string {
 			e.Decisions, e.Conflicts, e.Propagations, e.LearnedClauses, e.Backjumps, e.TheoryCalls)
 	}
 	return fmt.Sprintf(
-		"phases: %d traces, %d txn pairs -> %d after txn-level filter -> %d coarse cycles -> %d lock-filtered, %d groups solved via %d solver calls%s (SAT %d / UNSAT %d / UNKNOWN %d) in %v%s%s%s%s%s",
+		"phases: %d traces, %d txn pairs -> %d after txn-level filter -> %d coarse cycles -> %d lock-filtered, %d groups solved via %d solver calls%s (SAT %d / UNSAT %d / UNKNOWN %d) in %v%s%s%s%s%s%s",
 		s.Traces, s.Pairs, s.PairsAfterPhase1, s.CoarseCycles,
 		s.LockFiltered, s.GroupsSolved, s.SolverCalls, memo,
-		s.SolverSAT, s.SolverUNSAT, s.SolverUnknown, s.SolverTime.Round(1000), par, idx, fps, pre, engine)
+		s.SolverSAT, s.SolverUNSAT, s.SolverUnknown, s.SolverTime.Round(1000), canon, par, idx, fps, pre, engine)
 }
 
 // Render formats one deadlock.

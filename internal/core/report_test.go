@@ -35,6 +35,17 @@ func TestStatsRenderGolden(t *testing.T) {
 		t.Errorf("full stats render:\n got: %q\nwant: %q", got, want)
 	}
 
+	// Canonicalization time follows the solver time when there is any, and
+	// WithoutTimings takes both back out.
+	timed := full
+	timed.CanonTime = 4100 * time.Microsecond
+	if got, sub := timed.Render(), "in 1.52s (canon 4.1ms) on 4 workers\n"; !strings.Contains(got, sub) {
+		t.Errorf("stats render with canon time lacks %q:\n%s", sub, got)
+	}
+	if got := timed.WithoutTimings().Render(); strings.Contains(got, "canon") || !strings.Contains(got, " in 0s\n") {
+		t.Errorf("WithoutTimings left a timing in the stats line:\n%s", got)
+	}
+
 	// Without engine activity (e.g. a coarse-only run) the engine line
 	// must be absent entirely, not rendered as zeros.
 	bare := Stats{Traces: 2, Pairs: 4, PairsAfterPhase1: 4, CoarseCycles: 9}
@@ -83,8 +94,11 @@ func TestResultRenderIncludesEngineLine(t *testing.T) {
 	if res.Stats.SolverCalls == 0 {
 		t.Fatal("workload made no solver calls")
 	}
+	if res.Stats.CanonCalls == 0 || res.Stats.CanonTime <= 0 {
+		t.Errorf("%d shapes canonicalized in %v: CanonTime not accumulated", res.Stats.CanonCalls, res.Stats.CanonTime)
+	}
 	out := res.Render()
-	for _, want := range []string{"\nengine: ", " decisions, ", " theory calls"} {
+	for _, want := range []string{"\nengine: ", " decisions, ", " theory calls", " (canon "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

@@ -23,6 +23,7 @@ package history
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -233,12 +234,16 @@ func normTables(scratch, tables []string) []string {
 	return out
 }
 
+// maxRecord is the log's record limit; a variable so tests can lower it.
+var maxRecord = btree.MaxLogRecord
+
 // Ingest applies a batch of events idempotently by fingerprint: unknown
 // fingerprints are appended as full events, known ones as touch
 // records. One fsync per batch. An event without a fingerprint fails the
-// whole batch with ErrInvalidEvent before anything is written. Ingest
-// neither modifies events nor keeps a reference into it: what the store
-// holds is decoded from the bytes it appended.
+// whole batch with ErrInvalidEvent, and one whose record would pass the
+// log's size limit with btree.ErrRecordTooLarge, before anything is
+// written. Ingest neither modifies events nor keeps a reference into it:
+// what the store holds is decoded from the bytes it appended.
 func (s *Store) Ingest(events []Event) (IngestSummary, error) {
 	sum := IngestSummary{Received: len(events)}
 	for i := range events {
@@ -251,11 +256,12 @@ func (s *Store) Ingest(events []Event) (IngestSummary, error) {
 	now := s.now().UTC()
 	var buf []byte
 	var tables []string
-	for i := range events {
+	// encode renders event i's record — a touch when the store knows the
+	// fingerprint — into buf.
+	encode := func(i int) (known bool) {
 		var rec record
-		if _, ok := s.events.Get(events[i].Fingerprint); ok {
+		if _, known = s.events.Get(events[i].Fingerprint); known {
 			rec = record{kind: recTouch, fp: events[i].Fingerprint, at: now}
-			sum.Deduped++
 		} else {
 			e := events[i] // shallow copy: Tables is replaced, never written through
 			tables = normTables(tables, e.Tables)
@@ -265,9 +271,25 @@ func (s *Store) Ingest(events []Event) (IngestSummary, error) {
 			}
 			e.Seen, e.FirstSeen, e.LastSeen = 1, now, now
 			rec = record{kind: recEvent, e: &e}
-			sum.Stored++
 		}
 		buf = appendRecord(buf[:0], rec)
+		return known
+	}
+	// Size every record against the store as it stands (a fingerprint
+	// repeated within the batch counts in its larger, event form), so a
+	// refused batch leaves nothing behind.
+	for i := range events {
+		if encode(i); len(buf) > maxRecord {
+			return sum, fmt.Errorf("%w: event %d (%s) encodes to %d bytes, limit %d",
+				btree.ErrRecordTooLarge, i, events[i].Fingerprint, len(buf), maxRecord)
+		}
+	}
+	for i := range events {
+		if encode(i) {
+			sum.Deduped++
+		} else {
+			sum.Stored++
+		}
 		if err := s.log.Append(buf); err != nil {
 			return sum, err
 		}
@@ -313,15 +335,17 @@ func (q EventQuery) match(e *Event) bool {
 }
 
 // Events returns matching events in fingerprint order (deterministic
-// across processes and reloads). The returned events are shallow copies:
-// their Tables slices belong to the store and must not be written to.
+// across processes and reloads). The returned events are the caller's:
+// each carries its own copy of Tables, the one field that is a slice.
 func (s *Store) Events(q EventQuery) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Event
 	s.events.AscendAll(func(_ string, e *Event) bool {
 		if q.match(e) {
-			out = append(out, *e)
+			c := *e
+			c.Tables = slices.Clone(e.Tables)
+			out = append(out, c)
 		}
 		return q.Limit == 0 || len(out) < q.Limit
 	})

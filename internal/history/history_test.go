@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"weseer/internal/btree"
 )
 
 // fixedClock returns a deterministic advancing clock so ingests get
@@ -331,6 +334,65 @@ func TestIngestAllOrNothing(t *testing.T) {
 		if s.Len() != 1 || s.Size() != size || string(snapshot(t, s)) != string(before) {
 			t.Fatalf("bad event at %d changed the store: %d events, %d bytes (was 1, %d)", bad, s.Len(), s.Size(), size)
 		}
+	}
+}
+
+// TestIngestRefusesOversizedRecord: an event that encodes past the log's
+// record limit is the caller's payload at fault — ErrRecordTooLarge, found
+// before the first append, so the events ahead of it in the batch are not
+// stored either.
+func TestIngestRefusesOversizedRecord(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Ingest(testEvents()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	defer func(old int) { maxRecord = old }(maxRecord)
+	maxRecord = 512
+	size, before := s.Size(), snapshot(t, s)
+	batch := testEvents()
+	batch[2].Class = strings.Repeat("x", maxRecord)
+	sum, err := s.Ingest(batch)
+	if !errors.Is(err, btree.ErrRecordTooLarge) {
+		t.Fatalf("err = %v, want btree.ErrRecordTooLarge", err)
+	}
+	if sum.Stored != 0 || sum.Deduped != 0 {
+		t.Errorf("summary %+v claims work", sum)
+	}
+	if s.Size() != size || string(snapshot(t, s)) != string(before) {
+		t.Fatalf("refused batch changed the store: %d bytes, was %d", s.Size(), size)
+	}
+	if sum, err := s.Ingest(testEvents()); err != nil || sum.Stored != 2 {
+		t.Fatalf("the same batch without the oversized field: %+v, %v", sum, err)
+	}
+}
+
+// TestEventsResultIsTheCallers: sorting or overwriting a returned event's
+// Tables must not reach the store's index.
+func TestEventsResultIsTheCallers(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Ingest(testEvents()); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshot(t, s)
+	for _, e := range s.Events(EventQuery{}) {
+		for i := range e.Tables {
+			e.Tables[i] = "HACKED"
+		}
+		_ = append(e.Tables[:0], "HACKED", "HACKED", "HACKED")
+	}
+	if after := snapshot(t, s); string(after) != string(before) {
+		t.Fatalf("mutating a query result changed the store:\n%s\n%s", before, after)
+	}
+	if got := len(s.Events(EventQuery{Table: "Sku"})); got != 1 {
+		t.Errorf("table filter finds %d events after the mutation, want 1", got)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"weseer/internal/btree"
 	"weseer/internal/obs"
 	"weseer/internal/trace"
 )
@@ -206,6 +207,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sum, err := s.Store.Ingest(events)
 	if errors.Is(err, ErrInvalidEvent) {
 		fail(http.StatusBadRequest, "ingest: %v", err)
+		return
+	}
+	if errors.Is(err, btree.ErrRecordTooLarge) { // the client's payload, like the body limit
+		fail(http.StatusRequestEntityTooLarge, "ingest: %v", err)
 		return
 	}
 	if err != nil {

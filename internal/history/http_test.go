@@ -320,6 +320,35 @@ func TestIngestOversizedBody(t *testing.T) {
 	}
 }
 
+// TestIngestOversizedEvent: an event past the log's record limit is
+// answered like an oversized body — 413, the client's payload — not 500.
+func TestIngestOversizedEvent(t *testing.T) {
+	srv, ts, reg := newTestServer(t)
+	defer func(old int) { maxRecord = old }(maxRecord)
+	maxRecord = 512
+	batch := testEvents()
+	batch[1].Class = strings.Repeat("x", maxRecord)
+	body, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/ingest?format=events", obs.ContentTypeJSON, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "limit 512") {
+		t.Errorf("status %d %s, want 413 naming the limit", resp.StatusCode, msg)
+	}
+	if n := srv.Store.Len(); n != 0 {
+		t.Errorf("refused batch left %d events in the store", n)
+	}
+	if got := reg.Snapshot()["weseer_history_ingest_errors_total"]; got != 1 {
+		t.Errorf("ingest_errors_total = %v, want 1", got)
+	}
+}
+
 func TestEventsTextFormat(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
 	if _, err := srv.Store.Ingest(testEvents()); err != nil {

@@ -120,6 +120,7 @@ type PipelineMetrics struct {
 	SolverCalls      *Counter
 	MemoHits         *Counter
 	CanonCalls       *Counter
+	CanonMicros      *Counter
 
 	PrescreenPairs       *Counter
 	PrescreenPairsPruned *Counter
@@ -162,6 +163,7 @@ func RegisterPipelineMetrics(reg *Registry) *PipelineMetrics {
 		SolverCalls:      reg.Counter("weseer_funnel_solver_calls_total", "group discharges that ran the solver"),
 		MemoHits:         reg.Counter("weseer_funnel_memo_hits_total", "group discharges served from the solver-call memo table"),
 		CanonCalls:       reg.Counter("weseer_canon_calls_total", "distinct formula shapes canonicalized (memo level one)"),
+		CanonMicros:      reg.Counter("weseer_canon_microseconds_total", "time spent canonicalizing those shapes, summed over workers"),
 
 		PrescreenPairs:       reg.Counter("weseer_prescreen_pairs_total", "pairs examined by the phase-0 static screen"),
 		PrescreenPairsPruned: reg.Counter("weseer_prescreen_pairs_pruned_total", "pairs discarded before cycle enumeration"),

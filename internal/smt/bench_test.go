@@ -22,7 +22,9 @@ func benchExpr(prefix string) Expr {
 }
 
 // BenchmarkCanon measures full canonicalization (the memo-key path) of
-// alpha-variant formulas.
+// alpha-variant formulas. Its formula is flat — connective depth 2, no
+// arrays — where real cycle formulas nest to 5 and read stored-to arrays;
+// BenchmarkCanonCorpus (internal/solver) measures those.
 func BenchmarkCanon(b *testing.B) {
 	f1 := benchExpr("A1.")
 	f2 := benchExpr("A2.")

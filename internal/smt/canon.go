@@ -54,9 +54,19 @@ package smt
 //
 // Every step is a pure function of the expression, so Canon is
 // deterministic and equivalent inputs converge to one key.
+//
+// The passes run on a compiled form: one pre-order walk flattens the
+// formula into a node slice whose variables and array roots are the
+// Shape's symbol indices, so the union-find, the assignment and the
+// constant maps are slices indexed by symbol, reset by bumping an epoch,
+// and a sort key is bytes appended to one reused buffer. What an atom
+// observes (sideFacts) and its first symbol do not depend on operand
+// order, so compile computes them once.
 
 import (
+	"bytes"
 	"math/big"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -69,13 +79,16 @@ type CanonResult struct {
 	// constant occurrences in untainted components replaced by canonical
 	// ones. Expr is equivalent to the input up to those transformations:
 	// alpha-renaming, commutative reordering, and per-component injective
-	// constant remapping.
+	// constant remapping. Shape.Rebase leaves it nil — ShapeCanon.Expr
+	// builds it for whoever has to solve it.
 	Expr Expr
 	// Rename maps each original variable name and array root ID to its
 	// canonical name. The mapping is a bijection on the names occurring
 	// in the input, so it can be inverted to translate a model found for
 	// Expr back into the input's namespace.
 	Rename map[string]string
+
+	key string
 
 	// abs maps each canonical variable/array name whose component was
 	// abstracted to its component tag; ints and strs hold the
@@ -94,8 +107,8 @@ type CanonResult struct {
 // Key returns Expr's string form, the identity the memo table's second
 // level keys on. Equivalent inputs produce equal keys; inputs differing in
 // structure or in any corresponding sort produce distinct keys (canonical
-// names carry their sorts). It is rendered on demand — once per shape.
-func (c CanonResult) Key() string { return c.Expr.String() }
+// names carry their sorts).
+func (c CanonResult) Key() string { return c.key }
 
 // Invert returns the canonical-to-original name mapping.
 func (c CanonResult) Invert() map[string]string {
@@ -106,59 +119,147 @@ func (c CanonResult) Invert() map[string]string {
 	return inv
 }
 
-// localKeyer canonicalizes operands in isolation, one after another: the
-// component analysis and the assignment of each are built in one set of
-// maps, cleared in between, because pass 1 keys every operand at every
-// nesting level and none of those assignments is kept.
-type localKeyer struct {
-	comp components
-	m    canonMaps
-}
-
-func newLocalKeyer() *localKeyer {
-	k := &localKeyer{comp: components{parent: map[string]string{}, info: map[string]compInfo{}}}
-	k.m = canonMaps{vars: map[string]string{}, abs: map[string]string{}, shifted: map[string]int64{}, comp: &k.comp}
-	return k
-}
-
-// key canonicalizes x in isolation (including its own component analysis)
-// and returns its string form. The key is invariant under any renaming of
-// an enclosing formula.
-func (k *localKeyer) key(x Expr) string {
-	clear(k.comp.parent)
-	clear(k.comp.info)
-	walkAtoms(x, &k.comp)
-	m := &k.m
-	clear(m.vars)
-	clear(m.abs)
-	clear(m.shifted)
-	clear(m.ints)
-	clear(m.strs)
-	m.nextInt, m.nextStr = 0, 0
-	canonAssign(x, m)
-	return m.render(x)
-}
-
-// render returns m.apply(x, "", 0).String() without building the tree.
-func (m *canonMaps) render(x Expr) string {
-	w := writer{buf: m.buf[:0], m: m}
-	w.expr(x, "", 0)
-	m.buf = w.buf
-	return string(w.buf)
-}
-
 // Canon canonicalizes e as described in the package comment above.
 func Canon(e Expr) CanonResult {
+	var sh Shape
+	sh.Reset(e)
+	c := sh.Canon()
+	r := sh.Rebase(c)
+	r.Expr = c.Expr()
+	return r
+}
+
+// ShapeCanon is the canonicalization of a formula shape — everything Canon
+// computes that does not depend on what the symbols are called, so every
+// formula of the shape shares it. It is immutable.
+type ShapeCanon struct {
+	res   CanonResult // the key and the translation maps; Expr and Rename unset
+	names []string    // canonical name of the shape's i-th symbol
+	// The compiled formula with its operand lists in final order and its
+	// constants already canonical: what Expr builds from.
+	nodes  []cnode
+	kids   []int32
+	consts []Expr
+}
+
+// Key is the canonical formula's string form (CanonResult.Key).
+func (c *ShapeCanon) Key() string { return c.res.key }
+
+// Rebase returns what Canon returns for the formula s was taken from,
+// short of Expr: c with the formula's own names composed in.
+func (s *Shape) Rebase(c *ShapeCanon) CanonResult {
+	r := c.res
+	r.Rename = make(map[string]string, len(s.names))
+	for i, n := range s.names {
+		r.Rename[n] = c.names[i]
+	}
+	return r
+}
+
+// ---------------------------------------------------------------------------
+// Compiled form
+
+const (
+	kBool    uint8 = iota // op: the value
+	kInt                  // v; op 1: the constant is itself an atom side, so a shift moves it
+	kReal                 // consts[v]
+	kStr                  // consts[v]; op 1 (in a ShapeCanon only): the canonical "k<v>"
+	kVar                  // sym, sort
+	kArith                // op, sort; operands follow
+	kCmp                  // an atom — op; sym: its first symbol or -1; v: index into facts
+	kBoolCmp              // (dis)equality of formulas — op
+	kNAry                 // op 1: and; v operands listed at kids[aux:]
+	kNot
+	kSelect // an atom — sym, v as kCmp; a kRoot, the kStores oldest first, then the key at node aux
+	kRoot   // array root — sym, sort (of its keys), v: version
+	kStore  // one array version — op: the stored value, v: version; its key follows
+)
+
+// cnode is one node of the flattened formula. Nodes are in pre-order and
+// a node's subtree is the span up to end, so a node's children are i+1,
+// nodes[i+1].end, … — except And/Or operands, which sorting permutes and
+// which are therefore listed in kids. It holds no pointer — String and
+// Real constants sit in a side table — so the collector never scans nodes.
+type cnode struct {
+	kind, op uint8
+	sort     Sort
+	end      int32
+	sym      int32
+	aux      int32
+	v        int64
+}
+
+// symState is a symbol's slot in the union-find and in the assignment;
+// each half is valid only under the matching epoch.
+type symState struct {
+	parent  int32
+	ufEpoch uint32
+	info    compInfo // of the component, when the symbol is its root
+
+	canon    int32 // N of "c<N>:<sort>"
+	sort     Sort  // at first occurrence
+	asgEpoch uint32
+}
+
+// canonizer is Canon's scratch, kept in the Shape so that a pooled Shape
+// canonicalizes without allocating anything but its result.
+type canonizer struct {
+	nodes  []cnode
+	kids   []int32
+	consts []Expr     // the String and Real constants
+	facts  []compInfo // what each atom observes
+	idx    map[string]int
+
+	syms     []symState
+	ufEpoch  uint32
+	asgEpoch uint32
+	assigned int32
+	// The assignment's constant maps: entry k of ints maps orig to k+1
+	// within component comp, entry k of strs to "k<k>". A formula has a
+	// handful of constants, so lookup is a scan.
+	ints []intEntry
+	strs []strEntry
+
+	buf []byte    // the sort keys of one operand list, or the final key
+	ops []operand // that list's operands and where their keys are
+}
+
+type intEntry struct {
+	comp int32
+	orig int64
+}
+
+type strEntry struct {
+	comp int32
+	orig string
+}
+
+// operand is an And/Or operand and its sort key, buf[lo:hi].
+type operand struct {
+	node, lo, hi int32
+}
+
+// Canon canonicalizes the formula s was last Reset to.
+func (s *Shape) Canon() *ShapeCanon {
+	c := &s.cz
+	c.nodes, c.kids, c.consts, c.facts, c.idx = c.nodes[:0], c.kids[:0], c.consts[:0], c.facts[:0], s.idx
+	c.syms = c.syms[:0]
+	for range s.names {
+		c.syms = append(c.syms, symState{})
+	}
+	c.ufEpoch, c.asgEpoch = 0, 0
+	c.formula(s.e)
+
 	// Pass 1: order And/Or operands by their local shape — each operand
 	// canonicalized in isolation. The local key is invariant under any
 	// renaming of the whole formula, so two equivalent inputs sort their
 	// operands identically even though their global first-occurrence
 	// numberings disagree.
-	e = acSort(e, newLocalKeyer().key)
+	c.sortOperands(0, true)
 
 	// The component partition is a function of the formula's atoms, so it
 	// is unaffected by the operand reordering below — compute it once.
-	comp := analyzeComponents(e)
+	c.analyze(0)
 
 	// Pass 2..n: refine ties with the global numbering. Operands that
 	// are locally equivalent (e.g. the same path condition instantiated
@@ -166,19 +267,166 @@ func Canon(e Expr) CanonResult {
 	// whole-formula assignment is applied, and that assignment is
 	// equivariant under renamings of the input, so equivalent inputs
 	// refine identically. Sort and renumber until a fixpoint (or a small
-	// cap — Canon stays a pure function either way). m is always the
-	// assignment of the current e.
-	m := newCanonMaps(e, comp)
-	for i := 0; i < 4; i++ {
-		sorted := acSort(e, m.render)
-		if sorted == e {
+	// cap — Canon stays a pure function either way). The assignment is
+	// always that of the current order.
+	c.assign(0)
+	for i := 0; i < 4 && c.sortOperands(0, false); i++ {
+		c.assign(0)
+	}
+	return c.result()
+}
+
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// formula compiles a Boolean-level node.
+func (c *canonizer) formula(e Expr) {
+	i := len(c.nodes)
+	switch t := e.(type) {
+	case BoolConst:
+		c.nodes = append(c.nodes, cnode{kind: kBool, op: b2u(t.B)})
+	case Var:
+		// A Boolean variable used directly as an atom relates no symbols.
+		c.nodes = append(c.nodes, cnode{kind: kVar, sort: t.S, sym: int32(c.idx[t.Name])})
+	case *NAry:
+		c.nodes = append(c.nodes, cnode{kind: kNAry, op: b2u(t.Conj), v: int64(len(t.Xs)), aux: int32(len(c.kids))})
+		for range t.Xs {
+			c.kids = append(c.kids, 0)
+		}
+		for j, x := range t.Xs {
+			c.kids[int(c.nodes[i].aux)+j] = int32(len(c.nodes))
+			c.formula(x)
+		}
+	case Not:
+		c.nodes = append(c.nodes, cnode{kind: kNot})
+		c.formula(t.X)
+	case *Cmp:
+		if t.L.Sort() == SortBool {
+			// (Dis)equality over formulas observes truth values only;
+			// each side's own atoms constrain their own components.
+			c.nodes = append(c.nodes, cnode{kind: kBoolCmp, op: uint8(t.Op)})
+			c.formula(t.L)
+			c.formula(t.R)
 			break
 		}
-		e = sorted
-		m = newCanonMaps(e, comp)
+		c.nodes = append(c.nodes, cnode{kind: kCmp, op: uint8(t.Op)})
+		f := compInfo{tainted: t.Op != EQ && t.Op != NE}
+		c.side(t.L, &f)
+		c.side(t.R, &f)
+		c.atom(i, f)
+	case *Select:
+		c.nodes = append(c.nodes, cnode{kind: kSelect})
+		// Real-keyed arrays also block the shift: their model entry keys
+		// are stored in string form that shiftKeyString cannot move.
+		real := t.Arr.KeySort == SortReal
+		f := compInfo{tainted: real, noShift: real}
+		c.array(t.Arr, &f)
+		c.nodes[i].aux = int32(len(c.nodes))
+		c.side(t.Key, &f)
+		c.atom(i, f)
+	default:
+		panic("smt: Canon of unknown node")
 	}
-	return CanonResult{Expr: m.apply(e, "", 0), Rename: m.vars,
-		abs: m.abs, ints: m.ints, strs: m.strs, shifted: m.shifted}
+	c.nodes[i].end = int32(len(c.nodes))
+}
+
+// atom completes the atom at node i, whose operands are compiled: f is
+// what it observes and its first symbol stands for its component.
+func (c *canonizer) atom(i int, f compInfo) {
+	n := &c.nodes[i]
+	n.sym, n.v = -1, int64(len(c.facts))
+	c.facts = append(c.facts, f)
+	for _, m := range c.nodes[i+1:] {
+		if m.kind == kVar || m.kind == kRoot {
+			n.sym = m.sym
+			break
+		}
+	}
+}
+
+func (c *canonizer) array(a *Array, f *compInfo) {
+	i := len(c.nodes)
+	if a.Parent == nil {
+		c.nodes = append(c.nodes, cnode{kind: kRoot, sort: a.KeySort, sym: int32(c.idx[a.ID]), v: int64(a.Version)})
+	} else {
+		c.array(a.Parent, f)
+		i = len(c.nodes)
+		c.nodes = append(c.nodes, cnode{kind: kStore, op: b2u(a.StoreVal), v: int64(a.Version)})
+		c.side(a.StoreKey, f)
+	}
+	c.nodes[i].end = int32(len(c.nodes))
+}
+
+// side compiles one comparison side (or array key) and folds it into the
+// atom's facts: a lone Int constant is directly compared (and so
+// shiftable by δ); a single positively-occurring variable plus constant
+// offsets is offset-invariant; anything else rules the component out of
+// shifting.
+func (c *canonizer) side(e Expr, f *compInfo) {
+	if k, ok := e.(IntConst); ok {
+		c.nodes = append(c.nodes, cnode{kind: kInt, op: 1, v: k.V, end: int32(len(c.nodes) + 1)})
+		if !f.hasAbs || k.V < f.minAbs {
+			f.minAbs = k.V
+		}
+		f.hasAbs = true
+		return
+	}
+	if nv, ok := c.term(e, f); !ok || nv > 1 {
+		f.noShift = true
+	}
+}
+
+// term compiles an Int/String/Real term, taints the atom when the term
+// forces its component concrete (arithmetic or Real sort), and reports
+// the number of variable occurrences and whether every variable occurs
+// with coefficient +1 (only Add, and Sub with a constant subtrahend).
+// Such terms change by exactly δ under the shift v ↦ v+δ. Real variables
+// qualify: v ↦ v+δ with integral δ is an automorphism of the reals under
+// order, equality, and constant offsets just as of the integers. Real
+// *constants* do not — a fractional value cannot be folded into the
+// integral δ. Constants contribute no symbol: occurrences of the same
+// value in different atoms are related only through the atoms' variables.
+func (c *canonizer) term(e Expr, f *compInfo) (nvars int, ok bool) {
+	i := len(c.nodes)
+	switch t := e.(type) {
+	case IntConst:
+		c.nodes = append(c.nodes, cnode{kind: kInt, v: t.V})
+		ok = true
+	case StrConst:
+		c.nodes = append(c.nodes, cnode{kind: kStr, v: int64(len(c.consts))})
+		c.consts = append(c.consts, e)
+		ok = true
+	case RealConst:
+		c.nodes = append(c.nodes, cnode{kind: kReal, v: int64(len(c.consts))})
+		c.consts = append(c.consts, e)
+		f.tainted = true
+	case Var:
+		c.nodes = append(c.nodes, cnode{kind: kVar, sort: t.S, sym: int32(c.idx[t.Name])})
+		f.tainted = f.tainted || t.S == SortReal
+		nvars, ok = 1, true
+	case *Arith:
+		c.nodes = append(c.nodes, cnode{kind: kArith, op: uint8(t.Op), sort: t.S})
+		f.tainted = true
+		ln, lok := c.term(t.L, f)
+		rn, rok := 0, true
+		if t.R != nil {
+			rn, rok = c.term(t.R, f)
+		}
+		switch t.Op { // Mul, Neg: not offset-invariant
+		case OpAdd:
+			nvars, ok = ln+rn, lok && rok && ln+rn == 1
+		case OpSub:
+			nvars, ok = ln+rn, lok && rok && ln == 1 && rn == 0
+		}
+	default:
+		panic("smt: Canon of unknown term node")
+	}
+	c.nodes[i].end = int32(len(c.nodes))
+	return nvars, ok
 }
 
 // ---------------------------------------------------------------------------
@@ -208,487 +456,430 @@ func (i *compInfo) merge(o *compInfo) {
 	}
 }
 
-// components is a union-find over variable and array-root symbols. Two
-// symbols share a component when some atom mentions both.
-type components struct {
-	parent map[string]string
-	info   map[string]compInfo // keyed by root; absent means no observations
+// delta returns the shift for a tainted but offset-invariant component,
+// 0 when it does not shift.
+func (i *compInfo) delta() int64 {
+	if !i.tainted || i.noShift || !i.hasAbs {
+		return 0
+	}
+	return i.minAbs
 }
 
-func (c *components) find(x string) string {
-	p, ok := c.parent[x]
-	if !ok {
-		c.parent[x] = x
+// find is a union-find over the symbols: two share a component when some
+// atom mentions both. A symbol untouched in this epoch is its own root.
+func (c *canonizer) find(x int32) int32 {
+	s := &c.syms[x]
+	if s.ufEpoch != c.ufEpoch {
+		s.ufEpoch, s.parent, s.info = c.ufEpoch, x, compInfo{}
 	}
-	if !ok || p == x {
-		return x
+	if s.parent != x {
+		s.parent = c.find(s.parent)
 	}
-	r := c.find(p)
-	if r != p {
-		c.parent[x] = r
-	}
-	return r
+	return s.parent
 }
 
-func (c *components) union(a, b string) {
-	ra, rb := c.find(a), c.find(b)
-	if ra == rb {
-		return
-	}
-	c.parent[ra] = rb
-	if ia, ok := c.info[ra]; ok {
-		delete(c.info, ra)
-		ib := c.info[rb] // the zero compInfo is merge's identity
-		ib.merge(&ia)
-		c.info[rb] = ib
-	}
-}
-
-// link merges all syms into one component and folds the atom's
-// observations into it.
-func (c *components) link(syms []string, facts compInfo) {
-	if len(syms) == 0 {
-		return
-	}
-	for _, s := range syms[1:] {
-		c.union(syms[0], s)
-	}
-	root := c.find(syms[0])
-	i := c.info[root]
-	i.merge(&facts)
-	c.info[root] = i
-}
-
-func (c *components) tainted(root string) bool { return c.info[root].tainted }
-
-// delta returns the shift for a tainted but offset-invariant component.
-func (c *components) delta(root string) (int64, bool) {
-	i := c.info[root]
-	if !i.tainted || i.noShift || !i.hasAbs || i.minAbs == 0 {
-		return 0, false
-	}
-	return i.minAbs, true
-}
-
-// analyzeComponents partitions e's variables by walking its atoms.
-func analyzeComponents(e Expr) *components {
-	c := &components{parent: map[string]string{}, info: map[string]compInfo{}}
-	walkAtoms(e, c)
-	return c
-}
-
-func walkAtoms(e Expr, c *components) {
-	switch t := e.(type) {
-	case BoolConst, Var:
-		// A Boolean atom relates no Int/String variables.
-	case *NAry:
-		for _, x := range t.Xs {
-			walkAtoms(x, c)
+// analyze partitions the symbols of node i's subtree by walking its atoms.
+func (c *canonizer) analyze(i int32) {
+	c.ufEpoch++
+	for end := c.nodes[i].end; i < end; i++ {
+		n := &c.nodes[i]
+		if (n.kind != kCmp && n.kind != kSelect) || n.sym < 0 {
+			continue
 		}
-	case Not:
-		walkAtoms(t.X, c)
-	case *Cmp:
-		if t.L.Sort() == SortBool {
-			// (Dis)equality over formulas observes truth values only;
-			// each side's own atoms constrain their own components.
-			walkAtoms(t.L, c)
-			walkAtoms(t.R, c)
-			return
-		}
-		syms, bad := termSyms(t.L, nil)
-		syms, bad2 := termSyms(t.R, syms)
-		facts := compInfo{tainted: bad || bad2 || (t.Op != EQ && t.Op != NE)}
-		sideFacts(t.L, &facts)
-		sideFacts(t.R, &facts)
-		c.link(syms, facts)
-	case *Select:
-		syms := []string{t.Arr.ID}
-		bad := t.Arr.KeySort == SortReal
-		// Real-keyed arrays also block the shift: their model entry keys
-		// are stored in string form that shiftKeyString cannot move.
-		facts := compInfo{noShift: bad}
-		for cur := t.Arr; cur != nil; cur = cur.Parent {
-			if cur.StoreKey != nil {
-				var b bool
-				syms, b = termSyms(cur.StoreKey, syms)
-				bad = bad || b
-				sideFacts(cur.StoreKey, &facts)
+		root := c.find(n.sym)
+		for _, m := range c.nodes[i+1 : n.end] {
+			if m.kind != kVar && m.kind != kRoot {
+				continue
+			}
+			if r := c.find(m.sym); r != root {
+				c.syms[r].parent = root
+				c.syms[root].info.merge(&c.syms[r].info)
 			}
 		}
-		syms, b := termSyms(t.Key, syms)
-		sideFacts(t.Key, &facts)
-		facts.tainted = facts.tainted || bad || b
-		c.link(syms, facts)
-	default:
-		panic("smt: walkAtoms of unknown node")
+		c.syms[root].info.merge(&c.facts[n.v])
+		i = n.end - 1
 	}
 }
 
-// sideFacts folds one comparison side (or array key) into the atom's
-// facts: a lone Int constant is directly compared (and so shiftable by
-// δ); a single positively-occurring variable plus constant offsets is
-// offset-invariant; anything else rules the component out of shifting.
-func sideFacts(e Expr, f *compInfo) {
-	if c, ok := e.(IntConst); ok {
-		if !f.hasAbs || c.V < f.minAbs {
-			f.minAbs = c.V
-		}
-		f.hasAbs = true
-		return
+// atomCtx returns what governs an atom's constants, looked up through the
+// component of the atom's first symbol: tag is the component's root when
+// it is untainted and its constants are mapped; otherwise d is the δ to
+// subtract from the atom's directly-compared constants when the component
+// is shift-normalized. (-1, 0) keeps the constants concrete — no symbol,
+// or a tainted component that does not shift.
+func (c *canonizer) atomCtx(sym int32) (tag int32, d int64) {
+	if sym < 0 {
+		return -1, 0
 	}
-	if nv, ok := sideShape(e); !ok || nv > 1 {
-		f.noShift = true
+	root := c.find(sym)
+	if info := &c.syms[root].info; info.tainted {
+		return -1, info.delta()
 	}
-}
-
-// sideShape reports the number of variable occurrences in a term and
-// whether every variable occurs with coefficient +1 (only Add, and Sub
-// with a constant subtrahend). Such terms change by exactly δ under the
-// shift v ↦ v+δ (or stay fixed when variable-free as a lone constant —
-// handled by the caller). Real variables qualify: v ↦ v+δ with integral
-// δ is an automorphism of the reals under order, equality, and constant
-// offsets just as of the integers. Real *constants* do not — a
-// fractional value cannot be folded into the integral δ.
-func sideShape(e Expr) (nvars int, ok bool) {
-	switch t := e.(type) {
-	case IntConst, StrConst:
-		return 0, true
-	case RealConst:
-		return 0, false
-	case Var:
-		return 1, true
-	case *Arith:
-		switch t.Op {
-		case OpAdd:
-			ln, lok := sideShape(t.L)
-			rn, rok := sideShape(t.R)
-			return ln + rn, lok && rok && ln+rn == 1
-		case OpSub:
-			ln, lok := sideShape(t.L)
-			rn, rok := sideShape(t.R)
-			return ln + rn, lok && rok && ln == 1 && rn == 0
-		default: // Mul, Neg: not offset-invariant
-			return 0, false
-		}
-	default:
-		return 0, false
-	}
-}
-
-// termSyms appends the variable symbols occurring in the Int/String/Real
-// term e to syms and reports whether the term forces its component
-// concrete (arithmetic or Real sort). Constants contribute no symbol:
-// occurrences of the same value in different atoms are related only
-// through the atoms' variables.
-func termSyms(e Expr, syms []string) ([]string, bool) {
-	switch t := e.(type) {
-	case IntConst, StrConst:
-		return syms, false
-	case RealConst:
-		return syms, true
-	case Var:
-		return append(syms, t.Name), t.S == SortReal
-	case *Arith:
-		syms, _ = termSyms(t.L, syms)
-		if t.R != nil {
-			syms, _ = termSyms(t.R, syms)
-		}
-		return syms, true
-	default:
-		panic("smt: termSyms of unknown node")
-	}
+	return root, 0
 }
 
 // ---------------------------------------------------------------------------
 // Canonical assignment
 
-// canonMaps accumulates the canonical assignment for one expression:
-// variable/array names always, constants per component in the atoms of
-// untainted components.
-type canonMaps struct {
-	vars    map[string]string
-	abs     map[string]string          // canonical name -> component tag
-	ints    map[string]map[int64]int64 // tag -> original -> canonical
-	strs    map[string]map[string]string
-	shifted map[string]int64 // canonical name -> component δ
-	nextInt int64
-	nextStr int
-	comp    *components
-	buf     []byte // render's scratch
+// assign walks node i's subtree depth-first in current operand order,
+// giving symbols canonical names and, in untainted components, constants
+// canonical values on first occurrence. It replaces the previous
+// assignment.
+func (c *canonizer) assign(i int32) {
+	c.asgEpoch++
+	c.assigned, c.ints, c.strs = 0, c.ints[:0], c.strs[:0]
+	c.assignNode(i, -1)
 }
 
-// newCanonMaps returns e's canonical assignment under the partition comp.
-func newCanonMaps(e Expr, comp *components) *canonMaps {
-	m := &canonMaps{vars: map[string]string{}, abs: map[string]string{},
-		shifted: map[string]int64{}, comp: comp}
-	canonAssign(e, m)
-	return m
-}
-
-// atomCtx returns what governs an atom's constants, looked up through the
-// component of the atom's first variable: tag names the component's
-// constant map when it is untainted; otherwise d is the δ to subtract
-// from the atom's directly-compared constants when the component is
-// shift-normalized. ("", 0) keeps the constants concrete — no variable,
-// or a tainted component that does not shift.
-func (m *canonMaps) atomCtx(atom Expr) (tag string, d int64) {
-	sym, ok := firstVarSym(atom)
-	if !ok {
-		return "", 0
-	}
-	root := m.comp.find(sym)
-	if !m.comp.tainted(root) {
-		return root, 0
-	}
-	d, _ = m.comp.delta(root)
-	return "", d
-}
-
-func firstVarSym(e Expr) (string, bool) {
-	switch t := e.(type) {
-	case Var:
-		return t.Name, true
-	case *Cmp:
-		if s, ok := firstVarSym(t.L); ok {
-			return s, true
+func (c *canonizer) assignNode(i, tag int32) {
+	n := &c.nodes[i]
+	switch n.kind {
+	case kBool, kReal:
+	case kInt:
+		if tag >= 0 {
+			c.intConst(tag, n.v, true)
 		}
-		return firstVarSym(t.R)
-	case *Arith:
-		if s, ok := firstVarSym(t.L); ok || t.R == nil {
-			return s, ok
+	case kStr:
+		if tag >= 0 {
+			c.strConst(tag, c.consts[n.v].(StrConst).S, true)
 		}
-		return firstVarSym(t.R)
-	case *Select:
-		return t.Arr.ID, true
+	case kVar, kRoot:
+		if s := &c.syms[n.sym]; s.asgEpoch != c.asgEpoch {
+			// The index keeps names short; the sort makes sort mismatches
+			// visible in the key.
+			s.asgEpoch, s.canon, s.sort = c.asgEpoch, c.assigned, n.sort
+			c.assigned++
+		}
+	case kNAry:
+		for _, k := range c.kids[n.aux:][:n.v] {
+			c.assignNode(k, tag)
+		}
+	case kSelect:
+		tag, _ = c.atomCtx(n.sym)
+		c.assignNode(i+1, tag)
+		c.assignStores(i+2, n.aux, tag)
+		c.assignNode(n.aux, tag)
 	default:
-		return "", false
+		if n.kind == kCmp {
+			tag, _ = c.atomCtx(n.sym)
+		}
+		for k := i + 1; k < n.end; k = c.nodes[k].end {
+			c.assignNode(k, tag)
+		}
 	}
 }
 
-// canonAssign walks the formula depth-first, left to right, assigning
-// canonical names (and, in untainted components, canonical constants) on
-// first occurrence. The walk mirrors apply's node coverage.
-func canonAssign(e Expr, m *canonMaps) {
-	switch t := e.(type) {
-	case BoolConst:
-	case Var:
-		// A Boolean variable used directly as an atom.
-		m.assignVar(t.Name, t.S)
-	case *NAry:
-		for _, x := range t.Xs {
-			canonAssign(x, m)
+// assignStores assigns the store keys in [k, end) newest version first.
+func (c *canonizer) assignStores(k, end, tag int32) {
+	if k < end {
+		c.assignStores(c.nodes[k].end, end, tag)
+		c.assignNode(k, tag)
+	}
+}
+
+// intConst returns the canonical value of v in component comp, giving it
+// the next one when add is set and it has none.
+func (c *canonizer) intConst(comp int32, v int64, add bool) (int64, bool) {
+	for k, e := range c.ints {
+		if e.comp == comp && e.orig == v {
+			return int64(k + 1), true
 		}
-	case Not:
-		canonAssign(t.X, m)
-	case *Cmp:
-		if t.L.Sort() == SortBool {
-			canonAssign(t.L, m)
-			canonAssign(t.R, m)
-			return
+	}
+	if add {
+		c.ints = append(c.ints, intEntry{comp, v})
+	}
+	return int64(len(c.ints)), add
+}
+
+// strConst is intConst for strings: k stands for "k<k>".
+func (c *canonizer) strConst(comp int32, s string, add bool) (int, bool) {
+	for k, e := range c.strs {
+		if e.comp == comp && e.orig == s {
+			return k, true
 		}
-		tag, _ := m.atomCtx(t)
-		m.assignTerm(t.L, tag)
-		m.assignTerm(t.R, tag)
-	case *Select:
-		tag, _ := m.atomCtx(t)
-		m.assignVar(t.Arr.ID, t.Arr.KeySort)
-		// Store keys newest-version-first, matching Array.String().
-		for cur := t.Arr; cur != nil; cur = cur.Parent {
-			if cur.StoreKey != nil {
-				m.assignTerm(cur.StoreKey, tag)
+	}
+	if add {
+		c.strs = append(c.strs, strEntry{comp, s})
+	}
+	return len(c.strs) - 1, add
+}
+
+// intValue is what the assignment makes of the Int constant n under its
+// atom's context: mapped in an abstracted component, moved by the shift
+// when directly compared, itself otherwise.
+func (c *canonizer) intValue(n *cnode, tag int32, d int64) int64 {
+	if k, ok := c.intConst(tag, n.v, false); ok {
+		return k
+	}
+	if n.op == 1 {
+		return n.v - d
+	}
+	return n.v
+}
+
+// ---------------------------------------------------------------------------
+// Keys and operand order
+
+func (c *canonizer) name(sym int32) {
+	s := &c.syms[sym]
+	b := strconv.AppendInt(append(c.buf, 'c'), int64(s.canon), 10)
+	c.buf = append(append(b, ':'), s.sort.String()...)
+}
+
+func (c *canonizer) str(s string) { c.buf = append(c.buf, s...) }
+
+// render appends to buf what the canonical form of node i's subtree under
+// the current assignment prints as — String() of the tree ShapeCanon.Expr
+// would build, without building it. tag and d are the enclosing atom's
+// atomCtx.
+func (c *canonizer) render(i, tag int32, d int64) {
+	n := &c.nodes[i]
+	switch n.kind {
+	case kBool:
+		c.buf = strconv.AppendBool(c.buf, n.op == 1)
+	case kInt:
+		c.buf = strconv.AppendInt(c.buf, c.intValue(n, tag, d), 10)
+	case kReal:
+		c.str(c.consts[n.v].String())
+	case kStr:
+		s := c.consts[n.v].(StrConst).S
+		if k, ok := c.strConst(tag, s, false); ok {
+			c.buf = append(c.buf, `"k`...)
+			c.buf = strconv.AppendInt(c.buf, int64(k), 10)
+			c.buf = append(c.buf, '"')
+		} else {
+			c.buf = strconv.AppendQuote(c.buf, s)
+		}
+	case kVar, kRoot:
+		c.name(n.sym)
+	case kNAry:
+		if n.op == 1 {
+			c.str("(and ")
+		} else {
+			c.str("(or ")
+		}
+		for j, k := range c.kids[n.aux:][:n.v] {
+			if j > 0 {
+				c.buf = append(c.buf, ' ')
 			}
+			c.render(k, tag, d)
 		}
-		m.assignTerm(t.Key, tag)
-	default:
-		panic("smt: Canon of unknown node")
+		c.buf = append(c.buf, ')')
+	case kNot:
+		c.str("(not ")
+		c.render(i+1, tag, d)
+		c.buf = append(c.buf, ')')
+	case kSelect:
+		tag, d = c.atomCtx(n.sym)
+		c.str("read(")
+		for k := i + 2; k < n.aux; k = c.nodes[k].end {
+			c.str("write(")
+		}
+		c.name(c.nodes[i+1].sym)
+		for k := i + 2; k < n.aux; k = c.nodes[k].end {
+			c.str(", ")
+			c.render(k+1, tag, d)
+			c.str(", ")
+			c.buf = strconv.AppendBool(c.buf, c.nodes[k].op == 1)
+			c.buf = append(c.buf, ')')
+		}
+		c.str(", ")
+		c.render(n.aux, tag, d)
+		c.buf = append(c.buf, ')')
+	default: // kArith, kCmp, kBoolCmp
+		op := CmpOp(n.op).String()
+		switch n.kind {
+		case kCmp:
+			tag, d = c.atomCtx(n.sym)
+		case kArith:
+			op = ArithOp(n.op).String()
+		}
+		if r := c.nodes[i+1].end; r == n.end { // Neg, the one unary operator
+			c.str("(- ")
+			c.render(i+1, tag, d)
+		} else {
+			c.buf = append(c.buf, '(')
+			c.render(i+1, tag, d)
+			c.buf = append(c.buf, ' ')
+			c.str(op)
+			c.buf = append(c.buf, ' ')
+			c.render(r, tag, d)
+		}
+		c.buf = append(c.buf, ')')
 	}
 }
 
-// assignTerm assigns the variables and (under a non-empty tag) the
-// constants of one atom's term side.
-func (m *canonMaps) assignTerm(e Expr, tag string) {
-	switch t := e.(type) {
-	case BoolConst, RealConst:
-	case IntConst:
-		if tag == "" {
-			return
-		}
-		mm := m.ints[tag]
-		if mm == nil {
-			mm = map[int64]int64{}
-			if m.ints == nil {
-				m.ints = map[string]map[int64]int64{}
-			}
-			m.ints[tag] = mm
-		}
-		if _, ok := mm[t.V]; !ok {
-			m.nextInt++
-			mm[t.V] = m.nextInt
-		}
-	case StrConst:
-		if tag == "" {
-			return
-		}
-		mm := m.strs[tag]
-		if mm == nil {
-			mm = map[string]string{}
-			if m.strs == nil {
-				m.strs = map[string]map[string]string{}
-			}
-			m.strs[tag] = mm
-		}
-		if _, ok := mm[t.S]; !ok {
-			mm[t.S] = "k" + strconv.Itoa(m.nextStr)
-			m.nextStr++
-		}
-	case Var:
-		m.assignVar(t.Name, t.S)
-	case *Arith:
-		m.assignTerm(t.L, tag)
-		if t.R != nil {
-			m.assignTerm(t.R, tag)
-		}
-	default:
-		panic("smt: assignTerm of unknown node")
-	}
-}
-
-// assignVar gives name a canonical name on first occurrence and records
-// its component tag when abstracted (model translation needs that).
-func (m *canonMaps) assignVar(name string, s Sort) {
-	if _, ok := m.vars[name]; ok {
-		return
-	}
-	// Embedding the index first keeps names short; the sort suffix makes
-	// sort mismatches visible in the key.
-	canon := "c" + strconv.Itoa(len(m.vars)) + ":" + s.String()
-	m.vars[name] = canon
-	if root := m.comp.find(name); !m.comp.tainted(root) {
-		m.abs[canon] = root
-	} else if d, ok := m.comp.delta(root); ok {
-		m.shifted[canon] = d
-	}
-}
-
-// apply rewrites e per the assignment in one copy: abstracted constant
-// occurrences replaced, directly-compared constants of shift-normalized
-// components moved, then variables and array roots renamed. Unassigned
-// names and constants pass through unchanged. tag and d are the enclosing
-// atom's atomCtx; like the writer — which renders this very tree without
-// building it — d moves only an IntConst that is itself an atom side:
-// every other side shape sideFacts allows (a variable plus constant
-// offsets) tracks its variable, whose model value moves instead, so the
-// relative constants inside Arith stay concrete.
-func (m *canonMaps) apply(e Expr, tag string, d int64) Expr {
-	switch t := e.(type) {
-	case BoolConst, RealConst:
-		return e
-	case IntConst:
-		if c, ok := m.ints[tag][t.V]; ok {
-			return IntConst{V: c}
-		}
-		return IntConst{V: t.V - d}
-	case StrConst:
-		if c, ok := m.strs[tag][t.S]; ok {
-			return StrConst{S: c}
-		}
-		return e
-	case Var:
-		return Var{Name: m.name(t.Name), S: t.S}
-	case *Arith:
-		var r Expr
-		if t.R != nil {
-			r = m.apply(t.R, tag, 0)
-		}
-		return &Arith{Op: t.Op, L: m.apply(t.L, tag, 0), R: r, S: t.S}
-	case *Cmp:
-		if t.L.Sort() != SortBool {
-			tag, d = m.atomCtx(t)
-		}
-		return &Cmp{Op: t.Op, L: m.apply(t.L, tag, d), R: m.apply(t.R, tag, d)}
-	case *NAry:
-		xs := make([]Expr, len(t.Xs))
-		for i, x := range t.Xs {
-			xs[i] = m.apply(x, tag, 0)
-		}
-		return &NAry{Conj: t.Conj, Xs: xs}
-	case Not:
-		return Not{X: m.apply(t.X, tag, 0)}
-	case *Select:
-		tag, d = m.atomCtx(t)
-		return &Select{Arr: m.applyArray(t.Arr, tag, d), Key: m.apply(t.Key, tag, d)}
-	default:
-		panic("smt: Canon of unknown node")
-	}
-}
-
-func (m *canonMaps) applyArray(a *Array, tag string, d int64) *Array {
-	r := &Array{ID: m.name(a.ID), KeySort: a.KeySort, Version: a.Version, StoreVal: a.StoreVal}
-	if a.Parent != nil {
-		r.Parent = m.applyArray(a.Parent, tag, d)
-		r.StoreKey = m.apply(a.StoreKey, tag, d)
-	}
-	return r
-}
-
-// name returns n's canonical name (n itself when unassigned).
-func (m *canonMaps) name(n string) string {
-	if c, ok := m.vars[n]; ok {
-		return c
-	}
-	return n
-}
-
-// acSort rebuilds e with every And/Or operand list stably sorted by key.
-// It returns e itself (interface-equal) when nothing moved, which the
-// fixpoint loop in Canon relies on.
-func acSort(e Expr, key func(Expr) string) Expr {
-	switch t := e.(type) {
-	case *NAry:
-		xs := make([]Expr, len(t.Xs))
-		changed := false
-		for i, x := range t.Xs {
-			xs[i] = acSort(x, key)
-			if xs[i] != x {
-				changed = true
-			}
-		}
-		keys := make([]string, len(xs))
-		for i, x := range xs {
-			keys[i] = key(x)
-		}
-		if !sort.StringsAreSorted(keys) {
-			changed = true
-			idx := make([]int, len(xs))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-			sorted := make([]Expr, len(xs))
-			for i, j := range idx {
-				sorted[i] = xs[j]
-			}
-			xs = sorted
-		}
-		if !changed {
-			return t
-		}
-		return &NAry{Conj: t.Conj, Xs: xs}
-	case Not:
-		if x := acSort(t.X, key); x != t.X {
-			return Not{X: x}
-		}
-		return t
-	case *Cmp:
+// sortOperands stably sorts every And/Or operand list under node i by key,
+// innermost lists first, and reports whether anything moved. With local
+// set an operand's key is its own canonical form — component analysis and
+// assignment of the operand in isolation, invariant under any renaming of
+// an enclosing formula; otherwise it is the operand's form under the
+// current (whole-formula) assignment.
+func (c *canonizer) sortOperands(i int32, local bool) bool {
+	n := &c.nodes[i]
+	moved := false
+	switch n.kind {
+	case kNot, kBoolCmp:
 		// Booleans admit =/!= over connectives, so recurse; term-level
 		// nodes (Arith, Select keys) cannot contain And/Or.
-		l, r := acSort(t.L, key), acSort(t.R, key)
-		if l != t.L || r != t.R {
-			return &Cmp{Op: t.Op, L: l, R: r}
+		for k := i + 1; k < n.end; k = c.nodes[k].end {
+			moved = c.sortOperands(k, local) || moved
 		}
-		return t
-	default:
-		return e
+	case kNAry:
+		kids := c.kids[n.aux:][:n.v]
+		for _, k := range kids {
+			moved = c.sortOperands(k, local) || moved
+		}
+		c.buf, c.ops = c.buf[:0], c.ops[:0]
+		sorted := true
+		for j, k := range kids {
+			if local {
+				c.analyze(k)
+				c.assign(k)
+			}
+			lo := int32(len(c.buf))
+			c.render(k, -1, 0)
+			c.ops = append(c.ops, operand{k, lo, int32(len(c.buf))})
+			sorted = sorted && (j == 0 || c.cmpOps(c.ops[j-1], c.ops[j]) <= 0)
+		}
+		if !sorted {
+			slices.SortStableFunc(c.ops, c.cmpOps)
+			for j, o := range c.ops {
+				kids[j] = o.node
+			}
+			moved = true
+		}
+	}
+	return moved
+}
+
+func (c *canonizer) cmpOps(a, b operand) int {
+	return bytes.Compare(c.buf[a.lo:a.hi], c.buf[b.lo:b.hi])
+}
+
+// ---------------------------------------------------------------------------
+// Outputs
+
+// result renders the key and materializes, once, what outlives the
+// scratch: the canonical names, the maps TranslateModel needs, and a copy
+// of the nodes with every constant made canonical for Expr.
+func (c *canonizer) result() *ShapeCanon {
+	c.buf = c.buf[:0]
+	c.render(0, -1, 0)
+	out := &ShapeCanon{res: CanonResult{key: string(c.buf)}, names: make([]string, len(c.syms)),
+		nodes: slices.Clone(c.nodes), kids: slices.Clone(c.kids), consts: slices.Clone(c.consts)}
+	res := &out.res
+
+	c.buf, c.ops = c.buf[:0], c.ops[:0]
+	for sym := range c.syms {
+		lo := int32(len(c.buf))
+		c.name(int32(sym))
+		c.ops = append(c.ops, operand{lo: lo, hi: int32(len(c.buf))})
+	}
+	all := string(c.buf)
+	for sym, o := range c.ops {
+		out.names[sym] = all[o.lo:o.hi]
+	}
+
+	for sym := range c.syms {
+		root := c.find(int32(sym))
+		if info := &c.syms[root].info; !info.tainted {
+			if res.abs == nil {
+				res.abs = make(map[string]string, len(c.syms))
+			}
+			res.abs[out.names[sym]] = out.names[root]
+		} else if d := info.delta(); d != 0 {
+			if res.shifted == nil {
+				res.shifted = map[string]int64{}
+			}
+			res.shifted[out.names[sym]] = d
+		}
+	}
+	for k, e := range c.ints {
+		if res.ints == nil {
+			res.ints = map[string]map[int64]int64{}
+		}
+		tag := out.names[e.comp]
+		if res.ints[tag] == nil {
+			res.ints[tag] = map[int64]int64{}
+		}
+		res.ints[tag][e.orig] = int64(k + 1)
+	}
+	for k, e := range c.strs {
+		if res.strs == nil {
+			res.strs = map[string]map[string]string{}
+		}
+		tag := out.names[e.comp]
+		if res.strs[tag] == nil {
+			res.strs[tag] = map[string]string{}
+		}
+		res.strs[tag][e.orig] = "k" + strconv.Itoa(k)
+	}
+
+	for i := 0; i < len(out.nodes); i++ {
+		n := &out.nodes[i]
+		if n.kind != kCmp && n.kind != kSelect {
+			continue
+		}
+		tag, d := c.atomCtx(n.sym)
+		for j := i + 1; j < int(n.end); j++ {
+			switch m := &out.nodes[j]; m.kind {
+			case kInt:
+				m.v = c.intValue(m, tag, d)
+			case kStr:
+				if k, ok := c.strConst(tag, c.consts[m.v].(StrConst).S, false); ok {
+					m.op, m.v = 1, int64(k)
+				}
+			}
+		}
+		i = int(n.end) - 1
+	}
+	return out
+}
+
+// Expr builds the canonical formula (CanonResult.Expr), anew on each call.
+func (c *ShapeCanon) Expr() Expr { return c.build(0) }
+
+func (c *ShapeCanon) build(i int32) Expr {
+	n := &c.nodes[i]
+	switch n.kind {
+	case kBool:
+		return BoolConst{B: n.op == 1}
+	case kInt:
+		return IntConst{V: n.v}
+	case kStr:
+		if n.op == 1 {
+			return StrConst{S: "k" + strconv.Itoa(int(n.v))}
+		}
+		return c.consts[n.v]
+	case kReal:
+		return c.consts[n.v]
+	case kVar:
+		return Var{Name: c.names[n.sym], S: n.sort}
+	case kArith:
+		a := &Arith{Op: ArithOp(n.op), L: c.build(i + 1), S: n.sort}
+		if r := c.nodes[i+1].end; r < n.end {
+			a.R = c.build(r)
+		}
+		return a
+	case kCmp, kBoolCmp:
+		return &Cmp{Op: CmpOp(n.op), L: c.build(i + 1), R: c.build(c.nodes[i+1].end)}
+	case kNAry:
+		xs := make([]Expr, n.v)
+		for j, k := range c.kids[n.aux:][:n.v] {
+			xs[j] = c.build(k)
+		}
+		return &NAry{Conj: n.op == 1, Xs: xs}
+	case kNot:
+		return Not{X: c.build(i + 1)}
+	default: // kSelect
+		root := &c.nodes[i+1]
+		arr := &Array{ID: c.names[root.sym], KeySort: root.sort, Version: int(root.v)}
+		for k := i + 2; k < n.aux; k = c.nodes[k].end {
+			arr = &Array{ID: arr.ID, KeySort: arr.KeySort, Version: int(c.nodes[k].v),
+				Parent: arr, StoreKey: c.build(k + 1), StoreVal: c.nodes[k].op == 1}
+		}
+		return &Select{Arr: arr, Key: c.build(n.aux)}
 	}
 }
 

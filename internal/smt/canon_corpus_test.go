@@ -17,23 +17,60 @@ import (
 	"weseer/internal/solver"
 )
 
+// cycleFormulas collects an app's traces and returns its cycle formulas.
+func cycleFormulas(t *testing.T, spec string) []smt.Expr {
+	t.Helper()
+	app, err := apps.Open(spec, apps.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	formulas, err := core.NewAnalyzer(app.Schema()).CycleFormulas(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return formulas
+}
+
+// TestCanonAllocationCeiling: with warm scratch — a pooled Shape, as the
+// memo table holds them — canonicalizing a shape allocates only what it
+// returns (key, names, the compiled nodes, the translation maps), however
+// many operands it sorts in however many rounds: no Broadleaf cycle formula
+// may take more than a small constant, where the map-based passes took
+// about 800, and in particular none builds its canonical expression, which
+// alone takes more than twice the ceiling on average.
+func TestCanonAllocationCeiling(t *testing.T) {
+	const ceiling = 32
+	var sh smt.Shape
+	worst, exprs := 0.0, 0.0
+	formulas := cycleFormulas(t, "broadleaf")
+	for _, f := range formulas[:100] {
+		sh.Reset(f)
+		c := sh.Canon()
+		worst = max(worst, testing.AllocsPerRun(3, func() {
+			sh.Reset(f)
+			sh.Canon()
+		}))
+		exprs += testing.AllocsPerRun(1, func() { c.Expr() })
+	}
+	if worst > ceiling {
+		t.Errorf("a shape took %v allocations to canonicalize, ceiling %d", worst, ceiling)
+	}
+	if mean := exprs / 100; mean < 2*ceiling {
+		t.Errorf("building a canonical expression takes %v allocations on average — is it built at all?", mean)
+	}
+	t.Logf("worst shape: %v allocations; mean canonical expression: %v", worst, exprs/100)
+}
+
 // TestCanonMatchesOracleOnCorpora runs the oracle differential — and the
 // shape-composition property the memo table's first level rests on —
 // over every cycle formula of the Table II apps and a generated corpus.
 func TestCanonMatchesOracleOnCorpora(t *testing.T) {
 	for _, spec := range []string{"broadleaf", "shopizer", "gen:7,templates=96"} {
-		app, err := apps.Open(spec, apps.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		formulas, err := core.NewAnalyzer(app.Schema()).CycleFormulas(context.Background(), traces)
-		if err != nil {
-			t.Fatal(err)
-		}
+		formulas := cycleFormulas(t, spec)
 		if len(formulas) < 100 {
 			t.Fatalf("%s: only %d cycle formulas — corpus broken?", spec, len(formulas))
 		}

@@ -758,11 +758,23 @@ func checkCanonAgainstOracle(t testing.TB, f Expr) {
 			f, back, back.Arrays, wantBack, wantBack.Arrays)
 	}
 
+	// The memo's own path: the Shape goes in, no renamed copy is made, and
+	// the ShapeCanon some other formula of the shape produced — here a
+	// renamed sibling, through a Shape whose scratch every earlier check has
+	// used — serves f: same Expr, same key, and rebased onto f's names the
+	// same renaming and translation.
 	var sh Shape
 	sh.Reset(f)
-	viaShape := Canon(sh.Expr())
-	if !sameExpr(viaShape.Expr, got.Expr) {
-		t.Fatalf("Canon is not equivariant on %s:\nshape %s\n got %s\nwant %s", f, sh.Expr(), viaShape.Expr, got.Expr)
+	warmShape.Reset(Rename(f, func(n string) string { return "B9!" + n }))
+	if string(warmShape.Key()) != string(sh.Key()) {
+		t.Fatalf("renaming changed the shape key of %s", f)
+	}
+	viaShape := warmShape.Canon()
+	if e := viaShape.Expr(); !sameExpr(e, got.Expr) {
+		t.Fatalf("Canon is not equivariant on %s:\n got %s\nwant %s", f, e, got.Expr)
+	}
+	if viaShape.Key() != got.Key() {
+		t.Fatalf("shape key %q is not Canon's %q", viaShape.Key(), got.Key())
 	}
 	rebased := sh.Rebase(viaShape)
 	if !reflect.DeepEqual(rebased.Rename, got.Rename) {
@@ -771,20 +783,20 @@ func checkCanonAgainstOracle(t testing.TB, f Expr) {
 	if viaBack := TranslateModel(m, rebased); !reflect.DeepEqual(viaBack, back) {
 		t.Fatalf("model translated through the shape differs for %s:\n got %v\nwant %v", f, viaBack, back)
 	}
-	// A renamed copy has the same shape key; a structurally different
-	// formula must not.
-	var sh2 Shape
-	sh2.Reset(Rename(f, func(n string) string { return "B9!" + n }))
-	if string(sh2.Key()) != string(sh.Key()) {
-		t.Fatalf("renaming changed the shape key of %s", f)
-	}
 }
+
+// warmShape is checkCanonAgainstOracle's long-lived Shape: reusing it
+// across formulas is what a pooled Shape in the memo table sees, so stale
+// scratch would show as a differential failure.
+var warmShape Shape
 
 // genFormula decodes a byte string into a formula over the fragment the
 // analyzer emits — linear Int/Real comparisons with offsets, string and
-// Boolean (dis)equalities, reads over stored-to Boolean arrays, nested
-// and/or/not — so the random differential test and FuzzCanon share one
-// generator. Exhausted input reads as zeros, which ends the recursion.
+// Boolean (dis)equalities, reads over stored-to Boolean arrays, and/or/not
+// nested up to five deep (Broadleaf's cycle formulas reach 5) — so the
+// random differential test and FuzzCanon share one generator. The first
+// byte picks the depth; exhausted input reads as zeros, which ends the
+// recursion.
 func genFormula(data []byte) Expr {
 	next := func(n int) int {
 		if len(data) == 0 {
@@ -869,7 +881,7 @@ func genFormula(data []byte) Expr {
 			return And(kids...)
 		}
 	}
-	return gen(1 + next(3))
+	return gen(1 + next(5))
 }
 
 // TestCanonMatchesOracleRandom runs the differential over generated

@@ -466,7 +466,7 @@ func (a *Array) Store(key Expr, val bool) *Array {
 
 func (a *Array) String() string {
 	var w writer
-	w.array(a, "", 0)
+	w.array(a)
 	return string(w.buf)
 }
 

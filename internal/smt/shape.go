@@ -1,7 +1,5 @@
 package smt
 
-import "strconv"
-
 // Shape is a formula's plain alpha-normal form: variables and array
 // roots numbered in first-occurrence order of one left-to-right walk,
 // operands unsorted, constants untouched. Taking it costs one pass and,
@@ -12,13 +10,15 @@ import "strconv"
 // That is sound because Canon is equivariant under renaming — every step
 // depends on names only through their first-occurrence pattern — so for
 // the renaming π taking f to its shape, Canon(π(f)).Expr == Canon(f).Expr
-// and Canon(π(f)).Rename∘π == Canon(f).Rename; Rebase applies the latter.
+// and Canon(π(f)).Rename∘π == Canon(f).Rename. Shape.Canon therefore works on
+// the symbol indices alone and Rebase composes π in.
 // A Shape is not safe for concurrent use.
 type Shape struct {
 	e     Expr
 	key   []byte
 	idx   map[string]int
 	names []string // names[i] is the i-th distinct name of e
+	cz    canonizer
 }
 
 // Reset points s at e and computes its key, reusing s's storage.
@@ -29,7 +29,7 @@ func (s *Shape) Reset(e Expr) {
 	clear(s.idx)
 	s.e, s.names = e, s.names[:0]
 	w := writer{buf: s.key[:0], sh: s}
-	w.expr(e, "", 0)
+	w.expr(e)
 	s.key = w.buf
 }
 
@@ -46,22 +46,3 @@ func (s *Shape) index(n string) int {
 // Key identifies the shape: two formulas have equal keys exactly when
 // one is a renaming of the other. It is valid until the next Reset.
 func (s *Shape) Key() []byte { return s.key }
-
-func shapeName(i int) string { return "s" + strconv.Itoa(i) }
-
-// Expr returns the formula renamed to its shape's own names — the one
-// representative all formulas of the shape agree on.
-func (s *Shape) Expr() Expr {
-	return Rename(s.e, func(n string) string { return shapeName(s.idx[n]) })
-}
-
-// Rebase turns c = Canon(s.Expr()) into the result Canon would have
-// returned for the formula s was taken from, by composing the renamings.
-func (s *Shape) Rebase(c CanonResult) CanonResult {
-	rename := make(map[string]string, len(s.names))
-	for i, n := range s.names {
-		rename[n] = c.Rename[shapeName(i)]
-	}
-	c.Rename = rename
-	return c
-}

@@ -2,24 +2,22 @@ package smt
 
 import "strconv"
 
-// writer is the package's one renderer: every String method, Canon's
-// sort keys and the shape key append to a byte slice through it, in a
-// single pass and without fmt. With m set it renders m.apply(e) —
-// constants remapped per atom, names renamed — while walking e itself,
-// so a sort key costs no tree copy; with sh set it renders each variable
-// and array root as a first-occurrence placeholder; with typed set it keeps
-// the names, quoted, and renders sorts as the shape key does, so the
-// string is injective.
+// writer renders expressions: every String method, the shape key and
+// TypedString append to a byte slice through it, in a single pass and
+// without fmt. With sh set it renders each variable and array root as a
+// first-occurrence placeholder; with typed set it keeps the names, quoted,
+// and renders sorts as the shape key does, so the string is injective.
+// (Canon's sort keys are rendered from its compiled form — canonizer.render
+// prints the same syntax.)
 type writer struct {
 	buf   []byte
-	m     *canonMaps
 	sh    *Shape
 	typed bool
 }
 
 func exprString(e Expr) string {
 	var w writer
-	w.expr(e, "", 0)
+	w.expr(e)
 	return string(w.buf)
 }
 
@@ -28,7 +26,7 @@ func exprString(e Expr) string {
 // differently, which String (no sorts, bare names) does not promise.
 func TypedString(e Expr) string {
 	w := writer{typed: true}
-	w.expr(e, "", 0)
+	w.expr(e)
 	return string(w.buf)
 }
 
@@ -45,56 +43,36 @@ func (w *writer) name(n string, s Sort) {
 	case w.typed:
 		w.buf = strconv.AppendQuote(w.buf, n)
 		w.buf = append(w.buf, ':', '0'+byte(s))
-	case w.m != nil:
-		w.str(w.m.name(n))
 	default:
 		w.str(n)
 	}
 }
 
-// expr renders e. tag and d are the enclosing atom's constant map and
-// shift (see canonMaps.atomCtx); d moves only an IntConst that is itself
-// an atom side, so recursion into Arith drops it.
-func (w *writer) expr(e Expr, tag string, d int64) {
+func (w *writer) expr(e Expr) {
 	switch t := e.(type) {
 	case BoolConst:
 		w.buf = strconv.AppendBool(w.buf, t.B)
 	case IntConst:
-		v := t.V - d
-		if w.m != nil {
-			if c, ok := w.m.ints[tag][t.V]; ok {
-				v = c
-			}
-		}
-		w.buf = strconv.AppendInt(w.buf, v, 10)
+		w.buf = strconv.AppendInt(w.buf, t.V, 10)
 	case RealConst:
 		if w.sh != nil || w.typed {
 			w.buf = append(w.buf, 'r') // Real(3) is not Int(3)
 		}
 		w.str(t.V.RatString())
 	case StrConst:
-		s := t.S
-		if w.m != nil {
-			if c, ok := w.m.strs[tag][s]; ok {
-				s = c
-			}
-		}
-		w.buf = strconv.AppendQuote(w.buf, s)
+		w.buf = strconv.AppendQuote(w.buf, t.S)
 	case Var:
 		w.name(t.Name, t.S)
 	case *Arith:
 		if t.Op == OpNeg {
 			w.str("(- ")
-			w.expr(t.L, tag, 0)
+			w.expr(t.L)
 		} else {
-			w.binary(t.L, t.Op.String(), t.R, tag, 0)
+			w.binary(t.L, t.Op.String(), t.R)
 		}
 		w.buf = append(w.buf, ')')
 	case *Cmp:
-		if w.m != nil && t.L.Sort() != SortBool {
-			tag, d = w.m.atomCtx(t)
-		}
-		w.binary(t.L, t.Op.String(), t.R, tag, d)
+		w.binary(t.L, t.Op.String(), t.R)
 		w.buf = append(w.buf, ')')
 	case *NAry:
 		if t.Conj {
@@ -106,21 +84,18 @@ func (w *writer) expr(e Expr, tag string, d int64) {
 			if i > 0 {
 				w.buf = append(w.buf, ' ')
 			}
-			w.expr(x, tag, 0)
+			w.expr(x)
 		}
 		w.buf = append(w.buf, ')')
 	case Not:
 		w.str("(not ")
-		w.expr(t.X, tag, 0)
+		w.expr(t.X)
 		w.buf = append(w.buf, ')')
 	case *Select:
-		if w.m != nil {
-			tag, d = w.m.atomCtx(t)
-		}
 		w.str("read(")
-		w.array(t.Arr, tag, d)
+		w.array(t.Arr)
 		w.str(", ")
-		w.expr(t.Key, tag, d)
+		w.expr(t.Key)
 		w.buf = append(w.buf, ')')
 	default:
 		w.str(e.String())
@@ -128,24 +103,24 @@ func (w *writer) expr(e Expr, tag string, d int64) {
 }
 
 // binary renders "(l op r" — the caller closes the parenthesis.
-func (w *writer) binary(l Expr, op string, r Expr, tag string, d int64) {
+func (w *writer) binary(l Expr, op string, r Expr) {
 	w.buf = append(w.buf, '(')
-	w.expr(l, tag, d)
+	w.expr(l)
 	w.buf = append(w.buf, ' ')
 	w.str(op)
 	w.buf = append(w.buf, ' ')
-	w.expr(r, tag, d)
+	w.expr(r)
 }
 
-func (w *writer) array(a *Array, tag string, d int64) {
+func (w *writer) array(a *Array) {
 	if a.Parent == nil {
 		w.name(a.ID, a.KeySort)
 		return
 	}
 	w.str("write(")
-	w.array(a.Parent, tag, d)
+	w.array(a.Parent)
 	w.str(", ")
-	w.expr(a.StoreKey, tag, d)
+	w.expr(a.StoreKey)
 	w.str(", ")
 	w.buf = strconv.AppendBool(w.buf, a.StoreVal)
 	w.buf = append(w.buf, ')')

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
+	"strconv"
 
 	"weseer/internal/minidb"
 	"weseer/internal/smt"
@@ -51,7 +52,7 @@ func encodeExpr(e smt.Expr) *exprJSON {
 	case smt.BoolConst:
 		return &exprJSON{K: "bool", B: t.B}
 	case smt.IntConst:
-		return &exprJSON{K: "int", V: fmt.Sprintf("%d", t.V)}
+		return &exprJSON{K: "int", V: strconv.FormatInt(t.V, 10)}
 	case smt.RealConst:
 		return &exprJSON{K: "real", V: t.V.RatString()}
 	case smt.StrConst:
@@ -97,8 +98,8 @@ func decodeExpr(j *exprJSON) (smt.Expr, error) {
 	case "bool":
 		return smt.Bool(j.B), nil
 	case "int":
-		var v int64
-		if _, err := fmt.Sscanf(j.V, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(j.V, 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("trace: bad int %q", j.V)
 		}
 		return smt.Int(v), nil
@@ -203,7 +204,7 @@ func encodeDatum(d minidb.Datum) datumJSON {
 	}
 	switch d.Kind {
 	case minidb.KInt:
-		j.V = fmt.Sprintf("%d", d.I)
+		j.V = strconv.FormatInt(d.I, 10)
 	case minidb.KReal:
 		j.V = d.R.RatString()
 	case minidb.KStr:
@@ -218,8 +219,8 @@ func decodeDatum(j datumJSON) (minidb.Datum, error) {
 	}
 	switch minidb.Kind(j.Kind) {
 	case minidb.KInt:
-		var v int64
-		if _, err := fmt.Sscanf(j.V, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(j.V, 10, 64)
+		if err != nil {
 			return minidb.Datum{}, fmt.Errorf("trace: bad int datum %q", j.V)
 		}
 		return minidb.I64(v), nil

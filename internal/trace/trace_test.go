@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"weseer/internal/minidb"
@@ -92,6 +93,30 @@ func TestJSONRoundTrip(t *testing.T) {
 	// The array-read path condition survives with its store chain.
 	if got := back.PathConds[1].Cond.String(); got != tr.PathConds[1].Cond.String() {
 		t.Errorf("array PC = %s, want %s", got, tr.PathConds[1].Cond)
+	}
+}
+
+// TestJSONRejectsGarbageIntegers pins that an integer constant or datum
+// must be a whole decimal literal: "12abc" used to decode as 12.
+func TestJSONRejectsGarbageIntegers(t *testing.T) {
+	data, err := json.Marshal(sampleTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ good, bad string }{
+		{`{"k":"int","v":"-1"}`, `{"k":"int","v":"-1abc"}`},
+		{`{"k":"int","v":"-1"}`, `{"k":"int","v":"7 8"}`},
+		{`{"k":"int","v":"-1"}`, `{"k":"int","v":""}`},
+		{`{"kind":0,"v":"3"}`, `{"kind":0,"v":"3x"}`},
+	} {
+		if !strings.Contains(string(data), c.good) {
+			t.Fatalf("sample trace no longer encodes %s:\n%s", c.good, data)
+		}
+		bad := strings.Replace(string(data), c.good, c.bad, 1)
+		err := json.Unmarshal([]byte(bad), new(Trace))
+		if err == nil || !strings.Contains(err.Error(), "trace: bad int") {
+			t.Errorf("%s: got error %v, want a trace: error", c.bad, err)
+		}
 	}
 }
 

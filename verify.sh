@@ -102,6 +102,22 @@ go test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/history
 echo "== go test -fuzz=FuzzLogReplay (5s)"
 go test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5s ./internal/btree
 
+# The memo's premise: its second level pays one canonicalization per shape
+# to save one solve per hit, so canonicalizing a shape has to cost less than
+# solving a formula. Both numbers come from one process over the same Table
+# II cycle formulas, so machine speed cancels in the ratio (1.5 before the
+# canonicalizer was compiled to integer-indexed slices, about 0.4 after).
+echo "== memo premise (ns per canonicalized shape <= ns per solved formula)"
+go test -run '^$' -bench 'CanonCorpus|SolveCorpus' -benchtime 5x ./internal/solver | awk '
+    function metric(unit,   i) { for (i = 2; i <= NF; i++) if ($i == unit) return $(i - 1); return 0 }
+    /^BenchmarkSolveCorpus/ { solve = metric("ns/op") / metric("formulas/op") }
+    /^BenchmarkCanonCorpus/ { canon = metric("ns/op") / metric("shapes/op") }
+    END {
+        if (!solve || !canon) { print "memo premise: benchmark output missing" > "/dev/stderr"; exit 1 }
+        printf "canon %.0f ns/shape, solve %.0f ns/formula, ratio %.2f\n", canon, solve, canon / solve
+        if (canon > solve) { print "memo premise: a shape costs more to canonicalize than a formula to solve" > "/dev/stderr"; exit 1 }
+    }'
+
 # Compile-and-run smoke of the microbenchmarks (one iteration each):
 # catches bit-rot in bench-only code without paying for real timing runs.
 echo "== go test -bench (1x smoke)"
