@@ -15,6 +15,7 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/fixapply"
+	"weseer/internal/staticlint"
 	"weseer/internal/workload"
 )
 
@@ -159,13 +160,19 @@ type fixgainJSON struct {
 }
 
 // fixgainAnalyze serially re-collects and re-analyzes one app
-// configuration and scores it against the applied fixes' fingerprints.
+// configuration and scores it against the applied fixes' fingerprints
+// (plan == nil is the baseline, from which the plan is then derived).
 func fixgainAnalyze(spec string, apply []string, workers int, plan []fixapply.Fix) (fixgainAnalysis, *core.Result, apps.App) {
 	app, err := apps.Open(spec, apps.Options{Apply: apply})
 	check(err)
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	check(err)
 	res := analyze(app.Schema(), traces, core.WithPrescreen(), core.WithParallelism(workers))
+	if plan == nil {
+		// The baseline run: fixapply.Plan reads its suggestion ranks off
+		// the canonical order, which no later configuration needs.
+		res.CanonicalOrder = staticlint.CanonicalizeTraces(traces, app.Schema())
+	}
 
 	out := fixgainAnalysis{Deadlocks: len(res.Deadlocks), Classes: map[string]int{}}
 	remaining := map[string]bool{}

@@ -10,18 +10,19 @@ import (
 	"weseer/internal/core"
 	"weseer/internal/minidb"
 	"weseer/internal/schema"
+	"weseer/internal/staticlint"
 )
 
 // TestPrescreenSound is the Phase-0 soundness gate: on both model
 // applications, enabling the static prescreen must not change a single
 // reported deadlock — same group keys, same Table II classification,
 // all 18 cataloged deadlocks still found — while measurably cutting the
-// number of solver calls. With lock-order canonicalization feeding the
-// prescreen, it additionally pins the baseline solver-call funnel
-// (326 groups = 226 solver calls + 100 memo hits on the Table II
-// workload), requires the canonical order to carry the f10/f11-style
-// row-order suggestion on Shopizer, and requires the full prescreen
-// report to stay byte-identical at parallelism 1, 4, and 16.
+// number of solver calls. It additionally pins the baseline solver-call
+// funnel (326 groups = 226 solver calls + 100 memo hits on the Table II
+// workload), requires the canonical order of the same traces
+// (staticlint.CanonicalizeTraces) to carry the f10/f11-style row-order
+// suggestion on Shopizer, and requires the full prescreen report to stay
+// byte-identical at parallelism 1, 4, and 16.
 func TestPrescreenSound(t *testing.T) {
 	type target struct {
 		name     string
@@ -97,15 +98,14 @@ func TestPrescreenSound(t *testing.T) {
 			tg.name, off.Stats.GroupsSolved, on.Stats.GroupsSolved,
 			on.Stats.PrescreenSaved, on.Stats.PrescreenPairsPruned, on.Stats.PrescreenPairs)
 
-		// Canonicalization is a prescreen-mode feature: absent without it,
-		// present (and non-trivial on this workload) with it.
-		if off.CanonicalOrder != nil {
-			t.Errorf("%s: baseline run carries a canonical order without the prescreen", tg.name)
+		// Canonicalization is computed on demand from the traces, never by
+		// the analysis: absent from both results, non-trivial on this
+		// workload once attached.
+		if off.CanonicalOrder != nil || on.CanonicalOrder != nil {
+			t.Errorf("%s: AnalyzeContext attached a canonical order", tg.name)
 		}
-		co := on.CanonicalOrder
-		if co == nil {
-			t.Fatalf("%s: prescreen run has no canonical order", tg.name)
-		}
+		co := staticlint.CanonicalizeTraces(traces, tg.scm)
+		on.CanonicalOrder = co
 		if len(co.Order) == 0 || co.Templates == 0 || co.Edges == 0 {
 			t.Errorf("%s: degenerate canonical order: %d nodes, %d templates, %d edges",
 				tg.name, len(co.Order), co.Templates, co.Edges)
@@ -126,15 +126,16 @@ func TestPrescreenSound(t *testing.T) {
 
 		// The rendered prescreen report — findings, canonical order, and
 		// ranked suggestions included — must be byte-identical at any
-		// parallelism (the canonical order is computed serially in Phase
-		// 0). Wall-clock timings are the one legitimately nondeterministic
-		// field, so they are zeroed before rendering.
+		// parallelism (the canonical order is a function of the traces
+		// alone). Wall-clock timings are the one legitimately
+		// nondeterministic field, so they are zeroed before rendering.
 		onFlat := *on
 		onFlat.Stats = on.Stats.WithoutTimings()
 		serial := onFlat.Render()
 		for _, workers := range []int{4, 16} {
 			res := analyze(tg.scm, traces, core.WithPrescreen(), core.WithParallelism(workers))
 			res.Stats = res.Stats.WithoutTimings()
+			res.CanonicalOrder = co
 			if got := res.Render(); got != serial {
 				t.Errorf("%s: prescreen report differs at parallelism %d", tg.name, workers)
 			}

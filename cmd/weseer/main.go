@@ -7,7 +7,7 @@
 //
 //	weseer run     -app NAME [-fixed] [-apply f2,f5] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [observability flags]
 //	weseer collect -app NAME [-fixed] [-apply f2,f5] [-no-prune] -o traces.json
-//	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [observability flags]
+//	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [-v] [observability flags]
 //	weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
 //	weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [analysis flags]
 //	weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
@@ -31,14 +31,18 @@
 // restricts lock modeling to recorded execution plans and -reproduce
 // replays every report against a live database — the paper's two
 // Sec. V-D future-work items. -prescreen enables the Phase-0 static
-// screen that discards trivially-UNSAT candidates before the solver.
+// screen that discards trivially-UNSAT candidates before the solver —
+// pruning only; it adds nothing to the report but its counters.
 //
 // -fixed applies every cataloged fix to the app before collection;
 // -apply applies a chosen subset by name (f1..f11 for the model apps,
-// planted class names for gen corpora). -fixplan appends the ranked
-// fix plan (internal/fixapply) to the text report: which fixes to
-// apply, in what order, and which deadlock fingerprints each targets
-// — the input to the weseer-bench fixgain verification loop.
+// planted class names for gen corpora). -fixplan computes the cross-API
+// canonical lock order from the collected traces and adds to the text
+// report the ranked lock-order fixes and the ranked fix plan
+// (internal/fixapply): which fixes to apply, in what order, which
+// deadlock fingerprints each targets and which reorder suggestion backs
+// it — the input to the weseer-bench fixgain verification loop. With
+// -json the order travels as canonical_order. It needs no other flag.
 //
 // -parallel sets the phase-3 worker count (0 = GOMAXPROCS); the report
 // is identical at any setting. -timeout bounds the analysis wall time
@@ -50,7 +54,8 @@
 // "vet" runs the static analyzers alone — no trace collection, no
 // solver: the template-level deadlock pre-screen and the Go-source
 // ORM-misuse lint over the given directories (default: the app's
-// source directory). -canonical-order additionally merges every vetted
+// source directory), each loaded and type-checked once, whole-program.
+// -canonical-order additionally merges every vetted
 // directory's templates into one lock-order graph and reports the
 // canonical global acquisition order plus ranked feedback-edge reorder
 // suggestions (the paper's f9–f11-style fixes). Exit status: 0 clean,
@@ -131,7 +136,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   weseer run     -app NAME [-fixed] [-apply f2,f5] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [obs flags]
   weseer collect -app NAME [-fixed] [-apply f2,f5] [-no-prune] -o traces.json
-  weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [obs flags]
+  weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [-v] [obs flags]
   weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
   weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [analysis flags]
   weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
@@ -141,10 +146,65 @@ registered applications (-app):
 `+apps.Usage("  ")+`
 observability flags (run/analyze): -debug-addr :6060  -trace-out run.trace.json
   -events-out run.events.jsonl  -metrics-out run.metrics.prom
+-fixplan (run/analyze) adds the ranked lock-order fixes and the fix plan to the
+  report (canonical_order under -json); -prescreen only prunes solver work
 `)
 }
 
-// obsFlags are the shared observability flags of "run" and "analyze".
+// analysisFlags are the flags "run" and "analyze" share: how to analyze
+// the traces and what to print of the result.
+type analysisFlags struct {
+	coarse    *bool
+	prescreen *bool
+	parallel  *int
+	timeout   *time.Duration
+	jsonOut   *bool
+	fixplan   *bool
+	verbose   *bool
+	obs       *obsFlags
+}
+
+func registerAnalysisFlags(fs *flag.FlagSet) *analysisFlags {
+	return &analysisFlags{
+		coarse:    fs.Bool("coarse", false, "STEPDAD/REDACT-style coarse baseline (no SMT)"),
+		prescreen: fs.Bool("prescreen", false, "enable the Phase-0 static prescreen (weseer vet analysis)"),
+		parallel:  fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)"),
+		timeout:   fs.Duration("timeout", 0, "bound the analysis wall time (0 = none)"),
+		jsonOut:   fs.Bool("json", false, "emit the machine-readable report instead of text"),
+		fixplan:   fs.Bool("fixplan", false, "print the ranked lock-order fixes and the fix plan (internal/fixapply) with the report"),
+		verbose:   fs.Bool("v", false, "print every deadlock report"),
+		obs:       registerObsFlags(fs),
+	}
+}
+
+// report is the shared tail of "run" and "analyze": analyze the traces
+// under the flags (plus the caller's extra options), attach the canonical
+// lock order when -fixplan wants it, and print the report as text or
+// JSON. The result is returned for "run -reproduce".
+func (f *analysisFlags) report(app apps.App, traces []*trace.Trace, o *obs.Observer, opts ...core.Option) (*core.Result, error) {
+	opts = append(opts, analysisOptions(*f.coarse, *f.prescreen, *f.parallel)...)
+	if o != nil {
+		opts = append(opts, core.WithObserver(o))
+	}
+	res, err := analyzeCtx(app, traces, *f.timeout, opts)
+	if err != nil {
+		return nil, err
+	}
+	if *f.fixplan {
+		res.CanonicalOrder = staticlint.CanonicalizeTraces(traces, app.Schema())
+	}
+	if *f.jsonOut {
+		return res, printJSON(res, app.Classify)
+	}
+	printReport(res, app.Classify, *f.verbose)
+	if *f.fixplan {
+		fmt.Println()
+		fmt.Print(fixapply.Render(fixapply.Plan(app, res)))
+	}
+	return res, nil
+}
+
+// obsFlags are the observability flags of "run" and "analyze".
 type obsFlags struct {
 	debugAddr  *string
 	traceOut   *string
@@ -234,23 +294,16 @@ func cmdRun(args []string) (err error) {
 	appName := fs.String("app", "broadleaf", "application to diagnose")
 	fixed := fs.Bool("fixed", false, "apply the Table II fixes before collecting")
 	apply := fs.String("apply", "", "comma-separated fix names to apply before collecting (e.g. f2,f5)")
-	fixplan := fs.Bool("fixplan", false, "print the ranked fix plan (internal/fixapply) after the report")
-	coarse := fs.Bool("coarse", false, "STEPDAD/REDACT-style coarse baseline (no SMT)")
-	prescreen := fs.Bool("prescreen", false, "enable the Phase-0 static prescreen (weseer vet analysis)")
 	plans := fs.Bool("plans", false, "restrict lock modeling to recorded execution plans (Sec. V-D)")
-	parallel := fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)")
-	timeout := fs.Duration("timeout", 0, "bound the analysis wall time (0 = none)")
-	jsonOut := fs.Bool("json", false, "emit the machine-readable report instead of text")
 	reproduce := fs.Bool("reproduce", false, "replay every report against a live database (Sec. V-D)")
-	verbose := fs.Bool("v", false, "print every deadlock report")
-	of := registerObsFlags(fs)
+	af := registerAnalysisFlags(fs)
 	fs.Parse(args)
 
 	app, err := openApp(*appName, *fixed, *apply)
 	if err != nil {
 		return err
 	}
-	o, obsDone, err := of.setup()
+	o, obsDone, err := af.obs.setup()
 	if err != nil {
 		return err
 	}
@@ -267,33 +320,22 @@ func cmdRun(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	if !*jsonOut {
+	if !*af.jsonOut {
 		fmt.Printf("collected %d traces:\n", len(traces))
 		for _, tr := range traces {
 			fmt.Printf("  %-10s %2d txns, %2d statements, %3d path conditions\n",
 				tr.API, len(tr.Txns), tr.Stats.Statements, tr.Stats.PathConds)
 		}
 	}
-	opts := analysisOptions(*coarse, *prescreen, *parallel)
+	var opts []core.Option
 	if *plans {
 		opts = append(opts, core.WithConcretePlans())
 	}
-	if o != nil {
-		opts = append(opts, core.WithObserver(o))
-	}
-	res, err := analyzeCtx(app, traces, *timeout, opts)
-	if err != nil {
+	res, err := af.report(app, traces, o, opts...)
+	if err != nil || *af.jsonOut {
 		return err
 	}
-	if *jsonOut {
-		return printJSON(res, app.Classify)
-	}
-	printReport(res, app.Classify, *verbose)
-	if *fixplan {
-		fmt.Println()
-		fmt.Print(fixapply.Render(fixapply.Plan(app, res)))
-	}
-	if *reproduce && !*coarse {
+	if *reproduce && !*af.coarse {
 		fmt.Println("\nautomatic reproduction (replaying each cycle against a rebuilt database):")
 		outcomes := replay.ReproduceReport(res, func() (*minidb.DB, []appkit.UnitTest) {
 			fresh, _ := openApp(*appName, *fixed, *apply)
@@ -350,14 +392,7 @@ func cmdAnalyze(args []string) (err error) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	appName := fs.String("app", "broadleaf", "application the traces came from")
 	in := fs.String("i", "traces.json", "input trace file")
-	coarse := fs.Bool("coarse", false, "coarse baseline (no SMT)")
-	prescreen := fs.Bool("prescreen", false, "enable the Phase-0 static prescreen (weseer vet analysis)")
-	parallel := fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)")
-	timeout := fs.Duration("timeout", 0, "bound the analysis wall time (0 = none)")
-	jsonOut := fs.Bool("json", false, "emit the machine-readable report instead of text")
-	fixplan := fs.Bool("fixplan", false, "print the ranked fix plan (internal/fixapply) after the report")
-	verbose := fs.Bool("v", false, "print every deadlock report")
-	of := registerObsFlags(fs)
+	af := registerAnalysisFlags(fs)
 	fs.Parse(args)
 
 	app, err := apps.Open(*appName, apps.Options{})
@@ -372,7 +407,7 @@ func cmdAnalyze(args []string) (err error) {
 	if err := json.Unmarshal(data, &traces); err != nil {
 		return err
 	}
-	o, obsDone, err := of.setup()
+	o, obsDone, err := af.obs.setup()
 	if err != nil {
 		return err
 	}
@@ -381,26 +416,12 @@ func cmdAnalyze(args []string) (err error) {
 			err = e
 		}
 	}()
-	opts := analysisOptions(*coarse, *prescreen, *parallel)
-	if o != nil {
-		opts = append(opts, core.WithObserver(o))
-	}
-	res, err := analyzeCtx(app, traces, *timeout, opts)
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		return printJSON(res, app.Classify)
-	}
-	printReport(res, app.Classify, *verbose)
-	if *fixplan {
-		fmt.Println()
-		fmt.Print(fixapply.Render(fixapply.Plan(app, res)))
-	}
-	return nil
+	_, err = af.report(app, traces, o)
+	return err
 }
 
-// analysisOptions translates the shared CLI flags into analyzer options.
+// analysisOptions translates the analysis flags "run", "analyze" and
+// "serve" share into analyzer options.
 func analysisOptions(coarse, prescreen bool, parallel int) []core.Option {
 	var opts []core.Option
 	if coarse {
@@ -450,10 +471,7 @@ func cmdVet(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the versioned JSON report instead of text")
 	failOn := fs.String("fail-on", "error", "exit 1 when findings reach this severity (info|warn|error)")
 	canonical := fs.Bool("canonical-order", false, "derive the cross-API canonical lock order over every vetted directory and report ranked reorder suggestions")
-	callgraph := fs.Bool("callgraph", true, "whole-program analysis: type-check the directory tree and propagate transitive callee summaries (off = per-package name heuristic)")
-	devirt := fs.Bool("devirt", true, "with -callgraph, devirtualize interface call sites by class-hierarchy analysis (off for ablation)")
 	fs.Parse(args)
-	opt := staticlint.VetOptions{CallGraph: *callgraph, Devirt: *devirt}
 
 	threshold, err := staticlint.ParseSeverity(*failOn)
 	if err != nil {
@@ -485,17 +503,13 @@ func cmdVet(args []string) error {
 	var findings []staticlint.Finding
 	var shapes []staticlint.TxnShape
 	for _, dir := range dirs {
-		fnd, err := staticlint.VetDir(dir, scm, opt)
+		prog, err := staticlint.Load(dir)
 		if err != nil {
 			return err
 		}
-		findings = append(findings, fnd...)
+		findings = append(findings, prog.Findings(scm)...)
 		if *canonical {
-			sh, err := staticlint.DirShapesOpt(dir, scm, opt)
-			if err != nil {
-				return err
-			}
-			shapes = append(shapes, sh...)
+			shapes = append(shapes, prog.Shapes(scm)...)
 		}
 	}
 	staticlint.Sort(findings)
@@ -535,7 +549,7 @@ type jsonReport struct {
 	Reports []jsonDeadlck `json:"deadlocks"`
 	// Canonical carries the cross-API lock-order canonicalization —
 	// the global acquisition order and the ranked reorder suggestions —
-	// when the run enabled -prescreen; absent otherwise.
+	// when the run asked for -fixplan; absent otherwise.
 	Canonical *staticlint.CanonicalOrder `json:"canonical_order,omitempty"`
 }
 

@@ -213,3 +213,57 @@ func TestTableIIInvariants(t *testing.T) {
 		t.Errorf("memo hits = %d, want 100", memo)
 	}
 }
+
+// TestPrescreenOnlyPrunes: WithPrescreen() is the pair screen and the
+// group refutation and nothing else. The report is the plain run's
+// outside the funnel (the `phases:` line and the `engine:` counters under
+// it, which is where skipped solver calls show), deadlock for deadlock;
+// and neither run computes a canonical lock order — that is
+// staticlint.CanonicalizeTraces, for whoever prints one.
+func TestPrescreenOnlyPrunes(t *testing.T) {
+	outsideFunnel := func(report string) string {
+		var kept []string
+		for _, line := range strings.Split(report, "\n") {
+			if !strings.HasPrefix(line, "phases:") && !strings.HasPrefix(line, "engine:") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	for _, spec := range []string{"broadleaf", "shopizer", "gen:7,templates=96"} {
+		app, err := Open(spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, err := core.NewAnalyzer(app.Schema(), core.WithPrescreen()).AnalyzeContext(context.Background(), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.CanonicalOrder != nil || pre.CanonicalOrder != nil {
+			t.Errorf("%s: AnalyzeContext attached a canonical order (plain %v, prescreen %v)",
+				spec, plain.CanonicalOrder != nil, pre.CanonicalOrder != nil)
+		}
+		if pre.Stats.PrescreenPairs == 0 {
+			t.Errorf("%s: the prescreen run screened no pair", spec)
+		}
+		if got, want := outsideFunnel(pre.Render()), outsideFunnel(plain.Render()); got != want {
+			t.Errorf("%s: report under WithPrescreen differs from the plain run outside the funnel lines", spec)
+		}
+		if len(pre.Deadlocks) != len(plain.Deadlocks) {
+			t.Fatalf("%s: %d deadlocks under WithPrescreen, %d without", spec, len(pre.Deadlocks), len(plain.Deadlocks))
+		}
+		for i, d := range plain.Deadlocks {
+			if got := pre.Deadlocks[i].Fingerprint(); got != d.Fingerprint() {
+				t.Errorf("%s: deadlock %d fingerprint %s under WithPrescreen, %s without", spec, i+1, got, d.Fingerprint())
+			}
+		}
+	}
+}

@@ -160,17 +160,6 @@ func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate
 			txns:  map[*trace.Txn]staticlint.TxnShape{},
 			stmts: map[*trace.Stmt]staticlint.StmtShape{},
 		}
-		// Cross-API lock-order canonicalization over the whole workload:
-		// every transaction instance is one voting template. Serial and
-		// input-order driven, so the result — like the rest of the report
-		// — is byte-identical at any parallelism.
-		var shapes []staticlint.TxnShape
-		for _, tr := range traces {
-			for _, txn := range tr.Txns {
-				shapes = append(shapes, staticlint.ShapeFromTxn(tr.API, txn))
-			}
-		}
-		res.CanonicalOrder = staticlint.CanonicalizeShapes(shapes, a.scm)
 	}
 
 	// Stages 1–2: pair filtering and coarse-cycle enumeration, grouped
@@ -276,9 +265,6 @@ func (a *Analyzer) enumeratePair(p1, p2 *instance, emit func(Cycle)) int {
 			i1a, i2b := e2.i, e2.j
 			if !(i1a < i1b && i2a < i2b) {
 				continue
-			}
-			if a.opts.MaxCyclesPerPair > 0 && count >= a.opts.MaxCyclesPerPair {
-				return count
 			}
 			count++
 			emit(Cycle{

@@ -287,9 +287,6 @@ func TestEnumDifferentialAblations(t *testing.T) {
 	t.Run("prescreen", func(t *testing.T) {
 		diffRun(t, fig1Schema(), pipelineTraces(), []int{1, 4}, WithPrescreen())
 	})
-	t.Run("max-cycles", func(t *testing.T) {
-		diffRun(t, fig1Schema(), pipelineTraces(), []int{1, 4}, WithMaxCyclesPerPair(2))
-	})
 }
 
 // TestEnumIndexSurvivorsExact cross-checks the inverted index against

@@ -15,7 +15,6 @@ type options struct {
 	UseConcretePlans bool
 	StaticPrescreen  bool
 	Solver           solver.Limits
-	MaxCyclesPerPair int
 	Parallelism      int
 	Observer         *obs.Observer
 }
@@ -59,12 +58,6 @@ func WithCoarseOnly() Option {
 // positives.
 func WithConcretePlans() Option {
 	return func(o *options) { o.UseConcretePlans = true }
-}
-
-// WithMaxCyclesPerPair caps coarse-cycle enumeration per transaction
-// pair (0 = unlimited).
-func WithMaxCyclesPerPair(n int) Option {
-	return func(o *options) { o.MaxCyclesPerPair = n }
 }
 
 // WithoutPhase1 disables the transaction-level filter (ablation).

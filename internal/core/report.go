@@ -24,11 +24,12 @@ type Result struct {
 	Deadlocks []*Deadlock
 	Stats     Stats
 	// CanonicalOrder is the cross-API lock-order canonicalization over
-	// the run's transaction shapes (nil unless StaticPrescreen): the
-	// global acquisition order plus the ranked feedback-edge reorder
-	// suggestions — the f9–f11-style fixes that kill whole inversion
-	// families at once. Computed serially during Phase 0, so it is
-	// deterministic at any parallelism.
+	// the run's transaction shapes: the global acquisition order plus the
+	// ranked feedback-edge reorder suggestions — the f9–f11-style fixes
+	// that kill whole inversion families at once. AnalyzeContext leaves it
+	// nil; a caller that prints it (Render, the -json report, the fix
+	// plan's suggestion ranks) attaches
+	// staticlint.CanonicalizeTraces(traces, scm) first.
 	CanonicalOrder *staticlint.CanonicalOrder
 	// Metrics is the observer's flattened metrics snapshot taken when the
 	// run finished (nil without WithObserver): the same counters /metrics

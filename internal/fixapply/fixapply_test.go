@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"weseer/internal/appgen"
+	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/fixapply"
 	"weseer/internal/minidb"
+	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
@@ -186,5 +188,43 @@ func TestFixPropertiesOverCorpora(t *testing.T) {
 	t.Logf("planned fixes verified on %d/220 corpora", planned)
 	if planned < 150 {
 		t.Errorf("only %d/220 corpora produced a diagnosable planted cycle — the sweep lost its teeth", planned)
+	}
+}
+
+// TestFixplanIndependentOfPrescreen: a fix's suggestion rank comes from
+// the canonical order its caller attached, not from how the analysis was
+// run. Shopizer's three fixes are all row reorders, so each is backed by
+// a suggestion, the same one with and without the Phase-0 prescreen.
+func TestFixplanIndependentOfPrescreen(t *testing.T) {
+	app, err := apps.Open("shopizer", apps.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(opts ...core.Option) ([]fixapply.Fix, string) {
+		res, err := core.NewAnalyzer(app.Schema(), opts...).AnalyzeContext(context.Background(), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.CanonicalOrder = staticlint.CanonicalizeTraces(traces, app.Schema())
+		fixes := fixapply.Plan(app, res)
+		return fixes, fixapply.Render(fixes)
+	}
+	plain, plainText := plan()
+	_, preText := plan(core.WithPrescreen())
+	if plainText != preText {
+		t.Errorf("fix plan depends on the prescreen:\nwithout:\n%swith:\n%s", plainText, preText)
+	}
+	ranks := map[string]int{}
+	for _, f := range plain {
+		ranks[f.Name] = f.SuggestionRank
+	}
+	for _, name := range []string{"f9", "f10", "f11"} {
+		if ranks[name] == 0 {
+			t.Errorf("fix %s carries no reorder suggestion rank; plan:\n%s", name, plainText)
+		}
 	}
 }

@@ -5,9 +5,9 @@ package staticlint
 // objects; call sites resolve through go/types (static calls and
 // method values), through CHA-style devirtualization for interface
 // call sites, and — only where type information is missing — through
-// the old per-package receiver-name heuristic. The graph is condensed
-// into SCCs (Tarjan) and per-function transitive summaries are
-// computed bottom-up to a fixed point, so a handler's event sequence
+// a per-package receiver-name heuristic (heuristicSite). The graph is
+// condensed into SCCs (Tarjan) and per-function transitive summaries
+// are computed bottom-up to a fixed point, so a handler's event sequence
 // includes everything its callees do: across packages, through
 // interfaces, and through recursion. Summaries dedupe on the leaf
 // (kind, file, line) identity, which makes the fixpoint monotone; the
@@ -90,8 +90,6 @@ func (s *funcSum) addTmpl(t sumTmpl) bool {
 type cgNode struct {
 	id      int
 	pkg     *progPkg
-	decl    *ast.FuncDecl
-	fn      *types.Func // nil when type checking produced no object
 	name    string
 	recv    string // first receiver ident ("" = unnamed or plain func)
 	recvTyp string // receiver type name, for display
@@ -102,27 +100,34 @@ type cgNode struct {
 }
 
 type callGraph struct {
-	prog   *program
-	opt    VetOptions
-	ps     *pkgScan
+	prog   *Program
 	nodes  []*cgNode
 	byFunc map[*types.Func]*cgNode
 	byName map[*progPkg]map[string][]*cgNode
 	sccs   [][]int // Tarjan pop order: callees' components before callers'
 }
 
-// scan interprets every function of every target package with call
-// sites deferred, resolves the call graph, computes transitive
-// summaries, and splices them back into the per-function facts. The
-// result is a merged pkgScan the lint and shape layers consume exactly
-// as they would a single-package heuristic scan.
-func (p *program) scan(opt VetOptions) *pkgScan {
-	ps := newPkgScan(p.fset, p.root)
-	ps.deferCalls = true
+// scan resolves the call graph over every target function, computes
+// transitive summaries, and splices them back into the per-function
+// facts the lint and shape layers consume.
+func (p *Program) scan() []*fnFacts {
+	g := p.newCallGraph()
+	g.resolve()
+	g.condense()
+	g.summarize()
+	g.splice()
+	facts := make([]*fnFacts, len(g.nodes))
+	for i, n := range g.nodes {
+		facts[i] = n.facts
+	}
+	return facts
+}
+
+// newCallGraph interprets every function of every target package into
+// one unresolved node each.
+func (p *Program) newCallGraph() *callGraph {
 	g := &callGraph{
 		prog:   p,
-		opt:    opt,
-		ps:     ps,
 		byFunc: map[*types.Func]*cgNode{},
 		byName: map[*progPkg]map[string][]*cgNode{},
 	}
@@ -132,44 +137,30 @@ func (p *program) scan(opt VetOptions) *pkgScan {
 			n := &cgNode{
 				id:      len(g.nodes),
 				pkg:     tp,
-				decl:    fd,
 				name:    fd.Name.Name,
 				recv:    recvIdent(fd),
 				recvTyp: recvTypeName(fd),
 				isMeth:  fd.Recv != nil,
-				facts:   ps.interpret(fd),
+				facts:   interpret(p.fset, fd),
 			}
-			if obj, ok := p.info.Defs[fd.Name]; ok {
-				if fn, ok := obj.(*types.Func); ok {
-					n.fn = fn
-					g.byFunc[fn.Origin()] = n
-				}
+			// No *types.Func (the declaration did not type-check): the
+			// node is reachable through heuristicSite only.
+			if fn, ok := p.info.Defs[fd.Name].(*types.Func); ok {
+				g.byFunc[fn.Origin()] = n
 			}
 			g.nodes = append(g.nodes, n)
 			g.byName[tp][n.name] = append(g.byName[tp][n.name], n)
-			ps.decls = append(ps.decls, fd)
-			ps.facts = append(ps.facts, n.facts)
 		}
 	}
-	g.resolve()
-	g.condense()
-	g.summarize()
-	g.splice()
-	return ps
+	return g
 }
 
-// resolve binds every deferred call site to its callee node(s) and
-// records the binding for the precision-delta accounting.
+// resolve binds every recorded call site to its callee node(s).
 func (g *callGraph) resolve() {
 	for _, n := range g.nodes {
 		n.callees = make([][]int, len(n.facts.calls))
 		for i, c := range n.facts.calls {
-			ids := g.resolveSite(n, c)
-			n.callees[i] = ids
-			for _, id := range ids {
-				key := fmt.Sprintf("%s:%d", n.facts.file, c.line)
-				g.ps.resolved[key] = append(g.ps.resolved[key], g.display(n, g.nodes[id]))
-			}
+			n.callees[i] = g.resolveSite(n, c)
 		}
 	}
 }
@@ -187,9 +178,6 @@ func (g *callGraph) resolveSite(n *cgNode, c callSite) []int {
 				return nil
 			}
 			if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
-				if !g.opt.Devirt {
-					return nil
-				}
 				return g.chaCandidates(fn, iface)
 			}
 			return g.staticTarget(fn)
@@ -219,9 +207,10 @@ func (g *callGraph) staticTarget(obj types.Object) []int {
 	return nil
 }
 
-// heuristicSite is the pre-callgraph resolution rule, scoped to the
-// call's own package: a method call binds when the receiver ident
-// matches the declared receiver name, a plain call binds to a plain
+// heuristicSite resolves a site go/types could not type, by name within
+// the call's own package: a method call binds when the receiver ident
+// matches the declared receiver name (a cheap stand-in that separates
+// `a.priceCart(...)` from `e.Add(...)`), a plain call binds to a plain
 // function of that name.
 func (g *callGraph) heuristicSite(n *cgNode, c callSite) []int {
 	for _, cand := range g.byName[n.pkg][c.name] {

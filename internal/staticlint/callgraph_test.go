@@ -1,9 +1,8 @@
 package staticlint
 
 // Internal tests for the whole-program layer: loader behaviour, typed
-// and CHA callee resolution, transitive summaries over the SCC
-// condensation, and — the PR's acceptance pin — the precision delta
-// against the old per-package receiver-name heuristic.
+// and CHA callee resolution, the receiver-name fallback for untyped
+// sites, and transitive summaries over the SCC condensation.
 
 import (
 	"os"
@@ -15,24 +14,52 @@ import (
 
 const wholeprogDir = "testdata/src/wholeprog"
 
-func scanCorpus(t *testing.T, dir string, opt VetOptions) *pkgScan {
+func loadCorpus(t *testing.T, dir string) *Program {
 	t.Helper()
-	ps, err := scanAny(dir, opt)
+	p, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ps
+	return p
 }
 
-func factsOf(t *testing.T, ps *pkgScan, name string) *fnFacts {
+func factsOf(t *testing.T, p *Program, name string) *fnFacts {
 	t.Helper()
-	for _, f := range ps.facts {
+	for _, f := range p.facts {
 		if f.name == name {
 			return f
 		}
 	}
 	t.Fatalf("no facts for function %q", name)
 	return nil
+}
+
+// calleesAt resolves p's call graph and returns, by display name, what
+// the call sites on file:line bind to.
+func calleesAt(p *Program, file string, line int) []string {
+	g := p.newCallGraph()
+	g.resolve()
+	var out []string
+	for _, n := range g.nodes {
+		for i, c := range n.facts.calls {
+			if n.facts.file != file || c.line != line {
+				continue
+			}
+			for _, id := range n.callees[i] {
+				out = append(out, g.display(n, g.nodes[id]))
+			}
+		}
+	}
+	return out
+}
+
+func hasUnordered(fs []Finding, line int) bool {
+	for _, f := range fs {
+		if f.Kind == KindUnorderedLocks && f.Line == line {
+			return true
+		}
+	}
+	return false
 }
 
 func locksOf(f *fnFacts) []event {
@@ -51,7 +78,7 @@ func locksOf(f *fnFacts) []event {
 // recursive cycle all appear in the caller's events, with provenance
 // chains naming the path and the leaf acquisition site.
 func TestWholeProgramSequences(t *testing.T) {
-	ps := scanCorpus(t, wholeprogDir, DefaultVetOptions())
+	ps := loadCorpus(t, wholeprogDir)
 	leaf := wholeprogDir + "/dao/dao.go"
 	for _, tc := range []struct {
 		fn       string
@@ -89,129 +116,54 @@ func TestWholeProgramSequences(t *testing.T) {
 	}
 }
 
-// TestResolverDelta is the acceptance pin: it runs both resolvers over
-// the fixture corpus and asserts that whole-program analysis binds call
-// sites — cross-package, interface-dispatch, and from an
-// unnamed-receiver method — that the name-matching heuristic provably
-// left unresolved, and that only whole-program analysis sees the lock
-// reached around the recursive SCC.
+// TestResolverDelta pins what only whole-program resolution binds: a
+// cross-package call, an interface dispatch (CHA), a cross-package call
+// from an unnamed-receiver method — none of which a per-package name
+// match can see — and the lock reached around the recursive SCC, which
+// takes the fixed-point summary.
 func TestResolverDelta(t *testing.T) {
-	cg := scanCorpus(t, wholeprogDir, DefaultVetOptions())
-
-	// The heuristic scan is per-package and non-recursive: run it over
-	// each fixture package the way the old Vet did.
-	heur := map[string][]string{}
-	var heurScans []*pkgScan
-	for _, sub := range []string{"dao", "handler", "store"} {
-		ps, err := scanDir(filepath.Join(wholeprogDir, sub))
-		if err != nil {
-			t.Fatal(err)
-		}
-		heurScans = append(heurScans, ps)
-		for k, v := range ps.resolved {
-			heur[k] = append(heur[k], v...)
-		}
-	}
-
+	cg := loadCorpus(t, wholeprogDir)
 	for _, tc := range []struct {
-		site   string
+		file   string
+		line   int
 		callee string
 		why    string
 	}{
-		{wholeprogDir + "/handler/handler.go:17", "dao.LockProduct", "cross-package call"},
-		{wholeprogDir + "/handler/handler.go:26", "store.DBStore.Save", "interface dispatch (CHA)"},
-		{wholeprogDir + "/store/store.go:28", "dao.LockProduct", "cross-package call from an unnamed-receiver method"},
+		{wholeprogDir + "/handler/handler.go", 17, "dao.LockProduct", "cross-package call"},
+		{wholeprogDir + "/handler/handler.go", 26, "store.DBStore.Save", "interface dispatch (CHA)"},
+		{wholeprogDir + "/store/store.go", 28, "dao.LockProduct", "cross-package call from an unnamed-receiver method"},
 	} {
-		if _, ok := heur[tc.site]; ok {
-			t.Errorf("%s: heuristic unexpectedly resolved the site (%s)", tc.site, tc.why)
-		}
+		got := calleesAt(cg, tc.file, tc.line)
 		found := false
-		for _, name := range cg.resolved[tc.site] {
+		for _, name := range got {
 			if name == tc.callee {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("%s: call graph did not resolve %s (%s); got %v", tc.site, tc.callee, tc.why, cg.resolved[tc.site])
+			t.Errorf("%s:%d: call graph did not resolve %s (%s); got %v", tc.file, tc.line, tc.callee, tc.why, got)
 		}
 	}
 
-	// Recursion: the heuristic binds drainKids -> drainTree (same
-	// package, plain call) but its one-level summary sees no session
-	// call in drainTree's body, so the lock is still missed; the
-	// fixed-point summary carries it around the cycle.
-	for _, ps := range heurScans {
-		for _, f := range ps.facts {
-			if f.name == "drainKids" && len(locksOf(f)) != 0 {
-				t.Errorf("heuristic drainKids unexpectedly saw a lock event")
-			}
-		}
-	}
+	// Recursion: drainTree's own body holds no session call, so the lock
+	// reaches drainKids only around the cycle.
 	if got := len(locksOf(factsOf(t, cg, "drainKids"))); got != 1 {
 		t.Errorf("whole-program drainKids lock events = %d, want 1", got)
 	}
 
-	// Finding-level delta: the heuristic reports no unordered-locks
-	// hazard anywhere in the corpus; whole-program analysis reports all
-	// three loops.
-	var heurFs []Finding
-	for _, sub := range []string{"dao", "handler", "store"} {
-		fs, err := VetDir(filepath.Join(wholeprogDir, sub), nil, VetOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		heurFs = append(heurFs, fs...)
-	}
-	for _, f := range heurFs {
-		if f.Kind == KindUnorderedLocks {
-			t.Errorf("heuristic unexpectedly found: %s", f)
-		}
-	}
-	cgFs, err := VetDir(wholeprogDir, nil, DefaultVetOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Finding level: all three loops are reported.
+	cgFs := cg.Findings(nil)
 	for _, line := range []int{16, 25, 39} {
-		ok := false
-		for _, f := range cgFs {
-			if f.Kind == KindUnorderedLocks && f.Line == line {
-				ok = true
-			}
-		}
-		if !ok {
+		if !hasUnordered(cgFs, line) {
 			t.Errorf("whole-program vet missing unordered-locks at handler.go:%d\nall:\n%v", line, cgFs)
 		}
-	}
-}
-
-// TestDevirtOff is the CHA ablation: without devirtualization the
-// interface call site resolves to nothing, so ProcessAll's loop loses
-// its lock while the direct cross-package path keeps its finding.
-func TestDevirtOff(t *testing.T) {
-	fs, err := VetDir(wholeprogDir, nil, VetOptions{CallGraph: true, Devirt: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range fs {
-		if f.Kind == KindUnorderedLocks && f.Line == 25 {
-			t.Errorf("devirt off, but interface-dispatch lock still inferred: %s", f)
-		}
-	}
-	found := false
-	for _, f := range fs {
-		if f.Kind == KindUnorderedLocks && f.Line == 16 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("devirt off must not affect the direct cross-package path; findings:\n%v", fs)
 	}
 }
 
 // TestDiamondDedup pins satellite 2: two call paths to one acquisition
 // contribute one event and one template, keyed on the leaf site.
 func TestDiamondDedup(t *testing.T) {
-	ps := scanCorpus(t, "testdata/src/diamond", DefaultVetOptions())
+	ps := loadCorpus(t, "testdata/src/diamond")
 	top := factsOf(t, ps, "top")
 	locks := locksOf(top)
 	if len(locks) != 1 {
@@ -229,37 +181,18 @@ func TestDiamondDedup(t *testing.T) {
 // TestRepeatedCalleeAcrossContexts pins the context-scoped splice
 // dedup: a lock-taking callee invoked before a loop AND per element
 // inside two separate loops keeps one lock event in each context, so
-// both loops are flagged — matching the per-package heuristic, which
-// never deduped across call sites. Two calls from the same (top-level)
-// context still collapse, diamond-style.
+// both loops are flagged. Two calls from the same (top-level) context
+// still collapse, diamond-style.
 func TestRepeatedCalleeAcrossContexts(t *testing.T) {
-	const dir = "testdata/src/repeat"
-	for _, tc := range []struct {
-		name string
-		opt  VetOptions
-	}{
-		{"wholeprog", DefaultVetOptions()},
-		{"heuristic", VetOptions{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fs, err := VetDir(dir, nil, tc.opt)
-			if err != nil {
-				t.Fatal(err)
+	ps := loadCorpus(t, "testdata/src/repeat")
+	t.Run("wholeprog", func(t *testing.T) {
+		fs := ps.Findings(nil)
+		for _, line := range []int{22, 25} {
+			if !hasUnordered(fs, line) {
+				t.Errorf("missing unordered-locks at repeat.go:%d; findings:\n%v", line, fs)
 			}
-			for _, line := range []int{22, 25} {
-				ok := false
-				for _, f := range fs {
-					if f.Kind == KindUnorderedLocks && f.Line == line {
-						ok = true
-					}
-				}
-				if !ok {
-					t.Errorf("missing unordered-locks at repeat.go:%d; findings:\n%v", line, fs)
-				}
-			}
-		})
-	}
-	ps := scanCorpus(t, dir, DefaultVetOptions())
+		}
+	})
 	h := factsOf(t, ps, "Handler")
 	if got := len(locksOf(h)); got != 3 {
 		t.Errorf("Handler lock events = %d, want 3 (pre-loop + one per loop): %+v", got, locksOf(h))
@@ -273,27 +206,19 @@ func TestRepeatedCalleeAcrossContexts(t *testing.T) {
 }
 
 // TestSessionSurfaceNotAnalyzed: a tree that contains the ORM/session
-// type itself must not report the session-method bodies as app APIs —
-// in either resolution mode (parseTarget and scanDir apply the same
-// sessionMethods skip).
+// type itself must not report the session-method bodies as app APIs
+// (parseTarget's sessionMethods skip).
 func TestSessionSurfaceNotAnalyzed(t *testing.T) {
-	cg := scanCorpus(t, wholeprogDir, DefaultVetOptions())
-	heur, err := scanDir(filepath.Join(wholeprogDir, "dao"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ps := range []*pkgScan{cg, heur} {
-		for _, f := range ps.facts {
-			if sessionMethods[f.name] {
-				t.Errorf("session method %q analyzed as an app API", f.name)
-			}
+	for _, f := range loadCorpus(t, wholeprogDir).facts {
+		if sessionMethods[f.name] {
+			t.Errorf("session method %q analyzed as an app API", f.name)
 		}
 	}
 }
 
-// TestLoadTreeCacheInvalidation: the program cache is keyed on tree
-// content, so a re-vet after a source edit in the same process sees
-// the new code instead of the first load's stale findings.
+// TestLoadTreeCacheInvalidation: nothing outlives a Load, so a re-vet
+// after a source edit in the same process sees the new code — the first
+// thing any cache put in front of the loader would have to get right.
 func TestLoadTreeCacheInvalidation(t *testing.T) {
 	dir := t.TempDir()
 	writeAll := func(name, body string) {
@@ -319,7 +244,7 @@ func Handler(s *session, ids []int64) {
 	}
 }
 `)
-	fs, err := VetDir(dir, nil, DefaultVetOptions())
+	fs, err := Vet(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +271,7 @@ func Handler(s *session, ids []int64) {
 	}
 }
 `)
-	fs, err = VetDir(dir, nil, DefaultVetOptions())
+	fs, err = Vet(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,16 +280,15 @@ func Handler(s *session, ids []int64) {
 	}
 }
 
-// TestReceiverFix pins satellite 1 on the heuristic path itself:
-// a multi-name receiver list now binds through its first name (the
-// hazard in useMany is reported) and an unnamed-receiver method no
-// longer captures plain calls of the same name (freeCall stays clean).
+// TestReceiverFix pins receiver extraction on the recv fixture: a
+// multi-name receiver list binds through its first name (the hazard in
+// useMany is reported) and an unnamed-receiver method does not capture
+// plain calls of the same name (freeCall stays clean). go/types happens
+// to type useMany's site, so the same two bindings are also asked of
+// heuristicSite — the rule recvIdent exists for — directly.
 func TestReceiverFix(t *testing.T) {
-	ps, err := scanDir("testdata/src/recv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := ps.Lint()
+	p := loadCorpus(t, "testdata/src/recv")
+	fs := p.Findings(nil)
 	found := false
 	for _, f := range fs {
 		if f.Kind == KindUnorderedLocks && f.Func == "useMany" && f.Line == 29 {
@@ -377,6 +301,20 @@ func TestReceiverFix(t *testing.T) {
 	if !found {
 		t.Errorf("multi-name receiver method not resolved; findings:\n%v", fs)
 	}
+
+	g := p.newCallGraph()
+	for _, n := range g.nodes {
+		for _, c := range n.facts.calls {
+			var got []string
+			for _, id := range g.heuristicSite(n, c) {
+				got = append(got, g.nodes[id].name)
+			}
+			want := map[string][]string{"useMany": {"lockMany"}}[n.name]
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("heuristicSite(%s -> %s) = %v, want %v", n.name, c.name, got, want)
+			}
+		}
+	}
 }
 
 // TestTxnBoundaryNotInlined: calls to functions that open their own
@@ -384,7 +322,7 @@ func TestReceiverFix(t *testing.T) {
 // drivers that invoke handler APIs in sequence must not merge every
 // handler's statements into one phantom transaction template.
 func TestTxnBoundaryNotInlined(t *testing.T) {
-	ps := scanCorpus(t, "../apps/shopizer", DefaultVetOptions())
+	ps := loadCorpus(t, "../apps/shopizer")
 	for _, sh := range ps.Shapes(nil) {
 		if sh.API == "Flow" || sh.API == "UnitTests" {
 			t.Errorf("driver %s has a transaction shape (%d stmts): txn-opening callees must not inline", sh.API, len(sh.Stmts))
@@ -405,11 +343,11 @@ func TestTxnBoundaryNotInlined(t *testing.T) {
 
 // Loader edge cases.
 func TestLoadTreeErrors(t *testing.T) {
-	if _, err := loadTree("testdata/src/definitely-missing"); err == nil {
-		t.Error("loadTree on a missing directory must fail")
+	if _, err := Load("testdata/src/definitely-missing"); err == nil {
+		t.Error("Load on a missing directory must fail")
 	}
-	if _, err := loadTree("testdata/golden/f2.txt"); err == nil {
-		t.Error("loadTree on a file must fail")
+	if _, err := Load("testdata/golden/f2.txt"); err == nil {
+		t.Error("Load on a file must fail")
 	}
 }
 
@@ -427,7 +365,7 @@ func TestModulePath(t *testing.T) {
 }
 
 func TestLoadTreeModuleDiscovery(t *testing.T) {
-	prog, err := loadTree(wholeprogDir)
+	prog, err := Load(wholeprogDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +379,7 @@ func TestLoadTreeModuleDiscovery(t *testing.T) {
 	// are derived from the repo go.mod, and stdlib imports ("sort" in
 	// the clean fixture) resolve to empty placeholder packages without
 	// failing the load.
-	prog2, err := loadTree("testdata/src/clean")
+	prog2, err := Load("testdata/src/clean")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"weseer/internal/schema"
+	"weseer/internal/trace"
 )
 
 // Cross-API lock-order canonicalization. The paper's highest-leverage
@@ -87,6 +88,22 @@ type CanonicalOrder struct {
 // node narrowing).
 func CanonicalizeShapes(shapes []TxnShape, scm *schema.Schema) *CanonicalOrder {
 	return BuildLockOrderGraph(shapes, scm).Canonicalize()
+}
+
+// CanonicalizeTraces canonicalizes a collected workload: every
+// transaction instance of every trace is one voting template. This is
+// what `-fixplan` and the fixgain experiment attach to
+// core.Result.CanonicalOrder; the analysis itself never computes it
+// (most of a second on a thousand traces). Serial and input-order driven,
+// so the result is byte-identical however the analysis was run.
+func CanonicalizeTraces(traces []*trace.Trace, scm *schema.Schema) *CanonicalOrder {
+	var shapes []TxnShape
+	for _, tr := range traces {
+		for _, txn := range tr.Txns {
+			shapes = append(shapes, ShapeFromTxn(tr.API, txn))
+		}
+	}
+	return CanonicalizeShapes(shapes, scm)
 }
 
 // Canonicalize computes the canonical global lock order and the ranked

@@ -11,18 +11,15 @@ import (
 	"weseer/internal/staticlint"
 )
 
-// appShapes extracts the vet transaction shapes of one model app, the
-// way `weseer vet -canonical-order` does.
-func appShapes(t *testing.T, dir string, scm *schema.Schema) []staticlint.TxnShape {
+// loadApp loads one source tree the way `weseer vet` does: once, for both
+// findings and shapes.
+func loadApp(t *testing.T, dir string) *staticlint.Program {
 	t.Helper()
-	shapes, err := staticlint.DirShapes(dir, scm)
+	p, err := staticlint.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shapes) == 0 {
-		t.Fatalf("no transaction shapes under %s", dir)
-	}
-	return shapes
+	return p
 }
 
 func checkGolden(t *testing.T, golden string, got []byte) {
@@ -49,8 +46,8 @@ func checkGolden(t *testing.T, golden string, got []byte) {
 // output — canonical order, ranked suggestions, source sites — on both
 // model applications, in both the text and the -json rendering.
 //
-// Golden delta vs PR 5: DirShapes now resolves callees whole-program,
-// so a handler's transaction template includes the statements of its
+// Golden delta vs PR 5: shapes resolve callees whole-program, so a
+// handler's transaction template includes the statements of its
 // non-transaction-opening helpers, located at their real (leaf)
 // acquisition sites. Direction votes and reorder suggestions therefore
 // cite more sites per API than PR 5's one-level heuristic, while
@@ -67,7 +64,11 @@ func TestCanonicalOrderGolden(t *testing.T) {
 		{"shopizer", "../apps/shopizer", shopizer.Schema()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			shapes := appShapes(t, tc.dir, tc.scm)
+			prog := loadApp(t, tc.dir)
+			shapes := prog.Shapes(tc.scm)
+			if len(shapes) == 0 {
+				t.Fatalf("no transaction shapes under %s", tc.dir)
+			}
 			co := staticlint.CanonicalizeShapes(shapes, tc.scm)
 			if len(co.Suggestions) == 0 {
 				t.Errorf("%s: expected at least one reorder suggestion", tc.name)
@@ -75,10 +76,7 @@ func TestCanonicalOrderGolden(t *testing.T) {
 			checkGolden(t, filepath.Join("testdata", "golden", "canonical_"+tc.name+".txt"),
 				[]byte(co.Render()))
 
-			fs, err := staticlint.Vet(tc.dir, tc.scm)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fs := prog.Findings(tc.scm)
 			data, err := staticlint.EncodeReport(fs, co)
 			if err != nil {
 				t.Fatal(err)
@@ -102,27 +100,35 @@ func TestCanonicalOrderGolden(t *testing.T) {
 // byte-identical across 20 repeated runs. Any map-ranged emission in
 // the analyzers shows up here as a diff. The whole-program path (CHA
 // candidate enumeration, SCC fixpoint, summary splicing) is covered by
-// the multi-package wholeprog corpus alongside the model apps.
+// the multi-package wholeprog corpus alongside the model apps. Runs 0
+// and 1 each load the corpora from disk; the rest re-scan the second
+// load's type-checked trees (go/types is not where the maps are ranged,
+// and verify.sh diffs two whole processes besides).
 func TestVetDeterministic(t *testing.T) {
+	corpora := []struct {
+		dir string
+		scm *schema.Schema
+	}{
+		{"../apps/broadleaf", broadleaf.Schema()},
+		{"../apps/shopizer", shopizer.Schema()},
+		{filepath.Join("testdata", "src", "wholeprog"), nil},
+	}
+	load := func() []*staticlint.Program {
+		var progs []*staticlint.Program
+		for _, tc := range corpora {
+			progs = append(progs, loadApp(t, tc.dir))
+		}
+		return progs
+	}
 	type out struct {
 		text string
 		data string
 	}
-	one := func() out {
+	one := func(progs []*staticlint.Program) out {
 		var text, data []byte
-		for _, tc := range []struct {
-			dir string
-			scm *schema.Schema
-		}{
-			{"../apps/broadleaf", broadleaf.Schema()},
-			{"../apps/shopizer", shopizer.Schema()},
-			{filepath.Join("testdata", "src", "wholeprog"), nil},
-		} {
-			fs, err := staticlint.Vet(tc.dir, tc.scm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			co := staticlint.CanonicalizeShapes(appShapes(t, tc.dir, tc.scm), tc.scm)
+		for i, tc := range corpora {
+			fs := progs[i].Findings(tc.scm)
+			co := staticlint.CanonicalizeShapes(progs[i].Shapes(tc.scm), tc.scm)
 			text = append(text, render(fs)...)
 			text = append(text, co.Render()...)
 			enc, err := staticlint.EncodeReport(fs, co)
@@ -133,10 +139,14 @@ func TestVetDeterministic(t *testing.T) {
 		}
 		return out{string(text), string(data)}
 	}
-	first := one()
+	first := one(load())
+	progs := load()
 	for run := 1; run < 20; run++ {
-		if got := one(); got != first {
+		if got := one(progs); got != first {
 			t.Fatalf("run %d produced different output than run 0", run)
+		}
+		for _, p := range progs {
+			p.Rescan()
 		}
 	}
 }

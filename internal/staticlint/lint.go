@@ -29,8 +29,8 @@ import (
 // loop is "unordered" unless its ranged variable was sorted in the same
 // function. Findings are hazard reports, not proofs.
 
-// Lint runs Analyzer 2 over an already-scanned package.
-func (p *pkgScan) Lint() []Finding {
+// lint runs Analyzer 2 over the scanned functions.
+func (p *Program) lint() []Finding {
 	var out []Finding
 	for _, f := range p.facts {
 		out = append(out, f.mergeFindings()...)
@@ -178,80 +178,58 @@ func (f *fnFacts) unorderedFindings() []Finding {
 	return out
 }
 
-// provenance renders a whole-program summary event's call chain for a
-// finding detail: the old one-level heuristic leaves leafFile empty and
-// contributes nothing, so ablation output is unchanged.
+// provenance renders a spliced summary event's call chain for a finding
+// detail ("" for an event local to the function).
 func provenance(what string, ev event) string {
-	if !ev.summary || len(ev.path) == 0 || ev.leafFile == "" {
+	if !ev.summary {
 		return ""
 	}
 	return fmt.Sprintf("; %s via %s at %s:%d", what, strings.Join(ev.path, " -> "), ev.leafFile, ev.leafLine)
 }
 
-// VetOptions selects the callee-resolution strategy.
-type VetOptions struct {
-	// CallGraph enables whole-program analysis: type-check the full
-	// directory tree, resolve callees with go/types, and propagate
-	// transitive event summaries bottom-up over the SCC condensation.
-	// Off, the scan is the per-package one-level name heuristic.
-	CallGraph bool
-	// Devirt enables CHA devirtualization of interface call sites
-	// (only meaningful with CallGraph; off is the ablation where
-	// interface calls resolve to nothing).
-	Devirt bool
-}
-
-// DefaultVetOptions is what `weseer vet` runs with: whole-program
-// resolution with devirtualization.
-func DefaultVetOptions() VetOptions { return VetOptions{CallGraph: true, Devirt: true} }
-
-// scanAny scans dir under the selected resolution strategy, returning
-// function facts the lint and shape layers consume identically either
-// way.
-func scanAny(dir string, opt VetOptions) (*pkgScan, error) {
-	if !opt.CallGraph {
-		return scanDir(dir)
-	}
-	prog, err := loadTree(dir)
-	if err != nil {
-		return nil, err
-	}
-	return prog.scan(opt), nil
-}
-
-// Vet runs both analyzers over the package tree in dir with the default
-// whole-program resolution: Analyzer 2 on the source and Analyzer 1 on
-// the statement templates extracted from it. scm may be nil (no schema
-// → gap-escalation and synthesized point statements are skipped).
-func Vet(dir string, scm *schema.Schema) ([]Finding, error) {
-	return VetDir(dir, scm, DefaultVetOptions())
-}
-
-// VetDir is Vet with an explicit resolution strategy.
-func VetDir(dir string, scm *schema.Schema, opt VetOptions) ([]Finding, error) {
-	p, err := scanAny(dir, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := p.Lint()
+// Findings runs both analyzers over the loaded tree: Analyzer 2 on the
+// source and Analyzer 1 on the statement templates extracted from it.
+// scm may be nil (no schema → gap-escalation and synthesized point
+// statements are skipped).
+func (p *Program) Findings(scm *schema.Schema) []Finding {
+	out := p.lint()
 	out = append(out, PrescreenTxns(p.Shapes(scm), scm)...)
 	Sort(out)
-	return out, nil
+	return out
 }
 
-// DirShapes extracts Analyzer 1's transaction shapes from the package
-// tree in dir — the per-API statement templates lock-order
-// canonicalization merges. scm may be nil (Find/Set synthesis is
-// skipped without primary-key columns).
+// Vet is Load + Findings, for callers that want nothing else of the tree.
+func Vet(dir string, scm *schema.Schema) ([]Finding, error) {
+	p, err := Load(dir)
+	if err != nil {
+		return nil, err
+	}
+	return p.Findings(scm), nil
+}
+
+// DirShapes is Load + Shapes.
 func DirShapes(dir string, scm *schema.Schema) ([]TxnShape, error) {
-	return DirShapesOpt(dir, scm, DefaultVetOptions())
-}
-
-// DirShapesOpt is DirShapes with an explicit resolution strategy.
-func DirShapesOpt(dir string, scm *schema.Schema, opt VetOptions) ([]TxnShape, error) {
-	p, err := scanAny(dir, opt)
+	p, err := Load(dir)
 	if err != nil {
 		return nil, err
 	}
 	return p.Shapes(scm), nil
+}
+
+// VetOptions is empty: vet has one resolver.
+//
+// Deprecated: kept, with DefaultVetOptions and VetDir, only because
+// benchmark/probes.go still calls them; use Vet or Load.
+type VetOptions struct{}
+
+// DefaultVetOptions returns the empty VetOptions.
+//
+// Deprecated: see VetOptions.
+func DefaultVetOptions() VetOptions { return VetOptions{} }
+
+// VetDir is Vet.
+//
+// Deprecated: see VetOptions.
+func VetDir(dir string, scm *schema.Schema, _ VetOptions) ([]Finding, error) {
+	return Vet(dir, scm)
 }

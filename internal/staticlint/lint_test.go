@@ -10,6 +10,7 @@ import (
 
 	"weseer/internal/apps/broadleaf"
 	"weseer/internal/apps/shopizer"
+	"weseer/internal/schema"
 	"weseer/internal/staticlint"
 )
 
@@ -116,6 +117,36 @@ func TestVetApps(t *testing.T) {
 	for _, f := range sf {
 		if f.Func == "serializeProducts" {
 			t.Errorf("false positive on the sorted lock helper: %s", f)
+		}
+	}
+}
+
+// TestProgramServesFindingsAndShapes: one Load answers both questions
+// `weseer vet -canonical-order` asks of a tree, and answers them exactly
+// as the one-call forms (each of which loads the tree again) do.
+func TestProgramServesFindingsAndShapes(t *testing.T) {
+	for _, tc := range []struct {
+		dir string
+		scm *schema.Schema
+	}{
+		{filepath.Join("testdata", "src", "wholeprog"), nil},
+		{"../apps/broadleaf", broadleaf.Schema()},
+		{"../apps/shopizer", shopizer.Schema()},
+	} {
+		prog := loadApp(t, tc.dir)
+		fs, err := staticlint.Vet(tc.dir, tc.scm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.Findings(tc.scm); len(got) == 0 || !reflect.DeepEqual(got, fs) {
+			t.Errorf("%s: Program.Findings differs from Vet:\ngot:\n%swant:\n%s", tc.dir, render(got), render(fs))
+		}
+		shapes, err := staticlint.DirShapes(tc.dir, tc.scm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.Shapes(tc.scm); len(got) == 0 || !reflect.DeepEqual(got, shapes) {
+			t.Errorf("%s: Program.Shapes differs from DirShapes: %d vs %d shapes", tc.dir, len(got), len(shapes))
 		}
 	}
 }

@@ -48,16 +48,6 @@ type TxnShape struct {
 	Stmts []StmtShape
 }
 
-// ShapeFromTemplates builds a transaction shape from bare templates
-// (no parameter or result knowledge).
-func ShapeFromTemplates(api string, stmts []sqlast.Stmt) TxnShape {
-	sh := TxnShape{API: api}
-	for _, st := range stmts {
-		sh.Stmts = append(sh.Stmts, StmtShape{Stmt: st})
-	}
-	return sh
-}
-
 // ShapeFromTxn abstracts a recorded transaction: parameters whose
 // symbolic shadow is a literal become rigid, result emptiness is taken
 // from the recorded result, and Trigger ≠ Sent marks deferred writes.

@@ -3,9 +3,7 @@ package staticlint
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -15,30 +13,20 @@ import (
 	"weseer/internal/sqlast"
 )
 
-// Analyzer 2's view of the session API: the method names through which
-// the ORM reads, locks, buffers, and flushes. Query/Find/Exec/Lazy send
-// statements (and take locks) at the call site; Set buffers a row
-// modification until the flush.
-var (
-	readMethods = map[string]bool{"Query": true, "Find": true, "Lazy": true}
-	lockMethods = map[string]bool{"Query": true, "Find": true, "Exec": true, "Lazy": true}
-	sortFuncs   = map[string]bool{"Slice": true, "SliceStable": true, "Sort": true, "Ints": true, "Strings": true, "Float64s": true}
-)
+// sortFuncs are the sort-package calls that mark their first argument
+// as ordered.
+var sortFuncs = map[string]bool{"Slice": true, "SliceStable": true, "Sort": true, "Ints": true, "Strings": true, "Float64s": true}
 
-// sessionMethods are never resolved as package-local callees.
+// sessionMethods is Analyzer 2's view of the session API: the method
+// names through which the ORM reads, locks, buffers, and flushes
+// (interpret gives each its events: Query/Find/Exec/Lazy send statements
+// and take locks at the call site, Set buffers a row modification until
+// the flush). They are never resolved as callees.
 var sessionMethods = map[string]bool{
 	"Query": true, "Find": true, "Lazy": true, "Exec": true, "Set": true,
 	"Persist": true, "Merge": true, "Remove": true, "Flush": true,
 	"NewEntity": true, "Begin": true, "Commit": true, "Rollback": true,
 	"Transactional": true, "Lock": true, "Unlock": true,
-}
-
-// funcSummary is the one-level callee summary: does calling this
-// package-local function read through the session, and does it take
-// database or mutex locks?
-type funcSummary struct {
-	reads bool
-	locks bool
 }
 
 // event is one interpreted action of a function body, in source order.
@@ -97,9 +85,8 @@ type tmpl struct {
 }
 
 // callSite is an unresolved non-session call recorded during
-// interpretation when the scan runs in whole-program mode; the call
-// graph layer resolves it with go/types and splices the callee's
-// transitive summary back in at pos.
+// interpretation; the call-graph layer resolves it with go/types and
+// splices the callee's transitive summary back in at pos.
 type callSite struct {
 	call     *ast.CallExpr
 	pos      token.Pos
@@ -137,100 +124,14 @@ type fnFacts struct {
 	merges   []event        // Merge call sites
 	persists []event        // Persist call sites
 	queried  map[string]bool
-	calls    []callSite // deferred non-session calls (whole-program mode)
+	calls    []callSite // non-session calls, for the call-graph layer
 }
 
-type pkgScan struct {
-	fset  *token.FileSet
-	dir   string
-	decls []*ast.FuncDecl
-	sums  map[string]funcSummary
-	recvs map[string]string // func name -> declared receiver ident ("" = unnamed or plain func)
-	meths map[string]bool   // func name -> declared with a receiver
-	facts []*fnFacts
-
-	// deferCalls switches interpret from one-level heuristic callee
-	// resolution to recording callSites for the call-graph layer.
-	deferCalls bool
-
-	// resolved records, per "file:line" call site, the display names of
-	// the callees the active resolver bound it to (both resolvers fill
-	// it; the precision-delta test diffs the two).
-	resolved map[string][]string
-}
-
-// scanDir parses every non-test .go file in dir (stdlib go/parser only)
-// and interprets each function.
-func scanDir(dir string) (*pkgScan, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	p := newPkgScan(token.NewFileSet(), dir)
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		f, err := parser.ParseFile(p.fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("staticlint: %w", err)
-		}
-		for _, d := range f.Decls {
-			// Declarations named like session methods are the ORM
-			// surface itself (or an app's local stand-in for it), not
-			// app transaction APIs: their bodies are never interpreted
-			// and calls to them become events at the call site.
-			// parseTarget applies the same rule, so both resolution
-			// modes see the same declaration set.
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && !sessionMethods[fd.Name.Name] {
-				p.decls = append(p.decls, fd)
-			}
-		}
-	}
-	sort.Slice(p.decls, func(i, j int) bool { return p.decls[i].Pos() < p.decls[j].Pos() })
-	for _, fd := range p.decls {
-		name := fd.Name.Name
-		p.recvs[name] = recvIdent(fd)
-		p.meths[name] = fd.Recv != nil
-		sum := funcSummary{}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if m, ok := methodName(call); ok {
-				sum.reads = sum.reads || readMethods[m]
-				sum.locks = sum.locks || lockMethods[m] || m == "Lock"
-			}
-			return true
-		})
-		p.sums[name] = sum
-	}
-	for _, fd := range p.decls {
-		p.facts = append(p.facts, p.interpret(fd))
-	}
-	return p, nil
-}
-
-func newPkgScan(fset *token.FileSet, dir string) *pkgScan {
-	return &pkgScan{
-		fset: fset, dir: dir,
-		sums:     map[string]funcSummary{},
-		recvs:    map[string]string{},
-		meths:    map[string]bool{},
-		resolved: map[string][]string{},
-	}
-}
-
-// recvIdent returns the first receiver ident of a method declaration.
-// Unnamed receivers (`func (Foo) M()`) and — illegal but parseable —
-// multi-name receiver lists (`func (a, b Foo) M()`) used to be dropped
-// entirely, hiding those bodies from summary resolution; now the
-// receiver list contributes its first name and "" only means the
-// receiver is genuinely unnamed (pkgScan.meths still records that the
-// declaration is a method).
+// recvIdent returns the first receiver ident of a method declaration,
+// the name heuristicSite matches a call's receiver against. A — illegal
+// but parseable — multi-name receiver list (`func (a, b Foo) M()`)
+// contributes its first name; "" means the receiver is unnamed
+// (`func (Foo) M()`) or fd is a plain function.
 func recvIdent(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return ""
@@ -302,9 +203,12 @@ func looksLikeSQL(s string) bool {
 
 // interpret runs the single in-source-order pass over one function body,
 // tracking entity origins (NewEntity / Find / Query rows) and recording
-// events, template fragments, loops, and branch shapes.
-func (p *pkgScan) interpret(fd *ast.FuncDecl) *fnFacts {
-	pos := p.fset.Position(fd.Pos())
+// events, template fragments, loops, branch shapes, and the non-session
+// call sites the call-graph layer resolves. Template send positions are
+// not final until callGraph.splice has run finalizeSends over the
+// spliced event stream.
+func interpret(fset *token.FileSet, fd *ast.FuncDecl) *fnFacts {
+	pos := fset.Position(fd.Pos())
 	facts := &fnFacts{name: fd.Name.Name, file: filepath.ToSlash(pos.Filename), queried: map[string]bool{}}
 
 	// Collection pass: gather nodes, then process calls in source order.
@@ -344,7 +248,7 @@ func (p *pkgScan) interpret(fd *ast.FuncDecl) *fnFacts {
 			}
 			if v, ok := lenIsZero(s.Cond); ok {
 				facts.ifs = append(facts.ifs, ifInfo{
-					pos: s.Pos(), line: p.fset.Position(s.Pos()).Line,
+					pos: s.Pos(), line: fset.Position(s.Pos()).Line,
 					emptyVar: v, body: [2]token.Pos{s.Body.Pos(), s.Body.End()},
 				})
 			}
@@ -353,7 +257,7 @@ func (p *pkgScan) interpret(fd *ast.FuncDecl) *fnFacts {
 		case *ast.RangeStmt:
 			condRanges = append(condRanges, [2]token.Pos{s.Body.Pos(), s.Body.End()})
 			li := loopInfo{
-				pos: s.Pos(), line: p.fset.Position(s.Pos()).Line,
+				pos: s.Pos(), line: fset.Position(s.Pos()).Line,
 				body:      [2]token.Pos{s.Body.Pos(), s.Body.End()},
 				rangedVar: identName(s.X),
 				rangeExpr: exprString(s.X),
@@ -448,7 +352,7 @@ func (p *pkgScan) interpret(fd *ast.FuncDecl) *fnFacts {
 	for _, call := range calls {
 		at := call.Pos()
 		applyCopies(at)
-		line := p.fset.Position(at).Line
+		line := fset.Position(at).Line
 		// sort.<Fn>(x, ...) marks x as ordered.
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 			if identName(sel.X) == "sort" && sortFuncs[sel.Sel.Name] && len(call.Args) > 0 {
@@ -544,45 +448,16 @@ func (p *pkgScan) interpret(fd *ast.FuncDecl) *fnFacts {
 			// The closure body is interpreted inline (ast.Inspect walks
 			// it); the boundary events bracket everything inside.
 			addEvent(event{kind: evBegin, pos: at, line: line})
-			addEvent(event{kind: evCommit, pos: call.End(), line: p.fset.Position(call.End()).Line})
+			addEvent(event{kind: evCommit, pos: call.End(), line: fset.Position(call.End()).Line})
 		case m == "Begin" && isMethod:
 			addEvent(event{kind: evBegin, pos: at, line: line})
 		case m == "Commit" && isMethod:
 			addEvent(event{kind: evCommit, pos: at, line: line})
 		case m != "" && !sessionMethods[m]:
-			if p.deferCalls {
-				// Whole-program mode: the call-graph layer resolves the
-				// callee with go/types and splices its transitive
-				// summary in at this position.
-				facts.calls = append(facts.calls, callSite{
-					call: call, pos: at, line: line, name: m,
-					isMethod: isMethod, inCond: inCond(at),
-				})
-				break
-			}
-			// One-level callee summary (the -callgraph=false ablation
-			// path). A method call only resolves to a package-local
-			// method when the call's receiver ident matches the declared
-			// receiver name (a cheap stand-in for go/types: it separates
-			// `a.priceCart(...)` from `e.Add(...)`); a plain call only
-			// resolves to a plain function.
-			sum, ok := p.sums[m]
-			if ok && isMethod {
-				sel := call.Fun.(*ast.SelectorExpr)
-				ok = p.meths[m] && p.recvs[m] != "" && identName(sel.X) == p.recvs[m]
-			} else if ok {
-				ok = !p.meths[m]
-			}
-			if ok {
-				key := fmt.Sprintf("%s:%d", facts.file, line)
-				p.resolved[key] = append(p.resolved[key], m)
-				if sum.reads {
-					addEvent(event{kind: evRead, pos: at, line: line, summary: true, path: []string{m}})
-				}
-				if sum.locks {
-					addEvent(event{kind: evLock, pos: at, line: line, summary: true, path: []string{m}})
-				}
-			}
+			facts.calls = append(facts.calls, callSite{
+				call: call, pos: at, line: line, name: m,
+				isMethod: isMethod, inCond: inCond(at),
+			})
 		}
 	}
 
@@ -590,9 +465,6 @@ func (p *pkgScan) interpret(fd *ast.FuncDecl) *fnFacts {
 	// closure body's events; restore global position order (stable, so
 	// same-position events keep their emission order).
 	sort.SliceStable(facts.events, func(i, j int) bool { return facts.events[i].pos < facts.events[j].pos })
-	if !p.deferCalls {
-		finalizeSends(facts)
-	}
 	facts.loopsSuppress(sorted)
 	return facts
 }
@@ -602,9 +474,8 @@ func (p *pkgScan) interpret(fd *ast.FuncDecl) *fnFacts {
 // session read follows its trigger site (directly, or around the loop
 // it sits in) with no unconditional Flush in between; a Flush also
 // re-anchors the statement's send position from commit back to the
-// flush site. In whole-program mode this runs only after callee
-// summaries are spliced in, so inlined reads and flushes participate in
-// the reorder decision.
+// flush site. It runs only after callee summaries are spliced in, so
+// inlined reads and flushes participate in the reorder decision.
 func finalizeSends(facts *fnFacts) {
 	var flushes []token.Pos
 	for _, ev := range facts.events {
@@ -717,12 +588,14 @@ func exprString(e ast.Expr) string {
 }
 
 // Shapes materializes each function's extracted statement templates as a
-// TxnShape for Analyzer 1, in send order: statements sent at their call
+// TxnShape for Analyzer 1 — the per-API templates lock-order
+// canonicalization merges — in send order: statements sent at their call
 // sites first, then the buffered updates the flush emits at commit.
 // Buffered updates are marked Deferred only when a read genuinely
 // follows their trigger site (the d5/d6 reorder). scm, when present,
-// supplies primary-key columns for Find and Set synthesis.
-func (p *pkgScan) Shapes(scm *schema.Schema) []TxnShape {
+// supplies primary-key columns for Find and Set synthesis; without it
+// Finds are skipped and buffered updates lose their key predicate.
+func (p *Program) Shapes(scm *schema.Schema) []TxnShape {
 	var out []TxnShape
 	for _, f := range p.facts {
 		sh := TxnShape{API: f.name}

@@ -17,13 +17,10 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // progPkg is one package found under the target tree.
@@ -36,143 +33,25 @@ type progPkg struct {
 	tpkg  *types.Package  // nil until checked
 }
 
-// program is a loaded-and-checked directory tree plus the lazily grown
-// set of out-of-tree dependency packages.
-type program struct {
-	root    string
+// Program is one loaded directory tree: every package under it parsed
+// and type-checked, and every function interpreted with its callees'
+// transitive summaries spliced in (callgraph.go). Findings and Shapes
+// both read that one scan. A Program is never mutated after Load, so it
+// may be shared; loading again re-reads the disk.
+type Program struct {
 	fset    *token.FileSet
 	modRoot string // directory holding the enclosing go.mod ("" if none)
 	modPath string // its module path
 	targets []*progPkg
 	byPath  map[string]*progPkg
-	deps    map[string]*types.Package
-	depDirs map[string]bool // module directories read by loadDep (cache revalidation)
-	loading map[string]bool // import paths currently being dep-checked (cycle guard)
+	deps    map[string]*types.Package // out-of-tree packages, grown lazily by importPkg
+	loading map[string]bool           // import paths currently being dep-checked (cycle guard)
 	info    *types.Info
-	typeErr int // type errors swallowed by the tolerant handler
+	facts   []*fnFacts // every target function, package then position order
 }
 
-// Loading a tree is pure (ASTs and type info are never mutated by the
-// scan), so programs are cached: determinism tests re-vet the same
-// corpus dozens of times and would otherwise re-check the world on
-// every run. The cache key includes a content stamp of the target tree
-// (file sizes + mtimes + the nearest go.mod), and a hit additionally
-// revalidates the stamp of every module directory the lazy dep loader
-// read — so a long-lived process that re-vets after source edits gets
-// a fresh load instead of the first invocation's stale findings.
-// Superseded entries for edited trees stay in the map until process
-// exit; they are small (one program per edit) and never returned.
-var (
-	progMu    sync.Mutex
-	progCache = map[string]progResult{}
-)
-
-type progResult struct {
-	prog     *program
-	err      error
-	depStamp string // depsStamp at load time
-}
-
-func loadTree(dir string) (*program, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		abs = dir
-	}
-	// Key on both path forms (the given dir spelling decides the file
-	// paths recorded in findings) plus the tree's content stamp.
-	key := abs + "\x00" + dir + "\x00" + treeStamp(dir)
-	progMu.Lock()
-	defer progMu.Unlock()
-	if r, ok := progCache[key]; ok && depsStamp(r.prog) == r.depStamp {
-		return r.prog, r.err
-	}
-	prog, err := loadTreeUncached(dir)
-	progCache[key] = progResult{prog, err, depsStamp(prog)}
-	return prog, err
-}
-
-// dirStamp hashes one directory's non-test .go files (name, size,
-// mtime) into h; os.ReadDir returns entries sorted, so the stamp is
-// deterministic.
-func dirStamp(h io.Writer, dir string) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		fmt.Fprintf(h, "%s!%v;", dir, err)
-		return
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil {
-			fmt.Fprintf(h, "%s!%v;", name, err)
-			continue
-		}
-		fmt.Fprintf(h, "%s=%d,%d;", name, info.Size(), info.ModTime().UnixNano())
-	}
-}
-
-// treeStamp stamps the full target tree — every directory the loader
-// would visit (collectGoDirs' walk rules) — plus the nearest enclosing
-// go.mod, whose module path decides import resolution.
-func treeStamp(dir string) string {
-	h := fnv.New64a()
-	var walk func(d string)
-	walk = func(d string) {
-		fmt.Fprintf(h, "[%s]", d)
-		dirStamp(h, d)
-		ents, err := os.ReadDir(d)
-		if err != nil {
-			return
-		}
-		for _, ent := range ents {
-			name := ent.Name()
-			if ent.IsDir() && name != "vendor" && name != "testdata" &&
-				!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_") {
-				walk(filepath.Join(d, name))
-			}
-		}
-	}
-	walk(dir)
-	if abs, err := filepath.Abs(dir); err == nil {
-		for d := abs; ; {
-			if fi, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-				fmt.Fprintf(h, "mod[%s]=%d,%d;", d, fi.Size(), fi.ModTime().UnixNano())
-				break
-			}
-			parent := filepath.Dir(d)
-			if parent == d {
-				break
-			}
-			d = parent
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// depsStamp stamps the module directories a load actually read for
-// lazy dependency packages (they contribute API surface to the type
-// check, so edits there invalidate too).
-func depsStamp(p *program) string {
-	if p == nil || len(p.depDirs) == 0 {
-		return ""
-	}
-	dirs := make([]string, 0, len(p.depDirs))
-	for d := range p.depDirs {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	h := fnv.New64a()
-	for _, d := range dirs {
-		fmt.Fprintf(h, "[%s]", d)
-		dirStamp(h, d)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func loadTreeUncached(dir string) (*program, error) {
+// Load parses, type-checks and scans the package tree in dir.
+func Load(dir string) (*Program, error) {
 	st, err := os.Stat(dir)
 	if err != nil {
 		return nil, err
@@ -180,12 +59,10 @@ func loadTreeUncached(dir string) (*program, error) {
 	if !st.IsDir() {
 		return nil, fmt.Errorf("staticlint: %s is not a directory", dir)
 	}
-	p := &program{
-		root:    dir,
+	p := &Program{
 		fset:    token.NewFileSet(),
 		byPath:  map[string]*progPkg{},
 		deps:    map[string]*types.Package{},
-		depDirs: map[string]bool{},
 		loading: map[string]bool{},
 		info: &types.Info{
 			Defs:       map[*ast.Ident]types.Object{},
@@ -215,6 +92,7 @@ func loadTreeUncached(dir string) (*program, error) {
 	for _, tp := range p.topoTargets() {
 		p.check(tp)
 	}
+	p.facts = p.scan()
 	return p, nil
 }
 
@@ -252,7 +130,7 @@ func collectGoDirs(root string, out *[]string) error {
 // findModule locates the nearest enclosing go.mod and records its
 // module path; without one, packages get synthetic import paths and
 // only same-tree imports can resolve.
-func (p *program) findModule(dir string) {
+func (p *Program) findModule(dir string) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return
@@ -283,7 +161,7 @@ func modulePath(gomod []byte) string {
 
 // importPathOf maps a target directory to the import path other
 // packages would use for it.
-func (p *program) importPathOf(dir string) string {
+func (p *Program) importPathOf(dir string) string {
 	abs, err := filepath.Abs(dir)
 	if err == nil && p.modRoot != "" {
 		if rel, err := filepath.Rel(p.modRoot, abs); err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
@@ -298,8 +176,8 @@ func (p *program) importPathOf(dir string) string {
 
 // parseTarget parses one target directory into a progPkg (nil when the
 // directory holds no usable files). Parse errors in target files are
-// real errors, matching scanDir.
-func (p *program) parseTarget(dir string) (*progPkg, error) {
+// real errors.
+func (p *Program) parseTarget(dir string) (*progPkg, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -323,10 +201,10 @@ func (p *program) parseTarget(dir string) (*progPkg, error) {
 		}
 		tp.files = append(tp.files, f)
 		for _, d := range f.Decls {
-			// Session-method-named declarations are the ORM surface, not
-			// app APIs: skipped here exactly as scanDir skips them, so a
-			// tree that contains the session type itself (or a local
-			// wrapper of it) reports the same findings in both modes.
+			// Declarations named like session methods are the ORM surface
+			// itself (or an app's local stand-in for it), not app
+			// transaction APIs: their bodies are never interpreted and
+			// calls to them become events at the call site.
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && !sessionMethods[fd.Name.Name] {
 				tp.decls = append(tp.decls, fd)
 			}
@@ -343,7 +221,7 @@ func (p *program) parseTarget(dir string) (*progPkg, error) {
 // intra-tree imports (deterministic: targets and their import lists are
 // sorted). Import cycles — illegal Go — fall back to placeholder
 // resolution for the back edge.
-func (p *program) topoTargets() []*progPkg {
+func (p *Program) topoTargets() []*progPkg {
 	seen := map[*progPkg]bool{}
 	order := make([]*progPkg, 0, len(p.targets))
 	var visit func(tp *progPkg)
@@ -383,24 +261,29 @@ func targetImports(tp *progPkg) []string {
 }
 
 // check type-checks one target package into the shared Info. Errors are
-// counted and swallowed: fixtures (and real trees mid-refactor) may not
-// type-check, and every unresolved identifier just means the call-graph
-// layer falls back to the name heuristic for that site.
-func (p *program) check(tp *progPkg) {
+// swallowed: fixtures (and real trees mid-refactor) may not type-check,
+// and every unresolved identifier just means the call-graph layer falls
+// back to the name heuristic for that site.
+func (p *Program) check(tp *progPkg) {
 	conf := types.Config{
-		Importer:    p,
-		Error:       func(error) { p.typeErr++ },
+		Importer:    importerFunc(p.importPkg),
+		Error:       func(error) {},
 		FakeImportC: true,
 	}
 	pkg, _ := conf.Check(tp.path, p.fset, tp.files, p.info)
 	tp.tpkg = pkg
 }
 
-// Import implements types.Importer. Target packages resolve to their
-// checked form; module-internal paths load lazily with function bodies
-// ignored; everything else gets an empty placeholder so the checker can
-// keep going.
-func (p *program) Import(path string) (*types.Package, error) {
+// importerFunc keeps types.Importer's method off Program's exported API.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// importPkg is the loader's types.Importer. Target packages resolve to
+// their checked form; module-internal paths load lazily with function
+// bodies ignored; everything else gets an empty placeholder so the
+// checker can keep going.
+func (p *Program) importPkg(path string) (*types.Package, error) {
 	if tp, ok := p.byPath[path]; ok && tp.tpkg != nil {
 		return tp.tpkg, nil
 	}
@@ -412,7 +295,7 @@ func (p *program) Import(path string) (*types.Package, error) {
 	return dep, nil
 }
 
-func (p *program) loadDep(path string) *types.Package {
+func (p *Program) loadDep(path string) *types.Package {
 	base := path
 	if i := strings.LastIndex(base, "/"); i >= 0 {
 		base = base[i+1:]
@@ -435,7 +318,6 @@ func (p *program) loadDep(path string) *types.Package {
 		return placeholder() // stdlib or external module
 	}
 	dir := filepath.Join(p.modRoot, filepath.FromSlash(sub))
-	p.depDirs[dir] = true // revalidated on cache hits (depsStamp)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return placeholder()
@@ -465,8 +347,8 @@ func (p *program) loadDep(path string) *types.Package {
 		return placeholder()
 	}
 	conf := types.Config{
-		Importer:         p,
-		Error:            func(error) { p.typeErr++ },
+		Importer:         importerFunc(p.importPkg),
+		Error:            func(error) {},
 		FakeImportC:      true,
 		IgnoreFuncBodies: true, // deps only contribute their API surface
 	}

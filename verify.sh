@@ -40,7 +40,8 @@ echo "${cov:-0%}" | awk -v floor="${WESEER_COV_FLOOR:-85}" '
 # Vet determinism: the whole-program analysis (type-check, CHA
 # devirtualization, SCC fixpoint summaries) must render byte-identical
 # reports across separate processes. Run the full vet twice over the
-# fixture corpus and a model app and diff the JSON (exit 1 just means
+# fixture corpus and a model app (each tree loaded once per process, for
+# findings and canonical order both) and diff the JSON (exit 1 just means
 # error-severity findings were reported — both runs are expected to).
 echo "== weseer vet determinism (two runs, diff)"
 vetdir=$(mktemp -d)
@@ -204,10 +205,12 @@ kill "$servepid" 2>/dev/null
 wait "$servepid" 2>/dev/null || true
 servepid=""
 
-# Surface inventory: every CLI flag and every exported analysis option,
-# diffed against the checked-in list, so a new knob is a reviewed one-line
-# change to surface.golden and never an accident.
-echo "== surface inventory (CLI flags + core options vs surface.golden)"
+# Surface inventory: every CLI flag, every exported analysis option and
+# every exported identifier of the root weseer package (the facade's
+# re-exports), diffed against the checked-in list, so a knob arriving or
+# leaving is a reviewed one-line change to surface.golden and never an
+# accident.
+echo "== surface inventory (CLI flags + core options + weseer facade vs surface.golden)"
 go build -o "$servedir/weseer-bench" ./cmd/weseer-bench
 {
     for sub in run collect analyze vet serve ingest history; do
@@ -216,6 +219,10 @@ go build -o "$servedir/weseer-bench" ./cmd/weseer-bench
     "$servedir/weseer-bench" -h 2>&1 | sed -n 's/^  \(-[a-z0-9-]*\).*/weseer-bench \1/p'
     ls internal/core/*.go | grep -v _test.go | xargs grep -ho '^func With[A-Za-z0-9]*' |
         sed 's/^func /core./' | LC_ALL=C sort
+    # go doc -all: grouped const/var members are tab-indented, everything
+    # else starts its line with its keyword.
+    go doc -all . | sed -nE -e "s/^$(printf '\t')([A-Z][A-Za-z0-9_]*).*/weseer.\\1/p" \
+        -e 's/^(const|var|type|func) ([A-Z][A-Za-z0-9_]*).*/weseer.\2/p' | LC_ALL=C sort
 } > "$servedir/surface.txt"
 diff -u surface.golden "$servedir/surface.txt" || {
     echo "surface inventory: flags or options changed; review, then update surface.golden" >&2

@@ -174,8 +174,6 @@ var (
 	WithCoarseOnly = core.WithCoarseOnly
 	// WithConcretePlans restricts lock modeling to recorded plans.
 	WithConcretePlans = core.WithConcretePlans
-	// WithMaxCyclesPerPair caps coarse-cycle enumeration per pair.
-	WithMaxCyclesPerPair = core.WithMaxCyclesPerPair
 	// WithoutPhase1 disables the transaction-level filter (ablation).
 	WithoutPhase1 = core.WithoutPhase1
 	// WithoutLockFilter disables the lock-collision test (ablation).
