@@ -9,7 +9,6 @@
 package weseer_test
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -18,8 +17,8 @@ import (
 	"weseer/internal/apps/shopizer"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
+	"weseer/internal/core/coretest"
 	"weseer/internal/minidb"
-	"weseer/internal/schema"
 	"weseer/internal/smt"
 	"weseer/internal/solver"
 	"weseer/internal/trace"
@@ -68,8 +67,8 @@ func BenchmarkTable2_Diagnosis(b *testing.B) {
 	b.ResetTimer()
 	var found int
 	for i := 0; i < b.N; i++ {
-		blRes := analyze(b, broadleaf.Schema(), bl)
-		shRes := analyze(b, shopizer.Schema(), sh)
+		blRes := coretest.Analyze(b, broadleaf.Schema(), bl)
+		shRes := coretest.Analyze(b, shopizer.Schema(), sh)
 		ids := map[string]bool{}
 		for _, d := range blRes.Deadlocks {
 			ids[broadleaf.Classify(d)] = true
@@ -222,7 +221,7 @@ func BenchmarkBaseline_CoarseOnly(b *testing.B) {
 	b.ResetTimer()
 	var cycles int
 	for i := 0; i < b.N; i++ {
-		res := analyze(b, broadleaf.Schema(), traces, core.WithCoarseOnly())
+		res := coretest.Analyze(b, broadleaf.Schema(), traces, core.WithCoarseOnly())
 		cycles = res.Stats.CoarseCycles
 	}
 	b.ReportMetric(float64(cycles), "cycles")
@@ -233,7 +232,7 @@ func BenchmarkAblation_ThreePhase(b *testing.B) {
 	traces := collectOnce(b, "broadleaf")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analyze(b, broadleaf.Schema(), traces)
+		coretest.Analyze(b, broadleaf.Schema(), traces)
 	}
 }
 
@@ -243,7 +242,7 @@ func BenchmarkAblation_NoPhase1(b *testing.B) {
 	traces := collectOnce(b, "broadleaf")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analyze(b, broadleaf.Schema(), traces, core.WithoutPhase1())
+		coretest.Analyze(b, broadleaf.Schema(), traces, core.WithoutPhase1())
 	}
 }
 
@@ -253,7 +252,7 @@ func BenchmarkAblation_NoLockFilter(b *testing.B) {
 	traces := collectOnce(b, "broadleaf")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analyze(b, broadleaf.Schema(), traces, core.WithoutLockFilter())
+		coretest.Analyze(b, broadleaf.Schema(), traces, core.WithoutLockFilter())
 	}
 }
 
@@ -309,18 +308,8 @@ func BenchmarkAblation_ConcretePlans(b *testing.B) {
 	b.ResetTimer()
 	var groups int
 	for i := 0; i < b.N; i++ {
-		res := analyze(b, broadleaf.Schema(), traces, core.WithConcretePlans())
+		res := coretest.Analyze(b, broadleaf.Schema(), traces, core.WithConcretePlans())
 		groups = len(res.Deadlocks)
 	}
 	b.ReportMetric(float64(groups), "reports")
-}
-
-// analyze runs the full diagnosis and fails the test on an analysis error.
-func analyze(t testing.TB, scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
-	t.Helper()
-	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"weseer/internal/apps"
@@ -82,34 +86,19 @@ func TestFunnelInvariants(t *testing.T) {
 					tg.name, workers, got, baseline)
 			}
 
-			// The observer mirrors the merge field for field, so the
-			// exported funnel counters must equal the report's stats.
-			snap := o.Snapshot()
-			for metric, want := range map[string]int{
-				"weseer_funnel_traces_total":             s.Traces,
-				"weseer_funnel_txn_pairs_total":          s.Pairs,
-				"weseer_funnel_pairs_after_phase1_total": s.PairsAfterPhase1,
-				"weseer_funnel_coarse_cycles_total":      s.CoarseCycles,
-				"weseer_funnel_lock_filtered_total":      s.LockFiltered,
-				"weseer_funnel_groups_solved_total":      s.GroupsSolved,
-				"weseer_funnel_solver_calls_total":       s.SolverCalls,
-				"weseer_funnel_memo_hits_total":          s.MemoHits,
-				"weseer_canon_calls_total":               s.CanonCalls,
-				"weseer_solver_sat_total":                s.SolverSAT,
-				"weseer_solver_unsat_total":              s.SolverUNSAT,
-				"weseer_solver_unknown_total":            s.SolverUnknown,
-				"weseer_cdcl_decisions_total":            s.Engine.Decisions,
-				"weseer_cdcl_conflicts_total":            s.Engine.Conflicts,
-				"weseer_cdcl_propagations_total":         s.Engine.Propagations,
-				"weseer_cdcl_theory_calls_total":         s.Engine.TheoryCalls,
-			} {
-				if got := snap[metric]; got != float64(want) {
-					t.Errorf("%s/p%d: metric %s = %v, want %d (Result.Stats)",
-						tg.name, workers, metric, got, want)
+			// What the merge adds to Result.Stats the run also publishes,
+			// so every counter core.StatsTable names must equal its field
+			// (a timing in whole microseconds).
+			snap := o.Metrics.Snapshot()
+			for i := range core.StatsTable {
+				row := &core.StatsTable[i]
+				if row.Metric == "" {
+					continue
 				}
-			}
-			if got := snap["weseer_canon_microseconds_total"]; got != float64(s.CanonTime.Microseconds()) {
-				t.Errorf("%s/p%d: canon time metric %v µs != Stats.CanonTime %v", tg.name, workers, got, s.CanonTime)
+				if got, want := snap[row.Metric], row.MetricValue(&s); got != float64(want) {
+					t.Errorf("%s/p%d: metric %s = %v, want %d (Result.Stats)",
+						tg.name, workers, row.Metric, got, want)
+				}
 			}
 			if got := snap["weseer_solver_seconds_count"]; got != float64(s.SolverCalls) {
 				t.Errorf("%s/p%d: latency histogram count %v != SolverCalls %d",
@@ -118,6 +107,40 @@ func TestFunnelInvariants(t *testing.T) {
 			t.Logf("%s/p%d: %d groups = %d solver calls + %d memo hits",
 				tg.name, workers, s.GroupsSolved, s.SolverCalls, s.MemoHits)
 		}
+	}
+}
+
+// TestMetricsExpositionGolden pins the names, help texts and types of
+// every instrument one observer carries after a collection and an
+// analysis of a Table II app — dashboards and alerts key on them. The
+// golden was recorded before the instruments moved out of internal/obs
+// into the packages that feed them; only a deliberate change to what is
+// exported may touch it.
+func TestMetricsExpositionGolden(t *testing.T) {
+	o := obs.NewObserver()
+	app := shopizer.New(shopizer.Fixes{}, minidb.Config{})
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic, concolic.WithObserver(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyze(shopizer.Schema(), traces, core.WithObserver(o))
+	var buf bytes.Buffer
+	if err := o.Metrics.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, l := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(l, "# ") {
+			lines = append(lines, l)
+		}
+	}
+	sort.Strings(lines)
+	want, err := os.ReadFile("testdata/metrics_help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(lines, "\n") + "\n"; got != string(want) {
+		t.Errorf("# HELP / # TYPE lines differ from testdata/metrics_help.golden:\n%s", got)
 	}
 }
 

@@ -21,10 +21,10 @@
 // Observability flags ("run" and "analyze"): -debug-addr ADDR serves
 // /metrics (Prometheus text), /progress (phase, chains done/total,
 // ETA), and /debug/pprof/* live during the run; -trace-out FILE writes
-// a Chrome trace_event JSON (open in chrome://tracing or Perfetto);
-// -events-out FILE writes the spans as flat JSONL; -metrics-out FILE
-// writes the final metrics in Prometheus text format. Telemetry is
-// observational only — the report is identical with or without it.
+// a Chrome trace_event JSON (open in chrome://tracing or Perfetto; `jq
+// .traceEvents[]` is the flat view); -metrics-out FILE writes the final
+// metrics in Prometheus text format. Telemetry is observational only —
+// the report is identical with or without it.
 //
 // "run" pipes collection into analysis; "collect"/"analyze" split the
 // stages through a JSON trace file (Fig. 2's trace hand-off). -plans
@@ -85,6 +85,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -145,7 +146,7 @@ func usage() {
 registered applications (-app):
 `+apps.Usage("  ")+`
 observability flags (run/analyze): -debug-addr :6060  -trace-out run.trace.json
-  -events-out run.events.jsonl  -metrics-out run.metrics.prom
+  -metrics-out run.metrics.prom
 -fixplan (run/analyze) adds the ranked lock-order fixes and the fix plan to the
   report (canonical_order under -json); -prescreen only prunes solver work
 `)
@@ -208,7 +209,6 @@ func (f *analysisFlags) report(app apps.App, traces []*trace.Trace, o *obs.Obser
 type obsFlags struct {
 	debugAddr  *string
 	traceOut   *string
-	eventsOut  *string
 	metricsOut *string
 }
 
@@ -216,7 +216,6 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	return &obsFlags{
 		debugAddr:  fs.String("debug-addr", "", "serve /metrics, /progress, and /debug/pprof on this address during the run (e.g. :6060)"),
 		traceOut:   fs.String("trace-out", "", "write a Chrome trace_event JSON span file (open in chrome://tracing or Perfetto)"),
-		eventsOut:  fs.String("events-out", "", "write the spans as a flat JSONL event log"),
 		metricsOut: fs.String("metrics-out", "", "write the final metrics in Prometheus text format"),
 	}
 }
@@ -226,7 +225,7 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 // stops the debug server. The finish func is safe to call exactly once.
 func (f *obsFlags) setup() (*obs.Observer, func() error, error) {
 	noop := func() error { return nil }
-	if *f.debugAddr == "" && *f.traceOut == "" && *f.eventsOut == "" && *f.metricsOut == "" {
+	if *f.debugAddr == "" && *f.traceOut == "" && *f.metricsOut == "" {
 		return nil, noop, nil
 	}
 	o := obs.NewObserver()
@@ -248,9 +247,6 @@ func (f *obsFlags) setup() (*obs.Observer, func() error, error) {
 		}
 		if *f.traceOut != "" {
 			keep(writeFileWith(*f.traceOut, o.Tracer.WriteChromeTrace))
-		}
-		if *f.eventsOut != "" {
-			keep(writeFileWith(*f.eventsOut, o.Tracer.WriteJSONL))
 		}
 		if *f.metricsOut != "" {
 			keep(writeFileWith(*f.metricsOut, o.Metrics.WritePrometheus))
@@ -545,7 +541,7 @@ func cmdVet(args []string) error {
 // bumps whenever a field changes meaning.
 type jsonReport struct {
 	Version int           `json:"version"`
-	Stats   jsonStats     `json:"stats"`
+	Stats   statsObject   `json:"stats"`
 	Reports []jsonDeadlck `json:"deadlocks"`
 	// Canonical carries the cross-API lock-order canonicalization —
 	// the global acquisition order and the ranked reorder suggestions —
@@ -553,39 +549,25 @@ type jsonReport struct {
 	Canonical *staticlint.CanonicalOrder `json:"canonical_order,omitempty"`
 }
 
-type jsonStats struct {
-	Traces           int `json:"traces"`
-	Pairs            int `json:"txn_pairs"`
-	PairsAfterPhase1 int `json:"pairs_after_phase1"`
-	CoarseCycles     int `json:"coarse_cycles"`
-	IndexProbes      int `json:"index_probes"`
-	Fingerprints     int `json:"fingerprints"`
-	LockFiltered     int `json:"lock_filtered"`
-	PrescreenPairs   int `json:"prescreen_pairs"`
-	PrescreenPruned  int `json:"prescreen_pairs_pruned"`
-	PrescreenSaved   int `json:"prescreen_saved"`
-	GroupsSolved     int `json:"groups_solved"`
-	SolverCalls      int `json:"solver_calls"`
-	MemoHits         int `json:"memo_hits"`
-	CanonCalls       int `json:"canon_calls"`
-	SAT              int `json:"sat"`
-	UNSAT            int `json:"unsat"`
-	Unknown          int `json:"unknown"`
+// statsObject is core.Stats as the -json stats object: one key per
+// core.StatsTable row that names one, in table order.
+type statsObject core.Stats
 
-	// CDCL(T) engine counters summed over the run's actual solver calls;
-	// deterministic at any parallelism.
-	Decisions      int `json:"decisions"`
-	Conflicts      int `json:"conflicts"`
-	Propagations   int `json:"propagations"`
-	LearnedClauses int `json:"learned_clauses"`
-	Backjumps      int `json:"backjumps"`
-	TheoryCalls    int `json:"theory_calls"`
-
-	Parallelism  int   `json:"parallelism"`
-	SolverTimeMS int64 `json:"solver_time_ms"`
-	CanonTimeMS  int64 `json:"canon_time_ms"`
-	EnumTimeMS   int64 `json:"enum_time_ms"`
-	FineTimeMS   int64 `json:"fine_time_ms"`
+func (s statsObject) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for i := range core.StatsTable {
+		row := &core.StatsTable[i]
+		if row.JSON == "" {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, row.JSON)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, row.JSONValue((*core.Stats)(&s)), 10)
+	}
+	return append(b, '}'), nil
 }
 
 type jsonDeadlck struct {
@@ -599,41 +581,8 @@ type jsonDeadlck struct {
 	Count       int       `json:"count"` // coarse cycles folded into the report
 }
 
-func statsJSON(s core.Stats) jsonStats {
-	return jsonStats{
-		Traces:           s.Traces,
-		Pairs:            s.Pairs,
-		PairsAfterPhase1: s.PairsAfterPhase1,
-		CoarseCycles:     s.CoarseCycles,
-		IndexProbes:      s.IndexProbes,
-		Fingerprints:     s.Fingerprints,
-		LockFiltered:     s.LockFiltered,
-		PrescreenPairs:   s.PrescreenPairs,
-		PrescreenPruned:  s.PrescreenPairsPruned,
-		PrescreenSaved:   s.PrescreenSaved,
-		GroupsSolved:     s.GroupsSolved,
-		SolverCalls:      s.SolverCalls,
-		MemoHits:         s.MemoHits,
-		CanonCalls:       s.CanonCalls,
-		SAT:              s.SolverSAT,
-		UNSAT:            s.SolverUNSAT,
-		Unknown:          s.SolverUnknown,
-		Decisions:        s.Engine.Decisions,
-		Conflicts:        s.Engine.Conflicts,
-		Propagations:     s.Engine.Propagations,
-		LearnedClauses:   s.Engine.LearnedClauses,
-		Backjumps:        s.Engine.Backjumps,
-		TheoryCalls:      s.Engine.TheoryCalls,
-		Parallelism:      s.Parallelism,
-		SolverTimeMS:     s.SolverTime.Milliseconds(),
-		CanonTimeMS:      s.CanonTime.Milliseconds(),
-		EnumTimeMS:       s.EnumTime.Milliseconds(),
-		FineTimeMS:       s.FineTime.Milliseconds(),
-	}
-}
-
 func printJSON(res *core.Result, classify func(*core.Deadlock) string) error {
-	rep := jsonReport{Version: 1, Stats: statsJSON(res.Stats), Reports: []jsonDeadlck{}, Canonical: res.CanonicalOrder}
+	rep := jsonReport{Version: 1, Stats: statsObject(res.Stats), Reports: []jsonDeadlck{}, Canonical: res.CanonicalOrder}
 	for _, d := range res.Deadlocks {
 		rep.Reports = append(rep.Reports, jsonDeadlck{
 			Fingerprint: d.Fingerprint(),

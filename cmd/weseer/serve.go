@@ -1,14 +1,15 @@
 package main
 
 // The continuous-diagnosis service: `weseer serve` runs a long-lived
-// daemon that ingests trace batches (or pre-analyzed reports) over
+// daemon that ingests trace batches (or already-diagnosed events) over
 // HTTP, re-analyzes them through the same three-phase pipeline the
 // one-shot commands use, and persists every diagnosed deadlock into an
 // append-only history store keyed by the stable core fingerprint. The
 // /history/* endpoints answer trend queries across restarts; /metrics
 // carries the pipeline funnel and the ingest counters in one registry.
 // `weseer ingest` and `weseer history` are thin HTTP clients for the
-// daemon, so scripts need no curl.
+// daemon, so scripts need no curl; ingest turns an `analyze -json`
+// report into events itself, so the wire carries two formats.
 
 import (
 	"bytes"
@@ -52,9 +53,7 @@ func cmdServe(args []string) error {
 	}
 	defer st.Close()
 
-	// One observer for the daemon's lifetime: the funnel counters
-	// accumulate across ingests, next to the history instruments.
-	o := obs.NewObserver()
+	o := newDaemonObserver()
 	srv := newHistoryServer(st, o, serveConfig{
 		defaultApp: *defaultApp,
 		timeout:    *timeout,
@@ -89,11 +88,20 @@ type serveConfig struct {
 	parallel   int
 }
 
+// newDaemonObserver is the one observer of a daemon's lifetime: the
+// funnel counters accumulate across ingests, next to the history
+// instruments. It has no tracer — a daemon has nowhere to export spans
+// to, and a tracer only ever grows.
+func newDaemonObserver() *obs.Observer {
+	return &obs.Observer{Metrics: obs.NewRegistry(), Progress: obs.NewProgress()}
+}
+
 // newHistoryServer wires the history store's HTTP surface over the
 // real diagnosis pipeline: each trace batch is resolved through the
 // app registry and re-analyzed with AnalyzeContext, and the diagnosed
 // deadlocks become history events classified by the app's catalog.
 func newHistoryServer(st *history.Store, o *obs.Observer, cfg serveConfig) *history.Server {
+	core.RegisterMetrics(o.Metrics) // listed on /metrics from the start, not from the first ingest
 	return &history.Server{
 		Store:   st,
 		Metrics: history.RegisterMetrics(o.Metrics),
@@ -137,8 +145,9 @@ func serviceURL(addr string) (string, error) {
 	return strings.TrimRight(addr, "/"), nil
 }
 
-// cmdIngest posts a trace file (or report/event JSON) to a running
-// daemon and prints the ingest summary.
+// cmdIngest posts a trace file or event JSON to a running daemon and
+// prints the ingest summary. Those are the two wire formats: a report —
+// `analyze -json` output — is turned into the events it describes here.
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	addr := fs.String("addr", "", "service address (HOST:PORT, URL, or @file with the daemon's first stdout line)")
@@ -154,6 +163,12 @@ func cmdIngest(args []string) error {
 	data, err := os.ReadFile(*in)
 	if err != nil {
 		return err
+	}
+	if *format == "report" {
+		if data, err = reportEvents(data, *appName); err != nil {
+			return err
+		}
+		*format = "events"
 	}
 	q := url.Values{}
 	q.Set("format", *format)
@@ -179,6 +194,29 @@ func cmdIngest(args []string) error {
 	fmt.Printf("ingested %d deadlock(s): %d stored, %d deduplicated; store holds %d event(s)\n",
 		sum.Received, sum.Stored, sum.Deduped, sum.Events)
 	return nil
+}
+
+// reportEvents converts a -json report into the JSON of one history event
+// per reported deadlock, attributed to app.
+func reportEvents(report []byte, app string) ([]byte, error) {
+	var rep struct {
+		Reports []jsonDeadlck `json:"deadlocks"`
+	}
+	if err := json.Unmarshal(report, &rep); err != nil {
+		return nil, fmt.Errorf("decode report: %w", err)
+	}
+	events := []history.Event{}
+	for _, d := range rep.Reports {
+		events = append(events, history.Event{
+			Fingerprint: d.Fingerprint,
+			App:         app,
+			Class:       d.Catalog,
+			APIs:        d.APIs,
+			Tables:      d.Tables[:],
+			Count:       d.Count,
+		})
+	}
+	return json.Marshal(events)
 }
 
 // cmdHistory queries a running daemon: `weseer history [-addr A]

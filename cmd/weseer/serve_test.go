@@ -2,17 +2,26 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
+	"weseer/internal/core"
 	"weseer/internal/history"
 	"weseer/internal/obs"
+	"weseer/internal/obs/obstest"
+	"weseer/internal/solver"
+	"weseer/internal/trace"
 )
 
 // daemon is one running serve instance (store + debug server) for the
@@ -30,7 +39,7 @@ func startDaemon(t *testing.T, storePath string) *daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.NewObserver()
+	o := newDaemonObserver()
 	srv := newHistoryServer(st, o, serveConfig{defaultApp: "broadleaf"})
 	ds, err := obs.StartDebugServer("127.0.0.1:0", o, srv.Routes()...)
 	if err != nil {
@@ -182,5 +191,148 @@ func TestServeRoundTripRestart(t *testing.T) {
 	re := ingestBatch(t, d2.base, "broadleaf", broadleaf)
 	if re.Stored != 0 || re.Deduped != sumB.Stored {
 		t.Fatalf("post-restart re-ingest: %+v", re)
+	}
+}
+
+// TestStatsJSONGolden pins the -json stats object — keys, their order,
+// the values each carries (timings in whole milliseconds) and version 1 —
+// for a Stats literal with a distinct number in every field. The golden
+// was recorded from the hand-written mirror struct the object used to be
+// built from; it is now rendered from core.StatsTable.
+func TestStatsJSONGolden(t *testing.T) {
+	st := core.Stats{
+		Traces: 1, Pairs: 2, PairsAfterPhase1: 3, CoarseCycles: 4, IndexProbes: 5,
+		LockFiltered: 6, GroupsSolved: 7, PrescreenPairs: 8, PrescreenPairsPruned: 9,
+		PrescreenSaved: 10, Fingerprints: 11, SolverCalls: 12, MemoHits: 13, CanonCalls: 14,
+		SolverSAT: 15, SolverUNSAT: 16, SolverUnknown: 17,
+		Engine: solver.Stats{Atoms: 18, Clauses: 19, Decisions: 20, Conflicts: 21, TheoryCalls: 22,
+			Propagations: 23, LearnedClauses: 24, Backjumps: 25},
+		Parallelism: 26,
+		SolverTime:  27*time.Millisecond + 999*time.Microsecond,
+		CanonTime:   28 * time.Millisecond,
+		EnumTime:    29 * time.Millisecond,
+		FineTime:    30 * time.Millisecond,
+	}
+	got, err := json.MarshalIndent(jsonReport{Version: 1, Stats: statsObject(st), Reports: []jsonDeadlck{}}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/stats_json.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got)+"\n" != string(want) {
+		t.Errorf("-json report differs from testdata/stats_json.golden:\n%s", got)
+	}
+}
+
+// TestIngestReportFormat: `weseer ingest -format report` reads this
+// command's own -json report, turns each deadlock into the history event
+// it describes and posts those — the daemon decodes traces and events,
+// nothing else.
+func TestIngestReportFormat(t *testing.T) {
+	d := startDaemon(t, filepath.Join(t.TempDir(), "history.wal"))
+	defer d.stop(t)
+	ingest := func(report string) error {
+		file := filepath.Join(t.TempDir(), "report.json")
+		if err := os.WriteFile(file, []byte(report), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return cmdIngest([]string{"-addr", d.base, "-i", file, "-format", "report", "-app", "demo"})
+	}
+	if err := ingest(`{"version": 1, "stats": {"traces": 2}, "deadlocks": [
+		{"fingerprint": "00000000000000aa", "catalog": "d3",
+		 "apis": ["A", "B"], "tables": ["X", "Y"], "count": 5}]}`); err != nil {
+		t.Fatal(err)
+	}
+	var events []history.Event
+	if err := json.Unmarshal(getBody(t, d.base+"/history/events?table=X"), &events); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 || events[0].Class != "d3" || events[0].Seen != 1 || events[0].Count != 5 {
+		t.Fatalf("report-ingested event: %+v", events)
+	}
+	if e := events[0]; e.App != "demo" || e.APIs != [2]string{"A", "B"} || strings.Join(e.Tables, ",") != "X,Y" {
+		t.Errorf("report-ingested event lost a field: %+v", e)
+	}
+	if err := ingest("{nope"); err == nil {
+		t.Error("a malformed report was posted")
+	}
+}
+
+// TestDaemonObserverRetainsNothing re-analyzes one corpus 20 times
+// through the daemon's own wiring — newHistoryServer's Analyze with
+// newDaemonObserver's observer, as every POST /ingest does. A daemon has
+// no way to export spans, so it must not collect them (a tracer is
+// append-only: 436 spans and 0.094 MB a re-ingest on this corpus), and
+// what an analysis registers or publishes on the long-lived registry must
+// not grow with the number of analyses. /metrics lists the pipeline's
+// instruments before the first ingest and carries them after.
+func TestDaemonObserverRetainsNothing(t *testing.T) {
+	const spec = "gen:7,templates=96"
+	st, err := history.Open(filepath.Join(t.TempDir(), "history.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	o := newDaemonObserver()
+	srv := newHistoryServer(st, o, serveConfig{defaultApp: spec, parallel: 2})
+
+	metrics := func() map[string]float64 {
+		var buf bytes.Buffer
+		if err := o.Metrics.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := obstest.ValidatePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return samples
+	}
+	fresh := metrics()
+	for i := range core.StatsTable {
+		if m := core.StatsTable[i].Metric; m != "" {
+			if v, ok := fresh[m]; !ok || v != 0 {
+				t.Errorf("fresh daemon: %s listed=%v value=%v, want listed at zero", m, ok, v)
+			}
+		}
+	}
+
+	var traces []*trace.Trace
+	if err := json.Unmarshal(collectTraces(t, spec), &traces); err != nil {
+		t.Fatal(err)
+	}
+	liveMB := func() float64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc) / (1 << 20)
+	}
+	// Both measurements are taken inside the loop, where the same things
+	// are live: the corpus, the server and its observer.
+	const warm, total = 5, 25
+	var base, last float64
+	for i := 1; i <= total; i++ {
+		events, err := srv.Analyze(context.Background(), "", traces)
+		if err != nil || len(events) == 0 {
+			t.Fatalf("analysis %d: %d events, %v", i, len(events), err)
+		}
+		switch i {
+		case warm:
+			base = liveMB()
+		case total:
+			last = liveMB()
+		}
+	}
+	grow := (last - base) / (total - warm)
+	t.Logf("live heap grows %.3f MB per re-ingest", grow)
+	if grow > 0.03 {
+		t.Errorf("live heap grows %.3f MB per re-ingest, want <= 0.03", grow)
+	}
+	if n := len(o.Tracer.Events()); n != 0 {
+		t.Errorf("daemon observer retains %d spans after %d re-ingests", n, total)
+	}
+	if got := metrics()["weseer_funnel_traces_total"]; got != float64(total*len(traces)) {
+		t.Errorf("weseer_funnel_traces_total = %v after %d ingests of %d traces", got, total, len(traces))
 	}
 }

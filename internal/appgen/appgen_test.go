@@ -1,7 +1,6 @@
 package appgen
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,8 +9,8 @@ import (
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
+	"weseer/internal/core/coretest"
 	"weseer/internal/minidb"
-	"weseer/internal/schema"
 	"weseer/internal/trace"
 )
 
@@ -110,7 +109,7 @@ func TestDeterminismAcrossBuildsAndParallelism(t *testing.T) {
 		if i%2 == 1 { // interleave the two builds: app identity must not matter
 			app, traces = a2, tr2
 		}
-		res := analyze(t, app.Schema(), traces, core.WithParallelism(par))
+		res := coretest.Analyze(t, app.Schema(), traces, core.WithParallelism(par))
 		reports = append(reports, render(app, res))
 	}
 	for i := 1; i < len(reports); i++ {
@@ -125,7 +124,7 @@ func TestPlantedClassesAllDiagnosedNoSpurious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analyze(t, a.Schema(), collect(t, a))
+	res := coretest.Analyze(t, a.Schema(), collect(t, a))
 	if len(res.Deadlocks) == 0 {
 		t.Fatal("no deadlocks diagnosed on a corpus with all classes planted")
 	}
@@ -153,7 +152,7 @@ func TestNoClassesMeansNoDeadlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analyze(t, a.Schema(), collect(t, a))
+	res := coretest.Analyze(t, a.Schema(), collect(t, a))
 	if len(res.Deadlocks) != 0 {
 		for _, d := range res.Deadlocks {
 			t.Logf("unexpected:\n%s", d.Render())
@@ -163,14 +162,4 @@ func TestNoClassesMeansNoDeadlocks(t *testing.T) {
 	if res.Stats.GroupsSolved == 0 {
 		t.Error("filler-only corpus produced no solver groups — hubs are not generating work")
 	}
-}
-
-// analyze runs the full diagnosis and fails the test on an analysis error.
-func analyze(t testing.TB, scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
-	t.Helper()
-	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }

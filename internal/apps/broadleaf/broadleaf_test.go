@@ -1,15 +1,14 @@
 package broadleaf
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
+	"weseer/internal/core/coretest"
 	"weseer/internal/minidb"
-	"weseer/internal/schema"
 	"weseer/internal/sqlast"
 	"weseer/internal/trace"
 )
@@ -59,7 +58,7 @@ func TestTableIInvocations(t *testing.T) {
 // (d1–d13) is reported.
 func TestDiagnosisFindsTableII(t *testing.T) {
 	_, traces := collect(t, Fixes{})
-	res := analyze(t, Schema(), traces)
+	res := coretest.Analyze(t, Schema(), traces)
 	found := map[string]int{}
 	for _, d := range res.Deadlocks {
 		found[Classify(d)]++
@@ -85,7 +84,7 @@ func TestDiagnosisFindsTableII(t *testing.T) {
 // the 13 confirmed deadlocks (the paper's 18,384-vs-18 observation).
 func TestCoarseBaselineExplodes(t *testing.T) {
 	_, traces := collect(t, Fixes{})
-	res := analyze(t, Schema(), traces, core.WithCoarseOnly())
+	res := coretest.Analyze(t, Schema(), traces, core.WithCoarseOnly())
 	if res.Stats.CoarseCycles < 10*len(Expectations()) {
 		t.Errorf("coarse baseline found only %d cycles; expected an explosion vs %d cataloged",
 			res.Stats.CoarseCycles, len(Expectations()))
@@ -103,9 +102,9 @@ func TestCoarseBaselineExplodes(t *testing.T) {
 // conservatively reportable.
 func TestFixedAppShrinksReports(t *testing.T) {
 	_, unfixedTraces := collect(t, Fixes{})
-	unfixed := analyze(t, Schema(), unfixedTraces)
+	unfixed := coretest.Analyze(t, Schema(), unfixedTraces)
 	_, fixedTraces := collect(t, AllFixes())
-	fixed := analyze(t, Schema(), fixedTraces)
+	fixed := coretest.Analyze(t, Schema(), fixedTraces)
 
 	found := map[string]int{}
 	for _, d := range fixed.Deadlocks {
@@ -353,8 +352,8 @@ func TestCheckoutOutOfStock(t *testing.T) {
 // than the conservative all-possible-indexes model.
 func TestConcretePlansKeepCatalog(t *testing.T) {
 	_, traces := collect(t, Fixes{})
-	conservative := analyze(t, Schema(), traces)
-	planned := analyze(t, Schema(), traces, core.WithConcretePlans())
+	conservative := coretest.Analyze(t, Schema(), traces)
+	planned := coretest.Analyze(t, Schema(), traces, core.WithConcretePlans())
 	found := map[string]int{}
 	for _, d := range planned.Deadlocks {
 		found[Classify(d)]++
@@ -368,14 +367,4 @@ func TestConcretePlansKeepCatalog(t *testing.T) {
 		t.Errorf("concrete plans grew the report set: %d > %d",
 			len(planned.Deadlocks), len(conservative.Deadlocks))
 	}
-}
-
-// analyze runs the full diagnosis and fails the test on an analysis error.
-func analyze(t testing.TB, scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
-	t.Helper()
-	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }

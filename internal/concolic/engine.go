@@ -75,9 +75,11 @@ type Engine struct {
 	symSeq  int
 
 	// obs, when non-nil, receives one "extract" span per
-	// StartConcolic/EndConcolic pair plus extraction counters.
-	obs  *obs.Observer
-	span obs.Span
+	// StartConcolic/EndConcolic pair; the extraction counters live on its
+	// registry.
+	obs                      *obs.Observer
+	span                     obs.Span
+	traces, stmts, pathConds *obs.Counter
 }
 
 // Option configures an Engine.
@@ -91,7 +93,17 @@ func WithoutPruning() Option { return func(e *Engine) { e.prune = false } }
 // extraction (StartConcolic to EndConcolic) becomes an "extract" span,
 // and collected traces feed the extraction counters. Observational
 // only; nil disables it.
-func WithObserver(o *obs.Observer) Option { return func(e *Engine) { e.obs = o } }
+func WithObserver(o *obs.Observer) Option {
+	return func(e *Engine) {
+		e.obs = o
+		if o == nil {
+			return
+		}
+		e.traces = o.Metrics.Counter("weseer_extract_traces_total", "traces collected by concolic extraction")
+		e.stmts = o.Metrics.Counter("weseer_extract_statements_total", "SQL statements recorded during extraction")
+		e.pathConds = o.Metrics.Counter("weseer_extract_path_conds_total", "path conditions recorded during extraction")
+	}
+}
 
 // New returns an engine in the given mode with pruning enabled.
 func New(mode Mode, opts ...Option) *Engine {
@@ -140,10 +152,9 @@ func (e *Engine) EndConcolic() *trace.Trace {
 		e.span.End(obs.Int("statements", stmts), obs.Int("path_conds", pcs))
 		e.span = obs.Span{}
 		if tr != nil {
-			m := e.obs.P()
-			m.ExtractedTraces.Inc()
-			m.ExtractedStmts.Add(int64(stmts))
-			m.ExtractedPathConds.Add(int64(pcs))
+			e.traces.Inc()
+			e.stmts.Add(int64(stmts))
+			e.pathConds.Add(int64(pcs))
 		}
 	}
 	return tr

@@ -38,22 +38,48 @@ import (
 	"weseer/internal/trace"
 )
 
-// Analyzer runs deadlock diagnosis over collected traces.
+// Analyzer runs deadlock diagnosis over collected traces. It holds
+// configuration only — what an analysis builds lives in that call's run —
+// so one Analyzer serves any number of concurrent AnalyzeContext calls.
 type Analyzer struct {
 	scm  *schema.Schema
 	opts options
-	ps   *prescreenState // Phase-0 state, set per Analyze call
-	// edgeMemo caches C-edge conflict conditions per Analyze call: every
-	// cycle sharing an edge used to rebuild an identical condition. Keyed
-	// by edgeKey; values are *condVars. Safe for the phase-3 workers
-	// (sync.Map, and the cached expressions are immutable).
-	edgeMemo *sync.Map
+}
+
+// run is the state of one AnalyzeContext (or CycleFormulas) call, shared
+// by that call's workers and dropped when it returns.
+type run struct {
+	scm  *schema.Schema
+	opts options
+	ps   *prescreenState // Phase-0 state; nil without WithPrescreen
+	// edgeMemo caches C-edge conflict conditions (edgeKey → *condVars):
+	// every cycle sharing an edge would otherwise rebuild an identical
+	// condition. The cached expressions are immutable.
+	edgeMemo sync.Map
 	// pcMemo caches each renamed trace's path conditions with their
-	// variable sets per Analyze call (*trace.Trace → []condVars), likewise.
-	pcMemo *sync.Map
-	// locks memoizes the template-level half of the lock model per Analyze
-	// call, shared by the lock filter and the edge-condition builds.
+	// variable sets (*trace.Trace → []condVars), likewise.
+	pcMemo sync.Map
+	// locks memoizes the template-level half of the lock model, shared by
+	// the lock filter and the edge-condition builds.
 	locks *lockmodel.Templates
+	memo  *memoTable
+	// m is the observer's instruments, resolved once; inert without one.
+	m *Metrics
+}
+
+func (a *Analyzer) newRun() *run {
+	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm), memo: newMemoTable(), m: &Metrics{}}
+	if a.opts.StaticPrescreen {
+		r.ps = &prescreenState{
+			txns:  map[*trace.Txn]staticlint.TxnShape{},
+			stmts: map[*trace.Stmt]staticlint.StmtShape{},
+		}
+	}
+	if o := a.opts.Observer; o != nil {
+		r.m = RegisterMetrics(o.Metrics)
+		r.memo.obs, r.memo.latency = o, r.m.solverLatency
+	}
+	return r
 }
 
 // prescreenState caches the static shapes Phase-0 screens against, so
@@ -124,84 +150,71 @@ type Deadlock struct {
 // count or scheduling. When ctx is canceled mid-run the partial result
 // gathered so far is returned together with ctx.Err().
 func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*Result, error) {
-	return a.analyze(ctx, traces, a.enumerateIndexed)
+	return a.analyze(ctx, traces, (*run).enumerateIndexed)
 }
 
 // enumFunc runs phases 1 and 2: transaction-pair filtering, the Phase-0
 // pair screen, and coarse-cycle enumeration. Candidate cycles sharing a
 // dedup key are collected into one chain, preserving global enumeration
-// order both across chains and within each chain.
-type enumFunc func(ctx context.Context, traces []*trace.Trace, workers int, res *Result) ([]*chain, error)
+// order both across chains and within each chain; the Stats returned
+// hold what the enumeration counted.
+type enumFunc func(r *run, ctx context.Context, traces []*trace.Trace, workers int) ([]*chain, Stats, error)
 
 // analyze is AnalyzeContext over a given enumeration: enumerateIndexed in
 // production; the differential tests also pass their naive pair loop.
 func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate enumFunc) (*Result, error) {
+	r := a.newRun()
 	res := &Result{}
-	res.Stats.Traces = len(traces)
 	workers := a.opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	res.Stats.Traces = len(traces)
 	res.Stats.Parallelism = workers
+	r.m.publish(&Stats{Traces: len(traces)})
 
 	o := a.opts.Observer
 	var spAnalyze, spEnum obs.Span
 	if o != nil {
 		spAnalyze = o.StartSpan(0, "analyze", obs.Int("traces", len(traces)))
-		o.P().Traces.Add(int64(len(traces)))
 		o.Progress.SetPhase("enumerate")
 		spEnum = o.StartSpan(0, "enumerate", obs.Bool("prescreen", a.opts.StaticPrescreen))
-	}
-
-	a.ps = nil
-	a.edgeMemo, a.pcMemo, a.locks = &sync.Map{}, &sync.Map{}, lockmodel.NewTemplates(a.scm)
-	if a.opts.StaticPrescreen {
-		a.ps = &prescreenState{
-			txns:  map[*trace.Txn]staticlint.TxnShape{},
-			stmts: map[*trace.Stmt]staticlint.StmtShape{},
-		}
 	}
 
 	// Stages 1–2: pair filtering and coarse-cycle enumeration, grouped
 	// into dedup-key chains in first-occurrence order, fanned out over the
 	// same worker budget phase 3 uses.
 	start := time.Now()
-	chains, err := enumerate(ctx, traces, workers, res)
+	chains, enum, err := enumerate(r, ctx, traces, workers)
 	res.Stats.EnumTime = time.Since(start)
+	res.Stats.add(&enum)
+	r.m.publish(&enum)
 	if o != nil {
 		spEnum.End(obs.Int("chains", len(chains)),
 			obs.Int("coarse_cycles", res.Stats.CoarseCycles),
 			obs.Int("index_probes", res.Stats.IndexProbes))
-		m := o.P()
-		m.Pairs.Add(int64(res.Stats.Pairs))
-		m.PairsAfterPhase1.Add(int64(res.Stats.PairsAfterPhase1))
-		m.CoarseCycles.Add(int64(res.Stats.CoarseCycles))
-		m.IndexProbes.Add(int64(res.Stats.IndexProbes))
-		m.PrescreenPairs.Add(int64(res.Stats.PrescreenPairs))
-		m.PrescreenPairsPruned.Add(int64(res.Stats.PrescreenPairsPruned))
 	}
 	if err != nil {
-		a.finishObs(o, spAnalyze, res, err)
+		finishObs(o, spAnalyze, res, err)
 		return res, err
 	}
 
 	// Stage 3 (parallel) + stage 4 (deterministic merge).
 	start = time.Now()
-	err = a.discharge(ctx, chains, workers, res)
+	err = r.discharge(ctx, chains, workers, res)
 	res.Stats.FineTime = time.Since(start)
 
 	sort.SliceStable(res.Deadlocks, func(x, y int) bool {
 		return res.Deadlocks[x].Key < res.Deadlocks[y].Key
 	})
 	res.Stats.Fingerprints = res.DistinctFingerprints()
-	a.finishObs(o, spAnalyze, res, err)
+	finishObs(o, spAnalyze, res, err)
 	return res, err
 }
 
-// finishObs closes the run's root span, marks the progress phase, and
-// snapshots the metrics into the result so a run's telemetry travels
-// with its report. No-op without an observer.
-func (a *Analyzer) finishObs(o *obs.Observer, spAnalyze obs.Span, res *Result, err error) {
+// finishObs closes the run's root span and marks the progress phase.
+// No-op without an observer.
+func finishObs(o *obs.Observer, spAnalyze obs.Span, res *Result, err error) {
 	if o == nil {
 		return
 	}
@@ -212,7 +225,43 @@ func (a *Analyzer) finishObs(o *obs.Observer, spAnalyze obs.Span, res *Result, e
 	o.Progress.SetPhase(phase)
 	spAnalyze.End(obs.Int("deadlocks", len(res.Deadlocks)),
 		obs.Bool("aborted", err != nil))
-	res.Metrics = o.Snapshot()
+}
+
+// forEachIndex calls fn(i, tid) for every i in [0, n) on min(workers, n)
+// goroutines, tid being the worker's id from 1; a single worker runs on
+// the caller's goroutine. Indices are handed out in ascending order and
+// no further once ctx is done; it returns when every call it made has.
+func forEachIndex(ctx context.Context, n, workers int, fn func(i, tid int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i, 1)
+		}
+		return
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 1; w <= workers; w++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := range jobs {
+				fn(i, tid)
+			}
+		}(w)
+	}
+feed:
+	for i := 0; i < n; i++ {
+		select {
+		case jobs <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 // txnSig is a transaction's cached table signature for the phase-1
@@ -243,7 +292,7 @@ func coarseConflictTable(s, t *trace.Stmt) string {
 // T2): S1a < S1b and S2a < S2b in execution order, with C-edges
 // (S1b, S2a) and (S2b, S1a). Cycles are passed to emit in enumeration
 // order; the returned count is the number emitted.
-func (a *Analyzer) enumeratePair(p1, p2 *instance, emit func(Cycle)) int {
+func enumeratePair(p1, p2 *instance, emit func(Cycle)) int {
 	s1, s2 := p1.Txn.Stmts, p2.Txn.Stmts
 
 	type cedge struct{ i, j int }

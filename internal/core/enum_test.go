@@ -22,7 +22,8 @@ import (
 // enumerateNaive is the reference enumFunc: it probes every
 // cross-instance transaction pair — O(instances²) in corpus size, serial
 // (the worker count is ignored).
-func (a *Analyzer) enumerateNaive(ctx context.Context, traces []*trace.Trace, _ int, res *Result) ([]*chain, error) {
+func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace, _ int) ([]*chain, Stats, error) {
+	var st Stats
 	// Pre-rename each trace once per role, and compute each renamed
 	// transaction's table signature once: phase 1 probes every pair, so
 	// rebuilding the accessed/written maps per probe is quadratic in
@@ -59,19 +60,19 @@ func (a *Analyzer) enumerateNaive(ctx context.Context, traces []*trace.Trace, _ 
 			for _, t1 := range inst1[i].Txns {
 				for _, t2 := range inst2[j].Txns {
 					if err := ctx.Err(); err != nil {
-						return chains, err
+						return chains, st, err
 					}
-					res.Stats.Pairs++
-					if !a.opts.SkipPhase1 && !sigs[t1].conflicts(sigs[t2]) {
+					st.Pairs++
+					if !r.opts.SkipPhase1 && !sigs[t1].conflicts(sigs[t2]) {
 						continue
 					}
-					res.Stats.PairsAfterPhase1++
-					if a.ps != nil {
-						res.Stats.PrescreenPairs++
-						sh1 := a.ps.shape(traces[i].API, t1)
-						sh2 := a.ps.shape(traces[j].API, t2)
-						if !staticlint.PairDeadlockPossible(sh1, sh2, a.scm) {
-							res.Stats.PrescreenPairsPruned++
+					st.PairsAfterPhase1++
+					if r.ps != nil {
+						st.PrescreenPairs++
+						sh1 := r.ps.shape(traces[i].API, t1)
+						sh2 := r.ps.shape(traces[j].API, t2)
+						if !staticlint.PairDeadlockPossible(sh1, sh2, r.scm) {
+							st.PrescreenPairsPruned++
 							continue
 						}
 					}
@@ -80,12 +81,12 @@ func (a *Analyzer) enumerateNaive(ctx context.Context, traces []*trace.Trace, _ 
 					// majority of pairs.
 					p1 := &instance{API: traces[i].API, Prefix: "A1.", Txn: t1, Trace: inst1[i]}
 					p2 := &instance{API: traces[j].API, Prefix: "A2.", Txn: t2, Trace: inst2[j]}
-					res.Stats.CoarseCycles += a.enumeratePair(p1, p2, add)
+					st.CoarseCycles += enumeratePair(p1, p2, add)
 				}
 			}
 		}
 	}
-	return chains, nil
+	return chains, st, nil
 }
 
 // conflicts is phase 1: the pair can form a transaction conflict cycle
@@ -177,9 +178,9 @@ func comparable(s Stats) Stats {
 // oracle through: the enumeration to hand a.analyze.
 func (a *Analyzer) enumOf(naive bool) enumFunc {
 	if naive {
-		return a.enumerateNaive
+		return (*run).enumerateNaive
 	}
-	return a.enumerateIndexed
+	return (*run).enumerateIndexed
 }
 
 // analyzeRecording is a.analyze over the chosen enumeration, also
@@ -188,9 +189,9 @@ func analyzeRecording(scm *schema.Schema, traces []*trace.Trace, naive bool, opt
 	a := NewAnalyzer(scm, opts...)
 	var chains []*chain
 	res, err := a.analyze(context.Background(), traces,
-		func(ctx context.Context, traces []*trace.Trace, workers int, res *Result) (_ []*chain, err error) {
-			chains, err = a.enumOf(naive)(ctx, traces, workers, res)
-			return chains, err
+		func(r *run, ctx context.Context, traces []*trace.Trace, workers int) (_ []*chain, st Stats, err error) {
+			chains, st, err = a.enumOf(naive)(r, ctx, traces, workers)
+			return chains, st, err
 		})
 	return res, chains, err
 }

@@ -26,7 +26,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"weseer/internal/staticlint"
 	"weseer/internal/trace"
@@ -153,36 +152,35 @@ type pairHit struct {
 // leftOutcome is one A1-role instance's buffered enumeration result,
 // merged serially afterwards.
 type leftOutcome struct {
-	pairs  int // universe pairs this instance accounts for (closed form)
-	probes int // posting-list entries walked for it
-	hits   []pairHit
-
-	prescreened, pruned, cycles int
-
-	err error
+	// stats is what this instance counted: the universe pairs it accounts
+	// for (closed form), the posting-list entries walked for it, its
+	// phase-1 survivors, the phase-0 screen and the coarse cycles.
+	stats Stats
+	hits  []pairHit
+	err   error
 }
 
 // enumerateIndexed is the indexed, parallel implementation of phases
 // 1–2. It produces the same chains, in the same order, with the same
 // funnel counters as enumerateNaive (plus Stats.IndexProbes, which the
 // naive loop leaves zero).
-func (a *Analyzer) enumerateIndexed(ctx context.Context, traces []*trace.Trace, workers int, res *Result) ([]*chain, error) {
+func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace, workers int) ([]*chain, Stats, error) {
 	lefts, leftSigs, leftStart := flattenRole(traces, "A1.")
 	rights, rightSigs, rightStart := flattenRole(traces, "A2.")
 
 	var ix *conflictIndex
-	if !a.opts.SkipPhase1 {
+	if !r.opts.SkipPhase1 {
 		ix = buildConflictIndex(rightSigs)
 	}
-	if a.ps != nil {
+	if r.ps != nil {
 		// Freeze the phase-0 shape cache before fanning out: workers (and
 		// later the phase-3 pool) read it without locking.
 		for i, tr := range traces {
 			for li := leftStart[i]; li < leftStart[i+1]; li++ {
-				a.ps.shape(tr.API, lefts[li].txn)
+				r.ps.shape(tr.API, lefts[li].txn)
 			}
 			for ri := rightStart[i]; ri < rightStart[i+1]; ri++ {
-				a.ps.shape(tr.API, rights[ri].txn)
+				r.ps.shape(tr.API, rights[ri].txn)
 			}
 		}
 	}
@@ -194,15 +192,15 @@ func (a *Analyzer) enumerateIndexed(ctx context.Context, traces []*trace.Trace, 
 		var out leftOutcome
 		L := lefts[li]
 		startOrd := rightStart[L.trace]
-		out.pairs = len(rights) - startOrd
+		out.stats.Pairs = len(rights) - startOrd
 		var cands []int
 		if ix != nil {
-			cands, out.probes = ix.candidates(leftSigs[li], startOrd, s)
+			cands, out.stats.IndexProbes = ix.candidates(leftSigs[li], startOrd, s)
 		} else {
 			// Phase-1 ablation: every pair in the suffix is a candidate.
 			cands = make([]int, 0, len(rights)-startOrd)
-			for r := startOrd; r < len(rights); r++ {
-				cands = append(cands, r)
+			for ro := startOrd; ro < len(rights); ro++ {
+				cands = append(cands, ro)
 			}
 		}
 		if len(cands) == 0 {
@@ -210,83 +208,52 @@ func (a *Analyzer) enumerateIndexed(ctx context.Context, traces []*trace.Trace, 
 		}
 		api1 := traces[L.trace].API
 		p1 := &instance{API: api1, Prefix: "A1.", Txn: L.txn, Trace: L.inst}
-		for _, r := range cands {
+		for _, ro := range cands {
 			if err := ctx.Err(); err != nil {
 				out.err = err
 				return out
 			}
-			R := rights[r]
-			if a.ps != nil {
-				out.prescreened++
-				sh1 := a.ps.txns[L.txn]
-				sh2 := a.ps.txns[R.txn]
-				if !staticlint.PairDeadlockPossible(sh1, sh2, a.scm) {
-					out.pruned++
+			R := rights[ro]
+			if r.ps != nil {
+				out.stats.PrescreenPairs++
+				sh1 := r.ps.txns[L.txn]
+				sh2 := r.ps.txns[R.txn]
+				if !staticlint.PairDeadlockPossible(sh1, sh2, r.scm) {
+					out.stats.PrescreenPairsPruned++
 					continue
 				}
 			}
 			p2 := &instance{API: traces[R.trace].API, Prefix: "A2.", Txn: R.txn, Trace: R.inst}
-			hit := pairHit{right: r}
-			out.cycles += a.enumeratePair(p1, p2, func(cyc Cycle) {
+			hit := pairHit{right: ro}
+			out.stats.CoarseCycles += enumeratePair(p1, p2, func(cyc Cycle) {
 				hit.cycles = append(hit.cycles, cyc)
 			})
+			out.stats.PairsAfterPhase1++
 			out.hits = append(out.hits, hit)
 		}
 		return out
 	}
 
 	outcomes := make([]leftOutcome, len(lefts))
-	if workers > len(lefts) {
-		workers = len(lefts)
-	}
-	if workers <= 1 {
-		s := newEnumScratch(len(rights))
-		for li := range lefts {
-			outcomes[li] = enumLeft(li, s)
-			if outcomes[li].err != nil {
-				break
-			}
+	scratch := make([]*enumScratch, max(workers, 1)+1) // by worker id, each touched by its worker only
+	forEachIndex(ctx, len(lefts), workers, func(li, tid int) {
+		if scratch[tid] == nil {
+			scratch[tid] = newEnumScratch(len(rights))
 		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := newEnumScratch(len(rights))
-				for li := range jobs {
-					outcomes[li] = enumLeft(li, s)
-				}
-			}()
-		}
-	feed:
-		for li := range lefts {
-			select {
-			case jobs <- li:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}
+		outcomes[li] = enumLeft(li, scratch[tid])
+	})
 
 	// Aggregate the funnel counters. Order is irrelevant here; partially
 	// processed instances (cancellation) contribute what they finished,
 	// like the naive loop's partial stats.
+	var total Stats
 	var err error
 	for li := range outcomes {
 		out := &outcomes[li]
 		if out.err != nil && err == nil {
 			err = out.err
 		}
-		res.Stats.Pairs += out.pairs
-		res.Stats.IndexProbes += out.probes
-		res.Stats.PairsAfterPhase1 += len(out.hits)
-		res.Stats.PrescreenPairs += out.prescreened
-		res.Stats.PrescreenPairsPruned += out.pruned
-		res.Stats.CoarseCycles += out.cycles
+		total.add(&out.stats)
 	}
 	if err == nil {
 		err = ctx.Err()
@@ -325,5 +292,5 @@ func (a *Analyzer) enumerateIndexed(ctx context.Context, traces []*trace.Trace, 
 			}
 		}
 	}
-	return chains, err
+	return chains, total, err
 }

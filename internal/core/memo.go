@@ -29,8 +29,10 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"weseer/internal/obs"
 	"weseer/internal/smt"
 	"weseer/internal/solver"
 )
@@ -56,6 +58,14 @@ type memoTable struct {
 	entries map[string]*memoEntry
 	// scratch recycles shape buffers across groups and workers.
 	scratch sync.Pool
+	// canonNanos sums the time the shape owners spent canonicalizing:
+	// with len(shapes), Stats' view of level one.
+	canonNanos atomic.Int64
+
+	// obs and latency, when set, receive each solver call's span and wall
+	// time: solve is the one place that times the call and holds its result.
+	obs     *obs.Observer
+	latency *obs.Histogram
 }
 
 func newMemoTable() *memoTable {
@@ -69,9 +79,9 @@ func newMemoTable() *memoTable {
 // solve discharges formula through the table. The second return reports a
 // memo hit: the verdict was served from an already-computed (or
 // concurrently computing) entry without a solver call. The owner of a
-// miss charges the call and its wall time to out, as the owner of a new
-// shape does its canonicalization.
-func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limits, out *chainOutcome) (solver.Result, bool) {
+// miss, running as worker tid, charges the call, its wall time and its
+// engine counters to out.
+func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limits, tid int, out *Stats) (solver.Result, bool) {
 	sh := m.scratch.Get().(*smt.Shape)
 	defer m.scratch.Put(sh)
 	sh.Reset(formula)
@@ -86,7 +96,7 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limi
 	s.once.Do(func() {
 		start := time.Now()
 		s.canon = sh.Canon()
-		out.canonTime += time.Since(start)
+		m.canonNanos.Add(int64(time.Since(start)))
 	})
 	key := s.canon.Key()
 
@@ -105,11 +115,20 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limi
 	m.mu.Unlock()
 
 	expr := s.canon.Expr()
+	sp := m.obs.StartSpan(tid, "solve")
 	start := time.Now()
 	sres := solver.SolveCtx(ctx, expr, lim)
-	out.solverTime += time.Since(start)
-	out.solverCalls++
-	out.engine.Add(sres.Stats)
+	dur := time.Since(start)
+	out.SolverTime += dur
+	out.SolverCalls++
+	out.Engine.Add(sres.Stats)
+	if m.obs != nil {
+		sp.End(obs.String("status", sres.Status.String()),
+			obs.Int("decisions", sres.Stats.Decisions),
+			obs.Int("conflicts", sres.Stats.Conflicts),
+			obs.Int("theory_calls", sres.Stats.TheoryCalls))
+		m.latency.Observe(dur.Seconds())
+	}
 
 	if ctx.Err() != nil {
 		// A canceled solve yields UNKNOWN regardless of the formula —

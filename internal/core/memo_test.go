@@ -71,15 +71,15 @@ func renderResult(r solver.Result) string {
 func CheckMemoAgainstDirect(t *testing.T, formulas []smt.Expr) {
 	t.Helper()
 	memo := newMemoTable()
-	var out chainOutcome
+	var out Stats
 	for i, f := range formulas {
-		got, _ := memo.solve(context.Background(), f, solver.Limits{}, &out)
+		got, _ := memo.solve(context.Background(), f, solver.Limits{}, 0, &out)
 		if want := solver.Solve(f); got.Status != want.Status {
 			t.Errorf("formula %d: memoized verdict %v, direct solve %v: %s", i, got.Status, want.Status, f)
 		}
 	}
-	if out.solverCalls >= len(formulas) {
-		t.Errorf("%d solver calls for %d formulas: the memo saved nothing", out.solverCalls, len(formulas))
+	if out.SolverCalls >= len(formulas) {
+		t.Errorf("%d solver calls for %d formulas: the memo saved nothing", out.SolverCalls, len(formulas))
 	}
 }
 
@@ -95,9 +95,9 @@ func TestMemoTableConcurrent(t *testing.T) {
 
 	want := map[string]string{}
 	serial := newMemoTable()
-	var serialOut chainOutcome
+	var serialOut Stats
 	for _, c := range cases {
-		res, _ := serial.solve(ctx, c.formula, solver.Limits{}, &serialOut)
+		res, _ := serial.solve(ctx, c.formula, solver.Limits{}, 0, &serialOut)
 		want[c.name] = renderResult(res)
 	}
 	if want["A1.0/false"] != "UNSAT" || want["A1.1/false"] == "UNSAT" {
@@ -105,7 +105,7 @@ func TestMemoTableConcurrent(t *testing.T) {
 	}
 
 	memo := newMemoTable()
-	outs := make([]chainOutcome, workers)
+	outs := make([]Stats, workers)
 	hits := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -114,7 +114,7 @@ func TestMemoTableConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := range cases {
 				c := cases[(i*7+w*5)%len(cases)] // 7 is coprime to len(cases)
-				res, hit := memo.solve(ctx, c.formula, solver.Limits{}, &outs[w])
+				res, hit := memo.solve(ctx, c.formula, solver.Limits{}, 0, &outs[w])
 				if hit {
 					hits[w]++
 				}
@@ -128,12 +128,12 @@ func TestMemoTableConcurrent(t *testing.T) {
 
 	calls, allHits := 0, 0
 	for w := range outs {
-		calls += outs[w].solverCalls
+		calls += outs[w].SolverCalls
 		allHits += hits[w]
 	}
-	if calls != keys || serialOut.solverCalls != keys {
+	if calls != keys || serialOut.SolverCalls != keys {
 		t.Errorf("solver calls: %d concurrent, %d serial, want %d (one per canonical key)",
-			calls, serialOut.solverCalls, keys)
+			calls, serialOut.SolverCalls, keys)
 	}
 	if calls+allHits != workers*len(cases) {
 		t.Errorf("calls %d + hits %d != %d discharges", calls, allHits, workers*len(cases))
@@ -158,8 +158,8 @@ func TestMemoTableCancellation(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var out chainOutcome
-			res, hit := memo.solve(canceled, memoFormula(fmt.Sprintf("T%d.", w), 3, w%2 == 0), solver.Limits{}, &out)
+			var out Stats
+			res, hit := memo.solve(canceled, memoFormula(fmt.Sprintf("T%d.", w), 3, w%2 == 0), solver.Limits{}, 0, &out)
 			if res.Status != solver.UNKNOWN || res.Model != nil {
 				t.Errorf("canceled solve returned %v", renderResult(res))
 			}
@@ -174,13 +174,13 @@ func TestMemoTableCancellation(t *testing.T) {
 		t.Fatalf("canon calls = %d, want the 2 shapes canonicalized before the cancel", n)
 	}
 
-	var out chainOutcome
-	res, hit := memo.solve(context.Background(), memoFormula("live.", 3, false), solver.Limits{}, &out)
-	if hit || out.solverCalls != 1 || res.Status != solver.SAT || res.Model == nil {
-		t.Fatalf("live solve after cancel: hit=%v calls=%d result=%s", hit, out.solverCalls, renderResult(res))
+	var out Stats
+	res, hit := memo.solve(context.Background(), memoFormula("live.", 3, false), solver.Limits{}, 0, &out)
+	if hit || out.SolverCalls != 1 || res.Status != solver.SAT || res.Model == nil {
+		t.Fatalf("live solve after cancel: hit=%v calls=%d result=%s", hit, out.SolverCalls, renderResult(res))
 	}
-	var freshOut chainOutcome
-	fresh, _ := newMemoTable().solve(context.Background(), memoFormula("live.", 3, false), solver.Limits{}, &freshOut)
+	var freshOut Stats
+	fresh, _ := newMemoTable().solve(context.Background(), memoFormula("live.", 3, false), solver.Limits{}, 0, &freshOut)
 	if renderResult(res) != renderResult(fresh) {
 		t.Errorf("result after cancel %q differs from a fresh table's %q", renderResult(res), renderResult(fresh))
 	}
@@ -215,17 +215,17 @@ func TestMemoLevelTwoHitBuildsNoExpr(t *testing.T) {
 	moved := &smt.NAry{Conj: true, Xs: append([]smt.Expr{unsat}, xs...)}
 
 	memo := newMemoTable()
-	var out chainOutcome
-	if res, hit := memo.solve(ctx, plain, solver.Limits{}, &out); hit || res.Status != solver.UNSAT {
+	var out Stats
+	if res, hit := memo.solve(ctx, plain, solver.Limits{}, 0, &out); hit || res.Status != solver.UNSAT {
 		t.Fatalf("first solve: hit %v, %v", hit, res.Status)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, hit := memo.solve(ctx, moved, solver.Limits{}, &out)
+	res, hit := memo.solve(ctx, moved, solver.Limits{}, 0, &out)
 	runtime.ReadMemStats(&after)
-	if !hit || res.Status != solver.UNSAT || len(memo.shapes) != 2 || out.solverCalls != 1 {
+	if !hit || res.Status != solver.UNSAT || len(memo.shapes) != 2 || out.SolverCalls != 1 {
 		t.Fatalf("reordered formula: hit %v, %v, %d shapes, %d solver calls — want a level-two hit on a new shape",
-			hit, res.Status, len(memo.shapes), out.solverCalls)
+			hit, res.Status, len(memo.shapes), out.SolverCalls)
 	}
 	var sh smt.Shape
 	sh.Reset(moved)
@@ -249,14 +249,14 @@ func BenchmarkDischargeMemoHit(b *testing.B) {
 		b.Fatalf("fixture: %d formulas, err %v", len(formulas), err)
 	}
 	memo := newMemoTable()
-	var out chainOutcome
+	var out Stats
 	for _, f := range formulas {
-		memo.solve(ctx, f, solver.Limits{}, &out)
+		memo.solve(ctx, f, solver.Limits{}, 0, &out)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit := memo.solve(ctx, formulas[i%len(formulas)], solver.Limits{}, &out); !hit {
+		if _, hit := memo.solve(ctx, formulas[i%len(formulas)], solver.Limits{}, 0, &out); !hit {
 			b.Fatal("expected a memo hit")
 		}
 	}

@@ -39,9 +39,6 @@ func TestObserverPreservesDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Metrics != nil {
-		t.Error("Result.Metrics must stay nil without an observer")
-	}
 	for _, workers := range []int{1, 4} {
 		o := obs.NewObserver()
 		res, err := NewAnalyzer(fig1Schema(), WithParallelism(workers), WithObserver(o)).
@@ -56,18 +53,18 @@ func TestObserverPreservesDeterminism(t *testing.T) {
 			t.Fatalf("p%d: observer changed the funnel: %+v vs %+v",
 				workers, plain.Stats.WithoutTimings(), res.Stats.WithoutTimings())
 		}
-		if res.Metrics == nil {
-			t.Fatal("observed run must attach the metrics snapshot to the result")
-		}
-		for metric, want := range map[string]int{
-			"weseer_funnel_groups_solved_total": res.Stats.GroupsSolved,
-			"weseer_funnel_solver_calls_total":  res.Stats.SolverCalls,
-			"weseer_funnel_memo_hits_total":     res.Stats.MemoHits,
-			"weseer_solver_sat_total":           res.Stats.SolverSAT,
-		} {
-			if got := res.Metrics[metric]; got != float64(want) {
-				t.Errorf("p%d: Result.Metrics[%s] = %v, want %d", workers, metric, got, want)
+		snap := o.Metrics.Snapshot()
+		for i := range StatsTable {
+			row := &StatsTable[i]
+			if row.Metric == "" {
+				continue
 			}
+			if got, want := snap[row.Metric], row.MetricValue(&res.Stats); got != float64(want) {
+				t.Errorf("p%d: %s = %v, want %d (Result.Stats)", workers, row.Metric, got, want)
+			}
+		}
+		if got := snap["weseer_solver_seconds_count"]; got != float64(res.Stats.SolverCalls) {
+			t.Errorf("p%d: latency histogram count %v != SolverCalls %d", workers, got, res.Stats.SolverCalls)
 		}
 
 		// The trace must cover the whole pipeline: a root span, the

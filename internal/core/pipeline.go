@@ -14,7 +14,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"weseer/internal/lockmodel"
@@ -34,29 +33,19 @@ type chain struct {
 // chainOutcome is one chain's contribution to the report and stats.
 type chainOutcome struct {
 	deadlock *Deadlock
-
-	lockFiltered   int
-	prescreenSaved int
-	groupsSolved   int
-	solverCalls    int
-	memoHits       int
-	sat, unsat     int
-	unknown        int
-	solverTime     time.Duration
-	canonTime      time.Duration
-	// engine aggregates the CDCL(T) counters of the solver calls this
-	// chain owned (memo hits charge nothing — the owning call counted).
-	engine solver.Stats
-
-	err error
+	// stats is what this chain counted; solver time and the CDCL(T)
+	// counters are those of the solver calls it owned (memo hits charge
+	// nothing — the owning call counted).
+	stats Stats
+	err   error
 }
 
 // discharge runs phase 3 over the chains on `workers` goroutines and
 // merges the outcomes in chain order. In coarse-only mode every chain
 // becomes a report without any solving.
-func (a *Analyzer) discharge(ctx context.Context, chains []*chain, workers int, res *Result) error {
-	o := a.opts.Observer
-	if a.opts.CoarseOnly {
+func (r *run) discharge(ctx context.Context, chains []*chain, workers int, res *Result) error {
+	o := r.opts.Observer
+	if r.opts.CoarseOnly {
 		if o != nil {
 			o.Progress.SetPhase("coarse-report")
 		}
@@ -72,120 +61,62 @@ func (a *Analyzer) discharge(ctx context.Context, chains []*chain, workers int, 
 		return ctx.Err()
 	}
 
-	memo := newMemoTable()
-	if workers > len(chains) {
-		workers = len(chains)
-	}
-	var spFine obs.Span
 	if o != nil {
 		o.Progress.SetPhase("fine")
 		o.Progress.SetChains(int64(len(chains)))
-		o.P().ChainsTotal.Set(int64(len(chains)))
-		o.P().ChainsDone.Set(0)
-		spFine = o.StartSpan(0, "discharge",
-			obs.Int("chains", len(chains)), obs.Int("workers", workers))
-		defer func() { spFine.End() }()
+		r.m.chainsTotal.Set(int64(len(chains)))
+		r.m.chainsDone.Set(0)
+		spFine := o.StartSpan(0, "discharge",
+			obs.Int("chains", len(chains)), obs.Int("workers", min(workers, len(chains))))
+		defer spFine.End()
 	}
 	outcomes := make([]chainOutcome, len(chains))
-	if workers <= 1 {
-		for i, ch := range chains {
-			outcomes[i] = a.evalChain(ctx, ch, memo, 1)
-			noteChainDone(o, &outcomes[i])
-			if outcomes[i].err != nil {
-				break
-			}
+	forEachIndex(ctx, len(chains), workers, func(i, tid int) {
+		outcomes[i] = r.evalChain(ctx, chains[i], tid)
+		// The live view: what the stage-4 merge below adds to res.Stats is
+		// added to the counters here, as each chain finishes.
+		if o != nil {
+			o.Progress.ChainDone()
 		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				for i := range jobs {
-					outcomes[i] = a.evalChain(ctx, chains[i], memo, tid)
-					noteChainDone(o, &outcomes[i])
-				}
-			}(w + 1)
-		}
-	feed:
-		for i := range chains {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}
+		r.m.chainsDone.Add(1)
+		r.m.publish(&outcomes[i].stats)
+	})
 
 	// Stage 4: merge per chain index — chain order is the serial
 	// first-occurrence order, so aggregation is deterministic.
 	var err error
 	for i := range outcomes {
-		o := &outcomes[i]
-		if o.err != nil && err == nil {
-			err = o.err
+		out := &outcomes[i]
+		if out.err != nil && err == nil {
+			err = out.err
 		}
-		res.Stats.LockFiltered += o.lockFiltered
-		res.Stats.PrescreenSaved += o.prescreenSaved
-		res.Stats.GroupsSolved += o.groupsSolved
-		res.Stats.SolverCalls += o.solverCalls
-		res.Stats.MemoHits += o.memoHits
-		res.Stats.SolverSAT += o.sat
-		res.Stats.SolverUNSAT += o.unsat
-		res.Stats.SolverUnknown += o.unknown
-		res.Stats.SolverTime += o.solverTime
-		res.Stats.CanonTime += o.canonTime
-		res.Stats.Engine.Add(o.engine)
-		if o.deadlock != nil {
-			res.Deadlocks = append(res.Deadlocks, o.deadlock)
+		res.Stats.add(&out.stats)
+		if out.deadlock != nil {
+			res.Deadlocks = append(res.Deadlocks, out.deadlock)
 		}
 	}
-	res.Stats.CanonCalls = len(memo.shapes) // workers are done
-	if o != nil {
-		o.P().CanonCalls.Add(int64(res.Stats.CanonCalls))
-		o.P().CanonMicros.Add(res.Stats.CanonTime.Microseconds())
-	}
+	// The memo's first level is counted by the table, not by the chains:
+	// its size does not depend on which worker met a shape first.
+	canon := Stats{CanonCalls: len(r.memo.shapes), CanonTime: time.Duration(r.memo.canonNanos.Load())} // workers are done
+	res.Stats.add(&canon)
+	r.m.publish(&canon)
 	if err == nil {
 		err = ctx.Err()
 	}
 	return err
 }
 
-// noteChainDone publishes one discharged chain's outcome to the
-// observer: progress and the funnel counters, field for field the same
-// additions the stage-4 merge performs on res.Stats, so after a run
-// /metrics and Result.Stats agree. No-op without an observer.
-func noteChainDone(o *obs.Observer, out *chainOutcome) {
-	if o == nil {
-		return
-	}
-	o.Progress.ChainDone()
-	m := o.P()
-	m.ChainsDone.Add(1)
-	m.LockFiltered.Add(int64(out.lockFiltered))
-	m.PrescreenSaved.Add(int64(out.prescreenSaved))
-	m.GroupsSolved.Add(int64(out.groupsSolved))
-	m.SolverCalls.Add(int64(out.solverCalls))
-	m.MemoHits.Add(int64(out.memoHits))
-	m.SAT.Add(int64(out.sat))
-	m.UNSAT.Add(int64(out.unsat))
-	m.Unknown.Add(int64(out.unknown))
-}
-
 // evalChain discharges one chain on logical worker tid: candidates are
 // checked in enumeration order until one is confirmed SAT; later
 // duplicates fold into Count.
-func (a *Analyzer) evalChain(ctx context.Context, ch *chain, memo *memoTable, tid int) chainOutcome {
+func (r *run) evalChain(ctx context.Context, ch *chain, tid int) chainOutcome {
 	var out chainOutcome
-	if o := a.opts.Observer; o != nil {
+	if o := r.opts.Observer; o != nil {
 		sp := o.StartSpan(tid, "chain", obs.Int("cycles", len(ch.cycles)))
 		defer func() {
 			sp.End(obs.Bool("deadlock", out.deadlock != nil),
-				obs.Int("groups_solved", out.groupsSolved),
-				obs.Int("memo_hits", out.memoHits))
+				obs.Int("groups_solved", out.stats.GroupsSolved),
+				obs.Int("memo_hits", out.stats.MemoHits))
 		}()
 	}
 	for idx, cyc := range ch.cycles {
@@ -193,7 +124,7 @@ func (a *Analyzer) evalChain(ctx context.Context, ch *chain, memo *memoTable, ti
 			out.err = err
 			return out
 		}
-		d := a.fineCheckOne(ctx, cyc, ch.key, memo, tid, &out)
+		d := r.fineCheckOne(ctx, cyc, ch.key, tid, &out)
 		if out.err != nil {
 			return out
 		}
@@ -210,12 +141,12 @@ func (a *Analyzer) evalChain(ctx context.Context, ch *chain, memo *memoTable, ti
 // filter, Phase-0 group refutation, then (memoized) SMT solving of
 // conflict + path conditions. It returns a Deadlock when the cycle is
 // confirmed SAT.
-func (a *Analyzer) fineCheckOne(ctx context.Context, cyc Cycle, key string, memo *memoTable, tid int, out *chainOutcome) *Deadlock {
+func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, out *chainOutcome) *Deadlock {
 	// Quick filter: each C-edge needs a modeled lock collision.
-	if !a.opts.SkipLockFilter {
-		if !a.locks.PotentialConflict(cyc.S1b, cyc.S2a, a.opts.UseConcretePlans) ||
-			!a.locks.PotentialConflict(cyc.S2b, cyc.S1a, a.opts.UseConcretePlans) {
-			out.lockFiltered++
+	if !r.opts.SkipLockFilter {
+		if !r.locks.PotentialConflict(cyc.S1b, cyc.S2a, r.opts.UseConcretePlans) ||
+			!r.locks.PotentialConflict(cyc.S2b, cyc.S1a, r.opts.UseConcretePlans) {
+			out.stats.LockFiltered++
 			return nil
 		}
 	}
@@ -223,40 +154,35 @@ func (a *Analyzer) fineCheckOne(ctx context.Context, cyc Cycle, key string, memo
 	// Phase-0 group refutation: when every statement of the cycle has a
 	// static shape and one C-edge joins provably disjoint rigid point
 	// rows, the conflict condition is trivially UNSAT — skip the solver.
-	if a.ps != nil {
-		s1a, ok1 := a.ps.stmts[cyc.S1a]
-		s1b, ok2 := a.ps.stmts[cyc.S1b]
-		s2a, ok3 := a.ps.stmts[cyc.S2a]
-		s2b, ok4 := a.ps.stmts[cyc.S2b]
+	if r.ps != nil {
+		s1a, ok1 := r.ps.stmts[cyc.S1a]
+		s1b, ok2 := r.ps.stmts[cyc.S1b]
+		s2a, ok3 := r.ps.stmts[cyc.S2a]
+		s2b, ok4 := r.ps.stmts[cyc.S2b]
 		if ok1 && ok2 && ok3 && ok4 &&
-			!staticlint.CyclePossible(s1a, s1b, s2a, s2b, a.scm) {
-			out.prescreenSaved++
+			!staticlint.CyclePossible(s1a, s1b, s2a, s2b, r.scm) {
+			out.stats.PrescreenSaved++
 			return nil
 		}
 	}
 
-	formula := a.cycleFormula(cyc)
-	out.groupsSolved++
+	formula := r.cycleFormula(cyc)
+	out.stats.GroupsSolved++
 
-	lim := a.opts.Solver
-	if o := a.opts.Observer; o != nil {
-		lim.Obs = o
-		lim.ObsTID = tid
-	}
-	sres, hit := memo.solve(ctx, formula, lim, out)
+	sres, hit := r.memo.solve(ctx, formula, r.opts.Solver, tid, &out.stats)
 	if hit {
-		out.memoHits++
+		out.stats.MemoHits++
 	}
 	if err := ctx.Err(); err != nil {
 		// A canceled solve reports UNKNOWN; don't let it skew the funnel.
-		out.groupsSolved--
+		out.stats.GroupsSolved--
 		out.err = err
 		return nil
 	}
 
 	switch sres.Status {
 	case solver.SAT:
-		out.sat++
+		out.stats.SolverSAT++
 		return &Deadlock{
 			Key:     key,
 			APIs:    [2]string{cyc.T1.API, cyc.T2.API},
@@ -266,10 +192,10 @@ func (a *Analyzer) fineCheckOne(ctx context.Context, cyc Cycle, key string, memo
 			Count:   1,
 		}
 	case solver.UNSAT:
-		out.unsat++
+		out.stats.SolverUNSAT++
 	default:
 		// Timeouts are treated as "no deadlock reported" (Sec. III-B).
-		out.unknown++
+		out.stats.SolverUnknown++
 	}
 	return nil
 }
@@ -282,12 +208,12 @@ func (a *Analyzer) fineCheckOne(ctx context.Context, cyc Cycle, key string, memo
 // conditions are dropped: the concrete execution that produced the trace
 // satisfies them by construction, so they cannot change satisfiability —
 // a cone-of-influence reduction that keeps solver formulas small.
-func (a *Analyzer) cycleFormula(cyc Cycle) smt.Expr {
-	edge1 := a.edgeCondCached(cyc.S1b, cyc.S2a, "r1.")
-	edge2 := a.edgeCondCached(cyc.S2b, cyc.S1a, "r2.")
+func (r *run) cycleFormula(cyc Cycle) smt.Expr {
+	edge1 := r.edgeCondCached(cyc.S1b, cyc.S2a, "r1.")
+	edge2 := r.edgeCondCached(cyc.S2b, cyc.S1a, "r2.")
 
-	pcs := a.pathCondsBefore(nil, cyc.T1.Trace, maxSeq(cyc.S1a, cyc.S1b))
-	pcs = a.pathCondsBefore(pcs, cyc.T2.Trace, maxSeq(cyc.S2a, cyc.S2b))
+	pcs := r.pathCondsBefore(nil, cyc.T1.Trace, maxSeq(cyc.S1a, cyc.S1b))
+	pcs = r.pathCondsBefore(pcs, cyc.T2.Trace, maxSeq(cyc.S2a, cyc.S2b))
 	seed := make(map[string]struct{}, len(edge1.vars)+len(edge2.vars))
 	for _, e := range [2]*condVars{edge1, edge2} {
 		for _, v := range e.vars {
@@ -301,13 +227,12 @@ func (a *Analyzer) cycleFormula(cyc Cycle) smt.Expr {
 // cycle of the traces, in enumeration order — the memo table's input,
 // exposed for canonicalization tests and for dumping a run's queries.
 func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]smt.Expr, error) {
-	a.ps = nil
-	a.edgeMemo, a.pcMemo, a.locks = &sync.Map{}, &sync.Map{}, lockmodel.NewTemplates(a.scm)
-	chains, err := a.enumerateIndexed(ctx, traces, 1, &Result{})
+	r := a.newRun()
+	chains, _, err := r.enumerateIndexed(ctx, traces, 1)
 	var out []smt.Expr
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {
-			out = append(out, a.cycleFormula(cyc))
+			out = append(out, r.cycleFormula(cyc))
 		}
 	}
 	return out, err
@@ -336,14 +261,14 @@ func newCondVars(cond smt.Expr, after int) condVars {
 // order, with their variable sets, which are computed once per trace.
 // Workers may race to build the same trace's slice; the builds are
 // identical, so either is kept.
-func (a *Analyzer) pathCondsBefore(dst []*condVars, tr *trace.Trace, seq int) []*condVars {
-	v, ok := a.pcMemo.Load(tr)
+func (r *run) pathCondsBefore(dst []*condVars, tr *trace.Trace, seq int) []*condVars {
+	v, ok := r.pcMemo.Load(tr)
 	if !ok {
 		conds := make([]condVars, len(tr.PathConds))
 		for i, pc := range tr.PathConds {
 			conds[i] = newCondVars(pc.Cond, pc.AfterStmt)
 		}
-		v, _ = a.pcMemo.LoadOrStore(tr, conds)
+		v, _ = r.pcMemo.LoadOrStore(tr, conds)
 	}
 	conds := v.([]condVars)
 	for i := range conds {
@@ -390,37 +315,33 @@ func coneOfInfluence(out []smt.Expr, seed map[string]struct{}, conds []*condVars
 
 // edgeKey identifies one C-edge condition build: the ordered statement
 // pair and the unified-row variable prefix. UseConcretePlans is fixed
-// per Analyzer, so it is not part of the key.
+// per run, so it is not part of the key.
 type edgeKey struct {
 	x, y      *trace.Stmt
 	rowPrefix string
 }
 
 // edgeCondCached builds — or reuses — the conflict condition of one
-// C-edge. Cycles overlap heavily: every cycle sharing a C-edge used to
-// rebuild an identical condition expression from scratch. The cache
-// builds each distinct edge once per Analyze call, together with its
+// C-edge. Cycles overlap heavily: every cycle sharing a C-edge would
+// otherwise rebuild an identical condition expression. The cache builds
+// each distinct edge once per run, together with its
 // variable set. Fresh range variables are prefixed per edge ("rng.r1.",
 // "rng.r2."), which keeps the built condition independent of whatever
 // the cycle's other edge minted.
-func (a *Analyzer) edgeCondCached(x, y *trace.Stmt, rowPrefix string) *condVars {
+func (r *run) edgeCondCached(x, y *trace.Stmt, rowPrefix string) *condVars {
 	k := edgeKey{x: x, y: y, rowPrefix: rowPrefix}
-	if e, ok := a.edgeMemo.Load(k); ok {
-		if o := a.opts.Observer; o != nil {
-			o.P().EdgeCacheHits.Inc()
-		}
+	if e, ok := r.edgeMemo.Load(k); ok {
+		r.m.edgeCacheHits.Inc()
 		return e.(*condVars)
 	}
 	nm := lockmodel.NewNamer("rng." + rowPrefix)
-	e := newCondVars(edgeCond(x, y, a.locks, rowPrefix, nm, a.opts.UseConcretePlans), 0)
+	e := newCondVars(edgeCond(x, y, r.locks, rowPrefix, nm, r.opts.UseConcretePlans), 0)
 	// Hit/build attribution is metrics-only and may race benignly between
 	// workers building the same edge — it never reaches the report.
-	if o := a.opts.Observer; o != nil {
-		o.P().EdgeCacheBuilds.Inc()
-	}
+	r.m.edgeCacheBuilds.Inc()
 	// Concurrent workers may race to build the same edge; both builds are
 	// structurally identical, so either value is fine to keep.
-	actual, _ := a.edgeMemo.LoadOrStore(k, &e)
+	actual, _ := r.edgeMemo.LoadOrStore(k, &e)
 	return actual.(*condVars)
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"weseer/internal/trace"
@@ -66,6 +68,80 @@ func TestParallelReportDeterministic(t *testing.T) {
 			if d.Render() != par.Deadlocks[i].Render() {
 				t.Fatalf("parallelism=%d: deadlock %d renders differently", workers, i)
 			}
+		}
+	}
+}
+
+// TestSharedAnalyzerConcurrent runs one Analyzer from four goroutines at
+// once: an Analyzer is configuration, every table an analysis builds
+// belongs to that call, so the calls neither race (verify.sh runs this
+// package under -race) nor see each other — each report is the serial
+// one, byte for byte. With WithPrescreen the per-call state includes the
+// plain maps of the phase-0 shape cache.
+func TestSharedAnalyzerConcurrent(t *testing.T) {
+	traces := pipelineTraces()
+	for _, opts := range [][]Option{
+		{WithParallelism(2)},
+		{WithParallelism(2), WithPrescreen()},
+	} {
+		a := NewAnalyzer(fig1Schema(), opts...)
+		want, err := a.AnalyzeContext(context.Background(), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := a.AnalyzeContext(context.Background(), traces)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Stats.WithoutTimings() != want.Stats.WithoutTimings() {
+					t.Errorf("concurrent run's funnel differs: %+v vs %+v",
+						got.Stats.WithoutTimings(), want.Stats.WithoutTimings())
+				}
+				got.Stats = want.Stats // the timings legitimately differ
+				if got.Render() != want.Render() {
+					t.Error("concurrent run's report differs from the analyzer's first")
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestForEachIndex pins the worker pool both fan-outs share: every index
+// once, worker ids within 1..workers (1 on the serial path, which runs on
+// the caller's goroutine), and an early stop on cancellation.
+func TestForEachIndex(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 64} {
+		const n = 40
+		var seen [n]atomic.Int32
+		forEachIndex(context.Background(), n, workers, func(i, tid int) {
+			seen[i].Add(1)
+			if tid < 1 || tid > max(workers, 1) || tid > n {
+				t.Errorf("workers=%d: worker id %d", workers, tid)
+			}
+		})
+		for i := range seen {
+			if seen[i].Load() != 1 {
+				t.Errorf("workers=%d: index %d visited %d times", workers, i, seen[i].Load())
+			}
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int32
+		forEachIndex(ctx, 1000, workers, func(i, tid int) {
+			calls.Add(1)
+			cancel()
+		})
+		// The feeder's select may still pick a ready worker over the done
+		// channel a few times; it must not run the range out.
+		if got := calls.Load(); got < 1 || got == 1000 {
+			t.Errorf("workers=%d: %d of 1000 calls after an immediate cancel", workers, got)
 		}
 	}
 }

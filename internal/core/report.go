@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"weseer/internal/smt"
-	"weseer/internal/solver"
 	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
@@ -31,86 +29,6 @@ type Result struct {
 	// plan's suggestion ranks) attaches
 	// staticlint.CanonicalizeTraces(traces, scm) first.
 	CanonicalOrder *staticlint.CanonicalOrder
-	// Metrics is the observer's flattened metrics snapshot taken when the
-	// run finished (nil without WithObserver): the same counters /metrics
-	// serves, frozen into the report so a run's telemetry travels with
-	// it. Purely observational — not part of the deterministic report
-	// surface (it includes timing histograms).
-	Metrics map[string]float64
-}
-
-// Stats is the per-phase diagnosis funnel: how many candidates entered
-// and left each stage, and where the wall time went.
-type Stats struct {
-	Traces           int
-	Pairs            int // transaction instance pairs considered
-	PairsAfterPhase1 int // pairs surviving the transaction-level filter
-	CoarseCycles     int // SC-graph deadlock cycles found in phase 2
-
-	// IndexProbes counts the posting-list entries the inverted
-	// table-conflict index walked to produce the phase-1 survivors —
-	// the work the indexed enumeration does in place of the naive
-	// loop's Pairs signature probes. Zero when WithoutPhase1 bypasses the
-	// index. Deterministic at any parallelism.
-	IndexProbes  int
-	LockFiltered int // cycles discarded by the lock-collision test
-	GroupsSolved int // cycles discharged in the fine phase (memoized or not)
-
-	// Phase-0 static prescreen counters (zero unless StaticPrescreen).
-	PrescreenPairs       int // pairs examined by the static pair screen
-	PrescreenPairsPruned int // pairs discarded before cycle enumeration
-	PrescreenSaved       int // solver calls avoided by group refutation
-
-	// Fingerprints is the number of distinct deadlock fingerprints among
-	// the reported deadlocks (see Deadlock.Fingerprint) — the number of
-	// history-store events this run contributes. Deterministic at any
-	// parallelism; zero when nothing was reported.
-	Fingerprints int
-
-	// Memoization split of GroupsSolved: SolverCalls discharges actually
-	// ran the solver (one per distinct canonical formula); MemoHits were
-	// served from the memo table. SolverCalls + MemoHits == GroupsSolved
-	// unless memoization is disabled (then MemoHits is 0). CanonCalls is
-	// the memo table's first level: the number of distinct formula shapes
-	// (formulas up to renaming) it canonicalized, so SolverCalls <=
-	// CanonCalls <= GroupsSolved. It counts table entries, hence is
-	// deterministic at any parallelism; zero when memoization is disabled.
-	SolverCalls int
-	MemoHits    int
-	CanonCalls  int
-
-	SolverSAT     int
-	SolverUNSAT   int
-	SolverUnknown int
-
-	// Engine aggregates the CDCL(T) engine counters over the run's actual
-	// solver calls (decisions, conflicts, propagations, learned clauses,
-	// backjumps, theory checks). Memo hits contribute nothing — each
-	// distinct canonical formula is counted exactly once by the call that
-	// solved it — so the sums are deterministic at any parallelism.
-	Engine solver.Stats
-
-	// Parallelism is the worker count the run used for the enumeration
-	// and discharge pools; the timings below depend on it, the rest of
-	// the report does not.
-	Parallelism int
-	SolverTime  time.Duration // cumulative in-solver time across workers
-	CanonTime   time.Duration // cumulative canonicalization time (one per shape) across workers
-	EnumTime    time.Duration // wall time of phases 1–2 (pool + merge)
-	FineTime    time.Duration // wall time of phase 3 + merge
-}
-
-// WithoutTimings returns a copy with the fields that legitimately vary
-// between runs — wall times and the worker count — zeroed, leaving
-// exactly the deterministic funnel counters. Two runs of the same
-// analysis must agree on the result of this method at any parallelism.
-func (s Stats) WithoutTimings() Stats {
-	s.Parallelism = 0
-	s.SolverTime = 0
-	s.CanonTime = 0
-	s.EnumTime = 0
-	s.FineTime = 0
-	return s
 }
 
 // Render formats the analysis result for developers.
@@ -146,47 +64,6 @@ func RenderSuggestions(co *staticlint.CanonicalOrder) string {
 		}
 	}
 	return b.String()
-}
-
-// Render formats the per-phase statistics.
-func (s Stats) Render() string {
-	idx := ""
-	if s.IndexProbes > 0 {
-		idx = fmt.Sprintf(" [index: %d postings probed]", s.IndexProbes)
-	}
-	fps := ""
-	if s.Fingerprints > 0 {
-		fps = fmt.Sprintf(" [fingerprints: %d distinct]", s.Fingerprints)
-	}
-	pre := ""
-	if s.PrescreenPairs > 0 || s.PrescreenSaved > 0 {
-		pre = fmt.Sprintf(" [prescreen: %d pairs screened, %d pruned, %d solver calls saved]",
-			s.PrescreenPairs, s.PrescreenPairsPruned, s.PrescreenSaved)
-	}
-	memo := ""
-	if s.MemoHits > 0 || s.CanonCalls > 0 {
-		memo = fmt.Sprintf(", %d memo hits over %d shapes", s.MemoHits, s.CanonCalls)
-	}
-	canon := ""
-	if s.CanonTime > 0 {
-		canon = fmt.Sprintf(" (canon %v)", s.CanonTime.Round(1000))
-	}
-	par := ""
-	if s.Parallelism > 1 {
-		par = fmt.Sprintf(" on %d workers", s.Parallelism)
-	}
-	engine := ""
-	if s.Engine != (solver.Stats{}) {
-		e := s.Engine
-		engine = fmt.Sprintf(
-			"\nengine: %d decisions, %d conflicts, %d propagations, %d learned clauses, %d backjumps, %d theory calls",
-			e.Decisions, e.Conflicts, e.Propagations, e.LearnedClauses, e.Backjumps, e.TheoryCalls)
-	}
-	return fmt.Sprintf(
-		"phases: %d traces, %d txn pairs -> %d after txn-level filter -> %d coarse cycles -> %d lock-filtered, %d groups solved via %d solver calls%s (SAT %d / UNSAT %d / UNKNOWN %d) in %v%s%s%s%s%s%s",
-		s.Traces, s.Pairs, s.PairsAfterPhase1, s.CoarseCycles,
-		s.LockFiltered, s.GroupsSolved, s.SolverCalls, memo,
-		s.SolverSAT, s.SolverUNSAT, s.SolverUnknown, s.SolverTime.Round(1000), canon, par, idx, fps, pre, engine)
 }
 
 // Render formats one deadlock.

@@ -3,8 +3,9 @@ package history
 // The history store's HTTP surface, mounted on the internal/obs debug
 // server by `weseer serve`: POST /ingest accepts trace batches (the
 // weseer collect JSON format; the server re-analyzes them through the
-// existing pipeline) or pre-analyzed report JSON (the weseer analyze
-// -json format), and the /history/* endpoints answer trend and pattern
+// existing pipeline) or already-diagnosed events (this package's Event
+// JSON; `weseer ingest -format report` builds them from a weseer analyze
+// -json report), and the /history/* endpoints answer trend and pattern
 // queries in JSON or text. Ingest and store metrics land in the same
 // Prometheus registry the debug server already exposes on /metrics.
 
@@ -37,7 +38,7 @@ type AnalyzeFunc func(ctx context.Context, app string, traces []*trace.Trace) ([
 
 // IngestLatencyBuckets are the ingest-latency histogram bounds in
 // seconds. Ingest includes a full incremental re-analysis of the trace
-// batch, so the range runs from sub-millisecond (report ingest) to tens
+// batch, so the range runs from sub-millisecond (event ingest) to tens
 // of seconds (large corpora).
 var IngestLatencyBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
@@ -58,9 +59,6 @@ type Metrics struct {
 // RegisterMetrics registers the history instruments on reg (nil-safe:
 // a nil registry yields inert metrics).
 func RegisterMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		return &Metrics{}
-	}
 	return &Metrics{
 		Events:        reg.Gauge("weseer_history_events", "deadlock events in the history store (distinct fingerprints)"),
 		Stored:        reg.Counter("weseer_history_ingest_stored_total", "new deadlock events appended by ingest"),
@@ -74,7 +72,7 @@ func RegisterMetrics(reg *obs.Registry) *Metrics {
 // Server serves one Store over HTTP.
 type Server struct {
 	Store   *Store
-	Analyze AnalyzeFunc // nil: only format=report and format=events ingest
+	Analyze AnalyzeFunc // nil: only format=events ingest
 	Metrics *Metrics    // nil: no instrumentation
 	// Timeout bounds one ingest request's analysis (0 = none).
 	Timeout time.Duration
@@ -110,24 +108,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// reportJSON is the subset of the `weseer analyze -json` report the
-// ingest endpoint consumes (format=report): per-deadlock fingerprint,
-// catalog class, APIs, tables, and fold count.
-type reportJSON struct {
-	Deadlocks []struct {
-		Fingerprint string    `json:"fingerprint"`
-		Catalog     string    `json:"catalog"`
-		APIs        [2]string `json:"apis"`
-		Tables      []string  `json:"tables"`
-		Count       int       `json:"count"`
-	} `json:"deadlocks"`
-}
-
-// handleIngest is POST /ingest?format=traces|report|events[&app=NAME]:
-// traces are re-analyzed through the diagnosis pipeline, reports and
-// raw events are converted directly; either way the resulting events
-// are applied to the store idempotently by fingerprint and the
-// IngestSummary is returned as JSON.
+// handleIngest is POST /ingest?format=traces|events[&app=NAME]: traces
+// are re-analyzed through the diagnosis pipeline, events are taken as
+// they are; either way the resulting events are applied to the store
+// idempotently by fingerprint and the IngestSummary is returned as JSON.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics()
 	if r.Method != http.MethodPost {
@@ -178,29 +162,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			fail(http.StatusUnprocessableEntity, "analyze: %v", err)
 			return
 		}
-	case "report":
-		var rep reportJSON
-		if err := json.Unmarshal(body, &rep); err != nil {
-			fail(http.StatusBadRequest, "decode report: %v", err)
-			return
-		}
-		for _, d := range rep.Deadlocks {
-			events = append(events, Event{
-				Fingerprint: d.Fingerprint,
-				App:         app,
-				Class:       d.Catalog,
-				APIs:        d.APIs,
-				Tables:      d.Tables,
-				Count:       d.Count,
-			})
-		}
 	case "events":
 		if err := json.Unmarshal(body, &events); err != nil {
 			fail(http.StatusBadRequest, "decode events: %v", err)
 			return
 		}
 	default:
-		fail(http.StatusBadRequest, "unknown format %q (traces|report|events)", format)
+		fail(http.StatusBadRequest, "unknown format %q (traces|events)", format)
 		return
 	}
 

@@ -178,32 +178,6 @@ func TestIngestTracesRunsAnalyzer(t *testing.T) {
 	}
 }
 
-func TestIngestReportFormat(t *testing.T) {
-	_, ts, _ := newTestServer(t)
-	report := map[string]any{
-		"deadlocks": []map[string]any{
-			{"fingerprint": "00000000000000aa", "catalog": "d3",
-				"apis": []string{"A", "B"}, "tables": []string{"X", "Y"}, "count": 5},
-		},
-	}
-	sum, resp := postIngest(t, ts, "?format=report&app=demo", report)
-	if resp.StatusCode != http.StatusOK || sum.Stored != 1 {
-		t.Fatalf("report ingest: status %d sum %+v", resp.StatusCode, sum)
-	}
-	resp2, err := http.Get(ts.URL + "/history/events?table=X")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var events []Event
-	if err := json.NewDecoder(resp2.Body).Decode(&events); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].Class != "d3" || events[0].Seen != 1 || events[0].Count != 5 {
-		t.Fatalf("report-ingested event: %+v", events)
-	}
-}
-
 func TestIngestErrors(t *testing.T) {
 	srv, ts, reg := newTestServer(t)
 
@@ -235,14 +209,17 @@ func TestIngestErrors(t *testing.T) {
 		t.Errorf("error body %q", body)
 	}
 
-	// Unknown format.
-	resp, err = http.Post(ts.URL+"/ingest?format=parquet", obs.ContentTypeJSON, strings.NewReader("[]"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown format status %d", resp.StatusCode)
+	// Unknown format — which a report is on the wire: `weseer ingest
+	// -format report` sends the events it describes.
+	for _, format := range []string{"parquet", "report"} {
+		resp, err = http.Post(ts.URL+"/ingest?format="+format, obs.ContentTypeJSON, strings.NewReader("[]"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("format=%s status %d", format, resp.StatusCode)
+		}
 	}
 
 	// Trace ingest without an analyzer.
@@ -256,8 +233,8 @@ func TestIngestErrors(t *testing.T) {
 		t.Errorf("no-analyzer status %d", resp.StatusCode)
 	}
 
-	if got := reg.Snapshot()["weseer_history_ingest_errors_total"]; got != 3 {
-		t.Errorf("ingest_errors_total = %v, want 3", got)
+	if got := reg.Snapshot()["weseer_history_ingest_errors_total"]; got != 4 {
+		t.Errorf("ingest_errors_total = %v, want 4", got)
 	}
 
 	// Bad window on a query endpoint.

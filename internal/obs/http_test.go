@@ -27,7 +27,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // these — a missing header makes Prometheus reject the target.
 func TestDebugServerContentTypes(t *testing.T) {
 	o := NewObserver()
-	o.P().Traces.Add(3)
+	o.Metrics.Counter("weseer_test_total", "a counter").Add(3)
 	ds, err := StartDebugServer("127.0.0.1:0", o)
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@ package obs
 
 // A small metrics registry — counters, gauges, fixed-bucket histograms —
 // exposed in Prometheus text exposition format and snapshot-able into a
-// flat name→value map (core.Result carries such a snapshot so a run's
-// telemetry travels with its report). Instruments are lock-free atomics;
-// registration is expected at setup time, reads/writes at run time.
+// flat name→value map. Instruments are lock-free atomics; registration
+// is a get-or-create under one mutex, expected once per run, reads and
+// writes at run time.
 
 import (
 	"fmt"
@@ -116,62 +116,66 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// SolverLatencyBuckets are the fixed solver-latency histogram bounds in
-// seconds: the Table II workload's calls span ~100µs to tens of ms, with
-// the tail bounds catching pathological formulas.
-var SolverLatencyBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
-}
-
 // Registry holds registered instruments and renders them in Prometheus
 // text exposition format. Registration order is preserved in the
-// output, so exposition is stable across runs.
+// output, so exposition is stable across runs. A nil *Registry hands
+// out nil instruments, which are valid no-op sinks.
 type Registry struct {
-	mu    sync.Mutex
-	names map[string]bool
-	order []any // *Counter | *Gauge | *Histogram, in registration order
+	mu     sync.Mutex
+	byName map[string]any // *Counter | *Gauge | *Histogram
+	order  []any          // the same instruments, in registration order
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{names: map[string]bool{}}
+	return &Registry{byName: map[string]any{}}
 }
 
-func (r *Registry) register(name string, inst any) {
+// instrument returns the instrument registered under name, registering
+// the one mk builds when there is none: a long-lived registry meets the
+// same instrumented package once per run (a daemon builds an analyzer
+// per ingest). A name already taken by another kind of instrument is a
+// programming error.
+func instrument[T any](r *Registry, name string, mk func() *T) *T {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.names[name] {
-		panic("obs: duplicate metric " + name)
+	if have, ok := r.byName[name]; ok {
+		inst, ok := have.(*T)
+		if !ok {
+			panic(fmt.Sprintf("obs: metric %s is already registered as a %T", name, have))
+		}
+		return inst
 	}
-	r.names[name] = true
+	inst := mk()
+	r.byName[name] = inst
 	r.order = append(r.order, inst)
+	return inst
 }
 
-// Counter registers and returns a new counter.
+// Counter returns the counter registered under name, creating it on
+// first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.register(name, c)
-	return c
+	return instrument(r, name, func() *Counter { return &Counter{name: name, help: help} })
 }
 
-// Gauge registers and returns a new gauge.
+// Gauge returns the gauge registered under name, creating it on first
+// use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(name, g)
-	return g
+	return instrument(r, name, func() *Gauge { return &Gauge{name: name, help: help} })
 }
 
-// Histogram registers and returns a new fixed-bucket histogram. Bounds
-// must be sorted ascending.
+// Histogram returns the fixed-bucket histogram registered under name,
+// creating it on first use. Bounds must be sorted ascending.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if !sort.Float64sAreSorted(bounds) {
 		panic("obs: histogram bounds must be sorted: " + name)
 	}
-	h := &Histogram{name: name, help: help, bounds: bounds}
-	h.buckets = make([]atomic.Int64, len(bounds)+1)
-	r.register(name, h)
-	return h
+	return instrument(r, name, func() *Histogram {
+		return &Histogram{name: name, help: help, bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
+	})
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

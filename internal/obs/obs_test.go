@@ -51,9 +51,14 @@ func TestNilSinksAreNoOps(t *testing.T) {
 
 	var o *obs.Observer
 	o.StartSpan(1, "y").End()
-	o.ObserveSolve(obs.SolveObservation{Duration: time.Second, Decisions: 3})
-	if snap := o.Snapshot(); snap != nil {
-		t.Fatalf("nil observer snapshot = %v", snap)
+
+	// A nil registry hands out nil instruments, themselves no-ops.
+	var reg *obs.Registry
+	reg.Counter("c", "x").Inc()
+	reg.Gauge("g", "x").Set(1)
+	reg.Histogram("h", "x", []float64{1}).Observe(1)
+	if snap := reg.Snapshot(); snap != nil {
+		t.Fatalf("nil registry snapshot = %v", snap)
 	}
 
 	var c *obs.Counter
@@ -72,10 +77,8 @@ func TestNilSinksAreNoOps(t *testing.T) {
 	// Observer with nil components must also be inert.
 	partial := &obs.Observer{}
 	partial.StartSpan(0, "z").End()
-	partial.ObserveSolve(obs.SolveObservation{})
-	if snap := partial.Snapshot(); snap != nil {
-		t.Fatalf("empty observer snapshot = %v", snap)
-	}
+	partial.Metrics.Counter("c", "x").Inc()
+	partial.Progress.ChainDone()
 }
 
 func TestChromeTraceExport(t *testing.T) {
@@ -96,24 +99,6 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if sum.NameCount["chain"] != 1 {
 		t.Fatalf("name counts = %v", sum.NameCount)
-	}
-}
-
-func TestJSONLExport(t *testing.T) {
-	tr := obs.NewTracer()
-	tr.Start(0, "solve").End(obs.String("status", "UNSAT"))
-	tr.Start(1, "solve").End()
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	n, err := obstest.ValidateJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("got %d lines, want 2", n)
 	}
 }
 
@@ -166,35 +151,46 @@ func TestRegistryPrometheusAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestRegistryGetOrCreate: a long-lived registry meets the same
+// instrumented package once per run, so asking for a known name of the
+// same kind returns the instrument that is already there — one exposition
+// entry, one value — whatever help or bounds the later call passes.
+func TestRegistryGetOrCreate(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := reg.Counter("weseer_test_total", "a counter")
+	g := reg.Gauge("weseer_test_gauge", "a gauge")
+	h := reg.Histogram("weseer_test_seconds", "a histogram", []float64{0.1, 1})
+	if reg.Counter("weseer_test_total", "other words") != c ||
+		reg.Gauge("weseer_test_gauge", "a gauge") != g ||
+		reg.Histogram("weseer_test_seconds", "a histogram", []float64{5}) != h {
+		t.Fatal("a second registration under a known name built a second instrument")
+	}
+	c.Inc()
+	reg.Counter("weseer_test_total", "a counter").Inc()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obstest.ValidatePrometheus(&buf) // rejects a duplicate sample
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples["weseer_test_total"] != 2 {
+		t.Fatalf("counter = %v, want both increments on one instrument", samples["weseer_test_total"])
+	}
+}
+
+// TestRegistryDuplicatePanics: one name for two kinds of instrument is a
+// programming error, not something to paper over.
 func TestRegistryDuplicatePanics(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("dup", "x")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+			t.Fatal("registering a gauge under a counter's name did not panic")
 		}
 	}()
-	reg.Counter("dup", "y")
-}
-
-func TestObserveSolve(t *testing.T) {
-	o := obs.NewObserver()
-	o.ObserveSolve(obs.SolveObservation{
-		Duration: 2 * time.Millisecond, Status: "SAT",
-		Decisions: 5, Conflicts: 2, Propagations: 40,
-		LearnedClauses: 2, Backjumps: 1, TheoryCalls: 3,
-	})
-	o.ObserveSolve(obs.SolveObservation{Duration: 100 * time.Millisecond, Decisions: 1})
-	if got := o.Pipeline.Decisions.Value(); got != 6 {
-		t.Fatalf("decisions = %d, want 6", got)
-	}
-	if got := o.Pipeline.SolverLatency.Count(); got != 2 {
-		t.Fatalf("latency count = %d, want 2", got)
-	}
-	snap := o.Snapshot()
-	if snap["weseer_cdcl_propagations_total"] != 40 {
-		t.Fatalf("snapshot = %v", snap)
-	}
+	reg.Gauge("dup", "y")
 }
 
 func TestProgress(t *testing.T) {
@@ -222,7 +218,7 @@ func TestProgress(t *testing.T) {
 
 func TestDebugServer(t *testing.T) {
 	o := obs.NewObserver()
-	o.Pipeline.Traces.Add(9)
+	o.Metrics.Counter("weseer_test_total", "a counter").Add(9)
 	o.Progress.SetPhase("enumerate")
 
 	ds, err := obs.StartDebugServer("127.0.0.1:0", o)
@@ -236,8 +232,8 @@ func TestDebugServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, body)
 	}
-	if samples["weseer_funnel_traces_total"] != 9 {
-		t.Fatalf("traces counter = %v", samples["weseer_funnel_traces_total"])
+	if samples["weseer_test_total"] != 9 {
+		t.Fatalf("counter = %v", samples["weseer_test_total"])
 	}
 
 	prog := httpGet(t, base+"/progress")

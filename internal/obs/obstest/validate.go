@@ -1,6 +1,5 @@
 // Package obstest validates WeSEER's exported telemetry artifacts: the
-// Chrome trace_event JSON, the JSONL event log, and the Prometheus text
-// exposition. verify.sh's trace-smoke step runs these (via the
+// Chrome trace_event JSON and the Prometheus text exposition. verify.sh's trace-smoke step runs these (via the
 // validatecmd helper) on a real workload's output, and the
 // observability tests use them to assert exporter well-formedness
 // without depending on external tooling.
@@ -67,40 +66,6 @@ func ValidateChromeTrace(r io.Reader) (*TraceSummary, error) {
 		sum.NameCount[ev.Name]++
 	}
 	return sum, nil
-}
-
-// ValidateJSONL checks that r is a well-formed JSONL event log: one
-// JSON object per line with a name and non-negative start_us/dur_us.
-// Returns the number of events.
-func ValidateJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	n := 0
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev struct {
-			Name    string `json:"name"`
-			StartUS *int64 `json:"start_us"`
-			DurUS   *int64 `json:"dur_us"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return n, fmt.Errorf("jsonl: line %d: %w", n+1, err)
-		}
-		if ev.Name == "" {
-			return n, fmt.Errorf("jsonl: line %d: missing name", n+1)
-		}
-		if ev.StartUS == nil || ev.DurUS == nil || *ev.StartUS < 0 || *ev.DurUS < 0 {
-			return n, fmt.Errorf("jsonl: line %d (%s): bad start_us/dur_us", n+1, ev.Name)
-		}
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		return n, err
-	}
-	return n, nil
 }
 
 // ValidatePrometheus parses r as Prometheus text exposition format

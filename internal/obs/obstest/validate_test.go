@@ -29,26 +29,6 @@ func TestValidateChromeTraceRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestValidateJSONL(t *testing.T) {
-	good := `{"name":"a","tid":0,"start_us":1,"dur_us":2}` + "\n" +
-		"\n" + // blank lines are fine
-		`{"name":"b","tid":1,"start_us":3,"dur_us":0,"attrs":{"k":"v"}}` + "\n"
-	n, err := ValidateJSONL(strings.NewReader(good))
-	if err != nil || n != 2 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	for label, doc := range map[string]string{
-		"bad json":     "{",
-		"missing name": `{"tid":0,"start_us":1,"dur_us":2}`,
-		"missing dur":  `{"name":"a","start_us":1}`,
-		"negative":     `{"name":"a","start_us":-1,"dur_us":2}`,
-	} {
-		if _, err := ValidateJSONL(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: accepted", label)
-		}
-	}
-}
-
 func TestValidatePrometheus(t *testing.T) {
 	good := `# HELP weseer_x_total things
 # TYPE weseer_x_total counter

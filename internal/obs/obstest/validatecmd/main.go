@@ -5,7 +5,7 @@
 // Usage:
 //
 //	go run ./internal/obs/obstest/validatecmd -trace run.trace.json \
-//	    -metrics run.metrics.prom [-events run.events.jsonl]
+//	    -metrics run.metrics.prom
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 func main() {
 	tracePath := flag.String("trace", "", "Chrome trace_event JSON file to validate")
 	metricsPath := flag.String("metrics", "", "Prometheus text file to validate")
-	eventsPath := flag.String("events", "", "JSONL event log to validate")
 	flag.Parse()
 
 	ok := false
@@ -55,21 +54,8 @@ func main() {
 		fmt.Printf("metrics ok: %d samples\n", len(samples))
 		ok = true
 	}
-	if *eventsPath != "" {
-		f, err := os.Open(*eventsPath)
-		if err != nil {
-			fatal(err)
-		}
-		n, err := obstest.ValidateJSONL(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("events ok: %d lines\n", n)
-		ok = true
-	}
 	if !ok {
-		fmt.Fprintln(os.Stderr, "usage: validatecmd [-trace f] [-metrics f] [-events f]")
+		fmt.Fprintln(os.Stderr, "usage: validatecmd [-trace f] [-metrics f]")
 		os.Exit(2)
 	}
 }

@@ -3,9 +3,9 @@ package obs
 // Span tracing for the diagnosis pipeline. The tracer is deliberately
 // minimal: spans are (name, logical thread, start, duration, attrs)
 // tuples collected in memory and exported after — or during — a run as
-// either Chrome trace_event JSON (load in chrome://tracing or Perfetto
-// to see the phase-3 worker pool's actual parallelism and stragglers)
-// or a flat JSONL event log for ad-hoc tooling.
+// Chrome trace_event JSON (load in chrome://tracing or Perfetto to see
+// the phase-3 worker pool's actual parallelism and stragglers; `jq
+// .traceEvents[]` is the flat view for ad-hoc tooling).
 //
 // Telemetry is observational only: spans never feed back into the
 // analysis, so the determinism guarantee of core.AnalyzeContext (byte-
@@ -157,35 +157,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
-}
-
-// jsonlEvent is one flat event-log line.
-type jsonlEvent struct {
-	Name    string            `json:"name"`
-	TID     int               `json:"tid"`
-	StartUS int64             `json:"start_us"`
-	DurUS   int64             `json:"dur_us"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
-}
-
-// WriteJSONL exports the spans as a flat JSONL event log: one JSON
-// object per line, ordered by span start.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range t.Events() {
-		je := jsonlEvent{
-			Name: ev.Name, TID: ev.TID,
-			StartUS: ev.Start.Microseconds(), DurUS: ev.Dur.Microseconds(),
-		}
-		if len(ev.Attrs) > 0 {
-			je.Attrs = make(map[string]string, len(ev.Attrs))
-			for _, a := range ev.Attrs {
-				je.Attrs[a.Key] = a.Value
-			}
-		}
-		if err := enc.Encode(je); err != nil {
-			return err
-		}
-	}
-	return nil
 }

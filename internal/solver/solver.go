@@ -14,9 +14,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
-	"weseer/internal/obs"
 	"weseer/internal/smt"
 )
 
@@ -87,13 +85,6 @@ type Limits struct {
 	MaxTheoryCalls int
 	// FM holds the arithmetic-theory limits.
 	FM fmLimits
-
-	// Obs, when non-nil, receives a per-call span and engine counters
-	// (observational only — it never affects the verdict). ObsTID is the
-	// logical thread the span is attributed to (the analyzer passes its
-	// phase-3 worker index).
-	Obs    *obs.Observer
-	ObsTID int
 }
 
 func (l *Limits) setDefaults() {
@@ -119,33 +110,6 @@ func SolveLimits(f smt.Expr, lim Limits) Result {
 // done. A canceled call returns UNKNOWN; callers that need to tell
 // cancellation apart from a resource-limit UNKNOWN check ctx.Err().
 func SolveCtx(ctx context.Context, f smt.Expr, lim Limits) Result {
-	if lim.Obs == nil {
-		return solveCtx(ctx, f, lim)
-	}
-	o := lim.Obs
-	sp := o.StartSpan(lim.ObsTID, "solve")
-	start := time.Now()
-	res := solveCtx(ctx, f, lim)
-	dur := time.Since(start)
-	sp.End(obs.String("status", res.Status.String()),
-		obs.Int("decisions", res.Stats.Decisions),
-		obs.Int("conflicts", res.Stats.Conflicts),
-		obs.Int("theory_calls", res.Stats.TheoryCalls))
-	o.ObserveSolve(obs.SolveObservation{
-		Duration:       dur,
-		Status:         res.Status.String(),
-		Decisions:      res.Stats.Decisions,
-		Conflicts:      res.Stats.Conflicts,
-		Propagations:   res.Stats.Propagations,
-		LearnedClauses: res.Stats.LearnedClauses,
-		Backjumps:      res.Stats.Backjumps,
-		TheoryCalls:    res.Stats.TheoryCalls,
-	})
-	return res
-}
-
-// solveCtx is the uninstrumented body of SolveCtx.
-func solveCtx(ctx context.Context, f smt.Expr, lim Limits) Result {
 	lim.setDefaults()
 	if ctx != nil && ctx.Done() != nil {
 		lim.FM.stop = func() bool { return ctx.Err() != nil }

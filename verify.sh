@@ -125,19 +125,17 @@ echo "== go test -bench (1x smoke)"
 go test -run=NONE -bench=. -benchtime=1x ./...
 
 # Observability smoke: run a real workload with every telemetry artifact
-# enabled, then validate the Chrome trace, span JSONL, and Prometheus
-# dump structurally. Guards the exporters end to end (the report itself
-# is covered by the test suite above).
-echo "== trace smoke (weseer run -trace-out/-events-out/-metrics-out)"
+# enabled, then validate the Chrome trace and the Prometheus dump
+# structurally. Guards the exporters end to end (the report itself is
+# covered by the test suite above).
+echo "== trace smoke (weseer run -trace-out/-metrics-out)"
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir"' EXIT
 go run ./cmd/weseer run -app shopizer -parallel 4 \
     -trace-out "$obsdir/run.trace.json" \
-    -events-out "$obsdir/run.spans.jsonl" \
     -metrics-out "$obsdir/run.prom" >/dev/null
 go run ./internal/obs/obstest/validatecmd \
     -trace "$obsdir/run.trace.json" \
-    -events "$obsdir/run.spans.jsonl" \
     -metrics "$obsdir/run.prom"
 
 # Generated-corpus smoke: a tiny pinned-seed synthetic app (application
@@ -228,6 +226,15 @@ diff -u surface.golden "$servedir/surface.txt" || {
     echo "surface inventory: flags or options changed; review, then update surface.golden" >&2
     exit 1
 }
+
+# Layering: the solver (and smt under it) imports no telemetry, and the
+# telemetry library names no pipeline metric — each instrumented package
+# registers its own.
+echo "== layering (solver imports no obs; obs names no pipeline metric)"
+! go list -deps ./internal/solver | grep 'weseer/internal/obs' ||
+    { echo "layering: internal/solver depends on internal/obs" >&2; exit 1; }
+! find internal/obs -name '*.go' -not -name '*_test.go' | xargs grep -l 'weseer_funnel\|weseer_cdcl' ||
+    { echo "layering: internal/obs names a pipeline metric (files above)" >&2; exit 1; }
 
 echo "non-test Go outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l) lines"
