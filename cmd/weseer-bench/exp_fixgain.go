@@ -360,7 +360,7 @@ func fixgainSpecs() []string {
 }
 
 func fixgain() {
-	workers := *parallelF
+	const workers = 4 // phase-3 workers; the static half is the same at any count
 	header(fmt.Sprintf("Fixgain: fix-verification loop (%d clients, %s per run)", *fixClientsF, *fixDurF))
 	t0 := time.Now()
 	out := buildFixgain(fixgainSpecs(), *fixClientsF, *fixDurF, *fixSeedF, workers, true)

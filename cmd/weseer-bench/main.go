@@ -37,7 +37,6 @@ import (
 var (
 	duration   = flag.Duration("duration", 500*time.Millisecond, "per-configuration workload duration (fig10/fig11)")
 	clientsF   = flag.String("clients", "8,64,128", "client counts for fig10/fig11")
-	parallelF  = flag.Int("parallel", 4, "analysis worker count for -exp fixgain")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 )

@@ -9,7 +9,7 @@
 //	weseer collect -app NAME [-fixed] [-apply f2,f5] [-no-prune] -o traces.json
 //	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [-v] [observability flags]
 //	weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
-//	weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [analysis flags]
+//	weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-prescreen] [-parallel N]
 //	weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
 //	weseer history -addr HOST:PORT|@file [patterns|events|tables] [-window D] [-format text|json]
 //
@@ -139,7 +139,7 @@ func usage() {
   weseer collect -app NAME [-fixed] [-apply f2,f5] [-no-prune] -o traces.json
   weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [-v] [obs flags]
   weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
-  weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [analysis flags]
+  weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-prescreen] [-parallel N]
   weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
   weseer history -addr HOST:PORT|@file [patterns|events|tables] [-window D] [-format text|json]
 
@@ -183,7 +183,10 @@ func registerAnalysisFlags(fs *flag.FlagSet) *analysisFlags {
 // lock order when -fixplan wants it, and print the report as text or
 // JSON. The result is returned for "run -reproduce".
 func (f *analysisFlags) report(app apps.App, traces []*trace.Trace, o *obs.Observer, opts ...core.Option) (*core.Result, error) {
-	opts = append(opts, analysisOptions(*f.coarse, *f.prescreen, *f.parallel)...)
+	if *f.coarse {
+		opts = append(opts, core.WithCoarseOnly())
+	}
+	opts = append(opts, analysisOptions(*f.prescreen, *f.parallel)...)
 	if o != nil {
 		opts = append(opts, core.WithObserver(o))
 	}
@@ -418,11 +421,8 @@ func cmdAnalyze(args []string) (err error) {
 
 // analysisOptions translates the analysis flags "run", "analyze" and
 // "serve" share into analyzer options.
-func analysisOptions(coarse, prescreen bool, parallel int) []core.Option {
+func analysisOptions(prescreen bool, parallel int) []core.Option {
 	var opts []core.Option
-	if coarse {
-		opts = append(opts, core.WithCoarseOnly())
-	}
 	if prescreen {
 		opts = append(opts, core.WithPrescreen())
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -91,18 +90,6 @@ func TestOpenModelAppsAndSourcer(t *testing.T) {
 	}
 }
 
-// repoRoot locates the repository root from this file's path, so
-// absolute trigger-frame paths in rendered reports normalize to
-// repo-relative form regardless of checkout location.
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	_, file, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("runtime.Caller failed")
-	}
-	return filepath.Clean(filepath.Join(filepath.Dir(file), "..", ".."))
-}
-
 // renderApp reproduces the pre-refactor report rendering the goldens
 // were captured with: timing-free funnel, sorted per-class counts, and
 // each deadlock's full rendered form.
@@ -138,7 +125,7 @@ func renderApp(t *testing.T, app App) string {
 	for i, d := range res.Deadlocks {
 		fmt.Fprintf(&b, "--- deadlock %d class=%q\n%s", i+1, app.Classify(d), d.Render())
 	}
-	return strings.ReplaceAll(b.String(), repoRoot(t)+"/", "")
+	return b.String()
 }
 
 // TestTableIIGoldens pins the registry-opened model apps to the reports
@@ -253,6 +240,12 @@ func TestPrescreenOnlyPrunes(t *testing.T) {
 		}
 		if pre.Stats.PrescreenPairs == 0 {
 			t.Errorf("%s: the prescreen run screened no pair", spec)
+		}
+		// Phase 1 comes before the screen, so what it lets through cannot
+		// depend on whether the screen is on.
+		if pre.Stats.PairsAfterPhase1 != plain.Stats.PairsAfterPhase1 || pre.Stats.PrescreenPairs != pre.Stats.PairsAfterPhase1 {
+			t.Errorf("%s: %d pairs after phase 1 without the screen, %d with it, %d screened; want all equal",
+				spec, plain.Stats.PairsAfterPhase1, pre.Stats.PairsAfterPhase1, pre.Stats.PrescreenPairs)
 		}
 		if got, want := outsideFunnel(pre.Render()), outsideFunnel(plain.Render()); got != want {
 			t.Errorf("%s: report under WithPrescreen differs from the plain run outside the funnel lines", spec)

@@ -515,9 +515,19 @@ func Here(skip int) trace.CodeLoc {
 	return trace.CodeLoc{Frames: frames}
 }
 
+// modulePrefix is what the build put in front of a main-module file's
+// module-relative path — the checkout directory, or the module path under
+// -trimpath — read off this file's own recorded name.
+var modulePrefix = func() string {
+	_, file, _, _ := runtime.Caller(0)
+	return strings.TrimSuffix(file, "internal/concolic/engine.go")
+}()
+
 // symbolize resolves raw PCs to the application frames among them,
-// innermost first. The result's capacity equals its length, so an append
-// by a holder cannot write into the shared array.
+// innermost first, main-module files named relative to the module root so
+// that locations (and the fingerprints hashed from them) do not depend on
+// where or how the binary was built. The result's capacity equals its
+// length, so an append by a holder cannot write into the shared array.
 func symbolize(pcs []uintptr) []trace.Frame {
 	var out []trace.Frame
 	frames := runtime.CallersFrames(pcs)
@@ -526,7 +536,7 @@ func symbolize(pcs []uintptr) []trace.Frame {
 		if keepFrame(f.Function, f.File) {
 			out = append(out, trace.Frame{
 				Func: shortFunc(f.Function),
-				File: f.File,
+				File: strings.TrimPrefix(f.File, modulePrefix),
 				Line: f.Line,
 			})
 			if len(out) >= 6 {

@@ -2,6 +2,7 @@ package concolic
 
 import (
 	"runtime"
+	"strings"
 
 	"weseer/internal/trace"
 )
@@ -22,7 +23,7 @@ func EagerFrames(pcs []uintptr) []trace.Frame {
 	for {
 		f, more := frames.Next()
 		if keepFrame(f.Function, f.File) {
-			out = append(out, trace.Frame{Func: shortFunc(f.Function), File: f.File, Line: f.Line})
+			out = append(out, trace.Frame{Func: shortFunc(f.Function), File: strings.TrimPrefix(f.File, modulePrefix), Line: f.Line})
 			if len(out) >= 6 {
 				break
 			}

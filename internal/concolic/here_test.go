@@ -2,6 +2,7 @@ package concolic_test
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,6 +40,13 @@ func TestHereMatchesOracle(t *testing.T) {
 			}
 			if want := concolic.EagerFrames(pcs); !reflect.DeepEqual(loc.Frames, want) {
 				t.Errorf("%s: %s location\n got %v\nwant %v", spec, what, loc.Frames, want)
+			}
+			// Application frames all live in this module: their files are
+			// named from its root, whatever directory or -trimpath built them.
+			for _, f := range loc.Frames {
+				if !strings.HasPrefix(f.File, "internal/") {
+					t.Errorf("%s: %s frame %v: file is not module-relative", spec, what, f)
+				}
 			}
 			checked++
 		}

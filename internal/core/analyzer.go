@@ -13,13 +13,14 @@
 //     discharged by the SMT solver; only SAT cycles are reported, with a
 //     satisfying assignment of API inputs and database state.
 //
-// The diagnosis runs as an explicit staged pipeline: stages 1–2
-// enumerate candidate cycles through an inverted table-conflict index
-// on a bounded worker pool (enumerate.go) and group them into dedup-key
-// chains via an order-preserving merge; stage 3 discharges the chains
-// on a worker pool with solver-call memoization (pipeline.go, memo.go);
-// stage 4 merges per-chain outcomes in canonical order. The report is
-// deterministic — byte identical — at every parallelism setting.
+// The diagnosis runs as an explicit staged pipeline: stages 1–2 are one
+// serial pass that enumerates candidate cycles through an inverted
+// table-conflict index, in the canonical (trace_i, trace_j, txn1, txn2)
+// order, straight into dedup-key chains (enumerate.go); stage 3
+// discharges the chains on the one worker pool, with solver-call
+// memoization (pipeline.go, memo.go); stage 4 — the one ordered merge —
+// folds per-chain outcomes in chain order. The report is deterministic —
+// byte identical — at every parallelism setting.
 package core
 
 import (
@@ -83,9 +84,9 @@ func (a *Analyzer) newRun() *run {
 }
 
 // prescreenState caches the static shapes Phase-0 screens against, so
-// each transaction instance is abstracted once per run. It is populated
-// during serial enumeration and only read afterwards, so the phase-3
-// workers may consult it without locking.
+// each transaction instance is abstracted once per run. Enumeration — one
+// goroutine — populates it, for the pairs that reach the screen; phase 3
+// only reads it, so its workers consult it without locking.
 type prescreenState struct {
 	txns  map[*trace.Txn]staticlint.TxnShape
 	stmts map[*trace.Stmt]staticlint.StmtShape
@@ -145,10 +146,10 @@ type Deadlock struct {
 // cross-instance transaction pair — including pairs drawn from two
 // different APIs' traces — is examined, matching the paper's setup.
 //
-// Enumeration and phase 3 run on WithParallelism concurrent workers
-// (default GOMAXPROCS); the returned report does not depend on the worker
-// count or scheduling. When ctx is canceled mid-run the partial result
-// gathered so far is returned together with ctx.Err().
+// Enumeration is serial; phase 3 runs on WithParallelism concurrent
+// workers (default GOMAXPROCS), and the returned report does not depend on
+// the worker count or scheduling. When ctx is canceled mid-run the partial
+// result gathered so far is returned together with ctx.Err().
 func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*Result, error) {
 	return a.analyze(ctx, traces, (*run).enumerateIndexed)
 }
@@ -158,7 +159,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*
 // dedup key are collected into one chain, preserving global enumeration
 // order both across chains and within each chain; the Stats returned
 // hold what the enumeration counted.
-type enumFunc func(r *run, ctx context.Context, traces []*trace.Trace, workers int) ([]*chain, Stats, error)
+type enumFunc func(r *run, ctx context.Context, traces []*trace.Trace) ([]*chain, Stats, error)
 
 // analyze is AnalyzeContext over a given enumeration: enumerateIndexed in
 // production; the differential tests also pass their naive pair loop.
@@ -181,11 +182,10 @@ func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate
 		spEnum = o.StartSpan(0, "enumerate", obs.Bool("prescreen", a.opts.StaticPrescreen))
 	}
 
-	// Stages 1–2: pair filtering and coarse-cycle enumeration, grouped
-	// into dedup-key chains in first-occurrence order, fanned out over the
-	// same worker budget phase 3 uses.
+	// Stages 1–2 (serial): pair filtering and coarse-cycle enumeration,
+	// grouped into dedup-key chains in first-occurrence order.
 	start := time.Now()
-	chains, enum, err := enumerate(r, ctx, traces, workers)
+	chains, enum, err := enumerate(r, ctx, traces)
 	res.Stats.EnumTime = time.Since(start)
 	res.Stats.add(&enum)
 	r.m.publish(&enum)
@@ -334,17 +334,29 @@ func maxSeq(a, b *trace.Stmt) int {
 	return b.Seq
 }
 
-// dedupKey canonicalizes a cycle so equivalent cycles (including the
-// mirror pairing) fold into one reported deadlock.
-func (c Cycle) dedupKey() string {
+// identity is the one builder of a cycle's identity: per side, who it is,
+// the statement template and trigger site it holds at and the one it
+// waits at, and the table order it acquires across the two C-edges — the
+// two strings sorted, so equivalent cycles (including the mirror pairing)
+// agree. dedupKey joins them, Deadlock.Fingerprint hashes them.
+func (c Cycle) identity() (string, string) {
 	k1 := fmt.Sprintf("%s|%s>%s|%s>%s", c.T1.API, stmtKey(c.S1a), stmtKey(c.S1b), c.Table2, c.Table1)
 	k2 := fmt.Sprintf("%s|%s>%s|%s>%s", c.T2.API, stmtKey(c.S2a), stmtKey(c.S2b), c.Table1, c.Table2)
 	if k2 < k1 {
 		k1, k2 = k2, k1
 	}
+	return k1, k2
+}
+
+// dedupKey folds equivalent cycles into one reported deadlock.
+func (c Cycle) dedupKey() string {
+	k1, k2 := c.identity()
 	return k1 + "||" + k2
 }
 
+// stmtKey is a statement's template and trigger site; the site's file is
+// module-relative (concolic.symbolize), so the key does not depend on
+// where the binary was built.
 func stmtKey(s *trace.Stmt) string {
 	top := s.Trigger.Top()
 	return fmt.Sprintf("%s@%s:%d", s.SQL, top.File, top.Line)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"weseer/internal/schema"
@@ -13,16 +14,14 @@ import (
 	"weseer/internal/trace"
 )
 
-// Differential tests for the indexed, parallel phase-1/2 enumeration:
-// the serial quadratic loop (enumerateNaive, below) is the oracle, and
-// the indexed path must reproduce its chains and its report byte-for-byte
-// at any worker count, on seeded random corpora as well as the curated
-// workloads.
+// Differential tests for the indexed phase-1/2 enumeration: the quadratic
+// loop (enumerateNaive, below) is the oracle, and the indexed pass must
+// reproduce its chains and its report byte-for-byte at any phase-3 worker
+// count, on seeded random corpora as well as the curated workloads.
 
 // enumerateNaive is the reference enumFunc: it probes every
-// cross-instance transaction pair — O(instances²) in corpus size, serial
-// (the worker count is ignored).
-func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace, _ int) ([]*chain, Stats, error) {
+// cross-instance transaction pair — O(instances²) in corpus size.
+func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace) ([]*chain, Stats, error) {
 	var st Stats
 	// Pre-rename each trace once per role, and compute each renamed
 	// transaction's table signature once: phase 1 probes every pair, so
@@ -185,12 +184,12 @@ func (a *Analyzer) enumOf(naive bool) enumFunc {
 
 // analyzeRecording is a.analyze over the chosen enumeration, also
 // returning the chains that enumeration produced.
-func analyzeRecording(scm *schema.Schema, traces []*trace.Trace, naive bool, opts ...Option) (*Result, []*chain, error) {
+func analyzeRecording(ctx context.Context, scm *schema.Schema, traces []*trace.Trace, naive bool, opts ...Option) (*Result, []*chain, error) {
 	a := NewAnalyzer(scm, opts...)
 	var chains []*chain
-	res, err := a.analyze(context.Background(), traces,
-		func(r *run, ctx context.Context, traces []*trace.Trace, workers int) (_ []*chain, st Stats, err error) {
-			chains, st, err = a.enumOf(naive)(r, ctx, traces, workers)
+	res, err := a.analyze(ctx, traces,
+		func(r *run, ctx context.Context, traces []*trace.Trace) (_ []*chain, st Stats, err error) {
+			chains, st, err = a.enumOf(naive)(r, ctx, traces)
 			return chains, st, err
 		})
 	return res, chains, err
@@ -213,15 +212,16 @@ func chainSigs(chains []*chain) []string {
 
 // diffRun asserts that the indexed enumeration at the given worker
 // counts reproduces the naive loop's chains (keys, and cycle order within
-// each) and its report byte-for-byte under the same extra options.
-func diffRun(t *testing.T, scm *schema.Schema, traces []*trace.Trace, workerCounts []int, extra ...Option) {
+// each) and its report byte-for-byte under the same extra options. It
+// returns the oracle's result.
+func diffRun(t *testing.T, scm *schema.Schema, traces []*trace.Trace, workerCounts []int, extra ...Option) *Result {
 	t.Helper()
-	naive, naiveChains, err := analyzeRecording(scm, traces, true, append([]Option{WithParallelism(1)}, extra...)...)
+	naive, naiveChains, err := analyzeRecording(context.Background(), scm, traces, true, append([]Option{WithParallelism(1)}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range workerCounts {
-		ix, ixChains, err := analyzeRecording(scm, traces, false, append([]Option{WithParallelism(workers)}, extra...)...)
+		ix, ixChains, err := analyzeRecording(context.Background(), scm, traces, false, append([]Option{WithParallelism(workers)}, extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,6 +245,7 @@ func diffRun(t *testing.T, scm *schema.Schema, traces []*trace.Trace, workerCoun
 			t.Fatalf("naive oracle walked the index: %+v", naive.Stats)
 		}
 	}
+	return naive
 }
 
 // TestEnumDifferentialCurated runs the oracle comparison on the curated
@@ -280,13 +281,25 @@ func TestEnumDifferentialRandomFine(t *testing.T) {
 // TestEnumDifferentialAblations pins the oracle equivalence under the
 // interacting options: SkipPhase1 (the indexed path must fall back to
 // full suffix enumeration, not the index) and the Phase-0 prescreen
-// (whose shape cache the parallel path precomputes serially).
+// (whose shape cache the pass fills lazily, for survivors only), the
+// latter also on a corpus where the pair screen actually prunes.
 func TestEnumDifferentialAblations(t *testing.T) {
 	t.Run("skip-phase1", func(t *testing.T) {
 		diffRun(t, fig1Schema(), pipelineTraces(), []int{1, 4}, WithoutPhase1())
 	})
 	t.Run("prescreen", func(t *testing.T) {
 		diffRun(t, fig1Schema(), pipelineTraces(), []int{1, 4}, WithPrescreen())
+	})
+	t.Run("prescreen-prunes", func(t *testing.T) {
+		// Random transactions are often a single statement: two of them
+		// writing one table survive phase 1 and can hold nothing while
+		// waiting, so the screen drops the pair.
+		traces := randTraces(rand.New(rand.NewSource(3)), 10, 4)
+		st := diffRun(t, randSchema(4), traces, []int{1, 4}, WithPrescreen()).Stats
+		if st.PrescreenPairsPruned == 0 || st.PrescreenPairs != st.PairsAfterPhase1 {
+			t.Fatalf("screen saw %d of %d phase-1 survivors and pruned %d; want all and some",
+				st.PrescreenPairs, st.PairsAfterPhase1, st.PrescreenPairsPruned)
+		}
 	})
 }
 
@@ -356,8 +369,7 @@ func TestEnumScratchEpochWraparound(t *testing.T) {
 
 // TestEnumIndexedCancellation mirrors TestAnalyzeContextCancellation on
 // the indexed path: a pre-canceled context must surface
-// context.Canceled from inside the worker fan-out without discharging
-// anything.
+// context.Canceled from inside the pass without discharging anything.
 func TestEnumIndexedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -410,6 +422,97 @@ func TestEnumIndexProbesDeterministic(t *testing.T) {
 	}
 }
 
+// flipCtx reports Canceled from its (after+1)-th Err call on. Both
+// enumerations ask once per pair they are about to process — the pass per
+// phase-1 survivor, the oracle per universe pair. (An enumeration that
+// finishes first hands the context to the phase-3 workers, hence atomic.)
+type flipCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *flipCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// enumCanceledAfter runs one enumeration under a flipCtx and returns what
+// it had when it stopped (err is nil if it finished first).
+func enumCanceledAfter(scm *schema.Schema, traces []*trace.Trace, naive bool, after int, opts ...Option) (*Result, []*chain, error) {
+	ctx := &flipCtx{Context: context.Background()}
+	ctx.left.Store(int64(after))
+	return analyzeRecording(ctx, scm, traces, naive, opts...)
+}
+
+// TestEnumCancellationIsPrefix pins what a canceled enumeration returns:
+// stopped after its k-th phase-1 survivor, the pass holds exactly the
+// chains and funnel counters (Pairs included) the naive loop holds on
+// reaching that survivor, and those chains are a cycle-for-cycle prefix of the full
+// run's — at any phase-3 worker count, there being no pool to drain.
+func TestEnumCancellationIsPrefix(t *testing.T) {
+	t.Run("curated", func(t *testing.T) { cancellationIsPrefix(t, fig1Schema(), pipelineTraces()) })
+	t.Run("random", func(t *testing.T) {
+		cancellationIsPrefix(t, randSchema(4), randTraces(rand.New(rand.NewSource(3)), 10, 4))
+	})
+	t.Run("skip-phase1", func(t *testing.T) {
+		cancellationIsPrefix(t, randSchema(4), randTraces(rand.New(rand.NewSource(3)), 10, 4), WithoutPhase1())
+	})
+}
+
+func cancellationIsPrefix(t *testing.T, scm *schema.Schema, traces []*trace.Trace, extra ...Option) {
+	opts := append([]Option{WithParallelism(4), WithPrescreen()}, extra...)
+	full, fullChains, err := analyzeRecording(context.Background(), scm, traces, false, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors := full.Stats.PairsAfterPhase1
+	if survivors < 4 {
+		t.Fatalf("corpus has %d phase-1 survivors, too few to cut", survivors)
+	}
+	// naiveAt[k]: the oracle stopped just before its (k+1)-th survivor.
+	type partial struct {
+		stats  Stats
+		chains []*chain
+	}
+	naiveAt := make([]partial, survivors+1)
+	for m := 0; ; m++ {
+		res, chains, err := enumCanceledAfter(scm, traces, true, m, opts...)
+		if err == nil {
+			break
+		}
+		naiveAt[res.Stats.PairsAfterPhase1] = partial{res.Stats, chains}
+	}
+	for _, k := range []int{0, 1, survivors / 2, survivors - 1} {
+		res, chains, err := enumCanceledAfter(scm, traces, false, k, opts...)
+		if err != context.Canceled {
+			t.Fatalf("k=%d: err = %v, want context.Canceled", k, err)
+		}
+		if got := res.Stats.PairsAfterPhase1; got != k {
+			t.Fatalf("k=%d: stopped after %d survivors", k, got)
+		}
+		wantStats, wantChains := naiveAt[k].stats, naiveAt[k].chains
+		if comparable(res.Stats) != comparable(wantStats) {
+			t.Errorf("k=%d: partial funnel differs:\nnaive:   %+v\nindexed: %+v",
+				k, comparable(wantStats), comparable(res.Stats))
+		}
+		if want, got := chainSigs(wantChains), chainSigs(chains); !reflect.DeepEqual(want, got) {
+			t.Errorf("k=%d: partial chains differ from the naive loop's at the same point (%d vs %d lines)",
+				k, len(got), len(want))
+		}
+		if len(chains) > len(fullChains) {
+			t.Fatalf("k=%d: %d chains, full run has %d", k, len(chains), len(fullChains))
+		}
+		for i, ch := range chains {
+			part, whole := chainSigs([]*chain{ch}), chainSigs([]*chain{fullChains[i]})
+			if len(part) > len(whole) || !reflect.DeepEqual(part, whole[:len(part)]) {
+				t.Errorf("k=%d: chain %d is not a prefix of the full run's", k, i)
+			}
+		}
+	}
+}
+
 // benchCorpus is a fixed 160-trace sparse corpus for the enumeration
 // microbenchmarks: big enough that the quadratic pair loop dominates in
 // coarse mode.
@@ -419,9 +522,9 @@ func benchCorpus() (*schema.Schema, []*trace.Trace) {
 	return randSchema(tables), randTraces(rng, 160, tables)
 }
 
-func benchEnum(b *testing.B, workers int, naive bool) {
+func benchEnum(b *testing.B, naive bool) {
 	scm, traces := benchCorpus()
-	a := NewAnalyzer(scm, WithParallelism(workers), WithCoarseOnly())
+	a := NewAnalyzer(scm, WithParallelism(1), WithCoarseOnly())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.analyze(context.Background(), traces, a.enumOf(naive)); err != nil {
@@ -430,8 +533,6 @@ func benchEnum(b *testing.B, workers int, naive bool) {
 	}
 }
 
-func BenchmarkEnumNaive(b *testing.B) { benchEnum(b, 1, true) }
+func BenchmarkEnumNaive(b *testing.B) { benchEnum(b, true) }
 
-func BenchmarkEnumIndexed(b *testing.B) { benchEnum(b, 1, false) }
-
-func BenchmarkEnumIndexedParallel(b *testing.B) { benchEnum(b, 4, false) }
+func BenchmarkEnumIndexed(b *testing.B) { benchEnum(b, false) }

@@ -1,58 +1,60 @@
 package core
 
-// Indexed, parallel candidate enumeration (phases 1–2).
+// Indexed candidate enumeration (phases 1–2): one serial pass.
 //
 // The naive reference loop (enumerateNaive in enum_test.go, the
 // differential tests' oracle) probes every cross-instance transaction
 // pair — O(instances²) signature probes even though on large corpora
 // almost no pair conflicts. The indexed path inverts the phase-1
-// signature instead: per-table posting
-// lists of the A2-role instances that access, and that write, each
-// table. A pair survives phase 1 iff each side writes a table the other
-// accesses, so the exact survivor set for one A1-role instance L is
+// signature instead: per-table posting lists of the instances that
+// access, and that write, each table. A pair survives phase 1 iff each
+// side writes a table the other accesses, so the exact survivor set for
+// one instance L is
 //
 //	(⋃_{t ∈ written(L)} accessors[t]) ∩ (⋃_{t ∈ accessed(L)} writers[t])
 //
 // restricted to instances from traces at or after L's own — computed by
-// walking posting-list suffixes, never the full instance set. Work is
-// then sharded over a bounded worker pool at A1-instance granularity:
-// each worker screens its survivors (phase 0) and enumerates their
-// coarse cycles (phase 2) independently, and a serial merge replays the
-// buffered outcomes in the naive loop's exact (trace_i, trace_j, txn1,
-// txn2) order. Chain formation — and with it every downstream report
-// byte — is therefore independent of both the index and the worker
-// count.
+// walking posting-list suffixes, never the full instance set. The pass
+// visits the survivors directly in the naive loop's (trace_i, trace_j,
+// txn1, txn2) order: per left trace it gathers its transactions'
+// candidates and stable-sorts them by right-hand trace, then screens
+// (phase 0) and enumerates (phase 2) each pair straight into the chain
+// map. There is no worker pool here: the filters are cheap by design
+// (Sec. V-B) and what is left of the stage is renaming the traces, which
+// a pool cannot share; the expensive stage, phase 3, has the workers.
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
-// enumInst is one renamed transaction instance in a fixed role (A1 or
-// A2), addressed by its global ordinal: instances are numbered in
-// (trace, transaction) order, so ordinal order is exactly the naive
-// loop's iteration order within a role.
+// enumInst is one transaction instance, addressed by its global ordinal:
+// instances are numbered in (trace, transaction) order, so ordinal order
+// is the naive loop's iteration order on either side of a pair. It holds
+// the transaction's renamed copy for each role it can play.
 type enumInst struct {
-	trace int // index into the traces slice
-	txn   *trace.Txn
-	inst  *trace.Trace // the renamed trace this transaction belongs to
+	trace  int          // index into the traces slice
+	a1, a2 *trace.Txn   // the transaction renamed "A1." / "A2."
+	t1, t2 *trace.Trace // the renamed traces those belong to
 }
 
-// flattenRole renames every trace under prefix and flattens its
+// flatten renames every trace once per role and flattens the
 // transactions into ordinal order, returning the instances, their
-// phase-1 signatures, and start[i] = the first ordinal belonging to
-// trace i (len(start) == len(traces)+1).
-func flattenRole(traces []*trace.Trace, prefix string) (insts []enumInst, sigs []txnSig, start []int) {
+// phase-1 signatures (renaming does not touch tables, so one per
+// instance), and start[i] = the first ordinal belonging to trace i
+// (len(start) == len(traces)+1).
+func flatten(traces []*trace.Trace) (insts []enumInst, sigs []txnSig, start []int) {
 	start = make([]int, len(traces)+1)
 	for i, tr := range traces {
 		start[i] = len(insts)
-		renamed := tr.Rename(prefix)
-		for _, txn := range renamed.Txns {
+		t1, t2 := tr.Rename("A1."), tr.Rename("A2.")
+		for k, txn := range tr.Txns {
 			acc, wr := txn.Tables()
-			insts = append(insts, enumInst{trace: i, txn: txn, inst: renamed})
+			insts = append(insts, enumInst{trace: i, a1: t1.Txns[k], a2: t2.Txns[k], t1: t1, t2: t2})
 			sigs = append(sigs, txnSig{acc: acc, wr: wr})
 		}
 	}
@@ -60,10 +62,10 @@ func flattenRole(traces []*trace.Trace, prefix string) (insts []enumInst, sigs [
 	return insts, sigs, start
 }
 
-// conflictIndex holds the per-table posting lists over the A2-role
-// instances. Lists are built in ordinal order, so they are sorted
-// ascending and suffix scans (ordinal >= some start) are a binary
-// search plus a linear walk.
+// conflictIndex holds the per-table posting lists over the instances.
+// Lists are built in ordinal order, so they are sorted ascending and
+// suffix scans (ordinal >= some start) are a binary search plus a linear
+// walk.
 type conflictIndex struct {
 	accessors map[string][]int
 	writers   map[string][]int
@@ -82,7 +84,7 @@ func buildConflictIndex(sigs []txnSig) *conflictIndex {
 	return ix
 }
 
-// enumScratch is one worker's reusable marking state. The epoch trick
+// enumScratch is the pass's reusable marking state. The epoch trick
 // makes clearing O(1): a mark is live only when its slot equals the
 // current epoch, so bumping the epoch invalidates every mark at once.
 type enumScratch struct {
@@ -101,8 +103,8 @@ func suffix(list []int, lo int) []int {
 	return list[k:]
 }
 
-// candidates computes the exact phase-1 survivor set for one A1-role
-// instance with signature sig, restricted to A2 ordinals >= startOrd,
+// candidates computes the exact phase-1 survivor set for one instance
+// with signature sig, restricted to right-hand ordinals >= startOrd,
 // in ascending ordinal order. probes counts the posting-list entries
 // walked — the work the index performs in place of the naive loop's
 // pairwise signature probes.
@@ -135,135 +137,29 @@ func (ix *conflictIndex) candidates(sig txnSig, startOrd int, s *enumScratch) (c
 			}
 		}
 	}
-	// Collection order above follows map iteration; the merge contract
-	// wants naive (ordinal) order.
+	// Collection order above follows map iteration; the pass wants naive
+	// (ordinal) order.
 	sort.Ints(s.cand)
 	return s.cand, probes
 }
 
-// pairHit is one phase-1 survivor of a left instance: the A2 ordinal
-// plus the coarse cycles phase 2 found (none when the phase-0 pair
-// screen pruned the pair).
-type pairHit struct {
-	right  int
-	cycles []Cycle
-}
-
-// leftOutcome is one A1-role instance's buffered enumeration result,
-// merged serially afterwards.
-type leftOutcome struct {
-	// stats is what this instance counted: the universe pairs it accounts
-	// for (closed form), the posting-list entries walked for it, its
-	// phase-1 survivors, the phase-0 screen and the coarse cycles.
-	stats Stats
-	hits  []pairHit
-	err   error
-}
-
-// enumerateIndexed is the indexed, parallel implementation of phases
-// 1–2. It produces the same chains, in the same order, with the same
-// funnel counters as enumerateNaive (plus Stats.IndexProbes, which the
-// naive loop leaves zero).
-func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace, workers int) ([]*chain, Stats, error) {
-	lefts, leftSigs, leftStart := flattenRole(traces, "A1.")
-	rights, rightSigs, rightStart := flattenRole(traces, "A2.")
-
+// enumerateIndexed is the indexed implementation of phases 1–2. It
+// produces the same chains, in the same order, with the same funnel
+// counters as enumerateNaive (plus Stats.IndexProbes, which the naive
+// loop leaves zero). Cancellation is checked per survivor: what is
+// returned with ctx's error is a prefix of the full enumeration, with the
+// chains and counters the naive loop holds on reaching the same pair —
+// except IndexProbes, which is booked per left trace and so covers the
+// whole of the trace the pass stopped in.
+func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*chain, Stats, error) {
+	var st Stats
+	insts, sigs, start := flatten(traces)
 	var ix *conflictIndex
+	var scratch *enumScratch
 	if !r.opts.SkipPhase1 {
-		ix = buildConflictIndex(rightSigs)
-	}
-	if r.ps != nil {
-		// Freeze the phase-0 shape cache before fanning out: workers (and
-		// later the phase-3 pool) read it without locking.
-		for i, tr := range traces {
-			for li := leftStart[i]; li < leftStart[i+1]; li++ {
-				r.ps.shape(tr.API, lefts[li].txn)
-			}
-			for ri := rightStart[i]; ri < rightStart[i+1]; ri++ {
-				r.ps.shape(tr.API, rights[ri].txn)
-			}
-		}
+		ix, scratch = buildConflictIndex(sigs), newEnumScratch(len(insts))
 	}
 
-	// enumLeft runs one A1-role instance: candidate discovery through the
-	// index, the phase-0 pair screen, and per-pair coarse-cycle
-	// enumeration, all into a private outcome.
-	enumLeft := func(li int, s *enumScratch) leftOutcome {
-		var out leftOutcome
-		L := lefts[li]
-		startOrd := rightStart[L.trace]
-		out.stats.Pairs = len(rights) - startOrd
-		var cands []int
-		if ix != nil {
-			cands, out.stats.IndexProbes = ix.candidates(leftSigs[li], startOrd, s)
-		} else {
-			// Phase-1 ablation: every pair in the suffix is a candidate.
-			cands = make([]int, 0, len(rights)-startOrd)
-			for ro := startOrd; ro < len(rights); ro++ {
-				cands = append(cands, ro)
-			}
-		}
-		if len(cands) == 0 {
-			return out
-		}
-		api1 := traces[L.trace].API
-		p1 := &instance{API: api1, Prefix: "A1.", Txn: L.txn, Trace: L.inst}
-		for _, ro := range cands {
-			if err := ctx.Err(); err != nil {
-				out.err = err
-				return out
-			}
-			R := rights[ro]
-			if r.ps != nil {
-				out.stats.PrescreenPairs++
-				sh1 := r.ps.txns[L.txn]
-				sh2 := r.ps.txns[R.txn]
-				if !staticlint.PairDeadlockPossible(sh1, sh2, r.scm) {
-					out.stats.PrescreenPairsPruned++
-					continue
-				}
-			}
-			p2 := &instance{API: traces[R.trace].API, Prefix: "A2.", Txn: R.txn, Trace: R.inst}
-			hit := pairHit{right: ro}
-			out.stats.CoarseCycles += enumeratePair(p1, p2, func(cyc Cycle) {
-				hit.cycles = append(hit.cycles, cyc)
-			})
-			out.stats.PairsAfterPhase1++
-			out.hits = append(out.hits, hit)
-		}
-		return out
-	}
-
-	outcomes := make([]leftOutcome, len(lefts))
-	scratch := make([]*enumScratch, max(workers, 1)+1) // by worker id, each touched by its worker only
-	forEachIndex(ctx, len(lefts), workers, func(li, tid int) {
-		if scratch[tid] == nil {
-			scratch[tid] = newEnumScratch(len(rights))
-		}
-		outcomes[li] = enumLeft(li, scratch[tid])
-	})
-
-	// Aggregate the funnel counters. Order is irrelevant here; partially
-	// processed instances (cancellation) contribute what they finished,
-	// like the naive loop's partial stats.
-	var total Stats
-	var err error
-	for li := range outcomes {
-		out := &outcomes[li]
-		if out.err != nil && err == nil {
-			err = out.err
-		}
-		total.add(&out.stats)
-	}
-	if err == nil {
-		err = ctx.Err()
-	}
-
-	// Serial merge: replay the buffered hits in the naive loop's
-	// (trace_i, trace_j, txn1, txn2) order, so chains form in the same
-	// first-occurrence order at any worker count. Each instance's hits
-	// are sorted by right ordinal and ordinals group by trace, so the
-	// per-(i,j) slice of every instance is a contiguous window.
 	byKey := map[string]*chain{}
 	var chains []*chain
 	add := func(cyc Cycle) {
@@ -276,21 +172,53 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace, worke
 		}
 		ch.cycles = append(ch.cycles, cyc)
 	}
-	ptr := make([]int, len(lefts))
-	for i := range traces {
-		for j := i; j < len(traces); j++ {
-			for li := leftStart[i]; li < leftStart[i+1]; li++ {
-				hits := outcomes[li].hits
-				hi := ptr[li]
-				for hi < len(hits) && rights[hits[hi].right].trace == j {
-					for _, cyc := range hits[hi].cycles {
-						add(cyc)
-					}
-					hi++
+
+	type pair struct{ left, right int }
+	var pairs []pair
+	for i, tr := range traces {
+		lo, hi := start[i], start[i+1]
+		// Trace i's phase-1 survivors in (txn1, txn2) order ...
+		pairs = pairs[:0]
+		for li := lo; li < hi; li++ {
+			if ix == nil {
+				// Phase-1 ablation: every pair in the suffix is a candidate.
+				for ro := lo; ro < len(insts); ro++ {
+					pairs = append(pairs, pair{li, ro})
 				}
-				ptr[li] = hi
+				continue
+			}
+			cands, probes := ix.candidates(sigs[li], lo, scratch)
+			st.IndexProbes += probes
+			for _, ro := range cands {
+				pairs = append(pairs, pair{li, ro})
 			}
 		}
+		// ... and, ordinals grouping by trace, in (trace_j, txn1, txn2) order.
+		slices.SortStableFunc(pairs, func(x, y pair) int {
+			return insts[x.right].trace - insts[y.right].trace
+		})
+		for _, p := range pairs {
+			L, R := insts[p.left], insts[p.right]
+			if err := ctx.Err(); err != nil {
+				// The universe pairs of trace i the naive loop visits before p.
+				jlo, jhi := start[R.trace], start[R.trace+1]
+				st.Pairs += (hi-lo)*(jlo-lo) + (p.left-lo)*(jhi-jlo) + (p.right - jlo)
+				return chains, st, err
+			}
+			api2 := traces[R.trace].API
+			st.PairsAfterPhase1++
+			if r.ps != nil {
+				st.PrescreenPairs++
+				if !staticlint.PairDeadlockPossible(r.ps.shape(tr.API, L.a1), r.ps.shape(api2, R.a2), r.scm) {
+					st.PrescreenPairsPruned++
+					continue
+				}
+			}
+			p1 := &instance{API: tr.API, Prefix: "A1.", Txn: L.a1, Trace: L.t1}
+			p2 := &instance{API: api2, Prefix: "A2.", Txn: R.a2, Trace: R.t2}
+			st.CoarseCycles += enumeratePair(p1, p2, add)
+		}
+		st.Pairs += (hi - lo) * (len(insts) - lo)
 	}
-	return chains, total, err
+	return chains, st, ctx.Err()
 }

@@ -5,23 +5,20 @@ package core
 // dedup re-ingested corpora and roll incidents up across days of
 // service operation.
 //
-// The fingerprint is a hash of the canonical cycle — the involved API
-// pair, the sorted table/row resources, and each side's hold/wait
-// statement templates with their triggering code locations, oriented
-// mirror-invariantly (the two sides are sorted, so T1/T2 role
+// The fingerprint is a hash of the cycle's identity (Cycle.identity, the
+// strings dedupKey joins): each side's API, hold/wait statement templates
+// with their module-relative triggering code locations, and table order,
+// oriented mirror-invariantly (the two sides are sorted, so T1/T2 role
 // assignment does not matter). Everything hashed is part of the
 // deterministic report surface: reports are byte-identical at any
-// parallelism and with the enumeration index on or off, so the
-// fingerprint is too. The anti-pattern class (Table II entry, planted
-// f-class) is a function of the cycle and therefore folded in
-// implicitly; classifiers attach the class label alongside, they never
-// feed the hash.
+// parallelism and wherever the binary was built, so the fingerprint is
+// too. The anti-pattern class (Table II entry, planted f-class) is a
+// function of the cycle and therefore folded in implicitly; classifiers
+// attach the class label alongside, they never feed the hash.
 
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
-	"strings"
 )
 
 // Fingerprint returns the deadlock's stable 16-hex-digit identity.
@@ -30,27 +27,11 @@ import (
 // orientation — fingerprint identically across runs, trace input order,
 // parallelism settings, and enumeration modes.
 func (d *Deadlock) Fingerprint() string {
-	c := d.Cycle
-	// Each side: who it is, what it holds (statement template + trigger
-	// site), where it waits, and the table order it acquires across the
-	// cycle's two C-edges. Mirrors dedupKey's canonicalization so one
-	// report maps to exactly one fingerprint.
-	side1 := fmt.Sprintf("%s|%s>%s|%s>%s",
-		d.APIs[0], stmtKey(c.S1a), stmtKey(c.S1b), c.Table2, c.Table1)
-	side2 := fmt.Sprintf("%s|%s>%s|%s>%s",
-		d.APIs[1], stmtKey(c.S2a), stmtKey(c.S2b), c.Table1, c.Table2)
-	if side2 < side1 {
-		side1, side2 = side2, side1
-	}
-	resources := []string{c.Table1, c.Table2}
-	sort.Strings(resources)
-
+	side1, side2 := d.Cycle.identity()
 	h := fnv.New64a()
 	h.Write([]byte(side1))
 	h.Write([]byte{0})
 	h.Write([]byte(side2))
-	h.Write([]byte{0})
-	h.Write([]byte(strings.Join(resources, ",")))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -22,10 +22,10 @@ type options struct {
 // Option is a functional analysis option, applied by NewAnalyzer.
 type Option func(*options)
 
-// WithParallelism sets the number of concurrent workers enumerating and
-// discharging candidate cycles (n <= 0 selects GOMAXPROCS). Reports are
-// deterministic at any setting: results are merged per candidate index in
-// canonical order.
+// WithParallelism sets the phase-3 worker count: the number of goroutines
+// discharging candidate chains (n <= 0 selects GOMAXPROCS). Enumeration
+// (phases 1–2) is serial. Reports are deterministic at any setting: chain
+// outcomes are merged per chain index, in enumeration order.
 func WithParallelism(n int) Option {
 	return func(o *options) { o.Parallelism = n }
 }

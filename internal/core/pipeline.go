@@ -228,7 +228,7 @@ func (r *run) cycleFormula(cyc Cycle) smt.Expr {
 // exposed for canonicalization tests and for dumping a run's queries.
 func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]smt.Expr, error) {
 	r := a.newRun()
-	chains, _, err := r.enumerateIndexed(ctx, traces, 1)
+	chains, _, err := r.enumerateIndexed(ctx, traces)
 	var out []smt.Expr
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {

@@ -35,9 +35,6 @@ func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 // Int returns an int-valued attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
 
-// Int64 returns an int64-valued attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
-
 // Bool returns a bool-valued attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: fmt.Sprintf("%t", v)} }
 

@@ -142,10 +142,3 @@ func solveStrings(cons []strConstraint) (map[string]string, bool) {
 	}
 	return asn, true
 }
-
-func strTermValue(t strTerm, asn map[string]string) string {
-	if t.isConst {
-		return t.s
-	}
-	return asn[t.s]
-}

@@ -63,11 +63,12 @@ grep -q unordered-locks "$vetdir/run1.json" || {
 }
 rm -rf "$vetdir"
 
-# The parallel discharge pipeline (worker pool + memo singleflight +
-# cancellation) is the concurrency-bearing code; run it under the race
-# detector, together with the concurrent-client workload harness that
-# drives the fix-verification loop. Scoped to the packages that
-# actually spawn goroutines to keep the gate fast — plus concolic and orm,
+# The parallel discharge pipeline (phase 3's worker pool + memo
+# singleflight + cancellation; enumeration is serial) is the
+# concurrency-bearing code; run it under the race detector, together with
+# the concurrent-client workload harness that drives the fix-verification
+# loop. Scoped to the packages that actually spawn goroutines to keep the
+# gate fast — plus concolic and orm,
 # whose process-wide call-site table and prepared-statement cache are
 # shared by whatever collects or drives load concurrently.
 echo "== go test -race (core, solver, smt, workload, concolic, orm)"
@@ -202,6 +203,25 @@ echo "$second" | grep -q ' 0 stored,' || {
 kill "$servepid" 2>/dev/null
 wait "$servepid" 2>/dev/null || true
 servepid=""
+
+# Relocated checkout: trigger locations, and the fingerprints hashed from
+# them, name source files relative to the module root, so a copy of the
+# tree in another directory — built with -trimpath where the in-place
+# binary is not — must reproduce the Table II goldens and the in-place
+# build's fingerprints.
+echo "== relocated checkout (goldens and fingerprints from a copy of the tree)"
+mkdir "$servedir/copy"
+tar -cf - --exclude=./.git --exclude=./.bench_build --exclude=./benchmark/out . |
+    tar -xf - -C "$servedir/copy"
+(cd "$servedir/copy" && go test ./internal/apps -run TestTableIIGoldens &&
+    go build -trimpath -o weseer ./cmd/weseer &&
+    ./weseer run -app shopizer -json | grep '"fingerprint"' > ../fp.copy)
+"$servedir/weseer" run -app shopizer -json | grep '"fingerprint"' > "$servedir/fp.here"
+[ -s "$servedir/fp.here" ] && cmp -s "$servedir/fp.here" "$servedir/fp.copy" || {
+    echo "relocated checkout: fingerprints depend on where the binary was built:" >&2
+    diff "$servedir/fp.here" "$servedir/fp.copy" | head >&2
+    exit 1
+}
 
 # Surface inventory: every CLI flag, every exported analysis option and
 # every exported identifier of the root weseer package (the facade's
