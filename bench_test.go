@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/apps/broadleaf"
 	"weseer/internal/apps/shopizer"
@@ -293,7 +294,7 @@ func BenchmarkMinidb_PointSelect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		conn.Begin()
 		if _, err := conn.Exec(`SELECT * FROM Product p WHERE p.ID = ?`,
-			[]concolic.Value{concolic.Int(int64(i%32 + 1))}, trace.CodeLoc{}); err != nil {
+			[]concolic.Value{concolic.Int(int64(i%32 + 1))}, trace.CodeLoc{}, trace.CodeLoc{}); err != nil {
 			b.Fatal(err)
 		}
 		conn.Commit()
@@ -312,4 +313,56 @@ func BenchmarkAblation_ConcretePlans(b *testing.B) {
 		groups = len(res.Deadlocks)
 	}
 	b.ReportMetric(float64(groups), "reports")
+}
+
+// ---------------------------------------------------------------------------
+// The two layers of the 1,056-template scale point, outside the harness:
+// bisect collection and enumeration with `go test -bench 1056` alone.
+
+const gen1056 = "gen:7,templates=1056"
+
+// BenchmarkCollect1056 measures concolic collection of the generated
+// corpus and reports the stack walks it pays per recorded statement (one
+// per ORM operation: ≈ 1.2).
+func BenchmarkCollect1056(b *testing.B) {
+	app, err := apps.Open(gen1056, apps.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var walks, stmts int64
+	for i := 0; i < b.N; i++ {
+		before := concolic.StackWalks()
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+		if err != nil {
+			b.Fatal(err)
+		}
+		walks += concolic.StackWalks() - before
+		for _, tr := range traces {
+			stmts += int64(tr.Stats.Statements)
+		}
+	}
+	b.ReportMetric(float64(walks)/float64(stmts), "walks/stmt")
+}
+
+// BenchmarkEnumerate1056 measures phases 1–2 alone on that corpus: the
+// coarse-only analysis is flatten, the conflict index, pair enumeration
+// and the dedup chains, then one report per chain without any solving.
+func BenchmarkEnumerate1056(b *testing.B) {
+	app, err := apps.Open(gen1056, apps.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cycles int
+	for i := 0; i < b.N; i++ {
+		cycles = coretest.Analyze(b, app.Schema(), traces, core.WithCoarseOnly()).Stats.CoarseCycles
+	}
+	b.ReportMetric(float64(cycles), "cycles")
 }

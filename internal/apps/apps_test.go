@@ -2,6 +2,7 @@ package apps
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
+	"weseer/internal/trace"
 )
 
 // update rewrites the golden files instead of diffing against them.
@@ -258,5 +260,42 @@ func TestPrescreenOnlyPrunes(t *testing.T) {
 				t.Errorf("%s: deadlock %d fingerprint %s under WithPrescreen, %s without", spec, i+1, got, d.Fingerprint())
 			}
 		}
+	}
+}
+
+// TestParentTraceFileStillAnalyses: a trace file written before path
+// conditions lost their code location (every one carries a "loc" key the
+// decoder no longer knows) decodes, and analyses to the report the commit
+// that wrote it produced — internal/trace/testdata/parent_with_loc.json
+// is `weseer collect` of the spec below at that commit, the golden its
+// report without timings.
+func TestParentTraceFileStillAnalyses(t *testing.T) {
+	const fixture = "../trace/testdata/parent_with_loc"
+	data, err := os.ReadFile(fixture + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"loc": {`) {
+		t.Fatal("fixture carries no path-condition location: not a pre-change trace file")
+	}
+	var traces []*trace.Trace
+	if err := json.Unmarshal(data, &traces); err != nil {
+		t.Fatal(err)
+	}
+	app, err := Open("gen:5,templates=2,modules=1,tables=3,rows=4,classes=f2:1", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.NewAnalyzer(app.Schema(), core.WithParallelism(1)).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Stats = res.Stats.WithoutTimings()
+	want, err := os.ReadFile(fixture + ".report.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Render(); got != string(want) {
+		t.Errorf("report of the parent's trace file differs from its golden:\n%s", got)
 	}
 }

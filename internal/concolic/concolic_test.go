@@ -221,7 +221,7 @@ func TestConnRecordsStatements(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := e.MakeSymbolic("product_id", Int(2))
-	rows, err := c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{id}, trace.CodeLoc{})
+	rows, err := c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{id}, trace.CodeLoc{}, trace.CodeLoc{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestConnRecordsStatements(t *testing.T) {
 		t.Errorf("result alias = %v", qty.S)
 	}
 	// Write back through the driver.
-	if _, err := c.Exec(`UPDATE Product SET QTY = ? WHERE ID = ?`, []Value{e.Sub(qty, Int(5)), id}, trace.CodeLoc{}); err != nil {
+	if _, err := c.Exec(`UPDATE Product SET QTY = ? WHERE ID = ?`, []Value{e.Sub(qty, Int(5)), id}, trace.CodeLoc{}, trace.CodeLoc{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Commit(); err != nil {
@@ -275,7 +275,7 @@ func TestConnEmptyResult(t *testing.T) {
 	e.StartConcolic("api")
 	c := NewConn(e, db)
 	c.Begin()
-	rows, err := c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(99)}, trace.CodeLoc{})
+	rows, err := c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(99)}, trace.CodeLoc{}, trace.CodeLoc{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestConnInterpretMode(t *testing.T) {
 	e.StartConcolic("api")
 	c := NewConn(e, db)
 	c.Begin()
-	rows, err := c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(1)}, trace.CodeLoc{})
+	rows, err := c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(1)}, trace.CodeLoc{}, trace.CodeLoc{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +344,11 @@ func TestStmtSeqOrdering(t *testing.T) {
 	e.StartConcolic("api")
 	c := NewConn(e, db)
 	c.Begin()
-	c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(1)}, trace.CodeLoc{})
-	c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(2)}, trace.CodeLoc{})
+	c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(1)}, trace.CodeLoc{}, trace.CodeLoc{})
+	c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(2)}, trace.CodeLoc{}, trace.CodeLoc{})
 	c.Commit()
 	c.Begin()
-	c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(3)}, trace.CodeLoc{})
+	c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{Int(3)}, trace.CodeLoc{}, trace.CodeLoc{})
 	c.Commit()
 	tr := e.EndConcolic()
 	all := tr.AllStmts()
@@ -373,7 +373,7 @@ func TestPathCondAfterStmt(t *testing.T) {
 	x := e.MakeSymbolic("x", Int(5))
 	e.If(e.Gt(x, Int(0))) // PC before any statement
 	c.Begin()
-	c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{x}, trace.CodeLoc{})
+	c.Exec(`SELECT * FROM Product p WHERE p.ID = ?`, []Value{x}, trace.CodeLoc{}, trace.CodeLoc{})
 	e.If(e.Lt(x, Int(100))) // PC after statement 0
 	c.Commit()
 	tr := e.EndConcolic()

@@ -131,15 +131,18 @@ func (r *Rows) Get(row int, col string) Value {
 
 // Exec submits one statement template with concolic parameter values.
 // trigger is the application code responsible for the statement per the
-// Sec. VI ORM-aware mapping; pass a zero CodeLoc to use the call site.
+// Sec. VI ORM-aware mapping, sent where it was physically submitted (the
+// flush site of a write-behind statement). The ORM walks the stack once
+// per operation and passes both, so Exec walks none: a zero sent means the
+// trigger site, and only a zero trigger makes it capture its own call site.
 // Outside an open transaction the statement runs in auto-commit mode
 // (its own single-statement transaction), as JDBC connections do.
-func (c *Conn) Exec(sql string, params []Value, trigger trace.CodeLoc) (*Rows, error) {
+func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*Rows, error) {
 	if c.txn == nil {
 		if err := c.Begin(); err != nil {
 			return nil, err
 		}
-		rows, err := c.Exec(sql, params, trigger)
+		rows, err := c.Exec(sql, params, trigger, sent)
 		if err != nil {
 			c.Rollback()
 			return nil, err
@@ -187,9 +190,11 @@ func (c *Conn) Exec(sql string, params []Value, trigger trace.CodeLoc) (*Rows, e
 	}
 
 	if c.e.recording() && c.cur != nil {
-		sent := Here(2)
 		if len(trigger.Frames) == 0 {
-			trigger = sent
+			trigger = Here(2)
+		}
+		if len(sent.Frames) == 0 {
+			sent = trigger
 		}
 		rec := &trace.Stmt{
 			Seq:     seq,

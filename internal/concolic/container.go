@@ -65,11 +65,11 @@ func (m *SymMap) Get(key Value) (any, bool) {
 	m.e.AccountLibrary("HashMap.get", 10+m.Len()/4)
 	if ok {
 		if prior, has := m.keyOf[ent.val]; has {
-			m.e.appendPC(smt.Eq(key.Sym(), prior), Here(2))
+			m.e.appendPC(smt.Eq(key.Sym(), prior))
 		}
 		return ent.val, true
 	}
-	m.e.appendPC(smt.Negate(smt.Read(m.arr, key.Sym())), Here(2))
+	m.e.appendPC(smt.Negate(smt.Read(m.arr, key.Sym())))
 	return nil, false
 }
 

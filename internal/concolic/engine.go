@@ -412,19 +412,15 @@ func (e *Engine) If(cond Value) bool {
 		if !taken {
 			c = smt.Negate(c)
 		}
-		e.appendPC(c, Here(2))
+		e.appendPC(c)
 	}
 	return taken
 }
 
-func (e *Engine) appendPC(c smt.Expr, loc trace.CodeLoc) {
+func (e *Engine) appendPC(c smt.Expr) {
 	e.tr.Stats.PathConds++
 	if len(e.tr.PathConds) < e.storedPCCap*16 {
-		e.tr.PathConds = append(e.tr.PathConds, trace.PathCond{
-			AfterStmt: e.stmtSeq,
-			Cond:      c,
-			Loc:       loc,
-		})
+		e.tr.PathConds = append(e.tr.PathConds, trace.PathCond{AfterStmt: e.stmtSeq, Cond: c})
 	}
 }
 

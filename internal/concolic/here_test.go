@@ -9,14 +9,18 @@ import (
 	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
+	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
 // TestHereMatchesOracle checks the call-site table against the eager
-// symbolizer over everything real collection captures: every Trigger,
-// Sent and path-condition location of the evaluation apps and a generated
-// corpus must be a slice the table handed out, and must equal what
-// symbolizing that stack's PCs from scratch yields.
+// symbolizer over everything real collection captures: every Trigger and
+// Sent location of the evaluation apps and a generated corpus must be a
+// slice the table handed out, and must equal what symbolizing that stack's
+// PCs from scratch yields. A statement sent where it was triggered took
+// one walk, so its two locations are the same slice; a write-behind one
+// (Sent is the flush site) must be what staticlint.ShapeFromTxn calls
+// Deferred, and nothing else may be.
 func TestHereMatchesOracle(t *testing.T) {
 	for _, spec := range []string{"broadleaf", "shopizer", "gen:7,templates=96"} {
 		app, err := apps.Open(spec, apps.Options{})
@@ -31,7 +35,8 @@ func TestHereMatchesOracle(t *testing.T) {
 		checked := 0
 		check := func(what string, loc trace.CodeLoc) {
 			if len(loc.Frames) == 0 {
-				return // modeled library conditions carry no location
+				t.Errorf("%s: empty %s location", spec, what)
+				return
 			}
 			pcs, ok := sites[&loc.Frames[0]]
 			if !ok {
@@ -50,18 +55,50 @@ func TestHereMatchesOracle(t *testing.T) {
 			}
 			checked++
 		}
+		deferred := 0
 		for _, tr := range traces {
-			for _, st := range tr.AllStmts() {
-				check("trigger", st.Trigger)
-				check("sent", st.Sent)
-			}
-			for _, pc := range tr.PathConds {
-				check("path-condition", pc.Loc)
+			for _, txn := range tr.Txns {
+				shape := staticlint.ShapeFromTxn(tr.API, txn)
+				for k, st := range txn.Stmts {
+					check("trigger", st.Trigger)
+					check("sent", st.Sent)
+					same := &st.Sent.Frames[0] == &st.Trigger.Frames[0]
+					if same == shape.Stmts[k].Deferred {
+						t.Errorf("%s: %s #%d: one walk = %v, Deferred = %v", spec, tr.API, st.Seq, same, shape.Stmts[k].Deferred)
+					}
+					if !same {
+						deferred++
+					}
+				}
 			}
 		}
-		if checked == 0 {
-			t.Errorf("%s: no locations collected", spec)
+		if checked == 0 || deferred == 0 {
+			t.Errorf("%s: %d locations collected, %d write-behind statements", spec, checked, deferred)
 		}
+	}
+}
+
+// TestWalksPerStatement bounds what collection pays in stack walks: one
+// per ORM operation — a query's, or a flush's shared by the statements it
+// sends — comes to well under 1.3 per recorded statement on a generated
+// corpus (3.5 when Exec re-walked for Sent and every path condition
+// carried a location nobody read).
+func TestWalksPerStatement(t *testing.T) {
+	app, err := apps.Open("gen:7,templates=96", apps.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := concolic.StackWalks()
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks, stmts := concolic.StackWalks()-before, 0
+	for _, tr := range traces {
+		stmts += tr.Stats.Statements
+	}
+	if ratio := float64(walks) / float64(stmts); stmts == 0 || ratio > 1.3 {
+		t.Errorf("%d walks for %d statements (%.2f per statement), want <= 1.3", walks, stmts, ratio)
 	}
 }
 

@@ -25,10 +25,12 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"weseer/internal/lockmodel"
@@ -57,9 +59,13 @@ type run struct {
 	// every cycle sharing an edge would otherwise rebuild an identical
 	// condition. The cached expressions are immutable.
 	edgeMemo sync.Map
-	// pcMemo caches each renamed trace's path conditions with their
-	// variable sets (*trace.Trace → []condVars), likewise.
+	// pcMemo caches each recorded trace's path conditions with their
+	// variable sets (*trace.Trace → []pathCond): one entry for both roles.
 	pcMemo sync.Map
+	// facts is addFacts' table, read-only once filled. It lives here and dies
+	// with the run: a process-wide table keyed by *trace.Stmt would keep
+	// every batch a daemon ever re-ingested reachable.
+	facts map[*trace.Stmt]*stmtFacts
 	// locks memoizes the template-level half of the lock model, shared by
 	// the lock filter and the edge-condition builds.
 	locks *lockmodel.Templates
@@ -69,7 +75,8 @@ type run struct {
 }
 
 func (a *Analyzer) newRun() *run {
-	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm), memo: newMemoTable(), m: &Metrics{}}
+	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm), memo: newMemoTable(), m: &Metrics{},
+		facts: map[*trace.Stmt]*stmtFacts{}}
 	if a.opts.StaticPrescreen {
 		r.ps = &prescreenState{
 			txns:  map[*trace.Txn]staticlint.TxnShape{},
@@ -84,9 +91,9 @@ func (a *Analyzer) newRun() *run {
 }
 
 // prescreenState caches the static shapes Phase-0 screens against, so
-// each transaction instance is abstracted once per run. Enumeration — one
-// goroutine — populates it, for the pairs that reach the screen; phase 3
-// only reads it, so its workers consult it without locking.
+// each recorded transaction is abstracted once per run, for both roles (a
+// shape reads no symbol). Enumeration — one goroutine — populates it, for
+// the pairs that reach the screen; phase 3 only reads it, without locking.
 type prescreenState struct {
 	txns  map[*trace.Txn]staticlint.TxnShape
 	stmts map[*trace.Stmt]staticlint.StmtShape
@@ -106,17 +113,21 @@ func (ps *prescreenState) shape(api string, txn *trace.Txn) staticlint.TxnShape 
 	return sh
 }
 
-// instance is one renamed transaction instance.
+// instance is one transaction instance: a view of a recorded transaction
+// in one role. Txn and Trace are the recorded objects, read in place and
+// shared by both roles; Prefix ("A1." / "A2.") is the role's symbol space,
+// applied only where a formula reads symbols (run.view, run.cone).
 type instance struct {
 	API    string
 	Prefix string
 	Txn    *trace.Txn
-	Trace  *trace.Trace // renamed trace, for path conditions
+	Trace  *trace.Trace // for path conditions and inputs
 }
 
 // Cycle is one SC-graph deadlock cycle across two transaction instances:
 // T1 holds the lock acquired at S1a and waits at S1b; T2 holds at S2a and
-// waits at S2b; C-edges connect (S1b, S2a) and (S2b, S1a).
+// waits at S2b; C-edges connect (S1b, S2a) and (S2b, S1a). The statements
+// are the recorded ones: T1's play "A1.", T2's "A2.", same object or not.
 type Cycle struct {
 	T1, T2             *instance
 	S1a, S1b, S2a, S2b *trace.Stmt
@@ -130,9 +141,10 @@ type Deadlock struct {
 	Key string
 	// APIs names the two involved API traces.
 	APIs [2]string
-	// Cycle is a representative deadlock cycle.
+	// Cycle is a representative deadlock cycle, over the recorded traces.
 	Cycle Cycle
-	// Formula is the solved conjunction (fine phase only).
+	// Formula is the solved conjunction (fine phase only). Its names — and
+	// Model's — are the only ones carrying the instance prefixes.
 	Formula smt.Expr
 	// Model is the satisfying assignment: API inputs and database state
 	// that reproduce the deadlock.
@@ -141,9 +153,9 @@ type Deadlock struct {
 	Count int
 }
 
-// AnalyzeContext runs the three-phase diagnosis over the traces. Each
-// trace contributes two renamed instances ("A1.", "A2."), and every
-// cross-instance transaction pair — including pairs drawn from two
+// AnalyzeContext runs the three-phase diagnosis over the traces, reading
+// them in place. Each trace contributes two instances ("A1.", "A2."), and
+// every cross-instance transaction pair — including pairs drawn from two
 // different APIs' traces — is examined, matching the paper's setup.
 //
 // Enumeration is serial; phase 3 runs on WithParallelism concurrent
@@ -270,15 +282,63 @@ type txnSig struct {
 	acc, wr map[string]bool
 }
 
+// stmtFacts is what the phases re-read of one recorded statement: tables,
+// write table and identity key for phases 1–2, and — built on first use, by
+// an edge-condition build — its view in each role's symbol space.
+type stmtFacts struct {
+	tables []string
+	write  string
+	key    string // stmtKey
+	view   [2]atomic.Pointer[trace.Stmt]
+}
+
+// addFacts computes the facts of every statement of a trace.
+func (r *run) addFacts(tr *trace.Trace) {
+	for _, txn := range tr.Txns {
+		for _, st := range txn.Stmts {
+			r.facts[st] = &stmtFacts{tables: st.Parsed.Tables(), write: st.Parsed.WriteTable(), key: stmtKey(st)}
+		}
+	}
+}
+
+// view returns the statement as lockmodel reads it in one role (0 for a
+// cycle's T1, 1 for T2): a shallow copy whose parameter and result symbols
+// carry the instance prefix. Workers may race to build one; the builds are
+// equal. This work moved, it did not vanish: views (and run.cone's renames)
+// are phase 3's, so Stats.FineTime carries a little of what Stats.EnumTime
+// no longer does — read the two together.
+func (r *run) view(st *trace.Stmt, role int, prefix string) *trace.Stmt {
+	slot := &r.facts[st].view[role]
+	if v := slot.Load(); v != nil {
+		return v
+	}
+	f := func(s string) string { return prefix + s }
+	v := *st
+	v.Params = slices.Clone(st.Params)
+	for i := range v.Params {
+		v.Params[i].Sym = smt.Rename(v.Params[i].Sym, f)
+	}
+	if st.Res != nil {
+		res := *st.Res
+		res.Sym = make([][]smt.Var, len(st.Res.Sym))
+		for i, row := range st.Res.Sym {
+			res.Sym[i] = slices.Clone(row)
+			for j := range row {
+				res.Sym[i][j].Name = prefix + row[j].Name
+			}
+		}
+		v.Res = &res
+	}
+	slot.Store(&v)
+	return &v
+}
+
 // coarseConflictTable is the coarse-grained C-edge test: a common table
 // at least one statement writes. It returns the table ("" if none).
-func coarseConflictTable(s, t *trace.Stmt) string {
-	for _, ts := range s.Parsed.Tables() {
-		for _, tt := range t.Parsed.Tables() {
-			if ts != tt {
-				continue
-			}
-			if s.Parsed.WriteTable() == ts || t.Parsed.WriteTable() == ts {
+func coarseConflictTable(s, t *stmtFacts) string {
+	for _, ts := range s.tables {
+		for _, tt := range t.tables {
+			if ts == tt && (s.write == ts || t.write == ts) {
 				return ts
 			}
 		}
@@ -292,15 +352,16 @@ func coarseConflictTable(s, t *trace.Stmt) string {
 // T2): S1a < S1b and S2a < S2b in execution order, with C-edges
 // (S1b, S2a) and (S2b, S1a). Cycles are passed to emit in enumeration
 // order; the returned count is the number emitted.
-func enumeratePair(p1, p2 *instance, emit func(Cycle)) int {
+func (r *run) enumeratePair(p1, p2 *instance, emit func(Cycle)) int {
 	s1, s2 := p1.Txn.Stmts, p2.Txn.Stmts
 
 	type cedge struct{ i, j int }
 	edgeTable := map[cedge]string{}
 	var edges []cedge
 	for i := range s1 {
+		fi := r.facts[s1[i]]
 		for j := range s2 {
-			if tab := coarseConflictTable(s1[i], s2[j]); tab != "" {
+			if tab := coarseConflictTable(fi, r.facts[s2[j]]); tab != "" {
 				edgeTable[cedge{i, j}] = tab
 				edges = append(edges, cedge{i, j})
 			}
@@ -327,21 +388,15 @@ func enumeratePair(p1, p2 *instance, emit func(Cycle)) int {
 	return count
 }
 
-func maxSeq(a, b *trace.Stmt) int {
-	if a.Seq > b.Seq {
-		return a.Seq
-	}
-	return b.Seq
-}
-
 // identity is the one builder of a cycle's identity: per side, who it is,
 // the statement template and trigger site it holds at and the one it
 // waits at, and the table order it acquires across the two C-edges — the
 // two strings sorted, so equivalent cycles (including the mirror pairing)
-// agree. dedupKey joins them, Deadlock.Fingerprint hashes them.
-func (c Cycle) identity() (string, string) {
-	k1 := fmt.Sprintf("%s|%s>%s|%s>%s", c.T1.API, stmtKey(c.S1a), stmtKey(c.S1b), c.Table2, c.Table1)
-	k2 := fmt.Sprintf("%s|%s>%s|%s>%s", c.T2.API, stmtKey(c.S2a), stmtKey(c.S2b), c.Table1, c.Table2)
+// agree. key renders one statement (stmtKey, or a run's table of them);
+// dedupKey joins the two strings, Deadlock.Fingerprint hashes them.
+func (c Cycle) identity(key func(*trace.Stmt) string) (string, string) {
+	k1 := c.T1.API + "|" + key(c.S1a) + ">" + key(c.S1b) + "|" + c.Table2 + ">" + c.Table1
+	k2 := c.T2.API + "|" + key(c.S2a) + ">" + key(c.S2b) + "|" + c.Table1 + ">" + c.Table2
 	if k2 < k1 {
 		k1, k2 = k2, k1
 	}
@@ -349,8 +404,8 @@ func (c Cycle) identity() (string, string) {
 }
 
 // dedupKey folds equivalent cycles into one reported deadlock.
-func (c Cycle) dedupKey() string {
-	k1, k2 := c.identity()
+func (r *run) dedupKey(c Cycle) string {
+	k1, k2 := c.identity(func(s *trace.Stmt) string { return r.facts[s].key })
 	return k1 + "||" + k2
 }
 
@@ -359,5 +414,5 @@ func (c Cycle) dedupKey() string {
 // where the binary was built.
 func stmtKey(s *trace.Stmt) string {
 	top := s.Trigger.Top()
-	return fmt.Sprintf("%s@%s:%d", s.SQL, top.File, top.Line)
+	return s.SQL + "@" + top.File + ":" + strconv.Itoa(top.Line)
 }

@@ -20,8 +20,10 @@ package core
 // candidates and stable-sorts them by right-hand trace, then screens
 // (phase 0) and enumerates (phase 2) each pair straight into the chain
 // map. There is no worker pool here: the filters are cheap by design
-// (Sec. V-B) and what is left of the stage is renaming the traces, which
-// a pool cannot share; the expensive stage, phase 3, has the workers.
+// (Sec. V-B) and read the recorded traces in place — the stage copies
+// nothing, and what every pair and cycle used to re-derive of a statement
+// (its tables, its identity key) is computed once per recorded statement,
+// in flatten; the expensive stage, phase 3, has the workers.
 
 import (
 	"context"
@@ -32,29 +34,27 @@ import (
 	"weseer/internal/trace"
 )
 
-// enumInst is one transaction instance, addressed by its global ordinal:
-// instances are numbered in (trace, transaction) order, so ordinal order
-// is the naive loop's iteration order on either side of a pair. It holds
-// the transaction's renamed copy for each role it can play.
+// enumInst is one recorded transaction, addressed by its global ordinal:
+// transactions are numbered in (trace, transaction) order, so ordinal order
+// is the naive loop's iteration order on either side of a pair. The same
+// entry serves both roles — left of a pair it plays "A1.", right "A2.".
 type enumInst struct {
-	trace  int          // index into the traces slice
-	a1, a2 *trace.Txn   // the transaction renamed "A1." / "A2."
-	t1, t2 *trace.Trace // the renamed traces those belong to
+	trace int // index into the traces slice
+	txn   *trace.Txn
 }
 
-// flatten renames every trace once per role and flattens the
-// transactions into ordinal order, returning the instances, their
-// phase-1 signatures (renaming does not touch tables, so one per
-// instance), and start[i] = the first ordinal belonging to trace i
-// (len(start) == len(traces)+1).
-func flatten(traces []*trace.Trace) (insts []enumInst, sigs []txnSig, start []int) {
+// flatten computes every recorded statement's facts and flattens the
+// transactions into ordinal order, copying nothing. It returns the
+// instances, their phase-1 signatures, and start[i] = the first ordinal
+// belonging to trace i (len(start) == len(traces)+1).
+func (r *run) flatten(traces []*trace.Trace) (insts []enumInst, sigs []txnSig, start []int) {
 	start = make([]int, len(traces)+1)
 	for i, tr := range traces {
 		start[i] = len(insts)
-		t1, t2 := tr.Rename("A1."), tr.Rename("A2.")
-		for k, txn := range tr.Txns {
+		r.addFacts(tr)
+		for _, txn := range tr.Txns {
 			acc, wr := txn.Tables()
-			insts = append(insts, enumInst{trace: i, a1: t1.Txns[k], a2: t2.Txns[k], t1: t1, t2: t2})
+			insts = append(insts, enumInst{trace: i, txn: txn})
 			sigs = append(sigs, txnSig{acc: acc, wr: wr})
 		}
 	}
@@ -153,7 +153,7 @@ func (ix *conflictIndex) candidates(sig txnSig, startOrd int, s *enumScratch) (c
 // whole of the trace the pass stopped in.
 func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*chain, Stats, error) {
 	var st Stats
-	insts, sigs, start := flatten(traces)
+	insts, sigs, start := r.flatten(traces)
 	var ix *conflictIndex
 	var scratch *enumScratch
 	if !r.opts.SkipPhase1 {
@@ -163,7 +163,7 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*c
 	byKey := map[string]*chain{}
 	var chains []*chain
 	add := func(cyc Cycle) {
-		key := cyc.dedupKey()
+		key := r.dedupKey(cyc)
 		ch, ok := byKey[key]
 		if !ok {
 			ch = &chain{key: key}
@@ -209,14 +209,14 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*c
 			st.PairsAfterPhase1++
 			if r.ps != nil {
 				st.PrescreenPairs++
-				if !staticlint.PairDeadlockPossible(r.ps.shape(tr.API, L.a1), r.ps.shape(api2, R.a2), r.scm) {
+				if !staticlint.PairDeadlockPossible(r.ps.shape(tr.API, L.txn), r.ps.shape(api2, R.txn), r.scm) {
 					st.PrescreenPairsPruned++
 					continue
 				}
 			}
-			p1 := &instance{API: tr.API, Prefix: "A1.", Txn: L.a1, Trace: L.t1}
-			p2 := &instance{API: api2, Prefix: "A2.", Txn: R.a2, Trace: R.t2}
-			st.CoarseCycles += enumeratePair(p1, p2, add)
+			p1 := &instance{API: tr.API, Prefix: "A1.", Txn: L.txn, Trace: tr}
+			p2 := &instance{API: api2, Prefix: "A2.", Txn: R.txn, Trace: traces[R.trace]}
+			st.CoarseCycles += r.enumeratePair(p1, p2, add)
 		}
 		st.Pairs += (hi - lo) * (len(insts) - lo)
 	}

@@ -27,7 +27,7 @@ import (
 // orientation — fingerprint identically across runs, trace input order,
 // parallelism settings, and enumeration modes.
 func (d *Deadlock) Fingerprint() string {
-	side1, side2 := d.Cycle.identity()
+	side1, side2 := d.Cycle.identity(stmtKey)
 	h := fnv.New64a()
 	h.Write([]byte(side1))
 	h.Write([]byte{0})

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -197,7 +196,6 @@ func TestMemoTableCancellation(t *testing.T) {
 // moved to the front; the hit must allocate less than half of what building
 // its canonical expression alone would.
 func TestMemoLevelTwoHitBuildsNoExpr(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
 	formulas, err := NewAnalyzer(fig1Schema()).CycleFormulas(ctx, pipelineTraces())
 	if err != nil || len(formulas) == 0 {
@@ -214,24 +212,33 @@ func TestMemoLevelTwoHitBuildsNoExpr(t *testing.T) {
 	plain := &smt.NAry{Conj: true, Xs: append(slices.Clone(xs), unsat)}
 	moved := &smt.NAry{Conj: true, Xs: append([]smt.Expr{unsat}, xs...)}
 
+	// The table's scratch pool hands out one Shape the test holds itself:
+	// under -race sync.Pool drops items at random, and a cold Shape growing
+	// its buffers would be charged to the hit.
 	memo := newMemoTable()
+	warm := new(smt.Shape)
+	memo.scratch.New = func() any { return warm }
 	var out Stats
 	if res, hit := memo.solve(ctx, plain, solver.Limits{}, 0, &out); hit || res.Status != solver.UNSAT {
 		t.Fatalf("first solve: hit %v, %v", hit, res.Status)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, hit := memo.solve(ctx, moved, solver.Limits{}, 0, &out)
-	runtime.ReadMemStats(&after)
-	if !hit || res.Status != solver.UNSAT || len(memo.shapes) != 2 || out.SolverCalls != 1 {
-		t.Fatalf("reordered formula: hit %v, %v, %d shapes, %d solver calls — want a level-two hit on a new shape",
-			hit, res.Status, len(memo.shapes), out.SolverCalls)
-	}
 	var sh smt.Shape
 	sh.Reset(moved)
-	canon := memo.shapes[string(sh.Key())].canon
+	movedKey := string(sh.Key())
+	// Forgetting the shape before each run makes every run the hit under
+	// test: level one misses, level two hits.
+	got := testing.AllocsPerRun(10, func() {
+		delete(memo.shapes, movedKey)
+		if res, hit := memo.solve(ctx, moved, solver.Limits{}, 0, &out); !hit || res.Status != solver.UNSAT {
+			t.Fatalf("reordered formula: hit %v, %v — want a level-two hit", hit, res.Status)
+		}
+	})
+	if len(memo.shapes) != 2 || out.SolverCalls != 1 {
+		t.Fatalf("reordered formula: %d shapes, %d solver calls — want a level-two hit on a new shape",
+			len(memo.shapes), out.SolverCalls)
+	}
+	canon := memo.shapes[movedKey].canon
 	build := testing.AllocsPerRun(10, func() { canon.Expr() })
-	got := float64(after.Mallocs - before.Mallocs)
 	t.Logf("level-two hit: %v allocations; its canonical expression: %v", got, build)
 	if got >= build/2 {
 		t.Errorf("level-two hit made %v allocations; building its canonical expression takes %v", got, build)

@@ -14,6 +14,9 @@ package core
 
 import (
 	"context"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"weseer/internal/lockmodel"
@@ -207,20 +210,15 @@ func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, 
 // Path conditions sharing no variables (transitively) with the conflict
 // conditions are dropped: the concrete execution that produced the trace
 // satisfies them by construction, so they cannot change satisfiability —
-// a cone-of-influence reduction that keeps solver formulas small.
+// a cone-of-influence reduction that keeps solver formulas small. The two
+// sides share no symbol, so the joint cone is the per-side ones, T1's first.
 func (r *run) cycleFormula(cyc Cycle) smt.Expr {
-	edge1 := r.edgeCondCached(cyc.S1b, cyc.S2a, "r1.")
-	edge2 := r.edgeCondCached(cyc.S2b, cyc.S1a, "r2.")
-
-	pcs := r.pathCondsBefore(nil, cyc.T1.Trace, maxSeq(cyc.S1a, cyc.S1b))
-	pcs = r.pathCondsBefore(pcs, cyc.T2.Trace, maxSeq(cyc.S2a, cyc.S2b))
-	seed := make(map[string]struct{}, len(edge1.vars)+len(edge2.vars))
-	for _, e := range [2]*condVars{edge1, edge2} {
-		for _, v := range e.vars {
-			seed[v] = struct{}{}
-		}
-	}
-	return smt.And(coneOfInfluence([]smt.Expr{edge1.cond, edge2.cond}, seed, pcs)...)
+	edge1 := r.edgeCondCached(cyc.S1b, cyc.S2a, 0, cyc.T1.Prefix, cyc.T2.Prefix)
+	edge2 := r.edgeCondCached(cyc.S2b, cyc.S1a, 1, cyc.T2.Prefix, cyc.T1.Prefix)
+	out := []smt.Expr{edge1.cond, edge2.cond}
+	out = r.cone(out, cyc.T1, 0, max(cyc.S1a.Seq, cyc.S1b.Seq), edge1, edge2)
+	out = r.cone(out, cyc.T2, 1, max(cyc.S2a.Seq, cyc.S2b.Seq), edge1, edge2)
+	return smt.And(out...)
 }
 
 // CycleFormulas returns the formula phase 3 builds for every coarse
@@ -238,110 +236,130 @@ func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]
 	return out, err
 }
 
-// condVars is a condition with the names of its variables, computed
-// once where it is built — per edge, per renamed trace — so the cone of
-// influence of each cycle sharing it walks no expression again.
+// condVars is an edge condition with the names of its variables, computed
+// once where it is built, so the cone of influence of each cycle sharing
+// it walks no expression again.
 type condVars struct {
-	cond  smt.Expr
-	vars  []string
-	after int // path conditions only: PathCond.AfterStmt
+	cond smt.Expr
+	vars []string
 }
 
-func newCondVars(cond smt.Expr, after int) condVars {
+// pathCond is one recorded path condition with its variable names (as
+// recorded, un-prefixed) and, per role, its copy in that role's symbol
+// space, made on the first cone it falls in.
+type pathCond struct {
+	cond    smt.Expr
+	vars    []string
+	after   int // PathCond.AfterStmt
+	renamed [2]atomic.Pointer[smt.Expr]
+}
+
+func varNames(cond smt.Expr) []string {
 	set := smt.VarSet(cond)
 	vars := make([]string, 0, len(set))
 	for v := range set {
 		vars = append(vars, v)
 	}
-	return condVars{cond: cond, vars: vars, after: after}
+	return vars
 }
 
-// pathCondsBefore appends to dst the renamed trace's path conditions
-// recorded before statement seq (what Trace.PathCondsBefore selects), in
-// order, with their variable sets, which are computed once per trace.
-// Workers may race to build the same trace's slice; the builds are
-// identical, so either is kept.
-func (r *run) pathCondsBefore(dst []*condVars, tr *trace.Trace, seq int) []*condVars {
+// pathConds returns the recorded trace's path conditions with their
+// variable sets. Workers may race to build the same trace's slice; the
+// builds are identical, so either is kept.
+func (r *run) pathConds(tr *trace.Trace) []pathCond {
 	v, ok := r.pcMemo.Load(tr)
 	if !ok {
-		conds := make([]condVars, len(tr.PathConds))
+		conds := make([]pathCond, len(tr.PathConds))
 		for i, pc := range tr.PathConds {
-			conds[i] = newCondVars(pc.Cond, pc.AfterStmt)
+			conds[i].cond, conds[i].vars, conds[i].after = pc.Cond, varNames(pc.Cond), pc.AfterStmt
 		}
 		v, _ = r.pcMemo.LoadOrStore(tr, conds)
 	}
-	conds := v.([]condVars)
-	for i := range conds {
-		if conds[i].after <= seq {
-			dst = append(dst, &conds[i])
-		}
-	}
-	return dst
+	return v.([]pathCond)
 }
 
-// coneOfInfluence appends to out the conditions transitively connected to
-// the seed variable set, in their given order.
-func coneOfInfluence(out []smt.Expr, seed map[string]struct{}, conds []*condVars) []smt.Expr {
-	in := make([]bool, len(conds))
+// cone appends to out, in recorded order and in the instance's symbol
+// space, those of its path conditions recorded before statement seq (what
+// Trace.PathCondsBefore selects) that are transitively connected to the
+// edges' variables. The fixpoint runs on the recorded names — an edge
+// variable of this side is its prefix plus one — and only the conditions
+// inside the cone are renamed, once per (condition, role).
+func (r *run) cone(out []smt.Expr, in *instance, role, seq int, edges ...*condVars) []smt.Expr {
+	conds := r.pathConds(in.Trace)
+	seed := map[string]struct{}{}
+	for _, e := range edges {
+		for _, v := range e.vars {
+			if name, ok := strings.CutPrefix(v, in.Prefix); ok {
+				seed[name] = struct{}{}
+			}
+		}
+	}
+	inCone := make([]bool, len(conds))
 	for changed := true; changed; {
 		changed = false
-		for i, c := range conds {
-			if in[i] {
+		for i := range conds {
+			c := &conds[i]
+			if inCone[i] || c.after > seq {
 				continue
 			}
-			touch := false
-			for _, v := range c.vars {
-				if _, ok := seed[v]; ok {
-					touch = true
-					break
-				}
-			}
-			if !touch {
+			if !slices.ContainsFunc(c.vars, func(v string) bool { _, ok := seed[v]; return ok }) {
 				continue
 			}
-			in[i], changed = true, true
+			inCone[i], changed = true, true
 			for _, v := range c.vars {
 				seed[v] = struct{}{}
 			}
 		}
 	}
-	for i, c := range conds {
-		if in[i] {
-			out = append(out, c.cond)
+	for i := range conds {
+		if !inCone[i] {
+			continue
 		}
+		e := conds[i].renamed[role].Load()
+		if e == nil {
+			x := smt.Rename(conds[i].cond, func(s string) string { return in.Prefix + s })
+			e = &x
+			conds[i].renamed[role].Store(e)
+		}
+		out = append(out, *e)
 	}
 	return out
 }
 
-// edgeKey identifies one C-edge condition build: the ordered statement
-// pair and the unified-row variable prefix. UseConcretePlans is fixed
-// per run, so it is not part of the key.
+// edgeKey identifies one C-edge condition build: the ordered pair of
+// recorded statements and the unified-row variable prefix. The pointers do
+// not say which role a statement plays — both roles share the recorded
+// object — so the key is unambiguous only because the row prefix does:
+// "r1." ⇒ x is "A1.", y is "A2."; "r2." ⇒ x is "A2.", y is "A1.".
+// UseConcretePlans is fixed per run, so it is not part of the key.
 type edgeKey struct {
 	x, y      *trace.Stmt
 	rowPrefix string
 }
 
 // edgeCondCached builds — or reuses — the conflict condition of one
-// C-edge. Cycles overlap heavily: every cycle sharing a C-edge would
+// C-edge between x, in role rx and symbol space px, and y in the other
+// role and py. Cycles overlap heavily: every cycle sharing a C-edge would
 // otherwise rebuild an identical condition expression. The cache builds
-// each distinct edge once per run, together with its
-// variable set. Fresh range variables are prefixed per edge ("rng.r1.",
-// "rng.r2."), which keeps the built condition independent of whatever
-// the cycle's other edge minted.
-func (r *run) edgeCondCached(x, y *trace.Stmt, rowPrefix string) *condVars {
+// each distinct edge once per run, together with its variable set. Fresh
+// range variables are prefixed per edge ("rng.r1.", "rng.r2."), which keeps
+// the built condition independent of whatever the cycle's other edge minted.
+func (r *run) edgeCondCached(x, y *trace.Stmt, rx int, px, py string) *condVars {
+	rowPrefix := [2]string{"r1.", "r2."}[rx]
 	k := edgeKey{x: x, y: y, rowPrefix: rowPrefix}
 	if e, ok := r.edgeMemo.Load(k); ok {
 		r.m.edgeCacheHits.Inc()
 		return e.(*condVars)
 	}
 	nm := lockmodel.NewNamer("rng." + rowPrefix)
-	e := newCondVars(edgeCond(x, y, r.locks, rowPrefix, nm, r.opts.UseConcretePlans), 0)
+	cond := edgeCond(r.view(x, rx, px), r.view(y, 1-rx, py), r.locks, rowPrefix, nm, r.opts.UseConcretePlans)
+	e := &condVars{cond: cond, vars: varNames(cond)}
 	// Hit/build attribution is metrics-only and may race benignly between
 	// workers building the same edge — it never reaches the report.
 	r.m.edgeCacheBuilds.Inc()
 	// Concurrent workers may race to build the same edge; both builds are
 	// structurally identical, so either value is fine to keep.
-	actual, _ := r.edgeMemo.LoadOrStore(k, &e)
+	actual, _ := r.edgeMemo.LoadOrStore(k, e)
 	return actual.(*condVars)
 }
 
@@ -352,17 +370,7 @@ func edgeCond(x, y *trace.Stmt, locks *lockmodel.Templates, rowPrefix string, nm
 	for _, o := range [2][2]*trace.Stmt{{x, y}, {y, x}} {
 		w, r := o[0], o[1]
 		wt := w.Parsed.WriteTable()
-		if wt == "" {
-			continue
-		}
-		accessed := false
-		for _, t := range r.Parsed.Tables() {
-			if t == wt {
-				accessed = true
-				break
-			}
-		}
-		if !accessed {
+		if wt == "" || !slices.Contains(r.Parsed.Tables(), wt) {
 			continue
 		}
 		alts = append(alts, locks.ConflictCond(w, r, wt, rowPrefix, nm, usePlans))

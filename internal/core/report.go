@@ -95,12 +95,14 @@ func renderSide(b *strings.Builder, name, api string, holds, waits *trace.Stmt) 
 
 // renderModel prints the model restricted to meaningful variables: the
 // two traces' API inputs and result aliases, skipping internal range-
-// enlargement variables.
+// enlargement variables. The model speaks the instances' symbol spaces
+// and the traces are the recorded ones, so an input is matched as
+// Prefix + Input.Name.
 func renderModel(b *strings.Builder, m *smt.Model, c Cycle) {
 	inputs := map[string]bool{}
-	for _, tr := range []*trace.Trace{c.T1.Trace, c.T2.Trace} {
-		for _, in := range tr.Inputs {
-			inputs[in.Name] = true
+	for _, t := range []*instance{c.T1, c.T2} {
+		for _, in := range t.Trace.Inputs {
+			inputs[t.Prefix+in.Name] = true
 		}
 	}
 	names := make([]string, 0, len(m.Vars))

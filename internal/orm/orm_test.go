@@ -490,6 +490,59 @@ func TestModeOffCapturesNoStacks(t *testing.T) {
 	}
 }
 
+// TestOneWalkPerOperation pins what collection pays per ORM operation: a
+// query walks the stack once (its statement is sent where it is
+// triggered), a transaction persisting k entities walks k + 1 times (one
+// trigger per Persist, one flush site shared by the k INSERTs), and a
+// commit with nothing buffered walks nothing.
+func TestOneWalkPerOperation(t *testing.T) {
+	s, e, _ := setup(t, concolic.ModeConcolic)
+	walks := func(what string, want int64, op func()) {
+		t.Helper()
+		before := concolic.StackWalks()
+		op()
+		if n := concolic.StackWalks() - before; n != want {
+			t.Errorf("%s walked %d stacks, want %d", what, n, want)
+		}
+	}
+	walks("Find", 1, func() { s.Find("Product", e.MakeSymbolic("pid", concolic.Int(1))) })
+	walks("cached Find", 0, func() { s.Find("Product", concolic.Int(1)) })
+	walks("Query", 1, func() {
+		s.Query(`SELECT * FROM OrderItem oi WHERE oi.O_ID = ?`, []concolic.Value{concolic.Int(1)}, "oi")
+	})
+	walks("read-only transaction", 1, func() {
+		s.Transactional(func() error { s.Find("Orders", concolic.Int(1)); return nil })
+	})
+	const k = 3
+	walks("transaction persisting 3 entities", k+1, func() {
+		err := s.Transactional(func() error {
+			for i := 0; i < k; i++ {
+				en := s.NewEntity("Product")
+				s.Set(en, "ID", concolic.Int(int64(60+i)))
+				s.Set(en, "QTY", concolic.Int(1))
+				s.Persist(en)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	stmts := e.EndConcolic().AllStmts()
+	inserts := stmts[len(stmts)-k:]
+	for _, st := range inserts {
+		if st.Parsed.Kind() != sqlast.KindInsert || &st.Sent.Frames[0] != &inserts[0].Sent.Frames[0] ||
+			&st.Sent.Frames[0] == &st.Trigger.Frames[0] {
+			t.Errorf("%s: trigger %v sent %v — want one shared flush site", st.SQL, st.Trigger, st.Sent)
+		}
+	}
+	for _, st := range stmts[:len(stmts)-k] {
+		if &st.Sent.Frames[0] != &st.Trigger.Frames[0] {
+			t.Errorf("%s: a query's Sent is not its Trigger's slice", st.SQL)
+		}
+	}
+}
+
 func stmtSQLs(stmts []*trace.Stmt) []string {
 	out := make([]string, len(stmts))
 	for i, s := range stmts {

@@ -42,7 +42,8 @@ func (s *Session) Mapping() *Mapping { return s.m }
 func (s *Session) engine() *concolic.Engine { return s.conn.Engine() }
 
 // here captures the code location of the caller's caller — the
-// application code that invoked an ORM operation. An engine that is off
+// application code that invoked an ORM operation — the operation's one
+// stack walk (a query is sent where it is triggered). An engine that is off
 // records nothing, so no stack is walked for it.
 func (s *Session) here() trace.CodeLoc {
 	if s.engine().Mode() == concolic.ModeOff {
@@ -128,7 +129,7 @@ func (s *Session) Find(table string, id concolic.Value) *Entity {
 	t := s.m.scm.Table(table)
 	pk := t.PrimaryIndex().Columns[0]
 	sql := fmt.Sprintf("SELECT * FROM %s t WHERE t.%s = ?", table, pk)
-	rows, err := s.conn.Exec(sql, []concolic.Value{id}, s.here())
+	rows, err := s.conn.Exec(sql, []concolic.Value{id}, s.here(), trace.CodeLoc{})
 	if err != nil {
 		panic(&FlushError{Err: err})
 	}
@@ -158,7 +159,7 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	if _, ok := aliasMap[target]; !ok {
 		panic(fmt.Sprintf("orm: target alias %q not in %q", target, sql))
 	}
-	rows, err := s.conn.Exec(sql, params, trigger)
+	rows, err := s.conn.Exec(sql, params, trigger, trace.CodeLoc{})
 	if err != nil {
 		panic(&FlushError{Err: err})
 	}
@@ -289,7 +290,7 @@ func (s *Session) Merge(en *Entity) *Entity {
 	id := en.Get(pkCol)
 	sql := fmt.Sprintf("SELECT * FROM %s t WHERE t.%s = ?", en.Table, pkCol)
 	loc := s.here()
-	rows, err := s.conn.Exec(sql, []concolic.Value{id}, loc)
+	rows, err := s.conn.Exec(sql, []concolic.Value{id}, loc, trace.CodeLoc{})
 	if err != nil {
 		panic(&FlushError{Err: err})
 	}
@@ -330,24 +331,29 @@ func (e *FlushError) Unwrap() error { return e.Err }
 // Flush drains the write-behind cache: buffered INSERTs first, then
 // UPDATEs in first-modification order, then DELETEs — the reordering
 // relative to program order that hides deadlocks d5/d6 (and that fix f4
-// exploits by flushing early).
+// exploits by flushing early). Every statement it sends carries the flush
+// site from one walk — through here(), or ModeOff load would pay for it.
 func (s *Session) Flush() error {
+	if len(s.pendingNew)+len(s.dirtyOrder)+len(s.pendingDel) == 0 {
+		return nil
+	}
+	sent := s.here()
 	for _, en := range s.pendingNew {
-		if err := s.flushInsert(en); err != nil {
+		if err := s.flushInsert(en, sent); err != nil {
 			return err
 		}
 		en.state = stateManaged
 	}
 	s.pendingNew = nil
 	for _, en := range s.dirtyOrder {
-		if err := s.flushUpdate(en); err != nil {
+		if err := s.flushUpdate(en, sent); err != nil {
 			return err
 		}
 		en.dirty = nil
 	}
 	s.dirtyOrder = nil
 	for _, en := range s.pendingDel {
-		if err := s.flushDelete(en); err != nil {
+		if err := s.flushDelete(en, sent); err != nil {
 			return err
 		}
 	}
@@ -355,7 +361,7 @@ func (s *Session) Flush() error {
 	return nil
 }
 
-func (s *Session) flushInsert(en *Entity) error {
+func (s *Session) flushInsert(en *Entity, sent trace.CodeLoc) error {
 	t := s.m.scm.Table(en.Table)
 	var cols []string
 	var params []concolic.Value
@@ -369,11 +375,11 @@ func (s *Session) flushInsert(en *Entity) error {
 	}
 	marks := strings.TrimSuffix(strings.Repeat("?, ", len(cols)), ", ")
 	sql := fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)", en.Table, strings.Join(cols, ", "), marks)
-	_, err := s.conn.Exec(sql, params, en.persistLoc)
+	_, err := s.conn.Exec(sql, params, en.persistLoc, sent)
 	return err
 }
 
-func (s *Session) flushUpdate(en *Entity) error {
+func (s *Session) flushUpdate(en *Entity, sent trace.CodeLoc) error {
 	t := s.m.scm.Table(en.Table)
 	pkCol := t.PrimaryIndex().Columns[0]
 	var sets []string
@@ -390,20 +396,20 @@ func (s *Session) flushUpdate(en *Entity) error {
 	}
 	params = append(params, en.fields[pkCol])
 	sql := fmt.Sprintf("UPDATE %s SET %s WHERE %s = ?", en.Table, strings.Join(sets, ", "), pkCol)
-	_, err := s.conn.Exec(sql, params, en.modLoc)
+	_, err := s.conn.Exec(sql, params, en.modLoc, sent)
 	return err
 }
 
-func (s *Session) flushDelete(en *Entity) error {
+func (s *Session) flushDelete(en *Entity, sent trace.CodeLoc) error {
 	t := s.m.scm.Table(en.Table)
 	pkCol := t.PrimaryIndex().Columns[0]
 	sql := fmt.Sprintf("DELETE FROM %s WHERE %s = ?", en.Table, pkCol)
-	_, err := s.conn.Exec(sql, []concolic.Value{en.fields[pkCol]}, en.persistLoc)
+	_, err := s.conn.Exec(sql, []concolic.Value{en.fields[pkCol]}, en.persistLoc, sent)
 	return err
 }
 
 // Exec sends an ad-hoc statement through the session's connection —
 // applications use it for hand-written SQL such as fix f2's UPSERT.
 func (s *Session) Exec(sql string, params []concolic.Value) (*concolic.Rows, error) {
-	return s.conn.Exec(sql, params, s.here())
+	return s.conn.Exec(sql, params, s.here(), trace.CodeLoc{})
 }

@@ -279,7 +279,6 @@ type resJSON struct {
 type pcJSON struct {
 	AfterStmt int       `json:"after"`
 	Cond      *exprJSON `json:"cond"`
-	Loc       CodeLoc   `json:"loc"`
 }
 
 // MarshalJSON implements json.Marshaler.
@@ -319,7 +318,7 @@ func (tr *Trace) MarshalJSON() ([]byte, error) {
 		out.Txns = append(out.Txns, tj)
 	}
 	for _, pc := range tr.PathConds {
-		out.PathConds = append(out.PathConds, pcJSON{AfterStmt: pc.AfterStmt, Cond: encodeExpr(pc.Cond), Loc: pc.Loc})
+		out.PathConds = append(out.PathConds, pcJSON{AfterStmt: pc.AfterStmt, Cond: encodeExpr(pc.Cond)})
 	}
 	return json.Marshal(out)
 }
@@ -393,7 +392,7 @@ func (tr *Trace) UnmarshalJSON(data []byte) error {
 		if err != nil {
 			return err
 		}
-		tr.PathConds = append(tr.PathConds, PathCond{AfterStmt: pj.AfterStmt, Cond: cond, Loc: pj.Loc})
+		tr.PathConds = append(tr.PathConds, PathCond{AfterStmt: pj.AfterStmt, Cond: cond})
 	}
 	return nil
 }

@@ -30,8 +30,9 @@ func (f Frame) String() string {
 
 // CodeLoc is a captured stack trace, innermost frame first. Frames is
 // shared and immutable: the collector hands every event captured at one
-// call site the same slice, and Trace.Rename copies a CodeLoc by value,
-// so a holder that wants different frames builds a new slice.
+// call site the same slice — a statement sent where it was triggered has
+// one slice for both — so a holder that wants different frames builds a
+// new slice.
 type CodeLoc struct {
 	Frames []Frame `json:"frames,omitempty"`
 }
@@ -132,7 +133,6 @@ type PathCond struct {
 	// conditions recorded before a cycle's last involved statement.
 	AfterStmt int
 	Cond      smt.Expr
-	Loc       CodeLoc
 }
 
 // Txn is one transaction instance inside a trace.
@@ -206,51 +206,6 @@ func (tr *Trace) PathCondsBefore(seq int) []smt.Expr {
 		if pc.AfterStmt <= seq {
 			out = append(out, pc.Cond)
 		}
-	}
-	return out
-}
-
-// Rename returns a deep copy of the trace with every symbolic variable
-// (and container array) prefixed, so two instances of the same trace have
-// disjoint symbol spaces (e.g. "A1." and "A2." in Fig. 9).
-func (tr *Trace) Rename(prefix string) *Trace {
-	f := func(s string) string { return prefix + s }
-	out := &Trace{API: tr.API, Stats: tr.Stats}
-	for _, in := range tr.Inputs {
-		in.Name = prefix + in.Name
-		out.Inputs = append(out.Inputs, in)
-	}
-	for _, txn := range tr.Txns {
-		nt := &Txn{ID: txn.ID, Committed: txn.Committed}
-		for _, st := range txn.Stmts {
-			ns := &Stmt{
-				Seq: st.Seq, TxnID: st.TxnID, SQL: st.SQL, Parsed: st.Parsed,
-				Plan: st.Plan, Trigger: st.Trigger, Sent: st.Sent,
-			}
-			for _, p := range st.Params {
-				ns.Params = append(ns.Params, Param{Sym: smt.Rename(p.Sym, f), Concrete: p.Concrete})
-			}
-			if st.Res != nil {
-				nr := &Result{Cols: st.Res.Cols, Empty: st.Res.Empty, Concrete: st.Res.Concrete}
-				for _, row := range st.Res.Sym {
-					nrow := make([]smt.Var, len(row))
-					for i, v := range row {
-						nrow[i] = smt.Var{Name: prefix + v.Name, S: v.S}
-					}
-					nr.Sym = append(nr.Sym, nrow)
-				}
-				ns.Res = nr
-			}
-			nt.Stmts = append(nt.Stmts, ns)
-		}
-		out.Txns = append(out.Txns, nt)
-	}
-	for _, pc := range tr.PathConds {
-		out.PathConds = append(out.PathConds, PathCond{
-			AfterStmt: pc.AfterStmt,
-			Cond:      smt.Rename(pc.Cond, f),
-			Loc:       pc.Loc,
-		})
 	}
 	return out
 }

@@ -120,57 +120,27 @@ func TestJSONRejectsGarbageIntegers(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	tr := sampleTrace()
-	r := tr.Rename("A1.")
-	if r.Inputs[0].Name != "A1.order_id" {
-		t.Errorf("input = %v", r.Inputs[0])
-	}
-	if got := r.Txns[0].Stmts[0].Params[0].Sym.String(); got != "A1.order_id" {
-		t.Errorf("param = %s", got)
-	}
-	if got := r.Txns[0].Stmts[0].Res.Sym[0][0].Name; got != "A1.res0.row0.p.ID" {
-		t.Errorf("alias = %s", got)
-	}
-	// Original untouched.
-	if tr.Inputs[0].Name != "order_id" {
-		t.Error("rename mutated the source trace")
-	}
-	// Array ids renamed inside path conditions.
-	if got := r.PathConds[1].Cond.String(); got == tr.PathConds[1].Cond.String() {
-		t.Errorf("array PC unchanged: %s", got)
-	}
-}
-
-func TestCodeLocFramesNotAliasedByRename(t *testing.T) {
+func TestCodeLocFramesNotAliasedByJSON(t *testing.T) {
 	// The collector hands every event at one call site the same Frames
-	// slice. Renaming a trace and sending it through JSON must leave that
-	// slice as it was, and a decoded trace must own its frames.
+	// slice. Sending a trace through JSON must leave that slice as it was,
+	// and a decoded trace must own its frames.
 	shared := []Frame{{Func: "app.Checkout", File: "checkout.go", Line: 42}, {Func: "app.main", File: "main.go", Line: 7}}
 	want := append([]Frame(nil), shared...)
 	tr := sampleTrace()
 	for _, st := range tr.Txns[0].Stmts {
 		st.Trigger, st.Sent = CodeLoc{Frames: shared}, CodeLoc{Frames: shared}
 	}
-	for i := range tr.PathConds {
-		tr.PathConds[i].Loc = CodeLoc{Frames: shared}
-	}
 
-	r := tr.Rename("A1.")
-	for _, in := range []*Trace{tr, r} {
-		data, err := json.Marshal(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Trace
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		locs := []CodeLoc{back.PathConds[0].Loc}
-		for _, st := range back.Txns[0].Stmts {
-			locs = append(locs, st.Trigger, st.Sent)
-		}
-		for _, loc := range locs {
+	data, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Trace
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range back.Txns[0].Stmts {
+		for _, loc := range []CodeLoc{st.Trigger, st.Sent} {
 			if !reflect.DeepEqual(loc.Frames, want) {
 				t.Fatalf("frames lost in the round trip: %v", loc)
 			}
@@ -179,9 +149,6 @@ func TestCodeLocFramesNotAliasedByRename(t *testing.T) {
 			}
 			loc.Frames[0].Line = -1 // a decoded trace's frames are its own
 		}
-	}
-	if got := r.Txns[0].Stmts[0].Trigger.Frames; !reflect.DeepEqual(got, want) {
-		t.Errorf("renamed trace's frames = %v", got)
 	}
 	if !reflect.DeepEqual(shared, want) {
 		t.Errorf("shared frames modified: %v", shared)

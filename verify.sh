@@ -81,6 +81,12 @@ go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./int
 echo "== go test -race -count=10 (memo table)"
 go test -race -count=10 -run 'TestMemoTable' ./internal/core
 
+# The level-two-hit allocation bound used to fail one -race run in four
+# (sync.Pool drops items at random under the detector); it now measures
+# over a Shape the test holds itself, and has to hold twenty times over.
+echo "== go test -race -count=20 (memo level-two hit allocation bound)"
+go test -race -count=20 -run 'TestMemoLevelTwoHitBuildsNoExpr' ./internal/core
+
 # Native fuzzing of the canonicalizer for a few seconds on top of the
 # checked-in seed corpus (which the plain test run above already
 # replays): Canon(f) must agree with the test-side string-based oracle,
@@ -153,6 +159,25 @@ echo "$genout" | grep -Eq '^  f1 +[0-9]+ report' || {
     exit 1
 }
 
+# Trace files: collecting to a file and analysing the file is the same
+# diagnosis as doing both in one process — the report after the collection
+# header, timings aside, is byte-identical.
+echo "== trace-file smoke (weseer collect -o F && weseer analyze -i F == weseer run)"
+tfdir=$(mktemp -d)
+trap 'rm -rf "$obsdir" "$tfdir"' EXIT
+go build -o "$tfdir/weseer" ./cmd/weseer
+report() { awk 'f; /^phases:/ { f = 1; sub(/ in [^ ]+( \(canon [^)]*\))?/, ""); print }'; }
+for app in broadleaf shopizer "gen:7,templates=96"; do
+    "$tfdir/weseer" collect -app "$app" -o "$tfdir/traces.json" >/dev/null
+    "$tfdir/weseer" analyze -v -app "$app" -i "$tfdir/traces.json" | report > "$tfdir/analyze.txt"
+    "$tfdir/weseer" run -v -app "$app" | report > "$tfdir/run.txt"
+    [ -s "$tfdir/run.txt" ] && cmp -s "$tfdir/analyze.txt" "$tfdir/run.txt" || {
+        echo "trace-file smoke: $app: analyze -i differs from run:" >&2
+        diff "$tfdir/analyze.txt" "$tfdir/run.txt" | head >&2
+        exit 1
+    }
+done
+
 # Fix-verification smoke: a tiny pinned-seed generated corpus through
 # the full fixgain loop — diagnose, plan ranked fixes, apply each
 # (individually and cumulatively), re-analyze, and drive the workload
@@ -180,7 +205,7 @@ echo "$fixout" | grep -q 'gates=PASS' || {
 echo "== serve smoke (weseer serve round-trip, idempotent ingest)"
 genspec="gen:7,templates=12,modules=3,tables=4,rows=6"
 servedir=$(mktemp -d)
-trap 'rm -rf "$obsdir" "$servedir"; [ -n "$servepid" ] && kill "$servepid" 2>/dev/null' EXIT
+trap 'rm -rf "$obsdir" "$tfdir" "$servedir"; [ -n "$servepid" ] && kill "$servepid" 2>/dev/null' EXIT
 go build -o "$servedir/weseer" ./cmd/weseer
 "$servedir/weseer" collect -app "$genspec" -o "$servedir/traces.json" >/dev/null
 "$servedir/weseer" serve -store "$servedir/history.wal" -addr 127.0.0.1:0 \
