@@ -2,10 +2,12 @@ package apps
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -297,5 +299,65 @@ func TestParentTraceFileStillAnalyses(t *testing.T) {
 	}
 	if got := res.Render(); got != string(want) {
 		t.Errorf("report of the parent's trace file differs from its golden:\n%s", got)
+	}
+}
+
+// collectChildEnv makes a re-executed test binary print the hash of its
+// own broadleaf collection and exit (TestBroadleafCollectIsReproducible).
+const collectChildEnv = "WESEER_COLLECT_CHILD"
+
+func collectHash(t *testing.T, spec string) string {
+	t.Helper()
+	app, err := Open(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(data))
+}
+
+// TestBroadleafCollectIsReproducible: the encoded trace batch is the same
+// bytes twice in one process and once more in a fresh one. Checkout joins
+// three tables, and hydrating a join's aliases in map order used to
+// number the entity caches — and order the Alg. 1 path conditions —
+// differently from run to run.
+func TestBroadleafCollectIsReproducible(t *testing.T) {
+	child := os.Getenv(collectChildEnv) != ""
+	// Test frames count as application code in trigger locations, so every
+	// collection, the child's included, runs from this one line. Map
+	// iteration order is drawn per range statement: a handful of repeats
+	// is enough to catch a map-order dependence.
+	var hashes []string
+	for i := 0; i < 5 && !(child && i > 0); i++ {
+		hashes = append(hashes, collectHash(t, "broadleaf"))
+	}
+	if child {
+		fmt.Printf("hash=%s\n", hashes[0])
+		return
+	}
+	for i, h := range hashes {
+		if h != hashes[0] {
+			t.Fatalf("collection %d in this process differs: %s vs %s", i+1, h, hashes[0])
+		}
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBroadleafCollectIsReproducible$", "-test.v")
+	cmd.Env = append(os.Environ(), collectChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child process: %v\n%s", err, out)
+	}
+	_, rest, ok := strings.Cut(string(out), "hash=")
+	if !ok {
+		t.Fatalf("child printed no hash:\n%s", out)
+	}
+	if got, _, _ := strings.Cut(rest, "\n"); got != hashes[0] {
+		t.Errorf("child process collected %s, this process %s", got, hashes[0])
 	}
 }

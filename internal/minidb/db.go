@@ -9,6 +9,7 @@ import (
 
 	"weseer/internal/btree"
 	"weseer/internal/schema"
+	"weseer/internal/sqlast"
 )
 
 // Execution errors.
@@ -61,6 +62,11 @@ type DB struct {
 	commits    atomic.Int64
 	aborts     atomic.Int64
 	statements atomic.Int64
+
+	// afterStmt, when set, sees every statement that ran to completion (or
+	// failed without aborting its transaction) while its locks are still
+	// held. Only the package's tests set it, before any transaction runs.
+	afterStmt func(*Txn, sqlast.Stmt)
 }
 
 // rowEntry is one primary-index record. Deleted rows stay in the tree as

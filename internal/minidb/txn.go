@@ -94,10 +94,13 @@ func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
 	}
 	for {
 		rs, blocked, err := t.attempt(st, params)
-		if err != nil {
-			return nil, err
-		}
 		if blocked == nil {
+			if t.db.afterStmt != nil {
+				t.db.afterStmt(t, st)
+			}
+			if err != nil {
+				return nil, err
+			}
 			return rs, nil
 		}
 		// Blocked mid-scan: wait for the contended lock, then restart the

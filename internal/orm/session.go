@@ -152,12 +152,20 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	if err != nil {
 		panic(fmt.Sprintf("orm: %v", err))
 	}
-	if _, ok := prep.Stmt.(*sqlast.Select); !ok {
+	sel, ok := prep.Stmt.(*sqlast.Select)
+	if !ok {
 		panic("orm: Query requires a SELECT")
 	}
-	aliasMap := prep.Aliases
-	if _, ok := aliasMap[target]; !ok {
+	if _, ok := prep.Aliases[target]; !ok {
 		panic(fmt.Sprintf("orm: target alias %q not in %q", target, sql))
+	}
+	// Hydrate in FROM/JOIN order: which entity cache is created first
+	// names the cache.<Table>@N containers and orders the Alg. 1 path
+	// conditions, so ranging over the alias map made traces differ from
+	// run to run.
+	refs := []sqlast.TableRef{sel.From}
+	for _, j := range sel.Joins {
+		refs = append(refs, j.Ref)
 	}
 	rows, err := s.conn.Exec(sql, params, trigger, trace.CodeLoc{})
 	if err != nil {
@@ -166,8 +174,9 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	var out []*Entity
 	seen := map[*Entity]bool{}
 	for ri := 0; ri < rows.Len(); ri++ {
-		for alias, table := range aliasMap {
-			en := s.hydrateAlias(table, alias, rows, ri)
+		for _, ref := range refs {
+			alias := ref.Alias()
+			en := s.hydrateAlias(ref.Table, alias, rows, ri)
 			if alias == target && en != nil && !seen[en] {
 				seen[en] = true
 				out = append(out, en)
