@@ -15,6 +15,7 @@ package appgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -145,6 +146,10 @@ func (a *App) FixedClasses() []string {
 func (a *App) seed() {
 	e := concolic.New(concolic.ModeOff)
 	s := orm.NewSession(a.mapping, concolic.NewConn(e, a.db))
+	tags := make([]concolic.Value, a.cfg.Rows+1) // row i's VARCHAR tag, the same in every table
+	for i := range tags {
+		tags[i] = concolic.Str("r" + strconv.Itoa(i))
+	}
 	err := s.Transactional(func() error {
 		for _, t := range a.scm.Tables() {
 			for i := 1; i <= a.cfg.Rows; i++ {
@@ -152,7 +157,7 @@ func (a *App) seed() {
 				for _, c := range t.Columns {
 					switch c.Type {
 					case schema.Varchar:
-						s.Set(en, c.Name, concolic.Str(fmt.Sprintf("r%d", i)))
+						s.Set(en, c.Name, tags[i])
 					default:
 						s.Set(en, c.Name, concolic.Int(int64(i)))
 					}

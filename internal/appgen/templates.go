@@ -49,11 +49,11 @@ const (
 
 // op is one statement (or guard) of a template body.
 type op struct {
-	Kind  opKind
-	Table string
-	A, B  int   // input indexes
-	Thr   int64 // opGuard threshold
-	Skip  int   // opGuard: ops skipped when the branch fails
+	Kind       opKind
+	Table, SQL string // SQL is the statement's text, formatted once by stmtOp
+	A, B       int    // input indexes
+	Thr        int64  // opGuard threshold
+	Skip       int    // opGuard: ops skipped when the branch fails
 }
 
 // input is one symbolic API input with its concrete unit-test value.
@@ -104,7 +104,7 @@ func buildTemplates(cfg Config, r *rng, mods []module) []template {
 
 		// Warm phase: 0–2 reference reads outside the transaction.
 		for i, n := 0, r.intn(3); i < n && len(mod.Reads) > 0; i++ {
-			t.Warm = append(t.Warm, op{Kind: opPointRead, Table: mod.Reads[r.intn(len(mod.Reads))], A: 2})
+			t.Warm = append(t.Warm, stmtOp(opPointRead, mod.Reads[r.intn(len(mod.Reads))], 2, 0))
 		}
 
 		// Body: reads, then ordered inserts, then (for hot templates)
@@ -115,16 +115,16 @@ func buildTemplates(cfg Config, r *rng, mods []module) []template {
 			if r.pct(50) {
 				kind = opRangeRead
 			}
-			body = append(body, op{Kind: kind, Table: mod.Reads[r.intn(len(mod.Reads))], A: r.intn(3)})
+			body = append(body, stmtOp(kind, mod.Reads[r.intn(len(mod.Reads))], r.intn(3), 0))
 		}
 		for i, tab := range mod.Ins {
 			// Subset of insert satellites, module order preserved.
 			if r.pct(70) {
-				body = append(body, op{Kind: opInsertRow, Table: tab, A: i % 2})
+				body = append(body, stmtOp(opInsertRow, tab, i%2, 0))
 			}
 		}
 		if r.pct(cfg.HotPct) {
-			body = append(body, op{Kind: opOrderedPair, Table: mod.Hub, A: 0, B: 1})
+			body = append(body, stmtOp(opOrderedPair, mod.Hub, 0, 1))
 		}
 		// Nesting: wrap suffixes of the body in input guards, innermost
 		// first, so depth-d templates carry d extra path conditions.
@@ -170,15 +170,15 @@ func (a *App) runOps(e *concolic.Engine, s *orm.Session, ops []op, in []concolic
 				i += o.Skip
 			}
 		case opPointRead:
-			s.Query(fmt.Sprintf(`SELECT * FROM %s t WHERE t.ID = ?`, o.Table),
+			s.Query(o.SQL, // line breaks in runOps stay put: recorded trigger locations name these lines
 				[]concolic.Value{in[o.A]}, "t")
 		case opRangeRead:
-			s.Query(fmt.Sprintf(`SELECT * FROM %s t WHERE t.OWNER_ID = ?`, o.Table),
+			s.Query(o.SQL,
 				[]concolic.Value{in[o.A]}, "t")
 		case opInsertRow:
 			id := a.db.NextID(o.Table)
 			if _, err := s.Exec(
-				fmt.Sprintf(`INSERT INTO %s (ID, HUB_ID, SEQ, NOTE) VALUES (?, ?, ?, ?)`, o.Table),
+				o.SQL,
 				[]concolic.Value{concolic.Int(id), in[o.A], concolic.Int(id), concolic.Str("gen")}); err != nil {
 				return err
 			}
@@ -193,7 +193,7 @@ func (a *App) runOps(e *concolic.Engine, s *orm.Session, ops []op, in []concolic
 				bump := e.Add(lo, concolic.Int(1))
 				for _, id := range []concolic.Value{lo, hi} {
 					if _, err := s.Exec(
-						fmt.Sprintf(`UPDATE %s SET BALANCE = ? WHERE ID = ?`, o.Table),
+						o.SQL,
 						[]concolic.Value{bump, id}); err != nil {
 						return err
 					}
@@ -202,6 +202,19 @@ func (a *App) runOps(e *concolic.Engine, s *orm.Session, ops []op, in []concolic
 		}
 	}
 	return nil
+}
+
+var opSQL = [...]string{
+	opPointRead:   `SELECT * FROM %s t WHERE t.ID = ?`,
+	opRangeRead:   `SELECT * FROM %s t WHERE t.OWNER_ID = ?`,
+	opInsertRow:   `INSERT INTO %s (ID, HUB_ID, SEQ, NOTE) VALUES (?, ?, ?, ?)`,
+	opOrderedPair: `UPDATE %s SET BALANCE = ? WHERE ID = ?`,
+}
+
+// stmtOp builds a statement op on a table over inputs a and b, formatting
+// its SQL here, once, and not on every execution.
+func stmtOp(kind opKind, table string, a, b int) op {
+	return op{Kind: kind, Table: table, SQL: fmt.Sprintf(opSQL[kind], table), A: a, B: b}
 }
 
 // render writes the template's deterministic manifest form.

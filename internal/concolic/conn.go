@@ -2,6 +2,7 @@ package concolic
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"weseer/internal/minidb"
@@ -181,7 +182,7 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 				if c.e.concolic() && !d.Null {
 					// Symbolic alias for fetched database state, e.g.
 					// "res4.row0.p.ID" (Fig. 3).
-					v.S = smt.NewVar(fmt.Sprintf("res%d.row%d.%s", seq, ri, rs.Cols[ci]), v.C.S)
+					v.S = smt.NewVar("res"+strconv.Itoa(seq)+".row"+strconv.Itoa(ri)+"."+rs.Cols[ci], v.C.S)
 				}
 				cells[ci] = v
 			}
@@ -196,19 +197,18 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 		if len(sent.Frames) == 0 {
 			sent = trigger
 		}
+		// Plan records the engine's concrete execution plan (Sec. V-D future
+		// work): the analyzer can then model locks on exactly the indexes
+		// execution traverses. It is the database's slice for the template,
+		// shared by every statement recorded from it.
 		rec := &trace.Stmt{
 			Seq:     seq,
 			TxnID:   c.cur.ID,
 			SQL:     sql,
 			Parsed:  st,
+			Plan:    c.db.Explain(st),
 			Trigger: trigger,
 			Sent:    sent,
-		}
-		// Record the engine's concrete execution plan (Sec. V-D future
-		// work): the analyzer can then model locks on exactly the indexes
-		// execution traverses.
-		for _, p := range c.db.Explain(st) {
-			rec.Plan = append(rec.Plan, trace.PlanStep{Alias: p.Alias, Table: p.Table, Index: p.Index})
 		}
 		for i, p := range params {
 			var sym smt.Expr

@@ -1,7 +1,7 @@
 package concolic
 
 import (
-	"fmt"
+	"strconv"
 
 	"weseer/internal/smt"
 )
@@ -35,7 +35,7 @@ type mapEntry struct {
 // NewSymMap returns an empty symbolic map with the given key sort.
 func (e *Engine) NewSymMap(hint string, keySort smt.Sort) *SymMap {
 	e.symSeq++
-	id := fmt.Sprintf("%s@%d", hint, e.symSeq)
+	id := hint + "@" + strconv.Itoa(e.symSeq)
 	return &SymMap{
 		e:     e,
 		id:    id,

@@ -8,6 +8,7 @@
 package minidb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"strings"
@@ -132,12 +133,37 @@ func (k Key) Cmp(o Key) int {
 	return 0
 }
 
+// String renders the key for messages. It is not a name: ("a','b", "c")
+// and ("a", "b','c") print alike. The lock table uses appendKey.
 func (k Key) String() string {
 	parts := make([]string, len(k))
 	for i, d := range k {
 		parts[i] = d.String()
 	}
 	return "(" + strings.Join(parts, ",") + ")"
+}
+
+// appendKey appends the key's lock-table name: one tagged, self-delimiting
+// field per datum, so distinct index entries never share a name. Numerics
+// that compare equal are one entry in the tree and encode alike; NULLs of
+// every kind are one value. No real key encodes to the empty string.
+func appendKey(b []byte, k Key) []byte {
+	for _, d := range k {
+		switch {
+		case d.Null:
+			b = append(b, 'N')
+		case d.Kind == KStr:
+			b = append(binary.AppendUvarint(append(b, 'S'), uint64(len(d.S))), d.S...)
+		case d.Kind == KInt:
+			b = binary.BigEndian.AppendUint64(append(b, 'I'), uint64(d.I))
+		case d.R.IsInt() && d.R.Num().IsInt64():
+			b = binary.BigEndian.AppendUint64(append(b, 'I'), uint64(d.R.Num().Int64()))
+		default:
+			s := d.R.RatString()
+			b = append(binary.AppendUvarint(append(b, 'R'), uint64(len(s))), s...)
+		}
+	}
+	return b
 }
 
 // KindOf maps a schema column type to the datum kind.

@@ -56,6 +56,13 @@ type DB struct {
 	latch  sync.Mutex
 	tables map[string]*tableStore
 
+	// One prepared form per statement template, found by the parse's
+	// pointer or else by its text; the latest parse of a text owns the
+	// form's one pointer entry, so the templates executed bound both maps.
+	prepMu     sync.Mutex
+	prepared   map[sqlast.Stmt]*prepared
+	preparedBy map[string]*prepared
+
 	txnSeq  atomic.Int64
 	autoinc map[string]*atomic.Int64
 
@@ -84,14 +91,46 @@ type secEntry struct {
 	deleted bool
 }
 
-// tableStore is one table's storage: a primary B-tree holding rows and
-// one B-tree per secondary index mapping entry keys to primary keys.
+// index is one index of a table, laid out once at Open.
+type index struct {
+	*schema.Index
+	// id numbers the (table, index) pair in the lock table.
+	id uint32
+	// cols are the row positions an entry key is read from: the indexed
+	// columns, followed for a secondary by the primary key, so non-unique
+	// entries stay distinct.
+	cols []int
+	// entries is a secondary's tree; the primary's is tableStore.primary.
+	entries *btree.Map[Key, *secEntry]
+}
+
+// keyOf extracts the index's entry key from a row.
+func (ix *index) keyOf(row Row) Key {
+	k := make(Key, len(ix.cols))
+	for i, p := range ix.cols {
+		k[i] = row[p]
+	}
+	return k
+}
+
+// tableStore is one table's storage and layout: a primary B-tree holding
+// rows and one B-tree per secondary index.
 type tableStore struct {
 	meta    *schema.Table
+	colPos  map[string]int
 	primary *btree.Map[Key, *rowEntry]
-	// secondary entry keys are the indexed columns followed by the full
-	// primary key, so non-unique entries stay distinct.
-	secondaries map[string]*btree.Map[Key, *secEntry]
+	// indexes[0] is the primary; the secondaries follow in declaration
+	// order, which is the planner's order of preference.
+	indexes []*index
+}
+
+// col returns the position of a column in the table's rows.
+func (ts *tableStore) col(name string) int {
+	i, ok := ts.colPos[name]
+	if !ok {
+		panic(fmt.Sprintf("minidb: unknown column %s.%s", ts.meta.Name, name))
+	}
+	return i
 }
 
 // Open creates a database for the schema. Every table must have a
@@ -101,23 +140,34 @@ func Open(scm *schema.Schema, cfg Config) *DB {
 		cfg.LockWaitTimeout = 5 * time.Second
 	}
 	db := &DB{
-		scm:     scm,
-		cfg:     cfg,
-		lm:      newLockManager(),
-		tables:  map[string]*tableStore{},
-		autoinc: map[string]*atomic.Int64{},
+		scm:        scm,
+		cfg:        cfg,
+		lm:         newLockManager(),
+		tables:     map[string]*tableStore{},
+		prepared:   map[sqlast.Stmt]*prepared{},
+		preparedBy: map[string]*prepared{},
+		autoinc:    map[string]*atomic.Int64{},
 	}
 	for _, t := range scm.Tables() {
-		if t.PrimaryIndex() == nil {
+		pi := t.PrimaryIndex()
+		if pi == nil {
 			panic(fmt.Sprintf("minidb: table %s has no primary key", t.Name))
 		}
-		ts := &tableStore{
-			meta:        t,
-			primary:     btree.New[Key, *rowEntry](func(a, b Key) int { return a.Cmp(b) }),
-			secondaries: map[string]*btree.Map[Key, *secEntry]{},
+		ts := &tableStore{meta: t, colPos: map[string]int{}, primary: btree.New[Key, *rowEntry](Key.Cmp)}
+		for i, c := range t.Columns {
+			ts.colPos[c.Name] = i
 		}
-		for _, ix := range t.SecondaryIndexes() {
-			ts.secondaries[ix.Name] = btree.New[Key, *secEntry](func(a, b Key) int { return a.Cmp(b) })
+		for _, ix := range append([]*schema.Index{pi}, t.SecondaryIndexes()...) {
+			in := &index{Index: ix, id: uint32(len(db.lm.tables))}
+			db.lm.tables = append(db.lm.tables, t.Name)
+			for _, c := range ix.Columns {
+				in.cols = append(in.cols, ts.colPos[c])
+			}
+			if ix.Type == schema.Secondary {
+				in.cols = append(in.cols, ts.indexes[0].cols...)
+				in.entries = btree.New[Key, *secEntry](Key.Cmp)
+			}
+			ts.indexes = append(ts.indexes, in)
 		}
 		db.tables[t.Name] = ts
 		db.autoinc[t.Name] = &atomic.Int64{}
@@ -198,38 +248,4 @@ func (db *DB) TableRows(name string) []Row {
 		return true
 	})
 	return out
-}
-
-// colIdx returns the position of col in the table's column order.
-func colIdx(t *schema.Table, col string) int {
-	for i := range t.Columns {
-		if t.Columns[i].Name == col {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("minidb: unknown column %s.%s", t.Name, col))
-}
-
-// keyOf extracts the index key of a row (for secondaries, indexed columns
-// plus the primary key suffix).
-func (ts *tableStore) keyOf(ix *schema.Index, row Row) Key {
-	var k Key
-	for _, c := range ix.Columns {
-		k = append(k, row[colIdx(ts.meta, c)])
-	}
-	if ix.Type == schema.Secondary {
-		for _, c := range ts.meta.PrimaryIndex().Columns {
-			k = append(k, row[colIdx(ts.meta, c)])
-		}
-	}
-	return k
-}
-
-// primaryKeyOf extracts the primary key of a row.
-func (ts *tableStore) primaryKeyOf(row Row) Key {
-	var k Key
-	for _, c := range ts.meta.PrimaryIndex().Columns {
-		k = append(k, row[colIdx(ts.meta, c)])
-	}
-	return k
 }

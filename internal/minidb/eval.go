@@ -12,8 +12,8 @@ import (
 // satisfied, and IS NULL tests nullness directly.
 
 // resolve produces the concrete value of an operand. Column references
-// need their alias bound in bindings; ok is false otherwise.
-func (ex *executor) resolve(op sqlast.Operand, bindings map[string]Row, tables map[string]*tableStore) (Datum, bool) {
+// need their plan step's row bound; ok is false otherwise.
+func (ex *executor) resolve(op *operand) (Datum, bool) {
 	switch op.Kind {
 	case sqlast.Param:
 		if op.Ord >= len(ex.params) {
@@ -29,29 +29,24 @@ func (ex *executor) resolve(op sqlast.Operand, bindings map[string]Row, tables m
 	case sqlast.Null:
 		return NullDatum(KInt), true
 	case sqlast.Col:
-		row, ok := bindings[op.Table]
-		if !ok {
+		if op.slot < 0 || ex.rows[op.slot] == nil {
 			return Datum{}, false
 		}
-		ts, ok := tables[op.Table]
-		if !ok {
-			return Datum{}, false
-		}
-		return row[colIdx(ts.meta, op.Column)], true
+		return ex.rows[op.slot][op.pos], true
 	}
 	panic("minidb: bad operand kind")
 }
 
 // evalPred evaluates one predicate; unresolvable operands make it false.
-func (ex *executor) evalPred(p sqlast.Pred, bindings map[string]Row, tables map[string]*tableStore) bool {
-	l, ok := ex.resolve(p.L, bindings, tables)
+func (ex *executor) evalPred(p *pred) bool {
+	l, ok := ex.resolve(&p.l)
 	if !ok {
 		return false
 	}
-	if p.IsNull {
+	if p.isNull {
 		return l.Null
 	}
-	r, ok := ex.resolve(p.R, bindings, tables)
+	r, ok := ex.resolve(&p.r)
 	if !ok {
 		return false
 	}
@@ -59,7 +54,7 @@ func (ex *executor) evalPred(p sqlast.Pred, bindings map[string]Row, tables map[
 		return false // SQL UNKNOWN collapses to not-satisfied
 	}
 	c := l.Cmp(r)
-	switch p.Op {
+	switch p.op {
 	case smt.EQ:
 		return c == 0
 	case smt.NE:
@@ -76,26 +71,25 @@ func (ex *executor) evalPred(p sqlast.Pred, bindings map[string]Row, tables map[
 	panic("minidb: bad predicate op")
 }
 
-// evalCond evaluates the conjunction of simple predicates and disjunctive
-// groups.
-func (ex *executor) evalCond(c sqlast.Cond, bindings map[string]Row, tables map[string]*tableStore) bool {
-	for _, p := range c.Preds {
-		if !ex.evalPred(p, bindings, tables) {
+func (ex *executor) evalAll(preds []pred) bool {
+	for i := range preds {
+		if !ex.evalPred(&preds[i]) {
 			return false
 		}
 	}
-	for _, g := range c.Ors {
+	return true
+}
+
+// evalCond evaluates the conjunction of simple predicates and disjunctive
+// groups.
+func (ex *executor) evalCond(c *cond) bool {
+	if !ex.evalAll(c.preds) {
+		return false
+	}
+	for _, g := range c.ors {
 		sat := false
-		for _, dj := range g.Disjuncts {
-			all := true
-			for _, p := range dj {
-				if !ex.evalPred(p, bindings, tables) {
-					all = false
-					break
-				}
-			}
-			if all {
-				sat = true
+		for _, dj := range g {
+			if sat = ex.evalAll(dj); sat {
 				break
 			}
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"weseer/internal/schema"
-	"weseer/internal/smt"
-	"weseer/internal/sqlast"
 )
 
 // The executor runs one statement pass under the storage latch. Locks are
@@ -20,136 +18,56 @@ type blockedOn struct {
 	mode LockMode
 }
 
+// executor is a transaction's statement-pass state, reused pass to pass.
 type executor struct {
-	txn     *Txn
-	params  []Datum
+	txn    *Txn
+	params []Datum
+	// rows holds the row bound at each plan step, nil while unbound.
+	rows []Row
+	// pfx is the running scan's equality prefix, buf the encoded key of
+	// the lock being requested.
+	pfx     Key
+	buf     []byte
 	blocked *blockedOn
+
+	// Where Begin starts the scratch slices: ordinary statements grow none.
+	rowArr [4]Row
+	pfxArr [4]Datum
+	bufArr [64]byte
 }
 
-// lock try-acquires and records the first blockage.
-func (ex *executor) lock(res resource, mode LockMode) bool {
+// lock try-acquires a record lock on an index entry or the gap below it
+// (a nil key: below the supremum) and records the first blockage.
+func (ex *executor) lock(ix *index, kind resKind, key Key, mode LockMode) bool {
 	if ex.blocked != nil {
 		return false
 	}
-	if ex.txn.db.lm.TryAcquire(ex.txn, res, mode) {
+	ex.buf = appendKey(ex.buf[:0], key)
+	if ex.txn.db.lm.TryAcquire(ex.txn, ix.id, kind, ex.buf, mode) {
 		return true
 	}
-	ex.blocked = &blockedOn{res: res, mode: mode}
+	ex.blocked = &blockedOn{res: resource{ix.id, kind, string(ex.buf)}, mode: mode}
 	return false
 }
 
-func recordRes(table, index string, key Key) resource {
-	return resource{table: table, index: index, key: key.String(), kind: resRecord}
-}
-
-func gapRes(table, index string, key Key) resource {
-	return resource{table: table, index: index, key: key.String(), kind: resGap}
-}
-
-func supremumRes(table, index string) resource {
-	return resource{table: table, index: index, key: supremumKey, kind: resGap}
-}
-
-// ---------------------------------------------------------------------------
-// Planning
-
-// eqBind is an equality binding of an index column to a resolvable value.
-type eqBind struct {
-	col string
-	val sqlast.Operand
-}
-
-// access is one step of a nested-loop plan: how to fetch rows of alias.
-type access struct {
-	alias string
-	ts    *tableStore
-	ix    *schema.Index // index used; nil means full scan of the primary
-	eq    []eqBind      // equality prefix over ix.Columns
-}
-
-// planScan chooses join order and per-alias access paths. It prefers the
-// alias/index pair with the longest bound equality prefix — the greedy
-// equivalent of the paper's index-usage-graph topological sort, where an
-// index is usable once its input data (parameters or earlier tables'
-// columns) is available.
-func (ex *executor) planScan(aliases []string, tables map[string]*tableStore, preds []sqlast.Pred) []access {
-	bound := map[string]bool{}
-	var plan []access
-	remaining := append([]string(nil), aliases...)
-	for len(remaining) > 0 {
-		bestI, bestScore := -1, -1
-		var bestAcc access
-		for i, a := range remaining {
-			ts := tables[a]
-			indexes := append([]*schema.Index{ts.meta.PrimaryIndex()}, ts.meta.SecondaryIndexes()...)
-			for _, ix := range indexes {
-				eq := eqPrefix(a, ix, preds, bound)
-				if len(eq) == 0 {
-					continue
-				}
-				score := len(eq) * 2
-				if ix.Unique && len(eq) == len(ix.Columns) {
-					score++ // a unique point access wins ties
-				}
-				if score > bestScore {
-					bestI, bestScore = i, score
-					bestAcc = access{alias: a, ts: ts, ix: ix, eq: eq}
-				}
-			}
+// lockGapAbove locks the gap that k's successor in the index bounds (the
+// supremum's when k has none): the gap a new entry k lands in, and the gap
+// that inherits a purged entry's protection.
+func (ex *executor) lockGapAbove(ts *tableStore, ix *index, k Key, mode LockMode) bool {
+	var succ Key
+	next := func(key Key) bool {
+		if key.Cmp(k) == 0 {
+			return true // skip the key itself (its tombstone, or the row being deleted)
 		}
-		if bestI == -1 {
-			// No index applies: full-scan the first remaining alias.
-			a := remaining[0]
-			plan = append(plan, access{alias: a, ts: tables[a]})
-			bound[a] = true
-			remaining = remaining[1:]
-			continue
-		}
-		plan = append(plan, bestAcc)
-		bound[bestAcc.alias] = true
-		remaining = append(remaining[:bestI], remaining[bestI+1:]...)
+		succ = key
+		return false
 	}
-	return plan
-}
-
-// eqPrefix finds equality bindings for the longest prefix of ix.Columns
-// from preds whose other side is a parameter, constant, or a column of an
-// already-bound alias.
-func eqPrefix(alias string, ix *schema.Index, preds []sqlast.Pred, bound map[string]bool) []eqBind {
-	var out []eqBind
-	for _, col := range ix.Columns {
-		found := false
-		for _, p := range preds {
-			if p.IsNull || p.Op != smt.EQ {
-				continue
-			}
-			if isAliasCol(p.L, alias, col) && operandAvailable(p.R, bound) {
-				out = append(out, eqBind{col: col, val: p.R})
-				found = true
-				break
-			}
-			if isAliasCol(p.R, alias, col) && operandAvailable(p.L, bound) {
-				out = append(out, eqBind{col: col, val: p.L})
-				found = true
-				break
-			}
-		}
-		if !found {
-			break
-		}
+	if ix.entries == nil {
+		ts.primary.Ascend(k, func(key Key, _ *rowEntry) bool { return next(key) })
+	} else {
+		ix.entries.Ascend(k, func(key Key, _ *secEntry) bool { return next(key) })
 	}
-	return out
-}
-
-func isAliasCol(o sqlast.Operand, alias, col string) bool {
-	return o.Kind == sqlast.Col && o.Table == alias && o.Column == col
-}
-
-func operandAvailable(o sqlast.Operand, bound map[string]bool) bool {
-	if o.Kind == sqlast.Col {
-		return bound[o.Table]
-	}
-	return true
+	return ex.lock(ix, resGap, succ, mode)
 }
 
 // ---------------------------------------------------------------------------
@@ -167,15 +85,11 @@ type scanHit struct {
 // gap before the first entry beyond the range; empty results lock that
 // gap alone. Secondary-index hits additionally lock the primary record
 // (Alg. 2 of the paper models exactly this procedure).
-func (ex *executor) scanIndex(ts *tableStore, ac access, pfx Key, mode LockMode) []scanHit {
-	table := ts.meta.Name
-	ixName := "PRIMARY"
-	var ix *schema.Index
-	if ac.ix != nil {
-		ix = ac.ix
-		ixName = ix.Name
-	} else {
-		ix = ts.meta.PrimaryIndex()
+func (ex *executor) scanIndex(ac *access, pfx Key, mode LockMode) []scanHit {
+	ts, primary := ac.ts, ac.ts.indexes[0]
+	ix := ac.ix
+	if ix == nil {
+		ix = primary
 	}
 	uniquePoint := ix.Unique && len(pfx) == len(ix.Columns)
 
@@ -185,12 +99,12 @@ func (ex *executor) scanIndex(ts *tableStore, ac access, pfx Key, mode LockMode)
 		if !keyHasPrefix(entry, pfx) {
 			// First entry beyond the range bounds the scanned gap.
 			if !uniquePoint || len(hits) == 0 {
-				ex.lock(gapRes(table, ixName, entry), mode)
+				ex.lock(ix, resGap, entry, mode)
 			}
 			done = true
 			return false
 		}
-		if !ex.lock(recordRes(table, ixName, entry), mode) {
+		if !ex.lock(ix, resRecord, entry, mode) {
 			return false
 		}
 		if deleted {
@@ -201,13 +115,13 @@ func (ex *executor) scanIndex(ts *tableStore, ac access, pfx Key, mode LockMode)
 			return true
 		}
 		if !uniquePoint {
-			if !ex.lock(gapRes(table, ixName, entry), mode) {
+			if !ex.lock(ix, resGap, entry, mode) {
 				return false
 			}
 		}
 		if ix.Type == schema.Secondary {
 			// Lock the primary record backing the entry.
-			if !ex.lock(recordRes(table, "PRIMARY", pk), mode) {
+			if !ex.lock(primary, resRecord, pk, mode) {
 				return false
 			}
 		}
@@ -220,7 +134,7 @@ func (ex *executor) scanIndex(ts *tableStore, ac access, pfx Key, mode LockMode)
 			return visit(k, k, e.row, e.deleted)
 		})
 	} else {
-		ts.secondaries[ix.Name].Ascend(pfx, func(k Key, e *secEntry) bool {
+		ix.entries.Ascend(pfx, func(k Key, e *secEntry) bool {
 			if e.deleted {
 				return visit(k, e.pk, nil, true)
 			}
@@ -236,7 +150,7 @@ func (ex *executor) scanIndex(ts *tableStore, ac access, pfx Key, mode LockMode)
 	}
 	if !done && !(uniquePoint && len(hits) > 0) {
 		// Ran off the end of the index: the supremum gap bounds the scan.
-		ex.lock(supremumRes(table, ixName), mode)
+		ex.lock(ix, resGap, nil, mode)
 	}
 	return hits
 }
@@ -253,185 +167,151 @@ func keyHasPrefix(k, pfx Key) bool {
 	return true
 }
 
-// prefixKey resolves the access's equality bindings to datums.
-func (ex *executor) prefixKey(ac access, bindings map[string]Row, tables map[string]*tableStore) (Key, bool) {
-	var pfx Key
-	for _, b := range ac.eq {
-		d, ok := ex.resolve(b.val, bindings, tables)
+// prefixKey resolves the access's equality bindings to datums, in the
+// executor's scratch key: it is good until the next scan starts.
+func (ex *executor) prefixKey(ac *access) (Key, bool) {
+	ex.pfx = ex.pfx[:0]
+	for i := range ac.eq {
+		d, ok := ex.resolve(&ac.eq[i])
 		if !ok || d.Null {
 			return nil, false
 		}
-		pfx = append(pfx, d)
+		ex.pfx = append(ex.pfx, d)
 	}
-	return pfx, true
+	return ex.pfx, true
 }
 
 // ---------------------------------------------------------------------------
 // SELECT
 
-func (ex *executor) execSelect(sel *sqlast.Select) (*ResultSet, error) {
-	aliases := []string{sel.From.Alias()}
-	tables := map[string]*tableStore{sel.From.Alias(): ex.txn.db.table(sel.From.Table)}
-	for _, j := range sel.Joins {
-		aliases = append(aliases, j.Ref.Alias())
-		tables[j.Ref.Alias()] = ex.txn.db.table(j.Ref.Table)
+// join runs a SELECT from plan step i on: it binds the step to each of its
+// matching rows in turn and, past the last step, emits the bound rows if
+// they satisfy the query condition.
+func (ex *executor) join(p *prepared, i int, rs *ResultSet) {
+	if ex.blocked != nil {
+		return
 	}
-	cond := sel.QueryCond()
-	plan := ex.planScan(aliases, tables, cond.Preds)
-
-	rs := &ResultSet{}
-	cols := sel.Cols
-	if len(cols) == 0 {
-		for _, a := range aliases {
-			for _, c := range tables[a].meta.Columns {
-				cols = append(cols, sqlast.ColRef{Table: a, Column: c.Name})
-			}
+	if i == len(p.plan) {
+		if !ex.evalCond(&p.cond) {
+			return
+		}
+		out := make([]Datum, len(p.out))
+		for ci := range p.out {
+			out[ci], _ = ex.resolve(&p.out[ci])
+		}
+		rs.Rows = append(rs.Rows, out)
+		return
+	}
+	ac := &p.plan[i]
+	pfx, ok := ex.prefixKey(ac)
+	if !ok {
+		return // a NULL join key matches nothing
+	}
+	for _, h := range ex.scanIndex(ac, pfx, LockS) {
+		ex.rows[i] = h.row
+		if ex.join(p, i+1, rs); ex.blocked != nil {
+			return
 		}
 	}
-	for _, c := range cols {
-		rs.Cols = append(rs.Cols, c.Table+"."+c.Column)
-	}
-
-	bindings := map[string]Row{}
-	var loop func(i int) error
-	loop = func(i int) error {
-		if ex.blocked != nil {
-			return nil
-		}
-		if i == len(plan) {
-			if !ex.evalCond(cond, bindings, tables) {
-				return nil
-			}
-			out := make([]Datum, len(cols))
-			for ci, c := range cols {
-				row := bindings[c.Table]
-				out[ci] = row[colIdx(tables[c.Table].meta, c.Column)]
-			}
-			rs.Rows = append(rs.Rows, out)
-			return nil
-		}
-		ac := plan[i]
-		pfx, ok := ex.prefixKey(ac, bindings, tables)
-		if !ok {
-			return nil // a NULL join key matches nothing
-		}
-		hits := ex.scanIndex(ac.ts, ac, pfx, LockS)
-		for _, h := range hits {
-			bindings[ac.alias] = h.row
-			if err := loop(i + 1); err != nil {
-				return err
-			}
-			if ex.blocked != nil {
-				return nil
-			}
-		}
-		delete(bindings, ac.alias)
-		return nil
-	}
-	if err := loop(0); err != nil {
-		return nil, err
-	}
-	return rs, nil
+	ex.rows[i] = nil
 }
 
 // ---------------------------------------------------------------------------
 // UPDATE
 
-func (ex *executor) execUpdate(u *sqlast.Update) (*ResultSet, error) {
-	ts := ex.txn.db.table(u.Table)
-	hits, err := ex.writeScan(ts, u.Table, u.Where)
-	if err != nil || ex.blocked != nil {
-		return nil, err
+func (ex *executor) execUpdate(p *prepared) (*ResultSet, error) {
+	hits := ex.writeScan(p)
+	if ex.blocked != nil {
+		return nil, nil
 	}
-	// Reject primary-key updates: outside the supported subset.
-	pi := ts.meta.PrimaryIndex()
-	for _, a := range u.Set {
-		if pi.Covers(a.Column) {
-			return nil, fmt.Errorf("minidb: updating primary key column %s.%s is unsupported", u.Table, a.Column)
-		}
+	if p.setErr != nil {
+		return nil, p.setErr
 	}
 	rs := &ResultSet{}
 	for _, h := range hits {
-		newRow := h.row.clone()
-		for _, a := range u.Set {
-			d, ok := ex.resolve(a.Value, map[string]Row{u.Table: h.row}, map[string]*tableStore{u.Table: ts})
-			if !ok {
-				return nil, fmt.Errorf("minidb: unresolvable SET value %s", a.Value)
-			}
-			newRow[colIdx(ts.meta, a.Column)] = d
+		if ok, err := ex.rewrite(p.plan[0].ts, h.pk, h.row, p.set, "SET"); !ok {
+			return nil, err
 		}
-		// Lock and maintain secondary entries whose keys change.
-		for _, ix := range ts.meta.SecondaryIndexes() {
-			oldK, newK := ts.keyOf(ix, h.row), ts.keyOf(ix, newRow)
-			if oldK.Cmp(newK) == 0 {
-				continue
-			}
-			if !ex.lock(recordRes(u.Table, ix.Name, oldK), LockX) {
-				return nil, nil
-			}
-			if !ex.lock(recordRes(u.Table, ix.Name, newK), LockX) {
-				return nil, nil
-			}
-		}
-		for _, ix := range ts.meta.SecondaryIndexes() {
-			oldK, newK := ts.keyOf(ix, h.row), ts.keyOf(ix, newRow)
-			if oldK.Cmp(newK) != 0 {
-				// The old entry becomes a tombstone purged at commit;
-				// the new entry goes live.
-				ex.txn.putSecondary(ts, ix.Name, oldK, &secEntry{pk: h.pk, deleted: true})
-				ex.txn.purge = append(ex.txn.purge, purgeRec{table: u.Table, index: ix.Name, key: oldK})
-				ex.txn.putSecondary(ts, ix.Name, newK, &secEntry{pk: h.pk})
-			}
-		}
-		ex.txn.putPrimary(ts, h.pk, &rowEntry{row: newRow})
 		rs.Affected++
 	}
 	return rs, nil
 }
 
+// rewrite applies assignments to one stored row. It X-locks the secondary
+// entries whose keys change before it writes anything; false with a nil
+// error means one of those locks blocked.
+func (ex *executor) rewrite(ts *tableStore, pk Key, row Row, set []assign, clause string) (bool, error) {
+	ex.rows[0] = row
+	newRow := row.clone()
+	for i := range set {
+		d, ok := ex.resolve(&set[i].val)
+		if !ok {
+			return false, fmt.Errorf("minidb: unresolvable %s value %s", clause, set[i].val.Operand)
+		}
+		newRow[set[i].pos] = d
+	}
+	changed := func(ix *index) bool {
+		for _, c := range ix.cols {
+			if row[c].Cmp(newRow[c]) != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for _, ix := range ts.indexes[1:] {
+		if changed(ix) && !(ex.lock(ix, resRecord, ix.keyOf(row), LockX) && ex.lock(ix, resRecord, ix.keyOf(newRow), LockX)) {
+			return false, nil
+		}
+	}
+	for _, ix := range ts.indexes[1:] {
+		if changed(ix) {
+			// The old entry becomes a tombstone purged at commit; the new
+			// entry goes live.
+			oldK := ix.keyOf(row)
+			ex.txn.putSecondary(ix, oldK, &secEntry{pk: pk, deleted: true})
+			ex.txn.purge = append(ex.txn.purge, purgeRec{ix: ix, key: oldK})
+			ex.txn.putSecondary(ix, ix.keyOf(newRow), &secEntry{pk: pk})
+		}
+	}
+	ex.txn.putPrimary(ts, pk, &rowEntry{row: newRow})
+	return true, nil
+}
+
 // writeScan locates rows matching a single-table WHERE with X locks.
-func (ex *executor) writeScan(ts *tableStore, alias string, where sqlast.Cond) ([]scanHit, error) {
-	tables := map[string]*tableStore{alias: ts}
-	plan := ex.planScan([]string{alias}, tables, where.Preds)
-	ac := plan[0]
-	pfx, ok := ex.prefixKey(ac, nil, tables)
+func (ex *executor) writeScan(p *prepared) []scanHit {
+	pfx, ok := ex.prefixKey(&p.plan[0])
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	hits := ex.scanIndex(ts, ac, pfx, LockX)
-	if ex.blocked != nil {
-		return nil, nil
-	}
+	hits := ex.scanIndex(&p.plan[0], pfx, LockX)
 	matched := hits[:0]
 	for _, h := range hits {
-		if ex.evalCond(where, map[string]Row{alias: h.row}, tables) {
+		if ex.rows[0] = h.row; ex.evalCond(&p.cond) {
 			matched = append(matched, h)
 		}
 	}
-	return matched, nil
+	ex.rows[0] = nil
+	return matched
 }
 
 // ---------------------------------------------------------------------------
 // INSERT / UPSERT
 
-func (ex *executor) execInsert(ins *sqlast.Insert, onDup []sqlast.Assign) (*ResultSet, error) {
-	ts := ex.txn.db.table(ins.Table)
-	row := make(Row, len(ts.meta.Columns))
-	for i, c := range ts.meta.Columns {
-		if op, ok := ins.ValueOf(c.Name); ok {
-			d, okr := ex.resolve(op, nil, nil)
-			if !okr {
-				return nil, fmt.Errorf("minidb: unresolvable INSERT value %s", op)
-			}
-			row[i] = d
-		} else {
-			row[i] = NullDatum(KindOf(c.Type))
+func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
+	ts := p.plan[0].ts
+	table, primary, secondaries := ts.meta.Name, ts.indexes[0], ts.indexes[1:]
+	row := p.blank.clone()
+	for i := range p.set {
+		d, ok := ex.resolve(&p.set[i].val)
+		if !ok {
+			return nil, fmt.Errorf("minidb: unresolvable INSERT value %s", p.set[i].val.Operand)
 		}
+		row[p.set[i].pos] = d
 	}
-	pk := ts.primaryKeyOf(row)
+	pk := primary.keyOf(row)
 	for _, d := range pk {
 		if d.Null {
-			return nil, fmt.Errorf("minidb: NULL primary key in INSERT INTO %s", ins.Table)
+			return nil, fmt.Errorf("minidb: NULL primary key in INSERT INTO %s", table)
 		}
 	}
 
@@ -440,23 +320,22 @@ func (ex *executor) execInsert(ins *sqlast.Insert, onDup []sqlast.Assign) (*Resu
 	// deleter via its record lock.
 	if e, exists := ts.primary.Get(pk); exists {
 		if !e.deleted {
-			return ex.insertDuplicate(ts, ins, onDup, pk)
+			return ex.insertDuplicate(p, pk)
 		}
-		if !ex.lock(recordRes(ins.Table, "PRIMARY", pk), LockX) {
+		if !ex.lock(primary, resRecord, pk, LockX) {
 			return nil, nil
 		}
 	}
 	// Duplicate on a unique secondary?
-	for _, ix := range ts.meta.SecondaryIndexes() {
+	keys := make([]Key, len(secondaries))
+	for i, ix := range secondaries {
+		keys[i] = ix.keyOf(row)
 		if !ix.Unique {
 			continue
 		}
-		var pfx Key
-		for _, c := range ix.Columns {
-			pfx = append(pfx, row[colIdx(ts.meta, c)])
-		}
+		pfx := keys[i][:len(ix.Columns)]
 		var dupPK, tombK Key
-		ts.secondaries[ix.Name].Ascend(pfx, func(k Key, e *secEntry) bool {
+		ix.entries.Ascend(pfx, func(k Key, e *secEntry) bool {
 			if !keyHasPrefix(k, pfx) {
 				return false
 			}
@@ -468,11 +347,11 @@ func (ex *executor) execInsert(ins *sqlast.Insert, onDup []sqlast.Assign) (*Resu
 			return false
 		})
 		if dupPK != nil {
-			return ex.insertDuplicate(ts, ins, onDup, dupPK)
+			return ex.insertDuplicate(p, dupPK)
 		}
 		if tombK != nil {
 			// Serialize the uniqueness check against the in-flight deleter.
-			if !ex.lock(recordRes(ins.Table, ix.Name, tombK), LockS) {
+			if !ex.lock(ix, resRecord, tombK, LockS) {
 				return nil, nil
 			}
 		}
@@ -482,26 +361,26 @@ func (ex *executor) execInsert(ins *sqlast.Insert, onDup []sqlast.Assign) (*Resu
 	// any gap lock another transaction holds over that gap. This is the
 	// collision underlying the paper's d1 (merge) and d2 (check-then-
 	// insert) deadlocks.
-	if !ex.insertIntentionPrimary(ts, pk) {
+	if !ex.lockGapAbove(ts, primary, pk, LockII) {
 		return nil, nil
 	}
-	for _, ix := range ts.meta.SecondaryIndexes() {
-		if !ex.insertIntentionSec(ts, ix, ts.keyOf(ix, row)) {
+	for i, ix := range secondaries {
+		if !ex.lockGapAbove(ts, ix, keys[i], LockII) {
 			return nil, nil
 		}
 	}
-	if !ex.lock(recordRes(ins.Table, "PRIMARY", pk), LockX) {
+	if !ex.lock(primary, resRecord, pk, LockX) {
 		return nil, nil
 	}
-	for _, ix := range ts.meta.SecondaryIndexes() {
-		if !ex.lock(recordRes(ins.Table, ix.Name, ts.keyOf(ix, row)), LockX) {
+	for i, ix := range secondaries {
+		if !ex.lock(ix, resRecord, keys[i], LockX) {
 			return nil, nil
 		}
 	}
 
 	ex.txn.putPrimary(ts, pk, &rowEntry{row: row})
-	for _, ix := range ts.meta.SecondaryIndexes() {
-		ex.txn.putSecondary(ts, ix.Name, ts.keyOf(ix, row), &secEntry{pk: pk})
+	for i, ix := range secondaries {
+		ex.txn.putSecondary(ix, keys[i], &secEntry{pk: pk})
 	}
 	return &ResultSet{Affected: 1}, nil
 }
@@ -509,151 +388,59 @@ func (ex *executor) execInsert(ins *sqlast.Insert, onDup []sqlast.Assign) (*Resu
 // insertDuplicate handles a uniqueness collision: plain INSERT locks the
 // existing record shared (as InnoDB does) and fails; UPSERT locks it
 // exclusive and applies the ON DUPLICATE KEY UPDATE assignments.
-func (ex *executor) insertDuplicate(ts *tableStore, ins *sqlast.Insert, onDup []sqlast.Assign, pk Key) (*ResultSet, error) {
-	if onDup == nil {
-		if !ex.lock(recordRes(ins.Table, "PRIMARY", pk), LockS) {
+func (ex *executor) insertDuplicate(p *prepared, pk Key) (*ResultSet, error) {
+	ts := p.plan[0].ts
+	if p.onDup == nil {
+		if !ex.lock(ts.indexes[0], resRecord, pk, LockS) {
 			return nil, nil
 		}
-		return nil, fmt.Errorf("%w: %s%s", ErrDuplicateKey, ins.Table, pk)
+		return nil, fmt.Errorf("%w: %s%s", ErrDuplicateKey, ts.meta.Name, pk)
 	}
-	if !ex.lock(recordRes(ins.Table, "PRIMARY", pk), LockX) {
+	if !ex.lock(ts.indexes[0], resRecord, pk, LockX) {
 		return nil, nil
 	}
 	entry, ok := ts.primary.Get(pk)
 	if !ok || entry.deleted {
 		return nil, fmt.Errorf("minidb: upsert target vanished")
 	}
-	row := entry.row
-	newRow := row.clone()
-	for _, a := range onDup {
-		d, okr := ex.resolve(a.Value, map[string]Row{ins.Table: row}, map[string]*tableStore{ins.Table: ts})
-		if !okr {
-			return nil, fmt.Errorf("minidb: unresolvable UPSERT value %s", a.Value)
-		}
-		newRow[colIdx(ts.meta, a.Column)] = d
+	if ok, err := ex.rewrite(ts, pk, entry.row, p.onDup, "UPSERT"); !ok {
+		return nil, err
 	}
-	for _, ix := range ts.meta.SecondaryIndexes() {
-		oldK, newK := ts.keyOf(ix, row), ts.keyOf(ix, newRow)
-		if oldK.Cmp(newK) == 0 {
-			continue
-		}
-		if !ex.lock(recordRes(ins.Table, ix.Name, oldK), LockX) {
-			return nil, nil
-		}
-		if !ex.lock(recordRes(ins.Table, ix.Name, newK), LockX) {
-			return nil, nil
-		}
-	}
-	for _, ix := range ts.meta.SecondaryIndexes() {
-		oldK, newK := ts.keyOf(ix, row), ts.keyOf(ix, newRow)
-		if oldK.Cmp(newK) != 0 {
-			ex.txn.putSecondary(ts, ix.Name, oldK, &secEntry{pk: pk, deleted: true})
-			ex.txn.purge = append(ex.txn.purge, purgeRec{table: ins.Table, index: ix.Name, key: oldK})
-			ex.txn.putSecondary(ts, ix.Name, newK, &secEntry{pk: pk})
-		}
-	}
-	ex.txn.putPrimary(ts, pk, &rowEntry{row: newRow})
 	return &ResultSet{Affected: 2}, nil
-}
-
-// insertIntentionPrimary acquires the insert-intention lock on the gap
-// the new primary key falls into (bounded by its successor entry or the
-// supremum). The key's own tombstone, if any, is skipped.
-func (ex *executor) insertIntentionPrimary(ts *tableStore, newKey Key) bool {
-	succ := Key(nil)
-	ts.primary.Ascend(newKey, func(k Key, _ *rowEntry) bool {
-		if k.Cmp(newKey) == 0 {
-			return true
-		}
-		succ = k
-		return false
-	})
-	if succ == nil {
-		return ex.lock(supremumRes(ts.meta.Name, "PRIMARY"), LockII)
-	}
-	return ex.lock(gapRes(ts.meta.Name, "PRIMARY", succ), LockII)
-}
-
-// inheritGap X-locks the gap bounded by the first key strictly above k in
-// the primary index (or the supremum), modeling InnoDB's lock inheritance
-// when a record is purged.
-func (ex *executor) inheritGap(ts *tableStore, ixName string, k Key) bool {
-	var succ Key
-	ts.primary.Ascend(k, func(key Key, _ *rowEntry) bool {
-		if key.Cmp(k) == 0 {
-			return true // skip the key being deleted
-		}
-		succ = key
-		return false
-	})
-	if succ == nil {
-		return ex.lock(supremumRes(ts.meta.Name, ixName), LockX)
-	}
-	return ex.lock(gapRes(ts.meta.Name, ixName, succ), LockX)
-}
-
-func (ex *executor) inheritGapSec(ts *tableStore, ix *schema.Index, k Key) bool {
-	var succ Key
-	ts.secondaries[ix.Name].Ascend(k, func(key Key, _ *secEntry) bool {
-		if key.Cmp(k) == 0 {
-			return true
-		}
-		succ = key
-		return false
-	})
-	if succ == nil {
-		return ex.lock(supremumRes(ts.meta.Name, ix.Name), LockX)
-	}
-	return ex.lock(gapRes(ts.meta.Name, ix.Name, succ), LockX)
-}
-
-func (ex *executor) insertIntentionSec(ts *tableStore, ix *schema.Index, newKey Key) bool {
-	succ := Key(nil)
-	ts.secondaries[ix.Name].Ascend(newKey, func(k Key, _ *secEntry) bool {
-		if k.Cmp(newKey) == 0 {
-			return true
-		}
-		succ = k
-		return false
-	})
-	if succ == nil {
-		return ex.lock(supremumRes(ts.meta.Name, ix.Name), LockII)
-	}
-	return ex.lock(gapRes(ts.meta.Name, ix.Name, succ), LockII)
 }
 
 // ---------------------------------------------------------------------------
 // DELETE
 
-func (ex *executor) execDelete(d *sqlast.Delete) (*ResultSet, error) {
-	ts := ex.txn.db.table(d.Table)
-	hits, err := ex.writeScan(ts, d.Table, d.Where)
-	if err != nil || ex.blocked != nil {
-		return nil, err
-	}
-	rs := &ResultSet{}
+func (ex *executor) execDelete(p *prepared) *ResultSet {
+	ts := p.plan[0].ts
+	hits := ex.writeScan(p)
 	for _, h := range hits {
-		for _, ix := range ts.meta.SecondaryIndexes() {
-			if !ex.lock(recordRes(d.Table, ix.Name, ts.keyOf(ix, h.row)), LockX) {
-				return nil, nil
+		for _, ix := range ts.indexes[1:] {
+			if !ex.lock(ix, resRecord, ix.keyOf(h.row), LockX) {
+				return nil
 			}
 		}
 		// Gap inheritance: when a delete-marked record is purged, the
 		// locks protecting it transfer to the surrounding gap, so readers
 		// probing the vanished key still block on the deleter. Model it
 		// by locking the successor's gap on every touched index.
-		if !ex.inheritGap(ts, "PRIMARY", h.pk) {
-			return nil, nil
+		if !ex.lockGapAbove(ts, ts.indexes[0], h.pk, LockX) {
+			return nil
 		}
-		for _, ix := range ts.meta.SecondaryIndexes() {
-			if !ex.inheritGapSec(ts, ix, ts.keyOf(ix, h.row)) {
-				return nil, nil
+		for _, ix := range ts.indexes[1:] {
+			if !ex.lockGapAbove(ts, ix, ix.keyOf(h.row), LockX) {
+				return nil
 			}
 		}
 	}
+	if ex.blocked != nil {
+		return nil
+	}
+	rs := &ResultSet{}
 	for _, h := range hits {
 		ex.txn.markDeleted(ts, h.pk, h.row)
 		rs.Affected++
 	}
-	return rs, nil
+	return rs
 }

@@ -1,6 +1,12 @@
 package minidb
 
-import "weseer/internal/sqlast"
+import (
+	"encoding/binary"
+	"fmt"
+	"strings"
+
+	"weseer/internal/sqlast"
+)
 
 // Grant is one granted lock, named for the footprint oracle
 // (footprint_test.go): key is the index entry's display form, "+inf" for
@@ -15,27 +21,78 @@ type Grant struct {
 // database runs its first transaction.
 func (db *DB) SetAfterStmt(fn func(*Txn, sqlast.Stmt)) { db.afterStmt = fn }
 
+// PreparedForms returns how many prepared forms the database holds, by
+// statement pointer and by text.
+func (db *DB) PreparedForms() (byStmt, byText int) {
+	db.prepMu.Lock()
+	defer db.prepMu.Unlock()
+	return len(db.prepared), len(db.preparedBy)
+}
+
 // GrantsOf reads the transaction's grants out of the lock table, in the
 // order they were granted.
 func GrantsOf(t *Txn) []Grant {
 	lm := t.db.lm
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
+	names := map[uint32]string{}
+	for _, ts := range t.db.tables {
+		for _, ix := range ts.indexes {
+			names[ix.id] = ix.Name
+		}
+	}
 	var out []Grant
-	nth := map[resource]int{} // grants of t on the resource already listed
-	for _, res := range t.held {
-		n := nth[res]
-		nth[res]++
-		for _, g := range lm.queues[res].grants {
+	nth := map[*lockQueue]int{} // grants of t in the queue already listed
+	for _, q := range t.held {
+		n := nth[q]
+		nth[q]++
+		for _, g := range q.grants {
 			if g.txn != t {
 				continue
 			}
 			if n == 0 {
-				out = append(out, Grant{Table: res.table, Index: res.index, Key: res.key, Gap: res.kind == resGap, Mode: g.mode})
+				out = append(out, Grant{
+					Table: lm.tables[q.res.index], Index: names[q.res.index],
+					Key: displayKey(q.res.key), Gap: q.res.kind == resGap, Mode: g.mode,
+				})
 				break
 			}
 			n--
 		}
 	}
 	return out
+}
+
+// displayKey decodes a lock-table key name and renders it the way
+// lock_footprint.golden was first recorded (Key.String at the time). It
+// is the test's own reader of the encoding: a name that does not parse
+// back to a key fails loudly.
+func displayKey(name string) string {
+	if name == "" {
+		return "+inf"
+	}
+	var parts []string
+	b := []byte(name)
+	for len(b) > 0 {
+		tag := b[0]
+		b = b[1:]
+		switch tag {
+		case 'N':
+			parts = append(parts, "NULL")
+		case 'I':
+			parts = append(parts, fmt.Sprint(int64(binary.BigEndian.Uint64(b))))
+			b = b[8:]
+		case 'S', 'R':
+			n, w := binary.Uvarint(b)
+			s := string(b[w : w+int(n)])
+			b = b[w+int(n):]
+			if tag == 'S' {
+				s = "'" + s + "'"
+			}
+			parts = append(parts, s)
+		default:
+			panic(fmt.Sprintf("minidb: bad key name %q", name))
+		}
+	}
+	return "(" + strings.Join(parts, ",") + ")"
 }

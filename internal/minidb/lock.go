@@ -55,14 +55,12 @@ const (
 
 // resource names one lockable unit: an index entry or the gap below it.
 type resource struct {
-	table string
-	index string
-	key   string // encoded entry key; supremumKey bounds the last gap
+	index uint32 // index.id
 	kind  resKind
+	// key is appendKey's encoding of the entry key; the empty key is the
+	// supremum pseudo-record that bounds the last gap of an index.
+	key string
 }
-
-// supremumKey is the pseudo-record above every real key in an index.
-const supremumKey = "+inf"
 
 // conflicts reports whether a granted lock blocks a request on the same
 // resource. The matrix mirrors InnoDB: record S/X conflict as usual; gap
@@ -88,24 +86,40 @@ func covers(a, b LockMode) bool {
 	return a == LockX && b == LockS
 }
 
+// grant is one granted lock, held by value in its queue.
+type grant struct {
+	txn  *Txn
+	mode LockMode
+}
+
+// lockReq is a blocked request, allocated only to wait.
 type lockReq struct {
 	txn  *Txn
 	mode LockMode
-	res  resource
+	q    *lockQueue
 	// wake receives nil when the lock is granted. Buffered so a releaser
 	// never blocks handing the lock over.
 	wake chan struct{}
 }
 
 type lockQueue struct {
-	grants  []*lockReq
+	res     resource
+	grants  []grant
 	waiters []*lockReq
 }
+
+// maxFreeQueues caps the emptied queues kept for reuse: the locks of a few
+// dozen in-flight transactions, and a bound on what a burst leaves behind.
+const maxFreeQueues = 1024
 
 // lockManager is the global lock table.
 type lockManager struct {
 	mu     sync.Mutex
 	queues map[resource]*lockQueue
+	// free holds emptied queues, slices kept, for the next new resource.
+	free []*lockQueue
+	// tables names the table of each index id, for deadlocksBy.
+	tables []string
 
 	deadlocks atomic.Int64
 	waits     atomic.Int64
@@ -121,10 +135,17 @@ func newLockManager() *lockManager {
 	return &lockManager{queues: map[resource]*lockQueue{}, deadlocksBy: map[string]int64{}}
 }
 
+// queue returns the resource's queue, entering a recycled or new one for
+// a resource nobody holds or waits for. Caller holds lm.mu.
 func (lm *lockManager) queue(res resource) *lockQueue {
 	q := lm.queues[res]
 	if q == nil {
-		q = &lockQueue{}
+		if n := len(lm.free); n > 0 {
+			q, lm.free = lm.free[n-1], lm.free[:n-1]
+		} else {
+			q = &lockQueue{}
+		}
+		q.res = res
 		lm.queues[res] = q
 	}
 	return q
@@ -156,25 +177,29 @@ func (lm *lockManager) grantable(q *lockQueue, txn *Txn, mode LockMode, kind res
 }
 
 // TryAcquire grants the lock iff it is immediately available. It never
-// waits and never detects deadlocks.
-func (lm *lockManager) TryAcquire(txn *Txn, res resource, mode LockMode) bool {
+// waits and never detects deadlocks. key is the encoded entry key; it is
+// copied only when the resource gets a queue of its own.
+func (lm *lockManager) TryAcquire(txn *Txn, index uint32, kind resKind, key []byte, mode LockMode) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	q := lm.queue(res)
+	q := lm.queues[resource{index, kind, string(key)}] // no copy: a lookup-only conversion
+	if q == nil {
+		q = lm.queue(resource{index, kind, string(key)})
+	}
 	if lm.holdsAtLeast(q, txn, mode) {
 		return true
 	}
-	if !lm.grantable(q, txn, mode, res.kind) {
+	if !lm.grantable(q, txn, mode, kind) {
 		return false
 	}
-	lm.grant(q, &lockReq{txn: txn, mode: mode, res: res})
+	lm.grant(q, txn, mode)
 	return true
 }
 
 // grant records a granted request. Caller holds lm.mu.
-func (lm *lockManager) grant(q *lockQueue, r *lockReq) {
-	q.grants = append(q.grants, r)
-	r.txn.held = append(r.txn.held, r.res)
+func (lm *lockManager) grant(q *lockQueue, txn *Txn, mode LockMode) {
+	q.grants = append(q.grants, grant{txn, mode})
+	txn.held = append(txn.held, q)
 }
 
 // Acquire blocks until the lock is granted, the wait times out, or a
@@ -187,11 +212,11 @@ func (lm *lockManager) Acquire(txn *Txn, res resource, mode LockMode, timeout ti
 		return nil
 	}
 	if lm.grantable(q, txn, mode, res.kind) {
-		lm.grant(q, &lockReq{txn: txn, mode: mode, res: res})
+		lm.grant(q, txn, mode)
 		lm.mu.Unlock()
 		return nil
 	}
-	req := &lockReq{txn: txn, mode: mode, res: res, wake: make(chan struct{}, 1)}
+	req := &lockReq{txn: txn, mode: mode, q: q, wake: make(chan struct{}, 1)}
 	q.waiters = append(q.waiters, req)
 	txn.waitingFor = req
 	if lm.cycleThrough(txn) {
@@ -199,7 +224,7 @@ func (lm *lockManager) Acquire(txn *Txn, res resource, mode LockMode, timeout ti
 		lm.removeWaiter(q, req)
 		txn.waitingFor = nil
 		lm.deadlocks.Add(1)
-		lm.deadlocksBy[res.table]++
+		lm.deadlocksBy[lm.tables[res.index]]++
 		lm.mu.Unlock()
 		return ErrDeadlock
 	}
@@ -252,12 +277,8 @@ func (lm *lockManager) cycleThrough(start *Txn) bool {
 		if req == nil {
 			return false
 		}
-		q := lm.queues[req.res]
-		if q == nil {
-			return false
-		}
-		for _, g := range q.grants {
-			if g.txn == t || !conflicts(g.mode, req.mode, req.res.kind) {
+		for _, g := range req.q.grants {
+			if g.txn == t || !conflicts(g.mode, req.mode, req.q.res.kind) {
 				continue
 			}
 			if g.txn == start {
@@ -277,14 +298,11 @@ func (lm *lockManager) cycleThrough(start *Txn) bool {
 func (lm *lockManager) ReleaseAll(txn *Txn) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	seen := map[resource]bool{}
-	for _, res := range txn.held {
-		if seen[res] {
-			continue
-		}
-		seen[res] = true
-		q := lm.queues[res]
-		if q == nil {
+	for _, q := range txn.held {
+		// held lists a queue once per grant. A repeat visit finds no grant
+		// of txn left and is harmless, unless the first emptied the queue
+		// (of waiters too: promote grants the first) and recycled it.
+		if len(q.grants) == 0 {
 			continue
 		}
 		kept := q.grants[:0]
@@ -293,10 +311,15 @@ func (lm *lockManager) ReleaseAll(txn *Txn) {
 				kept = append(kept, g)
 			}
 		}
+		clear(q.grants[len(kept):]) // drop the released grants' *Txn
 		q.grants = kept
-		lm.promote(res, q)
+		lm.promote(q)
 		if len(q.grants) == 0 && len(q.waiters) == 0 {
-			delete(lm.queues, res)
+			delete(lm.queues, q.res)
+			q.res = resource{}
+			if len(lm.free) < maxFreeQueues {
+				lm.free = append(lm.free, q)
+			}
 		}
 	}
 	txn.held = nil
@@ -304,16 +327,17 @@ func (lm *lockManager) ReleaseAll(txn *Txn) {
 
 // promote grants queued waiters that are now compatible, in FIFO order.
 // Caller holds lm.mu.
-func (lm *lockManager) promote(res resource, q *lockQueue) {
+func (lm *lockManager) promote(q *lockQueue) {
 	kept := q.waiters[:0]
 	for _, w := range q.waiters {
-		if lm.grantable(q, w.txn, w.mode, res.kind) {
-			lm.grant(q, w)
+		if lm.grantable(q, w.txn, w.mode, q.res.kind) {
+			lm.grant(q, w.txn, w.mode)
 			w.txn.waitingFor = nil
 			w.wake <- struct{}{}
 			continue
 		}
 		kept = append(kept, w)
 	}
+	clear(q.waiters[len(kept):])
 	q.waiters = kept
 }

@@ -25,9 +25,13 @@ type Txn struct {
 	id    int64
 	state TxnState
 
-	// held and waitingFor are guarded by the lock manager's mutex.
-	held       []resource
+	// held lists the queue of every grant, in grant order; it and
+	// waitingFor are guarded by the lock manager's mutex.
+	held       []*lockQueue
+	heldArr    [16]*lockQueue // held's first backing array
 	waitingFor *lockReq
+
+	ex executor
 
 	undo []undoRec
 	// purge lists the delete-marked entries this transaction owns; they
@@ -40,9 +44,9 @@ type Txn struct {
 // entry to its pre-mutation state. Entry-level undo composes cleanly
 // across insert/update/delete/reinsert sequences within a transaction.
 type undoRec struct {
-	table string
-	index string // "" for the primary index
-	key   Key
+	ts  *tableStore // primary entries
+	ix  *index      // secondary entries; nil for the primary index
+	key Key
 	// existed reports whether the entry was present before the mutation;
 	// when it was, the old* fields restore it.
 	existed    bool
@@ -52,14 +56,18 @@ type undoRec struct {
 }
 
 type purgeRec struct {
-	table string
-	index string // "" for the primary index
-	key   Key
+	ts  *tableStore
+	ix  *index // nil for the primary index
+	key Key
 }
 
 // Begin starts a transaction.
 func (db *DB) Begin() *Txn {
-	return &Txn{db: db, id: db.txnSeq.Add(1)}
+	t := &Txn{db: db, id: db.txnSeq.Add(1)}
+	ex := &t.ex
+	t.held = t.heldArr[:0]
+	ex.txn, ex.rows, ex.pfx, ex.buf = t, ex.rowArr[:0], ex.pfxArr[:0], ex.bufArr[:0]
+	return t
 }
 
 // ID returns the transaction's sequence number.
@@ -85,7 +93,11 @@ func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
 	if t.state != TxnActive {
 		return nil, ErrTxnDone
 	}
-	if got, want := len(params), st.NumParams(); got != want {
+	p, err := t.db.prepare(st)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := len(params), p.nparams; got != want {
 		return nil, fmt.Errorf("minidb: statement %q wants %d params, got %d", st, want, got)
 	}
 	t.db.statements.Add(1)
@@ -93,7 +105,7 @@ func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
 		time.Sleep(d) // simulated client/server round trip
 	}
 	for {
-		rs, blocked, err := t.attempt(st, params)
+		rs, blocked, err := t.attempt(p, params)
 		if blocked == nil {
 			if t.db.afterStmt != nil {
 				t.db.afterStmt(t, st)
@@ -115,25 +127,22 @@ func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
 // attempt runs one statement pass under the storage latch. It returns a
 // non-nil blocked descriptor when a needed lock is unavailable; the
 // caller waits and retries.
-func (t *Txn) attempt(st sqlast.Stmt, params []Datum) (*ResultSet, *blockedOn, error) {
+func (t *Txn) attempt(p *prepared, params []Datum) (rs *ResultSet, blocked *blockedOn, err error) {
 	t.db.latch.Lock()
 	defer t.db.latch.Unlock()
-	ex := &executor{txn: t, params: params}
-	var rs *ResultSet
-	var err error
-	switch s := st.(type) {
-	case *sqlast.Select:
-		rs, err = ex.execSelect(s)
-	case *sqlast.Update:
-		rs, err = ex.execUpdate(s)
-	case *sqlast.Insert:
-		rs, err = ex.execInsert(s, nil)
-	case *sqlast.Upsert:
-		rs, err = ex.execInsert(&s.Insert, s.OnDup)
-	case *sqlast.Delete:
-		rs, err = ex.execDelete(s)
-	default:
-		return nil, nil, fmt.Errorf("minidb: unsupported statement %T", st)
+	ex := &t.ex
+	ex.params, ex.blocked = params, nil
+	ex.rows = append(ex.rows[:0], make([]Row, len(p.plan))...) // all unbound; extends in place
+	switch p.kind {
+	case sqlast.KindSelect:
+		rs = &ResultSet{Cols: p.cols}
+		ex.join(p, 0, rs)
+	case sqlast.KindUpdate:
+		rs, err = ex.execUpdate(p)
+	case sqlast.KindDelete:
+		rs = ex.execDelete(p)
+	case sqlast.KindInsert, sqlast.KindUpsert:
+		rs, err = ex.execInsert(p)
 	}
 	if ex.blocked != nil {
 		return nil, ex.blocked, nil
@@ -150,13 +159,12 @@ func (t *Txn) Commit() error {
 	if len(t.purge) > 0 {
 		t.db.latch.Lock()
 		for _, p := range t.purge {
-			ts := t.db.table(p.table)
-			if p.index == "" {
-				if e, ok := ts.primary.Get(p.key); ok && e.deleted {
-					ts.primary.Delete(p.key)
+			if p.ix == nil {
+				if e, ok := p.ts.primary.Get(p.key); ok && e.deleted {
+					p.ts.primary.Delete(p.key)
 				}
-			} else if e, ok := ts.secondaries[p.index].Get(p.key); ok && e.deleted {
-				ts.secondaries[p.index].Delete(p.key)
+			} else if e, ok := p.ix.entries.Get(p.key); ok && e.deleted {
+				p.ix.entries.Delete(p.key)
 			}
 		}
 		t.db.latch.Unlock()
@@ -189,16 +197,15 @@ func (t *Txn) rollbackInternal() {
 	t.db.latch.Lock()
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		u := t.undo[i]
-		ts := t.db.table(u.table)
-		if u.index == "" {
+		if u.ix == nil {
 			if !u.existed {
-				ts.primary.Delete(u.key)
+				u.ts.primary.Delete(u.key)
 				continue
 			}
-			ts.primary.Set(u.key, &rowEntry{row: u.oldRow, deleted: u.oldDeleted})
+			u.ts.primary.Set(u.key, &rowEntry{row: u.oldRow, deleted: u.oldDeleted})
 			continue
 		}
-		tree := ts.secondaries[u.index]
+		tree := u.ix.entries
 		if !u.existed {
 			tree.Delete(u.key)
 			continue
@@ -220,37 +227,36 @@ func (t *Txn) rollbackInternal() {
 func (t *Txn) putPrimary(ts *tableStore, key Key, e *rowEntry) {
 	if old, ok := ts.primary.Get(key); ok {
 		t.undo = append(t.undo, undoRec{
-			table: ts.meta.Name, key: key, existed: true,
+			ts: ts, key: key, existed: true,
 			oldRow: old.row.clone(), oldDeleted: old.deleted,
 		})
 	} else {
-		t.undo = append(t.undo, undoRec{table: ts.meta.Name, key: key})
+		t.undo = append(t.undo, undoRec{ts: ts, key: key})
 	}
 	ts.primary.Set(key, e)
 }
 
 // putSecondary writes a secondary entry, recording undo.
-func (t *Txn) putSecondary(ts *tableStore, index string, key Key, e *secEntry) {
-	tree := ts.secondaries[index]
-	if old, ok := tree.Get(key); ok {
+func (t *Txn) putSecondary(ix *index, key Key, e *secEntry) {
+	if old, ok := ix.entries.Get(key); ok {
 		t.undo = append(t.undo, undoRec{
-			table: ts.meta.Name, index: index, key: key, existed: true,
+			ix: ix, key: key, existed: true,
 			oldPK: old.pk, oldDeleted: old.deleted,
 		})
 	} else {
-		t.undo = append(t.undo, undoRec{table: ts.meta.Name, index: index, key: key})
+		t.undo = append(t.undo, undoRec{ix: ix, key: key})
 	}
-	tree.Set(key, e)
+	ix.entries.Set(key, e)
 }
 
 // markDeleted tombstones a primary entry and its secondary entries,
 // scheduling the physical purge for commit.
 func (t *Txn) markDeleted(ts *tableStore, pk Key, row Row) {
 	t.putPrimary(ts, pk, &rowEntry{row: row, deleted: true})
-	t.purge = append(t.purge, purgeRec{table: ts.meta.Name, key: pk})
-	for _, ix := range ts.meta.SecondaryIndexes() {
-		sk := ts.keyOf(ix, row)
-		t.putSecondary(ts, ix.Name, sk, &secEntry{pk: pk, deleted: true})
-		t.purge = append(t.purge, purgeRec{table: ts.meta.Name, index: ix.Name, key: sk})
+	t.purge = append(t.purge, purgeRec{ts: ts, key: pk})
+	for _, ix := range ts.indexes[1:] {
+		sk := ix.keyOf(row)
+		t.putSecondary(ix, sk, &secEntry{pk: pk, deleted: true})
+		t.purge = append(t.purge, purgeRec{ix: ix, key: sk})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"weseer/internal/concolic"
 	"weseer/internal/schema"
@@ -42,11 +43,41 @@ type Collection struct {
 type Mapping struct {
 	scm         *schema.Schema
 	collections map[string]map[string]*Collection
+
+	// texts caches the statement text sessions generate, which depends on
+	// the table and the columns taking part, not on the row.
+	textMu sync.Mutex
+	texts  map[textKey]string
+}
+
+// textKey names one generated statement: its kind ('S' point SELECT, 'I'
+// INSERT, 'U' UPDATE, 'D' DELETE), table, and the participating columns
+// as a bit set over the table's column order.
+type textKey struct {
+	kind  byte
+	table string
+	cols  uint64
 }
 
 // NewMapping creates a mapping over a schema.
 func NewMapping(scm *schema.Schema) *Mapping {
-	return &Mapping{scm: scm, collections: map[string]map[string]*Collection{}}
+	return &Mapping{scm: scm, collections: map[string]map[string]*Collection{}, texts: map[textKey]string{}}
+}
+
+// text returns the cached statement text for the key, building it on
+// first use. Tables wider than the bit set are not cached.
+func (m *Mapping) text(key textKey, t *schema.Table, build func() string) string {
+	if len(t.Columns) > 64 {
+		return build()
+	}
+	m.textMu.Lock()
+	defer m.textMu.Unlock()
+	sql, ok := m.texts[key]
+	if !ok {
+		sql = build()
+		m.texts[key] = sql
+	}
+	return sql
 }
 
 // Schema returns the mapped schema.

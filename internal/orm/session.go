@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"weseer/internal/concolic"
+	"weseer/internal/schema"
 	"weseer/internal/sqlast"
 	"weseer/internal/trace"
 )
@@ -126,18 +127,23 @@ func (s *Session) Find(table string, id concolic.Value) *Entity {
 	if v, ok := cache.Get(id); ok {
 		return v.(*Entity)
 	}
-	t := s.m.scm.Table(table)
-	pk := t.PrimaryIndex().Columns[0]
-	sql := fmt.Sprintf("SELECT * FROM %s t WHERE t.%s = ?", table, pk)
-	rows, err := s.conn.Exec(sql, []concolic.Value{id}, s.here(), trace.CodeLoc{})
+	rows, err := s.conn.Exec(s.pointSelect(table), []concolic.Value{id}, s.here(), trace.CodeLoc{})
 	if err != nil {
 		panic(&FlushError{Err: err})
 	}
 	if rows.Empty() {
 		return nil
 	}
-	en := s.hydrateAlias(table, "t", rows, 0)
-	return en
+	return s.hydrateAlias(table, s.aliasColumns(table, "t", rows), rows, 0)
+}
+
+// pointSelect is the eager SELECT of Find and Merge: one row by primary
+// key under alias t.
+func (s *Session) pointSelect(table string) string {
+	t := s.m.scm.Table(table)
+	return s.m.text(textKey{kind: 'S', table: table}, t, func() string {
+		return fmt.Sprintf("SELECT * FROM %s t WHERE t.%s = ?", table, t.PrimaryIndex().Columns[0])
+	})
 }
 
 // Query runs an eager SELECT and hydrates every referenced alias's rows
@@ -159,10 +165,9 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	if _, ok := prep.Aliases[target]; !ok {
 		panic(fmt.Sprintf("orm: target alias %q not in %q", target, sql))
 	}
-	// Hydrate in FROM/JOIN order: which entity cache is created first
-	// names the cache.<Table>@N containers and orders the Alg. 1 path
-	// conditions, so ranging over the alias map made traces differ from
-	// run to run.
+	// Hydrate in FROM/JOIN order, never map order: which entity cache is
+	// created first names the cache.<Table>@N containers and orders the
+	// Alg. 1 path conditions.
 	refs := []sqlast.TableRef{sel.From}
 	for _, j := range sel.Joins {
 		refs = append(refs, j.Ref)
@@ -171,13 +176,19 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	if err != nil {
 		panic(&FlushError{Err: err})
 	}
+	if rows.Empty() {
+		return nil
+	}
+	cols := make([][]int, len(refs))
+	for i, ref := range refs {
+		cols[i] = s.aliasColumns(ref.Table, ref.Alias(), rows)
+	}
 	var out []*Entity
 	seen := map[*Entity]bool{}
 	for ri := 0; ri < rows.Len(); ri++ {
-		for _, ref := range refs {
-			alias := ref.Alias()
-			en := s.hydrateAlias(ref.Table, alias, rows, ri)
-			if alias == target && en != nil && !seen[en] {
+		for i, ref := range refs {
+			en := s.hydrateAlias(ref.Table, cols[i], rows, ri)
+			if ref.Alias() == target && en != nil && !seen[en] {
 				seen[en] = true
 				out = append(out, en)
 			}
@@ -186,13 +197,32 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	return out
 }
 
-// hydrateAlias loads one alias's columns of one result row into an
-// entity, reusing the cached instance when present (the read cache wins
-// over fresh database state, as Hibernate's first-level cache does).
-func (s *Session) hydrateAlias(table, alias string, rows *concolic.Rows, ri int) *Entity {
+// aliasColumns locates an alias's columns in a result header: where the
+// primary key is, then where each column of the table is, in the table's
+// column order. One header search per query, none per row.
+func (s *Session) aliasColumns(table, alias string, rows *concolic.Rows) []int {
 	t := s.m.scm.Table(table)
-	pkCol := t.PrimaryIndex().Columns[0]
-	id := rows.Get(ri, alias+"."+pkCol)
+	find := func(col string) int {
+		for i, c := range rows.Cols {
+			if len(c) == len(alias)+1+len(col) && c[:len(alias)] == alias && c[len(alias)] == '.' && c[len(alias)+1:] == col {
+				return i
+			}
+		}
+		panic(fmt.Sprintf("orm: no column %s.%s in result (%v)", alias, col, rows.Cols))
+	}
+	pos := make([]int, 1, 1+len(t.Columns))
+	pos[0] = find(t.PrimaryIndex().Columns[0])
+	for _, c := range t.Columns {
+		pos = append(pos, find(c.Name))
+	}
+	return pos
+}
+
+// hydrateAlias loads one alias's columns (see aliasColumns) of one result
+// row into an entity, reusing the cached instance when present (the read
+// cache wins over fresh database state, as Hibernate's first-level cache does).
+func (s *Session) hydrateAlias(table string, cols []int, rows *concolic.Rows, ri int) *Entity {
+	id := rows.Cells[ri][cols[0]]
 	if id.Null {
 		return nil // outer-ish join miss
 	}
@@ -200,9 +230,10 @@ func (s *Session) hydrateAlias(table, alias string, rows *concolic.Rows, ri int)
 	if v, ok := cache.Get(id); ok {
 		return v.(*Entity)
 	}
-	en := &Entity{Table: table, fields: map[string]concolic.Value{}, state: stateManaged}
-	for _, c := range t.Columns {
-		en.fields[c.Name] = rows.Get(ri, alias+"."+c.Name)
+	t := s.m.scm.Table(table)
+	en := &Entity{Table: table, fields: make(map[string]concolic.Value, len(t.Columns)), state: stateManaged}
+	for i, c := range t.Columns {
+		en.fields[c.Name] = rows.Cells[ri][cols[1+i]]
 	}
 	cache.Put(id, en)
 	return en
@@ -297,9 +328,8 @@ func (s *Session) Merge(en *Entity) *Entity {
 	t := s.m.scm.Table(en.Table)
 	pkCol := t.PrimaryIndex().Columns[0]
 	id := en.Get(pkCol)
-	sql := fmt.Sprintf("SELECT * FROM %s t WHERE t.%s = ?", en.Table, pkCol)
 	loc := s.here()
-	rows, err := s.conn.Exec(sql, []concolic.Value{id}, loc, trace.CodeLoc{})
+	rows, err := s.conn.Exec(s.pointSelect(en.Table), []concolic.Value{id}, loc, trace.CodeLoc{})
 	if err != nil {
 		panic(&FlushError{Err: err})
 	}
@@ -311,7 +341,7 @@ func (s *Session) Merge(en *Entity) *Entity {
 		return en
 	}
 	// Row exists: copy the detached state onto the managed instance.
-	managed := s.hydrateAlias(en.Table, "t", rows, 0)
+	managed := s.hydrateAlias(en.Table, s.aliasColumns(en.Table, "t", rows), rows, 0)
 	for col, v := range en.fields {
 		if col == pkCol {
 			continue
@@ -372,18 +402,14 @@ func (s *Session) Flush() error {
 
 func (s *Session) flushInsert(en *Entity, sent trace.CodeLoc) error {
 	t := s.m.scm.Table(en.Table)
-	var cols []string
-	var params []concolic.Value
-	for _, c := range t.Columns {
-		v := en.fields[c.Name]
-		if v.Null {
-			continue
-		}
-		cols = append(cols, c.Name)
-		params = append(params, v)
-	}
-	marks := strings.TrimSuffix(strings.Repeat("?, ", len(cols)), ", ")
-	sql := fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)", en.Table, strings.Join(cols, ", "), marks)
+	// NULL fields are left out of the statement.
+	present := func(c schema.Column) bool { return !en.fields[c.Name].Null }
+	cols, params := s.columnSet(t, en, present)
+	sql := s.m.text(textKey{kind: 'I', table: en.Table, cols: cols}, t, func() string {
+		names := selectNames(t, present, "")
+		marks := strings.TrimSuffix(strings.Repeat("?, ", len(names)), ", ")
+		return fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)", en.Table, strings.Join(names, ", "), marks)
+	})
 	_, err := s.conn.Exec(sql, params, en.persistLoc, sent)
 	return err
 }
@@ -391,28 +417,48 @@ func (s *Session) flushInsert(en *Entity, sent trace.CodeLoc) error {
 func (s *Session) flushUpdate(en *Entity, sent trace.CodeLoc) error {
 	t := s.m.scm.Table(en.Table)
 	pkCol := t.PrimaryIndex().Columns[0]
-	var sets []string
-	var params []concolic.Value
-	for _, c := range t.Columns {
-		if !en.dirty[c.Name] {
-			continue
-		}
-		sets = append(sets, c.Name+" = ?")
-		params = append(params, en.fields[c.Name])
-	}
-	if len(sets) == 0 {
+	dirty := func(c schema.Column) bool { return en.dirty[c.Name] }
+	cols, params := s.columnSet(t, en, dirty)
+	if len(params) == 0 {
 		return nil
 	}
-	params = append(params, en.fields[pkCol])
-	sql := fmt.Sprintf("UPDATE %s SET %s WHERE %s = ?", en.Table, strings.Join(sets, ", "), pkCol)
-	_, err := s.conn.Exec(sql, params, en.modLoc, sent)
+	sql := s.m.text(textKey{kind: 'U', table: en.Table, cols: cols}, t, func() string {
+		return fmt.Sprintf("UPDATE %s SET %s WHERE %s = ?", en.Table, strings.Join(selectNames(t, dirty, " = ?"), ", "), pkCol)
+	})
+	_, err := s.conn.Exec(sql, append(params, en.fields[pkCol]), en.modLoc, sent)
 	return err
+}
+
+// columnSet returns the chosen columns of the entity's table as a bit set
+// over the column order, and their values in that order.
+func (s *Session) columnSet(t *schema.Table, en *Entity, chosen func(schema.Column) bool) (uint64, []concolic.Value) {
+	var set uint64
+	params := make([]concolic.Value, 0, len(t.Columns)+1)
+	for i, c := range t.Columns {
+		if chosen(c) {
+			set |= 1 << uint(i)
+			params = append(params, en.fields[c.Name])
+		}
+	}
+	return set, params
+}
+
+func selectNames(t *schema.Table, chosen func(schema.Column) bool, suffix string) []string {
+	var names []string
+	for _, c := range t.Columns {
+		if chosen(c) {
+			names = append(names, c.Name+suffix)
+		}
+	}
+	return names
 }
 
 func (s *Session) flushDelete(en *Entity, sent trace.CodeLoc) error {
 	t := s.m.scm.Table(en.Table)
 	pkCol := t.PrimaryIndex().Columns[0]
-	sql := fmt.Sprintf("DELETE FROM %s WHERE %s = ?", en.Table, pkCol)
+	sql := s.m.text(textKey{kind: 'D', table: en.Table}, t, func() string {
+		return fmt.Sprintf("DELETE FROM %s WHERE %s = ?", en.Table, pkCol)
+	})
 	_, err := s.conn.Exec(sql, []concolic.Value{en.fields[pkCol]}, en.persistLoc, sent)
 	return err
 }

@@ -91,11 +91,10 @@ type Result struct {
 // alias. Recording the plan implements the paper's first future-work
 // item (Sec. V-D): querying the database for its execution plan removes
 // the lock-modeling imprecision of assuming every possible index.
-type PlanStep struct {
-	Alias string `json:"alias"`
-	Table string `json:"table"`
-	Index string `json:"index,omitempty"`
-}
+//
+// It is the engine's own EXPLAIN row, so the statements of one template
+// share the plan the database prepared once.
+type PlanStep = minidb.AccessPath
 
 // Stmt is one recorded SQL statement.
 type Stmt struct {

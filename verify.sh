@@ -70,10 +70,18 @@ rm -rf "$vetdir"
 # loop. Scoped to the packages that actually spawn goroutines to keep the
 # gate fast — plus concolic and orm,
 # whose process-wide call-site table and prepared-statement cache are
-# shared by whatever collects or drives load concurrently.
-echo "== go test -race (core, solver, smt, workload, concolic, orm)"
+# shared by whatever collects or drives load concurrently, and minidb,
+# whose lock table (recycled queues, grants by value) and prepared-form
+# cache every client goroutine goes through.
+echo "== go test -race (core, solver, smt, workload, concolic, orm, minidb)"
 go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... \
-    ./internal/concolic/... ./internal/orm/...
+    ./internal/concolic/... ./internal/orm/... ./internal/minidb/...
+
+# The statement path's allocation ceilings, on their own and without the
+# detector (whose instrumentation allocates): a regression here is a
+# throughput regression on the load workload.
+echo "== go test -run TestStatementAllocs (minidb, no -race)"
+go test -count=1 -run 'TestStatementAllocs' ./internal/minidb
 
 # The two-level memo table (shape key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
