@@ -209,7 +209,8 @@ func (ex *executor) join(p *prepared, i int, rs *ResultSet) {
 	}
 	for _, h := range ex.scanIndex(ac, pfx, LockS) {
 		ex.rows[i] = h.row
-		if ex.join(p, i+1, rs); ex.blocked != nil {
+		ex.join(p, i+1, rs)
+		if ex.blocked != nil {
 			return
 		}
 	}
@@ -286,7 +287,8 @@ func (ex *executor) writeScan(p *prepared) []scanHit {
 	hits := ex.scanIndex(&p.plan[0], pfx, LockX)
 	matched := hits[:0]
 	for _, h := range hits {
-		if ex.rows[0] = h.row; ex.evalCond(&p.cond) {
+		ex.rows[0] = h.row
+		if ex.evalCond(&p.cond) {
 			matched = append(matched, h)
 		}
 	}

@@ -46,8 +46,8 @@ type access struct {
 
 // prepared is the executable form of one statement template.
 type prepared struct {
-	stmt    sqlast.Stmt // the parse DB.prepared files this form under
-	kind    sqlast.StmtKind
+	stmt    sqlast.Stmt     // the parse DB.prepared files this form under; guarded by prepMu
+	kind    sqlast.StmtKind // stmt's, for the executor to read without the lock
 	nparams int
 	// plan is a SELECT's join order, the one scan of an UPDATE or DELETE,
 	// or just the written table of an INSERT.
@@ -141,6 +141,13 @@ func (db *DB) build(st sqlast.Stmt) (*prepared, error) {
 	default:
 		return nil, fmt.Errorf("minidb: unsupported statement %T", st)
 	}
+	if p.blank != nil {
+		// An INSERT scans nothing; it writes the primary and every secondary.
+		for _, ix := range p.plan[0].ts.indexes {
+			p.paths = append(p.paths, AccessPath{Alias: ix.Table, Table: ix.Table, Index: ix.Name, EqColumns: ix.Columns})
+		}
+		return p, nil
+	}
 	for i := range p.plan {
 		ac := &p.plan[i]
 		for j := range ac.eq {
@@ -151,13 +158,6 @@ func (db *DB) build(st sqlast.Stmt) (*prepared, error) {
 			ap.Index, ap.EqColumns = ac.ix.Name, ac.ix.Columns[:len(ac.eq):len(ac.eq)]
 		}
 		p.paths = append(p.paths, ap)
-	}
-	if p.blank != nil {
-		// An INSERT writes the primary and every secondary index.
-		p.paths = nil
-		for _, ix := range p.plan[0].ts.indexes {
-			p.paths = append(p.paths, AccessPath{Alias: ix.Table, Table: ix.Table, Index: ix.Name, EqColumns: ix.Columns})
-		}
 	}
 	return p, nil
 }

@@ -110,10 +110,7 @@ func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
 			if t.db.afterStmt != nil {
 				t.db.afterStmt(t, st)
 			}
-			if err != nil {
-				return nil, err
-			}
-			return rs, nil
+			return rs, err // a failed statement has no result
 		}
 		// Blocked mid-scan: wait for the contended lock, then restart the
 		// statement (locks already granted stay held, per 2PL).
