@@ -26,6 +26,16 @@ import (
 	"weseer/internal/workload"
 )
 
+// openApp opens a registry app with the named fixes applied.
+func openApp(b *testing.B, spec string, db minidb.Config, fixes ...string) apps.App {
+	b.Helper()
+	app, err := apps.Open(spec, apps.Options{Apply: fixes, DB: db})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return app
+}
+
 // ---------------------------------------------------------------------------
 // Table I / Table II: trace collection and diagnosis
 
@@ -33,7 +43,7 @@ import (
 // tests' traces under full concolic execution.
 func BenchmarkTable1_TraceCollection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		app := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
+		app := openApp(b, "broadleaf", minidb.Config{})
 		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 		if err != nil {
 			b.Fatal(err)
@@ -46,14 +56,7 @@ func BenchmarkTable1_TraceCollection(b *testing.B) {
 
 func collectOnce(b *testing.B, app string) []*trace.Trace {
 	b.Helper()
-	var tests []appkit.UnitTest
-	switch app {
-	case "broadleaf":
-		tests = broadleaf.New(broadleaf.Fixes{}, minidb.Config{}).UnitTests()
-	case "shopizer":
-		tests = shopizer.New(shopizer.Fixes{}, minidb.Config{}).UnitTests()
-	}
-	traces, err := appkit.Collect(tests, concolic.ModeConcolic)
+	traces, err := appkit.Collect(openApp(b, app, minidb.Config{}).UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func BenchmarkTable2_Diagnosis(b *testing.B) {
 
 func benchMode(b *testing.B, mode concolic.Mode) {
 	for i := 0; i < b.N; i++ {
-		app := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
+		app := openApp(b, "broadleaf", minidb.Config{})
 		for _, ut := range app.UnitTests() {
 			e := concolic.New(mode)
 			e.StartConcolic(ut.Name)
@@ -119,17 +122,19 @@ func BenchmarkTable3_InterpretiveConcolic(b *testing.B) { benchMode(b, concolic.
 // ---------------------------------------------------------------------------
 // Fig. 10 / Fig. 11: runtime throughput
 
-func benchWorkload(b *testing.B, mk func() (*minidb.DB, workload.Flow)) {
+// benchWorkload drives 32 clients against a fresh instance of the model
+// app with the named fixes applied, once per iteration.
+func benchWorkload(b *testing.B, spec string, fixes ...string) {
 	var totalAPIs, totalDeadlocks int64
 	var elapsed time.Duration
 	for i := 0; i < b.N; i++ {
-		db, flow := mk()
+		app := openApp(b, spec, benchDBCfg(), fixes...)
 		res := workload.Run(workload.Config{
 			Clients:      32,
 			Duration:     200 * time.Millisecond,
 			RetryBackoff: time.Millisecond,
 			Seed:         42,
-		}, db, flow)
+		}, app.DB(), app.(apps.Workloader).Flow())
 		totalAPIs += res.APICalls
 		totalDeadlocks += res.Deadlocks
 		elapsed += res.Duration
@@ -143,45 +148,22 @@ func benchDBCfg() minidb.Config {
 }
 
 // BenchmarkFig10_EnableAll: Broadleaf with every fix applied.
-func BenchmarkFig10_EnableAll(b *testing.B) {
-	benchWorkload(b, func() (*minidb.DB, workload.Flow) {
-		app := broadleaf.New(broadleaf.AllFixes(), benchDBCfg())
-		return app.DB, app.Flow()
-	})
-}
+func BenchmarkFig10_EnableAll(b *testing.B) { benchWorkload(b, "broadleaf", "all") }
 
 // BenchmarkFig10_DisableAll: Broadleaf with deadlocks left to the
 // database's detect-and-recover handling.
-func BenchmarkFig10_DisableAll(b *testing.B) {
-	benchWorkload(b, func() (*minidb.DB, workload.Flow) {
-		app := broadleaf.New(broadleaf.Fixes{}, benchDBCfg())
-		return app.DB, app.Flow()
-	})
-}
+func BenchmarkFig10_DisableAll(b *testing.B) { benchWorkload(b, "broadleaf") }
 
 // BenchmarkFig10_DisableF2: the paper's most damaging single ablation.
 func BenchmarkFig10_DisableF2(b *testing.B) {
-	benchWorkload(b, func() (*minidb.DB, workload.Flow) {
-		app := broadleaf.New(broadleaf.AllFixes().Disable("f2"), benchDBCfg())
-		return app.DB, app.Flow()
-	})
+	benchWorkload(b, "broadleaf", "f1", "f3", "f4", "f5", "f6", "f7", "f8")
 }
 
 // BenchmarkFig11_EnableAll: Shopizer with every fix applied.
-func BenchmarkFig11_EnableAll(b *testing.B) {
-	benchWorkload(b, func() (*minidb.DB, workload.Flow) {
-		app := shopizer.New(shopizer.AllFixes(), benchDBCfg())
-		return app.DB, app.Flow()
-	})
-}
+func BenchmarkFig11_EnableAll(b *testing.B) { benchWorkload(b, "shopizer", "all") }
 
 // BenchmarkFig11_DisableAll: unfixed Shopizer.
-func BenchmarkFig11_DisableAll(b *testing.B) {
-	benchWorkload(b, func() (*minidb.DB, workload.Flow) {
-		app := shopizer.New(shopizer.Fixes{}, benchDBCfg())
-		return app.DB, app.Flow()
-	})
-}
+func BenchmarkFig11_DisableAll(b *testing.B) { benchWorkload(b, "shopizer") }
 
 // ---------------------------------------------------------------------------
 // Sec. IV: path-condition pruning
@@ -189,7 +171,7 @@ func BenchmarkFig11_DisableAll(b *testing.B) {
 func benchPruning(b *testing.B, opts ...concolic.Option) {
 	var conds int
 	for i := 0; i < b.N; i++ {
-		app := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
+		app := openApp(b, "broadleaf", minidb.Config{})
 		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic, opts...)
 		if err != nil {
 			b.Fatal(err)
@@ -287,9 +269,9 @@ func BenchmarkSolver_Fig9Formula(b *testing.B) {
 
 // BenchmarkMinidb_PointSelect measures the database substrate's hot path.
 func BenchmarkMinidb_PointSelect(b *testing.B) {
-	app := broadleaf.New(broadleaf.AllFixes(), minidb.Config{})
+	app := openApp(b, "broadleaf", minidb.Config{}, "all")
 	e := concolic.New(concolic.ModeOff)
-	conn := concolic.NewConn(e, app.DB)
+	conn := concolic.NewConn(e, app.DB())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conn.Begin()
@@ -325,10 +307,7 @@ const gen1056 = "gen:7,templates=1056"
 // corpus and reports the stack walks it pays per recorded statement (one
 // per ORM operation: ≈ 1.2).
 func BenchmarkCollect1056(b *testing.B) {
-	app, err := apps.Open(gen1056, apps.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	app := openApp(b, gen1056, minidb.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	var walks, stmts int64
@@ -350,10 +329,7 @@ func BenchmarkCollect1056(b *testing.B) {
 // coarse-only analysis is flatten, the conflict index, pair enumeration
 // and the dedup chains, then one report per chain without any solving.
 func BenchmarkEnumerate1056(b *testing.B) {
-	app, err := apps.Open(gen1056, apps.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	app := openApp(b, gen1056, minidb.Config{})
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		b.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/fixapply"
+	"weseer/internal/minidb"
 	"weseer/internal/staticlint"
 	"weseer/internal/workload"
 )
@@ -202,9 +203,11 @@ func fixgainAnalyze(spec string, apply []string, workers int, plan []fixapply.Fi
 }
 
 // fixgainMeasure opens a fresh app configuration on the contended
-// database profile and drives the workload harness against it.
+// database profile (every statement 100µs, lock waits time out after
+// 100ms) and drives the workload harness against it.
 func fixgainMeasure(spec string, apply []string, clients int, dur time.Duration, seed int64) fixgainRun {
-	app, err := apps.Open(spec, apps.Options{Apply: apply, DB: dbCfg()})
+	db := minidb.Config{StatementDelay: 100 * time.Microsecond, LockWaitTimeout: 100 * time.Millisecond}
+	app, err := apps.Open(spec, apps.Options{Apply: apply, DB: db})
 	check(err)
 	wl, ok := app.(apps.Workloader)
 	if !ok {
@@ -226,12 +229,7 @@ func fixgainMeasure(spec string, apply []string, clients int, dur time.Duration,
 // cumulative fix configuration.
 func fixgainStaticFor(spec string, workers int) (fixgainStatic, []fixapply.Fix) {
 	baseline, res, app := fixgainAnalyze(spec, nil, workers, nil)
-	fa, ok := app.(fixapply.App)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "weseer-bench: app %s lacks the fixapply surface\n", spec)
-		os.Exit(2)
-	}
-	plan := fixapply.Plan(fa, res)
+	plan := fixapply.Plan(app, res)
 	st := fixgainStatic{Baseline: baseline, Plan: plan}
 	_, cataloged := app.(fixapply.Cataloged)
 

@@ -8,15 +8,10 @@ import (
 	"strings"
 	"testing"
 
-	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
-	"weseer/internal/apps/broadleaf"
-	"weseer/internal/apps/shopizer"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
-	"weseer/internal/minidb"
 	"weseer/internal/obs"
-	"weseer/internal/schema"
 	"weseer/internal/solver"
 )
 
@@ -33,33 +28,26 @@ import (
 // are checked against Result.Stats too.
 func TestFunnelInvariants(t *testing.T) {
 	type target struct {
-		name  string
-		scm   *schema.Schema
-		tests []appkit.UnitTest
+		name string
 		// groups = solver calls + memo hits, over canon calls shapes
 		groups, calls, hits, shapes int
 	}
-	blApp := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
-	shApp := shopizer.New(shopizer.Fixes{}, minidb.Config{})
-	genApp, err := apps.Open("gen:7,templates=96", apps.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	targets := []target{
-		{"broadleaf", broadleaf.Schema(), blApp.UnitTests(), 199, 102, 97, 156},
-		{"shopizer", shopizer.Schema(), shApp.UnitTests(), 127, 124, 3, 124},
-		{"gen:7,templates=96", genApp.Schema(), genApp.UnitTests(), 315, 118, 197, 136},
+		{"broadleaf", 199, 102, 97, 156},
+		{"shopizer", 127, 124, 3, 124},
+		{"gen:7,templates=96", 315, 118, 197, 136},
 	}
 
 	for _, tg := range targets {
-		traces, err := appkit.Collect(tg.tests, concolic.ModeConcolic)
+		app := openApp(tg.name)
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 		if err != nil {
 			t.Fatalf("%s: collect: %v", tg.name, err)
 		}
 		var baseline core.Stats
 		for i, workers := range []int{1, 4, 16} {
 			o := obs.NewObserver()
-			res := analyze(tg.scm, traces, core.WithParallelism(workers), core.WithObserver(o))
+			res := analyze(app.Schema(), traces, core.WithParallelism(workers), core.WithObserver(o))
 			s := res.Stats
 
 			if s.SolverCalls+s.MemoHits != s.GroupsSolved {
@@ -118,12 +106,12 @@ func TestFunnelInvariants(t *testing.T) {
 // exported may touch it.
 func TestMetricsExpositionGolden(t *testing.T) {
 	o := obs.NewObserver()
-	app := shopizer.New(shopizer.Fixes{}, minidb.Config{})
+	app := openApp("shopizer")
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic, concolic.WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyze(shopizer.Schema(), traces, core.WithObserver(o))
+	analyze(app.Schema(), traces, core.WithObserver(o))
 	var buf bytes.Buffer
 	if err := o.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -152,10 +140,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 // was before it. The bound is measurement noise; any table that outlives
 // its analysis (this corpus hands the memo 136 shapes per run) exceeds it.
 func TestRepeatedAnalysisHeapGrowth(t *testing.T) {
-	app, err := apps.Open("gen:7,templates=96", apps.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := openApp("gen:7,templates=96")
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"weseer/internal/apps"
@@ -28,18 +31,24 @@ import (
 	"weseer/internal/apps/shopizer"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
-	"weseer/internal/minidb"
+	"weseer/internal/fixapply"
 	"weseer/internal/schema"
 	"weseer/internal/trace"
-	"weseer/internal/workload"
 )
 
 var (
 	duration   = flag.Duration("duration", 500*time.Millisecond, "per-configuration workload duration (fig10/fig11)")
-	clientsF   = flag.String("clients", "8,64,128", "client counts for fig10/fig11")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	clients    = []int{8, 64, 128}
 )
+
+func init() {
+	flag.Func("clients", "comma-separated client counts for fig10/fig11 (default 8,64,128)", func(s string) (err error) {
+		clients, err = parseClients(s)
+		return err
+	})
+}
 
 // experiment is one entry in the self-registering experiment table.
 // Experiments register themselves from init functions; adding one never
@@ -68,8 +77,15 @@ func init() {
 	registerExp(1, "table1", "Table I: target APIs and invocation counts", table1)
 	registerExp(2, "table2", "Table II: the 18 deadlocks, their fixes, and the Phase-0 prescreen comparison", table2)
 	registerExp(3, "table3", "Table III: unit-test runtime per engine mode", table3)
-	registerExp(4, "fig10", "Fig. 10: Broadleaf throughput across fix ablations", fig10)
-	registerExp(5, "fig11", "Fig. 11: Shopizer throughput across fix ablations", fig11)
+	registerExp(4, "fig10", "Fig. 10: Broadleaf throughput across fix ablations", func() {
+		ablation("Fig. 10: performance impact of Broadleaf's deadlocks (API/s)", "broadleaf",
+			"enable all sustains throughput with ~0 aborts/s; disable all\n"+
+				"collapses under deadlock storms (the paper reports 39.5x and 904->0 aborts/s)")
+	})
+	registerExp(5, "fig11", "Fig. 11: Shopizer throughput across fix ablations", func() {
+		ablation("Fig. 11: performance impact of Shopizer's deadlocks (API/s)", "shopizer",
+			"fixes win at high concurrency (the paper reports up to 4.5x)")
+	})
 	registerExp(6, "pruning", "Sec. IV: path-condition pruning (656K -> 2.7K analog)", pruning)
 	registerExp(7, "baseline", "Sec. VII-B: coarse-only cycle explosion (18,384 analog)", baseline)
 }
@@ -157,27 +173,18 @@ func analyze(scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *co
 	return res
 }
 
-func clientCounts() []int {
+// parseClients parses -clients, a comma-separated list of positive client
+// counts; a malformed entry fails the flag (exit 2).
+func parseClients(s string) ([]int, error) {
 	var out []int
-	var n int
-	rest := *clientsF
-	for len(rest) > 0 {
-		k, err := fmt.Sscanf(rest, "%d", &n)
-		if k == 0 || err != nil {
-			break
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("%q is not a positive client count", part)
 		}
 		out = append(out, n)
-		for len(rest) > 0 && rest[0] != ',' {
-			rest = rest[1:]
-		}
-		if len(rest) > 0 {
-			rest = rest[1:]
-		}
 	}
-	if len(out) == 0 {
-		out = []int{8, 64, 128}
-	}
-	return out
+	return out, nil
 }
 
 func header(title string) {
@@ -320,87 +327,32 @@ func table3() {
 
 // ---------------------------------------------------------------------------
 // Fig. 10 / Fig. 11
-//
-// The ablation figures toggle individual fixes, a knob the registry's
-// Fixed bool does not expose, so they keep the model apps' direct Fixes
-// constructors.
 
-func dbCfg() minidb.Config {
-	return minidb.Config{
-		StatementDelay:  100 * time.Microsecond,
-		LockWaitTimeout: 100 * time.Millisecond,
-	}
-}
-
-func fig10() {
-	header("Fig. 10: performance impact of Broadleaf's deadlocks (API/s)")
-	configs := []struct {
-		label string
-		fixes broadleaf.Fixes
-	}{
-		{"enable all", broadleaf.AllFixes()},
-		{"disable all", broadleaf.Fixes{}},
-	}
-	for _, f := range broadleaf.FixNames() {
-		configs = append(configs, struct {
-			label string
-			fixes broadleaf.Fixes
-		}{"disable " + f, broadleaf.AllFixes().Disable(f)})
+// ablation drives the concurrent-client workload over the fix
+// configurations of one registry app — every fix on, every fix off, then
+// each catalog fix off in turn — at every -clients count.
+func ablation(title, spec, expect string) {
+	header(title)
+	fixes := appkit.FixIDs(openApp(spec).(fixapply.Cataloged).Catalog())
+	labels, applies := []string{"enable all", "disable all"}, [][]string{{"all"}, nil}
+	for _, f := range fixes {
+		labels = append(labels, "disable "+f)
+		applies = append(applies, slices.DeleteFunc(slices.Clone(fixes), func(n string) bool { return n == f }))
 	}
 	fmt.Printf("%-14s", "config")
-	for _, c := range clientCounts() {
+	for _, c := range clients {
 		fmt.Printf(" %8d cl  (aborts/s)", c)
 	}
 	fmt.Println()
-	for _, cfg := range configs {
-		fmt.Printf("%-14s", cfg.label)
-		for _, clients := range clientCounts() {
-			app := broadleaf.New(cfg.fixes, dbCfg())
-			res := workload.Run(workload.Config{
-				Clients: clients, Duration: *duration, Seed: 42,
-				RetryBackoff: time.Millisecond,
-			}, app.DB, app.Flow())
+	for i, label := range labels {
+		fmt.Printf("%-14s", label)
+		for _, c := range clients {
+			res := fixgainMeasure(spec, applies[i], c, *duration, 42)
 			fmt.Printf(" %11.0f  (%8.0f)", res.Throughput, res.AbortsPS)
 		}
 		fmt.Println()
 	}
-	fmt.Println("\nexpected shape: enable all sustains throughput with ~0 aborts/s; disable all")
-	fmt.Println("collapses under deadlock storms (the paper reports 39.5x and 904->0 aborts/s)")
-}
-
-func fig11() {
-	header("Fig. 11: performance impact of Shopizer's deadlocks (API/s)")
-	configs := []struct {
-		label string
-		fixes shopizer.Fixes
-	}{
-		{"enable all", shopizer.AllFixes()},
-		{"disable all", shopizer.Fixes{}},
-	}
-	for _, f := range shopizer.FixNames() {
-		configs = append(configs, struct {
-			label string
-			fixes shopizer.Fixes
-		}{"disable " + f, shopizer.AllFixes().Disable(f)})
-	}
-	fmt.Printf("%-14s", "config")
-	for _, c := range clientCounts() {
-		fmt.Printf(" %8d cl  (aborts/s)", c)
-	}
-	fmt.Println()
-	for _, cfg := range configs {
-		fmt.Printf("%-14s", cfg.label)
-		for _, clients := range clientCounts() {
-			app := shopizer.New(cfg.fixes, dbCfg())
-			res := workload.Run(workload.Config{
-				Clients: clients, Duration: *duration, Seed: 42,
-				RetryBackoff: time.Millisecond,
-			}, app.DB, app.Flow())
-			fmt.Printf(" %11.0f  (%8.0f)", res.Throughput, res.AbortsPS)
-		}
-		fmt.Println()
-	}
-	fmt.Println("\nexpected shape: fixes win at high concurrency (the paper reports up to 4.5x)")
+	fmt.Println("\nexpected shape: " + expect)
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,9 @@ import (
 	"testing"
 
 	"weseer/internal/apps/appkit"
-	"weseer/internal/apps/broadleaf"
-	"weseer/internal/apps/shopizer"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
-	"weseer/internal/minidb"
-	"weseer/internal/schema"
+	"weseer/internal/fixapply"
 	"weseer/internal/staticlint"
 )
 
@@ -24,36 +21,16 @@ import (
 // suggestion on Shopizer, and requires the full prescreen report to stay
 // byte-identical at parallelism 1, 4, and 16.
 func TestPrescreenSound(t *testing.T) {
-	type target struct {
-		name     string
-		scm      *schema.Schema
-		tests    []appkit.UnitTest
-		classify func(*core.Deadlock) string
-		expected []string
-	}
-	blApp := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
-	shApp := shopizer.New(shopizer.Fixes{}, minidb.Config{})
-	var blIDs, shIDs []string
-	for _, e := range broadleaf.Expectations() {
-		blIDs = append(blIDs, e.ID)
-	}
-	for _, e := range shopizer.Expectations() {
-		shIDs = append(shIDs, e.ID)
-	}
-	targets := []target{
-		{"broadleaf", broadleaf.Schema(), blApp.UnitTests(), broadleaf.Classify, blIDs},
-		{"shopizer", shopizer.Schema(), shApp.UnitTests(), shopizer.Classify, shIDs},
-	}
-
 	totalSaved, totalOff, totalOn := 0, 0, 0
 	totalOffCalls, totalOffMemo := 0, 0
-	for _, tg := range targets {
-		traces, err := appkit.Collect(tg.tests, concolic.ModeConcolic)
+	for _, name := range []string{"broadleaf", "shopizer"} {
+		app := openApp(name)
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 		if err != nil {
-			t.Fatalf("%s: collect: %v", tg.name, err)
+			t.Fatalf("%s: collect: %v", name, err)
 		}
-		off := analyze(tg.scm, traces)
-		on := analyze(tg.scm, traces, core.WithPrescreen())
+		off := analyze(app.Schema(), traces)
+		on := analyze(app.Schema(), traces, core.WithPrescreen())
 
 		// Identical reports: the prescreen may only discard candidates the
 		// solver would refute, never a satisfiable cycle.
@@ -63,31 +40,31 @@ func TestPrescreenSound(t *testing.T) {
 		}
 		if len(on.Deadlocks) != len(off.Deadlocks) {
 			t.Errorf("%s: prescreen changed the report count: %d vs %d",
-				tg.name, len(on.Deadlocks), len(off.Deadlocks))
+				name, len(on.Deadlocks), len(off.Deadlocks))
 		}
 		for _, d := range on.Deadlocks {
 			if !offKeys[d.Key] {
-				t.Errorf("%s: prescreen introduced group %s", tg.name, d.Key)
+				t.Errorf("%s: prescreen introduced group %s", name, d.Key)
 			}
 		}
 		found := map[string]int{}
 		for _, d := range on.Deadlocks {
-			found[tg.classify(d)]++
+			found[app.Classify(d)]++
 		}
-		for _, id := range tg.expected {
-			if found[id] == 0 {
-				t.Errorf("%s: prescreen dropped cataloged deadlock %s", tg.name, id)
+		for _, e := range app.(fixapply.Cataloged).Catalog() {
+			if id := e.ID; found[id] == 0 {
+				t.Errorf("%s: prescreen dropped cataloged deadlock %s", name, id)
 			}
 		}
 		if on.Stats.SolverSAT != off.Stats.SolverSAT {
 			t.Errorf("%s: prescreen changed SAT count: %d vs %d",
-				tg.name, on.Stats.SolverSAT, off.Stats.SolverSAT)
+				name, on.Stats.SolverSAT, off.Stats.SolverSAT)
 		}
 		// Every skipped group must be accounted for: the solver-call total
 		// with prescreen plus the saved calls never exceeds the baseline.
 		if on.Stats.GroupsSolved+on.Stats.PrescreenSaved > off.Stats.GroupsSolved {
 			t.Errorf("%s: prescreen accounting broken: %d solved + %d saved > %d baseline",
-				tg.name, on.Stats.GroupsSolved, on.Stats.PrescreenSaved, off.Stats.GroupsSolved)
+				name, on.Stats.GroupsSolved, on.Stats.PrescreenSaved, off.Stats.GroupsSolved)
 		}
 		totalSaved += on.Stats.PrescreenSaved
 		totalOff += off.Stats.GroupsSolved
@@ -95,22 +72,22 @@ func TestPrescreenSound(t *testing.T) {
 		totalOffCalls += off.Stats.SolverCalls
 		totalOffMemo += off.Stats.MemoHits
 		t.Logf("%s: %d -> %d solver calls (%d saved, %d/%d pairs pruned)",
-			tg.name, off.Stats.GroupsSolved, on.Stats.GroupsSolved,
+			name, off.Stats.GroupsSolved, on.Stats.GroupsSolved,
 			on.Stats.PrescreenSaved, on.Stats.PrescreenPairsPruned, on.Stats.PrescreenPairs)
 
 		// Canonicalization is computed on demand from the traces, never by
 		// the analysis: absent from both results, non-trivial on this
 		// workload once attached.
 		if off.CanonicalOrder != nil || on.CanonicalOrder != nil {
-			t.Errorf("%s: AnalyzeContext attached a canonical order", tg.name)
+			t.Errorf("%s: AnalyzeContext attached a canonical order", name)
 		}
-		co := staticlint.CanonicalizeTraces(traces, tg.scm)
+		co := staticlint.CanonicalizeTraces(traces, app.Schema())
 		on.CanonicalOrder = co
 		if len(co.Order) == 0 || co.Templates == 0 || co.Edges == 0 {
 			t.Errorf("%s: degenerate canonical order: %d nodes, %d templates, %d edges",
-				tg.name, len(co.Order), co.Templates, co.Edges)
+				name, len(co.Order), co.Templates, co.Edges)
 		}
-		if tg.name == "shopizer" {
+		if name == "shopizer" {
 			// The inversion behind the paper's f10/f11 fixes: Checkout
 			// prices the cart's product rows ascending but commits them
 			// descending, so the canonical order must flag the row pair.
@@ -133,11 +110,11 @@ func TestPrescreenSound(t *testing.T) {
 		onFlat.Stats = on.Stats.WithoutTimings()
 		serial := onFlat.Render()
 		for _, workers := range []int{4, 16} {
-			res := analyze(tg.scm, traces, core.WithPrescreen(), core.WithParallelism(workers))
+			res := analyze(app.Schema(), traces, core.WithPrescreen(), core.WithParallelism(workers))
 			res.Stats = res.Stats.WithoutTimings()
 			res.CanonicalOrder = co
 			if got := res.Render(); got != serial {
-				t.Errorf("%s: prescreen report differs at parallelism %d", tg.name, workers)
+				t.Errorf("%s: prescreen report differs at parallelism %d", name, workers)
 			}
 		}
 	}

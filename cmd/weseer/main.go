@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	weseer run     -app NAME [-fixed] [-apply f2,f5] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [observability flags]
-//	weseer collect -app NAME [-fixed] [-apply f2,f5] [-no-prune] -o traces.json
+//	weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [observability flags]
+//	weseer collect -app NAME [-apply f2,f5|all] [-no-prune] -o traces.json
 //	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [-v] [observability flags]
 //	weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
 //	weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-prescreen] [-parallel N]
@@ -34,15 +34,16 @@
 // screen that discards trivially-UNSAT candidates before the solver —
 // pruning only; it adds nothing to the report but its counters.
 //
-// -fixed applies every cataloged fix to the app before collection;
-// -apply applies a chosen subset by name (f1..f11 for the model apps,
-// planted class names for gen corpora). -fixplan computes the cross-API
-// canonical lock order from the collected traces and adds to the text
-// report the ranked lock-order fixes and the ranked fix plan
-// (internal/fixapply): which fixes to apply, in what order, which
-// deadlock fingerprints each targets and which reorder suggestion backs
-// it — the input to the weseer-bench fixgain verification loop. With
-// -json the order travels as canonical_order. It needs no other flag.
+// -apply applies fixes to the app before collection, by name from the
+// app's own catalog (f1..f8 for broadleaf, f9..f11 for shopizer, planted
+// class names for gen corpora); "all" applies every one. -fixplan
+// computes the cross-API canonical lock order from the collected traces
+// and adds to the text report the ranked lock-order fixes and the ranked
+// fix plan (internal/fixapply): which fixes to apply, in what order,
+// which deadlock fingerprints each targets and which reorder suggestion
+// backs it — the input to the weseer-bench fixgain verification loop.
+// With -json the order travels as canonical_order. It needs no other
+// flag.
 //
 // -parallel sets the phase-3 worker count (0 = GOMAXPROCS); the report
 // is identical at any setting. -timeout bounds the analysis wall time
@@ -135,8 +136,8 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  weseer run     -app NAME [-fixed] [-apply f2,f5] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [obs flags]
-  weseer collect -app NAME [-fixed] [-apply f2,f5] [-no-prune] -o traces.json
+  weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [obs flags]
+  weseer collect -app NAME [-apply f2,f5|all] [-no-prune] -o traces.json
   weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [-v] [obs flags]
   weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
   weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-prescreen] [-parallel N]
@@ -272,33 +273,28 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 	return fl.Close()
 }
 
-// openApp resolves -app/-fixed/-apply through the application registry.
-func openApp(name string, fixed bool, apply string) (apps.App, error) {
-	return apps.Open(name, apps.Options{Fixed: fixed, Apply: splitApply(apply)})
-}
-
-// splitApply parses the -apply flag ("" = none, "f2,f9" = those fixes).
-func splitApply(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
+// openApp resolves -app/-apply through the application registry; -apply
+// is "" for none, "f2,f9" for those fixes, "all" for every one.
+func openApp(name, apply string) (apps.App, error) {
+	var fixes []string
+	for _, part := range strings.Split(apply, ",") {
 		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
+			fixes = append(fixes, part)
 		}
 	}
-	return out
+	return apps.Open(name, apps.Options{Apply: fixes})
 }
 
 func cmdRun(args []string) (err error) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	appName := fs.String("app", "broadleaf", "application to diagnose")
-	fixed := fs.Bool("fixed", false, "apply the Table II fixes before collecting")
-	apply := fs.String("apply", "", "comma-separated fix names to apply before collecting (e.g. f2,f5)")
+	apply := fs.String("apply", "", "comma-separated fix names to apply before collecting (e.g. f2,f5, or all)")
 	plans := fs.Bool("plans", false, "restrict lock modeling to recorded execution plans (Sec. V-D)")
 	reproduce := fs.Bool("reproduce", false, "replay every report against a live database (Sec. V-D)")
 	af := registerAnalysisFlags(fs)
 	fs.Parse(args)
 
-	app, err := openApp(*appName, *fixed, *apply)
+	app, err := openApp(*appName, *apply)
 	if err != nil {
 		return err
 	}
@@ -337,7 +333,7 @@ func cmdRun(args []string) (err error) {
 	if *reproduce && !*af.coarse {
 		fmt.Println("\nautomatic reproduction (replaying each cycle against a rebuilt database):")
 		outcomes := replay.ReproduceReport(res, func() (*minidb.DB, []appkit.UnitTest) {
-			fresh, _ := openApp(*appName, *fixed, *apply)
+			fresh, _ := openApp(*appName, *apply)
 			return fresh.DB(), fresh.UnitTests()
 		})
 		counts := map[replay.Status]int{}
@@ -354,13 +350,12 @@ func cmdRun(args []string) (err error) {
 func cmdCollect(args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ExitOnError)
 	appName := fs.String("app", "broadleaf", "application to diagnose")
-	fixed := fs.Bool("fixed", false, "apply the Table II fixes")
-	apply := fs.String("apply", "", "comma-separated fix names to apply (e.g. f2,f5)")
+	apply := fs.String("apply", "", "comma-separated fix names to apply (e.g. f2,f5, or all)")
 	noPrune := fs.Bool("no-prune", false, "disable Sec. IV path-condition pruning")
 	out := fs.String("o", "traces.json", "output file")
 	fs.Parse(args)
 
-	app, err := openApp(*appName, *fixed, *apply)
+	app, err := openApp(*appName, *apply)
 	if err != nil {
 		return err
 	}

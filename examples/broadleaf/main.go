@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/apps/broadleaf"
 	"weseer/internal/concolic"
@@ -23,7 +24,10 @@ import (
 
 func main() {
 	// --- Diagnosis on the unfixed application -------------------------
-	app := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
+	app, err := apps.Open("broadleaf", apps.Options{})
+	if err != nil {
+		panic(err)
+	}
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		panic(err)
@@ -34,7 +38,7 @@ func main() {
 			tr.API, tr.Stats.Statements, tr.Stats.PathConds)
 	}
 
-	res, err := core.NewAnalyzer(broadleaf.Schema()).AnalyzeContext(context.Background(), traces)
+	res, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
 	if err != nil {
 		panic(err)
 	}
@@ -42,7 +46,7 @@ func main() {
 
 	found := map[string][]*core.Deadlock{}
 	for _, d := range res.Deadlocks {
-		id := broadleaf.Classify(d)
+		id := app.Classify(d)
 		found[id] = append(found[id], d)
 	}
 	fmt.Println("\nTable II (Broadleaf rows):")
@@ -65,19 +69,22 @@ func main() {
 	fmt.Println("\nruntime impact, 32 clients, 300ms (Fig. 10 in miniature):")
 	for _, cfg := range []struct {
 		label string
-		fixes broadleaf.Fixes
+		apply []string
 	}{
-		{"disable all", broadleaf.Fixes{}},
-		{"enable all ", broadleaf.AllFixes()},
+		{"disable all", nil},
+		{"enable all ", []string{"all"}},
 	} {
-		rt := broadleaf.New(cfg.fixes, minidb.Config{
+		rt, err := apps.Open("broadleaf", apps.Options{Apply: cfg.apply, DB: minidb.Config{
 			StatementDelay:  100 * time.Microsecond,
 			LockWaitTimeout: 100 * time.Millisecond,
-		})
+		}})
+		if err != nil {
+			panic(err)
+		}
 		w := workload.Run(workload.Config{
 			Clients: 32, Duration: 300 * time.Millisecond,
 			RetryBackoff: time.Millisecond, Seed: 1,
-		}, rt.DB, rt.Flow())
+		}, rt.DB(), rt.(apps.Workloader).Flow())
 		fmt.Printf("  %s  %7.0f API/s, %5d deadlocks, %7.0f aborts/s\n",
 			cfg.label, w.Throughput, w.Deadlocks, w.AbortsPS)
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/apps/shopizer"
 	"weseer/internal/concolic"
@@ -21,12 +22,15 @@ import (
 )
 
 func main() {
-	app := shopizer.New(shopizer.Fixes{}, minidb.Config{})
+	app, err := apps.Open("shopizer", apps.Options{})
+	if err != nil {
+		panic(err)
+	}
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		panic(err)
 	}
-	res, err := core.NewAnalyzer(shopizer.Schema()).AnalyzeContext(context.Background(), traces)
+	res, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
 	if err != nil {
 		panic(err)
 	}
@@ -34,7 +38,7 @@ func main() {
 
 	found := map[string]int{}
 	for _, d := range res.Deadlocks {
-		found[shopizer.Classify(d)]++
+		found[app.Classify(d)]++
 	}
 	fmt.Println("\nTable II (Shopizer rows — all on the Product table):")
 	for _, exp := range shopizer.Expectations() {
@@ -48,19 +52,22 @@ func main() {
 	fmt.Println("\nruntime impact, 32 clients, 300ms (Fig. 11 in miniature):")
 	for _, cfg := range []struct {
 		label string
-		fixes shopizer.Fixes
+		apply []string
 	}{
-		{"disable all", shopizer.Fixes{}},
-		{"enable all ", shopizer.AllFixes()},
+		{"disable all", nil},
+		{"enable all ", []string{"all"}},
 	} {
-		rt := shopizer.New(cfg.fixes, minidb.Config{
+		rt, err := apps.Open("shopizer", apps.Options{Apply: cfg.apply, DB: minidb.Config{
 			StatementDelay:  100 * time.Microsecond,
 			LockWaitTimeout: 100 * time.Millisecond,
-		})
+		}})
+		if err != nil {
+			panic(err)
+		}
 		w := workload.Run(workload.Config{
 			Clients: 32, Duration: 300 * time.Millisecond,
 			RetryBackoff: time.Millisecond, Seed: 1,
-		}, rt.DB, rt.Flow())
+		}, rt.DB(), rt.(apps.Workloader).Flow())
 		fmt.Printf("  %s  %7.0f API/s, %5d deadlocks, %7.0f aborts/s\n",
 			cfg.label, w.Throughput, w.Deadlocks, w.AbortsPS)
 	}

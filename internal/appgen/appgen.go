@@ -33,7 +33,6 @@ type App struct {
 	spec    string
 	scm     *schema.Schema
 	db      *minidb.DB
-	dbCfg   minidb.Config
 	mapping *orm.Mapping
 	mods    []module
 	fillers []template
@@ -42,101 +41,45 @@ type App struct {
 	fixed   map[string]bool   // planted classes compiled as their fixed variant
 }
 
-// Option adjusts generation beyond the spec.
-type Option func(*App)
-
-// WithFixedClasses compiles the named planted classes as their
-// mechanically-fixed template variants (see plantedTemplates). Schema,
-// seeding, template names, and symbolic input names are unchanged — only
-// the template bodies differ — so fixed and unfixed corpora are directly
-// comparable. Unknown class names panic via New's validation.
-func WithFixedClasses(classes ...string) Option {
-	return func(a *App) {
-		for _, cl := range classes {
-			a.fixed[cl] = true
+// New generates the application for cfg (normalized first) with a fresh
+// seeded database. fixed names the planted classes ("all" for every one)
+// to compile as their mechanically-fixed template variants (see
+// plantedTemplates): schema, seeding, template names and symbolic input
+// names are unchanged — only the template bodies differ — so fixed and
+// unfixed corpora are directly comparable. A class is planted when the
+// config gives it at least one instance.
+func New(cfg Config, dbCfg minidb.Config, fixed []string) (*App, error) {
+	cfg = cfg.Normalize()
+	var planted []string
+	for _, cc := range cfg.Classes {
+		if cc.N > 0 {
+			planted = append(planted, cc.Class)
 		}
 	}
-}
-
-// New generates the application for cfg (normalized first) with a fresh
-// seeded database.
-func New(cfg Config, dbCfg minidb.Config, opts ...Option) *App {
-	cfg = cfg.Normalize()
+	a := &App{cfg: cfg, spec: cfg.Spec(), scm: schema.New(), classOf: map[string]string{}}
+	var err error
+	if a.fixed, err = appkit.Fixes(a.Name(), planted, fixed); err != nil {
+		return nil, err
+	}
 	if dbCfg.LockWaitTimeout == 0 {
 		dbCfg.LockWaitTimeout = 2 * time.Second
 	}
 	r := newRNG(cfg.Seed)
-	scm := schema.New()
-	a := &App{
-		cfg:     cfg,
-		spec:    cfg.Spec(),
-		scm:     scm,
-		dbCfg:   dbCfg,
-		classOf: map[string]string{},
-		fixed:   map[string]bool{},
-	}
-	for _, o := range opts {
-		o(a)
-	}
-	a.mods = buildModules(cfg, r, scm)
+	a.mods = buildModules(cfg, r, a.scm)
 	a.fillers = buildTemplates(cfg, r, a.mods)
-	planted := map[string]bool{}
 	for _, cc := range cfg.Classes {
-		planted[cc.Class] = true
 		for i := 0; i < cc.N; i++ {
-			inst := plant(scm, cc.Class, i)
+			inst := plant(a.scm, cc.Class, i)
 			for _, tab := range inst.Tables {
 				a.classOf[tab] = cc.Class
 			}
 			a.planted = append(a.planted, inst)
 		}
 	}
-	for cl := range a.fixed {
-		if !planted[cl] {
-			panic(fmt.Sprintf("appgen: WithFixedClasses(%q): class not planted in %s", cl, a.spec))
-		}
-	}
-	a.db = minidb.Open(scm, dbCfg)
-	a.mapping = orm.NewMapping(scm)
+	a.db = minidb.Open(a.scm, dbCfg)
+	a.mapping = orm.NewMapping(a.scm)
 	a.seed()
-	return a
-}
-
-// FromSpec generates the application named "gen:"+spec.
-func FromSpec(spec string, dbCfg minidb.Config, opts ...Option) (*App, error) {
-	cfg, err := ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return New(cfg, dbCfg, opts...), nil
-}
-
-// Refix regenerates the same application (same spec, same database
-// config, fresh seeded database) with exactly the given classes fixed —
-// the "apply this fix and rerun" step of the fix-verification loop.
-func (a *App) Refix(classes ...string) (*App, error) {
-	planted := map[string]bool{}
-	for _, cc := range a.cfg.Classes {
-		planted[cc.Class] = true
-	}
-	for _, cl := range classes {
-		if !planted[cl] {
-			return nil, fmt.Errorf("appgen: Refix(%q): class not planted in %s", cl, a.spec)
-		}
-	}
-	return New(a.cfg, a.dbCfg, WithFixedClasses(classes...)), nil
-}
-
-// FixedClasses lists the classes compiled as fixed variants, in catalog
-// order.
-func (a *App) FixedClasses() []string {
-	var out []string
-	for _, cc := range a.cfg.Classes {
-		if a.fixed[cc.Class] {
-			out = append(out, cc.Class)
-		}
-	}
-	return out
+	return a, nil
 }
 
 // seed inserts cfg.Rows rows into every table: ID = 1..Rows, every other
@@ -214,17 +157,6 @@ func (a *App) Classify(d *core.Deadlock) string {
 	return ""
 }
 
-// PlantedClasses lists the distinct planted classes in catalog order.
-func (a *App) PlantedClasses() []string {
-	var out []string
-	for _, cc := range a.cfg.Classes {
-		if cc.N > 0 {
-			out = append(out, cc.Class)
-		}
-	}
-	return out
-}
-
 // Manifest renders the generated application deterministically: spec,
 // module layout, planted instances, and every template with its ops.
 // Byte-equality of manifests is the determinism contract tested by the
@@ -234,8 +166,14 @@ func (a *App) Manifest() string {
 	fmt.Fprintf(&b, "appgen %s\n", a.Name())
 	fmt.Fprintf(&b, "tables=%d templates=%d planted=%d\n",
 		len(a.scm.Tables()), len(a.fillers), len(a.planted))
-	if fc := a.FixedClasses(); len(fc) > 0 {
-		fmt.Fprintf(&b, "fixed=%s\n", strings.Join(fc, "+"))
+	var fixed []string
+	for _, cc := range a.cfg.Classes {
+		if a.fixed[cc.Class] {
+			fixed = append(fixed, cc.Class)
+		}
+	}
+	if len(fixed) > 0 {
+		fmt.Fprintf(&b, "fixed=%s\n", strings.Join(fixed, "+"))
 	}
 	for _, m := range a.mods {
 		fmt.Fprintf(&b, "module %s hub=%s reads=%s ins=%s\n",

@@ -42,6 +42,21 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// generate builds the application named "gen:"+spec with the given
+// classes fixed.
+func generate(t *testing.T, spec string, fixed ...string) *App {
+	t.Helper()
+	cfg, err := ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(cfg, minidb.Config{}, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // collect runs the app's unit tests and returns the traces.
 func collect(t *testing.T, a *App) []*trace.Trace {
 	t.Helper()
@@ -79,14 +94,7 @@ func render(a *App, res *core.Result) string {
 const testSpec = "7,templates=12,modules=3,tables=4,rows=6,hot=80,nest=2,classes=all"
 
 func TestDeterminismAcrossBuildsAndParallelism(t *testing.T) {
-	a1, err := FromSpec(testSpec, minidb.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := FromSpec(testSpec, minidb.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1, a2 := generate(t, testSpec), generate(t, testSpec)
 	if a1.Manifest() != a2.Manifest() {
 		t.Fatalf("same spec produced different manifests")
 	}
@@ -94,11 +102,7 @@ func TestDeterminismAcrossBuildsAndParallelism(t *testing.T) {
 		t.Fatalf("Name() = %q, want gen:%s", a1.Name(), a1.Config().Spec())
 	}
 	// The canonical name itself reproduces the corpus.
-	a3, err := FromSpec(strings.TrimPrefix(a1.Name(), "gen:"), minidb.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a3.Manifest() != a1.Manifest() {
+	if a3 := generate(t, strings.TrimPrefix(a1.Name(), "gen:")); a3.Manifest() != a1.Manifest() {
 		t.Fatalf("canonical name did not reproduce the manifest")
 	}
 
@@ -120,10 +124,7 @@ func TestDeterminismAcrossBuildsAndParallelism(t *testing.T) {
 }
 
 func TestPlantedClassesAllDiagnosedNoSpurious(t *testing.T) {
-	a, err := FromSpec(testSpec, minidb.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := generate(t, testSpec)
 	res := coretest.Analyze(t, a.Schema(), collect(t, a))
 	if len(res.Deadlocks) == 0 {
 		t.Fatal("no deadlocks diagnosed on a corpus with all classes planted")
@@ -132,9 +133,9 @@ func TestPlantedClassesAllDiagnosedNoSpurious(t *testing.T) {
 	for _, d := range res.Deadlocks {
 		got[a.Classify(d)]++
 	}
-	for _, cl := range a.PlantedClasses() {
-		if got[cl] == 0 {
-			t.Errorf("planted class %s: no deadlock diagnosed", cl)
+	for _, cc := range a.Config().Classes {
+		if got[cc.Class] == 0 {
+			t.Errorf("planted class %s: no deadlock diagnosed", cc.Class)
 		}
 	}
 	if n := got[""]; n > 0 {
@@ -148,10 +149,7 @@ func TestPlantedClassesAllDiagnosedNoSpurious(t *testing.T) {
 }
 
 func TestNoClassesMeansNoDeadlocks(t *testing.T) {
-	a, err := FromSpec("11,templates=10,modules=2,tables=4,rows=4,hot=100,nest=1,classes=none", minidb.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := generate(t, "11,templates=10,modules=2,tables=4,rows=4,hot=100,nest=1,classes=none")
 	res := coretest.Analyze(t, a.Schema(), collect(t, a))
 	if len(res.Deadlocks) != 0 {
 		for _, d := range res.Deadlocks {

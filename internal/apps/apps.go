@@ -47,12 +47,10 @@ type Workloader interface {
 
 // Options configure Open.
 type Options struct {
-	// Fixed applies all of the application's Table II fixes before
-	// collecting. For generated corpora it fixes every planted class.
-	Fixed bool
-	// Apply enables exactly the named fixes ("f1".."f11") — the
-	// fix-verification loop's incremental configurations. Mutually
-	// additive with Fixed (Fixed wins when set).
+	// Apply enables exactly the named fixes: ids from the model app's
+	// Table II catalog (f1–f8 Broadleaf, f9–f11 Shopizer) or a generated
+	// corpus's planted classes, and "all" for every one. The app's own
+	// constructor validates them; the registry passes them through.
 	Apply []string
 	// DB overrides the database configuration (zero value = app
 	// defaults).

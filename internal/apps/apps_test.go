@@ -62,6 +62,65 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
+// TestOpenFixNames: every family resolves Apply against its own fixes — a
+// model app's catalog, a corpus's classes planted at least once — so an
+// unknown name and a class the app does not have fail, while "all" alone
+// or next to a name opens. classes=f1:0 lists f1 without planting it.
+func TestOpenFixNames(t *testing.T) {
+	const gen = "gen:1,templates=2,modules=1,tables=2,rows=4,classes=f1:0+f2:1"
+	for _, c := range []struct {
+		spec  string
+		apply []string
+		ok    bool
+	}{
+		{"broadleaf", []string{"f12"}, false},
+		{"broadleaf", []string{"f10"}, false},
+		{"broadleaf", []string{"all"}, true},
+		{"broadleaf", []string{"all", "f2"}, true},
+		{"shopizer", []string{"fx"}, false},
+		{"shopizer", []string{"f3"}, false},
+		{"shopizer", []string{"all"}, true},
+		{"shopizer", []string{"f10", "all"}, true},
+		{gen, []string{"f99"}, false},
+		{gen, []string{"f1"}, false},
+		{gen, []string{"all"}, true},
+		{gen, []string{"all", "f2"}, true},
+	} {
+		_, err := Open(c.spec, Options{Apply: c.apply})
+		if (err == nil) != c.ok {
+			t.Errorf("Open(%q, Apply %q): err = %v, want ok = %v", c.spec, c.apply, err, c.ok)
+		}
+	}
+}
+
+// TestApplyAllListsEveryFix: Apply "all" is every fix listed by name — the
+// same diagnosis, byte for byte, and not the unfixed one.
+func TestApplyAllListsEveryFix(t *testing.T) {
+	for _, c := range []struct {
+		spec  string
+		fixes []string
+	}{
+		{"broadleaf", []string{"f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8"}},
+		{"shopizer", []string{"f9", "f10", "f11"}},
+		{"gen:7,templates=12,modules=3,tables=4,rows=6", []string{"f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11"}},
+	} {
+		report := func(apply ...string) string {
+			app, err := Open(c.spec, Options{Apply: apply})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return renderApp(t, app)
+		}
+		all := report("all")
+		if listed := report(c.fixes...); all != listed {
+			t.Errorf("%s: Apply all and Apply %v diagnose differently", c.spec, c.fixes)
+		}
+		if all == report() {
+			t.Errorf("%s: Apply all diagnoses the unfixed app", c.spec)
+		}
+	}
+}
+
 func TestOpenModelAppsAndSourcer(t *testing.T) {
 	for _, name := range []string{"broadleaf", "shopizer"} {
 		app, err := Open(name, Options{})

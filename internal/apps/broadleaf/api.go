@@ -29,7 +29,7 @@ func (a *App) Register(e *concolic.Engine, username, email, password, confirm co
 			s.Set(c, "USERNAME", username)
 			s.Set(c, "EMAIL", email)
 			s.Set(c, "PASSWORD", password)
-			if a.Fixes.F1 {
+			if a.Fixes["f1"] {
 				// Fix f1: persist issues only the INSERT.
 				s.Persist(c)
 			} else {
@@ -74,7 +74,7 @@ func (a *App) Add(e *concolic.Engine, customerID, productID concolic.Value) erro
 		return s.Transactional(func() error {
 			a.cartLock(e, s, cart.Get("ID"))
 
-			items := selectorFor(a.Fixes.F3, s, probe).Query(
+			items := selectorFor(a.Fixes["f3"], s, probe).Query(
 				`SELECT * FROM OrderItem oi WHERE oi.ORDER_ID = ? AND oi.PRODUCT_ID = ?`,
 				[]concolic.Value{order.Get("ID"), productID}, "oi")
 			if len(items) == 0 {
@@ -85,7 +85,7 @@ func (a *App) Add(e *concolic.Engine, customerID, productID concolic.Value) erro
 				// updates; fix f4 flushes here, restoring program order.
 				s.Set(offer, "USES", e.Add(offer.Get("USES"), concolic.Int(1)))
 				s.Set(fopt, "USES", e.Add(fopt.Get("USES"), concolic.Int(1)))
-				if a.Fixes.F4 {
+				if a.Fixes["f4"] {
 					if err := s.Flush(); err != nil {
 						return err
 					}
@@ -152,7 +152,7 @@ func (a *App) addFirst(e *concolic.Engine, s *orm.Session, customerID, productID
 // cartLock takes Broadleaf's per-cart application lock row: deadlock d2's
 // check-then-insert, or fix f2's single UPSERT.
 func (a *App) cartLock(e *concolic.Engine, s *orm.Session, cartID concolic.Value) {
-	if a.Fixes.F2 {
+	if a.Fixes["f2"] {
 		one := concolic.Int(1)
 		if _, err := s.Exec(
 			`INSERT INTO CartLock (ID, LOCKED) VALUES (?, ?) ON DUPLICATE KEY UPDATE LOCKED = ?`,
@@ -188,7 +188,7 @@ func (a *App) addNewItem(e *concolic.Engine, s, probe *orm.Session, order *orm.E
 	s.Persist(oi)
 
 	// d4: price-detail existence check for the new item.
-	sel := selectorFor(a.Fixes.F3, s, probe)
+	sel := selectorFor(a.Fixes["f3"], s, probe)
 	details := sel.Query(`SELECT * FROM OrderItemPriceDetail pd WHERE pd.ORDER_ITEM_ID = ?`,
 		[]concolic.Value{oiID}, "pd")
 	if len(details) == 0 {
@@ -217,7 +217,7 @@ func (a *App) bumpItem(e *concolic.Engine, s, probe *orm.Session, order, found *
 	// With f3 the existence check ran on the probe session; re-attach the
 	// item to the main session with a point SELECT (row lock, no range).
 	oi := found
-	if a.Fixes.F3 {
+	if a.Fixes["f3"] {
 		oi = s.Find("OrderItem", found.Get("ID"))
 		if oi == nil {
 			return
@@ -227,12 +227,12 @@ func (a *App) bumpItem(e *concolic.Engine, s, probe *orm.Session, order, found *
 	s.Set(order, "TOTAL", e.Add(order.Get("TOTAL"), product.Get("PRICE")))
 
 	// d4's sibling on the Add3 path: adjust the existing price detail.
-	sel := selectorFor(a.Fixes.F3, s, probe)
+	sel := selectorFor(a.Fixes["f3"], s, probe)
 	details := sel.Query(`SELECT * FROM OrderItemPriceDetail pd WHERE pd.ORDER_ITEM_ID = ?`,
 		[]concolic.Value{oi.Get("ID")}, "pd")
 	for _, d := range details {
 		target := d
-		if a.Fixes.F3 {
+		if a.Fixes["f3"] {
 			target = s.Find("OrderItemPriceDetail", d.Get("ID"))
 			if target == nil {
 				continue
@@ -246,7 +246,7 @@ func (a *App) bumpItem(e *concolic.Engine, s, probe *orm.Session, order, found *
 // d8 (PriceDetail); Ship's call makes the cross-API deadlock d9. Fix f5
 // moves the SELECTs into a separate transaction.
 func (a *App) priceCart(e *concolic.Engine, s, probe *orm.Session, order *orm.Entity) {
-	sel := selectorFor(a.Fixes.F5, s, probe)
+	sel := selectorFor(a.Fixes["f5"], s, probe)
 	orderID := order.Get("ID")
 
 	adjs := sel.Query(`SELECT * FROM PriceAdjustment pa WHERE pa.ORDER_ID = ?`,
@@ -320,7 +320,7 @@ func (a *App) Ship(e *concolic.Engine, customerID, city, phone concolic.Value) e
 		order := orders[0]
 
 		return s.Transactional(func() error {
-			if a.Fixes.F6 {
+			if a.Fixes["f6"] {
 				// Fix f6: insert first, then read the row back with a
 				// point query — no range scan, no gap locks.
 				addrID := concolic.Int(a.DB.NextID("Address"))
@@ -350,7 +350,7 @@ func (a *App) Ship(e *concolic.Engine, customerID, city, phone concolic.Value) e
 
 			// d11: shipping adjustment (fix f7).
 			orderID := order.Get("ID")
-			selF7 := selectorFor(a.Fixes.F7, s, probe)
+			selF7 := selectorFor(a.Fixes["f7"], s, probe)
 			sadj := selF7.Query(`SELECT * FROM ShippingAdjustment sa WHERE sa.ORDER_ID = ?`,
 				[]concolic.Value{orderID}, "sa")
 			rec := s.NewEntity("ShippingAdjustment")
@@ -360,7 +360,7 @@ func (a *App) Ship(e *concolic.Engine, customerID, city, phone concolic.Value) e
 			s.Persist(rec)
 
 			// d12/d13: tax and fee details (fix f8).
-			selF8 := selectorFor(a.Fixes.F8, s, probe)
+			selF8 := selectorFor(a.Fixes["f8"], s, probe)
 			taxes := selF8.Query(`SELECT * FROM TaxDetail td WHERE td.ORDER_ID = ?`,
 				[]concolic.Value{orderID}, "td")
 			tax := s.NewEntity("TaxDetail")

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/minidb"
 	"weseer/internal/orm"
@@ -19,89 +20,13 @@ var (
 	ErrOutOfStock       = errors.New("broadleaf: not enough products")
 )
 
-// Fixes toggles the application-side deadlock fixes f1–f8 of Table II.
-// The unfixed application (zero value) exhibits deadlocks d1–d13.
-type Fixes struct {
-	F1 bool // d1: use persist instead of merge when registering
-	F2 bool // d2: replace cart-lock check-then-insert with an UPSERT
-	F3 bool // d3, d4: run order-item existence SELECTs in a separate txn
-	F4 bool // d5, d6: flush offer/fulfillment-option updates early
-	F5 bool // d7, d8, d9: run cart-pricing SELECTs in a separate txn
-	F6 bool // d10: insert the address first, then point-select it
-	F7 bool // d11: run the shipping-adjustment SELECT in a separate txn
-	F8 bool // d12, d13: run tax/fee SELECTs in a separate txn
-}
-
-// AllFixes enables every fix.
-func AllFixes() Fixes {
-	return Fixes{F1: true, F2: true, F3: true, F4: true, F5: true, F6: true, F7: true, F8: true}
-}
-
-// Disable returns the fix set with one fix (by name, e.g. "f2") turned
-// off — the Fig. 10 ablation configurations.
-func (f Fixes) Disable(name string) Fixes {
-	switch name {
-	case "f1":
-		f.F1 = false
-	case "f2":
-		f.F2 = false
-	case "f3":
-		f.F3 = false
-	case "f4":
-		f.F4 = false
-	case "f5":
-		f.F5 = false
-	case "f6":
-		f.F6 = false
-	case "f7":
-		f.F7 = false
-	case "f8":
-		f.F8 = false
-	default:
-		panic("broadleaf: unknown fix " + name)
-	}
-	return f
-}
-
-// FixNames lists the Broadleaf fixes in Fig. 10 order.
-func FixNames() []string {
-	return []string{"f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8"}
-}
-
-// FixesFrom returns the fix set with exactly the named fixes enabled —
-// the fix-verification loop's incremental configurations.
-func FixesFrom(names []string) (Fixes, error) {
-	var f Fixes
-	for _, n := range names {
-		switch n {
-		case "f1":
-			f.F1 = true
-		case "f2":
-			f.F2 = true
-		case "f3":
-			f.F3 = true
-		case "f4":
-			f.F4 = true
-		case "f5":
-			f.F5 = true
-		case "f6":
-			f.F6 = true
-		case "f7":
-			f.F7 = true
-		case "f8":
-			f.F8 = true
-		default:
-			return Fixes{}, fmt.Errorf("broadleaf: unknown fix %q", n)
-		}
-	}
-	return f, nil
-}
-
 // App is one deployment of the model application over its database.
 type App struct {
 	DB      *minidb.DB
 	Mapping *orm.Mapping
-	Fixes   Fixes
+	// Fixes holds the enabled fixes by id (f1–f8, Expectations' Fix
+	// column); with none, the application exhibits deadlocks d1–d13.
+	Fixes map[string]bool
 
 	// inventoryMu is Broadleaf's own application-level lock protecting
 	// checkout's product-quantity updates (the ad-hoc synchronization of
@@ -113,19 +38,24 @@ type App struct {
 	NumProducts int
 }
 
-// New creates an application instance with a fresh seeded database.
-func New(fixes Fixes, cfg minidb.Config) *App {
+// New creates an application instance with the named fixes enabled
+// ("all" for every one) and a fresh seeded database.
+func New(fixes []string, cfg minidb.Config) (*App, error) {
+	set, err := appkit.Fixes("broadleaf", appkit.FixIDs(Expectations()), fixes)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.LockWaitTimeout == 0 {
 		cfg.LockWaitTimeout = 2 * time.Second
 	}
 	a := &App{
 		DB:          minidb.Open(Schema(), cfg),
 		Mapping:     NewMapping(),
-		Fixes:       fixes,
+		Fixes:       set,
 		NumProducts: 32,
 	}
 	a.seed()
-	return a
+	return a, nil
 }
 
 // seed loads the product catalog with its per-product offer and

@@ -13,9 +13,19 @@ import (
 	"weseer/internal/trace"
 )
 
-func collect(t *testing.T, fixes Fixes) (*App, []*trace.Trace) {
+// newApp opens the application with the named fixes enabled.
+func newApp(t *testing.T, fixes ...string) *App {
 	t.Helper()
-	app := New(fixes, minidb.Config{})
+	app, err := New(fixes, minidb.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
+func collect(t *testing.T, fixes ...string) (*App, []*trace.Trace) {
+	t.Helper()
+	app := newApp(t, fixes...)
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +36,7 @@ func collect(t *testing.T, fixes Fixes) (*App, []*trace.Trace) {
 // TestTableIInvocations checks the Table I unit-test inventory: seven
 // traces, one per API invocation, with the Add paths diverging.
 func TestTableIInvocations(t *testing.T) {
-	_, traces := collect(t, Fixes{})
+	_, traces := collect(t)
 	want := []string{"Register", "Add1", "Add2", "Add3", "Ship", "Payment", "Checkout"}
 	if len(traces) != len(want) {
 		t.Fatalf("traces = %d, want %d", len(traces), len(want))
@@ -57,7 +67,7 @@ func TestTableIInvocations(t *testing.T) {
 // application and checks that every Broadleaf deadlock of Table II
 // (d1–d13) is reported.
 func TestDiagnosisFindsTableII(t *testing.T) {
-	_, traces := collect(t, Fixes{})
+	_, traces := collect(t)
 	res := coretest.Analyze(t, Schema(), traces)
 	found := map[string]int{}
 	for _, d := range res.Deadlocks {
@@ -83,7 +93,7 @@ func TestDiagnosisFindsTableII(t *testing.T) {
 // baseline against the catalog size: it must report far more cycles than
 // the 13 confirmed deadlocks (the paper's 18,384-vs-18 observation).
 func TestCoarseBaselineExplodes(t *testing.T) {
-	_, traces := collect(t, Fixes{})
+	_, traces := collect(t)
 	res := coretest.Analyze(t, Schema(), traces, core.WithCoarseOnly())
 	if res.Stats.CoarseCycles < 10*len(Expectations()) {
 		t.Errorf("coarse baseline found only %d cycles; expected an explosion vs %d cataloged",
@@ -101,9 +111,9 @@ func TestCoarseBaselineExplodes(t *testing.T) {
 // because statically, conflicts on application-generated keys remain
 // conservatively reportable.
 func TestFixedAppShrinksReports(t *testing.T) {
-	_, unfixedTraces := collect(t, Fixes{})
+	_, unfixedTraces := collect(t)
 	unfixed := coretest.Analyze(t, Schema(), unfixedTraces)
-	_, fixedTraces := collect(t, AllFixes())
+	_, fixedTraces := collect(t, "all")
 	fixed := coretest.Analyze(t, Schema(), fixedTraces)
 
 	found := map[string]int{}
@@ -129,8 +139,8 @@ func stmtsOf(tr *trace.Trace) []*trace.Stmt { return tr.AllStmts() }
 // TestF1PersistDropsMergeSelect: with f1 the Register transaction issues
 // only the INSERT (no merge SELECT).
 func TestF1PersistDropsMergeSelect(t *testing.T) {
-	_, unfixed := collect(t, Fixes{})
-	_, fixed := collect(t, AllFixes())
+	_, unfixed := collect(t)
+	_, fixed := collect(t, "all")
 	countKind := func(tr *trace.Trace, k sqlast.StmtKind) int {
 		n := 0
 		for _, s := range stmtsOf(tr) {
@@ -150,7 +160,7 @@ func TestF1PersistDropsMergeSelect(t *testing.T) {
 
 // TestF2Upsert: with f2 the cart lock is one UPSERT statement.
 func TestF2Upsert(t *testing.T) {
-	_, fixed := collect(t, AllFixes())
+	_, fixed := collect(t, "all")
 	add2 := fixed[2]
 	var sawUpsert bool
 	for _, s := range stmtsOf(add2) {
@@ -166,8 +176,8 @@ func TestF2Upsert(t *testing.T) {
 // TestF3MovesSelectToSeparateTxn: with f3 the order-item existence SELECT
 // runs in a different transaction from the INSERT.
 func TestF3MovesSelectToSeparateTxn(t *testing.T) {
-	_, unfixed := collect(t, Fixes{})
-	_, fixed := collect(t, AllFixes())
+	_, unfixed := collect(t)
+	_, fixed := collect(t, "all")
 	locate := func(tr *trace.Trace) (selTxn, insTxn int) {
 		selTxn, insTxn = -1, -1
 		for _, s := range stmtsOf(tr) {
@@ -194,8 +204,8 @@ func TestF3MovesSelectToSeparateTxn(t *testing.T) {
 // audit SELECT in send order; without it, write-behind defers the UPDATE
 // past commit.
 func TestF4FlushReordersUpdates(t *testing.T) {
-	_, unfixed := collect(t, Fixes{})
-	_, fixed := collect(t, AllFixes())
+	_, unfixed := collect(t)
+	_, fixed := collect(t, "all")
 	orderOf := func(tr *trace.Trace) (updSeq, selSeq int) {
 		updSeq, selSeq = -1, -1
 		for _, s := range stmtsOf(tr) {
@@ -221,8 +231,8 @@ func TestF4FlushReordersUpdates(t *testing.T) {
 // TestF6InsertBeforeScan: with f6 Ship's address INSERT precedes any
 // Address SELECT; without it the range scan comes first.
 func TestF6InsertBeforeScan(t *testing.T) {
-	_, unfixed := collect(t, Fixes{})
-	_, fixed := collect(t, AllFixes())
+	_, unfixed := collect(t)
+	_, fixed := collect(t, "all")
 	orderOf := func(tr *trace.Trace) (selSeq, insSeq int) {
 		selSeq, insSeq = -1, -1
 		for _, s := range stmtsOf(tr) {
@@ -250,7 +260,7 @@ func TestF6InsertBeforeScan(t *testing.T) {
 // item list loads via the three-way join, and the product update's
 // parameters flow from the join's symbolic results.
 func TestCheckoutMatchesFig1(t *testing.T) {
-	_, traces := collect(t, Fixes{})
+	_, traces := collect(t)
 	ck := traces[6]
 	mainTxn := ck.Txns[len(ck.Txns)-1]
 	var joins, orderSelects, productUpdates int
@@ -282,7 +292,7 @@ func TestCheckoutMatchesFig1(t *testing.T) {
 // TestRuntimeSmokeAllFixes drives the APIs natively (ModeOff) for several
 // customers; everything must succeed with zero deadlocks.
 func TestRuntimeSmokeAllFixes(t *testing.T) {
-	app := New(AllFixes(), minidb.Config{})
+	app := newApp(t, "all")
 	e := concolic.New(concolic.ModeOff)
 	for c := 0; c < 5; c++ {
 		if _, err := app.Register(e,
@@ -313,7 +323,7 @@ func TestRuntimeSmokeAllFixes(t *testing.T) {
 // TestRegisterValidation exercises the error paths (their path conditions
 // appear in traces as the branch negations).
 func TestRegisterValidation(t *testing.T) {
-	app := New(AllFixes(), minidb.Config{})
+	app := newApp(t, "all")
 	e := concolic.New(concolic.ModeOff)
 	if _, err := app.Register(e, concolic.Str("u"), concolic.Str("e"), concolic.Str("a"), concolic.Str("b")); err != ErrPasswordMismatch {
 		t.Errorf("mismatch: %v", err)
@@ -326,7 +336,7 @@ func TestRegisterValidation(t *testing.T) {
 // TestCheckoutOutOfStock: checkout fails when a product's stock is
 // insufficient, and the transaction rolls back.
 func TestCheckoutOutOfStock(t *testing.T) {
-	app := New(AllFixes(), minidb.Config{})
+	app := newApp(t, "all")
 	e := concolic.New(concolic.ModeOff)
 	cust := concolic.Int(1)
 	if err := app.Add(e, cust, concolic.Int(1)); err != nil {
@@ -351,7 +361,7 @@ func TestCheckoutOutOfStock(t *testing.T) {
 // plans): every cataloged deadlock must survive, with no more reports
 // than the conservative all-possible-indexes model.
 func TestConcretePlansKeepCatalog(t *testing.T) {
-	_, traces := collect(t, Fixes{})
+	_, traces := collect(t)
 	conservative := coretest.Analyze(t, Schema(), traces)
 	planned := coretest.Analyze(t, Schema(), traces, core.WithConcretePlans())
 	found := map[string]int{}

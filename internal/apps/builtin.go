@@ -24,7 +24,6 @@ type wrapped struct {
 	db       *minidb.DB
 	tests    []appkit.UnitTest
 	classify func(*core.Deadlock) string
-	srcDir   string
 	flow     workload.Flow
 	catalog  []appkit.Expectation
 }
@@ -34,56 +33,42 @@ func (w *wrapped) Schema() *schema.Schema           { return w.scm }
 func (w *wrapped) DB() *minidb.DB                   { return w.db }
 func (w *wrapped) UnitTests() []appkit.UnitTest     { return w.tests }
 func (w *wrapped) Classify(d *core.Deadlock) string { return w.classify(d) }
-func (w *wrapped) SourceDir() string                { return w.srcDir }
+func (w *wrapped) SourceDir() string                { return filepath.Join("internal", "apps", w.name) }
 func (w *wrapped) Flow() workload.Flow              { return w.flow }
 func (w *wrapped) Catalog() []appkit.Expectation    { return w.catalog }
 
+// registerModel registers a model app, whose spec takes no argument; open
+// builds one configured instance (name aside).
+func registerModel(name, summary string, open func(Options) (*wrapped, error)) {
+	Register(name, Factory{Summary: summary, New: func(arg string, opt Options) (App, error) {
+		if arg != "" {
+			return nil, fmt.Errorf("%s takes no argument (got %q)", name, arg)
+		}
+		w, err := open(opt)
+		if err != nil {
+			return nil, err
+		}
+		w.name = name
+		return w, nil
+	}})
+}
+
 func init() {
-	Register("broadleaf", Factory{
-		Summary: "Broadleaf Commerce model (Table I APIs, deadlocks d1-d13)",
-		New: func(arg string, opt Options) (App, error) {
-			if arg != "" {
-				return nil, fmt.Errorf("broadleaf takes no argument (got %q)", arg)
-			}
-			fixes, err := broadleaf.FixesFrom(opt.Apply)
-			if err != nil {
-				return nil, err
-			}
-			if opt.Fixed {
-				fixes = broadleaf.AllFixes()
-			}
-			app := broadleaf.New(fixes, opt.DB)
-			return &wrapped{
-				name: "broadleaf", scm: broadleaf.Schema(), db: app.DB,
-				tests: app.UnitTests(), classify: broadleaf.Classify,
-				srcDir:  filepath.Join("internal", "apps", "broadleaf"),
-				flow:    app.Flow(),
-				catalog: broadleaf.Expectations(),
-			}, nil
-		},
+	registerModel("broadleaf", "Broadleaf Commerce model (Table I APIs, deadlocks d1-d13)", func(opt Options) (*wrapped, error) {
+		app, err := broadleaf.New(opt.Apply, opt.DB)
+		if err != nil {
+			return nil, err
+		}
+		return &wrapped{scm: broadleaf.Schema(), db: app.DB, tests: app.UnitTests(),
+			classify: broadleaf.Classify, flow: app.Flow(), catalog: broadleaf.Expectations()}, nil
 	})
-	Register("shopizer", Factory{
-		Summary: "Shopizer model (Table I APIs, deadlocks d14-d18)",
-		New: func(arg string, opt Options) (App, error) {
-			if arg != "" {
-				return nil, fmt.Errorf("shopizer takes no argument (got %q)", arg)
-			}
-			fixes, err := shopizer.FixesFrom(opt.Apply)
-			if err != nil {
-				return nil, err
-			}
-			if opt.Fixed {
-				fixes = shopizer.AllFixes()
-			}
-			app := shopizer.New(fixes, opt.DB)
-			return &wrapped{
-				name: "shopizer", scm: shopizer.Schema(), db: app.DB,
-				tests: app.UnitTests(), classify: shopizer.Classify,
-				srcDir:  filepath.Join("internal", "apps", "shopizer"),
-				flow:    app.Flow(),
-				catalog: shopizer.Expectations(),
-			}, nil
-		},
+	registerModel("shopizer", "Shopizer model (Table I APIs, deadlocks d14-d18)", func(opt Options) (*wrapped, error) {
+		app, err := shopizer.New(opt.Apply, opt.DB)
+		if err != nil {
+			return nil, err
+		}
+		return &wrapped{scm: shopizer.Schema(), db: app.DB, tests: app.UnitTests(),
+			classify: shopizer.Classify, flow: app.Flow(), catalog: shopizer.Expectations()}, nil
 	})
 	Register("gen", Factory{
 		Summary: "synthetic corpus generator: gen:<seed>[,templates=N,modules=K,tables=T,rows=R,hot=P,nest=D,classes=f1:1+...|all|none]",
@@ -92,29 +77,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			cfg = cfg.Normalize()
-			planted := map[string]bool{}
-			for _, cc := range cfg.Classes {
-				if cc.N > 0 {
-					planted[cc.Class] = true
-				}
+			app, err := appgen.New(cfg, opt.DB, opt.Apply)
+			if err != nil {
+				return nil, err
 			}
-			apply := opt.Apply
-			if opt.Fixed {
-				// Fixed = fix every planted class.
-				apply = nil
-				for _, cc := range cfg.Classes {
-					if cc.N > 0 {
-						apply = append(apply, cc.Class)
-					}
-				}
-			}
-			for _, cl := range apply {
-				if !planted[cl] {
-					return nil, fmt.Errorf("gen:%s: fix %q targets a class not planted in this corpus", arg, cl)
-				}
-			}
-			return appgen.New(cfg, opt.DB, appgen.WithFixedClasses(apply...)), nil
+			return app, nil
 		},
 	})
 }

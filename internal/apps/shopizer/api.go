@@ -182,7 +182,7 @@ func (a *App) Checkout(e *concolic.Engine, customerID concolic.Value) error {
 // most-recent-first unless fix f11 sorts them.
 func (a *App) readCartProducts(e *concolic.Engine, s *orm.Session, items []*orm.Entity) map[int64]concolic.Value {
 	out := map[int64]concolic.Value{}
-	for _, pid := range cartProductIDs(items, a.Fixes.F11) {
+	for _, pid := range cartProductIDs(items, a.Fixes["f11"]) {
 		rows := s.Query(`SELECT * FROM Product p WHERE p.ID = ?`, []concolic.Value{concolic.Int(pid)}, "p")
 		if len(rows) == 1 {
 			out[pid] = rows[0].Get("QTY")
@@ -204,7 +204,7 @@ func (a *App) commitProducts(e *concolic.Engine, s *orm.Session, items []*orm.En
 			qtyOf[pid] = it.Get("QTY")
 		}
 	}
-	for _, pid := range cartProductIDs(items, a.Fixes.F10) {
+	for _, pid := range cartProductIDs(items, a.Fixes["f10"]) {
 		stock, ok := read[pid]
 		if !ok {
 			continue

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/minidb"
 	"weseer/internal/orm"
@@ -21,64 +22,13 @@ var (
 	ErrUnknownInput = errors.New("shopizer: unknown product or customer")
 )
 
-// Fixes toggles the application-side deadlock fixes f9–f11 of Table II.
-type Fixes struct {
-	// F9 forces serial execution of the pricing/committing transactions
-	// with an application-level lock (d14–d16).
-	F9 bool
-	// F10 makes checkout's product UPDATEs follow ascending product-id
-	// order (d17).
-	F10 bool
-	// F11 makes checkout's product reads follow the same ascending order
-	// (d18).
-	F11 bool
-}
-
-// AllFixes enables every fix.
-func AllFixes() Fixes { return Fixes{F9: true, F10: true, F11: true} }
-
-// Disable returns the fix set with one fix turned off (Fig. 11 ablation).
-func (f Fixes) Disable(name string) Fixes {
-	switch name {
-	case "f9":
-		f.F9 = false
-	case "f10":
-		f.F10 = false
-	case "f11":
-		f.F11 = false
-	default:
-		panic("shopizer: unknown fix " + name)
-	}
-	return f
-}
-
-// FixNames lists the Shopizer fixes in Fig. 11 order.
-func FixNames() []string { return []string{"f9", "f10", "f11"} }
-
-// FixesFrom returns the fix set with exactly the named fixes enabled —
-// the fix-verification loop's incremental configurations.
-func FixesFrom(names []string) (Fixes, error) {
-	var f Fixes
-	for _, n := range names {
-		switch n {
-		case "f9":
-			f.F9 = true
-		case "f10":
-			f.F10 = true
-		case "f11":
-			f.F11 = true
-		default:
-			return Fixes{}, fmt.Errorf("shopizer: unknown fix %q", n)
-		}
-	}
-	return f, nil
-}
-
 // App is one deployment of the model application.
 type App struct {
 	DB      *minidb.DB
 	Mapping *orm.Mapping
-	Fixes   Fixes
+	// Fixes holds the enabled fixes by id (f9–f11, Expectations' Fix
+	// column); with none, the application exhibits deadlocks d14–d18.
+	Fixes map[string]bool
 
 	// productMu is fix f9's application-level locking: one lock per
 	// product, always acquired in ascending product order and held across
@@ -90,20 +40,25 @@ type App struct {
 	NumProducts int
 }
 
-// New creates an application instance with a fresh seeded database.
-func New(fixes Fixes, cfg minidb.Config) *App {
+// New creates an application instance with the named fixes enabled
+// ("all" for every one) and a fresh seeded database.
+func New(fixes []string, cfg minidb.Config) (*App, error) {
+	set, err := appkit.Fixes("shopizer", appkit.FixIDs(Expectations()), fixes)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.LockWaitTimeout == 0 {
 		cfg.LockWaitTimeout = 2 * time.Second
 	}
 	a := &App{
 		DB:          minidb.Open(Schema(), cfg),
 		Mapping:     NewMapping(),
-		Fixes:       fixes,
+		Fixes:       set,
 		NumProducts: 32,
 	}
 	a.productMu = make([]sync.Mutex, a.NumProducts+1)
 	a.seed()
-	return a
+	return a, nil
 }
 
 func (a *App) seed() {
@@ -135,7 +90,7 @@ func (a *App) session(e *concolic.Engine) *orm.Session {
 // so the lock acquisition itself cannot deadlock) for the given product
 // ids; the returned func releases them.
 func (a *App) serializeProducts(ids []int64) func() {
-	if !a.Fixes.F9 {
+	if !a.Fixes["f9"] {
 		return func() {}
 	}
 	sorted := append([]int64(nil), ids...)

@@ -13,9 +13,19 @@ import (
 	"weseer/internal/trace"
 )
 
-func collect(t *testing.T, fixes Fixes) []*trace.Trace {
+// newApp opens the application with the named fixes enabled.
+func newApp(t *testing.T, fixes ...string) *App {
 	t.Helper()
-	app := New(fixes, minidb.Config{})
+	app, err := New(fixes, minidb.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
+func collect(t *testing.T, fixes ...string) []*trace.Trace {
+	t.Helper()
+	app := newApp(t, fixes...)
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +34,7 @@ func collect(t *testing.T, fixes Fixes) []*trace.Trace {
 }
 
 func TestTableIInvocations(t *testing.T) {
-	traces := collect(t, Fixes{})
+	traces := collect(t)
 	want := []string{"Register", "Add1", "Add2", "Add3", "Ship", "Checkout"}
 	if len(traces) != len(want) {
 		t.Fatalf("traces = %d, want %d (Shopizer has no Payment API)", len(traces), len(want))
@@ -39,7 +49,7 @@ func TestTableIInvocations(t *testing.T) {
 // TestDiagnosisFindsTableII: the unfixed Shopizer model yields every
 // cataloged deadlock d14–d18, all of them on the Product table.
 func TestDiagnosisFindsTableII(t *testing.T) {
-	traces := collect(t, Fixes{})
+	traces := collect(t)
 	res, err := core.NewAnalyzer(Schema()).AnalyzeContext(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +74,8 @@ func TestDiagnosisFindsTableII(t *testing.T) {
 // TestOrderingDiffersWithoutFixes: the commit phase's statement order is
 // descending by product id without f10, ascending with it.
 func TestOrderingDiffersWithoutFixes(t *testing.T) {
-	commitOrder := func(fixes Fixes) []int64 {
-		traces := collect(t, fixes)
+	commitOrder := func(fixes ...string) []int64 {
+		traces := collect(t, fixes...)
 		var ids []int64
 		for _, s := range traces[5].AllStmts() { // Checkout
 			if s.Parsed.WriteTable() == "Product" && siteOf(s) == siteCommitUpdate {
@@ -74,11 +84,11 @@ func TestOrderingDiffersWithoutFixes(t *testing.T) {
 		}
 		return ids
 	}
-	un := commitOrder(Fixes{})
+	un := commitOrder()
 	if len(un) != 2 || un[0] != 2 || un[1] != 1 {
 		t.Errorf("unfixed commit order = %v, want [2 1] (most recent first)", un)
 	}
-	fx := commitOrder(AllFixes())
+	fx := commitOrder("all")
 	if len(fx) != 2 || fx[0] != 1 || fx[1] != 2 {
 		t.Errorf("fixed commit order = %v, want [1 2] (ascending)", fx)
 	}
@@ -88,8 +98,8 @@ func TestOrderingDiffersWithoutFixes(t *testing.T) {
 // unfixed pricing transactions over the same product upgrade-deadlock;
 // with f9 the application lock serializes them.
 func TestRuntimeUpgradeDeadlock(t *testing.T) {
-	run := func(fixes Fixes) int64 {
-		app := New(fixes, minidb.Config{})
+	run := func(fixes ...string) int64 {
+		app := newApp(t, fixes...)
 		e := concolic.New(concolic.ModeOff)
 		// Eight customers share products 1 and 2 in their carts; the
 		// checkout transaction's pricing and committing phases overlap
@@ -116,17 +126,17 @@ func TestRuntimeUpgradeDeadlock(t *testing.T) {
 		wg.Wait()
 		return app.DB.StatsSnapshot().Deadlocks
 	}
-	if dl := run(Fixes{}); dl == 0 {
+	if dl := run(); dl == 0 {
 		t.Error("unfixed concurrent pricing never deadlocked")
 	}
-	if dl := run(AllFixes()); dl != 0 {
+	if dl := run("all"); dl != 0 {
 		t.Errorf("fixed concurrent pricing deadlocked %d times", dl)
 	}
 }
 
 // TestRuntimeSmokeAllFixes drives the full API sequence natively.
 func TestRuntimeSmokeAllFixes(t *testing.T) {
-	app := New(AllFixes(), minidb.Config{})
+	app := newApp(t, "all")
 	e := concolic.New(concolic.ModeOff)
 	for c := int64(1); c <= 4; c++ {
 		cust := concolic.Int(c)
@@ -156,7 +166,7 @@ func TestRuntimeSmokeAllFixes(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	app := New(AllFixes(), minidb.Config{})
+	app := newApp(t, "all")
 	e := concolic.New(concolic.ModeOff)
 	if _, err := app.Register(e, concolic.Str(""), concolic.Str("x")); err != ErrBadUsername {
 		t.Errorf("empty username: %v", err)

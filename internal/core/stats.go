@@ -65,13 +65,13 @@ type Stats struct {
 	// solved it — so the sums are deterministic at any parallelism.
 	Engine solver.Stats
 
-	// Parallelism is the worker count the run used for the enumeration
-	// and discharge pools; the timings below depend on it, the rest of
-	// the report does not.
+	// Parallelism is the worker count the run used for phase 3's
+	// discharge pool (enumeration is one serial pass); the timings below
+	// depend on it, the rest of the report does not.
 	Parallelism int
 	SolverTime  time.Duration // cumulative in-solver time across workers
 	CanonTime   time.Duration // cumulative canonicalization time (one per shape) across workers
-	EnumTime    time.Duration // wall time of phases 1–2 (pool + merge)
+	EnumTime    time.Duration // wall time of phases 1–2 (one serial pass)
 	FineTime    time.Duration // wall time of phase 3 + merge
 }
 

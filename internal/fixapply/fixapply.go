@@ -170,8 +170,7 @@ func fixFor(cl string, catalog map[string]appkit.Expectation) (string, string) {
 		return "", ""
 	}
 	if e, ok := catalog[cl]; ok {
-		name, desc, _ := strings.Cut(e.Fix, ":")
-		return strings.TrimSpace(name), strings.TrimSpace(desc)
+		return e.FixID()
 	}
 	if fixNameRe.MatchString(cl) {
 		return cl, ""

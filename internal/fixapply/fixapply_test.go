@@ -27,6 +27,21 @@ var genClasses = []string{"f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", 
 // the net database effect instead.
 var upsertClasses = map[string]bool{"f1": true, "f2": true}
 
+// generate builds the application named "gen:"+spec, fresh database
+// included, with the given classes fixed.
+func generate(t *testing.T, spec string, fixed ...string) *appgen.App {
+	t.Helper()
+	cfg, err := appgen.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := appgen.New(cfg, minidb.Config{}, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func analyzeGen(t *testing.T, a *appgen.App) *core.Result {
 	t.Helper()
 	traces, err := appkit.Collect(a.UnitTests(), concolic.ModeConcolic)
@@ -102,10 +117,7 @@ func TestFixPropertiesOverCorpora(t *testing.T) {
 	for seed := 1; seed <= 220; seed++ {
 		class := genClasses[seed%len(genClasses)]
 		spec := fmt.Sprintf("%d,templates=2,modules=1,tables=2,rows=4,classes=%s:1", seed, class)
-		app, err := appgen.FromSpec(spec, minidb.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		app := generate(t, spec)
 		res := analyzeGen(t, app)
 		plan := fixapply.Plan(app, res)
 		var fix *fixapply.Fix
@@ -122,10 +134,7 @@ func TestFixPropertiesOverCorpora(t *testing.T) {
 		}
 		planned++
 
-		fixed, err := app.Refix(class)
-		if err != nil {
-			t.Fatalf("seed %d: Refix(%s): %v", seed, class, err)
-		}
+		fixed := generate(t, spec, class)
 		fres := analyzeGen(t, fixed)
 
 		// Property 2: strictly smaller, targeted fingerprints gone.
@@ -145,14 +154,7 @@ func TestFixPropertiesOverCorpora(t *testing.T) {
 
 		// Property 1: workload preserved.
 		if upsertClasses[class] {
-			base, err := app.Refix() // fresh DBs for both variants
-			if err != nil {
-				t.Fatal(err)
-			}
-			refixed, err := app.Refix(class)
-			if err != nil {
-				t.Fatal(err)
-			}
+			base, refixed := generate(t, spec), generate(t, spec, class) // fresh DBs for both variants
 			runConcrete(t, base)
 			runConcrete(t, refixed)
 			if got, want := rowsSnapshot(refixed), rowsSnapshot(base); got != want {

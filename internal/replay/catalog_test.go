@@ -6,48 +6,23 @@ import (
 	"testing"
 	"time"
 
+	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
-	"weseer/internal/apps/broadleaf"
-	"weseer/internal/apps/shopizer"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
-	"weseer/internal/schema"
 )
 
-// catalogApp is one model app's surface for the whole-catalog pin.
-type catalogApp struct {
-	name     string
-	schema   *schema.Schema
-	classify func(*core.Deadlock) string
-	mkState  func() (*minidb.DB, []appkit.UnitTest)
-}
-
-// catalogApps opens both Table II model apps with a short lock-wait
+// openCatalogApp opens a Table II model app with a short lock-wait
 // timeout so Blocked outcomes resolve quickly instead of stalling the
 // test for the default 5s per wait.
-func catalogApps() []catalogApp {
-	cfg := minidb.Config{LockWaitTimeout: 250 * time.Millisecond}
-	return []catalogApp{
-		{
-			name:     "broadleaf",
-			schema:   broadleaf.Schema(),
-			classify: broadleaf.Classify,
-			mkState: func() (*minidb.DB, []appkit.UnitTest) {
-				a := broadleaf.New(broadleaf.Fixes{}, cfg)
-				return a.DB, a.UnitTests()
-			},
-		},
-		{
-			name:     "shopizer",
-			schema:   shopizer.Schema(),
-			classify: shopizer.Classify,
-			mkState: func() (*minidb.DB, []appkit.UnitTest) {
-				a := shopizer.New(shopizer.Fixes{}, cfg)
-				return a.DB, a.UnitTests()
-			},
-		},
+func openCatalogApp(t *testing.T, name string) apps.App {
+	t.Helper()
+	app, err := apps.Open(name, apps.Options{DB: minidb.Config{LockWaitTimeout: 250 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return app
 }
 
 // TestCatalogReproducesDeadlocked is the end-to-end true-positive pin:
@@ -62,19 +37,19 @@ func TestCatalogReproducesDeadlocked(t *testing.T) {
 	}
 	reproduced := map[string]bool{}
 	tried := map[string]int{}
-	for _, app := range catalogApps() {
-		_, tests := app.mkState()
-		traces, err := appkit.Collect(tests, concolic.ModeConcolic)
+	for _, name := range []string{"broadleaf", "shopizer"} {
+		app := openCatalogApp(t, name)
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.NewAnalyzer(app.schema).AnalyzeContext(context.Background(), traces)
+		res, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
 		if err != nil {
 			t.Fatal(err)
 		}
 		byClass := map[string][]*core.Deadlock{}
 		for _, d := range res.Deadlocks {
-			if id := app.classify(d); len(id) >= 2 && id[0] == 'd' && id[1] >= '0' && id[1] <= '9' {
+			if id := app.Classify(d); len(id) >= 2 && id[0] == 'd' && id[1] >= '0' && id[1] <= '9' {
 				byClass[id] = append(byClass[id], d)
 			}
 		}
@@ -84,11 +59,12 @@ func TestCatalogReproducesDeadlocked(t *testing.T) {
 					break
 				}
 				tried[id]++
-				db, tests := app.mkState()
+				fresh := openCatalogApp(t, name)
+				tests := fresh.UnitTests()
 				if err := appkit.RunPrefix(tests, prefixLen(tests, d.APIs[0], d.APIs[1])); err != nil {
-					t.Fatalf("%s %s: rebuild state: %v", app.name, id, err)
+					t.Fatalf("%s %s: rebuild state: %v", name, id, err)
 				}
-				out := Reproduce(db, d.Cycle)
+				out := Reproduce(fresh.DB(), d.Cycle)
 				if out.Status == Deadlocked {
 					reproduced[id] = true
 				}

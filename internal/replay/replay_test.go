@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/apps/broadleaf"
 	"weseer/internal/concolic"
@@ -13,18 +14,25 @@ import (
 
 func analyzeBroadleaf(t *testing.T) (*core.Result, func() (*minidb.DB, []appkit.UnitTest)) {
 	t.Helper()
-	app := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
+	open := func() apps.App {
+		app, err := apps.Open("broadleaf", apps.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return app
+	}
+	app := open()
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.NewAnalyzer(broadleaf.Schema()).AnalyzeContext(context.Background(), traces)
+	res, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mkState := func() (*minidb.DB, []appkit.UnitTest) {
-		fresh := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
-		return fresh.DB, fresh.UnitTests()
+		fresh := open()
+		return fresh.DB(), fresh.UnitTests()
 	}
 	return res, mkState
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"weseer/internal/apps/broadleaf"
 	"weseer/internal/concolic"
 	"weseer/internal/minidb"
 )
@@ -13,8 +12,8 @@ import (
 // unfixed Broadleaf: time and allocations per API call of the whole
 // statement path (orm, driver, executor, lock table) without contention.
 func BenchmarkBroadleafFlow(b *testing.B) {
-	app := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
-	next := app.Flow()(1, rand.New(rand.NewSource(7)))
+	_, flow := open(b, "broadleaf", minidb.Config{})
+	next := flow(1, rand.New(rand.NewSource(7)))
 	e := concolic.New(concolic.ModeOff)
 	b.ReportAllocs()
 	b.ResetTimer()

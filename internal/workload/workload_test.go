@@ -4,9 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"weseer/internal/appgen"
-	"weseer/internal/apps/broadleaf"
-	"weseer/internal/apps/shopizer"
+	"weseer/internal/apps"
 	"weseer/internal/minidb"
 	"weseer/internal/workload"
 )
@@ -18,24 +16,26 @@ func dbConfig() minidb.Config {
 	}
 }
 
-func runBroadleaf(t *testing.T, fixes broadleaf.Fixes, clients int) workload.Result {
+// open opens a registry app with the named fixes applied.
+func open(t testing.TB, spec string, db minidb.Config, fixes ...string) (*minidb.DB, workload.Flow) {
 	t.Helper()
-	app := broadleaf.New(fixes, dbConfig())
-	return workload.Run(workload.Config{
-		Clients:  clients,
-		Duration: 400 * time.Millisecond,
-		Seed:     7,
-	}, app.DB, app.Flow())
+	app, err := apps.Open(spec, apps.Options{Apply: fixes, DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app.DB(), app.(apps.Workloader).Flow()
 }
 
-func runShopizer(t *testing.T, fixes shopizer.Fixes, clients int) workload.Result {
+// run drives 64 clients for 400ms against a model app with the named
+// fixes applied.
+func run(t *testing.T, spec string, fixes ...string) workload.Result {
 	t.Helper()
-	app := shopizer.New(fixes, dbConfig())
+	db, flow := open(t, spec, dbConfig(), fixes...)
 	return workload.Run(workload.Config{
-		Clients:  clients,
+		Clients:  64,
 		Duration: 400 * time.Millisecond,
 		Seed:     7,
-	}, app.DB, app.Flow())
+	}, db, flow)
 }
 
 // TestFig10Shape checks the headline Broadleaf result: with all fixes
@@ -43,8 +43,8 @@ func runShopizer(t *testing.T, fixes shopizer.Fixes, clients int) workload.Resul
 // deadlocks left to the database's detect-and-recover handling, and the
 // abort rate drops to (near) zero — the paper's 904 → 0 aborts/s.
 func TestFig10Shape(t *testing.T) {
-	enabled := runBroadleaf(t, broadleaf.AllFixes(), 64)
-	disabled := runBroadleaf(t, broadleaf.Fixes{}, 64)
+	enabled := run(t, "broadleaf", "all")
+	disabled := run(t, "broadleaf")
 	t.Logf("enable all: %.0f API/s, %d deadlocks; disable all: %.0f API/s, %d deadlocks",
 		enabled.Throughput, enabled.Deadlocks, disabled.Throughput, disabled.Deadlocks)
 	if enabled.Throughput < 4*disabled.Throughput {
@@ -61,8 +61,8 @@ func TestFig10Shape(t *testing.T) {
 
 // TestFig11Shape checks the Shopizer result at high concurrency.
 func TestFig11Shape(t *testing.T) {
-	enabled := runShopizer(t, shopizer.AllFixes(), 64)
-	disabled := runShopizer(t, shopizer.Fixes{}, 64)
+	enabled := run(t, "shopizer", "all")
+	disabled := run(t, "shopizer")
 	t.Logf("enable all: %.0f API/s, %d deadlocks; disable all: %.0f API/s, %d deadlocks",
 		enabled.Throughput, enabled.Deadlocks, disabled.Throughput, disabled.Deadlocks)
 	if enabled.Throughput < disabled.Throughput {
@@ -80,8 +80,8 @@ func TestFig11Shape(t *testing.T) {
 // TestDisableF2Hurts reproduces the paper's observation that f2 (the cart
 // UPSERT) is Broadleaf's most valuable fix at high concurrency.
 func TestDisableF2Hurts(t *testing.T) {
-	all := runBroadleaf(t, broadleaf.AllFixes(), 64)
-	noF2 := runBroadleaf(t, broadleaf.AllFixes().Disable("f2"), 64)
+	all := run(t, "broadleaf", "all")
+	noF2 := run(t, "broadleaf", "f1", "f3", "f4", "f5", "f6", "f7", "f8")
 	t.Logf("all: %.0f API/s; disable f2: %.0f API/s (%d deadlocks)",
 		all.Throughput, noF2.Throughput, noF2.Deadlocks)
 	if noF2.Deadlocks == 0 {
@@ -94,13 +94,13 @@ func TestDisableF2Hurts(t *testing.T) {
 
 // TestRetryBackoffCountsCalls sanity-checks the harness accounting.
 func TestRetryBackoffCountsCalls(t *testing.T) {
-	app := broadleaf.New(broadleaf.AllFixes(), minidb.Config{})
+	db, flow := open(t, "broadleaf", minidb.Config{}, "all")
 	res := workload.Run(workload.Config{
 		Clients:      2,
 		Duration:     150 * time.Millisecond,
 		RetryBackoff: time.Millisecond,
 		Seed:         1,
-	}, app.DB, app.Flow())
+	}, db, flow)
 	if res.APICalls == 0 {
 		t.Error("no API calls recorded")
 	}
@@ -118,18 +118,15 @@ func TestRetryBackoffCountsCalls(t *testing.T) {
 // must be counted in Retries, and fixing the planted classes must
 // reduce that burn.
 func TestRetriesCountedUnderContention(t *testing.T) {
-	spec := "13,templates=3,modules=1,tables=2,rows=4,classes=f2:1+f10:1"
+	spec := "gen:13,templates=3,modules=1,tables=2,rows=4,classes=f2:1+f10:1"
 	run := func(fixed ...string) workload.Result {
-		app, err := appgen.FromSpec(spec, dbConfig(), appgen.WithFixedClasses(fixed...))
-		if err != nil {
-			t.Fatal(err)
-		}
+		db, flow := open(t, spec, dbConfig(), fixed...)
 		return workload.Run(workload.Config{
 			Clients:      8,
 			Duration:     400 * time.Millisecond,
 			RetryBackoff: time.Millisecond,
 			Seed:         42,
-		}, app.DB(), app.Flow())
+		}, db, flow)
 	}
 	unfixed := run()
 	fixed := run("f2", "f10")

@@ -280,6 +280,17 @@ diff -u surface.golden "$servedir/surface.txt" || {
     exit 1
 }
 
+# Ablation smoke: Fig. 11 opens every configuration through the registry
+# (all fixes, none, then each catalog fix off in turn); a tiny run must list
+# the five of them in order.
+echo "== fig11 smoke (weseer-bench -exp fig11, ablation configurations)"
+configs=$("$servedir/weseer-bench" -exp fig11 -duration 20ms -clients 2 |
+    awk '/^(enable|disable) / { printf "%s%s %s", sep, $1, $2; sep = ", " }')
+[ "$configs" = "enable all, disable all, disable f9, disable f10, disable f11" ] || {
+    echo "fig11 smoke: configurations are [$configs]" >&2
+    exit 1
+}
+
 # Layering: the solver (and smt under it) imports no telemetry, and the
 # telemetry library names no pipeline metric — each instrumented package
 # registers its own.
