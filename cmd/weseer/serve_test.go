@@ -118,6 +118,7 @@ func TestServeRoundTripRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table II corpus analysis")
 	}
+	obstest.CheckGoroutines(t)
 	storePath := filepath.Join(t.TempDir(), "history.wal")
 	broadleaf := collectTraces(t, "broadleaf")
 	shopizer := collectTraces(t, "shopizer")
@@ -231,6 +232,7 @@ func TestStatsJSONGolden(t *testing.T) {
 // it describes and posts those — the daemon decodes traces and events,
 // nothing else.
 func TestIngestReportFormat(t *testing.T) {
+	obstest.CheckGoroutines(t)
 	d := startDaemon(t, filepath.Join(t.TempDir(), "history.wal"))
 	defer d.stop(t)
 	ingest := func(report string) error {

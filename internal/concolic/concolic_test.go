@@ -1,6 +1,7 @@
 package concolic
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 	"time"
@@ -151,20 +152,43 @@ func TestSymMapAlg1(t *testing.T) {
 	}
 }
 
-func TestSymSet(t *testing.T) {
-	e := New(ModeConcolic)
-	e.StartConcolic("t")
-	s := e.NewSymSet("seen", smt.SortString)
-	k := e.MakeSymbolic("name", Str("alice"))
-	if s.Contains(k) {
-		t.Fatal("empty set contains")
+// TestSymMapKeyClasses pins which concrete keys a SymMap treats as one:
+// numerics by exact value whatever their sort, strings apart from numbers.
+// Only a concolic engine's maps carry the symbolic array.
+func TestSymMapKeyClasses(t *testing.T) {
+	huge := func() Value { return Real(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 70))) }
+	cases := []struct {
+		name string
+		put  Value
+		get  Value
+		same bool
+	}{
+		{"Int 5 and Real 5/1", Int(5), Real(big.NewRat(5, 1)), true},
+		{"Real 5/1 and Int 5", Real(big.NewRat(10, 2)), Int(5), true},
+		{"Real 1/2 and Real 2/4", Real(big.NewRat(1, 2)), Real(big.NewRat(2, 4)), true},
+		{"Real 1/2 and Int 0", Real(big.NewRat(1, 2)), Int(0), false},
+		{"Real 1/2 and String 1/2", Real(big.NewRat(1, 2)), Str("1/2"), false},
+		{"String 5 and Int 5", Str("5"), Int(5), false},
+		{"Int 5 and String 5", Int(5), Str("5"), false},
+		{"Int 5 and Int 6", Int(5), Int(6), false},
+		{"Real 2^70 and Real 2^70", huge(), huge(), true},
 	}
-	s.Add(k)
-	if !s.Contains(k) || s.Len() != 1 {
-		t.Fatal("add/contains broken")
-	}
-	if !s.Remove(k) || s.Len() != 0 {
-		t.Fatal("remove broken")
+	for _, mode := range []Mode{ModeOff, ModeConcolic} {
+		e := New(mode)
+		e.StartConcolic("t")
+		for _, c := range cases {
+			m := e.NewSymMap("cache", c.put.Sort())
+			if built := m.arr != nil || m.keyOf != nil; built != (mode == ModeConcolic) {
+				t.Errorf("%s: symbolic array built = %v", mode, built)
+			}
+			m.Put(c.put, c.name)
+			if _, hit := m.Get(c.get); hit != c.same {
+				t.Errorf("%s: %s: hit = %v, want %v", mode, c.name, hit, c.same)
+			}
+			if _, hit := m.Get(c.put); !hit || m.Len() != 1 {
+				t.Errorf("%s: %s: stored key not found (%d entries)", mode, c.name, m.Len())
+			}
+		}
 	}
 }
 

@@ -23,6 +23,9 @@ type Conn struct {
 	db  *minidb.DB
 	txn *minidb.Txn
 	cur *trace.Txn
+	// args is the statement parameters' scratch: minidb copies the datums
+	// it keeps, so one buffer serves every statement.
+	args []minidb.Datum
 }
 
 // NewConn wraps a database for one engine session.
@@ -35,9 +38,6 @@ func (c *Conn) DB() *minidb.DB { return c.db }
 
 // Engine returns the engine this connection records into.
 func (c *Conn) Engine() *Engine { return c.e }
-
-// InTxn reports whether a transaction is open.
-func (c *Conn) InTxn() bool { return c.txn != nil }
 
 // Begin starts a database transaction and records its life cycle.
 func (c *Conn) Begin() error {
@@ -78,12 +78,6 @@ func (c *Conn) Rollback() error {
 	return err
 }
 
-// Aborted reports whether the open transaction was aborted by the engine
-// (deadlock victim or lock timeout).
-func (c *Conn) Aborted() bool {
-	return c.txn != nil && c.txn.State() == minidb.TxnAborted
-}
-
 // Prepared is one parsed statement template with its alias → table map.
 // Prepared statements are shared process-wide and must not be modified.
 type Prepared struct {
@@ -110,21 +104,28 @@ func Prepare(sql string) (*Prepared, error) {
 
 // Rows is a fetched result set whose cells carry symbolic aliases.
 type Rows struct {
-	Cols  []string
-	Cells [][]Value
+	Cols []string
+	// Cells holds the rows one after another, len(Cols) cells each.
+	Cells []Value
 }
 
 // Empty reports a zero-row result.
 func (r *Rows) Empty() bool { return len(r.Cells) == 0 }
 
 // Len returns the number of rows.
-func (r *Rows) Len() int { return len(r.Cells) }
+func (r *Rows) Len() int { return len(r.Cells) / len(r.Cols) }
+
+// Row returns the cells of one row.
+func (r *Rows) Row(i int) []Value {
+	w := len(r.Cols)
+	return r.Cells[i*w : (i+1)*w : (i+1)*w]
+}
 
 // Get returns the cell at (row, "alias.column").
 func (r *Rows) Get(row int, col string) Value {
 	for i, c := range r.Cols {
 		if c == col {
-			return r.Cells[row][i]
+			return r.Row(row)[i]
 		}
 	}
 	panic(fmt.Sprintf("concolic: no column %q in result (%v)", col, r.Cols))
@@ -158,10 +159,11 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 		return nil, err
 	}
 	st := prep.Stmt
-	datums := make([]minidb.Datum, len(params))
-	for i, p := range params {
-		datums[i] = datumOf(p)
+	datums := c.args[:0]
+	for _, p := range params {
+		datums = append(datums, datumOf(p))
 	}
+	c.args = datums
 	rs, err := c.txn.Exec(st, datums)
 	if err != nil {
 		return nil, err
@@ -174,9 +176,8 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 	var rows *Rows
 	seq := c.e.stmtSeq
 	if rs.Cols != nil {
-		rows = &Rows{Cols: rs.Cols}
+		rows = &Rows{Cols: rs.Cols, Cells: make([]Value, 0, len(rs.Rows)*len(rs.Cols))}
 		for ri, row := range rs.Rows {
-			cells := make([]Value, len(row))
 			for ci, d := range row {
 				v := valueOf(d)
 				if c.e.concolic() && !d.Null {
@@ -184,9 +185,8 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 					// "res4.row0.p.ID" (Fig. 3).
 					v.S = smt.NewVar("res"+strconv.Itoa(seq)+".row"+strconv.Itoa(ri)+"."+rs.Cols[ci], v.C.S)
 				}
-				cells[ci] = v
+				rows.Cells = append(rows.Cells, v)
 			}
-			rows.Cells = append(rows.Cells, cells)
 		}
 	}
 
@@ -219,10 +219,10 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 		}
 		if rows != nil {
 			res := &trace.Result{Cols: rows.Cols, Empty: rows.Empty()}
-			for _, cells := range rows.Cells {
+			for ri := 0; ri < rows.Len(); ri++ {
 				var syms []smt.Var
 				var concs []minidb.Datum
-				for _, v := range cells {
+				for _, v := range rows.Row(ri) {
 					if sv, ok := v.S.(smt.Var); ok {
 						syms = append(syms, sv)
 					} else {
@@ -267,7 +267,8 @@ func datumOf(v Value) minidb.Datum {
 	panic(fmt.Sprintf("concolic: cannot convert %s to datum", v))
 }
 
-// valueOf converts a database datum to a concolic value.
+// valueOf converts a database datum to a concolic value. A Real shares the
+// datum's number: neither side ever changes one in place.
 func valueOf(d minidb.Datum) Value {
 	if d.Null {
 		switch d.Kind {
@@ -283,7 +284,7 @@ func valueOf(d minidb.Datum) Value {
 	case minidb.KInt:
 		return Int(d.I)
 	case minidb.KReal:
-		return Real(d.R)
+		return Value{C: smt.Value{S: smt.SortReal, R: d.R}}
 	case minidb.KStr:
 		return Str(d.S)
 	}

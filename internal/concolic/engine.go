@@ -16,6 +16,7 @@
 package concolic
 
 import (
+	gocmp "cmp"
 	"fmt"
 	"math/big"
 	"runtime"
@@ -116,9 +117,6 @@ func New(mode Mode, opts ...Option) *Engine {
 
 // Mode returns the engine's mode.
 func (e *Engine) Mode() Mode { return e.mode }
-
-// Pruning reports whether Sec. IV pruning is enabled.
-func (e *Engine) Pruning() bool { return e.prune }
 
 func (e *Engine) concolic() bool  { return e.mode == ModeConcolic && e.active }
 func (e *Engine) recording() bool { return e.mode != ModeOff && e.active }
@@ -284,30 +282,29 @@ func (e *Engine) arith(op smt.ArithOp, a, b Value) Value {
 		// reals, their scale/rounding branches never become conditions.
 		e.AccountLibrary("BigDecimal.arith", 24)
 	}
-	ra, rb := a.C.Rat(), b.C.Rat()
-	res := new(big.Rat)
-	switch op {
-	case smt.OpAdd:
-		res.Add(ra, rb)
-	case smt.OpSub:
-		res.Sub(ra, rb)
-	case smt.OpMul:
-		res.Mul(ra, rb)
-	default:
-		panic("concolic: bad arith op")
-	}
-	sort := a.C.S
-	if b.C.S == smt.SortReal {
-		sort = smt.SortReal
-	}
-	var c smt.Value
-	if sort == smt.SortInt && res.IsInt() {
-		c = smt.IntValue(res.Num().Int64())
+	var out Value
+	if a.C.S == smt.SortInt && b.C.S == smt.SortInt {
+		// In machine words, which wrap as an int64 of the exact result would.
+		out.C = smt.IntValue(a.C.I)
+		switch op {
+		case smt.OpAdd:
+			out.C.I += b.C.I
+		case smt.OpSub:
+			out.C.I -= b.C.I
+		case smt.OpMul:
+			out.C.I *= b.C.I
+		}
 	} else {
-		c = smt.RealValue(res)
-		sort = smt.SortReal
+		out.C = smt.Value{S: smt.SortReal, R: new(big.Rat)}
+		switch ra, rb := ratOf(a.C), ratOf(b.C); op {
+		case smt.OpAdd:
+			out.C.R.Add(ra, rb)
+		case smt.OpSub:
+			out.C.R.Sub(ra, rb)
+		case smt.OpMul:
+			out.C.R.Mul(ra, rb)
+		}
 	}
-	out := Value{C: c}
 	if e.tracked(a, b) {
 		switch op {
 		case smt.OpAdd:
@@ -344,7 +341,10 @@ func (e *Engine) Cmp(op smt.CmpOp, a, b Value) Value {
 			panic("concolic: strings support only = and !=")
 		}
 	} else {
-		cmp := a.C.Rat().Cmp(b.C.Rat())
+		cmp := gocmp.Compare(a.C.I, b.C.I)
+		if a.C.S == smt.SortReal || b.C.S == smt.SortReal {
+			cmp = ratOf(a.C).Cmp(ratOf(b.C))
+		}
 		switch op {
 		case smt.EQ:
 			c = cmp == 0
@@ -365,6 +365,15 @@ func (e *Engine) Cmp(op smt.CmpOp, a, b Value) Value {
 		out.S = smt.Compare(op, a.Sym(), b.Sym())
 	}
 	return out
+}
+
+// ratOf returns a numeric value as a big.Rat to read but not change: a
+// Real's own.
+func ratOf(c smt.Value) *big.Rat {
+	if c.S == smt.SortReal {
+		return c.R
+	}
+	return new(big.Rat).SetInt64(c.I)
 }
 
 // Eq returns a = b.

@@ -5,8 +5,6 @@ import (
 	"context"
 	"net/http"
 	"reflect"
-	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -95,11 +93,9 @@ func TestObserverPreservesDeterminism(t *testing.T) {
 // TestObserverCancellationHygiene cancels an observed analysis while
 // phase-3 workers are mid-discharge and asserts that everything the run
 // spawned — the worker pool and the debug HTTP server — exits, leaving
-// the process at its baseline goroutine count. The leak check is
-// hand-rolled: count, retry with backoff, and dump the stack diff on
-// failure.
+// the process at its baseline goroutine count.
 func TestObserverCancellationHygiene(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	obstest.CheckGoroutines(t)
 
 	o := obs.NewObserver()
 	ds, err := obs.StartDebugServer("127.0.0.1:0", o)
@@ -148,32 +144,9 @@ func TestObserverCancellationHygiene(t *testing.T) {
 	if got := o.Progress.Snapshot().Phase; got != "aborted" {
 		t.Errorf("final progress phase = %q, want aborted", got)
 	}
+	// All spawned goroutines — 4 pool workers, the HTTP server's listener
+	// and handlers — must be gone once it is closed.
 	if err := ds.Close(); err != nil {
 		t.Errorf("debug server close: %v", err)
 	}
-	http.DefaultClient.CloseIdleConnections()
-
-	// All spawned goroutines — 4 pool workers, the HTTP server's
-	// listener and handlers — must be gone. Retry briefly: exiting
-	// goroutines are not instantaneous.
-	leakDeadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		}
-		if time.Now().After(leakDeadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	stacks := string(buf[:runtime.Stack(buf, true)])
-	var leaked []string
-	for _, g := range strings.Split(stacks, "\n\n") {
-		if strings.Contains(g, "weseer/") || strings.Contains(g, "net/http") {
-			leaked = append(leaked, g)
-		}
-	}
-	t.Fatalf("goroutines leaked: %d now vs %d baseline\n%s",
-		runtime.NumGoroutine(), baseline, strings.Join(leaked, "\n\n"))
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"weseer/internal/obs"
+	"weseer/internal/obs/obstest"
 	"weseer/internal/trace"
 )
 
@@ -73,6 +74,7 @@ func postIngest(t *testing.T, ts *httptest.Server, query string, body any) (Inge
 }
 
 func TestIngestEventsAndQueries(t *testing.T) {
+	obstest.CheckGoroutines(t)
 	_, ts, reg := newTestServer(t)
 
 	sum, resp := postIngest(t, ts, "?format=events", testEvents())

@@ -55,6 +55,7 @@ type DB struct {
 	// in-memory structures, like InnoDB page latches.
 	latch  sync.Mutex
 	tables map[string]*tableStore
+	ex     executor // guarded by latch
 
 	// One prepared form per statement template, found by the parse's
 	// pointer or else by its text; the latest parse of a text owns the

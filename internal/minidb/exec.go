@@ -18,22 +18,20 @@ type blockedOn struct {
 	mode LockMode
 }
 
-// executor is a transaction's statement-pass state, reused pass to pass.
+// executor is the statement-pass state. Passes run under the storage
+// latch, one at a time, so a database has one executor, and its scratch
+// slices stop growing after the first few statements.
 type executor struct {
 	txn    *Txn
 	params []Datum
 	// rows holds the row bound at each plan step, nil while unbound.
 	rows []Row
 	// pfx is the running scan's equality prefix, buf the encoded key of
-	// the lock being requested.
+	// the lock being requested, out a SELECT's output cells so far.
 	pfx     Key
 	buf     []byte
+	out     []Datum
 	blocked *blockedOn
-
-	// Where Begin starts the scratch slices: ordinary statements grow none.
-	rowArr [4]Row
-	pfxArr [4]Datum
-	bufArr [64]byte
 }
 
 // lock try-acquires a record lock on an index entry or the gap below it
@@ -185,9 +183,9 @@ func (ex *executor) prefixKey(ac *access) (Key, bool) {
 // SELECT
 
 // join runs a SELECT from plan step i on: it binds the step to each of its
-// matching rows in turn and, past the last step, emits the bound rows if
-// they satisfy the query condition.
-func (ex *executor) join(p *prepared, i int, rs *ResultSet) {
+// matching rows in turn and, past the last step, appends the output cells
+// of the bound rows to ex.out if they satisfy the query condition.
+func (ex *executor) join(p *prepared, i int) {
 	if ex.blocked != nil {
 		return
 	}
@@ -195,11 +193,10 @@ func (ex *executor) join(p *prepared, i int, rs *ResultSet) {
 		if !ex.evalCond(&p.cond) {
 			return
 		}
-		out := make([]Datum, len(p.out))
 		for ci := range p.out {
-			out[ci], _ = ex.resolve(&p.out[ci])
+			d, _ := ex.resolve(&p.out[ci])
+			ex.out = append(ex.out, d)
 		}
-		rs.Rows = append(rs.Rows, out)
 		return
 	}
 	ac := &p.plan[i]
@@ -209,12 +206,26 @@ func (ex *executor) join(p *prepared, i int, rs *ResultSet) {
 	}
 	for _, h := range ex.scanIndex(ac, pfx, LockS) {
 		ex.rows[i] = h.row
-		ex.join(p, i+1, rs)
+		ex.join(p, i+1)
 		if ex.blocked != nil {
 			return
 		}
 	}
 	ex.rows[i] = nil
+}
+
+// result copies the output cells out of the scratch, in one allocation cut
+// into rows of the given width.
+func (ex *executor) result(width int) [][]Datum {
+	if len(ex.out) == 0 {
+		return nil
+	}
+	cells := append([]Datum(nil), ex.out...)
+	rows := make([][]Datum, len(cells)/width)
+	for i := range rows {
+		rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"weseer/internal/obs/obstest"
 	"weseer/internal/schema"
 	"weseer/internal/sqlast"
 )
@@ -299,6 +300,7 @@ func TestWriteBlocksRead(t *testing.T) {
 // then both INSERT into that gap. Each insert's intention lock waits on
 // the other's gap lock: a deadlock the engine must detect and break.
 func TestGapInsertDeadlock(t *testing.T) {
+	obstest.CheckGoroutines(t)
 	db := openTest(t)
 	seed(t, db)
 	t1, t2 := db.Begin(), db.Begin()
@@ -354,6 +356,7 @@ func TestGapInsertDeadlock(t *testing.T) {
 // d14–d16: both transactions hold S locks on the same row, then both
 // request the X upgrade.
 func TestUpgradeDeadlock(t *testing.T) {
+	obstest.CheckGoroutines(t)
 	db := openTest(t)
 	seed(t, db)
 	t1, t2 := db.Begin(), db.Begin()
@@ -397,6 +400,7 @@ func TestUpgradeDeadlock(t *testing.T) {
 // TestOrderedUpdateDeadlock reproduces d17/d18: two transactions update
 // the same two rows in opposite orders.
 func TestOrderedUpdateDeadlock(t *testing.T) {
+	obstest.CheckGoroutines(t)
 	db := openTest(t)
 	seed(t, db)
 	t1, t2 := db.Begin(), db.Begin()
@@ -533,6 +537,7 @@ func TestNextID(t *testing.T) {
 }
 
 func TestLockWaitTimeout(t *testing.T) {
+	obstest.CheckGoroutines(t)
 	db := Open(testSchema(), Config{LockWaitTimeout: 50 * time.Millisecond})
 	seedQuick(t, db)
 	holder := db.Begin()

@@ -31,8 +31,6 @@ type Txn struct {
 	heldArr    [16]*lockQueue // held's first backing array
 	waitingFor *lockReq
 
-	ex executor
-
 	undo []undoRec
 	// purge lists the delete-marked entries this transaction owns; they
 	// are physically removed at commit (InnoDB's purge) and unmarked by
@@ -64,9 +62,7 @@ type purgeRec struct {
 // Begin starts a transaction.
 func (db *DB) Begin() *Txn {
 	t := &Txn{db: db, id: db.txnSeq.Add(1)}
-	ex := &t.ex
 	t.held = t.heldArr[:0]
-	ex.txn, ex.rows, ex.pfx, ex.buf = t, ex.rowArr[:0], ex.pfxArr[:0], ex.bufArr[:0]
 	return t
 }
 
@@ -127,13 +123,14 @@ func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
 func (t *Txn) attempt(p *prepared, params []Datum) (rs *ResultSet, blocked *blockedOn, err error) {
 	t.db.latch.Lock()
 	defer t.db.latch.Unlock()
-	ex := &t.ex
-	ex.params, ex.blocked = params, nil
+	ex := &t.db.ex
+	ex.txn, ex.params, ex.blocked = t, params, nil
 	ex.rows = append(ex.rows[:0], make([]Row, len(p.plan))...) // all unbound; extends in place
 	switch p.kind {
 	case sqlast.KindSelect:
-		rs = &ResultSet{Cols: p.cols}
-		ex.join(p, 0, rs)
+		ex.out = ex.out[:0]
+		ex.join(p, 0)
+		rs = &ResultSet{Cols: p.cols, Rows: ex.result(len(p.out))}
 	case sqlast.KindUpdate:
 		rs, err = ex.execUpdate(p)
 	case sqlast.KindDelete:

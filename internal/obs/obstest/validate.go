@@ -2,7 +2,8 @@
 // Chrome trace_event JSON and the Prometheus text exposition. verify.sh's trace-smoke step runs these (via the
 // validatecmd helper) on a real workload's output, and the
 // observability tests use them to assert exporter well-formedness
-// without depending on external tooling.
+// without depending on external tooling. Tests that start goroutines
+// check with CheckGoroutines that all of them have exited.
 package obstest
 
 import (

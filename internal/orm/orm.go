@@ -17,7 +17,6 @@ import (
 
 	"weseer/internal/concolic"
 	"weseer/internal/schema"
-	"weseer/internal/smt"
 	"weseer/internal/sqlast"
 	"weseer/internal/trace"
 )
@@ -43,6 +42,9 @@ type Collection struct {
 type Mapping struct {
 	scm         *schema.Schema
 	collections map[string]map[string]*Collection
+	// cols gives each table's column positions: the order of an entity's
+	// fields and of its column bit sets.
+	cols map[string]map[string]int
 
 	// texts caches the statement text sessions generate, which depends on
 	// the table and the columns taking part, not on the row.
@@ -59,17 +61,26 @@ type textKey struct {
 	cols  uint64
 }
 
-// NewMapping creates a mapping over a schema.
+// NewMapping creates a mapping over a complete schema. A table is limited
+// to 64 columns, the width of a column bit set.
 func NewMapping(scm *schema.Schema) *Mapping {
-	return &Mapping{scm: scm, collections: map[string]map[string]*Collection{}, texts: map[textKey]string{}}
+	m := &Mapping{scm: scm, collections: map[string]map[string]*Collection{},
+		cols: map[string]map[string]int{}, texts: map[textKey]string{}}
+	for _, t := range scm.Tables() {
+		if len(t.Columns) > 64 {
+			panic(fmt.Sprintf("orm: table %s has more than 64 columns", t.Name))
+		}
+		m.cols[t.Name] = make(map[string]int, len(t.Columns))
+		for i, c := range t.Columns {
+			m.cols[t.Name][c.Name] = i
+		}
+	}
+	return m
 }
 
 // text returns the cached statement text for the key, building it on
-// first use. Tables wider than the bit set are not cached.
-func (m *Mapping) text(key textKey, t *schema.Table, build func() string) string {
-	if len(t.Columns) > 64 {
-		return build()
-	}
+// first use.
+func (m *Mapping) text(key textKey, build func() string) string {
 	m.textMu.Lock()
 	defer m.textMu.Unlock()
 	sql, ok := m.texts[key]
@@ -134,15 +145,19 @@ const (
 	stateRemoved                    // scheduled for DELETE at flush
 )
 
-// Entity is a persistent object: a dynamic record of column values. Field
-// values are concolic, so data flow from SELECT results through object
-// state into later statement parameters is tracked symbolically.
+// Entity is a persistent object: a record of column values. Field values
+// are concolic, so data flow from SELECT results through object state into
+// later statement parameters is tracked symbolically.
 type Entity struct {
 	Table string
 
-	fields map[string]concolic.Value
+	// cols is the table's column positions (Mapping.cols); fields holds
+	// the values in that order and dirty the modified columns as a bit set
+	// over it.
+	cols   map[string]int
+	fields []concolic.Value
 	state  entityState
-	dirty  map[string]bool
+	dirty  uint64
 	// modLoc is the last modification site: the trigger code of the
 	// implicit lazy write this entity's eventual UPDATE corresponds to
 	// (Sec. VI).
@@ -151,19 +166,22 @@ type Entity struct {
 	persistLoc trace.CodeLoc
 }
 
-// Get returns the value of a column.
-func (en *Entity) Get(col string) concolic.Value {
-	v, ok := en.fields[col]
+// pos returns a column's position, panicking on an unknown column.
+func (en *Entity) pos(col string) int {
+	i, ok := en.cols[col]
 	if !ok {
 		panic(fmt.Sprintf("orm: entity %s has no field %s", en.Table, col))
 	}
-	return v
+	return i
 }
 
-// Fields returns the column names with assigned values, sorted.
+// Get returns the value of a column.
+func (en *Entity) Get(col string) concolic.Value { return en.fields[en.pos(col)] }
+
+// Fields returns the column names, sorted.
 func (en *Entity) Fields() []string {
-	out := make([]string, 0, len(en.fields))
-	for c := range en.fields {
+	out := make([]string, 0, len(en.cols))
+	for c := range en.cols {
 		out = append(out, c)
 	}
 	sort.Strings(out)
@@ -177,17 +195,8 @@ func (en *Entity) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s=%s", c, en.fields[c])
+		fmt.Fprintf(&b, "%s=%s", c, en.Get(c))
 	}
 	b.WriteString("}")
 	return b.String()
-}
-
-// sortOf maps a column to its smt sort.
-func sortOf(t *schema.Table, col string) smt.Sort {
-	c := t.Column(col)
-	if c == nil {
-		panic(fmt.Sprintf("orm: unknown column %s.%s", t.Name, col))
-	}
-	return c.Type.Sort()
 }

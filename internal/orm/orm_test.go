@@ -2,6 +2,7 @@ package orm
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -329,6 +330,70 @@ func TestTransactionalRollbackOnError(t *testing.T) {
 	}
 }
 
+// TestRollbackClearsSession: a rollback leaves nothing of its transaction
+// in the session, as Hibernate clears its persistence context. A column
+// modified before the rollback is modified again afterwards, and an entity
+// persisted before it is not found in the read cache.
+func TestRollbackClearsSession(t *testing.T) {
+	for _, mode := range []concolic.Mode{concolic.ModeOff, concolic.ModeConcolic} {
+		s, _, db := setup(t, mode)
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		s.Set(s.Find("Product", concolic.Int(1)), "QTY", concolic.Int(7))
+		s.Rollback()
+		err := s.Transactional(func() error {
+			s.Set(s.Find("Product", concolic.Int(1)), "QTY", concolic.Int(9))
+			return nil
+		})
+		if rows := db.TableRows("Product"); err != nil || rows[0][1].I != 9 {
+			t.Errorf("%s: Set after a rollback: qty = %v, err %v; want 9", mode, rows[0][1], err)
+		}
+
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		p := s.NewEntity("Product")
+		s.Set(p, "ID", concolic.Int(42))
+		s.Set(p, "QTY", concolic.Int(1))
+		s.Persist(p)
+		s.Rollback()
+		err = s.Transactional(func() error {
+			if got := s.Find("Product", concolic.Int(42)); got != nil {
+				t.Errorf("%s: Find after a rolled-back Persist returned %v", mode, got)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFailedFlushClearsSession: a commit whose flush fails rolls back the
+// same way: the next transaction sends none of the failed one's writes.
+func TestFailedFlushClearsSession(t *testing.T) {
+	for _, mode := range []concolic.Mode{concolic.ModeOff, concolic.ModeConcolic} {
+		s, _, db := setup(t, mode)
+		err := s.Transactional(func() error {
+			s.Set(s.Find("Product", concolic.Int(1)), "QTY", concolic.Int(3))
+			dup := s.NewEntity("Orders")
+			s.Set(dup, "ID", concolic.Int(1)) // exists: the flush fails
+			s.Persist(dup)
+			return nil
+		})
+		if !errors.Is(err, minidb.ErrDuplicateKey) {
+			t.Fatalf("%s: err = %v", mode, err)
+		}
+		if err := s.Transactional(func() error { return nil }); err != nil {
+			t.Errorf("%s: the next commit resent the failed writes: %v", mode, err)
+		}
+		if rows := db.TableRows("Product"); rows[0][1].I != 100 {
+			t.Errorf("%s: qty = %v after the failed commit, want 100", mode, rows[0][1])
+		}
+	}
+}
+
 func TestGuardConvertsFlushError(t *testing.T) {
 	inner := errors.New("db down")
 	err := Guard(func() error {
@@ -474,6 +539,16 @@ func TestModeOffCapturesNoStacks(t *testing.T) {
 	ormRound(t, s)
 	if n := concolic.StackWalks() - before; n != 0 {
 		t.Errorf("ModeOff round walked %d stacks, want 0", n)
+	}
+	// Nor does its read cache build the Alg. 1 array nothing would read.
+	// The field is concolic's own, so the test looks at it by reflection.
+	if len(s.cache) == 0 {
+		t.Fatal("ModeOff round left no table cache to inspect")
+	}
+	for table, c := range s.cache {
+		if !reflect.ValueOf(c).Elem().FieldByName("arr").IsNil() {
+			t.Errorf("ModeOff cache of %s holds a symbolic array", table)
+		}
 	}
 	// The same round on a recording engine does walk, so the counter
 	// would have seen it.

@@ -27,6 +27,10 @@ type Session struct {
 	pendingNew []*Entity
 	dirtyOrder []*Entity
 	pendingDel []*Entity
+
+	// args is the flushed statements' parameter scratch: the driver keeps
+	// no parameter slice.
+	args []concolic.Value
 }
 
 // NewSession opens a persistence context over a connection.
@@ -70,17 +74,21 @@ func (s *Session) Begin() error { return s.conn.Begin() }
 // transaction is rolled back.
 func (s *Session) Commit() error {
 	if err := s.Flush(); err != nil {
-		s.conn.Rollback()
+		s.Rollback()
 		return err
 	}
 	return s.conn.Commit()
 }
 
-// Rollback aborts the transaction and clears pending writes.
+// Rollback aborts the transaction and clears the persistence context, as
+// Hibernate does: nothing the transaction buffered is sent later, and
+// nothing it read or wrote is served from the read cache.
 func (s *Session) Rollback() error {
-	s.pendingNew = nil
-	s.dirtyOrder = nil
-	s.pendingDel = nil
+	for _, en := range s.dirtyOrder {
+		en.dirty = 0
+	}
+	s.pendingNew, s.dirtyOrder, s.pendingDel = nil, nil, nil
+	clear(s.cache)
 	return s.conn.Rollback()
 }
 
@@ -141,7 +149,7 @@ func (s *Session) Find(table string, id concolic.Value) *Entity {
 // key under alias t.
 func (s *Session) pointSelect(table string) string {
 	t := s.m.scm.Table(table)
-	return s.m.text(textKey{kind: 'S', table: table}, t, func() string {
+	return s.m.text(textKey{kind: 'S', table: table}, func() string {
 		return fmt.Sprintf("SELECT * FROM %s t WHERE t.%s = ?", table, t.PrimaryIndex().Columns[0])
 	})
 }
@@ -179,7 +187,7 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	if rows.Empty() {
 		return nil
 	}
-	cols := make([][]int, len(refs))
+	cols := make([]colRun, len(refs))
 	for i, ref := range refs {
 		cols[i] = s.aliasColumns(ref.Table, ref.Alias(), rows)
 	}
@@ -197,10 +205,14 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	return out
 }
 
-// aliasColumns locates an alias's columns in a result header: where the
-// primary key is, then where each column of the table is, in the table's
-// column order. One header search per query, none per row.
-func (s *Session) aliasColumns(table, alias string, rows *concolic.Rows) []int {
+// colRun is where an alias's columns sit in a result row: the table's
+// columns in table order from at on, as SELECT * lists them, and the
+// primary key at pk.
+type colRun struct{ at, pk int }
+
+// aliasColumns locates an alias's columns in a result header. One header
+// search per query, none per row.
+func (s *Session) aliasColumns(table, alias string, rows *concolic.Rows) colRun {
 	t := s.m.scm.Table(table)
 	find := func(col string) int {
 		for i, c := range rows.Cols {
@@ -210,19 +222,23 @@ func (s *Session) aliasColumns(table, alias string, rows *concolic.Rows) []int {
 		}
 		panic(fmt.Sprintf("orm: no column %s.%s in result (%v)", alias, col, rows.Cols))
 	}
-	pos := make([]int, 1, 1+len(t.Columns))
-	pos[0] = find(t.PrimaryIndex().Columns[0])
-	for _, c := range t.Columns {
-		pos = append(pos, find(c.Name))
+	run := colRun{at: find(t.Columns[0].Name), pk: find(t.PrimaryIndex().Columns[0])}
+	for i, c := range t.Columns {
+		if find(c.Name) != run.at+i {
+			panic(fmt.Sprintf("orm: columns of %s out of table order in result (%v)", alias, rows.Cols))
+		}
 	}
-	return pos
+	return run
 }
 
-// hydrateAlias loads one alias's columns (see aliasColumns) of one result
-// row into an entity, reusing the cached instance when present (the read
-// cache wins over fresh database state, as Hibernate's first-level cache does).
-func (s *Session) hydrateAlias(table string, cols []int, rows *concolic.Rows, ri int) *Entity {
-	id := rows.Cells[ri][cols[0]]
+// hydrateAlias loads one alias's columns of one result row into an entity,
+// reusing the cached instance when present (the read cache wins over fresh
+// database state, as Hibernate's first-level cache does). The run of cells
+// becomes the entity's fields as it is: the session hands its results to no
+// one else.
+func (s *Session) hydrateAlias(table string, run colRun, rows *concolic.Rows, ri int) *Entity {
+	row := rows.Row(ri)
+	id := row[run.pk]
 	if id.Null {
 		return nil // outer-ish join miss
 	}
@@ -230,11 +246,8 @@ func (s *Session) hydrateAlias(table string, cols []int, rows *concolic.Rows, ri
 	if v, ok := cache.Get(id); ok {
 		return v.(*Entity)
 	}
-	t := s.m.scm.Table(table)
-	en := &Entity{Table: table, fields: make(map[string]concolic.Value, len(t.Columns)), state: stateManaged}
-	for i, c := range t.Columns {
-		en.fields[c.Name] = rows.Cells[ri][cols[1+i]]
-	}
+	cols := s.m.cols[table]
+	en := &Entity{Table: table, cols: cols, fields: row[run.at : run.at+len(cols) : run.at+len(cols)], state: stateManaged}
 	cache.Put(id, en)
 	return en
 }
@@ -282,9 +295,9 @@ func (s *Session) NewEntity(table string) *Entity {
 	if t == nil {
 		panic("orm: unknown table " + table)
 	}
-	en := &Entity{Table: table, fields: map[string]concolic.Value{}, state: stateNew}
-	for _, c := range t.Columns {
-		en.fields[c.Name] = concolic.NullValue(c.Type.Sort())
+	en := &Entity{Table: table, cols: s.m.cols[table], fields: make([]concolic.Value, len(t.Columns)), state: stateNew}
+	for i, c := range t.Columns {
+		en.fields[i] = concolic.NullValue(c.Type.Sort())
 	}
 	return en
 }
@@ -293,18 +306,15 @@ func (s *Session) NewEntity(table string) *Entity {
 // lazy write: the UPDATE is buffered and this call site becomes its
 // trigger code.
 func (s *Session) Set(en *Entity, col string, v concolic.Value) {
-	if s.m.scm.Table(en.Table).Column(col) == nil {
-		panic(fmt.Sprintf("orm: unknown column %s.%s", en.Table, col))
-	}
-	en.fields[col] = v
+	i := en.pos(col)
+	en.fields[i] = v
 	if en.state != stateManaged {
 		return
 	}
-	if en.dirty == nil {
-		en.dirty = map[string]bool{}
+	if en.dirty == 0 {
 		s.dirtyOrder = append(s.dirtyOrder, en)
 	}
-	en.dirty[col] = true
+	en.dirty |= 1 << uint(i)
 	en.modLoc = s.here()
 }
 
@@ -342,11 +352,10 @@ func (s *Session) Merge(en *Entity) *Entity {
 	}
 	// Row exists: copy the detached state onto the managed instance.
 	managed := s.hydrateAlias(en.Table, s.aliasColumns(en.Table, "t", rows), rows, 0)
-	for col, v := range en.fields {
-		if col == pkCol {
-			continue
+	for i, c := range t.Columns {
+		if c.Name != pkCol {
+			s.Set(managed, c.Name, en.fields[i])
 		}
-		s.Set(managed, col, v)
 	}
 	return managed
 }
@@ -388,7 +397,7 @@ func (s *Session) Flush() error {
 		if err := s.flushUpdate(en, sent); err != nil {
 			return err
 		}
-		en.dirty = nil
+		en.dirty = 0
 	}
 	s.dirtyOrder = nil
 	for _, en := range s.pendingDel {
@@ -403,50 +412,50 @@ func (s *Session) Flush() error {
 func (s *Session) flushInsert(en *Entity, sent trace.CodeLoc) error {
 	t := s.m.scm.Table(en.Table)
 	// NULL fields are left out of the statement.
-	present := func(c schema.Column) bool { return !en.fields[c.Name].Null }
-	cols, params := s.columnSet(t, en, present)
-	sql := s.m.text(textKey{kind: 'I', table: en.Table, cols: cols}, t, func() string {
+	var present uint64
+	for i, v := range en.fields {
+		if !v.Null {
+			present |= 1 << uint(i)
+		}
+	}
+	sql := s.m.text(textKey{kind: 'I', table: en.Table, cols: present}, func() string {
 		names := selectNames(t, present, "")
 		marks := strings.TrimSuffix(strings.Repeat("?, ", len(names)), ", ")
 		return fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)", en.Table, strings.Join(names, ", "), marks)
 	})
-	_, err := s.conn.Exec(sql, params, en.persistLoc, sent)
+	_, err := s.conn.Exec(sql, s.params(en, present), en.persistLoc, sent)
 	return err
 }
 
 func (s *Session) flushUpdate(en *Entity, sent trace.CodeLoc) error {
 	t := s.m.scm.Table(en.Table)
 	pkCol := t.PrimaryIndex().Columns[0]
-	dirty := func(c schema.Column) bool { return en.dirty[c.Name] }
-	cols, params := s.columnSet(t, en, dirty)
-	if len(params) == 0 {
-		return nil
-	}
-	sql := s.m.text(textKey{kind: 'U', table: en.Table, cols: cols}, t, func() string {
-		return fmt.Sprintf("UPDATE %s SET %s WHERE %s = ?", en.Table, strings.Join(selectNames(t, dirty, " = ?"), ", "), pkCol)
+	sql := s.m.text(textKey{kind: 'U', table: en.Table, cols: en.dirty}, func() string {
+		return fmt.Sprintf("UPDATE %s SET %s WHERE %s = ?", en.Table, strings.Join(selectNames(t, en.dirty, " = ?"), ", "), pkCol)
 	})
-	_, err := s.conn.Exec(sql, append(params, en.fields[pkCol]), en.modLoc, sent)
+	_, err := s.conn.Exec(sql, s.params(en, en.dirty, en.Get(pkCol)), en.modLoc, sent)
 	return err
 }
 
-// columnSet returns the chosen columns of the entity's table as a bit set
-// over the column order, and their values in that order.
-func (s *Session) columnSet(t *schema.Table, en *Entity, chosen func(schema.Column) bool) (uint64, []concolic.Value) {
-	var set uint64
-	params := make([]concolic.Value, 0, len(t.Columns)+1)
-	for i, c := range t.Columns {
-		if chosen(c) {
-			set |= 1 << uint(i)
-			params = append(params, en.fields[c.Name])
+// params gathers the values of an entity's column set, in column order,
+// followed by more, into the parameter scratch.
+func (s *Session) params(en *Entity, set uint64, more ...concolic.Value) []concolic.Value {
+	s.args = s.args[:0]
+	for i, v := range en.fields {
+		if set&(1<<uint(i)) != 0 {
+			s.args = append(s.args, v)
 		}
 	}
-	return set, params
+	s.args = append(s.args, more...)
+	return s.args
 }
 
-func selectNames(t *schema.Table, chosen func(schema.Column) bool, suffix string) []string {
+// selectNames returns the names of a column set's columns, in column order,
+// each followed by suffix.
+func selectNames(t *schema.Table, set uint64, suffix string) []string {
 	var names []string
-	for _, c := range t.Columns {
-		if chosen(c) {
+	for i, c := range t.Columns {
+		if set&(1<<uint(i)) != 0 {
 			names = append(names, c.Name+suffix)
 		}
 	}
@@ -456,10 +465,10 @@ func selectNames(t *schema.Table, chosen func(schema.Column) bool, suffix string
 func (s *Session) flushDelete(en *Entity, sent trace.CodeLoc) error {
 	t := s.m.scm.Table(en.Table)
 	pkCol := t.PrimaryIndex().Columns[0]
-	sql := s.m.text(textKey{kind: 'D', table: en.Table}, t, func() string {
+	sql := s.m.text(textKey{kind: 'D', table: en.Table}, func() string {
 		return fmt.Sprintf("DELETE FROM %s WHERE %s = ?", en.Table, pkCol)
 	})
-	_, err := s.conn.Exec(sql, []concolic.Value{en.fields[pkCol]}, en.persistLoc, sent)
+	_, err := s.conn.Exec(sql, []concolic.Value{en.Get(pkCol)}, en.persistLoc, sent)
 	return err
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"weseer/internal/apps"
 	"weseer/internal/minidb"
+	"weseer/internal/obs/obstest"
 	"weseer/internal/workload"
 )
 
@@ -94,6 +95,7 @@ func TestDisableF2Hurts(t *testing.T) {
 
 // TestRetryBackoffCountsCalls sanity-checks the harness accounting.
 func TestRetryBackoffCountsCalls(t *testing.T) {
+	obstest.CheckGoroutines(t)
 	db, flow := open(t, "broadleaf", minidb.Config{}, "all")
 	res := workload.Run(workload.Config{
 		Clients:      2,
@@ -116,8 +118,9 @@ func TestRetryBackoffCountsCalls(t *testing.T) {
 // checks the retry-burn accounting the fixgain experiment reports: a
 // deadlock-victim or timed-out call re-attempted under RetryBackoff
 // must be counted in Retries, and fixing the planted classes must
-// reduce that burn.
+// reduce that burn. Every client has exited when Run returns.
 func TestRetriesCountedUnderContention(t *testing.T) {
+	obstest.CheckGoroutines(t)
 	spec := "gen:13,templates=3,modules=1,tables=2,rows=4,classes=f2:1+f10:1"
 	run := func(fixed ...string) workload.Result {
 		db, flow := open(t, spec, dbConfig(), fixed...)

@@ -78,10 +78,11 @@ go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./int
     ./internal/concolic/... ./internal/orm/... ./internal/minidb/...
 
 # The statement path's allocation ceilings, on their own and without the
-# detector (whose instrumentation allocates): a regression here is a
-# throughput regression on the load workload.
-echo "== go test -run TestStatementAllocs (minidb, no -race)"
-go test -count=1 -run 'TestStatementAllocs' ./internal/minidb
+# detector (whose instrumentation allocates): a statement in minidb, and a
+# whole API call with the engine off (orm, driver, executor, lock table). A
+# regression here is a throughput regression on the load workload.
+echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs' (minidb, workload, no -race)"
+go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs' ./internal/minidb ./internal/workload
 
 # The two-level memo table (shape key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
