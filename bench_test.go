@@ -9,6 +9,7 @@
 package weseer_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -195,7 +196,7 @@ func BenchmarkPruning_WithoutPruning(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Sec. VII-B: coarse baseline and phase ablations
+// Sec. VII-B: coarse baseline and the full funnel
 
 // BenchmarkBaseline_CoarseOnly: STEPDAD/REDACT-style coarse analysis —
 // orders of magnitude more cycles than confirmed deadlocks.
@@ -216,26 +217,6 @@ func BenchmarkAblation_ThreePhase(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coretest.Analyze(b, broadleaf.Schema(), traces)
-	}
-}
-
-// BenchmarkAblation_NoPhase1 disables the transaction-level filter: every
-// transaction pair reaches cycle enumeration.
-func BenchmarkAblation_NoPhase1(b *testing.B) {
-	traces := collectOnce(b, "broadleaf")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coretest.Analyze(b, broadleaf.Schema(), traces, core.WithoutPhase1())
-	}
-}
-
-// BenchmarkAblation_NoLockFilter disables the quick lock-collision test:
-// every deduplicated coarse cycle goes to the SMT solver.
-func BenchmarkAblation_NoLockFilter(b *testing.B) {
-	traces := collectOnce(b, "broadleaf")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coretest.Analyze(b, broadleaf.Schema(), traces, core.WithoutLockFilter())
 	}
 }
 
@@ -261,7 +242,7 @@ func BenchmarkSolver_Fig9Formula(b *testing.B) {
 	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := solver.Solve(f); res.Status != solver.SAT {
+		if res := solver.Solve(context.Background(), f, solver.Limits{}); res.Status != solver.SAT {
 			b.Fatalf("status %v", res.Status)
 		}
 	}

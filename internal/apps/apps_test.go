@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -418,5 +419,36 @@ func TestBroadleafCollectIsReproducible(t *testing.T) {
 	}
 	if got, _, _ := strings.Cut(rest, "\n"); got != hashes[0] {
 		t.Errorf("child process collected %s, this process %s", got, hashes[0])
+	}
+}
+
+// TestCollectedInputsRoundTrip: traces decoded from a broadleaf collection's
+// JSON carry the inputs they were collected with, concrete values included.
+func TestCollectedInputsRoundTrip(t *testing.T) {
+	app, err := Open("broadleaf", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []*trace.Trace
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	inputs := 0
+	for i, tr := range traces {
+		inputs += len(tr.Inputs)
+		if !reflect.DeepEqual(back[i].Inputs, tr.Inputs) {
+			t.Errorf("%s: decoded inputs %+v, collected %+v", tr.API, back[i].Inputs, tr.Inputs)
+		}
+	}
+	if inputs == 0 {
+		t.Fatal("the collection has no inputs; the check checked nothing")
 	}
 }

@@ -23,7 +23,7 @@ func (a *App) Register(e *concolic.Engine, username, email, password, confirm co
 			return ErrBadUsername
 		}
 		return s.Transactional(func() error {
-			id = a.DB.NextID("Customer")
+			id = a.db.NextID("Customer")
 			c := s.NewEntity("Customer")
 			s.Set(c, "ID", concolic.Int(id))
 			s.Set(c, "USERNAME", username)
@@ -119,13 +119,13 @@ func (a *App) addFirst(e *concolic.Engine, s *orm.Session, customerID, productID
 	}
 	return s.Transactional(func() error {
 		cart := s.NewEntity("Cart")
-		s.Set(cart, "ID", concolic.Int(a.DB.NextID("Cart")))
+		s.Set(cart, "ID", concolic.Int(a.db.NextID("Cart")))
 		s.Set(cart, "CUSTOMER_ID", customerID)
 		s.Set(cart, "STATUS", concolic.Str("ACTIVE"))
 		s.Persist(cart)
 
 		order := s.NewEntity("Orders")
-		orderID := concolic.Int(a.DB.NextID("Orders"))
+		orderID := concolic.Int(a.db.NextID("Orders"))
 		s.Set(order, "ID", orderID)
 		s.Set(order, "CUSTOMER_ID", customerID)
 		s.Set(order, "STATUS", concolic.Str("IN_PROCESS"))
@@ -133,13 +133,13 @@ func (a *App) addFirst(e *concolic.Engine, s *orm.Session, customerID, productID
 		s.Persist(order)
 
 		fg := s.NewEntity("FulfillmentGroup")
-		s.Set(fg, "ID", concolic.Int(a.DB.NextID("FulfillmentGroup")))
+		s.Set(fg, "ID", concolic.Int(a.db.NextID("FulfillmentGroup")))
 		s.Set(fg, "ORDER_ID", orderID)
 		s.Set(fg, "TOTAL", concolic.Int(0))
 		s.Persist(fg)
 
 		oi := s.NewEntity("OrderItem")
-		s.Set(oi, "ID", concolic.Int(a.DB.NextID("OrderItem")))
+		s.Set(oi, "ID", concolic.Int(a.db.NextID("OrderItem")))
 		s.Set(oi, "ORDER_ID", orderID)
 		s.Set(oi, "PRODUCT_ID", productID)
 		s.Set(oi, "QTY", concolic.Int(1))
@@ -178,7 +178,7 @@ func (a *App) cartLock(e *concolic.Engine, s *orm.Session, cartID concolic.Value
 // detail (deadlocks d3/d4 — existence SELECTs over regions the commit
 // then inserts into; fix f3 moves the SELECTs to a separate transaction).
 func (a *App) addNewItem(e *concolic.Engine, s, probe *orm.Session, order *orm.Entity, fgs []*orm.Entity, product *orm.Entity, productID concolic.Value) error {
-	oiID := concolic.Int(a.DB.NextID("OrderItem"))
+	oiID := concolic.Int(a.db.NextID("OrderItem"))
 	oi := s.NewEntity("OrderItem")
 	s.Set(oi, "ID", oiID)
 	s.Set(oi, "ORDER_ID", order.Get("ID"))
@@ -193,7 +193,7 @@ func (a *App) addNewItem(e *concolic.Engine, s, probe *orm.Session, order *orm.E
 		[]concolic.Value{oiID}, "pd")
 	if len(details) == 0 {
 		pd := s.NewEntity("OrderItemPriceDetail")
-		s.Set(pd, "ID", concolic.Int(a.DB.NextID("OrderItemPriceDetail")))
+		s.Set(pd, "ID", concolic.Int(a.db.NextID("OrderItemPriceDetail")))
 		s.Set(pd, "ORDER_ITEM_ID", oiID)
 		s.Set(pd, "AMOUNT", product.Get("PRICE"))
 		s.Persist(pd)
@@ -203,7 +203,7 @@ func (a *App) addNewItem(e *concolic.Engine, s, probe *orm.Session, order *orm.E
 
 	if len(fgs) > 0 {
 		fi := s.NewEntity("FulfillmentItem")
-		s.Set(fi, "ID", concolic.Int(a.DB.NextID("FulfillmentItem")))
+		s.Set(fi, "ID", concolic.Int(a.db.NextID("FulfillmentItem")))
 		s.Set(fi, "FG_ID", fgs[0].Get("ID"))
 		s.Set(fi, "ORDER_ITEM_ID", oiID)
 		s.Set(fi, "QTY", concolic.Int(1))
@@ -253,7 +253,7 @@ func (a *App) priceCart(e *concolic.Engine, s, probe *orm.Session, order *orm.En
 		[]concolic.Value{orderID}, "pa")
 	amount := e.Mul(concolic.Int(-1), concolic.Int(int64(1+len(adjs))))
 	pa := s.NewEntity("PriceAdjustment")
-	s.Set(pa, "ID", concolic.Int(a.DB.NextID("PriceAdjustment")))
+	s.Set(pa, "ID", concolic.Int(a.db.NextID("PriceAdjustment")))
 	s.Set(pa, "ORDER_ID", orderID)
 	s.Set(pa, "AMOUNT", amount)
 	s.Persist(pa)
@@ -261,7 +261,7 @@ func (a *App) priceCart(e *concolic.Engine, s, probe *orm.Session, order *orm.En
 	dets := sel.Query(`SELECT * FROM PriceDetail pd WHERE pd.ORDER_ID = ?`,
 		[]concolic.Value{orderID}, "pd")
 	pd := s.NewEntity("PriceDetail")
-	s.Set(pd, "ID", concolic.Int(a.DB.NextID("PriceDetail")))
+	s.Set(pd, "ID", concolic.Int(a.db.NextID("PriceDetail")))
 	s.Set(pd, "ORDER_ID", orderID)
 	s.Set(pd, "AMOUNT", concolic.Int(int64(len(dets))))
 	s.Persist(pd)
@@ -323,7 +323,7 @@ func (a *App) Ship(e *concolic.Engine, customerID, city, phone concolic.Value) e
 			if a.Fixes["f6"] {
 				// Fix f6: insert first, then read the row back with a
 				// point query — no range scan, no gap locks.
-				addrID := concolic.Int(a.DB.NextID("Address"))
+				addrID := concolic.Int(a.db.NextID("Address"))
 				addr := s.NewEntity("Address")
 				s.Set(addr, "ID", addrID)
 				s.Set(addr, "CUSTOMER_ID", customerID)
@@ -339,7 +339,7 @@ func (a *App) Ship(e *concolic.Engine, customerID, city, phone concolic.Value) e
 				// locks) and then insert a new one into the same region.
 				s.Query(`SELECT * FROM Address ad WHERE ad.CUSTOMER_ID = ?`, []concolic.Value{customerID}, "ad")
 				addr := s.NewEntity("Address")
-				s.Set(addr, "ID", concolic.Int(a.DB.NextID("Address")))
+				s.Set(addr, "ID", concolic.Int(a.db.NextID("Address")))
 				s.Set(addr, "CUSTOMER_ID", customerID)
 				s.Set(addr, "CITY", city)
 				s.Set(addr, "PHONE", phone)
@@ -354,7 +354,7 @@ func (a *App) Ship(e *concolic.Engine, customerID, city, phone concolic.Value) e
 			sadj := selF7.Query(`SELECT * FROM ShippingAdjustment sa WHERE sa.ORDER_ID = ?`,
 				[]concolic.Value{orderID}, "sa")
 			rec := s.NewEntity("ShippingAdjustment")
-			s.Set(rec, "ID", concolic.Int(a.DB.NextID("ShippingAdjustment")))
+			s.Set(rec, "ID", concolic.Int(a.db.NextID("ShippingAdjustment")))
 			s.Set(rec, "ORDER_ID", orderID)
 			s.Set(rec, "AMOUNT", concolic.Int(int64(len(sadj))))
 			s.Persist(rec)
@@ -364,7 +364,7 @@ func (a *App) Ship(e *concolic.Engine, customerID, city, phone concolic.Value) e
 			taxes := selF8.Query(`SELECT * FROM TaxDetail td WHERE td.ORDER_ID = ?`,
 				[]concolic.Value{orderID}, "td")
 			tax := s.NewEntity("TaxDetail")
-			s.Set(tax, "ID", concolic.Int(a.DB.NextID("TaxDetail")))
+			s.Set(tax, "ID", concolic.Int(a.db.NextID("TaxDetail")))
 			s.Set(tax, "ORDER_ID", orderID)
 			s.Set(tax, "AMOUNT", concolic.Int(int64(len(taxes))))
 			s.Persist(tax)
@@ -372,7 +372,7 @@ func (a *App) Ship(e *concolic.Engine, customerID, city, phone concolic.Value) e
 			fees := selF8.Query(`SELECT * FROM FeeDetail fd WHERE fd.ORDER_ID = ?`,
 				[]concolic.Value{orderID}, "fd")
 			fee := s.NewEntity("FeeDetail")
-			s.Set(fee, "ID", concolic.Int(a.DB.NextID("FeeDetail")))
+			s.Set(fee, "ID", concolic.Int(a.db.NextID("FeeDetail")))
 			s.Set(fee, "ORDER_ID", orderID)
 			s.Set(fee, "AMOUNT", concolic.Int(int64(len(fees))))
 			s.Persist(fee)
@@ -394,7 +394,7 @@ func (a *App) Payment(e *concolic.Engine, customerID, address, phone concolic.Va
 		}
 		return s.Transactional(func() error {
 			p := s.NewEntity("PaymentInfo")
-			s.Set(p, "ID", concolic.Int(a.DB.NextID("PaymentInfo")))
+			s.Set(p, "ID", concolic.Int(a.db.NextID("PaymentInfo")))
 			s.Set(p, "CUSTOMER_ID", customerID)
 			s.Set(p, "ADDRESS", address)
 			s.Set(p, "PHONE", phone)

@@ -3,13 +3,16 @@ package broadleaf
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"time"
 
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
+	"weseer/internal/core"
 	"weseer/internal/minidb"
 	"weseer/internal/orm"
+	"weseer/internal/schema"
 )
 
 // Application-level errors (HTTP 4xx analogs).
@@ -22,7 +25,7 @@ var (
 
 // App is one deployment of the model application over its database.
 type App struct {
-	DB      *minidb.DB
+	db      *minidb.DB
 	Mapping *orm.Mapping
 	// Fixes holds the enabled fixes by id (f1–f8, Expectations' Fix
 	// column); with none, the application exhibits deadlocks d1–d13.
@@ -49,7 +52,7 @@ func New(fixes []string, cfg minidb.Config) (*App, error) {
 		cfg.LockWaitTimeout = 2 * time.Second
 	}
 	a := &App{
-		DB:          minidb.Open(Schema(), cfg),
+		db:          minidb.Open(Schema(), cfg),
 		Mapping:     NewMapping(),
 		Fixes:       set,
 		NumProducts: 32,
@@ -93,18 +96,18 @@ func (a *App) seed() {
 	if err != nil {
 		panic(fmt.Sprintf("broadleaf: seeding failed: %v", err))
 	}
-	a.DB.BumpID("Product", int64(a.NumProducts))
+	a.db.BumpID("Product", int64(a.NumProducts))
 }
 
 // session opens a fresh persistence context for one API call.
 func (a *App) session(e *concolic.Engine) *orm.Session {
-	return orm.NewSession(a.Mapping, concolic.NewConn(e, a.DB))
+	return orm.NewSession(a.Mapping, concolic.NewConn(e, a.db))
 }
 
 // probeSession opens a second persistence context used when a fix moves
 // SELECT statements into their own transaction (f3/f5/f7/f8).
 func (a *App) probeSession(e *concolic.Engine) *orm.Session {
-	return orm.NewSession(a.Mapping, concolic.NewConn(e, a.DB))
+	return orm.NewSession(a.Mapping, concolic.NewConn(e, a.db))
 }
 
 // selectorFor returns the session that existence-check SELECTs should run
@@ -116,3 +119,11 @@ func selectorFor(fixOn bool, main, probe *orm.Session) *orm.Session {
 	}
 	return main
 }
+
+// The registry's view: apps.App, apps.Sourcer, fixapply.Cataloged (and Flow).
+func (a *App) Name() string                     { return "broadleaf" }
+func (a *App) Schema() *schema.Schema           { return a.db.Schema() }
+func (a *App) DB() *minidb.DB                   { return a.db }
+func (a *App) Classify(d *core.Deadlock) string { return Classify(d) }
+func (a *App) SourceDir() string                { return filepath.Join("internal", "apps", "broadleaf") }
+func (a *App) Catalog() []appkit.Expectation    { return Expectations() }

@@ -315,7 +315,7 @@ func TestRuntimeSmokeAllFixes(t *testing.T) {
 			t.Fatalf("checkout %d: %v", c, err)
 		}
 	}
-	if dl := app.DB.StatsSnapshot().Deadlocks; dl != 0 {
+	if dl := app.DB().StatsSnapshot().Deadlocks; dl != 0 {
 		t.Errorf("sequential run hit %d deadlocks", dl)
 	}
 }

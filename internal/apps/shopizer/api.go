@@ -14,7 +14,7 @@ func (a *App) Register(e *concolic.Engine, username, email concolic.Value) (int6
 			return ErrBadUsername
 		}
 		return s.Transactional(func() error {
-			id = a.DB.NextID("Customer")
+			id = a.db.NextID("Customer")
 			c := s.NewEntity("Customer")
 			s.Set(c, "ID", concolic.Int(id))
 			s.Set(c, "USERNAME", username)
@@ -51,7 +51,7 @@ func (a *App) Add(e *concolic.Engine, customerID, productID concolic.Value) erro
 			if len(carts) == 0 {
 				// Add1 path: first add creates the cart.
 				cart = s.NewEntity("Cart")
-				s.Set(cart, "ID", concolic.Int(a.DB.NextID("Cart")))
+				s.Set(cart, "ID", concolic.Int(a.db.NextID("Cart")))
 				s.Set(cart, "CUSTOMER_ID", customerID)
 				s.Persist(cart)
 			} else {
@@ -60,7 +60,7 @@ func (a *App) Add(e *concolic.Engine, customerID, productID concolic.Value) erro
 			if len(items) == 0 {
 				// Add1/Add2 path: new cart item.
 				it := s.NewEntity("CartItem")
-				s.Set(it, "ID", concolic.Int(a.DB.NextID("CartItem")))
+				s.Set(it, "ID", concolic.Int(a.db.NextID("CartItem")))
 				s.Set(it, "CART_ID", cart.Get("ID"))
 				s.Set(it, "PRODUCT_ID", productID)
 				s.Set(it, "QTY", concolic.Int(1))
@@ -158,7 +158,7 @@ func (a *App) Checkout(e *concolic.Engine, customerID concolic.Value) error {
 				return err
 			}
 			order := s.NewEntity("Orders")
-			orderID := concolic.Int(a.DB.NextID("Orders"))
+			orderID := concolic.Int(a.db.NextID("Orders"))
 			s.Set(order, "ID", orderID)
 			s.Set(order, "CUSTOMER_ID", customerID)
 			s.Set(order, "STATUS", concolic.Str("SUBMITTED"))
@@ -166,7 +166,7 @@ func (a *App) Checkout(e *concolic.Engine, customerID concolic.Value) error {
 			s.Persist(order)
 			for _, it := range items {
 				op := s.NewEntity("OrderProduct")
-				s.Set(op, "ID", concolic.Int(a.DB.NextID("OrderProduct")))
+				s.Set(op, "ID", concolic.Int(a.db.NextID("OrderProduct")))
 				s.Set(op, "ORDER_ID", orderID)
 				s.Set(op, "PRODUCT_ID", it.Get("PRODUCT_ID"))
 				s.Set(op, "QTY", it.Get("QTY"))

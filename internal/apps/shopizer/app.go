@@ -3,14 +3,17 @@ package shopizer
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
+	"weseer/internal/core"
 	"weseer/internal/minidb"
 	"weseer/internal/orm"
+	"weseer/internal/schema"
 )
 
 // Application-level errors.
@@ -24,7 +27,7 @@ var (
 
 // App is one deployment of the model application.
 type App struct {
-	DB      *minidb.DB
+	db      *minidb.DB
 	Mapping *orm.Mapping
 	// Fixes holds the enabled fixes by id (f9–f11, Expectations' Fix
 	// column); with none, the application exhibits deadlocks d14–d18.
@@ -51,7 +54,7 @@ func New(fixes []string, cfg minidb.Config) (*App, error) {
 		cfg.LockWaitTimeout = 2 * time.Second
 	}
 	a := &App{
-		DB:          minidb.Open(Schema(), cfg),
+		db:          minidb.Open(Schema(), cfg),
 		Mapping:     NewMapping(),
 		Fixes:       set,
 		NumProducts: 32,
@@ -79,11 +82,11 @@ func (a *App) seed() {
 	if err != nil {
 		panic(fmt.Sprintf("shopizer: seeding failed: %v", err))
 	}
-	a.DB.BumpID("Product", int64(a.NumProducts))
+	a.db.BumpID("Product", int64(a.NumProducts))
 }
 
 func (a *App) session(e *concolic.Engine) *orm.Session {
-	return orm.NewSession(a.Mapping, concolic.NewConn(e, a.DB))
+	return orm.NewSession(a.Mapping, concolic.NewConn(e, a.db))
 }
 
 // serializeProducts takes fix f9's per-product locks (in ascending order,
@@ -130,3 +133,11 @@ func cartProductIDs(items []*orm.Entity, ascending bool) []int64 {
 	})
 	return ids
 }
+
+// The registry's view: apps.App, apps.Sourcer, fixapply.Cataloged (and Flow).
+func (a *App) Name() string                     { return "shopizer" }
+func (a *App) Schema() *schema.Schema           { return a.db.Schema() }
+func (a *App) DB() *minidb.DB                   { return a.db }
+func (a *App) Classify(d *core.Deadlock) string { return Classify(d) }
+func (a *App) SourceDir() string                { return filepath.Join("internal", "apps", "shopizer") }
+func (a *App) Catalog() []appkit.Expectation    { return Expectations() }

@@ -124,7 +124,7 @@ func TestRuntimeUpgradeDeadlock(t *testing.T) {
 			}(c)
 		}
 		wg.Wait()
-		return app.DB.StatsSnapshot().Deadlocks
+		return app.DB().StatsSnapshot().Deadlocks
 	}
 	if dl := run(); dl == 0 {
 		t.Error("unfixed concurrent pricing never deadlocked")
@@ -155,11 +155,11 @@ func TestRuntimeSmokeAllFixes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dl := app.DB.StatsSnapshot().Deadlocks; dl != 0 {
+	if dl := app.DB().StatsSnapshot().Deadlocks; dl != 0 {
 		t.Errorf("sequential run hit %d deadlocks", dl)
 	}
 	// Stock decremented: product 1 got 2 units × 4 customers.
-	rows := app.DB.TableRows("Product")
+	rows := app.DB().TableRows("Product")
 	if got := rows[0][1].I; got != 1_000_000-8 {
 		t.Errorf("product 1 qty = %d, want %d", got, 1_000_000-8)
 	}

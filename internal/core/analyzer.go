@@ -68,15 +68,20 @@ type run struct {
 	facts map[*trace.Stmt]*stmtFacts
 	// locks memoizes the template-level half of the lock model, shared by
 	// the lock filter and the edge-condition builds.
-	locks *lockmodel.Templates
-	memo  *memoTable
+	locks   *lockmodel.Templates
+	memo    *memoTable
+	workers int // phase-3 workers: WithParallelism, resolved
 	// m is the observer's instruments, resolved once; inert without one.
 	m *Metrics
 }
 
 func (a *Analyzer) newRun() *run {
-	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm), memo: newMemoTable(), m: &Metrics{},
-		facts: map[*trace.Stmt]*stmtFacts{}}
+	workers := a.opts.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm), memo: newMemoTable(workers), m: &Metrics{},
+		facts: map[*trace.Stmt]*stmtFacts{}, workers: workers}
 	if a.opts.StaticPrescreen {
 		r.ps = &prescreenState{
 			txns:  map[*trace.Txn]staticlint.TxnShape{},
@@ -178,12 +183,8 @@ type enumFunc func(r *run, ctx context.Context, traces []*trace.Trace) ([]*chain
 func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate enumFunc) (*Result, error) {
 	r := a.newRun()
 	res := &Result{}
-	workers := a.opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	res.Stats.Traces = len(traces)
-	res.Stats.Parallelism = workers
+	res.Stats.Parallelism = r.workers
 	r.m.publish(&Stats{Traces: len(traces)})
 
 	o := a.opts.Observer
@@ -213,7 +214,7 @@ func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate
 
 	// Stage 3 (parallel) + stage 4 (deterministic merge).
 	start = time.Now()
-	err = r.discharge(ctx, chains, workers, res)
+	err = r.discharge(ctx, chains, res)
 	res.Stats.FineTime = time.Since(start)
 
 	sort.SliceStable(res.Deadlocks, func(x, y int) bool {

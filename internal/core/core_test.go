@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -254,17 +255,52 @@ func TestPathConditionEliminatesFalsePositive(t *testing.T) {
 	}
 }
 
-func TestLockFilterAblation(t *testing.T) {
-	traces := []*trace.Trace{finishOrderTrace()}
-	withFilter := analyze(t, traces)
-	without := analyze(t, traces, WithoutLockFilter())
-	if len(withFilter.Deadlocks) != len(without.Deadlocks) {
-		t.Errorf("lock filter changed results: %d vs %d", len(withFilter.Deadlocks), len(without.Deadlocks))
+// CheckLockFilterIsExact pins that the lock-collision filter only ever
+// drops what the solver would refute: for every coarse cycle of the traces,
+// with and without WithConcretePlans, a C-edge the filter fails has the
+// conflict condition smt.False, so the cycle formula is false. It returns
+// how many cycles the filter dropped, summed over the two modes. Exported for the corpus test in
+// package core_test, which (unlike this package) may import the apps.
+func CheckLockFilterIsExact(t *testing.T, scm *schema.Schema, traces []*trace.Trace) (dropped int) {
+	t.Helper()
+	for _, opts := range [][]Option{nil, {WithConcretePlans()}} {
+		r := NewAnalyzer(scm, opts...).newRun()
+		chains, _, err := r.enumerateIndexed(context.Background(), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := r.opts.UseConcretePlans
+		for _, ch := range chains {
+			for _, cyc := range ch.cycles {
+				edges := [2]*condVars{
+					r.edgeCondCached(cyc.S1b, cyc.S2a, 0, cyc.T1.Prefix, cyc.T2.Prefix),
+					r.edgeCondCached(cyc.S2b, cyc.S1a, 1, cyc.T2.Prefix, cyc.T1.Prefix),
+				}
+				pass := [2]bool{
+					r.locks.PotentialConflict(cyc.S1b, cyc.S2a, plans),
+					r.locks.PotentialConflict(cyc.S2b, cyc.S1a, plans),
+				}
+				for i := range edges {
+					if !pass[i] && edges[i].cond != smt.False {
+						t.Fatalf("plans=%v: filter drops %s, whose C-edge %d has the condition %s",
+							plans, ch.key, i+1, edges[i].cond)
+					}
+				}
+				if !pass[0] || !pass[1] {
+					dropped++
+				}
+			}
+		}
 	}
-	if without.Stats.GroupsSolved < withFilter.Stats.GroupsSolved {
-		t.Errorf("skipping the filter should not reduce solver work: %d vs %d",
-			without.Stats.GroupsSolved, withFilter.Stats.GroupsSolved)
-	}
+	return dropped
+}
+
+// TestLockFilterIsExact runs the check on the fine-mode corpora of this
+// package, where every C-edge's locks collide (the filter drops nothing);
+// TestLockFilterIsExactOnCorpora runs it where the filter does drop.
+func TestLockFilterIsExact(t *testing.T) {
+	CheckLockFilterIsExact(t, fig1Schema(), pipelineTraces())
+	CheckLockFilterIsExact(t, randSchema(4), randTraces(rand.New(rand.NewSource(3)), 10, 4))
 }
 
 func TestCrossAPIDeadlock(t *testing.T) {

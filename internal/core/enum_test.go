@@ -19,12 +19,20 @@ import (
 // reproduce its chains and its report byte-for-byte at any phase-3 worker
 // count, on seeded random corpora as well as the curated workloads.
 
-// enumerateNaive is the reference enumFunc: it probes every
+// naiveEnum returns the reference enumFunc: it probes every
 // cross-instance transaction pair — O(instances²) in corpus size — and it
 // is the deep-copy pipeline: every trace is eagerly renamed once per role
 // (renameTrace, rename_test.go) and the copies are what it hands phase 3,
-// as instances with an empty Prefix (their symbols carry it already).
-func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace) ([]*chain, Stats, error) {
+// as instances with an empty Prefix (their symbols carry it already). With
+// phase1 false every pair is a candidate: the no-phase-1 reference, which
+// the analyzer itself has no switch for.
+func naiveEnum(phase1 bool) enumFunc {
+	return func(r *run, ctx context.Context, traces []*trace.Trace) ([]*chain, Stats, error) {
+		return r.enumerateNaive(ctx, traces, phase1)
+	}
+}
+
+func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace, phase1 bool) ([]*chain, Stats, error) {
 	var st Stats
 	// Pre-rename each trace once per role, and compute each renamed
 	// transaction's table signature once: phase 1 probes every pair, so
@@ -66,7 +74,7 @@ func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace) ([]*cha
 						return chains, st, err
 					}
 					st.Pairs++
-					if !r.opts.SkipPhase1 && !sigs[t1].conflicts(sigs[t2]) {
+					if phase1 && !sigs[t1].conflicts(sigs[t2]) {
 						continue
 					}
 					st.PairsAfterPhase1++
@@ -179,11 +187,19 @@ func comparable(s Stats) Stats {
 
 // enumOf is the seam the differential tests and benchmarks reach the
 // oracle through: the enumeration to hand a.analyze.
-func (a *Analyzer) enumOf(naive bool) enumFunc {
+func enumOf(naive bool) enumFunc {
 	if naive {
-		return (*run).enumerateNaive
+		return naiveEnum(true)
 	}
 	return (*run).enumerateIndexed
+}
+
+// AnalyzeWithoutPhase1 is the analysis with phase 1 off: the naive pair
+// loop hands phase 2 every cross-instance transaction pair. Exported for
+// the funnel tests in package core_test, which (unlike this package) may
+// import the apps.
+func AnalyzeWithoutPhase1(ctx context.Context, scm *schema.Schema, traces []*trace.Trace, opts ...Option) (*Result, error) {
+	return NewAnalyzer(scm, opts...).analyze(ctx, traces, naiveEnum(false))
 }
 
 // analyzeRecording is a.analyze over the chosen enumeration, also
@@ -193,7 +209,7 @@ func analyzeRecording(ctx context.Context, scm *schema.Schema, traces []*trace.T
 	var chains []*chain
 	res, err := a.analyze(ctx, traces,
 		func(r *run, ctx context.Context, traces []*trace.Trace) (_ []*chain, st Stats, err error) {
-			chains, st, err = a.enumOf(naive)(r, ctx, traces)
+			chains, st, err = enumOf(naive)(r, ctx, traces)
 			return chains, st, err
 		})
 	return res, chains, err
@@ -299,14 +315,10 @@ func TestEnumDifferentialRandomFine(t *testing.T) {
 }
 
 // TestEnumDifferentialAblations pins the oracle equivalence under the
-// interacting options: SkipPhase1 (the indexed path must fall back to
-// full suffix enumeration, not the index) and the Phase-0 prescreen
-// (whose shape cache the pass fills lazily, for survivors only), the
-// latter also on a corpus where the pair screen actually prunes.
+// interacting option, the Phase-0 prescreen (whose shape cache the pass
+// fills lazily, for survivors only), also on a corpus where the pair
+// screen actually prunes.
 func TestEnumDifferentialAblations(t *testing.T) {
-	t.Run("skip-phase1", func(t *testing.T) {
-		diffRun(t, fig1Schema(), pipelineTraces(), []int{1, 4}, WithoutPhase1())
-	})
 	t.Run("prescreen", func(t *testing.T) {
 		diffRun(t, fig1Schema(), pipelineTraces(), []int{1, 4}, WithPrescreen())
 	})
@@ -409,9 +421,8 @@ func TestEnumIndexedCancellation(t *testing.T) {
 }
 
 // TestEnumIndexProbesDeterministic pins the new funnel counter: probes
-// are nonzero on the indexed path, stable across runs and worker
-// counts, and zero when phase 1 — and with it the index — is skipped (the
-// naive oracle's zero is asserted by diffRun).
+// are nonzero on the indexed path and stable across runs and worker
+// counts (the naive oracle's zero is asserted by diffRun).
 func TestEnumIndexProbesDeterministic(t *testing.T) {
 	traces := pipelineTraces()
 	base, err := NewAnalyzer(fig1Schema(), WithParallelism(1)).
@@ -431,14 +442,6 @@ func TestEnumIndexProbesDeterministic(t *testing.T) {
 		if res.Stats.IndexProbes != base.Stats.IndexProbes {
 			t.Errorf("p%d: IndexProbes = %d, want %d", workers, res.Stats.IndexProbes, base.Stats.IndexProbes)
 		}
-	}
-	res, err := NewAnalyzer(fig1Schema(), WithParallelism(1), WithoutPhase1()).
-		AnalyzeContext(context.Background(), traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.IndexProbes != 0 {
-		t.Errorf("skip-phase1: IndexProbes = %d, want 0", res.Stats.IndexProbes)
 	}
 }
 
@@ -476,13 +479,10 @@ func TestEnumCancellationIsPrefix(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		cancellationIsPrefix(t, randSchema(4), randTraces(rand.New(rand.NewSource(3)), 10, 4))
 	})
-	t.Run("skip-phase1", func(t *testing.T) {
-		cancellationIsPrefix(t, randSchema(4), randTraces(rand.New(rand.NewSource(3)), 10, 4), WithoutPhase1())
-	})
 }
 
-func cancellationIsPrefix(t *testing.T, scm *schema.Schema, traces []*trace.Trace, extra ...Option) {
-	opts := append([]Option{WithParallelism(4), WithPrescreen()}, extra...)
+func cancellationIsPrefix(t *testing.T, scm *schema.Schema, traces []*trace.Trace) {
+	opts := []Option{WithParallelism(4), WithPrescreen()}
 	full, fullChains, err := analyzeRecording(context.Background(), scm, traces, false, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -547,7 +547,7 @@ func benchEnum(b *testing.B, naive bool) {
 	a := NewAnalyzer(scm, WithParallelism(1), WithCoarseOnly())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.analyze(context.Background(), traces, a.enumOf(naive)); err != nil {
+		if _, err := a.analyze(context.Background(), traces, enumOf(naive)); err != nil {
 			b.Fatal(err)
 		}
 	}

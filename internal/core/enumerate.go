@@ -154,11 +154,7 @@ func (ix *conflictIndex) candidates(sig txnSig, startOrd int, s *enumScratch) (c
 func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*chain, Stats, error) {
 	var st Stats
 	insts, sigs, start := r.flatten(traces)
-	var ix *conflictIndex
-	var scratch *enumScratch
-	if !r.opts.SkipPhase1 {
-		ix, scratch = buildConflictIndex(sigs), newEnumScratch(len(insts))
-	}
+	ix, scratch := buildConflictIndex(sigs), newEnumScratch(len(insts))
 
 	byKey := map[string]*chain{}
 	var chains []*chain
@@ -180,13 +176,6 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*c
 		// Trace i's phase-1 survivors in (txn1, txn2) order ...
 		pairs = pairs[:0]
 		for li := lo; li < hi; li++ {
-			if ix == nil {
-				// Phase-1 ablation: every pair in the suffix is a candidate.
-				for ro := lo; ro < len(insts); ro++ {
-					pairs = append(pairs, pair{li, ro})
-				}
-				continue
-			}
 			cands, probes := ix.candidates(sigs[li], lo, scratch)
 			st.IndexProbes += probes
 			for _, ro := range cands {

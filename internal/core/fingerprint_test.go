@@ -13,7 +13,7 @@ import (
 func fingerprintRun(t *testing.T, workers int, naive bool) []string {
 	t.Helper()
 	a := NewAnalyzer(fig1Schema(), WithParallelism(workers))
-	res, err := a.analyze(context.Background(), pipelineTraces(), a.enumOf(naive))
+	res, err := a.analyze(context.Background(), pipelineTraces(), enumOf(naive))
 	if err != nil {
 		t.Fatal(err)
 	}

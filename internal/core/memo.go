@@ -8,7 +8,7 @@ package core
 // group whose formula is a plain renaming of an earlier one — most groups
 // of a large corpus — pays no canonicalization.
 // Canonicalization runs once per shape, on the shape's symbol indices
-// (smt.Shape.Canon, in scratch the pooled Shape owns); Canon is equivariant
+// (smt.Shape.Canon, in scratch the worker's Shape owns); Canon is equivariant
 // under renaming, so that result composed with the caller's renaming
 // (smt.Shape.Rebase, built only when a SAT model has to be translated
 // back) is exactly what Canon returns for the caller's formula.
@@ -56,8 +56,8 @@ type memoTable struct {
 	shapes map[string]*shapeEntry
 	// entries is level two, keyed on the canonical formula's string.
 	entries map[string]*memoEntry
-	// scratch recycles shape buffers across groups and workers.
-	scratch sync.Pool
+	// scratch[tid] is worker tid's shape buffer, reused group after group.
+	scratch []smt.Shape
 	// canonNanos sums the time the shape owners spent canonicalizing:
 	// with len(shapes), Stats' view of level one.
 	canonNanos atomic.Int64
@@ -68,22 +68,22 @@ type memoTable struct {
 	latency *obs.Histogram
 }
 
-func newMemoTable() *memoTable {
+// newMemoTable returns a table for worker ids 0..workers (0: no pool).
+func newMemoTable(workers int) *memoTable {
 	return &memoTable{
 		shapes:  map[string]*shapeEntry{},
 		entries: map[string]*memoEntry{},
-		scratch: sync.Pool{New: func() any { return new(smt.Shape) }},
+		scratch: make([]smt.Shape, workers+1),
 	}
 }
 
-// solve discharges formula through the table. The second return reports a
-// memo hit: the verdict was served from an already-computed (or
-// concurrently computing) entry without a solver call. The owner of a
-// miss, running as worker tid, charges the call, its wall time and its
-// engine counters to out.
-func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limits, tid int, out *Stats) (solver.Result, bool) {
-	sh := m.scratch.Get().(*smt.Shape)
-	defer m.scratch.Put(sh)
+// solve discharges formula through the table, with the solver's default
+// limits. The second return reports a memo hit: the verdict was served from
+// an already-computed (or concurrently computing) entry without a solver
+// call. The owner of a miss, running as worker tid, charges the call, its
+// wall time and its engine counters to out.
+func (m *memoTable) solve(ctx context.Context, formula smt.Expr, tid int, out *Stats) (solver.Result, bool) {
+	sh := &m.scratch[tid]
 	sh.Reset(formula)
 
 	m.mu.Lock()
@@ -117,7 +117,7 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, lim solver.Limi
 	expr := s.canon.Expr()
 	sp := m.obs.StartSpan(tid, "solve")
 	start := time.Now()
-	sres := solver.SolveCtx(ctx, expr, lim)
+	sres := solver.Solve(ctx, expr, solver.Limits{})
 	dur := time.Since(start)
 	out.SolverTime += dur
 	out.SolverCalls++

@@ -9,15 +9,15 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/smt"
+	"weseer/internal/trace"
 )
 
 // corpusSpecs are the corpora the differential tests of this package run
 // over: the Table II apps and a generated one.
 var corpusSpecs = []string{"broadleaf", "shopizer", "gen:7,templates=96"}
 
-// corpusFormulas collects spec's unit tests and returns every cycle
-// formula phase 3 would build for them.
-func corpusFormulas(t *testing.T, spec string) []smt.Expr {
+// corpusTraces opens spec and collects its unit tests.
+func corpusTraces(t *testing.T, spec string) (apps.App, []*trace.Trace) {
 	t.Helper()
 	app, err := apps.Open(spec, apps.Options{})
 	if err != nil {
@@ -27,6 +27,14 @@ func corpusFormulas(t *testing.T, spec string) []smt.Expr {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return app, traces
+}
+
+// corpusFormulas collects spec's unit tests and returns every cycle
+// formula phase 3 would build for them.
+func corpusFormulas(t *testing.T, spec string) []smt.Expr {
+	t.Helper()
+	app, traces := corpusTraces(t, spec)
 	formulas, err := core.NewAnalyzer(app.Schema()).CycleFormulas(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)

@@ -69,11 +69,11 @@ func renderResult(r solver.Result) string {
 // package core_test, which (unlike this package) may import the apps.
 func CheckMemoAgainstDirect(t *testing.T, formulas []smt.Expr) {
 	t.Helper()
-	memo := newMemoTable()
+	memo := newMemoTable(0)
 	var out Stats
 	for i, f := range formulas {
-		got, _ := memo.solve(context.Background(), f, solver.Limits{}, 0, &out)
-		if want := solver.Solve(f); got.Status != want.Status {
+		got, _ := memo.solve(context.Background(), f, 0, &out)
+		if want := solver.Solve(context.Background(), f, solver.Limits{}); got.Status != want.Status {
 			t.Errorf("formula %d: memoized verdict %v, direct solve %v: %s", i, got.Status, want.Status, f)
 		}
 	}
@@ -93,17 +93,17 @@ func TestMemoTableConcurrent(t *testing.T) {
 	ctx := context.Background()
 
 	want := map[string]string{}
-	serial := newMemoTable()
+	serial := newMemoTable(0)
 	var serialOut Stats
 	for _, c := range cases {
-		res, _ := serial.solve(ctx, c.formula, solver.Limits{}, 0, &serialOut)
+		res, _ := serial.solve(ctx, c.formula, 0, &serialOut)
 		want[c.name] = renderResult(res)
 	}
 	if want["A1.0/false"] != "UNSAT" || want["A1.1/false"] == "UNSAT" {
 		t.Fatalf("fixture verdicts off: %q, %q", want["A1.0/false"], want["A1.1/false"])
 	}
 
-	memo := newMemoTable()
+	memo := newMemoTable(workers)
 	outs := make([]Stats, workers)
 	hits := make([]int, workers)
 	var wg sync.WaitGroup
@@ -113,7 +113,7 @@ func TestMemoTableConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := range cases {
 				c := cases[(i*7+w*5)%len(cases)] // 7 is coprime to len(cases)
-				res, hit := memo.solve(ctx, c.formula, solver.Limits{}, 0, &outs[w])
+				res, hit := memo.solve(ctx, c.formula, w+1, &outs[w])
 				if hit {
 					hits[w]++
 				}
@@ -148,17 +148,18 @@ func TestMemoTableConcurrent(t *testing.T) {
 // level: the verdict entry is dropped, the (complete) shape entry stays,
 // and a later live discharge of an alpha-variant solves for real.
 func TestMemoTableCancellation(t *testing.T) {
-	memo := newMemoTable()
+	const workers = 16
+	memo := newMemoTable(workers)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var out Stats
-			res, hit := memo.solve(canceled, memoFormula(fmt.Sprintf("T%d.", w), 3, w%2 == 0), solver.Limits{}, 0, &out)
+			res, hit := memo.solve(canceled, memoFormula(fmt.Sprintf("T%d.", w), 3, w%2 == 0), w+1, &out)
 			if res.Status != solver.UNKNOWN || res.Model != nil {
 				t.Errorf("canceled solve returned %v", renderResult(res))
 			}
@@ -174,12 +175,12 @@ func TestMemoTableCancellation(t *testing.T) {
 	}
 
 	var out Stats
-	res, hit := memo.solve(context.Background(), memoFormula("live.", 3, false), solver.Limits{}, 0, &out)
+	res, hit := memo.solve(context.Background(), memoFormula("live.", 3, false), 0, &out)
 	if hit || out.SolverCalls != 1 || res.Status != solver.SAT || res.Model == nil {
 		t.Fatalf("live solve after cancel: hit=%v calls=%d result=%s", hit, out.SolverCalls, renderResult(res))
 	}
 	var freshOut Stats
-	fresh, _ := newMemoTable().solve(context.Background(), memoFormula("live.", 3, false), solver.Limits{}, 0, &freshOut)
+	fresh, _ := newMemoTable(0).solve(context.Background(), memoFormula("live.", 3, false), 0, &freshOut)
 	if renderResult(res) != renderResult(fresh) {
 		t.Errorf("result after cancel %q differs from a fresh table's %q", renderResult(res), renderResult(fresh))
 	}
@@ -212,14 +213,11 @@ func TestMemoLevelTwoHitBuildsNoExpr(t *testing.T) {
 	plain := &smt.NAry{Conj: true, Xs: append(slices.Clone(xs), unsat)}
 	moved := &smt.NAry{Conj: true, Xs: append([]smt.Expr{unsat}, xs...)}
 
-	// The table's scratch pool hands out one Shape the test holds itself:
-	// under -race sync.Pool drops items at random, and a cold Shape growing
-	// its buffers would be charged to the hit.
-	memo := newMemoTable()
-	warm := new(smt.Shape)
-	memo.scratch.New = func() any { return warm }
+	// The first solve warms the worker's Shape, so the hits below grow no
+	// buffer of it.
+	memo := newMemoTable(0)
 	var out Stats
-	if res, hit := memo.solve(ctx, plain, solver.Limits{}, 0, &out); hit || res.Status != solver.UNSAT {
+	if res, hit := memo.solve(ctx, plain, 0, &out); hit || res.Status != solver.UNSAT {
 		t.Fatalf("first solve: hit %v, %v", hit, res.Status)
 	}
 	var sh smt.Shape
@@ -229,7 +227,7 @@ func TestMemoLevelTwoHitBuildsNoExpr(t *testing.T) {
 	// test: level one misses, level two hits.
 	got := testing.AllocsPerRun(10, func() {
 		delete(memo.shapes, movedKey)
-		if res, hit := memo.solve(ctx, moved, solver.Limits{}, 0, &out); !hit || res.Status != solver.UNSAT {
+		if res, hit := memo.solve(ctx, moved, 0, &out); !hit || res.Status != solver.UNSAT {
 			t.Fatalf("reordered formula: hit %v, %v — want a level-two hit", hit, res.Status)
 		}
 	})
@@ -255,15 +253,15 @@ func BenchmarkDischargeMemoHit(b *testing.B) {
 	if err != nil || len(formulas) == 0 {
 		b.Fatalf("fixture: %d formulas, err %v", len(formulas), err)
 	}
-	memo := newMemoTable()
+	memo := newMemoTable(0)
 	var out Stats
 	for _, f := range formulas {
-		memo.solve(ctx, f, solver.Limits{}, 0, &out)
+		memo.solve(ctx, f, 0, &out)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit := memo.solve(ctx, formulas[i%len(formulas)], solver.Limits{}, 0, &out); !hit {
+		if _, hit := memo.solve(ctx, formulas[i%len(formulas)], 0, &out); !hit {
 			b.Fatal("expected a memo hit")
 		}
 	}

@@ -3,18 +3,14 @@ package core
 import (
 	"weseer/internal/obs"
 	"weseer/internal/schema"
-	"weseer/internal/solver"
 )
 
 // options is what the functional options below set; each field is
 // documented at its option.
 type options struct {
 	CoarseOnly       bool
-	SkipPhase1       bool
-	SkipLockFilter   bool
 	UseConcretePlans bool
 	StaticPrescreen  bool
-	Solver           solver.Limits
 	Parallelism      int
 	Observer         *obs.Observer
 }
@@ -41,11 +37,6 @@ func WithPrescreen() Option {
 	return func(o *options) { o.StaticPrescreen = true }
 }
 
-// WithSolverLimits bounds each satisfiability check.
-func WithSolverLimits(l solver.Limits) Option {
-	return func(o *options) { o.Solver = l }
-}
-
 // WithCoarseOnly stops after phase 2 and reports raw coarse cycles — the
 // STEPDAD/REDACT baseline mode (Sec. VII-B).
 func WithCoarseOnly() Option {
@@ -58,17 +49,6 @@ func WithCoarseOnly() Option {
 // positives.
 func WithConcretePlans() Option {
 	return func(o *options) { o.UseConcretePlans = true }
-}
-
-// WithoutPhase1 disables the transaction-level filter (ablation).
-func WithoutPhase1() Option {
-	return func(o *options) { o.SkipPhase1 = true }
-}
-
-// WithoutLockFilter disables the quick lock-collision test before SMT
-// solving (ablation: every deduplicated coarse cycle goes to the solver).
-func WithoutLockFilter() Option {
-	return func(o *options) { o.SkipLockFilter = true }
 }
 
 // WithObserver attaches an observability sink: the run emits spans

@@ -43,10 +43,10 @@ type chainOutcome struct {
 	err   error
 }
 
-// discharge runs phase 3 over the chains on `workers` goroutines and
+// discharge runs phase 3 over the chains on r.workers goroutines and
 // merges the outcomes in chain order. In coarse-only mode every chain
 // becomes a report without any solving.
-func (r *run) discharge(ctx context.Context, chains []*chain, workers int, res *Result) error {
+func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error {
 	o := r.opts.Observer
 	if r.opts.CoarseOnly {
 		if o != nil {
@@ -70,11 +70,11 @@ func (r *run) discharge(ctx context.Context, chains []*chain, workers int, res *
 		r.m.chainsTotal.Set(int64(len(chains)))
 		r.m.chainsDone.Set(0)
 		spFine := o.StartSpan(0, "discharge",
-			obs.Int("chains", len(chains)), obs.Int("workers", min(workers, len(chains))))
+			obs.Int("chains", len(chains)), obs.Int("workers", min(r.workers, len(chains))))
 		defer spFine.End()
 	}
 	outcomes := make([]chainOutcome, len(chains))
-	forEachIndex(ctx, len(chains), workers, func(i, tid int) {
+	forEachIndex(ctx, len(chains), r.workers, func(i, tid int) {
 		outcomes[i] = r.evalChain(ctx, chains[i], tid)
 		// The live view: what the stage-4 merge below adds to res.Stats is
 		// added to the counters here, as each chain finishes.
@@ -145,13 +145,12 @@ func (r *run) evalChain(ctx context.Context, ch *chain, tid int) chainOutcome {
 // conflict + path conditions. It returns a Deadlock when the cycle is
 // confirmed SAT.
 func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, out *chainOutcome) *Deadlock {
-	// Quick filter: each C-edge needs a modeled lock collision.
-	if !r.opts.SkipLockFilter {
-		if !r.locks.PotentialConflict(cyc.S1b, cyc.S2a, r.opts.UseConcretePlans) ||
-			!r.locks.PotentialConflict(cyc.S2b, cyc.S1a, r.opts.UseConcretePlans) {
-			out.stats.LockFiltered++
-			return nil
-		}
+	// Quick filter, exact: a C-edge without a modeled lock collision has a
+	// false conflict condition.
+	if !r.locks.PotentialConflict(cyc.S1b, cyc.S2a, r.opts.UseConcretePlans) ||
+		!r.locks.PotentialConflict(cyc.S2b, cyc.S1a, r.opts.UseConcretePlans) {
+		out.stats.LockFiltered++
+		return nil
 	}
 
 	// Phase-0 group refutation: when every statement of the cycle has a
@@ -172,7 +171,7 @@ func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, 
 	formula := r.cycleFormula(cyc)
 	out.stats.GroupsSolved++
 
-	sres, hit := r.memo.solve(ctx, formula, r.opts.Solver, tid, &out.stats)
+	sres, hit := r.memo.solve(ctx, formula, tid, &out.stats)
 	if hit {
 		out.stats.MemoHits++
 	}

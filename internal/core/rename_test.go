@@ -107,7 +107,7 @@ func CheckViewsAgainstRenamedCopies(t *testing.T, scm *schema.Schema, traces []*
 		t.Fatal(err)
 	}
 	r := a.newRun()
-	chains, _, _ := r.enumerateNaive(ctx, traces)
+	chains, _, _ := r.enumerateNaive(ctx, traces, true)
 	n := 0
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {

@@ -57,7 +57,7 @@ func TestStatsRenderGolden(t *testing.T) {
 	}
 
 	// An indexed enumeration surfaces its posting-list work as a bracket
-	// segment; zero probes (naive loop, or SkipPhase1) must render
+	// segment; zero probes (the naive loop's) must render
 	// nothing, which the two cases above already pin.
 	indexed := Stats{
 		Traces: 2, Pairs: 4, PairsAfterPhase1: 2, CoarseCycles: 9,

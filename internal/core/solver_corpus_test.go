@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +45,7 @@ func TestSolverCorpusGolden(t *testing.T) {
 		formulas := corpusFormulas(t, spec)
 		fmt.Fprintf(&got, "# %s: %d cycle formulas\n", spec, len(formulas))
 		for _, f := range formulas {
-			res := solver.Solve(smt.Canon(f).Expr)
+			res := solver.Solve(context.Background(), smt.Canon(f).Expr, solver.Limits{})
 			model := "-"
 			if res.Model != nil {
 				model = renderModel(res.Model, spec != "broadleaf")

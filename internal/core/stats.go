@@ -25,8 +25,7 @@ type Stats struct {
 	// IndexProbes counts the posting-list entries the inverted
 	// table-conflict index walked to produce the phase-1 survivors —
 	// the work the indexed enumeration does in place of the naive
-	// loop's Pairs signature probes. Zero when WithoutPhase1 bypasses the
-	// index. Deterministic at any parallelism.
+	// loop's Pairs signature probes. Deterministic at any parallelism.
 	IndexProbes  int
 	LockFiltered int // cycles discarded by the lock-collision test
 	GroupsSolved int // cycles discharged in the fine phase (memoized or not)

@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"weseer/internal/appgen"
-	"weseer/internal/apps"
-	"weseer/internal/apps/appkit"
-	"weseer/internal/concolic"
 	"weseer/internal/core"
 )
 
@@ -22,14 +19,7 @@ func TestViewsMatchRenamedCopies(t *testing.T) {
 	}
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
-			app, err := apps.Open(spec, apps.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
-			if err != nil {
-				t.Fatal(err)
-			}
+			app, traces := corpusTraces(t, spec)
 			core.CheckViewsAgainstRenamedCopies(t, app.Schema(), traces)
 		})
 	}

@@ -21,20 +21,10 @@ import (
 	"strconv"
 	"strings"
 
+	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/core"
-	"weseer/internal/schema"
 )
-
-// App is the surface a fix plan needs from an application. It is a
-// structural subset of apps.App (declared here so fixapply can be
-// imported by the generator packages below the registry without an
-// import cycle).
-type App interface {
-	Name() string
-	Schema() *schema.Schema
-	Classify(d *core.Deadlock) string
-}
 
 // Cataloged is optionally implemented by apps whose Classify output
 // refers to a published deadlock catalog (the model apps' Table II
@@ -85,7 +75,7 @@ var fixNameRe = regexp.MustCompile(`^f(\d+)$`)
 // ("fp-*") have no applicable fix and are skipped. The plan is
 // deterministic: report order is already canonical, and every slice is
 // sorted.
-func Plan(app App, res *core.Result) []Fix {
+func Plan(app apps.App, res *core.Result) []Fix {
 	catalog := map[string]appkit.Expectation{}
 	if c, ok := app.(Cataloged); ok {
 		for _, e := range c.Catalog() {

@@ -19,14 +19,12 @@ package history
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 )
 
-// Record kinds: the first payload byte. Neither may ever be '{', which
-// marks a legacy JSON payload.
+// Record kinds: the first payload byte.
 const (
 	recEvent byte = 1
 	recTouch byte = 2
@@ -151,9 +149,6 @@ func decodeRecord(raw []byte, strs map[string]string) (record, error) {
 	if len(raw) == 0 {
 		return record{}, errCorruptRecord
 	}
-	if raw[0] == '{' {
-		return decodeLegacyRecord(raw)
-	}
 	d := decoder{b: raw[1:], strs: strs}
 	rec := record{kind: raw[0]}
 	switch rec.kind {
@@ -188,29 +183,4 @@ func decodeRecord(raw []byte, strs map[string]string) (record, error) {
 		return record{}, fmt.Errorf("%w: %d trailing bytes", errCorruptRecord, len(d.b))
 	}
 	return rec, nil
-}
-
-// LEGACY (delete with ROADMAP's next re-anchor, the round after PR 16):
-// through PR 15 a payload was this struct as JSON. Such payloads are still
-// read, never written, so a history.wal from an older binary opens and is
-// appended to in the binary encoding; mixed logs are legal.
-type legacyRecord struct {
-	T  string    `json:"t"` // "event" | "touch"
-	E  *Event    `json:"e,omitempty"`
-	FP string    `json:"fp,omitempty"`
-	At time.Time `json:"at,omitempty"`
-}
-
-func decodeLegacyRecord(raw []byte) (record, error) {
-	var l legacyRecord
-	if err := json.Unmarshal(raw, &l); err != nil {
-		return record{}, err
-	}
-	switch l.T {
-	case "event":
-		return record{kind: recEvent, e: l.E}, nil
-	case "touch":
-		return record{kind: recTouch, fp: l.FP, at: l.At}, nil
-	}
-	return record{}, fmt.Errorf("history: unknown legacy record type %q", l.T)
 }

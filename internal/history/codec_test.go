@@ -87,11 +87,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{recEvent, 0x80, 0x00})                                              // overlong varint
 	f.Add(append([]byte{recEvent, 0, 0, 0, 0, 0}, bytes.Repeat([]byte{0xff}, 9)...)) // absurd table count
+	// Payloads of the JSON encoding the store once wrote: '{' is no kind.
 	f.Add([]byte(`{"t":"touch","fp":"00000000000000a1","at":"2026-08-08T12:01:00Z"}`))
 	f.Add([]byte(`{"t":"event","e":{"fingerprint":"x","apis":["A","B"],"tables":["T"]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strs := map[string]string{}
-		if rec, err := decodeRecord(data, strs); err == nil && data[0] != '{' {
+		if rec, err := decodeRecord(data, strs); err == nil {
 			if rec.kind == recEvent && len(rec.e.Tables) > len(data) {
 				t.Fatalf("%d tables out of %d bytes", len(rec.e.Tables), len(data))
 			}
@@ -102,9 +103,6 @@ func FuzzDecodeRecord(f *testing.F) {
 
 		want := genRecord(data)
 		raw := appendRecord(nil, want)
-		if raw[0] == '{' {
-			t.Fatal("a binary payload starts with '{'")
-		}
 		got, err := decodeRecord(raw, strs)
 		if err != nil {
 			t.Fatalf("decode(encode(%+v)): %v", want, err)

@@ -9,12 +9,13 @@ import (
 	"path/filepath"
 	"testing"
 	"unsafe"
+
+	"weseer/internal/btree"
 )
 
-// testdata/legacy_json.wal was written by the commit before the binary
-// payload codec (PR 15's tree, JSON payloads) running ingestLegacySequence
-// under fixedClock; legacy_json.golden is that binary's snapshot of the
-// result and legacy_http.golden its three /history/* bodies.
+// testdata/legacy_http.golden is what the three /history/* endpoints of
+// the store before the binary payload codec (JSON payloads) answered after
+// ingestLegacySequence under fixedClock.
 
 // ingestLegacySequence is the sequence behind the fixture: new events with
 // an in-batch duplicate, pure touches, then a sparse new event and a touch.
@@ -91,60 +92,40 @@ func TestBodiesMatchParentCommit(t *testing.T) {
 	}
 }
 
-// TestLegacyLogOpensAndMixes: a log of JSON payloads opens to the state
-// its writer saw, takes appends in the binary encoding, and the mixed log
-// reopens to the live state.
-func TestLegacyLogOpensAndMixes(t *testing.T) {
-	legacy := readGolden(t, "legacy_json.wal")
+// TestJSONPayloadLogRefused: the store reads one payload encoding. A log
+// holding a JSON payload, as the store before the binary codec wrote, does
+// not open — a decode error is not a torn tail — and is left as it was.
+func TestJSONPayloadLogRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.wal")
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	clock := fixedClock()
-	for i := 0; i < 3; i++ {
-		clock() // the writer's three batches
-	}
-	s, err := Open(path, WithClock(clock))
+	l, err := btree.OpenLog(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := snapshot(t, s), bytes.TrimSpace(readGolden(t, "legacy_json.golden")); !bytes.Equal(got, want) {
-		t.Fatalf("legacy log opened to:\n%s\nwant:\n%s", got, want)
+	for _, payload := range [][]byte{
+		appendRecord(nil, record{kind: recEvent, e: &testEvents()[0]}),
+		[]byte(`{"t":"touch","fp":"00000000000000a1","at":"2026-08-08T12:01:00Z"}`),
+	} {
+		if err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, want := historyBodies(t, s), readGolden(t, "legacy_http.golden"); !bytes.Equal(got, want) {
-		t.Fatalf("legacy log serves:\n%s\nwant:\n%s", got, want)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
-
-	novel := Event{Fingerprint: "00000000000000e5", Class: "d2", APIs: [2]string{"Refund", "Refund"}, Tables: []string{"Payment"}}
-	sum, err := s.Ingest(append(testEvents(), novel))
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Stored != 1 || sum.Deduped != 3 || sum.Events != 5 {
-		t.Fatalf("ingest into a legacy log: %+v", sum)
+	if s, err := Open(path); err == nil {
+		s.Close()
+		t.Fatal("a log with a JSON payload opened")
 	}
-	live := snapshot(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	mixed, err := os.ReadFile(path)
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(mixed, legacy) || len(mixed) == len(legacy) {
-		t.Fatalf("appending rewrote the legacy prefix (%d bytes, was %d)", len(mixed), len(legacy))
-	}
-	if kind := mixed[len(legacy)+8]; kind != recTouch {
-		t.Fatalf("first appended payload starts with 0x%02x, want a binary touch", kind)
-	}
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := snapshot(t, s2); !bytes.Equal(got, live) {
-		t.Fatalf("mixed log reopened to:\n%s\nlive was:\n%s", got, live)
+	if !bytes.Equal(after, before) {
+		t.Fatalf("the refused open changed the log: %d bytes, was %d", len(after), len(before))
 	}
 }
 

@@ -31,14 +31,14 @@ func benchFormula() smt.Expr {
 	return smt.And(parts...)
 }
 
-// BenchmarkSolveSAT measures a full SolveCtx on a satisfiable
+// BenchmarkSolveSAT measures a full Solve on a satisfiable
 // mixed-theory formula (the phase-3 hot path).
 func BenchmarkSolveSAT(b *testing.B) {
 	f := benchFormula()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := Solve(f); res.Status != SAT {
+		if res := solve(f); res.Status != SAT {
 			b.Fatalf("unexpected status %s", res.Status)
 		}
 	}
@@ -56,7 +56,7 @@ func BenchmarkSolveUNSAT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := Solve(f); res.Status != UNSAT {
+		if res := solve(f); res.Status != UNSAT {
 			b.Fatalf("unexpected status %s", res.Status)
 		}
 	}

@@ -23,6 +23,9 @@ func hardFormula(n int) smt.Expr {
 	return smt.And(parts...)
 }
 
+// solve is Solve with the default limits and no cancellation.
+func solve(f smt.Expr) Result { return Solve(context.Background(), f, Limits{}) }
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -40,7 +43,7 @@ func TestSolveCtxPreCanceled(t *testing.T) {
 	cancel()
 	f := hardFormula(12)
 	start := time.Now()
-	res := SolveCtx(ctx, f, Limits{})
+	res := Solve(ctx, f, Limits{})
 	if res.Status != UNKNOWN {
 		t.Fatalf("canceled solve returned %v, want UNKNOWN", res.Status)
 	}
@@ -49,15 +52,19 @@ func TestSolveCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// TestSolveCtxBackgroundMatchesSolve: a live cancelable context, which
+// makes the search poll it, decides what the background context decides.
 func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
 	f := hardFormula(6)
-	a := Solve(f)
-	b := SolveCtx(context.Background(), f, Limits{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a := solve(f)
+	b := Solve(ctx, f, Limits{})
 	if a.Status != b.Status {
-		t.Fatalf("Solve=%v SolveCtx=%v", a.Status, b.Status)
+		t.Fatalf("background %v, cancelable %v", a.Status, b.Status)
 	}
 	if a.Status == SAT && !smt.Eval(f, b.Model).B {
-		t.Fatal("SolveCtx model does not satisfy formula")
+		t.Fatal("the cancelable solve's model does not satisfy the formula")
 	}
 }
 
@@ -67,7 +74,7 @@ func TestSolveCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	time.Sleep(2 * time.Millisecond)
-	res := SolveCtx(ctx, hardFormula(20), Limits{})
+	res := Solve(ctx, hardFormula(20), Limits{})
 	if res.Status != UNKNOWN {
 		t.Fatalf("status = %v, want UNKNOWN", res.Status)
 	}

@@ -161,7 +161,7 @@ func TestDifferentialFuzz(t *testing.T) {
 	for iter := 0; iter < fuzzIters; iter++ {
 		c := genFuzzCase(rng, ints, strs, bools)
 		want := oracleSAT(c.f, ints, strs, bools)
-		res := Solve(c.f)
+		res := solve(c.f)
 		switch res.Status {
 		case SAT:
 			if !want {
@@ -233,7 +233,7 @@ func TestFuzzCorpusRegression(t *testing.T) {
 		{smt.And(smt.Lt(i0, smt.Int(0)), smt.Ge(i0, smt.Int(0))), UNSAT},
 	}
 	for i, c := range cases {
-		res := Solve(c.f)
+		res := solve(c.f)
 		if res.Status != c.want {
 			t.Fatalf("case %d: got %s, want %s for %s", i, res.Status, c.want, c.f)
 		}

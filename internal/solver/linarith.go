@@ -144,7 +144,7 @@ type fmLimits struct {
 	maxNEBranch    int
 	maxIntDepth    int
 	// stop is polled between elimination rounds and branch-and-bound
-	// nodes; non-nil only under a cancelable context (see SolveCtx).
+	// nodes; non-nil only under a cancelable context (see Solve).
 	stop func() bool
 }
 

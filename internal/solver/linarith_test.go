@@ -53,7 +53,7 @@ func TestIntModelOutOfRangeIsUnknown(t *testing.T) {
 	x := smt.NewVar("x", smt.SortInt)
 	c := smt.Int(1 << 62)
 	f := smt.And(smt.Gt(x, c), smt.Gt(smt.Sub(x, c), c)) // x > 2^63
-	if res := Solve(f); res.Status != UNKNOWN || res.Model != nil {
+	if res := solve(f); res.Status != UNKNOWN || res.Model != nil {
 		t.Errorf("Solve(%s) = %s (model %s), want UNKNOWN", f, res.Status, res.Model)
 	}
 	// The same bound on a Real is representable, and one notch lower fits.

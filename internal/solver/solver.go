@@ -96,20 +96,12 @@ func (l *Limits) setDefaults() {
 	}
 }
 
-// Solve decides f.
-func Solve(f smt.Expr) Result { return SolveLimits(f, Limits{}) }
-
-// SolveLimits decides f under explicit resource limits.
-func SolveLimits(f smt.Expr, lim Limits) Result {
-	return SolveCtx(context.Background(), f, lim)
-}
-
-// SolveCtx decides f under explicit resource limits, honoring ctx
-// cancellation: the CDCL(T) loop and the Fourier–Motzkin elimination
-// rounds poll the context and abandon the search promptly once it is
-// done. A canceled call returns UNKNOWN; callers that need to tell
+// Solve decides f under resource limits (Limits{} for the defaults),
+// honoring ctx cancellation: the CDCL(T) loop and the Fourier–Motzkin
+// elimination rounds poll the context and abandon the search promptly once
+// it is done. A canceled call returns UNKNOWN; callers that need to tell
 // cancellation apart from a resource-limit UNKNOWN check ctx.Err().
-func SolveCtx(ctx context.Context, f smt.Expr, lim Limits) Result {
+func Solve(ctx context.Context, f smt.Expr, lim Limits) Result {
 	lim.setDefaults()
 	if ctx != nil && ctx.Done() != nil {
 		lim.FM.stop = func() bool { return ctx.Err() != nil }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func mustSAT(t *testing.T, f smt.Expr) *smt.Model {
 	t.Helper()
-	res := Solve(f)
+	res := solve(f)
 	if res.Status != SAT {
 		t.Fatalf("Solve(%s) = %s, want SAT", f, res.Status)
 	}
@@ -22,7 +23,7 @@ func mustSAT(t *testing.T, f smt.Expr) *smt.Model {
 
 func mustUNSAT(t *testing.T, f smt.Expr) {
 	t.Helper()
-	res := Solve(f)
+	res := solve(f)
 	if res.Status != UNSAT {
 		t.Fatalf("Solve(%s) = %s (model %s), want UNSAT", f, res.Status, res.Model)
 	}
@@ -47,10 +48,10 @@ func TestPaperExampleUNSAT(t *testing.T) {
 }
 
 func TestTrivial(t *testing.T) {
-	if r := Solve(smt.True); r.Status != SAT {
+	if r := solve(smt.True); r.Status != SAT {
 		t.Errorf("true: %s", r.Status)
 	}
-	if r := Solve(smt.False); r.Status != UNSAT {
+	if r := solve(smt.False); r.Status != UNSAT {
 		t.Errorf("false: %s", r.Status)
 	}
 }
@@ -312,7 +313,7 @@ func TestNegationNormalization(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	x := smt.NewVar("x", smt.SortInt)
-	res := Solve(smt.And(smt.Gt(x, smt.Int(0)), smt.Lt(x, smt.Int(10))))
+	res := solve(smt.And(smt.Gt(x, smt.Int(0)), smt.Lt(x, smt.Int(10))))
 	if res.Stats.Atoms == 0 || res.Stats.TheoryCalls == 0 {
 		t.Errorf("stats not populated: %+v", res.Stats)
 	}
@@ -378,7 +379,7 @@ func TestRandomizedAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-		res := Solve(f)
+		res := solve(f)
 		if bruteSAT && res.Status != SAT {
 			t.Fatalf("iter %d: brute force SAT but solver %s for %s", iter, res.Status, f)
 		}
@@ -431,7 +432,7 @@ func TestRandomizedStrings(t *testing.T) {
 				}
 			}
 		}
-		res := Solve(f)
+		res := solve(f)
 		if bruteSAT != (res.Status == SAT) {
 			t.Fatalf("iter %d: brute %v vs solver %s for %s", iter, bruteSAT, res.Status, f)
 		}
@@ -447,7 +448,7 @@ func TestLimitsUnknown(t *testing.T) {
 		parts = append(parts, smt.Or(smt.Eq(x, smt.Int(int64(i))), smt.Eq(x, smt.Int(int64(i+100)))))
 	}
 	f := smt.And(parts...)
-	res := SolveLimits(f, Limits{MaxTheoryCalls: 1})
+	res := Solve(context.Background(), f, Limits{MaxTheoryCalls: 1})
 	if res.Status == SAT && !smt.Eval(f, res.Model).B {
 		t.Fatal("SAT without valid model")
 	}

@@ -244,11 +244,11 @@ func Handler(s *session, ids []int64) {
 	}
 }
 `)
-	fs, err := Vet(dir, nil)
+	prog, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs) != 1 || fs[0].Kind != KindUnorderedLocks {
+	if fs := prog.Findings(nil); len(fs) != 1 || fs[0].Kind != KindUnorderedLocks {
 		t.Fatalf("initial vet: want one unordered-locks finding, got %v", fs)
 	}
 	// The fix: sort before locking (the loop suppression kicks in).
@@ -271,11 +271,10 @@ func Handler(s *session, ids []int64) {
 	}
 }
 `)
-	fs, err = Vet(dir, nil)
-	if err != nil {
+	if prog, err = Load(dir); err != nil {
 		t.Fatal(err)
 	}
-	if len(fs) != 0 {
+	if fs := prog.Findings(nil); len(fs) != 0 {
 		t.Fatalf("re-vet after edit still reports stale findings: %v", fs)
 	}
 }

@@ -176,11 +176,6 @@ type reportJSON struct {
 	Canonical *CanonicalOrder `json:"canonical_order,omitempty"`
 }
 
-// EncodeJSON renders findings as the versioned vet report.
-func EncodeJSON(fs []Finding) ([]byte, error) {
-	return EncodeReport(fs, nil)
-}
-
 // EncodeReport renders the versioned vet report, optionally carrying the
 // canonical lock-order section (-canonical-order).
 func EncodeReport(fs []Finding, co *CanonicalOrder) ([]byte, error) {
@@ -188,12 +183,6 @@ func EncodeReport(fs []Finding, co *CanonicalOrder) ([]byte, error) {
 		fs = []Finding{}
 	}
 	return json.MarshalIndent(reportJSON{Version: JSONVersion, Findings: fs, Canonical: co}, "", "  ")
-}
-
-// DecodeJSON parses a vet report, checking the version field.
-func DecodeJSON(data []byte) ([]Finding, error) {
-	fs, _, err := DecodeReport(data)
-	return fs, err
 }
 
 // DecodeReport parses a vet report including the optional canonical

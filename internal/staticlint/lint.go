@@ -198,28 +198,10 @@ func (p *Program) Findings(scm *schema.Schema) []Finding {
 	return out
 }
 
-// Vet is Load + Findings, for callers that want nothing else of the tree.
-func Vet(dir string, scm *schema.Schema) ([]Finding, error) {
-	p, err := Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	return p.Findings(scm), nil
-}
-
-// DirShapes is Load + Shapes.
-func DirShapes(dir string, scm *schema.Schema) ([]TxnShape, error) {
-	p, err := Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	return p.Shapes(scm), nil
-}
-
 // VetOptions is empty: vet has one resolver.
 //
 // Deprecated: kept, with DefaultVetOptions and VetDir, only because
-// benchmark/probes.go still calls them; use Vet or Load.
+// benchmark/probes.go still calls them; use Load and Program.Findings.
 type VetOptions struct{}
 
 // DefaultVetOptions returns the empty VetOptions.
@@ -227,9 +209,13 @@ type VetOptions struct{}
 // Deprecated: see VetOptions.
 func DefaultVetOptions() VetOptions { return VetOptions{} }
 
-// VetDir is Vet.
+// VetDir is Load + Findings.
 //
 // Deprecated: see VetOptions.
 func VetDir(dir string, scm *schema.Schema, _ VetOptions) ([]Finding, error) {
-	return Vet(dir, scm)
+	p, err := Load(dir)
+	if err != nil {
+		return nil, err
+	}
+	return p.Findings(scm), nil
 }

@@ -38,10 +38,7 @@ func render(fs []staticlint.Finding) string {
 func TestFixturesGolden(t *testing.T) {
 	for _, name := range []string{"f2", "f4", "f9", "clean", "wholeprog", "diamond", "recv", "repeat"} {
 		t.Run(name, func(t *testing.T) {
-			fs, err := staticlint.Vet(filepath.Join("testdata", "src", name), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fs := loadApp(t, filepath.Join("testdata", "src", name)).Findings(nil)
 			if name == "clean" && len(fs) != 0 {
 				t.Fatalf("clean fixture must have zero findings, got:\n%s", render(fs))
 			}
@@ -81,14 +78,8 @@ func has(fs []staticlint.Finding, kind, file string, line int) bool {
 // anti-pattern classes behind the Table II fixes at their real source
 // locations in the model applications.
 func TestVetApps(t *testing.T) {
-	bf, err := staticlint.Vet("../apps/broadleaf", broadleaf.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := staticlint.Vet("../apps/shopizer", shopizer.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	bf := loadApp(t, "../apps/broadleaf").Findings(broadleaf.Schema())
+	sf := loadApp(t, "../apps/shopizer").Findings(shopizer.Schema())
 	checks := []struct {
 		fs   []staticlint.Finding
 		kind string
@@ -122,8 +113,8 @@ func TestVetApps(t *testing.T) {
 }
 
 // TestProgramServesFindingsAndShapes: one Load answers both questions
-// `weseer vet -canonical-order` asks of a tree, and answers them exactly
-// as the one-call forms (each of which loads the tree again) do.
+// `weseer vet -canonical-order` asks of a tree, each as often as asked,
+// and the deprecated VetDir shim (its own Load) finds what a Program does.
 func TestProgramServesFindingsAndShapes(t *testing.T) {
 	for _, tc := range []struct {
 		dir string
@@ -134,49 +125,43 @@ func TestProgramServesFindingsAndShapes(t *testing.T) {
 		{"../apps/shopizer", shopizer.Schema()},
 	} {
 		prog := loadApp(t, tc.dir)
-		fs, err := staticlint.Vet(tc.dir, tc.scm)
+		fs, err := staticlint.VetDir(tc.dir, tc.scm, staticlint.DefaultVetOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := prog.Findings(tc.scm); len(got) == 0 || !reflect.DeepEqual(got, fs) {
-			t.Errorf("%s: Program.Findings differs from Vet:\ngot:\n%swant:\n%s", tc.dir, render(got), render(fs))
+			t.Errorf("%s: Program.Findings differs from VetDir:\ngot:\n%swant:\n%s", tc.dir, render(got), render(fs))
 		}
-		shapes, err := staticlint.DirShapes(tc.dir, tc.scm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := prog.Shapes(tc.scm); len(got) == 0 || !reflect.DeepEqual(got, shapes) {
-			t.Errorf("%s: Program.Shapes differs from DirShapes: %d vs %d shapes", tc.dir, len(got), len(shapes))
+		shapes := prog.Shapes(tc.scm)
+		if again := prog.Shapes(tc.scm); len(shapes) == 0 || !reflect.DeepEqual(again, shapes) {
+			t.Errorf("%s: Program.Shapes answers %d shapes, then %d", tc.dir, len(shapes), len(again))
 		}
 	}
 }
 
 // TestJSONRoundTrip locks the versioned -json schema.
 func TestJSONRoundTrip(t *testing.T) {
-	fs, err := staticlint.Vet("../apps/shopizer", shopizer.Schema())
+	fs := loadApp(t, "../apps/shopizer").Findings(shopizer.Schema())
+	data, err := staticlint.EncodeReport(fs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := staticlint.EncodeJSON(fs)
+	back, co, err := staticlint.DecodeReport(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := staticlint.DecodeJSON(data)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(fs, back) || co != nil {
+		t.Fatalf("findings did not round-trip through JSON (canonical section %v)", co)
 	}
-	if !reflect.DeepEqual(fs, back) {
-		t.Fatalf("findings did not round-trip through JSON")
-	}
-	if _, err := staticlint.DecodeJSON([]byte(`{"version":99,"findings":[]}`)); err == nil {
+	if _, _, err := staticlint.DecodeReport([]byte(`{"version":99,"findings":[]}`)); err == nil {
 		t.Fatal("expected version mismatch error")
 	}
 	var empty []staticlint.Finding
-	data, err = staticlint.EncodeJSON(empty)
+	data, err = staticlint.EncodeReport(empty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back, err = staticlint.DecodeJSON(data); err != nil || len(back) != 0 {
+	if back, _, err = staticlint.DecodeReport(data); err != nil || len(back) != 0 {
 		t.Fatalf("empty report round-trip: %v %v", back, err)
 	}
 }

@@ -240,11 +240,39 @@ func decodeDatum(j datumJSON) (minidb.Datum, error) {
 // Trace codec
 
 type traceJSON struct {
-	API       string    `json:"api"`
-	Inputs    []Input   `json:"inputs"`
-	Txns      []txnJSON `json:"txns"`
-	PathConds []pcJSON  `json:"path_conds"`
-	Stats     Stats     `json:"stats"`
+	API       string      `json:"api"`
+	Inputs    []inputJSON `json:"inputs"`
+	Txns      []txnJSON   `json:"txns"`
+	PathConds []pcJSON    `json:"path_conds"`
+	Stats     Stats       `json:"stats"`
+}
+
+// inputJSON is an Input on the wire: the concrete value as its string form.
+type inputJSON struct {
+	Name     string   `json:"name"`
+	Sort     smt.Sort `json:"sort"`
+	Concrete string   `json:"concrete"`
+}
+
+func decodeInput(j inputJSON) (Input, error) {
+	in := Input{Name: j.Name, Sort: j.Sort, Concrete: smt.Value{S: j.Sort}}
+	var err error
+	switch c := &in.Concrete; j.Sort {
+	case smt.SortBool:
+		c.B, err = strconv.ParseBool(j.Concrete)
+	case smt.SortInt:
+		c.I, err = strconv.ParseInt(j.Concrete, 10, 64)
+	case smt.SortReal:
+		if c.R, _ = new(big.Rat).SetString(j.Concrete); c.R == nil {
+			err = strconv.ErrSyntax
+		}
+	case smt.SortString:
+		c.Str, err = strconv.Unquote(j.Concrete)
+	}
+	if err != nil {
+		return in, fmt.Errorf("trace: bad %v input %s = %q", j.Sort, j.Name, j.Concrete)
+	}
+	return in, nil
 }
 
 type txnJSON struct {
@@ -285,8 +313,7 @@ type pcJSON struct {
 func (tr *Trace) MarshalJSON() ([]byte, error) {
 	out := traceJSON{API: tr.API, Stats: tr.Stats}
 	for _, in := range tr.Inputs {
-		in.ConcreteStr = in.Concrete.String()
-		out.Inputs = append(out.Inputs, in)
+		out.Inputs = append(out.Inputs, inputJSON{Name: in.Name, Sort: in.Sort, Concrete: in.Concrete.String()})
 	}
 	for _, txn := range tr.Txns {
 		tj := txnJSON{ID: txn.ID, Committed: txn.Committed}
@@ -331,9 +358,14 @@ func (tr *Trace) UnmarshalJSON(data []byte) error {
 	}
 	tr.API = in.API
 	tr.Stats = in.Stats
-	tr.Inputs = in.Inputs
-	tr.Txns = nil
-	tr.PathConds = nil
+	tr.Inputs, tr.Txns, tr.PathConds = nil, nil, nil
+	for _, ij := range in.Inputs {
+		input, err := decodeInput(ij)
+		if err != nil {
+			return err
+		}
+		tr.Inputs = append(tr.Inputs, input)
+	}
 	for _, tj := range in.Txns {
 		txn := &Txn{ID: tj.ID, Committed: tj.Committed}
 		for _, sj := range tj.Stmts {

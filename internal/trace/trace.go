@@ -56,13 +56,11 @@ func (c CodeLoc) String() string {
 	return strings.Join(parts, " <- ")
 }
 
-// Input is one symbolic API input.
+// Input is one symbolic API input and the concrete value it took.
 type Input struct {
-	Name     string    `json:"name"`
-	Sort     smt.Sort  `json:"sort"`
-	Concrete smt.Value `json:"-"`
-	// ConcreteStr carries the concrete value through serialization.
-	ConcreteStr string `json:"concrete"`
+	Name     string
+	Sort     smt.Sort
+	Concrete smt.Value
 }
 
 // Param is one SQL parameter: its symbolic expression and the concrete

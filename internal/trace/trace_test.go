@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"math/big"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,6 +20,9 @@ func sampleTrace() *Trace {
 		API: "Checkout",
 		Inputs: []Input{
 			{Name: "order_id", Sort: smt.SortInt, Concrete: smt.IntValue(7)},
+			{Name: "coupon", Sort: smt.SortString, Concrete: smt.StrValue(`10% "off"`)},
+			{Name: "rate", Sort: smt.SortReal, Concrete: smt.RealValue(big.NewRat(-3, 4))},
+			{Name: "gift", Sort: smt.SortBool, Concrete: smt.BoolValue(true)},
 		},
 		Txns: []*Txn{{
 			ID:        1,
@@ -72,6 +76,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if back.Stats != tr.Stats {
 		t.Errorf("stats = %+v", back.Stats)
+	}
+	if !reflect.DeepEqual(back.Inputs, tr.Inputs) {
+		t.Errorf("inputs = %+v, want %+v", back.Inputs, tr.Inputs)
 	}
 	s0 := back.Txns[0].Stmts[0]
 	if s0.Parsed == nil || s0.Parsed.Kind() != sqlast.KindSelect {

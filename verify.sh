@@ -90,12 +90,6 @@ go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs' ./internal/mini
 echo "== go test -race -count=10 (memo table)"
 go test -race -count=10 -run 'TestMemoTable' ./internal/core
 
-# The level-two-hit allocation bound used to fail one -race run in four
-# (sync.Pool drops items at random under the detector); it now measures
-# over a Shape the test holds itself, and has to hold twenty times over.
-echo "== go test -race -count=20 (memo level-two hit allocation bound)"
-go test -race -count=20 -run 'TestMemoLevelTwoHitBuildsNoExpr' ./internal/core
-
 # Native fuzzing of the canonicalizer for a few seconds on top of the
 # checked-in seed corpus (which the plain test run above already
 # replays): Canon(f) must agree with the test-side string-based oracle,
@@ -280,6 +274,18 @@ diff -u surface.golden "$servedir/surface.txt" || {
     echo "surface inventory: flags or options changed; review, then update surface.golden" >&2
     exit 1
 }
+
+# Option traffic: an analyzer option exists for a caller. Every exported
+# With* option of internal/core must be called as core.WithX( from non-test
+# code outside the package (the root facade's `= core.WithX` re-export is
+# not a call); a switch only tests set belongs in the tests.
+echo "== option traffic (every core.With* option has a caller outside internal/core)"
+callers=$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/core/*' -not -path './.bench_build/*')
+missing=""
+for opt in $(ls internal/core/*.go | grep -v _test.go | xargs grep -ho '^func With[A-Za-z0-9]*' | sed 's/^func //'); do
+    grep -q "core\.$opt(" $callers || missing="$missing core.$opt"
+done
+[ -z "$missing" ] || { echo "option traffic: no caller outside internal/core for$missing" >&2; exit 1; }
 
 # Ablation smoke: Fig. 11 opens every configuration through the registry
 # (all fixes, none, then each catalog fix off in turn); a tiny run must list

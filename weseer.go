@@ -23,7 +23,7 @@
 //   - Collection: UnitTest, Collect.
 //   - Analysis: AnalyzeContext — the three-phase deadlock diagnosis,
 //     with context cancellation, parallel solving, and functional
-//     options (WithParallelism, WithPrescreen, WithSolverLimits, ...).
+//     options (WithParallelism, WithPrescreen, WithCoarseOnly, ...).
 //   - Observability: NewObserver, WithObserver, StartDebugServer —
 //     spans, metrics, and live progress for a diagnosis run, all
 //     observational (reports stay byte-identical with an observer
@@ -42,7 +42,6 @@ import (
 	"weseer/internal/obs"
 	"weseer/internal/orm"
 	"weseer/internal/schema"
-	"weseer/internal/solver"
 	"weseer/internal/trace"
 )
 
@@ -156,8 +155,6 @@ type (
 	AnalysisStats = core.Stats
 	// Deadlock is one reported deadlock.
 	Deadlock = core.Deadlock
-	// SolverLimits bound each satisfiability check.
-	SolverLimits = solver.Limits
 )
 
 // Functional analysis options, applied by NewAnalyzer.
@@ -168,16 +165,10 @@ var (
 	WithParallelism = core.WithParallelism
 	// WithPrescreen enables the Phase-0 static prescreen.
 	WithPrescreen = core.WithPrescreen
-	// WithSolverLimits bounds each satisfiability check.
-	WithSolverLimits = core.WithSolverLimits
 	// WithCoarseOnly stops after phase 2 (STEPDAD/REDACT baseline).
 	WithCoarseOnly = core.WithCoarseOnly
 	// WithConcretePlans restricts lock modeling to recorded plans.
 	WithConcretePlans = core.WithConcretePlans
-	// WithoutPhase1 disables the transaction-level filter (ablation).
-	WithoutPhase1 = core.WithoutPhase1
-	// WithoutLockFilter disables the lock-collision test (ablation).
-	WithoutLockFilter = core.WithoutLockFilter
 	// WithObserver attaches an observability sink to the analysis.
 	WithObserver = core.WithObserver
 )
