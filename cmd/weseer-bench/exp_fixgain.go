@@ -37,9 +37,11 @@ var (
 		"';'-separated app specs for -exp fixgain")
 	fixClientsF = flag.Int("fixclients", 8, "concurrent clients for the -exp fixgain workloads")
 	fixDurF     = flag.Duration("fixdur", time.Second, "per-configuration workload duration for -exp fixgain")
-	fixSeedF    = flag.Int64("fixseed", 42, "workload seed for -exp fixgain")
 	fixOutF     = flag.String("fixout", "BENCH_fixgain.json", "write the -exp fixgain report as versioned JSON to this file")
 )
+
+// workloadSeed seeds every workload run of fixgain and fig10/fig11.
+const workloadSeed = 42
 
 func init() {
 	registerExp(10, "fixgain", "fix-verification loop: apply ranked fixes, replay under load, measure the win", fixgain)
@@ -168,7 +170,7 @@ func fixgainAnalyze(spec string, apply []string, workers int, plan []fixapply.Fi
 	check(err)
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	check(err)
-	res := analyze(app.Schema(), traces, core.WithPrescreen(), core.WithParallelism(workers))
+	res := analyze(app.Schema(), traces, core.WithParallelism(workers))
 	if plan == nil {
 		// The baseline run: fixapply.Plan reads its suggestion ranks off
 		// the canonical order, which no later configuration needs.
@@ -205,7 +207,7 @@ func fixgainAnalyze(spec string, apply []string, workers int, plan []fixapply.Fi
 // fixgainMeasure opens a fresh app configuration on the contended
 // database profile (every statement 100µs, lock waits time out after
 // 100ms) and drives the workload harness against it.
-func fixgainMeasure(spec string, apply []string, clients int, dur time.Duration, seed int64) fixgainRun {
+func fixgainMeasure(spec string, apply []string, clients int, dur time.Duration) fixgainRun {
 	db := minidb.Config{StatementDelay: 100 * time.Microsecond, LockWaitTimeout: 100 * time.Millisecond}
 	app, err := apps.Open(spec, apps.Options{Apply: apply, DB: db})
 	check(err)
@@ -215,7 +217,7 @@ func fixgainMeasure(spec string, apply []string, clients int, dur time.Duration,
 		os.Exit(2)
 	}
 	r := workload.Run(workload.Config{
-		Clients: clients, Duration: dur, Seed: seed, RetryBackoff: time.Millisecond,
+		Clients: clients, Duration: dur, Seed: workloadSeed, RetryBackoff: time.Millisecond,
 	}, app.DB(), wl.Flow())
 	return fixgainRun{
 		APICalls: r.APICalls, Failures: r.Failures, Retries: r.Retries,
@@ -302,18 +304,18 @@ func fixgainStaticFor(spec string, workers int) (fixgainStatic, []fixapply.Fix) 
 
 // fixgainLoadFor measures the workload before/after each fix (individual
 // and cumulative) for one app.
-func fixgainLoadFor(spec string, plan []fixapply.Fix, clients int, dur time.Duration, seed int64) *fixgainLoad {
-	ld := &fixgainLoad{Baseline: fixgainMeasure(spec, nil, clients, dur, seed)}
+func fixgainLoadFor(spec string, plan []fixapply.Fix, clients int, dur time.Duration) *fixgainLoad {
+	ld := &fixgainLoad{Baseline: fixgainMeasure(spec, nil, clients, dur)}
 	var cum []string
 	for _, f := range plan {
 		ld.Individual = append(ld.Individual, fixgainLoadStep{
 			Fix: f.Name, Apply: []string{f.Name},
-			Run: fixgainMeasure(spec, []string{f.Name}, clients, dur, seed),
+			Run: fixgainMeasure(spec, []string{f.Name}, clients, dur),
 		})
 		cum = append(cum, f.Name)
 		ld.Cumulative = append(ld.Cumulative, fixgainLoadStep{
 			Fix: f.Name, Apply: append([]string(nil), cum...),
-			Run: fixgainMeasure(spec, append([]string(nil), cum...), clients, dur, seed),
+			Run: fixgainMeasure(spec, append([]string(nil), cum...), clients, dur),
 		})
 	}
 	if n := len(ld.Cumulative); n > 0 {
@@ -329,14 +331,14 @@ func fixgainLoadFor(spec string, plan []fixapply.Fix, clients int, dur time.Dura
 // buildFixgain runs the full experiment for the given specs. The Static
 // sections of the result are deterministic: same specs, seed, and
 // clients yield identical bytes at any workers value.
-func buildFixgain(specs []string, clients int, dur time.Duration, seed int64, workers int, withLoad bool) fixgainJSON {
-	out := fixgainJSON{Version: 1, Seed: seed, Clients: clients, DurationMS: dur.Milliseconds(),
+func buildFixgain(specs []string, clients int, dur time.Duration, workers int, withLoad bool) fixgainJSON {
+	out := fixgainJSON{Version: 1, Seed: workloadSeed, Clients: clients, DurationMS: dur.Milliseconds(),
 		Env: fixgainEnv{Parallelism: workers, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}}
 	for _, spec := range specs {
 		st, plan := fixgainStaticFor(spec, workers)
 		rep := fixgainAppReport{App: spec, Static: st}
 		if withLoad {
-			rep.Load = fixgainLoadFor(spec, plan, clients, dur, seed)
+			rep.Load = fixgainLoadFor(spec, plan, clients, dur)
 		}
 		out.Apps = append(out.Apps, rep)
 	}
@@ -361,7 +363,7 @@ func fixgain() {
 	const workers = 4 // phase-3 workers; the static half is the same at any count
 	header(fmt.Sprintf("Fixgain: fix-verification loop (%d clients, %s per run)", *fixClientsF, *fixDurF))
 	t0 := time.Now()
-	out := buildFixgain(fixgainSpecs(), *fixClientsF, *fixDurF, *fixSeedF, workers, true)
+	out := buildFixgain(fixgainSpecs(), *fixClientsF, *fixDurF, workers, true)
 	out.Env.WallMS = time.Since(t0).Milliseconds()
 
 	allPass := true

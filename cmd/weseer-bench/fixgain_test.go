@@ -19,7 +19,7 @@ func TestFixgainDeterminism(t *testing.T) {
 	}
 	specs := []string{"gen:7,templates=3,modules=1,tables=2,rows=4,classes=f2:1+f10:1"}
 	build := func(workers int) []byte {
-		out := buildFixgain(specs, 4, 50*time.Millisecond, 42, workers, true)
+		out := buildFixgain(specs, 4, 50*time.Millisecond, workers, true)
 		// Zero the wall-clock-dependent fields; everything else is under
 		// the determinism contract.
 		out.Env = fixgainEnv{}

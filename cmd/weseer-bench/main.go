@@ -75,7 +75,7 @@ func registerExp(seq int, name, desc string, run func()) {
 
 func init() {
 	registerExp(1, "table1", "Table I: target APIs and invocation counts", table1)
-	registerExp(2, "table2", "Table II: the 18 deadlocks, their fixes, and the Phase-0 prescreen comparison", table2)
+	registerExp(2, "table2", "Table II: the 18 deadlocks and their fixes; Sec. VII-B: the coarse baseline", table2)
 	registerExp(3, "table3", "Table III: unit-test runtime per engine mode", table3)
 	registerExp(4, "fig10", "Fig. 10: Broadleaf throughput across fix ablations", func() {
 		ablation("Fig. 10: performance impact of Broadleaf's deadlocks (API/s)", "broadleaf",
@@ -87,7 +87,6 @@ func init() {
 			"fixes win at high concurrency (the paper reports up to 4.5x)")
 	})
 	registerExp(6, "pruning", "Sec. IV: path-condition pruning (656K -> 2.7K analog)", pruning)
-	registerExp(7, "baseline", "Sec. VII-B: coarse-only cycle explosion (18,384 analog)", baseline)
 }
 
 // sortedExperiments returns the experiment table in seq order.
@@ -258,17 +257,10 @@ func table2() {
 	fmt.Println("\nBroadleaf:", blRes.Stats.Render())
 	fmt.Println("Shopizer: ", shRes.Stats.Render())
 
-	// Phase-0 static prescreen: same diagnosis, fewer solver calls.
-	blPre := analyze(blApp.Schema(), blTraces, core.WithPrescreen())
-	shPre := analyze(shApp.Schema(), shTraces, core.WithPrescreen())
-	fmt.Println("\nwith -exp table2 static prescreen (weseer vet Phase-0):")
-	fmt.Println("Broadleaf:", blPre.Stats.Render())
-	fmt.Println("Shopizer: ", shPre.Stats.Render())
-	off := blRes.Stats.GroupsSolved + shRes.Stats.GroupsSolved
-	on := blPre.Stats.GroupsSolved + shPre.Stats.GroupsSolved
-	saved := blPre.Stats.PrescreenSaved + shPre.Stats.PrescreenSaved
-	fmt.Printf("solver calls: %d without prescreen -> %d with (%d saved, %d reports unchanged)\n",
-		off, on, saved, len(blPre.Deadlocks)+len(shPre.Deadlocks))
+	// Sec. VII-B: the coarse (STEPDAD/REDACT-style) baseline reports every
+	// coarse cycle; the same enumeration counts them with or without SMT.
+	fmt.Printf("\nSec. VII-B coarse baseline: %d coarse hold-and-wait cycles (paper: 18,384) vs %d confirmed reports\n",
+		blRes.Stats.CoarseCycles+shRes.Stats.CoarseCycles, len(blRes.Deadlocks)+len(shRes.Deadlocks))
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +339,7 @@ func ablation(title, spec, expect string) {
 	for i, label := range labels {
 		fmt.Printf("%-14s", label)
 		for _, c := range clients {
-			res := fixgainMeasure(spec, applies[i], c, *duration, 42)
+			res := fixgainMeasure(spec, applies[i], c, *duration)
 			fmt.Printf(" %11.0f  (%8.0f)", res.Throughput, res.AbortsPS)
 		}
 		fmt.Println()
@@ -374,31 +366,6 @@ func pruning() {
 	}
 	fmt.Println("\nexpected shape: pruning removes orders of magnitude of conditions")
 	fmt.Println("(the paper reports 656K -> 2.7K for Broadleaf's Ship API)")
-}
-
-// ---------------------------------------------------------------------------
-// Coarse baseline (Sec. VII-B)
-
-func baseline() {
-	header("Sec. VII-B: coarse-grained baseline (STEPDAD/REDACT style)")
-	blApp := openApp("broadleaf")
-	shApp := openApp("shopizer")
-	blTraces, err := appkit.Collect(blApp.UnitTests(), concolic.ModeConcolic)
-	check(err)
-	shTraces, err := appkit.Collect(shApp.UnitTests(), concolic.ModeConcolic)
-	check(err)
-
-	blCoarse := analyze(blApp.Schema(), blTraces, core.WithCoarseOnly())
-	shCoarse := analyze(shApp.Schema(), shTraces, core.WithCoarseOnly())
-	blFine := analyze(blApp.Schema(), blTraces)
-	shFine := analyze(shApp.Schema(), shTraces)
-
-	total := blCoarse.Stats.CoarseCycles + shCoarse.Stats.CoarseCycles
-	fmt.Printf("coarse hold-and-wait cycles reported: %d (paper: 18,384)\n", total)
-	fmt.Printf("WeSEER fine-grained confirmed groups: %d; cataloged deadlocks: 18\n",
-		len(blFine.Deadlocks)+len(shFine.Deadlocks))
-	fmt.Printf("funnel (Broadleaf): %s\n", blFine.Stats.Render())
-	fmt.Printf("funnel (Shopizer):  %s\n", shFine.Stats.Render())
 }
 
 func check(err error) {

@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [observability flags]
+//	weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [observability flags]
 //	weseer collect -app NAME [-apply f2,f5|all] [-no-prune] -o traces.json
-//	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [-v] [observability flags]
+//	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-parallel N] [-timeout D] [-json] [-v] [observability flags]
 //	weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
-//	weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-prescreen] [-parallel N]
+//	weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-parallel N]
 //	weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
 //	weseer history -addr HOST:PORT|@file [patterns|events|tables] [-window D] [-format text|json]
 //
@@ -30,9 +30,9 @@
 // stages through a JSON trace file (Fig. 2's trace hand-off). -plans
 // restricts lock modeling to recorded execution plans and -reproduce
 // replays every report against a live database — the paper's two
-// Sec. V-D future-work items. -prescreen enables the Phase-0 static
-// screen that discards trivially-UNSAT candidates before the solver —
-// pruning only; it adds nothing to the report but its counters.
+// Sec. V-D future-work items. A trace file records each statement's
+// whole call stack, down to the frames of cmdCollect and main in this
+// file, so the bytes `collect -o` writes change when those two calls move.
 //
 // -apply applies fixes to the app before collection, by name from the
 // app's own catalog (f1..f8 for broadleaf, f9..f11 for shopizer, planted
@@ -136,11 +136,11 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-prescreen] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [obs flags]
+  weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [obs flags]
   weseer collect -app NAME [-apply f2,f5|all] [-no-prune] -o traces.json
-  weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-prescreen] [-parallel N] [-timeout D] [-json] [-v] [obs flags]
+  weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-parallel N] [-timeout D] [-json] [-v] [obs flags]
   weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
-  weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-prescreen] [-parallel N]
+  weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-parallel N]
   weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
   weseer history -addr HOST:PORT|@file [patterns|events|tables] [-window D] [-format text|json]
 
@@ -149,33 +149,31 @@ registered applications (-app):
 observability flags (run/analyze): -debug-addr :6060  -trace-out run.trace.json
   -metrics-out run.metrics.prom
 -fixplan (run/analyze) adds the ranked lock-order fixes and the fix plan to the
-  report (canonical_order under -json); -prescreen only prunes solver work
+  report (canonical_order under -json)
 `)
 }
 
 // analysisFlags are the flags "run" and "analyze" share: how to analyze
 // the traces and what to print of the result.
 type analysisFlags struct {
-	coarse    *bool
-	prescreen *bool
-	parallel  *int
-	timeout   *time.Duration
-	jsonOut   *bool
-	fixplan   *bool
-	verbose   *bool
-	obs       *obsFlags
+	coarse   *bool
+	parallel *int
+	timeout  *time.Duration
+	jsonOut  *bool
+	fixplan  *bool
+	verbose  *bool
+	obs      *obsFlags
 }
 
 func registerAnalysisFlags(fs *flag.FlagSet) *analysisFlags {
 	return &analysisFlags{
-		coarse:    fs.Bool("coarse", false, "STEPDAD/REDACT-style coarse baseline (no SMT)"),
-		prescreen: fs.Bool("prescreen", false, "enable the Phase-0 static prescreen (weseer vet analysis)"),
-		parallel:  fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)"),
-		timeout:   fs.Duration("timeout", 0, "bound the analysis wall time (0 = none)"),
-		jsonOut:   fs.Bool("json", false, "emit the machine-readable report instead of text"),
-		fixplan:   fs.Bool("fixplan", false, "print the ranked lock-order fixes and the fix plan (internal/fixapply) with the report"),
-		verbose:   fs.Bool("v", false, "print every deadlock report"),
-		obs:       registerObsFlags(fs),
+		coarse:   fs.Bool("coarse", false, "STEPDAD/REDACT-style coarse baseline (no SMT)"),
+		parallel: fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)"),
+		timeout:  fs.Duration("timeout", 0, "bound the analysis wall time (0 = none)"),
+		jsonOut:  fs.Bool("json", false, "emit the machine-readable report instead of text"),
+		fixplan:  fs.Bool("fixplan", false, "print the ranked lock-order fixes and the fix plan (internal/fixapply) with the report"),
+		verbose:  fs.Bool("v", false, "print every deadlock report"),
+		obs:      registerObsFlags(fs),
 	}
 }
 
@@ -187,7 +185,7 @@ func (f *analysisFlags) report(app apps.App, traces []*trace.Trace, o *obs.Obser
 	if *f.coarse {
 		opts = append(opts, core.WithCoarseOnly())
 	}
-	opts = append(opts, analysisOptions(*f.prescreen, *f.parallel)...)
+	opts = append(opts, core.WithParallelism(*f.parallel))
 	if o != nil {
 		opts = append(opts, core.WithObserver(o))
 	}
@@ -347,6 +345,8 @@ func cmdRun(args []string) (err error) {
 	return nil
 }
 
+// cmdCollect writes the traces of one app configuration to a JSON trace
+// file, the input of "analyze -i" and of "ingest".
 func cmdCollect(args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ExitOnError)
 	appName := fs.String("app", "broadleaf", "application to diagnose")
@@ -412,19 +412,6 @@ func cmdAnalyze(args []string) (err error) {
 	}()
 	_, err = af.report(app, traces, o)
 	return err
-}
-
-// analysisOptions translates the analysis flags "run", "analyze" and
-// "serve" share into analyzer options.
-func analysisOptions(prescreen bool, parallel int) []core.Option {
-	var opts []core.Option
-	if prescreen {
-		opts = append(opts, core.WithPrescreen())
-	}
-	if parallel > 0 {
-		opts = append(opts, core.WithParallelism(parallel))
-	}
-	return opts
 }
 
 // analyzeCtx runs the diagnosis under ctrl-C cancellation and an

@@ -42,7 +42,6 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port; the bound URL is printed on stdout)")
 	defaultApp := fs.String("app", "broadleaf", "application assumed when an ingest request names none (?app=)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-ingest analysis wall-time bound (0 = none)")
-	prescreen := fs.Bool("prescreen", false, "enable the Phase-0 static prescreen for ingested traces")
 	parallel := fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)")
 	fs.Parse(args)
 
@@ -56,7 +55,6 @@ func cmdServe(args []string) error {
 	srv := newHistoryServer(st, o, serveConfig{
 		defaultApp: *defaultApp,
 		timeout:    *timeout,
-		prescreen:  *prescreen,
 		parallel:   *parallel,
 	})
 	ds, err := obs.StartDebugServer(*addr, o, srv.Routes()...)
@@ -81,7 +79,6 @@ func cmdServe(args []string) error {
 type serveConfig struct {
 	defaultApp string
 	timeout    time.Duration
-	prescreen  bool
 	parallel   int
 }
 
@@ -111,9 +108,7 @@ func newHistoryServer(st *history.Store, o *obs.Observer, cfg serveConfig) *hist
 			if err != nil {
 				return nil, err
 			}
-			opts := analysisOptions(cfg.prescreen, cfg.parallel)
-			opts = append(opts, core.WithObserver(o))
-			res, err := core.NewAnalyzer(app.Schema(), opts...).AnalyzeContext(ctx, traces)
+			res, err := core.NewAnalyzer(app.Schema(), core.WithParallelism(cfg.parallel), core.WithObserver(o)).AnalyzeContext(ctx, traces)
 			if err != nil {
 				return nil, err
 			}

@@ -151,9 +151,6 @@ func (l *Log) Sync() error { return l.f.Sync() }
 // Size returns the byte length of the intact log.
 func (l *Log) Size() int64 { return l.size }
 
-// Path returns the backing file's path.
-func (l *Log) Path() string { return l.path }
-
 // Close syncs and closes the backing file.
 func (l *Log) Close() error {
 	if err := l.f.Sync(); err != nil {

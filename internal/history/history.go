@@ -442,9 +442,6 @@ func (s *Store) Sightings() int {
 	return s.sightings
 }
 
-// Path returns the backing log file's path.
-func (s *Store) Path() string { return s.log.Path() }
-
 // Size returns the backing log's on-disk size in bytes.
 func (s *Store) Size() int64 {
 	s.mu.RLock()

@@ -328,6 +328,51 @@ func TestIngestOversizedEvent(t *testing.T) {
 	}
 }
 
+// FuzzIngest posts arbitrary bodies to /ingest, as events and as traces
+// (re-analyzed by a stub that finds no deadlock), over one temporary
+// store: no panic, a status from the documented set, a refused request
+// leaves the store alone, and an accepted one adds up — Received = Stored
+// + Deduped, and the store grew by Stored. The record limit is lowered so
+// small inputs reach the 413 path.
+func FuzzIngest(f *testing.F) {
+	defer func(old int) { maxRecord = old }(maxRecord)
+	maxRecord = 512
+	store, err := Open(filepath.Join(f.TempDir(), "history.wal"), WithClock(fixedClock()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer store.Close()
+	srv := &Server{Store: store, Analyze: func(context.Context, string, []*trace.Trace) ([]Event, error) {
+		return nil, nil
+	}}
+	f.Fuzz(func(t *testing.T, asEvents bool, body []byte) {
+		format := "traces"
+		if asEvents {
+			format = "events"
+		}
+		before := store.Len()
+		rec := httptest.NewRecorder()
+		srv.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/ingest?format="+format, bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+			if n := store.Len(); n != before {
+				t.Fatalf("refused request (%d) changed the store: %d -> %d events", rec.Code, before, n)
+			}
+			return
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var sum IngestSummary
+		if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
+			t.Fatalf("summary: %v: %s", err, rec.Body)
+		}
+		if sum.Received != sum.Stored+sum.Deduped || store.Len() != before+sum.Stored || sum.Events != store.Len() {
+			t.Fatalf("summary %+v does not add up: store %d -> %d events", sum, before, store.Len())
+		}
+	})
+}
+
 func TestEventsTextFormat(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
 	if _, err := srv.Store.Ingest(testEvents()); err != nil {

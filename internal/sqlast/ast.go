@@ -53,9 +53,6 @@ func VInt(v int64) Operand { return Operand{Kind: ConstInt, Int: v} }
 // VStr returns a string literal operand.
 func VStr(s string) Operand { return Operand{Kind: ConstStr, Str: s} }
 
-// VReal returns a decimal literal operand.
-func VReal(num, den int64) Operand { return Operand{Kind: ConstReal, Real: big.NewRat(num, den)} }
-
 // VNull returns the NULL literal.
 func VNull() Operand { return Operand{Kind: Null} }
 
@@ -82,8 +79,8 @@ func (o Operand) String() string {
 
 // realString renders a rational as the decimal literal the tokenizer
 // accepts, exactly when the denominator is 2^a·5^b — always the case
-// for values Parse itself produced. Other rationals (hand-built via
-// VReal) are rounded to 12 fractional digits.
+// for values Parse itself produced. Other rationals (hand-built
+// operands) are rounded to 12 fractional digits.
 func realString(r *big.Rat) string {
 	if r.IsInt() {
 		if r.Num().IsInt64() {

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"strconv"
 
 	"weseer/internal/minidb"
@@ -90,9 +92,14 @@ func encodeArr(a *smt.Array) *arrJSON {
 	return out
 }
 
+// decodeExpr rebuilds an expression through the smt constructors, after
+// checking what they would otherwise panic on: missing operands, unknown
+// sorts and operators, non-numeric arithmetic, a product of two
+// non-constants, comparisons across sorts, and non-Boolean connective
+// operands. Malformed input is an error, never a panic.
 func decodeExpr(j *exprJSON) (smt.Expr, error) {
 	if j == nil {
-		return nil, nil
+		return nil, errors.New("trace: missing expression operand")
 	}
 	switch j.K {
 	case "bool":
@@ -112,28 +119,39 @@ func decodeExpr(j *exprJSON) (smt.Expr, error) {
 	case "str":
 		return smt.Str(j.V), nil
 	case "var":
+		if j.Sort > smt.SortString {
+			return nil, fmt.Errorf("trace: variable %s has unknown sort %d", j.Name, j.Sort)
+		}
 		return smt.NewVar(j.Name, j.Sort), nil
 	case "arith":
-		l, err := decodeExpr(j.L)
+		op := smt.ArithOp(j.Op)
+		if op > smt.OpNeg {
+			return nil, fmt.Errorf("trace: bad arith op %d", j.Op)
+		}
+		l, err := decodeSorted(j.L, "arithmetic", smt.SortInt, smt.SortReal)
 		if err != nil {
 			return nil, err
 		}
-		r, err := decodeExpr(j.R)
-		if err != nil {
-			return nil, err
-		}
-		switch smt.ArithOp(j.Op) {
-		case smt.OpAdd:
-			return smt.Add(l, r), nil
-		case smt.OpSub:
-			return smt.Sub(l, r), nil
-		case smt.OpMul:
-			return smt.Mul(l, r), nil
-		case smt.OpNeg:
+		if op == smt.OpNeg {
 			return smt.Neg(l), nil
 		}
-		return nil, fmt.Errorf("trace: bad arith op %d", j.Op)
+		r, err := decodeSorted(j.R, "arithmetic", smt.SortInt, smt.SortReal)
+		switch {
+		case err != nil:
+			return nil, err
+		case op == smt.OpAdd:
+			return smt.Add(l, r), nil
+		case op == smt.OpSub:
+			return smt.Sub(l, r), nil
+		case !isNumConst(l) && !isNumConst(r):
+			return nil, fmt.Errorf("trace: nonlinear product %s * %s", l, r)
+		}
+		return smt.Mul(l, r), nil
 	case "cmp":
+		op := smt.CmpOp(j.Op)
+		if op > smt.GE {
+			return nil, fmt.Errorf("trace: bad comparison op %d", j.Op)
+		}
 		l, err := decodeExpr(j.L)
 		if err != nil {
 			return nil, err
@@ -142,11 +160,15 @@ func decodeExpr(j *exprJSON) (smt.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return smt.Compare(smt.CmpOp(j.Op), l, r), nil
+		numeric := func(s smt.Sort) bool { return s == smt.SortInt || s == smt.SortReal }
+		if ls, rs := l.Sort(), r.Sort(); !(numeric(ls) && numeric(rs)) && (ls != rs || op > smt.NE) {
+			return nil, fmt.Errorf("trace: comparison %s %s %s of sorts %s and %s", l, op, r, ls, rs)
+		}
+		return smt.Compare(op, l, r), nil
 	case "nary":
 		xs := make([]smt.Expr, 0, len(j.Xs))
 		for _, x := range j.Xs {
-			e, err := decodeExpr(x)
+			e, err := decodeSorted(x, "connective", smt.SortBool)
 			if err != nil {
 				return nil, err
 			}
@@ -157,7 +179,7 @@ func decodeExpr(j *exprJSON) (smt.Expr, error) {
 		}
 		return smt.Or(xs...), nil
 	case "not":
-		x, err := decodeExpr(j.L)
+		x, err := decodeSorted(j.L, "negation", smt.SortBool)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +189,7 @@ func decodeExpr(j *exprJSON) (smt.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		key, err := decodeExpr(j.Key)
+		key, err := decodeSorted(j.Key, "array read", arr.KeySort)
 		if err != nil {
 			return nil, err
 		}
@@ -176,10 +198,36 @@ func decodeExpr(j *exprJSON) (smt.Expr, error) {
 	return nil, fmt.Errorf("trace: unknown expr kind %q", j.K)
 }
 
+// decodeSorted decodes an operand of role that must have one of sorts.
+func decodeSorted(j *exprJSON, role string, sorts ...smt.Sort) (smt.Expr, error) {
+	e, err := decodeExpr(j)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Contains(sorts, e.Sort()) {
+		return nil, fmt.Errorf("trace: %s operand %s has sort %s", role, e, e.Sort())
+	}
+	return e, nil
+}
+
+func isNumConst(e smt.Expr) bool {
+	switch e.(type) {
+	case smt.IntConst, smt.RealConst:
+		return true
+	}
+	return false
+}
+
 func decodeArr(j *arrJSON) (*smt.Array, error) {
+	if j == nil {
+		return nil, errors.New("trace: array read without an array")
+	}
+	if j.KeySort > smt.SortString {
+		return nil, fmt.Errorf("trace: array %s has unknown key sort %d", j.ID, j.KeySort)
+	}
 	a := smt.NewArray(j.ID, j.KeySort)
 	for _, s := range j.Stores {
-		k, err := decodeExpr(s.Key)
+		k, err := decodeSorted(s.Key, "array store", j.KeySort)
 		if err != nil {
 			return nil, err
 		}
@@ -268,6 +316,8 @@ func decodeInput(j inputJSON) (Input, error) {
 		}
 	case smt.SortString:
 		c.Str, err = strconv.Unquote(j.Concrete)
+	default:
+		err = strconv.ErrSyntax
 	}
 	if err != nil {
 		return in, fmt.Errorf("trace: bad %v input %s = %q", j.Sort, j.Name, j.Concrete)
@@ -375,9 +425,11 @@ func (tr *Trace) UnmarshalJSON(data []byte) error {
 			}
 			st := &Stmt{Seq: sj.Seq, TxnID: sj.TxnID, SQL: sj.SQL, Parsed: parsed, Plan: sj.Plan, Trigger: sj.Trigger, Sent: sj.Sent}
 			for _, pj := range sj.Params {
-				sym, err := decodeExpr(pj.Sym)
-				if err != nil {
-					return err
+				var sym smt.Expr // nil: a concrete-only parameter
+				if pj.Sym != nil {
+					if sym, err = decodeExpr(pj.Sym); err != nil {
+						return err
+					}
 				}
 				d, err := decodeDatum(pj.Concrete)
 				if err != nil {
@@ -420,7 +472,7 @@ func (tr *Trace) UnmarshalJSON(data []byte) error {
 		tr.Txns = append(tr.Txns, txn)
 	}
 	for _, pj := range in.PathConds {
-		cond, err := decodeExpr(pj.Cond)
+		cond, err := decodeSorted(pj.Cond, "path condition", smt.SortBool)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/big"
 	"reflect"
@@ -125,6 +126,76 @@ func TestJSONRejectsGarbageIntegers(t *testing.T) {
 			t.Errorf("%s: got error %v, want a trace: error", c.bad, err)
 		}
 	}
+}
+
+// TestJSONRejectsMalformedExprs pins that a path condition the smt
+// constructors would panic on is a decoding error instead; the first three
+// used to panic json.Unmarshal.
+func TestJSONRejectsMalformedExprs(t *testing.T) {
+	for name, cond := range map[string]string{
+		"read without array":     `{"k":"sel"}`,
+		"arith without operands": `{"k":"arith"}`,
+		"arith on a bool":        `{"k":"arith","op":0,"l":{"k":"bool","b":true},"r":{"k":"int","v":"1"}}`,
+		"nonlinear product": `{"k":"cmp","op":0,"r":{"k":"int","v":"1"},` +
+			`"l":{"k":"arith","op":2,"l":{"k":"var","name":"x","sort":1},"r":{"k":"var","name":"y","sort":1}}}`,
+		"unknown arith op":       `{"k":"cmp","op":0,"l":{"k":"arith","op":7,"l":{"k":"int","v":"1"}},"r":{"k":"int","v":"1"}}`,
+		"unknown sort":           `{"k":"var","name":"b","sort":9}`,
+		"unknown comparison":     `{"k":"cmp","op":9,"l":{"k":"int","v":"1"},"r":{"k":"int","v":"1"}}`,
+		"ordered strings":        `{"k":"cmp","op":2,"l":{"k":"str","v":"a"},"r":{"k":"str","v":"b"}}`,
+		"int against string":     `{"k":"cmp","op":0,"l":{"k":"int","v":"1"},"r":{"k":"str","v":"b"}}`,
+		"connective over an int": `{"k":"nary","conj":true,"xs":[{"k":"int","v":"1"}]}`,
+		"missing operand":        `{"k":"nary","xs":[null]}`,
+		"negated int":            `{"k":"not","l":{"k":"int","v":"1"}}`,
+		"store key sort":         `{"k":"sel","arr":{"id":"m","keysort":1,"stores":[{"key":{"k":"str","v":"a"},"val":true}]},"key":{"k":"int","v":"1"}}`,
+		"read key sort":          `{"k":"sel","arr":{"id":"m","keysort":1},"key":{"k":"str","v":"a"}}`,
+		"unknown key sort":       `{"k":"sel","arr":{"id":"m","keysort":7},"key":{"k":"str","v":"a"}}`,
+		"int condition":          `{"k":"int","v":"1"}`,
+		"missing condition":      `null`,
+	} {
+		body := `[{"api":"x","txns":[],"path_conds":[{"after":0,"cond":` + cond + `}]}]`
+		var trs []*Trace
+		if err := json.Unmarshal([]byte(body), &trs); err == nil || !strings.HasPrefix(err.Error(), "trace: ") {
+			t.Errorf("%s: got error %v, want a trace: error", name, err)
+		}
+	}
+	body := `[{"api":"x","inputs":[{"name":"i","sort":9,"concrete":"1"}],"txns":[],"path_conds":[]}]`
+	if err := json.Unmarshal([]byte(body), new([]*Trace)); err == nil || !strings.HasPrefix(err.Error(), "trace: ") {
+		t.Errorf("input of unknown sort: got error %v, want a trace: error", err)
+	}
+}
+
+// FuzzTraceJSON feeds the trace decoder arbitrary bytes: it must return an
+// error rather than panic, and a batch it accepts must re-encode stably —
+// decoding its encoding and encoding again gives the same bytes. The
+// checked-in seeds are the three bodies that used to panic and a small
+// gen: collection.
+func FuzzTraceJSON(f *testing.F) {
+	sample, err := json.Marshal([]*Trace{sampleTrace()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample)
+	encode := func(t *testing.T, trs []*Trace) []byte {
+		data, err := json.Marshal(trs)
+		if err != nil {
+			t.Fatalf("encoding a decoded batch: %v", err)
+		}
+		return data
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var trs []*Trace
+		if json.Unmarshal(data, &trs) != nil {
+			return
+		}
+		once := encode(t, trs)
+		var back []*Trace
+		if err := json.Unmarshal(once, &back); err != nil {
+			t.Fatalf("decoding an encoded batch: %v\n%s", err, once)
+		}
+		if twice := encode(t, back); !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not stable:\n once  %s\n twice %s", once, twice)
+		}
+	})
 }
 
 func TestCodeLocFramesNotAliasedByJSON(t *testing.T) {

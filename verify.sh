@@ -113,6 +113,16 @@ go test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/history
 echo "== go test -fuzz=FuzzLogReplay (5s)"
 go test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5s ./internal/btree
 
+# The two decoders that read bytes off the network: a trace batch (what
+# `weseer analyze -i` and POST /ingest?format=traces read; arbitrary bytes
+# are an error, never a panic, and an accepted batch re-encodes stably) and
+# a whole /ingest request in either format (a documented status, and an
+# accepted summary that adds up against the store).
+echo "== go test -fuzz=FuzzTraceJSON (5s)"
+go test -run=NONE -fuzz=FuzzTraceJSON -fuzztime=5s ./internal/trace
+echo "== go test -fuzz=FuzzIngest (5s)"
+go test -run=NONE -fuzz=FuzzIngest -fuzztime=5s ./internal/history
+
 # The memo's premise: its second level pays one canonicalization per shape
 # to save one solve per hit, so canonicalizing a shape has to cost less than
 # solving a formula. Both numbers come from one process over the same Table
@@ -274,6 +284,43 @@ diff -u surface.golden "$servedir/surface.txt" || {
     echo "surface inventory: flags or options changed; review, then update surface.golden" >&2
     exit 1
 }
+
+# Docs name only drivers that exist: every weseer / weseer-bench command in a
+# ```bash fence of README.md and EXPERIMENTS.md (backslash continuations
+# joined, comments dropped) uses only flags surface.golden lists for that
+# command, and every `-exp NAME` in either file is an experiment of
+# `weseer-bench -exp list` (or list/all).
+echo "== docs name only drivers that exist (README.md, EXPERIMENTS.md)"
+"$servedir/weseer-bench" -exp list | awk 'NR > 1 { print $1 } END { print "list"; print "all" }' > "$servedir/exps.txt"
+awk -v surface=surface.golden '
+    BEGIN { while ((getline l < surface) > 0) known[l] = 1 }
+    function check(line,   t, n, i, cmd, flag) {
+        sub(/(^|[ \t])#.*/, "", line)
+        n = split(line, t, /[ \t]+/)
+        for (i = 1; i <= n; i++) {
+            cmd = ""
+            if (t[i] == "go" && t[i + 1] == "run" && t[i + 2] == "./cmd/weseer-bench") { cmd = "weseer-bench"; i += 3 }
+            else if (t[i] == "go" && t[i + 1] == "run" && t[i + 2] == "./cmd/weseer") { cmd = "weseer " t[i + 3]; i += 4 }
+            else if (t[i] ~ /(^|\/)weseer-bench$/) { cmd = "weseer-bench"; i++ }
+            else if (t[i] ~ /(^|\/)weseer$/) { cmd = "weseer " t[i + 1]; i += 2 }
+            if (cmd == "") continue
+            for (; i <= n && t[i] !~ /^(\||&|;|>|2>)/; i++) {
+                if (t[i] !~ /^-/) continue
+                flag = t[i]; sub(/=.*/, "", flag)
+                if (!((cmd " " flag) in known)) { printf "%s: `%s` has no flag %s\n", FILENAME, cmd, flag; bad = 1 }
+            }
+        }
+    }
+    FNR == 1 { fence = 0; cont = "" }
+    /^```bash/ { fence = 1; next }
+    /^```/ { fence = 0; next }
+    fence && /\\$/ { cont = cont substr($0, 1, length($0) - 1) " "; next }
+    fence { check(cont $0); cont = "" }
+    END { exit bad }
+' README.md EXPERIMENTS.md || { echo "docs: a command uses a flag its driver does not have" >&2; exit 1; }
+missing=$(grep -ho -- '-exp [A-Za-z0-9]*' README.md EXPERIMENTS.md | awk '{ print $2 }' | sort -u |
+    grep -vxF -f "$servedir/exps.txt" || true)
+[ -z "$missing" ] || { echo "docs: -exp names no experiment:" $missing >&2; exit 1; }
 
 # Option traffic: an analyzer option exists for a caller. Every exported
 # With* option of internal/core must be called as core.WithX( from non-test

@@ -23,7 +23,7 @@
 //   - Collection: UnitTest, Collect.
 //   - Analysis: AnalyzeContext — the three-phase deadlock diagnosis,
 //     with context cancellation, parallel solving, and functional
-//     options (WithParallelism, WithPrescreen, WithCoarseOnly, ...).
+//     options (WithParallelism, WithCoarseOnly, ...).
 //   - Observability: NewObserver, WithObserver, StartDebugServer —
 //     spans, metrics, and live progress for a diagnosis run, all
 //     observational (reports stay byte-identical with an observer
@@ -163,8 +163,6 @@ var (
 	// (n <= 0 selects GOMAXPROCS). Reports are deterministic at any
 	// setting.
 	WithParallelism = core.WithParallelism
-	// WithPrescreen enables the Phase-0 static prescreen.
-	WithPrescreen = core.WithPrescreen
 	// WithCoarseOnly stops after phase 2 (STEPDAD/REDACT baseline).
 	WithCoarseOnly = core.WithCoarseOnly
 	// WithConcretePlans restricts lock modeling to recorded plans.
