@@ -43,10 +43,6 @@ var (
 // workloadSeed seeds every workload run of fixgain and fig10/fig11.
 const workloadSeed = 42
 
-func init() {
-	registerExp(10, "fixgain", "fix-verification loop: apply ranked fixes, replay under load, measure the win", fixgain)
-}
-
 // fixgainAnalysis summarizes one serial re-analysis (deterministic).
 type fixgainAnalysis struct {
 	Deadlocks int            `json:"deadlocks"`

@@ -50,56 +50,34 @@ func init() {
 	})
 }
 
-// experiment is one entry in the self-registering experiment table.
-// Experiments register themselves from init functions; adding one never
-// touches main.
+// experiment is one entry in the experiment table.
 type experiment struct {
-	seq  int    // position in the -exp all order
 	name string // -exp selector
 	desc string // one line for -exp list and the usage header
 	run  func()
 }
 
-var experiments []experiment
-
-// registerExp adds an experiment to the table. seq orders the -exp all
-// run (and the listing); names must be unique.
-func registerExp(seq int, name, desc string, run func()) {
-	for _, e := range experiments {
-		if e.name == name {
-			panic("weseer-bench: duplicate experiment " + name)
-		}
-	}
-	experiments = append(experiments, experiment{seq: seq, name: name, desc: desc, run: run})
-}
-
-func init() {
-	registerExp(1, "table1", "Table I: target APIs and invocation counts", table1)
-	registerExp(2, "table2", "Table II: the 18 deadlocks and their fixes; Sec. VII-B: the coarse baseline", table2)
-	registerExp(3, "table3", "Table III: unit-test runtime per engine mode", table3)
-	registerExp(4, "fig10", "Fig. 10: Broadleaf throughput across fix ablations", func() {
+// experiments is the table, in -exp all (and listing) order.
+var experiments = []experiment{
+	{"table1", "Table I: target APIs and invocation counts", table1},
+	{"table2", "Table II: the 18 deadlocks and their fixes; Sec. VII-B: the coarse baseline", table2},
+	{"table3", "Table III: unit-test runtime per engine mode", table3},
+	{"fig10", "Fig. 10: Broadleaf throughput across fix ablations", func() {
 		ablation("Fig. 10: performance impact of Broadleaf's deadlocks (API/s)", "broadleaf",
 			"enable all sustains throughput with ~0 aborts/s; disable all\n"+
 				"collapses under deadlock storms (the paper reports 39.5x and 904->0 aborts/s)")
-	})
-	registerExp(5, "fig11", "Fig. 11: Shopizer throughput across fix ablations", func() {
+	}},
+	{"fig11", "Fig. 11: Shopizer throughput across fix ablations", func() {
 		ablation("Fig. 11: performance impact of Shopizer's deadlocks (API/s)", "shopizer",
 			"fixes win at high concurrency (the paper reports up to 4.5x)")
-	})
-	registerExp(6, "pruning", "Sec. IV: path-condition pruning (656K -> 2.7K analog)", pruning)
-}
-
-// sortedExperiments returns the experiment table in seq order.
-func sortedExperiments() []experiment {
-	out := make([]experiment, len(experiments))
-	copy(out, experiments)
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
+	}},
+	{"pruning", "Sec. IV: path-condition pruning (656K -> 2.7K analog)", pruning},
+	{"fixgain", "fix-verification loop: apply ranked fixes, replay under load, measure the win", fixgain},
 }
 
 func listExperiments(w *os.File) {
 	fmt.Fprintln(w, "experiments (-exp NAME, or -exp all):")
-	for _, e := range sortedExperiments() {
+	for _, e := range experiments {
 		fmt.Fprintf(w, "  %-10s %s\n", e.name, e.desc)
 	}
 }
@@ -123,9 +101,9 @@ func main() {
 	}
 	var selected []experiment
 	if *exp == "all" {
-		selected = sortedExperiments()
+		selected = experiments
 	} else {
-		for _, e := range sortedExperiments() {
+		for _, e := range experiments {
 			if e.name == *exp {
 				selected = append(selected, e)
 			}

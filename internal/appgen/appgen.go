@@ -2,21 +2,25 @@
 // seeded database, transaction templates, and a deadlock classifier —
 // from a small seeded configuration. A generated app exposes the same
 // surface as the hand-written model apps (broadleaf, shopizer), so its
-// corpus flows through concolic collection, prescreen, enumeration, and
-// the solver unchanged. Generation is fully deterministic: the same spec
-// yields a byte-identical manifest and a byte-identical analysis report.
+// corpus flows through concolic collection, enumeration, and the solver
+// unchanged. Generation is fully deterministic: the same spec yields
+// byte-identical traces and a byte-identical analysis report.
 //
 // The corpus is built so that its set of satisfiable deadlock cycles is
 // exactly the planted anti-pattern instances (classes f1–f11 of the
 // paper's Table II fix catalog): filler templates contribute realistic
 // lock traffic and genuinely-UNSAT solver work but no diagnosable
 // deadlock (see the opKind comment in templates.go for the argument).
+//
+// Every template, filler or planted, is one genTemplate: a name, its
+// inputs, and a Run over one concolic value per input. UnitTests runs
+// each at its collection values with the inputs symbolic; Flow runs each
+// at values drawn from the inputs' ranges.
 package appgen
 
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"weseer/internal/apps/appkit"
@@ -34,11 +38,11 @@ type App struct {
 	scm     *schema.Schema
 	db      *minidb.DB
 	mapping *orm.Mapping
-	mods    []module
-	fillers []template
-	planted []plantedInstance
 	classOf map[string]string // planted table → class
 	fixed   map[string]bool   // planted classes compiled as their fixed variant
+	// templates are the fillers in generation order, then each planted
+	// instance's templates.
+	templates []genTemplate
 }
 
 // New generates the application for cfg (normalized first) with a fresh
@@ -65,15 +69,14 @@ func New(cfg Config, dbCfg minidb.Config, fixed []string) (*App, error) {
 		dbCfg.LockWaitTimeout = 2 * time.Second
 	}
 	r := newRNG(cfg.Seed)
-	a.mods = buildModules(cfg, r, a.scm)
-	a.fillers = buildTemplates(cfg, r, a.mods)
+	a.templates = a.fillers(r, buildModules(cfg, r, a.scm))
 	for _, cc := range cfg.Classes {
 		for i := 0; i < cc.N; i++ {
 			inst := plant(a.scm, cc.Class, i)
 			for _, tab := range inst.Tables {
 				a.classOf[tab] = cc.Class
 			}
-			a.planted = append(a.planted, inst)
+			a.templates = append(a.templates, a.plantedTemplates(inst, a.fixed[cc.Class])...)
 		}
 	}
 	a.db = minidb.Open(a.scm, dbCfg)
@@ -133,12 +136,9 @@ func (a *App) DB() *minidb.DB { return a.db }
 // UnitTests returns one unit test per transaction template: fillers
 // first (generation order), then the planted anti-pattern templates.
 func (a *App) UnitTests() []appkit.UnitTest {
-	out := make([]appkit.UnitTest, 0, len(a.fillers)+2*len(a.planted))
-	for _, t := range a.fillers {
-		out = append(out, a.unitTest(t))
-	}
-	for i := range a.planted {
-		out = append(out, a.plantedTests(&a.planted[i], a.cfg.Rows)...)
+	out := make([]appkit.UnitTest, len(a.templates))
+	for i, g := range a.templates {
+		out[i] = g.unitTest()
 	}
 	return out
 }
@@ -155,36 +155,4 @@ func (a *App) Classify(d *core.Deadlock) string {
 		return cl
 	}
 	return ""
-}
-
-// Manifest renders the generated application deterministically: spec,
-// module layout, planted instances, and every template with its ops.
-// Byte-equality of manifests is the determinism contract tested by the
-// suite and relied on by the scale bench.
-func (a *App) Manifest() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "appgen %s\n", a.Name())
-	fmt.Fprintf(&b, "tables=%d templates=%d planted=%d\n",
-		len(a.scm.Tables()), len(a.fillers), len(a.planted))
-	var fixed []string
-	for _, cc := range a.cfg.Classes {
-		if a.fixed[cc.Class] {
-			fixed = append(fixed, cc.Class)
-		}
-	}
-	if len(fixed) > 0 {
-		fmt.Fprintf(&b, "fixed=%s\n", strings.Join(fixed, "+"))
-	}
-	for _, m := range a.mods {
-		fmt.Fprintf(&b, "module %s hub=%s reads=%s ins=%s\n",
-			m.Name, m.Hub, strings.Join(m.Reads, "+"), strings.Join(m.Ins, "+"))
-	}
-	for _, inst := range a.planted {
-		fmt.Fprintf(&b, "planted %s#%d tables=%s templates=%s\n",
-			inst.Class, inst.Idx, strings.Join(inst.Tables, "+"), strings.Join(inst.Names, "+"))
-	}
-	for _, t := range a.fillers {
-		t.render(&b)
-	}
-	return b.String()
 }

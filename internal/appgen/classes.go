@@ -4,25 +4,23 @@ import (
 	"fmt"
 	"strings"
 
-	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/orm"
 	"weseer/internal/schema"
 )
 
-// plantedInstance is one planted anti-pattern: its class, its dedicated
-// tables (never shared with fillers or other instances, so its conflict
-// edges stay self-contained and classification is a table lookup), and
-// the transaction templates that exhibit it.
+// plantedInstance is one planted anti-pattern: its class, its index within
+// the class, and its dedicated tables (never shared with fillers or other
+// instances, so its conflict edges stay self-contained and classification
+// is a table lookup).
 type plantedInstance struct {
 	Class  string
 	Idx    int
 	Tables []string
-	Names  []string // template names, for the manifest
 }
 
 // plant appends the schema tables for one instance of class cl and
-// returns its metadata; plantedTemplates later compiles the matching
+// returns it; plantedTemplates then compiles the matching
 // transaction templates. Each planted shape is the *unfixed* variant of
 // the paper's corresponding fix class:
 //
@@ -86,90 +84,13 @@ func plant(s *schema.Schema, cl string, idx int) plantedInstance {
 	default:
 		panic("appgen: unknown class " + cl)
 	}
-	inst.Names = plantedNames(cl, p)
 	return inst
 }
 
-// plantedNames lists the template names plantedTemplates will emit, so
-// the manifest can be rendered without building the unit tests. Fixed
-// variants keep the same names: a fix rewrites a template, it does not
-// replace the API.
-func plantedNames(cl, p string) []string {
-	switch cl {
-	case "f1":
-		return []string{p + "Merge"}
-	case "f2":
-		return []string{p + "Acquire"}
-	case "f3":
-		return []string{p + "AddItem"}
-	case "f4":
-		return []string{p + "Buffered", p + "Eager"}
-	case "f5":
-		return []string{p + "Quote"}
-	case "f6":
-		return []string{p + "Reprice"}
-	case "f7":
-		return []string{p + "Ensure"}
-	case "f8":
-		return []string{p + "Surcharge"}
-	case "f9":
-		return []string{p + "Reserve"}
-	case "f10":
-		return []string{p + "Commit"}
-	case "f11":
-		return []string{p + "Scan", p + "Update"}
-	}
-	panic("appgen: unknown class " + cl)
-}
-
-// genInput is one template input: its symbolic name, the concrete value
-// unit tests collect with, and the inclusive range workload clients draw
-// from.
-type genInput struct {
-	Name   string
-	Val    int64
-	Lo, Hi int64
-}
-
-// genTemplate is one planted transaction template in executable form.
-// Run takes one concolic value per input — symbolic under collection,
-// rng-drawn concrete values under the workload harness — so the same
-// body serves both the diagnosis pipeline and the Fig. 10/11-style
-// before/after measurement.
-type genTemplate struct {
-	Name   string
-	Inputs []genInput
-	Run    func(e *concolic.Engine, in []concolic.Value) error
-}
-
-// unitTest compiles the template to the collection surface, making every
-// input symbolic at its unit-test value (name scheme "Template.input",
-// matching the fillers).
-func (g genTemplate) unitTest() appkit.UnitTest {
-	return appkit.UnitTest{Name: g.Name, Run: func(e *concolic.Engine) error {
-		in := make([]concolic.Value, len(g.Inputs))
-		for i, gi := range g.Inputs {
-			in[i] = e.MakeSymbolic(g.Name+"."+gi.Name, concolic.Int(gi.Val))
-		}
-		return orm.Guard(func() error { return g.Run(e, in) })
-	}}
-}
-
-// plantedTests compiles the unit tests for one planted instance,
-// honoring the app's fixed-class set.
-func (a *App) plantedTests(inst *plantedInstance, rows int) []appkit.UnitTest {
-	gs := a.plantedTemplates(inst, rows, a.fixed[inst.Class])
-	out := make([]appkit.UnitTest, len(gs))
-	for i, g := range gs {
-		out[i] = g.unitTest()
-	}
-	return out
-}
-
-// plantedTemplates builds the templates for one planted instance. rows
-// is cfg.Rows: seeded ids are 1..rows (with OWNER_ID = ID on child
-// tables), so "present" inputs stay within [1,rows] and "absent" inputs
-// start at rows+1.
+// plantedTemplates builds the templates for one planted instance. Seeded
+// ids are 1..cfg.Rows (with OWNER_ID = ID on child tables), so "present"
+// inputs stay within [1,rows] and "absent" inputs start at rows+1. A fix
+// rewrites a template's body, never its name or inputs.
 //
 // When fixed is true each template is the mechanically-fixed variant of
 // its class, mirroring the Table II fix column:
@@ -193,7 +114,8 @@ func (a *App) plantedTests(inst *plantedInstance, rows int) []appkit.UnitTest {
 // read/write multiset (same statements, regrouped or reordered), except
 // f1/f2 whose UPSERT rewrite preserves the net database effect instead;
 // the fixapply property suite pins both invariants.
-func (a *App) plantedTemplates(inst *plantedInstance, rows int, fixed bool) []genTemplate {
+func (a *App) plantedTemplates(inst plantedInstance, fixed bool) []genTemplate {
+	rows := a.cfg.Rows
 	p := fmt.Sprintf("%sx%d", strings.ToUpper(inst.Class), inst.Idx)
 	sess := func(e *concolic.Engine) *orm.Session {
 		return orm.NewSession(a.mapping, concolic.NewConn(e, a.db))

@@ -8,60 +8,24 @@ import (
 	"weseer/internal/workload"
 )
 
-// runnable is one template lifted to the workload surface: a name plus a
-// runner over rng-drawn concrete inputs.
-type runnable struct {
-	name string
-	run  func(e *concolic.Engine, rng *rand.Rand) error
-}
-
-// Flow returns the workload driver for the generated application: every
-// client uniformly picks among all templates (fillers first, then the
-// planted anti-patterns — the same order as UnitTests) with inputs drawn
-// from each input's declared range. Planted "absent" inputs draw from a
-// small window above the seeded rows, so concurrent clients collide on
-// the same gaps and the planted deadlocks actually fire under load.
-// Deterministic given the per-client seeded rng; every step body is
-// wrapped in orm.Guard so flush-time aborts surface as retryable errors.
+// Flow returns the generated application's concurrent-client flow: each
+// step picks one of the app's templates uniformly (the UnitTests order)
+// and, when it runs, draws every input from its declared range. Planted
+// "absent" inputs draw from a small window above the seeded rows, so
+// concurrent clients collide on the same gaps and the planted deadlocks
+// actually fire under load. Deterministic given the per-client seeded rng;
+// every step runs under orm.Guard, as every unit test does, so flush-time
+// aborts surface as retryable errors.
 func (a *App) Flow() workload.Flow {
-	var rs []runnable
-	for _, t := range a.fillers {
-		t := t
-		rs = append(rs, runnable{name: t.Name, run: func(e *concolic.Engine, rng *rand.Rand) error {
-			s := orm.NewSession(a.mapping, concolic.NewConn(e, a.db))
-			in := make([]concolic.Value, len(t.Inputs))
-			for i := range t.Inputs {
-				// Filler inputs are all row ids in [1, Rows].
-				in[i] = concolic.Int(1 + rng.Int63n(int64(a.cfg.Rows)))
-			}
-			return orm.Guard(func() error {
-				if err := a.runOps(e, s, t.Warm, in); err != nil {
-					return err
-				}
-				return s.Transactional(func() error {
-					return a.runOps(e, s, t.Body, in)
-				})
-			})
-		}})
-	}
-	for i := range a.planted {
-		inst := &a.planted[i]
-		for _, g := range a.plantedTemplates(inst, a.cfg.Rows, a.fixed[inst.Class]) {
-			g := g
-			rs = append(rs, runnable{name: g.Name, run: func(e *concolic.Engine, rng *rand.Rand) error {
+	return func(clientID int64, rng *rand.Rand) func() workload.Step {
+		return func() workload.Step {
+			g := &a.templates[rng.Intn(len(a.templates))]
+			return func(e *concolic.Engine) (string, error) {
 				in := make([]concolic.Value, len(g.Inputs))
 				for i, gi := range g.Inputs {
 					in[i] = concolic.Int(gi.Lo + rng.Int63n(gi.Hi-gi.Lo+1))
 				}
-				return orm.Guard(func() error { return g.Run(e, in) })
-			}})
-		}
-	}
-	return func(clientID int64, rng *rand.Rand) func() workload.Step {
-		return func() workload.Step {
-			r := rs[rng.Intn(len(rs))]
-			return func(e *concolic.Engine) (string, error) {
-				return r.name, r.run(e, rng)
+				return g.Name, orm.Guard(func() error { return g.Run(e, in) })
 			}
 		}
 	}

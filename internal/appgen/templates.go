@@ -2,7 +2,6 @@ package appgen
 
 import (
 	"fmt"
-	"strings"
 
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
@@ -56,21 +55,36 @@ type op struct {
 	Skip       int    // opGuard: ops skipped when the branch fails
 }
 
-// input is one symbolic API input with its concrete unit-test value.
-type input struct {
-	Name string
-	Val  int64
+// genInput is one template input: its symbolic name, the concrete value
+// unit tests collect with, and the inclusive range workload clients draw
+// from.
+type genInput struct {
+	Name   string
+	Val    int64
+	Lo, Hi int64
 }
 
-// template is one generated transaction template: symbolic inputs, warm
-// statements that run before the transaction (auto-commit reads that
-// hydrate the ORM cache, as the model apps' APIs do), and the
-// transactional body.
-type template struct {
+// genTemplate is one generated transaction template, filler or planted, in
+// executable form. Run takes one concolic value per input — symbolic under
+// collection, rng-drawn concrete values under the workload harness — so the
+// same body serves both the diagnosis pipeline and the Fig. 10/11-style
+// before/after measurement.
+type genTemplate struct {
 	Name   string
-	Inputs []input
-	Warm   []op
-	Body   []op
+	Inputs []genInput
+	Run    func(e *concolic.Engine, in []concolic.Value) error
+}
+
+// unitTest compiles the template to the collection surface, making every
+// input symbolic at its unit-test value (name scheme "Template.input").
+func (g genTemplate) unitTest() appkit.UnitTest {
+	return appkit.UnitTest{Name: g.Name, Run: func(e *concolic.Engine) error {
+		in := make([]concolic.Value, len(g.Inputs))
+		for i, gi := range g.Inputs {
+			in[i] = e.MakeSymbolic(g.Name+"."+gi.Name, concolic.Int(gi.Val))
+		}
+		return orm.Guard(func() error { return g.Run(e, in) })
+	}}
 }
 
 var fillerVerbs = []string{
@@ -78,33 +92,32 @@ var fillerVerbs = []string{
 	"Reconcile", "Submit", "Renew", "Review", "Close",
 }
 
-// buildTemplates generates the cfg.Templates filler templates over the
-// module layout. Templates round-robin across modules so every hub sees
+// fillers generates the cfg.Templates filler templates over the module
+// layout. Templates round-robin across modules so every hub sees
 // contention.
-func buildTemplates(cfg Config, r *rng, mods []module) []template {
-	out := make([]template, 0, cfg.Templates)
+func (a *App) fillers(r *rng, mods []module) []genTemplate {
+	cfg := a.cfg
+	rowID := func(name string, v int64) genInput {
+		return genInput{Name: name, Val: v, Lo: 1, Hi: int64(cfg.Rows)}
+	}
+	out := make([]genTemplate, 0, cfg.Templates)
 	for k := 0; k < cfg.Templates; k++ {
 		mod := mods[k%len(mods)]
-		t := template{
-			Name: fmt.Sprintf("%s%s_%d", fillerVerbs[r.intn(len(fillerVerbs))], mod.Name, k),
-		}
+		name := fmt.Sprintf("%s%s_%d", fillerVerbs[r.intn(len(fillerVerbs))], mod.Name, k)
 		// Inputs: two hub row ids (the ordered-pair endpoints; distinct
 		// concrete values so the pair update really executes) plus one
 		// owner id for satellite lookups.
-		a := int64(r.rangeInt(1, cfg.Rows))
-		b := int64(r.rangeInt(1, cfg.Rows))
-		if a == b {
-			b = a%int64(cfg.Rows) + 1
+		x := int64(r.rangeInt(1, cfg.Rows))
+		y := int64(r.rangeInt(1, cfg.Rows))
+		if x == y {
+			y = x%int64(cfg.Rows) + 1
 		}
-		t.Inputs = []input{
-			{Name: "row_a", Val: a},
-			{Name: "row_b", Val: b},
-			{Name: "owner", Val: int64(r.rangeInt(1, cfg.Rows))},
-		}
+		inputs := []genInput{rowID("row_a", x), rowID("row_b", y), rowID("owner", int64(r.rangeInt(1, cfg.Rows)))}
 
 		// Warm phase: 0–2 reference reads outside the transaction.
+		var warm []op
 		for i, n := 0, r.intn(3); i < n && len(mod.Reads) > 0; i++ {
-			t.Warm = append(t.Warm, stmtOp(opPointRead, mod.Reads[r.intn(len(mod.Reads))], 2, 0))
+			warm = append(warm, stmtOp(opPointRead, mod.Reads[r.intn(len(mod.Reads))], 2, 0))
 		}
 
 		// Body: reads, then ordered inserts, then (for hot templates)
@@ -137,26 +150,22 @@ func buildTemplates(cfg Config, r *rng, mods []module) []template {
 			g := op{Kind: opGuard, A: r.intn(3), Thr: thr, Skip: len(body) - at}
 			body = append(body[:at:at], append([]op{g}, body[at:]...)...)
 		}
-		t.Body = body
-		out = append(out, t)
+		out = append(out, a.filler(name, inputs, warm, body))
 	}
 	return out
 }
 
-// unitTest compiles a template into the appkit.UnitTest surface the
-// pipeline consumes.
-func (a *App) unitTest(t template) appkit.UnitTest {
-	return appkit.UnitTest{Name: t.Name, Run: func(e *concolic.Engine) error {
+// filler compiles one filler template: the warm reads run auto-commit, as
+// the model apps' cache-hydrating reads do, then the body runs in one
+// transaction.
+func (a *App) filler(name string, inputs []genInput, warm, body []op) genTemplate {
+	return genTemplate{Name: name, Inputs: inputs, Run: func(e *concolic.Engine, in []concolic.Value) error {
 		s := orm.NewSession(a.mapping, concolic.NewConn(e, a.db))
-		in := make([]concolic.Value, len(t.Inputs))
-		for i, inp := range t.Inputs {
-			in[i] = e.MakeSymbolic(t.Name+"."+inp.Name, concolic.Int(inp.Val))
-		}
-		if err := a.runOps(e, s, t.Warm, in); err != nil {
+		if err := a.runOps(e, s, warm, in); err != nil {
 			return err
 		}
 		return s.Transactional(func() error {
-			return a.runOps(e, s, t.Body, in)
+			return a.runOps(e, s, body, in)
 		})
 	}}
 }
@@ -215,35 +224,4 @@ var opSQL = [...]string{
 // its SQL here, once, and not on every execution.
 func stmtOp(kind opKind, table string, a, b int) op {
 	return op{Kind: kind, Table: table, SQL: fmt.Sprintf(opSQL[kind], table), A: a, B: b}
-}
-
-// render writes the template's deterministic manifest form.
-func (t template) render(b *strings.Builder) {
-	fmt.Fprintf(b, "template %s inputs=[", t.Name)
-	for i, in := range t.Inputs {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(b, "%s=%d", in.Name, in.Val)
-	}
-	b.WriteString("]\n")
-	renderOps(b, "  warm", t.Warm)
-	renderOps(b, "  body", t.Body)
-}
-
-func renderOps(b *strings.Builder, label string, ops []op) {
-	for _, o := range ops {
-		switch o.Kind {
-		case opGuard:
-			fmt.Fprintf(b, "%s guard in%d<=%d skip=%d\n", label, o.A, o.Thr, o.Skip)
-		case opPointRead:
-			fmt.Fprintf(b, "%s point-read %s id=in%d\n", label, o.Table, o.A)
-		case opRangeRead:
-			fmt.Fprintf(b, "%s range-read %s owner=in%d\n", label, o.Table, o.A)
-		case opInsertRow:
-			fmt.Fprintf(b, "%s insert %s hub=in%d\n", label, o.Table, o.A)
-		case opOrderedPair:
-			fmt.Fprintf(b, "%s ordered-pair %s ids=in%d,in%d\n", label, o.Table, o.A, o.B)
-		}
-	}
 }

@@ -1,17 +1,19 @@
 // Package apps is the application registry: every workload WeSEER can
 // diagnose — the hand-written model apps (broadleaf, shopizer) and the
-// synthetic generated corpora (appgen) — registers here under a name and
-// is opened through one App interface. The CLIs resolve workloads
-// exclusively through this registry, so adding an application (or an
-// application generator) never touches command code.
+// synthetic generated corpora (appgen) — is opened here by name, through
+// one App interface. The CLIs resolve workloads exclusively through Open,
+// so adding an application family is one case in Open and one line in
+// its list, never command code.
 package apps
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"weseer/internal/appgen"
 	"weseer/internal/apps/appkit"
+	"weseer/internal/apps/broadleaf"
+	"weseer/internal/apps/shopizer"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
 	"weseer/internal/schema"
@@ -50,66 +52,63 @@ type Options struct {
 	// Apply enables exactly the named fixes: ids from the model app's
 	// Table II catalog (f1–f8 Broadleaf, f9–f11 Shopizer) or a generated
 	// corpus's planted classes, and "all" for every one. The app's own
-	// constructor validates them; the registry passes them through.
+	// constructor validates them; Open passes them through.
 	Apply []string
 	// DB overrides the database configuration (zero value = app
 	// defaults).
 	DB minidb.Config
 }
 
-// Factory builds instances of one registered application family.
-type Factory struct {
-	// Summary is the one-line description shown in usage listings.
-	Summary string
-	// New builds an instance. arg is the text after "name:" in the open
-	// spec ("" when absent).
-	New func(arg string, opt Options) (App, error)
+// families lists the application families Open knows, sorted, with the
+// line Usage prints for each.
+var families = []struct{ name, summary string }{
+	{"broadleaf", "Broadleaf Commerce model (Table I APIs, deadlocks d1-d13)"},
+	{"gen", "synthetic corpus generator: gen:<seed>[,templates=N,modules=K,tables=T,rows=R,hot=P,nest=D,classes=f1:1+...|all|none]"},
+	{"shopizer", "Shopizer model (Table I APIs, deadlocks d14-d18)"},
 }
 
-var registry = map[string]Factory{}
-
-// Register adds a factory under name. It panics on duplicates: factories
-// register from init functions, so a collision is a programming error.
-func Register(name string, f Factory) {
-	if name == "" || strings.Contains(name, ":") {
-		panic("apps: invalid registry name " + name)
-	}
-	if _, dup := registry[name]; dup {
-		panic("apps: duplicate registration of " + name)
-	}
-	if f.New == nil {
-		panic("apps: factory for " + name + " has no New func")
-	}
-	registry[name] = f
-}
-
-// Open builds the application named by spec, which is either a bare
-// registry name ("broadleaf") or name:argument ("gen:7,templates=500").
+// Open builds the application named by spec: a model app's bare name
+// ("broadleaf") or "gen:" and a corpus spec ("gen:7,templates=500").
 func Open(spec string, opt Options) (App, error) {
 	name, arg, _ := strings.Cut(spec, ":")
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown app %q (known: %s)", spec, strings.Join(Names(), ", "))
+	switch name {
+	case "broadleaf", "shopizer":
+		if arg != "" {
+			return nil, fmt.Errorf("%s takes no argument (got %q)", name, arg)
+		}
+		if name == "broadleaf" {
+			return opened(broadleaf.New(opt.Apply, opt.DB))
+		}
+		return opened(shopizer.New(opt.Apply, opt.DB))
+	case "gen":
+		cfg, err := appgen.ParseSpec(arg)
+		if err != nil {
+			return nil, err
+		}
+		return opened(appgen.New(cfg, opt.DB, opt.Apply))
 	}
-	return f.New(arg, opt)
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.name
+	}
+	return nil, fmt.Errorf("unknown app %q (known: %s)", spec, strings.Join(names, ", "))
 }
 
-// Names lists the registered names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+// opened is a constructor's result as an App: a nil App with the error, not
+// a typed nil pointer.
+func opened[A App](app A, err error) (App, error) {
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(out)
-	return out
+	return app, nil
 }
 
-// Usage renders one line per registered application for CLI help text,
+// Usage renders one line per application family for CLI help text,
 // indented by prefix.
 func Usage(prefix string) string {
 	var b strings.Builder
-	for _, name := range Names() {
-		fmt.Fprintf(&b, "%s%-12s %s\n", prefix, name, registry[name].Summary)
+	for _, f := range families {
+		fmt.Fprintf(&b, "%s%-12s %s\n", prefix, f.name, f.summary)
 	}
 	return b.String()
 }

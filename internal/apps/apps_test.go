@@ -17,6 +17,7 @@ import (
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
+	"weseer/internal/smt"
 	"weseer/internal/trace"
 )
 
@@ -25,22 +26,22 @@ import (
 // and review the diff: the goldens pin Table II report bytes.
 var update = flag.Bool("update", false, "rewrite the golden report files")
 
+// TestRegistryNames: Usage lists the three families Open knows, one line
+// each, sorted, and an unknown name's error lists the same three.
 func TestRegistryNames(t *testing.T) {
-	names := Names()
-	for _, want := range []string{"broadleaf", "gen", "shopizer"} {
-		found := false
-		for _, n := range names {
-			found = found || n == want
+	want := []string{"broadleaf", "gen", "shopizer"}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSuffix(Usage("  "), "\n"), "\n") {
+		if !strings.HasPrefix(line, "  ") {
+			t.Errorf("Usage line %q is not indented by the prefix", line)
 		}
-		if !found {
-			t.Errorf("registry is missing %q (have %v)", want, names)
-		}
+		got = append(got, strings.Fields(line)[0])
 	}
-	usage := Usage("  ")
-	for _, n := range names {
-		if !strings.Contains(usage, n) {
-			t.Errorf("Usage() does not mention %q:\n%s", n, usage)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Usage lists %v, want %v", got, want)
+	}
+	if _, err := Open("nosuchapp", Options{}); err == nil || !strings.Contains(err.Error(), "known: broadleaf, gen, shopizer") {
+		t.Errorf("Open(nosuchapp): err = %v, want it to list the known apps", err)
 	}
 }
 
@@ -450,5 +451,39 @@ func TestCollectedInputsRoundTrip(t *testing.T) {
 	}
 	if inputs == 0 {
 		t.Fatal("the collection has no inputs; the check checked nothing")
+	}
+}
+
+// TestReportedModelsSatisfyFormulas: every report's reproducing assignment
+// satisfies the formula it was solved from, on the Table II apps and the
+// generated corpus at both scales, with one phase-3 worker and with four.
+func TestReportedModelsSatisfyFormulas(t *testing.T) {
+	for _, spec := range []string{"broadleaf", "shopizer", "gen:7,templates=96", "gen:7,templates=1056"} {
+		app, err := Open(spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4} {
+			res, err := core.NewAnalyzer(app.Schema(), core.WithParallelism(par)).AnalyzeContext(context.Background(), traces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Deadlocks) == 0 {
+				t.Fatalf("%s: no reports; the check checked nothing", spec)
+			}
+			bad := 0
+			for _, d := range res.Deadlocks {
+				if d.Model == nil || !smt.Eval(d.Formula, d.Model).B {
+					bad++
+				}
+			}
+			if bad > 0 {
+				t.Errorf("%s at parallelism %d: %d of %d reported models do not satisfy their formula", spec, par, bad, len(res.Deadlocks))
+			}
+		}
 	}
 }

@@ -85,7 +85,7 @@ func TestPhase1KnownMiss(t *testing.T) {
 		t.Logf("%s: %d reports, %d with phase 1 off; extra: %v", spec, len(def.Deadlocks), len(all.Deadlocks), extra)
 		var want []string
 		if spec == "gen:7,templates=96" {
-			want = []string{"1c0dcb6df8106835 F11x0Scan × F11x0Update"}
+			want = []string{"27db6d45eac2c101 F11x0Scan × F11x0Update"}
 		}
 		if !slices.Equal(extra, want) {
 			t.Errorf("%s: reports only phase 1 off finds: %v, want %v", spec, extra, want)

@@ -96,12 +96,15 @@ type CanonResult struct {
 	// Canonical constants are globally unique across components, so the
 	// per-tag inverses are well-defined. shifted maps each canonical
 	// name in a shift-normalized (tainted but offset-invariant)
-	// component to that component's δ. Only TranslateModel consumes
-	// these.
+	// component to that component's δ. vars lists the canonical
+	// formula's variables (not its array roots), so that a model which
+	// omits some of them can still be translated whole. Only
+	// TranslateModel consumes these.
 	abs     map[string]string
 	ints    map[string]map[int64]int64
 	strs    map[string]map[string]string
 	shifted map[string]int64
+	vars    []Var
 }
 
 // Key returns Expr's string form, the identity the memo table's second
@@ -198,6 +201,7 @@ type symState struct {
 
 	canon    int32 // N of "c<N>:<sort>"
 	sort     Sort  // at first occurrence
+	root     bool  // an array root, not a variable
 	asgEpoch uint32
 }
 
@@ -547,7 +551,7 @@ func (c *canonizer) assignNode(i, tag int32) {
 		if s := &c.syms[n.sym]; s.asgEpoch != c.asgEpoch {
 			// The index keeps names short; the sort makes sort mismatches
 			// visible in the key.
-			s.asgEpoch, s.canon, s.sort = c.asgEpoch, c.assigned, n.sort
+			s.asgEpoch, s.canon, s.sort, s.root = c.asgEpoch, c.assigned, n.sort, n.kind == kRoot
 			c.assigned++
 		}
 	case kNAry:
@@ -780,6 +784,12 @@ func (c *canonizer) result() *ShapeCanon {
 	for sym, o := range c.ops {
 		out.names[sym] = all[o.lo:o.hi]
 	}
+	res.vars = make([]Var, 0, len(c.syms))
+	for sym, s := range c.syms {
+		if !s.root {
+			res.vars = append(res.vars, Var{Name: out.names[sym], S: s.sort})
+		}
+	}
 
 	for sym := range c.syms {
 		root := c.find(int32(sym))
@@ -895,8 +905,10 @@ func (c *ShapeCanon) build(i int32) Expr {
 // with no other translated value, preserving the model's equality
 // pattern, which is all an abstracted component can observe. Values of
 // variables in tainted components pass through unchanged — their
-// constants were never remapped. The result satisfies the original
-// expression whenever m satisfies c.Expr.
+// constants were never remapped. Every variable of c.Expr is translated,
+// those m omits at their sort's default (Model.Lookup): in an abstracted or
+// shifted component that default stands for a different original value.
+// The result satisfies the original expression whenever m satisfies c.Expr.
 func TranslateModel(m *Model, c CanonResult) *Model {
 	if m == nil {
 		return nil
@@ -972,9 +984,16 @@ func TranslateModel(m *Model, c CanonResult) *Model {
 		}
 	}
 
+	vals := make(map[string]Value, len(m.Vars)+len(c.vars))
+	for n, v := range m.Vars {
+		vals[n] = v
+	}
+	for _, v := range c.vars {
+		vals[v.Name] = m.Lookup(v.Name, v.S)
+	}
 	out := NewModel()
-	for _, n := range sortedKeys(m.Vars) {
-		v := m.Vars[n]
+	for _, n := range sortedKeys(vals) {
+		v := vals[n]
 		if tag, ok := c.abs[n]; ok {
 			v = transVal(tag, v)
 		} else if d, ok := c.shifted[n]; ok {

@@ -419,14 +419,6 @@ func Negate(x Expr) Expr {
 	return Not{X: x}
 }
 
-// Implies returns (not a) or b.
-func Implies(a, b Expr) Expr { return Or(Negate(a), b) }
-
-// Ite returns a Boolean if-then-else as (c and t) or (not c and e).
-func Ite(c, t, e Expr) Expr {
-	return Or(And(c, t), And(Negate(c), e))
-}
-
 // ---------------------------------------------------------------------------
 // Array theory (container modeling, Alg. 1)
 

@@ -2,7 +2,7 @@ package smt
 
 // This file provides structural utilities over expressions: variable
 // collection, renaming (used to distinguish transaction instances, e.g.
-// prefixing every variable of a trace with "A1."), and substitution.
+// prefixing every variable of a trace with "A1."), and constant folding.
 
 // Vars appends the names of all variables occurring in e to the set.
 func Vars(e Expr, set map[string]Sort) {
@@ -96,53 +96,6 @@ func renameArray(a *Array, f func(string) string, arrs map[*Array]*Array) *Array
 	}
 	arrs[a] = r
 	return r
-}
-
-// Substitute returns e with each variable bound in sub replaced by its
-// expression. Unbound variables are left intact.
-func Substitute(e Expr, sub map[string]Expr) Expr {
-	switch t := e.(type) {
-	case BoolConst, IntConst, RealConst, StrConst:
-		return e
-	case Var:
-		if r, ok := sub[t.Name]; ok {
-			return r
-		}
-		return e
-	case *Arith:
-		var r Expr
-		if t.R != nil {
-			r = Substitute(t.R, sub)
-		}
-		return &Arith{Op: t.Op, L: Substitute(t.L, sub), R: r, S: t.S}
-	case *Cmp:
-		return &Cmp{Op: t.Op, L: Substitute(t.L, sub), R: Substitute(t.R, sub)}
-	case *NAry:
-		xs := make([]Expr, len(t.Xs))
-		for i, x := range t.Xs {
-			xs[i] = Substitute(x, sub)
-		}
-		return &NAry{Conj: t.Conj, Xs: xs}
-	case Not:
-		return Not{X: Substitute(t.X, sub)}
-	case *Select:
-		return &Select{Arr: substArray(t.Arr, sub), Key: Substitute(t.Key, sub)}
-	}
-	panic("smt: Substitute of unknown node")
-}
-
-func substArray(a *Array, sub map[string]Expr) *Array {
-	if a == nil || a.Parent == nil {
-		return a
-	}
-	return &Array{
-		ID:       a.ID,
-		KeySort:  a.KeySort,
-		Version:  a.Version,
-		Parent:   substArray(a.Parent, sub),
-		StoreKey: Substitute(a.StoreKey, sub),
-		StoreVal: a.StoreVal,
-	}
 }
 
 // IsConst reports whether e contains no variables or array reads.

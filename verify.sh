@@ -70,12 +70,13 @@ rm -rf "$vetdir"
 # loop. Scoped to the packages that actually spawn goroutines to keep the
 # gate fast — plus concolic and orm,
 # whose process-wide call-site table and prepared-statement cache are
-# shared by whatever collects or drives load concurrently, and minidb,
+# shared by whatever collects or drives load concurrently, minidb,
 # whose lock table (recycled queues, grants by value) and prepared-form
-# cache every client goroutine goes through.
-echo "== go test -race (core, solver, smt, workload, concolic, orm, minidb)"
+# cache every client goroutine goes through, and apps, whose witness test
+# runs every registry app's analysis on four phase-3 workers.
+echo "== go test -race (core, solver, smt, workload, concolic, orm, minidb, apps)"
 go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... \
-    ./internal/concolic/... ./internal/orm/... ./internal/minidb/...
+    ./internal/concolic/... ./internal/orm/... ./internal/minidb/... ./internal/apps/...
 
 # The statement path's allocation ceilings, on their own and without the
 # detector (whose instrumentation allocates): a statement in minidb, and a
@@ -246,15 +247,20 @@ servepid=""
 # them, name source files relative to the module root, so a copy of the
 # tree in another directory — built with -trimpath where the in-place
 # binary is not — must reproduce the Table II goldens and the in-place
-# build's fingerprints.
+# build's fingerprints — shopizer's, whose trigger sites are its api.go, and
+# a generated corpus's, whose trigger sites are internal/appgen's.
 echo "== relocated checkout (goldens and fingerprints from a copy of the tree)"
 mkdir "$servedir/copy"
 tar -cf - --exclude=./.git --exclude=./.bench_build --exclude=./benchmark/out . |
     tar -xf - -C "$servedir/copy"
 (cd "$servedir/copy" && go test ./internal/apps -run TestTableIIGoldens &&
     go build -trimpath -o weseer ./cmd/weseer &&
-    ./weseer run -app shopizer -json | grep '"fingerprint"' > ../fp.copy)
-"$servedir/weseer" run -app shopizer -json | grep '"fingerprint"' > "$servedir/fp.here"
+    for app in shopizer "gen:7,templates=96"; do
+        ./weseer run -app "$app" -json | grep '"fingerprint"'
+    done > ../fp.copy)
+for app in shopizer "gen:7,templates=96"; do
+    "$servedir/weseer" run -app "$app" -json | grep '"fingerprint"'
+done > "$servedir/fp.here"
 [ -s "$servedir/fp.here" ] && cmp -s "$servedir/fp.here" "$servedir/fp.copy" || {
     echo "relocated checkout: fingerprints depend on where the binary was built:" >&2
     diff "$servedir/fp.here" "$servedir/fp.copy" | head >&2
