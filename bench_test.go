@@ -135,7 +135,7 @@ func benchWorkload(b *testing.B, spec string, fixes ...string) {
 			Duration:     200 * time.Millisecond,
 			RetryBackoff: time.Millisecond,
 			Seed:         42,
-		}, app.DB(), app.(apps.Workloader).Flow())
+		}, app.DB(), app.Flow())
 		totalAPIs += res.APICalls
 		totalDeadlocks += res.Deadlocks
 		elapsed += res.Duration

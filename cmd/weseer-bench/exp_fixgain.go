@@ -207,14 +207,9 @@ func fixgainMeasure(spec string, apply []string, clients int, dur time.Duration)
 	db := minidb.Config{StatementDelay: 100 * time.Microsecond, LockWaitTimeout: 100 * time.Millisecond}
 	app, err := apps.Open(spec, apps.Options{Apply: apply, DB: db})
 	check(err)
-	wl, ok := app.(apps.Workloader)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "weseer-bench: app %s has no workload flow\n", spec)
-		os.Exit(2)
-	}
 	r := workload.Run(workload.Config{
 		Clients: clients, Duration: dur, Seed: workloadSeed, RetryBackoff: time.Millisecond,
-	}, app.DB(), wl.Flow())
+	}, app.DB(), app.Flow())
 	return fixgainRun{
 		APICalls: r.APICalls, Failures: r.Failures, Retries: r.Retries,
 		Throughput: r.Throughput, Deadlocks: r.Deadlocks, AbortsPS: r.AbortsPS,

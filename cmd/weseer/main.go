@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [observability flags]
-//	weseer collect -app NAME [-apply f2,f5|all] [-no-prune] -o traces.json
-//	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-parallel N] [-timeout D] [-json] [-v] [observability flags]
+//	weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-plans] [-timeout D] [-json] [-reproduce] [-v] [observability flags]
+//	weseer collect -app NAME [-apply f2,f5|all] -o traces.json
+//	weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-timeout D] [-json] [-v] [observability flags]
 //	weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
-//	weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-parallel N]
+//	weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D]
 //	weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
 //	weseer history -addr HOST:PORT|@file [patterns|events|tables] [-window D] [-format text|json]
 //
@@ -30,8 +30,8 @@
 // stages through a JSON trace file (Fig. 2's trace hand-off). -plans
 // restricts lock modeling to recorded execution plans and -reproduce
 // replays every report against a live database — the paper's two
-// Sec. V-D future-work items. A trace file records each statement's
-// whole call stack, down to the frames of cmdCollect and main in this
+// Sec. V-D future-work items. A trace file records each statement's call
+// stack to a fixed depth, down to cmdCollect's (and main's) frame in this
 // file, so the bytes `collect -o` writes change when those two calls move.
 //
 // -apply applies fixes to the app before collection, by name from the
@@ -45,7 +45,7 @@
 // With -json the order travels as canonical_order. It needs no other
 // flag.
 //
-// -parallel sets the phase-3 worker count (0 = GOMAXPROCS); the report
+// Phase 3 runs on GOMAXPROCS workers (GOMAXPROCS=1 for one); the report
 // is identical at any setting. -timeout bounds the analysis wall time
 // (e.g. 30s), and ctrl-C cancels it; either way the partial report
 // gathered so far is printed. -json emits the machine-readable report
@@ -136,11 +136,11 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-plans] [-parallel N] [-timeout D] [-json] [-reproduce] [-v] [obs flags]
-  weseer collect -app NAME [-apply f2,f5|all] [-no-prune] -o traces.json
-  weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-parallel N] [-timeout D] [-json] [-v] [obs flags]
+  weseer run     -app NAME [-apply f2,f5|all] [-fixplan] [-coarse] [-plans] [-timeout D] [-json] [-reproduce] [-v] [obs flags]
+  weseer collect -app NAME [-apply f2,f5|all] -o traces.json
+  weseer analyze -app NAME -i traces.json [-fixplan] [-coarse] [-timeout D] [-json] [-v] [obs flags]
   weseer vet     [-app NAME|none] [-json] [-fail-on info|warn|error] [-canonical-order] [dir ...]
-  weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D] [-parallel N]
+  weseer serve   -store FILE [-addr HOST:PORT] [-app NAME] [-timeout D]
   weseer ingest  -addr HOST:PORT|@file -i traces.json [-app NAME] [-format traces|report|events]
   weseer history -addr HOST:PORT|@file [patterns|events|tables] [-window D] [-format text|json]
 
@@ -156,24 +156,22 @@ observability flags (run/analyze): -debug-addr :6060  -trace-out run.trace.json
 // analysisFlags are the flags "run" and "analyze" share: how to analyze
 // the traces and what to print of the result.
 type analysisFlags struct {
-	coarse   *bool
-	parallel *int
-	timeout  *time.Duration
-	jsonOut  *bool
-	fixplan  *bool
-	verbose  *bool
-	obs      *obsFlags
+	coarse  *bool
+	timeout *time.Duration
+	jsonOut *bool
+	fixplan *bool
+	verbose *bool
+	obs     *obsFlags
 }
 
 func registerAnalysisFlags(fs *flag.FlagSet) *analysisFlags {
 	return &analysisFlags{
-		coarse:   fs.Bool("coarse", false, "STEPDAD/REDACT-style coarse baseline (no SMT)"),
-		parallel: fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)"),
-		timeout:  fs.Duration("timeout", 0, "bound the analysis wall time (0 = none)"),
-		jsonOut:  fs.Bool("json", false, "emit the machine-readable report instead of text"),
-		fixplan:  fs.Bool("fixplan", false, "print the ranked lock-order fixes and the fix plan (internal/fixapply) with the report"),
-		verbose:  fs.Bool("v", false, "print every deadlock report"),
-		obs:      registerObsFlags(fs),
+		coarse:  fs.Bool("coarse", false, "STEPDAD/REDACT-style coarse baseline (no SMT)"),
+		timeout: fs.Duration("timeout", 0, "bound the analysis wall time (0 = none)"),
+		jsonOut: fs.Bool("json", false, "emit the machine-readable report instead of text"),
+		fixplan: fs.Bool("fixplan", false, "print the ranked lock-order fixes and the fix plan (internal/fixapply) with the report"),
+		verbose: fs.Bool("v", false, "print every deadlock report"),
+		obs:     registerObsFlags(fs),
 	}
 }
 
@@ -185,7 +183,6 @@ func (f *analysisFlags) report(app apps.App, traces []*trace.Trace, o *obs.Obser
 	if *f.coarse {
 		opts = append(opts, core.WithCoarseOnly())
 	}
-	opts = append(opts, core.WithParallelism(*f.parallel))
 	if o != nil {
 		opts = append(opts, core.WithObserver(o))
 	}
@@ -199,7 +196,7 @@ func (f *analysisFlags) report(app apps.App, traces []*trace.Trace, o *obs.Obser
 	if *f.jsonOut {
 		return res, printJSON(res, app.Classify)
 	}
-	printReport(res, app.Classify, *f.verbose)
+	printReport(res, app, *f.verbose)
 	if *f.fixplan {
 		fmt.Println()
 		fmt.Print(fixapply.Render(fixapply.Plan(app, res)))
@@ -273,14 +270,14 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 
 // openApp resolves -app/-apply through the application registry; -apply
 // is "" for none, "f2,f9" for those fixes, "all" for every one.
-func openApp(name, apply string) (apps.App, error) {
+func openApp(name, apply string, db minidb.Config) (apps.App, error) {
 	var fixes []string
 	for _, part := range strings.Split(apply, ",") {
 		if part = strings.TrimSpace(part); part != "" {
 			fixes = append(fixes, part)
 		}
 	}
-	return apps.Open(name, apps.Options{Apply: fixes})
+	return apps.Open(name, apps.Options{Apply: fixes, DB: db})
 }
 
 func cmdRun(args []string) (err error) {
@@ -288,11 +285,15 @@ func cmdRun(args []string) (err error) {
 	appName := fs.String("app", "broadleaf", "application to diagnose")
 	apply := fs.String("apply", "", "comma-separated fix names to apply before collecting (e.g. f2,f5, or all)")
 	plans := fs.Bool("plans", false, "restrict lock modeling to recorded execution plans (Sec. V-D)")
-	reproduce := fs.Bool("reproduce", false, "replay every report against a live database (Sec. V-D)")
+	reproduce := fs.Bool("reproduce", false, "replay every report against a live database (Sec. V-D; text reports only)")
 	af := registerAnalysisFlags(fs)
 	fs.Parse(args)
+	if *reproduce && (*af.jsonOut || *af.coarse) {
+		fmt.Fprintln(os.Stderr, "weseer run: -reproduce replays the text report; it cannot be combined with -json or -coarse")
+		os.Exit(2)
+	}
 
-	app, err := openApp(*appName, *apply)
+	app, err := openApp(*appName, *apply, minidb.Config{})
 	if err != nil {
 		return err
 	}
@@ -328,10 +329,12 @@ func cmdRun(args []string) (err error) {
 	if err != nil || *af.jsonOut {
 		return err
 	}
-	if *reproduce && !*af.coarse {
+	if *reproduce {
 		fmt.Println("\nautomatic reproduction (replaying each cycle against a rebuilt database):")
 		outcomes := replay.ReproduceReport(res, func() (*minidb.DB, []appkit.UnitTest) {
-			fresh, _ := openApp(*appName, *apply)
+			// A replay whose holding statements block each other waits out
+			// the lock timeout, and the app's own is 2 s.
+			fresh, _ := openApp(*appName, *apply, minidb.Config{LockWaitTimeout: 100 * time.Millisecond})
 			return fresh.DB(), fresh.UnitTests()
 		})
 		counts := map[replay.Status]int{}
@@ -346,24 +349,21 @@ func cmdRun(args []string) (err error) {
 }
 
 // cmdCollect writes the traces of one app configuration to a JSON trace
-// file, the input of "analyze -i" and of "ingest".
+// file, the input of "analyze -i" and of "ingest". Collection always
+// prunes path conditions as Sec. IV does; `weseer-bench -exp pruning`
+// measures what that saves.
 func cmdCollect(args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ExitOnError)
 	appName := fs.String("app", "broadleaf", "application to diagnose")
 	apply := fs.String("apply", "", "comma-separated fix names to apply (e.g. f2,f5, or all)")
-	noPrune := fs.Bool("no-prune", false, "disable Sec. IV path-condition pruning")
 	out := fs.String("o", "traces.json", "output file")
 	fs.Parse(args)
 
-	app, err := openApp(*appName, *apply)
+	app, err := openApp(*appName, *apply, minidb.Config{})
 	if err != nil {
 		return err
 	}
-	var opts []concolic.Option
-	if *noPrune {
-		opts = append(opts, concolic.WithoutPruning())
-	}
-	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic, opts...)
+	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	if err != nil {
 		return err
 	}
@@ -582,37 +582,35 @@ func printJSON(res *core.Result, classify func(*core.Deadlock) string) error {
 	return nil
 }
 
-func printReport(res *core.Result, classify func(*core.Deadlock) string, verbose bool) {
+func printReport(res *core.Result, app apps.App, verbose bool) {
 	fmt.Println(res.Stats.Render())
 	if s := core.RenderSuggestions(res.CanonicalOrder); s != "" {
 		fmt.Print(s)
 	}
 	counts := map[string][]*core.Deadlock{}
 	for _, d := range res.Deadlocks {
-		id := classify(d)
+		id := app.Classify(d)
 		counts[id] = append(counts[id], d)
 	}
 	fmt.Printf("\n%d deadlock reports, by catalog entry:\n", len(res.Deadlocks))
-	known := []string{
-		"d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9", "d10",
-		"d11", "d12", "d13", "d14", "d15", "d16", "d17", "d18",
-		"fp-checkout-applock", "extra",
-	}
-	// App-specific catalog ids outside the fixed Table II list (e.g. a
-	// generated corpus's planted f-classes) sort after it; unclassified
-	// reports come last.
-	inKnown := map[string]bool{"": true}
-	for _, id := range known {
-		inKnown[id] = true
-	}
-	var extras []string
-	for id := range counts {
-		if !inKnown[id] {
-			extras = append(extras, id)
+	// The app's catalog ids in catalog order, then every other class
+	// sorted (fp-checkout-applock, extra, a generated corpus's planted
+	// f-classes), then the unclassified reports.
+	var order, others []string
+	listed := map[string]bool{"": true}
+	if c, ok := app.(fixapply.Cataloged); ok {
+		for _, e := range c.Catalog() {
+			order = append(order, e.ID)
+			listed[e.ID] = true
 		}
 	}
-	sort.Strings(extras)
-	order := append(append(known, extras...), "")
+	for id := range counts {
+		if !listed[id] {
+			others = append(others, id)
+		}
+	}
+	sort.Strings(others)
+	order = append(append(order, others...), "")
 	for _, id := range order {
 		ds := counts[id]
 		if len(ds) == 0 {
@@ -628,7 +626,7 @@ func printReport(res *core.Result, classify func(*core.Deadlock) string, verbose
 	}
 	if verbose {
 		for i, d := range res.Deadlocks {
-			fmt.Printf("\n=== Deadlock %d (%s) ===\n%s", i+1, classify(d), d.Render())
+			fmt.Printf("\n=== Deadlock %d (%s) ===\n%s", i+1, app.Classify(d), d.Render())
 		}
 	}
 }

@@ -42,7 +42,6 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port; the bound URL is printed on stdout)")
 	defaultApp := fs.String("app", "broadleaf", "application assumed when an ingest request names none (?app=)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-ingest analysis wall-time bound (0 = none)")
-	parallel := fs.Int("parallel", 0, "phase-3 worker count (0 = GOMAXPROCS)")
 	fs.Parse(args)
 
 	st, err := history.Open(*store)
@@ -55,7 +54,6 @@ func cmdServe(args []string) error {
 	srv := newHistoryServer(st, o, serveConfig{
 		defaultApp: *defaultApp,
 		timeout:    *timeout,
-		parallel:   *parallel,
 	})
 	ds, err := obs.StartDebugServer(*addr, o, srv.Routes()...)
 	if err != nil {
@@ -79,7 +77,6 @@ func cmdServe(args []string) error {
 type serveConfig struct {
 	defaultApp string
 	timeout    time.Duration
-	parallel   int
 }
 
 // newDaemonObserver is the one observer of a daemon's lifetime: the
@@ -108,7 +105,7 @@ func newHistoryServer(st *history.Store, o *obs.Observer, cfg serveConfig) *hist
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.NewAnalyzer(app.Schema(), core.WithParallelism(cfg.parallel), core.WithObserver(o)).AnalyzeContext(ctx, traces)
+			res, err := core.NewAnalyzer(app.Schema(), core.WithObserver(o)).AnalyzeContext(ctx, traces)
 			if err != nil {
 				return nil, err
 			}

@@ -278,7 +278,7 @@ func TestDaemonObserverRetainsNothing(t *testing.T) {
 	}
 	defer st.Close()
 	o := newDaemonObserver()
-	srv := newHistoryServer(st, o, serveConfig{defaultApp: spec, parallel: 2})
+	srv := newHistoryServer(st, o, serveConfig{defaultApp: spec})
 
 	metrics := func() map[string]float64 {
 		var buf bytes.Buffer

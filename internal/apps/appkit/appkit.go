@@ -1,9 +1,9 @@
 // Package appkit provides the shared harness the model applications
-// (Broadleaf, Shopizer) expose to WeSEER: API unit tests for trace
-// collection, sequential collection semantics matching the paper
-// (each unit test's resulting database state is the next one's initial
-// state), and helpers for classifying analyzer output against the
-// Table II deadlock catalog.
+// (Broadleaf, Shopizer) expose to WeSEER: one list of Table I calls that
+// yields both the API unit tests for trace collection and the load
+// clients' flow (calls.go), sequential collection semantics matching the
+// paper (each unit test's resulting database state is the next one's
+// initial state), and the Table II catalog and fix-name helpers.
 package appkit
 
 import (

@@ -22,14 +22,16 @@ import (
 
 // App is the surface the diagnosis pipeline needs from an application:
 // its schema, a seeded live database, the API unit tests that produce
-// traces, and a classifier mapping diagnosed deadlocks onto the app's
-// catalog (Table II entries for the model apps, planted f-classes for
-// generated corpora; "" = unclassified).
+// traces, the load clients' flow over the same APIs, and a classifier
+// mapping diagnosed deadlocks onto the app's catalog (Table II entries for
+// the model apps, planted f-classes for generated corpora; "" =
+// unclassified).
 type App interface {
 	Name() string
 	Schema() *schema.Schema
 	DB() *minidb.DB
 	UnitTests() []appkit.UnitTest
+	Workloader
 	Classify(d *core.Deadlock) string
 }
 
@@ -41,7 +43,7 @@ type Sourcer interface {
 	SourceDir() string
 }
 
-// Workloader is implemented by apps that can drive the Fig. 10/11
+// Workloader is the part of App that drives the Fig. 10/11
 // concurrent-client harness (internal/workload).
 type Workloader interface {
 	Flow() workload.Flow

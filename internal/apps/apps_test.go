@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -152,6 +153,49 @@ func TestOpenModelAppsAndSourcer(t *testing.T) {
 	}
 	if !strings.HasPrefix(gen.Name(), "gen:3,") {
 		t.Errorf("gen Name() = %q", gen.Name())
+	}
+}
+
+// TestFlowsFollowUnitTests: a model app's load client makes the unit tests'
+// calls, under their trace names and in their order, one pass after
+// another, unfixed and with every fix.
+func TestFlowsFollowUnitTests(t *testing.T) {
+	for _, spec := range []string{"broadleaf", "shopizer"} {
+		for _, apply := range [][]string{nil, {"all"}} {
+			app, err := Open(spec, Options{Apply: apply})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tests := app.UnitTests()
+			next := app.Flow()(1, rand.New(rand.NewSource(42)))
+			e := concolic.New(concolic.ModeOff)
+			for i := 0; i < 2*len(tests); i++ {
+				name, err := next()(e)
+				if err != nil {
+					t.Fatalf("%s %v: step %d (%s): %v", spec, apply, i, name, err)
+				}
+				if want := tests[i%len(tests)].Name; name != want {
+					t.Errorf("%s %v: step %d is %s, want %s", spec, apply, i, name, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFlowRegistersAgain: the step after a Register that did not succeed
+// (here: never ran) is Register again, for a new customer, and it succeeds —
+// not a step that cannot succeed for want of a customer.
+func TestFlowRegistersAgain(t *testing.T) {
+	for _, spec := range []string{"broadleaf", "shopizer"} {
+		app, err := Open(spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := app.Flow()(1, rand.New(rand.NewSource(42)))
+		next()
+		if name, err := next()(concolic.New(concolic.ModeOff)); name != "Register" || err != nil {
+			t.Errorf("%s: the step after an unrun Register is %s (err %v), want a Register that succeeds", spec, name, err)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func (a *App) Register(e *concolic.Engine, username, email, password, confirm co
 // cart, Add2 adds a new item, Add3 increments an existing item.
 func (a *App) Add(e *concolic.Engine, customerID, productID concolic.Value) error {
 	s := a.session(e)
-	probe := a.probeSession(e)
+	probe := a.session(e)
 	return orm.Guard(func() error {
 		// Controller warm-up reads (outside the transaction: their rows
 		// land in the session read cache, so in-transaction reads of them
@@ -308,7 +308,7 @@ func (a *App) bumpCountersEager(e *concolic.Engine, s *orm.Session, offer, fopt 
 // (cart pricing shared with Add, f5).
 func (a *App) Ship(e *concolic.Engine, customerID, city, phone concolic.Value) error {
 	s := a.session(e)
-	probe := a.probeSession(e)
+	probe := a.session(e)
 	return orm.Guard(func() error {
 		if e.If(e.Eq(phone, concolic.Str(""))) {
 			return ErrBadUsername

@@ -99,14 +99,10 @@ func (a *App) seed() {
 	a.db.BumpID("Product", int64(a.NumProducts))
 }
 
-// session opens a fresh persistence context for one API call.
+// session opens a fresh persistence context for one API call; a second
+// one is the probe session a fix moves SELECT statements into when it
+// takes them out of the original transaction (f3/f5/f7/f8).
 func (a *App) session(e *concolic.Engine) *orm.Session {
-	return orm.NewSession(a.Mapping, concolic.NewConn(e, a.db))
-}
-
-// probeSession opens a second persistence context used when a fix moves
-// SELECT statements into their own transaction (f3/f5/f7/f8).
-func (a *App) probeSession(e *concolic.Engine) *orm.Session {
 	return orm.NewSession(a.Mapping, concolic.NewConn(e, a.db))
 }
 
@@ -120,7 +116,7 @@ func selectorFor(fixOn bool, main, probe *orm.Session) *orm.Session {
 	return main
 }
 
-// The registry's view: apps.App, apps.Sourcer, fixapply.Cataloged (and Flow).
+// The registry's view: apps.App, apps.Sourcer, fixapply.Cataloged.
 func (a *App) Name() string                     { return "broadleaf" }
 func (a *App) Schema() *schema.Schema           { return a.db.Schema() }
 func (a *App) DB() *minidb.DB                   { return a.db }

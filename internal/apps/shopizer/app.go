@@ -134,7 +134,7 @@ func cartProductIDs(items []*orm.Entity, ascending bool) []int64 {
 	return ids
 }
 
-// The registry's view: apps.App, apps.Sourcer, fixapply.Cataloged (and Flow).
+// The registry's view: apps.App, apps.Sourcer, fixapply.Cataloged.
 func (a *App) Name() string                     { return "shopizer" }
 func (a *App) Schema() *schema.Schema           { return a.db.Schema() }
 func (a *App) DB() *minidb.DB                   { return a.db }

@@ -24,7 +24,7 @@ func open(t testing.TB, spec string, db minidb.Config, fixes ...string) (*minidb
 	if err != nil {
 		t.Fatal(err)
 	}
-	return app.DB(), app.(apps.Workloader).Flow()
+	return app.DB(), app.Flow()
 }
 
 // run drives 64 clients for 400ms against a model app with the named

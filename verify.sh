@@ -152,7 +152,7 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 echo "== trace smoke (weseer run -trace-out/-metrics-out)"
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir"' EXIT
-go run ./cmd/weseer run -app shopizer -parallel 4 \
+GOMAXPROCS=4 go run ./cmd/weseer run -app shopizer \
     -trace-out "$obsdir/run.trace.json" \
     -metrics-out "$obsdir/run.prom" >/dev/null
 go run ./internal/obs/obstest/validatecmd \
@@ -165,8 +165,8 @@ go run ./internal/obs/obstest/validatecmd \
 # anti-pattern classification; bounded to a few seconds by the corpus
 # size.
 echo "== generated-corpus smoke (weseer run -app gen:7,...)"
-genout=$(go run ./cmd/weseer run \
-    -app "gen:7,templates=12,modules=3,tables=4,rows=6" -parallel 4)
+genout=$(GOMAXPROCS=4 go run ./cmd/weseer run \
+    -app "gen:7,templates=12,modules=3,tables=4,rows=6")
 echo "$genout" | grep -Eq '^  f1 +[0-9]+ report' || {
     echo "generated-corpus smoke: planted class f1 not diagnosed:" >&2
     echo "$genout" >&2
@@ -340,16 +340,22 @@ for opt in $(ls internal/core/*.go | grep -v _test.go | xargs grep -ho '^func Wi
 done
 [ -z "$missing" ] || { echo "option traffic: no caller outside internal/core for$missing" >&2; exit 1; }
 
-# Ablation smoke: Fig. 11 opens every configuration through the registry
-# (all fixes, none, then each catalog fix off in turn); a tiny run must list
-# the five of them in order.
-echo "== fig11 smoke (weseer-bench -exp fig11, ablation configurations)"
-configs=$("$servedir/weseer-bench" -exp fig11 -duration 20ms -clients 2 |
-    awk '/^(enable|disable) / { printf "%s%s %s", sep, $1, $2; sep = ", " }')
-[ "$configs" = "enable all, disable all, disable f9, disable f10, disable f11" ] || {
-    echo "fig11 smoke: configurations are [$configs]" >&2
-    exit 1
+# Ablation smokes: Figs. 10 and 11 open every configuration through the
+# registry (all fixes, none, then each catalog fix off in turn) and drive the
+# app's flow, the unit tests' calls under load; a tiny run must list the
+# configurations in order.
+ablation() {
+    configs=$("$servedir/weseer-bench" -exp "$1" -duration 20ms -clients 2 |
+        awk '/^(enable|disable) / { printf "%s%s %s", sep, $1, $2; sep = ", " }')
+    [ "$configs" = "$2" ] || {
+        echo "$1 smoke: configurations are [$configs]" >&2
+        exit 1
+    }
 }
+echo "== fig10 smoke (weseer-bench -exp fig10, ablation configurations)"
+ablation fig10 "enable all, disable all, disable f1, disable f2, disable f3, disable f4, disable f5, disable f6, disable f7, disable f8"
+echo "== fig11 smoke (weseer-bench -exp fig11, ablation configurations)"
+ablation fig11 "enable all, disable all, disable f9, disable f10, disable f11"
 
 # Layering: the solver (and smt under it) imports no telemetry, and the
 # telemetry library names no pipeline metric — each instrumented package

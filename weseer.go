@@ -22,8 +22,8 @@
 //   - Concolic engine: NewEngine, Engine.MakeSymbolic, Engine.If.
 //   - Collection: UnitTest, Collect.
 //   - Analysis: AnalyzeContext — the three-phase deadlock diagnosis,
-//     with context cancellation, parallel solving, and functional
-//     options (WithParallelism, WithCoarseOnly, ...).
+//     with context cancellation, parallel solving on GOMAXPROCS workers,
+//     and functional options (WithCoarseOnly, ...).
 //   - Observability: NewObserver, WithObserver, StartDebugServer —
 //     spans, metrics, and live progress for a diagnosis run, all
 //     observational (reports stay byte-identical with an observer
@@ -159,10 +159,6 @@ type (
 
 // Functional analysis options, applied by NewAnalyzer.
 var (
-	// WithParallelism sets the number of concurrent analysis workers
-	// (n <= 0 selects GOMAXPROCS). Reports are deterministic at any
-	// setting.
-	WithParallelism = core.WithParallelism
 	// WithCoarseOnly stops after phase 2 (STEPDAD/REDACT baseline).
 	WithCoarseOnly = core.WithCoarseOnly
 	// WithConcretePlans restricts lock modeling to recorded plans.
