@@ -333,7 +333,7 @@ func cmdRun(args []string) (err error) {
 		fmt.Println("\nautomatic reproduction (replaying each cycle against a rebuilt database):")
 		outcomes := replay.ReproduceReport(res, func() (*minidb.DB, []appkit.UnitTest) {
 			// A replay whose holding statements block each other waits out
-			// the lock timeout, and the app's own is 2 s.
+			// the lock timeout, and minidb's default is 2 s.
 			fresh, _ := openApp(*appName, *apply, minidb.Config{LockWaitTimeout: 100 * time.Millisecond})
 			return fresh.DB(), fresh.UnitTests()
 		})

@@ -21,7 +21,6 @@ package appgen
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
@@ -64,9 +63,6 @@ func New(cfg Config, dbCfg minidb.Config, fixed []string) (*App, error) {
 	var err error
 	if a.fixed, err = appkit.Fixes(a.Name(), planted, fixed); err != nil {
 		return nil, err
-	}
-	if dbCfg.LockWaitTimeout == 0 {
-		dbCfg.LockWaitTimeout = 2 * time.Second
 	}
 	r := newRNG(cfg.Seed)
 	a.templates = a.fillers(r, buildModules(cfg, r, a.scm))

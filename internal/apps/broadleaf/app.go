@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
@@ -47,9 +46,6 @@ func New(fixes []string, cfg minidb.Config) (*App, error) {
 	set, err := appkit.Fixes("broadleaf", appkit.FixIDs(Expectations()), fixes)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.LockWaitTimeout == 0 {
-		cfg.LockWaitTimeout = 2 * time.Second
 	}
 	a := &App{
 		db:          minidb.Open(Schema(), cfg),

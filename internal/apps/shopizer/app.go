@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
@@ -49,9 +48,6 @@ func New(fixes []string, cfg minidb.Config) (*App, error) {
 	set, err := appkit.Fixes("shopizer", appkit.FixIDs(Expectations()), fixes)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.LockWaitTimeout == 0 {
-		cfg.LockWaitTimeout = 2 * time.Second
 	}
 	a := &App{
 		db:          minidb.Open(Schema(), cfg),

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"weseer/internal/lockmodel"
 	"weseer/internal/schema"
-	"weseer/internal/smt"
 	"weseer/internal/sqlast"
 	"weseer/internal/trace"
 )
@@ -78,8 +78,10 @@ func (d *Deadlock) EditHints(scm *schema.Schema) []EditHint {
 // the peer waits on, waits is where this transaction blocks.
 func sideHint(holds, waits *trace.Stmt, scm *schema.Schema) EditHint {
 	if sel, ok := holds.Parsed.(*sqlast.Select); ok {
+		// A point read of the primary key: its shared lock covers exactly
+		// the row (or gap) the check-then-insert later writes.
 		w := waits.Parsed.WriteTable()
-		if w != "" && w == sel.From.Table && isPointPK(sel, scm) {
+		if w != "" && w == sel.From.Table && lockmodel.IsPointQuery(scm.Table(w).PrimaryIndex(), sel.Where.Preds) {
 			switch waits.Parsed.Kind() {
 			case sqlast.KindInsert, sqlast.KindUpsert:
 				return HintUpsert
@@ -95,34 +97,4 @@ func sideHint(holds, waits *trace.Stmt, scm *schema.Schema) EditHint {
 		return HintReorder
 	}
 	return 0
-}
-
-// isPointPK reports whether the select filters on an equality over the
-// FROM table's single-column primary key — the shape whose shared lock
-// covers exactly the row (or gap) the check-then-insert later writes.
-func isPointPK(sel *sqlast.Select, scm *schema.Schema) bool {
-	t := scm.Table(sel.From.Table)
-	if t == nil {
-		return false
-	}
-	pk := t.PrimaryIndex()
-	if pk == nil || len(pk.Columns) != 1 {
-		return false
-	}
-	for _, p := range sel.Where.Preds {
-		if p.IsNull || p.Op != smt.EQ {
-			continue
-		}
-		if colOf(p.L) == pk.Columns[0] || colOf(p.R) == pk.Columns[0] {
-			return true
-		}
-	}
-	return false
-}
-
-func colOf(o sqlast.Operand) string {
-	if o.Kind == sqlast.Col {
-		return o.Column
-	}
-	return ""
 }

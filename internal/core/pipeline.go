@@ -351,7 +351,7 @@ func (r *run) edgeCondCached(x, y *trace.Stmt, rx int, px, py string) *condVars 
 		return e.(*condVars)
 	}
 	nm := lockmodel.NewNamer("rng." + rowPrefix)
-	cond := edgeCond(r.view(x, rx, px), r.view(y, 1-rx, py), r.locks, rowPrefix, nm, r.opts.UseConcretePlans)
+	cond := r.locks.EdgeCond(r.view(x, rx, px), r.view(y, 1-rx, py), rowPrefix, nm, r.opts.UseConcretePlans)
 	e := &condVars{cond: cond, vars: varNames(cond)}
 	// Hit/build attribution is metrics-only and may race benignly between
 	// workers building the same edge — it never reaches the report.
@@ -360,19 +360,4 @@ func (r *run) edgeCondCached(x, y *trace.Stmt, rx int, px, py string) *condVars 
 	// structurally identical, so either value is fine to keep.
 	actual, _ := r.edgeMemo.LoadOrStore(k, e)
 	return actual.(*condVars)
-}
-
-// edgeCond builds the conflict condition of one C-edge, trying both
-// writer orientations and disjoining the satisfiable directions.
-func edgeCond(x, y *trace.Stmt, locks *lockmodel.Templates, rowPrefix string, nm *lockmodel.Namer, usePlans bool) smt.Expr {
-	var alts []smt.Expr
-	for _, o := range [2][2]*trace.Stmt{{x, y}, {y, x}} {
-		w, r := o[0], o[1]
-		wt := w.Parsed.WriteTable()
-		if wt == "" || !slices.Contains(r.Parsed.Tables(), wt) {
-			continue
-		}
-		alts = append(alts, locks.ConflictCond(w, r, wt, rowPrefix, nm, usePlans))
-	}
-	return smt.Or(alts...)
 }

@@ -2,6 +2,7 @@ package lockmodel
 
 import (
 	"fmt"
+	"slices"
 
 	"weseer/internal/minidb"
 	"weseer/internal/schema"
@@ -55,10 +56,7 @@ func (t *Templates) ConflictCond(w, r *trace.Stmt, comTable, rowPrefix string, n
 	}
 
 	uc := &unifier{scm: t.scm, rowPrefix: rowPrefix, aliases: rTmpl.aliasMap}
-
-	// queryCondOf supplies INSERT statements' implied key equations.
-	rCond := sqlast.Cond{Preds: queryCondOf(rStmt), Ors: sqlast.QueryCondOf(rStmt).Ors}
-	readCond := uc.condExpr(rCond, r)
+	readCond := uc.condExpr(fullCond(rStmt), r)
 	writeCond := unifiedCondForWrite(wStmt, w, t.scm, wTmpl.aliasMap, rTmpl.aliases, rowPrefix)
 	assoc := associatedCond(r, rowPrefix)
 	conflict := smt.And(readCond, writeCond, assoc)
@@ -71,14 +69,7 @@ func (t *Templates) ConflictCond(w, r *trace.Stmt, comTable, rowPrefix string, n
 		if lr.Gran != Range || lr.Exclusive {
 			continue
 		}
-		matched := false
-		for _, lw := range locksW {
-			if lw.Index != nil && lr.Index != nil && lw.Index.Name == lr.Index.Name {
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		if !slices.ContainsFunc(locksW, func(lw Lock) bool { return Collide(lw, lr) }) {
 			continue
 		}
 		rangeCond := genRangeConflictCond(lr, uc, r, nm)
@@ -96,6 +87,9 @@ type unifier struct {
 	scm       *schema.Schema
 	rowPrefix string
 	aliases   map[string]string // alias → table
+	// rename rewrites the writer's aliases of the common table to the
+	// reader's alias, so both conditions constrain the same unified row.
+	rename map[string]string
 }
 
 func (u *unifier) colVar(alias, col string) smt.Expr {
@@ -113,6 +107,9 @@ func (u *unifier) colVar(alias, col string) smt.Expr {
 func (u *unifier) operand(o sqlast.Operand, st *trace.Stmt) (smt.Expr, bool) {
 	switch o.Kind {
 	case sqlast.Col:
+		if alias, ok := u.rename[o.Table]; ok {
+			return u.colVar(alias, o.Column), true
+		}
 		return u.colVar(o.Table, o.Column), true
 	case sqlast.Param:
 		if st != nil && o.Ord < len(st.Params) {
@@ -193,52 +190,28 @@ func (u *unifier) condExpr(c sqlast.Cond, st *trace.Stmt) smt.Expr {
 	return smt.And(parts...)
 }
 
+// fullCond is a statement's whole query condition; queryCondOf supplies
+// INSERT statements' implied key equations.
+func fullCond(st sqlast.Stmt) sqlast.Cond {
+	return sqlast.Cond{Preds: queryCondOf(st), Ors: sqlast.QueryCondOf(st).Ors}
+}
+
 // unifiedCondForWrite maps the writer's condition onto each of the
 // reader's aliases of the common table and disjoins the results
 // (GenUnifiedCondForWrite).
 func unifiedCondForWrite(wStmt sqlast.Stmt, w *trace.Stmt, scm *schema.Schema, wAliasMap map[string]string, rAliases []string, rowPrefix string) smt.Expr {
-	preds := queryCondOf(wStmt)
+	table, cond := wStmt.WriteTable(), fullCond(wStmt)
 	var djs []smt.Expr
 	for _, ra := range rAliases {
-		// Rewrite the writer's own-table column references to the
-		// reader's alias ra, then unify.
-		u := &unifier{scm: scm, rowPrefix: rowPrefix, aliases: map[string]string{ra: wStmt.WriteTable()}}
-		var conj []smt.Expr
-		for _, p := range preds {
-			conj = append(conj, u.predExpr(rewritePredAlias(p, wAliasMap, wStmt.WriteTable(), ra), w))
-		}
-		// Disjunctive groups of the writer's WHERE clause.
-		cond := sqlast.QueryCondOf(wStmt)
-		for _, g := range cond.Ors {
-			var inner []smt.Expr
-			for _, dj := range g.Disjuncts {
-				var c2 []smt.Expr
-				for _, p := range dj {
-					c2 = append(c2, u.predExpr(rewritePredAlias(p, wAliasMap, wStmt.WriteTable(), ra), w))
-				}
-				inner = append(inner, smt.And(c2...))
+		u := &unifier{scm: scm, rowPrefix: rowPrefix, aliases: map[string]string{ra: table}, rename: map[string]string{}}
+		for wa, t := range wAliasMap {
+			if t == table {
+				u.rename[wa] = ra
 			}
-			conj = append(conj, smt.Or(inner...))
 		}
-		djs = append(djs, smt.And(conj...))
+		djs = append(djs, u.condExpr(cond, w))
 	}
 	return smt.Or(djs...)
-}
-
-// rewritePredAlias renames column operands of the writer's table to the
-// reader's alias so both conditions constrain the same unified row.
-func rewritePredAlias(p sqlast.Pred, wAliases map[string]string, table, newAlias string) sqlast.Pred {
-	fix := func(o sqlast.Operand) sqlast.Operand {
-		if o.Kind == sqlast.Col && wAliases[o.Table] == table {
-			o.Table = newAlias
-		}
-		return o
-	}
-	p.L = fix(p.L)
-	if !p.IsNull {
-		p.R = fix(p.R)
-	}
-	return p
 }
 
 // associatedCond ties the unified row to one of the reader's actually
@@ -255,7 +228,7 @@ func associatedCond(r *trace.Stmt, rowPrefix string) smt.Expr {
 		return smt.False // no fetched rows: only range locks can conflict
 	}
 	var rows []smt.Expr
-	for ri, row := range r.Res.Sym {
+	for _, row := range r.Res.Sym {
 		var eqs []smt.Expr
 		for ci, v := range row {
 			if v.Name == "" {
@@ -263,7 +236,6 @@ func associatedCond(r *trace.Stmt, rowPrefix string) smt.Expr {
 			}
 			eqs = append(eqs, smt.Eq(smt.NewVar(rowPrefix+r.Res.Cols[ci], v.S), v))
 		}
-		_ = ri
 		rows = append(rows, smt.And(eqs...))
 	}
 	return smt.Or(rows...)

@@ -193,6 +193,37 @@ func TestConflicting(t *testing.T) {
 	}
 }
 
+// TestCollideReadsRecordRow pins the premises under which Collide asks
+// only the record row of minidb's matrix: a modeled lock is S or X, two S
+// locks conflict on neither row, and the only gap-row conflict is an
+// insert intention request, which the model writes as the inserter's
+// exclusive ROW lock.
+func TestCollideReadsRecordRow(t *testing.T) {
+	modes := []minidb.LockMode{minidb.LockS, minidb.LockX, minidb.LockII}
+	for _, held := range modes {
+		for _, req := range modes {
+			if minidb.Conflicts(held, req, minidb.GapLock) && req != minidb.LockII {
+				t.Errorf("gap row: %v blocks %v; only insert intention waits on a gap", held, req)
+			}
+		}
+	}
+	for _, kind := range []minidb.LockKind{minidb.RecordLock, minidb.GapLock} {
+		if minidb.Conflicts(minidb.LockS, minidb.LockS, kind) {
+			t.Errorf("S blocks S on kind %d", kind)
+		}
+	}
+	ix := fig1Schema().Table("Product").PrimaryIndex()
+	for _, a := range []bool{false, true} {
+		for _, b := range []bool{false, true} {
+			la := Lock{Table: "Product", Index: ix, Gran: Row, Exclusive: a}
+			lb := Lock{Table: "Product", Index: ix, Gran: Range, Exclusive: b}
+			if got, want := Collide(la, lb), a || b; got != want {
+				t.Errorf("Collide(%v, %v) = %v, want %v", la, lb, got, want)
+			}
+		}
+	}
+}
+
 func TestPotentialConflictIndexDisjoint(t *testing.T) {
 	// Statements touching the same table on different, non-overlapping
 	// indexes where the writer doesn't touch the reader's index: the

@@ -2,7 +2,9 @@ package lockmodel
 
 import (
 	"fmt"
+	"slices"
 
+	"weseer/internal/minidb"
 	"weseer/internal/schema"
 	"weseer/internal/smt"
 	"weseer/internal/sqlast"
@@ -46,15 +48,21 @@ type Lock struct {
 }
 
 func (l Lock) String() string {
-	mode := "S"
-	if l.Exclusive {
-		mode = "X"
-	}
 	ix := "NULL"
 	if l.Index != nil {
 		ix = l.Index.String()
 	}
-	return fmt.Sprintf("(%s, %s, %s)", ix, l.Gran, mode)
+	return fmt.Sprintf("(%s, %s, %s)", ix, l.Gran, l.mode())
+}
+
+// mode is the engine lock mode of a modeled lock, which is S or X: the
+// model represents insert intention, the one mode that conflicts on a gap,
+// as the inserter's exclusive ROW lock.
+func (l Lock) mode() minidb.LockMode {
+	if l.Exclusive {
+		return minidb.LockX
+	}
+	return minidb.LockS
 }
 
 // GenSharedLocks models the shared locks a statement acquires on the
@@ -68,7 +76,7 @@ func GenSharedLocks(st sqlast.Stmt, scm *schema.Schema, targetTable string, isEm
 		}
 		ix := use.Index
 		if !isEmpty {
-			if ix.Unique && isPointQuery(ix, use.Preds) {
+			if ix.Unique && IsPointQuery(ix, use.Preds) {
 				locks = append(locks, Lock{Table: targetTable, Index: ix, Gran: Row, Alias: use.Alias})
 			} else {
 				locks = append(locks, Lock{Table: targetTable, Index: ix, Gran: Range, Alias: use.Alias, Preds: use.Preds})
@@ -136,9 +144,13 @@ func writtenIndexes(st sqlast.Stmt, t *schema.Table) []*schema.Index {
 	return out
 }
 
-// isPointQuery reports whether the predicates pin every index column with
-// an equality — the condition for a ROW rather than RANGE lock.
-func isPointQuery(ix *schema.Index, preds []sqlast.Pred) bool {
+// IsPointQuery reports whether the predicates pin every column of the
+// index with an equality — the condition for a ROW rather than RANGE lock.
+// A nil index pins nothing.
+func IsPointQuery(ix *schema.Index, preds []sqlast.Pred) bool {
+	if ix == nil {
+		return false
+	}
 	for _, col := range ix.Columns {
 		found := false
 		for _, p := range preds {
@@ -167,22 +179,25 @@ func aliasOn(st sqlast.Stmt, table string) string {
 	return table
 }
 
-// Conflicting reports whether two lock sets contain a conflicting pair:
-// locks on the same index (or two table locks on the same table) with at
-// least one exclusive.
+// Collide reports whether two modeled locks conflict: they lie on one
+// index, or one of them locks the whole table, and minidb's compatibility
+// matrix blocks their modes on a record. A modeled lock is S or X, two S
+// locks conflict on neither a record nor a gap, and the model's one
+// gap-row conflict (insert intention) is an exclusive ROW lock, so the
+// record row decides every pair.
+func Collide(a, b Lock) bool {
+	if a.Table != b.Table || !minidb.Conflicts(a.mode(), b.mode(), minidb.RecordLock) {
+		return false
+	}
+	return a.Gran == TableLock || b.Gran == TableLock ||
+		a.Index != nil && b.Index != nil && a.Index.Name == b.Index.Name
+}
+
+// Conflicting reports whether two lock sets contain a colliding pair.
 func Conflicting(a, b []Lock) bool {
 	for _, la := range a {
 		for _, lb := range b {
-			if !la.Exclusive && !lb.Exclusive {
-				continue
-			}
-			if la.Table != lb.Table {
-				continue
-			}
-			if la.Gran == TableLock || lb.Gran == TableLock {
-				return true
-			}
-			if la.Index != nil && lb.Index != nil && la.Index.Name == lb.Index.Name {
+			if Collide(la, lb) {
 				return true
 			}
 		}
@@ -228,18 +243,40 @@ func PotentialConflict(a, b *trace.Stmt, scm *schema.Schema, usePlans bool) bool
 // PotentialConflict is the package-level PotentialConflict with the
 // statements' template-level lock model taken from the memo.
 func (t *Templates) PotentialConflict(a, b *trace.Stmt, usePlans bool) bool {
-	for _, o := range [2][2]*trace.Stmt{{a, b}, {b, a}} {
+	return Oriented(a, b, parsed, func(w, r *trace.Stmt, tab string) bool {
+		return Conflicting(t.of(w, tab).locksFor(w, usePlans), t.of(r, tab).locksFor(r, usePlans))
+	})
+}
+
+// EdgeCond builds the conflict condition of one C-edge between x and y:
+// the disjunction of ConflictCond over the orientations Oriented admits.
+func (t *Templates) EdgeCond(x, y *trace.Stmt, rowPrefix string, nm *Namer, usePlans bool) smt.Expr {
+	var alts []smt.Expr
+	Oriented(x, y, parsed, func(w, r *trace.Stmt, tab string) bool {
+		alts = append(alts, t.ConflictCond(w, r, tab, rowPrefix, nm, usePlans))
+		return false
+	})
+	return smt.Or(alts...)
+}
+
+// Oriented applies the C-edge rule of Sec. V-C3 to the statement pair
+// (a, b): two statements conflict only through a table one of them writes
+// and the other accesses. It calls f(w, r, table) for each orientation in
+// which w writes table and r accesses it, (a, b) before (b, a), stops at
+// the first call that returns true, and reports whether one did. stmt
+// reads a statement's parse.
+func Oriented[S any](a, b S, stmt func(S) sqlast.Stmt, f func(w, r S, table string) bool) bool {
+	for _, o := range [2][2]S{{a, b}, {b, a}} {
 		w, r := o[0], o[1]
-		tab := commonWrittenTable(w.Parsed, r.Parsed)
-		if tab == "" {
-			continue
-		}
-		if Conflicting(t.of(w, tab).locksFor(w, usePlans), t.of(r, tab).locksFor(r, usePlans)) {
+		wt := stmt(w).WriteTable()
+		if wt != "" && slices.Contains(stmt(r).Tables(), wt) && f(w, r, wt) {
 			return true
 		}
 	}
 	return false
 }
+
+func parsed(st *trace.Stmt) sqlast.Stmt { return st.Parsed }
 
 // readLocks models the locks the "reader" side of a conflict holds on the
 // table: shared locks for SELECTs, exclusive locks when the statement
@@ -249,17 +286,4 @@ func readLocks(st sqlast.Stmt, scm *schema.Schema, table string, isEmpty bool) [
 		return GenExclusiveLocks(st, scm, table)
 	}
 	return GenSharedLocks(st, scm, table, isEmpty)
-}
-
-func commonWrittenTable(w, r sqlast.Stmt) string {
-	wt := w.WriteTable()
-	if wt == "" {
-		return ""
-	}
-	for _, t := range r.Tables() {
-		if t == wt {
-			return wt
-		}
-	}
-	return ""
 }

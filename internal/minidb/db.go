@@ -23,7 +23,7 @@ var (
 // Config tunes engine behavior.
 type Config struct {
 	// LockWaitTimeout bounds a single lock wait; the transaction aborts on
-	// expiry. Defaults to 5s.
+	// expiry. Defaults to 2s.
 	LockWaitTimeout time.Duration
 	// StatementDelay simulates per-statement client/server round-trip
 	// latency (the paper's testbed talks to MySQL over a 10GbE network).
@@ -138,7 +138,7 @@ func (ts *tableStore) col(name string) int {
 // primary key; heap tables are outside the supported subset.
 func Open(scm *schema.Schema, cfg Config) *DB {
 	if cfg.LockWaitTimeout == 0 {
-		cfg.LockWaitTimeout = 5 * time.Second
+		cfg.LockWaitTimeout = 2 * time.Second
 	}
 	db := &DB{
 		scm:        scm,

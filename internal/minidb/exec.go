@@ -36,7 +36,7 @@ type executor struct {
 
 // lock try-acquires a record lock on an index entry or the gap below it
 // (a nil key: below the supremum) and records the first blockage.
-func (ex *executor) lock(ix *index, kind resKind, key Key, mode LockMode) bool {
+func (ex *executor) lock(ix *index, kind LockKind, key Key, mode LockMode) bool {
 	if ex.blocked != nil {
 		return false
 	}
@@ -65,7 +65,7 @@ func (ex *executor) lockGapAbove(ts *tableStore, ix *index, k Key, mode LockMode
 	} else {
 		ix.entries.Ascend(k, func(key Key, _ *secEntry) bool { return next(key) })
 	}
-	return ex.lock(ix, resGap, succ, mode)
+	return ex.lock(ix, GapLock, succ, mode)
 }
 
 // ---------------------------------------------------------------------------
@@ -97,12 +97,12 @@ func (ex *executor) scanIndex(ac *access, pfx Key, mode LockMode) []scanHit {
 		if !keyHasPrefix(entry, pfx) {
 			// First entry beyond the range bounds the scanned gap.
 			if !uniquePoint || len(hits) == 0 {
-				ex.lock(ix, resGap, entry, mode)
+				ex.lock(ix, GapLock, entry, mode)
 			}
 			done = true
 			return false
 		}
-		if !ex.lock(ix, resRecord, entry, mode) {
+		if !ex.lock(ix, RecordLock, entry, mode) {
 			return false
 		}
 		if deleted {
@@ -113,13 +113,13 @@ func (ex *executor) scanIndex(ac *access, pfx Key, mode LockMode) []scanHit {
 			return true
 		}
 		if !uniquePoint {
-			if !ex.lock(ix, resGap, entry, mode) {
+			if !ex.lock(ix, GapLock, entry, mode) {
 				return false
 			}
 		}
 		if ix.Type == schema.Secondary {
 			// Lock the primary record backing the entry.
-			if !ex.lock(primary, resRecord, pk, mode) {
+			if !ex.lock(primary, RecordLock, pk, mode) {
 				return false
 			}
 		}
@@ -148,7 +148,7 @@ func (ex *executor) scanIndex(ac *access, pfx Key, mode LockMode) []scanHit {
 	}
 	if !done && !(uniquePoint && len(hits) > 0) {
 		// Ran off the end of the index: the supremum gap bounds the scan.
-		ex.lock(ix, resGap, nil, mode)
+		ex.lock(ix, GapLock, nil, mode)
 	}
 	return hits
 }
@@ -271,7 +271,7 @@ func (ex *executor) rewrite(ts *tableStore, pk Key, row Row, set []assign, claus
 		return false
 	}
 	for _, ix := range ts.indexes[1:] {
-		if changed(ix) && !(ex.lock(ix, resRecord, ix.keyOf(row), LockX) && ex.lock(ix, resRecord, ix.keyOf(newRow), LockX)) {
+		if changed(ix) && !(ex.lock(ix, RecordLock, ix.keyOf(row), LockX) && ex.lock(ix, RecordLock, ix.keyOf(newRow), LockX)) {
 			return false, nil
 		}
 	}
@@ -335,7 +335,7 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 		if !e.deleted {
 			return ex.insertDuplicate(p, pk)
 		}
-		if !ex.lock(primary, resRecord, pk, LockX) {
+		if !ex.lock(primary, RecordLock, pk, LockX) {
 			return nil, nil
 		}
 	}
@@ -364,7 +364,7 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 		}
 		if tombK != nil {
 			// Serialize the uniqueness check against the in-flight deleter.
-			if !ex.lock(ix, resRecord, tombK, LockS) {
+			if !ex.lock(ix, RecordLock, tombK, LockS) {
 				return nil, nil
 			}
 		}
@@ -382,11 +382,11 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 			return nil, nil
 		}
 	}
-	if !ex.lock(primary, resRecord, pk, LockX) {
+	if !ex.lock(primary, RecordLock, pk, LockX) {
 		return nil, nil
 	}
 	for i, ix := range secondaries {
-		if !ex.lock(ix, resRecord, keys[i], LockX) {
+		if !ex.lock(ix, RecordLock, keys[i], LockX) {
 			return nil, nil
 		}
 	}
@@ -404,12 +404,12 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 func (ex *executor) insertDuplicate(p *prepared, pk Key) (*ResultSet, error) {
 	ts := p.plan[0].ts
 	if p.onDup == nil {
-		if !ex.lock(ts.indexes[0], resRecord, pk, LockS) {
+		if !ex.lock(ts.indexes[0], RecordLock, pk, LockS) {
 			return nil, nil
 		}
 		return nil, fmt.Errorf("%w: %s%s", ErrDuplicateKey, ts.meta.Name, pk)
 	}
-	if !ex.lock(ts.indexes[0], resRecord, pk, LockX) {
+	if !ex.lock(ts.indexes[0], RecordLock, pk, LockX) {
 		return nil, nil
 	}
 	entry, ok := ts.primary.Get(pk)
@@ -430,7 +430,7 @@ func (ex *executor) execDelete(p *prepared) *ResultSet {
 	hits := ex.writeScan(p)
 	for _, h := range hits {
 		for _, ix := range ts.indexes[1:] {
-			if !ex.lock(ix, resRecord, ix.keyOf(h.row), LockX) {
+			if !ex.lock(ix, RecordLock, ix.keyOf(h.row), LockX) {
 				return nil
 			}
 		}

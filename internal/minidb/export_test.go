@@ -53,7 +53,7 @@ func GrantsOf(t *Txn) []Grant {
 			if n == 0 {
 				out = append(out, Grant{
 					Table: lm.tables[q.res.index], Index: names[q.res.index],
-					Key: displayKey(q.res.key), Gap: q.res.kind == resGap, Mode: g.mode,
+					Key: displayKey(q.res.key), Gap: q.res.kind == GapLock, Mode: g.mode,
 				})
 				break
 			}

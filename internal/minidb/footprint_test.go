@@ -38,11 +38,7 @@ func TestLockFootprint(t *testing.T) {
 			fmt.Fprintf(&buf, "%s\n", st)
 			grants := minidb.GrantsOf(txn)
 			for _, g := range grants[listed[txn]:] {
-				kind := "record"
-				if g.Gap {
-					kind = "gap"
-				}
-				fmt.Fprintf(&buf, "\t%s %s %s %s %s\n", g.Table, g.Index, g.Key, kind, g.Mode)
+				fmt.Fprintf(&buf, "\t%s %s %s %s %s\n", g.Table, g.Index, g.Key, kindOf(g), g.Mode)
 			}
 			listed[txn] = len(grants)
 		})
@@ -77,6 +73,13 @@ func TestLockFootprint(t *testing.T) {
 		t.Errorf("lock footprint differs from %s (%d vs %d bytes); first difference at line %d",
 			golden, buf.Len(), len(want), firstDiffLine(buf.Bytes(), want))
 	}
+}
+
+func kindOf(g minidb.Grant) string {
+	if g.Gap {
+		return "gap"
+	}
+	return "record"
 }
 
 func firstDiffLine(a, b []byte) int {

@@ -45,29 +45,33 @@ func (m LockMode) String() string {
 	return "?"
 }
 
-// resKind distinguishes record locks from gap locks.
-type resKind uint8
+// LockKind distinguishes record locks from gap locks.
+type LockKind uint8
 
+// Lock kinds: a record lock protects one index entry, a gap lock the open
+// interval below it.
 const (
-	resRecord resKind = iota
-	resGap
+	RecordLock LockKind = iota
+	GapLock
 )
 
 // resource names one lockable unit: an index entry or the gap below it.
 type resource struct {
 	index uint32 // index.id
-	kind  resKind
+	kind  LockKind
 	// key is appendKey's encoding of the entry key; the empty key is the
 	// supremum pseudo-record that bounds the last gap of an index.
 	key string
 }
 
-// conflicts reports whether a granted lock blocks a request on the same
-// resource. The matrix mirrors InnoDB: record S/X conflict as usual; gap
-// locks are mutually compatible regardless of mode; insert intention
-// waits for gap locks held by others but blocks nothing.
-func conflicts(held, req LockMode, kind resKind) bool {
-	if kind == resRecord {
+// Conflicts is the lock compatibility matrix: it reports whether a granted
+// lock blocks a request of another transaction on the same resource. The
+// matrix mirrors InnoDB: record S/X conflict as usual; gap locks are
+// mutually compatible regardless of mode; insert intention waits for gap
+// locks held by others but blocks nothing. The lock manager and the lock
+// model (internal/lockmodel) both decide compatibility here.
+func Conflicts(held, req LockMode, kind LockKind) bool {
+	if kind == RecordLock {
 		return held == LockX || req == LockX
 	}
 	// Gap resource.
@@ -164,12 +168,12 @@ func (lm *lockManager) holdsAtLeast(q *lockQueue, txn *Txn, mode LockMode) bool 
 
 // grantable reports whether txn may be granted mode on q given current
 // grants by other transactions. Caller holds lm.mu.
-func (lm *lockManager) grantable(q *lockQueue, txn *Txn, mode LockMode, kind resKind) bool {
+func (lm *lockManager) grantable(q *lockQueue, txn *Txn, mode LockMode, kind LockKind) bool {
 	for _, g := range q.grants {
 		if g.txn == txn {
 			continue
 		}
-		if conflicts(g.mode, mode, kind) {
+		if Conflicts(g.mode, mode, kind) {
 			return false
 		}
 	}
@@ -179,7 +183,7 @@ func (lm *lockManager) grantable(q *lockQueue, txn *Txn, mode LockMode, kind res
 // TryAcquire grants the lock iff it is immediately available. It never
 // waits and never detects deadlocks. key is the encoded entry key; it is
 // copied only when the resource gets a queue of its own.
-func (lm *lockManager) TryAcquire(txn *Txn, index uint32, kind resKind, key []byte, mode LockMode) bool {
+func (lm *lockManager) TryAcquire(txn *Txn, index uint32, kind LockKind, key []byte, mode LockMode) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	q := lm.queues[resource{index, kind, string(key)}] // no copy: a lookup-only conversion
@@ -278,7 +282,7 @@ func (lm *lockManager) cycleThrough(start *Txn) bool {
 			return false
 		}
 		for _, g := range req.q.grants {
-			if g.txn == t || !conflicts(g.mode, req.mode, req.q.res.kind) {
+			if g.txn == t || !Conflicts(g.mode, req.mode, req.q.res.kind) {
 				continue
 			}
 			if g.txn == start {

@@ -15,7 +15,7 @@ import (
 
 // openCatalogApp opens a Table II model app with a short lock-wait
 // timeout so Blocked outcomes resolve quickly instead of stalling the
-// test for the default 5s per wait.
+// test for the default 2s per wait.
 func openCatalogApp(t *testing.T, name string) apps.App {
 	t.Helper()
 	app, err := apps.Open(name, apps.Options{DB: minidb.Config{LockWaitTimeout: 250 * time.Millisecond}})

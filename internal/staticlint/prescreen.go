@@ -106,35 +106,17 @@ func readLockUnion(sh StmtShape, scm *schema.Schema, table string) []lockmodel.L
 }
 
 // EdgePossible reports whether two statements can truly hold conflicting
-// locks — the refined C-edge test. It mirrors the fine phase's
-// PotentialConflict (both write orientations, index-level collision)
-// and additionally refutes ROW/ROW collisions on a unique index whose
-// rigid point keys differ.
+// locks — the refined C-edge test. It asks lockmodel what the fine
+// phase's PotentialConflict asks (the orientations of Oriented, the lock
+// pairs of Collide) and additionally refutes ROW/ROW collisions on a
+// unique index whose rigid point keys differ.
 func EdgePossible(a, b StmtShape, scm *schema.Schema) bool {
-	for _, o := range [2][2]StmtShape{{a, b}, {b, a}} {
-		w, r := o[0], o[1]
-		tab := w.Stmt.WriteTable()
-		if tab == "" {
-			continue
-		}
-		accessed := false
-		for _, t := range r.Stmt.Tables() {
-			if t == tab {
-				accessed = true
-				break
-			}
-		}
-		if !accessed {
-			continue
-		}
-		wl := lockmodel.GenExclusiveLocks(w.Stmt, scm, tab)
-		rl := readLockUnion(r, scm, tab)
-		if lockSetsCollide(w, wl, r, rl) {
-			return true
-		}
-	}
-	return false
+	return lockmodel.Oriented(a, b, shapeStmt, func(w, r StmtShape, tab string) bool {
+		return lockSetsCollide(w, lockmodel.GenExclusiveLocks(w.Stmt, scm, tab), r, readLockUnion(r, scm, tab))
+	})
 }
+
+func shapeStmt(sh StmtShape) sqlast.Stmt { return sh.Stmt }
 
 // lockSetsCollide is lockmodel.Conflicting refined with point-key
 // disjointness: a ROW/ROW pair on the same unique index is discounted
@@ -142,19 +124,7 @@ func EdgePossible(a, b StmtShape, scm *schema.Schema) bool {
 func lockSetsCollide(w StmtShape, wl []lockmodel.Lock, r StmtShape, rl []lockmodel.Lock) bool {
 	for _, la := range wl {
 		for _, lb := range rl {
-			if !la.Exclusive && !lb.Exclusive {
-				continue
-			}
-			if la.Table != lb.Table {
-				continue
-			}
-			if la.Gran == lockmodel.TableLock || lb.Gran == lockmodel.TableLock {
-				return true
-			}
-			if la.Index == nil || lb.Index == nil || la.Index.Name != lb.Index.Name {
-				if la.Index == nil || lb.Index == nil {
-					return true // unmodeled index: stay conservative
-				}
+			if !lockmodel.Collide(la, lb) {
 				continue
 			}
 			if la.Gran == lockmodel.Row && lb.Gran == lockmodel.Row && la.Index.Unique {

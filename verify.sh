@@ -357,14 +357,18 @@ ablation fig10 "enable all, disable all, disable f1, disable f2, disable f3, dis
 echo "== fig11 smoke (weseer-bench -exp fig11, ablation configurations)"
 ablation fig11 "enable all, disable all, disable f9, disable f10, disable f11"
 
-# Layering: the solver (and smt under it) imports no telemetry, and the
+# Layering: the solver (and smt under it) imports no telemetry, the
 # telemetry library names no pipeline metric — each instrumented package
-# registers its own.
-echo "== layering (solver imports no obs; obs names no pipeline metric)"
+# registers its own — and only the lock model reads a modeled lock's mode:
+# every other package asks lockmodel (Collide, Conflicting), which asks
+# minidb's compatibility matrix.
+echo "== layering (solver imports no obs; obs names no pipeline metric; only lockmodel reads Lock.Exclusive)"
 ! go list -deps ./internal/solver | grep 'weseer/internal/obs' ||
     { echo "layering: internal/solver depends on internal/obs" >&2; exit 1; }
 ! find internal/obs -name '*.go' -not -name '*_test.go' | xargs grep -l 'weseer_funnel\|weseer_cdcl' ||
     { echo "layering: internal/obs names a pipeline metric (files above)" >&2; exit 1; }
+! grep -rln '\.Exclusive\b' --include='*.go' internal cmd | grep -v -e '_test\.go$' -e '^internal/lockmodel/' ||
+    { echo "layering: a file outside internal/lockmodel reads a modeled lock's mode (files above)" >&2; exit 1; }
 
 echo "non-test Go outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l) lines"
