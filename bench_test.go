@@ -90,7 +90,7 @@ func BenchmarkSolver_Fig9Formula(b *testing.B) {
 	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := solver.Solve(context.Background(), f, solver.Limits{}); res.Status != solver.SAT {
+		if res := solver.Solve(context.Background(), f); res.Status != solver.SAT {
 			b.Fatalf("status %v", res.Status)
 		}
 	}

@@ -346,9 +346,7 @@ func cmdRun(args []string) (err error) {
 	if *reproduce {
 		fmt.Println("\nautomatic reproduction (replaying each cycle against a rebuilt database):")
 		outcomes := replay.ReproduceReport(res, func() (*minidb.DB, []appkit.UnitTest) {
-			// A replay whose holding statements block each other waits out
-			// the lock timeout, and minidb's default is 2 s.
-			fresh, _ := openApp(*appName, *apply, minidb.Config{LockWaitTimeout: 100 * time.Millisecond})
+			fresh, _ := openApp(*appName, *apply, minidb.Config{})
 			return fresh.DB(), fresh.UnitTests()
 		})
 		counts := map[replay.Status]int{}

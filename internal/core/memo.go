@@ -117,7 +117,7 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, tid int, out *S
 	expr := s.canon.Expr()
 	sp := m.obs.StartSpan(tid, "solve")
 	start := time.Now()
-	sres := solver.Solve(ctx, expr, solver.Limits{})
+	sres := solver.Solve(ctx, expr)
 	dur := time.Since(start)
 	out.SolverTime += dur
 	out.SolverCalls++

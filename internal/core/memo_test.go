@@ -73,7 +73,7 @@ func CheckMemoAgainstDirect(t *testing.T, formulas []smt.Expr) {
 	var out Stats
 	for i, f := range formulas {
 		got, _ := memo.solve(context.Background(), f, 0, &out)
-		if want := solver.Solve(context.Background(), f, solver.Limits{}); got.Status != want.Status {
+		if want := solver.Solve(context.Background(), f); got.Status != want.Status {
 			t.Errorf("formula %d: memoized verdict %v, direct solve %v: %s", i, got.Status, want.Status, f)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // The executor runs one statement pass under the storage latch. Locks are
 // acquired with TryAcquire during index traversal — exactly where InnoDB
 // acquires them; the first unavailable lock aborts the pass, the caller
-// waits on it, and the statement restarts. Locks acquired by earlier
+// queues for it (and, under Exec, waits), and the statement restarts. Locks acquired by earlier
 // passes remain held (strict 2PL), so progress is monotonic.
 
 // blockedOn describes the lock a pass stopped at.

@@ -3,6 +3,7 @@ package minidb
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"weseer/internal/sqlast"
@@ -61,6 +62,23 @@ func GrantsOf(t *Txn) []Grant {
 		}
 	}
 	return out
+}
+
+// QueuesOf counts the lock-table queues in which t holds a grant or has
+// a request queued.
+func QueuesOf(t *Txn) int {
+	lm := t.db.lm
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	n := 0
+	for _, q := range lm.queues {
+		in := slices.ContainsFunc(q.grants, func(g grant) bool { return g.txn == t }) ||
+			slices.ContainsFunc(q.waiters, func(w *lockReq) bool { return w.txn == t })
+		if in {
+			n++
+		}
+	}
+	return n
 }
 
 // displayKey decodes a lock-table key name and renders it the way

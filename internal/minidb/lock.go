@@ -21,6 +21,9 @@ var (
 	ErrDeadlock = errors.New("minidb: deadlock detected, transaction aborted")
 	// ErrLockWaitTimeout is returned when a lock wait exceeds the limit.
 	ErrLockWaitTimeout = errors.New("minidb: lock wait timeout, transaction aborted")
+	// ErrWouldBlock is returned by TryExec when the statement's lock
+	// request had to queue; the transaction then accepts only Rollback.
+	ErrWouldBlock = errors.New("minidb: lock request queued, transaction waits")
 )
 
 // LockMode is the requested lock strength.
@@ -96,7 +99,7 @@ type grant struct {
 	mode LockMode
 }
 
-// lockReq is a blocked request, allocated only to wait.
+// lockReq is a queued request, allocated only when the lock is taken.
 type lockReq struct {
 	txn  *Txn
 	mode LockMode
@@ -206,35 +209,37 @@ func (lm *lockManager) grant(q *lockQueue, txn *Txn, mode LockMode) {
 	txn.held = append(txn.held, q)
 }
 
-// Acquire blocks until the lock is granted, the wait times out, or a
-// deadlock is detected with txn as victim.
-func (lm *lockManager) Acquire(txn *Txn, res resource, mode LockMode, timeout time.Duration) error {
+// enqueue grants the lock if it is available and otherwise queues the
+// request and runs deadlock detection. It returns the queued request, nil
+// when the lock was granted, or ErrDeadlock when queuing closed a cycle
+// through txn: the request is then withdrawn and txn is the victim.
+func (lm *lockManager) enqueue(txn *Txn, res resource, mode LockMode) (*lockReq, error) {
 	lm.mu.Lock()
+	defer lm.mu.Unlock()
 	q := lm.queue(res)
 	if lm.holdsAtLeast(q, txn, mode) {
-		lm.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	if lm.grantable(q, txn, mode, res.kind) {
 		lm.grant(q, txn, mode)
-		lm.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	req := &lockReq{txn: txn, mode: mode, q: q, wake: make(chan struct{}, 1)}
 	q.waiters = append(q.waiters, req)
 	txn.waitingFor = req
 	if lm.cycleThrough(txn) {
-		// txn is the victim: withdraw the request and abort.
-		lm.removeWaiter(q, req)
-		txn.waitingFor = nil
+		lm.withdraw(req)
 		lm.deadlocks.Add(1)
 		lm.deadlocksBy[lm.tables[res.index]]++
-		lm.mu.Unlock()
-		return ErrDeadlock
+		return nil, ErrDeadlock
 	}
 	lm.waits.Add(1)
-	lm.mu.Unlock()
+	return req, nil
+}
 
+// wait blocks until enqueue's request is granted or the wait times out;
+// a timed-out request is withdrawn.
+func (lm *lockManager) wait(req *lockReq, timeout time.Duration) error {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
@@ -250,9 +255,16 @@ func (lm *lockManager) Acquire(txn *Txn, res resource, mode LockMode, timeout ti
 		return nil
 	default:
 	}
-	lm.removeWaiter(q, req)
-	txn.waitingFor = nil
+	lm.withdraw(req)
 	return ErrLockWaitTimeout
+}
+
+// withdraw removes a queued request that was not granted. Caller holds
+// lm.mu.
+func (lm *lockManager) withdraw(req *lockReq) {
+	lm.removeWaiter(req.q, req)
+	req.txn.waitingFor = nil
+	lm.retire(req.q)
 }
 
 func (lm *lockManager) removeWaiter(q *lockQueue, req *lockReq) {
@@ -297,11 +309,15 @@ func (lm *lockManager) cycleThrough(start *Txn) bool {
 	return dfs(start)
 }
 
-// ReleaseAll drops every lock txn holds and wakes newly grantable
-// waiters. Called at commit and rollback (strict 2PL).
+// ReleaseAll withdraws txn's queued request, drops every lock it holds
+// and wakes newly grantable waiters. Called at commit and rollback (strict
+// 2PL).
 func (lm *lockManager) ReleaseAll(txn *Txn) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
+	if txn.waitingFor != nil {
+		lm.withdraw(txn.waitingFor)
+	}
 	for _, q := range txn.held {
 		// held lists a queue once per grant. A repeat visit finds no grant
 		// of txn left and is harmless, unless the first emptied the queue
@@ -318,15 +334,22 @@ func (lm *lockManager) ReleaseAll(txn *Txn) {
 		clear(q.grants[len(kept):]) // drop the released grants' *Txn
 		q.grants = kept
 		lm.promote(q)
-		if len(q.grants) == 0 && len(q.waiters) == 0 {
-			delete(lm.queues, q.res)
-			q.res = resource{}
-			if len(lm.free) < maxFreeQueues {
-				lm.free = append(lm.free, q)
-			}
-		}
+		lm.retire(q)
 	}
 	txn.held = nil
+}
+
+// retire drops a queue nobody holds or waits for from the table, keeping
+// it for reuse. Caller holds lm.mu.
+func (lm *lockManager) retire(q *lockQueue) {
+	if len(q.grants) > 0 || len(q.waiters) > 0 {
+		return
+	}
+	delete(lm.queues, q.res)
+	q.res = resource{}
+	if len(lm.free) < maxFreeQueues {
+		lm.free = append(lm.free, q)
+	}
 }
 
 // promote grants queued waiters that are now compatible, in FIFO order.

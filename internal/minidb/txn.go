@@ -15,6 +15,9 @@ const (
 	TxnActive TxnState = iota
 	TxnCommitted
 	TxnAborted
+	// TxnWaiting: TryExec left a lock request queued; only Rollback,
+	// which withdraws it, is valid.
+	TxnWaiting
 )
 
 // Txn is a database transaction running strict two-phase locking: every
@@ -26,7 +29,8 @@ type Txn struct {
 	state TxnState
 
 	// held lists the queue of every grant, in grant order; it and
-	// waitingFor are guarded by the lock manager's mutex.
+	// waitingFor are guarded by the lock manager's mutex. state is the
+	// transaction's own: only the goroutine running it reads or sets it.
 	held       []*lockQueue
 	heldArr    [16]*lockQueue // held's first backing array
 	waitingFor *lockReq
@@ -86,6 +90,19 @@ type ResultSet struct {
 // (detect-and-recover) and the error is returned; ErrDuplicateKey fails
 // only the statement and leaves the transaction active.
 func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
+	return t.exec(st, params, true)
+}
+
+// TryExec is Exec without the wait. When the statement needs a lock
+// another transaction holds, the request queues exactly as under Exec —
+// one that closes a cycle still aborts the transaction with ErrDeadlock —
+// and TryExec returns ErrWouldBlock with the request left queued. The
+// transaction is then TxnWaiting and accepts only Rollback.
+func (t *Txn) TryExec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
+	return t.exec(st, params, false)
+}
+
+func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool) (*ResultSet, error) {
 	if t.state != TxnActive {
 		return nil, ErrTxnDone
 	}
@@ -108,9 +125,17 @@ func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
 			}
 			return rs, err // a failed statement has no result
 		}
-		// Blocked mid-scan: wait for the contended lock, then restart the
-		// statement (locks already granted stay held, per 2PL).
-		if err := t.db.lm.Acquire(t, blocked.res, blocked.mode, t.db.cfg.LockWaitTimeout); err != nil {
+		// Blocked mid-scan: queue for the contended lock, wait for it, then
+		// restart the statement (locks already granted stay held, per 2PL).
+		req, err := t.db.lm.enqueue(t, blocked.res, blocked.mode)
+		if req != nil {
+			if !wait {
+				t.state = TxnWaiting
+				return nil, ErrWouldBlock
+			}
+			err = t.db.lm.wait(req, t.db.cfg.LockWaitTimeout)
+		}
+		if err != nil {
 			t.rollbackInternal()
 			return nil, err
 		}
@@ -171,12 +196,13 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// Rollback undoes the transaction's effects and releases its locks.
+// Rollback undoes the transaction's effects, withdraws its queued lock
+// request if it has one, and releases its locks.
 func (t *Txn) Rollback() error {
-	if t.state != TxnAborted && t.state != TxnActive {
+	switch t.state {
+	case TxnCommitted:
 		return ErrTxnDone
-	}
-	if t.state == TxnAborted {
+	case TxnAborted:
 		// Already rolled back internally when the engine aborted it.
 		return nil
 	}

@@ -4,21 +4,17 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
-	"weseer/internal/minidb"
 )
 
-// openCatalogApp opens a Table II model app with a short lock-wait
-// timeout so Blocked outcomes resolve quickly instead of stalling the
-// test for the default 2s per wait.
+// openCatalogApp opens a Table II model app at the default configuration.
 func openCatalogApp(t *testing.T, name string) apps.App {
 	t.Helper()
-	app, err := apps.Open(name, apps.Options{DB: minidb.Config{LockWaitTimeout: 250 * time.Millisecond}})
+	app, err := apps.Open(name, apps.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +28,6 @@ func openCatalogApp(t *testing.T, name string) apps.App {
 // NoConflict or SetupFailed is a regression — either the report lost
 // its concrete parameters or the replayer lost an edge.
 func TestCatalogReproducesDeadlocked(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replays the whole catalog; skip in -short")
-	}
 	reproduced := map[string]bool{}
 	tried := map[string]int{}
 	for _, name := range []string{"broadleaf", "shopizer"} {

@@ -9,15 +9,17 @@
 // S1a and waits at S1b; T2 holds at S2a and waits at S2b. Reproduction
 // opens two transactions against a database holding the collection-time
 // state, executes the two lock-holding statements with their recorded
-// concrete parameters, and then issues the two waiting statements
-// concurrently. If the report is a true positive, the engine's
-// detect-and-recover machinery fires and one side returns ErrDeadlock.
+// concrete parameters, and then issues the two waiting statements in
+// turn. Every statement runs through minidb's TryExec on the caller's
+// goroutine, so the lock manager — not a clock — says whether a statement
+// had to wait and whether its wait closed a cycle: if the report is a true
+// positive, T1's waiting statement queues and T2's closes the cycle and
+// returns ErrDeadlock.
 package replay
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"weseer/internal/apps/appkit"
 	"weseer/internal/core"
@@ -32,15 +34,16 @@ type Status uint8
 const (
 	// Deadlocked: the cycle fired; the engine aborted a victim.
 	Deadlocked Status = iota
-	// Blocked: the waiting statements contended (one blocked until the
-	// other committed) but no cycle closed — a near-miss, typically a
-	// conservative report whose second edge did not materialize.
+	// Blocked: one waiting statement queued behind the peer's lock but no
+	// cycle closed — a near-miss, typically a conservative report whose
+	// second edge did not materialize.
 	Blocked
-	// NoConflict: both waiting statements proceeded without contact; the
-	// report did not manifest on this state.
+	// NoConflict: both waiting statements ran without queuing; the report
+	// did not manifest on this state.
 	NoConflict
 	// SetupFailed: the holding statements could not be executed (state
-	// mismatch, duplicate keys, or mutual blocking).
+	// mismatch, duplicate keys, or T2's holding statement queuing behind
+	// T1's).
 	SetupFailed
 )
 
@@ -67,82 +70,42 @@ type Outcome struct {
 
 // Reproduce attempts to trigger the reported cycle on db, which must hold
 // the state the traces were collected against (rebuild it by re-running
-// the unit-test sequence; see appkit.RunPrefix). Both transactions
-// are rolled back before returning, so the database state is preserved.
+// the unit-test sequence; see appkit.RunPrefix). It runs S1a, S2a, S1b and
+// S2b in that order and classifies the outcome from the lock manager's
+// answers. Both transactions are rolled back before returning, so the
+// database state is preserved.
 func Reproduce(db *minidb.DB, cyc core.Cycle) Outcome {
 	t1, t2 := db.Begin(), db.Begin()
-	defer rollback(t1)
-	defer rollback(t2)
+	defer t1.Rollback()
+	defer t2.Rollback()
 
 	// Phase 1: take the held locks.
 	if err := execStmt(t1, cyc.S1a); err != nil {
 		return Outcome{Status: SetupFailed, Detail: fmt.Sprintf("T1 holding stmt: %v", err)}
 	}
-	if err := execStmt(t2, cyc.S2a); err != nil {
+	if err := execStmt(t2, cyc.S2a); errors.Is(err, minidb.ErrWouldBlock) {
+		return Outcome{Status: SetupFailed, Detail: fmt.Sprintf("T2 holding stmt waits for T1 holding stmt %q", cyc.S1a.SQL)}
+	} else if err != nil {
 		return Outcome{Status: SetupFailed, Detail: fmt.Sprintf("T2 holding stmt: %v", err)}
 	}
 
-	// Phase 2: issue both waiting statements concurrently.
-	type res struct {
-		who string
-		err error
-		dur time.Duration
-	}
-	results := make(chan res, 2)
-	run := func(who string, txn *minidb.Txn, st *trace.Stmt) {
-		start := time.Now()
-		err := execStmt(txn, st)
-		results <- res{who: who, err: err, dur: time.Since(start)}
-	}
-	go run("T1", t1, cyc.S1b)
-	go run("T2", t2, cyc.S2b)
-
-	var errs []res
-	for i := 0; i < 2; i++ {
-		r := <-results
-		errs = append(errs, r)
-		// Unblock the peer: once one side finishes (successfully or as a
-		// deadlock victim), commit-like release is simulated by rollback
-		// in the deferred cleanup; for the Blocked classification we need
-		// the first finisher's locks released so the second can finish.
-		if i == 0 && r.err == nil {
-			// The first statement completed without waiting long; release
-			// its transaction so a merely-blocked peer can proceed.
-			if r.who == "T1" {
-				rollback(t1)
-			} else {
-				rollback(t2)
-			}
-		}
-	}
-
-	var deadlocked, blocked bool
-	var detail string
-	for _, r := range errs {
-		switch {
-		case errors.Is(r.err, minidb.ErrDeadlock):
-			deadlocked = true
-			detail = fmt.Sprintf("%s aborted as deadlock victim after %v", r.who, r.dur.Round(time.Millisecond))
-		case errors.Is(r.err, minidb.ErrLockWaitTimeout):
-			blocked = true
-			detail = fmt.Sprintf("%s timed out waiting", r.who)
-		case r.err != nil:
-			detail = fmt.Sprintf("%s: %v", r.who, r.err)
-		case r.dur > 20*time.Millisecond:
-			blocked = true
-			if detail == "" {
-				detail = fmt.Sprintf("%s waited %v for the peer", r.who, r.dur.Round(time.Millisecond))
-			}
-		}
-	}
+	// Phase 2: the waiting statements. A statement that needs the peer's
+	// lock stays queued; the second closes the cycle if there is one.
+	err1 := execStmt(t1, cyc.S1b)
+	err2 := execStmt(t2, cyc.S2b)
 	switch {
-	case deadlocked:
-		return Outcome{Status: Deadlocked, Detail: detail}
-	case blocked:
-		return Outcome{Status: Blocked, Detail: detail}
-	default:
-		return Outcome{Status: NoConflict, Detail: detail}
+	case errors.Is(err2, minidb.ErrDeadlock):
+		return Outcome{Status: Deadlocked, Detail: "T2 aborted as deadlock victim"}
+	case errors.Is(err1, minidb.ErrWouldBlock):
+		return Outcome{Status: Blocked, Detail: "T1 waiting stmt waits for T2"}
+	case errors.Is(err2, minidb.ErrWouldBlock):
+		return Outcome{Status: Blocked, Detail: "T2 waiting stmt waits for T1"}
+	case err1 != nil:
+		return Outcome{Status: NoConflict, Detail: fmt.Sprintf("T1 waiting stmt: %v", err1)}
+	case err2 != nil:
+		return Outcome{Status: NoConflict, Detail: fmt.Sprintf("T2 waiting stmt: %v", err2)}
 	}
+	return Outcome{Status: NoConflict}
 }
 
 // ReproduceReport rebuilds the collection-time state with mkState and
@@ -185,12 +148,6 @@ func execStmt(txn *minidb.Txn, st *trace.Stmt) error {
 	for i, p := range st.Params {
 		params[i] = p.Concrete
 	}
-	_, err := txn.Exec(st.Parsed, params)
+	_, err := txn.TryExec(st.Parsed, params)
 	return err
-}
-
-func rollback(t *minidb.Txn) {
-	if t.State() == minidb.TxnActive || t.State() == minidb.TxnAborted {
-		t.Rollback()
-	}
 }

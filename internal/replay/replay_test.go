@@ -68,9 +68,6 @@ func TestReproduceD1(t *testing.T) {
 // bypasses) reproduce too — confirming they are database-level true
 // positives that only the app-level lock prevents.
 func TestReproduceReportTriage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replays every report; skip in -short")
-	}
 	res, mkState := analyzeBroadleaf(t)
 	outcomes := ReproduceReport(res, mkState)
 	counts := map[Status]int{}

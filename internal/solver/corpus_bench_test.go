@@ -53,7 +53,7 @@ func BenchmarkSolveCorpus(b *testing.B) {
 	var stats solver.Stats
 	for i := 0; i < b.N; i++ {
 		for _, f := range formulas {
-			res := solver.Solve(context.Background(), f, solver.Limits{})
+			res := solver.Solve(context.Background(), f)
 			if res.Status == solver.UNKNOWN {
 				b.Fatalf("UNKNOWN on %s", f)
 			}

@@ -24,7 +24,7 @@ func hardFormula(n int) smt.Expr {
 }
 
 // solve is Solve with the default limits and no cancellation.
-func solve(f smt.Expr) Result { return Solve(context.Background(), f, Limits{}) }
+func solve(f smt.Expr) Result { return Solve(context.Background(), f) }
 
 func itoa(n int) string {
 	if n == 0 {
@@ -43,7 +43,7 @@ func TestSolveCtxPreCanceled(t *testing.T) {
 	cancel()
 	f := hardFormula(12)
 	start := time.Now()
-	res := Solve(ctx, f, Limits{})
+	res := Solve(ctx, f)
 	if res.Status != UNKNOWN {
 		t.Fatalf("canceled solve returned %v, want UNKNOWN", res.Status)
 	}
@@ -59,7 +59,7 @@ func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	a := solve(f)
-	b := Solve(ctx, f, Limits{})
+	b := Solve(ctx, f)
 	if a.Status != b.Status {
 		t.Fatalf("background %v, cancelable %v", a.Status, b.Status)
 	}
@@ -74,7 +74,7 @@ func TestSolveCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	time.Sleep(2 * time.Millisecond)
-	res := Solve(ctx, hardFormula(20), Limits{})
+	res := Solve(ctx, hardFormula(20))
 	if res.Status != UNKNOWN {
 		t.Fatalf("status = %v, want UNKNOWN", res.Status)
 	}

@@ -89,7 +89,7 @@ func TestTheoryCheckAllocs(t *testing.T) {
 	cons = append(cons, smt.Le(vars[0], smt.Int(100)), smt.Ge(vars[5], smt.Int(-100)))
 	f := smt.And(cons...)
 
-	s := newSession(f, Limits{FM: defaultFMLimits()})
+	s := newSession(f, defaultFMLimits())
 	if _, ok := s.nnf(f, true); !ok || len(s.atoms) != len(cons) {
 		t.Fatalf("atomized %d constraints into %d atoms", len(cons), len(s.atoms))
 	}
@@ -121,7 +121,7 @@ func TestTheoryCheckAllocs(t *testing.T) {
 // hash slot: the second must get its own atom, and find it again.
 func TestInternLinProbesPastCollision(t *testing.T) {
 	x := smt.NewVar("x", smt.SortInt)
-	s := newSession(x, Limits{})
+	s := newSession(x, defaultFMLimits())
 	row := func(rhs int64) linCon {
 		return linCon{terms: []term{{x: 0, co: ratOne}}, rhs: ratInt(rhs), op: opLE}
 	}

@@ -79,35 +79,27 @@ type Result struct {
 	Stats  Stats
 }
 
-// Limits bound solver work; zero values select defaults.
-type Limits struct {
-	// MaxTheoryCalls caps CDCL(T) theory checks before giving up UNKNOWN.
-	MaxTheoryCalls int
-	// FM holds the arithmetic-theory limits.
-	FM fmLimits
+// maxTheoryCalls caps the CDCL(T) theory checks of one Solve before it
+// gives up UNKNOWN; defaultFMLimits bounds each check.
+const maxTheoryCalls = 20000
+
+// Solve decides f within the package's work budgets, honoring ctx
+// cancellation: the CDCL(T) loop and the Fourier–Motzkin elimination
+// rounds poll the context and abandon the search promptly once it is done.
+// A canceled call returns UNKNOWN; callers that need to tell cancellation
+// apart from a budget UNKNOWN check ctx.Err().
+func Solve(ctx context.Context, f smt.Expr) Result {
+	return solveBudget(ctx, f, maxTheoryCalls)
 }
 
-func (l *Limits) setDefaults() {
-	if l.MaxTheoryCalls == 0 {
-		l.MaxTheoryCalls = 20000
-	}
-	if l.FM.maxConstraints == 0 {
-		l.FM = defaultFMLimits()
-	}
-}
-
-// Solve decides f under resource limits (Limits{} for the defaults),
-// honoring ctx cancellation: the CDCL(T) loop and the Fourier–Motzkin
-// elimination rounds poll the context and abandon the search promptly once
-// it is done. A canceled call returns UNKNOWN; callers that need to tell
-// cancellation apart from a resource-limit UNKNOWN check ctx.Err().
-func Solve(ctx context.Context, f smt.Expr, lim Limits) Result {
-	lim.setDefaults()
+// solveBudget is Solve with theoryCalls in place of maxTheoryCalls.
+func solveBudget(ctx context.Context, f smt.Expr, theoryCalls int) Result {
+	fm := defaultFMLimits()
 	if ctx != nil && ctx.Done() != nil {
-		lim.FM.stop = func() bool { return ctx.Err() != nil }
+		fm.stop = func() bool { return ctx.Err() != nil }
 	}
 	f = smt.Simplify(f)
-	s := newSession(f, lim)
+	s := newSession(f, fm)
 	f = expandSelects(f)
 
 	if c, ok := f.(smt.BoolConst); ok {
@@ -162,8 +154,8 @@ func Solve(ctx context.Context, f smt.Expr, lim Limits) Result {
 		return exhausted()
 	}
 	checkedEvents := -1
-	for s.stats.TheoryCalls < lim.MaxTheoryCalls {
-		if s.lim.FM.stop != nil && s.lim.FM.stop() {
+	for s.stats.TheoryCalls < theoryCalls {
+		if fm.stop != nil && fm.stop() {
 			return Result{Status: UNKNOWN, Stats: s.stats}
 		}
 		if confl := d.propagate(); confl != nil {
@@ -254,7 +246,6 @@ type strPair struct{ l, r strTerm }
 type selKey struct{ root, key string }
 
 type session struct {
-	lim   Limits
 	atoms []atomInfo
 	// Atom-interning indexes, one per atom kind; they live and die with
 	// the session.
@@ -296,10 +287,9 @@ type session struct {
 }
 
 // newSession numbers the variables of f (already simplified).
-func newSession(f smt.Expr, lim Limits) *session {
+func newSession(f smt.Expr, lim fmLimits) *session {
 	vars := smt.VarSet(f)
 	s := &session{
-		lim:        lim,
 		boolAtoms:  map[string]int{},
 		strAtoms:   map[strPair]int{},
 		selAtomIdx: map[selKey]int{},
@@ -316,7 +306,7 @@ func newSession(f smt.Expr, lim Limits) *session {
 		s.varID[name] = int32(id)
 		isInt[id] = vars[name] == smt.SortInt
 	}
-	s.lin = newLinSolver(isInt, lim.FM)
+	s.lin = newLinSolver(isInt, lim)
 	s.lastAsn = newAssignment(len(isInt))
 	s.acc = newAssignment(len(isInt))
 	return s

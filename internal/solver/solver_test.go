@@ -448,7 +448,7 @@ func TestLimitsUnknown(t *testing.T) {
 		parts = append(parts, smt.Or(smt.Eq(x, smt.Int(int64(i))), smt.Eq(x, smt.Int(int64(i+100)))))
 	}
 	f := smt.And(parts...)
-	res := Solve(context.Background(), f, Limits{MaxTheoryCalls: 1})
+	res := solveBudget(context.Background(), f, 1)
 	if res.Status == SAT && !smt.Eval(f, res.Model).B {
 		t.Fatal("SAT without valid model")
 	}

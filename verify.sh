@@ -193,6 +193,20 @@ for app in broadleaf shopizer "gen:7,templates=96"; do
     }
 done
 
+# Replay smoke: `weseer run -reproduce` replays every report of both model
+# apps through minidb's TryExec. The lock manager, not a clock, decides
+# each verdict, so the count lines are exact.
+echo "== replay smoke (weseer run -reproduce, broadleaf and shopizer)"
+for want in "broadleaf:166 DEADLOCKED, 11 blocked, 0 no-conflict, 3 setup-failed (of 180 reports)" \
+    "shopizer:42 DEADLOCKED, 6 blocked, 0 no-conflict, 17 setup-failed (of 65 reports)"; do
+    app=${want%%:*}
+    got=$("$tfdir/weseer" run -app "$app" -reproduce | tail -n 1 | sed 's/^ *//')
+    [ "$got" = "${want#*:}" ] || {
+        echo "replay smoke: $app: got [$got], want [${want#*:}]" >&2
+        exit 1
+    }
+done
+
 # Fix-verification smoke: a tiny pinned-seed generated corpus through
 # the full fixgain loop — diagnose, plan ranked fixes, apply each
 # (individually and cumulatively), re-analyze, and drive the workload
