@@ -29,10 +29,10 @@ func (ex *executor) resolve(op *operand) (Datum, bool) {
 	case sqlast.Null:
 		return NullDatum(KInt), true
 	case sqlast.Col:
-		if op.slot < 0 || ex.rows[op.slot] == nil {
+		if op.slot < 0 || !ex.steps[op.slot].bound {
 			return Datum{}, false
 		}
-		return ex.rows[op.slot][op.pos], true
+		return ex.steps[op.slot].row[op.pos], true
 	}
 	panic("minidb: bad operand kind")
 }

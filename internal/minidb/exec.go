@@ -2,6 +2,8 @@ package minidb
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"weseer/internal/schema"
 )
@@ -24,46 +26,68 @@ type blockedOn struct {
 type executor struct {
 	txn    *Txn
 	params []Datum
-	// rows holds the row bound at each plan step, nil while unbound.
-	rows []Row
-	// pfx is the running scan's equality prefix, buf the encoded key of
-	// the lock being requested, out a SELECT's output cells so far.
-	pfx     Key
-	buf     []byte
-	out     []Datum
-	blocked *blockedOn
+	// steps holds each plan step's scan hits and bound row.
+	steps []step
+	// row is the row an INSERT or UPDATE writes, buf and buf2 the keys
+	// being encoded, keys the secondary keys a write touches, out a
+	// SELECT's output cells so far.
+	row       Row
+	buf, buf2 []byte
+	keys      []string
+	out       []Datum
+	blocked   *blockedOn
+}
+
+// step is one plan step's scratch: the hits of its scan, and the row it
+// is bound to, decoded, while bound is set.
+type step struct {
+	hits  []scanHit
+	row   Row
+	bound bool
+}
+
+// bind decodes a stored row into plan step i.
+func (ex *executor) bind(i int, row string) Row {
+	s := &ex.steps[i]
+	s.row, s.bound = ex.txn.db.decodeRow(s.row, row), true
+	return s.row
+}
+
+// key encodes ix's entry key of a row.
+func (ex *executor) key(ix *index, row Row) string {
+	ex.buf = ix.appendKey(ex.buf[:0], row)
+	return string(ex.buf)
 }
 
 // lock try-acquires a record lock on an index entry or the gap below it
-// (a nil key: below the supremum) and records the first blockage.
-func (ex *executor) lock(ix *index, kind LockKind, key Key, mode LockMode) bool {
+// (the empty key: below the supremum) and records the first blockage.
+func (ex *executor) lock(ix *index, kind LockKind, key string, mode LockMode) bool {
 	if ex.blocked != nil {
 		return false
 	}
-	ex.buf = appendKey(ex.buf[:0], key)
-	if ex.txn.db.lm.TryAcquire(ex.txn, ix.id, kind, ex.buf, mode) {
+	if ex.txn.db.lm.TryAcquire(ex.txn, ix.id, kind, key, mode) {
 		return true
 	}
-	ex.blocked = &blockedOn{res: resource{ix.id, kind, string(ex.buf)}, mode: mode}
+	ex.blocked = &blockedOn{res: resource{ix.id, kind, key}, mode: mode}
 	return false
 }
 
 // lockGapAbove locks the gap that k's successor in the index bounds (the
 // supremum's when k has none): the gap a new entry k lands in, and the gap
 // that inherits a purged entry's protection.
-func (ex *executor) lockGapAbove(ts *tableStore, ix *index, k Key, mode LockMode) bool {
-	var succ Key
-	next := func(key Key) bool {
-		if key.Cmp(k) == 0 {
+func (ex *executor) lockGapAbove(ts *tableStore, ix *index, k string, mode LockMode) bool {
+	var succ string
+	next := func(key string) bool {
+		if key == k {
 			return true // skip the key itself (its tombstone, or the row being deleted)
 		}
 		succ = key
 		return false
 	}
 	if ix.entries == nil {
-		ts.primary.Ascend(k, func(key Key, _ *rowEntry) bool { return next(key) })
+		ts.primary.Ascend(k, func(key string, _ rowEntry) bool { return next(key) })
 	} else {
-		ix.entries.Ascend(k, func(key Key, _ *secEntry) bool { return next(key) })
+		ix.entries.Ascend(k, func(key string, _ secEntry) bool { return next(key) })
 	}
 	return ex.lock(ix, GapLock, succ, mode)
 }
@@ -71,30 +95,30 @@ func (ex *executor) lockGapAbove(ts *tableStore, ix *index, k Key, mode LockMode
 // ---------------------------------------------------------------------------
 // Scanning
 
-// scanHit is one row produced by an index scan.
+// scanHit is one row produced by an index scan: its primary key and the
+// row, both encoded.
 type scanHit struct {
-	pk  Key
-	row Row
+	pk, row string
 }
 
-// scanIndex fetches rows matching the equality prefix, acquiring locks as
-// InnoDB does while traversing: unique point queries lock just the
-// record; other scans take next-key locks on every visited entry plus the
-// gap before the first entry beyond the range; empty results lock that
-// gap alone. Secondary-index hits additionally lock the primary record
-// (Alg. 2 of the paper models exactly this procedure).
-func (ex *executor) scanIndex(ac *access, pfx Key, mode LockMode) []scanHit {
+// scanIndex fetches the rows of plan step i matching the equality prefix,
+// acquiring locks as InnoDB does while traversing: unique point queries
+// lock just the record; other scans take next-key locks on every visited
+// entry plus the gap before the first entry beyond the range; empty
+// results lock that gap alone. Secondary-index hits additionally lock the
+// primary record (Alg. 2 of the paper models exactly this procedure).
+func (ex *executor) scanIndex(ac *access, i int, pfx string, mode LockMode) []scanHit {
 	ts, primary := ac.ts, ac.ts.indexes[0]
 	ix := ac.ix
 	if ix == nil {
 		ix = primary
 	}
-	uniquePoint := ix.Unique && len(pfx) == len(ix.Columns)
+	uniquePoint := ix.Unique && len(ac.eq) == len(ix.Columns)
 
-	var hits []scanHit
+	hits := ex.steps[i].hits[:0]
 	done := false
-	visit := func(entry Key, pk Key, row Row, deleted bool) bool {
-		if !keyHasPrefix(entry, pfx) {
+	visit := func(entry, pk, row string, deleted bool) bool {
+		if !strings.HasPrefix(entry, pfx) {
 			// First entry beyond the range bounds the scanned gap.
 			if !uniquePoint || len(hits) == 0 {
 				ex.lock(ix, GapLock, entry, mode)
@@ -128,55 +152,45 @@ func (ex *executor) scanIndex(ac *access, pfx Key, mode LockMode) []scanHit {
 	}
 
 	if ix.Type == schema.Primary {
-		ts.primary.Ascend(pfx, func(k Key, e *rowEntry) bool {
+		ts.primary.Ascend(pfx, func(k string, e rowEntry) bool {
 			return visit(k, k, e.row, e.deleted)
 		})
 	} else {
-		ix.entries.Ascend(pfx, func(k Key, e *secEntry) bool {
+		ix.entries.Ascend(pfx, func(k string, e secEntry) bool {
+			pk := ix.pkOf(k)
 			if e.deleted {
-				return visit(k, e.pk, nil, true)
+				return visit(k, pk, "", true)
 			}
-			pe, ok := ts.primary.Get(e.pk)
+			pe, ok := ts.primary.Get(pk)
 			if !ok || pe.deleted {
-				return visit(k, e.pk, nil, true)
+				return visit(k, pk, "", true)
 			}
-			return visit(k, e.pk, pe.row, false)
+			return visit(k, pk, pe.row, false)
 		})
 	}
+	ex.steps[i].hits = hits
 	if ex.blocked != nil {
 		return nil
 	}
 	if !done && !(uniquePoint && len(hits) > 0) {
 		// Ran off the end of the index: the supremum gap bounds the scan.
-		ex.lock(ix, GapLock, nil, mode)
+		ex.lock(ix, GapLock, "", mode)
 	}
 	return hits
 }
 
-func keyHasPrefix(k, pfx Key) bool {
-	if len(k) < len(pfx) {
-		return false
-	}
-	for i := range pfx {
-		if k[i].Cmp(pfx[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// prefixKey resolves the access's equality bindings to datums, in the
-// executor's scratch key: it is good until the next scan starts.
-func (ex *executor) prefixKey(ac *access) (Key, bool) {
-	ex.pfx = ex.pfx[:0]
+// prefixKey encodes the access's equality bindings; false means a NULL
+// (or unbound) value, which matches nothing.
+func (ex *executor) prefixKey(ac *access) (string, bool) {
+	ex.buf = ex.buf[:0]
 	for i := range ac.eq {
 		d, ok := ex.resolve(&ac.eq[i])
 		if !ok || d.Null {
-			return nil, false
+			return "", false
 		}
-		ex.pfx = append(ex.pfx, d)
+		ex.buf = appendKeyField(ex.buf, d)
 	}
-	return ex.pfx, true
+	return string(ex.buf), true
 }
 
 // ---------------------------------------------------------------------------
@@ -204,14 +218,14 @@ func (ex *executor) join(p *prepared, i int) {
 	if !ok {
 		return // a NULL join key matches nothing
 	}
-	for _, h := range ex.scanIndex(ac, pfx, LockS) {
-		ex.rows[i] = h.row
+	for _, h := range ex.scanIndex(ac, i, pfx, LockS) {
+		ex.bind(i, h.row)
 		ex.join(p, i+1)
 		if ex.blocked != nil {
 			return
 		}
 	}
-	ex.rows[i] = nil
+	ex.steps[i].bound = false
 }
 
 // result copies the output cells out of the scratch, in one allocation cut
@@ -250,43 +264,97 @@ func (ex *executor) execUpdate(p *prepared) (*ResultSet, error) {
 }
 
 // rewrite applies assignments to one stored row. It X-locks the secondary
-// entries whose keys change before it writes anything; false with a nil
-// error means one of those locks blocked.
-func (ex *executor) rewrite(ts *tableStore, pk Key, row Row, set []assign, clause string) (bool, error) {
-	ex.rows[0] = row
-	newRow := row.clone()
+// entries whose keys change and checks the unique ones before it writes
+// anything; false with a nil error means one of those locks blocked.
+func (ex *executor) rewrite(ts *tableStore, pk, stored string, set []assign, clause string) (bool, error) {
+	row := ex.bind(0, stored)
+	ex.row = append(ex.row[:0], row...)
 	for i := range set {
 		d, ok := ex.resolve(&set[i].val)
 		if !ok {
 			return false, fmt.Errorf("minidb: unresolvable %s value %s", clause, set[i].val.Operand)
 		}
-		newRow[set[i].pos] = d
+		ex.row[set[i].pos] = d
 	}
-	changed := func(ix *index) bool {
-		for _, c := range ix.cols {
-			if row[c].Cmp(newRow[c]) != 0 {
-				return true
-			}
-		}
-		return false
-	}
+	// keys holds each secondary's old and new key, both "" when unchanged.
+	ex.keys = ex.keys[:0]
 	for _, ix := range ts.indexes[1:] {
-		if changed(ix) && !(ex.lock(ix, RecordLock, ix.keyOf(row), LockX) && ex.lock(ix, RecordLock, ix.keyOf(newRow), LockX)) {
+		ex.buf, ex.buf2 = ix.appendKey(ex.buf[:0], row), ix.appendKey(ex.buf2[:0], ex.row)
+		if string(ex.buf) == string(ex.buf2) {
+			ex.keys = append(ex.keys, "", "")
+			continue
+		}
+		oldK, newK := string(ex.buf), string(ex.buf2)
+		ex.keys = append(ex.keys, oldK, newK)
+		if !(ex.lock(ix, RecordLock, oldK, LockX) && ex.lock(ix, RecordLock, newK, LockX)) {
 			return false, nil
 		}
-	}
-	for _, ix := range ts.indexes[1:] {
-		if changed(ix) {
-			// The old entry becomes a tombstone purged at commit; the new
-			// entry goes live.
-			oldK := ix.keyOf(row)
-			ex.txn.putSecondary(ix, oldK, &secEntry{pk: pk, deleted: true})
-			ex.txn.purge = append(ex.txn.purge, purgeRec{ix: ix, key: oldK})
-			ex.txn.putSecondary(ix, ix.keyOf(newRow), &secEntry{pk: pk})
+		dup, ok := ex.duplicate(ix, ex.row, newK)
+		if !ok {
+			return false, nil
+		}
+		if dup != "" {
+			return false, ex.duplicateKey(ts, dup)
 		}
 	}
-	ex.txn.putPrimary(ts, pk, &rowEntry{row: newRow})
+	for i, ix := range ts.indexes[1:] {
+		if oldK, newK := ex.keys[2*i], ex.keys[2*i+1]; oldK != "" {
+			// The old entry becomes a tombstone purged at commit; the new
+			// entry goes live.
+			ex.txn.putSecondary(ix, oldK, secEntry{deleted: true})
+			ex.txn.purge = append(ex.txn.purge, purgeRec{ix: ix, key: oldK})
+			ex.txn.putSecondary(ix, newK, secEntry{})
+		}
+	}
+	ex.txn.putPrimary(ts, pk, rowEntry{row: ex.encodeRow()})
 	return true, nil
+}
+
+// encodeRow encodes ex.row for storage.
+func (ex *executor) encodeRow() string {
+	ex.buf = ex.buf[:0]
+	for _, d := range ex.row {
+		ex.buf = appendRowField(ex.buf, d)
+	}
+	return string(ex.buf)
+}
+
+// duplicate looks for a live entry of the unique index ix that shares the
+// unique columns of key, the entry of row, and returns its primary key, or
+// "". A key with a NULL there collides with nothing, as in InnoDB. A
+// tombstone there S-locks, serializing the check against its deleter;
+// false means that lock blocked.
+func (ex *executor) duplicate(ix *index, row Row, key string) (string, bool) {
+	if !ix.Unique || slices.ContainsFunc(ix.cols[:len(ix.Columns)], func(c int) bool { return row[c].Null }) {
+		return "", true
+	}
+	pfx := key[:len(key)-len(ix.pkOf(key))]
+	var dup, tomb string
+	ix.entries.Ascend(pfx, func(k string, e secEntry) bool {
+		if !strings.HasPrefix(k, pfx) {
+			return false
+		}
+		if e.deleted {
+			tomb = k
+			return true // a tombstone is not a duplicate; keep looking
+		}
+		dup = ix.pkOf(k)
+		return false
+	})
+	if dup == "" && tomb != "" && !ex.lock(ix, RecordLock, tomb, LockS) {
+		return "", false
+	}
+	return dup, true
+}
+
+// duplicateKey locks the primary record pk a write collided with shared,
+// as InnoDB does, and returns the statement's error; nil when the lock
+// blocked.
+func (ex *executor) duplicateKey(ts *tableStore, pk string) error {
+	if !ex.lock(ts.indexes[0], RecordLock, pk, LockS) {
+		return nil
+	}
+	return fmt.Errorf("%w: %s%v", ErrDuplicateKey, ts.meta.Name, ex.txn.db.decodeRow(nil, pk))
 }
 
 // writeScan locates rows matching a single-table WHERE with X locks.
@@ -295,15 +363,15 @@ func (ex *executor) writeScan(p *prepared) []scanHit {
 	if !ok {
 		return nil
 	}
-	hits := ex.scanIndex(&p.plan[0], pfx, LockX)
+	hits := ex.scanIndex(&p.plan[0], 0, pfx, LockX)
 	matched := hits[:0]
 	for _, h := range hits {
-		ex.rows[0] = h.row
+		ex.bind(0, h.row)
 		if ex.evalCond(&p.cond) {
 			matched = append(matched, h)
 		}
 	}
-	ex.rows[0] = nil
+	ex.steps[0].bound = false
 	return matched
 }
 
@@ -313,20 +381,20 @@ func (ex *executor) writeScan(p *prepared) []scanHit {
 func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 	ts := p.plan[0].ts
 	table, primary, secondaries := ts.meta.Name, ts.indexes[0], ts.indexes[1:]
-	row := p.blank.clone()
+	ex.row = append(ex.row[:0], p.blank...)
 	for i := range p.set {
 		d, ok := ex.resolve(&p.set[i].val)
 		if !ok {
 			return nil, fmt.Errorf("minidb: unresolvable INSERT value %s", p.set[i].val.Operand)
 		}
-		row[p.set[i].pos] = d
+		ex.row[p.set[i].pos] = d
 	}
-	pk := primary.keyOf(row)
-	for _, d := range pk {
-		if d.Null {
+	for _, c := range primary.cols {
+		if ex.row[c].Null {
 			return nil, fmt.Errorf("minidb: NULL primary key in INSERT INTO %s", table)
 		}
 	}
+	pk := ex.key(primary, ex.row)
 
 	// Duplicate on the primary key? A delete-marked tombstone is not a
 	// duplicate, but inserting over it must first serialize against the
@@ -340,33 +408,16 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 		}
 	}
 	// Duplicate on a unique secondary?
-	keys := make([]Key, len(secondaries))
-	for i, ix := range secondaries {
-		keys[i] = ix.keyOf(row)
-		if !ix.Unique {
-			continue
+	ex.keys = ex.keys[:0]
+	for _, ix := range secondaries {
+		k := ex.key(ix, ex.row)
+		ex.keys = append(ex.keys, k)
+		dup, ok := ex.duplicate(ix, ex.row, k)
+		if !ok {
+			return nil, nil
 		}
-		pfx := keys[i][:len(ix.Columns)]
-		var dupPK, tombK Key
-		ix.entries.Ascend(pfx, func(k Key, e *secEntry) bool {
-			if !keyHasPrefix(k, pfx) {
-				return false
-			}
-			if e.deleted {
-				tombK = k
-				return true // a tombstone is not a duplicate; keep looking
-			}
-			dupPK = e.pk
-			return false
-		})
-		if dupPK != nil {
-			return ex.insertDuplicate(p, dupPK)
-		}
-		if tombK != nil {
-			// Serialize the uniqueness check against the in-flight deleter.
-			if !ex.lock(ix, RecordLock, tombK, LockS) {
-				return nil, nil
-			}
+		if dup != "" {
+			return ex.insertDuplicate(p, dup)
 		}
 	}
 
@@ -378,7 +429,7 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 		return nil, nil
 	}
 	for i, ix := range secondaries {
-		if !ex.lockGapAbove(ts, ix, keys[i], LockII) {
+		if !ex.lockGapAbove(ts, ix, ex.keys[i], LockII) {
 			return nil, nil
 		}
 	}
@@ -386,14 +437,14 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 		return nil, nil
 	}
 	for i, ix := range secondaries {
-		if !ex.lock(ix, RecordLock, keys[i], LockX) {
+		if !ex.lock(ix, RecordLock, ex.keys[i], LockX) {
 			return nil, nil
 		}
 	}
 
-	ex.txn.putPrimary(ts, pk, &rowEntry{row: row})
+	ex.txn.putPrimary(ts, pk, rowEntry{row: ex.encodeRow()})
 	for i, ix := range secondaries {
-		ex.txn.putSecondary(ix, keys[i], &secEntry{pk: pk})
+		ex.txn.putSecondary(ix, ex.keys[i], secEntry{})
 	}
 	return &ResultSet{Affected: 1}, nil
 }
@@ -401,13 +452,10 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 // insertDuplicate handles a uniqueness collision: plain INSERT locks the
 // existing record shared (as InnoDB does) and fails; UPSERT locks it
 // exclusive and applies the ON DUPLICATE KEY UPDATE assignments.
-func (ex *executor) insertDuplicate(p *prepared, pk Key) (*ResultSet, error) {
+func (ex *executor) insertDuplicate(p *prepared, pk string) (*ResultSet, error) {
 	ts := p.plan[0].ts
 	if p.onDup == nil {
-		if !ex.lock(ts.indexes[0], RecordLock, pk, LockS) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("%w: %s%s", ErrDuplicateKey, ts.meta.Name, pk)
+		return nil, ex.duplicateKey(ts, pk)
 	}
 	if !ex.lock(ts.indexes[0], RecordLock, pk, LockX) {
 		return nil, nil
@@ -428,9 +476,14 @@ func (ex *executor) insertDuplicate(p *prepared, pk Key) (*ResultSet, error) {
 func (ex *executor) execDelete(p *prepared) *ResultSet {
 	ts := p.plan[0].ts
 	hits := ex.writeScan(p)
+	// keys holds each hit's secondary keys, hit by hit.
+	ex.keys = ex.keys[:0]
 	for _, h := range hits {
+		row, first := ex.bind(0, h.row), len(ex.keys)
 		for _, ix := range ts.indexes[1:] {
-			if !ex.lock(ix, RecordLock, ix.keyOf(h.row), LockX) {
+			k := ex.key(ix, row)
+			ex.keys = append(ex.keys, k)
+			if !ex.lock(ix, RecordLock, k, LockX) {
 				return nil
 			}
 		}
@@ -441,8 +494,8 @@ func (ex *executor) execDelete(p *prepared) *ResultSet {
 		if !ex.lockGapAbove(ts, ts.indexes[0], h.pk, LockX) {
 			return nil
 		}
-		for _, ix := range ts.indexes[1:] {
-			if !ex.lockGapAbove(ts, ix, ix.keyOf(h.row), LockX) {
+		for i, ix := range ts.indexes[1:] {
+			if !ex.lockGapAbove(ts, ix, ex.keys[first+i], LockX) {
 				return nil
 			}
 		}
@@ -451,8 +504,9 @@ func (ex *executor) execDelete(p *prepared) *ResultSet {
 		return nil
 	}
 	rs := &ResultSet{}
-	for _, h := range hits {
-		ex.txn.markDeleted(ts, h.pk, h.row)
+	n := len(ts.indexes) - 1
+	for i, h := range hits {
+		ex.txn.markDeleted(ts, h.pk, h.row, ex.keys[i*n:(i+1)*n])
 		rs.Affected++
 	}
 	return rs

@@ -25,19 +25,23 @@ func decimalSchema() *schema.Schema {
 	return s
 }
 
+// TestDecimalColumnRoundTrip: a decimal column gives back what was stored,
+// kind included: a Real, an Int, and a NULL of kind KReal.
 func TestDecimalColumnRoundTrip(t *testing.T) {
 	db := Open(decimalSchema(), Config{})
 	txn := db.Begin()
-	if _, err := txn.Exec(sqlast.MustParse(`INSERT INTO Acct (ID, BAL) VALUES (?, ?)`),
-		[]Datum{I64(1), Real(big.NewRat(355, 113))}); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := txn.Exec(sqlast.MustParse(`SELECT a.BAL FROM Acct a WHERE a.ID = ?`), []Datum{I64(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Rows[0][0].R.Cmp(big.NewRat(355, 113)) != 0 {
-		t.Errorf("bal = %v", rs.Rows[0][0])
+	for id, bal := range []Datum{Real(big.NewRat(355, 113)), I64(7), NullDatum(KReal)} {
+		if _, err := txn.Exec(sqlast.MustParse(`INSERT INTO Acct (ID, BAL) VALUES (?, ?)`),
+			[]Datum{I64(int64(id)), bal}); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := txn.Exec(sqlast.MustParse(`SELECT a.BAL FROM Acct a WHERE a.ID = ?`), []Datum{I64(int64(id))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rs.Rows[0][0]; got.Null != bal.Null || got.Kind != bal.Kind || got.String() != bal.String() {
+			t.Errorf("stored %#v, read back %#v", bal, got)
+		}
 	}
 	txn.Commit()
 }

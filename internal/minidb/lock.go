@@ -62,7 +62,7 @@ const (
 type resource struct {
 	index uint32 // index.id
 	kind  LockKind
-	// key is appendKey's encoding of the entry key; the empty key is the
+	// key is the entry's tree key (datum.go); the empty key is the
 	// supremum pseudo-record that bounds the last gap of an index.
 	key string
 }
@@ -184,15 +184,11 @@ func (lm *lockManager) grantable(q *lockQueue, txn *Txn, mode LockMode, kind Loc
 }
 
 // TryAcquire grants the lock iff it is immediately available. It never
-// waits and never detects deadlocks. key is the encoded entry key; it is
-// copied only when the resource gets a queue of its own.
-func (lm *lockManager) TryAcquire(txn *Txn, index uint32, kind LockKind, key []byte, mode LockMode) bool {
+// waits and never detects deadlocks. key is the entry's tree key.
+func (lm *lockManager) TryAcquire(txn *Txn, index uint32, kind LockKind, key string, mode LockMode) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	q := lm.queues[resource{index, kind, string(key)}] // no copy: a lookup-only conversion
-	if q == nil {
-		q = lm.queue(resource{index, kind, string(key)})
-	}
+	q := lm.queue(resource{index, kind, key})
 	if lm.holdsAtLeast(q, txn, mode) {
 		return true
 	}

@@ -199,6 +199,58 @@ func TestUniqueSecondaryDuplicate(t *testing.T) {
 	txn.Commit()
 }
 
+// TestUpdateKeepsUniqueIndex: an UPDATE onto a unique key another row
+// holds fails like the INSERT would, S-locking that row, and a multi-row
+// UPDATE whose second row collides leaves both rows as they were.
+func TestUpdateKeepsUniqueIndex(t *testing.T) {
+	db := openTest(t)
+	txn := db.Begin()
+	exec(t, txn, `INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`, I64(1), Str("a"))
+	exec(t, txn, `INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`, I64(2), Str("b"))
+	txn.Commit()
+
+	txn = db.Begin()
+	_, err := txn.Exec(sqlast.MustParse(`UPDATE Users SET EMAIL = ? WHERE ID = ?`), []Datum{Str("a"), I64(2)})
+	if !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("UPDATE onto a taken unique key: err = %v", err)
+	}
+	if g := GrantsOf(txn); g[len(g)-1] != (Grant{Table: "Users", Index: "PRIMARY", Key: "(1)", Mode: LockS}) {
+		t.Errorf("last grant %+v, want an S lock on the colliding row", g[len(g)-1])
+	}
+	_, err = txn.Exec(sqlast.MustParse(`UPDATE Users SET EMAIL = ? WHERE ID > ?`), []Datum{Str("c"), I64(0)})
+	if !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("UPDATE of two rows onto one key: err = %v", err)
+	}
+	for _, email := range []string{"a", "b"} {
+		rs := exec(t, txn, `SELECT u.ID FROM Users u WHERE u.EMAIL = ?`, Str(email))
+		if len(rs.Rows) != 1 {
+			t.Errorf("EMAIL %s: %v", email, rs.Rows)
+		}
+	}
+	if rs := exec(t, txn, `SELECT u.ID FROM Users u WHERE u.EMAIL = ?`, Str("c")); len(rs.Rows) != 0 {
+		t.Errorf("the failed UPDATE left EMAIL c on %v", rs.Rows)
+	}
+	txn.Commit()
+	if rows := db.TableRows("Users"); fmt.Sprint(rows) != "[[1 'a'] [2 'b']]" {
+		t.Errorf("rows after the failed UPDATEs: %v", rows)
+	}
+}
+
+// TestUniqueIndexAdmitsNulls: as in InnoDB, NULLs in a unique index
+// collide with nothing, on INSERT or UPDATE.
+func TestUniqueIndexAdmitsNulls(t *testing.T) {
+	db := openTest(t)
+	txn := db.Begin()
+	exec(t, txn, `INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`, I64(1), NullDatum(KStr))
+	exec(t, txn, `INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`, I64(2), NullDatum(KStr))
+	exec(t, txn, `INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`, I64(3), Str("c"))
+	exec(t, txn, `UPDATE Users SET EMAIL = ? WHERE ID = ?`, NullDatum(KStr), I64(3))
+	txn.Commit()
+	if rows := db.TableRows("Users"); len(rows) != 3 {
+		t.Errorf("rows: %v", rows)
+	}
+}
+
 func TestUpsert(t *testing.T) {
 	db := openTest(t)
 	seed(t, db)

@@ -64,7 +64,7 @@ func TestKeyNamesAreInjective(t *testing.T) {
 		Key{Real(big.NewRat(1, 2))}, Key{Real(big.NewRat(3, 2))}, Key{NullDatum(KInt)}, Key{NullDatum(KInt), NullDatum(KInt)})
 	names := map[string]Key{}
 	for _, k := range keys {
-		name := string(appendKey(nil, k))
+		name := encKey(k)
 		if name == "" {
 			t.Errorf("%v is named like the supremum", k)
 		}
@@ -85,7 +85,7 @@ func TestKeyNamesAreInjective(t *testing.T) {
 		{{Real(big.NewRat(1, 2))}, {Real(big.NewRat(2, 4))}},
 	}
 	for _, pair := range same {
-		if a, b := appendKey(nil, pair[0]), appendKey(nil, pair[1]); string(a) != string(b) {
+		if a, b := encKey(pair[0]), encKey(pair[1]); a != b {
 			t.Errorf("%v and %v are one index entry but get names %q and %q", pair[0], pair[1], a, b)
 		}
 	}
@@ -206,10 +206,11 @@ func BenchmarkStatementDelete(b *testing.B)      { benchmarkStatement(b, stmtBen
 
 // TestStatementAllocs pins what a statement may allocate once its
 // template is prepared and the lock table has queues to recycle. Each
-// ceiling sits a little above the measured count (6, 9 and 0; logged);
-// before statements were prepared the three cost 32, 40 and 3 allocations.
-// A per-execution map, a heap-allocated grant or a formatted resource name
-// coming back trips them.
+// ceiling sits a little above the measured count (4, 4 and 0; logged);
+// before rows and index keys were stored as strings the three cost 6, 9
+// and 0 allocations, and before statements were prepared 32, 40 and 3.
+// A per-execution map, a heap-allocated grant, tree entry or hit list, or
+// a copied resource name coming back trips them.
 func TestStatementAllocs(t *testing.T) {
 	const runs = 50 // AllocsPerRun calls f once more, to warm up
 	db := benchDB(t)
@@ -245,17 +246,17 @@ func TestStatementAllocs(t *testing.T) {
 		ceiling float64
 		run     func(i int)
 	}{
-		// ResultSet, hit list, output row, row list, and the names of two
-		// new queues: the index entry's and its primary record's.
-		{"point SELECT on a unique key", 7, func(i int) {
+		// ResultSet, the encoded equality prefix, output row and row list.
+		// The two new queues are named by the tree's own key strings.
+		{"point SELECT on a unique key", 5, func(i int) {
 			if rs, err := reader.Exec(point, selects[i]); err != nil || len(rs.Rows) != 1 {
 				t.Fatalf("point select: %v, %v", rs, err)
 			}
 		}},
-		// Row, primary key, secondary keys, two tree entries, ResultSet,
-		// three queue names (both supremum gaps are held after the first
-		// insert), undo and lock lists growing.
-		{"INSERT into a table with one secondary index", 11, func(i int) {
+		// The encoded row, primary key and secondary key, and the
+		// ResultSet; tree entries are values, queues are named by the
+		// keys, and the undo and lock lists grow now and then.
+		{"INSERT into a table with one secondary index", 6, func(i int) {
 			if _, err := writer.Exec(insert, inserts[i]); err != nil {
 				t.Fatal(err)
 			}

@@ -48,19 +48,18 @@ type Txn struct {
 type undoRec struct {
 	ts  *tableStore // primary entries
 	ix  *index      // secondary entries; nil for the primary index
-	key Key
+	key string
 	// existed reports whether the entry was present before the mutation;
 	// when it was, the old* fields restore it.
 	existed    bool
-	oldRow     Row // primary entries
-	oldPK      Key // secondary entries
 	oldDeleted bool
+	oldRow     string // primary entries
 }
 
 type purgeRec struct {
 	ts  *tableStore
 	ix  *index // nil for the primary index
-	key Key
+	key string
 }
 
 // Begin starts a transaction.
@@ -117,8 +116,9 @@ func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool) (*ResultSet, error
 	if d := t.db.cfg.StatementDelay; d > 0 {
 		time.Sleep(d) // simulated client/server round trip
 	}
+	undone, purged := len(t.undo), len(t.purge) // a failed statement undoes its writes
 	for {
-		rs, blocked, err := t.attempt(p, params)
+		rs, blocked, err := t.attempt(p, params, undone, purged)
 		if blocked == nil {
 			if t.db.afterStmt != nil {
 				t.db.afterStmt(t, st)
@@ -144,13 +144,19 @@ func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool) (*ResultSet, error
 
 // attempt runs one statement pass under the storage latch. It returns a
 // non-nil blocked descriptor when a needed lock is unavailable; the
-// caller waits and retries.
-func (t *Txn) attempt(p *prepared, params []Datum) (rs *ResultSet, blocked *blockedOn, err error) {
+// caller waits and retries. A statement that fails undoes the writes of
+// all its passes, the undo and purge records past undone and purged.
+func (t *Txn) attempt(p *prepared, params []Datum, undone, purged int) (rs *ResultSet, blocked *blockedOn, err error) {
 	t.db.latch.Lock()
 	defer t.db.latch.Unlock()
 	ex := &t.db.ex
 	ex.txn, ex.params, ex.blocked = t, params, nil
-	ex.rows = append(ex.rows[:0], make([]Row, len(p.plan))...) // all unbound; extends in place
+	if n := len(p.plan) - len(ex.steps); n > 0 {
+		ex.steps = append(ex.steps, make([]step, n)...)
+	}
+	for i := range ex.steps {
+		ex.steps[i].bound = false
+	}
 	switch p.kind {
 	case sqlast.KindSelect:
 		ex.out = ex.out[:0]
@@ -165,6 +171,9 @@ func (t *Txn) attempt(p *prepared, params []Datum) (rs *ResultSet, blocked *bloc
 	}
 	if ex.blocked != nil {
 		return nil, ex.blocked, nil
+	}
+	if err != nil {
+		t.undoTo(undone, purged)
 	}
 	return rs, nil, err
 }
@@ -210,73 +219,62 @@ func (t *Txn) Rollback() error {
 	return nil
 }
 
-// rollbackInternal applies the entry-level undo log in reverse and
-// releases locks. Used both for explicit Rollback and engine-initiated
-// aborts (deadlock victims).
+// rollbackInternal undoes the whole transaction and releases locks. Used
+// both for explicit Rollback and engine-initiated aborts (deadlock
+// victims).
 func (t *Txn) rollbackInternal() {
 	t.db.latch.Lock()
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		u := t.undo[i]
-		if u.ix == nil {
-			if !u.existed {
-				u.ts.primary.Delete(u.key)
-				continue
-			}
-			u.ts.primary.Set(u.key, &rowEntry{row: u.oldRow, deleted: u.oldDeleted})
-			continue
-		}
-		tree := u.ix.entries
-		if !u.existed {
-			tree.Delete(u.key)
-			continue
-		}
-		tree.Set(u.key, &secEntry{pk: u.oldPK, deleted: u.oldDeleted})
-	}
-	t.undo = nil
-	t.purge = nil
+	t.undoTo(0, 0)
 	t.db.latch.Unlock()
+	t.undo, t.purge = nil, nil
 	t.state = TxnAborted
 	t.db.lm.ReleaseAll(t)
 	t.db.aborts.Add(1)
+}
+
+// undoTo applies the undo log in reverse down to its first n records and
+// drops the purge records past purged. Caller holds the latch.
+func (t *Txn) undoTo(n, purged int) {
+	for i := len(t.undo) - 1; i >= n; i-- {
+		u := t.undo[i]
+		switch {
+		case u.ix == nil && u.existed:
+			u.ts.primary.Set(u.key, rowEntry{row: u.oldRow, deleted: u.oldDeleted})
+		case u.ix == nil:
+			u.ts.primary.Delete(u.key)
+		case u.existed:
+			u.ix.entries.Set(u.key, secEntry{deleted: u.oldDeleted})
+		default:
+			u.ix.entries.Delete(u.key)
+		}
+	}
+	t.undo, t.purge = t.undo[:n], t.purge[:purged]
 }
 
 // Mutation helpers used by the executor: every change to an index entry
 // records its pre-state first.
 
 // putPrimary writes a primary entry, recording undo.
-func (t *Txn) putPrimary(ts *tableStore, key Key, e *rowEntry) {
-	if old, ok := ts.primary.Get(key); ok {
-		t.undo = append(t.undo, undoRec{
-			ts: ts, key: key, existed: true,
-			oldRow: old.row.clone(), oldDeleted: old.deleted,
-		})
-	} else {
-		t.undo = append(t.undo, undoRec{ts: ts, key: key})
-	}
+func (t *Txn) putPrimary(ts *tableStore, key string, e rowEntry) {
+	old, ok := ts.primary.Get(key)
+	t.undo = append(t.undo, undoRec{ts: ts, key: key, existed: ok, oldDeleted: old.deleted, oldRow: old.row})
 	ts.primary.Set(key, e)
 }
 
 // putSecondary writes a secondary entry, recording undo.
-func (t *Txn) putSecondary(ix *index, key Key, e *secEntry) {
-	if old, ok := ix.entries.Get(key); ok {
-		t.undo = append(t.undo, undoRec{
-			ix: ix, key: key, existed: true,
-			oldPK: old.pk, oldDeleted: old.deleted,
-		})
-	} else {
-		t.undo = append(t.undo, undoRec{ix: ix, key: key})
-	}
+func (t *Txn) putSecondary(ix *index, key string, e secEntry) {
+	old, ok := ix.entries.Get(key)
+	t.undo = append(t.undo, undoRec{ix: ix, key: key, existed: ok, oldDeleted: old.deleted})
 	ix.entries.Set(key, e)
 }
 
-// markDeleted tombstones a primary entry and its secondary entries,
-// scheduling the physical purge for commit.
-func (t *Txn) markDeleted(ts *tableStore, pk Key, row Row) {
-	t.putPrimary(ts, pk, &rowEntry{row: row, deleted: true})
+// markDeleted tombstones a primary entry and its secondary entries, whose
+// keys are given in index order, scheduling the physical purge for commit.
+func (t *Txn) markDeleted(ts *tableStore, pk, row string, keys []string) {
+	t.putPrimary(ts, pk, rowEntry{row: row, deleted: true})
 	t.purge = append(t.purge, purgeRec{ts: ts, key: pk})
-	for _, ix := range ts.indexes[1:] {
-		sk := ix.keyOf(row)
-		t.putSecondary(ix, sk, &secEntry{pk: pk, deleted: true})
-		t.purge = append(t.purge, purgeRec{ix: ix, key: sk})
+	for i, ix := range ts.indexes[1:] {
+		t.putSecondary(ix, keys[i], secEntry{deleted: true})
+		t.purge = append(t.purge, purgeRec{ix: ix, key: keys[i]})
 	}
 }

@@ -1,10 +1,15 @@
 package workload_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"weseer/internal/apps"
+	"weseer/internal/apps/appkit"
+	"weseer/internal/concolic"
 	"weseer/internal/minidb"
 	"weseer/internal/obs/obstest"
 	"weseer/internal/workload"
@@ -145,5 +150,48 @@ func TestRetriesCountedUnderContention(t *testing.T) {
 	if fixed.Retries >= unfixed.Retries && unfixed.Retries > 0 {
 		t.Errorf("fixing the planted classes should cut retry burn: %d -> %d",
 			unfixed.Retries, fixed.Retries)
+	}
+}
+
+// TestStoragePinned pins what the statement path stores, not just how it
+// locks: one client walks Broadleaf's flow for 2,000 calls at seed 7 with
+// the engine off, and the unit tests of gen:7,templates=96 run natively;
+// the digest covers every table's rows in primary-key order, each cell by
+// its nullness, kind and rendering. It was recorded while rows and index
+// keys were still Datum slices.
+func TestStoragePinned(t *testing.T) {
+	want := map[string]string{
+		"broadleaf":          "d6c72c822b0655ae",
+		"gen:7,templates=96": "60992b15608bcd09",
+	}
+	for _, spec := range []string{"broadleaf", "gen:7,templates=96"} {
+		app, err := apps.Open(spec, apps.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec == "broadleaf" {
+			next := app.Flow()(1, rand.New(rand.NewSource(7)))
+			e := concolic.New(concolic.ModeOff)
+			for i := 0; i < 2000; i++ {
+				if _, err := next()(e); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+		} else if err := appkit.RunPrefix(app.UnitTests(), len(app.UnitTests())); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, tbl := range app.Schema().Tables() {
+			fmt.Fprintf(h, "%s\n", tbl.Name)
+			for _, row := range app.DB().TableRows(tbl.Name) {
+				for _, d := range row {
+					fmt.Fprintf(h, "%t %d %s|", d.Null, d.Kind, d)
+				}
+				fmt.Fprintln(h)
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != want[spec] {
+			t.Errorf("%s: storage digest %s, want %s", spec, got, want[spec])
+		}
 	}
 }

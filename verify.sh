@@ -115,6 +115,13 @@ go test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/history
 echo "== go test -fuzz=FuzzLogReplay (5s)"
 go test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5s ./internal/btree
 
+# minidb's storage encoding against its test-side oracle: encoded keys
+# order (cmpKey), compare equal and prefix one another exactly as the
+# Datum keys they encode (Key.Cmp), and a row decodes to its datums, kind
+# and NULLs included.
+echo "== go test -fuzz=FuzzKeyOrder (5s)"
+go test -run=NONE -fuzz=FuzzKeyOrder -fuzztime=5s ./internal/minidb
+
 # The two decoders that read bytes off the network: a trace batch (what
 # `weseer analyze -i` and POST /ingest?format=traces read; arbitrary bytes
 # are an error, never a panic, and an accepted batch re-encodes stably) and
