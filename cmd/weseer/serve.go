@@ -215,7 +215,7 @@ func cmdHistory(args []string) error {
 	fs := flag.NewFlagSet("history", flag.ExitOnError)
 	addr := fs.String("addr", "", "service address (HOST:PORT, URL, or @file with the daemon's first stdout line)")
 	format := fs.String("format", "text", "output format: text|json")
-	window := fs.Duration("window", 0, "restrict to events last seen within this trailing window (0 = all)")
+	window := fs.Duration("window", 0, "events, tables: restrict to events last seen within this trailing window (0 = all)")
 	table := fs.String("table", "", "events: filter by table")
 	class := fs.String("class", "", "events: filter by anti-pattern class")
 	api := fs.String("api", "", "events: filter by API")
@@ -238,6 +238,9 @@ func cmdHistory(args []string) error {
 	q := url.Values{}
 	q.Set("format", *format)
 	if *window > 0 {
+		if what == "patterns" {
+			return fmt.Errorf("-window applies to events and tables; patterns are all-history rollups")
+		}
 		q.Set("window", window.String())
 	}
 	switch what {

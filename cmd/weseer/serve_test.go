@@ -338,3 +338,45 @@ func TestDaemonObserverRetainsNothing(t *testing.T) {
 		t.Errorf("weseer_funnel_traces_total = %v after %d ingests of %d traces", got, total, len(traces))
 	}
 }
+
+// TestHistoryWindowOnPatternsRefused: the pattern rollups are all-history,
+// so `weseer history patterns -window D` fails without asking the daemon
+// (which would answer 400), while events and tables take the window.
+func TestHistoryWindowOnPatternsRefused(t *testing.T) {
+	obstest.CheckGoroutines(t)
+	d := startDaemon(t, filepath.Join(t.TempDir(), "history.wal"))
+	defer d.stop(t)
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	defer func(old *os.File) { os.Stdout = old }(os.Stdout)
+	os.Stdout = out
+
+	if err := cmdHistory([]string{"-addr", d.base, "patterns", "-window", "1h"}); err == nil || !strings.Contains(err.Error(), "all-history") {
+		t.Errorf("history patterns -window 1h: err %v, want a refusal naming the rollups all-history", err)
+	}
+	for _, args := range [][]string{{"patterns"}, {"tables", "-window", "1h"}, {"events", "-window", "1h"}} {
+		if err := cmdHistory(append([]string{"-addr", d.base}, args...)); err != nil {
+			t.Errorf("history %v: %v", args, err)
+		}
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "0 event(s), 0 sighting(s)\nno events in window\n0 event(s)\n"; string(printed) != want {
+		t.Errorf("printed %q, want %q", printed, want)
+	}
+
+	resp, err := http.Get(d.base + "/history/patterns?window=1h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "all-history") {
+		t.Errorf("GET /history/patterns?window=1h: %s %s, want 400", resp.Status, body)
+	}
+}

@@ -3,6 +3,8 @@ package history
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -103,4 +105,47 @@ func BenchmarkStoreIngest(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(size)/benchEvents, "bytes/event")
+}
+
+// serveCycleQueries are the sixty GETs one serve-cycle op sends, in its
+// order: 20 of the pattern rollups, 20 of one table's events, 20 of the
+// last hour's table counts.
+func serveCycleQueries() []string {
+	var out []string
+	for _, path := range []string{"/history/patterns", "/history/events?table=SynTable07&limit=100", "/history/tables?window=1h"} {
+		for i := 0; i < 20; i++ {
+			out = append(out, path)
+		}
+	}
+	return out
+}
+
+// routesMux mounts a Server's routes the way the obs debug server does.
+func routesMux(srv *Server) *http.ServeMux {
+	mux := http.NewServeMux()
+	for _, rt := range srv.Routes() {
+		mux.Handle(rt.Pattern, rt.Handler)
+	}
+	return mux
+}
+
+// BenchmarkQueries is one serve-cycle op's read traffic over the
+// 30,000-event store, through the routes of a fresh Server per op (the
+// benchmark restarts the daemon every op).
+func BenchmarkQueries(b *testing.B) {
+	s := fillStore(b, filepath.Join(b.TempDir(), "history.wal"), benchBatches(benchEvents))
+	defer s.Close()
+	queries := serveCycleQueries()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mux := routesMux(&Server{Store: s})
+		for _, q := range queries {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, q, nil))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("GET %s: %d %s", q, rec.Code, rec.Body)
+			}
+		}
+	}
 }

@@ -39,10 +39,7 @@ func ingestLegacySequence(t *testing.T, s *Store) {
 // historyBodies returns what the three query endpoints answer, in JSON.
 func historyBodies(t *testing.T, s *Store) []byte {
 	t.Helper()
-	mux := http.NewServeMux()
-	for _, rt := range (&Server{Store: s}).Routes() {
-		mux.Handle(rt.Pattern, rt.Handler)
-	}
+	mux := routesMux(&Server{Store: s})
 	var out bytes.Buffer
 	for _, path := range []string{"/history/patterns", "/history/events", "/history/tables"} {
 		w := httptest.NewRecorder()

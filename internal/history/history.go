@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"weseer/internal/btree"
@@ -104,6 +105,10 @@ type Store struct {
 	pairs     *btree.Map[string, *Rollup]
 	strs      map[string]string // the decoder's shared strings, all held by events
 	sightings int
+	version   atomic.Uint64 // records applied; written under mu, read without it
+	// firstSeen is the earliest FirstSeen (or LastSeen, if earlier) of any
+	// stored event: no event is last seen before it, as LastSeen only grows.
+	firstSeen time.Time
 	now       func() time.Time
 }
 
@@ -166,9 +171,17 @@ func (s *Store) apply(rec record) error {
 			// the rollups.
 			return s.apply(record{kind: recTouch, fp: prev.Fingerprint, at: e.LastSeen})
 		}
+		lo := e.FirstSeen
+		if e.LastSeen.Before(lo) {
+			lo = e.LastSeen
+		}
+		if s.events.Len() == 0 || lo.Before(s.firstSeen) {
+			s.firstSeen = lo
+		}
 		s.events.Set(e.Fingerprint, e)
 		s.sightings += e.Seen
 		s.bumpRollups(e, true)
+		s.version.Add(1)
 		return nil
 	case recTouch:
 		e, ok := s.events.Get(rec.fp)
@@ -181,6 +194,7 @@ func (s *Store) apply(rec record) error {
 		}
 		s.sightings++
 		s.bumpRollups(e, false)
+		s.version.Add(1)
 		return nil
 	default:
 		return fmt.Errorf("history: unknown record kind %d", rec.kind)
@@ -394,30 +408,39 @@ type TableCount struct {
 
 // TableCounts answers "which tables deadlock most?" over a trailing
 // window: events last seen at or after since (zero = all history),
-// grouped per table, most-deadlocking first (ties by name). This scans
-// the event list — unlike Patterns, a window cannot be pre-aggregated.
+// grouped per table, most-deadlocking first (ties by name). A window
+// holding every event is the tables rollup; a younger one scans events.
 func (s *Store) TableCounts(since time.Time) []TableCount {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	acc := map[string]*TableCount{}
-	s.events.AscendAll(func(_ string, e *Event) bool {
-		if !since.IsZero() && e.LastSeen.Before(since) {
+	var out []TableCount
+	if since.IsZero() || !since.After(s.firstSeen) {
+		out = make([]TableCount, 0, s.tables.Len())
+		s.tables.AscendAll(func(t string, r *Rollup) bool {
+			out = append(out, TableCount{Table: t, Events: r.Events, Seen: r.Seen})
 			return true
-		}
-		for _, t := range e.Tables {
-			c, ok := acc[t]
-			if !ok {
-				c = &TableCount{Table: t}
-				acc[t] = c
+		})
+	} else {
+		acc := map[string]*TableCount{}
+		s.events.AscendAll(func(_ string, e *Event) bool {
+			if e.LastSeen.Before(since) {
+				return true
 			}
-			c.Events++
-			c.Seen += e.Seen
+			for _, t := range e.Tables {
+				c, ok := acc[t]
+				if !ok {
+					c = &TableCount{Table: t}
+					acc[t] = c
+				}
+				c.Events++
+				c.Seen += e.Seen
+			}
+			return true
+		})
+		out = make([]TableCount, 0, len(acc))
+		for _, c := range acc {
+			out = append(out, *c)
 		}
-		return true
-	})
-	out := make([]TableCount, 0, len(acc))
-	for _, c := range acc {
-		out = append(out, *c)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Events != out[j].Events {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -419,4 +421,86 @@ func TestIngestLeavesCallerMemoryAlone(t *testing.T) {
 	if got := fmt.Sprint(s.Events(EventQuery{})[0].Tables); got != "[T1 T2]" {
 		t.Errorf("stored Tables = %s after the caller wrote to its slice, want [T1 T2]", got)
 	}
+}
+
+// scanTableCounts is the reference for TableCounts: a scan of every event.
+func scanTableCounts(events []Event, since time.Time) []TableCount {
+	acc := map[string]*TableCount{}
+	for _, e := range events {
+		if !since.IsZero() && e.LastSeen.Before(since) {
+			continue
+		}
+		for _, t := range e.Tables {
+			if acc[t] == nil {
+				acc[t] = &TableCount{Table: t}
+			}
+			acc[t].Events++
+			acc[t].Seen += e.Seen
+		}
+	}
+	out := []TableCount{}
+	for _, c := range acc {
+		out = append(out, *c)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Events != out[j].Events {
+			return out[i].Events > out[j].Events
+		}
+		return out[i].Table < out[j].Table
+	})
+	return out
+}
+
+// TestTableCountsRollupMatchesScan: around the oldest event's first
+// sighting, where TableCounts switches from the tables rollup to a scan,
+// and at the store's now, it answers what a scan of every event does —
+// after new events, after touches, and after a reopen.
+func TestTableCountsRollupMatchesScan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.wal")
+	s, err := Open(path, WithClock(fixedClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := benchBatches(benchBatch)[0][:60]
+	check := func(s *Store, stage string) {
+		t.Helper()
+		first := s.firstSeen
+		if e := s.Events(EventQuery{Table: pool[0].Tables[0]}); len(e) == 0 || e[0].FirstSeen != first {
+			t.Fatalf("%s: firstSeen %v is not the first ingest's time", stage, first)
+		}
+		all := scanTableCounts(s.Events(EventQuery{}), time.Time{})
+		for _, since := range []time.Time{{}, first.Add(-time.Nanosecond), first, first.Add(time.Nanosecond), s.now()} {
+			want := scanTableCounts(s.Events(EventQuery{}), since)
+			if got := s.TableCounts(since); !slices.Equal(got, want) {
+				t.Errorf("%s: TableCounts(%v) = %v, scan %v", stage, since, got, want)
+			}
+		}
+		if young := s.TableCounts(first.Add(time.Nanosecond)); slices.Equal(young, all) {
+			t.Errorf("%s: a window after the first ingest counts every event", stage)
+		}
+	}
+	for _, batch := range [][]Event{pool[:20], pool[20:40]} {
+		if _, err := s.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(s, "new events")
+	for _, batch := range [][]Event{pool[5:15], pool[10:30]} {
+		if _, err := s.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(s, "touches")
+	if _, err := s.Ingest(pool[40:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path, WithClock(fixedClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s, "reopen")
 }

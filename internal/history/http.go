@@ -6,10 +6,11 @@ package history
 // existing pipeline) or already-diagnosed events (this package's Event
 // JSON; `weseer ingest -format report` builds them from a weseer analyze
 // -json report), and the /history/* endpoints answer trend and pattern
-// queries in JSON or text. Ingest and store metrics land in the same
-// Prometheus registry the debug server already exposes on /metrics.
+// queries in JSON or text. Ingest, query and store metrics land in the
+// same Prometheus registry the debug server already exposes on /metrics.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,6 +19,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"weseer/internal/btree"
@@ -54,6 +56,8 @@ type Metrics struct {
 	Batches       *obs.Counter   // ingest requests accepted
 	IngestErrors  *obs.Counter   // ingest requests rejected
 	IngestLatency *obs.Histogram // wall time per ingest request (seconds)
+	Queries       *obs.Counter   // GET/HEAD requests on /history/*
+	QueryMemoHits *obs.Counter   // of those, answered from the route's memo
 }
 
 // RegisterMetrics registers the history instruments on reg (nil-safe:
@@ -66,6 +70,8 @@ func RegisterMetrics(reg *obs.Registry) *Metrics {
 		Batches:       reg.Counter("weseer_history_ingest_batches_total", "ingest requests accepted"),
 		IngestErrors:  reg.Counter("weseer_history_ingest_errors_total", "ingest requests rejected"),
 		IngestLatency: reg.Histogram("weseer_history_ingest_seconds", "per-request ingest wall time, analysis included", IngestLatencyBuckets),
+		Queries:       reg.Counter("weseer_history_queries_total", "GET and HEAD requests on /history/*"),
+		QueryMemoHits: reg.Counter("weseer_history_query_memo_hits_total", "history queries answered with the body rendered for an earlier one"),
 	}
 }
 
@@ -78,13 +84,70 @@ type Server struct {
 	Timeout time.Duration
 }
 
-// Routes returns the endpoint set to mount on the obs debug server.
+// Routes returns the endpoint set to mount on the obs debug server. Each
+// /history/* route keeps the last body it rendered (see query).
 func (s *Server) Routes() []obs.Route {
 	return []obs.Route{
 		{Pattern: "/ingest", Handler: http.HandlerFunc(s.handleIngest)},
-		{Pattern: "/history/events", Handler: http.HandlerFunc(s.handleEvents)},
-		{Pattern: "/history/patterns", Handler: http.HandlerFunc(s.handlePatterns)},
-		{Pattern: "/history/tables", Handler: http.HandlerFunc(s.handleTables)},
+		{Pattern: "/history/events", Handler: s.query(s.handleEvents)},
+		{Pattern: "/history/patterns", Handler: s.query(s.handlePatterns)},
+		{Pattern: "/history/tables", Handler: s.query(s.handleTables)},
+	}
+}
+
+// memo is a route's last 200 answer to a query without a window, filed
+// under the store and the store version read before rendering it.
+type memo struct {
+	query   string
+	store   *Store
+	version uint64
+	ctype   string
+	body    []byte
+}
+
+// bufferedResponse keeps a handler's status and body; headers go straight
+// to the real response.
+type bufferedResponse struct {
+	http.ResponseWriter
+	code int
+	body bytes.Buffer
+}
+
+func (b *bufferedResponse) WriteHeader(code int)        { b.code = code }
+func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
+
+// query wraps a /history/* handler: GET and HEAD only, and a query
+// without a window, whose answer depends on the store's state alone, is
+// served from the route's memo while the store is at the memo's version.
+// The version is read before rendering, so a body that already reflects
+// a concurrent ingest is filed under an older version and never served.
+func (s *Server) query(h http.HandlerFunc) http.HandlerFunc {
+	var last atomic.Pointer[memo]
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			httpError(w, http.StatusMethodNotAllowed, "GET or HEAD only")
+			return
+		}
+		s.metrics().Queries.Inc()
+		if r.URL.Query().Get("window") != "" {
+			h(w, r)
+			return
+		}
+		store := s.Store
+		version := store.version.Load()
+		if m := last.Load(); m != nil && m.store == store && m.version == version && m.query == r.URL.RawQuery {
+			s.metrics().QueryMemoHits.Inc()
+			w.Header().Set("Content-Type", m.ctype)
+			_, _ = w.Write(m.body) // a client gone mid-body is nobody's error
+			return
+		}
+		buf := &bufferedResponse{ResponseWriter: w, code: http.StatusOK}
+		h(buf, r)
+		w.WriteHeader(buf.code)
+		_, _ = w.Write(buf.body.Bytes())
+		if buf.code == http.StatusOK {
+			last.Store(&memo{r.URL.RawQuery, store, version, w.Header().Get("Content-Type"), buf.body.Bytes()})
+		}
 	}
 }
 
@@ -257,6 +320,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // handlePatterns is GET /history/patterns[?format=text].
 func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("window") != "" {
+		httpError(w, http.StatusBadRequest, "patterns are all-history rollups; window applies to events and tables")
+		return
+	}
 	p := s.Store.Patterns()
 	if wantText(r) {
 		w.Header().Set("Content-Type", obs.ContentTypeText)

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,11 +46,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *obs.Registry) {
 		},
 		Metrics: RegisterMetrics(reg),
 	}
-	mux := http.NewServeMux()
-	for _, rt := range srv.Routes() {
-		mux.Handle(rt.Pattern, rt.Handler)
-	}
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(routesMux(srv))
 	t.Cleanup(ts.Close)
 	return srv, ts, reg
 }
@@ -397,5 +395,211 @@ func TestEventsTextFormat(t *testing.T) {
 	}
 	if !strings.Contains(text, time.Date(2026, 8, 8, 12, 1, 0, 0, time.UTC).Format(time.RFC3339)) {
 		t.Errorf("events text missing first-seen timestamp:\n%s", text)
+	}
+}
+
+// get sends one request to h and returns the recorded answer.
+func get(h http.Handler, method, path string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+	return rec
+}
+
+// TestQueryRoutesAreReads: the /history/* routes answer GET and HEAD, and
+// refuse every other method with 405 — no POST reaches a query handler.
+func TestQueryRoutesAreReads(t *testing.T) {
+	srv, _, reg := newTestServer(t)
+	if _, err := srv.Store.Ingest(testEvents()); err != nil {
+		t.Fatal(err)
+	}
+	mux := routesMux(srv)
+	for _, path := range []string{"/history/events", "/history/patterns", "/history/tables"} {
+		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete, http.MethodPatch} {
+			if rec := get(mux, method, path); rec.Code != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s: status %d, want 405", method, path, rec.Code)
+			}
+		}
+		if rec := get(mux, http.MethodHead, path); rec.Code != http.StatusOK {
+			t.Errorf("HEAD %s: status %d", path, rec.Code)
+		}
+		if rec := get(mux, http.MethodGet, path); rec.Code != http.StatusOK {
+			t.Errorf("GET %s: status %d", path, rec.Code)
+		}
+	}
+	if got := reg.Snapshot()["weseer_history_queries_total"]; got != 6 {
+		t.Errorf("queries_total = %v, want 6 (refused methods do not count)", got)
+	}
+}
+
+// TestPatternsRefuseWindow: the pattern rollups are all-history, so a
+// window on /history/patterns is the client's error, not ignored.
+func TestPatternsRefuseWindow(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	mux := routesMux(srv)
+	for _, path := range []string{"/history/patterns?window=1h", "/history/patterns?format=text&window=24h"} {
+		rec := get(mux, http.MethodGet, path)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "all-history") ||
+			!strings.Contains(rec.Body.String(), "window applies to events and tables") {
+			t.Errorf("GET %s: status %d %s, want 400 naming the rollups all-history", path, rec.Code, rec.Body)
+		}
+	}
+	for _, path := range []string{"/history/events?window=1h", "/history/tables?window=1h"} {
+		if rec := get(mux, http.MethodGet, path); rec.Code != http.StatusOK {
+			t.Errorf("GET %s: status %d %s", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestMemoFollowsStore drives a seeded random interleaving of new-event
+// ingests, touch-only re-ingests, reopens, idle time and queries of all
+// three routes (JSON and text, filtered, windowed, malformed): every
+// answer of the long-lived Server equals, in status, Content-Type and
+// bytes, what a fresh Server, whose routes have rendered nothing yet,
+// answers over the same store.
+func TestMemoFollowsStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	pool := benchBatches(benchBatch)[0][:300]
+	path := filepath.Join(t.TempDir(), "history.wal")
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	clock := WithClock(func() time.Time { return now })
+	s, err := Open(path, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	reg := obs.NewRegistry()
+	srv := &Server{Store: s, Metrics: RegisterMetrics(reg)}
+	mux := routesMux(srv)
+	queries := []string{
+		"/history/patterns", "/history/patterns?format=text",
+		"/history/events", "/history/events?format=text&limit=5",
+		"/history/events?table=SynTable07&limit=100", "/history/events?class=syn3&api=SynApi4",
+		"/history/events?window=30m&format=text", "/history/events?limit=-1",
+		"/history/tables", "/history/tables?format=text",
+		"/history/tables?window=30m", "/history/tables?window=3h&format=text",
+	}
+	stored, asked := 0, 0
+	for step := 0; step < 600; step++ {
+		switch k := rng.Intn(20); {
+		case k < 3 && stored < len(pool): // new events, some minutes later
+			n := min(1+rng.Intn(6), len(pool)-stored)
+			now = now.Add(time.Duration(rng.Intn(40)) * time.Minute)
+			if _, err := s.Ingest(pool[stored : stored+n]); err != nil {
+				t.Fatal(err)
+			}
+			stored += n
+		case k < 5 && stored > 0: // touches only
+			batch := make([]Event, 1+rng.Intn(4))
+			for i := range batch {
+				batch[i] = pool[rng.Intn(stored)]
+			}
+			now = now.Add(time.Duration(rng.Intn(40)) * time.Minute)
+			if _, err := s.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+		case k == 5: // restart the store under the same Server
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(path, clock); err != nil {
+				t.Fatal(err)
+			}
+			srv.Store = s
+		case k == 6: // time passes, the store stays as it is
+			now = now.Add(time.Duration(1+rng.Intn(40)) * time.Minute)
+		default:
+			q := queries[rng.Intn(len(queries))]
+			got := get(mux, http.MethodGet, q)
+			want := get(routesMux(&Server{Store: s}), http.MethodGet, q)
+			if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") ||
+				!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("step %d, GET %s: served %d %q\n%s\nfresh server: %d %q\n%s", step, q,
+					got.Code, got.Header().Get("Content-Type"), got.Body, want.Code, want.Header().Get("Content-Type"), want.Body)
+			}
+			asked++
+		}
+	}
+	snap := reg.Snapshot()
+	if hits := snap["weseer_history_query_memo_hits_total"]; snap["weseer_history_queries_total"] != float64(asked) || hits < 20 || hits > float64(asked)/2 {
+		t.Fatalf("%v memo hits over %v queries (%d asked): the sequence does not exercise both paths", hits, snap["weseer_history_queries_total"], asked)
+	}
+}
+
+// TestMemoConcurrentIngest: readers query all three routes while batches
+// are ingested, and after each ingest every route answers what a fresh
+// Server renders — a reader may still be rendering, but none filed a body
+// rendered before the ingest under the version that followed it. Run it
+// under -race.
+func TestMemoConcurrentIngest(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "history.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mux := routesMux(&Server{Store: s})
+	queries := []string{"/history/patterns", "/history/events?limit=3&format=text", "/history/tables"}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(done)
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, q := range queries {
+					if rec := get(mux, http.MethodGet, q); rec.Code != http.StatusOK {
+						t.Errorf("GET %s: %d", q, rec.Code)
+						return
+					}
+				}
+			}
+		}()
+	}
+	pool := benchBatches(benchBatch)[0]
+	for i := 0; i < len(pool); i += 50 {
+		if _, err := s.Ingest(pool[i : i+50]); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			got, want := get(mux, http.MethodGet, q), get(routesMux(&Server{Store: s}), http.MethodGet, q)
+			if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("GET %s after ingest %d: served a stale body", q, i/50+1)
+			}
+		}
+	}
+}
+
+// TestServeCycleMemoHits: of one serve-cycle op's sixty GETs on a freshly
+// started server, 38 are memo hits — all but the first of the patterns
+// and of the events queries; the windowed tables queries always render.
+// An ingest between two such rounds makes the first of each miss again.
+func TestServeCycleMemoHits(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "history.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	batches := benchBatches(2 * benchBatch)
+	reg := obs.NewRegistry()
+	mux := routesMux(&Server{Store: s, Metrics: RegisterMetrics(reg)})
+	for round, batch := range batches {
+		if _, err := s.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range serveCycleQueries() {
+			if rec := get(mux, http.MethodGet, q); rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: %d %s", q, rec.Code, rec.Body)
+			}
+		}
+		snap := reg.Snapshot()
+		if q, h := snap["weseer_history_queries_total"], snap["weseer_history_query_memo_hits_total"]; q != float64(60*(round+1)) || h != float64(38*(round+1)) {
+			t.Errorf("after round %d: %v memo hits of %v queries, want %d of %d", round+1, h, q, 38*(round+1), 60*(round+1))
+		}
 	}
 }

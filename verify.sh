@@ -78,6 +78,12 @@ echo "== go test -race (core, solver, smt, workload, concolic, orm, minidb, apps
 go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... \
     ./internal/concolic/... ./internal/orm/... ./internal/minidb/... ./internal/apps/...
 
+# The history daemon answers /history/* reads from per-route memos keyed
+# by the store's version while ingests write the store: a reader that races
+# an ingest shows here (TestMemoConcurrentIngest).
+echo "== go test -race (history)"
+go test -race ./internal/history
+
 # The allocation ceilings, on their own and without the detector (whose
 # instrumentation allocates): a statement in minidb, and a whole API call
 # with the engine off (orm, driver, executor, lock table) — a regression
