@@ -301,7 +301,7 @@ func cmdRun(args []string) (err error) {
 	plans := fs.Bool("plans", false, "restrict lock modeling to recorded execution plans (Sec. V-D)")
 	reproduce := fs.Bool("reproduce", false, "replay every report against a live database (Sec. V-D; text reports only)")
 	af := registerAnalysisFlags(fs)
-	fs.Parse(args)
+	parseArgs(fs, args)
 	if *reproduce && (*af.jsonOut || *af.coarse) {
 		fmt.Fprintln(os.Stderr, "weseer run: -reproduce replays the text report; it cannot be combined with -json or -coarse")
 		os.Exit(2)
@@ -369,7 +369,7 @@ func cmdCollect(args []string) error {
 	appName := fs.String("app", "broadleaf", "application to diagnose")
 	apply := fs.String("apply", "", "comma-separated fix names to apply (e.g. f2,f5, or all)")
 	out := fs.String("o", "traces.json", "output file")
-	fs.Parse(args)
+	parseArgs(fs, args)
 
 	app, err := openApp(*appName, *apply, minidb.Config{})
 	if err != nil {
@@ -399,7 +399,7 @@ func cmdAnalyze(args []string) (err error) {
 	appName := fs.String("app", "broadleaf", "application the traces came from")
 	in := fs.String("i", "traces.json", "input trace file")
 	af := registerAnalysisFlags(fs)
-	fs.Parse(args)
+	parseArgs(fs, args)
 
 	app, err := apps.Open(*appName, apps.Options{})
 	if err != nil {
@@ -409,8 +409,8 @@ func cmdAnalyze(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	var traces []*trace.Trace
-	if err := json.Unmarshal(data, &traces); err != nil {
+	traces, err := trace.Decode(data)
+	if err != nil {
 		return err
 	}
 	o, obsDone, err := af.obs.setup()
@@ -424,6 +424,17 @@ func cmdAnalyze(args []string) (err error) {
 	}()
 	_, err = af.report(app, traces, o)
 	return err
+}
+
+// parseArgs parses the flags of a subcommand that takes no arguments: one
+// left over is a usage error, not something to ignore.
+func parseArgs(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "weseer %s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		fs.Usage()
+		os.Exit(2)
+	}
 }
 
 // analyzeCtx runs the diagnosis under ctrl-C cancellation and an

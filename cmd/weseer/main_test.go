@@ -91,3 +91,28 @@ func TestPartialReportExits3(t *testing.T) {
 		}
 	}
 }
+
+// TestStrayArgumentsAreUsageErrors: run, collect and analyze take flags
+// only. A positional argument, such as an app spec without -app, is a usage
+// error (exit status 2, the flags on stderr) instead of being ignored.
+func TestStrayArgumentsAreUsageErrors(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "traces.json")
+	for _, c := range []struct{ name, args string }{
+		{"run", "run gen:7,templates=1056"},
+		{"collect", "collect -o " + out + " gen:7,templates=12"},
+		{"analyze", "analyze -app shopizer -i " + out + " extra"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stdout, stderr, status := weseer(t, c.args)
+			if status != 2 || stdout != "" {
+				t.Errorf("weseer %s: exit status %d, stdout %q; want 2 and nothing", c.args, status, stdout)
+			}
+			if !strings.Contains(stderr, "unexpected argument") || !strings.Contains(stderr, "Usage of "+c.name) {
+				t.Errorf("weseer %s: stderr lacks the error and the usage text:\n%s", c.args, stderr)
+			}
+		})
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("collect with a stray argument wrote %s (stat: %v)", out, err)
+	}
+}

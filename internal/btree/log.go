@@ -61,12 +61,34 @@ func logChecksum(p []byte) uint32 {
 // mismatch — is truncated away; a replay callback error aborts the open.
 // The returned log is positioned for appending.
 func OpenLog(path string, replay func(rec []byte) error) (*Log, error) {
+	return OpenLogFrames(path, func(_ int64, rec []byte) error {
+		if replay == nil {
+			return nil
+		}
+		return replay(rec)
+	}, nil)
+}
+
+// FrameError is a replay error that belongs to the frame at Off rather
+// than to the one being replayed.
+type FrameError struct {
+	Off int64
+	Err error
+}
+
+func (e *FrameError) Error() string { return fmt.Sprintf("@%d: %v", e.Off, e.Err) }
+
+// OpenLogFrames is OpenLog for a replay that applies records behind the
+// callback: replay also gets each frame's offset, and done, if not nil,
+// runs after the last intact frame, before the torn tail is truncated. An
+// error from either aborts the open; a *FrameError names its own frame.
+func OpenLogFrames(path string, replay func(off int64, rec []byte) error, done func() error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	l := &Log{f: f, path: path}
-	if err := l.replayAll(replay); err != nil {
+	if err := l.replayAll(replay, done); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -84,9 +106,9 @@ func OpenLog(path string, replay func(rec []byte) error) (*Log, error) {
 }
 
 // replayAll scans the file from the start through one buffered reader and
-// one payload buffer, invoking replay for each intact frame and recording
-// the offset of the last good frame end.
-func (l *Log) replayAll(replay func(rec []byte) error) error {
+// one payload buffer, invoking replay for each intact frame and done after
+// the last, and recording the offset of the last good frame end.
+func (l *Log) replayAll(replay func(off int64, rec []byte) error, done func() error) error {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
@@ -117,15 +139,27 @@ func (l *Log) replayAll(replay func(rec []byte) error) error {
 		if logChecksum(payload) != sum {
 			break // corrupt frame
 		}
-		if replay != nil {
-			if err := replay(payload); err != nil {
-				return fmt.Errorf("btree: log replay %s @%d: %w", l.path, off, err)
-			}
+		if err := replay(off, payload); err != nil {
+			return l.replayError(off, err)
 		}
 		off += logHeaderSize + n
 	}
+	if done != nil {
+		if err := done(); err != nil {
+			return l.replayError(off, err)
+		}
+	}
 	l.size = off
 	return nil
+}
+
+// replayError names the log and the offset of the frame err belongs to.
+func (l *Log) replayError(off int64, err error) error {
+	var fe *FrameError
+	if errors.As(err, &fe) {
+		off, err = fe.Off, fe.Err
+	}
+	return fmt.Errorf("btree: log replay %s @%d: %w", l.path, off, err)
 }
 
 // Append writes one record. The frame is written with a single Write

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -103,6 +104,58 @@ func TestLogTornTail(t *testing.T) {
 		if len(recs) != 2 || string(recs[1]) != "third" {
 			t.Fatalf("cut %d: post-recovery replay %q", cut, recs)
 		}
+	}
+}
+
+// TestOpenLogFramesLateError: replay sees each frame with its offset, done
+// runs after the last intact frame and before the torn tail is truncated,
+// and an error from done that is a *FrameError fails the open naming that
+// frame, with the file left as it was.
+func TestOpenLogFramesLateError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "late.wal")
+	l, _ := openCollect(t, path)
+	var want []int64
+	for _, rec := range []string{"first", "second-record", "third"} {
+		want = append(want, l.Size())
+		if err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := []byte{1, 2, 3} // a short frame header
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var offs []int64
+	late := errors.New("second record refused late")
+	_, err = OpenLogFrames(path, func(off int64, rec []byte) error {
+		offs = append(offs, off)
+		return nil
+	}, func() error {
+		return &FrameError{Off: offs[1], Err: late}
+	})
+	if fmt.Sprint(offs) != fmt.Sprint(want) {
+		t.Errorf("replay saw offsets %v, want %v", offs, want)
+	}
+	if !errors.Is(err, late) || !strings.Contains(err.Error(), fmt.Sprintf("@%d: ", want[1])) {
+		t.Errorf("open error %v, want %v at @%d", err, late, want[1])
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatalf("the refused open changed the log: %d bytes, was %d", len(after), len(before))
 	}
 }
 

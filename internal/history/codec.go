@@ -77,9 +77,9 @@ func appendRecord(dst []byte, rec record) []byte {
 // decoder reads one payload front to back. The first malformed field
 // sets err and empties b, after which every read returns zero values.
 type decoder struct {
-	b    []byte
-	strs map[string]string // shared copies of repeated strings; nil shares nothing
-	err  error
+	b   []byte // the unread rest of the payload
+	src string // a copy of the whole payload; every decoded string is a substring of it
+	err error
 }
 
 func (d *decoder) fail() {
@@ -101,37 +101,17 @@ func (d *decoder) varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (d *decoder) bytes() []byte {
+func (d *decoder) str() string {
 	n := d.uvarint()
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return nil
+	if n == 0 || n > uint64(len(d.b)) {
+		if n > 0 {
+			d.fail()
+		}
+		return "" // not src[at:at], which would keep src alive
 	}
-	s := d.b[:n]
+	at := len(d.src) - len(d.b)
 	d.b = d.b[n:]
-	return s
-}
-
-// unique returns the next string as a fresh copy: for fingerprints, of
-// which no two events share one.
-func (d *decoder) unique() string { return string(d.bytes()) }
-
-// shared returns the next string as the one copy every record decoded
-// with the same table shares: apps, classes, APIs, tables, SQL templates
-// and file:line locations repeat across thousands of events.
-func (d *decoder) shared() string {
-	b := d.bytes()
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := d.strs[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if d.strs != nil {
-		d.strs[s] = s
-	}
-	return s
+	return d.src[at : at+int(n)]
 }
 
 func (d *decoder) time() time.Time {
@@ -143,36 +123,37 @@ func (d *decoder) time() time.Time {
 	return time.Unix(sec, int64(nsec)).UTC()
 }
 
-// decodeRecord decodes one payload. Strings are copied out of raw (the
-// record never aliases it), the repeating ones through strs.
-func decodeRecord(raw []byte, strs map[string]string) (record, error) {
+// decodeRecord decodes one payload. Its strings are substrings of one
+// copy of raw (the record never aliases raw itself); Store.intern gives a
+// decoded event strings of its own before the store keeps it.
+func decodeRecord(raw []byte) (record, error) {
 	if len(raw) == 0 {
 		return record{}, errCorruptRecord
 	}
-	d := decoder{b: raw[1:], strs: strs}
+	d := decoder{b: raw[1:], src: string(raw)}
 	rec := record{kind: raw[0]}
 	switch rec.kind {
 	case recEvent:
-		e := &Event{Fingerprint: d.unique(), App: d.shared(), Class: d.shared()}
-		e.APIs = [2]string{d.shared(), d.shared()}
+		e := &Event{Fingerprint: d.str(), App: d.str(), Class: d.str()}
+		e.APIs = [2]string{d.str(), d.str()}
 		n := d.uvarint()
 		if n > uint64(len(d.b)) { // a table takes at least its length byte
 			d.fail()
 		} else if n > 0 {
 			e.Tables = make([]string, n)
 			for i := range e.Tables {
-				e.Tables[i] = d.shared()
+				e.Tables[i] = d.str()
 			}
 		}
 		for i := range e.Txns {
-			e.Txns[i] = TxnLock{API: d.shared(), HoldsSQL: d.shared(), HoldsAt: d.shared(),
-				WaitsSQL: d.shared(), WaitsAt: d.shared()}
+			e.Txns[i] = TxnLock{API: d.str(), HoldsSQL: d.str(), HoldsAt: d.str(),
+				WaitsSQL: d.str(), WaitsAt: d.str()}
 		}
 		e.Count, e.Seen = int(d.varint()), int(d.varint())
 		e.FirstSeen, e.LastSeen = d.time(), d.time()
 		rec.e = e
 	case recTouch:
-		rec.fp, rec.at = d.unique(), d.time()
+		rec.fp, rec.at = d.str(), d.time()
 	default:
 		return record{}, fmt.Errorf("history: unknown record kind 0x%02x", rec.kind)
 	}

@@ -91,8 +91,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte(`{"t":"touch","fp":"00000000000000a1","at":"2026-08-08T12:01:00Z"}`))
 	f.Add([]byte(`{"t":"event","e":{"fingerprint":"x","apis":["A","B"],"tables":["T"]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strs := map[string]string{}
-		if rec, err := decodeRecord(data, strs); err == nil {
+		if rec, err := decodeRecord(data); err == nil {
 			if rec.kind == recEvent && len(rec.e.Tables) > len(data) {
 				t.Fatalf("%d tables out of %d bytes", len(rec.e.Tables), len(data))
 			}
@@ -103,7 +102,7 @@ func FuzzDecodeRecord(f *testing.F) {
 
 		want := genRecord(data)
 		raw := appendRecord(nil, want)
-		got, err := decodeRecord(raw, strs)
+		got, err := decodeRecord(raw)
 		if err != nil {
 			t.Fatalf("decode(encode(%+v)): %v", want, err)
 		}
@@ -117,15 +116,15 @@ func FuzzDecodeRecord(f *testing.F) {
 // refuse whole: anything short, long, or not in shortest form.
 func TestDecodeRecordRejects(t *testing.T) {
 	for _, good := range encodedTestRecords() {
-		if _, err := decodeRecord(good, nil); err != nil {
+		if _, err := decodeRecord(good); err != nil {
 			t.Fatalf("good payload %x: %v", good, err)
 		}
 		for cut := 0; cut < len(good); cut++ {
-			if _, err := decodeRecord(good[:cut], nil); err == nil {
+			if _, err := decodeRecord(good[:cut]); err == nil {
 				t.Fatalf("accepted %d of %d bytes of %x", cut, len(good), good)
 			}
 		}
-		if _, err := decodeRecord(append(append([]byte{}, good...), 0), nil); err == nil {
+		if _, err := decodeRecord(append(append([]byte{}, good...), 0)); err == nil {
 			t.Fatalf("accepted a trailing byte after %x", good)
 		}
 	}
@@ -134,7 +133,7 @@ func TestDecodeRecordRejects(t *testing.T) {
 		"overlong varint":  append([]byte{recTouch, 0x81, 0x00, 'x'}, 0, 0),
 		"nanoseconds ≥ 1s": binary.AppendUvarint([]byte{recTouch, 0, 0}, 1e9),
 	} {
-		if _, err := decodeRecord(bad, nil); err == nil {
+		if _, err := decodeRecord(bad); err == nil {
 			t.Errorf("%s: accepted %x", name, bad)
 		}
 	}
@@ -147,7 +146,7 @@ func TestDecodeRecordHostileCount(t *testing.T) {
 	raw = append(raw, bytes.Repeat([]byte{0}, 64)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := decodeRecord(raw, nil)
+	_, err := decodeRecord(raw)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("accepted a table count larger than the payload")

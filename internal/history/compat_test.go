@@ -2,15 +2,19 @@ package history
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"weseer/internal/btree"
+	"weseer/internal/obs/obstest"
 )
 
 // testdata/legacy_http.golden is what the three /history/* endpoints of
@@ -126,16 +130,110 @@ func TestJSONPayloadLogRefused(t *testing.T) {
 	}
 }
 
+// TestOpenFailsOnBadRecord: a record that does not apply (a touch of a
+// fingerprint no record before it introduced) or does not decode, batches
+// into the log, fails Open with an error naming that record's offset even
+// when a later record is bad too, leaves the log — torn tail included — as
+// it was, and leaves no replay goroutine behind.
+func TestOpenFailsOnBadRecord(t *testing.T) {
+	unknownTouch := appendRecord(nil, record{kind: recTouch, fp: "no-such-event", at: time.Unix(0, 0).UTC()})
+	undecodable := []byte{recEvent, 0x80, 0x00}
+	const records = 3 * benchBatch
+	events := benchBatches(records)
+	for _, c := range []struct {
+		name  string
+		bad   map[int][]byte // record index → payload
+		first int
+	}{
+		{"apply", map[int][]byte{replayBatch + replayBatch/2: unknownTouch}, replayBatch + replayBatch/2},
+		{"decode", map[int][]byte{replayBatch + replayBatch/2: undecodable}, replayBatch + replayBatch/2},
+		{"apply before decode", map[int][]byte{replayBatch + 1: unknownTouch, replayBatch + 9: undecodable}, replayBatch + 1},
+		{"last record", map[int][]byte{records - 1: unknownTouch}, records - 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			obstest.CheckGoroutines(t)
+			path := filepath.Join(t.TempDir(), "history.wal")
+			l, err := btree.OpenLog(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var off int64
+			i := 0
+			for _, batch := range events {
+				for j := range batch {
+					payload := appendRecord(nil, record{kind: recEvent, e: &batch[j]})
+					if bad, ok := c.bad[i]; ok {
+						payload = bad
+					}
+					if i == c.first {
+						off = l.Size()
+					}
+					if err := l.Append(payload); err != nil {
+						t.Fatal(err)
+					}
+					i++
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{9, 0, 0}); err != nil { // a torn frame header
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s, err := Open(path)
+			if err == nil {
+				s.Close()
+				t.Fatal("a log with a bad record opened")
+			}
+			if want := fmt.Sprintf("@%d: ", off); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name the offset of record %d (%s)", err, c.first, want)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, before) {
+				t.Fatalf("the refused open changed the log: %d bytes, was %d", len(after), len(before))
+			}
+		})
+	}
+}
+
 // TestReplayEqualsLiveRandom drives a seeded random ingest sequence —
 // new, repeated and in-batch-duplicate fingerprints — and compares every
-// queryable byte of the live store with the reopened one.
+// queryable byte of the live store with the reopened one, on its own and
+// behind enough new events that its replay spans several of Open's batches.
 func TestReplayEqualsLiveRandom(t *testing.T) {
+	for _, prefill := range []int{0, 5 * benchBatch} {
+		t.Run(fmt.Sprintf("prefill=%d", prefill), func(t *testing.T) { replayEqualsLive(t, prefill) })
+	}
+}
+
+func replayEqualsLive(t *testing.T, prefill int) {
 	rng := rand.New(rand.NewSource(16))
-	pool := benchBatches(benchBatch)[0][:200]
+	batches := benchBatches(benchBatch + prefill)
+	pool := batches[0][:200]
 	path := filepath.Join(t.TempDir(), "history.wal")
 	s, err := Open(path, WithClock(fixedClock()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, batch := range batches[1:] {
+		if _, err := s.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	received := 0
 	for i := 0; i < 300; i++ {
@@ -151,8 +249,8 @@ func TestReplayEqualsLiveRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Sightings() != received || s.Len() < 100 || s.Len() == received {
-		t.Fatalf("sequence stored %d events over %d sightings of %d received", s.Len(), s.Sightings(), received)
+	if n := s.Len() - prefill; s.Sightings()-prefill != received || n < 100 || n == received {
+		t.Fatalf("sequence stored %d events over %d sightings of %d received", n, s.Sightings()-prefill, received)
 	}
 	live := snapshot(t, s)
 	if err := s.Close(); err != nil {
@@ -168,10 +266,13 @@ func TestReplayEqualsLiveRandom(t *testing.T) {
 	}
 
 	// The memory half of the codec: equal strings of different events are
-	// one string.
+	// one string, and an empty one points into no payload copy.
 	bySQL := map[string]string{}
 	shared := 0
 	for _, e := range s2.Events(EventQuery{}) {
+		if e.Txns[0].HoldsAt != "" || unsafe.StringData(e.Txns[0].HoldsAt) != nil {
+			t.Fatalf("event %s: empty HoldsAt %q holds a pointer", e.Fingerprint, e.Txns[0].HoldsAt)
+		}
 		sql := e.Txns[0].HoldsSQL
 		if prev, ok := bySQL[sql]; ok {
 			if unsafe.StringData(prev) != unsafe.StringData(sql) {

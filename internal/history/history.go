@@ -11,8 +11,8 @@
 // side held, where it waited, which code triggered it). The store is an
 // embedded, stdlib-only append-only event store over internal/btree: a
 // WAL-style record log (btree.Log, crash-safe reload with torn-tail
-// truncation) is the single source of truth, and the in-memory B-tree
-// indexes — events by fingerprint, plus incrementally maintained
+// truncation) is the single source of truth, and the in-memory indexes —
+// a B-tree of events by fingerprint, plus incrementally maintained
 // per-table / per-class / per-API-pair pattern rollups — are rebuilt by
 // replaying it, so live state and reloaded state are identical by
 // construction. Ingest is idempotent by fingerprint: re-ingesting a
@@ -63,11 +63,13 @@ type Event struct {
 }
 
 // PairKey is the canonical API-pair rollup key.
-func PairKey(a, b string) string {
+func PairKey(a, b string) string { return string(appendPairKey(nil, a, b)) }
+
+func appendPairKey(dst []byte, a, b string) []byte {
 	if b < a {
 		a, b = b, a
 	}
-	return a + " -- " + b
+	return append(append(append(dst, a...), " -- "...), b...)
 }
 
 // Rollup is one pre-computed pattern aggregate: how many distinct
@@ -100,10 +102,11 @@ type Store struct {
 	mu        sync.RWMutex
 	log       *btree.Log
 	events    *btree.Map[string, *Event] // fingerprint → event
-	tables    *btree.Map[string, *Rollup]
-	classes   *btree.Map[string, *Rollup]
-	pairs     *btree.Map[string, *Rollup]
-	strs      map[string]string // the decoder's shared strings, all held by events
+	tables    map[string]*Rollup
+	classes   map[string]*Rollup
+	pairs     map[string]*Rollup // by PairKey
+	pairKey   []byte             // bumpRollups' scratch PairKey
+	strs      map[string]string  // the one copy of each string events share (see intern)
 	sightings int
 	version   atomic.Uint64 // records applied; written under mu, read without it
 	// firstSeen is the earliest FirstSeen (or LastSeen, if earlier) of any
@@ -121,23 +124,72 @@ func WithClock(now func() time.Time) StoreOption {
 	return func(s *Store) { s.now = now }
 }
 
+// replayBatch is how many decoded records Open hands its applying
+// goroutine at a time.
+const replayBatch = 1024
+
 // Open opens (creating if absent) the store at path, replaying the
 // record log to rebuild the event index and pattern rollups. A torn
 // final record from a crash mid-append is dropped and truncated away.
+// The log's reader decodes each record while a second goroutine applies
+// the ones before it in log order; the first record that fails either way
+// fails Open, named by its offset, with the file left as it was.
 func Open(path string, opts ...StoreOption) (*Store, error) {
 	s := &Store{
 		events:  btree.New[string, *Event](strings.Compare),
-		tables:  btree.New[string, *Rollup](strings.Compare),
-		classes: btree.New[string, *Rollup](strings.Compare),
-		pairs:   btree.New[string, *Rollup](strings.Compare),
+		tables:  map[string]*Rollup{},
+		classes: map[string]*Rollup{},
+		pairs:   map[string]*Rollup{},
 		strs:    map[string]string{},
 		now:     time.Now,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	log, err := btree.OpenLog(path, s.applyPayload)
+	type frame struct {
+		off int64
+		rec record
+	}
+	var batch []frame
+	work, exited := make(chan []frame), make(chan struct{})
+	var failed error // the first apply error, a *btree.FrameError; read once exited is closed
+	go func(work <-chan []frame) {
+		defer close(exited)
+		for b := range work {
+			for i := 0; i < len(b) && failed == nil; i++ { // after a failure, only drain
+				if err := s.apply(b[i].rec); err != nil {
+					failed = &btree.FrameError{Off: b[i].off, Err: err}
+				}
+			}
+		}
+	}(work)
+	// finish hands over the last batch and waits for the applier to exit;
+	// later calls only repeat its verdict.
+	finish := func() error {
+		if work != nil {
+			work <- batch
+			close(work)
+			<-exited
+			work = nil
+		}
+		return failed
+	}
+	log, err := btree.OpenLogFrames(path, func(off int64, raw []byte) error {
+		rec, err := decodeRecord(raw)
+		if err != nil {
+			if ferr := finish(); ferr != nil {
+				return ferr // a record before this one failed to apply
+			}
+			return err
+		}
+		if batch = append(batch, frame{off, rec}); len(batch) == replayBatch {
+			work <- batch
+			batch = make([]frame, 0, replayBatch)
+		}
+		return nil
+	}, finish)
 	if err != nil {
+		_ = finish() // stops the applier if the open failed before replay ended; err is the verdict
 		return nil, err
 	}
 	s.log = log
@@ -145,12 +197,12 @@ func Open(path string, opts ...StoreOption) (*Store, error) {
 }
 
 // applyPayload decodes one log payload and folds it into the in-memory
-// state. It is the only way state changes: replay calls it on every frame
-// it reads, Ingest on every payload it has just appended, so a reopened
-// store is state-identical to the one that wrote the log and no stored
-// event shares memory with an Ingest caller.
+// state. Ingest calls it on every payload it has just appended, and Open
+// runs its two halves on every frame it reads, so a reopened store is
+// state-identical to the one that wrote the log and no stored event shares
+// memory with an Ingest caller.
 func (s *Store) applyPayload(raw []byte) error {
-	rec, err := decodeRecord(raw, s.strs)
+	rec, err := decodeRecord(raw)
 	if err != nil {
 		return err
 	}
@@ -178,6 +230,7 @@ func (s *Store) apply(rec record) error {
 		if s.events.Len() == 0 || lo.Before(s.firstSeen) {
 			s.firstSeen = lo
 		}
+		s.intern(e)
 		s.events.Set(e.Fingerprint, e)
 		s.sightings += e.Seen
 		s.bumpRollups(e, true)
@@ -201,25 +254,62 @@ func (s *Store) apply(rec record) error {
 	}
 }
 
+// intern gives a decoded event strings of its own: a copy of its
+// fingerprint, and for every other string the one copy all events share —
+// apps, classes, APIs, tables, SQL templates and file:line locations
+// repeat across thousands of events.
+func (s *Store) intern(e *Event) {
+	e.Fingerprint = strings.Clone(e.Fingerprint)
+	t0, t1 := &e.Txns[0], &e.Txns[1]
+	for _, p := range [...]*string{&e.App, &e.Class, &e.APIs[0], &e.APIs[1], &t0.API, &t0.HoldsSQL,
+		&t0.HoldsAt, &t0.WaitsSQL, &t0.WaitsAt, &t1.API, &t1.HoldsSQL, &t1.HoldsAt, &t1.WaitsSQL, &t1.WaitsAt} {
+		s.share(p)
+	}
+	for i := range e.Tables {
+		s.share(&e.Tables[i])
+	}
+}
+
+// share points *p at the store's copy of the string, made on first sight.
+func (s *Store) share(p *string) {
+	if c, ok := s.strs[*p]; ok {
+		*p = c
+	} else if *p != "" {
+		*p = strings.Clone(*p)
+		s.strs[*p] = *p
+	}
+}
+
 // bumpRollups folds a new event, or a new sighting of a known one, into
 // every rollup it belongs to.
 func (s *Store) bumpRollups(e *Event, newEvent bool) {
 	for _, t := range e.Tables {
-		bump(s.tables, t, e, newEvent)
+		rollup(s.tables, t, e).bump(e, newEvent)
 	}
 	if e.Class != "" {
-		bump(s.classes, e.Class, e, newEvent)
+		rollup(s.classes, e.Class, e).bump(e, newEvent)
 	}
-	bump(s.pairs, PairKey(e.APIs[0], e.APIs[1]), e, newEvent)
+	s.pairKey = appendPairKey(s.pairKey[:0], e.APIs[0], e.APIs[1])
+	r := s.pairs[string(s.pairKey)] // a lookup by a converted []byte does not allocate
+	if r == nil {
+		r = rollup(s.pairs, string(s.pairKey), e)
+	}
+	r.bump(e, newEvent)
 }
 
-// bump maintains one rollup map for an applied record.
-func bump(m *btree.Map[string, *Rollup], key string, e *Event, newEvent bool) {
-	r, ok := m.Get(key)
-	if !ok {
+// rollup returns m's rollup for key, starting one at e's times when m has
+// none.
+func rollup(m map[string]*Rollup, key string, e *Event) *Rollup {
+	r := m[key]
+	if r == nil {
 		r = &Rollup{Key: key, FirstSeen: e.FirstSeen, LastSeen: e.LastSeen}
-		m.Set(key, r)
+		m[key] = r
 	}
+	return r
+}
+
+// bump folds a new event, or a new sighting of a known one, into r.
+func (r *Rollup) bump(e *Event, newEvent bool) {
 	if newEvent {
 		r.Events++
 		r.Seen += e.Seen
@@ -377,12 +467,13 @@ type PatternSummary struct {
 	Pairs     []Rollup `json:"pairs"`
 }
 
-func collect(m *btree.Map[string, *Rollup]) []Rollup {
-	out := make([]Rollup, 0, m.Len())
-	m.AscendAll(func(_ string, r *Rollup) bool {
+// collect returns m's rollups in key order.
+func collect(m map[string]*Rollup) []Rollup {
+	out := make([]Rollup, 0, len(m))
+	for _, r := range m {
 		out = append(out, *r)
-		return true
-	})
+	}
+	slices.SortFunc(out, func(a, b Rollup) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -415,11 +506,10 @@ func (s *Store) TableCounts(since time.Time) []TableCount {
 	defer s.mu.RUnlock()
 	var out []TableCount
 	if since.IsZero() || !since.After(s.firstSeen) {
-		out = make([]TableCount, 0, s.tables.Len())
-		s.tables.AscendAll(func(t string, r *Rollup) bool {
+		out = make([]TableCount, 0, len(s.tables))
+		for t, r := range s.tables {
 			out = append(out, TableCount{Table: t, Events: r.Events, Seen: r.Seen})
-			return true
-		})
+		}
 	} else {
 		acc := map[string]*TableCount{}
 		s.events.AscendAll(func(_ string, e *Event) bool {

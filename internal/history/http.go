@@ -209,8 +209,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			fail(http.StatusNotImplemented, "trace ingest is not configured (no analyzer)")
 			return
 		}
-		var traces []*trace.Trace
-		if err := json.Unmarshal(body, &traces); err != nil {
+		traces, err := trace.Decode(body)
+		if err != nil {
 			fail(http.StatusBadRequest, "decode traces: %v", err)
 			return
 		}

@@ -222,6 +222,16 @@ func TestIngestErrors(t *testing.T) {
 		}
 	}
 
+	// A null trace is a bad batch, not a nil trace for the analyzer.
+	resp, err = http.Post(ts.URL+"/ingest?format=traces", obs.ContentTypeJSON, strings.NewReader("[null]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("null trace status %d", resp.StatusCode)
+	}
+
 	// Trace ingest without an analyzer.
 	srv.Analyze = nil
 	resp, err = http.Post(ts.URL+"/ingest", obs.ContentTypeJSON, strings.NewReader("[]"))
@@ -233,8 +243,8 @@ func TestIngestErrors(t *testing.T) {
 		t.Errorf("no-analyzer status %d", resp.StatusCode)
 	}
 
-	if got := reg.Snapshot()["weseer_history_ingest_errors_total"]; got != 4 {
-		t.Errorf("ingest_errors_total = %v, want 4", got)
+	if got := reg.Snapshot()["weseer_history_ingest_errors_total"]; got != 5 {
+		t.Errorf("ingest_errors_total = %v, want 5", got)
 	}
 
 	// Bad window on a query endpoint.
@@ -327,7 +337,8 @@ func TestIngestOversizedEvent(t *testing.T) {
 }
 
 // FuzzIngest posts arbitrary bodies to /ingest, as events and as traces
-// (re-analyzed by a stub that finds no deadlock), over one temporary
+// (re-analyzed by a stub that reads each trace and finds no deadlock; a
+// null trace, seed traces_null, used to panic it), over one temporary
 // store: no panic, a status from the documented set, a refused request
 // leaves the store alone, and an accepted one adds up — Received = Stored
 // + Deduped, and the store grew by Stored. The record limit is lowered so
@@ -340,7 +351,10 @@ func FuzzIngest(f *testing.F) {
 		f.Fatal(err)
 	}
 	defer store.Close()
-	srv := &Server{Store: store, Analyze: func(context.Context, string, []*trace.Trace) ([]Event, error) {
+	srv := &Server{Store: store, Analyze: func(_ context.Context, _ string, traces []*trace.Trace) ([]Event, error) {
+		for _, tr := range traces {
+			_ = tr.AllStmts() // the analyzer reads every trace
+		}
 		return nil, nil
 	}}
 	f.Fuzz(func(t *testing.T, asEvents bool, body []byte) {

@@ -406,6 +406,34 @@ func (tr *Trace) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
 	}
+	return tr.fromJSON(&in)
+}
+
+// Decode reads a trace batch, the JSON array `weseer collect -o` writes,
+// in one encoding/json pass; json.Unmarshal into []*Trace would parse each
+// element again inside UnmarshalJSON. It returns what that returns, except
+// that a null element is an error rather than a nil trace.
+func Decode(data []byte) ([]*Trace, error) {
+	var in []*traceJSON
+	if err := json.Unmarshal(data, &in); err != nil || in == nil {
+		return nil, err
+	}
+	out := make([]*Trace, len(in))
+	for i, j := range in {
+		if j == nil {
+			return nil, fmt.Errorf("trace: trace %d is null", i)
+		}
+		out[i] = new(Trace)
+		if err := out[i].fromJSON(j); err != nil {
+			return nil, err
+		}
+		in[i] = nil // garbage once converted
+	}
+	return out, nil
+}
+
+// fromJSON sets tr to the trace its wire form in describes.
+func (tr *Trace) fromJSON(in *traceJSON) error {
 	tr.API = in.API
 	tr.Stats = in.Stats
 	tr.Inputs, tr.Txns, tr.PathConds = nil, nil, nil

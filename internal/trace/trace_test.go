@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/big"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,6 +159,9 @@ func TestJSONRejectsMalformedExprs(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &trs); err == nil || !strings.HasPrefix(err.Error(), "trace: ") {
 			t.Errorf("%s: got error %v, want a trace: error", name, err)
 		}
+		if _, err := Decode([]byte(body)); err == nil || !strings.HasPrefix(err.Error(), "trace: ") {
+			t.Errorf("%s: Decode: got error %v, want a trace: error", name, err)
+		}
 	}
 	body := `[{"api":"x","inputs":[{"name":"i","sort":9,"concrete":"1"}],"txns":[],"path_conds":[]}]`
 	if err := json.Unmarshal([]byte(body), new([]*Trace)); err == nil || !strings.HasPrefix(err.Error(), "trace: ") {
@@ -164,11 +169,12 @@ func TestJSONRejectsMalformedExprs(t *testing.T) {
 	}
 }
 
-// FuzzTraceJSON feeds the trace decoder arbitrary bytes: it must return an
-// error rather than panic, and a batch it accepts must re-encode stably —
-// decoding its encoding and encoding again gives the same bytes. The
-// checked-in seeds are the three bodies that used to panic and a small
-// gen: collection.
+// FuzzTraceJSON feeds the trace decoders arbitrary bytes: they must return
+// an error rather than panic; Decode must accept exactly what json.Unmarshal
+// into []*Trace accepts without a nil element, and to the same traces; and
+// a batch it accepts must re-encode stably — decoding its encoding and
+// encoding again gives the same bytes. The checked-in seeds are the three
+// bodies that used to panic, a null trace and a small gen: collection.
 func FuzzTraceJSON(f *testing.F) {
 	sample, err := json.Marshal([]*Trace{sampleTrace()})
 	if err != nil {
@@ -183,19 +189,50 @@ func FuzzTraceJSON(f *testing.F) {
 		return data
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var trs []*Trace
-		if json.Unmarshal(data, &trs) != nil {
+		trs, err := Decode(data)
+		var each []*Trace
+		eachErr := json.Unmarshal(data, &each)
+		if eachErr == nil && slices.Contains(each, nil) {
+			eachErr = errors.New("a null trace")
+		}
+		if (err == nil) != (eachErr == nil) {
+			t.Fatalf("Decode: %v; element by element: %v", err, eachErr)
+		}
+		if err != nil {
 			return
 		}
 		once := encode(t, trs)
-		var back []*Trace
-		if err := json.Unmarshal(once, &back); err != nil {
+		if want := encode(t, each); !bytes.Equal(once, want) {
+			t.Fatalf("Decode and element-wise decoding disagree:\n Decode %s\n each   %s", once, want)
+		}
+		back, err := Decode(once)
+		if err != nil {
 			t.Fatalf("decoding an encoded batch: %v\n%s", err, once)
 		}
 		if twice := encode(t, back); !bytes.Equal(once, twice) {
 			t.Fatalf("re-encoding is not stable:\n once  %s\n twice %s", once, twice)
 		}
 	})
+}
+
+// TestDecodeRejectsNullTrace: json.Unmarshal into []*Trace takes a null
+// element for a nil trace, which the analyzer would dereference; Decode
+// refuses it.
+func TestDecodeRejectsNullTrace(t *testing.T) {
+	sample, err := json.Marshal(sampleTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{`[null]`, `[` + string(sample) + `,null]`} {
+		if trs, err := Decode([]byte(body)); err == nil || !strings.HasPrefix(err.Error(), "trace: ") {
+			t.Errorf("Decode(%.40s…) = %d traces, error %v; want a trace: error", body, len(trs), err)
+		}
+	}
+	for body, want := range map[string]int{`null`: 0, `[]`: 0, `[` + string(sample) + `]`: 1} {
+		if trs, err := Decode([]byte(body)); err != nil || len(trs) != want {
+			t.Errorf("Decode(%.40s…) = %d traces, error %v; want %d", body, len(trs), err, want)
+		}
+	}
 }
 
 func TestCodeLocFramesNotAliasedByJSON(t *testing.T) {

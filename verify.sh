@@ -79,10 +79,13 @@ go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./int
     ./internal/concolic/... ./internal/orm/... ./internal/minidb/... ./internal/apps/...
 
 # The history daemon answers /history/* reads from per-route memos keyed
-# by the store's version while ingests write the store: a reader that races
-# an ingest shows here (TestMemoConcurrentIngest).
-echo "== go test -race (history)"
-go test -race ./internal/history
+# by the store's version while ingests write the store, and Open replays
+# the log on two goroutines (one decodes, one applies): a reader that races
+# an ingest (TestMemoConcurrentIngest) or a record the two replay stages
+# share shows here. Three runs, so the pipeline's hand-offs and the memo's
+# races are hammered together.
+echo "== go test -race -count=3 (history)"
+go test -race -count=3 ./internal/history
 
 # The allocation ceilings, on their own and without the detector (whose
 # instrumentation allocates): a statement in minidb, and a whole API call
