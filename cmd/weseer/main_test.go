@@ -92,15 +92,21 @@ func TestPartialReportExits3(t *testing.T) {
 	}
 }
 
-// TestStrayArgumentsAreUsageErrors: run, collect and analyze take flags
-// only. A positional argument, such as an app spec without -app, is a usage
-// error (exit status 2, the flags on stderr) instead of being ignored.
+// TestStrayArgumentsAreUsageErrors: run, collect, analyze, serve and
+// ingest take flags only, and history one query kind. A positional argument
+// beyond those, such as an app spec without -app, is a usage error (exit
+// status 2, the flags on stderr) instead of being ignored — before any
+// command dials a daemon or creates its store.
 func TestStrayArgumentsAreUsageErrors(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "traces.json")
+	dir := t.TempDir()
+	out, store := filepath.Join(dir, "traces.json"), filepath.Join(dir, "history.wal")
 	for _, c := range []struct{ name, args string }{
 		{"run", "run gen:7,templates=1056"},
 		{"collect", "collect -o " + out + " gen:7,templates=12"},
 		{"analyze", "analyze -app shopizer -i " + out + " extra"},
+		{"serve", "serve -store " + store + " stray"},
+		{"ingest", "ingest stray.json -addr 127.0.0.1:1"},
+		{"history", "history -addr 127.0.0.1:1 events patterns"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			stdout, stderr, status := weseer(t, c.args)
@@ -112,7 +118,9 @@ func TestStrayArgumentsAreUsageErrors(t *testing.T) {
 			}
 		})
 	}
-	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("collect with a stray argument wrote %s (stat: %v)", out, err)
+	for _, f := range []string{out, store} {
+		if _, err := os.Stat(f); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("a command with a stray argument wrote %s (stat: %v)", f, err)
+		}
 	}
 }

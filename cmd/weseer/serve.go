@@ -42,7 +42,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port; the bound URL is printed on stdout)")
 	defaultApp := fs.String("app", "broadleaf", "application assumed when an ingest request names none (?app=)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-ingest analysis wall-time bound (0 = none)")
-	fs.Parse(args)
+	parseArgs(fs, args)
 
 	st, err := history.Open(*store)
 	if err != nil {
@@ -82,9 +82,10 @@ type serveConfig struct {
 // newDaemonObserver is the one observer of a daemon's lifetime: the
 // funnel counters accumulate across ingests, next to the history
 // instruments. It has no tracer — a daemon has nowhere to export spans
-// to, and a tracer only ever grows.
+// to, and a tracer only ever grows — and no progress tracker: a phase and
+// an ETA belong to one run, and ingests analyze concurrently.
 func newDaemonObserver() *obs.Observer {
-	return &obs.Observer{Metrics: obs.NewRegistry(), Progress: obs.NewProgress()}
+	return &obs.Observer{Metrics: obs.NewRegistry()}
 }
 
 // newHistoryServer wires the history store's HTTP surface over the
@@ -143,7 +144,7 @@ func cmdIngest(args []string) error {
 	in := fs.String("i", "traces.json", "input file (collect traces, analyze -json report, or history events)")
 	appName := fs.String("app", "", "application the payload came from (daemon default when empty)")
 	format := fs.String("format", "traces", "payload format: traces|report|events")
-	fs.Parse(args)
+	parseArgs(fs, args)
 
 	base, err := serviceURL(*addr)
 	if err != nil {
@@ -222,14 +223,13 @@ func cmdHistory(args []string) error {
 	limit := fs.Int("limit", 0, "events: cap the result count (0 = all)")
 	// The query kind may sit anywhere among the flags (`weseer history
 	// events -class d3`, `... -addr A events -format json`): stdlib
-	// flag parsing stops at the first positional argument, so re-parse
-	// past each one instead of silently ignoring what follows it.
+	// flag parsing stops at the first positional argument, so the flags
+	// after it are parsed again, and a second positional is a usage error.
 	what := "patterns"
 	fs.Parse(args)
-	for fs.NArg() > 0 {
+	if fs.NArg() > 0 {
 		what = fs.Arg(0)
-		rest := append([]string(nil), fs.Args()[1:]...)
-		fs.Parse(rest)
+		parseArgs(fs, fs.Args()[1:])
 	}
 	base, err := serviceURL(*addr)
 	if err != nil {

@@ -334,8 +334,15 @@ func TestDaemonObserverRetainsNothing(t *testing.T) {
 	if n := len(o.Tracer.Events()); n != 0 {
 		t.Errorf("daemon observer retains %d spans after %d re-ingests", n, total)
 	}
-	if got := metrics()["weseer_funnel_traces_total"]; got != float64(total*len(traces)) {
+	if o.Progress != nil {
+		t.Error("daemon observer tracks progress: a phase and an ETA belong to one run")
+	}
+	after := metrics()
+	if got := after["weseer_funnel_traces_total"]; got != float64(total*len(traces)) {
 		t.Errorf("weseer_funnel_traces_total = %v after %d ingests of %d traces", got, total, len(traces))
+	}
+	if all, done := after["weseer_chains_total"], after["weseer_chains_done"]; all == 0 || all != done {
+		t.Errorf("idle daemon: weseer_chains_total %v, weseer_chains_done %v; want equal and nonzero", all, done)
 	}
 }
 

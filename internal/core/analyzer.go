@@ -74,7 +74,7 @@ func (a *Analyzer) newRun() *run {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm), memo: newMemoTable(workers), m: &Metrics{},
+	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm, a.opts.UseConcretePlans), memo: newMemoTable(workers), m: &Metrics{},
 		facts: map[*trace.Stmt]*stmtFacts{}, workers: workers}
 	if a.opts.StaticPrescreen {
 		r.ps = &prescreenState{

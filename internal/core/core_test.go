@@ -274,8 +274,8 @@ func CheckLockFilterIsExact(t *testing.T, scm *schema.Schema, traces []*trace.Tr
 			for _, cyc := range ch.cycles {
 				edges := r.edges(cyc)
 				pass := [2]bool{
-					r.locks.PotentialConflict(cyc.S1b, cyc.S2a, plans),
-					r.locks.PotentialConflict(cyc.S2b, cyc.S1a, plans),
+					r.locks.PotentialConflict(cyc.S1b, cyc.S2a),
+					r.locks.PotentialConflict(cyc.S2b, cyc.S1a),
 				}
 				for i, e := range edges {
 					if !pass[i] && e.Cond != smt.False {

@@ -90,8 +90,7 @@ func sideHint(holds, waits *trace.Stmt, scm *schema.Schema) EditHint {
 		return HintProbeRead
 	}
 	if holds.IsWrite() {
-		ht, st := holds.Trigger.Top(), holds.Sent.Top()
-		if st.File != "" && st != ht {
+		if holds.Deferred() {
 			return HintFlushBarrier
 		}
 		return HintReorder

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,6 +105,40 @@ func TestObserverPreservesDeterminism(t *testing.T) {
 	}
 }
 
+// TestObserverConcurrentChainCounts: analyses sharing one observer, as a
+// daemon's concurrent ingests do, only add to the chain gauges, so once
+// all are done, done equals total equals the chains of each run counted
+// alone.
+func TestObserverConcurrentChainCounts(t *testing.T) {
+	batches := [][]*trace.Trace{pipelineTraces(), obsTraces(), pipelineTraces(), obsTraces()}
+	chains := func(o *obs.Observer, traces []*trace.Trace) {
+		if _, err := NewAnalyzer(fig1Schema(), WithParallelism(2), WithObserver(o)).
+			AnalyzeContext(context.Background(), traces); err != nil {
+			t.Error(err)
+		}
+	}
+	var want float64
+	for _, traces := range batches {
+		o := &obs.Observer{Metrics: obs.NewRegistry()}
+		chains(o, traces)
+		want += o.Metrics.Snapshot()["weseer_chains_total"]
+	}
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	var wg sync.WaitGroup
+	for _, traces := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chains(o, traces)
+		}()
+	}
+	wg.Wait()
+	snap := o.Metrics.Snapshot()
+	if total, done := snap["weseer_chains_total"], snap["weseer_chains_done"]; total != want || done != want {
+		t.Errorf("after %d concurrent analyses: chains total %v, done %v; want both %v", len(batches), total, done, want)
+	}
+}
+
 // TestObserverCancellationHygiene cancels an observed analysis while
 // phase-3 workers are mid-discharge and asserts that everything the run
 // spawned — the worker pool and the debug HTTP server — exits, leaving
@@ -157,6 +192,11 @@ func TestObserverCancellationHygiene(t *testing.T) {
 	}
 	if got := o.Progress.Snapshot().Phase; got != "aborted" {
 		t.Errorf("final progress phase = %q, want aborted", got)
+	}
+	// The chains the cancellation kept from starting leave the total: none
+	// is in flight once the run has returned.
+	if snap := o.Metrics.Snapshot(); snap["weseer_chains_total"] != snap["weseer_chains_done"] {
+		t.Errorf("canceled run left chains total %v, done %v", snap["weseer_chains_total"], snap["weseer_chains_done"])
 	}
 	// All spawned goroutines — 4 pool workers, the HTTP server's listener
 	// and handlers — must be gone once it is closed.

@@ -67,12 +67,14 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 	if o != nil {
 		o.Progress.SetPhase("fine")
 		o.Progress.SetChains(int64(len(chains)))
-		r.m.chainsTotal.Set(int64(len(chains)))
-		r.m.chainsDone.Set(0)
 		spFine := o.StartSpan(0, "discharge",
 			obs.Int("chains", len(chains)), obs.Int("workers", min(r.workers, len(chains))))
 		defer spFine.End()
 	}
+	// The gauges are shared by the analyses on one observer, so each run
+	// only adds: total minus done is the chains in flight.
+	r.m.chainsTotal.Add(int64(len(chains)))
+	var ran atomic.Int64
 	outcomes := make([]chainOutcome, len(chains))
 	forEachIndex(ctx, len(chains), r.workers, func(i, tid int) {
 		outcomes[i] = r.evalChain(ctx, chains[i], tid)
@@ -82,8 +84,11 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 			o.Progress.ChainDone()
 		}
 		r.m.chainsDone.Add(1)
+		ran.Add(1)
 		r.m.publish(&outcomes[i].stats)
 	})
+	// Chains a cancellation kept from starting are no longer in flight.
+	r.m.chainsTotal.Add(ran.Load() - int64(len(chains)))
 
 	// Stage 4: merge per chain index — chain order is the serial
 	// first-occurrence order, so aggregation is deterministic.
@@ -148,8 +153,8 @@ func (r *run) evalChain(ctx context.Context, ch *chain, tid int) chainOutcome {
 func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, out *chainOutcome) *Deadlock {
 	// Quick filter, exact: a C-edge without a modeled lock collision has a
 	// false conflict condition.
-	if !r.locks.PotentialConflict(cyc.S1b, cyc.S2a, r.opts.UseConcretePlans) ||
-		!r.locks.PotentialConflict(cyc.S2b, cyc.S1a, r.opts.UseConcretePlans) {
+	if !r.locks.PotentialConflict(cyc.S1b, cyc.S2a) ||
+		!r.locks.PotentialConflict(cyc.S2b, cyc.S1a) {
 		out.stats.LockFiltered++
 		return nil
 	}
@@ -224,8 +229,8 @@ func (r *run) cycleFormula(cyc Cycle) smt.Expr {
 func (r *run) edges(cyc Cycle) [2]*lockmodel.Edge {
 	r.m.edgeInstances.Add(2)
 	return [2]*lockmodel.Edge{
-		r.locks.EdgeCond(cyc.S1b, cyc.S2a, cyc.T1.Prefix, cyc.T2.Prefix, "r1.", r.opts.UseConcretePlans),
-		r.locks.EdgeCond(cyc.S2b, cyc.S1a, cyc.T2.Prefix, cyc.T1.Prefix, "r2.", r.opts.UseConcretePlans),
+		r.locks.EdgeCond(cyc.S1b, cyc.S2a, cyc.T1.Prefix, cyc.T2.Prefix, "r1."),
+		r.locks.EdgeCond(cyc.S2b, cyc.S1a, cyc.T2.Prefix, cyc.T1.Prefix, "r2."),
 	}
 }
 

@@ -88,7 +88,7 @@ func renderSide(b *strings.Builder, name, api string, holds, waits *trace.Stmt) 
 	fmt.Fprintf(b, "      triggered at: %s\n", holds.Trigger.Top())
 	fmt.Fprintf(b, "    waits at stmt #%d: %s\n", waits.Seq, waits.SQL)
 	fmt.Fprintf(b, "      triggered at: %s\n", waits.Trigger.Top())
-	if holds.Trigger.Top() != holds.Sent.Top() && holds.Sent.Top().File != "" {
+	if holds.Deferred() {
 		fmt.Fprintf(b, "      (stmt #%d was sent at %s — write-behind flush)\n", holds.Seq, holds.Sent.Top())
 	}
 }

@@ -39,25 +39,25 @@ func (nm *Namer) fresh(hint string, sort smt.Sort) smt.Var {
 // with rowPrefix (e.g. "r1."). It returns False when the statements'
 // modeled locks cannot collide.
 func GenConflictCond(w, r *trace.Stmt, scm *schema.Schema, comTable, rowPrefix string, nm *Namer, usePlans bool) smt.Expr {
-	return NewTemplates(scm).ConflictCond(w, r, comTable, rowPrefix, nm, usePlans)
+	return NewTemplates(scm, usePlans).ConflictCond(w, r, comTable, rowPrefix, nm)
 }
 
 // ConflictCond is GenConflictCond with the statements' template-level
 // lock model taken from the memo.
-func (t *Templates) ConflictCond(w, r *trace.Stmt, comTable, rowPrefix string, nm *Namer, usePlans bool) smt.Expr {
+func (t *Templates) ConflictCond(w, r *trace.Stmt, comTable, rowPrefix string, nm *Namer) smt.Expr {
 	wStmt, rStmt := w.Parsed, r.Parsed
 	if wStmt.WriteTable() != comTable {
 		return smt.False
 	}
 	wTmpl, rTmpl := t.of(w, comTable), t.of(r, comTable)
-	locksW, locksR := wTmpl.locksFor(w, usePlans), rTmpl.locksFor(r, usePlans)
+	locksW, locksR := t.locksFor(wTmpl, w), t.locksFor(rTmpl, r)
 	if !Conflicting(locksW, locksR) {
 		return smt.False
 	}
 
 	uc := &unifier{scm: t.scm, rowPrefix: rowPrefix, aliases: rTmpl.aliasMap}
-	readCond := uc.condExpr(fullCond(rStmt), r)
-	writeCond := unifiedCondForWrite(wStmt, w, t.scm, wTmpl.aliasMap, rTmpl.aliases, rowPrefix)
+	readCond := uc.condExpr(sqlast.QueryCondOf(rStmt), r)
+	writeCond := unifiedCondForWrite(wStmt, w, t.scm, wTmpl.aliases, rTmpl.aliases, rowPrefix)
 	assoc := associatedCond(r, rowPrefix)
 	conflict := smt.And(readCond, writeCond, assoc)
 
@@ -190,24 +190,16 @@ func (u *unifier) condExpr(c sqlast.Cond, st *trace.Stmt) smt.Expr {
 	return smt.And(parts...)
 }
 
-// fullCond is a statement's whole query condition; queryCondOf supplies
-// INSERT statements' implied key equations.
-func fullCond(st sqlast.Stmt) sqlast.Cond {
-	return sqlast.Cond{Preds: queryCondOf(st), Ors: sqlast.QueryCondOf(st).Ors}
-}
-
 // unifiedCondForWrite maps the writer's condition onto each of the
 // reader's aliases of the common table and disjoins the results
 // (GenUnifiedCondForWrite).
-func unifiedCondForWrite(wStmt sqlast.Stmt, w *trace.Stmt, scm *schema.Schema, wAliasMap map[string]string, rAliases []string, rowPrefix string) smt.Expr {
-	table, cond := wStmt.WriteTable(), fullCond(wStmt)
+func unifiedCondForWrite(wStmt sqlast.Stmt, w *trace.Stmt, scm *schema.Schema, wAliases, rAliases []string, rowPrefix string) smt.Expr {
+	table, cond := wStmt.WriteTable(), sqlast.QueryCondOf(wStmt)
 	var djs []smt.Expr
 	for _, ra := range rAliases {
 		u := &unifier{scm: scm, rowPrefix: rowPrefix, aliases: map[string]string{ra: table}, rename: map[string]string{}}
-		for wa, t := range wAliasMap {
-			if t == table {
-				u.rename[wa] = ra
-			}
+		for _, wa := range wAliases {
+			u.rename[wa] = ra
 		}
 		djs = append(djs, u.condExpr(cond, w))
 	}

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"weseer/internal/schema"
-	"weseer/internal/smt"
 	"weseer/internal/sqlast"
 )
 
@@ -42,7 +41,7 @@ type IndexUse struct {
 // reported with a nil Index: a full table scan.
 func InferPossibleIndexes(st sqlast.Stmt, scm *schema.Schema) []IndexUse {
 	aliases := sqlast.AliasMapOf(st)
-	preds := queryCondOf(st)
+	preds := sqlast.QueryCondOf(st).Preds
 
 	allAliases := make([]string, 0, len(aliases))
 	for a := range aliases {
@@ -141,31 +140,4 @@ func predsKey(ps []sqlast.Pred) string {
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, "&")
-}
-
-// queryCondOf returns the statement's simple query predicates. For
-// INSERT/UPSERT, the query conditions are equations on the inserted row's
-// columns (the paper treats them as equations on the primary key; we keep
-// every inserted column, which subsumes the key).
-func queryCondOf(st sqlast.Stmt) []sqlast.Pred {
-	switch t := st.(type) {
-	case *sqlast.Insert:
-		return insertPreds(t)
-	case *sqlast.Upsert:
-		return insertPreds(&t.Insert)
-	default:
-		return sqlast.QueryCondOf(st).Preds
-	}
-}
-
-func insertPreds(ins *sqlast.Insert) []sqlast.Pred {
-	preds := make([]sqlast.Pred, 0, len(ins.Columns))
-	for i, col := range ins.Columns {
-		preds = append(preds, sqlast.Pred{
-			Op: smt.EQ,
-			L:  sqlast.C(ins.Table, col),
-			R:  ins.Values[i],
-		})
-	}
-	return preds
 }

@@ -155,6 +155,19 @@ func TestGenSharedLocksTableFallback(t *testing.T) {
 	}
 }
 
+// TestGenSharedLocksSelfJoinAlias: a self-join no index serves locks its
+// table whole under its first alias in sorted order, on every call.
+func TestGenSharedLocksSelfJoinAlias(t *testing.T) {
+	scm := fig1Schema()
+	st := sqlast.MustParse(`SELECT * FROM Product z JOIN Product a ON a.QTY = z.QTY WHERE z.QTY > ?`)
+	for range 100 {
+		locks := GenSharedLocks(st, scm, "Product", false)
+		if len(locks) != 1 || locks[0].Gran != TableLock || locks[0].Alias != "a" {
+			t.Fatalf("locks = %+v, want one table lock under alias a", locks)
+		}
+	}
+}
+
 func TestGenExclusiveLocks(t *testing.T) {
 	scm := fig1Schema()
 	locks := GenExclusiveLocks(sqlast.MustParse(q6), scm, "Product")
@@ -411,19 +424,19 @@ func TestTemplatesSharedMatchesFresh(t *testing.T) {
 		mkStmt(q6, []smt.Expr{v("q4"), smt.Int(1)}, nil),
 		mkStmt(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`, []smt.Expr{v("i"), v("iq")}, nil),
 	}
-	shared := NewTemplates(scm)
 	for _, usePlans := range []bool{false, true} {
+		shared := NewTemplates(scm, usePlans)
 		for _, w := range stmts {
 			for _, r := range stmts {
-				if got, want := shared.PotentialConflict(w, r, usePlans), PotentialConflict(w, r, scm, usePlans); got != want {
+				if got, want := shared.PotentialConflict(w, r), PotentialConflict(w, r, scm, usePlans); got != want {
 					t.Errorf("PotentialConflict(%q, %q, plans=%v) = %v, fresh %v", w.SQL, r.SQL, usePlans, got, want)
 				}
-				got := shared.ConflictCond(w, r, "Product", "r1.", NewNamer("e."), usePlans)
+				got := shared.ConflictCond(w, r, "Product", "r1.", NewNamer("e."))
 				want := GenConflictCond(w, r, scm, "Product", "r1.", NewNamer("e."), usePlans)
 				if got.String() != want.String() {
 					t.Errorf("ConflictCond(%q, %q, plans=%v):\n got %s\nwant %s", w.SQL, r.SQL, usePlans, got, want)
 				}
-				checkEdgeCond(t, shared, w, r, usePlans)
+				checkEdgeCond(t, shared, w, r)
 			}
 		}
 	}
@@ -433,14 +446,15 @@ func TestTemplatesSharedMatchesFresh(t *testing.T) {
 // "A2.", to the condition built directly from copies of the statements
 // carrying those prefixes, with a fresh memo: equal by TypedString, and
 // the variable list naming exactly its variables.
-func checkEdgeCond(t *testing.T, tm *Templates, x, y *trace.Stmt, usePlans bool) {
+func checkEdgeCond(t *testing.T, tm *Templates, x, y *trace.Stmt) {
 	t.Helper()
-	e := tm.EdgeCond(x, y, "A1.", "A2.", "r1.", usePlans)
+	usePlans := tm.usePlans
+	e := tm.EdgeCond(x, y, "A1.", "A2.", "r1.")
 	got, vars := e.Cond, e.Vars
 	prefixed := func(st *trace.Stmt, p string) *trace.Stmt {
 		return renameStmt(st, func(n string) string { return p + n })
 	}
-	want := NewTemplates(tm.scm).edgeCond(prefixed(x, "A1."), prefixed(y, "A2."), "r1.", NewNamer("rng.r1."), usePlans)
+	want := NewTemplates(tm.scm, usePlans).edgeCond(prefixed(x, "A1."), prefixed(y, "A2."), "r1.", NewNamer("rng.r1."))
 	if smt.TypedString(got) != smt.TypedString(want) {
 		t.Errorf("EdgeCond(%q, %q, plans=%v):\n got %s\nwant %s", x.SQL, y.SQL, usePlans, got, want)
 	}

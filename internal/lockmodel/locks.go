@@ -170,11 +170,11 @@ func IsPointQuery(ix *schema.Index, preds []sqlast.Pred) bool {
 	return true
 }
 
+// aliasOn returns the statement's first alias of the table in sorted
+// order, or the table's name when it has none.
 func aliasOn(st sqlast.Stmt, table string) string {
-	for alias, t := range sqlast.AliasMapOf(st) {
-		if t == table {
-			return alias
-		}
+	if aliases := sqlast.AliasesOf(st, table); len(aliases) > 0 {
+		return aliases[0]
 	}
 	return table
 }
@@ -237,23 +237,23 @@ func FilterByPlan(locks []Lock, plan []trace.PlanStep) []Lock {
 // usePlans, each side's locks are restricted to its recorded execution
 // plan.
 func PotentialConflict(a, b *trace.Stmt, scm *schema.Schema, usePlans bool) bool {
-	return NewTemplates(scm).PotentialConflict(a, b, usePlans)
+	return NewTemplates(scm, usePlans).PotentialConflict(a, b)
 }
 
 // PotentialConflict is the package-level PotentialConflict with the
 // statements' template-level lock model taken from the memo.
-func (t *Templates) PotentialConflict(a, b *trace.Stmt, usePlans bool) bool {
+func (t *Templates) PotentialConflict(a, b *trace.Stmt) bool {
 	return Oriented(a, b, parsed, func(w, r *trace.Stmt, tab string) bool {
-		return Conflicting(t.of(w, tab).locksFor(w, usePlans), t.of(r, tab).locksFor(r, usePlans))
+		return Conflicting(t.locksFor(t.of(w, tab), w), t.locksFor(t.of(r, tab), r))
 	})
 }
 
 // edgeCond builds the conflict condition of one C-edge between x and y:
 // the disjunction of ConflictCond over the orientations Oriented admits.
-func (t *Templates) edgeCond(x, y *trace.Stmt, rowPrefix string, nm *Namer, usePlans bool) smt.Expr {
+func (t *Templates) edgeCond(x, y *trace.Stmt, rowPrefix string, nm *Namer) smt.Expr {
 	var alts []smt.Expr
 	Oriented(x, y, parsed, func(w, r *trace.Stmt, tab string) bool {
-		alts = append(alts, t.ConflictCond(w, r, tab, rowPrefix, nm, usePlans))
+		alts = append(alts, t.ConflictCond(w, r, tab, rowPrefix, nm))
 		return false
 	})
 	return smt.Or(alts...)
@@ -278,10 +278,10 @@ func Oriented[S any](a, b S, stmt func(S) sqlast.Stmt, f func(w, r S, table stri
 
 func parsed(st *trace.Stmt) sqlast.Stmt { return st.Parsed }
 
-// readLocks models the locks the "reader" side of a conflict holds on the
-// table: shared locks for SELECTs, exclusive locks when the statement
-// itself writes the table.
-func readLocks(st sqlast.Stmt, scm *schema.Schema, table string, isEmpty bool) []Lock {
+// ReadLocks models the locks the "reader" side of a conflict holds on the
+// table: exclusive locks when the statement itself writes the table,
+// shared locks otherwise.
+func ReadLocks(st sqlast.Stmt, scm *schema.Schema, table string, isEmpty bool) []Lock {
 	if st.WriteTable() == table {
 		return GenExclusiveLocks(st, scm, table)
 	}

@@ -131,11 +131,11 @@ func TestEdgeCondKeysOnPlan(t *testing.T) {
 		read("a3", "b3", nil),
 	}
 	for _, usePlans := range []bool{false, true} {
-		tm := NewTemplates(scm)
+		tm := NewTemplates(scm, usePlans)
 		for _, r := range reads {
-			checkEdgeCond(t, tm, r, write, usePlans)
+			checkEdgeCond(t, tm, r, write)
 		}
-		if c := tm.EdgeCond(reads[1], write, "A1.", "A2.", "r1.", usePlans).Cond; (c == smt.False) != usePlans {
+		if c := tm.EdgeCond(reads[1], write, "A1.", "A2.", "r1.").Cond; (c == smt.False) != usePlans {
 			t.Errorf("plans=%v: the planned read's condition is %s", usePlans, c)
 		}
 		if got := tm.EdgeTemplates(); got != 2 {

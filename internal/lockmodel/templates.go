@@ -2,7 +2,6 @@ package lockmodel
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -18,15 +17,21 @@ import (
 // it once. A Templates belongs to one analysis, is safe for concurrent
 // use, and hands out shared values that must not be modified.
 type Templates struct {
-	scm   *schema.Schema
-	m     sync.Map // templateKey → *templateLocks
-	skels sync.Map // *trace.Stmt → *skeleton
-	edges sync.Map // edgeKey → *Edge, over placeholders
-	insts sync.Map // instanceKey → *Edge
+	scm *schema.Schema
+	// usePlans restricts each statement's locks to its recorded execution
+	// plan (FilterByPlan).
+	usePlans bool
+	m        sync.Map // templateKey → *templateLocks
+	skels    sync.Map // *trace.Stmt → *skeleton
+	edges    sync.Map // edgeKey → *Edge, over placeholders
+	insts    sync.Map // instanceKey → *Edge
 }
 
-// NewTemplates returns an empty memo over a schema.
-func NewTemplates(scm *schema.Schema) *Templates { return &Templates{scm: scm} }
+// NewTemplates returns an empty memo over a schema; with usePlans, every
+// statement holds only the locks of its recorded execution plan.
+func NewTemplates(scm *schema.Schema, usePlans bool) *Templates {
+	return &Templates{scm: scm, usePlans: usePlans}
+}
 
 type templateKey struct {
 	sql, table string
@@ -35,7 +40,7 @@ type templateKey struct {
 
 type templateLocks struct {
 	// locks are the statement's locks on the table as the "reader" side of
-	// a conflict (readLocks): GenExclusiveLocks when it writes the table.
+	// a conflict (ReadLocks): GenExclusiveLocks when it writes the table.
 	locks    []Lock
 	aliases  []string // the statement's aliases of the table, sorted
 	aliasMap map[string]string
@@ -49,15 +54,10 @@ func (t *Templates) of(st *trace.Stmt, table string) *templateLocks {
 		return v.(*templateLocks)
 	}
 	tl := &templateLocks{
-		locks:    readLocks(st.Parsed, t.scm, table, empty),
+		locks:    ReadLocks(st.Parsed, t.scm, table, empty),
+		aliases:  sqlast.AliasesOf(st.Parsed, table),
 		aliasMap: sqlast.AliasMapOf(st.Parsed),
 	}
-	for alias, tab := range tl.aliasMap {
-		if tab == table {
-			tl.aliases = append(tl.aliases, alias)
-		}
-	}
-	sort.Strings(tl.aliases)
 	// Workers may race to build one template; the builds are equal.
 	v, _ := t.m.LoadOrStore(k, tl)
 	return v.(*templateLocks)
@@ -66,8 +66,8 @@ func (t *Templates) of(st *trace.Stmt, table string) *templateLocks {
 // locksFor returns the template's locks as the instance st holds them:
 // restricted, with usePlans, to its recorded execution plan. The plan
 // belongs to the instance, so the filtered set is not memoized.
-func (tl *templateLocks) locksFor(st *trace.Stmt, usePlans bool) []Lock {
-	if usePlans {
+func (t *Templates) locksFor(tl *templateLocks, st *trace.Stmt) []Lock {
+	if t.usePlans {
 		return FilterByPlan(tl.locks, st.Plan)
 	}
 	return tl.locks
@@ -155,14 +155,10 @@ func renameStmt(st *trace.Stmt, f func(string) string) *trace.Stmt {
 
 // edgeKey identifies a C-edge template by skeleton keys, instanceKey an
 // instance by statements and symbol spaces.
-type edgeKey struct {
-	x, y, rowPrefix string
-	usePlans        bool
-}
+type edgeKey struct{ x, y, rowPrefix string }
 type instanceKey struct {
 	x, y              *trace.Stmt
 	px, py, rowPrefix string
-	usePlans          bool
 }
 
 // Edge is a C-edge condition and its variables; in a template, over
@@ -177,17 +173,17 @@ type Edge struct {
 // variables prefixed "rng."+rowPrefix. It is built once per skeleton pair
 // over placeholders and renamed once per (x, y, px, py), so cycles sharing
 // a C-edge share its condition.
-func (t *Templates) EdgeCond(x, y *trace.Stmt, px, py, rowPrefix string, usePlans bool) *Edge {
-	ik := instanceKey{x: x, y: y, px: px, py: py, rowPrefix: rowPrefix, usePlans: usePlans}
+func (t *Templates) EdgeCond(x, y *trace.Stmt, px, py, rowPrefix string) *Edge {
+	ik := instanceKey{x: x, y: y, px: px, py: py, rowPrefix: rowPrefix}
 	if v, ok := t.insts.Load(ik); ok {
 		return v.(*Edge)
 	}
 	sx, sy := t.skeletonOf(x), t.skeletonOf(y)
-	k := edgeKey{x: sx.key, y: sy.key, rowPrefix: rowPrefix, usePlans: usePlans}
+	k := edgeKey{x: sx.key, y: sy.key, rowPrefix: rowPrefix}
 	v, ok := t.edges.Load(k)
 	if !ok {
 		ys := renameStmt(sy.st, func(n string) string { return "\x01" + n[1:] })
-		cond := t.edgeCond(sx.st, ys, rowPrefix, NewNamer("rng."+rowPrefix), usePlans)
+		cond := t.edgeCond(sx.st, ys, rowPrefix, NewNamer("rng."+rowPrefix))
 		// Workers may race to build one template; the builds are equal.
 		v, _ = t.edges.LoadOrStore(k, &Edge{Cond: cond, Vars: smt.VarNames(cond)})
 	}

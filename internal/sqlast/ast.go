@@ -11,6 +11,7 @@ package sqlast
 import (
 	"fmt"
 	"math/big"
+	"sort"
 
 	"weseer/internal/smt"
 )
@@ -333,6 +334,17 @@ func (i *Insert) WriteTable() string { return i.Table }
 // Tables implements Stmt.
 func (i *Insert) Tables() []string { return []string{i.Table} }
 
+// QueryCond returns the equations on the inserted row, one
+// "table.column = value" per inserted column in column order. The paper
+// takes them on the primary key; every inserted column subsumes the key.
+func (i *Insert) QueryCond() Cond {
+	preds := make([]Pred, len(i.Columns))
+	for k, col := range i.Columns {
+		preds[k] = Pred{Op: smt.EQ, L: C(i.Table, col), R: i.Values[k]}
+	}
+	return Cond{Preds: preds}
+}
+
 // ValueOf returns the inserted value operand for a column, or false.
 func (i *Insert) ValueOf(col string) (Operand, bool) {
 	for k, c := range i.Columns {
@@ -455,9 +467,20 @@ func AliasMapOf(st Stmt) map[string]string {
 	panic("sqlast: unknown statement type")
 }
 
-// QueryCondOf returns the query condition of any statement. For INSERT, the
-// paper treats the query condition as equations on the inserted row's key
-// columns; callers needing that interpretation use lockmodel.InsertCond.
+// AliasesOf returns the statement's aliases of table, sorted.
+func AliasesOf(st Stmt, table string) []string {
+	var out []string
+	for alias, t := range AliasMapOf(st) {
+		if t == table {
+			out = append(out, alias)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// QueryCondOf returns the query condition of any statement; for INSERT and
+// UPSERT, the equations on the inserted row (Insert.QueryCond).
 func QueryCondOf(st Stmt) Cond {
 	switch t := st.(type) {
 	case *Select:
@@ -466,8 +489,10 @@ func QueryCondOf(st Stmt) Cond {
 		return t.Where
 	case *Delete:
 		return t.Where
-	case *Insert, *Upsert:
-		return Cond{}
+	case *Insert:
+		return t.QueryCond()
+	case *Upsert:
+		return t.Insert.QueryCond()
 	}
 	panic("sqlast: unknown statement type")
 }

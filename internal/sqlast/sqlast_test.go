@@ -1,6 +1,7 @@
 package sqlast
 
 import (
+	"reflect"
 	"testing"
 
 	"weseer/internal/smt"
@@ -213,5 +214,44 @@ func TestTablesOf(t *testing.T) {
 	tabs := s.Tables()
 	if len(tabs) != 3 || tabs[0] != "A" || tabs[1] != "B" || tabs[2] != "C" {
 		t.Errorf("tables = %v", tabs)
+	}
+}
+
+// TestQueryCondOfInsert: an INSERT's query condition is one equation per
+// inserted column, in column order, on the table-qualified column; an
+// UPSERT's is its INSERT's.
+func TestQueryCondOfInsert(t *testing.T) {
+	for _, sql := range []string{
+		`INSERT INTO Cart (ID, USER_ID, QTY) VALUES (?, ?, 5)`,
+		`INSERT INTO Cart (ID, USER_ID, QTY) VALUES (?, ?, 5) ON DUPLICATE KEY UPDATE QTY = ?`,
+	} {
+		c := QueryCondOf(MustParse(sql))
+		want := []Pred{
+			{Op: smt.EQ, L: C("Cart", "ID"), R: P(0)},
+			{Op: smt.EQ, L: C("Cart", "USER_ID"), R: P(1)},
+			{Op: smt.EQ, L: C("Cart", "QTY"), R: VInt(5)},
+		}
+		if len(c.Ors) != 0 || len(c.Preds) != len(want) {
+			t.Fatalf("QueryCondOf(%s) = %+v, want %v", sql, c, want)
+		}
+		for i, p := range c.Preds {
+			if p.Op != want[i].Op || p.IsNull || !p.L.Equal(want[i].L) || !p.R.Equal(want[i].R) {
+				t.Errorf("QueryCondOf(%s) pred %d = %v, want %v", sql, i, p, want[i])
+			}
+		}
+	}
+}
+
+// TestAliasesOfSelfJoin: a self-join's aliases of its table, both and
+// sorted; another table's alone; none for a table it does not read.
+func TestAliasesOfSelfJoin(t *testing.T) {
+	st := MustParse(`SELECT * FROM Product z JOIN Product a ON a.ID = z.ID JOIN Orders o ON o.ID = a.ID WHERE z.QTY > ?`)
+	for table, want := range map[string][]string{"Product": {"a", "z"}, "Orders": {"o"}, "Cart": nil} {
+		if got := AliasesOf(st, table); !reflect.DeepEqual(got, want) {
+			t.Errorf("AliasesOf(%s) = %v, want %v", table, got, want)
+		}
+	}
+	if got := AliasesOf(MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`), "Product"); !reflect.DeepEqual(got, []string{"Product"}) {
+		t.Errorf("AliasesOf(UPDATE) = %v, want [Product]", got)
 	}
 }

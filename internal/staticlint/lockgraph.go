@@ -132,22 +132,7 @@ func rowKeyOf(sh StmtShape, table string, scm *schema.Schema) (string, bool) {
 	if pk == nil || !pk.Unique {
 		return "", false
 	}
-	if _, ok := insertOf(sh.Stmt); ok {
-		if k, ok := pointKeyOn(sh, table, pk); ok {
-			return strings.TrimSuffix(k, "|"), true
-		}
-		return "", false
-	}
-	aliasMap := sqlast.AliasMapOf(sh.Stmt)
-	aliases := make([]string, 0, len(aliasMap)+1)
-	for a, tab := range aliasMap {
-		if tab == table {
-			aliases = append(aliases, a)
-		}
-	}
-	sort.Strings(aliases)
-	aliases = append(aliases, table)
-	for _, a := range aliases {
+	for _, a := range append(sqlast.AliasesOf(sh.Stmt, table), table) {
 		if k, ok := pointKeyOn(sh, a, pk); ok {
 			return strings.TrimSuffix(k, "|"), true
 		}

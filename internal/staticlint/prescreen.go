@@ -26,21 +26,6 @@ func pointKeyOn(sh StmtShape, alias string, ix *schema.Index) (string, bool) {
 	if ix == nil || !ix.Unique {
 		return "", false
 	}
-	if ins, ok := insertOf(sh.Stmt); ok {
-		key := ""
-		for _, col := range ix.Columns {
-			op, ok := ins.ValueOf(col)
-			if !ok {
-				return "", false
-			}
-			k, ok := rigidOperand(op, sh)
-			if !ok {
-				return "", false
-			}
-			key += k + "|"
-		}
-		return key, true
-	}
 	preds := sqlast.QueryCondOf(sh.Stmt).Preds
 	key := ""
 	for _, col := range ix.Columns {
@@ -51,16 +36,6 @@ func pointKeyOn(sh StmtShape, alias string, ix *schema.Index) (string, bool) {
 		key += k + "|"
 	}
 	return key, true
-}
-
-func insertOf(st sqlast.Stmt) (*sqlast.Insert, bool) {
-	switch s := st.(type) {
-	case *sqlast.Insert:
-		return s, true
-	case *sqlast.Upsert:
-		return &s.Insert, true
-	}
-	return nil, false
 }
 
 // pinnedValue finds a top-level equality conjunct binding alias.col to a
@@ -89,20 +64,14 @@ func isColRef(o sqlast.Operand, alias, col string) bool {
 	return o.Kind == sqlast.Col && o.Column == col && (o.Table == alias || o.Table == "")
 }
 
-// readLockUnion models the locks the reader side holds on the table,
-// covering both emptiness cases when the template doesn't know.
+// readLockUnion is lockmodel.ReadLocks for a template that knows whether
+// its read came back empty, and the union over both cases otherwise.
 func readLockUnion(sh StmtShape, scm *schema.Schema, table string) []lockmodel.Lock {
-	if sh.Stmt.WriteTable() == table {
-		return lockmodel.GenExclusiveLocks(sh.Stmt, scm, table)
+	if sh.Empty != EmptyUnknown {
+		return lockmodel.ReadLocks(sh.Stmt, scm, table, sh.Empty == EmptyYes)
 	}
-	switch sh.Empty {
-	case EmptyYes:
-		return lockmodel.GenSharedLocks(sh.Stmt, scm, table, true)
-	case EmptyNo:
-		return lockmodel.GenSharedLocks(sh.Stmt, scm, table, false)
-	}
-	locks := lockmodel.GenSharedLocks(sh.Stmt, scm, table, false)
-	return append(locks, lockmodel.GenSharedLocks(sh.Stmt, scm, table, true)...)
+	locks := lockmodel.ReadLocks(sh.Stmt, scm, table, false)
+	return append(locks, lockmodel.ReadLocks(sh.Stmt, scm, table, true)...)
 }
 
 // EdgePossible reports whether two statements can truly hold conflicting
@@ -320,7 +289,7 @@ func flushReorderFindings(sh TxnShape) []Finding {
 		if !st.Deferred || st.Stmt.WriteTable() == "" {
 			continue
 		}
-		if _, ok := insertOf(st.Stmt); ok {
+		if k := st.Stmt.Kind(); k == sqlast.KindInsert || k == sqlast.KindUpsert {
 			continue // a deferred INSERT locks a fresh row; d5/d6 needs an UPDATE
 		}
 		slid := false
@@ -348,7 +317,7 @@ func flushReorderFindings(sh TxnShape) []Finding {
 func gapEscalationFindings(sh TxnShape, scm *schema.Schema) []Finding {
 	var out []Finding
 	for _, st := range sh.Stmts {
-		if _, ok := insertOf(st.Stmt); ok {
+		if k := st.Stmt.Kind(); k == sqlast.KindInsert || k == sqlast.KindUpsert {
 			continue // inserts lock their new row, not a scanned range
 		}
 		for _, use := range lockmodel.InferPossibleIndexes(st.Stmt, scm) {

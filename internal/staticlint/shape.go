@@ -50,7 +50,7 @@ type TxnShape struct {
 
 // ShapeFromTxn abstracts a recorded transaction: parameters whose
 // symbolic shadow is a literal become rigid, result emptiness is taken
-// from the recorded result, and Trigger ≠ Sent marks deferred writes.
+// from the recorded result, and trace.Stmt.Deferred marks deferred writes.
 func ShapeFromTxn(api string, txn *trace.Txn) TxnShape {
 	sh := TxnShape{API: api}
 	for _, st := range txn.Stmts {
@@ -62,9 +62,7 @@ func ShapeFromTxn(api string, txn *trace.Txn) TxnShape {
 				s.Empty = EmptyNo
 			}
 		}
-		if t, snt := st.Trigger.Top(), st.Sent.Top(); t != snt && snt.File != "" {
-			s.Deferred = true
-		}
+		s.Deferred = st.Deferred()
 		s.File = st.Trigger.Top().File
 		s.Line = st.Trigger.Top().Line
 		for ord, p := range st.Params {

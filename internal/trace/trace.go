@@ -123,6 +123,13 @@ type Stmt struct {
 // IsWrite reports whether the statement writes its table.
 func (s *Stmt) IsWrite() bool { return s.Parsed.WriteTable() != "" }
 
+// Deferred reports a write-behind statement: its sent site is known and
+// is not its trigger site (an ORM flush sent it later, elsewhere).
+func (s *Stmt) Deferred() bool {
+	sent := s.Sent.Top()
+	return sent.File != "" && sent != s.Trigger.Top()
+}
+
 // PathCond is one recorded path condition.
 type PathCond struct {
 	// AfterStmt is the number of statements already in the trace when

@@ -72,11 +72,14 @@ rm -rf "$vetdir"
 # whose process-wide call-site table and prepared-statement cache are
 # shared by whatever collects or drives load concurrently, minidb,
 # whose lock table (recycled queues, grants by value) and prepared-form
-# cache every client goroutine goes through, and apps, whose witness test
-# runs every registry app's analysis on four phase-3 workers.
-echo "== go test -race (core, solver, smt, workload, concolic, orm, minidb, apps)"
+# cache every client goroutine goes through, apps, whose witness test
+# runs every registry app's analysis on four phase-3 workers, and
+# lockmodel, whose per-analysis template memo every phase-3 worker reads
+# and fills (TestTemplatesConcurrent).
+echo "== go test -race (core, solver, smt, workload, concolic, orm, minidb, apps, lockmodel)"
 go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... \
-    ./internal/concolic/... ./internal/orm/... ./internal/minidb/... ./internal/apps/...
+    ./internal/concolic/... ./internal/orm/... ./internal/minidb/... ./internal/apps/... \
+    ./internal/lockmodel/...
 
 # The history daemon answers /history/* reads from per-route memos keyed
 # by the store's version while ingests write the store, and Open replays
