@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -121,6 +122,104 @@ func TestStrayArgumentsAreUsageErrors(t *testing.T) {
 	for _, f := range []string{out, store} {
 		if _, err := os.Stat(f); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("a command with a stray argument wrote %s (stat: %v)", f, err)
+		}
+	}
+}
+
+// malformed is a corrupted trace batch and a substring of the error it
+// must produce.
+type malformed struct {
+	name, want string
+	batch      []byte
+}
+
+// corrupt returns three corruptions of batch, a `weseer collect -o` file,
+// each of which used to panic a phase-3 worker: result columns fewer than
+// the result rows' cells, which the trace reader refuses, and a table no
+// schema has and integer parameter variables re-sorted as strings, which
+// the analyzer refuses.
+func corrupt(t *testing.T, batch []byte) []malformed {
+	t.Helper()
+	mutate := func(name, want string, f func(st map[string]any) bool) malformed {
+		var traces []map[string]any
+		dec := json.NewDecoder(bytes.NewReader(batch))
+		dec.UseNumber()
+		if err := dec.Decode(&traces); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, tr := range traces {
+			for _, txn := range tr["txns"].([]any) {
+				for _, st := range txn.(map[string]any)["stmts"].([]any) {
+					if f(st.(map[string]any)) {
+						n++
+					}
+				}
+			}
+		}
+		out, err := json.Marshal(traces)
+		if err != nil || n == 0 {
+			t.Fatalf("%s: %d statements corrupted (%v)", name, n, err)
+		}
+		return malformed{name, want, out}
+	}
+	return []malformed{
+		mutate("short cols", "trace: result sym row has", func(st map[string]any) bool {
+			res, _ := st["res"].(map[string]any)
+			cols, _ := res["cols"].([]any)
+			if rows, _ := res["sym"].([]any); len(cols) < 2 || len(rows) == 0 {
+				return false
+			}
+			res["cols"] = cols[:1]
+			return true
+		}),
+		mutate("unknown table", "table Nowhere is not in the schema", func(st map[string]any) bool {
+			sql := st["sql"].(string)
+			if !strings.HasPrefix(sql, "UPDATE ") {
+				return false
+			}
+			st["sql"] = strings.Replace(sql, strings.Fields(sql)[1], "Nowhere", 1)
+			return true
+		}),
+		mutate("param sort", "compares Int with String", func(st map[string]any) bool {
+			n := 0
+			params, _ := st["params"].([]any)
+			for _, p := range params {
+				if sym, _ := p.(map[string]any)["sym"].(map[string]any); sym["k"] == "var" && sym["sort"] == json.Number("1") {
+					sym["sort"] = json.Number("3")
+					n++
+				}
+			}
+			return n > 0
+		}),
+	}
+}
+
+// TestAnalyzeRejectsMalformedTraces: each corrupted broadleaf batch used
+// to panic an analysis worker, killing `weseer analyze -i` with exit
+// status 2. Now it is an error naming what is wrong and, from the
+// analyzer, the trace and the statement: exit status 1.
+func TestAnalyzeRejectsMalformedTraces(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "traces.json")
+	if _, stderr, status := weseer(t, "collect -app broadleaf -o "+good); status != 0 {
+		t.Fatalf("collect: exit status %d\n%s", status, stderr)
+	}
+	batch, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range corrupt(t, batch) {
+		bad := filepath.Join(dir, fmt.Sprintf("bad%d.json", i))
+		if err := os.WriteFile(bad, c.batch, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, status := weseer(t, "analyze -app broadleaf -i "+bad)
+		if status != 1 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%s: exit status %d, want 1 and an error naming %q\n%s", c.name, status, c.want, stderr)
+		}
+		if !strings.HasPrefix(c.want, "trace:") && !strings.Contains(stderr, "core: trace ") {
+			t.Errorf("%s: the error names no trace:\n%s", c.name, stderr)
 		}
 	}
 }

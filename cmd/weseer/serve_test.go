@@ -387,3 +387,23 @@ func TestHistoryWindowOnPatternsRefused(t *testing.T) {
 		t.Errorf("GET /history/patterns?window=1h: %s %s, want 400", resp.Status, body)
 	}
 }
+
+// TestServeRejectsMalformedTraces posts the corrupted broadleaf batches
+// that used to panic an analysis worker and take the daemon down with it:
+// each ingest is a 4xx, and the daemon still answers afterwards.
+func TestServeRejectsMalformedTraces(t *testing.T) {
+	d := startDaemon(t, filepath.Join(t.TempDir(), "history.wal"))
+	defer d.stop(t)
+	for _, c := range corrupt(t, collectTraces(t, "broadleaf")) {
+		resp, err := http.Post(d.base+"/ingest?app=broadleaf", obs.ContentTypeJSON, bytes.NewReader(c.batch))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: %s %s, want a 4xx naming %q", c.name, resp.Status, body, c.want)
+		}
+		getBody(t, d.base+"/history/patterns")
+	}
+}

@@ -25,6 +25,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sort"
 	"strconv"
@@ -35,6 +36,7 @@ import (
 	"weseer/internal/obs"
 	"weseer/internal/schema"
 	"weseer/internal/smt"
+	"weseer/internal/sqlast"
 	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
@@ -160,7 +162,8 @@ type Deadlock struct {
 // Enumeration is serial; phase 3 runs on WithParallelism concurrent
 // workers (default GOMAXPROCS), and the returned report does not depend on
 // the worker count or scheduling. When ctx is canceled mid-run the partial
-// result gathered so far is returned together with ctx.Err().
+// result gathered so far is returned together with ctx.Err(). A trace the
+// schema cannot describe (checkTraces) is an error and no result.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*Result, error) {
 	return a.analyze(ctx, traces, (*run).enumerateIndexed)
 }
@@ -175,6 +178,9 @@ type enumFunc func(r *run, ctx context.Context, traces []*trace.Trace) ([]*chain
 // analyze is AnalyzeContext over a given enumeration: enumerateIndexed in
 // production; the differential tests also pass their naive pair loop.
 func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate enumFunc) (*Result, error) {
+	if err := checkTraces(a.scm, traces); err != nil {
+		return nil, err
+	}
 	r := a.newRun()
 	res := &Result{}
 	res.Stats.Traces = len(traces)
@@ -217,6 +223,44 @@ func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate
 	res.Stats.Fingerprints = res.DistinctFingerprints()
 	finishObs(o, spAnalyze, res, err)
 	return res, err
+}
+
+// checkTraces checks every statement against the schema the lock model
+// reads it with (lockmodel.CheckStmt), before phase 1: a malformed batch is
+// an error naming the trace and the statement, not a panicking worker. The
+// verdict depends on the template and its parameters' sorts alone, so each
+// such pair is checked once.
+func checkTraces(scm *schema.Schema, traces []*trace.Trace) error {
+	passed := map[sqlast.Stmt]map[string]bool{}
+	var sorts []byte
+	for i, tr := range traces {
+		for _, txn := range tr.Txns {
+			for _, st := range txn.Stmts {
+				sorts = sorts[:0]
+				for _, p := range st.Params {
+					switch {
+					case p.Sym != nil:
+						sorts = append(sorts, 'a'+byte(p.Sym.Sort()))
+					case p.Concrete.Null:
+						sorts = append(sorts, '-')
+					default:
+						sorts = append(sorts, 'A'+byte(p.Concrete.Kind))
+					}
+				}
+				if passed[st.Parsed][string(sorts)] {
+					continue
+				}
+				if err := lockmodel.CheckStmt(st, scm); err != nil {
+					return fmt.Errorf("core: trace %d (%s), statement %d %q: %w", i, tr.API, st.Seq, st.SQL, err)
+				}
+				if passed[st.Parsed] == nil {
+					passed[st.Parsed] = map[string]bool{}
+				}
+				passed[st.Parsed][string(sorts)] = true
+			}
+		}
+	}
+	return nil
 }
 
 // finishObs closes the run's root span and marks the progress phase.

@@ -238,6 +238,9 @@ func (r *run) edges(cyc Cycle) [2]*lockmodel.Edge {
 // cycle of the traces, in enumeration order — the memo table's input,
 // exposed for canonicalization tests and for dumping a run's queries.
 func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]smt.Expr, error) {
+	if err := checkTraces(a.scm, traces); err != nil {
+		return nil, err
+	}
 	r := a.newRun()
 	chains, _, err := r.enumerateIndexed(ctx, traces)
 	var out []smt.Expr

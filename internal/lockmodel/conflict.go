@@ -131,6 +131,38 @@ func (u *unifier) operand(o sqlast.Operand, st *trace.Stmt) (smt.Expr, bool) {
 	return nil, false
 }
 
+// CheckStmt reports what in st the lock model cannot read against scm,
+// and would panic on: a table the schema lacks, or a predicate whose
+// operands, as the unifier translates them, smt.Compare refuses — a
+// string or a Boolean against another sort, or compared by order.
+func CheckStmt(st *trace.Stmt, scm *schema.Schema) error {
+	for _, table := range st.Parsed.Tables() {
+		if scm.Table(table) == nil {
+			return fmt.Errorf("table %s is not in the schema", table)
+		}
+	}
+	cond := sqlast.QueryCondOf(st.Parsed)
+	preds := slices.Clone(cond.Preds)
+	for _, g := range cond.Ors {
+		for _, dj := range g.Disjuncts {
+			preds = append(preds, dj...)
+		}
+	}
+	u := &unifier{scm: scm, aliases: sqlast.AliasMapOf(st.Parsed)}
+	onlyEq := func(s smt.Sort) bool { return s == smt.SortString || s == smt.SortBool }
+	for _, p := range preds {
+		l, lok := u.operand(p.L, st)
+		r, rok := u.operand(p.R, st)
+		if p.IsNull || !lok || !rok {
+			continue
+		}
+		if ls, rs := l.Sort(), r.Sort(); (onlyEq(ls) || onlyEq(rs)) && (ls != rs || p.Op != smt.EQ && p.Op != smt.NE) {
+			return fmt.Errorf("predicate %s compares %s with %s", p, ls, rs)
+		}
+	}
+	return nil
+}
+
 // datumExpr converts a concrete parameter (one without a symbolic
 // shadow, e.g. an application-generated key) into a literal expression.
 func datumExpr(d minidb.Datum) (smt.Expr, bool) {

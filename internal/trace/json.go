@@ -10,12 +10,13 @@ import (
 
 	"weseer/internal/minidb"
 	"weseer/internal/smt"
-	"weseer/internal/sqlast"
 )
 
 // JSON serialization lets the CLI split collection ("weseer collect")
 // from analysis ("weseer analyze"): traces are written to disk and read
-// back with full symbolic structure.
+// back with full symbolic structure. MarshalJSON writes through the wire
+// structs below with encoding/json; read.go reads the bytes back by hand
+// and converts with the decoders here.
 
 // ---------------------------------------------------------------------------
 // smt.Expr codec
@@ -99,7 +100,7 @@ func encodeArr(a *smt.Array) *arrJSON {
 // operands. Malformed input is an error, never a panic.
 func decodeExpr(j *exprJSON) (smt.Expr, error) {
 	if j == nil {
-		return nil, errors.New("trace: missing expression operand")
+		return nil, errMissingOperand
 	}
 	switch j.K {
 	case "bool":
@@ -198,16 +199,23 @@ func decodeExpr(j *exprJSON) (smt.Expr, error) {
 	return nil, fmt.Errorf("trace: unknown expr kind %q", j.K)
 }
 
+var errMissingOperand = errors.New("trace: missing expression operand")
+
 // decodeSorted decodes an operand of role that must have one of sorts.
 func decodeSorted(j *exprJSON, role string, sorts ...smt.Sort) (smt.Expr, error) {
 	e, err := decodeExpr(j)
 	if err != nil {
 		return nil, err
 	}
+	return e, checkSort(e, role, sorts...)
+}
+
+// checkSort checks that an operand of role has one of sorts.
+func checkSort(e smt.Expr, role string, sorts ...smt.Sort) error {
 	if !slices.Contains(sorts, e.Sort()) {
-		return nil, fmt.Errorf("trace: %s operand %s has sort %s", role, e, e.Sort())
+		return fmt.Errorf("trace: %s operand %s has sort %s", role, e, e.Sort())
 	}
-	return e, nil
+	return nil
 }
 
 func isNumConst(e smt.Expr) bool {
@@ -398,113 +406,4 @@ func (tr *Trace) MarshalJSON() ([]byte, error) {
 		out.PathConds = append(out.PathConds, pcJSON{AfterStmt: pc.AfterStmt, Cond: encodeExpr(pc.Cond)})
 	}
 	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (tr *Trace) UnmarshalJSON(data []byte) error {
-	var in traceJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	return tr.fromJSON(&in)
-}
-
-// Decode reads a trace batch, the JSON array `weseer collect -o` writes,
-// in one encoding/json pass; json.Unmarshal into []*Trace would parse each
-// element again inside UnmarshalJSON. It returns what that returns, except
-// that a null element is an error rather than a nil trace.
-func Decode(data []byte) ([]*Trace, error) {
-	var in []*traceJSON
-	if err := json.Unmarshal(data, &in); err != nil || in == nil {
-		return nil, err
-	}
-	out := make([]*Trace, len(in))
-	for i, j := range in {
-		if j == nil {
-			return nil, fmt.Errorf("trace: trace %d is null", i)
-		}
-		out[i] = new(Trace)
-		if err := out[i].fromJSON(j); err != nil {
-			return nil, err
-		}
-		in[i] = nil // garbage once converted
-	}
-	return out, nil
-}
-
-// fromJSON sets tr to the trace its wire form in describes.
-func (tr *Trace) fromJSON(in *traceJSON) error {
-	tr.API = in.API
-	tr.Stats = in.Stats
-	tr.Inputs, tr.Txns, tr.PathConds = nil, nil, nil
-	for _, ij := range in.Inputs {
-		input, err := decodeInput(ij)
-		if err != nil {
-			return err
-		}
-		tr.Inputs = append(tr.Inputs, input)
-	}
-	for _, tj := range in.Txns {
-		txn := &Txn{ID: tj.ID, Committed: tj.Committed}
-		for _, sj := range tj.Stmts {
-			parsed, err := sqlast.Parse(sj.SQL)
-			if err != nil {
-				return fmt.Errorf("trace: re-parsing %q: %w", sj.SQL, err)
-			}
-			st := &Stmt{Seq: sj.Seq, TxnID: sj.TxnID, SQL: sj.SQL, Parsed: parsed, Plan: sj.Plan, Trigger: sj.Trigger, Sent: sj.Sent}
-			for _, pj := range sj.Params {
-				var sym smt.Expr // nil: a concrete-only parameter
-				if pj.Sym != nil {
-					if sym, err = decodeExpr(pj.Sym); err != nil {
-						return err
-					}
-				}
-				d, err := decodeDatum(pj.Concrete)
-				if err != nil {
-					return err
-				}
-				st.Params = append(st.Params, Param{Sym: sym, Concrete: d})
-			}
-			if sj.Res != nil {
-				res := &Result{Cols: sj.Res.Cols, Empty: sj.Res.Empty}
-				for _, row := range sj.Res.Sym {
-					var r []smt.Var
-					for _, ej := range row {
-						e, err := decodeExpr(ej)
-						if err != nil {
-							return err
-						}
-						v, ok := e.(smt.Var)
-						if !ok {
-							return fmt.Errorf("trace: result alias is not a variable: %v", e)
-						}
-						r = append(r, v)
-					}
-					res.Sym = append(res.Sym, r)
-				}
-				for _, row := range sj.Res.Concrete {
-					var r []minidb.Datum
-					for _, dj := range row {
-						d, err := decodeDatum(dj)
-						if err != nil {
-							return err
-						}
-						r = append(r, d)
-					}
-					res.Concrete = append(res.Concrete, r)
-				}
-				st.Res = res
-			}
-			txn.Stmts = append(txn.Stmts, st)
-		}
-		tr.Txns = append(tr.Txns, txn)
-	}
-	for _, pj := range in.PathConds {
-		cond, err := decodeSorted(pj.Cond, "path condition", smt.SortBool)
-		if err != nil {
-			return err
-		}
-		tr.PathConds = append(tr.PathConds, PathCond{AfterStmt: pj.AfterStmt, Cond: cond})
-	}
-	return nil
 }

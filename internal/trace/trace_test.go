@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/big"
 	"reflect"
 	"slices"
@@ -170,17 +171,26 @@ func TestJSONRejectsMalformedExprs(t *testing.T) {
 }
 
 // FuzzTraceJSON feeds the trace decoders arbitrary bytes: they must return
-// an error rather than panic; Decode must accept exactly what json.Unmarshal
-// into []*Trace accepts without a nil element, and to the same traces; and
-// a batch it accepts must re-encode stably — decoding its encoding and
-// encoding again gives the same bytes. The checked-in seeds are the three
-// bodies that used to panic, a null trace and a small gen: collection.
+// an error rather than panic, and Decode — and json.Unmarshal into
+// []*Trace, which calls UnmarshalJSON per element — must accept exactly
+// what the reflective oracle accepts, to equal traces, except that they
+// refuse an object naming one field twice, which the oracle merges: a
+// batch only the oracle accepts must repeat a key. (The reader may meet
+// another error in the first value before it meets the repeat.) A batch
+// Decode accepts must re-encode stably: decoding its encoding and encoding
+// again gives the same bytes. The checked-in seeds are the three bodies
+// that used to panic, a null trace and a small gen: collection; fuzzSeeds
+// adds key matching, integer fields, string repair, trailing bytes, nulls,
+// repeated keys and the malformed shapes the analyzer used to crash on.
 func FuzzTraceJSON(f *testing.F) {
 	sample, err := json.Marshal([]*Trace{sampleTrace()})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sample)
+	for _, seed := range fuzzSeeds(string(sample)) {
+		f.Add([]byte(seed))
+	}
 	encode := func(t *testing.T, trs []*Trace) []byte {
 		data, err := json.Marshal(trs)
 		if err != nil {
@@ -189,22 +199,32 @@ func FuzzTraceJSON(f *testing.F) {
 		return data
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		trs, err := Decode(data)
+		want, wantErr := oracleDecode(data)
 		var each []*Trace
 		eachErr := json.Unmarshal(data, &each)
 		if eachErr == nil && slices.Contains(each, nil) {
 			eachErr = errors.New("a null trace")
 		}
-		if (err == nil) != (eachErr == nil) {
-			t.Fatalf("Decode: %v; element by element: %v", err, eachErr)
+		trs, err := Decode(data)
+		for _, got := range []struct {
+			name string
+			trs  []*Trace
+			err  error
+		}{{"Decode", trs, err}, {"json.Unmarshal", each, eachErr}} {
+			if got.err != nil && wantErr == nil && repeatsKey(data) {
+				continue
+			}
+			if (got.err == nil) != (wantErr == nil) {
+				t.Fatalf("%s: %v; oracle: %v", got.name, got.err, wantErr)
+			}
+			if got.err == nil && !reflect.DeepEqual(got.trs, want) {
+				t.Fatalf("%s and the oracle disagree:\n got  %s\n want %s", got.name, encode(t, got.trs), encode(t, want))
+			}
 		}
 		if err != nil {
 			return
 		}
 		once := encode(t, trs)
-		if want := encode(t, each); !bytes.Equal(once, want) {
-			t.Fatalf("Decode and element-wise decoding disagree:\n Decode %s\n each   %s", once, want)
-		}
 		back, err := Decode(once)
 		if err != nil {
 			t.Fatalf("decoding an encoded batch: %v\n%s", err, once)
@@ -213,6 +233,118 @@ func FuzzTraceJSON(f *testing.F) {
 			t.Fatalf("re-encoding is not stable:\n once  %s\n twice %s", once, twice)
 		}
 	})
+}
+
+// fuzzSeeds derives FuzzTraceJSON's edge cases from sample, an encoded
+// one-trace batch.
+func fuzzSeeds(sample string) []string {
+	edit := func(old, new string) string {
+		if !strings.Contains(sample, old) {
+			panic("fuzz seed: the sample trace no longer encodes " + old)
+		}
+		return strings.Replace(sample, old, new, 1)
+	}
+	const pc = `[{"api":"x","txns":[],"path_conds":[{"after":0,"cond":%s}]}]`
+	return []string{
+		// Keys: case-folded, escaped, the Kelvin sign folding to "k", and
+		// unknown keys holding every kind of JSON value.
+		edit(`"api"`, `"API"`),
+		edit(`"seq"`, `"Seq"`),
+		edit(`"sql"`, `"\u0073ql"`),
+		fmt.Sprintf(pc, `{"\u212a":"bool","B":true}`),
+		edit(`"api"`, `"x1":"s","x2":-1.5e3,"x3":true,"x4":false,"x5":null,"x6":{"a":[{}]},"x7":[1,"b",null],"api"`),
+		// Integers: above a uint8, and 1.0 and 1e2 in integer fields.
+		fmt.Sprintf(pc, `{"k":"var","name":"b","sort":256}`),
+		fmt.Sprintf(pc, `{"k":"cmp","op":300,"l":{"k":"int","v":"1"},"r":{"k":"int","v":"1"}}`),
+		edit(`"kind":0`, `"kind":256`),
+		edit(`"seq":0`, `"seq":1.0`),
+		fmt.Sprintf(`[{"api":"x","path_conds":[{"after":1e2,"cond":%s}]}]`, `{"k":"bool","b":true}`),
+		// Strings: invalid UTF-8 and a lone surrogate, both U+FFFD.
+		edit(`"Checkout"`, "\"Check\xffout\xc3\""),
+		edit(`"Checkout"`, `"Check\ud800out\ud800\u0041"`),
+		// Structure: trailing bytes, nested nulls, a repeated key.
+		sample + ` x`,
+		sample + `]`,
+		`[{"api":null,"inputs":null,"txns":[null,{"id":null,"stmts":null}],"path_conds":null,"stats":null}]`,
+		edit(`"trigger":{"frames":[`, `"plan":[null,{"alias":null}],"trigger":{"frames":[null,`),
+		edit(`"api":"Checkout"`, `"api":"Checkout","API":"again"`),
+		`[{"api":"x","inputs":[],"txns":[{"id":1,"stmts":[{"sql":"SELECT * FROM T","params":[],` +
+			`"res":{"cols":[],"sym":[[]],"concrete":[]},"plan":[],"trigger":{"frames":[]},"sent":{}}]}],"path_conds":[]}]`,
+		// The shapes the analyzer used to crash on: a result row wider
+		// than its columns, a table no schema has, and a parameter whose
+		// sort is not its column's.
+		edit(`"cols":["p.ID","p.QTY"]`, `"cols":["p.ID"]`),
+		edit(`UPDATE Product`, `UPDATE Nowhere`),
+		edit(`{"k":"var","name":"order_id","sort":1}`, `{"k":"var","name":"order_id","sort":3}`),
+	}
+}
+
+// repeatsKey reports whether some object in data, which may be malformed,
+// names a key twice under encoding/json's case folding.
+func repeatsKey(data []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var value func() bool
+	value = func() bool {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		switch tok {
+		case json.Delim('{'):
+			var keys []string
+			for dec.More() {
+				tok, err := dec.Token()
+				if err != nil {
+					return false
+				}
+				key := tok.(string)
+				for _, k := range keys {
+					if strings.EqualFold(k, key) {
+						return true
+					}
+				}
+				keys = append(keys, key)
+				if value() {
+					return true
+				}
+			}
+			dec.Token()
+		case json.Delim('['):
+			for dec.More() {
+				if value() {
+					return true
+				}
+			}
+			dec.Token()
+		}
+		return false
+	}
+	return value()
+}
+
+// TestDecodeRejectsRepeatedKeys pins the reader's one departure from
+// encoding/json: a field named twice in one object, however its key is
+// spelled, is an error rather than a merge; an unknown key may repeat.
+func TestDecodeRejectsRepeatedKeys(t *testing.T) {
+	for _, body := range []string{
+		`[{"api":"a","api":"b"}]`,
+		`[{"api":"a","API":"b"}]`,
+		`[{"api":"a","\u0061pi":"b"}]`,
+		`[{"txns":[{"id":1,"stmts":[],"ID":2}]}]`,
+	} {
+		if _, err := oracleDecode([]byte(body)); err != nil {
+			t.Fatalf("oracle rejects %s: %v", body, err)
+		}
+		if _, err := Decode([]byte(body)); !errors.Is(err, errRepeatedKey) {
+			t.Errorf("Decode(%s): got %v, want a repeated-key error", body, err)
+		}
+		if !repeatsKey([]byte(body)) {
+			t.Errorf("repeatsKey(%s) = false", body)
+		}
+	}
+	if _, err := Decode([]byte(`[{"x":1,"x":2,"X":[]}]`)); err != nil {
+		t.Errorf("a repeated unknown key: %v", err)
+	}
 }
 
 // TestDecodeRejectsNullTrace: json.Unmarshal into []*Trace takes a null

@@ -93,10 +93,12 @@ go test -race -count=3 ./internal/history
 # The allocation ceilings, on their own and without the detector (whose
 # instrumentation allocates): a statement in minidb, and a whole API call
 # with the engine off (orm, driver, executor, lock table) — a regression
-# there is a throughput regression on the load workload — and phase 3 per
-# solved group, which a lost C-edge template hit breaks.
-echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs' (minidb, workload, core, no -race)"
-go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs' ./internal/minidb ./internal/workload ./internal/core
+# there is a throughput regression on the load workload — phase 3 per
+# solved group, which a lost C-edge template hit breaks, and a decoded
+# trace-batch statement, which a lost share in the reader (one parse per
+# SQL text, one decode per call stack) breaks.
+echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestDecodeAllocs' (minidb, workload, core, trace, no -race)"
+go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestDecodeAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/trace
 
 # The two-level memo table (shape key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
@@ -136,7 +138,9 @@ go test -run=NONE -fuzz=FuzzKeyOrder -fuzztime=5s ./internal/minidb
 
 # The two decoders that read bytes off the network: a trace batch (what
 # `weseer analyze -i` and POST /ingest?format=traces read; arbitrary bytes
-# are an error, never a panic, and an accepted batch re-encodes stably) and
+# are an error, never a panic, the one-pass reader accepts what its
+# reflective oracle accepts, a repeated key aside, to the same traces, and
+# an accepted batch re-encodes stably) and
 # a whole /ingest request in either format (a documented status, and an
 # accepted summary that adds up against the store).
 echo "== go test -fuzz=FuzzTraceJSON (5s)"
