@@ -427,14 +427,38 @@ func cmdAnalyze(args []string) (err error) {
 }
 
 // parseArgs parses the flags of a subcommand that takes no arguments: one
-// left over is a usage error, not something to ignore.
+// left over is a usage error, not something to ignore. So is a negative
+// number: every numeric flag is a bound or a count, and 0 already means
+// "none".
 func parseArgs(fs *flag.FlagSet, args []string) {
 	fs.Parse(args)
 	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "weseer %s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
-		fs.Usage()
-		os.Exit(2)
+		usageFail(fs, "unexpected argument %q", fs.Arg(0))
 	}
+	fs.Visit(func(f *flag.Flag) {
+		g, ok := f.Value.(flag.Getter)
+		if !ok {
+			return
+		}
+		switch v := g.Get().(type) {
+		case int:
+			if v < 0 {
+				usageFail(fs, "-%s %d: must not be negative", f.Name, v)
+			}
+		case time.Duration:
+			if v < 0 {
+				usageFail(fs, "-%s %v: must not be negative", f.Name, v)
+			}
+		}
+	})
+}
+
+// usageFail reports a usage error — the message, then the subcommand's
+// usage — and exits 2.
+func usageFail(fs *flag.FlagSet, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "weseer %s: %s\n", fs.Name(), fmt.Sprintf(format, args...))
+	fs.Usage()
+	os.Exit(2)
 }
 
 // analyzeCtx runs the diagnosis under ctrl-C cancellation and an

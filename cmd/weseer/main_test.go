@@ -126,6 +126,38 @@ func TestStrayArgumentsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// TestBadFlagValuesAreUsageErrors: a negative bound or count, and a
+// history format other than text or json, exit 2 with the flag named on
+// stderr before any analysis, store or request — they are not read as
+// "no bound", "all" or JSON.
+func TestBadFlagValuesAreUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "history.wal")
+	for _, c := range []struct{ name, args, flag string }{
+		{"run", "run -app shopizer -timeout -1s", "-timeout"},
+		{"analyze", "analyze -app shopizer -i " + filepath.Join(dir, "none.json") + " -timeout -1s", "-timeout"},
+		// An -addr no daemon can listen on, so a serve that took the
+		// bound for "none" would stop instead of serving.
+		{"serve", "serve -store " + store + " -addr 127.0.0.1:-1 -timeout -1s", "-timeout"},
+		{"history", "history -addr 127.0.0.1:1 -window -5s events", "-window"},
+		{"history", "history -addr 127.0.0.1:1 events -window -5s", "-window"},
+		{"history", "history -addr 127.0.0.1:1 -limit -2 events", "-limit"},
+		{"history", "history -addr 127.0.0.1:1 events -format xml", "-format"},
+		{"history", "history -addr 127.0.0.1:1 -format xml", "-format"},
+	} {
+		stdout, stderr, status := weseer(t, c.args)
+		if status != 2 || stdout != "" {
+			t.Errorf("weseer %s: exit status %d, stdout %q; want 2 and nothing", c.args, status, stdout)
+		}
+		if !strings.Contains(stderr, "weseer "+c.name+": "+c.flag+" ") || !strings.Contains(stderr, "Usage of "+c.name) {
+			t.Errorf("weseer %s: stderr lacks the error naming %s and the usage text:\n%s", c.args, c.flag, stderr)
+		}
+	}
+	if _, err := os.Stat(store); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("serve with a negative -timeout wrote %s (stat: %v)", store, err)
+	}
+}
+
 // malformed is a corrupted trace batch and a substring of the error it
 // must produce.
 type malformed struct {

@@ -227,9 +227,13 @@ func cmdHistory(args []string) error {
 	// after it are parsed again, and a second positional is a usage error.
 	what := "patterns"
 	fs.Parse(args)
-	if fs.NArg() > 0 {
-		what = fs.Arg(0)
-		parseArgs(fs, fs.Args()[1:])
+	rest := fs.Args()
+	if len(rest) > 0 {
+		what, rest = rest[0], rest[1:]
+	}
+	parseArgs(fs, rest)
+	if *format != "text" && *format != "json" {
+		usageFail(fs, "-format %q: want text or json", *format)
 	}
 	base, err := serviceURL(*addr)
 	if err != nil {

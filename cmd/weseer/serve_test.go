@@ -203,8 +203,7 @@ func TestServeRoundTripRestart(t *testing.T) {
 func TestStatsJSONGolden(t *testing.T) {
 	st := core.Stats{
 		Traces: 1, Pairs: 2, PairsAfterPhase1: 3, CoarseCycles: 4, IndexProbes: 5,
-		LockFiltered: 6, GroupsSolved: 7, PrescreenPairs: 8, PrescreenPairsPruned: 9,
-		PrescreenSaved: 10, Fingerprints: 11, SolverCalls: 12, MemoHits: 13, CanonCalls: 14,
+		LockFiltered: 6, GroupsSolved: 7, Fingerprints: 11, SolverCalls: 12, MemoHits: 13, CanonCalls: 14,
 		SolverSAT: 15, SolverUNSAT: 16, SolverUnknown: 17,
 		Engine: solver.Stats{Atoms: 18, Clauses: 19, Decisions: 20, Conflicts: 21, TheoryCalls: 22,
 			Propagations: 23, LearnedClauses: 24, Backjumps: 25},

@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/smt"
+	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
@@ -214,10 +216,13 @@ func renderApp(t *testing.T, app App) string {
 	}
 	var b strings.Builder
 	// The goldens predate Stats.CanonCalls (the memo table's shape level)
-	// and Stats.CanonTime; TestFunnelInvariants pins the former, and the
-	// captured funnel line stays as it was.
+	// and Stats.CanonTime, and outlive the static prescreen's pair
+	// counters, which they print as the zeros the analysis always left
+	// there; TestFunnelInvariants pins CanonCalls, and the captured funnel
+	// line stays as it was.
 	funnel := fmt.Sprintf("funnel: %+v\n", res.Stats.WithoutTimings())
 	funnel = strings.Replace(funnel, fmt.Sprintf(" CanonCalls:%d", res.Stats.CanonCalls), "", 1)
+	funnel = regexp.MustCompile(` GroupsSolved:\d+`).ReplaceAllString(funnel, "$0 PrescreenPairs:0 PrescreenPairsPruned:0")
 	b.WriteString(strings.Replace(funnel, " CanonTime:0s", "", 1))
 	counts := map[string]int{}
 	for _, d := range res.Deadlocks {
@@ -310,24 +315,16 @@ func TestTableIIInvariants(t *testing.T) {
 	}
 }
 
-// TestPrescreenOnlyPrunes: WithPrescreen() is the pair screen and the
-// group refutation and nothing else. The report is the plain run's
-// outside the funnel (the `phases:` line and the `engine:` counters under
-// it, which is where skipped solver calls show), deadlock for deadlock;
-// and neither run computes a canonical lock order — that is
-// staticlint.CanonicalizeTraces, for whoever prints one.
-func TestPrescreenOnlyPrunes(t *testing.T) {
-	outsideFunnel := func(report string) string {
-		var kept []string
-		for _, line := range strings.Split(report, "\n") {
-			if !strings.HasPrefix(line, "phases:") && !strings.HasPrefix(line, "engine:") {
-				kept = append(kept, line)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
-	for _, spec := range []string{"broadleaf", "shopizer", "gen:7,templates=96"} {
-		app, err := Open(spec, Options{})
+// TestCanonicalOrderOnDemand: the analysis computes no canonical lock
+// order — that is staticlint.CanonicalizeTraces, for whoever prints one —
+// and a report with the order attached is byte-identical at any phase-3
+// worker count, the order being a function of the traces alone. On
+// Shopizer it carries the inversion behind the paper's f10/f11 fixes:
+// Checkout prices the cart's product rows ascending but commits them
+// descending, so the order must flag that row pair, with evidence.
+func TestCanonicalOrderOnDemand(t *testing.T) {
+	for _, name := range []string{"broadleaf", "shopizer"} {
+		app, err := Open(name, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,37 +332,37 @@ func TestPrescreenOnlyPrunes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
-		if err != nil {
-			t.Fatal(err)
+		co := staticlint.CanonicalizeTraces(traces, app.Schema())
+		if len(co.Order) == 0 || co.Templates == 0 || co.Edges == 0 {
+			t.Errorf("%s: degenerate canonical order: %d nodes, %d templates, %d edges",
+				name, len(co.Order), co.Templates, co.Edges)
 		}
-		pre, err := core.NewAnalyzer(app.Schema(), core.WithPrescreen()).AnalyzeContext(context.Background(), traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.CanonicalOrder != nil || pre.CanonicalOrder != nil {
-			t.Errorf("%s: AnalyzeContext attached a canonical order (plain %v, prescreen %v)",
-				spec, plain.CanonicalOrder != nil, pre.CanonicalOrder != nil)
-		}
-		if pre.Stats.PrescreenPairs == 0 {
-			t.Errorf("%s: the prescreen run screened no pair", spec)
-		}
-		// Phase 1 comes before the screen, so what it lets through cannot
-		// depend on whether the screen is on.
-		if pre.Stats.PairsAfterPhase1 != plain.Stats.PairsAfterPhase1 || pre.Stats.PrescreenPairs != pre.Stats.PairsAfterPhase1 {
-			t.Errorf("%s: %d pairs after phase 1 without the screen, %d with it, %d screened; want all equal",
-				spec, plain.Stats.PairsAfterPhase1, pre.Stats.PairsAfterPhase1, pre.Stats.PrescreenPairs)
-		}
-		if got, want := outsideFunnel(pre.Render()), outsideFunnel(plain.Render()); got != want {
-			t.Errorf("%s: report under WithPrescreen differs from the plain run outside the funnel lines", spec)
-		}
-		if len(pre.Deadlocks) != len(plain.Deadlocks) {
-			t.Fatalf("%s: %d deadlocks under WithPrescreen, %d without", spec, len(pre.Deadlocks), len(plain.Deadlocks))
-		}
-		for i, d := range plain.Deadlocks {
-			if got := pre.Deadlocks[i].Fingerprint(); got != d.Fingerprint() {
-				t.Errorf("%s: deadlock %d fingerprint %s under WithPrescreen, %s without", spec, i+1, got, d.Fingerprint())
+		var serial string
+		for _, workers := range []int{1, 4, 16} {
+			res, err := core.NewAnalyzer(app.Schema(), core.WithParallelism(workers)).AnalyzeContext(context.Background(), traces)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if res.CanonicalOrder != nil {
+				t.Errorf("%s: AnalyzeContext attached a canonical order", name)
+			}
+			res.Stats = res.Stats.WithoutTimings()
+			res.CanonicalOrder = co
+			if got := res.Render(); workers == 1 {
+				serial = got
+			} else if got != serial {
+				t.Errorf("%s: report with the canonical order differs at parallelism %d", name, workers)
+			}
+		}
+		if name != "shopizer" {
+			continue
+		}
+		s := co.SuggestionFor("Product[i:1]", "Product[i:2]")
+		if s == nil {
+			t.Fatalf("shopizer: canonical order misses the f10/f11 Product row-order suggestion; got %+v", co.Suggestions)
+		}
+		if s.Violators == 0 || s.Supporters == 0 || len(s.Sites) == 0 {
+			t.Errorf("shopizer: row-order suggestion lacks evidence: %+v", s)
 		}
 	}
 }
@@ -539,8 +536,8 @@ func TestReportedModelsSatisfyFormulas(t *testing.T) {
 // both recorded before the edge conditions were memoized per template.
 func TestConcretePlansPinned(t *testing.T) {
 	want := map[string]struct{ digest, funnel string }{
-		"broadleaf": {"9e70a1c3593ade62", "{Traces:7 Pairs:323 PairsAfterPhase1:17 CoarseCycles:332 IndexProbes:164 LockFiltered:30 GroupsSolved:199 PrescreenPairs:0 PrescreenPairsPruned:0 PrescreenSaved:0 Fingerprints:180 SolverCalls:102 MemoHits:97 CanonCalls:156 SolverSAT:180 SolverUNSAT:19 SolverUnknown:0 Engine:{Atoms:2258 Clauses:4447 Decisions:660 Conflicts:132 TheoryCalls:765 Propagations:2828 LearnedClauses:120 Backjumps:44} Parallelism:0 SolverTime:0s CanonTime:0s EnumTime:0s FineTime:0s}"},
-		"shopizer":  {"2249c6a8023f55bb", "{Traces:6 Pairs:192 PairsAfterPhase1:16 CoarseCycles:826 IndexProbes:88 LockFiltered:0 GroupsSolved:127 PrescreenPairs:0 PrescreenPairsPruned:0 PrescreenSaved:0 Fingerprints:65 SolverCalls:124 MemoHits:3 CanonCalls:124 SolverSAT:65 SolverUNSAT:62 SolverUnknown:0 Engine:{Atoms:2388 Clauses:6572 Decisions:135 Conflicts:171 TheoryCalls:259 Propagations:3556 LearnedClauses:109 Backjumps:7} Parallelism:0 SolverTime:0s CanonTime:0s EnumTime:0s FineTime:0s}"},
+		"broadleaf": {"9e70a1c3593ade62", "{Traces:7 Pairs:323 PairsAfterPhase1:17 CoarseCycles:332 IndexProbes:164 LockFiltered:30 GroupsSolved:199 PrescreenSaved:0 Fingerprints:180 SolverCalls:102 MemoHits:97 CanonCalls:156 SolverSAT:180 SolverUNSAT:19 SolverUnknown:0 Engine:{Atoms:2258 Clauses:4447 Decisions:660 Conflicts:132 TheoryCalls:765 Propagations:2828 LearnedClauses:120 Backjumps:44} Parallelism:0 SolverTime:0s CanonTime:0s EnumTime:0s FineTime:0s}"},
+		"shopizer":  {"2249c6a8023f55bb", "{Traces:6 Pairs:192 PairsAfterPhase1:16 CoarseCycles:826 IndexProbes:88 LockFiltered:0 GroupsSolved:127 PrescreenSaved:0 Fingerprints:65 SolverCalls:124 MemoHits:3 CanonCalls:124 SolverSAT:65 SolverUNSAT:62 SolverUnknown:0 Engine:{Atoms:2388 Clauses:6572 Decisions:135 Conflicts:171 TheoryCalls:259 Propagations:3556 LearnedClauses:109 Backjumps:7} Parallelism:0 SolverTime:0s CanonTime:0s EnumTime:0s FineTime:0s}"},
 	}
 	for _, name := range []string{"broadleaf", "shopizer"} {
 		app, err := Open(name, Options{})

@@ -404,10 +404,6 @@ func TestPathCondAfterStmt(t *testing.T) {
 	if tr.PathConds[0].AfterStmt != 0 || tr.PathConds[1].AfterStmt != 1 {
 		t.Errorf("AfterStmt = %d, %d", tr.PathConds[0].AfterStmt, tr.PathConds[1].AfterStmt)
 	}
-	before := tr.PathCondsBefore(0)
-	if len(before) != 1 {
-		t.Errorf("conds before stmt 0 = %d", len(before))
-	}
 }
 
 var benchLoc trace.CodeLoc

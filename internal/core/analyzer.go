@@ -37,7 +37,6 @@ import (
 	"weseer/internal/schema"
 	"weseer/internal/smt"
 	"weseer/internal/sqlast"
-	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
@@ -54,7 +53,6 @@ type Analyzer struct {
 type run struct {
 	scm  *schema.Schema
 	opts options
-	ps   *prescreenState // Phase-0 state; nil without WithPrescreen
 	// pcMemo caches each recorded trace's path conditions with their
 	// variable sets (*trace.Trace → []pathCond): one entry for both roles.
 	pcMemo sync.Map
@@ -78,40 +76,11 @@ func (a *Analyzer) newRun() *run {
 	}
 	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm, a.opts.UseConcretePlans), memo: newMemoTable(workers), m: &Metrics{},
 		facts: map[*trace.Stmt]*stmtFacts{}, workers: workers}
-	if a.opts.StaticPrescreen {
-		r.ps = &prescreenState{
-			txns:  map[*trace.Txn]staticlint.TxnShape{},
-			stmts: map[*trace.Stmt]staticlint.StmtShape{},
-		}
-	}
 	if o := a.opts.Observer; o != nil {
 		r.m = RegisterMetrics(o.Metrics)
 		r.memo.obs, r.memo.latency = o, r.m.solverLatency
 	}
 	return r
-}
-
-// prescreenState caches the static shapes Phase-0 screens against, so
-// each recorded transaction is abstracted once per run, for both roles (a
-// shape reads no symbol). Enumeration — one goroutine — populates it, for
-// the pairs that reach the screen; phase 3 only reads it, without locking.
-type prescreenState struct {
-	txns  map[*trace.Txn]staticlint.TxnShape
-	stmts map[*trace.Stmt]staticlint.StmtShape
-}
-
-// shape abstracts (and caches) one transaction instance. ShapeFromTxn
-// walks txn.Stmts in order, so shape.Stmts[k] describes txn.Stmts[k].
-func (ps *prescreenState) shape(api string, txn *trace.Txn) staticlint.TxnShape {
-	if sh, ok := ps.txns[txn]; ok {
-		return sh
-	}
-	sh := staticlint.ShapeFromTxn(api, txn)
-	ps.txns[txn] = sh
-	for k, st := range txn.Stmts {
-		ps.stmts[st] = sh.Stmts[k]
-	}
-	return sh
 }
 
 // instance is one transaction instance: a view of a recorded transaction
@@ -168,8 +137,8 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*
 	return a.analyze(ctx, traces, (*run).enumerateIndexed)
 }
 
-// enumFunc runs phases 1 and 2: transaction-pair filtering, the Phase-0
-// pair screen, and coarse-cycle enumeration. Candidate cycles sharing a
+// enumFunc runs phases 1 and 2: transaction-pair filtering and
+// coarse-cycle enumeration. Candidate cycles sharing a
 // dedup key are collected into one chain, preserving global enumeration
 // order both across chains and within each chain; the Stats returned
 // hold what the enumeration counted.
@@ -192,7 +161,7 @@ func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate
 	if o != nil {
 		spAnalyze = o.StartSpan(0, "analyze", obs.Int("traces", len(traces)))
 		o.Progress.SetPhase("enumerate")
-		spEnum = o.StartSpan(0, "enumerate", obs.Bool("prescreen", a.opts.StaticPrescreen))
+		spEnum = o.StartSpan(0, "enumerate")
 	}
 
 	// Stages 1–2 (serial): pair filtering and coarse-cycle enumeration,

@@ -255,6 +255,30 @@ func TestPathConditionEliminatesFalsePositive(t *testing.T) {
 	}
 }
 
+// TestPathCondsBefore: a cycle's formula takes the path conditions
+// recorded before its statements and none recorded after. Contradictory
+// conditions on the updated product refute the finishOrder cycle when
+// they are recorded before Q6 runs, and leave it standing when they are
+// recorded once both statements have run.
+func TestPathCondsBefore(t *testing.T) {
+	pid := smt.NewVar("res0.row0.p.ID", smt.SortInt)
+	for _, tc := range []struct {
+		after int
+		want  int
+	}{{after: 1, want: 0}, {after: 2, want: 1}} {
+		tr := finishOrderTrace()
+		tr.PathConds = append(tr.PathConds,
+			trace.PathCond{AfterStmt: tc.after, Cond: smt.Lt(pid, smt.Int(0))},
+			trace.PathCond{AfterStmt: tc.after, Cond: smt.Gt(pid, smt.Int(0))},
+		)
+		res := analyze(t, []*trace.Trace{tr})
+		if len(res.Deadlocks) != tc.want {
+			t.Errorf("contradiction recorded after %d statements: %d deadlocks, want %d\n%s",
+				tc.after, len(res.Deadlocks), tc.want, res.Render())
+		}
+	}
+}
+
 // CheckLockFilterIsExact pins that the lock-collision filter only ever
 // drops what the solver would refute: for every coarse cycle of the traces,
 // with and without WithConcretePlans, a C-edge the filter fails has the

@@ -9,7 +9,6 @@ import (
 	"weseer/internal/lockmodel"
 	"weseer/internal/schema"
 	"weseer/internal/smt"
-	"weseer/internal/sqlast"
 	"weseer/internal/trace"
 )
 
@@ -19,9 +18,8 @@ import (
 func directEdgeCond(scm *schema.Schema, x, y *trace.Stmt, rx int, px, py string, usePlans bool) smt.Expr {
 	rowPrefix := [2]string{"r1.", "r2."}[rx]
 	nm := lockmodel.NewNamer("rng." + rowPrefix)
-	parsed := func(st *trace.Stmt) sqlast.Stmt { return st.Parsed }
 	var alts []smt.Expr
-	lockmodel.Oriented(renameStmt(x, px), renameStmt(y, py), parsed, func(w, r *trace.Stmt, tab string) bool {
+	lockmodel.Oriented(renameStmt(x, px), renameStmt(y, py), func(w, r *trace.Stmt, tab string) bool {
 		alts = append(alts, lockmodel.GenConflictCond(w, r, scm, tab, rowPrefix, nm, usePlans))
 		return false
 	})

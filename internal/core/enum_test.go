@@ -8,9 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"weseer/internal/minidb"
 	"weseer/internal/schema"
 	"weseer/internal/smt"
-	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
@@ -78,15 +78,6 @@ func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace, phase1 
 						continue
 					}
 					st.PairsAfterPhase1++
-					if r.ps != nil {
-						st.PrescreenPairs++
-						sh1 := r.ps.shape(traces[i].API, t1)
-						sh2 := r.ps.shape(traces[j].API, t2)
-						if !staticlint.PairDeadlockPossible(sh1, sh2, r.scm) {
-							st.PrescreenPairsPruned++
-							continue
-						}
-					}
 					// Instances are only allocated for pairs that survive the
 					// filters: on large corpora phase 1 rejects the vast
 					// majority of pairs.
@@ -315,24 +306,54 @@ func TestEnumDifferentialRandomFine(t *testing.T) {
 }
 
 // TestEnumDifferentialAblations pins the oracle equivalence under the
-// interacting option, the Phase-0 prescreen (whose shape cache the pass
-// fills lazily, for survivors only), also on a corpus where the pair
-// screen actually prunes.
+// option that interacts with enumeration, concrete plans (phase 2's lock
+// filter and the C-edge templates both key on each statement's recorded
+// plan), also on a corpus where the plans make the filter drop cycles.
 func TestEnumDifferentialAblations(t *testing.T) {
-	t.Run("prescreen", func(t *testing.T) {
-		diffRun(t, fig1Schema(), pipelineTraces(), []int{1, 4}, WithPrescreen())
+	t.Run("concrete-plans", func(t *testing.T) {
+		scm := fig1Schema()
+		diffRun(t, scm, withRecordedPlans(scm, pipelineTraces()), []int{1, 4}, WithConcretePlans())
 	})
-	t.Run("prescreen-prunes", func(t *testing.T) {
-		// Random transactions are often a single statement: two of them
-		// writing one table survive phase 1 and can hold nothing while
-		// waiting, so the screen drops the pair.
-		traces := randTraces(rand.New(rand.NewSource(3)), 10, 4)
-		st := diffRun(t, randSchema(4), traces, []int{1, 4}, WithPrescreen()).Stats
-		if st.PrescreenPairsPruned == 0 || st.PrescreenPairs != st.PairsAfterPhase1 {
-			t.Fatalf("screen saw %d of %d phase-1 survivors and pruned %d; want all and some",
-				st.PrescreenPairs, st.PairsAfterPhase1, st.PrescreenPairsPruned)
+	t.Run("concrete-plans-filter", func(t *testing.T) {
+		// An empty read binding both secondary indexes, then an update of
+		// the second: the conservative model has the read range-lock
+		// idx_b too, the recorded plan (idx_a) does not.
+		scm := schema.New()
+		scm.AddTable("T").
+			Col("ID", schema.Int).Col("A", schema.Int).Col("B", schema.Int).
+			PrimaryKey("ID").
+			Index("idx_a", "A").
+			Index("idx_b", "B")
+		sel := mkStmt(0, `SELECT * FROM T t WHERE t.A = ? AND t.B = ?`,
+			[]smt.Expr{smt.NewVar("a", smt.SortInt), smt.NewVar("b", smt.SortInt)},
+			&trace.Result{Cols: []string{"t.ID", "t.A", "t.B"}, Empty: true})
+		upd := mkStmt(1, `UPDATE T SET B = ? WHERE ID = ?`,
+			[]smt.Expr{smt.NewVar("nb", smt.SortInt), smt.NewVar("id", smt.SortInt)}, nil)
+		traces := withRecordedPlans(scm, []*trace.Trace{{
+			API:  "Probe",
+			Txns: []*trace.Txn{{ID: 1, Committed: true, Stmts: []*trace.Stmt{sel, upd}}},
+		}})
+		planned := diffRun(t, scm, traces, []int{1, 4}, WithConcretePlans()).Stats
+		conservative := diffRun(t, scm, traces, []int{1, 4}).Stats
+		if planned.LockFiltered <= conservative.LockFiltered {
+			t.Fatalf("plans filtered %d cycles, the conservative model %d; want more with plans",
+				planned.LockFiltered, conservative.LockFiltered)
 		}
 	})
+}
+
+// withRecordedPlans gives every statement the access paths minidb
+// chooses for it over scm, as a collection records them.
+func withRecordedPlans(scm *schema.Schema, traces []*trace.Trace) []*trace.Trace {
+	db := minidb.Open(scm, minidb.Config{})
+	for _, tr := range traces {
+		for _, txn := range tr.Txns {
+			for _, st := range txn.Stmts {
+				st.Plan = db.Explain(st.Parsed)
+			}
+		}
+	}
+	return traces
 }
 
 // TestEnumIndexSurvivorsExact cross-checks the inverted index against
@@ -482,7 +503,7 @@ func TestEnumCancellationIsPrefix(t *testing.T) {
 }
 
 func cancellationIsPrefix(t *testing.T, scm *schema.Schema, traces []*trace.Trace) {
-	opts := []Option{WithParallelism(4), WithPrescreen()}
+	opts := []Option{WithParallelism(4)}
 	full, fullChains, err := analyzeRecording(context.Background(), scm, traces, false, opts...)
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,10 @@ package core
 // walking posting-list suffixes, never the full instance set. The pass
 // visits the survivors directly in the naive loop's (trace_i, trace_j,
 // txn1, txn2) order: per left trace it gathers its transactions'
-// candidates and stable-sorts them by right-hand trace, then screens
-// (phase 0) and enumerates (phase 2) each pair straight into the chain
-// map. There is no worker pool here: the filters are cheap by design
-// (Sec. V-B) and read the recorded traces in place — the stage copies
+// candidates and stable-sorts them by right-hand trace, then enumerates
+// (phase 2) each pair straight into the chain map. There is no worker
+// pool here: the filters are cheap by design (Sec. V-B) and read the
+// recorded traces in place — the stage copies
 // nothing, and what every pair and cycle used to re-derive of a statement
 // (its tables, its identity key) is computed once per recorded statement,
 // in flatten; the expensive stage, phase 3, has the workers.
@@ -30,7 +30,6 @@ import (
 	"slices"
 	"sort"
 
-	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
@@ -196,13 +195,6 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*c
 			}
 			api2 := traces[R.trace].API
 			st.PairsAfterPhase1++
-			if r.ps != nil {
-				st.PrescreenPairs++
-				if !staticlint.PairDeadlockPossible(r.ps.shape(tr.API, L.txn), r.ps.shape(api2, R.txn), r.scm) {
-					st.PrescreenPairsPruned++
-					continue
-				}
-			}
 			p1 := &instance{API: tr.API, Prefix: "A1.", Txn: L.txn, Trace: tr}
 			p2 := &instance{API: api2, Prefix: "A2.", Txn: R.txn, Trace: traces[R.trace]}
 			st.CoarseCycles += r.enumeratePair(p1, p2, add)

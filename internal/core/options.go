@@ -10,7 +10,6 @@ import (
 type options struct {
 	CoarseOnly       bool
 	UseConcretePlans bool
-	StaticPrescreen  bool
 	Parallelism      int
 	Observer         *obs.Observer
 }
@@ -26,15 +25,12 @@ func WithParallelism(n int) Option {
 	return func(o *options) { o.Parallelism = n }
 }
 
-// WithPrescreen enables Phase-0: before lock generation and SMT discharge,
-// candidate pairs and cycle groups are screened against the template-level
-// lock-order analysis (internal/staticlint, the weseer vet analysis).
-// Statements pinned to provably disjoint rigid point keys cannot collide,
-// so refuted groups skip the solver entirely. The screen is an
-// over-approximation: it only discards candidates whose conflict condition
-// the solver would find trivially UNSAT, never a satisfiable cycle.
+// WithPrescreen does nothing.
+//
+// Deprecated: the analyzer runs the paper's three phases and has no static
+// prescreen; kept only because benchmark/probes.go still passes it.
 func WithPrescreen() Option {
-	return func(o *options) { o.StaticPrescreen = true }
+	return func(*options) {}
 }
 
 // WithCoarseOnly stops after phase 2 and reports raw coarse cycles — the
@@ -53,7 +49,7 @@ func WithConcretePlans() Option {
 
 // WithObserver attaches an observability sink: the run emits spans
 // (concolic extraction is instrumented separately via
-// concolic.WithObserver; here: phases 0–3, each phase-3 chain, each
+// concolic.WithObserver; here: phases 1–3, each phase-3 chain, each
 // solver call), funnel/engine metrics, and live progress into o.
 // Telemetry never feeds back into the analysis, so the determinism
 // guarantee — byte-identical reports at any parallelism — holds with

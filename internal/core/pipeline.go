@@ -23,7 +23,6 @@ import (
 	"weseer/internal/obs"
 	"weseer/internal/smt"
 	"weseer/internal/solver"
-	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
@@ -147,7 +146,7 @@ func (r *run) evalChain(ctx context.Context, ch *chain, tid int) chainOutcome {
 }
 
 // fineCheckOne is phase 3 for one coarse cycle: quick lock-collision
-// filter, Phase-0 group refutation, then (memoized) SMT solving of
+// filter, then (memoized) SMT solving of
 // conflict + path conditions. It returns a Deadlock when the cycle is
 // confirmed SAT.
 func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, out *chainOutcome) *Deadlock {
@@ -157,21 +156,6 @@ func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, 
 		!r.locks.PotentialConflict(cyc.S2b, cyc.S1a) {
 		out.stats.LockFiltered++
 		return nil
-	}
-
-	// Phase-0 group refutation: when every statement of the cycle has a
-	// static shape and one C-edge joins provably disjoint rigid point
-	// rows, the conflict condition is trivially UNSAT — skip the solver.
-	if r.ps != nil {
-		s1a, ok1 := r.ps.stmts[cyc.S1a]
-		s1b, ok2 := r.ps.stmts[cyc.S1b]
-		s2a, ok3 := r.ps.stmts[cyc.S2a]
-		s2b, ok4 := r.ps.stmts[cyc.S2b]
-		if ok1 && ok2 && ok3 && ok4 &&
-			!staticlint.CyclePossible(s1a, s1b, s2a, s2b, r.scm) {
-			out.stats.PrescreenSaved++
-			return nil
-		}
 	}
 
 	formula := r.cycleFormula(cyc)
@@ -278,11 +262,12 @@ func (r *run) pathConds(tr *trace.Trace) []pathCond {
 }
 
 // cone appends to out, in recorded order and in the instance's symbol
-// space, those of its path conditions recorded before statement seq (what
-// Trace.PathCondsBefore selects) that are transitively connected to the
-// edges' variables. The fixpoint runs on the recorded names — an edge
-// variable of this side is its prefix plus one — and only the conditions
-// inside the cone are renamed, once per (condition, role).
+// space, those of its path conditions recorded before statement seq that
+// are transitively connected to the edges' variables; the analysis selects
+// path conditions by statement here and nowhere else. The fixpoint runs on
+// the recorded names — an edge variable of this side is its prefix plus
+// one — and only the conditions inside the cone are renamed, once per
+// (condition, role).
 func (r *run) cone(out []smt.Expr, in *instance, role, seq int, edges ...*lockmodel.Edge) []smt.Expr {
 	conds := r.pathConds(in.Trace)
 	seed := map[string]struct{}{}

@@ -76,41 +76,35 @@ func TestParallelReportDeterministic(t *testing.T) {
 // once: an Analyzer is configuration, every table an analysis builds
 // belongs to that call, so the calls neither race (verify.sh runs this
 // package under -race) nor see each other — each report is the serial
-// one, byte for byte. With WithPrescreen the per-call state includes the
-// plain maps of the phase-0 shape cache.
+// one, byte for byte.
 func TestSharedAnalyzerConcurrent(t *testing.T) {
 	traces := pipelineTraces()
-	for _, opts := range [][]Option{
-		{WithParallelism(2)},
-		{WithParallelism(2), WithPrescreen()},
-	} {
-		a := NewAnalyzer(fig1Schema(), opts...)
-		want, err := a.AnalyzeContext(context.Background(), traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got, err := a.AnalyzeContext(context.Background(), traces)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got.Stats.WithoutTimings() != want.Stats.WithoutTimings() {
-					t.Errorf("concurrent run's funnel differs: %+v vs %+v",
-						got.Stats.WithoutTimings(), want.Stats.WithoutTimings())
-				}
-				got.Stats = want.Stats // the timings legitimately differ
-				if got.Render() != want.Render() {
-					t.Error("concurrent run's report differs from the analyzer's first")
-				}
-			}()
-		}
-		wg.Wait()
+	a := NewAnalyzer(fig1Schema(), WithParallelism(2))
+	want, err := a.AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := a.AnalyzeContext(context.Background(), traces)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got.Stats.WithoutTimings() != want.Stats.WithoutTimings() {
+				t.Errorf("concurrent run's funnel differs: %+v vs %+v",
+					got.Stats.WithoutTimings(), want.Stats.WithoutTimings())
+			}
+			got.Stats = want.Stats // the timings legitimately differ
+			if got.Render() != want.Render() {
+				t.Error("concurrent run's report differs from the analyzer's first")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestForEachIndex pins the worker pool both fan-outs share: every index

@@ -104,8 +104,7 @@ func TestRenameTrace(t *testing.T) {
 // a statement view or an in-cone path condition on first use — against the
 // deep-copy pipeline it replaced (enumerateNaive over renameTrace copies).
 // Formulas must be string-identical in enumeration order; reports, funnel
-// counters, models and fingerprints identical at 1 and 4 workers, with and
-// without the Phase-0 prescreen. Exported for the corpus test in package
+// counters, models and fingerprints identical at 1 and 4 workers. Exported for the corpus test in package
 // core_test, which (unlike this package) may import the apps.
 func CheckViewsAgainstRenamedCopies(t *testing.T, scm *schema.Schema, traces []*trace.Trace) {
 	t.Helper()
@@ -134,23 +133,21 @@ func CheckViewsAgainstRenamedCopies(t *testing.T, scm *schema.Schema, traces []*
 		res.Stats = comparable(res.Stats)
 		return res.Render()
 	}
-	for _, extra := range [][]Option{nil, {WithPrescreen()}} {
-		oracle, _, err := analyzeRecording(ctx, scm, traces, true, append([]Option{WithParallelism(1)}, extra...)...)
+	oracle, _, err := analyzeRecording(ctx, scm, traces, true, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := NewAnalyzer(scm, WithParallelism(workers)).AnalyzeContext(ctx, traces)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			res, err := NewAnalyzer(scm, append([]Option{WithParallelism(workers)}, extra...)...).AnalyzeContext(ctx, traces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if comparable(res.Stats) != comparable(oracle.Stats) {
-				t.Errorf("p%d %d option(s): funnel differs:\ncopies: %+v\nviews:  %+v",
-					workers, len(extra), comparable(oracle.Stats), comparable(res.Stats))
-			}
-			if !reflect.DeepEqual(deadlockSigs(res), deadlockSigs(oracle)) || report(res) != report(oracle) {
-				t.Errorf("p%d %d option(s): report differs from the one over renamed copies", workers, len(extra))
-			}
+		if comparable(res.Stats) != comparable(oracle.Stats) {
+			t.Errorf("p%d: funnel differs:\ncopies: %+v\nviews:  %+v",
+				workers, comparable(oracle.Stats), comparable(res.Stats))
+		}
+		if !reflect.DeepEqual(deadlockSigs(res), deadlockSigs(oracle)) || report(res) != report(oracle) {
+			t.Errorf("p%d: report differs from the one over renamed copies", workers)
 		}
 	}
 }
@@ -172,7 +169,7 @@ func TestAnalysisReadsTracesInPlace(t *testing.T) {
 			}
 		}
 	}
-	res, chains, err := analyzeRecording(context.Background(), fig1Schema(), traces, false, WithParallelism(4), WithPrescreen())
+	res, chains, err := analyzeRecording(context.Background(), fig1Schema(), traces, false, WithParallelism(4))
 	if err != nil || len(res.Deadlocks) == 0 {
 		t.Fatalf("fixture: %d deadlocks, err %v", len(res.Deadlocks), err)
 	}

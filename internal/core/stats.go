@@ -30,10 +30,11 @@ type Stats struct {
 	LockFiltered int // cycles discarded by the lock-collision test
 	GroupsSolved int // cycles discharged in the fine phase (memoized or not)
 
-	// Phase-0 static prescreen counters (zero unless StaticPrescreen).
-	PrescreenPairs       int // pairs examined by the static pair screen
-	PrescreenPairsPruned int // pairs discarded before cycle enumeration
-	PrescreenSaved       int // solver calls avoided by group refutation
+	// PrescreenSaved is always zero and is in no StatsTable row.
+	//
+	// Deprecated: the analyzer has no static prescreen; kept only because
+	// benchmark/probes.go still reads it.
+	PrescreenSaved int
 
 	// Fingerprints is the number of distinct deadlock fingerprints among
 	// the reported deadlocks (see Deadlock.Fingerprint) — the number of
@@ -118,12 +119,6 @@ var StatsTable = []StatsRow{
 		num: func(s *Stats) *int { return &s.Fingerprints }},
 	{JSON: "lock_filtered", Metric: "weseer_funnel_lock_filtered_total", Help: "cycles discarded by the lock-collision test",
 		num: func(s *Stats) *int { return &s.LockFiltered }},
-	{JSON: "prescreen_pairs", Metric: "weseer_prescreen_pairs_total", Help: "pairs examined by the phase-0 static screen",
-		num: func(s *Stats) *int { return &s.PrescreenPairs }},
-	{JSON: "prescreen_pairs_pruned", Metric: "weseer_prescreen_pairs_pruned_total", Help: "pairs discarded before cycle enumeration",
-		num: func(s *Stats) *int { return &s.PrescreenPairsPruned }},
-	{JSON: "prescreen_saved", Metric: "weseer_prescreen_saved_total", Help: "solver calls avoided by phase-0 group refutation",
-		num: func(s *Stats) *int { return &s.PrescreenSaved }},
 	{JSON: "groups_solved", Metric: "weseer_funnel_groups_solved_total", Help: "cycles discharged in the fine phase (memoized or not)",
 		num: func(s *Stats) *int { return &s.GroupsSolved }},
 	{JSON: "solver_calls", Metric: "weseer_funnel_solver_calls_total", Help: "group discharges that ran the solver",
@@ -252,11 +247,6 @@ func (s Stats) Render() string {
 	if s.Fingerprints > 0 {
 		fps = fmt.Sprintf(" [fingerprints: %d distinct]", s.Fingerprints)
 	}
-	pre := ""
-	if s.PrescreenPairs > 0 || s.PrescreenSaved > 0 {
-		pre = fmt.Sprintf(" [prescreen: %d pairs screened, %d pruned, %d solver calls saved]",
-			s.PrescreenPairs, s.PrescreenPairsPruned, s.PrescreenSaved)
-	}
 	memo := ""
 	if s.MemoHits > 0 || s.CanonCalls > 0 {
 		memo = fmt.Sprintf(", %d memo hits over %d shapes", s.MemoHits, s.CanonCalls)
@@ -277,8 +267,8 @@ func (s Stats) Render() string {
 			e.Decisions, e.Conflicts, e.Propagations, e.LearnedClauses, e.Backjumps, e.TheoryCalls)
 	}
 	return fmt.Sprintf(
-		"phases: %d traces, %d txn pairs -> %d after txn-level filter -> %d coarse cycles -> %d lock-filtered, %d groups solved via %d solver calls%s (SAT %d / UNSAT %d / UNKNOWN %d) in %v%s%s%s%s%s%s",
+		"phases: %d traces, %d txn pairs -> %d after txn-level filter -> %d coarse cycles -> %d lock-filtered, %d groups solved via %d solver calls%s (SAT %d / UNSAT %d / UNKNOWN %d) in %v%s%s%s%s%s",
 		s.Traces, s.Pairs, s.PairsAfterPhase1, s.CoarseCycles,
 		s.LockFiltered, s.GroupsSolved, s.SolverCalls, memo,
-		s.SolverSAT, s.SolverUNSAT, s.SolverUnknown, s.SolverTime.Round(1000), canon, par, idx, fps, pre, engine)
+		s.SolverSAT, s.SolverUNSAT, s.SolverUnknown, s.SolverTime.Round(1000), canon, par, idx, fps, engine)
 }

@@ -41,7 +41,8 @@ func TestStatsTableCoversStats(t *testing.T) {
 			}
 			return
 		}
-		if v.IsZero() {
+		// PrescreenSaved is the deprecated always-zero field, rowless on purpose.
+		if v.IsZero() && path != ".PrescreenSaved" {
 			t.Errorf("Stats%s has no StatsTable row", path)
 		}
 	}

@@ -48,7 +48,7 @@ func analyzeGen(t *testing.T, a *appgen.App) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.NewAnalyzer(a.Schema(), core.WithPrescreen()).AnalyzeContext(context.Background(), traces)
+	res, err := core.NewAnalyzer(a.Schema()).AnalyzeContext(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,10 @@ func TestFixPropertiesOverCorpora(t *testing.T) {
 	}
 }
 
-// TestFixplanIndependentOfPrescreen: a fix's suggestion rank comes from
-// the canonical order its caller attached, not from how the analysis was
-// run. Shopizer's three fixes are all row reorders, so each is backed by
-// a suggestion, the same one with and without the Phase-0 prescreen.
-func TestFixplanIndependentOfPrescreen(t *testing.T) {
+// TestShopizerReordersCarrySuggestions: a fix's suggestion rank comes
+// from the canonical order its caller attached. Shopizer's three fixes are
+// all row reorders, so each is backed by a suggestion.
+func TestShopizerReordersCarrySuggestions(t *testing.T) {
 	app, err := apps.Open("shopizer", apps.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -206,27 +205,19 @@ func TestFixplanIndependentOfPrescreen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := func(opts ...core.Option) ([]fixapply.Fix, string) {
-		res, err := core.NewAnalyzer(app.Schema(), opts...).AnalyzeContext(context.Background(), traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.CanonicalOrder = staticlint.CanonicalizeTraces(traces, app.Schema())
-		fixes := fixapply.Plan(app, res)
-		return fixes, fixapply.Render(fixes)
+	res, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain, plainText := plan()
-	_, preText := plan(core.WithPrescreen())
-	if plainText != preText {
-		t.Errorf("fix plan depends on the prescreen:\nwithout:\n%swith:\n%s", plainText, preText)
-	}
+	res.CanonicalOrder = staticlint.CanonicalizeTraces(traces, app.Schema())
+	fixes := fixapply.Plan(app, res)
 	ranks := map[string]int{}
-	for _, f := range plain {
+	for _, f := range fixes {
 		ranks[f.Name] = f.SuggestionRank
 	}
 	for _, name := range []string{"f9", "f10", "f11"} {
 		if ranks[name] == 0 {
-			t.Errorf("fix %s carries no reorder suggestion rank; plan:\n%s", name, plainText)
+			t.Errorf("fix %s carries no reorder suggestion rank; plan:\n%s", name, fixapply.Render(fixes))
 		}
 	}
 }

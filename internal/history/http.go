@@ -116,9 +116,10 @@ type bufferedResponse struct {
 func (b *bufferedResponse) WriteHeader(code int)        { b.code = code }
 func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
 
-// query wraps a /history/* handler: GET and HEAD only, and a query
-// without a window, whose answer depends on the store's state alone, is
-// served from the route's memo while the store is at the memo's version.
+// query wraps a /history/* handler: GET and HEAD only, format json (the
+// default) or text, and a query without a window, whose answer depends on
+// the store's state alone, is served from the route's memo while the store
+// is at the memo's version.
 // The version is read before rendering, so a body that already reflects
 // a concurrent ingest is filed under an older version and never served.
 func (s *Server) query(h http.HandlerFunc) http.HandlerFunc {
@@ -129,7 +130,12 @@ func (s *Server) query(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		s.metrics().Queries.Inc()
-		if r.URL.Query().Get("window") != "" {
+		q := r.URL.Query()
+		if f := q.Get("format"); f != "" && f != "json" && f != "text" {
+			httpError(w, http.StatusBadRequest, "bad format %q (json|text)", f)
+			return
+		}
+		if q.Get("window") != "" {
 			h(w, r)
 			return
 		}
@@ -266,6 +272,9 @@ func (s *Server) sinceParam(r *http.Request) (time.Time, error) {
 	d, err := time.ParseDuration(win)
 	if err != nil {
 		return time.Time{}, fmt.Errorf("bad window %q: %v", win, err)
+	}
+	if d < 0 {
+		return time.Time{}, fmt.Errorf("bad window %q: negative", win)
 	}
 	return s.Store.now().UTC().Add(-d), nil
 }

@@ -464,6 +464,36 @@ func TestPatternsRefuseWindow(t *testing.T) {
 	}
 }
 
+// TestQueryRefusesBadValues: a negative window and a format other than
+// json or text are the client's error on every /history/* route they
+// reach — a 400 naming the parameter, not a cutoff in the future or a
+// silent fall-back to JSON.
+func TestQueryRefusesBadValues(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	if _, err := srv.Store.Ingest(testEvents()); err != nil {
+		t.Fatal(err)
+	}
+	mux := routesMux(srv)
+	for path, param := range map[string]string{
+		"/history/events?window=-5s":   "window",
+		"/history/tables?window=-1h":   "window",
+		"/history/events?format=xml":   "format",
+		"/history/patterns?format=xml": "format",
+		"/history/tables?format=yaml":  "format",
+		"/history/events?format=TEXT":  "format",
+	} {
+		rec := get(mux, http.MethodGet, path)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad "+param) {
+			t.Errorf("GET %s: status %d %s, want 400 naming %s", path, rec.Code, rec.Body, param)
+		}
+	}
+	for _, path := range []string{"/history/events?format=json", "/history/tables?format=", "/history/events?window=0s"} {
+		if rec := get(mux, http.MethodGet, path); rec.Code != http.StatusOK {
+			t.Errorf("GET %s: status %d %s, want 200", path, rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestMemoFollowsStore drives a seeded random interleaving of new-event
 // ingests, touch-only re-ingests, reopens, idle time and queries of all
 // three routes (JSON and text, filtered, windowed, malformed): every

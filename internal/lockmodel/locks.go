@@ -243,7 +243,7 @@ func PotentialConflict(a, b *trace.Stmt, scm *schema.Schema, usePlans bool) bool
 // PotentialConflict is the package-level PotentialConflict with the
 // statements' template-level lock model taken from the memo.
 func (t *Templates) PotentialConflict(a, b *trace.Stmt) bool {
-	return Oriented(a, b, parsed, func(w, r *trace.Stmt, tab string) bool {
+	return Oriented(a, b, func(w, r *trace.Stmt, tab string) bool {
 		return Conflicting(t.locksFor(t.of(w, tab), w), t.locksFor(t.of(r, tab), r))
 	})
 }
@@ -252,7 +252,7 @@ func (t *Templates) PotentialConflict(a, b *trace.Stmt) bool {
 // the disjunction of ConflictCond over the orientations Oriented admits.
 func (t *Templates) edgeCond(x, y *trace.Stmt, rowPrefix string, nm *Namer) smt.Expr {
 	var alts []smt.Expr
-	Oriented(x, y, parsed, func(w, r *trace.Stmt, tab string) bool {
+	Oriented(x, y, func(w, r *trace.Stmt, tab string) bool {
 		alts = append(alts, t.ConflictCond(w, r, tab, rowPrefix, nm))
 		return false
 	})
@@ -263,20 +263,17 @@ func (t *Templates) edgeCond(x, y *trace.Stmt, rowPrefix string, nm *Namer) smt.
 // (a, b): two statements conflict only through a table one of them writes
 // and the other accesses. It calls f(w, r, table) for each orientation in
 // which w writes table and r accesses it, (a, b) before (b, a), stops at
-// the first call that returns true, and reports whether one did. stmt
-// reads a statement's parse.
-func Oriented[S any](a, b S, stmt func(S) sqlast.Stmt, f func(w, r S, table string) bool) bool {
-	for _, o := range [2][2]S{{a, b}, {b, a}} {
+// the first call that returns true, and reports whether one did.
+func Oriented(a, b *trace.Stmt, f func(w, r *trace.Stmt, table string) bool) bool {
+	for _, o := range [2][2]*trace.Stmt{{a, b}, {b, a}} {
 		w, r := o[0], o[1]
-		wt := stmt(w).WriteTable()
-		if wt != "" && slices.Contains(stmt(r).Tables(), wt) && f(w, r, wt) {
+		wt := w.Parsed.WriteTable()
+		if wt != "" && slices.Contains(r.Parsed.Tables(), wt) && f(w, r, wt) {
 			return true
 		}
 	}
 	return false
 }
-
-func parsed(st *trace.Stmt) sqlast.Stmt { return st.Parsed }
 
 // ReadLocks models the locks the "reader" side of a conflict holds on the
 // table: exclusive locks when the statement itself writes the table,

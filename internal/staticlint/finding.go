@@ -1,17 +1,14 @@
-// Package staticlint is WeSEER's static Phase-0: deadlock analysis that
-// runs before (or entirely without) concolic execution and SMT solving.
+// Package staticlint is WeSEER's static deadlock analysis: it runs
+// without concolic execution and SMT solving.
 //
 // It bundles two analyzers:
 //
 //   - Analyzer 1 (template pre-screen, prescreen.go): from sqlast
 //     statement templates and schema metadata alone it models each
-//     transaction's lock-acquisition order, refutes SC-graph candidate
-//     cycles whose C-edges pin provably disjoint rows, and flags
-//     template-level hazards — lock-order inversions, write-behind
-//     flush reordering (the d5/d6 class), and gap/next-key escalation
-//     on unindexed predicates. internal/core consumes it as
-//     Options.StaticPrescreen to prune candidate pairs and skip solver
-//     calls.
+//     transaction's lock-acquisition order and flags template-level
+//     hazards — lock-order inversions, write-behind flush reordering
+//     (the d5/d6 class), and gap/next-key escalation on unindexed
+//     predicates.
 //
 //   - Analyzer 2 (ORM-misuse source lint, lint.go): a stdlib go/ast
 //     scan of application packages for the anti-patterns behind the

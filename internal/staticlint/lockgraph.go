@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"weseer/internal/schema"
+	"weseer/internal/smt"
 	"weseer/internal/sqlast"
 )
 
@@ -134,10 +135,54 @@ func rowKeyOf(sh StmtShape, table string, scm *schema.Schema) (string, bool) {
 	}
 	for _, a := range append(sqlast.AliasesOf(sh.Stmt, table), table) {
 		if k, ok := pointKeyOn(sh, a, pk); ok {
-			return strings.TrimSuffix(k, "|"), true
+			return k, true
 		}
 	}
 	return "", false
+}
+
+// pointKeyOn returns the canonical key a statement pins on every column
+// of the unique index ix (for the lock acquired under alias), and false
+// when any column is unpinned or not statically fixed. A key built only
+// from rigid values names one row whatever the inputs, which is what
+// makes the row split of an OrderNode sound.
+func pointKeyOn(sh StmtShape, alias string, ix *schema.Index) (string, bool) {
+	preds := sqlast.QueryCondOf(sh.Stmt).Preds
+	keys := make([]string, len(ix.Columns))
+	for i, col := range ix.Columns {
+		k, ok := pinnedValue(preds, alias, col, sh)
+		if !ok {
+			return "", false
+		}
+		keys[i] = k
+	}
+	return strings.Join(keys, "|"), true
+}
+
+// pinnedValue finds a top-level equality conjunct binding alias.col to a
+// rigid value. Conjuncts are sound pins: every row the statement touches
+// satisfies them.
+func pinnedValue(preds []sqlast.Pred, alias, col string, sh StmtShape) (string, bool) {
+	for _, p := range preds {
+		if p.IsNull || p.Op != smt.EQ {
+			continue
+		}
+		colSide, valSide := p.L, p.R
+		if !isColRef(colSide, alias, col) {
+			colSide, valSide = p.R, p.L
+		}
+		if !isColRef(colSide, alias, col) {
+			continue
+		}
+		if k, ok := rigidOperand(valSide, sh); ok {
+			return k, true
+		}
+	}
+	return "", false
+}
+
+func isColRef(o sqlast.Operand, alias, col string) bool {
+	return o.Kind == sqlast.Col && o.Column == col && (o.Table == alias || o.Table == "")
 }
 
 // BuildLockOrderGraph merges every shape's per-template lock-order

@@ -6,155 +6,11 @@ import (
 
 	"weseer/internal/lockmodel"
 	"weseer/internal/schema"
-	"weseer/internal/smt"
 	"weseer/internal/sqlast"
 )
 
-// Analyzer 1: the template-level pre-screen. It re-derives each
-// statement's modeled locks (Alg. 2, via lockmodel) and refines the
-// index-collision test with row-key reasoning: a ROW lock on a unique
-// index whose every column is pinned to a rigid value protects exactly
-// one row, so two such locks with different keys can never collide —
-// no input assignment moves them. Everything it cannot pin stays
-// conservatively "possible", which keeps the screen sound with respect
-// to the SMT phase: a cycle the solver could confirm is never refuted.
-
-// pointKeyOn returns the canonical key a statement pins on every column
-// of the unique index ix (for the lock acquired under alias), and false
-// when any column is unpinned or not statically fixed.
-func pointKeyOn(sh StmtShape, alias string, ix *schema.Index) (string, bool) {
-	if ix == nil || !ix.Unique {
-		return "", false
-	}
-	preds := sqlast.QueryCondOf(sh.Stmt).Preds
-	key := ""
-	for _, col := range ix.Columns {
-		k, ok := pinnedValue(preds, alias, col, sh)
-		if !ok {
-			return "", false
-		}
-		key += k + "|"
-	}
-	return key, true
-}
-
-// pinnedValue finds a top-level equality conjunct binding alias.col to a
-// rigid value. Conjuncts are sound pins: every row the statement touches
-// satisfies them.
-func pinnedValue(preds []sqlast.Pred, alias, col string, sh StmtShape) (string, bool) {
-	for _, p := range preds {
-		if p.IsNull || p.Op != smt.EQ {
-			continue
-		}
-		colSide, valSide := p.L, p.R
-		if !isColRef(colSide, alias, col) {
-			colSide, valSide = p.R, p.L
-		}
-		if !isColRef(colSide, alias, col) {
-			continue
-		}
-		if k, ok := rigidOperand(valSide, sh); ok {
-			return k, true
-		}
-	}
-	return "", false
-}
-
-func isColRef(o sqlast.Operand, alias, col string) bool {
-	return o.Kind == sqlast.Col && o.Column == col && (o.Table == alias || o.Table == "")
-}
-
-// readLockUnion is lockmodel.ReadLocks for a template that knows whether
-// its read came back empty, and the union over both cases otherwise.
-func readLockUnion(sh StmtShape, scm *schema.Schema, table string) []lockmodel.Lock {
-	if sh.Empty != EmptyUnknown {
-		return lockmodel.ReadLocks(sh.Stmt, scm, table, sh.Empty == EmptyYes)
-	}
-	locks := lockmodel.ReadLocks(sh.Stmt, scm, table, false)
-	return append(locks, lockmodel.ReadLocks(sh.Stmt, scm, table, true)...)
-}
-
-// EdgePossible reports whether two statements can truly hold conflicting
-// locks — the refined C-edge test. It asks lockmodel what the fine
-// phase's PotentialConflict asks (the orientations of Oriented, the lock
-// pairs of Collide) and additionally refutes ROW/ROW collisions on a
-// unique index whose rigid point keys differ.
-func EdgePossible(a, b StmtShape, scm *schema.Schema) bool {
-	return lockmodel.Oriented(a, b, shapeStmt, func(w, r StmtShape, tab string) bool {
-		return lockSetsCollide(w, lockmodel.GenExclusiveLocks(w.Stmt, scm, tab), r, readLockUnion(r, scm, tab))
-	})
-}
-
-func shapeStmt(sh StmtShape) sqlast.Stmt { return sh.Stmt }
-
-// lockSetsCollide is lockmodel.Conflicting refined with point-key
-// disjointness: a ROW/ROW pair on the same unique index is discounted
-// when both sides pin the full key to different rigid values.
-func lockSetsCollide(w StmtShape, wl []lockmodel.Lock, r StmtShape, rl []lockmodel.Lock) bool {
-	for _, la := range wl {
-		for _, lb := range rl {
-			if !lockmodel.Collide(la, lb) {
-				continue
-			}
-			if la.Gran == lockmodel.Row && lb.Gran == lockmodel.Row && la.Index.Unique {
-				ka, oka := pointKeyOn(w, la.Alias, la.Index)
-				kb, okb := pointKeyOn(r, lb.Alias, lb.Index)
-				if oka && okb && ka != kb {
-					continue // two single-row locks on provably different rows
-				}
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// CyclePossible applies the refined edge test to one SC-graph deadlock
-// cycle: T1 holds at s1a and waits at s1b, T2 holds at s2a and waits at
-// s2b, with C-edges (s1b, s2a) and (s2b, s1a).
-func CyclePossible(s1a, s1b, s2a, s2b StmtShape, scm *schema.Schema) bool {
-	return EdgePossible(s1b, s2a, scm) && EdgePossible(s2b, s1a, scm)
-}
-
-// PairDeadlockPossible reports whether any hold-and-wait cycle between
-// the two transaction shapes survives the static screen — the Phase-0
-// pair filter. A deadlock needs edges (i1b, i2a) and (i1a, i2b) with
-// i1a < i1b and i2a < i2b.
-func PairDeadlockPossible(t1, t2 TxnShape, scm *schema.Schema) bool {
-	n1, n2 := len(t1.Stmts), len(t2.Stmts)
-	type edge struct{ i, j int }
-	var edges []edge
-	for i := 0; i < n1; i++ {
-		for j := 0; j < n2; j++ {
-			if EdgePossible(t1.Stmts[i], t2.Stmts[j], scm) {
-				edges = append(edges, edge{i, j})
-			}
-		}
-	}
-	// maxJBelow[i]: the largest j among edges whose first endpoint is
-	// strictly below i — a candidate (i1a, i2b) for a cycle closing at
-	// (i1b, i2a) = (i, j) needs i1a < i and i2b > j.
-	maxJBelow := make([]int, n1+1)
-	for i := range maxJBelow {
-		maxJBelow[i] = -1
-	}
-	for _, e := range edges {
-		for i := e.i + 1; i <= n1; i++ {
-			if maxJBelow[i] < e.j {
-				maxJBelow[i] = e.j
-			}
-		}
-	}
-	for _, e := range edges {
-		if maxJBelow[e.i] > e.j {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
-// Template-level hazard findings
+// Analyzer 1: the template-level pre-screen. It reports lock-order
+// hazards of transaction shapes; the findings carry Analyzer "prescreen".
 
 // tableAccess summarizes one statement's role for the order analysis.
 type tableAccess struct {

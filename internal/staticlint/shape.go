@@ -8,21 +8,9 @@ import (
 	"weseer/internal/trace"
 )
 
-// Emptiness is what the template knows about a read's result set. Trace-
-// derived shapes record the observed emptiness; pure templates don't
-// know, and the lock model must then cover both cases.
-type Emptiness uint8
-
-// Emptiness states.
-const (
-	EmptyUnknown Emptiness = iota
-	EmptyYes
-	EmptyNo
-)
-
 // StmtShape is the static abstraction of one statement: its template,
 // the parameter values that are statically fixed, and the write-behind
-// and result metadata the hazard checks need.
+// metadata the hazard checks need.
 type StmtShape struct {
 	Stmt sqlast.Stmt
 	// Rigid maps a '?' ordinal to the canonical encoding of its value
@@ -30,8 +18,6 @@ type StmtShape struct {
 	// or a constant argument at a lint-extracted call site. Parameters
 	// absent from the map are free.
 	Rigid map[int]string
-	// Empty is the read's observed result emptiness (reads only).
-	Empty Emptiness
 	// Deferred marks a write-behind statement: modified at its trigger
 	// site but sent at the commit flush (trace: Trigger ≠ Sent).
 	Deferred bool
@@ -42,26 +28,19 @@ type StmtShape struct {
 
 // TxnShape is the ordered statement-template list of one transaction —
 // the unit Analyzer 1 reasons over, shared by the vet CLI (templates
-// extracted from source) and core's Phase-0 (trace transactions).
+// extracted from source) and CanonicalizeTraces (trace transactions).
 type TxnShape struct {
 	API   string
 	Stmts []StmtShape
 }
 
 // ShapeFromTxn abstracts a recorded transaction: parameters whose
-// symbolic shadow is a literal become rigid, result emptiness is taken
-// from the recorded result, and trace.Stmt.Deferred marks deferred writes.
+// symbolic shadow is a literal become rigid, and trace.Stmt.Deferred
+// marks deferred writes.
 func ShapeFromTxn(api string, txn *trace.Txn) TxnShape {
 	sh := TxnShape{API: api}
 	for _, st := range txn.Stmts {
-		s := StmtShape{Stmt: st.Parsed, Empty: EmptyUnknown}
-		if st.Res != nil {
-			if st.Res.Empty {
-				s.Empty = EmptyYes
-			} else {
-				s.Empty = EmptyNo
-			}
-		}
+		s := StmtShape{Stmt: st.Parsed}
 		s.Deferred = st.Deferred()
 		s.File = st.Trigger.Top().File
 		s.Line = st.Trigger.Top().Line

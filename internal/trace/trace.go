@@ -199,17 +199,3 @@ func sortStmts(ss []*Stmt) {
 		}
 	}
 }
-
-// PathCondsBefore returns the conjunction of path conditions recorded
-// before the statement with the given trace sequence number, as the
-// fine-grained phase requires (conditions recorded after the potential
-// deadlock point are omitted).
-func (tr *Trace) PathCondsBefore(seq int) []smt.Expr {
-	var out []smt.Expr
-	for _, pc := range tr.PathConds {
-		if pc.AfterStmt <= seq {
-			out = append(out, pc.Cond)
-		}
-	}
-	return out
-}

@@ -413,19 +413,6 @@ func TestTxnTables(t *testing.T) {
 	}
 }
 
-func TestPathCondsBefore(t *testing.T) {
-	tr := sampleTrace()
-	if got := len(tr.PathCondsBefore(0)); got != 1 {
-		t.Errorf("before stmt 0: %d", got)
-	}
-	if got := len(tr.PathCondsBefore(1)); got != 2 {
-		t.Errorf("before stmt 1: %d", got)
-	}
-	if got := len(tr.PathCondsBefore(99)); got != 3 {
-		t.Errorf("all: %d", got)
-	}
-}
-
 func TestAllStmtsSorted(t *testing.T) {
 	tr := &Trace{Txns: []*Txn{
 		{ID: 1, Stmts: []*Stmt{{Seq: 2, SQL: "c", Parsed: sqlast.MustParse(`DELETE FROM T WHERE a = 1`)}}},
