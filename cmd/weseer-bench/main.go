@@ -95,6 +95,11 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (see -exp list)")
 	flag.Usage = usage
 	flag.Parse()
+	if err := checkLoads(); err != nil {
+		fmt.Fprintf(os.Stderr, "weseer-bench: %v\n\n", err)
+		usage()
+		os.Exit(2)
+	}
 	if *exp == "list" {
 		listExperiments(os.Stdout)
 		return
@@ -162,6 +167,21 @@ func parseClients(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
+}
+
+// checkLoads rejects a load that would run nothing: a non-positive
+// -duration, -fixdur or -fixclients measures zero calls, which fig10/11
+// print as a table of zeros and fixgain blames on its gates.
+func checkLoads() error {
+	switch {
+	case *duration <= 0:
+		return fmt.Errorf("-duration %v is not a positive duration", *duration)
+	case *fixDurF <= 0:
+		return fmt.Errorf("-fixdur %v is not a positive duration", *fixDurF)
+	case *fixClientsF <= 0:
+		return fmt.Errorf("-fixclients %d is not a positive client count", *fixClientsF)
+	}
+	return nil
 }
 
 func header(title string) {

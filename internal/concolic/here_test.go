@@ -9,7 +9,6 @@ import (
 	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
-	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
@@ -19,8 +18,8 @@ import (
 // slice the table handed out, and must equal what symbolizing that stack's
 // PCs from scratch yields. A statement sent where it was triggered took
 // one walk, so its two locations are the same slice; a write-behind one
-// (Sent is the flush site) must be what staticlint.ShapeFromTxn calls
-// Deferred, and nothing else may be.
+// (Sent is the flush site) must be what trace.Stmt.Deferred reports, and
+// nothing else may be.
 func TestHereMatchesOracle(t *testing.T) {
 	for _, spec := range []string{"broadleaf", "shopizer", "gen:7,templates=96"} {
 		app, err := apps.Open(spec, apps.Options{})
@@ -58,13 +57,12 @@ func TestHereMatchesOracle(t *testing.T) {
 		deferred := 0
 		for _, tr := range traces {
 			for _, txn := range tr.Txns {
-				shape := staticlint.ShapeFromTxn(tr.API, txn)
-				for k, st := range txn.Stmts {
+				for _, st := range txn.Stmts {
 					check("trigger", st.Trigger)
 					check("sent", st.Sent)
 					same := &st.Sent.Frames[0] == &st.Trigger.Frames[0]
-					if same == shape.Stmts[k].Deferred {
-						t.Errorf("%s: %s #%d: one walk = %v, Deferred = %v", spec, tr.API, st.Seq, same, shape.Stmts[k].Deferred)
+					if same == st.Deferred() {
+						t.Errorf("%s: %s #%d: one walk = %v, Deferred = %v", spec, tr.API, st.Seq, same, st.Deferred())
 					}
 					if !same {
 						deferred++

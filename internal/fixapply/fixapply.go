@@ -49,7 +49,7 @@ type Fix struct {
 	// (["d3","d4"] for f3; the class itself for generated corpora).
 	Targets []string `json:"targets"`
 	// Kinds are the applicable-edit families derived from the diagnosed
-	// cycle shapes (core.EditHints), rendered as strings for artifacts.
+	// cycle shapes (editHints), rendered as strings for artifacts.
 	Kinds []string `json:"kinds"`
 	// APIs are the transaction templates involved in the targeted
 	// cycles — the templates the fix rewrites.
@@ -88,7 +88,7 @@ func Plan(app apps.App, res *core.Result) []Fix {
 		apis         map[string]bool
 		tables       map[string]bool
 		fingerprints map[string]bool
-		kinds        map[core.EditHint]bool
+		kinds        map[editHint]bool
 	}
 	groups := map[string]*group{}
 	scm := app.Schema()
@@ -106,7 +106,7 @@ func Plan(app apps.App, res *core.Result) []Fix {
 				apis:         map[string]bool{},
 				tables:       map[string]bool{},
 				fingerprints: map[string]bool{},
-				kinds:        map[core.EditHint]bool{},
+				kinds:        map[editHint]bool{},
 			}
 			groups[name] = g
 		}
@@ -116,7 +116,7 @@ func Plan(app apps.App, res *core.Result) []Fix {
 		g.tables[d.Cycle.Table1] = true
 		g.tables[d.Cycle.Table2] = true
 		g.fingerprints[d.Fingerprint()] = true
-		for _, h := range d.EditHints(scm) {
+		for _, h := range editHints(d, scm) {
 			g.kinds[h] = true
 		}
 		g.fix.Reports++
@@ -129,7 +129,7 @@ func Plan(app apps.App, res *core.Result) []Fix {
 		f.APIs = sortedKeys(g.apis)
 		f.Tables = sortedKeys(g.tables)
 		f.Fingerprints = sortedKeys(g.fingerprints)
-		for h := core.HintReorder; h <= core.HintProbeRead; h++ {
+		for h := hintReorder; h <= hintProbeRead; h++ {
 			if g.kinds[h] {
 				f.Kinds = append(f.Kinds, h.String())
 			}

@@ -497,7 +497,7 @@ func (g *callGraph) splice() {
 		sort.SliceStable(f.events, func(i, j int) bool { return f.events[i].pos < f.events[j].pos })
 		f.tmpls = append(f.tmpls, addTm...)
 		sort.SliceStable(f.tmpls, func(i, j int) bool { return f.tmpls[i].pos < f.tmpls[j].pos })
-		finalizeSends(f)
+		f.orderSends()
 	}
 }
 

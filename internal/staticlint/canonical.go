@@ -109,10 +109,11 @@ func CanonicalizeTraces(traces []*trace.Trace, scm *schema.Schema) *CanonicalOrd
 // Canonicalize computes the canonical global lock order and the ranked
 // feedback-edge suggestions.
 func (g *LockOrderGraph) Canonicalize() *CanonicalOrder {
-	fb := g.feedbackEdges()
-	co := &CanonicalOrder{
-		Order:     g.topoOrder(fb),
-		Templates: g.templates,
+	fb, cut := g.feedbackEdges()
+	order, _ := g.kahn(cut) // complete: fb breaks every cycle
+	co := &CanonicalOrder{Order: make([]string, 0, len(order)), Templates: g.templates}
+	for _, u := range order {
+		co.Order = append(co.Order, g.nodes[u].Key())
 	}
 	for u := range g.nodes {
 		for v := range g.nodes {
@@ -152,12 +153,12 @@ func (g *LockOrderGraph) Canonicalize() *CanonicalOrder {
 }
 
 // feedbackEdges returns a small edge set whose removal makes the graph
-// acyclic, as sorted [from, to] index pairs. Empty when the graph
-// already is.
-func (g *LockOrderGraph) feedbackEdges() [][2]int {
+// acyclic, as sorted [from, to] index pairs and as a set. Empty when the
+// graph already is.
+func (g *LockOrderGraph) feedbackEdges() ([][2]int, map[[2]int]bool) {
 	n := len(g.nodes)
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	pos := g.elsPositions()
 
@@ -192,7 +193,7 @@ func (g *LockOrderGraph) feedbackEdges() [][2]int {
 	})
 	for _, e := range cands {
 		delete(inFB, e)
-		if !g.acyclicWithout(inFB) {
+		if _, acyclic := g.kahn(inFB); !acyclic {
 			inFB[e] = true
 		}
 	}
@@ -206,7 +207,7 @@ func (g *LockOrderGraph) feedbackEdges() [][2]int {
 		}
 		return fb[i][1] < fb[j][1]
 	})
-	return fb
+	return fb, inFB
 }
 
 // elsPositions runs the weighted Eades–Lin–Smyth greedy: repeatedly
@@ -300,50 +301,13 @@ func (g *LockOrderGraph) elsPositions() []int {
 	return pos
 }
 
-// acyclicWithout reports whether the graph minus the excluded edges is
-// acyclic (Kahn's algorithm).
-func (g *LockOrderGraph) acyclicWithout(excluded map[[2]int]bool) bool {
-	n := len(g.nodes)
-	indeg := make([]int, n)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if g.w[u][v] > 0 && !excluded[[2]int{u, v}] {
-				indeg[v]++
-			}
-		}
-	}
-	queue := make([]int, 0, n)
-	for u := 0; u < n; u++ {
-		if indeg[u] == 0 {
-			queue = append(queue, u)
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		done++
-		for v := 0; v < n; v++ {
-			if g.w[u][v] > 0 && !excluded[[2]int{u, v}] {
-				indeg[v]--
-				if indeg[v] == 0 {
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
-	return done == n
-}
-
-// topoOrder linearizes the graph minus the feedback edges: Kahn's
+// kahn linearizes the graph minus the excluded edges by Kahn's
 // algorithm, always emitting the smallest-index (smallest-key) ready
-// node, so the canonical order is unique and deterministic.
-func (g *LockOrderGraph) topoOrder(fb [][2]int) []string {
+// node, so the order is unique and deterministic. It returns the nodes
+// it emitted and whether that was all of them — false exactly when the
+// remaining edges still close a cycle.
+func (g *LockOrderGraph) kahn(excluded map[[2]int]bool) ([]int, bool) {
 	n := len(g.nodes)
-	excluded := map[[2]int]bool{}
-	for _, e := range fb {
-		excluded[e] = true
-	}
 	indeg := make([]int, n)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
@@ -353,7 +317,7 @@ func (g *LockOrderGraph) topoOrder(fb [][2]int) []string {
 		}
 	}
 	emitted := make([]bool, n)
-	order := make([]string, 0, n)
+	order := make([]int, 0, n)
 	for len(order) < n {
 		next := -1
 		for u := 0; u < n; u++ {
@@ -363,25 +327,17 @@ func (g *LockOrderGraph) topoOrder(fb [][2]int) []string {
 			}
 		}
 		if next < 0 {
-			// Unreachable when fb breaks every cycle; emit the remaining
-			// nodes in key order rather than looping forever.
-			for u := 0; u < n; u++ {
-				if !emitted[u] {
-					emitted[u] = true
-					order = append(order, g.nodes[u].Key())
-				}
-			}
-			break
+			return order, false
 		}
 		emitted[next] = true
-		order = append(order, g.nodes[next].Key())
+		order = append(order, next)
 		for v := 0; v < n; v++ {
 			if g.w[next][v] > 0 && !excluded[[2]int{next, v}] {
 				indeg[v]--
 			}
 		}
 	}
-	return order
+	return order, true
 }
 
 // SuggestionFor returns the suggestion whose feedback edge runs between

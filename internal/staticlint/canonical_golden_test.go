@@ -84,12 +84,12 @@ func TestCanonicalOrderGolden(t *testing.T) {
 			checkGolden(t, filepath.Join("testdata", "golden", "canonical_"+tc.name+".json"), data)
 
 			// The -json envelope must round-trip the canonical order.
-			backFs, backCo, err := staticlint.DecodeReport(data)
+			back, err := decodeReport(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(backFs) != len(fs) || backCo == nil || len(backCo.Suggestions) != len(co.Suggestions) {
-				t.Fatalf("report round-trip lost data: %d/%d findings, co=%v", len(backFs), len(fs), backCo)
+			if len(back.Findings) != len(fs) || back.Canonical == nil || len(back.Canonical.Suggestions) != len(co.Suggestions) {
+				t.Fatalf("report round-trip lost data: %d/%d findings, co=%v", len(back.Findings), len(fs), back.Canonical)
 			}
 		})
 	}

@@ -6,16 +6,15 @@
 //   - Analyzer 1 (template pre-screen, prescreen.go): from sqlast
 //     statement templates and schema metadata alone it models each
 //     transaction's lock-acquisition order and flags template-level
-//     hazards — lock-order inversions, write-behind flush reordering
-//     (the d5/d6 class), and gap/next-key escalation on unindexed
-//     predicates.
+//     hazards — lock-order inversions and gap/next-key escalation on
+//     unindexed predicates.
 //
 //   - Analyzer 2 (ORM-misuse source lint, lint.go): a stdlib go/ast
 //     scan of application packages for the anti-patterns behind the
 //     paper's Table II fixes — Merge-induced SELECT-then-INSERT (f1),
-//     check-then-insert UPSERT candidates (f2), deferred-flush writes
-//     reordered past session reads (f4), and unordered multi-entity
-//     lock acquisition (f9).
+//     check-then-insert UPSERT candidates (f2), buffered writes that
+//     slide past session reads to their flush (f4; the d5/d6 class), and
+//     unordered multi-entity lock acquisition (f9).
 //
 // Both analyzers report Findings; `weseer vet` prints them as text or
 // versioned JSON.
@@ -80,11 +79,11 @@ func (s *Severity) UnmarshalText(b []byte) error {
 const (
 	// Analyzer 1 (template pre-screen).
 	KindLockOrderInversion = "lock-order-inversion"
-	KindFlushReorder       = "flush-reorder"
 	KindGapEscalation      = "gap-escalation"
 	// Analyzer 2 (ORM-misuse lint).
 	KindMergeSelectInsert = "merge-select-insert"
 	KindUpsertCandidate   = "upsert-candidate"
+	KindFlushReorder      = "flush-reorder"
 	KindUnorderedLocks    = "unordered-locks"
 )
 
@@ -180,17 +179,4 @@ func EncodeReport(fs []Finding, co *CanonicalOrder) ([]byte, error) {
 		fs = []Finding{}
 	}
 	return json.MarshalIndent(reportJSON{Version: JSONVersion, Findings: fs, Canonical: co}, "", "  ")
-}
-
-// DecodeReport parses a vet report including the optional canonical
-// lock-order section (nil when the report has none).
-func DecodeReport(data []byte) ([]Finding, *CanonicalOrder, error) {
-	var r reportJSON
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, nil, fmt.Errorf("staticlint: bad report: %w", err)
-	}
-	if r.Version != JSONVersion {
-		return nil, nil, fmt.Errorf("staticlint: report version %d, want %d", r.Version, JSONVersion)
-	}
-	return r.Findings, r.Canonical, nil
 }

@@ -2,7 +2,6 @@ package staticlint
 
 import (
 	"fmt"
-	"go/token"
 	"strings"
 
 	"weseer/internal/schema"
@@ -18,9 +17,10 @@ import (
 //   - upsert-candidate: `rows := s.Query(...); if len(rows) == 0 {
 //     ... s.Persist(...) }` — check-then-insert, the d2 shape fix f2
 //     replaces with INSERT ... ON DUPLICATE KEY UPDATE.
-//   - flush-reorder: a buffered Set on an existing row followed by
-//     session reads with no unconditional Flush between — the write
-//     slides to commit, past the reads (d5/d6; fix f4 flushes early).
+//   - flush-reorder: a buffered Set on an existing row, in the function
+//     or in a callee, followed by session reads before the Flush or
+//     commit that sends it, or in a loop whose body reads — the write
+//     slides past the reads (d5/d6; fix f4 flushes early).
 //   - unordered-locks: ranging over a collection that is not provably
 //     sorted while taking row or mutex locks in the body — concurrent
 //     callers acquire in different orders (d14–d18; fix f9–f11 sort).
@@ -86,69 +86,23 @@ func (f *fnFacts) upsertFindings() []Finding {
 	return out
 }
 
+// flushFindings reports each buffered write that slides (fnFacts.slide),
+// the function's own and those spliced in from callees, once per source
+// line: a call that buffers several writes is one finding, named by its
+// first slid write.
 func (f *fnFacts) flushFindings() []Finding {
 	var out []Finding
 	reported := map[int]bool{}
-	report := func(ev event) {
-		if reported[ev.line] {
-			return
+	for _, ev := range f.events {
+		if ev.kind != evWrite || reported[ev.line] {
+			continue
+		}
+		if _, slid := f.slide(ev.pos); !slid {
+			continue
 		}
 		reported[ev.line] = true
-		tab := ev.entTab
-		out = append(out, f.finding(KindFlushReorder, SevWarn, ev.line, tab,
+		out = append(out, f.finding(KindFlushReorder, SevWarn, ev.line, ev.entTab,
 			"buffered write slides past later session reads to the commit flush; flush before reading (or the lock order diverges from program order)"+provenance("write buffered", ev)))
-	}
-	// Linear pass: pending buffered writes are cleared by an
-	// unconditional Flush and reported at the first read that crosses
-	// them.
-	var pending []event
-	for _, ev := range f.events {
-		switch ev.kind {
-		case evWrite:
-			pending = append(pending, ev)
-		case evFlush:
-			if ev.uncond {
-				pending = nil
-			}
-		case evRead:
-			if len(pending) > 0 {
-				report(pending[0])
-				pending = nil
-			}
-		}
-	}
-	// Loop-carried pass: a read earlier in a loop body re-executes after
-	// the body's unflushed write on the next iteration.
-	for _, lp := range f.loops {
-		var reads []token.Pos
-		for _, ev := range f.events {
-			if ev.pos < lp.body[0] || ev.pos >= lp.body[1] {
-				continue
-			}
-			if ev.kind == evRead {
-				reads = append(reads, ev.pos)
-			}
-		}
-		for _, ev := range f.events {
-			if ev.kind != evWrite || ev.pos < lp.body[0] || ev.pos >= lp.body[1] {
-				continue
-			}
-			flushed := false
-			for _, fv := range f.events {
-				if fv.kind == evFlush && fv.uncond && fv.pos > ev.pos && fv.pos < lp.body[1] {
-					flushed = true
-				}
-			}
-			if flushed {
-				continue
-			}
-			for _, r := range reads {
-				if r < ev.pos {
-					report(ev)
-					break
-				}
-			}
-		}
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package staticlint_test
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -139,6 +141,25 @@ func TestProgramServesFindingsAndShapes(t *testing.T) {
 	}
 }
 
+// report is the `weseer vet -json` envelope as a reader decodes it.
+type report struct {
+	Version   int                        `json:"version"`
+	Findings  []staticlint.Finding       `json:"findings"`
+	Canonical *staticlint.CanonicalOrder `json:"canonical_order"`
+}
+
+// decodeReport parses a vet report, refusing any version but JSONVersion.
+func decodeReport(data []byte) (report, error) {
+	var r report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, err
+	}
+	if r.Version != staticlint.JSONVersion {
+		return r, fmt.Errorf("report version %d, want %d", r.Version, staticlint.JSONVersion)
+	}
+	return r, nil
+}
+
 // TestJSONRoundTrip locks the versioned -json schema.
 func TestJSONRoundTrip(t *testing.T) {
 	fs := loadApp(t, "../apps/shopizer").Findings(shopizer.Schema())
@@ -146,14 +167,14 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, co, err := staticlint.DecodeReport(data)
+	back, err := decodeReport(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fs, back) || co != nil {
-		t.Fatalf("findings did not round-trip through JSON (canonical section %v)", co)
+	if !reflect.DeepEqual(fs, back.Findings) || back.Canonical != nil {
+		t.Fatalf("findings did not round-trip through JSON (canonical section %v)", back.Canonical)
 	}
-	if _, _, err := staticlint.DecodeReport([]byte(`{"version":99,"findings":[]}`)); err == nil {
+	if _, err := decodeReport([]byte(`{"version":99,"findings":[]}`)); err == nil {
 		t.Fatal("expected version mismatch error")
 	}
 	var empty []staticlint.Finding
@@ -161,7 +182,66 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back, _, err = staticlint.DecodeReport(data); err != nil || len(back) != 0 {
-		t.Fatalf("empty report round-trip: %v %v", back, err)
+	if back, err = decodeReport(data); err != nil || back.Findings == nil || len(back.Findings) != 0 {
+		t.Fatalf("empty report round-trip: %v %v", back.Findings, err)
+	}
+}
+
+// TestVetReportsEachHazardOnce: vet decides the write-behind slide in one
+// place and reports it once. Over both model apps and every fixture, no
+// two findings share a (file, line, kind, func) key, and a flush-reorder
+// finding names every known slid write, either at its own line or as the
+// leaf of its "write buffered via" provenance: Broadleaf's d5/d6 counters
+// (86, 87), the cart lock, the new item's and the bumped item's order
+// totals, the bumped item and price detail, Ship's status and Checkout's
+// per-item quantity; Shopizer's per-product price; the f4 fixture.
+func TestVetReportsEachHazardOnce(t *testing.T) {
+	type corpus struct {
+		dir   string
+		scm   *schema.Schema
+		sites []string
+	}
+	corpora := []corpus{
+		{"../apps/broadleaf", broadleaf.Schema(), []string{
+			"broadleaf/api.go:86", "broadleaf/api.go:87", "broadleaf/api.go:174",
+			"broadleaf/api.go:202", "broadleaf/api.go:226", "broadleaf/api.go:227",
+			"broadleaf/api.go:241", "broadleaf/api.go:349", "broadleaf/api.go:457",
+		}},
+		{"../apps/shopizer", shopizer.Schema(), []string{"shopizer/api.go:100"}},
+	}
+	fixtures, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range fixtures {
+		c := corpus{dir: filepath.Join("testdata", "src", e.Name())}
+		if e.Name() == "f4" {
+			c.sites = []string{"f4/f4.go:9"}
+		}
+		corpora = append(corpora, c)
+	}
+	for _, c := range corpora {
+		fs := loadApp(t, c.dir).Findings(c.scm)
+		seen := map[string]staticlint.Finding{}
+		for _, f := range fs {
+			key := fmt.Sprintf("%s:%d %s %s", f.File, f.Line, f.Kind, f.Func)
+			if prev, ok := seen[key]; ok {
+				t.Errorf("%s: %s reported twice:\n  %s\n  %s", c.dir, key, prev, f)
+			}
+			seen[key] = f
+		}
+		for _, site := range c.sites {
+			named := false
+			for _, f := range fs {
+				own := fmt.Sprintf("%s:%d", f.File, f.Line)
+				if f.Kind == staticlint.KindFlushReorder &&
+					(strings.HasSuffix(own, "/"+site) || strings.HasSuffix(f.Detail, "/"+site)) {
+					named = true
+				}
+			}
+			if !named {
+				t.Errorf("%s: no flush-reorder finding names %s:\n%s", c.dir, site, render(fs))
+			}
+		}
 	}
 }

@@ -32,14 +32,13 @@ func accessesOf(sh TxnShape) []tableAccess {
 
 // PrescreenTxns runs Analyzer 1's hazard checks over transaction shapes
 // and reports template-level findings: read-then-write lock upgrades,
-// cross-transaction write-order inversions, deferred writes flushed past
-// reads (d5/d6 class), and gap/next-key escalation on predicates no
-// index covers. scm may be nil, which disables the escalation check.
+// cross-transaction write-order inversions, and gap/next-key escalation
+// on predicates no index covers. scm may be nil, which disables the
+// escalation check.
 func PrescreenTxns(shapes []TxnShape, scm *schema.Schema) []Finding {
 	var out []Finding
 	for _, sh := range shapes {
 		out = append(out, upgradeFindings(sh)...)
-		out = append(out, flushReorderFindings(sh)...)
 		if scm != nil {
 			out = append(out, gapEscalationFindings(sh, scm)...)
 		}
@@ -132,37 +131,6 @@ func inversionFindings(t1, t2 TxnShape, co *CanonicalOrder) []Finding {
 				Detail: detail,
 			})
 		}
-	}
-	return out
-}
-
-// flushReorderFindings flags the d5/d6 class: a write-behind statement
-// whose flush slid past reads issued after its trigger site, so the
-// transaction's lock order no longer matches the modification order.
-func flushReorderFindings(sh TxnShape) []Finding {
-	var out []Finding
-	for i, st := range sh.Stmts {
-		if !st.Deferred || st.Stmt.WriteTable() == "" {
-			continue
-		}
-		if k := st.Stmt.Kind(); k == sqlast.KindInsert || k == sqlast.KindUpsert {
-			continue // a deferred INSERT locks a fresh row; d5/d6 needs an UPDATE
-		}
-		slid := false
-		for j := 0; j < i; j++ {
-			if r := sh.Stmts[j]; !r.Deferred && r.Stmt.WriteTable() == "" {
-				slid = true
-				break
-			}
-		}
-		if !slid {
-			continue
-		}
-		out = append(out, Finding{
-			Analyzer: "prescreen", Kind: KindFlushReorder, Severity: SevWarn,
-			File: st.File, Line: st.Line, Func: sh.API, Table: st.Stmt.WriteTable(),
-			Detail: fmt.Sprintf("buffered %s of %s is flushed after later session reads; flush order no longer matches modification order", st.Stmt.Kind(), st.Stmt.WriteTable()),
-		})
 	}
 	return out
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // StmtShape is the static abstraction of one statement: its template,
-// the parameter values that are statically fixed, and the write-behind
-// metadata the hazard checks need.
+// the parameter values that are statically fixed, and its trigger site.
 type StmtShape struct {
 	Stmt sqlast.Stmt
 	// Rigid maps a '?' ordinal to the canonical encoding of its value
@@ -18,9 +17,6 @@ type StmtShape struct {
 	// or a constant argument at a lint-extracted call site. Parameters
 	// absent from the map are free.
 	Rigid map[int]string
-	// Deferred marks a write-behind statement: modified at its trigger
-	// site but sent at the commit flush (trace: Trigger ≠ Sent).
-	Deferred bool
 	// File/Line locate the trigger site when known.
 	File string
 	Line int
@@ -35,13 +31,11 @@ type TxnShape struct {
 }
 
 // ShapeFromTxn abstracts a recorded transaction: parameters whose
-// symbolic shadow is a literal become rigid, and trace.Stmt.Deferred
-// marks deferred writes.
+// symbolic shadow is a literal become rigid.
 func ShapeFromTxn(api string, txn *trace.Txn) TxnShape {
 	sh := TxnShape{API: api}
 	for _, st := range txn.Stmts {
 		s := StmtShape{Stmt: st.Parsed}
-		s.Deferred = st.Deferred()
 		s.File = st.Trigger.Top().File
 		s.Line = st.Trigger.Top().Line
 		for ord, p := range st.Params {

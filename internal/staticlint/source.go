@@ -75,7 +75,6 @@ type tmpl struct {
 	line       int
 	sql        string // tmplSQL
 	table, col string // tmplFind / tmplSet
-	slid       bool   // tmplSet: a session read follows the trigger, pre-flush
 
 	// Set for templates inlined from a callee summary: the file the
 	// template really lives in (line above is then the leaf line too)
@@ -205,8 +204,8 @@ func looksLikeSQL(s string) bool {
 // tracking entity origins (NewEntity / Find / Query rows) and recording
 // events, template fragments, loops, branch shapes, and the non-session
 // call sites the call-graph layer resolves. Template send positions are
-// not final until callGraph.splice has run finalizeSends over the
-// spliced event stream.
+// not final until callGraph.splice has run orderSends over the spliced
+// event stream.
 func interpret(fset *token.FileSet, fd *ast.FuncDecl) *fnFacts {
 	pos := fset.Position(fd.Pos())
 	facts := &fnFacts{name: fd.Name.Name, file: filepath.ToSlash(pos.Filename), queried: map[string]bool{}}
@@ -469,59 +468,57 @@ func interpret(fset *token.FileSet, fd *ast.FuncDecl) *fnFacts {
 	return facts
 }
 
-// finalizeSends computes each template's send position and slid flag
-// from the completed event stream. A buffered Set "slides" when a
-// session read follows its trigger site (directly, or around the loop
-// it sits in) with no unconditional Flush in between; a Flush also
-// re-anchors the statement's send position from commit back to the
-// flush site. It runs only after callee summaries are spliced in, so
-// inlined reads and flushes participate in the reorder decision.
-func finalizeSends(facts *fnFacts) {
-	var flushes []token.Pos
-	for _, ev := range facts.events {
-		if ev.kind == evFlush && ev.uncond {
-			flushes = append(flushes, ev.pos)
+// commitPos is the send position of a buffered write no unconditional
+// Flush follows: the commit flush, after every statement sent in place.
+const commitPos = token.Pos(1 << 30)
+
+// slide is the write-behind rule, the one place vet decides it. A
+// buffered write at pos is sent at the next unconditional Flush, or at
+// commit when none follows. It slides when a session read comes after it
+// and before that send, or, with no flush to follow, when it sits in a
+// loop whose body reads (the next iteration reads before the commit). It
+// runs only after callee summaries are spliced in, so inlined reads and
+// flushes take part.
+func (f *fnFacts) slide(pos token.Pos) (sent token.Pos, slid bool) {
+	sent = commitPos
+	for _, ev := range f.events {
+		if ev.kind == evFlush && ev.uncond && ev.pos > pos {
+			sent = ev.pos
+			break
 		}
 	}
-	nextFlush := func(after token.Pos) (token.Pos, bool) {
-		for _, f := range flushes {
-			if f > after {
-				return f, true
-			}
+	for _, ev := range f.events {
+		if ev.kind == evRead && ev.pos > pos && ev.pos < sent {
+			return sent, true
 		}
-		return 0, false
 	}
-	for i := range facts.tmpls {
-		t := &facts.tmpls[i]
-		t.sentPos = t.pos
-		if t.kind != tmplSet {
+	if sent != commitPos {
+		return sent, false
+	}
+	for _, lp := range f.loops {
+		if pos < lp.body[0] || pos >= lp.body[1] {
 			continue
 		}
-		fl, flushed := nextFlush(t.pos)
-		if flushed {
-			t.sentPos = fl
-		} else {
-			t.sentPos = token.Pos(1 << 30) // commit: after every sent statement
-		}
-		for _, ev := range facts.events {
-			if ev.kind == evRead && ev.pos > t.pos && (!flushed || ev.pos < fl) {
-				t.slid = true
-			}
-		}
-		if !t.slid && !flushed {
-			for _, lp := range facts.loops {
-				if t.pos < lp.body[0] || t.pos >= lp.body[1] {
-					continue
-				}
-				for _, ev := range facts.events {
-					if ev.kind == evRead && ev.pos >= lp.body[0] && ev.pos < lp.body[1] {
-						t.slid = true
-					}
-				}
+		for _, ev := range f.events {
+			if ev.kind == evRead && ev.pos >= lp.body[0] && ev.pos < lp.body[1] {
+				return sent, true
 			}
 		}
 	}
-	sort.SliceStable(facts.tmpls, func(i, j int) bool { return facts.tmpls[i].sentPos < facts.tmpls[j].sentPos })
+	return sent, false
+}
+
+// orderSends puts the templates in send order: a buffered Set is sent
+// where slide says, everything else at its call site.
+func (f *fnFacts) orderSends() {
+	for i := range f.tmpls {
+		t := &f.tmpls[i]
+		t.sentPos = t.pos
+		if t.kind == tmplSet {
+			t.sentPos, _ = f.slide(t.pos)
+		}
+	}
+	sort.SliceStable(f.tmpls, func(i, j int) bool { return f.tmpls[i].sentPos < f.tmpls[j].sentPos })
 }
 
 // loopsSuppress drops loops whose ranged collection was explicitly
@@ -591,10 +588,9 @@ func exprString(e ast.Expr) string {
 // TxnShape for Analyzer 1 — the per-API templates lock-order
 // canonicalization merges — in send order: statements sent at their call
 // sites first, then the buffered updates the flush emits at commit.
-// Buffered updates are marked Deferred only when a read genuinely
-// follows their trigger site (the d5/d6 reorder). scm, when present,
-// supplies primary-key columns for Find and Set synthesis; without it
-// Finds are skipped and buffered updates lose their key predicate.
+// scm, when present, supplies primary-key columns for Find and Set
+// synthesis; without it Finds are skipped and buffered updates lose
+// their key predicate.
 func (p *Program) Shapes(scm *schema.Schema) []TxnShape {
 	var out []TxnShape
 	for _, f := range p.facts {
@@ -620,9 +616,7 @@ func (p *Program) Shapes(scm *schema.Schema) []TxnShape {
 				}
 			case tmplSet:
 				if sql, ok := bufferedUpdate(scm, t.table, t.col); ok {
-					sh.Stmts = append(sh.Stmts, StmtShape{
-						Stmt: sqlast.MustParse(sql), Deferred: t.slid, File: file, Line: t.line,
-					})
+					sh.Stmts = append(sh.Stmts, StmtShape{Stmt: sqlast.MustParse(sql), File: file, Line: t.line})
 				}
 			}
 		}

@@ -40,14 +40,18 @@ echo "${cov:-0%}" | awk -v floor="${WESEER_COV_FLOOR:-85}" '
 # Vet determinism: the whole-program analysis (type-check, CHA
 # devirtualization, SCC fixpoint summaries) must render byte-identical
 # reports across separate processes. Run the full vet twice over the
-# fixture corpus and a model app (each tree loaded once per process, for
-# findings and canonical order both) and diff the JSON (exit 1 just means
+# fixture corpus and both model apps (each tree loaded once per process,
+# for findings and canonical order both; Broadleaf has the most findings
+# and writes buffered in callees) and diff the JSON (exit 1 just means
 # error-severity findings were reported — both runs are expected to).
+# Both analyzers' signature kinds must be there: unordered-locks, and
+# flush-reorder from vet's one write-behind detector.
 echo "== weseer vet determinism (two runs, diff)"
 vetdir=$(mktemp -d)
 for i in 1 2; do
     go run ./cmd/weseer vet -json -canonical-order \
         internal/staticlint/testdata/src/wholeprog \
+        internal/apps/broadleaf \
         internal/apps/shopizer > "$vetdir/run$i.json" || [ $? -eq 1 ]
 done
 if ! cmp -s "$vetdir/run1.json" "$vetdir/run2.json"; then
@@ -56,11 +60,13 @@ if ! cmp -s "$vetdir/run1.json" "$vetdir/run2.json"; then
     rm -rf "$vetdir"
     exit 1
 fi
-grep -q unordered-locks "$vetdir/run1.json" || {
-    echo "vet determinism smoke produced no findings — corpus broken?" >&2
-    rm -rf "$vetdir"
-    exit 1
-}
+for kind in unordered-locks flush-reorder; do
+    grep -q "\"$kind\"" "$vetdir/run1.json" || {
+        echo "vet determinism smoke reported no $kind finding — corpus or detector broken?" >&2
+        rm -rf "$vetdir"
+        exit 1
+    }
+done
 rm -rf "$vetdir"
 
 # The parallel discharge pipeline (phase 3's worker pool + memo
