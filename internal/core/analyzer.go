@@ -62,7 +62,12 @@ type run struct {
 	facts map[*trace.Stmt]*stmtFacts
 	// locks memoizes the lock model per template: the lock filter's locks
 	// and the C-edge conditions, each built once per run.
-	locks   *lockmodel.Templates
+	locks *lockmodel.Templates
+	// mu guards the interned alpha-normal forms of formula parts and the
+	// C-edge templates by (skeleton, skeleton, role), as skeletonKey reads them.
+	mu      sync.Mutex
+	forms   map[string]int32
+	tmpls   map[[3]int32]*edgeTmpl
 	memo    *memoTable
 	workers int // phase-3 workers: WithParallelism, resolved
 	// m is the observer's instruments, resolved once; inert without one.
@@ -75,7 +80,7 @@ func (a *Analyzer) newRun() *run {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm, a.opts.UseConcretePlans), memo: newMemoTable(workers), m: &Metrics{},
-		facts: map[*trace.Stmt]*stmtFacts{}, workers: workers}
+		facts: map[*trace.Stmt]*stmtFacts{}, workers: workers, forms: map[string]int32{}, tmpls: map[[3]int32]*edgeTmpl{}}
 	if o := a.opts.Observer; o != nil {
 		r.m = RegisterMetrics(o.Metrics)
 		r.memo.obs, r.memo.latency = o, r.m.solverLatency

@@ -277,9 +277,11 @@ func diffRun(t *testing.T, scm *schema.Schema, traces []*trace.Trace, workerCoun
 
 // TestEnumDifferentialCurated runs the oracle comparison on the curated
 // fine-mode workload — full SMT discharge, so the SAT-representative
-// choice (which depends on within-chain cycle order) is covered.
+// choice (which depends on within-chain cycle order) is covered — and
+// holds every group's verdict, served by skeleton key, to a direct solve.
 func TestEnumDifferentialCurated(t *testing.T) {
 	diffRun(t, fig1Schema(), pipelineTraces(), []int{1, 4, 16})
+	CheckMemoAgainstDirect(t, fig1Schema(), pipelineTraces())
 }
 
 // TestEnumDifferentialRandom sweeps seeded random corpora in coarse
@@ -298,11 +300,13 @@ func TestEnumDifferentialRandom(t *testing.T) {
 }
 
 // TestEnumDifferentialRandomFine covers a smaller random corpus end to
-// end, SMT discharge included.
+// end, SMT discharge included, each group's verdict held to a direct
+// solve.
 func TestEnumDifferentialRandomFine(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	traces := randTraces(rng, 10, 4)
 	diffRun(t, randSchema(4), traces, []int{1, 4})
+	CheckMemoAgainstDirect(t, randSchema(4), traces)
 }
 
 // TestEnumDifferentialAblations pins the oracle equivalence under the

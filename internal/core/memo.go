@@ -1,33 +1,28 @@
 package core
 
 // Solver-call memoization for the parallel discharge stage: a two-level
-// singleflight table, shape key → canonical key → verdict (DESIGN.md, key decision 8).
+// singleflight table, skeleton key → canonical key → verdict (DESIGN.md,
+// key decision 8).
 //
-// Level one keys on the formula's shape (smt.Shape: names numbered in
-// first-occurrence order, rendered in one pass into a reused buffer), so a
-// group whose formula is a plain renaming of an earlier one — most groups
-// of a large corpus — pays no canonicalization.
-// Canonicalization runs once per shape, on the shape's symbol indices
-// (smt.Shape.Canon, in scratch the worker's Shape owns); Canon is equivariant
-// under renaming, so that result composed with the caller's renaming
-// (smt.Shape.Rebase, built only when a SAT model has to be translated
-// back) is exactly what Canon returns for the caller's formula.
+// Level one keys on the group's skeleton key (run.skeletonKey), known
+// before any formula exists: equal keys mean formulas equal up to
+// renaming, so an UNSAT or UNKNOWN hit — most groups of a large corpus —
+// builds no formula, a SAT hit one to translate the model into. The owner
+// of a miss builds the formula and canonicalizes its shape
+// (smt.Shape.Canon); Canon is equivariant under renaming, so composed with
+// a caller's renaming (smt.Shape.Rebase) it is Canon of its formula.
 //
-// Level two keys on the canonical formula's string (rendered once per
-// shape) and solves the canonical expression itself — built by the owner
-// of a level-two miss, nobody else needs it: the cached verdict and model
-// do not depend on which candidate computed them, and each caller
-// translates the model back through its own renaming. That
-// keeps reports byte-identical whether a verdict came from the solver or
-// the cache, at any parallelism. Shapes that Canon's stronger equivalences
-// (operand order, constant abstraction, shifts) identify meet here.
-//
-// Concurrent callers with the same key wait for the first instead of
-// computing twice, so CanonCalls is the number of distinct shapes and
-// SolverCalls the number of distinct canonical keys: deterministic.
+// Level two keys on the canonical formula's string; its owner builds and
+// solves the canonical expression. Each caller translates the model back
+// through its own renaming, so reports are byte-identical at any
+// parallelism. Skeletons that Canon's stronger equivalences (operand
+// order, constant abstraction, shifts) identify meet here. Concurrent
+// callers of a key wait for the first, so CanonCalls (distinct skeleton
+// keys) and SolverCalls (distinct canonical keys) are deterministic.
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,84 +32,120 @@ import (
 	"weseer/internal/solver"
 )
 
-// shapeEntry is level one: the canonicalization of one formula shape.
-type shapeEntry struct {
-	once  sync.Once
-	canon *smt.ShapeCanon // its Key() is the level-two key
-}
-
+// memoEntry is one key's verdict at either level, valid once ready is
+// closed with ok set; at level one, canon is the key's canonicalization.
 type memoEntry struct {
 	ready  chan struct{}
+	ok     bool
+	canon  *smt.ShapeCanon
 	status solver.Status
 	model  *smt.Model // canonical-space model (SAT only)
 }
 
 type memoTable struct {
 	mu sync.Mutex
-	// shapes is level one; its size is Stats.CanonCalls — entries, not
-	// computes, so the count does not depend on scheduling.
-	shapes map[string]*shapeEntry
-	// entries is level two, keyed on the canonical formula's string.
-	entries map[string]*memoEntry
-	// scratch[tid] is worker tid's shape buffer, reused group after group.
-	scratch []smt.Shape
-	// canonNanos sums the time the shape owners spent canonicalizing:
-	// with len(shapes), Stats' view of level one.
+	// skels and entries are levels one and two; len(skels) is
+	// Stats.CanonCalls — entries, not computes: independent of scheduling.
+	skels, entries map[string]*memoEntry
+	// scratch[tid] is worker tid's, reused group after group.
+	scratch []scratch
+	// canonNanos sums the skeleton owners' canonicalization time.
 	canonNanos atomic.Int64
 
 	// obs and latency, when set, receive each solver call's span and wall
-	// time: solve is the one place that times the call and holds its result.
+	// time: call is the one place that times the call and holds its result.
 	obs     *obs.Observer
 	latency *obs.Histogram
 }
 
 // newMemoTable returns a table for worker ids 0..workers (0: no pool).
 func newMemoTable(workers int) *memoTable {
-	return &memoTable{
-		shapes:  map[string]*shapeEntry{},
-		entries: map[string]*memoEntry{},
-		scratch: make([]smt.Shape, workers+1),
+	m := &memoTable{skels: map[string]*memoEntry{}, entries: map[string]*memoEntry{}, scratch: make([]scratch, workers+1)}
+	for i := range m.scratch {
+		sc := &m.scratch[i]
+		sc.num, sc.seed = [2]map[string]uint64{{}, {}}, [2]map[string]bool{{}, {}}
 	}
+	return m
 }
 
-// solve discharges formula through the table, with the solver's default
-// limits. The second return reports a memo hit: the verdict was served from
-// an already-computed (or concurrently computing) entry without a solver
-// call. The owner of a miss, running as worker tid, charges the call, its
-// wall time and its engine counters to out.
-func (m *memoTable) solve(ctx context.Context, formula smt.Expr, tid int, out *Stats) (solver.Result, bool) {
-	sh := &m.scratch[tid]
-	sh.Reset(formula)
-
-	m.mu.Lock()
-	s, ok := m.shapes[string(sh.Key())] // no copy for the lookup
-	if !ok {
-		s = &shapeEntry{}
-		m.shapes[string(sh.Key())] = s
-	}
-	m.mu.Unlock()
-	s.once.Do(func() {
+// solve discharges the group of skeleton key key; build, called by the
+// key's owner and on a SAT hit only, returns its formula. It returns the
+// verdict, the formula if built, and whether it was a memo hit — served
+// without a solver call of its own. The owner of a level-two miss, as
+// worker tid, charges the call, its wall time and engine counters to out.
+func (m *memoTable) solve(ctx context.Context, key []byte, build func() smt.Expr, tid int, out *Stats) (solver.Result, smt.Expr, bool) {
+	sh := &m.scratch[tid].sh
+	var f smt.Expr
+	hit := true
+	s := m.flight(ctx, m.skels, string(key), func(s *memoEntry) bool {
+		f = build()
+		sh.Reset(f)
 		start := time.Now()
 		s.canon = sh.Canon()
 		m.canonNanos.Add(int64(time.Since(start)))
+		e := m.flight(ctx, m.entries, s.canon.Key(), func(e *memoEntry) bool {
+			hit = false
+			return m.call(ctx, e, s.canon, tid, out)
+		})
+		if e == nil {
+			return false
+		}
+		s.status, s.model = e.status, e.model
+		return true
 	})
-	key := s.canon.Key()
+	switch {
+	case s == nil:
+		return solver.Result{Status: solver.UNKNOWN}, f, false
+	case s.model == nil:
+		return solver.Result{Status: s.status}, f, hit
+	case f == nil:
+		f = build()
+		sh.Reset(f)
+	}
+	return solver.Result{Status: s.status, Model: smt.TranslateModel(s.model, sh.Rebase(s.canon))}, f, hit
+}
 
-	m.mu.Lock()
-	if e, ok := m.entries[key]; ok {
+// flight returns table's entry for key, calling fill on it if no caller
+// has: concurrent callers wait for the first. A fill that reports failure
+// — its context was canceled — leaves no entry, and its waiters try again;
+// nil if the caller's fill fails or ctx is done first.
+func (m *memoTable) flight(ctx context.Context, table map[string]*memoEntry, key string, fill func(*memoEntry) bool) *memoEntry {
+	for {
+		m.mu.Lock()
+		e, ok := table[key]
+		if !ok {
+			e = &memoEntry{ready: make(chan struct{})}
+			table[key] = e
+		}
 		m.mu.Unlock()
+		if !ok {
+			if e.ok = fill(e); !e.ok {
+				m.mu.Lock()
+				delete(table, key)
+				m.mu.Unlock()
+			}
+			close(e.ready)
+			if !e.ok {
+				return nil
+			}
+			return e
+		}
 		select {
 		case <-e.ready:
-			return translateResult(e, s, sh), true
+			if e.ok {
+				return e
+			}
 		case <-ctx.Done():
-			return solver.Result{Status: solver.UNKNOWN}, false
+			return nil
 		}
 	}
-	e := &memoEntry{ready: make(chan struct{})}
-	m.entries[key] = e
-	m.mu.Unlock()
+}
 
-	expr := s.canon.Expr()
+// call solves canonical formula c into e, building its expression — the
+// owner of a level-two miss is the only one who needs it. A canceled solve
+// yields UNKNOWN regardless of the formula, so it reports failure.
+func (m *memoTable) call(ctx context.Context, e *memoEntry, c *smt.ShapeCanon, tid int, out *Stats) bool {
+	expr := c.Expr()
 	sp := m.obs.StartSpan(tid, "solve")
 	start := time.Now()
 	sres := solver.Solve(ctx, expr)
@@ -129,32 +160,49 @@ func (m *memoTable) solve(ctx context.Context, formula smt.Expr, tid int, out *S
 			obs.Int("theory_calls", sres.Stats.TheoryCalls))
 		m.latency.Observe(dur.Seconds())
 	}
-
-	if ctx.Err() != nil {
-		// A canceled solve yields UNKNOWN regardless of the formula —
-		// drop the entry rather than poison the table, then wake waiters
-		// (they share the canceled ctx and will bail the same way). The
-		// shape entry stays: Canon is not cancelable, so it is complete.
-		m.mu.Lock()
-		delete(m.entries, key)
-		m.mu.Unlock()
-		e.status = solver.UNKNOWN
-		close(e.ready)
-		return solver.Result{Status: solver.UNKNOWN}, false
-	}
-
-	e.status = sres.Status
-	e.model = sres.Model
-	close(e.ready)
-	return translateResult(e, s, sh), false
+	e.status, e.model = sres.Status, sres.Model
+	return ctx.Err() == nil
 }
 
-// translateResult maps an entry's canonical-space verdict back into the
-// caller's original variable (and, for constant-abstracted formulas,
-// value) space. Only a model needs the caller's renaming composed.
-func translateResult(e *memoEntry, s *shapeEntry, sh *smt.Shape) solver.Result {
-	if e.model == nil {
-		return solver.Result{Status: e.status}
+// scratch is a phase-3 worker's: the group's key, per side its names'
+// numbers, cone seeds, path conditions and cone; the memo's Shape.
+type scratch struct {
+	sh    smt.Shape
+	key   []byte
+	num   [2]map[string]uint64
+	seed  [2]map[string]bool
+	conds [2][]pathCond
+	in    [2][]int32
+}
+
+// number returns name's number on side, the next on its first occurrence.
+func (sc *scratch) number(side int, name string) uint64 {
+	n, ok := sc.num[side][name]
+	if !ok {
+		n = uint64(len(sc.num[0]) + len(sc.num[1]) + 1)
+		sc.num[side][name] = n
 	}
-	return solver.Result{Status: e.status, Model: smt.TranslateModel(e.model, sh.Rebase(s.canon))}
+	return n
+}
+
+// cone lists in sc.in[side], in recorded order, the side's path conditions
+// recorded before statement seq and transitively connected to its seeds,
+// the C-edges' variables (the trace's run satisfies the rest): the one
+// place the analysis selects path conditions by statement.
+func (sc *scratch) cone(side, seq int) {
+	conds, in := sc.conds[side], sc.in[side][:0]
+	for i := range conds {
+		if c := &conds[i]; c.after <= seq && slices.ContainsFunc(c.vars, func(v string) bool { return sc.seed[side][v] }) {
+			in = append(in, int32(i))
+		}
+	}
+	for k := 0; k < len(in); k++ { // and those sharing a variable with one in the cone
+		for _, j := range conds[in[k]].adj {
+			if conds[j].after <= seq && !slices.Contains(in, j) {
+				in = append(in, j)
+			}
+		}
+	}
+	slices.Sort(in)
+	sc.in[side] = in
 }

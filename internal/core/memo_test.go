@@ -7,8 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"weseer/internal/obs"
+	"weseer/internal/schema"
 	"weseer/internal/smt"
 	"weseer/internal/solver"
+	"weseer/internal/trace"
 )
 
 // memoFormula builds the j-th test formula under a variable prefix, its
@@ -61,25 +64,118 @@ func renderResult(r solver.Result) string {
 	return r.Status.String() + " " + r.Model.String()
 }
 
-// CheckMemoAgainstDirect is the memo-vs-direct differential. The direct
-// discharge — one solver call per formula, on the formula as built — is
-// the reference; every formula, sent in order through one memo table as
-// phase 3 sends it, must get the reference's verdict, and the table must
-// have saved solver calls doing so. Exported for the corpus test in
-// package core_test, which (unlike this package) may import the apps.
-func CheckMemoAgainstDirect(t *testing.T, formulas []smt.Expr) {
+// solveFormula discharges f through the table with its smt.Shape key as
+// the level-one key — sound, since equal shape keys mean formulas equal up
+// to renaming — so the table's levels can be driven formula by formula.
+func solveFormula(m *memoTable, ctx context.Context, f smt.Expr, tid int, out *Stats) (solver.Result, bool) {
+	var sh smt.Shape
+	sh.Reset(f)
+	res, _, hit := m.solve(ctx, sh.Key(), func() smt.Expr { return f }, tid, out)
+	return res, hit
+}
+
+// testGroups returns a fresh run over the traces on the given number of
+// workers, and the coarse cycles of its enumeration that pass the lock
+// filter: the groups phase 3 discharges, in enumeration order.
+func testGroups(t testing.TB, scm *schema.Schema, traces []*trace.Trace, workers int, opts ...Option) (*run, []Cycle) {
 	t.Helper()
-	memo := newMemoTable(0)
-	var out Stats
-	for i, f := range formulas {
-		got, _ := memo.solve(context.Background(), f, 0, &out)
-		if want := solver.Solve(context.Background(), f); got.Status != want.Status {
-			t.Errorf("formula %d: memoized verdict %v, direct solve %v: %s", i, got.Status, want.Status, f)
+	r := NewAnalyzer(scm, append([]Option{WithParallelism(workers)}, opts...)...).newRun()
+	chains, _, err := r.enumerateIndexed(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups []Cycle
+	for _, ch := range chains {
+		for _, c := range ch.cycles {
+			if r.locks.PotentialConflict(c.S1b, c.S2a) && r.locks.PotentialConflict(c.S2b, c.S1a) {
+				groups = append(groups, c)
+			}
 		}
 	}
-	if out.SolverCalls >= len(formulas) {
-		t.Errorf("%d solver calls for %d formulas: the memo saved nothing", out.SolverCalls, len(formulas))
+	return r, groups
+}
+
+// solveGroup discharges one group through r's memo as phase 3 does, on
+// worker tid's scratch.
+func (r *run) solveGroup(ctx context.Context, c Cycle, tid int, out *Stats) (solver.Result, smt.Expr, bool) {
+	sc := &r.memo.scratch[tid]
+	return r.memo.solve(ctx, r.skeletonKey(c, sc), func() smt.Expr { return r.cycleFormula(c, sc) }, tid, out)
+}
+
+// CheckMemoAgainstDirect is the memo-vs-direct differential. The direct
+// discharge — one solver call per group, on its formula as built — is the
+// reference; every group the lock filter passes, sent in order through one
+// memo table by its skeleton key as phase 3 sends it, must get the
+// reference's verdict (a SAT one with the formula it was translated into),
+// and the table must have saved solver calls doing so. It returns the
+// number of groups. Exported for the corpus test in package core_test,
+// which (unlike this package) may import the apps.
+func CheckMemoAgainstDirect(t *testing.T, scm *schema.Schema, traces []*trace.Trace) int {
+	t.Helper()
+	ctx := context.Background()
+	r, groups := testGroups(t, scm, traces, 1)
+	var out Stats
+	for i, c := range groups {
+		got, built, _ := r.solveGroup(ctx, c, 1, &out)
+		f := r.cycleFormula(c, &r.memo.scratch[1])
+		if want := solver.Solve(ctx, f); got.Status != want.Status {
+			t.Errorf("group %d: memoized verdict %v, direct solve %v: %s", i, got.Status, want.Status, f)
+		}
+		if got.Status == solver.SAT && (built == nil || built.String() != f.String()) {
+			t.Errorf("group %d: SAT model translated into %v, not the group's formula", i, built)
+		}
 	}
+	if out.SolverCalls >= len(groups) {
+		t.Errorf("%d solver calls for %d groups: the memo saved nothing", out.SolverCalls, len(groups))
+	}
+	return len(groups)
+}
+
+// SkeletonAndShapeKeys returns, for every group phase 3 discharges on
+// the traces, its skeleton key and the smt.Shape key of its formula: the
+// two sides of the memo's proof obligation. Exported for the corpus test
+// in package core_test.
+func SkeletonAndShapeKeys(t *testing.T, scm *schema.Schema, traces []*trace.Trace) (skel, shape []string) {
+	t.Helper()
+	r, groups := testGroups(t, scm, traces, 1)
+	sc := &r.memo.scratch[1]
+	for _, c := range groups {
+		skel = append(skel, string(r.skeletonKey(c, sc)))
+		sc.sh.Reset(r.cycleFormula(c, sc))
+		shape = append(shape, string(sc.sh.Key()))
+	}
+	return skel, shape
+}
+
+// CheckFormulasBuilt runs phase 3 over the traces on the given number of
+// workers and checks, on the observer's weseer_edge_cache_hits_total, that
+// it instantiated two C-edges per skeleton miss and per SAT hit and none
+// for an UNSAT or UNKNOWN hit: those build no formula. It returns the
+// run's stats. Exported for the corpus test in package core_test.
+func CheckFormulasBuilt(t *testing.T, scm *schema.Schema, traces []*trace.Trace, workers int) Stats {
+	t.Helper()
+	ctx := context.Background()
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	r := NewAnalyzer(scm, WithParallelism(workers), WithObserver(o)).newRun()
+	chains, _, err := r.enumerateIndexed(ctx, traces)
+	res := &Result{}
+	if err == nil {
+		err = r.discharge(ctx, chains, res)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	satOwners := 0
+	for _, s := range r.memo.skels {
+		if s.status == solver.SAT {
+			satOwners++
+		}
+	}
+	misses, satHits := len(r.memo.skels), res.Stats.SolverSAT-satOwners
+	if got, want := o.Metrics.Snapshot()["weseer_edge_cache_hits_total"], float64(2*(misses+satHits)); got != want {
+		t.Errorf("p%d: %v C-edges instantiated, want 2 × (%d skeleton misses + %d SAT hits)", workers, got, misses, satHits)
+	}
+	return res.Stats
 }
 
 // TestMemoTableConcurrent drives the two-level table from 16 goroutines
@@ -96,7 +192,7 @@ func TestMemoTableConcurrent(t *testing.T) {
 	serial := newMemoTable(0)
 	var serialOut Stats
 	for _, c := range cases {
-		res, _ := serial.solve(ctx, c.formula, 0, &serialOut)
+		res, _ := solveFormula(serial, ctx, c.formula, 0, &serialOut)
 		want[c.name] = renderResult(res)
 	}
 	if want["A1.0/false"] != "UNSAT" || want["A1.1/false"] == "UNSAT" {
@@ -113,7 +209,7 @@ func TestMemoTableConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := range cases {
 				c := cases[(i*7+w*5)%len(cases)] // 7 is coprime to len(cases)
-				res, hit := memo.solve(ctx, c.formula, w+1, &outs[w])
+				res, hit := solveFormula(memo, ctx, c.formula, w+1, &outs[w])
 				if hit {
 					hits[w]++
 				}
@@ -138,15 +234,16 @@ func TestMemoTableConcurrent(t *testing.T) {
 		t.Errorf("calls %d + hits %d != %d discharges", calls, allHits, workers*len(cases))
 	}
 	// Two shapes per key (plain and mirrored); prefixes share a shape.
-	if got := len(memo.shapes); got != 2*keys || len(serial.shapes) != 2*keys {
+	if got := len(memo.skels); got != 2*keys || len(serial.skels) != 2*keys {
 		t.Errorf("canon calls: %d concurrent, %d serial, want %d (one per shape)",
-			got, len(serial.shapes), 2*keys)
+			got, len(serial.skels), 2*keys)
 	}
 }
 
 // TestMemoTableCancellation checks that a canceled solve poisons neither
-// level: the verdict entry is dropped, the (complete) shape entry stays,
-// and a later live discharge of an alpha-variant solves for real.
+// level: a canceled owner leaves no entry behind at either, so the next
+// caller — an alpha-variant with a live context — solves again, and gets
+// what a fresh table gives it.
 func TestMemoTableCancellation(t *testing.T) {
 	const workers = 16
 	memo := newMemoTable(workers)
@@ -159,33 +256,160 @@ func TestMemoTableCancellation(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			var out Stats
-			res, hit := memo.solve(canceled, memoFormula(fmt.Sprintf("T%d.", w), 3, w%2 == 0), w+1, &out)
-			if res.Status != solver.UNKNOWN || res.Model != nil {
-				t.Errorf("canceled solve returned %v", renderResult(res))
+			res, hit := solveFormula(memo, canceled, memoFormula(fmt.Sprintf("T%d.", w), 3, w%2 == 0), w+1, &out)
+			if res.Status != solver.UNKNOWN || res.Model != nil || hit {
+				t.Errorf("canceled solve returned %v, hit %v", renderResult(res), hit)
 			}
-			_ = hit // an owner and a waiter both bail; either is fine
 		}(w)
 	}
 	wg.Wait()
-	if n := len(memo.entries); n != 0 {
-		t.Fatalf("%d verdict entries survive canceled solves", n)
-	}
-	if n := len(memo.shapes); n != 2 {
-		t.Fatalf("canon calls = %d, want the 2 shapes canonicalized before the cancel", n)
+	if n, m := len(memo.skels), len(memo.entries); n != 0 || m != 0 {
+		t.Fatalf("%d skeleton and %d verdict entries survive canceled solves", n, m)
 	}
 
 	var out Stats
-	res, hit := memo.solve(context.Background(), memoFormula("live.", 3, false), 0, &out)
+	res, hit := solveFormula(memo, context.Background(), memoFormula("live.", 3, false), 0, &out)
 	if hit || out.SolverCalls != 1 || res.Status != solver.SAT || res.Model == nil {
 		t.Fatalf("live solve after cancel: hit=%v calls=%d result=%s", hit, out.SolverCalls, renderResult(res))
 	}
 	var freshOut Stats
-	fresh, _ := newMemoTable(0).solve(context.Background(), memoFormula("live.", 3, false), 0, &freshOut)
+	fresh, _ := solveFormula(newMemoTable(0), context.Background(), memoFormula("live.", 3, false), 0, &freshOut)
 	if renderResult(res) != renderResult(fresh) {
 		t.Errorf("result after cancel %q differs from a fresh table's %q", renderResult(res), renderResult(fresh))
 	}
-	if len(memo.shapes) != 2 {
-		t.Errorf("alpha-variant re-canonicalized: %d canon calls", len(memo.shapes))
+}
+
+// TestMemoTableWaitersOnOwner holds a level-one owner inside its formula
+// build while other callers of the same key arrive. Waiters get the
+// owner's verdict as hits, with no solver call of their own; if the owner
+// is canceled instead, a waiter with a live context solves again.
+func TestMemoTableWaitersOnOwner(t *testing.T) {
+	const waiters = 8
+	ctx := context.Background()
+	f := memoFormula("A1.", 3, false)
+	var sh smt.Shape
+	sh.Reset(f)
+	key := slices.Clone(sh.Key())
+	for _, cancelOwner := range []bool{false, true} {
+		memo := newMemoTable(waiters + 1)
+		ownerCtx, cancel := context.WithCancel(ctx)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var ownerOut Stats
+		ownerDone := make(chan solver.Result)
+		go func() {
+			res, _, _ := memo.solve(ownerCtx, key, func() smt.Expr {
+				close(entered)
+				<-release
+				return f
+			}, 1, &ownerOut)
+			ownerDone <- res
+		}()
+		<-entered
+		results := make([]string, waiters)
+		outs := make([]Stats, waiters)
+		hits := make([]bool, waiters)
+		var wg sync.WaitGroup
+		for w := range waiters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, _, hit := memo.solve(ctx, key, func() smt.Expr { return f }, w+2, &outs[w])
+				results[w], hits[w] = renderResult(res), hit
+			}()
+		}
+		if cancelOwner {
+			cancel()
+		}
+		close(release)
+		owner := <-ownerDone
+		wg.Wait()
+		cancel()
+
+		want := renderResult(owner)
+		if cancelOwner {
+			var freshOut Stats
+			fresh, _ := solveFormula(newMemoTable(0), ctx, f, 0, &freshOut)
+			want = renderResult(fresh)
+		}
+		calls := ownerOut.SolverCalls
+		for w := range waiters {
+			calls += outs[w].SolverCalls
+			if results[w] != want {
+				t.Errorf("cancelOwner=%v: waiter %d got %q, want %q", cancelOwner, w, results[w], want)
+			}
+		}
+		// Canceled, the owner's solve counts but stands for nothing: one of
+		// the waiters re-solves, and the rest hit it.
+		if wantCalls := map[bool]int{false: 1, true: 2}[cancelOwner]; calls != wantCalls {
+			t.Errorf("cancelOwner=%v: %d solver calls, want %d", cancelOwner, calls, wantCalls)
+		}
+		if !cancelOwner && slices.Contains(hits, false) {
+			t.Errorf("a waiter on a live owner did not hit: %v", hits)
+		}
+		if len(memo.skels) != 1 || len(memo.entries) != 1 {
+			t.Errorf("cancelOwner=%v: %d skeleton and %d verdict entries, want 1 and 1",
+				cancelOwner, len(memo.skels), len(memo.entries))
+		}
+	}
+}
+
+// TestMemoTableConcurrentGroups sends the real groups of the pipeline
+// fixture through one table from 1, 4 and 16 goroutines, each starting
+// at its own group: every group gets, byte for byte, what it gets as the owner of a
+// fresh table — SAT hits included, their models translated into their own
+// formulas — with one Canon per skeleton key and one solver call per
+// canonical key at any parallelism.
+func TestMemoTableConcurrentGroups(t *testing.T) {
+	ctx := context.Background()
+	r, groups := testGroups(t, fig1Schema(), pipelineTraces(), 1)
+	want := make([]string, len(groups))
+	for i, c := range groups {
+		r.memo = newMemoTable(1)
+		var out Stats
+		res, _, hit := r.solveGroup(ctx, c, 1, &out)
+		if hit || out.SolverCalls != 1 {
+			t.Fatalf("group %d on a fresh table: hit %v, %d solver calls", i, hit, out.SolverCalls)
+		}
+		want[i] = renderResult(res)
+	}
+	skels, calls := -1, -1
+	for _, workers := range []int{1, 4, 16} {
+		r.memo = newMemoTable(workers)
+		outs := make([]Stats, workers)
+		satHits := make([]int, workers)
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range groups {
+					k := (i + w*5) % len(groups)
+					res, _, hit := r.solveGroup(ctx, groups[k], w+1, &outs[w])
+					if got := renderResult(res); got != want[k] {
+						t.Errorf("p%d, worker %d, group %d: got %q, want %q", workers, w, k, got, want[k])
+					}
+					if hit && res.Status == solver.SAT {
+						satHits[w]++
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		n := 0
+		for w := range outs {
+			n += outs[w].SolverCalls
+		}
+		if skels >= 0 && (len(r.memo.skels) != skels || n != calls) {
+			t.Errorf("p%d: %d skeleton keys and %d solver calls, %d and %d on one worker",
+				workers, len(r.memo.skels), n, skels, calls)
+		}
+		skels, calls = len(r.memo.skels), n
+		if slices.Max(satHits) == 0 {
+			t.Errorf("p%d: no SAT hit — the fixture no longer exercises model translation", workers)
+		}
+	}
+	if calls > skels || skels >= len(groups) {
+		t.Errorf("%d groups, %d skeleton keys, %d solver calls: want level one to save", len(groups), skels, calls)
 	}
 }
 
@@ -217,25 +441,26 @@ func TestMemoLevelTwoHitBuildsNoExpr(t *testing.T) {
 	// buffer of it.
 	memo := newMemoTable(0)
 	var out Stats
-	if res, hit := memo.solve(ctx, plain, 0, &out); hit || res.Status != solver.UNSAT {
+	if res, hit := solveFormula(memo, ctx, plain, 0, &out); hit || res.Status != solver.UNSAT {
 		t.Fatalf("first solve: hit %v, %v", hit, res.Status)
 	}
 	var sh smt.Shape
 	sh.Reset(moved)
 	movedKey := string(sh.Key())
-	// Forgetting the shape before each run makes every run the hit under
-	// test: level one misses, level two hits.
+	formula := func() smt.Expr { return moved }
+	// Forgetting the level-one entry before each run makes every run the
+	// hit under test: level one misses, level two hits.
 	got := testing.AllocsPerRun(10, func() {
-		delete(memo.shapes, movedKey)
-		if res, hit := memo.solve(ctx, moved, 0, &out); !hit || res.Status != solver.UNSAT {
+		delete(memo.skels, movedKey)
+		if res, _, hit := memo.solve(ctx, sh.Key(), formula, 0, &out); !hit || res.Status != solver.UNSAT {
 			t.Fatalf("reordered formula: hit %v, %v — want a level-two hit", hit, res.Status)
 		}
 	})
-	if len(memo.shapes) != 2 || out.SolverCalls != 1 {
+	if len(memo.skels) != 2 || out.SolverCalls != 1 {
 		t.Fatalf("reordered formula: %d shapes, %d solver calls — want a level-two hit on a new shape",
-			len(memo.shapes), out.SolverCalls)
+			len(memo.skels), out.SolverCalls)
 	}
-	canon := memo.shapes[movedKey].canon
+	canon := memo.skels[movedKey].canon
 	build := testing.AllocsPerRun(10, func() { canon.Expr() })
 	t.Logf("level-two hit: %v allocations; its canonical expression: %v", got, build)
 	if got >= build/2 {
@@ -243,25 +468,31 @@ func TestMemoLevelTwoHitBuildsNoExpr(t *testing.T) {
 	}
 }
 
-// BenchmarkDischargeMemoHit measures what ROADMAP item 2 is about: the
-// cost of a group whose verdict is already in the table — shape key,
-// two map probes, and (SAT only) the model translated back. The
-// formulas are the real cycle formulas of the pipeline fixture.
-func BenchmarkDischargeMemoHit(b *testing.B) {
+// BenchGroupHits times whole memo hits, from Cycle to verdict — lock
+// filter, skeleton key with its cone, the level-one probe and, for a SAT
+// group, the formula built and the model translated back — over those
+// groups of the traces whose verdict is SAT (sat) or not, once a first
+// discharge has put every key in the table. Exported for
+// BenchmarkDischargeMemoHit in package core_test.
+func BenchGroupHits(b *testing.B, scm *schema.Schema, traces []*trace.Trace, sat bool) {
 	ctx := context.Background()
-	formulas, err := NewAnalyzer(fig1Schema()).CycleFormulas(ctx, pipelineTraces())
-	if err != nil || len(formulas) == 0 {
-		b.Fatalf("fixture: %d formulas, err %v", len(formulas), err)
+	r, groups := testGroups(b, scm, traces, 1)
+	var hits []Cycle
+	var out chainOutcome
+	for _, c := range groups {
+		if d := r.fineCheckOne(ctx, c, "", 1, &out); (d != nil) == sat {
+			hits = append(hits, c)
+		}
 	}
-	memo := newMemoTable(0)
-	var out Stats
-	for _, f := range formulas {
-		memo.solve(ctx, f, 0, &out)
+	if len(hits) == 0 {
+		b.Fatalf("no group with sat=%v", sat)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit := memo.solve(ctx, formulas[i%len(formulas)], 0, &out); !hit {
+		out = chainOutcome{}
+		r.fineCheckOne(ctx, hits[i%len(hits)], "", 1, &out)
+		if out.stats.MemoHits != 1 {
 			b.Fatal("expected a memo hit")
 		}
 	}

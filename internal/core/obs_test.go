@@ -67,10 +67,12 @@ func TestObserverPreservesDeterminism(t *testing.T) {
 			t.Errorf("p%d: latency histogram count %v != SolverCalls %d", workers, got, res.Stats.SolverCalls)
 		}
 		// The C-edge counters are as deterministic: two instances per
-		// formula built, and one template per distinct key at any
-		// parallelism.
-		if got := snap["weseer_edge_cache_hits_total"]; got != float64(2*res.Stats.GroupsSolved) {
-			t.Errorf("p%d: %v C-edge instances, want 2 × %d groups solved", workers, got, res.Stats.GroupsSolved)
+		// formula built — per skeleton miss and SAT hit, which
+		// TestNonSATHitBuildsNoFormula pins — and one template per
+		// distinct key at any parallelism.
+		if got := snap["weseer_edge_cache_hits_total"]; got < float64(2*res.Stats.CanonCalls) || got > float64(2*res.Stats.GroupsSolved) {
+			t.Errorf("p%d: %v C-edge instances, want 2 × between %d skeleton misses and %d groups solved",
+				workers, got, res.Stats.CanonCalls, res.Stats.GroupsSolved)
 		}
 		builds := snap["weseer_edge_cache_builds_total"]
 		if templates == 0 {

@@ -14,8 +14,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"slices"
-	"strings"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,7 +106,7 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 	}
 	// The memo's first level is counted by the table, not by the chains:
 	// its size does not depend on which worker met a shape first.
-	canon := Stats{CanonCalls: len(r.memo.shapes), CanonTime: time.Duration(r.memo.canonNanos.Load())} // workers are done
+	canon := Stats{CanonCalls: len(r.memo.skels), CanonTime: time.Duration(r.memo.canonNanos.Load())} // workers are done
 	res.Stats.add(&canon)
 	r.m.publish(&canon)
 	r.m.edgeTemplates.Add(int64(r.locks.EdgeTemplates()))
@@ -146,9 +148,9 @@ func (r *run) evalChain(ctx context.Context, ch *chain, tid int) chainOutcome {
 }
 
 // fineCheckOne is phase 3 for one coarse cycle: quick lock-collision
-// filter, then (memoized) SMT solving of
-// conflict + path conditions. It returns a Deadlock when the cycle is
-// confirmed SAT.
+// filter, then the memo by skeleton key, which builds the SMT formula of
+// conflict + path conditions only to solve it or to translate a model into
+// it. It returns a Deadlock when the cycle is confirmed SAT.
 func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, out *chainOutcome) *Deadlock {
 	// Quick filter, exact: a C-edge without a modeled lock collision has a
 	// false conflict condition.
@@ -158,10 +160,10 @@ func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, 
 		return nil
 	}
 
-	formula := r.cycleFormula(cyc)
 	out.stats.GroupsSolved++
-
-	sres, hit := r.memo.solve(ctx, formula, tid, &out.stats)
+	sc := &r.memo.scratch[tid]
+	sres, formula, hit := r.memo.solve(ctx, r.skeletonKey(cyc, sc),
+		func() smt.Expr { return r.cycleFormula(cyc, sc) }, tid, &out.stats)
 	if hit {
 		out.stats.MemoHits++
 	}
@@ -194,18 +196,23 @@ func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, 
 
 // cycleFormula conjoins both C-edges' conflict conditions with the path
 // conditions recorded before each transaction's last involved statement
-// (Sec. V-B, fine-grained phase; the worked example is Fig. 9).
-//
-// Path conditions sharing no variables (transitively) with the conflict
-// conditions are dropped: the concrete execution that produced the trace
-// satisfies them by construction, so they cannot change satisfiability —
-// a cone-of-influence reduction that keeps solver formulas small. The two
-// sides share no symbol, so the joint cone is the per-side ones, T1's first.
-func (r *run) cycleFormula(cyc Cycle) smt.Expr {
+// (Sec. V-B, fine-grained phase; the worked example is Fig. 9): those of
+// the cone skeletonKey left in sc, T1's first.
+func (r *run) cycleFormula(cyc Cycle, sc *scratch) smt.Expr {
 	e := r.edges(cyc)
 	out := []smt.Expr{e[0].Cond, e[1].Cond}
-	out = r.cone(out, cyc.T1, 0, max(cyc.S1a.Seq, cyc.S1b.Seq), e[:]...)
-	out = r.cone(out, cyc.T2, 1, max(cyc.S2a.Seq, cyc.S2b.Seq), e[:]...)
+	for role, in := range [2]*instance{cyc.T1, cyc.T2} {
+		for _, i := range sc.in[role] {
+			c := &sc.conds[role][i]
+			p := c.renamed[role].Load()
+			if p == nil {
+				x := smt.Rename(c.cond, func(s string) string { return in.Prefix + s })
+				p = &x
+				c.renamed[role].Store(p)
+			}
+			out = append(out, *p)
+		}
+	}
 	return smt.And(out...)
 }
 
@@ -219,7 +226,7 @@ func (r *run) edges(cyc Cycle) [2]*lockmodel.Edge {
 }
 
 // CycleFormulas returns the formula phase 3 builds for every coarse
-// cycle of the traces, in enumeration order — the memo table's input,
+// cycle of the traces, in enumeration order — the memo's test oracle,
 // exposed for canonicalization tests and for dumping a run's queries.
 func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]smt.Expr, error) {
 	if err := checkTraces(a.scm, traces); err != nil {
@@ -228,21 +235,35 @@ func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]
 	r := a.newRun()
 	chains, _, err := r.enumerateIndexed(ctx, traces)
 	var out []smt.Expr
+	sc := &r.memo.scratch[0]
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {
-			out = append(out, r.cycleFormula(cyc))
+			r.skeletonKey(cyc, sc)
+			out = append(out, r.cycleFormula(cyc, sc))
 		}
 	}
 	return out, err
 }
 
-// pathCond is one recorded path condition with its variable names (as
-// recorded, un-prefixed) and, per role, its copy in that role's symbol
-// space, made on the first cone it falls in.
+// edgeTmpl is a C-edge template as skeletonKey reads it: its form, its
+// symbols (2i+a: statement a's binding i; -1: a fixed name) and its
+// variable placeholders, which seed the cone.
+type edgeTmpl struct {
+	form        int32
+	syms, seeds []int32
+}
+
+// pathCond is a recorded path condition: its variables, the trace's
+// conditions sharing one, and from its first cone its form and symbols
+// (run.alpha) and per role its copy in that role's symbol space.
 type pathCond struct {
 	cond    smt.Expr
 	vars    []string
+	adj     []int32
 	after   int // PathCond.AfterStmt
+	once    sync.Once
+	form    int32
+	syms    []string
 	renamed [2]atomic.Pointer[smt.Expr]
 }
 
@@ -254,58 +275,118 @@ func (r *run) pathConds(tr *trace.Trace) []pathCond {
 	if !ok {
 		conds := make([]pathCond, len(tr.PathConds))
 		for i, pc := range tr.PathConds {
-			conds[i].cond, conds[i].vars, conds[i].after = pc.Cond, smt.VarNames(pc.Cond), pc.AfterStmt
+			c := &conds[i]
+			c.cond, c.vars, c.after = pc.Cond, smt.VarNames(pc.Cond), pc.AfterStmt
+			for j := range conds[:i] {
+				if slices.ContainsFunc(conds[j].vars, func(v string) bool { return slices.Contains(c.vars, v) }) {
+					c.adj, conds[j].adj = append(c.adj, int32(j)), append(conds[j].adj, int32(i))
+				}
+			}
 		}
 		v, _ = r.pcMemo.LoadOrStore(tr, conds)
 	}
 	return v.([]pathCond)
 }
 
-// cone appends to out, in recorded order and in the instance's symbol
-// space, those of its path conditions recorded before statement seq that
-// are transitively connected to the edges' variables; the analysis selects
-// path conditions by statement here and nowhere else. The fixpoint runs on
-// the recorded names — an edge variable of this side is its prefix plus
-// one — and only the conditions inside the cone are renamed, once per
-// (condition, role).
-func (r *run) cone(out []smt.Expr, in *instance, role, seq int, edges ...*lockmodel.Edge) []smt.Expr {
-	conds := r.pathConds(in.Trace)
-	seed := map[string]struct{}{}
-	for _, e := range edges {
-		for _, v := range e.Vars {
-			if name, ok := strings.CutPrefix(v, in.Prefix); ok {
-				seed[name] = struct{}{}
+// skeletonKey renders the group's memo key into sc.key, and its cone into
+// sc, with no formula built: per formula part — two C-edge templates, then
+// each side's in-cone path conditions — its alpha-normal form and its
+// symbols' numbers, a name of side s numbered on its first occurrence from
+// 1, a fixed name (unified-row or range variable: one part's own) 0. Equal
+// keys, so, mean formulas equal up to renaming (TestSkeletonKeyRefinesShape).
+func (r *run) skeletonKey(cyc Cycle, sc *scratch) []byte {
+	clear(sc.num[0])
+	clear(sc.num[1])
+	clear(sc.seed[0])
+	clear(sc.seed[1])
+	k := sc.key[:0]
+	for j, xy := range [2][2]*trace.Stmt{{cyc.S1b, cyc.S2a}, {cyc.S2b, cyc.S1a}} {
+		t, names := r.edgeTemplate(xy, j, &sc.sh)
+		k = binary.AppendUvarint(k, uint64(t.form))
+		for _, p := range t.syms {
+			n := uint64(0)
+			if p >= 0 {
+				n = sc.number(int(p&1)^j, names[p&1][p>>1])
+			}
+			k = binary.AppendUvarint(k, n)
+		}
+		for _, p := range t.seeds {
+			sc.seed[int(p&1)^j][names[p&1][p>>1]] = true
+		}
+	}
+	seqs := [2]int{max(cyc.S1a.Seq, cyc.S1b.Seq), max(cyc.S2a.Seq, cyc.S2b.Seq)}
+	for side, in := range [2]*instance{cyc.T1, cyc.T2} {
+		sc.conds[side] = r.pathConds(in.Trace)
+		sc.cone(side, seqs[side])
+		for _, i := range sc.in[side] {
+			c := &sc.conds[side][i]
+			c.once.Do(func() { c.form, c.syms = r.alpha(c.cond, &sc.sh) })
+			k = binary.AppendUvarint(k, uint64(c.form))
+			for _, n := range c.syms {
+				k = binary.AppendUvarint(k, sc.number(side, n))
 			}
 		}
 	}
-	inCone := make([]bool, len(conds))
-	for changed := true; changed; {
-		changed = false
-		for i := range conds {
-			c := &conds[i]
-			if inCone[i] || c.after > seq {
-				continue
-			}
-			if !slices.ContainsFunc(c.vars, func(v string) bool { _, ok := seed[v]; return ok }) {
-				continue
-			}
-			inCone[i], changed = true, true
-			for _, v := range c.vars {
-				seed[v] = struct{}{}
-			}
+	sc.key = k
+	return k
+}
+
+// edgeTemplate returns the template of the C-edge xy of role j (rows
+// "r1." or "r2."), built once per run, and its statements' bindings.
+func (r *run) edgeTemplate(xy [2]*trace.Stmt, j int, sh *smt.Shape) (*edgeTmpl, [2][]string) {
+	var k [3]int32
+	var names [2][]string
+	k[0], names[0] = r.locks.Skeleton(xy[0])
+	k[1], names[1] = r.locks.Skeleton(xy[1])
+	k[2] = int32(j)
+	r.mu.Lock()
+	t := r.tmpls[k]
+	r.mu.Unlock()
+	if t != nil {
+		return t, names
+	}
+	e := r.locks.EdgeTemplate(xy[0], xy[1], [2]string{"r1.", "r2."}[j])
+	placeholder := func(n string) int32 {
+		if n[0] > 1 {
+			return -1
+		}
+		i, _ := strconv.Atoi(n[1:])
+		return int32(2*i + int(n[0]))
+	}
+	form, syms := r.alpha(e.Cond, sh)
+	t = &edgeTmpl{form: form}
+	for _, n := range syms {
+		t.syms = append(t.syms, placeholder(n))
+	}
+	for _, n := range e.Vars {
+		if p := placeholder(n); p >= 0 {
+			t.seeds = append(t.seeds, p)
 		}
 	}
-	for i := range conds {
-		if !inCone[i] {
-			continue
+	r.mu.Lock()
+	r.tmpls[k] = t // racing workers store equal templates
+	r.mu.Unlock()
+	return t, names
+}
+
+// alpha interns e's alpha-normal form, its smt.Shape key, and returns it
+// with e's symbols in the order Rename visits them: fixed by e's structure
+// (an array's versions carry its root's ID), so alike for equal forms.
+func (r *run) alpha(e smt.Expr, sh *smt.Shape) (int32, []string) {
+	var names []string
+	smt.Rename(e, func(n string) string {
+		if !slices.Contains(names, n) {
+			names = append(names, n)
 		}
-		e := conds[i].renamed[role].Load()
-		if e == nil {
-			x := smt.Rename(conds[i].cond, func(s string) string { return in.Prefix + s })
-			e = &x
-			conds[i].renamed[role].Store(e)
-		}
-		out = append(out, *e)
+		return n
+	})
+	sh.Reset(e)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	form, ok := r.forms[string(sh.Key())]
+	if !ok {
+		form = int32(len(r.forms))
+		r.forms[string(sh.Key())] = form
 	}
-	return out
+	return form, names
 }

@@ -41,7 +41,7 @@ func TestTemplatesConcurrent(t *testing.T) {
 			edge := func(tm *lockmodel.Templates, k int) string {
 				x, y := stmts[k/n], stmts[k%n]
 				e := tm.EdgeCond(x, y, "A1.", "A2.", "r1.")
-				vars := slices.Clone(e.Vars)
+				vars := slices.Clone(tm.EdgeTemplate(x, y, "r1.").Vars)
 				slices.Sort(vars) // a set, listed in no set order
 				return strconv.FormatBool(tm.PotentialConflict(x, y)) + " " +
 					smt.TypedString(e.Cond) + " " + strings.Join(vars, ",")

@@ -444,13 +444,14 @@ func TestTemplatesSharedMatchesFresh(t *testing.T) {
 
 // checkEdgeCond holds t.EdgeCond(x, y), x in symbol space "A1." and y in
 // "A2.", to the condition built directly from copies of the statements
-// carrying those prefixes, with a fresh memo: equal by TypedString, and
-// the variable list naming exactly its variables.
+// carrying those prefixes, with a fresh memo: equal by TypedString; and
+// the template's variable list names exactly the template's variables.
 func checkEdgeCond(t *testing.T, tm *Templates, x, y *trace.Stmt) {
 	t.Helper()
 	usePlans := tm.usePlans
-	e := tm.EdgeCond(x, y, "A1.", "A2.", "r1.")
-	got, vars := e.Cond, e.Vars
+	got := tm.EdgeCond(x, y, "A1.", "A2.", "r1.").Cond
+	tmpl := tm.EdgeTemplate(x, y, "r1.")
+	vars := tmpl.Vars
 	prefixed := func(st *trace.Stmt, p string) *trace.Stmt {
 		return renameStmt(st, func(n string) string { return p + n })
 	}
@@ -458,7 +459,7 @@ func checkEdgeCond(t *testing.T, tm *Templates, x, y *trace.Stmt) {
 	if smt.TypedString(got) != smt.TypedString(want) {
 		t.Errorf("EdgeCond(%q, %q, plans=%v):\n got %s\nwant %s", x.SQL, y.SQL, usePlans, got, want)
 	}
-	set := smt.VarSet(want)
+	set := smt.VarSet(tmpl.Cond)
 	for _, v := range vars {
 		if _, ok := set[v]; !ok {
 			t.Errorf("EdgeCond(%q, %q, plans=%v): variable %s is not the condition's", x.SQL, y.SQL, usePlans, v)

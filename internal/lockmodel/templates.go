@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"weseer/internal/schema"
 	"weseer/internal/smt"
@@ -23,6 +24,8 @@ type Templates struct {
 	usePlans bool
 	m        sync.Map // templateKey → *templateLocks
 	skels    sync.Map // *trace.Stmt → *skeleton
+	ids      sync.Map // skeleton key → int32
+	nids     atomic.Int32
 	edges    sync.Map // edgeKey → *Edge, over placeholders
 	insts    sync.Map // instanceKey → *Edge
 }
@@ -80,6 +83,7 @@ func (t *Templates) locksFor(tl *templateLocks, st *trace.Stmt) []Lock {
 // reads (SQL, what each parameter stands for, the result's Empty, Cols and
 // cell sorts, the plan): equal keys, equal conditions up to the bindings.
 type skeleton struct {
+	id    int32 // the key's, interned
 	key   string
 	names []string
 	st    *trace.Stmt
@@ -126,6 +130,8 @@ func (t *Templates) skeletonOf(st *trace.Stmt) *skeleton {
 		b = strconv.AppendQuote(strconv.AppendQuote(strconv.AppendQuote(append(b, '@'), p.Alias), p.Table), p.Index)
 	}
 	sk.key = string(b)
+	id, _ := t.ids.LoadOrStore(sk.key, t.nids.Add(1))
+	sk.id = id.(int32)
 	v, _ := t.skels.LoadOrStore(st, sk)
 	return v.(*skeleton)
 }
@@ -161,23 +167,24 @@ type instanceKey struct {
 	px, py, rowPrefix string
 }
 
-// Edge is a C-edge condition and its variables; in a template, over
-// placeholders ("\x00i" for x's i-th symbol, "\x01i" for y's).
+// Edge is a C-edge condition; a template (EdgeTemplate) lists its variables
+// and is over placeholders ("\x00i" for x's i-th symbol, "\x01i" for y's).
 type Edge struct {
 	Cond smt.Expr
-	Vars []string
+	Vars []string // a template's only
 }
 
-// EdgeCond returns the C-edge between x, its symbols in the space px, and
-// y in py: ConflictCond over the orientations Oriented admits, fresh range
-// variables prefixed "rng."+rowPrefix. It is built once per skeleton pair
-// over placeholders and renamed once per (x, y, px, py), so cycles sharing
-// a C-edge share its condition.
-func (t *Templates) EdgeCond(x, y *trace.Stmt, px, py, rowPrefix string) *Edge {
-	ik := instanceKey{x: x, y: y, px: px, py: py, rowPrefix: rowPrefix}
-	if v, ok := t.insts.Load(ik); ok {
-		return v.(*Edge)
-	}
+// Skeleton returns st's skeleton id, equal ids for equal C-edge templates,
+// and its bindings: names[i] is what placeholder i stands for.
+func (t *Templates) Skeleton(st *trace.Stmt) (id int32, names []string) {
+	sk := t.skeletonOf(st)
+	return sk.id, sk.names
+}
+
+// EdgeTemplate returns the C-edge between x and y over their skeletons'
+// placeholders, built once per skeleton pair: ConflictCond over the
+// orientations Oriented admits, range variables prefixed "rng."+rowPrefix.
+func (t *Templates) EdgeTemplate(x, y *trace.Stmt, rowPrefix string) *Edge {
 	sx, sy := t.skeletonOf(x), t.skeletonOf(y)
 	k := edgeKey{x: sx.key, y: sy.key, rowPrefix: rowPrefix}
 	v, ok := t.edges.Load(k)
@@ -187,7 +194,19 @@ func (t *Templates) EdgeCond(x, y *trace.Stmt, px, py, rowPrefix string) *Edge {
 		// Workers may race to build one template; the builds are equal.
 		v, _ = t.edges.LoadOrStore(k, &Edge{Cond: cond, Vars: smt.VarNames(cond)})
 	}
-	e, prefix, names := v.(*Edge), [2]string{px, py}, [2][]string{sx.names, sy.names}
+	return v.(*Edge)
+}
+
+// EdgeCond returns the C-edge between x, its symbols in the space px, and
+// y in py: EdgeTemplate renamed once per (x, y, px, py), so cycles
+// sharing a C-edge share its condition.
+func (t *Templates) EdgeCond(x, y *trace.Stmt, px, py, rowPrefix string) *Edge {
+	ik := instanceKey{x: x, y: y, px: px, py: py, rowPrefix: rowPrefix}
+	if v, ok := t.insts.Load(ik); ok {
+		return v.(*Edge)
+	}
+	e := t.EdgeTemplate(x, y, rowPrefix)
+	prefix, names := [2]string{px, py}, [2][]string{t.skeletonOf(x).names, t.skeletonOf(y).names}
 	f := func(n string) string {
 		if n[0] > 1 { // not a placeholder: a unified-row or range variable
 			return n
@@ -195,10 +214,7 @@ func (t *Templates) EdgeCond(x, y *trace.Stmt, px, py, rowPrefix string) *Edge {
 		i, _ := strconv.Atoi(n[1:])
 		return prefix[n[0]] + names[n[0]][i]
 	}
-	in := &Edge{Cond: smt.Rename(e.Cond, f), Vars: make([]string, len(e.Vars))}
-	for i, n := range e.Vars {
-		in.Vars[i] = f(n)
-	}
+	in := &Edge{Cond: smt.Rename(e.Cond, f)}
 	t.insts.Store(ik, in) // racing workers store equal instances
 	return in
 }

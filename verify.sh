@@ -100,13 +100,14 @@ go test -race -count=3 ./internal/history
 # instrumentation allocates): a statement in minidb, and a whole API call
 # with the engine off (orm, driver, executor, lock table) — a regression
 # there is a throughput regression on the load workload — phase 3 per
-# solved group, which a lost C-edge template hit breaks, and a decoded
-# trace-batch statement, which a lost share in the reader (one parse per
-# SQL text, one decode per call stack) breaks.
+# solved group, which a lost skeleton hit (a group building the formula
+# of a known key) breaks, and a decoded trace-batch statement, which a
+# lost share in the reader (one parse per SQL text, one decode per call
+# stack) breaks.
 echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestDecodeAllocs' (minidb, workload, core, trace, no -race)"
 go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestDecodeAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/trace
 
-# The two-level memo table (shape key -> canonical key -> verdict) is
+# The two-level memo table (skeleton key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
 # cancellation tests repeatedly under the race detector.
 echo "== go test -race -count=10 (memo table)"
