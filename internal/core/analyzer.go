@@ -53,18 +53,17 @@ type Analyzer struct {
 type run struct {
 	scm  *schema.Schema
 	opts options
-	// pcMemo caches each recorded trace's path conditions with their
-	// variable sets (*trace.Trace → []pathCond): one entry for both roles.
-	pcMemo sync.Map
-	// facts is addFacts' table, read-only once filled. It lives here and dies
-	// with the run: a process-wide table keyed by *trace.Stmt would keep
-	// every batch a daemon ever re-ingested reachable.
+	// facts is addFacts' table, completed by settle and read-only after. It
+	// lives here and dies with the run: a process-wide table keyed by
+	// *trace.Stmt would keep every batch a daemon ever re-ingested reachable.
 	facts map[*trace.Stmt]*stmtFacts
-	// locks memoizes the lock model per template: the lock filter's locks
-	// and the C-edge conditions, each built once per run.
+	// conds is settle's: each recorded trace's path conditions, for both roles.
+	conds map[*trace.Trace][]pathCond
+	// locks is the run's lock model: the locks per template and the C-edge
+	// instances, each built once per run.
 	locks *lockmodel.Templates
 	// mu guards the interned alpha-normal forms of formula parts and the
-	// C-edge templates by (skeleton, skeleton, role), as skeletonKey reads them.
+	// C-edge templates by (skeleton, skeleton, role).
 	mu      sync.Mutex
 	forms   map[string]int32
 	tmpls   map[[3]int32]*edgeTmpl
@@ -80,7 +79,7 @@ func (a *Analyzer) newRun() *run {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm, a.opts.UseConcretePlans), memo: newMemoTable(workers), m: &Metrics{},
-		facts: map[*trace.Stmt]*stmtFacts{}, workers: workers, forms: map[string]int32{}, tmpls: map[[3]int32]*edgeTmpl{}}
+		facts: map[*trace.Stmt]*stmtFacts{}, conds: map[*trace.Trace][]pathCond{}, workers: workers, forms: map[string]int32{}, tmpls: map[[3]int32]*edgeTmpl{}}
 	if o := a.opts.Observer; o != nil {
 		r.m = RegisterMetrics(o.Metrics)
 		r.memo.obs, r.memo.latency = o, r.m.solverLatency
@@ -295,12 +294,14 @@ type txnSig struct {
 	acc, wr map[string]bool
 }
 
-// stmtFacts is what phases 1–2 re-read of one recorded statement: its
-// tables, write table and identity key.
+// stmtFacts is what the phases re-read of one recorded statement; skel and
+// skelID, its key's id in the run, are settle's, for a statement a cycle names.
 type stmtFacts struct {
 	tables []string
 	write  string
 	key    string // stmtKey
+	skel   *lockmodel.Skeleton
+	skelID int32
 }
 
 // addFacts computes the facts of every statement of a trace.

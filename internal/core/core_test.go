@@ -281,8 +281,10 @@ func TestPathCondsBefore(t *testing.T) {
 
 // CheckLockFilterIsExact pins that the lock-collision filter only ever
 // drops what the solver would refute: for every coarse cycle of the traces,
-// with and without WithConcretePlans, a C-edge the filter fails has the
-// conflict condition smt.False, so the cycle formula is false. It returns
+// with and without WithConcretePlans, a C-edge whose template's Collide bit
+// fails has, built directly from prefixed copies with no filter
+// (directEdgeCond), the conflict condition smt.False, so the cycle formula
+// is false. It returns
 // how many cycles the filter dropped, summed over the two modes. Exported for the corpus test in
 // package core_test, which (unlike this package) may import the apps.
 func CheckLockFilterIsExact(t *testing.T, scm *schema.Schema, traces []*trace.Trace) (dropped int) {
@@ -293,21 +295,21 @@ func CheckLockFilterIsExact(t *testing.T, scm *schema.Schema, traces []*trace.Tr
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.settle(chains)
 		plans := r.opts.UseConcretePlans
 		for _, ch := range chains {
 			for _, cyc := range ch.cycles {
-				edges := r.edges(cyc)
-				pass := [2]bool{
-					r.locks.PotentialConflict(cyc.S1b, cyc.S2a),
-					r.locks.PotentialConflict(cyc.S2b, cyc.S1a),
-				}
-				for i, e := range edges {
-					if !pass[i] && e.Cond != smt.False {
+				tm := r.templates(cyc, &r.memo.scratch[0].sh)
+				for i, e := range [2]struct {
+					x, y   *trace.Stmt
+					px, py string
+				}{{cyc.S1b, cyc.S2a, cyc.T1.Prefix, cyc.T2.Prefix}, {cyc.S2b, cyc.S1a, cyc.T2.Prefix, cyc.T1.Prefix}} {
+					if c := directEdgeCond(scm, e.x, e.y, i, e.px, e.py, plans); !tm[i].Collide && c != smt.False {
 						t.Fatalf("plans=%v: filter drops %s, whose C-edge %d has the condition %s",
-							plans, ch.key, i+1, e.Cond)
+							plans, ch.key, i+1, c)
 					}
 				}
-				if !pass[0] || !pass[1] {
+				if !tm[0].Collide || !tm[1].Collide {
 					dropped++
 				}
 			}

@@ -29,10 +29,11 @@ func directEdgeCond(scm *schema.Schema, x, y *trace.Stmt, rx int, px, py string,
 // CheckEdgeTemplatesMatchDirectBuild is the templates-vs-copies
 // differential: for both C-edges of every coarse cycle of the traces, the
 // condition run.edges renames from its template must be the direct
-// build's by TypedString — with and without WithConcretePlans, the edges
-// instantiated on one worker and on four. The template count must not
-// depend on the worker count. It returns the number of edges checked and
-// of templates they came from (without plans). Exported for the corpus
+// build's by TypedString, and the template's Collide bit the statements'
+// lockmodel.PotentialConflict — with and without WithConcretePlans, the
+// edges instantiated on one worker and on four. The template count must
+// not depend on the worker count. It returns the number of edges checked
+// and of templates they came from (without plans). Exported for the corpus
 // test in package core_test, which (unlike this package) may import the
 // apps.
 func CheckEdgeTemplatesMatchDirectBuild(t *testing.T, scm *schema.Schema, traces []*trace.Trace) (edges, templates int) {
@@ -50,31 +51,37 @@ func CheckEdgeTemplatesMatchDirectBuild(t *testing.T, scm *schema.Schema, traces
 			if err != nil {
 				t.Fatal(err)
 			}
+			r.settle(chains)
 			var cycles []Cycle
 			for _, ch := range chains {
 				cycles = append(cycles, ch.cycles...)
 			}
 			var bad atomic.Int64
-			forEachIndex(ctx, len(cycles), r.workers, func(i, _ int) {
+			forEachIndex(ctx, len(cycles), r.workers, func(i, tid int) {
 				c := cycles[i]
-				edges := r.edges(c)
+				tm := r.templates(c, &r.memo.scratch[tid].sh)
+				edges := r.edges(c, tm)
 				for rx, e := range [2]struct {
 					x, y   *trace.Stmt
 					px, py string
 				}{{c.S1b, c.S2a, c.T1.Prefix, c.T2.Prefix}, {c.S2b, c.S1a, c.T2.Prefix, c.T1.Prefix}} {
 					want := directEdgeCond(scm, e.x, e.y, rx, e.px, e.py, plans)
-					if got := edges[rx]; smt.TypedString(got.Cond) != smt.TypedString(want) {
+					if got := edges[rx]; smt.TypedString(got) != smt.TypedString(want) {
 						if bad.Add(1) <= 3 {
 							t.Errorf("plans=%v p%d: cycle %d, C-edge %d:\ntemplate %s\ndirect   %s",
-								plans, workers, i, rx+1, smt.TypedString(got.Cond), smt.TypedString(want))
+								plans, workers, i, rx+1, smt.TypedString(got), smt.TypedString(want))
 						}
+					}
+					if got, want := tm[rx].Collide, lockmodel.PotentialConflict(e.x, e.y, scm, plans); got != want && bad.Add(1) <= 3 {
+						t.Errorf("plans=%v p%d: cycle %d, C-edge %d: template Collide %v, PotentialConflict %v",
+							plans, workers, i, rx+1, got, want)
 					}
 				}
 			})
-			if n := r.locks.EdgeTemplates(); built >= 0 && n != built {
+			if n := len(r.tmpls); built >= 0 && n != built {
 				t.Errorf("plans=%v: %d edge templates on 4 workers, %d on 1", plans, n, built)
 			}
-			built = r.locks.EdgeTemplates()
+			built = len(r.tmpls)
 			if !plans {
 				edges, templates = 2*len(cycles), built
 			}

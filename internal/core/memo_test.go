@@ -84,10 +84,11 @@ func testGroups(t testing.TB, scm *schema.Schema, traces []*trace.Trace, workers
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.settle(chains)
 	var groups []Cycle
 	for _, ch := range chains {
 		for _, c := range ch.cycles {
-			if r.locks.PotentialConflict(c.S1b, c.S2a) && r.locks.PotentialConflict(c.S2b, c.S1a) {
+			if tm := r.templates(c, &r.memo.scratch[0].sh); tm[0].Collide && tm[1].Collide {
 				groups = append(groups, c)
 			}
 		}
@@ -99,7 +100,8 @@ func testGroups(t testing.TB, scm *schema.Schema, traces []*trace.Trace, workers
 // worker tid's scratch.
 func (r *run) solveGroup(ctx context.Context, c Cycle, tid int, out *Stats) (solver.Result, smt.Expr, bool) {
 	sc := &r.memo.scratch[tid]
-	return r.memo.solve(ctx, r.skeletonKey(c, sc), func() smt.Expr { return r.cycleFormula(c, sc) }, tid, out)
+	t := r.templates(c, &sc.sh)
+	return r.memo.solve(ctx, r.skeletonKey(c, t, sc), func() smt.Expr { return r.cycleFormula(c, t, sc) }, tid, out)
 }
 
 // CheckMemoAgainstDirect is the memo-vs-direct differential. The direct
@@ -115,9 +117,10 @@ func CheckMemoAgainstDirect(t *testing.T, scm *schema.Schema, traces []*trace.Tr
 	ctx := context.Background()
 	r, groups := testGroups(t, scm, traces, 1)
 	var out Stats
+	sc := &r.memo.scratch[1]
 	for i, c := range groups {
 		got, built, _ := r.solveGroup(ctx, c, 1, &out)
-		f := r.cycleFormula(c, &r.memo.scratch[1])
+		f := r.cycleFormula(c, r.templates(c, &sc.sh), sc)
 		if want := solver.Solve(ctx, f); got.Status != want.Status {
 			t.Errorf("group %d: memoized verdict %v, direct solve %v: %s", i, got.Status, want.Status, f)
 		}
@@ -140,8 +143,9 @@ func SkeletonAndShapeKeys(t *testing.T, scm *schema.Schema, traces []*trace.Trac
 	r, groups := testGroups(t, scm, traces, 1)
 	sc := &r.memo.scratch[1]
 	for _, c := range groups {
-		skel = append(skel, string(r.skeletonKey(c, sc)))
-		sc.sh.Reset(r.cycleFormula(c, sc))
+		tm := r.templates(c, &sc.sh)
+		skel = append(skel, string(r.skeletonKey(c, tm, sc)))
+		sc.sh.Reset(r.cycleFormula(c, tm, sc))
 		shape = append(shape, string(sc.sh.Key()))
 	}
 	return skel, shape

@@ -16,7 +16,6 @@ import (
 	"context"
 	"encoding/binary"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +64,7 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 		return ctx.Err()
 	}
 
+	r.settle(chains)
 	if o != nil {
 		o.Progress.SetPhase("fine")
 		o.Progress.SetChains(int64(len(chains)))
@@ -109,7 +109,7 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 	canon := Stats{CanonCalls: len(r.memo.skels), CanonTime: time.Duration(r.memo.canonNanos.Load())} // workers are done
 	res.Stats.add(&canon)
 	r.m.publish(&canon)
-	r.m.edgeTemplates.Add(int64(r.locks.EdgeTemplates()))
+	r.m.edgeTemplates.Add(int64(len(r.tmpls)))
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -147,23 +147,23 @@ func (r *run) evalChain(ctx context.Context, ch *chain, tid int) chainOutcome {
 	return out
 }
 
-// fineCheckOne is phase 3 for one coarse cycle: quick lock-collision
-// filter, then the memo by skeleton key, which builds the SMT formula of
-// conflict + path conditions only to solve it or to translate a model into
-// it. It returns a Deadlock when the cycle is confirmed SAT.
+// fineCheckOne is phase 3 for one coarse cycle: the lock filter, its C-edge
+// templates' Collide bits, then the memo by skeleton key, which builds the
+// SMT formula of conflict + path conditions only to solve it or to translate
+// a model into it. It returns a Deadlock when the cycle is confirmed SAT.
 func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, out *chainOutcome) *Deadlock {
-	// Quick filter, exact: a C-edge without a modeled lock collision has a
+	sc := &r.memo.scratch[tid]
+	t := r.templates(cyc, &sc.sh)
+	// The filter is exact: a C-edge without a modeled lock collision has a
 	// false conflict condition.
-	if !r.locks.PotentialConflict(cyc.S1b, cyc.S2a) ||
-		!r.locks.PotentialConflict(cyc.S2b, cyc.S1a) {
+	if !t[0].Collide || !t[1].Collide {
 		out.stats.LockFiltered++
 		return nil
 	}
 
 	out.stats.GroupsSolved++
-	sc := &r.memo.scratch[tid]
-	sres, formula, hit := r.memo.solve(ctx, r.skeletonKey(cyc, sc),
-		func() smt.Expr { return r.cycleFormula(cyc, sc) }, tid, &out.stats)
+	sres, formula, hit := r.memo.solve(ctx, r.skeletonKey(cyc, t, sc),
+		func() smt.Expr { return r.cycleFormula(cyc, t, sc) }, tid, &out.stats)
 	if hit {
 		out.stats.MemoHits++
 	}
@@ -197,10 +197,10 @@ func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, 
 // cycleFormula conjoins both C-edges' conflict conditions with the path
 // conditions recorded before each transaction's last involved statement
 // (Sec. V-B, fine-grained phase; the worked example is Fig. 9): those of
-// the cone skeletonKey left in sc, T1's first.
-func (r *run) cycleFormula(cyc Cycle, sc *scratch) smt.Expr {
-	e := r.edges(cyc)
-	out := []smt.Expr{e[0].Cond, e[1].Cond}
+// the cone skeletonKey left in sc, T1's first. t is the cycle's templates.
+func (r *run) cycleFormula(cyc Cycle, t [2]*edgeTmpl, sc *scratch) smt.Expr {
+	e := r.edges(cyc, t)
+	out := []smt.Expr{e[0], e[1]}
 	for role, in := range [2]*instance{cyc.T1, cyc.T2} {
 		for _, i := range sc.in[role] {
 			c := &sc.conds[role][i]
@@ -216,12 +216,13 @@ func (r *run) cycleFormula(cyc Cycle, sc *scratch) smt.Expr {
 	return smt.And(out...)
 }
 
-// edges returns the cycle's C-edges, (S1b, S2a) and (S2b, S1a).
-func (r *run) edges(cyc Cycle) [2]*lockmodel.Edge {
+// edges returns the conditions of the cycle's C-edges, (S1b, S2a) and
+// (S2b, S1a), as instances of its templates t.
+func (r *run) edges(cyc Cycle, t [2]*edgeTmpl) [2]smt.Expr {
 	r.m.edgeInstances.Add(2)
-	return [2]*lockmodel.Edge{
-		r.locks.EdgeCond(cyc.S1b, cyc.S2a, cyc.T1.Prefix, cyc.T2.Prefix, "r1."),
-		r.locks.EdgeCond(cyc.S2b, cyc.S1a, cyc.T2.Prefix, cyc.T1.Prefix, "r2."),
+	return [2]smt.Expr{
+		r.locks.EdgeCond(t[0].Edge, r.facts[cyc.S1b].skel, r.facts[cyc.S2a].skel, cyc.T1.Prefix, cyc.T2.Prefix),
+		r.locks.EdgeCond(t[1].Edge, r.facts[cyc.S2b].skel, r.facts[cyc.S1a].skel, cyc.T2.Prefix, cyc.T1.Prefix),
 	}
 }
 
@@ -234,21 +235,24 @@ func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]
 	}
 	r := a.newRun()
 	chains, _, err := r.enumerateIndexed(ctx, traces)
+	r.settle(chains)
 	var out []smt.Expr
 	sc := &r.memo.scratch[0]
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {
-			r.skeletonKey(cyc, sc)
-			out = append(out, r.cycleFormula(cyc, sc))
+			t := r.templates(cyc, &sc.sh)
+			r.skeletonKey(cyc, t, sc)
+			out = append(out, r.cycleFormula(cyc, t, sc))
 		}
 	}
 	return out, err
 }
 
-// edgeTmpl is a C-edge template as skeletonKey reads it: its form, its
-// symbols (2i+a: statement a's binding i; -1: a fixed name) and its
-// variable placeholders, which seed the cone.
+// edgeTmpl is a C-edge template: lockmodel's, with its Collide bit, and
+// as skeletonKey reads it: its condition's form, its symbols and its
+// variable placeholders, which seed the cone (lockmodel.Placeholder).
 type edgeTmpl struct {
+	*lockmodel.Edge
 	form        int32
 	syms, seeds []int32
 }
@@ -267,25 +271,44 @@ type pathCond struct {
 	renamed [2]atomic.Pointer[smt.Expr]
 }
 
-// pathConds returns the recorded trace's path conditions with their
-// variable sets. Workers may race to build the same trace's slice; the
-// builds are identical, so either is kept.
-func (r *run) pathConds(tr *trace.Trace) []pathCond {
-	v, ok := r.pcMemo.Load(tr)
-	if !ok {
-		conds := make([]pathCond, len(tr.PathConds))
-		for i, pc := range tr.PathConds {
-			c := &conds[i]
-			c.cond, c.vars, c.after = pc.Cond, smt.VarNames(pc.Cond), pc.AfterStmt
-			for j := range conds[:i] {
-				if slices.ContainsFunc(conds[j].vars, func(v string) bool { return slices.Contains(c.vars, v) }) {
-					c.adj, conds[j].adj = append(c.adj, int32(j)), append(conds[j].adj, int32(i))
+// settle, once per run between enumeration and the workers, gives each
+// statement the chains' cycles name its skeleton and the skeleton key's id,
+// and each trace they name its path conditions.
+func (r *run) settle(chains []*chain) {
+	ids := map[string]int32{}
+	for _, ch := range chains {
+		for _, cyc := range ch.cycles {
+			for _, st := range [4]*trace.Stmt{cyc.S1a, cyc.S1b, cyc.S2a, cyc.S2b} {
+				if f := r.facts[st]; f.skel == nil {
+					f.skel = lockmodel.SkeletonOf(st)
+					if _, ok := ids[f.skel.Key]; !ok {
+						ids[f.skel.Key] = int32(len(ids))
+					}
+					f.skelID = ids[f.skel.Key]
+				}
+			}
+			for _, tr := range [2]*trace.Trace{cyc.T1.Trace, cyc.T2.Trace} {
+				if _, ok := r.conds[tr]; !ok {
+					r.conds[tr] = pathConds(tr)
 				}
 			}
 		}
-		v, _ = r.pcMemo.LoadOrStore(tr, conds)
 	}
-	return v.([]pathCond)
+}
+
+// pathConds returns the recorded trace's path conditions.
+func pathConds(tr *trace.Trace) []pathCond {
+	conds := make([]pathCond, len(tr.PathConds))
+	for i, pc := range tr.PathConds {
+		c := &conds[i]
+		c.cond, c.vars, c.after = pc.Cond, smt.VarNames(pc.Cond), pc.AfterStmt
+		for j := range conds[:i] {
+			if slices.ContainsFunc(conds[j].vars, func(v string) bool { return slices.Contains(c.vars, v) }) {
+				c.adj, conds[j].adj = append(c.adj, int32(j)), append(conds[j].adj, int32(i))
+			}
+		}
+	}
+	return conds
 }
 
 // skeletonKey renders the group's memo key into sc.key, and its cone into
@@ -294,29 +317,29 @@ func (r *run) pathConds(tr *trace.Trace) []pathCond {
 // symbols' numbers, a name of side s numbered on its first occurrence from
 // 1, a fixed name (unified-row or range variable: one part's own) 0. Equal
 // keys, so, mean formulas equal up to renaming (TestSkeletonKeyRefinesShape).
-func (r *run) skeletonKey(cyc Cycle, sc *scratch) []byte {
+func (r *run) skeletonKey(cyc Cycle, t [2]*edgeTmpl, sc *scratch) []byte {
 	clear(sc.num[0])
 	clear(sc.num[1])
 	clear(sc.seed[0])
 	clear(sc.seed[1])
 	k := sc.key[:0]
 	for j, xy := range [2][2]*trace.Stmt{{cyc.S1b, cyc.S2a}, {cyc.S2b, cyc.S1a}} {
-		t, names := r.edgeTemplate(xy, j, &sc.sh)
-		k = binary.AppendUvarint(k, uint64(t.form))
-		for _, p := range t.syms {
+		names := [2][]string{r.facts[xy[0]].skel.Names, r.facts[xy[1]].skel.Names}
+		k = binary.AppendUvarint(k, uint64(t[j].form))
+		for _, p := range t[j].syms {
 			n := uint64(0)
 			if p >= 0 {
 				n = sc.number(int(p&1)^j, names[p&1][p>>1])
 			}
 			k = binary.AppendUvarint(k, n)
 		}
-		for _, p := range t.seeds {
+		for _, p := range t[j].seeds {
 			sc.seed[int(p&1)^j][names[p&1][p>>1]] = true
 		}
 	}
 	seqs := [2]int{max(cyc.S1a.Seq, cyc.S1b.Seq), max(cyc.S2a.Seq, cyc.S2b.Seq)}
 	for side, in := range [2]*instance{cyc.T1, cyc.T2} {
-		sc.conds[side] = r.pathConds(in.Trace)
+		sc.conds[side] = r.conds[in.Trace]
 		sc.cone(side, seqs[side])
 		for _, i := range sc.in[side] {
 			c := &sc.conds[side][i]
@@ -331,42 +354,34 @@ func (r *run) skeletonKey(cyc Cycle, sc *scratch) []byte {
 	return k
 }
 
-// edgeTemplate returns the template of the C-edge xy of role j (rows
-// "r1." or "r2."), built once per run, and its statements' bindings.
-func (r *run) edgeTemplate(xy [2]*trace.Stmt, j int, sh *smt.Shape) (*edgeTmpl, [2][]string) {
-	var k [3]int32
-	var names [2][]string
-	k[0], names[0] = r.locks.Skeleton(xy[0])
-	k[1], names[1] = r.locks.Skeleton(xy[1])
-	k[2] = int32(j)
-	r.mu.Lock()
-	t := r.tmpls[k]
-	r.mu.Unlock()
-	if t != nil {
-		return t, names
-	}
-	e := r.locks.EdgeTemplate(xy[0], xy[1], [2]string{"r1.", "r2."}[j])
-	placeholder := func(n string) int32 {
-		if n[0] > 1 {
-			return -1
+// templates returns the cycle's C-edge templates, (S1b, S2a) of role 0
+// (rows "r1.") and (S2b, S1a) of role 1 ("r2."), each built once per run.
+func (r *run) templates(cyc Cycle, sh *smt.Shape) (out [2]*edgeTmpl) {
+	for j, xy := range [2][2]*trace.Stmt{{cyc.S1b, cyc.S2a}, {cyc.S2b, cyc.S1a}} {
+		fx, fy := r.facts[xy[0]], r.facts[xy[1]]
+		k := [3]int32{fx.skelID, fy.skelID, int32(j)}
+		r.mu.Lock()
+		t := r.tmpls[k]
+		r.mu.Unlock()
+		if t == nil {
+			t = &edgeTmpl{Edge: r.locks.EdgeTemplate(fx.skel, fy.skel, [2]string{"r1.", "r2."}[j])}
+			var syms []string
+			t.form, syms = r.alpha(t.Cond, sh)
+			for _, n := range syms {
+				t.syms = append(t.syms, int32(lockmodel.Placeholder(n)))
+			}
+			for _, n := range t.Vars {
+				if p := lockmodel.Placeholder(n); p >= 0 {
+					t.seeds = append(t.seeds, int32(p))
+				}
+			}
+			r.mu.Lock()
+			r.tmpls[k] = t // racing workers store equal templates
+			r.mu.Unlock()
 		}
-		i, _ := strconv.Atoi(n[1:])
-		return int32(2*i + int(n[0]))
+		out[j] = t
 	}
-	form, syms := r.alpha(e.Cond, sh)
-	t = &edgeTmpl{form: form}
-	for _, n := range syms {
-		t.syms = append(t.syms, placeholder(n))
-	}
-	for _, n := range e.Vars {
-		if p := placeholder(n); p >= 0 {
-			t.seeds = append(t.seeds, p)
-		}
-	}
-	r.mu.Lock()
-	r.tmpls[k] = t // racing workers store equal templates
-	r.mu.Unlock()
-	return t, names
+	return out
 }
 
 // alpha interns e's alpha-normal form, its smt.Shape key, and returns it

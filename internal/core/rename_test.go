@@ -116,12 +116,14 @@ func CheckViewsAgainstRenamedCopies(t *testing.T, scm *schema.Schema, traces []*
 	}
 	r := a.newRun()
 	chains, _, _ := r.enumerateNaive(ctx, traces, true)
+	r.settle(chains)
 	n := 0
 	sc := &r.memo.scratch[0]
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {
-			r.skeletonKey(cyc, sc)
-			if want := r.cycleFormula(cyc, sc).String(); n >= len(got) || got[n].String() != want {
+			tm := r.templates(cyc, &sc.sh)
+			r.skeletonKey(cyc, tm, sc)
+			if want := r.cycleFormula(cyc, tm, sc).String(); n >= len(got) || got[n].String() != want {
 				t.Fatalf("cycle formula %d differs from the one over renamed copies:\nwant %s", n, want)
 			}
 			n++

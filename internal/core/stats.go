@@ -44,12 +44,12 @@ type Stats struct {
 
 	// Memoization split of GroupsSolved: SolverCalls discharges actually
 	// ran the solver (one per distinct canonical formula); MemoHits were
-	// served from the memo table. SolverCalls + MemoHits == GroupsSolved
-	// unless memoization is disabled (then MemoHits is 0). CanonCalls is
-	// the memo table's first level: the number of distinct formula shapes
-	// (formulas up to renaming) it canonicalized, so SolverCalls <=
+	// served from the memo table. SolverCalls + MemoHits == GroupsSolved.
+	// CanonCalls is the memo table's first level: the number of distinct
+	// skeleton keys (run.skeletonKey; equal keys, formulas equal up to
+	// renaming), each one's formula canonicalized once, so SolverCalls <=
 	// CanonCalls <= GroupsSolved. It counts table entries, hence is
-	// deterministic at any parallelism; zero when memoization is disabled.
+	// deterministic at any parallelism.
 	SolverCalls int
 	MemoHits    int
 	CanonCalls  int

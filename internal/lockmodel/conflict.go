@@ -39,12 +39,12 @@ func (nm *Namer) fresh(hint string, sort smt.Sort) smt.Var {
 // with rowPrefix (e.g. "r1."). It returns False when the statements'
 // modeled locks cannot collide.
 func GenConflictCond(w, r *trace.Stmt, scm *schema.Schema, comTable, rowPrefix string, nm *Namer, usePlans bool) smt.Expr {
-	return NewTemplates(scm, usePlans).ConflictCond(w, r, comTable, rowPrefix, nm)
+	return NewTemplates(scm, usePlans).conflictCond(w, r, comTable, rowPrefix, nm)
 }
 
-// ConflictCond is GenConflictCond with the statements' template-level
+// conflictCond is GenConflictCond with the statements' template-level
 // lock model taken from the memo.
-func (t *Templates) ConflictCond(w, r *trace.Stmt, comTable, rowPrefix string, nm *Namer) smt.Expr {
+func (t *Templates) conflictCond(w, r *trace.Stmt, comTable, rowPrefix string, nm *Namer) smt.Expr {
 	wStmt, rStmt := w.Parsed, r.Parsed
 	if wStmt.WriteTable() != comTable {
 		return smt.False

@@ -428,13 +428,13 @@ func TestTemplatesSharedMatchesFresh(t *testing.T) {
 		shared := NewTemplates(scm, usePlans)
 		for _, w := range stmts {
 			for _, r := range stmts {
-				if got, want := shared.PotentialConflict(w, r), PotentialConflict(w, r, scm, usePlans); got != want {
-					t.Errorf("PotentialConflict(%q, %q, plans=%v) = %v, fresh %v", w.SQL, r.SQL, usePlans, got, want)
+				if got, want := shared.collide(w, r), PotentialConflict(w, r, scm, usePlans); got != want {
+					t.Errorf("collide(%q, %q, plans=%v) = %v, fresh %v", w.SQL, r.SQL, usePlans, got, want)
 				}
-				got := shared.ConflictCond(w, r, "Product", "r1.", NewNamer("e."))
+				got := shared.conflictCond(w, r, "Product", "r1.", NewNamer("e."))
 				want := GenConflictCond(w, r, scm, "Product", "r1.", NewNamer("e."), usePlans)
 				if got.String() != want.String() {
-					t.Errorf("ConflictCond(%q, %q, plans=%v):\n got %s\nwant %s", w.SQL, r.SQL, usePlans, got, want)
+					t.Errorf("conflictCond(%q, %q, plans=%v):\n got %s\nwant %s", w.SQL, r.SQL, usePlans, got, want)
 				}
 				checkEdgeCond(t, shared, w, r)
 			}
@@ -442,16 +442,22 @@ func TestTemplatesSharedMatchesFresh(t *testing.T) {
 	}
 }
 
-// checkEdgeCond holds t.EdgeCond(x, y), x in symbol space "A1." and y in
-// "A2.", to the condition built directly from copies of the statements
-// carrying those prefixes, with a fresh memo: equal by TypedString; and
-// the template's variable list names exactly the template's variables.
+// checkEdgeCond holds the C-edge between x, in symbol space "A1.", and y,
+// in "A2.", instantiated from their skeletons' template, to the condition
+// built directly from copies of the statements carrying those prefixes,
+// with a fresh memo: equal by TypedString; the template's variable list
+// names exactly the template's variables, and its Collide bit is the
+// statements' PotentialConflict.
 func checkEdgeCond(t *testing.T, tm *Templates, x, y *trace.Stmt) {
 	t.Helper()
 	usePlans := tm.usePlans
-	got := tm.EdgeCond(x, y, "A1.", "A2.", "r1.").Cond
-	tmpl := tm.EdgeTemplate(x, y, "r1.")
+	sx, sy := SkeletonOf(x), SkeletonOf(y)
+	tmpl := tm.EdgeTemplate(sx, sy, "r1.")
+	got := tm.EdgeCond(tmpl, sx, sy, "A1.", "A2.")
 	vars := tmpl.Vars
+	if want := PotentialConflict(x, y, tm.scm, usePlans); tmpl.Collide != want {
+		t.Errorf("EdgeTemplate(%q, %q, plans=%v): Collide %v, PotentialConflict %v", x.SQL, y.SQL, usePlans, tmpl.Collide, want)
+	}
 	prefixed := func(st *trace.Stmt, p string) *trace.Stmt {
 		return renameStmt(st, func(n string) string { return p + n })
 	}

@@ -237,23 +237,23 @@ func FilterByPlan(locks []Lock, plan []trace.PlanStep) []Lock {
 // usePlans, each side's locks are restricted to its recorded execution
 // plan.
 func PotentialConflict(a, b *trace.Stmt, scm *schema.Schema, usePlans bool) bool {
-	return NewTemplates(scm, usePlans).PotentialConflict(a, b)
+	return NewTemplates(scm, usePlans).collide(a, b)
 }
 
-// PotentialConflict is the package-level PotentialConflict with the
-// statements' template-level lock model taken from the memo.
-func (t *Templates) PotentialConflict(a, b *trace.Stmt) bool {
+// collide is PotentialConflict with the statements' template-level lock
+// model taken from the memo: a C-edge template's Collide bit.
+func (t *Templates) collide(a, b *trace.Stmt) bool {
 	return Oriented(a, b, func(w, r *trace.Stmt, tab string) bool {
 		return Conflicting(t.locksFor(t.of(w, tab), w), t.locksFor(t.of(r, tab), r))
 	})
 }
 
 // edgeCond builds the conflict condition of one C-edge between x and y:
-// the disjunction of ConflictCond over the orientations Oriented admits.
+// the disjunction of conflictCond over the orientations Oriented admits.
 func (t *Templates) edgeCond(x, y *trace.Stmt, rowPrefix string, nm *Namer) smt.Expr {
 	var alts []smt.Expr
 	Oriented(x, y, func(w, r *trace.Stmt, tab string) bool {
-		alts = append(alts, t.ConflictCond(w, r, tab, rowPrefix, nm))
+		alts = append(alts, t.conflictCond(w, r, tab, rowPrefix, nm))
 		return false
 	})
 	return smt.Or(alts...)

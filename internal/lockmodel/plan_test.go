@@ -112,8 +112,8 @@ func TestConcretePlansKeepTruePositives(t *testing.T) {
 
 // TestEdgeCondKeysOnPlan: two instances of one template differing only in
 // their recorded plan get separate C-edge templates, the plan being part
-// of the skeleton: under usePlans the conservative read's condition names
-// the idx_b range it may lock, the planned read's is false.
+// of the skeleton key: under usePlans the conservative read's condition
+// names the idx_b range it may lock, the planned read's is false.
 func TestEdgeCondKeysOnPlan(t *testing.T) {
 	scm := twoIndexSchema()
 	read := func(a, b string, plan []trace.PlanStep) *trace.Stmt {
@@ -135,11 +135,15 @@ func TestEdgeCondKeysOnPlan(t *testing.T) {
 		for _, r := range reads {
 			checkEdgeCond(t, tm, r, write)
 		}
-		if c := tm.EdgeCond(reads[1], write, "A1.", "A2.", "r1.").Cond; (c == smt.False) != usePlans {
-			t.Errorf("plans=%v: the planned read's condition is %s", usePlans, c)
+		if e := tm.EdgeTemplate(SkeletonOf(reads[1]), SkeletonOf(write), "r1."); (e.Cond == smt.False) != usePlans {
+			t.Errorf("plans=%v: the planned read's condition is %s", usePlans, e.Cond)
 		}
-		if got := tm.EdgeTemplates(); got != 2 {
-			t.Errorf("plans=%v: %d edge templates, want 2", usePlans, got)
-		}
+	}
+	keys := map[string]bool{}
+	for _, r := range reads {
+		keys[SkeletonOf(r).Key] = true
+	}
+	if len(keys) != 2 {
+		t.Errorf("%d skeleton keys over the reads, want 2", len(keys))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"weseer/internal/schema"
 	"weseer/internal/smt"
@@ -12,22 +11,18 @@ import (
 	"weseer/internal/trace"
 )
 
-// Templates memoizes the lock model per statement template — the locks
-// of a template on a table, and C-edge conditions per pair of statement
-// skeletons — so that the many recorded instances of one template compute
-// it once. A Templates belongs to one analysis, is safe for concurrent
-// use, and hands out shared values that must not be modified.
+// Templates is one analysis's lock model: it memoizes a statement
+// template's locks on a table, computed once for its many recorded
+// instances, builds C-edge templates over skeletons (its caller keeps them)
+// and memoizes their instances. It is safe for concurrent use and hands out
+// shared values that must not be modified.
 type Templates struct {
 	scm *schema.Schema
 	// usePlans restricts each statement's locks to its recorded execution
 	// plan (FilterByPlan).
 	usePlans bool
 	m        sync.Map // templateKey → *templateLocks
-	skels    sync.Map // *trace.Stmt → *skeleton
-	ids      sync.Map // skeleton key → int32
-	nids     atomic.Int32
-	edges    sync.Map // edgeKey → *Edge, over placeholders
-	insts    sync.Map // instanceKey → *Edge
+	insts    sync.Map // instanceKey → smt.Expr
 }
 
 // NewTemplates returns an empty memo over a schema; with usePlans, every
@@ -76,31 +71,28 @@ func (t *Templates) locksFor(tl *templateLocks, st *trace.Stmt) []Lock {
 	return tl.locks
 }
 
-// skeleton is a recorded statement with its i-th distinct symbol (variable
+// Skeleton is a recorded statement with its i-th distinct symbol (variable
 // or array root, first occurrence over parameters, then result cells; a
-// NULL cell's empty name too, as in any renamed copy) renamed to "\x00i" in
-// st and bound to names[i]. key renders all of st a conflict condition
-// reads (SQL, what each parameter stands for, the result's Empty, Cols and
-// cell sorts, the plan): equal keys, equal conditions up to the bindings.
-type skeleton struct {
-	id    int32 // the key's, interned
-	key   string
-	names []string
+// NULL cell's empty name too, as in any renamed copy) renamed to "\x00i"
+// and bound to Names[i]. Key renders all of the statement a conflict
+// condition reads (SQL, what each parameter stands for, the result's Empty,
+// Cols and cell sorts, the plan): equal keys, equal C-edge templates up to
+// the bindings.
+type Skeleton struct {
+	Key   string
+	Names []string
 	st    *trace.Stmt
 }
 
-// skeletonOf returns the statement's skeleton, computed once per run.
-func (t *Templates) skeletonOf(st *trace.Stmt) *skeleton {
-	if v, ok := t.skels.Load(st); ok {
-		return v.(*skeleton)
-	}
-	sk := &skeleton{}
+// SkeletonOf returns the statement's skeleton.
+func SkeletonOf(st *trace.Stmt) *Skeleton {
+	sk := &Skeleton{}
 	index := map[string]string{}
 	sk.st = renameStmt(st, func(n string) string {
 		p, ok := index[n]
 		if !ok {
-			p = "\x00" + strconv.Itoa(len(sk.names))
-			index[n], sk.names = p, append(sk.names, n)
+			p = "\x00" + strconv.Itoa(len(sk.Names))
+			index[n], sk.Names = p, append(sk.Names, n)
 		}
 		return p
 	})
@@ -129,11 +121,8 @@ func (t *Templates) skeletonOf(st *trace.Stmt) *skeleton {
 	for _, p := range st.Plan {
 		b = strconv.AppendQuote(strconv.AppendQuote(strconv.AppendQuote(append(b, '@'), p.Alias), p.Table), p.Index)
 	}
-	sk.key = string(b)
-	id, _ := t.ids.LoadOrStore(sk.key, t.nids.Add(1))
-	sk.id = id.(int32)
-	v, _ := t.skels.LoadOrStore(st, sk)
-	return v.(*skeleton)
+	sk.Key = string(b)
+	return sk
 }
 
 // renameStmt returns a shallow copy of st whose parameter and result
@@ -159,69 +148,63 @@ func renameStmt(st *trace.Stmt, f func(string) string) *trace.Stmt {
 	return &v
 }
 
-// edgeKey identifies a C-edge template by skeleton keys, instanceKey an
-// instance by statements and symbol spaces.
-type edgeKey struct{ x, y, rowPrefix string }
+// instanceKey identifies a C-edge instance by its template, statements and
+// symbol spaces.
 type instanceKey struct {
-	x, y              *trace.Stmt
-	px, py, rowPrefix string
+	e      *Edge
+	x, y   *Skeleton
+	px, py string
 }
 
-// Edge is a C-edge condition; a template (EdgeTemplate) lists its variables
-// and is over placeholders ("\x00i" for x's i-th symbol, "\x01i" for y's).
+// Edge is a C-edge template: whether the statements' modeled locks
+// collide and, if they do, the condition over placeholders ("\x00i" for
+// x's i-th symbol, "\x01i" for y's) with its variables; else False.
 type Edge struct {
-	Cond smt.Expr
-	Vars []string // a template's only
+	Collide bool
+	Cond    smt.Expr
+	Vars    []string
 }
 
-// Skeleton returns st's skeleton id, equal ids for equal C-edge templates,
-// and its bindings: names[i] is what placeholder i stands for.
-func (t *Templates) Skeleton(st *trace.Stmt) (id int32, names []string) {
-	sk := t.skeletonOf(st)
-	return sk.id, sk.names
-}
-
-// EdgeTemplate returns the C-edge between x and y over their skeletons'
-// placeholders, built once per skeleton pair: ConflictCond over the
-// orientations Oriented admits, range variables prefixed "rng."+rowPrefix.
-func (t *Templates) EdgeTemplate(x, y *trace.Stmt, rowPrefix string) *Edge {
-	sx, sy := t.skeletonOf(x), t.skeletonOf(y)
-	k := edgeKey{x: sx.key, y: sy.key, rowPrefix: rowPrefix}
-	v, ok := t.edges.Load(k)
-	if !ok {
-		ys := renameStmt(sy.st, func(n string) string { return "\x01" + n[1:] })
-		cond := t.edgeCond(sx.st, ys, rowPrefix, NewNamer("rng."+rowPrefix))
-		// Workers may race to build one template; the builds are equal.
-		v, _ = t.edges.LoadOrStore(k, &Edge{Cond: cond, Vars: smt.VarNames(cond)})
+// Placeholder decodes a template variable: 2i+s for binding i of
+// statement s (0: x, 1: y), -1 for a fixed name, a unified-row or range
+// variable.
+func Placeholder(n string) int {
+	if n[0] > 1 {
+		return -1
 	}
-	return v.(*Edge)
+	i, _ := strconv.Atoi(n[1:])
+	return 2*i + int(n[0])
 }
 
-// EdgeCond returns the C-edge between x, its symbols in the space px, and
-// y in py: EdgeTemplate renamed once per (x, y, px, py), so cycles
-// sharing a C-edge share its condition.
-func (t *Templates) EdgeCond(x, y *trace.Stmt, px, py, rowPrefix string) *Edge {
-	ik := instanceKey{x: x, y: y, px: px, py: py, rowPrefix: rowPrefix}
+// EdgeTemplate builds the C-edge between statements of skeletons x and y
+// over their placeholders: the lock filter (collide) and, if their locks
+// collide, edgeCond, range variables prefixed "rng."+rowPrefix. It does not
+// memoize; equal skeleton keys build equal templates.
+func (t *Templates) EdgeTemplate(x, y *Skeleton, rowPrefix string) *Edge {
+	e := &Edge{Cond: smt.False, Collide: t.collide(x.st, y.st)}
+	if e.Collide {
+		ys := renameStmt(y.st, func(n string) string { return "\x01" + n[1:] })
+		e.Cond = t.edgeCond(x.st, ys, rowPrefix, NewNamer("rng."+rowPrefix))
+		e.Vars = smt.VarNames(e.Cond)
+	}
+	return e
+}
+
+// EdgeCond returns the condition of template e's C-edge between
+// statements of skeletons x, its symbols in the space px, and y in py,
+// renamed once per (e, x, y, px, py), so cycles sharing a C-edge share it.
+func (t *Templates) EdgeCond(e *Edge, x, y *Skeleton, px, py string) smt.Expr {
+	ik := instanceKey{e: e, x: x, y: y, px: px, py: py}
 	if v, ok := t.insts.Load(ik); ok {
-		return v.(*Edge)
+		return v.(smt.Expr)
 	}
-	e := t.EdgeTemplate(x, y, rowPrefix)
-	prefix, names := [2]string{px, py}, [2][]string{t.skeletonOf(x).names, t.skeletonOf(y).names}
-	f := func(n string) string {
-		if n[0] > 1 { // not a placeholder: a unified-row or range variable
-			return n
+	prefix, names := [2]string{px, py}, [2][]string{x.Names, y.Names}
+	in := smt.Rename(e.Cond, func(n string) string {
+		if p := Placeholder(n); p >= 0 {
+			return prefix[p&1] + names[p&1][p>>1]
 		}
-		i, _ := strconv.Atoi(n[1:])
-		return prefix[n[0]] + names[n[0]][i]
-	}
-	in := &Edge{Cond: smt.Rename(e.Cond, f)}
+		return n
+	})
 	t.insts.Store(ik, in) // racing workers store equal instances
 	return in
-}
-
-// EdgeTemplates counts the C-edge condition templates built so far: memo
-// entries, so the count does not depend on the parallelism.
-func (t *Templates) EdgeTemplates() (n int) {
-	t.edges.Range(func(any, any) bool { n++; return true })
-	return n
 }

@@ -80,8 +80,9 @@ rm -rf "$vetdir"
 # whose lock table (recycled queues, grants by value) and prepared-form
 # cache every client goroutine goes through, apps, whose witness test
 # runs every registry app's analysis on four phase-3 workers, and
-# lockmodel, whose per-analysis template memo every phase-3 worker reads
-# and fills (TestTemplatesConcurrent).
+# lockmodel, whose locks-per-template and C-edge-instance memos the
+# phase-3 workers fill as they build templates and formulas
+# (TestTemplatesConcurrent).
 echo "== go test -race (core, solver, smt, workload, concolic, orm, minidb, apps, lockmodel)"
 go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... \
     ./internal/concolic/... ./internal/orm/... ./internal/minidb/... ./internal/apps/... \
@@ -406,14 +407,17 @@ ablation fig11 "enable all, disable all, disable f9, disable f10, disable f11"
 # telemetry library names no pipeline metric — each instrumented package
 # registers its own — and only the lock model reads a modeled lock's mode:
 # every other package asks lockmodel (Collide, Conflicting), which asks
-# minidb's compatibility matrix.
-echo "== layering (solver imports no obs; obs names no pipeline metric; only lockmodel reads Lock.Exclusive)"
+# minidb's compatibility matrix. Phase 3's lock filter is the Collide bit
+# of each C-edge template, so core calls no per-group lock test.
+echo "== layering (solver imports no obs; obs names no pipeline metric; only lockmodel reads Lock.Exclusive; core calls no PotentialConflict)"
 ! go list -deps ./internal/solver | grep 'weseer/internal/obs' ||
     { echo "layering: internal/solver depends on internal/obs" >&2; exit 1; }
 ! find internal/obs -name '*.go' -not -name '*_test.go' | xargs grep -l 'weseer_funnel\|weseer_cdcl' ||
     { echo "layering: internal/obs names a pipeline metric (files above)" >&2; exit 1; }
 ! grep -rln '\.Exclusive\b' --include='*.go' internal cmd | grep -v -e '_test\.go$' -e '^internal/lockmodel/' ||
     { echo "layering: a file outside internal/lockmodel reads a modeled lock's mode (files above)" >&2; exit 1; }
+! grep -ln 'PotentialConflict' internal/core/*.go | grep -v '_test\.go$' ||
+    { echo "layering: phase 3 calls a per-group lock test (files above); read the C-edge templates' Collide bits" >&2; exit 1; }
 
 # Deprecated shims stay shims: core.WithPrescreen (a no-op option),
 # Stats.PrescreenSaved (always zero) and staticlint's VetDir,
