@@ -59,9 +59,8 @@ type run struct {
 	facts map[*trace.Stmt]*stmtFacts
 	// conds is settle's: each recorded trace's path conditions, for both roles.
 	conds map[*trace.Trace][]pathCond
-	// locks is the run's lock model: the locks per template and the C-edge
-	// instances, each built once per run.
-	locks *lockmodel.Templates
+	// models is settle's: per skeleton id, its key's lock model.
+	models []*lockmodel.Model
 	// mu guards the interned alpha-normal forms of formula parts and the
 	// C-edge templates by (skeleton, skeleton, role).
 	mu      sync.Mutex
@@ -78,7 +77,7 @@ func (a *Analyzer) newRun() *run {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &run{scm: a.scm, opts: a.opts, locks: lockmodel.NewTemplates(a.scm, a.opts.UseConcretePlans), memo: newMemoTable(workers), m: &Metrics{},
+	r := &run{scm: a.scm, opts: a.opts, memo: newMemoTable(workers), m: &Metrics{},
 		facts: map[*trace.Stmt]*stmtFacts{}, conds: map[*trace.Trace][]pathCond{}, workers: workers, forms: map[string]int32{}, tmpls: map[[3]int32]*edgeTmpl{}}
 	if o := a.opts.Observer; o != nil {
 		r.m = RegisterMetrics(o.Metrics)

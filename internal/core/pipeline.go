@@ -221,8 +221,8 @@ func (r *run) cycleFormula(cyc Cycle, t [2]*edgeTmpl, sc *scratch) smt.Expr {
 func (r *run) edges(cyc Cycle, t [2]*edgeTmpl) [2]smt.Expr {
 	r.m.edgeInstances.Add(2)
 	return [2]smt.Expr{
-		r.locks.EdgeCond(t[0].Edge, r.facts[cyc.S1b].skel, r.facts[cyc.S2a].skel, cyc.T1.Prefix, cyc.T2.Prefix),
-		r.locks.EdgeCond(t[1].Edge, r.facts[cyc.S2b].skel, r.facts[cyc.S1a].skel, cyc.T2.Prefix, cyc.T1.Prefix),
+		lockmodel.EdgeCond(t[0].Edge, r.facts[cyc.S1b].skel, r.facts[cyc.S2a].skel, cyc.T1.Prefix, cyc.T2.Prefix),
+		lockmodel.EdgeCond(t[1].Edge, r.facts[cyc.S2b].skel, r.facts[cyc.S1a].skel, cyc.T2.Prefix, cyc.T1.Prefix),
 	}
 }
 
@@ -273,7 +273,7 @@ type pathCond struct {
 
 // settle, once per run between enumeration and the workers, gives each
 // statement the chains' cycles name its skeleton and the skeleton key's id,
-// and each trace they name its path conditions.
+// each key its lock model, and each trace they name its path conditions.
 func (r *run) settle(chains []*chain) {
 	ids := map[string]int32{}
 	for _, ch := range chains {
@@ -283,6 +283,7 @@ func (r *run) settle(chains []*chain) {
 					f.skel = lockmodel.SkeletonOf(st)
 					if _, ok := ids[f.skel.Key]; !ok {
 						ids[f.skel.Key] = int32(len(ids))
+						r.models = append(r.models, lockmodel.ModelOf(f.skel, r.scm, r.opts.UseConcretePlans))
 					}
 					f.skelID = ids[f.skel.Key]
 				}
@@ -364,7 +365,7 @@ func (r *run) templates(cyc Cycle, sh *smt.Shape) (out [2]*edgeTmpl) {
 		t := r.tmpls[k]
 		r.mu.Unlock()
 		if t == nil {
-			t = &edgeTmpl{Edge: r.locks.EdgeTemplate(fx.skel, fy.skel, [2]string{"r1.", "r2."}[j])}
+			t = &edgeTmpl{Edge: lockmodel.EdgeTemplate(r.models[fx.skelID], r.models[fy.skelID], [2]string{"r1.", "r2."}[j])}
 			var syms []string
 			t.form, syms = r.alpha(t.Cond, sh)
 			for _, n := range syms {

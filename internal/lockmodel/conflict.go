@@ -39,40 +39,38 @@ func (nm *Namer) fresh(hint string, sort smt.Sort) smt.Var {
 // with rowPrefix (e.g. "r1."). It returns False when the statements'
 // modeled locks cannot collide.
 func GenConflictCond(w, r *trace.Stmt, scm *schema.Schema, comTable, rowPrefix string, nm *Namer, usePlans bool) smt.Expr {
-	return NewTemplates(scm, usePlans).conflictCond(w, r, comTable, rowPrefix, nm)
+	if w.Parsed.WriteTable() != comTable {
+		return smt.False
+	}
+	return conflictCond(newModel(w, scm, usePlans, comTable), newModel(r, scm, usePlans, comTable), comTable, rowPrefix, nm)
 }
 
-// conflictCond is GenConflictCond with the statements' template-level
-// lock model taken from the memo.
-func (t *Templates) conflictCond(w, r *trace.Stmt, comTable, rowPrefix string, nm *Namer) smt.Expr {
-	wStmt, rStmt := w.Parsed, r.Parsed
-	if wStmt.WriteTable() != comTable {
-		return smt.False
-	}
-	wTmpl, rTmpl := t.of(w, comTable), t.of(r, comTable)
-	locksW, locksR := t.locksFor(wTmpl, w), t.locksFor(rTmpl, r)
-	if !Conflicting(locksW, locksR) {
+// conflictCond is GenConflictCond over the statements' models, w's
+// writing comTable.
+func conflictCond(w, r *Model, comTable, rowPrefix string, nm *Namer) smt.Expr {
+	wTab, rTab := w.on(comTable), r.on(comTable)
+	if !Conflicting(wTab.locks, rTab.locks) {
 		return smt.False
 	}
 
-	uc := &unifier{scm: t.scm, rowPrefix: rowPrefix, aliases: rTmpl.aliasMap}
-	readCond := uc.condExpr(sqlast.QueryCondOf(rStmt), r)
-	writeCond := unifiedCondForWrite(wStmt, w, t.scm, wTmpl.aliases, rTmpl.aliases, rowPrefix)
-	assoc := associatedCond(r, rowPrefix)
+	uc := &unifier{scm: r.scm, rowPrefix: rowPrefix, aliases: r.aliasMap}
+	readCond := uc.condExpr(sqlast.QueryCondOf(r.st.Parsed), r.st)
+	writeCond := unifiedCondForWrite(w.st.Parsed, w.st, w.scm, wTab.aliases, rTab.aliases, rowPrefix)
+	assoc := associatedCond(r.st, rowPrefix)
 	conflict := smt.And(readCond, writeCond, assoc)
 
 	// Range locks: for each shared range lock on an index the writer also
 	// locks, the enlarged range condition (conjoined with the writer's
 	// unified condition so the model pins the written row) is an
 	// alternative way the statements conflict.
-	for _, lr := range locksR {
+	for _, lr := range rTab.locks {
 		if lr.Gran != Range || lr.Exclusive {
 			continue
 		}
-		if !slices.ContainsFunc(locksW, func(lw Lock) bool { return Collide(lw, lr) }) {
+		if !slices.ContainsFunc(wTab.locks, func(lw Lock) bool { return Collide(lw, lr) }) {
 			continue
 		}
-		rangeCond := genRangeConflictCond(lr, uc, r, nm)
+		rangeCond := genRangeConflictCond(lr, uc, r.st, nm)
 		if rangeCond != nil {
 			conflict = smt.Or(conflict, smt.And(rangeCond, writeCond))
 		}

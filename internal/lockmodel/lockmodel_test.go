@@ -2,6 +2,7 @@ package lockmodel
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"weseer/internal/minidb"
@@ -397,12 +398,13 @@ func TestWriteWriteConflictCond(t *testing.T) {
 	}
 }
 
-// TestTemplatesSharedMatchesFresh: one memo shared across many instances
-// of the same templates — differing in parameters, in whether the read
-// came back empty, and in recorded plan — answers exactly as a fresh
-// memo per call (the package-level entry points) does, and its C-edge
-// conditions are the direct builds (checkEdgeCond).
-func TestTemplatesSharedMatchesFresh(t *testing.T) {
+// TestModelSharedMatchesFresh: one model per skeleton key, built from
+// its first statement and shared by the later ones — which differ in
+// parameters, in whether the read came back empty, and in recorded plan —
+// answers exactly as the package-level entry points, which model each
+// statement afresh, do, and its C-edge conditions are the direct builds
+// (checkEdgeCond).
+func TestModelSharedMatchesFresh(t *testing.T) {
 	scm := fig1Schema()
 	sel := `SELECT * FROM Product p WHERE p.ID = ?`
 	row := func(prefix string) *trace.Result {
@@ -425,44 +427,66 @@ func TestTemplatesSharedMatchesFresh(t *testing.T) {
 		mkStmt(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`, []smt.Expr{v("i"), v("iq")}, nil),
 	}
 	for _, usePlans := range []bool{false, true} {
-		shared := NewTemplates(scm, usePlans)
+		shared := map[string]*Model{}
+		model := func(st *trace.Stmt) *Model {
+			sk := SkeletonOf(st)
+			if shared[sk.Key] == nil {
+				shared[sk.Key] = ModelOf(sk, scm, usePlans)
+			}
+			return shared[sk.Key]
+		}
+		// as builds the statement's view of its key's model: the shared
+		// locks and aliases over the statement itself.
+		as := func(m *Model, st *trace.Stmt) *Model {
+			v := *m
+			v.st = st
+			return &v
+		}
 		for _, w := range stmts {
 			for _, r := range stmts {
-				if got, want := shared.collide(w, r), PotentialConflict(w, r, scm, usePlans); got != want {
+				mw, mr := as(model(w), w), as(model(r), r)
+				if got, want := collide(mw, mr), PotentialConflict(w, r, scm, usePlans); got != want {
 					t.Errorf("collide(%q, %q, plans=%v) = %v, fresh %v", w.SQL, r.SQL, usePlans, got, want)
 				}
-				got := shared.conflictCond(w, r, "Product", "r1.", NewNamer("e."))
 				want := GenConflictCond(w, r, scm, "Product", "r1.", NewNamer("e."), usePlans)
+				var got smt.Expr = smt.False
+				if w.Parsed.WriteTable() == "Product" && slices.Contains(r.Parsed.Tables(), "Product") {
+					got = conflictCond(mw, mr, "Product", "r1.", NewNamer("e."))
+				}
 				if got.String() != want.String() {
 					t.Errorf("conflictCond(%q, %q, plans=%v):\n got %s\nwant %s", w.SQL, r.SQL, usePlans, got, want)
 				}
-				checkEdgeCond(t, shared, w, r)
+				checkEdgeCond(t, w, r, model(w), model(r), usePlans)
 			}
 		}
 	}
 }
 
 // checkEdgeCond holds the C-edge between x, in symbol space "A1.", and y,
-// in "A2.", instantiated from their skeletons' template, to the condition
-// built directly from copies of the statements carrying those prefixes,
-// with a fresh memo: equal by TypedString; the template's variable list
-// names exactly the template's variables, and its Collide bit is the
+// in "A2.", instantiated from the template over their keys' models mx and
+// my, to the condition built directly from copies of the statements
+// carrying those prefixes: equal by TypedString; the template's variable
+// list names exactly the template's variables, and its Collide bit is the
 // statements' PotentialConflict.
-func checkEdgeCond(t *testing.T, tm *Templates, x, y *trace.Stmt) {
+func checkEdgeCond(t *testing.T, x, y *trace.Stmt, mx, my *Model, usePlans bool) {
 	t.Helper()
-	usePlans := tm.usePlans
-	sx, sy := SkeletonOf(x), SkeletonOf(y)
-	tmpl := tm.EdgeTemplate(sx, sy, "r1.")
-	got := tm.EdgeCond(tmpl, sx, sy, "A1.", "A2.")
+	scm := mx.scm
+	tmpl := EdgeTemplate(mx, my, "r1.")
+	got := EdgeCond(tmpl, SkeletonOf(x), SkeletonOf(y), "A1.", "A2.")
 	vars := tmpl.Vars
-	if want := PotentialConflict(x, y, tm.scm, usePlans); tmpl.Collide != want {
+	if want := PotentialConflict(x, y, scm, usePlans); tmpl.Collide != want {
 		t.Errorf("EdgeTemplate(%q, %q, plans=%v): Collide %v, PotentialConflict %v", x.SQL, y.SQL, usePlans, tmpl.Collide, want)
 	}
 	prefixed := func(st *trace.Stmt, p string) *trace.Stmt {
 		return renameStmt(st, func(n string) string { return p + n })
 	}
-	want := NewTemplates(tm.scm, usePlans).edgeCond(prefixed(x, "A1."), prefixed(y, "A2."), "r1.", NewNamer("rng.r1."))
-	if smt.TypedString(got) != smt.TypedString(want) {
+	nm := NewNamer("rng.r1.")
+	var alts []smt.Expr
+	Oriented(prefixed(x, "A1."), prefixed(y, "A2."), func(w, r *trace.Stmt, table string) bool {
+		alts = append(alts, GenConflictCond(w, r, scm, table, "r1.", nm, usePlans))
+		return false
+	})
+	if want := smt.Or(alts...); smt.TypedString(got) != smt.TypedString(want) {
 		t.Errorf("EdgeCond(%q, %q, plans=%v):\n got %s\nwant %s", x.SQL, y.SQL, usePlans, got, want)
 	}
 	set := smt.VarSet(tmpl.Cond)

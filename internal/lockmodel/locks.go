@@ -237,26 +237,9 @@ func FilterByPlan(locks []Lock, plan []trace.PlanStep) []Lock {
 // usePlans, each side's locks are restricted to its recorded execution
 // plan.
 func PotentialConflict(a, b *trace.Stmt, scm *schema.Schema, usePlans bool) bool {
-	return NewTemplates(scm, usePlans).collide(a, b)
-}
-
-// collide is PotentialConflict with the statements' template-level lock
-// model taken from the memo: a C-edge template's Collide bit.
-func (t *Templates) collide(a, b *trace.Stmt) bool {
-	return Oriented(a, b, func(w, r *trace.Stmt, tab string) bool {
-		return Conflicting(t.locksFor(t.of(w, tab), w), t.locksFor(t.of(r, tab), r))
+	return Oriented(a, b, func(w, r *trace.Stmt, table string) bool {
+		return Conflicting(planLocks(w, scm, table, usePlans), planLocks(r, scm, table, usePlans))
 	})
-}
-
-// edgeCond builds the conflict condition of one C-edge between x and y:
-// the disjunction of conflictCond over the orientations Oriented admits.
-func (t *Templates) edgeCond(x, y *trace.Stmt, rowPrefix string, nm *Namer) smt.Expr {
-	var alts []smt.Expr
-	Oriented(x, y, func(w, r *trace.Stmt, tab string) bool {
-		alts = append(alts, t.conflictCond(w, r, tab, rowPrefix, nm))
-		return false
-	})
-	return smt.Or(alts...)
 }
 
 // Oriented applies the C-edge rule of Sec. V-C3 to the statement pair
@@ -265,10 +248,16 @@ func (t *Templates) edgeCond(x, y *trace.Stmt, rowPrefix string, nm *Namer) smt.
 // which w writes table and r accesses it, (a, b) before (b, a), stops at
 // the first call that returns true, and reports whether one did.
 func Oriented(a, b *trace.Stmt, f func(w, r *trace.Stmt, table string) bool) bool {
-	for _, o := range [2][2]*trace.Stmt{{a, b}, {b, a}} {
+	return orient(a, b, func(st *trace.Stmt) *trace.Stmt { return st }, f)
+}
+
+// orient is Oriented over values that each name a statement, st(v) the
+// statement v names.
+func orient[T any](a, b T, st func(T) *trace.Stmt, f func(w, r T, table string) bool) bool {
+	for _, o := range [2][2]T{{a, b}, {b, a}} {
 		w, r := o[0], o[1]
-		wt := w.Parsed.WriteTable()
-		if wt != "" && slices.Contains(r.Parsed.Tables(), wt) && f(w, r, wt) {
+		wt := st(w).Parsed.WriteTable()
+		if wt != "" && slices.Contains(st(r).Parsed.Tables(), wt) && f(w, r, wt) {
 			return true
 		}
 	}

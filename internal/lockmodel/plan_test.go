@@ -131,11 +131,11 @@ func TestEdgeCondKeysOnPlan(t *testing.T) {
 		read("a3", "b3", nil),
 	}
 	for _, usePlans := range []bool{false, true} {
-		tm := NewTemplates(scm, usePlans)
+		model := func(st *trace.Stmt) *Model { return ModelOf(SkeletonOf(st), scm, usePlans) }
 		for _, r := range reads {
-			checkEdgeCond(t, tm, r, write)
+			checkEdgeCond(t, r, write, model(r), model(write), usePlans)
 		}
-		if e := tm.EdgeTemplate(SkeletonOf(reads[1]), SkeletonOf(write), "r1."); (e.Cond == smt.False) != usePlans {
+		if e := EdgeTemplate(model(reads[1]), model(write), "r1."); (e.Cond == smt.False) != usePlans {
 			t.Errorf("plans=%v: the planned read's condition is %s", usePlans, e.Cond)
 		}
 	}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -68,17 +69,39 @@ func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
 	}
 }
 
+// pollCtx is a live context whose Err turns non-nil at its k-th poll: a
+// cancellation that lands at a fixed point of the search, with no clock.
+type pollCtx struct {
+	context.Context
+	k, polls int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.polls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
 func TestSolveCtxCancelMidRun(t *testing.T) {
-	// A deadline that expires while solving: the solver must give up
-	// promptly instead of exhausting its theory-call budget.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	// A cancellation that lands halfway through the search: the first poll
+	// that sees it ends the search UNKNOWN.
+	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	time.Sleep(2 * time.Millisecond)
-	res := Solve(ctx, hardFormula(20))
+	f := hardFormula(20)
+	free := &pollCtx{Context: live, k: math.MaxInt}
+	if res := Solve(free, f); res.Status == UNKNOWN {
+		t.Fatal("the uncanceled solve gave up")
+	}
+	if free.polls < 4 {
+		t.Fatalf("the search polls its context %d times; nothing lands mid-run", free.polls)
+	}
+	ctx := &pollCtx{Context: live, k: free.polls / 2}
+	res := Solve(ctx, f)
 	if res.Status != UNKNOWN {
 		t.Fatalf("status = %v, want UNKNOWN", res.Status)
 	}
-	if ctx.Err() == nil {
-		t.Fatal("context should be expired")
+	if ctx.polls != ctx.k {
+		t.Fatalf("canceled at poll %d, the search went on to poll %d", ctx.k, ctx.polls)
 	}
 }

@@ -80,9 +80,9 @@ rm -rf "$vetdir"
 # whose lock table (recycled queues, grants by value) and prepared-form
 # cache every client goroutine goes through, apps, whose witness test
 # runs every registry app's analysis on four phase-3 workers, and
-# lockmodel, whose locks-per-template and C-edge-instance memos the
-# phase-3 workers fill as they build templates and formulas
-# (TestTemplatesConcurrent).
+# lockmodel, whose per-key models settle builds before the workers start
+# and the workers then only read, as they build C-edge templates (the
+# layering leg keeps shared state out of it).
 echo "== go test -race (core, solver, smt, workload, concolic, orm, minidb, apps, lockmodel)"
 go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... \
     ./internal/concolic/... ./internal/orm/... ./internal/minidb/... ./internal/apps/... \
@@ -408,8 +408,10 @@ ablation fig11 "enable all, disable all, disable f9, disable f10, disable f11"
 # registers its own — and only the lock model reads a modeled lock's mode:
 # every other package asks lockmodel (Collide, Conflicting), which asks
 # minidb's compatibility matrix. Phase 3's lock filter is the Collide bit
-# of each C-edge template, so core calls no per-group lock test.
-echo "== layering (solver imports no obs; obs names no pipeline metric; only lockmodel reads Lock.Exclusive; core calls no PotentialConflict)"
+# of each C-edge template, so core calls no per-group lock test. The lock
+# model is pure functions and core's settle step caches per run, so
+# lockmodel imports no sync: no shared cache comes back into it.
+echo "== layering (solver imports no obs; obs names no pipeline metric; only lockmodel reads Lock.Exclusive; core calls no PotentialConflict; lockmodel imports no sync)"
 ! go list -deps ./internal/solver | grep 'weseer/internal/obs' ||
     { echo "layering: internal/solver depends on internal/obs" >&2; exit 1; }
 ! find internal/obs -name '*.go' -not -name '*_test.go' | xargs grep -l 'weseer_funnel\|weseer_cdcl' ||
@@ -418,6 +420,8 @@ echo "== layering (solver imports no obs; obs names no pipeline metric; only loc
     { echo "layering: a file outside internal/lockmodel reads a modeled lock's mode (files above)" >&2; exit 1; }
 ! grep -ln 'PotentialConflict' internal/core/*.go | grep -v '_test\.go$' ||
     { echo "layering: phase 3 calls a per-group lock test (files above); read the C-edge templates' Collide bits" >&2; exit 1; }
+! go list -f '{{join .Imports "\n"}}' ./internal/lockmodel | grep -E '^sync(/|$)' ||
+    { echo "layering: internal/lockmodel imports sync (above); cache per run in core's settle step" >&2; exit 1; }
 
 # Deprecated shims stay shims: core.WithPrescreen (a no-op option),
 # Stats.PrescreenSaved (always zero) and staticlint's VetDir,
