@@ -61,10 +61,12 @@ type run struct {
 	conds map[*trace.Trace][]pathCond
 	// models is settle's: per skeleton id, its key's lock model.
 	models []*lockmodel.Model
-	// mu guards the interned alpha-normal forms of formula parts and the
-	// C-edge templates by (skeleton, skeleton, role).
+	// mu guards the interned alpha-normal forms of formula parts, symbol
+	// names (run.symbols) and the C-edge templates by (skeleton, skeleton,
+	// role).
 	mu      sync.Mutex
 	forms   map[string]int32
+	syms    map[string]int32
 	tmpls   map[[3]int32]*edgeTmpl
 	memo    *memoTable
 	workers int // phase-3 workers: WithParallelism, resolved
@@ -78,7 +80,7 @@ func (a *Analyzer) newRun() *run {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	r := &run{scm: a.scm, opts: a.opts, memo: newMemoTable(workers), m: &Metrics{},
-		facts: map[*trace.Stmt]*stmtFacts{}, conds: map[*trace.Trace][]pathCond{}, workers: workers, forms: map[string]int32{}, tmpls: map[[3]int32]*edgeTmpl{}}
+		facts: map[*trace.Stmt]*stmtFacts{}, conds: map[*trace.Trace][]pathCond{}, workers: workers, forms: map[string]int32{}, syms: map[string]int32{}, tmpls: map[[3]int32]*edgeTmpl{}}
 	if o := a.opts.Observer; o != nil {
 		r.m = RegisterMetrics(o.Metrics)
 		r.memo.obs, r.memo.latency = o, r.m.solverLatency
@@ -293,14 +295,16 @@ type txnSig struct {
 	acc, wr map[string]bool
 }
 
-// stmtFacts is what the phases re-read of one recorded statement; skel and
-// skelID, its key's id in the run, are settle's, for a statement a cycle names.
+// stmtFacts is what the phases re-read of one recorded statement; skel,
+// skelID, its key's id in the run, and syms, its names' symbol ids, are
+// settle's, for a statement a cycle names.
 type stmtFacts struct {
 	tables []string
 	write  string
 	key    string // stmtKey
 	skel   *lockmodel.Skeleton
 	skelID int32
+	syms   []int32
 }
 
 // addFacts computes the facts of every statement of a trace.

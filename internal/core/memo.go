@@ -60,12 +60,7 @@ type memoTable struct {
 
 // newMemoTable returns a table for worker ids 0..workers (0: no pool).
 func newMemoTable(workers int) *memoTable {
-	m := &memoTable{skels: map[string]*memoEntry{}, entries: map[string]*memoEntry{}, scratch: make([]scratch, workers+1)}
-	for i := range m.scratch {
-		sc := &m.scratch[i]
-		sc.num, sc.seed = [2]map[string]uint64{{}, {}}, [2]map[string]bool{{}, {}}
-	}
-	return m
+	return &memoTable{skels: map[string]*memoEntry{}, entries: map[string]*memoEntry{}, scratch: make([]scratch, workers+1)}
 }
 
 // solve discharges the group of skeleton key key; build, called by the
@@ -148,7 +143,7 @@ func (m *memoTable) call(ctx context.Context, e *memoEntry, c *smt.ShapeCanon, t
 	expr := c.Expr()
 	sp := m.obs.StartSpan(tid, "solve")
 	start := time.Now()
-	sres := solver.Solve(ctx, expr)
+	sres := m.scratch[tid].sv.Solve(ctx, expr)
 	dur := time.Since(start)
 	out.SolverTime += dur
 	out.SolverCalls++
@@ -164,25 +159,54 @@ func (m *memoTable) call(ctx context.Context, e *memoEntry, c *smt.ShapeCanon, t
 	return ctx.Err() == nil
 }
 
-// scratch is a phase-3 worker's: the group's key, per side its names'
-// numbers, cone seeds, path conditions and cone; the memo's Shape.
+// scratch is a phase-3 worker's: the group's key, its symbols' slots, per
+// side its path conditions and cone; the memo's Shape; the Solver its
+// solver calls reuse.
 type scratch struct {
 	sh    smt.Shape
+	sv    solver.Solver
 	key   []byte
-	num   [2]map[string]uint64
-	seed  [2]map[string]bool
+	slots []symSlot // at 2·id+side, for run.symbols id
+	epoch uint32    // the group's: a slot field marked with another is unset
+	next  uint64    // the group's last number
 	conds [2][]pathCond
 	in    [2][]int32
 }
 
-// number returns name's number on side, the next on its first occurrence.
-func (sc *scratch) number(side int, name string) uint64 {
-	n, ok := sc.num[side][name]
-	if !ok {
-		n = uint64(len(sc.num[0]) + len(sc.num[1]) + 1)
-		sc.num[side][name] = n
+// symSlot is a symbol's on one side: its number in the group and whether
+// it seeds the group's cone, each set when its mark is the group's epoch.
+type symSlot struct {
+	num           uint64
+	numAt, seedAt uint32
+}
+
+// begin starts a group: no symbol numbered or seeded.
+func (sc *scratch) begin() {
+	if sc.epoch++; sc.epoch == 0 {
+		clear(sc.slots)
+		sc.epoch = 1
 	}
-	return n
+	sc.next = 0
+}
+
+// slot returns symbol id's slot on side.
+func (sc *scratch) slot(side int, id int32) *symSlot {
+	i := 2*int(id) + side
+	if i >= len(sc.slots) {
+		sc.slots = slices.Grow(sc.slots, i+1-len(sc.slots))[:i+1]
+	}
+	return &sc.slots[i]
+}
+
+// number returns symbol id's number on side, the next on its first
+// occurrence.
+func (sc *scratch) number(side int, id int32) uint64 {
+	s := sc.slot(side, id)
+	if s.numAt != sc.epoch {
+		sc.next++
+		s.num, s.numAt = sc.next, sc.epoch
+	}
+	return s.num
 }
 
 // cone lists in sc.in[side], in recorded order, the side's path conditions
@@ -192,7 +216,7 @@ func (sc *scratch) number(side int, name string) uint64 {
 func (sc *scratch) cone(side, seq int) {
 	conds, in := sc.conds[side], sc.in[side][:0]
 	for i := range conds {
-		if c := &conds[i]; c.after <= seq && slices.ContainsFunc(c.vars, func(v string) bool { return sc.seed[side][v] }) {
+		if c := &conds[i]; c.after <= seq && slices.ContainsFunc(c.vars, func(v int32) bool { return sc.slot(side, v).seedAt == sc.epoch }) {
 			in = append(in, int32(i))
 		}
 	}

@@ -119,3 +119,30 @@ func BenchmarkDischargeMemoHit(b *testing.B) {
 	b.Run("unsat", func(b *testing.B) { core.BenchGroupHits(b, app.Schema(), traces, false) })
 	b.Run("sat", func(b *testing.B) { core.BenchGroupHits(b, app.Schema(), traces, true) })
 }
+
+// BenchmarkSkeletonKey measures the memo's level-one key per group, warm,
+// on the Table II apps and the generated corpus.
+func BenchmarkSkeletonKey(b *testing.B) {
+	for _, spec := range corpusSpecs {
+		app, traces := corpusTraces(b, spec)
+		b.Run(spec, func(b *testing.B) { core.BenchSkeletonKey(b, app.Schema(), traces) })
+	}
+}
+
+// BenchmarkRender measures the text report of the Table II apps, the
+// deadlocks' sections with their fingerprints and reproducing assignments.
+func BenchmarkRender(b *testing.B) {
+	for _, spec := range []string{"broadleaf", "shopizer"} {
+		app, traces := corpusTraces(b, spec)
+		res, err := core.NewAnalyzer(app.Schema()).AnalyzeContext(context.Background(), traces)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(spec, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res.Render()
+			}
+		})
+	}
+}

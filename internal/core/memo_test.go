@@ -121,7 +121,7 @@ func CheckMemoAgainstDirect(t *testing.T, scm *schema.Schema, traces []*trace.Tr
 	for i, c := range groups {
 		got, built, _ := r.solveGroup(ctx, c, 1, &out)
 		f := r.cycleFormula(c, r.templates(c, &sc.sh), sc)
-		if want := solver.Solve(ctx, f); got.Status != want.Status {
+		if want := new(solver.Solver).Solve(ctx, f); got.Status != want.Status {
 			t.Errorf("group %d: memoized verdict %v, direct solve %v: %s", i, got.Status, want.Status, f)
 		}
 		if got.Status == solver.SAT && (built == nil || built.String() != f.String()) {
@@ -500,4 +500,25 @@ func BenchGroupHits(b *testing.B, scm *schema.Schema, traces []*trace.Trace, sat
 			b.Fatal("expected a memo hit")
 		}
 	}
+}
+
+// BenchSkeletonKey times run.skeletonKey warm: every group the lock filter
+// passes has had its key built once, so its path conditions' forms are
+// known and what is left is numbering the group's symbols and its cone.
+func BenchSkeletonKey(b *testing.B, scm *schema.Schema, traces []*trace.Trace) {
+	r, groups := testGroups(b, scm, traces, 1)
+	sc := &r.memo.scratch[1]
+	tmpls := make([][2]*edgeTmpl, len(groups))
+	for i, c := range groups {
+		tmpls[i] = r.templates(c, &sc.sh)
+		r.skeletonKey(c, tmpls[i], sc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, c := range groups {
+			r.skeletonKey(c, tmpls[j], sc)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(groups)), "ns/group")
 }

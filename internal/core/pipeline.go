@@ -257,17 +257,17 @@ type edgeTmpl struct {
 	syms, seeds []int32
 }
 
-// pathCond is a recorded path condition: its variables, the trace's
-// conditions sharing one, and from its first cone its form and symbols
-// (run.alpha) and per role its copy in that role's symbol space.
+// pathCond is a recorded path condition: its variables' symbol ids, the
+// trace's conditions sharing one, and from its first cone its form and
+// symbols (run.alpha) and per role its copy in that role's symbol space.
 type pathCond struct {
 	cond    smt.Expr
-	vars    []string
+	vars    []int32
 	adj     []int32
 	after   int // PathCond.AfterStmt
 	once    sync.Once
 	form    int32
-	syms    []string
+	syms    []int32
 	renamed [2]atomic.Pointer[smt.Expr]
 }
 
@@ -285,12 +285,12 @@ func (r *run) settle(chains []*chain) {
 						ids[f.skel.Key] = int32(len(ids))
 						r.models = append(r.models, lockmodel.ModelOf(f.skel, r.scm, r.opts.UseConcretePlans))
 					}
-					f.skelID = ids[f.skel.Key]
+					f.skelID, f.syms = ids[f.skel.Key], r.symbols(f.skel.Names)
 				}
 			}
 			for _, tr := range [2]*trace.Trace{cyc.T1.Trace, cyc.T2.Trace} {
 				if _, ok := r.conds[tr]; !ok {
-					r.conds[tr] = pathConds(tr)
+					r.conds[tr] = r.pathConds(tr)
 				}
 			}
 		}
@@ -298,13 +298,13 @@ func (r *run) settle(chains []*chain) {
 }
 
 // pathConds returns the recorded trace's path conditions.
-func pathConds(tr *trace.Trace) []pathCond {
+func (r *run) pathConds(tr *trace.Trace) []pathCond {
 	conds := make([]pathCond, len(tr.PathConds))
 	for i, pc := range tr.PathConds {
 		c := &conds[i]
-		c.cond, c.vars, c.after = pc.Cond, smt.VarNames(pc.Cond), pc.AfterStmt
+		c.cond, c.vars, c.after = pc.Cond, r.symbols(smt.VarNames(pc.Cond)), pc.AfterStmt
 		for j := range conds[:i] {
-			if slices.ContainsFunc(conds[j].vars, func(v string) bool { return slices.Contains(c.vars, v) }) {
+			if slices.ContainsFunc(conds[j].vars, func(v int32) bool { return slices.Contains(c.vars, v) }) {
 				c.adj, conds[j].adj = append(c.adj, int32(j)), append(conds[j].adj, int32(i))
 			}
 		}
@@ -319,23 +319,20 @@ func pathConds(tr *trace.Trace) []pathCond {
 // 1, a fixed name (unified-row or range variable: one part's own) 0. Equal
 // keys, so, mean formulas equal up to renaming (TestSkeletonKeyRefinesShape).
 func (r *run) skeletonKey(cyc Cycle, t [2]*edgeTmpl, sc *scratch) []byte {
-	clear(sc.num[0])
-	clear(sc.num[1])
-	clear(sc.seed[0])
-	clear(sc.seed[1])
+	sc.begin()
 	k := sc.key[:0]
 	for j, xy := range [2][2]*trace.Stmt{{cyc.S1b, cyc.S2a}, {cyc.S2b, cyc.S1a}} {
-		names := [2][]string{r.facts[xy[0]].skel.Names, r.facts[xy[1]].skel.Names}
+		syms := [2][]int32{r.facts[xy[0]].syms, r.facts[xy[1]].syms}
 		k = binary.AppendUvarint(k, uint64(t[j].form))
 		for _, p := range t[j].syms {
 			n := uint64(0)
 			if p >= 0 {
-				n = sc.number(int(p&1)^j, names[p&1][p>>1])
+				n = sc.number(int(p&1)^j, syms[p&1][p>>1])
 			}
 			k = binary.AppendUvarint(k, n)
 		}
 		for _, p := range t[j].seeds {
-			sc.seed[int(p&1)^j][names[p&1][p>>1]] = true
+			sc.slot(int(p&1)^j, syms[p&1][p>>1]).seedAt = sc.epoch
 		}
 	}
 	seqs := [2]int{max(cyc.S1a.Seq, cyc.S1b.Seq), max(cyc.S2a.Seq, cyc.S2b.Seq)}
@@ -344,7 +341,11 @@ func (r *run) skeletonKey(cyc Cycle, t [2]*edgeTmpl, sc *scratch) []byte {
 		sc.cone(side, seqs[side])
 		for _, i := range sc.in[side] {
 			c := &sc.conds[side][i]
-			c.once.Do(func() { c.form, c.syms = r.alpha(c.cond, &sc.sh) })
+			c.once.Do(func() {
+				var names []string
+				c.form, names = r.alpha(c.cond, &sc.sh)
+				c.syms = r.symbols(names)
+			})
 			k = binary.AppendUvarint(k, uint64(c.form))
 			for _, n := range c.syms {
 				k = binary.AppendUvarint(k, sc.number(side, n))
@@ -383,6 +384,22 @@ func (r *run) templates(cyc Cycle, sh *smt.Shape) (out [2]*edgeTmpl) {
 		out[j] = t
 	}
 	return out
+}
+
+// symbols returns the run's ids of names, interning new ones.
+func (r *run) symbols(names []string) []int32 {
+	ids := make([]int32, len(names))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, n := range names {
+		id, ok := r.syms[n]
+		if !ok {
+			id = int32(len(r.syms))
+			r.syms[n] = id
+		}
+		ids[i] = id
+	}
+	return ids
 }
 
 // alpha interns e's alpha-normal form, its smt.Shape key, and returns it

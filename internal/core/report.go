@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"weseer/internal/smt"
@@ -34,13 +35,22 @@ type Result struct {
 // Render formats the analysis result for developers.
 func (r *Result) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "WeSEER deadlock report: %d potential deadlock(s)\n", len(r.Deadlocks))
-	fmt.Fprintf(&b, "%s\n", r.Stats.Render())
+	writeLine(&b, "WeSEER deadlock report: ", strconv.Itoa(len(r.Deadlocks)), " potential deadlock(s)")
+	writeLine(&b, r.Stats.Render())
 	b.WriteString(RenderSuggestions(r.CanonicalOrder))
 	for i, d := range r.Deadlocks {
-		fmt.Fprintf(&b, "\n=== Deadlock %d ===\n%s", i+1, d.Render())
+		writeLine(&b, "\n=== Deadlock ", strconv.Itoa(i+1), " ===")
+		d.render(&b)
 	}
 	return b.String()
+}
+
+// writeLine writes parts and a newline to b.
+func writeLine(b *strings.Builder, parts ...string) {
+	for _, p := range parts {
+		b.WriteString(p)
+	}
+	b.WriteByte('\n')
 }
 
 // RenderSuggestions formats the canonical order's ranked reorder
@@ -69,27 +79,32 @@ func RenderSuggestions(co *staticlint.CanonicalOrder) string {
 // Render formats one deadlock.
 func (d *Deadlock) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "APIs: %s -- %s (%d coarse cycle(s) folded)\n", d.APIs[0], d.APIs[1], d.Count)
-	fmt.Fprintf(&b, "fingerprint: %s\n", d.Fingerprint())
-	c := d.Cycle
-	fmt.Fprintf(&b, "hold-and-wait cycle over tables [%s, %s]:\n", c.Table1, c.Table2)
-	renderSide(&b, "T1", d.APIs[0], c.S1a, c.S1b)
-	renderSide(&b, "T2", d.APIs[1], c.S2a, c.S2b)
-	if d.Model != nil {
-		fmt.Fprintf(&b, "reproducing assignment (API inputs and DB state):\n")
-		renderModel(&b, d.Model, c)
-	}
+	d.render(&b)
 	return b.String()
 }
 
+func (d *Deadlock) render(b *strings.Builder) {
+	c := d.Cycle
+	writeLine(b, "APIs: ", d.APIs[0], " -- ", d.APIs[1], " (", strconv.Itoa(d.Count), " coarse cycle(s) folded)")
+	writeLine(b, "fingerprint: ", d.Fingerprint())
+	writeLine(b, "hold-and-wait cycle over tables [", c.Table1, ", ", c.Table2, "]:")
+	renderSide(b, "T1", d.APIs[0], c.S1a, c.S1b)
+	renderSide(b, "T2", d.APIs[1], c.S2a, c.S2b)
+	if d.Model != nil {
+		b.WriteString("reproducing assignment (API inputs and DB state):\n")
+		renderModel(b, d.Model, c)
+	}
+}
+
 func renderSide(b *strings.Builder, name, api string, holds, waits *trace.Stmt) {
-	fmt.Fprintf(b, "  %s (%s):\n", name, api)
-	fmt.Fprintf(b, "    holds lock from stmt #%d: %s\n", holds.Seq, holds.SQL)
-	fmt.Fprintf(b, "      triggered at: %s\n", holds.Trigger.Top())
-	fmt.Fprintf(b, "    waits at stmt #%d: %s\n", waits.Seq, waits.SQL)
-	fmt.Fprintf(b, "      triggered at: %s\n", waits.Trigger.Top())
+	hs, ws := strconv.Itoa(holds.Seq), strconv.Itoa(waits.Seq)
+	writeLine(b, "  ", name, " (", api, "):")
+	writeLine(b, "    holds lock from stmt #", hs, ": ", holds.SQL)
+	writeLine(b, "      triggered at: ", holds.Trigger.Top().String())
+	writeLine(b, "    waits at stmt #", ws, ": ", waits.SQL)
+	writeLine(b, "      triggered at: ", waits.Trigger.Top().String())
 	if holds.Deferred() {
-		fmt.Fprintf(b, "      (stmt #%d was sent at %s — write-behind flush)\n", holds.Seq, holds.Sent.Top())
+		writeLine(b, "      (stmt #", hs, " was sent at ", holds.Sent.Top().String(), " — write-behind flush)")
 	}
 }
 
@@ -99,23 +114,24 @@ func renderSide(b *strings.Builder, name, api string, holds, waits *trace.Stmt) 
 // and the traces are the recorded ones, so an input is matched as
 // Prefix + Input.Name.
 func renderModel(b *strings.Builder, m *smt.Model, c Cycle) {
-	inputs := map[string]bool{}
-	for _, t := range []*instance{c.T1, c.T2} {
+	inputs := make(map[string]bool, len(c.T1.Trace.Inputs)+len(c.T2.Trace.Inputs))
+	for _, t := range [2]*instance{c.T1, c.T2} {
 		for _, in := range t.Trace.Inputs {
 			inputs[t.Prefix+in.Name] = true
 		}
 	}
-	names := make([]string, 0, len(m.Vars))
+	var names []string
 	for n := range m.Vars {
-		names = append(names, n)
+		if inputs[n] || strings.Contains(n, ".res") {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		switch {
-		case inputs[n]:
-			fmt.Fprintf(b, "    input  %s = %s\n", n, m.Vars[n])
-		case strings.Contains(n, ".res"):
-			fmt.Fprintf(b, "    dbrow  %s = %s\n", n, m.Vars[n])
+		kind := "    dbrow  "
+		if inputs[n] {
+			kind = "    input  "
 		}
+		writeLine(b, kind, n, " = ", m.Vars[n].String())
 	}
 }

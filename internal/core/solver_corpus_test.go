@@ -45,7 +45,7 @@ func TestSolverCorpusGolden(t *testing.T) {
 		formulas := corpusFormulas(t, spec)
 		fmt.Fprintf(&got, "# %s: %d cycle formulas\n", spec, len(formulas))
 		for _, f := range formulas {
-			res := solver.Solve(context.Background(), smt.Canon(f).Expr)
+			res := new(solver.Solver).Solve(context.Background(), smt.Canon(f).Expr)
 			model := "-"
 			if res.Model != nil {
 				model = renderModel(res.Model, spec != "broadleaf")

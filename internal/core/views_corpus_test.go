@@ -52,15 +52,14 @@ func TestEdgeTemplatesMatchDirectBuild(t *testing.T) {
 // solved group on gen:7,templates=96 at one worker. An UNSAT or UNKNOWN
 // memo hit builds no formula, so a lost skeleton hit — a group whose key
 // misses although its formula's shape is known — costs a formula, its
-// canonicalization and a level-two probe, and breaks the ceiling: 218
-// measured plus 10 % (248 while every group built its formula, 253 with
-// every skeleton lookup missing). TestEdgeTemplatesMatchDirectBuild
-// catches a lost C-edge template hit.
+// canonicalization and a level-two probe, and breaks the ceiling: 114
+// measured plus 10 % (144 with every skeleton lookup missing).
+// TestEdgeTemplatesMatchDirectBuild catches a lost C-edge template hit.
 func TestFineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 240
+	const ceiling = 125
 	app, traces := corpusTraces(t, "gen:7,templates=96")
 	if got := core.FineAllocsPerGroup(t, app.Schema(), traces); got > ceiling {
 		t.Errorf("phase 3 allocates %.0f times per solved group, ceiling %d", got, ceiling)

@@ -300,7 +300,7 @@ func TestConflictCondFig9(t *testing.T) {
 	if cond == smt.Expr(smt.False) {
 		t.Fatal("conflict condition is False")
 	}
-	res := solver.Solve(context.Background(), cond)
+	res := new(solver.Solver).Solve(context.Background(), cond)
 	if res.Status != solver.SAT {
 		t.Fatalf("conflict condition unsatisfiable: %s\n%s", res.Status, cond)
 	}
@@ -312,7 +312,7 @@ func TestConflictCondFig9(t *testing.T) {
 	}
 	// Conjoining an explicit inequality must make it UNSAT.
 	neq := smt.And(cond, smt.Ne(a2PID, smt.NewVar("A1.res4.row0.p.ID", smt.SortInt)))
-	if r := solver.Solve(context.Background(), neq); r.Status != solver.UNSAT {
+	if r := new(solver.Solver).Solve(context.Background(), neq); r.Status != solver.UNSAT {
 		t.Errorf("decoupled rows still satisfiable: %s", r.Status)
 	}
 }
@@ -334,7 +334,7 @@ func TestConflictCondEmptyReadRangeLock(t *testing.T) {
 		[]smt.Expr{insParam, smt.NewVar("A2.qty", smt.SortInt)}, nil)
 
 	cond := GenConflictCond(write, read, scm, "Product", "r1.", NewNamer("e1."), false)
-	res := solver.Solve(context.Background(), cond)
+	res := new(solver.Solver).Solve(context.Background(), cond)
 	if res.Status != solver.SAT {
 		t.Fatalf("range-lock conflict not satisfiable: %s\n%s", res.Status, cond)
 	}
@@ -350,7 +350,7 @@ func TestConflictCondNoLockOverlap(t *testing.T) {
 	write := mkStmt(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`,
 		[]smt.Expr{smt.NewVar("A2.pid", smt.SortInt), smt.NewVar("A2.q", smt.SortInt)}, nil)
 	cond := GenConflictCond(write, read, scm, "Product", "r1.", NewNamer("e1."), false)
-	if res := solver.Solve(context.Background(), cond); res.Status != solver.UNSAT {
+	if res := new(solver.Solver).Solve(context.Background(), cond); res.Status != solver.UNSAT {
 		t.Errorf("disjoint tables produced a satisfiable condition: %s", res.Status)
 	}
 }
@@ -379,7 +379,7 @@ func TestConflictCondPathConditionKillsIt(t *testing.T) {
 		smt.Ge(updParam, smt.Int(100)),
 	)
 	full := smt.And(cond, pcs)
-	if res := solver.Solve(context.Background(), full); res.Status != solver.UNSAT {
+	if res := new(solver.Solver).Solve(context.Background(), full); res.Status != solver.UNSAT {
 		t.Errorf("contradictory path conditions still satisfiable: %s", res.Status)
 	}
 }
@@ -389,7 +389,7 @@ func TestWriteWriteConflictCond(t *testing.T) {
 	u1 := mkStmt(q6, []smt.Expr{smt.NewVar("A1.q", smt.SortInt), smt.NewVar("A1.pid", smt.SortInt)}, nil)
 	u2 := mkStmt(q6, []smt.Expr{smt.NewVar("A2.q", smt.SortInt), smt.NewVar("A2.pid", smt.SortInt)}, nil)
 	cond := GenConflictCond(u1, u2, scm, "Product", "r1.", NewNamer("e1."), false)
-	res := solver.Solve(context.Background(), cond)
+	res := new(solver.Solver).Solve(context.Background(), cond)
 	if res.Status != solver.SAT {
 		t.Fatalf("update-update conflict: %s", res.Status)
 	}

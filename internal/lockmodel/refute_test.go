@@ -44,7 +44,7 @@ func keyedUpdate(key smt.Expr) *trace.Stmt {
 func edgeSat(t *testing.T, w, r *trace.Stmt) bool {
 	t.Helper()
 	cond := GenConflictCond(w, r, keyedSchema(), "T", "r1.", NewNamer("e1."), false)
-	switch res := solver.Solve(context.Background(), cond); res.Status {
+	switch res := new(solver.Solver).Solve(context.Background(), cond); res.Status {
 	case solver.SAT:
 		return true
 	case solver.UNSAT:

@@ -97,8 +97,9 @@ func FuzzCanon(f *testing.F) {
 		// hard instance slows the fuzzer down without stalling it.
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 		defer cancel()
-		orig := solver.Solve(ctx, formula)
-		canon := solver.Solve(ctx, c.Expr)
+		var sv solver.Solver
+		orig := sv.Solve(ctx, formula)
+		canon := sv.Solve(ctx, c.Expr)
 		if orig.Status == solver.UNKNOWN || canon.Status == solver.UNKNOWN {
 			t.Skip("inconclusive")
 		}

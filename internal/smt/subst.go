@@ -4,51 +4,61 @@ package smt
 // collection, renaming (used to distinguish transaction instances, e.g.
 // prefixing every variable of a trace with "A1."), and constant folding.
 
-// Vars appends the names of all variables occurring in e to the set.
-func Vars(e Expr, set map[string]Sort) {
+import "slices"
+
+// Vars appends every occurrence of a variable in e to dst, in a fixed
+// walk order.
+func Vars(dst []Var, e Expr) []Var {
 	switch t := e.(type) {
 	case Var:
-		set[t.Name] = t.S
+		dst = append(dst, t)
 	case *Arith:
-		Vars(t.L, set)
+		dst = Vars(dst, t.L)
 		if t.R != nil {
-			Vars(t.R, set)
+			dst = Vars(dst, t.R)
 		}
 	case *Cmp:
-		Vars(t.L, set)
-		Vars(t.R, set)
+		dst = Vars(Vars(dst, t.L), t.R)
 	case *NAry:
 		for _, x := range t.Xs {
-			Vars(x, set)
+			dst = Vars(dst, x)
 		}
 	case Not:
-		Vars(t.X, set)
+		dst = Vars(dst, t.X)
 	case *Select:
-		Vars(t.Key, set)
+		dst = Vars(dst, t.Key)
 		for cur := t.Arr; cur != nil; cur = cur.Parent {
 			if cur.StoreKey != nil {
-				Vars(cur.StoreKey, set)
+				dst = Vars(dst, cur.StoreKey)
 			}
 		}
 	}
+	return dst
 }
 
-// VarSet returns the set of variables occurring in any of the expressions.
+// VarSet returns the set of variables occurring in any of the expressions,
+// each with the sort of its last occurrence.
 func VarSet(es ...Expr) map[string]Sort {
 	set := map[string]Sort{}
+	var occ []Var
 	for _, e := range es {
-		Vars(e, set)
+		occ = Vars(occ[:0], e)
+		for _, v := range occ {
+			set[v.Name] = v.S
+		}
 	}
 	return set
 }
 
 // VarNames returns the names of the variables occurring in e, each once,
-// in no particular order.
+// in first-occurrence order.
 func VarNames(e Expr) []string {
-	set := VarSet(e)
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
+	occ := Vars(nil, e)
+	names := make([]string, 0, len(occ))
+	for _, v := range occ {
+		if !slices.Contains(names, v.Name) {
+			names = append(names, v.Name)
+		}
 	}
 	return names
 }

@@ -8,7 +8,7 @@ package solver
 // conflict-analysis machinery as propositional conflicts.
 
 // lit is a literal: variable index shifted left once, low bit = negated.
-type lit int
+type lit int32
 
 func mkLit(v int, neg bool) lit {
 	l := lit(v << 1)
@@ -24,12 +24,13 @@ func (l lit) negated() bool {
 }
 func (l lit) negate() lit { return l ^ 1 }
 
-// pnode is a node of the NNF formula tree.
+// pnode is a node of the NNF formula tree, an index into session.nodes;
+// an and/or node's children are session.kids[lo:hi].
 type pnode struct {
-	kind pkind
-	lit  lit      // for pLit
-	b    bool     // for pConst
-	kids []*pnode // for pAnd / pOr
+	kind   pkind
+	b      bool // for pConst
+	lit    lit  // for pLit
+	lo, hi int32
 }
 
 type pkind uint8
@@ -41,104 +42,90 @@ const (
 	pOr
 )
 
-// cnfBuilder accumulates clauses and allocates variables. Variables
-// [0, numAtoms) are atom variables; the rest are Tseitin auxiliaries.
-type cnfBuilder struct {
-	numVars int
-	clauses [][]lit
-}
-
-func (b *cnfBuilder) newVar() int {
-	v := b.numVars
-	b.numVars++
-	return v
-}
-
-func (b *cnfBuilder) addClause(ls ...lit) {
-	cl := make([]lit, len(ls))
-	copy(cl, ls)
-	b.clauses = append(b.clauses, cl)
-}
-
-// tseitin encodes node n and returns a literal equivalent to it.
-// Constant nodes return (0, false, b): handled by callers.
-func (b *cnfBuilder) tseitin(n *pnode) (lit, bool /*isConst*/, bool /*constVal*/) {
-	switch n.kind {
+// tseitin encodes node n into d's input clauses and returns a literal
+// equivalent to it. Variables [0, numAtoms) are atom variables; the rest
+// are Tseitin auxiliaries. Constant nodes return (0, true, b): handled by
+// callers.
+func (s *session) tseitin(d *cdcl, n int32) (lit, bool /*isConst*/, bool /*constVal*/) {
+	nd := s.nodes[n]
+	switch nd.kind {
 	case pLit:
-		return n.lit, false, false
+		return nd.lit, false, false
 	case pConst:
-		return 0, true, n.b
-	case pAnd, pOr:
-		isAnd := n.kind == pAnd
-		var kidLits []lit
-		for _, k := range n.kids {
-			l, isC, cv := b.tseitin(k)
-			if isC {
-				if cv == isAnd {
-					continue // neutral
-				}
-				return 0, true, !isAnd // absorbing
-			}
-			kidLits = append(kidLits, l)
-		}
-		if len(kidLits) == 0 {
-			return 0, true, isAnd
-		}
-		if len(kidLits) == 1 {
-			return kidLits[0], false, false
-		}
-		aux := mkLit(b.newVar(), false)
-		if isAnd {
-			// aux ↔ ∧ kids
-			long := make([]lit, 0, len(kidLits)+1)
-			long = append(long, aux)
-			for _, kl := range kidLits {
-				b.addClause(aux.negate(), kl)
-				long = append(long, kl.negate())
-			}
-			b.addClause(long...)
-		} else {
-			long := make([]lit, 0, len(kidLits)+1)
-			long = append(long, aux.negate())
-			for _, kl := range kidLits {
-				b.addClause(aux, kl.negate())
-				long = append(long, kl)
-			}
-			b.addClause(long...)
-		}
-		return aux, false, false
+		return 0, true, nd.b
 	}
-	panic("solver: bad pnode")
+	isAnd := nd.kind == pAnd
+	base := len(s.kidLits)
+	for _, k := range s.kids[nd.lo:nd.hi] {
+		l, isC, cv := s.tseitin(d, k)
+		if isC {
+			if cv == isAnd {
+				continue // neutral
+			}
+			s.kidLits = s.kidLits[:base]
+			return 0, true, !isAnd // absorbing
+		}
+		s.kidLits = append(s.kidLits, l)
+	}
+	kidLits := s.kidLits[base:]
+	s.kidLits = s.kidLits[:base]
+	if len(kidLits) == 0 {
+		return 0, true, isAnd
+	}
+	if len(kidLits) == 1 {
+		return kidLits[0], false, false
+	}
+	aux := mkLit(d.numVars, false)
+	d.numVars++
+	// aux ↔ ∧ kids: (¬aux ∨ kid) per kid, then (aux ∨ ¬kid₁ ∨ …); aux ↔ ∨
+	// kids is the same over negated literals.
+	neg := lit(0)
+	if !isAnd {
+		neg = 1
+	}
+	for _, kl := range kidLits {
+		d.addInput(aux.negate()^neg, kl^neg)
+	}
+	d.lits = append(d.lits, lit(len(kidLits)+1), aux^neg)
+	for _, kl := range kidLits {
+		d.lits = append(d.lits, kl.negate()^neg)
+	}
+	d.inputs++
+	return aux, false, false
 }
 
 // ---------------------------------------------------------------------------
 // CDCL engine
 
-// clause is a CNF clause under the two-watched-literal scheme: the engine
-// watches lits[0] and lits[1] and maintains the invariant that a watch only
-// becomes false after every other literal of the clause is false (at deeper
-// or equal decision levels), so clauses need inspection only when a watched
-// literal is falsified.
-type clause struct {
-	lits []lit
-}
+// A clause is an int32 reference c into the engine's literal arena:
+// lits[c] holds its length and lits[c+1:] its literals. Under the
+// two-watched-literal scheme the engine watches its first two literals and
+// maintains the invariant that a watch only becomes false after every
+// other literal of the clause is false (at deeper or equal decision
+// levels), so clauses need inspection only when a watched literal is
+// falsified.
+const noClause int32 = -1
 
 // cdcl is a conflict-driven clause-learning SAT engine. It replaces the
 // chronological-backtracking DPLL the solver started with: propagation is
 // watched-literal, conflicts are analyzed to a first-UIP learned clause,
 // and the search backjumps non-chronologically to the clause's assertion
 // level. Theory refutations are added via learnClause and analyzed with
-// exactly the same machinery.
+// exactly the same machinery. Its tables hold no pointers and are reused
+// call after call: Solve empties the arena, start sizes the rest.
 type cdcl struct {
 	numVars int
-	clauses []*clause
+	// lits is the clause arena: the input clauses (inputs of them), then
+	// the learned ones.
+	lits   []lit
+	inputs int
 	// watches[l] lists the clauses watching literal l (visited when l is
 	// falsified, i.e. when ¬l is asserted).
-	watches [][]*clause
+	watches [][]int32
 
-	assign []int8 // 0 unassigned, 1 true, -1 false
-	level  []int  // decision level of each assigned variable
-	reason []*clause
+	assign []int8  // 0 unassigned, 1 true, -1 false
+	level  []int   // decision level of each assigned variable
+	reason []int32 // the clause that implied each assigned variable, or noClause
 	trail  []lit
 	// trailLim[i] is the trail length when decision level i+1 was opened.
 	trailLim []int
@@ -153,7 +140,8 @@ type cdcl struct {
 	// re-decisions revisit the part of the space the search was exploring.
 	phase []int8
 
-	seen []bool // scratch for analyze
+	seen   []bool // scratch for analyze
+	learnt []lit  // analyze's clause
 
 	// theoryAtom marks variables whose assignment matters to the theory
 	// solvers; theoryEvents counts assignments to them, letting the
@@ -166,27 +154,63 @@ type cdcl struct {
 	stats *Stats
 }
 
-func newCDCL(numVars int, clauses [][]lit, stats *Stats) *cdcl {
-	d := &cdcl{
-		numVars:  numVars,
-		watches:  make([][]*clause, 2*numVars),
-		assign:   make([]int8, numVars),
-		level:    make([]int, numVars),
-		reason:   make([]*clause, numVars),
-		activity: make([]float64, numVars),
-		varInc:   1.0,
-		phase:    make([]int8, numVars),
-		seen:     make([]bool, numVars),
-		ok:       true,
-		stats:    stats,
+// resized returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	for _, ls := range clauses {
-		if !d.addClause(ls) {
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// addInput appends an input clause to the arena.
+func (d *cdcl) addInput(ls ...lit) {
+	d.push(ls)
+	d.inputs++
+}
+
+// start sizes the tables for d.numVars variables and attaches the input
+// clauses in order; unit clauses are enqueued at level 0. It leaves ok
+// false at an empty clause or one that contradicts a level-0 fact.
+func (d *cdcl) start() {
+	n := d.numVars
+	if cap(d.watches) < 2*n {
+		d.watches = append(d.watches[:cap(d.watches)], make([][]int32, 2*n-cap(d.watches))...)
+	}
+	d.watches = d.watches[:2*n]
+	for i := range d.watches {
+		d.watches[i] = d.watches[i][:0]
+	}
+	d.assign, d.level, d.reason = resized(d.assign, n), resized(d.level, n), resized(d.reason, n)
+	d.activity, d.phase, d.seen = resized(d.activity, n), resized(d.phase, n), resized(d.seen, n)
+	d.theoryAtom = resized(d.theoryAtom, n)
+	d.trail, d.trailLim, d.qhead, d.varInc, d.theoryEvents, d.ok = d.trail[:0], d.trailLim[:0], 0, 1.0, 0, true
+	for c := int32(0); int(c) < len(d.lits); c += 1 + int32(d.lits[c]) {
+		switch d.lits[c] {
+		case 0:
 			d.ok = false
-			return d
+		case 1:
+			d.ok = d.enqueue(d.lits[c+1], noClause)
+		default:
+			d.watch(c)
+		}
+		if !d.ok {
+			return
 		}
 	}
-	return d
+}
+
+// clause returns the literals of clause c.
+func (d *cdcl) clause(c int32) []lit { return d.lits[c+1 : c+1+int32(d.lits[c])] }
+
+// push appends clause ls to the arena and returns its reference.
+func (d *cdcl) push(ls []lit) int32 {
+	c := int32(len(d.lits))
+	d.lits = append(d.lits, lit(len(ls)))
+	d.lits = append(d.lits, ls...)
+	return c
 }
 
 func (d *cdcl) value(l lit) int8 {
@@ -199,29 +223,14 @@ func (d *cdcl) value(l lit) int8 {
 
 func (d *cdcl) decisionLevel() int { return len(d.trailLim) }
 
-// addClause attaches an input clause; unit clauses are enqueued at level 0.
-// It returns false when the clause is empty or contradicts a level-0 fact.
-func (d *cdcl) addClause(ls []lit) bool {
-	switch len(ls) {
-	case 0:
-		return false
-	case 1:
-		return d.enqueue(ls[0], nil)
-	}
-	c := &clause{lits: ls}
-	d.clauses = append(d.clauses, c)
-	d.watch(c)
-	return true
-}
-
-func (d *cdcl) watch(c *clause) {
-	d.watches[c.lits[0]] = append(d.watches[c.lits[0]], c)
-	d.watches[c.lits[1]] = append(d.watches[c.lits[1]], c)
+func (d *cdcl) watch(c int32) {
+	d.watches[d.lits[c+1]] = append(d.watches[d.lits[c+1]], c)
+	d.watches[d.lits[c+2]] = append(d.watches[d.lits[c+2]], c)
 }
 
 // enqueue asserts l (with an optional reason clause), returning false if l
 // is already false under the current assignment.
-func (d *cdcl) enqueue(l lit, from *clause) bool {
+func (d *cdcl) enqueue(l lit, from int32) bool {
 	switch d.value(l) {
 	case 1:
 		return true
@@ -232,7 +241,7 @@ func (d *cdcl) enqueue(l lit, from *clause) bool {
 	return true
 }
 
-func (d *cdcl) assertLit(l lit, from *clause) {
+func (d *cdcl) assertLit(l lit, from int32) {
 	v := l.varIdx()
 	if l.negated() {
 		d.assign[v] = -1
@@ -242,14 +251,15 @@ func (d *cdcl) assertLit(l lit, from *clause) {
 	d.level[v] = d.decisionLevel()
 	d.reason[v] = from
 	d.trail = append(d.trail, l)
-	if d.theoryAtom != nil && d.theoryAtom[v] {
+	if d.theoryAtom[v] {
 		d.theoryEvents++
 	}
 }
 
 // propagate runs watched-literal unit propagation to fixpoint. It returns
-// the conflicting clause, or nil if the assignment is propagation-closed.
-func (d *cdcl) propagate() *clause {
+// the conflicting clause, or noClause if the assignment is
+// propagation-closed.
+func (d *cdcl) propagate() int32 {
 	for d.qhead < len(d.trail) {
 		p := d.trail[d.qhead]
 		d.qhead++
@@ -259,7 +269,7 @@ func (d *cdcl) propagate() *clause {
 	clauses:
 		for i := 0; i < len(ws); i++ {
 			c := ws[i]
-			lits := c.lits
+			lits := d.clause(c)
 			// Normalize so the falsified watch sits at lits[1].
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
@@ -294,7 +304,7 @@ func (d *cdcl) propagate() *clause {
 		}
 		d.watches[falseLit] = ws[:n]
 	}
-	return nil
+	return noClause
 }
 
 // cancelUntil undoes all assignments above the given decision level,
@@ -308,7 +318,7 @@ func (d *cdcl) cancelUntil(lvl int) {
 		v := d.trail[i].varIdx()
 		d.phase[v] = d.assign[v]
 		d.assign[v] = 0
-		d.reason[v] = nil
+		d.reason[v] = noClause
 	}
 	d.trail = d.trail[:back]
 	d.trailLim = d.trailLim[:lvl]
@@ -328,9 +338,10 @@ func (d *cdcl) bumpVar(v int) {
 // analyze performs first-UIP conflict analysis on confl, which must be
 // falsified with at least one literal at the current decision level. It
 // returns the learned clause (asserting literal first, a deepest-level
-// remaining literal second) and the backjump level.
-func (d *cdcl) analyze(confl *clause) ([]lit, int) {
-	learnt := []lit{0} // slot 0 reserved for the asserting literal
+// remaining literal second), valid until the next analyze, and the
+// backjump level.
+func (d *cdcl) analyze(confl int32) ([]lit, int) {
+	learnt := append(d.learnt[:0], 0) // slot 0 reserved for the asserting literal
 	pathC := 0
 	var p lit = -1
 	idx := len(d.trail) - 1
@@ -341,7 +352,7 @@ func (d *cdcl) analyze(confl *clause) ([]lit, int) {
 			// p's reason clause has p at lits[0]; skip it.
 			start = 1
 		}
-		for _, q := range confl.lits[start:] {
+		for _, q := range d.clause(confl)[start:] {
 			v := q.varIdx()
 			if d.seen[v] || d.level[v] == 0 {
 				continue
@@ -382,15 +393,16 @@ func (d *cdcl) analyze(confl *clause) ([]lit, int) {
 		}
 	}
 	d.varInc /= 0.95
+	d.learnt = learnt
 	return learnt, bt
 }
 
 // resolveConflict analyzes a falsified clause, backjumps, and asserts the
 // learned literal. It returns false when the conflict is at level 0, i.e.
 // the search space is exhausted.
-func (d *cdcl) resolveConflict(confl *clause) bool {
+func (d *cdcl) resolveConflict(confl int32) bool {
 	maxLvl := 0
-	for _, q := range confl.lits {
+	for _, q := range d.clause(confl) {
 		if l := d.level[q.varIdx()]; l > maxLvl {
 			maxLvl = l
 		}
@@ -408,10 +420,9 @@ func (d *cdcl) resolveConflict(confl *clause) bool {
 	d.cancelUntil(bt)
 	d.stats.LearnedClauses++
 	if len(learnt) == 1 {
-		return d.enqueue(learnt[0], nil)
+		return d.enqueue(learnt[0], noClause)
 	}
-	c := &clause{lits: learnt}
-	d.clauses = append(d.clauses, c)
+	c := d.push(learnt)
 	d.watch(c)
 	return d.enqueue(learnt[0], c)
 }
@@ -419,7 +430,7 @@ func (d *cdcl) resolveConflict(confl *clause) bool {
 // learnClause adds a clause the theory solvers refuted (an unsat-core or
 // blocking clause over atom variables, fully falsified by the current
 // assignment) and drives conflict resolution with it. It returns false
-// when the clause exhausts the search.
+// when the clause exhausts the search. The engine keeps a copy of ls.
 func (d *cdcl) learnClause(ls []lit) bool {
 	if len(ls) == 0 {
 		return false
@@ -427,8 +438,10 @@ func (d *cdcl) learnClause(ls []lit) bool {
 	if len(ls) == 1 {
 		d.stats.LearnedClauses++
 		d.cancelUntil(0)
-		return d.enqueue(ls[0], nil)
+		return d.enqueue(ls[0], noClause)
 	}
+	c := d.push(ls)
+	ls = d.clause(c)
 	// Watch the two deepest-level literals: every other literal of the
 	// clause is unassigned before them on any future trail.
 	for i := 0; i < 2; i++ {
@@ -440,8 +453,6 @@ func (d *cdcl) learnClause(ls []lit) bool {
 		}
 		ls[i], ls[best] = ls[best], ls[i]
 	}
-	c := &clause{lits: ls}
-	d.clauses = append(d.clauses, c)
 	d.watch(c)
 	return d.resolveConflict(c)
 }
@@ -450,7 +461,7 @@ func (d *cdcl) learnClause(ls []lit) bool {
 func (d *cdcl) decide(v int, value bool) {
 	d.stats.Decisions++
 	d.trailLim = append(d.trailLim, len(d.trail))
-	d.assertLit(mkLit(v, !value), nil)
+	d.assertLit(mkLit(v, !value), noClause)
 }
 
 // savedPhase returns the phase v held before it was last unassigned:

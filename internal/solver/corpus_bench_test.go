@@ -13,7 +13,7 @@ import (
 )
 
 // corpusFormulas returns every cycle formula of one Table II app.
-func corpusFormulas(b *testing.B, spec string) []smt.Expr {
+func corpusFormulas(b testing.TB, spec string) []smt.Expr {
 	app, err := apps.Open(spec, apps.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -51,9 +51,10 @@ func BenchmarkSolveCorpus(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var stats solver.Stats
+	var sv solver.Solver
 	for i := 0; i < b.N; i++ {
 		for _, f := range formulas {
-			res := solver.Solve(context.Background(), f)
+			res := sv.Solve(context.Background(), f)
 			if res.Status == solver.UNKNOWN {
 				b.Fatalf("UNKNOWN on %s", f)
 			}

@@ -24,8 +24,9 @@ func hardFormula(n int) smt.Expr {
 	return smt.And(parts...)
 }
 
-// solve is Solve with the default limits and no cancellation.
-func solve(f smt.Expr) Result { return Solve(context.Background(), f) }
+// solve is a fresh Solver's Solve with the default limits and no
+// cancellation.
+func solve(f smt.Expr) Result { return new(Solver).Solve(context.Background(), f) }
 
 func itoa(n int) string {
 	if n == 0 {
@@ -44,7 +45,7 @@ func TestSolveCtxPreCanceled(t *testing.T) {
 	cancel()
 	f := hardFormula(12)
 	start := time.Now()
-	res := Solve(ctx, f)
+	res := new(Solver).Solve(ctx, f)
 	if res.Status != UNKNOWN {
 		t.Fatalf("canceled solve returned %v, want UNKNOWN", res.Status)
 	}
@@ -60,7 +61,7 @@ func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	a := solve(f)
-	b := Solve(ctx, f)
+	b := new(Solver).Solve(ctx, f)
 	if a.Status != b.Status {
 		t.Fatalf("background %v, cancelable %v", a.Status, b.Status)
 	}
@@ -90,14 +91,15 @@ func TestSolveCtxCancelMidRun(t *testing.T) {
 	defer cancel()
 	f := hardFormula(20)
 	free := &pollCtx{Context: live, k: math.MaxInt}
-	if res := Solve(free, f); res.Status == UNKNOWN {
+	var sv Solver
+	if res := sv.Solve(free, f); res.Status == UNKNOWN {
 		t.Fatal("the uncanceled solve gave up")
 	}
 	if free.polls < 4 {
 		t.Fatalf("the search polls its context %d times; nothing lands mid-run", free.polls)
 	}
 	ctx := &pollCtx{Context: live, k: free.polls / 2}
-	res := Solve(ctx, f)
+	res := sv.Solve(ctx, f)
 	if res.Status != UNKNOWN {
 		t.Fatalf("status = %v, want UNKNOWN", res.Status)
 	}

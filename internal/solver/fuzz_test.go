@@ -10,6 +10,7 @@ package solver
 // re-verify by evaluation.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -142,7 +143,8 @@ func oracleSAT(f smt.Expr, ints, strs, bools []smt.Var) bool {
 }
 
 // TestDifferentialFuzz cross-checks the CDCL(T) engine against the
-// enumeration oracle on fuzzIters random mixed-theory formulas.
+// enumeration oracle on fuzzIters random mixed-theory formulas, solved by
+// one Solver in turn: each verdict and its counters are a fresh Solver's.
 func TestDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240805))
 	ints := []smt.Var{
@@ -158,10 +160,14 @@ func TestDifferentialFuzz(t *testing.T) {
 		smt.NewVar("q", smt.SortBool),
 	}
 
+	var sv Solver
 	for iter := 0; iter < fuzzIters; iter++ {
 		c := genFuzzCase(rng, ints, strs, bools)
 		want := oracleSAT(c.f, ints, strs, bools)
-		res := solve(c.f)
+		res := sv.Solve(context.Background(), c.f)
+		if fresh := solve(c.f); fresh.Status != res.Status || fresh.Stats != res.Stats {
+			t.Fatalf("iter %d: reused Solver %s %+v, fresh %s %+v for %s", iter, res.Status, res.Stats, fresh.Status, fresh.Stats, c.f)
+		}
 		switch res.Status {
 		case SAT:
 			if !want {

@@ -96,9 +96,8 @@ type assignment struct {
 	has []bool
 }
 
-func newAssignment(nvars int) assignment {
-	return assignment{val: make([]rat, nvars), has: make([]bool, nvars)}
-}
+// reset empties a for variables [0, nvars).
+func (a *assignment) reset(nvars int) { a.val, a.has = resized(a.val, nvars), resized(a.has, nvars) }
 
 func (a *assignment) set(x int32, v rat) { a.val[x], a.has[x] = v, true }
 
@@ -164,7 +163,8 @@ type elimRecord struct {
 }
 
 // linSolver decides conjunctions of rows over variables [0, len(isInt)).
-// A linSAT answer leaves its assignment in asn until the next solve.
+// A linSAT answer leaves its assignment in asn until the next solve. One
+// serves formula after formula: reset readies it for the next.
 type linSolver struct {
 	isInt []bool // variables that must take integral values
 	lim   fmLimits
@@ -181,8 +181,10 @@ type linSolver struct {
 	count      []int32 // per-variable occurrence counts of pickElimVar
 }
 
-func newLinSolver(isInt []bool, lim fmLimits) *linSolver {
-	return &linSolver{isInt: isInt, lim: lim, asn: newAssignment(len(isInt)), count: make([]int32, len(isInt))}
+// reset readies ls for variables [0, len(isInt)) under lim.
+func (ls *linSolver) reset(isInt []bool, lim fmLimits) {
+	ls.isInt, ls.lim, ls.count = isInt, lim, resized(ls.count, len(isInt))
+	ls.asn.reset(len(isInt))
 }
 
 // solve decides rest ∧ nes, where nes are the disequalities.

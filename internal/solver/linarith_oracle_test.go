@@ -542,10 +542,10 @@ func (sys *linSystem) rows() (rest, nes []linCon) {
 }
 
 // checkAgainstOracle solves sys both ways and compares.
-func checkAgainstOracle(t *testing.T, sys *linSystem, lim fmLimits) linStatus {
+func checkAgainstOracle(t *testing.T, ls *linSolver, sys *linSystem, lim fmLimits) linStatus {
 	t.Helper()
 	want, wantSt := oracleSolveLinear(sys.oracle, sys.intVars, lim)
-	ls := newLinSolver(sys.isInt, lim)
+	ls.reset(sys.isInt, lim)
 	rest, nes := sys.rows()
 	gotSt := ls.solve(rest, nes)
 	if gotSt != wantSt {
@@ -637,8 +637,9 @@ func FuzzLinarith(f *testing.F) {
 	f.Add([]byte{3, 0xff, 4, 0x04, 0, 1, 1, 2, 5, 0x05, 0, 0x48, 1, 0x51, 6, 0x02, 2, 4, 3, 0x03, 0, 4, 4})
 	f.Add([]byte{7, 0x0f, 11, 0x08, 0, 0x81, 1, 0x82, 2, 0xc3, 0x84, 0x04, 3, 0x85, 4, 0xc6, 5, 0x09, 0, 1, 2, 2, 4, 3})
 	lim := fmLimits{maxConstraints: 500, maxNEBranch: 4, maxIntDepth: 6}
+	var ls linSolver // one, reset input after input, as a Solver keeps its own
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAgainstOracle(t, decodeLinSystem(data), lim)
+		checkAgainstOracle(t, &ls, decodeLinSystem(data), lim)
 	})
 }
 
@@ -649,6 +650,7 @@ func TestLinarithAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	lim := fmLimits{maxConstraints: 500, maxNEBranch: 4, maxIntDepth: 6}
 	var seen [3]int
+	var ls linSolver
 	before := promotions.Load()
 	for i := 0; i < 4000; i++ {
 		data := make([]byte, 8+rng.Intn(90))
@@ -658,7 +660,7 @@ func TestLinarithAgainstOracle(t *testing.T) {
 				data[j] &= 0x3f
 			}
 		}
-		seen[checkAgainstOracle(t, decodeLinSystem(data), lim)]++
+		seen[checkAgainstOracle(t, &ls, decodeLinSystem(data), lim)]++
 	}
 	if seen[linSAT] < 100 || seen[linUNSAT] < 100 || seen[linUNKNOWN] == 0 {
 		t.Errorf("SAT/UNSAT/UNKNOWN = %v: the generator is lopsided", seen)

@@ -89,12 +89,14 @@ func TestTheoryCheckAllocs(t *testing.T) {
 	cons = append(cons, smt.Le(vars[0], smt.Int(100)), smt.Ge(vars[5], smt.Int(-100)))
 	f := smt.And(cons...)
 
-	s := newSession(f, defaultFMLimits())
+	var s session
+	s.reset(f, defaultFMLimits())
 	if _, ok := s.nnf(f, true); !ok || len(s.atoms) != len(cons) {
 		t.Fatalf("atomized %d constraints into %d atoms", len(cons), len(s.atoms))
 	}
 	// One auxiliary variable stays unassigned, so no model is built.
-	d := newCDCL(len(s.atoms)+1, nil, &s.stats)
+	d := &cdcl{numVars: len(s.atoms) + 1, stats: &s.stats}
+	d.start()
 	for id := range s.atoms {
 		d.assign[id] = 1
 	}
@@ -121,7 +123,8 @@ func TestTheoryCheckAllocs(t *testing.T) {
 // hash slot: the second must get its own atom, and find it again.
 func TestInternLinProbesPastCollision(t *testing.T) {
 	x := smt.NewVar("x", smt.SortInt)
-	s := newSession(x, defaultFMLimits())
+	var s session
+	s.reset(x, defaultFMLimits())
 	row := func(rhs int64) linCon {
 		return linCon{terms: []term{{x: 0, co: ratOne}}, rhs: ratInt(rhs), op: opLE}
 	}

@@ -19,8 +19,9 @@ func TestShrinkCoreCapped(t *testing.T) {
 		return has3 && has7
 	}
 
+	var s session // one workspace, reused call after call
 	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	got := shrinkCoreCapped(ids, 192, pairUnsat)
+	got := s.shrinkCore(ids, 192, pairUnsat)
 	if !reflect.DeepEqual(got, []int{3, 7}) {
 		t.Fatalf("expected minimal core [3 7], got %v", got)
 	}
@@ -28,13 +29,13 @@ func TestShrinkCoreCapped(t *testing.T) {
 	// Over the cap: the set is returned as-is, with zero oracle calls.
 	calls := 0
 	counting := func(ids []int) bool { calls++; return true }
-	got = shrinkCoreCapped(ids, len(ids)-1, counting)
+	got = s.shrinkCore(ids, len(ids)-1, counting)
 	if !reflect.DeepEqual(got, ids) || calls != 0 {
 		t.Fatalf("expected capped pass-through without oracle calls, got %v after %d calls", got, calls)
 	}
 
 	// Exactly at the cap the minimizer still runs.
-	got = shrinkCoreCapped(ids, len(ids), pairUnsat)
+	got = s.shrinkCore(ids, len(ids), pairUnsat)
 	if !reflect.DeepEqual(got, []int{3, 7}) {
 		t.Fatalf("expected shrinking at cap boundary, got %v", got)
 	}
@@ -48,7 +49,7 @@ func TestShrinkCoreCapped(t *testing.T) {
 		}
 		return false
 	}
-	got = shrinkCoreCapped(ids, 192, oneUnsat)
+	got = s.shrinkCore(ids, 192, oneUnsat)
 	if !reflect.DeepEqual(got, []int{5}) {
 		t.Fatalf("expected singleton core [5], got %v", got)
 	}
@@ -56,7 +57,7 @@ func TestShrinkCoreCapped(t *testing.T) {
 	// The input slice itself is never mutated.
 	orig := []int{9, 8, 7, 3, 1}
 	want := append([]int(nil), orig...)
-	shrinkCoreCapped(orig, 192, pairUnsat)
+	s.shrinkCore(orig, 192, pairUnsat)
 	if !reflect.DeepEqual(orig, want) {
 		t.Fatalf("input mutated: %v", orig)
 	}

@@ -11,9 +11,11 @@
 package solver
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"weseer/internal/smt"
 )
@@ -83,23 +85,32 @@ type Result struct {
 // gives up UNKNOWN; defaultFMLimits bounds each check.
 const maxTheoryCalls = 20000
 
+// Solver is a workspace for Solve calls: the atom indexes, the NNF tree,
+// the clause arena and the engine's and the arithmetic theory's tables,
+// grown once and reset call after call rather than reallocated. Its zero
+// value is ready to use. A Solver is not safe for concurrent use; its
+// owner (one phase-3 worker) keeps it, and a Result shares nothing with it.
+type Solver struct {
+	s session
+	d cdcl
+	// budget, when non-zero, replaces maxTheoryCalls (tests set it).
+	budget int
+}
+
 // Solve decides f within the package's work budgets, honoring ctx
 // cancellation: the CDCL(T) loop and the Fourier–Motzkin elimination
 // rounds poll the context and abandon the search promptly once it is done.
 // A canceled call returns UNKNOWN; callers that need to tell cancellation
 // apart from a budget UNKNOWN check ctx.Err().
-func Solve(ctx context.Context, f smt.Expr) Result {
-	return solveBudget(ctx, f, maxTheoryCalls)
-}
-
-// solveBudget is Solve with theoryCalls in place of maxTheoryCalls.
-func solveBudget(ctx context.Context, f smt.Expr, theoryCalls int) Result {
+func (sv *Solver) Solve(ctx context.Context, f smt.Expr) Result {
 	fm := defaultFMLimits()
 	if ctx != nil && ctx.Done() != nil {
 		fm.stop = func() bool { return ctx.Err() != nil }
 	}
+	theoryCalls := cmp.Or(sv.budget, maxTheoryCalls)
 	f = smt.Simplify(f)
-	s := newSession(f, fm)
+	s, d := &sv.s, &sv.d
+	s.reset(f, fm)
 	f = expandSelects(f)
 
 	if c, ok := f.(smt.BoolConst); ok {
@@ -113,28 +124,25 @@ func solveBudget(ctx context.Context, f smt.Expr, theoryCalls int) Result {
 	if !ok {
 		return Result{Status: UNKNOWN, Stats: s.stats}
 	}
-	s.ackermann()
-
-	b := &cnfBuilder{numVars: len(s.atoms)}
-	b.clauses = append(b.clauses, s.extraClauses...)
-	rootLit, isConst, constVal := b.tseitin(root)
+	d.lits, d.inputs, d.stats = d.lits[:0], 0, &s.stats
+	s.ackermann(d)
+	d.numVars = len(s.atoms)
+	rootLit, isConst, constVal := s.tseitin(d, root)
 	if isConst {
 		if constVal {
 			return Result{Status: SAT, Model: smt.NewModel(), Stats: s.stats}
 		}
 		return Result{Status: UNSAT, Stats: s.stats}
 	}
-	b.addClause(rootLit)
+	d.addInput(rootLit)
 	s.stats.Atoms = len(s.atoms)
-	s.stats.Clauses = len(b.clauses)
+	s.stats.Clauses = d.inputs
 
-	d := newCDCL(b.numVars, b.clauses, &s.stats)
-	theory := make([]bool, b.numVars)
+	d.start()
 	for i := range s.atoms {
 		k := s.atoms[i].kind
-		theory[i] = k == aLin || k == aStr
+		d.theoryAtom[i] = k == aLin || k == aStr
 	}
-	d.theoryAtom = theory
 
 	// CDCL(T): propagate to fixpoint, theory-check the partial assignment
 	// (learning a shrunken unsat core on conflict and resolving it through
@@ -158,7 +166,7 @@ func solveBudget(ctx context.Context, f smt.Expr, theoryCalls int) Result {
 		if fm.stop != nil && fm.stop() {
 			return Result{Status: UNKNOWN, Stats: s.stats}
 		}
-		if confl := d.propagate(); confl != nil {
+		if confl := d.propagate(); confl != noClause {
 			s.stats.Conflicts++
 			if !d.resolveConflict(confl) {
 				return exhausted()
@@ -179,12 +187,12 @@ func solveBudget(ctx context.Context, f smt.Expr, theoryCalls int) Result {
 			// resolve it like any other conflict: analysis backjumps
 			// non-chronologically and the learned clause prunes every
 			// assignment extending the core, not just the current one.
-			cl := make([]lit, 0, len(core))
+			s.clause = s.clause[:0]
 			for _, id := range core {
-				cl = append(cl, mkLit(id, d.assign[id] == 1))
+				s.clause = append(s.clause, mkLit(id, d.assign[id] == 1))
 			}
 			s.stats.Conflicts++
-			if !d.learnClause(cl) {
+			if !d.learnClause(s.clause) {
 				return exhausted()
 			}
 			continue
@@ -197,11 +205,11 @@ func solveBudget(ctx context.Context, f smt.Expr, theoryCalls int) Result {
 			// UNKNOWN theory or (defensively) failed verification: block
 			// this complete atom assignment and move on.
 			sawUnknown = true
-			cl := make([]lit, 0, len(s.atoms))
+			s.clause = s.clause[:0]
 			for id := range s.atoms {
-				cl = append(cl, mkLit(id, d.assign[id] == 1))
+				s.clause = append(s.clause, mkLit(id, d.assign[id] == 1))
 			}
-			if !d.learnClause(cl) {
+			if !d.learnClause(s.clause) {
 				return exhausted()
 			}
 			continue
@@ -247,8 +255,7 @@ type selKey struct{ root, key string }
 
 type session struct {
 	atoms []atomInfo
-	// Atom-interning indexes, one per atom kind; they live and die with
-	// the session.
+	// Atom-interning indexes, one per atom kind.
 	boolAtoms  map[string]int
 	strAtoms   map[strPair]int
 	selAtomIdx map[selKey]int
@@ -257,15 +264,14 @@ type session struct {
 	linIndex map[uint64]int
 	linRows  [][2]linCon // per linear atom: the row and its negation
 
-	// The formula's variables, numbered in sorted-name order: the ids the
+	// The formula's variables in sorted-name order, their index the id the
 	// arithmetic theory's rows, tie-breaks and assignments are written in.
-	varID    map[string]int32
-	varNames []string
-	lin      *linSolver
+	vars  []smt.Var
+	isInt []bool
+	lin   linSolver
 
-	selAtoms     []int // indices of aSel atoms
-	extraClauses [][]lit
-	stats        Stats
+	selAtoms []int // indices of aSel atoms
+	stats    Stats
 	// lastAsn caches the most recent satisfying arithmetic assignment
 	// (valid once haveLast); successive theory checks mostly extend a
 	// consistent partial assignment, so re-evaluating the cached model
@@ -274,6 +280,13 @@ type session struct {
 	lastAsn  assignment
 	haveLast bool
 
+	// The NNF tree: nodes, and the children of and/or nodes as ranges of
+	// kids; kidNodes and kidLits are nnf's and tseitin's stacks.
+	nodes    []pnode
+	kids     []int32
+	kidNodes []int32
+	kidLits  []lit
+
 	// Atomization scratch: acc accumulates one comparison's coefficient
 	// per variable, accIDs lists the variables it touched, row is the
 	// candidate atom, and slab is the chunk new atoms' terms are cut from.
@@ -281,35 +294,40 @@ type session struct {
 	accIDs []int32
 	row    []term
 	slab   []term
-	// Theory-check scratch: the assigned atoms by theory and their rows.
+	// Theory-check scratch: the assigned atoms by theory and their rows,
+	// string constraints, a shrinking core and its candidate, a clause.
 	linIDs, strIDs []int
 	rest, nes      []linCon
+	strCons        []strConstraint
+	core, cand     []int
+	clause         []lit
 }
 
-// newSession numbers the variables of f (already simplified).
-func newSession(f smt.Expr, lim fmLimits) *session {
-	vars := smt.VarSet(f)
-	s := &session{
-		boolAtoms:  map[string]int{},
-		strAtoms:   map[strPair]int{},
-		selAtomIdx: map[selKey]int{},
-		linIndex:   map[uint64]int{},
-		varID:      make(map[string]int32, len(vars)),
-		varNames:   make([]string, 0, len(vars)),
+// reset empties s for f (already simplified) and numbers f's variables.
+func (s *session) reset(f smt.Expr, lim fmLimits) {
+	if s.boolAtoms == nil {
+		s.boolAtoms, s.strAtoms, s.selAtomIdx, s.linIndex = map[string]int{}, map[strPair]int{}, map[selKey]int{}, map[uint64]int{}
 	}
-	for name := range vars {
-		s.varNames = append(s.varNames, name)
+	clear(s.boolAtoms)
+	clear(s.strAtoms)
+	clear(s.selAtomIdx)
+	clear(s.linIndex)
+	s.atoms, s.linRows, s.slab, s.selAtoms = s.atoms[:0], s.linRows[:0], s.slab[:0], s.selAtoms[:0]
+	s.nodes, s.kids, s.kidNodes, s.kidLits = s.nodes[:0], s.kids[:0], s.kidNodes[:0], s.kidLits[:0]
+	s.stats, s.haveLast = Stats{}, false
+
+	// A name's last occurrence decides its sort, as in smt.VarSet.
+	s.vars = smt.Vars(s.vars[:0], f)
+	slices.Reverse(s.vars)
+	slices.SortStableFunc(s.vars, func(a, b smt.Var) int { return strings.Compare(a.Name, b.Name) })
+	s.vars = slices.CompactFunc(s.vars, func(a, b smt.Var) bool { return a.Name == b.Name })
+	s.isInt = resized(s.isInt, len(s.vars))
+	for id, v := range s.vars {
+		s.isInt[id] = v.S == smt.SortInt
 	}
-	slices.Sort(s.varNames)
-	isInt := make([]bool, len(s.varNames))
-	for id, name := range s.varNames {
-		s.varID[name] = int32(id)
-		isInt[id] = vars[name] == smt.SortInt
-	}
-	s.lin = newLinSolver(isInt, lim)
-	s.lastAsn = newAssignment(len(isInt))
-	s.acc = newAssignment(len(isInt))
-	return s
+	s.lin.reset(s.isInt, lim)
+	s.lastAsn.reset(len(s.vars))
+	s.acc.reset(len(s.vars))
 }
 
 func (s *session) addAtom(info atomInfo) int {
@@ -383,16 +401,16 @@ func (s *session) internLin(lc linCon) int {
 
 // nnf converts e (under polarity pos) into a pnode tree, atomizing leaves.
 // It returns ok=false when e falls outside the solvable fragment.
-func (s *session) nnf(e smt.Expr, pos bool) (*pnode, bool) {
+func (s *session) nnf(e smt.Expr, pos bool) (int32, bool) {
 	switch t := e.(type) {
 	case smt.BoolConst:
-		return &pnode{kind: pConst, b: t.B == pos}, true
+		return s.node(pnode{kind: pConst, b: t.B == pos}), true
 	case smt.Var:
 		if t.S != smt.SortBool {
-			return nil, false
+			return 0, false
 		}
 		id := s.internBool(t.Name)
-		return &pnode{kind: pLit, lit: mkLit(id, !pos)}, true
+		return s.litNode(mkLit(id, !pos)), true
 	case smt.Not:
 		return s.nnf(t.X, !pos)
 	case *smt.NAry:
@@ -400,29 +418,40 @@ func (s *session) nnf(e smt.Expr, pos bool) (*pnode, bool) {
 		if t.Conj != pos {
 			kind = pOr
 		}
-		n := &pnode{kind: kind}
+		base := len(s.kidNodes)
 		for _, x := range t.Xs {
 			k, ok := s.nnf(x, pos)
 			if !ok {
-				return nil, false
+				return 0, false
 			}
-			n.kids = append(n.kids, k)
+			s.kidNodes = append(s.kidNodes, k)
 		}
-		return n, true
+		lo := int32(len(s.kids))
+		s.kids = append(s.kids, s.kidNodes[base:]...)
+		s.kidNodes = s.kidNodes[:base]
+		return s.node(pnode{kind: kind, lo: lo, hi: int32(len(s.kids))}), true
 	case *smt.Select:
 		if t.Arr.Parent != nil {
 			// expandSelects should have removed non-root selects.
-			return nil, false
+			return 0, false
 		}
 		id := s.internSel(t.Arr.ID, t.Key)
-		return &pnode{kind: pLit, lit: mkLit(id, !pos)}, true
+		return s.litNode(mkLit(id, !pos)), true
 	case *smt.Cmp:
 		return s.nnfCmp(t, pos)
 	}
-	return nil, false
+	return 0, false
 }
 
-func (s *session) nnfCmp(c *smt.Cmp, pos bool) (*pnode, bool) {
+// node adds n to the NNF tree and returns its index.
+func (s *session) node(n pnode) int32 {
+	s.nodes = append(s.nodes, n)
+	return int32(len(s.nodes) - 1)
+}
+
+func (s *session) litNode(l lit) int32 { return s.node(pnode{kind: pLit, lit: l}) }
+
+func (s *session) nnfCmp(c *smt.Cmp, pos bool) (int32, bool) {
 	switch c.L.Sort() {
 	case smt.SortBool:
 		// a = b  ⇔  (a ∧ b) ∨ (¬a ∧ ¬b); a != b is its negation.
@@ -435,7 +464,7 @@ func (s *session) nnfCmp(c *smt.Cmp, pos bool) (*pnode, bool) {
 		lt, ok1 := strTermOf(c.L)
 		rt, ok2 := strTermOf(c.R)
 		if !ok1 || !ok2 {
-			return nil, false
+			return 0, false
 		}
 		// Canonical order for interning.
 		a, b := lt, rt
@@ -444,7 +473,7 @@ func (s *session) nnfCmp(c *smt.Cmp, pos bool) (*pnode, bool) {
 		}
 		id := s.internStr(a, b)
 		neg := c.Op == smt.NE
-		return &pnode{kind: pLit, lit: mkLit(id, neg == pos)}, true
+		return s.litNode(mkLit(id, neg == pos)), true
 	default:
 		return s.nnfNum(c, pos)
 	}
@@ -471,10 +500,11 @@ func (s *session) linearize(e smt.Expr, scale rat, konst *rat) bool {
 		*konst = konst.add(scale.mul(ratBig(t.V)))
 		return true
 	case smt.Var:
-		x, ok := s.varID[t.Name]
+		i, ok := slices.BinarySearchFunc(s.vars, t.Name, func(v smt.Var, name string) int { return strings.Compare(v.Name, name) })
 		if !ok {
 			return false
 		}
+		x := int32(i)
 		if s.acc.has[x] {
 			s.acc.val[x] = s.acc.val[x].add(scale)
 		} else {
@@ -527,12 +557,12 @@ func (s *session) flushRow() []term {
 }
 
 // nnfNum atomizes a numeric comparison into a canonical linear atom.
-func (s *session) nnfNum(c *smt.Cmp, pos bool) (*pnode, bool) {
+func (s *session) nnfNum(c *smt.Cmp, pos bool) (int32, bool) {
 	konst := ratZero
 	ok := s.linearize(c.L, ratOne, &konst) && s.linearize(c.R, ratOne.neg(), &konst)
 	terms := s.flushRow() // also on failure: the accumulator must end up empty
 	if !ok {
-		return nil, false
+		return 0, false
 	}
 	// Now: Σ terms + konst  op  0  ⇔  Σ terms  op  -konst.
 	rhs := konst.neg()
@@ -552,7 +582,7 @@ func (s *session) nnfNum(c *smt.Cmp, pos bool) (*pnode, bool) {
 		if flip {
 			rhs = rhs.neg()
 		}
-		return &pnode{kind: pConst, b: (lc.op.holds(-rhs.sign()) != neg) == pos}, true
+		return s.node(pnode{kind: pConst, b: (lc.op.holds(-rhs.sign()) != neg) == pos}), true
 	}
 	// Canonical form: the smallest variable's coefficient is ±1, and +1 in
 	// an equality.
@@ -569,12 +599,12 @@ func (s *session) nnfNum(c *smt.Cmp, pos bool) (*pnode, bool) {
 	}
 	lc.terms, lc.rhs = terms, rhs
 	id := s.internLin(lc)
-	return &pnode{kind: pLit, lit: mkLit(id, neg == pos)}, true
+	return s.litNode(mkLit(id, neg == pos)), true
 }
 
 // ackermann adds congruence clauses for every pair of select atoms over
 // the same root array: (k1 = k2) → (s1 ↔ s2).
-func (s *session) ackermann() {
+func (s *session) ackermann(d *cdcl) {
 	for i := 0; i < len(s.selAtoms); i++ {
 		for j := i + 1; j < len(s.selAtoms); j++ {
 			ai, aj := s.atoms[s.selAtoms[i]], s.atoms[s.selAtoms[j]]
@@ -587,18 +617,17 @@ func (s *session) ackermann() {
 				if !smt.Eval(ai.key, nil).Equal(smt.Eval(aj.key, nil)) {
 					continue // provably distinct keys: independent
 				}
-				s.extraClauses = append(s.extraClauses,
-					[]lit{si.negate(), sj}, []lit{si, sj.negate()})
+				d.addInput(si.negate(), sj)
+				d.addInput(si, sj.negate())
 				continue
 			}
-			eqNode, ok := s.nnf(smt.Eq(ai.key, aj.key), true)
-			if !ok || eqNode.kind != pLit {
+			n, ok := s.nnf(smt.Eq(ai.key, aj.key), true)
+			if !ok || s.nodes[n].kind != pLit {
 				continue
 			}
-			eq := eqNode.lit
-			s.extraClauses = append(s.extraClauses,
-				[]lit{eq.negate(), si.negate(), sj},
-				[]lit{eq.negate(), si, sj.negate()})
+			eq := s.nodes[n].lit
+			d.addInput(eq.negate(), si.negate(), sj)
+			d.addInput(eq.negate(), si, sj.negate())
 		}
 	}
 }
@@ -624,12 +653,12 @@ func (s *session) theoryCheck(d *cdcl) (*smt.Model, linStatus, []int) {
 		}
 	}
 	strCons := func(ids []int) []strConstraint {
-		out := make([]strConstraint, 0, len(ids))
+		s.strCons = s.strCons[:0]
 		for _, id := range ids {
 			info := &s.atoms[id]
-			out = append(out, strConstraint{l: info.l, r: info.r, eq: d.assign[id] == 1})
+			s.strCons = append(s.strCons, strConstraint{l: info.l, r: info.r, eq: d.assign[id] == 1})
 		}
-		return out
+		return s.strCons
 	}
 	// rows gathers the assigned atoms' rows, disequalities apart, into the
 	// session's two lists; the arithmetic solver copies what it rewrites.
@@ -654,7 +683,7 @@ func (s *session) theoryCheck(d *cdcl) (*smt.Model, linStatus, []int) {
 	if len(s.strIDs) > 0 {
 		var ok bool
 		if strAsn, ok = solveStrings(strCons(s.strIDs)); !ok {
-			core := shrinkCore(s.strIDs, func(ids []int) bool {
+			core := s.shrinkCore(s.strIDs, 192, func(ids []int) bool {
 				_, ok := solveStrings(strCons(ids))
 				return !ok
 			})
@@ -673,11 +702,11 @@ func (s *session) theoryCheck(d *cdcl) (*smt.Model, linStatus, []int) {
 				return s.lin.solveRational(rest) == linUNSAT
 			}
 			if relaxedUnsat(s.linIDs) {
-				return nil, linUNSAT, shrinkCore(s.linIDs, relaxedUnsat)
+				return nil, linUNSAT, s.shrinkCore(s.linIDs, 192, relaxedUnsat)
 			}
 			// The conflict needs NE or integrality reasoning; shrink
 			// with the full check under a tighter size cap.
-			return nil, linUNSAT, shrinkCoreCapped(s.linIDs, 24, func(ids []int) bool {
+			return nil, linUNSAT, s.shrinkCore(s.linIDs, 24, func(ids []int) bool {
 				return s.lin.solve(rows(ids)) == linUNSAT
 			})
 		case linUNKNOWN:
@@ -691,15 +720,15 @@ func (s *session) theoryCheck(d *cdcl) (*smt.Model, linStatus, []int) {
 	}
 
 	m := smt.NewModel()
-	for x, name := range s.varNames {
+	for x, xv := range s.vars {
 		if !s.lastAsn.has[x] {
 			continue
 		}
 		v := s.lastAsn.val[x]
 		if !s.lin.isInt[x] {
-			m.Vars[name] = smt.RealValue(v.big())
+			m.Vars[xv.Name] = smt.RealValue(v.big())
 		} else if i, ok := v.int64(); ok {
-			m.Vars[name] = smt.IntValue(i)
+			m.Vars[xv.Name] = smt.IntValue(i)
 		} else {
 			// Fractional, or an integer no smt.Value can hold.
 			return nil, linUNKNOWN, nil
@@ -746,32 +775,28 @@ func (s *session) preferredPhase(d *cdcl, v int) bool {
 
 // shrinkCore minimizes an inconsistent atom set by chunked deletion:
 // first drop whole halves while the remainder stays inconsistent, then
-// refine element-wise. Small cores become strong learned clauses.
-func shrinkCore(ids []int, stillUnsat func([]int) bool) []int {
-	return shrinkCoreCapped(ids, 192, stillUnsat)
-}
-
-// shrinkCoreCapped is shrinkCore with an explicit size cap: sets larger
-// than maxLen are returned unshrunk, bounding the number of (possibly
-// expensive) stillUnsat probes.
-func shrinkCoreCapped(ids []int, maxLen int, stillUnsat func([]int) bool) []int {
+// refine element-wise. Small cores become strong learned clauses. Sets
+// larger than maxLen are returned unshrunk, bounding the number of
+// (possibly expensive) stillUnsat probes. The core is valid until the
+// next shrinkCore.
+func (s *session) shrinkCore(ids []int, maxLen int, stillUnsat func([]int) bool) []int {
 	if len(ids) > maxLen {
 		return ids
 	}
-	core := append([]int(nil), ids...)
+	core := append(s.core[:0], ids...)
 	// Chunked pass: try dropping progressively smaller chunks.
 	for chunk := len(core) / 2; chunk >= 1; chunk /= 2 {
 		for start := 0; start+chunk <= len(core) && len(core) > 1; {
-			cand := make([]int, 0, len(core)-chunk)
-			cand = append(cand, core[:start]...)
-			cand = append(cand, core[start+chunk:]...)
+			cand := append(append(s.cand[:0], core[:start]...), core[start+chunk:]...)
 			if stillUnsat(cand) {
-				core = cand
+				core, s.cand = cand, core
 			} else {
+				s.cand = cand
 				start += chunk
 			}
 		}
 	}
+	s.core = core
 	return core
 }
 

@@ -448,7 +448,8 @@ func TestLimitsUnknown(t *testing.T) {
 		parts = append(parts, smt.Or(smt.Eq(x, smt.Int(int64(i))), smt.Eq(x, smt.Int(int64(i+100)))))
 	}
 	f := smt.And(parts...)
-	res := solveBudget(context.Background(), f, 1)
+	sv := Solver{budget: 1}
+	res := sv.Solve(context.Background(), f)
 	if res.Status == SAT && !smt.Eval(f, res.Model).B {
 		t.Fatal("SAT without valid model")
 	}

@@ -9,7 +9,7 @@
 package trace
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"weseer/internal/minidb"
@@ -25,7 +25,7 @@ type Frame struct {
 }
 
 func (f Frame) String() string {
-	return fmt.Sprintf("%s (%s:%d)", f.Func, f.File, f.Line)
+	return f.Func + " (" + f.File + ":" + strconv.Itoa(f.Line) + ")"
 }
 
 // CodeLoc is a captured stack trace, innermost frame first. Frames is

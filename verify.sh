@@ -73,7 +73,8 @@ rm -rf "$vetdir"
 # singleflight + cancellation; enumeration is serial) is the
 # concurrency-bearing code; run it under the race detector, together with
 # the concurrent-client workload harness that drives the fix-verification
-# loop. Scoped to the packages that actually spawn goroutines to keep the
+# loop; the solver's leg includes TestSolverReuseMatchesFresh, one reused
+# Solver (a phase-3 worker's) over the whole solver corpus. Scoped to the packages that actually spawn goroutines to keep the
 # gate fast — plus concolic and orm,
 # whose process-wide call-site table and prepared-statement cache are
 # shared by whatever collects or drives load concurrently, minidb,
@@ -104,9 +105,10 @@ go test -race -count=3 ./internal/history
 # solved group, which a lost skeleton hit (a group building the formula
 # of a known key) breaks, and a decoded trace-batch statement, which a
 # lost share in the reader (one parse per SQL text, one decode per call
-# stack) breaks.
-echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestDecodeAllocs' (minidb, workload, core, trace, no -race)"
-go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestDecodeAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/trace
+# stack) breaks, and a warm solver call, which a workspace table
+# reallocated per call breaks.
+echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestSolveAllocs|TestDecodeAllocs' (minidb, workload, core, solver, trace, no -race)"
+go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestSolveAllocs|TestDecodeAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/solver ./internal/trace
 
 # The two-level memo table (skeleton key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
@@ -160,7 +162,8 @@ go test -run=NONE -fuzz=FuzzIngest -fuzztime=5s ./internal/history
 # to save one solve per hit, so canonicalizing a shape has to cost less than
 # solving a formula. Both numbers come from one process over the same Table
 # II cycle formulas, so machine speed cancels in the ratio (1.5 before the
-# canonicalizer was compiled to integer-indexed slices, about 0.4 after).
+# canonicalizer was compiled to integer-indexed slices, about 0.4 after,
+# 0.6–0.9 since a solver call reuses its worker's workspace).
 echo "== memo premise (ns per canonicalized shape <= ns per solved formula)"
 go test -run '^$' -bench 'CanonCorpus|SolveCorpus' -benchtime 5x ./internal/solver | awk '
     function metric(unit,   i) { for (i = 2; i <= NF; i++) if ($i == unit) return $(i - 1); return 0 }
