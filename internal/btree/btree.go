@@ -1,7 +1,16 @@
-// Package btree implements an in-memory B-tree map with ordered iteration.
-// minidb builds its primary and secondary indexes on it: range scans and
-// next-key lookups — the operations InnoDB-style gap/next-key locking is
-// defined over — require an ordered structure, not a hash map.
+// Package btree implements in-memory B-trees with ordered iteration, and
+// the append-only record log the history store keeps on disk.
+//
+// Pages is the storage engine's tree: minidb builds its primary and
+// secondary indexes on it, because range scans and next-key lookups — the
+// operations InnoDB-style gap/next-key locking is defined over — require
+// an ordered structure, not a hash map. Its keys and values are byte
+// strings kept in one page per node, as InnoDB keeps an index's records in
+// its pages, so the collector marks a node, not every key and row, and the
+// views it hands out stay valid because no entry's bytes are written twice.
+//
+// Map is the generic tree, for values that are not bytes: the history
+// store keeps its events, pointers each, in one.
 package btree
 
 // degree is the minimum number of children of an internal node. Nodes hold

@@ -83,21 +83,19 @@ type DB struct {
 	afterStmt func(*Txn, sqlast.Stmt)
 }
 
-// rowEntry is one primary-index record: the row's encoding (datum.go).
-// Deleted rows stay in the tree as delete-marked tombstones until the
-// deleting transaction commits (purge) — readers probing the key block on
-// the deleter's record lock instead of observing an uncommitted
-// disappearance, as in InnoDB.
-type rowEntry struct {
-	row     string
-	deleted bool
-}
+// An entry's value is a tombstone byte, liveEntry or deadEntry, followed
+// for a primary entry by the row's encoding (datum.go); a secondary
+// entry's primary key is its key's suffix (index.pkOf). Deleted rows stay
+// in the tree as delete-marked tombstones until the deleting transaction
+// commits (purge) — readers probing the key block on the deleter's record
+// lock instead of observing an uncommitted disappearance, as in InnoDB.
+const (
+	liveEntry byte = 'L'
+	deadEntry byte = 'D'
+)
 
-// secEntry is one secondary-index record, delete-marked the same way. Its
-// primary key is its tree key's suffix (index.pkOf).
-type secEntry struct {
-	deleted bool
-}
+// deleted reports whether an entry's value is delete-marked.
+func deleted(v string) bool { return v[0] == deadEntry }
 
 // index is one index of a table, laid out once at Open.
 type index struct {
@@ -108,8 +106,8 @@ type index struct {
 	// columns, followed for a secondary by the primary key, so non-unique
 	// entries stay distinct.
 	cols []int
-	// entries is a secondary's tree; the primary's is tableStore.primary.
-	entries *btree.Map[string, secEntry]
+	// entries is the index's page tree, keyed by the entry keys.
+	entries *btree.Pages
 }
 
 // appendKey appends the encoded entry key of a row.
@@ -131,9 +129,8 @@ func (ix *index) pkOf(key string) string {
 // tableStore is one table's storage and layout: a primary B-tree holding
 // rows and one B-tree per secondary index.
 type tableStore struct {
-	meta    *schema.Table
-	colPos  map[string]int
-	primary *btree.Map[string, rowEntry]
+	meta   *schema.Table
+	colPos map[string]int
 	// indexes[0] is the primary; the secondaries follow in declaration
 	// order, which is the planner's order of preference.
 	indexes []*index
@@ -169,19 +166,18 @@ func Open(scm *schema.Schema, cfg Config) *DB {
 		if pi == nil {
 			panic(fmt.Sprintf("minidb: table %s has no primary key", t.Name))
 		}
-		ts := &tableStore{meta: t, colPos: map[string]int{}, primary: btree.New[string, rowEntry](cmpKey)}
+		ts := &tableStore{meta: t, colPos: map[string]int{}}
 		for i, c := range t.Columns {
 			ts.colPos[c.Name] = i
 		}
 		for _, ix := range append([]*schema.Index{pi}, t.SecondaryIndexes()...) {
-			in := &index{Index: ix, id: uint32(len(db.lm.tables))}
+			in := &index{Index: ix, id: uint32(len(db.lm.tables)), entries: btree.NewPages(cmpKey)}
 			db.lm.tables = append(db.lm.tables, t.Name)
 			for _, c := range ix.Columns {
 				in.cols = append(in.cols, ts.colPos[c])
 			}
 			if ix.Type == schema.Secondary {
 				in.cols = append(in.cols, ts.indexes[0].cols...)
-				in.entries = btree.New[string, secEntry](cmpKey)
 			}
 			ts.indexes = append(ts.indexes, in)
 		}
@@ -257,9 +253,9 @@ func (db *DB) TableRows(name string) []Row {
 	db.latch.Lock()
 	defer db.latch.Unlock()
 	var out []Row
-	db.table(name).primary.AscendAll(func(_ string, e rowEntry) bool {
-		if !e.deleted {
-			out = append(out, db.decodeRow(nil, e.row))
+	db.table(name).indexes[0].entries.AscendAll(func(_, v string) bool {
+		if !deleted(v) {
+			out = append(out, db.decodeRow(nil, v[1:]))
 		}
 		return true
 	})

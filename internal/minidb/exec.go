@@ -75,20 +75,15 @@ func (ex *executor) lock(ix *index, kind LockKind, key string, mode LockMode) bo
 // lockGapAbove locks the gap that k's successor in the index bounds (the
 // supremum's when k has none): the gap a new entry k lands in, and the gap
 // that inherits a purged entry's protection.
-func (ex *executor) lockGapAbove(ts *tableStore, ix *index, k string, mode LockMode) bool {
+func (ex *executor) lockGapAbove(ix *index, k string, mode LockMode) bool {
 	var succ string
-	next := func(key string) bool {
+	ix.entries.Ascend(k, func(key, _ string) bool {
 		if key == k {
 			return true // skip the key itself (its tombstone, or the row being deleted)
 		}
 		succ = key
 		return false
-	}
-	if ix.entries == nil {
-		ts.primary.Ascend(k, func(key string, _ rowEntry) bool { return next(key) })
-	} else {
-		ix.entries.Ascend(k, func(key string, _ secEntry) bool { return next(key) })
-	}
+	})
 	return ex.lock(ix, GapLock, succ, mode)
 }
 
@@ -96,7 +91,7 @@ func (ex *executor) lockGapAbove(ts *tableStore, ix *index, k string, mode LockM
 // Scanning
 
 // scanHit is one row produced by an index scan: its primary key and the
-// row, both encoded.
+// row, both encoded, views of the pages they were read from.
 type scanHit struct {
 	pk, row string
 }
@@ -108,7 +103,7 @@ type scanHit struct {
 // results lock that gap alone. Secondary-index hits additionally lock the
 // primary record (Alg. 2 of the paper models exactly this procedure).
 func (ex *executor) scanIndex(ac *access, i int, pfx string, mode LockMode) []scanHit {
-	ts, primary := ac.ts, ac.ts.indexes[0]
+	primary := ac.ts.indexes[0]
 	ix := ac.ix
 	if ix == nil {
 		ix = primary
@@ -152,20 +147,20 @@ func (ex *executor) scanIndex(ac *access, i int, pfx string, mode LockMode) []sc
 	}
 
 	if ix.Type == schema.Primary {
-		ts.primary.Ascend(pfx, func(k string, e rowEntry) bool {
-			return visit(k, k, e.row, e.deleted)
+		ix.entries.Ascend(pfx, func(k, v string) bool {
+			return visit(k, k, v[1:], deleted(v))
 		})
 	} else {
-		ix.entries.Ascend(pfx, func(k string, e secEntry) bool {
+		ix.entries.Ascend(pfx, func(k, v string) bool {
 			pk := ix.pkOf(k)
-			if e.deleted {
+			if deleted(v) {
 				return visit(k, pk, "", true)
 			}
-			pe, ok := ts.primary.Get(pk)
-			if !ok || pe.deleted {
+			pv, ok := primary.entries.Get(pk)
+			if !ok || deleted(pv) {
 				return visit(k, pk, "", true)
 			}
-			return visit(k, pk, pe.row, false)
+			return visit(k, pk, pv[1:], false)
 		})
 	}
 	ex.steps[i].hits = hits
@@ -301,22 +296,22 @@ func (ex *executor) rewrite(ts *tableStore, pk, stored string, set []assign, cla
 		if oldK, newK := ex.keys[2*i], ex.keys[2*i+1]; oldK != "" {
 			// The old entry becomes a tombstone purged at commit; the new
 			// entry goes live.
-			ex.txn.putSecondary(ix, oldK, secEntry{deleted: true})
+			ex.txn.put(ix, oldK, []byte{deadEntry})
 			ex.txn.purge = append(ex.txn.purge, purgeRec{ix: ix, key: oldK})
-			ex.txn.putSecondary(ix, newK, secEntry{})
+			ex.txn.put(ix, newK, []byte{liveEntry})
 		}
 	}
-	ex.txn.putPrimary(ts, pk, rowEntry{row: ex.encodeRow()})
+	ex.txn.put(ts.indexes[0], pk, ex.encodeRow())
 	return true, nil
 }
 
-// encodeRow encodes ex.row for storage.
-func (ex *executor) encodeRow() string {
-	ex.buf = ex.buf[:0]
+// encodeRow encodes ex.row as a live primary entry's value, in ex.buf.
+func (ex *executor) encodeRow() []byte {
+	ex.buf = append(ex.buf[:0], liveEntry)
 	for _, d := range ex.row {
 		ex.buf = appendRowField(ex.buf, d)
 	}
-	return string(ex.buf)
+	return ex.buf
 }
 
 // duplicate looks for a live entry of the unique index ix that shares the
@@ -330,11 +325,11 @@ func (ex *executor) duplicate(ix *index, row Row, key string) (string, bool) {
 	}
 	pfx := key[:len(key)-len(ix.pkOf(key))]
 	var dup, tomb string
-	ix.entries.Ascend(pfx, func(k string, e secEntry) bool {
+	ix.entries.Ascend(pfx, func(k, v string) bool {
 		if !strings.HasPrefix(k, pfx) {
 			return false
 		}
-		if e.deleted {
+		if deleted(v) {
 			tomb = k
 			return true // a tombstone is not a duplicate; keep looking
 		}
@@ -399,8 +394,8 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 	// Duplicate on the primary key? A delete-marked tombstone is not a
 	// duplicate, but inserting over it must first serialize against the
 	// deleter via its record lock.
-	if e, exists := ts.primary.Get(pk); exists {
-		if !e.deleted {
+	if v, exists := primary.entries.Get(pk); exists {
+		if !deleted(v) {
 			return ex.insertDuplicate(p, pk)
 		}
 		if !ex.lock(primary, RecordLock, pk, LockX) {
@@ -425,11 +420,11 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 	// any gap lock another transaction holds over that gap. This is the
 	// collision underlying the paper's d1 (merge) and d2 (check-then-
 	// insert) deadlocks.
-	if !ex.lockGapAbove(ts, primary, pk, LockII) {
+	if !ex.lockGapAbove(primary, pk, LockII) {
 		return nil, nil
 	}
 	for i, ix := range secondaries {
-		if !ex.lockGapAbove(ts, ix, ex.keys[i], LockII) {
+		if !ex.lockGapAbove(ix, ex.keys[i], LockII) {
 			return nil, nil
 		}
 	}
@@ -442,9 +437,9 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 		}
 	}
 
-	ex.txn.putPrimary(ts, pk, rowEntry{row: ex.encodeRow()})
+	ex.txn.put(primary, pk, ex.encodeRow())
 	for i, ix := range secondaries {
-		ex.txn.putSecondary(ix, ex.keys[i], secEntry{})
+		ex.txn.put(ix, ex.keys[i], []byte{liveEntry})
 	}
 	return &ResultSet{Affected: 1}, nil
 }
@@ -460,11 +455,11 @@ func (ex *executor) insertDuplicate(p *prepared, pk string) (*ResultSet, error) 
 	if !ex.lock(ts.indexes[0], RecordLock, pk, LockX) {
 		return nil, nil
 	}
-	entry, ok := ts.primary.Get(pk)
-	if !ok || entry.deleted {
+	v, ok := ts.indexes[0].entries.Get(pk)
+	if !ok || deleted(v) {
 		return nil, fmt.Errorf("minidb: upsert target vanished")
 	}
-	if ok, err := ex.rewrite(ts, pk, entry.row, p.onDup, "UPSERT"); !ok {
+	if ok, err := ex.rewrite(ts, pk, v[1:], p.onDup, "UPSERT"); !ok {
 		return nil, err
 	}
 	return &ResultSet{Affected: 2}, nil
@@ -491,11 +486,11 @@ func (ex *executor) execDelete(p *prepared) *ResultSet {
 		// locks protecting it transfer to the surrounding gap, so readers
 		// probing the vanished key still block on the deleter. Model it
 		// by locking the successor's gap on every touched index.
-		if !ex.lockGapAbove(ts, ts.indexes[0], h.pk, LockX) {
+		if !ex.lockGapAbove(ts.indexes[0], h.pk, LockX) {
 			return nil
 		}
 		for i, ix := range ts.indexes[1:] {
-			if !ex.lockGapAbove(ts, ix, ex.keys[first+i], LockX) {
+			if !ex.lockGapAbove(ix, ex.keys[first+i], LockX) {
 				return nil
 			}
 		}
@@ -506,7 +501,8 @@ func (ex *executor) execDelete(p *prepared) *ResultSet {
 	rs := &ResultSet{}
 	n := len(ts.indexes) - 1
 	for i, h := range hits {
-		ex.txn.markDeleted(ts, h.pk, h.row, ex.keys[i*n:(i+1)*n])
+		ex.buf = append(append(ex.buf[:0], deadEntry), h.row...)
+		ex.txn.markDeleted(ts, h.pk, ex.buf, ex.keys[i*n:(i+1)*n])
 		rs.Affected++
 	}
 	return rs

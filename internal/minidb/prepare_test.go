@@ -206,9 +206,9 @@ func BenchmarkStatementDelete(b *testing.B)      { benchmarkStatement(b, stmtBen
 
 // TestStatementAllocs pins what a statement may allocate once its
 // template is prepared and the lock table has queues to recycle. Each
-// ceiling sits a little above the measured count (4, 4 and 0; logged);
-// before rows and index keys were stored as strings the three cost 6, 9
-// and 0 allocations, and before statements were prepared 32, 40 and 3.
+// ceiling sits a little above the measured count (4, 3 and 0; logged); while the indexes kept a string per row the three cost 4, 4
+// and 0, before rows and index keys were stored as strings 6, 9 and 0
+// allocations, and before statements were prepared 32, 40 and 3.
 // A per-execution map, a heap-allocated grant, tree entry or hit list, or
 // a copied resource name coming back trips them.
 func TestStatementAllocs(t *testing.T) {
@@ -247,16 +247,17 @@ func TestStatementAllocs(t *testing.T) {
 		run     func(i int)
 	}{
 		// ResultSet, the encoded equality prefix, output row and row list.
-		// The two new queues are named by the tree's own key strings.
+		// The two new queues are named by views of the pages' keys.
 		{"point SELECT on a unique key", 5, func(i int) {
 			if rs, err := reader.Exec(point, selects[i]); err != nil || len(rs.Rows) != 1 {
 				t.Fatalf("point select: %v, %v", rs, err)
 			}
 		}},
-		// The encoded row, primary key and secondary key, and the
-		// ResultSet; tree entries are values, queues are named by the
-		// keys, and the undo and lock lists grow now and then.
-		{"INSERT into a table with one secondary index", 6, func(i int) {
+		// The primary key, the secondary key and the ResultSet; the row
+		// is encoded in the executor's scratch and appended to its page,
+		// queues are named by the keys, and a page compaction or the undo
+		// and lock lists' growth come now and then.
+		{"INSERT into a table with one secondary index", 3, func(i int) {
 			if _, err := writer.Exec(insert, inserts[i]); err != nil {
 				t.Fatal(err)
 			}

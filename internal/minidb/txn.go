@@ -46,19 +46,16 @@ type Txn struct {
 // entry to its pre-mutation state. Entry-level undo composes cleanly
 // across insert/update/delete/reinsert sequences within a transaction.
 type undoRec struct {
-	ts  *tableStore // primary entries
-	ix  *index      // secondary entries; nil for the primary index
+	ix  *index
 	key string
 	// existed reports whether the entry was present before the mutation;
-	// when it was, the old* fields restore it.
-	existed    bool
-	oldDeleted bool
-	oldRow     string // primary entries
+	// when it was, old is its value, a view of the page it was read from.
+	existed bool
+	old     string
 }
 
 type purgeRec struct {
-	ts  *tableStore
-	ix  *index // nil for the primary index
+	ix  *index
 	key string
 }
 
@@ -187,11 +184,7 @@ func (t *Txn) Commit() error {
 	if len(t.purge) > 0 {
 		t.db.latch.Lock()
 		for _, p := range t.purge {
-			if p.ix == nil {
-				if e, ok := p.ts.primary.Get(p.key); ok && e.deleted {
-					p.ts.primary.Delete(p.key)
-				}
-			} else if e, ok := p.ix.entries.Get(p.key); ok && e.deleted {
+			if v, ok := p.ix.entries.Get(p.key); ok && deleted(v) {
 				p.ix.entries.Delete(p.key)
 			}
 		}
@@ -237,14 +230,9 @@ func (t *Txn) rollbackInternal() {
 func (t *Txn) undoTo(n, purged int) {
 	for i := len(t.undo) - 1; i >= n; i-- {
 		u := t.undo[i]
-		switch {
-		case u.ix == nil && u.existed:
-			u.ts.primary.Set(u.key, rowEntry{row: u.oldRow, deleted: u.oldDeleted})
-		case u.ix == nil:
-			u.ts.primary.Delete(u.key)
-		case u.existed:
-			u.ix.entries.Set(u.key, secEntry{deleted: u.oldDeleted})
-		default:
+		if u.existed {
+			u.ix.entries.Put(u.key, []byte(u.old))
+		} else {
 			u.ix.entries.Delete(u.key)
 		}
 	}
@@ -254,27 +242,20 @@ func (t *Txn) undoTo(n, purged int) {
 // Mutation helpers used by the executor: every change to an index entry
 // records its pre-state first.
 
-// putPrimary writes a primary entry, recording undo.
-func (t *Txn) putPrimary(ts *tableStore, key string, e rowEntry) {
-	old, ok := ts.primary.Get(key)
-	t.undo = append(t.undo, undoRec{ts: ts, key: key, existed: ok, oldDeleted: old.deleted, oldRow: old.row})
-	ts.primary.Set(key, e)
+// put writes an index entry, recording undo.
+func (t *Txn) put(ix *index, key string, val []byte) {
+	old, ok := ix.entries.Put(key, val)
+	t.undo = append(t.undo, undoRec{ix: ix, key: key, existed: ok, old: old})
 }
 
-// putSecondary writes a secondary entry, recording undo.
-func (t *Txn) putSecondary(ix *index, key string, e secEntry) {
-	old, ok := ix.entries.Get(key)
-	t.undo = append(t.undo, undoRec{ix: ix, key: key, existed: ok, oldDeleted: old.deleted})
-	ix.entries.Set(key, e)
-}
-
-// markDeleted tombstones a primary entry and its secondary entries, whose
-// keys are given in index order, scheduling the physical purge for commit.
-func (t *Txn) markDeleted(ts *tableStore, pk, row string, keys []string) {
-	t.putPrimary(ts, pk, rowEntry{row: row, deleted: true})
-	t.purge = append(t.purge, purgeRec{ts: ts, key: pk})
+// markDeleted writes a primary entry's delete-marked value and tombstones
+// its secondary entries, whose keys are given in index order, scheduling
+// the physical purge for commit.
+func (t *Txn) markDeleted(ts *tableStore, pk string, val []byte, keys []string) {
+	t.put(ts.indexes[0], pk, val)
+	t.purge = append(t.purge, purgeRec{ix: ts.indexes[0], key: pk})
 	for i, ix := range ts.indexes[1:] {
-		t.putSecondary(ix, keys[i], secEntry{deleted: true})
+		t.put(ix, keys[i], []byte{deadEntry})
 		t.purge = append(t.purge, purgeRec{ix: ix, key: keys[i]})
 	}
 }

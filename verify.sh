@@ -139,6 +139,14 @@ go test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/history
 echo "== go test -fuzz=FuzzLogReplay (5s)"
 go test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5s ./internal/btree
 
+# minidb's page tree against the generic Map as its oracle, over keys in
+# minidb's encoding: the same entries after every Put, Delete, Get and
+# Ascend, the tree's shape kept, and every key and value view it handed
+# out still reading its original bytes after later puts, splits, merges
+# and deletes.
+echo "== go test -fuzz=FuzzPages (5s)"
+go test -run=NONE -fuzz=FuzzPages -fuzztime=5s ./internal/btree
+
 # minidb's storage encoding against its test-side oracle: encoded keys
 # order (cmpKey), compare equal and prefix one another exactly as the
 # Datum keys they encode (Key.Cmp), and a row decodes to its datums, kind
@@ -413,8 +421,11 @@ ablation fig11 "enable all, disable all, disable f9, disable f10, disable f11"
 # minidb's compatibility matrix. Phase 3's lock filter is the Collide bit
 # of each C-edge template, so core calls no per-group lock test. The lock
 # model is pure functions and core's settle step caches per run, so
-# lockmodel imports no sync: no shared cache comes back into it.
-echo "== layering (solver imports no obs; obs names no pipeline metric; only lockmodel reads Lock.Exclusive; core calls no PotentialConflict; lockmodel imports no sync)"
+# lockmodel imports no sync: no shared cache comes back into it. The page
+# tree's views are strings over page bytes, so unsafe stays in its one
+# file, and the collector's work is cut by what the heap holds, never by
+# a knob: no program code sets the GC percent or a memory limit.
+echo "== layering (solver imports no obs; obs names no pipeline metric; only lockmodel reads Lock.Exclusive; core calls no PotentialConflict; lockmodel imports no sync; unsafe only in btree/pages.go; no GC knobs)"
 ! go list -deps ./internal/solver | grep 'weseer/internal/obs' ||
     { echo "layering: internal/solver depends on internal/obs" >&2; exit 1; }
 ! find internal/obs -name '*.go' -not -name '*_test.go' | xargs grep -l 'weseer_funnel\|weseer_cdcl' ||
@@ -425,6 +436,12 @@ echo "== layering (solver imports no obs; obs names no pipeline metric; only loc
     { echo "layering: phase 3 calls a per-group lock test (files above); read the C-edge templates' Collide bits" >&2; exit 1; }
 ! go list -f '{{join .Imports "\n"}}' ./internal/lockmodel | grep -E '^sync(/|$)' ||
     { echo "layering: internal/lockmodel imports sync (above); cache per run in core's settle step" >&2; exit 1; }
+! go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w unsafe | grep -v '^weseer/internal/btree:' ||
+    { echo "layering: a package other than internal/btree imports unsafe (above)" >&2; exit 1; }
+! grep -l '"unsafe"' internal/btree/*.go | grep -v -e '_test\.go$' -e '^internal/btree/pages\.go$' ||
+    { echo "layering: an internal/btree file other than pages.go imports unsafe (above)" >&2; exit 1; }
+! grep -rln --include='*.go' -e 'debug\.SetGCPercent' -e 'debug\.SetMemoryLimit' . | grep -v -e '_test\.go$' -e '^\./\.bench_build/' ||
+    { echo "layering: program code sets a GC knob (files above); cut what the collector must mark instead" >&2; exit 1; }
 
 # Deprecated shims stay shims: core.WithPrescreen (a no-op option),
 # Stats.PrescreenSaved (always zero) and staticlint's VetDir,
