@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
 	"sort"
@@ -57,6 +58,9 @@ func (v Value) Rat() *big.Rat {
 // Equal reports whether two values are equal. Int and Real values compare
 // numerically across sorts.
 func (v Value) Equal(o Value) bool {
+	if v.S == SortInt && o.S == SortInt {
+		return v.I == o.I
+	}
 	if (v.S == SortInt || v.S == SortReal) && (o.S == SortInt || o.S == SortReal) {
 		return v.Rat().Cmp(o.Rat()) == 0
 	}
@@ -211,7 +215,12 @@ func evalCmp(op CmpOp, l, r Value) bool {
 		}
 		panic("smt: bad bool cmp")
 	}
-	c := l.Rat().Cmp(r.Rat())
+	var c int
+	if l.S == SortInt && r.S == SortInt {
+		c = cmp.Compare(l.I, r.I)
+	} else {
+		c = l.Rat().Cmp(r.Rat())
+	}
 	switch op {
 	case EQ:
 		return c == 0

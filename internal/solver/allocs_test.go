@@ -13,12 +13,14 @@ import (
 // canonical cycle formulas of the Table II apps once, over the same
 // formulas again. What is left is the formula's own rewriting (Simplify,
 // select expansion), the theories' answers and the model; a workspace
-// table reallocated per call breaks the ceiling.
+// table reallocated per call breaks the ceiling. It measured 194.4 while
+// smt's Int comparisons built two big.Rats each, 132.8 since they
+// compare the int64s; the ceiling is that plus 10 %.
 func TestSolveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 214
+	const ceiling = 146
 	var formulas []smt.Expr
 	seen := map[string]bool{}
 	for _, spec := range []string{"broadleaf", "shopizer"} {

@@ -340,19 +340,6 @@ func (g *LockOrderGraph) kahn(excluded map[[2]int]bool) ([]int, bool) {
 	return order, true
 }
 
-// SuggestionFor returns the suggestion whose feedback edge runs between
-// the two node keys in either direction (nil when the pair is not a
-// conflict).
-func (co *CanonicalOrder) SuggestionFor(a, b string) *Suggestion {
-	for i := range co.Suggestions {
-		s := &co.Suggestions[i]
-		if (s.From == a && s.To == b) || (s.From == b && s.To == a) {
-			return s
-		}
-	}
-	return nil
-}
-
 // Render formats the canonical order and its ranked suggestions as the
 // `weseer vet -canonical-order` text report.
 func (co *CanonicalOrder) Render() string {

@@ -3,11 +3,12 @@
 //
 // It bundles two analyzers:
 //
-//   - Analyzer 1 (template pre-screen, prescreen.go): from sqlast
-//     statement templates and schema metadata alone it models each
-//     transaction's lock-acquisition order and flags template-level
-//     hazards — lock-order inversions and gap/next-key escalation on
-//     unindexed predicates.
+//   - Analyzer 1 (template pre-screen, prescreen.go): from the sqlast
+//     statement templates of each transaction it flags read-then-write
+//     lock upgrades on one table (lock-order-inversion). Write-order
+//     inversions between transactions are the conflicting edges of the
+//     cross-API canonical order (canonical.go, `weseer vet
+//     -canonical-order`).
 //
 //   - Analyzer 2 (ORM-misuse source lint, lint.go): a stdlib go/ast
 //     scan of application packages for the anti-patterns behind the
@@ -79,7 +80,6 @@ func (s *Severity) UnmarshalText(b []byte) error {
 const (
 	// Analyzer 1 (template pre-screen).
 	KindLockOrderInversion = "lock-order-inversion"
-	KindGapEscalation      = "gap-escalation"
 	// Analyzer 2 (ORM-misuse lint).
 	KindMergeSelectInsert = "merge-select-insert"
 	KindUpsertCandidate   = "upsert-candidate"

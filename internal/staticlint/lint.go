@@ -143,11 +143,10 @@ func provenance(what string, ev event) string {
 
 // Findings runs both analyzers over the loaded tree: Analyzer 2 on the
 // source and Analyzer 1 on the statement templates extracted from it.
-// scm may be nil (no schema → gap-escalation and synthesized point
-// statements are skipped).
+// scm may be nil (no schema → synthesized point statements are skipped).
 func (p *Program) Findings(scm *schema.Schema) []Finding {
 	out := p.lint()
-	out = append(out, PrescreenTxns(p.Shapes(scm), scm)...)
+	out = append(out, PrescreenTxns(p.Shapes(scm))...)
 	Sort(out)
 	return out
 }

@@ -4,9 +4,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -242,6 +246,76 @@ func TestVetReportsEachHazardOnce(t *testing.T) {
 			if !named {
 				t.Errorf("%s: no flush-reorder finding names %s:\n%s", c.dir, site, render(fs))
 			}
+		}
+	}
+}
+
+// TestEveryKindFires: every Kind* constant the package declares is
+// reported at least once over the fixtures and both model apps, so
+// a detector that no corpus exercises fails here instead of lingering.
+// The constants are read from the package source, so a newly declared
+// kind is checked without editing this test.
+func TestEveryKindFires(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]string{} // kind value -> constant name
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if !strings.HasPrefix(name.Name, "Kind") || i >= len(vs.Values) {
+						continue
+					}
+					if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						v, err := strconv.Unquote(lit.Value)
+						if err != nil {
+							t.Fatal(err)
+						}
+						declared[v] = name.Name
+					}
+				}
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("no Kind* constants found in the package source")
+	}
+	type corpus struct {
+		dir string
+		scm *schema.Schema
+	}
+	corpora := []corpus{{"../apps/broadleaf", broadleaf.Schema()}, {"../apps/shopizer", shopizer.Schema()}}
+	fixtures, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range fixtures {
+		corpora = append(corpora, corpus{dir: filepath.Join("testdata", "src", e.Name())})
+	}
+	fired := map[string]bool{}
+	for _, c := range corpora {
+		for _, f := range loadApp(t, c.dir).Findings(c.scm) {
+			fired[f.Kind] = true
+		}
+	}
+	for kind, name := range declared {
+		if !fired[kind] {
+			t.Errorf("%s (%q) is declared but no fixture or model app reports it", name, kind)
 		}
 	}
 }
