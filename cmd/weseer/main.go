@@ -489,8 +489,9 @@ func analyzeCtx(app apps.App, traces []*trace.Trace, timeout time.Duration, opts
 
 // cmdVet runs the static analyzers (internal/staticlint) over source
 // directories: no unit tests, no trace collection, no solver. -app
-// attaches the named application's schema so index-aware checks (gap
-// escalation, buffered-update keys) can run; "none" vets schema-free.
+// attaches the named application's schema so the schema-aware templates
+// (Find's point SELECT, a buffered Set's UPDATE) can be synthesized;
+// "none" vets schema-free.
 func cmdVet(args []string) error {
 	fs := flag.NewFlagSet("vet", flag.ExitOnError)
 	appName := fs.String("app", "none", "schema to attach (a registry name, or none)")

@@ -110,10 +110,11 @@ func TestNonSATHitBuildsNoFormula(t *testing.T) {
 	}
 }
 
-// BenchmarkDischargeMemoHit measures what ROADMAP items 2 and 14 are
-// about, the cost of a group whose verdict is already in the table, on the
-// generated corpus where most groups are such hits: UNSAT hits, which
-// build no formula, and SAT hits, which build one to translate the model.
+// BenchmarkDischargeMemoHit measures what deciding a memo hit before
+// building the formula is about, the cost of a group whose verdict is
+// already in the table, on the generated corpus where most groups are
+// such hits: UNSAT hits, which build no formula, and SAT hits, which
+// build one to translate the model.
 func BenchmarkDischargeMemoHit(b *testing.B) {
 	app, traces := corpusTraces(b, "gen:7,templates=96")
 	b.Run("unsat", func(b *testing.B) { core.BenchGroupHits(b, app.Schema(), traces, false) })
