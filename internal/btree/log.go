@@ -1,10 +1,11 @@
 package btree
 
 // Log is a WAL-style append-only record log — the durable file layer the
-// history store builds its B-tree indexes over. Records are opaque byte
-// payloads framed as
+// history store builds its B-tree indexes over. A log file starts with an
+// 8-byte header, the magic "WSLG" and a uint32 LE format version (2), and
+// then holds opaque byte payloads framed as
 //
-//	uint32 LE payload length | uint32 LE FNV-1a checksum | payload
+//	uint32 LE payload length | uint32 LE CRC-32C checksum | payload
 //
 // and only ever appended. OpenLog replays every intact record through a
 // callback so the caller can rebuild its in-memory state (the B-tree maps
@@ -12,18 +13,45 @@ package btree
 // short or checksum-corrupt final frame, which is silently dropped —
 // everything before it is intact by construction. A corrupt frame is
 // always treated as the torn tail; since writes are strictly sequential,
-// nothing after the first bad frame can be trusted.
+// nothing after the first bad frame can be trusted. A file that does not
+// start with the header is never truncated: OpenLog refuses it with a
+// *FormatError, unless it is a torn header (a prefix of the header, the
+// empty file included), which only a crash while creating the log leaves.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
-const logHeaderSize = 8
+// fileHeader starts every log: the magic "WSLG" and the uint32 LE format
+// version, 2. Read as a frame length, the magic is over MaxLogRecord, so
+// no version-1 log (which had no header) starts with it.
+const (
+	logMagic       = "WSLG"
+	fileHeader     = logMagic + "\x02\x00\x00\x00"
+	fileHeaderSize = len(fileHeader)
+
+	frameHeaderSize = 8 // a frame's length and checksum
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// FormatError is OpenLog's refusal of a file that is not a log of this
+// format; the file is left as it was.
+type FormatError struct {
+	Path    string
+	Version uint32 // the header's version; 0 when the file has no header
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("btree: %s is not a version-2 log (header version %d, 0 if it has none)", e.Path, e.Version)
+}
 
 // MaxLogRecord bounds a single record. Append refuses a longer one with
 // ErrRecordTooLarge, because replay takes a longer length prefix for
@@ -46,20 +74,15 @@ type Log struct {
 	frame []byte // Append's frame buffer, reused
 }
 
-// logChecksum is the FNV-1a 32-bit checksum of a payload.
-func logChecksum(p []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range p {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	return h
-}
+// logChecksum is the CRC-32C checksum of a payload.
+func logChecksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // OpenLog opens (creating if absent) the log at path and replays every
 // intact record through replay in append order; rec is valid only during
 // the call. A torn final frame — short header, short payload, or checksum
-// mismatch — is truncated away; a replay callback error aborts the open.
-// The returned log is positioned for appending.
+// mismatch — is truncated away; a replay callback error aborts the open,
+// and so does a file without the log header (a *FormatError), both before
+// anything is written. The returned log is positioned for appending.
 func OpenLog(path string, replay func(rec []byte) error) (*Log, error) {
 	return OpenLogFrames(path, func(_ int64, rec []byte) error {
 		if replay == nil {
@@ -88,7 +111,11 @@ func OpenLogFrames(path string, replay func(off int64, rec []byte) error, done f
 		return nil, err
 	}
 	l := &Log{f: f, path: path}
-	if err := l.replayAll(replay, done); err != nil {
+	err = l.readHeader()
+	if err == nil {
+		err = l.replayAll(replay, done)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -105,11 +132,32 @@ func OpenLogFrames(path string, replay func(off int64, rec []byte) error, done f
 	return l, nil
 }
 
-// replayAll scans the file from the start through one buffered reader and
-// one payload buffer, invoking replay for each intact frame and done after
-// the last, and recording the offset of the last good frame end.
+// readHeader checks the file header, first writing it over a torn one: a
+// file shorter than the header that holds a prefix of it, the empty file
+// of a new log included.
+func (l *Log) readHeader() error {
+	var hdr [fileHeaderSize]byte
+	n, err := io.ReadFull(l.f, hdr[:])
+	switch {
+	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+		return err
+	case string(hdr[:n]) == fileHeader[:n]: // the header, or a torn one
+		if n < fileHeaderSize {
+			_, err = l.f.WriteAt([]byte(fileHeader), 0)
+		}
+		return err
+	case n == fileHeaderSize && string(hdr[:len(logMagic)]) == logMagic:
+		return &FormatError{Path: l.path, Version: binary.LittleEndian.Uint32(hdr[len(logMagic):])}
+	}
+	return &FormatError{Path: l.path}
+}
+
+// replayAll scans the frames after the file header through one buffered
+// reader and one payload buffer, invoking replay for each intact frame and
+// done after the last, and recording the offset of the last good frame end.
 func (l *Log) replayAll(replay func(off int64, rec []byte) error, done func() error) error {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
+	off := int64(fileHeaderSize)
+	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
 		return err
 	}
 	fi, err := l.f.Stat()
@@ -117,8 +165,7 @@ func (l *Log) replayAll(replay func(off int64, rec []byte) error, done func() er
 		return err
 	}
 	r := bufio.NewReaderSize(l.f, 1<<16)
-	var off int64
-	var hdr [logHeaderSize]byte
+	var hdr [frameHeaderSize]byte
 	var payload []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -126,7 +173,7 @@ func (l *Log) replayAll(replay func(off int64, rec []byte) error, done func() er
 		}
 		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > int64(maxLogRecord) || n > fi.Size()-off-logHeaderSize {
+		if n > int64(maxLogRecord) || n > fi.Size()-off-frameHeaderSize {
 			break // garbage length or torn payload: nothing to allocate for
 		}
 		if n > int64(cap(payload)) {
@@ -142,7 +189,7 @@ func (l *Log) replayAll(replay func(off int64, rec []byte) error, done func() er
 		if err := replay(off, payload); err != nil {
 			return l.replayError(off, err)
 		}
-		off += logHeaderSize + n
+		off += frameHeaderSize + n
 	}
 	if done != nil {
 		if err := done(); err != nil {
@@ -168,7 +215,7 @@ func (l *Log) Append(rec []byte) error {
 	if len(rec) > maxLogRecord {
 		return fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, len(rec), maxLogRecord)
 	}
-	var hdr [logHeaderSize]byte
+	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
 	binary.LittleEndian.PutUint32(hdr[4:8], logChecksum(rec))
 	l.frame = append(append(l.frame[:0], hdr[:]...), rec...)
@@ -177,6 +224,42 @@ func (l *Log) Append(rec []byte) error {
 	}
 	l.size += int64(len(l.frame))
 	return nil
+}
+
+// RewriteSuffix is appended to a log's path to name the file Rewrite
+// builds its replacement in.
+const RewriteSuffix = ".rewrite"
+
+// Rewrite replaces the log at path with a new one holding what fill
+// appends. The new log is written to path+RewriteSuffix (a leftover from
+// an interrupted rewrite is discarded first), synced, and renamed over
+// path, so a crash leaves either the old log or the new one whole.
+func Rewrite(path string, fill func(*Log) error) error {
+	tmp := path + RewriteSuffix
+	if err := os.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	l, err := OpenLog(tmp, nil)
+	if err != nil {
+		return err
+	}
+	err = fill(l)
+	if cerr := l.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort: the next Rewrite discards it too
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync() // makes the rename durable
 }
 
 // Sync flushes appended records to stable storage.

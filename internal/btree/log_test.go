@@ -244,8 +244,43 @@ func TestLogAppendRefusesOversized(t *testing.T) {
 	}
 }
 
-// frames encodes records the way Append does.
-func frames(recs ...string) []byte {
+// TestLogRewrite: Rewrite replaces the log with what fill appends, over a
+// leftover temp file of an interrupted rewrite, and a fill that fails
+// leaves the old log and no temp file.
+func TestLogRewrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rewrite.wal")
+	l, _ := openCollect(t, path)
+	for _, rec := range []string{"old-1", "old-2"} {
+		if err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+RewriteSuffix, []byte("leftover"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Rewrite(path, func(l *Log) error { return l.Append([]byte("new")) }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, frames("new")) {
+		t.Fatalf("rewritten log %x, want %x", got, frames("new"))
+	}
+	refused := errors.New("fill refused")
+	if err := Rewrite(path, func(l *Log) error { return refused }); !errors.Is(err, refused) {
+		t.Fatalf("Rewrite with a failing fill: %v", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, frames("new")) {
+		t.Fatal("a failed rewrite changed the log")
+	}
+	if _, err := os.Stat(path + RewriteSuffix); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a failed rewrite left its temp file: %v", err)
+	}
+}
+
+// body frames records the way Append does.
+func body(recs ...string) []byte {
 	var out []byte
 	for _, r := range recs {
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(r)))
@@ -255,35 +290,74 @@ func frames(recs ...string) []byte {
 	return out
 }
 
-// FuzzLogReplay opens a file of arbitrary bytes: OpenLog must not panic,
-// must keep a prefix of the file, and must leave a file that a second open
-// replays to the same records without truncating anything more.
+// frames is a log file holding recs: the header, then their frames.
+func frames(recs ...string) []byte {
+	return append([]byte(fileHeader), body(recs...)...)
+}
+
+// FuzzLogReplay opens a file of arbitrary bytes; OpenLog must not panic.
+// A file shorter than the header that is a prefix of it (a torn header)
+// opens empty and is left as the header alone. Any other file that does
+// not start with the header is refused with a *FormatError and left
+// byte-for-byte as it was. A file that does start with it opens, keeps a
+// prefix of itself, and a second open replays it to the same records
+// without truncating anything more.
 func FuzzLogReplay(f *testing.F) {
 	good := frames("alpha", "", "gamma-gamma")
 	f.Add([]byte{})
 	f.Add(good)
-	f.Add(good[:len(good)-3])                                             // torn payload
-	f.Add(good[:logHeaderSize+5+3])                                       // torn header
-	f.Add(append(frames("ok"), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0))       // garbage length
-	f.Add(append(frames("ok"), 0xff, 0xff, 0xff, 0x03, 0, 0, 0, 0, 'x'))  // length under the limit, past the end
-	f.Add(append(append(frames("ok"), 3, 0, 0, 0, 1, 2, 3, 4), "bad"...)) // checksum mismatch
-	f.Add(append(append(frames("ok"), 3, 0, 0, 0, 1, 2, 3, 4), good...))  // intact frames after a bad one
+	f.Add(good[:len(good)-3])                                                         // torn payload
+	f.Add(good[:fileHeaderSize+frameHeaderSize+5+3])                                  // torn frame header
+	f.Add(append(frames("ok"), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0))                   // garbage length
+	f.Add(append(frames("ok"), 0xff, 0xff, 0xff, 0x03, 0, 0, 0, 0, 'x'))              // length under the limit, past the end
+	f.Add(append(append(frames("ok"), 3, 0, 0, 0, 1, 2, 3, 4), "bad"...))             // checksum mismatch
+	f.Add(append(append(frames("ok"), 3, 0, 0, 0, 1, 2, 3, 4), body("alpha", "")...)) // intact frames after a bad one
+	f.Add(body("alpha", "", "gamma-gamma"))                                           // no header, as a version-1 log
+	f.Add(append([]byte(logMagic+"\x01\x00\x00\x00"), body("alpha")...))              // an unknown version
+	f.Add([]byte(logMagic + "\x00\x00\x00\x00"))                                      // version 0
+	f.Add([]byte(fileHeader[:5]))                                                     // a torn header
+	f.Add([]byte(logMagic[:2] + "x"))                                                 // short, but no prefix of the header
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, first := openCollect(t, path)
+		var first [][]byte
+		l, err := OpenLog(path, func(rec []byte) error {
+			first = append(first, append([]byte(nil), rec...))
+			return nil
+		})
+		torn := len(data) < fileHeaderSize && strings.HasPrefix(fileHeader, string(data))
+		if !torn && !bytes.HasPrefix(data, []byte(fileHeader)) {
+			var fe *FormatError
+			var version uint32 // what the file names for a version, if anything
+			if len(data) >= fileHeaderSize && bytes.HasPrefix(data, []byte(logMagic)) {
+				version = binary.LittleEndian.Uint32(data[len(logMagic):])
+			}
+			if !errors.As(err, &fe) || fe.Version != version {
+				t.Fatalf("open of a file without the header: %v, want a *FormatError naming version %d", err, version)
+			}
+			if kept, _ := os.ReadFile(path); !bytes.Equal(kept, data) {
+				t.Fatal("the refused open changed the file")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		size := l.Size()
-		if size > int64(len(data)) {
+		if torn && (size != int64(fileHeaderSize) || len(first) != 0) {
+			t.Fatalf("a torn header opened at Size %d with %d records", size, len(first))
+		}
+		if !torn && size > int64(len(data)) {
 			t.Fatalf("Size %d of a %d-byte file", size, len(data))
 		}
-		var n int64
+		n := int64(fileHeaderSize)
 		for _, r := range first {
-			n += logHeaderSize + int64(len(r))
+			n += frameHeaderSize + int64(len(r))
 		}
 		if n != size {
-			t.Fatalf("replayed frames cover %d bytes, Size is %d", n, size)
+			t.Fatalf("the header and the replayed frames cover %d bytes, Size is %d", n, size)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -292,8 +366,12 @@ func FuzzLogReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(kept, data[:size]) {
-			t.Fatalf("file after open is not the first %d bytes of the input", size)
+		want := []byte(fileHeader)
+		if !torn {
+			want = data[:size]
+		}
+		if !bytes.Equal(kept, want) {
+			t.Fatalf("file after open is %x, want %x", kept, want)
 		}
 
 		l2, second := openCollect(t, path)

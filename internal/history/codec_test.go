@@ -3,6 +3,7 @@ package history
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -11,22 +12,28 @@ import (
 
 func encodedTestRecords() [][]byte {
 	at := time.Date(2026, 8, 8, 12, 1, 0, 0, time.UTC)
-	full := testEvents()[0]
-	full.Tables = []string{"Order", "Sku"}
-	full.Seen, full.FirstSeen, full.LastSeen = 3, at, at.Add(time.Hour)
+	full := &entry{fp: "00000000000000a1", tables: []uint32{4, 300}, count: 4, seen: 3, first: at, last: at.Add(time.Hour)}
+	for i := range full.ids {
+		full.ids[i] = uint32(i * 37) // one- and two-byte ids
+	}
 	return [][]byte{
-		appendRecord(nil, record{kind: recEvent, e: &full}),
-		appendRecord(nil, record{kind: recEvent, e: &Event{Fingerprint: "bare"}}), // empty strings, zero tables, zero times
-		appendRecord(nil, record{kind: recEvent, e: &Event{Fingerprint: "old", Count: -2, Seen: -1,
-			FirstSeen: time.Date(1969, 7, 20, 20, 17, 40, 999999999, time.UTC)}}),
-		appendRecord(nil, record{kind: recTouch, fp: "00000000000000a1", at: at}),
+		appendRecord(nil, record{kind: recDef, def: "UPDATE Sku SET qty = ?"}),
+		appendRecord(nil, record{kind: recDef}),
+		appendRecord(nil, record{kind: recEvent, e: full}),
+		appendRecord(nil, record{kind: recEvent, e: &entry{fp: "bare"}}), // id 0 everywhere, zero tables, zero times
+		appendRecord(nil, record{kind: recEvent, e: &entry{fp: "old", count: -2, seen: -1,
+			first: time.Date(1969, 7, 20, 20, 17, 40, 999999999, time.UTC)}}),
+		appendRecord(nil, record{kind: recEvent, e: &entry{fp: "max-id", ids: [numIDs]uint32{math.MaxUint32}}}),
+		appendRecord(nil, record{kind: recTouch, ord: 41, at: at}),
+		appendRecord(nil, record{kind: recTouch, ord: 1 << 40}),
 		appendRecord(nil, record{kind: recTouch}),
 	}
 }
 
 // genRecord builds a record out of fuzz input: every field takes its
 // length or value from the next bytes, so the fuzzer reaches empty strings,
-// zero tables and times on either side of 1970 and of year 1.
+// zero tables, ids of every width and times on either side of 1970 and of
+// year 1.
 func genRecord(data []byte) record {
 	next := func() byte {
 		if len(data) == 0 {
@@ -52,24 +59,28 @@ func genRecord(data []byte) record {
 		}
 		return v
 	}
+	id := func() uint32 { return uint32(num()) }
 	when := func() time.Time {
 		if next()&3 == 0 {
 			return time.Time{}
 		}
 		return time.Unix(num(), int64(uint64(num())%1e9)).UTC()
 	}
-	if next()&1 == 1 {
-		return record{kind: recTouch, fp: str(), at: when()}
+	switch next() % 3 {
+	case 0:
+		return record{kind: recDef, def: str()}
+	case 1:
+		return record{kind: recTouch, ord: uint64(num()), at: when()}
 	}
-	e := &Event{Fingerprint: str(), App: str(), Class: str(), APIs: [2]string{str(), str()}}
+	e := &entry{fp: str()}
+	for i := range e.ids {
+		e.ids[i] = id()
+	}
 	for n := next() % 5; n > 0; n-- {
-		e.Tables = append(e.Tables, str())
+		e.tables = append(e.tables, id())
 	}
-	for i := range e.Txns {
-		e.Txns[i] = TxnLock{API: str(), HoldsSQL: str(), HoldsAt: str(), WaitsSQL: str(), WaitsAt: str()}
-	}
-	e.Count, e.Seen = int(num()), int(num())
-	e.FirstSeen, e.LastSeen = when(), when()
+	e.count, e.seen = int(num()), int(num())
+	e.first, e.last = when(), when()
 	return record{kind: recEvent, e: e}
 }
 
@@ -87,13 +98,14 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{recEvent, 0x80, 0x00})                                              // overlong varint
 	f.Add(append([]byte{recEvent, 0, 0, 0, 0, 0}, bytes.Repeat([]byte{0xff}, 9)...)) // absurd table count
+	f.Add(binary.AppendUvarint([]byte{recEvent, 0}, 1<<32))                          // an id past uint32
 	// Payloads of the JSON encoding the store once wrote: '{' is no kind.
 	f.Add([]byte(`{"t":"touch","fp":"00000000000000a1","at":"2026-08-08T12:01:00Z"}`))
 	f.Add([]byte(`{"t":"event","e":{"fingerprint":"x","apis":["A","B"],"tables":["T"]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rec, err := decodeRecord(data); err == nil {
-			if rec.kind == recEvent && len(rec.e.Tables) > len(data) {
-				t.Fatalf("%d tables out of %d bytes", len(rec.e.Tables), len(data))
+			if rec.kind == recEvent && len(rec.e.tables) > len(data) {
+				t.Fatalf("%d tables out of %d bytes", len(rec.e.tables), len(data))
 			}
 			if again := appendRecord(nil, rec); !bytes.Equal(again, data) {
 				t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, again)
@@ -130,8 +142,9 @@ func TestDecodeRecordRejects(t *testing.T) {
 	}
 	for name, bad := range map[string][]byte{
 		"unknown kind":     {9, 0},
-		"overlong varint":  append([]byte{recTouch, 0x81, 0x00, 'x'}, 0, 0),
+		"overlong varint":  append([]byte{recTouch, 0x81, 0x00}, 0, 0),
 		"nanoseconds ≥ 1s": binary.AppendUvarint([]byte{recTouch, 0, 0}, 1e9),
+		"id past uint32":   binary.AppendUvarint([]byte{recEvent, 0}, 1<<32),
 	} {
 		if _, err := decodeRecord(bad); err == nil {
 			t.Errorf("%s: accepted %x", name, bad)
@@ -140,18 +153,38 @@ func TestDecodeRecordRejects(t *testing.T) {
 }
 
 // TestDecodeRecordHostileCount: a table count the payload cannot hold is
-// refused before anything is sized from it.
+// refused before anything is sized from it, and so are an id or a touch
+// ordinal past what the store holds, before anything is indexed by them.
 func TestDecodeRecordHostileCount(t *testing.T) {
-	raw := binary.AppendUvarint([]byte{recEvent, 0, 0, 0, 0, 0}, 1<<28) // 4 GiB of string headers
+	raw := binary.AppendUvarint([]byte{recEvent, 0, 0, 0, 0, 0}, 1<<28) // 1 GiB of ids
 	raw = append(raw, bytes.Repeat([]byte{0}, 64)...)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := decodeRecord(raw)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("accepted a table count larger than the payload")
+	hostileID := &entry{fp: "hostile", tables: []uint32{1 << 31}}
+	s := newStore(nil)
+	for name, apply := range map[string]func() error{
+		"table count": func() error { _, err := decodeRecord(raw); return err },
+		"id past uint32": func() error {
+			_, err := decodeRecord(binary.AppendUvarint([]byte{recEvent, 0}, 1<<32))
+			return err
+		},
+		"id past the dictionary": func() error {
+			return s.applyPayload(appendRecord(nil, record{kind: recEvent, e: hostileID}))
+		},
+		"touch ordinal": func() error {
+			return s.applyPayload(appendRecord(nil, record{kind: recTouch, ord: 1 << 62}))
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := apply()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: refusing it allocated %d bytes", name, grew)
+		}
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("decoding %d hostile bytes allocated %d", len(raw), grew)
+	if s.events.Len() != 0 || len(s.byOrd) != 0 || s.version.Load() != 0 {
+		t.Fatal("a refused record changed the store")
 	}
 }

@@ -2,15 +2,17 @@ package history
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"weseer/internal/btree"
@@ -93,62 +95,184 @@ func TestBodiesMatchParentCommit(t *testing.T) {
 	}
 }
 
-// TestJSONPayloadLogRefused: the store reads one payload encoding. A log
-// holding a JSON payload, as the store before the binary codec wrote, does
-// not open — a decode error is not a torn tail — and is left as it was.
-func TestJSONPayloadLogRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "history.wal")
-	l, err := btree.OpenLog(path, nil)
+// testdata/v1.wal is the version-1 log (no file header, no dictionary,
+// FNV-1a frames) that the store at commit b052044, the last to write that
+// format, wrote for ingestLegacySequence under fixedClock. To regenerate
+// it, check out that commit and run, in internal/history, a test that
+// opens testdata/v1.wal WithClock(fixedClock()), calls
+// ingestLegacySequence and closes the store.
+
+// v1Frame frames payload as a version-1 log did.
+func v1Frame(payload []byte) []byte {
+	h := fnv.New32a()
+	h.Write(payload)
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	return append(binary.LittleEndian.AppendUint32(out, h.Sum32()), payload...)
+}
+
+// frameKinds counts the records of each kind in the version-2 log at path,
+// failing the test if it is not one.
+func frameKinds(t *testing.T, path string) map[byte]int {
+	t.Helper()
+	kinds := map[byte]int{}
+	l, err := btree.OpenLog(path, func(raw []byte) error {
+		rec, err := decodeRecord(raw)
+		kinds[rec.kind]++
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, payload := range [][]byte{
-		appendRecord(nil, record{kind: recEvent, e: &testEvents()[0]}),
-		[]byte(`{"t":"touch","fp":"00000000000000a1","at":"2026-08-08T12:01:00Z"}`),
-	} {
-		if err := l.Append(payload); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before, err := os.ReadFile(path)
+	return kinds
+}
+
+// TestV1LogMigrates: Open rewrites a version-1 log as a version-2 one —
+// definitions and events only, touches folded in — that answers the
+// three queries byte for byte as the version-1 store did; a second Open
+// reads it as it is; and a leftover temp file of an interrupted rewrite
+// changes neither.
+func TestV1LogMigrates(t *testing.T) {
+	want := readGolden(t, "legacy_http.golden")
+	path := filepath.Join(t.TempDir(), "history.wal")
+	if err := os.WriteFile(path, readGolden(t, "v1.wal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	leftover := func() {
+		if err := os.WriteFile(path+btree.RewriteSuffix, []byte("an interrupted rewrite"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leftover()
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, err := Open(path); err == nil {
-		s.Close()
-		t.Fatal("a log with a JSON payload opened")
+	if got := historyBodies(t, s); !bytes.Equal(got, want) {
+		t.Fatalf("migrated bodies differ from the version-1 store's:\n%s\nwant:\n%s", got, want)
 	}
-	after, err := os.ReadFile(path)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if kinds := frameKinds(t, path); kinds[recEvent] != 4 || kinds[recTouch] != 0 || kinds[recDef] == 0 {
+		t.Fatalf("migrated log holds records of kinds %v, want 4 events, defs and no touch", kinds)
+	}
+	v2, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after, before) {
-		t.Fatalf("the refused open changed the log: %d bytes, was %d", len(after), len(before))
+
+	leftover()
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := historyBodies(t, s2); !bytes.Equal(got, want) {
+		t.Fatalf("bodies after the second open differ:\n%s\nwant:\n%s", got, want)
+	}
+	if again, _ := os.ReadFile(path); !bytes.Equal(again, v2) {
+		t.Fatal("the second open rewrote the migrated log")
 	}
 }
 
-// TestOpenFailsOnBadRecord: a record that does not apply (a touch of a
-// fingerprint no record before it introduced) or does not decode, batches
-// into the log, fails Open with an error naming that record's offset even
-// when a later record is bad too, leaves the log — torn tail included — as
-// it was, and leaves no replay goroutine behind.
+// TestForeignLogRefused: a file Open cannot read as either format — a
+// version-1 log with a JSON payload, as the store before the binary codec
+// wrote, a headerless file without one intact version-1 frame, a version-2
+// log with a record that does not decode, a log of an unknown version —
+// fails to open and is left byte for byte as it was.
+func TestForeignLogRefused(t *testing.T) {
+	v1 := readGolden(t, "v1.wal")
+	firstV1 := v1[:8+binary.LittleEndian.Uint32(v1)]
+	undecodable := filepath.Join(t.TempDir(), "undecodable.wal")
+	l, err := btree.OpenLog(undecodable, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte{9, 0}); err != nil { // an unknown kind
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(undecodable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"JSON payload":   append(slices.Clone(firstV1), v1Frame([]byte(`{"t":"touch","fp":"00000000000000a1","at":"2026-08-08T12:01:00Z"}`))...),
+		"garbage":        []byte("not a log at all"),
+		"undecodable":    v2,
+		"version 3":      append([]byte("WSLG\x03\x00\x00\x00"), v2[8:]...),
+		"version-1 head": v1[:40],
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "history.wal")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := Open(path); err == nil {
+				s.Close()
+				t.Fatal("opened")
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+				t.Fatalf("the refused open changed the log: %d bytes, was %d", len(after), len(data))
+			}
+		})
+	}
+}
+
+// ingestPayloads returns the records a store appends for events, each a
+// new fingerprint: the def of each string it meets first, then the event.
+func ingestPayloads(t *testing.T, events []Event) [][]byte {
+	t.Helper()
+	s := newStore(nil)
+	var out [][]byte
+	for i := range events {
+		if err := s.emitEvent(&events[i], func(p []byte) error {
+			out = append(out, slices.Clone(p))
+			return s.applyPayload(p)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestOpenFailsOnBadRecord: a record that does not apply (a touch of an
+// event no record before it introduced, an id past the dictionary, a
+// second def of a string) or does not decode, batched into the log, fails
+// Open with an error naming that record's offset even when a later record
+// is bad too, leaves the log — torn tail included — as it was, and leaves
+// no replay goroutine behind.
 func TestOpenFailsOnBadRecord(t *testing.T) {
-	unknownTouch := appendRecord(nil, record{kind: recTouch, fp: "no-such-event", at: time.Unix(0, 0).UTC()})
+	payloads := ingestPayloads(t, slices.Concat(benchBatches(3*benchBatch)...))
+	records, mid := len(payloads), replayBatch+replayBatch/2
+	eventsBefore := 0 // event records ahead of record mid
+	for _, p := range payloads[:mid] {
+		if p[0] == recEvent {
+			eventsBefore++
+		}
+	}
+	unknownTouch := appendRecord(nil, record{kind: recTouch, ord: 1 << 20})
+	nextTouch := appendRecord(nil, record{kind: recTouch, ord: uint64(eventsBefore)})
+	pastDict := appendRecord(nil, record{kind: recEvent, e: &entry{fp: "past-the-dictionary", ids: [numIDs]uint32{idClass: 1 << 20}}})
+	dupDef := appendRecord(nil, record{kind: recDef, def: "synthetic"})
 	undecodable := []byte{recEvent, 0x80, 0x00}
-	const records = 3 * benchBatch
-	events := benchBatches(records)
 	for _, c := range []struct {
 		name  string
 		bad   map[int][]byte // record index → payload
 		first int
 	}{
-		{"apply", map[int][]byte{replayBatch + replayBatch/2: unknownTouch}, replayBatch + replayBatch/2},
-		{"decode", map[int][]byte{replayBatch + replayBatch/2: undecodable}, replayBatch + replayBatch/2},
+		{"apply", map[int][]byte{mid: unknownTouch}, mid},
+		{"decode", map[int][]byte{mid: undecodable}, mid},
 		{"apply before decode", map[int][]byte{replayBatch + 1: unknownTouch, replayBatch + 9: undecodable}, replayBatch + 1},
 		{"last record", map[int][]byte{records - 1: unknownTouch}, records - 1},
+		{"id past the dictionary", map[int][]byte{mid: pastDict}, mid},
+		{"touch of the next event", map[int][]byte{mid: nextTouch}, mid},
+		{"duplicate def", map[int][]byte{mid: dupDef}, mid},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			obstest.CheckGoroutines(t)
@@ -158,20 +282,15 @@ func TestOpenFailsOnBadRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			var off int64
-			i := 0
-			for _, batch := range events {
-				for j := range batch {
-					payload := appendRecord(nil, record{kind: recEvent, e: &batch[j]})
-					if bad, ok := c.bad[i]; ok {
-						payload = bad
-					}
-					if i == c.first {
-						off = l.Size()
-					}
-					if err := l.Append(payload); err != nil {
-						t.Fatal(err)
-					}
-					i++
+			for i, payload := range payloads {
+				if bad, ok := c.bad[i]; ok {
+					payload = bad
+				}
+				if i == c.first {
+					off = l.Size()
+				}
+				if err := l.Append(payload); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if err := l.Close(); err != nil {
@@ -213,8 +332,12 @@ func TestOpenFailsOnBadRecord(t *testing.T) {
 
 // TestReplayEqualsLiveRandom drives a seeded random ingest sequence —
 // new, repeated and in-batch-duplicate fingerprints — and compares every
-// queryable byte of the live store with the reopened one, on its own and
-// behind enough new events that its replay spans several of Open's batches.
+// queryable byte of the live store, and the three /history/* bodies, with
+// the reopened one and with a second reopen, on its own and behind enough
+// new events that its replay spans several of Open's batches. On its own
+// the sequence leaves more touch records than event records, so the first
+// reopen folds the touches into the events (a compaction) and the second
+// reads the rewritten log; behind the prefill neither rewrites the log.
 func TestReplayEqualsLiveRandom(t *testing.T) {
 	for _, prefill := range []int{0, 5 * benchBatch} {
 		t.Run(fmt.Sprintf("prefill=%d", prefill), func(t *testing.T) { replayEqualsLive(t, prefill) })
@@ -249,20 +372,55 @@ func replayEqualsLive(t *testing.T, prefill int) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.Len() - prefill; s.Sightings()-prefill != received || n < 100 || n == received {
-		t.Fatalf("sequence stored %d events over %d sightings of %d received", n, s.Sightings()-prefill, received)
+	if n := s.Len() - prefill; s.Patterns().Sightings-prefill != received || n < 100 || n == received {
+		t.Fatalf("sequence stored %d events over %d sightings of %d received", n, s.Patterns().Sightings-prefill, received)
 	}
-	live := snapshot(t, s)
+	live, liveBodies := snapshot(t, s), historyBodies(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
-	if err != nil {
+	readLog := func() []byte {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	kinds := frameKinds(t, path)
+	if compacts := kinds[recTouch] > kinds[recEvent]; compacts != (prefill == 0) {
+		t.Fatalf("the log holds %d touch and %d event records; want more touches only without the prefill",
+			kinds[recTouch], kinds[recEvent])
+	}
+	written := readLog()
+	reopen := func(stage string) *Store {
+		t.Helper()
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snapshot(t, s); !bytes.Equal(got, live) {
+			t.Fatalf("state after %s differs from live state", stage)
+		}
+		if got := historyBodies(t, s); !bytes.Equal(got, liveBodies) {
+			t.Fatalf("bodies after %s differ from live ones:\n%s\nwant:\n%s", stage, got, liveBodies)
+		}
+		return s
+	}
+	if err := reopen("the first reopen").Close(); err != nil {
 		t.Fatal(err)
 	}
+	rewritten := readLog()
+	if prefill == 0 && (frameKinds(t, path)[recTouch] != 0 || len(rewritten) >= len(written)) {
+		t.Fatalf("the reopen left touch records in a log of %d bytes, was %d", len(rewritten), len(written))
+	}
+	if prefill != 0 && !bytes.Equal(rewritten, written) {
+		t.Fatal("a reopen rewrote a log with fewer touches than events")
+	}
+	s2 := reopen("the second reopen")
 	defer s2.Close()
-	if got := snapshot(t, s2); !bytes.Equal(got, live) {
-		t.Fatal("reopened state differs from live state")
+	if !bytes.Equal(readLog(), rewritten) {
+		t.Fatal("the second reopen rewrote the log")
 	}
 
 	// The memory half of the codec: equal strings of different events are

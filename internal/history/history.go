@@ -11,7 +11,8 @@
 // side held, where it waited, which code triggered it). The store is an
 // embedded, stdlib-only append-only event store over internal/btree: a
 // WAL-style record log (btree.Log, crash-safe reload with torn-tail
-// truncation) is the single source of truth, and the in-memory indexes —
+// truncation; strings written once, in a dictionary; rewritten whole only
+// by Open) is the single source of truth, and the in-memory indexes —
 // a B-tree of events by fingerprint, plus incrementally maintained
 // per-table / per-class / per-API-pair pattern rollups — are rebuilt by
 // replaying it, so live state and reloaded state are identical by
@@ -23,6 +24,7 @@ package history
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -63,13 +65,11 @@ type Event struct {
 }
 
 // PairKey is the canonical API-pair rollup key.
-func PairKey(a, b string) string { return string(appendPairKey(nil, a, b)) }
-
-func appendPairKey(dst []byte, a, b string) []byte {
+func PairKey(a, b string) string {
 	if b < a {
 		a, b = b, a
 	}
-	return append(append(append(dst, a...), " -- "...), b...)
+	return a + " -- " + b
 }
 
 // Rollup is one pre-computed pattern aggregate: how many distinct
@@ -101,12 +101,16 @@ var ErrInvalidEvent = errors.New("history: invalid event")
 type Store struct {
 	mu        sync.RWMutex
 	log       *btree.Log
-	events    *btree.Map[string, *Event] // fingerprint → event
-	tables    map[string]*Rollup
-	classes   map[string]*Rollup
-	pairs     map[string]*Rollup // by PairKey
-	pairKey   []byte             // bumpRollups' scratch PairKey
-	strs      map[string]string  // the one copy of each string events share (see intern)
+	events    *btree.Map[string, *entry] // fingerprint → event
+	byOrd     []*entry                   // event records in log order: a touch's ordinal indexes it
+	dict      []string                   // dictionary id → string; dict[0] is ""
+	ids       map[string]uint32          // string → dictionary id, for encoding and queries
+	tables    []*Rollup                  // by the table's dictionary id
+	classes   []*Rollup                  // by the class's dictionary id
+	pairs     map[uint64]*Rollup         // by the pair's ids, lower first
+	touches   int                        // touch records applied
+	buf       []byte                     // encode's buffer
+	tableIDs  []uint32                   // entryOf's buffer
 	sightings int
 	version   atomic.Uint64 // records applied; written under mu, read without it
 	// firstSeen is the earliest FirstSeen (or LastSeen, if earlier) of any
@@ -130,27 +134,56 @@ const replayBatch = 1024
 
 // Open opens (creating if absent) the store at path, replaying the
 // record log to rebuild the event index and pattern rollups. A torn
-// final record from a crash mid-append is dropped and truncated away.
-// The log's reader decodes each record while a second goroutine applies
-// the ones before it in log order; the first record that fails either way
-// fails Open, named by its offset, with the file left as it was.
+// final record from a crash mid-append is dropped and truncated away. The
+// first record that fails to decode or apply fails Open, named by its
+// offset, with the file left as it was. Open rewrites the log
+// (btree.Rewrite) and replays the new one when it is of the format before
+// the dictionary (see readV1) or its touch records outnumber its event
+// records, which the rewrite folds into the events.
 func Open(path string, opts ...StoreOption) (*Store, error) {
+	s, err := openLog(path, opts)
+	var fe *btree.FormatError
+	switch {
+	case errors.As(err, &fe) && fe.Version == 0:
+		s, err = readV1(path, opts)
+	case err == nil && s.touches > len(s.byOrd):
+		err = s.log.Close()
+	default:
+		return s, err
+	}
+	if err == nil {
+		err = btree.Rewrite(path, s.writeSnapshot)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return openLog(path, opts)
+}
+
+func newStore(opts []StoreOption) *Store {
 	s := &Store{
-		events:  btree.New[string, *Event](strings.Compare),
-		tables:  map[string]*Rollup{},
-		classes: map[string]*Rollup{},
-		pairs:   map[string]*Rollup{},
-		strs:    map[string]string{},
-		now:     time.Now,
+		events: btree.New[string, *entry](strings.Compare),
+		dict:   []string{""},
+		ids:    map[string]uint32{"": 0},
+		tables: []*Rollup{nil}, classes: []*Rollup{nil},
+		pairs: map[uint64]*Rollup{},
+		now:   time.Now,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
+	return s
+}
+
+// openLog replays the log at path. The log's reader decodes each record
+// while a second goroutine applies the ones before it in log order.
+func openLog(path string, opts []StoreOption) (*Store, error) {
+	s := newStore(opts)
 	type frame struct {
 		off int64
 		rec record
 	}
-	var batch []frame
+	var batch, spare []frame
 	work, exited := make(chan []frame), make(chan struct{})
 	var failed error // the first apply error, a *btree.FrameError; read once exited is closed
 	go func(work <-chan []frame) {
@@ -183,8 +216,8 @@ func Open(path string, opts ...StoreOption) (*Store, error) {
 			return err
 		}
 		if batch = append(batch, frame{off, rec}); len(batch) == replayBatch {
-			work <- batch
-			batch = make([]frame, 0, replayBatch)
+			work <- batch // taken: the applier is done with the batch before it
+			batch, spare = spare[:0], batch
 		}
 		return nil
 	}, finish)
@@ -194,6 +227,32 @@ func Open(path string, opts ...StoreOption) (*Store, error) {
 	}
 	s.log = log
 	return s, nil
+}
+
+// writeSnapshot appends the store's state to l: the dictionary, then one
+// event record per event in log order, its touches folded into its seen
+// and last-seen fields.
+func (s *Store) writeSnapshot(l *btree.Log) error {
+	for _, str := range s.dict[1:] {
+		if err := l.Append(s.encode(record{kind: recDef, def: str})); err != nil {
+			return err
+		}
+	}
+	for i, e := range s.byOrd {
+		if e.ord != i {
+			continue // a duplicate event record, folded into the first
+		}
+		if err := l.Append(s.encode(record{kind: recEvent, e: e})); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encode renders rec into the store's buffer, valid until the next call.
+func (s *Store) encode(rec record) []byte {
+	s.buf = appendRecord(s.buf[:0], rec)
+	return s.buf
 }
 
 // applyPayload decodes one log payload and folds it into the in-memory
@@ -212,116 +271,168 @@ func (s *Store) applyPayload(raw []byte) error {
 // apply folds one decoded record into the in-memory state.
 func (s *Store) apply(rec record) error {
 	switch rec.kind {
+	case recDef:
+		if _, dup := s.ids[rec.def]; dup {
+			return fmt.Errorf("history: def of %q, which the dictionary holds", rec.def)
+		}
+		s.ids[rec.def] = uint32(len(s.dict))
+		s.dict = append(s.dict, rec.def)
+		s.tables, s.classes = append(s.tables, nil), append(s.classes, nil)
 	case recEvent:
 		e := rec.e
-		if e == nil || e.Fingerprint == "" {
+		if e.fp == "" {
 			return fmt.Errorf("history: event record without fingerprint")
 		}
-		if prev, ok := s.events.Get(e.Fingerprint); ok {
+		top := slices.Max(e.ids[:])
+		if len(e.tables) > 0 {
+			top = max(top, slices.Max(e.tables))
+		}
+		if int(top) >= len(s.dict) {
+			return fmt.Errorf("history: event %s names string %d of a %d-string dictionary", e.fp, top, len(s.dict))
+		}
+		if prev, ok := s.events.Get(e.fp); ok {
 			// A duplicate event record only arises from a log written by
 			// a racing writer; fold it as a touch rather than corrupting
 			// the rollups.
-			return s.apply(record{kind: recTouch, fp: prev.Fingerprint, at: e.LastSeen})
+			s.byOrd = append(s.byOrd, prev)
+			s.touch(prev, e.last)
+			break
 		}
-		lo := e.FirstSeen
-		if e.LastSeen.Before(lo) {
-			lo = e.LastSeen
+		lo := e.first
+		if e.last.Before(lo) {
+			lo = e.last
 		}
 		if s.events.Len() == 0 || lo.Before(s.firstSeen) {
 			s.firstSeen = lo
 		}
-		s.intern(e)
-		s.events.Set(e.Fingerprint, e)
-		s.sightings += e.Seen
+		e.ord = len(s.byOrd)
+		s.byOrd = append(s.byOrd, e)
+		s.events.Set(e.fp, e)
+		s.sightings += e.seen
 		s.bumpRollups(e, true)
-		s.version.Add(1)
-		return nil
 	case recTouch:
-		e, ok := s.events.Get(rec.fp)
-		if !ok {
-			return fmt.Errorf("history: touch of unknown fingerprint %s", rec.fp)
+		if rec.ord >= uint64(len(s.byOrd)) {
+			return fmt.Errorf("history: touch of event %d, %d read", rec.ord, len(s.byOrd))
 		}
-		e.Seen++
-		if rec.at.After(e.LastSeen) {
-			e.LastSeen = rec.at
-		}
-		s.sightings++
-		s.bumpRollups(e, false)
-		s.version.Add(1)
-		return nil
+		s.touches++
+		s.touch(s.byOrd[rec.ord], rec.at)
 	default:
 		return fmt.Errorf("history: unknown record kind %d", rec.kind)
 	}
+	s.version.Add(1)
+	return nil
 }
 
-// intern gives a decoded event strings of its own: a copy of its
-// fingerprint, and for every other string the one copy all events share —
-// apps, classes, APIs, tables, SQL templates and file:line locations
-// repeat across thousands of events.
-func (s *Store) intern(e *Event) {
-	e.Fingerprint = strings.Clone(e.Fingerprint)
-	t0, t1 := &e.Txns[0], &e.Txns[1]
-	for _, p := range [...]*string{&e.App, &e.Class, &e.APIs[0], &e.APIs[1], &t0.API, &t0.HoldsSQL,
-		&t0.HoldsAt, &t0.WaitsSQL, &t0.WaitsAt, &t1.API, &t1.HoldsSQL, &t1.HoldsAt, &t1.WaitsSQL, &t1.WaitsAt} {
-		s.share(p)
+// touch folds a new sighting at time at into e.
+func (s *Store) touch(e *entry, at time.Time) {
+	e.seen++
+	if at.After(e.last) {
+		e.last = at
 	}
-	for i := range e.Tables {
-		s.share(&e.Tables[i])
-	}
-}
-
-// share points *p at the store's copy of the string, made on first sight.
-func (s *Store) share(p *string) {
-	if c, ok := s.strs[*p]; ok {
-		*p = c
-	} else if *p != "" {
-		*p = strings.Clone(*p)
-		s.strs[*p] = *p
-	}
+	s.sightings++
+	s.bumpRollups(e, false)
 }
 
 // bumpRollups folds a new event, or a new sighting of a known one, into
 // every rollup it belongs to.
-func (s *Store) bumpRollups(e *Event, newEvent bool) {
-	for _, t := range e.Tables {
-		rollup(s.tables, t, e).bump(e, newEvent)
+func (s *Store) bumpRollups(e *entry, newEvent bool) {
+	for _, t := range e.tables {
+		s.rollup(s.tables, t, e).bump(e, newEvent)
 	}
-	if e.Class != "" {
-		rollup(s.classes, e.Class, e).bump(e, newEvent)
+	if c := e.ids[idClass]; c != 0 {
+		s.rollup(s.classes, c, e).bump(e, newEvent)
 	}
-	s.pairKey = appendPairKey(s.pairKey[:0], e.APIs[0], e.APIs[1])
-	r := s.pairs[string(s.pairKey)] // a lookup by a converted []byte does not allocate
+	a, b := e.ids[idAPI0], e.ids[idAPI1]
+	if b < a {
+		a, b = b, a
+	}
+	r := s.pairs[uint64(a)<<32|uint64(b)]
 	if r == nil {
-		r = rollup(s.pairs, string(s.pairKey), e)
+		r = &Rollup{Key: PairKey(s.dict[a], s.dict[b]), FirstSeen: e.first, LastSeen: e.last}
+		s.pairs[uint64(a)<<32|uint64(b)] = r
 	}
 	r.bump(e, newEvent)
 }
 
-// rollup returns m's rollup for key, starting one at e's times when m has
-// none.
-func rollup(m map[string]*Rollup, key string, e *Event) *Rollup {
-	r := m[key]
-	if r == nil {
-		r = &Rollup{Key: key, FirstSeen: e.FirstSeen, LastSeen: e.LastSeen}
-		m[key] = r
+// rollup returns rs[id], starting it at e's times when there is none.
+func (s *Store) rollup(rs []*Rollup, id uint32, e *entry) *Rollup {
+	if rs[id] == nil {
+		rs[id] = &Rollup{Key: s.dict[id], FirstSeen: e.first, LastSeen: e.last}
 	}
-	return r
+	return rs[id]
 }
 
 // bump folds a new event, or a new sighting of a known one, into r.
-func (r *Rollup) bump(e *Event, newEvent bool) {
+func (r *Rollup) bump(e *entry, newEvent bool) {
 	if newEvent {
 		r.Events++
-		r.Seen += e.Seen
+		r.Seen += e.seen
 	} else {
 		r.Seen++
 	}
-	if e.FirstSeen.Before(r.FirstSeen) {
-		r.FirstSeen = e.FirstSeen
+	if e.first.Before(r.FirstSeen) {
+		r.FirstSeen = e.first
 	}
-	if e.LastSeen.After(r.LastSeen) {
-		r.LastSeen = e.LastSeen
+	if e.last.After(r.LastSeen) {
+		r.LastSeen = e.last
 	}
+}
+
+// eventFields lists e's dictionary strings in entry.ids order.
+func eventFields(e *Event) [numIDs]*string {
+	t0, t1 := &e.Txns[0], &e.Txns[1]
+	return [...]*string{&e.App, &e.Class, &e.APIs[0], &e.APIs[1], &t0.API, &t0.HoldsSQL,
+		&t0.HoldsAt, &t0.WaitsSQL, &t0.WaitsAt, &t1.API, &t1.HoldsSQL, &t1.HoldsAt, &t1.WaitsSQL, &t1.WaitsAt}
+}
+
+// entryOf builds e's entry to encode, taking each string's dictionary id
+// from id; its tables are the store's scratch, valid until the next call.
+func (s *Store) entryOf(e *Event, id func(string) uint32) entry {
+	en := entry{fp: e.Fingerprint, count: e.Count, seen: e.Seen, first: e.FirstSeen, last: e.LastSeen}
+	for i, p := range eventFields(e) {
+		en.ids[i] = id(*p)
+	}
+	for _, t := range e.Tables {
+		s.tableIDs = append(s.tableIDs, id(t))
+	}
+	en.tables, s.tableIDs = s.tableIDs, s.tableIDs[:0]
+	return en
+}
+
+// event returns e as the caller's Event.
+func (s *Store) event(e *entry) Event {
+	out := Event{Fingerprint: e.fp, Count: e.count, Seen: e.seen, FirstSeen: e.first, LastSeen: e.last}
+	for i, p := range eventFields(&out) {
+		*p = s.dict[e.ids[i]]
+	}
+	if len(e.tables) > 0 {
+		out.Tables = make([]string, len(e.tables))
+		for i, id := range e.tables {
+			out.Tables[i] = s.dict[id]
+		}
+	}
+	return out
+}
+
+// emitEvent hands emit a def record for each string of e the dictionary
+// lacks, then e's event record. An emit that applies what it is handed
+// defines a string e repeats once; one that does not (a dry run that
+// measures) gets every new string at the largest id.
+func (s *Store) emitEvent(e *Event, emit func([]byte) error) error {
+	var err error
+	en := s.entryOf(e, func(str string) uint32 {
+		if _, ok := s.ids[str]; !ok && err == nil {
+			err = emit(s.encode(record{kind: recDef, def: str}))
+		}
+		if id, ok := s.ids[str]; ok {
+			return id
+		}
+		return math.MaxUint32
+	})
+	if err != nil {
+		return err
+	}
+	return emit(s.encode(record{kind: recEvent, e: &en}))
 }
 
 // normTables copies an event's lock resources into scratch in stored
@@ -358,46 +469,49 @@ func (s *Store) Ingest(events []Event) (IngestSummary, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now().UTC()
-	var buf []byte
 	var tables []string
-	// encode renders event i's record — a touch when the store knows the
-	// fingerprint — into buf.
-	encode := func(i int) (known bool) {
-		var rec record
-		if _, known = s.events.Get(events[i].Fingerprint); known {
-			rec = record{kind: recTouch, fp: events[i].Fingerprint, at: now}
-		} else {
-			e := events[i] // shallow copy: Tables is replaced, never written through
-			tables = normTables(tables, e.Tables)
-			e.Tables = tables
-			if e.Count <= 0 {
-				e.Count = 1
-			}
-			e.Seen, e.FirstSeen, e.LastSeen = 1, now, now
-			rec = record{kind: recEvent, e: &e}
+	// stamp returns event i as the store keeps a new fingerprint.
+	stamp := func(i int) Event {
+		e := events[i] // shallow copy: Tables is replaced, never written through
+		tables = normTables(tables, e.Tables)
+		e.Tables = tables
+		if e.Count <= 0 {
+			e.Count = 1
 		}
-		buf = appendRecord(buf[:0], rec)
-		return known
+		e.Seen, e.FirstSeen, e.LastSeen = 1, now, now
+		return e
 	}
 	// Size every record against the store as it stands (a fingerprint
 	// repeated within the batch counts in its larger, event form), so a
 	// refused batch leaves nothing behind.
 	for i := range events {
-		if encode(i); len(buf) > maxRecord {
+		if _, known := s.events.Get(events[i].Fingerprint); known {
+			continue // a touch is a few bytes
+		}
+		longest, e := 0, stamp(i)
+		_ = s.emitEvent(&e, func(p []byte) error { longest = max(longest, len(p)); return nil }) // a dry run: no error
+		if longest > maxRecord {
 			return sum, fmt.Errorf("%w: event %d (%s) encodes to %d bytes, limit %d",
-				btree.ErrRecordTooLarge, i, events[i].Fingerprint, len(buf), maxRecord)
+				btree.ErrRecordTooLarge, i, events[i].Fingerprint, longest, maxRecord)
 		}
 	}
+	write := func(payload []byte) error {
+		if err := s.log.Append(payload); err != nil {
+			return err
+		}
+		return s.applyPayload(payload)
+	}
 	for i := range events {
-		if encode(i) {
+		var err error
+		if e, known := s.events.Get(events[i].Fingerprint); known {
 			sum.Deduped++
+			err = write(s.encode(record{kind: recTouch, ord: uint64(e.ord), at: now}))
 		} else {
 			sum.Stored++
+			e := stamp(i)
+			err = s.emitEvent(&e, write)
 		}
-		if err := s.log.Append(buf); err != nil {
-			return sum, err
-		}
-		if err := s.applyPayload(buf); err != nil {
+		if err != nil {
 			return sum, err
 		}
 	}
@@ -414,42 +528,34 @@ type EventQuery struct {
 	Limit int       // 0 = unlimited
 }
 
-func (q EventQuery) match(e *Event) bool {
-	if q.Table != "" {
-		ok := false
-		for _, t := range e.Tables {
-			if t == q.Table {
-				ok = true
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if q.Class != "" && e.Class != q.Class {
+// match reports whether e passes q, whose Table, Class and API are
+// resolved to their dictionary ids (0 for no filter).
+func (q EventQuery) match(e *entry, table, class, api uint32) bool {
+	switch {
+	case table != 0 && !slices.Contains(e.tables, table),
+		class != 0 && e.ids[idClass] != class,
+		api != 0 && e.ids[idAPI0] != api && e.ids[idAPI1] != api:
 		return false
 	}
-	if q.API != "" && e.APIs[0] != q.API && e.APIs[1] != q.API {
-		return false
-	}
-	if !q.Since.IsZero() && e.LastSeen.Before(q.Since) {
-		return false
-	}
-	return true
+	return q.Since.IsZero() || !e.last.Before(q.Since)
 }
 
 // Events returns matching events in fingerprint order (deterministic
-// across processes and reloads). The returned events are the caller's:
-// each carries its own copy of Tables, the one field that is a slice.
+// across processes and reloads), never nil. The returned events are the
+// caller's.
 func (s *Store) Events(q EventQuery) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Event
-	s.events.AscendAll(func(_ string, e *Event) bool {
-		if q.match(e) {
-			c := *e
-			c.Tables = slices.Clone(e.Tables)
-			out = append(out, c)
+	table, ok1 := s.ids[q.Table]
+	class, ok2 := s.ids[q.Class]
+	api, ok3 := s.ids[q.API]
+	out := []Event{}
+	if !ok1 || !ok2 || !ok3 {
+		return out // a name no event holds
+	}
+	s.events.AscendAll(func(_ string, e *entry) bool {
+		if q.match(e, table, class, api) {
+			out = append(out, s.event(e))
 		}
 		return q.Limit == 0 || len(out) < q.Limit
 	})
@@ -467,11 +573,13 @@ type PatternSummary struct {
 	Pairs     []Rollup `json:"pairs"`
 }
 
-// collect returns m's rollups in key order.
-func collect(m map[string]*Rollup) []Rollup {
-	out := make([]Rollup, 0, len(m))
-	for _, r := range m {
-		out = append(out, *r)
+// collect returns the rollups in key order.
+func collect(rs []*Rollup) []Rollup {
+	out := []Rollup{}
+	for _, r := range rs {
+		if r != nil {
+			out = append(out, *r)
+		}
 	}
 	slices.SortFunc(out, func(a, b Rollup) int { return strings.Compare(a.Key, b.Key) })
 	return out
@@ -481,12 +589,16 @@ func collect(m map[string]*Rollup) []Rollup {
 func (s *Store) Patterns() PatternSummary {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	pairs := make([]*Rollup, 0, len(s.pairs))
+	for _, r := range s.pairs {
+		pairs = append(pairs, r)
+	}
 	return PatternSummary{
 		Events:    s.events.Len(),
 		Sightings: s.sightings,
 		Tables:    collect(s.tables),
 		Classes:   collect(s.classes),
-		Pairs:     collect(s.pairs),
+		Pairs:     collect(pairs),
 	}
 }
 
@@ -499,37 +611,35 @@ type TableCount struct {
 
 // TableCounts answers "which tables deadlock most?" over a trailing
 // window: events last seen at or after since (zero = all history),
-// grouped per table, most-deadlocking first (ties by name). A window
-// holding every event is the tables rollup; a younger one scans events.
+// grouped per table, most-deadlocking first (ties by name), never nil. A
+// window holding every event is the tables rollup; a younger one scans
+// events.
 func (s *Store) TableCounts(since time.Time) []TableCount {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []TableCount
+	out := []TableCount{}
 	if since.IsZero() || !since.After(s.firstSeen) {
-		out = make([]TableCount, 0, len(s.tables))
-		for t, r := range s.tables {
-			out = append(out, TableCount{Table: t, Events: r.Events, Seen: r.Seen})
+		for _, r := range s.tables {
+			if r != nil {
+				out = append(out, TableCount{Table: r.Key, Events: r.Events, Seen: r.Seen})
+			}
 		}
 	} else {
-		acc := map[string]*TableCount{}
-		s.events.AscendAll(func(_ string, e *Event) bool {
-			if e.LastSeen.Before(since) {
-				return true
-			}
-			for _, t := range e.Tables {
-				c, ok := acc[t]
-				if !ok {
-					c = &TableCount{Table: t}
-					acc[t] = c
+		acc := make([]TableCount, len(s.dict)) // by the table's dictionary id
+		s.events.AscendAll(func(_ string, e *entry) bool {
+			if !e.last.Before(since) {
+				for _, t := range e.tables {
+					acc[t].Events++
+					acc[t].Seen += e.seen
 				}
-				c.Events++
-				c.Seen += e.Seen
 			}
 			return true
 		})
-		out = make([]TableCount, 0, len(acc))
-		for _, c := range acc {
-			out = append(out, *c)
+		for id, c := range acc {
+			if c.Events > 0 {
+				c.Table = s.dict[id]
+				out = append(out, c)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -546,13 +656,6 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.events.Len()
-}
-
-// Sightings returns the total number of applied sightings.
-func (s *Store) Sightings() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sightings
 }
 
 // Size returns the backing log's on-disk size in bytes.

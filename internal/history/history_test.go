@@ -111,8 +111,8 @@ func TestStoreDurability(t *testing.T) {
 	if string(before) != string(after) {
 		t.Fatalf("reloaded state differs:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	if s2.Len() != 3 || s2.Sightings() != 6 {
-		t.Fatalf("reloaded store: %d events, %d sightings", s2.Len(), s2.Sightings())
+	if s2.Len() != 3 || s2.Patterns().Sightings != 6 {
+		t.Fatalf("reloaded store: %d events, %d sightings", s2.Len(), s2.Patterns().Sightings)
 	}
 }
 

@@ -321,9 +321,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if events == nil {
-		events = []Event{}
-	}
 	writeJSON(w, events)
 }
 
@@ -359,9 +356,6 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, "no events in window")
 		}
 		return
-	}
-	if counts == nil {
-		counts = []TableCount{}
 	}
 	writeJSON(w, counts)
 }

@@ -271,20 +271,30 @@ echo "$fixout" | grep -q 'gates=PASS' || {
 # port, fed the tiny pinned-seed generated corpus twice through the
 # `weseer ingest` client. The second ingest must store zero new events
 # (fingerprint idempotency) and the pattern rollups must name the
-# planted anti-pattern classes. The restart/durability path is covered
-# by the Go test suite (TestServeRoundTripRestart, TestStoreDurability).
-echo "== serve smoke (weseer serve round-trip, idempotent ingest)"
+# planted anti-pattern classes. Then the daemon is killed and started
+# again over the same history.wal: the JSON pattern rollups it answers
+# after the restart must be byte-identical to the ones before.
+echo "== serve smoke (weseer serve round-trip, idempotent ingest, restart)"
 genspec="gen:7,templates=12,modules=3,tables=4,rows=6"
 servedir=$(mktemp -d)
 trap 'rm -rf "$obsdir" "$tfdir" "$servedir"; [ -n "$servepid" ] && kill "$servepid" 2>/dev/null' EXIT
 go build -o "$servedir/weseer" ./cmd/weseer
 "$servedir/weseer" collect -app "$genspec" -o "$servedir/traces.json" >/dev/null
-"$servedir/weseer" serve -store "$servedir/history.wal" -addr 127.0.0.1:0 \
-    -app "$genspec" > "$servedir/url.txt" 2>/dev/null &
-servepid=$!
-i=0
-while [ ! -s "$servedir/url.txt" ] && [ $i -lt 100 ]; do i=$((i + 1)); sleep 0.1; done
-[ -s "$servedir/url.txt" ] || { echo "serve smoke: daemon printed no URL" >&2; exit 1; }
+startserve() {
+    : > "$servedir/url.txt"
+    "$servedir/weseer" serve -store "$servedir/history.wal" -addr 127.0.0.1:0 \
+        -app "$genspec" > "$servedir/url.txt" 2>/dev/null &
+    servepid=$!
+    i=0
+    while [ ! -s "$servedir/url.txt" ] && [ $i -lt 100 ]; do i=$((i + 1)); sleep 0.1; done
+    [ -s "$servedir/url.txt" ] || { echo "serve smoke: daemon printed no URL" >&2; exit 1; }
+}
+stopserve() {
+    kill "$servepid" 2>/dev/null
+    wait "$servepid" 2>/dev/null || true
+    servepid=""
+}
+startserve
 "$servedir/weseer" ingest -addr "@$servedir/url.txt" -i "$servedir/traces.json" >/dev/null
 second=$("$servedir/weseer" ingest -addr "@$servedir/url.txt" -i "$servedir/traces.json")
 echo "$second" | grep -q ' 0 stored,' || {
@@ -296,9 +306,16 @@ echo "$second" | grep -q ' 0 stored,' || {
     echo "serve smoke: /history/patterns does not name planted class f1" >&2
     exit 1
 }
-kill "$servepid" 2>/dev/null
-wait "$servepid" 2>/dev/null || true
-servepid=""
+"$servedir/weseer" history -addr "@$servedir/url.txt" -format json patterns > "$servedir/patterns.before"
+stopserve
+startserve
+"$servedir/weseer" history -addr "@$servedir/url.txt" -format json patterns > "$servedir/patterns.after"
+stopserve
+cmp -s "$servedir/patterns.before" "$servedir/patterns.after" || {
+    echo "serve smoke: /history/patterns changed across a daemon restart:" >&2
+    diff "$servedir/patterns.before" "$servedir/patterns.after" | head >&2
+    exit 1
+}
 
 # Relocated checkout: trigger locations, and the fingerprints hashed from
 # them, name source files relative to the module root, so a copy of the
