@@ -379,7 +379,7 @@ func cmdCollect(args []string) error {
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(traces, "", " ")
+	data, err := json.Marshal(traces)
 	if err != nil {
 		return err
 	}

@@ -1,14 +1,14 @@
 package btree
 
 // Log is a WAL-style append-only record log — the durable file layer the
-// history store builds its B-tree indexes over. A log file starts with an
+// history store builds its in-memory indexes over. A log file starts with an
 // 8-byte header, the magic "WSLG" and a uint32 LE format version (2), and
 // then holds opaque byte payloads framed as
 //
 //	uint32 LE payload length | uint32 LE CRC-32C checksum | payload
 //
 // and only ever appended. OpenLog replays every intact record through a
-// callback so the caller can rebuild its in-memory state (the B-tree maps
+// callback so the caller can rebuild its in-memory state (its event index
 // and rollups), then truncates any torn tail: a crash mid-append leaves a
 // short or checksum-corrupt final frame, which is silently dropped —
 // everything before it is intact by construction. A corrupt frame is

@@ -1,3 +1,16 @@
+// Package btree implements the storage engine's in-memory B-tree and the
+// append-only record log the history store keeps on disk.
+//
+// Pages is the storage engine's tree: minidb builds its primary and
+// secondary indexes on it, because range scans and next-key lookups — the
+// operations InnoDB-style gap/next-key locking is defined over — require
+// an ordered structure, not a hash map. Its keys and values are byte
+// strings kept in one page per node, as InnoDB keeps an index's records in
+// its pages, so the collector marks a node, not every key and row, and the
+// views it hands out stay valid because no entry's bytes are written twice.
+//
+// Log is the history store's write-ahead record log: checksummed frames,
+// crash-safe reload with torn-tail truncation, and one rewrite path.
 package btree
 
 import (
@@ -7,8 +20,8 @@ import (
 )
 
 // Pages is an ordered map from string keys to byte-string values for a
-// storage engine's indexes (minidb's). It is the B-tree of Map, but each
-// node keeps all of its entries in one page, laid out as
+// storage engine's indexes (minidb's). It is a B-tree whose nodes each
+// keep all of their entries in one page, laid out as
 //
 //	n                      uint16 LE: the number of entries
 //	m                      uint16 LE: the number of slots, n or more
@@ -269,7 +282,7 @@ func (t *Pages) Delete(k string) bool {
 }
 
 // delete removes k from the subtree rooted at n, which has at least
-// pageDegree entries unless it is the root: Map.delete's CLRS deletion.
+// pageDegree entries unless it is the root: CLRS deletion.
 func (t *Pages) delete(n *pageNode, k string) bool {
 	i, found := t.search(n.page, k)
 	if n.leaf() {

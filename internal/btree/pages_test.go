@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -143,35 +144,50 @@ func (o pagesOp) value() []byte {
 // seen is a key or value the tree handed out, and the bytes it read then.
 type seen struct{ got, want string }
 
-// runPages applies ops to a page tree and to a Map oracle, comparing what
-// each op returns and, after every every-th step and the last, the whole
-// of both trees, and checks then that every key and value the tree handed
+// oracleScan returns oracle's entries with keys at or after from, in
+// keyCmp order.
+func oracleScan(oracle map[string]string, from string) []seen {
+	var out []seen
+	for k, v := range oracle {
+		if keyCmp(k, from) >= 0 {
+			out = append(out, seen{k, v})
+		}
+	}
+	slices.SortFunc(out, func(a, b seen) int { return keyCmp(a.got, b.got) })
+	return out
+}
+
+// runPages applies ops to a page tree and to a Go map oracle, comparing
+// what each op returns and, after every every-th step and the last, the
+// whole of both, and checks then that every key and value the tree handed
 // out still reads as it did when handed out. It returns the greatest
 // height the tree reached.
 func runPages(t *testing.T, ops []pagesOp, every int) (height int) {
 	tree := NewPages(keyCmp)
-	oracle := New[string, string](keyCmp)
+	oracle := map[string]string{}
 	var views []seen
 	keep := func(s string) { views = append(views, seen{s, strings.Clone(s)}) }
 	for step, o := range ops {
 		switch o.op % 5 {
 		case 0, 1: // Put, twice as often as the rest
 			k, v := o.key(2), o.value()
-			want, wantOK := oracle.Get(k)
+			want, wantOK := oracle[k]
 			got, ok := tree.Put(k, v)
 			if got != want || ok != wantOK {
 				t.Fatalf("step %d: Put(%q) returned %q, %v; want %q, %v", step, k, got, ok, want, wantOK)
 			}
 			keep(got)
-			oracle.Set(k, string(v))
+			oracle[k] = string(v)
 		case 2:
 			k := o.key(2)
-			if got, want := tree.Delete(k), oracle.Delete(k); got != want {
+			_, want := oracle[k]
+			delete(oracle, k)
+			if got := tree.Delete(k); got != want {
 				t.Fatalf("step %d: Delete(%q) = %v, want %v", step, k, got, want)
 			}
 		case 3:
 			k := o.key(2)
-			want, wantOK := oracle.Get(k)
+			want, wantOK := oracle[k]
 			got, ok := tree.Get(k)
 			if got != want || ok != wantOK {
 				t.Fatalf("step %d: Get(%q) = %q, %v; want %q, %v", step, k, got, ok, want, wantOK)
@@ -179,11 +195,8 @@ func runPages(t *testing.T, ops []pagesOp, every int) (height int) {
 			keep(got)
 		case 4: // a scan from a prefix, stopped after c%8+1 entries
 			from, limit := o.key(int(o.c%3)), int(o.c%8)+1
-			var want []seen
-			oracle.Ascend(from, func(k, v string) bool {
-				want = append(want, seen{k, v})
-				return len(want) < limit
-			})
+			want := oracleScan(oracle, from)
+			want = want[:min(limit, len(want))]
 			var got []seen
 			tree.Ascend(from, func(k, v string) bool {
 				got = append(got, seen{k, v})
@@ -203,11 +216,10 @@ func runPages(t *testing.T, ops []pagesOp, every int) (height int) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		height = max(height, h)
-		var got, want []seen
+		var got []seen
 		tree.AscendAll(func(k, v string) bool { got = append(got, seen{k, v}); return true })
-		oracle.AscendAll(func(k, v string) bool { want = append(want, seen{k, v}); return true })
-		if tree.Len() != oracle.Len() || fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("step %d: tree holds %d entries %q, oracle %d %q", step, tree.Len(), got, oracle.Len(), want)
+		if want := oracleScan(oracle, ""); tree.Len() != len(oracle) || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("step %d: tree holds %d entries %q, oracle %d %q", step, tree.Len(), got, len(oracle), want)
 		}
 		for _, w := range views {
 			if w.got != w.want {
@@ -219,7 +231,7 @@ func runPages(t *testing.T, ops []pagesOp, every int) (height int) {
 }
 
 // FuzzPages runs a byte string, four bytes an operation, as Put, Delete,
-// Get and Ascend against the page tree and the Map oracle: both hold the
+// Get and Ascend against the page tree and a Go map oracle: both hold the
 // same entries after every step, the tree keeps its shape, and every
 // view the tree handed out still reads its original bytes after the
 // later puts, splits, merges and deletes (copy on write). Seeds are in

@@ -184,7 +184,7 @@ func TestDecodeRecordHostileCount(t *testing.T) {
 			t.Fatalf("%s: refusing it allocated %d bytes", name, grew)
 		}
 	}
-	if s.events.Len() != 0 || len(s.byOrd) != 0 || s.version.Load() != 0 {
+	if len(s.events) != 0 || len(s.byOrd) != 0 || s.version.Load() != 0 {
 		t.Fatal("a refused record changed the store")
 	}
 }

@@ -13,7 +13,7 @@
 // WAL-style record log (btree.Log, crash-safe reload with torn-tail
 // truncation; strings written once, in a dictionary; rewritten whole only
 // by Open) is the single source of truth, and the in-memory indexes —
-// a B-tree of events by fingerprint, plus incrementally maintained
+// a map of events by fingerprint, plus incrementally maintained
 // per-table / per-class / per-API-pair pattern rollups — are rebuilt by
 // replaying it, so live state and reloaded state are identical by
 // construction. Ingest is idempotent by fingerprint: re-ingesting a
@@ -99,18 +99,22 @@ var ErrInvalidEvent = errors.New("history: invalid event")
 // Store is the embedded deadlock-history store. Safe for concurrent
 // use; queries take a read lock, ingest a write lock.
 type Store struct {
-	mu        sync.RWMutex
-	log       *btree.Log
-	events    *btree.Map[string, *entry] // fingerprint → event
-	byOrd     []*entry                   // event records in log order: a touch's ordinal indexes it
-	dict      []string                   // dictionary id → string; dict[0] is ""
-	ids       map[string]uint32          // string → dictionary id, for encoding and queries
-	tables    []*Rollup                  // by the table's dictionary id
-	classes   []*Rollup                  // by the class's dictionary id
-	pairs     map[uint64]*Rollup         // by the pair's ids, lower first
-	touches   int                        // touch records applied
-	buf       []byte                     // encode's buffer
-	tableIDs  []uint32                   // entryOf's buffer
+	mu     sync.RWMutex
+	log    *btree.Log
+	events map[string]*entry // fingerprint → event
+	// byOrd holds the event records in log order: a touch's ordinal
+	// indexes it. Scans range over it rather than the map, three times
+	// faster in its allocation order, and skip a duplicate record (one
+	// whose ord is not its index).
+	byOrd     []*entry
+	dict      []string           // dictionary id → string; dict[0] is ""
+	ids       map[string]uint32  // string → dictionary id, for encoding and queries
+	tables    []*Rollup          // by the table's dictionary id
+	classes   []*Rollup          // by the class's dictionary id
+	pairs     map[uint64]*Rollup // by the pair's ids, lower first
+	touches   int                // touch records applied
+	buf       []byte             // encode's buffer
+	tableIDs  []uint32           // entryOf's buffer
 	sightings int
 	version   atomic.Uint64 // records applied; written under mu, read without it
 	// firstSeen is the earliest FirstSeen (or LastSeen, if earlier) of any
@@ -162,7 +166,7 @@ func Open(path string, opts ...StoreOption) (*Store, error) {
 
 func newStore(opts []StoreOption) *Store {
 	s := &Store{
-		events: btree.New[string, *entry](strings.Compare),
+		events: map[string]*entry{},
 		dict:   []string{""},
 		ids:    map[string]uint32{"": 0},
 		tables: []*Rollup{nil}, classes: []*Rollup{nil},
@@ -290,7 +294,7 @@ func (s *Store) apply(rec record) error {
 		if int(top) >= len(s.dict) {
 			return fmt.Errorf("history: event %s names string %d of a %d-string dictionary", e.fp, top, len(s.dict))
 		}
-		if prev, ok := s.events.Get(e.fp); ok {
+		if prev, ok := s.events[e.fp]; ok {
 			// A duplicate event record only arises from a log written by
 			// a racing writer; fold it as a touch rather than corrupting
 			// the rollups.
@@ -302,12 +306,12 @@ func (s *Store) apply(rec record) error {
 		if e.last.Before(lo) {
 			lo = e.last
 		}
-		if s.events.Len() == 0 || lo.Before(s.firstSeen) {
+		if len(s.events) == 0 || lo.Before(s.firstSeen) {
 			s.firstSeen = lo
 		}
 		e.ord = len(s.byOrd)
 		s.byOrd = append(s.byOrd, e)
-		s.events.Set(e.fp, e)
+		s.events[e.fp] = e
 		s.sightings += e.seen
 		s.bumpRollups(e, true)
 	case recTouch:
@@ -485,7 +489,7 @@ func (s *Store) Ingest(events []Event) (IngestSummary, error) {
 	// repeated within the batch counts in its larger, event form), so a
 	// refused batch leaves nothing behind.
 	for i := range events {
-		if _, known := s.events.Get(events[i].Fingerprint); known {
+		if _, known := s.events[events[i].Fingerprint]; known {
 			continue // a touch is a few bytes
 		}
 		longest, e := 0, stamp(i)
@@ -503,7 +507,7 @@ func (s *Store) Ingest(events []Event) (IngestSummary, error) {
 	}
 	for i := range events {
 		var err error
-		if e, known := s.events.Get(events[i].Fingerprint); known {
+		if e, known := s.events[events[i].Fingerprint]; known {
 			sum.Deduped++
 			err = write(s.encode(record{kind: recTouch, ord: uint64(e.ord), at: now}))
 		} else {
@@ -515,7 +519,7 @@ func (s *Store) Ingest(events []Event) (IngestSummary, error) {
 			return sum, err
 		}
 	}
-	sum.Events = s.events.Len()
+	sum.Events = len(s.events)
 	return sum, s.log.Sync()
 }
 
@@ -541,24 +545,31 @@ func (q EventQuery) match(e *entry, table, class, api uint32) bool {
 }
 
 // Events returns matching events in fingerprint order (deterministic
-// across processes and reloads), never nil. The returned events are the
-// caller's.
+// across processes and reloads), at most q.Limit of them, never nil. The
+// returned events are the caller's.
 func (s *Store) Events(q EventQuery) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	table, ok1 := s.ids[q.Table]
 	class, ok2 := s.ids[q.Class]
 	api, ok3 := s.ids[q.API]
-	out := []Event{}
 	if !ok1 || !ok2 || !ok3 {
-		return out // a name no event holds
+		return []Event{} // a name no event holds
 	}
-	s.events.AscendAll(func(_ string, e *entry) bool {
-		if q.match(e, table, class, api) {
-			out = append(out, s.event(e))
+	var hits []*entry
+	for i, e := range s.byOrd {
+		if e.ord == i && q.match(e, table, class, api) {
+			hits = append(hits, e)
 		}
-		return q.Limit == 0 || len(out) < q.Limit
-	})
+	}
+	slices.SortFunc(hits, func(a, b *entry) int { return strings.Compare(a.fp, b.fp) })
+	if q.Limit > 0 && len(hits) > q.Limit {
+		hits = hits[:q.Limit]
+	}
+	out := make([]Event, len(hits))
+	for i, e := range hits {
+		out[i] = s.event(e)
+	}
 	return out
 }
 
@@ -594,7 +605,7 @@ func (s *Store) Patterns() PatternSummary {
 		pairs = append(pairs, r)
 	}
 	return PatternSummary{
-		Events:    s.events.Len(),
+		Events:    len(s.events),
 		Sightings: s.sightings,
 		Tables:    collect(s.tables),
 		Classes:   collect(s.classes),
@@ -626,15 +637,14 @@ func (s *Store) TableCounts(since time.Time) []TableCount {
 		}
 	} else {
 		acc := make([]TableCount, len(s.dict)) // by the table's dictionary id
-		s.events.AscendAll(func(_ string, e *entry) bool {
-			if !e.last.Before(since) {
+		for i, e := range s.byOrd {
+			if e.ord == i && !e.last.Before(since) {
 				for _, t := range e.tables {
 					acc[t].Events++
 					acc[t].Seen += e.seen
 				}
 			}
-			return true
-		})
+		}
 		for id, c := range acc {
 			if c.Events > 0 {
 				c.Table = s.dict[id]
@@ -655,7 +665,7 @@ func (s *Store) TableCounts(since time.Time) []TableCount {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.events.Len()
+	return len(s.events)
 }
 
 // Size returns the backing log's on-disk size in bytes.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -245,6 +246,128 @@ func TestRollupsAndQueries(t *testing.T) {
 	}
 }
 
+// TestEventsMatchSortedScan: Events answers what a model of the ingests
+// does — every event, filtered, sorted by fingerprint, cut at Limit —
+// for random queries over a store whose fingerprints arrive in random
+// order, several batches deep with re-sightings, live and after a reopen.
+func TestEventsMatchSortedScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	path := filepath.Join(t.TempDir(), "history.wal")
+	s, err := Open(path, WithClock(func() time.Time { return now }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := func(prefix string, n int) string { return fmt.Sprintf("%s%d", prefix, rng.Intn(n)) }
+	var pool []Event // fingerprints random, so log order is not fingerprint order
+	for i := 0; i < 150; i++ {
+		tables := []string{pick("T", 9), pick("T", 9)}
+		slices.Sort(tables)
+		pool = append(pool, Event{
+			Fingerprint: fmt.Sprintf("%016x", rng.Uint64()),
+			App:         "app",
+			Class:       pick("c", 4)[:rng.Intn(2)*2], // "" or one of c0..c3
+			APIs:        [2]string{pick("A", 6), pick("A", 6)},
+			Tables:      slices.Compact(tables),
+			Count:       1 + rng.Intn(3),
+		})
+	}
+	model := map[string]*Event{}
+	var times []time.Time
+	resighted := 0
+	for b := 0; b < 12; b++ {
+		now = now.Add(time.Duration(1+rng.Intn(90)) * time.Minute)
+		times = append(times, now)
+		batch := make([]Event, 5+rng.Intn(20))
+		for i := range batch {
+			batch[i] = pool[rng.Intn(min(len(pool), 15*(b+1)))] // later batches re-sight earlier events
+		}
+		if _, err := s.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range batch {
+			if m := model[e.Fingerprint]; m != nil {
+				m.Seen++
+				m.LastSeen = now
+				resighted++
+				continue
+			}
+			e.Seen, e.FirstSeen, e.LastSeen = 1, now, now
+			model[e.Fingerprint] = &e
+		}
+	}
+	if len(model) < 80 || resighted < 20 {
+		t.Fatalf("the store holds %d events sighted again %d times", len(model), resighted)
+	}
+	oracle := func(q EventQuery) []Event {
+		out := []Event{}
+		for _, e := range model {
+			switch {
+			case q.Table != "" && !slices.Contains(e.Tables, q.Table),
+				q.Class != "" && e.Class != q.Class,
+				q.API != "" && e.APIs[0] != q.API && e.APIs[1] != q.API,
+				e.LastSeen.Before(q.Since):
+				continue
+			}
+			out = append(out, *e)
+		}
+		slices.SortFunc(out, func(a, b Event) int { return strings.Compare(a.Fingerprint, b.Fingerprint) })
+		if q.Limit > 0 && len(out) > q.Limit {
+			out = out[:q.Limit]
+		}
+		return out
+	}
+	check := func(s *Store, stage string) {
+		t.Helper()
+		cut := 0
+		for i := 0; i < 400; i++ {
+			var q EventQuery
+			if rng.Intn(3) == 0 {
+				q.Table = pick("T", 10) // T9 names no table
+			}
+			if rng.Intn(3) == 0 {
+				q.Class = pick("c", 5) // c4 names no class
+			}
+			if rng.Intn(3) == 0 {
+				q.API = pick("A", 7) // A6 names no API
+			}
+			if rng.Intn(2) == 0 {
+				q.Since = times[rng.Intn(len(times))].Add(time.Duration(rng.Intn(3)-1) * time.Nanosecond)
+			}
+			all := len(oracle(q))
+			q.Limit = []int{0, 1, all + 1 + rng.Intn(3), 1 + rng.Intn(all+1)}[rng.Intn(4)]
+			if q.Limit > 0 && q.Limit < all {
+				cut++
+			}
+			if got, want := toJSON(t, s.Events(q)), toJSON(t, oracle(q)); got != want {
+				t.Fatalf("%s: Events(%+v) =\n%s\nwant\n%s", stage, q, got, want)
+			}
+		}
+		if cut < 50 {
+			t.Fatalf("%s: only %d queries cut at a Limit below their matches", stage, cut)
+		}
+	}
+	check(s, "live")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s, "reopen")
+}
+
+// toJSON renders v as JSON, the form /history/events answers in.
+func toJSON(t *testing.T, v any) string {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
 func TestIngestRejectsFingerprintless(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "history.wal"))
 	if err != nil {
@@ -274,8 +397,7 @@ func TestBatchInternalDedup(t *testing.T) {
 	}
 }
 
-// TestManyEventsReload exercises the B-tree indexes past node-split
-// depth and pins replay fidelity at size.
+// TestManyEventsReload pins replay fidelity at size.
 func TestManyEventsReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.wal")
 	s, err := Open(path, WithClock(fixedClock()))

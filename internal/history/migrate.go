@@ -61,7 +61,7 @@ func (s *Store) applyV1(raw []byte) error {
 		if err := d.done(); err != nil {
 			return err
 		}
-		e, ok := s.events.Get(fp)
+		e, ok := s.events[fp]
 		if !ok {
 			return fmt.Errorf("history: touch of unknown fingerprint %s", fp)
 		}

@@ -139,11 +139,11 @@ go test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/history
 echo "== go test -fuzz=FuzzLogReplay (5s)"
 go test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5s ./internal/btree
 
-# minidb's page tree against the generic Map as its oracle, over keys in
-# minidb's encoding: the same entries after every Put, Delete, Get and
-# Ascend, the tree's shape kept, and every key and value view it handed
-# out still reading its original bytes after later puts, splits, merges
-# and deletes.
+# minidb's page tree against a Go map as its oracle (its keys sorted in
+# the test's key order wherever scans are compared), over keys in minidb's
+# encoding: the same entries after every Put, Delete, Get and Ascend, the
+# tree's shape kept, and every key and value view it handed out still
+# reading its original bytes after later puts, splits, merges and deletes.
 echo "== go test -fuzz=FuzzPages (5s)"
 go test -run=NONE -fuzz=FuzzPages -fuzztime=5s ./internal/btree
 
