@@ -1,5 +1,5 @@
 // Design measurements DESIGN.md cites: ablations of its design choices,
-// the Fig. 9 formula class, and the two layers of the 1,056-template scale
+// the Fig. 9 formula class, and collection at the 1,056-template scale
 // point. The paper's tables and figures are `weseer-bench -exp NAME`. Run
 // with:
 //
@@ -113,7 +113,8 @@ func BenchmarkAblation_ConcretePlans(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // The two layers of the 1,056-template scale point, outside the harness:
-// bisect collection and enumeration with `go test -bench 1056` alone.
+// bisect collection here and enumeration with BenchmarkEnumerate1056 in
+// internal/core (`go test -run '^$' -bench 1056 . ./internal/core`).
 
 const gen1056 = "gen:7,templates=1056"
 
@@ -137,22 +138,4 @@ func BenchmarkCollect1056(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(walks)/float64(stmts), "walks/stmt")
-}
-
-// BenchmarkEnumerate1056 measures phases 1–2 alone on that corpus: the
-// coarse-only analysis is flatten, the conflict index, pair enumeration
-// and the dedup chains, then one report per chain without any solving.
-func BenchmarkEnumerate1056(b *testing.B) {
-	app := openApp(b, gen1056)
-	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var cycles int
-	for i := 0; i < b.N; i++ {
-		cycles = coretest.Analyze(b, app.Schema(), traces, core.WithCoarseOnly()).Stats.CoarseCycles
-	}
-	b.ReportMetric(float64(cycles), "cycles")
 }

@@ -25,7 +25,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"strconv"
@@ -53,10 +52,23 @@ type Analyzer struct {
 type run struct {
 	scm  *schema.Schema
 	opts options
-	// facts is addFacts' table, completed by settle and read-only after. It
-	// lives here and dies with the run: a process-wide table keyed by
-	// *trace.Stmt would keep every batch a daemon ever re-ingested reachable.
-	facts map[*trace.Stmt]*stmtFacts
+	// flatten's, dying with the run (a process-wide table of recorded
+	// statements would keep every batch a daemon re-ingested reachable):
+	// statement facts (settle completes them) and transactions by ordinal,
+	// interned names, statement keys and templates, and the backing stores
+	// of id and name lists (carve).
+	facts   []stmtFacts
+	insts   []enumInst
+	sigs    []txnSig
+	start   []int
+	names   []string
+	nameIDs map[string]int32
+	keys    map[stmtKeyOf]int32
+	parsed  map[sqlast.Stmt]*tmplFacts
+	ids     []int32
+	strs    []string
+	sorts   []byte  // addFacts' scratch
+	cedges  []cedge // enumeratePair's scratch
 	// conds is settle's: each recorded trace's path conditions, for both roles.
 	conds map[*trace.Trace][]pathCond
 	// models is settle's: per skeleton id, its key's lock model.
@@ -80,7 +92,8 @@ func (a *Analyzer) newRun() *run {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	r := &run{scm: a.scm, opts: a.opts, memo: newMemoTable(workers), m: &Metrics{},
-		facts: map[*trace.Stmt]*stmtFacts{}, conds: map[*trace.Trace][]pathCond{}, workers: workers, forms: map[string]int32{}, syms: map[string]int32{}, tmpls: map[[3]int32]*edgeTmpl{}}
+		nameIDs: map[string]int32{}, keys: map[stmtKeyOf]int32{}, parsed: map[sqlast.Stmt]*tmplFacts{},
+		conds: map[*trace.Trace][]pathCond{}, workers: workers, forms: map[string]int32{}, syms: map[string]int32{}, tmpls: map[[3]int32]*edgeTmpl{}}
 	if o := a.opts.Observer; o != nil {
 		r.m = RegisterMetrics(o.Metrics)
 		r.memo.obs, r.memo.latency = o, r.m.solverLatency
@@ -97,6 +110,8 @@ type instance struct {
 	Prefix string
 	Txn    *trace.Txn
 	Trace  *trace.Trace // for path conditions and inputs
+	api    int32        // API's id
+	first  int32        // the ordinal of Txn's first statement
 }
 
 // Cycle is one SC-graph deadlock cycle across two transaction instances:
@@ -106,7 +121,8 @@ type instance struct {
 type Cycle struct {
 	T1, T2             *instance
 	S1a, S1b, S2a, S2b *trace.Stmt
-	Table1, Table2     string // conflict tables of the two C-edges
+	Table1, Table2     string   // conflict tables of the two C-edges
+	at                 [4]int32 // the statements' ordinals, S1a to S2b
 }
 
 // Deadlock is one confirmed (or, in coarse-only mode, potential)
@@ -137,13 +153,13 @@ type Deadlock struct {
 // workers (default GOMAXPROCS), and the returned report does not depend on
 // the worker count or scheduling. When ctx is canceled mid-run the partial
 // result gathered so far is returned together with ctx.Err(). A trace the
-// schema cannot describe (checkTraces) is an error and no result.
+// schema cannot describe (lockmodel.CheckStmt) is an error and no result.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*Result, error) {
 	return a.analyze(ctx, traces, (*run).enumerateIndexed)
 }
 
-// enumFunc runs phases 1 and 2: transaction-pair filtering and
-// coarse-cycle enumeration. Candidate cycles sharing a
+// enumFunc runs phases 1 and 2 after flatten: transaction-pair filtering
+// and coarse-cycle enumeration. Candidate cycles sharing a
 // dedup key are collected into one chain, preserving global enumeration
 // order both across chains and within each chain; the Stats returned
 // hold what the enumeration counted.
@@ -152,10 +168,10 @@ type enumFunc func(r *run, ctx context.Context, traces []*trace.Trace) ([]*chain
 // analyze is AnalyzeContext over a given enumeration: enumerateIndexed in
 // production; the differential tests also pass their naive pair loop.
 func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate enumFunc) (*Result, error) {
-	if err := checkTraces(a.scm, traces); err != nil {
+	r := a.newRun()
+	if err := r.flatten(traces); err != nil {
 		return nil, err
 	}
-	r := a.newRun()
 	res := &Result{}
 	res.Stats.Traces = len(traces)
 	res.Stats.Parallelism = r.workers
@@ -197,44 +213,6 @@ func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate
 	res.Stats.Fingerprints = res.DistinctFingerprints()
 	finishObs(o, spAnalyze, res, err)
 	return res, err
-}
-
-// checkTraces checks every statement against the schema the lock model
-// reads it with (lockmodel.CheckStmt), before phase 1: a malformed batch is
-// an error naming the trace and the statement, not a panicking worker. The
-// verdict depends on the template and its parameters' sorts alone, so each
-// such pair is checked once.
-func checkTraces(scm *schema.Schema, traces []*trace.Trace) error {
-	passed := map[sqlast.Stmt]map[string]bool{}
-	var sorts []byte
-	for i, tr := range traces {
-		for _, txn := range tr.Txns {
-			for _, st := range txn.Stmts {
-				sorts = sorts[:0]
-				for _, p := range st.Params {
-					switch {
-					case p.Sym != nil:
-						sorts = append(sorts, 'a'+byte(p.Sym.Sort()))
-					case p.Concrete.Null:
-						sorts = append(sorts, '-')
-					default:
-						sorts = append(sorts, 'A'+byte(p.Concrete.Kind))
-					}
-				}
-				if passed[st.Parsed][string(sorts)] {
-					continue
-				}
-				if err := lockmodel.CheckStmt(st, scm); err != nil {
-					return fmt.Errorf("core: trace %d (%s), statement %d %q: %w", i, tr.API, st.Seq, st.SQL, err)
-				}
-				if passed[st.Parsed] == nil {
-					passed[st.Parsed] = map[string]bool{}
-				}
-				passed[st.Parsed][string(sorts)] = true
-			}
-		}
-	}
-	return nil
 }
 
 // finishObs closes the run's root span and marks the progress phase.
@@ -289,93 +267,24 @@ feed:
 	wg.Wait()
 }
 
-// txnSig is a transaction's cached table signature for the phase-1
-// screen.
-type txnSig struct {
-	acc, wr map[string]bool
-}
-
-// stmtFacts is what the phases re-read of one recorded statement; skel,
-// skelID, its key's id in the run, and syms, its names' symbol ids, are
-// settle's, for a statement a cycle names.
+// stmtFacts is what the phases re-read of one recorded statement: flatten's
+// ids of its key (stmtKey), tables and write table (-1: none); for a
+// statement a cycle names, settle's id of its skeleton key (-1 before) and
+// its skeleton's names with their symbol ids.
 type stmtFacts struct {
-	tables []string
-	write  string
-	key    string // stmtKey
-	skel   *lockmodel.Skeleton
+	key    int32
+	tables []int32
+	write  int32
 	skelID int32
+	names  []string
 	syms   []int32
-}
-
-// addFacts computes the facts of every statement of a trace.
-func (r *run) addFacts(tr *trace.Trace) {
-	for _, txn := range tr.Txns {
-		for _, st := range txn.Stmts {
-			r.facts[st] = &stmtFacts{tables: st.Parsed.Tables(), write: st.Parsed.WriteTable(), key: stmtKey(st)}
-		}
-	}
-}
-
-// coarseConflictTable is the coarse-grained C-edge test: a common table
-// at least one statement writes. It returns the table ("" if none).
-func coarseConflictTable(s, t *stmtFacts) string {
-	for _, ts := range s.tables {
-		for _, tt := range t.tables {
-			if ts == tt && (s.write == ts || t.write == ts) {
-				return ts
-			}
-		}
-	}
-	return ""
-}
-
-// enumeratePair runs phase 2 for one transaction-instance pair: coarse
-// C-edges, then deadlock cycles. A cycle needs T1 to hold a lock from an
-// earlier statement while waiting at a later one (and symmetrically for
-// T2): S1a < S1b and S2a < S2b in execution order, with C-edges
-// (S1b, S2a) and (S2b, S1a). Cycles are passed to emit in enumeration
-// order; the returned count is the number emitted.
-func (r *run) enumeratePair(p1, p2 *instance, emit func(Cycle)) int {
-	s1, s2 := p1.Txn.Stmts, p2.Txn.Stmts
-
-	type cedge struct{ i, j int }
-	edgeTable := map[cedge]string{}
-	var edges []cedge
-	for i := range s1 {
-		fi := r.facts[s1[i]]
-		for j := range s2 {
-			if tab := coarseConflictTable(fi, r.facts[s2[j]]); tab != "" {
-				edgeTable[cedge{i, j}] = tab
-				edges = append(edges, cedge{i, j})
-			}
-		}
-	}
-	count := 0
-	for _, e1 := range edges {
-		for _, e2 := range edges {
-			// e1 = (S1b, S2a), e2 = (S1a, S2b).
-			i1b, i2a := e1.i, e1.j
-			i1a, i2b := e2.i, e2.j
-			if !(i1a < i1b && i2a < i2b) {
-				continue
-			}
-			count++
-			emit(Cycle{
-				T1: p1, T2: p2,
-				S1a: s1[i1a], S1b: s1[i1b],
-				S2a: s2[i2a], S2b: s2[i2b],
-				Table1: edgeTable[e1], Table2: edgeTable[cedge{i1a, i2b}],
-			})
-		}
-	}
-	return count
 }
 
 // identity is the one builder of a cycle's identity: per side, who it is,
 // the statement template and trigger site it holds at and the one it
 // waits at, and the table order it acquires across the two C-edges — the
 // two strings sorted, so equivalent cycles (including the mirror pairing)
-// agree. key renders one statement (stmtKey, or a run's table of them);
+// agree (chainID is it in ids). key renders one statement (stmtKey);
 // dedupKey joins the two strings, Deadlock.Fingerprint hashes them.
 func (c Cycle) identity(key func(*trace.Stmt) string) (string, string) {
 	k1 := c.T1.API + "|" + key(c.S1a) + ">" + key(c.S1b) + "|" + c.Table2 + ">" + c.Table1
@@ -386,9 +295,9 @@ func (c Cycle) identity(key func(*trace.Stmt) string) (string, string) {
 	return k1, k2
 }
 
-// dedupKey folds equivalent cycles into one reported deadlock.
-func (r *run) dedupKey(c Cycle) string {
-	k1, k2 := c.identity(func(s *trace.Stmt) string { return r.facts[s].key })
+// dedupKey is the key of the reported deadlock equivalent cycles fold into.
+func dedupKey(c Cycle) string {
+	k1, k2 := c.identity(stmtKey)
 	return k1 + "||" + k2
 }
 

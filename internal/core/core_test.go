@@ -291,7 +291,7 @@ func CheckLockFilterIsExact(t *testing.T, scm *schema.Schema, traces []*trace.Tr
 	t.Helper()
 	for _, opts := range [][]Option{nil, {WithConcretePlans()}} {
 		r := NewAnalyzer(scm, opts...).newRun()
-		chains, _, err := r.enumerateIndexed(context.Background(), traces)
+		chains, _, err := r.flattenEnumerate(context.Background(), traces)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func CheckLockFilterIsExact(t *testing.T, scm *schema.Schema, traces []*trace.Tr
 				}{{cyc.S1b, cyc.S2a, cyc.T1.Prefix, cyc.T2.Prefix}, {cyc.S2b, cyc.S1a, cyc.T2.Prefix, cyc.T1.Prefix}} {
 					if c := directEdgeCond(scm, e.x, e.y, i, e.px, e.py, plans); !tm[i].Collide && c != smt.False {
 						t.Fatalf("plans=%v: filter drops %s, whose C-edge %d has the condition %s",
-							plans, ch.key, i+1, c)
+							plans, dedupKey(cyc), i+1, c)
 					}
 				}
 				if !tm[0].Collide || !tm[1].Collide {

@@ -47,7 +47,7 @@ func CheckEdgeTemplatesMatchDirectBuild(t *testing.T, scm *schema.Schema, traces
 				opts = append(opts, WithConcretePlans())
 			}
 			r := NewAnalyzer(scm, opts...).newRun()
-			chains, _, err := r.enumerateIndexed(ctx, traces)
+			chains, _, err := r.flattenEnumerate(ctx, traces)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func FineAllocsPerGroup(t *testing.T, scm *schema.Schema, traces []*trace.Trace)
 	best := -1.0
 	for range 3 {
 		r := NewAnalyzer(scm, WithParallelism(1)).newRun()
-		chains, _, err := r.enumerateIndexed(ctx, traces)
+		chains, _, err := r.flattenEnumerate(ctx, traces)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -34,32 +36,37 @@ func naiveEnum(phase1 bool) enumFunc {
 
 func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace, phase1 bool) ([]*chain, Stats, error) {
 	var st Stats
-	// Pre-rename each trace once per role, and compute each renamed
-	// transaction's table signature once: phase 1 probes every pair, so
-	// rebuilding the accessed/written maps per probe is quadratic in
-	// corpus size.
+	// Pre-rename each trace once per role, number each renamed
+	// transaction's statements, and compute its tables by name once: phase
+	// 1 probes every pair, so rebuilding the accessed/written maps per
+	// probe is quadratic in corpus size.
 	inst1 := make([]*trace.Trace, len(traces))
 	inst2 := make([]*trace.Trace, len(traces))
-	sigs := map[*trace.Txn]txnSig{}
+	tables := map[*trace.Txn][2]map[string]bool{}
+	first := map[*trace.Txn]int32{}
 	for i, tr := range traces {
 		inst1[i] = renameTrace(tr, "A1.")
 		inst2[i] = renameTrace(tr, "A2.")
 		for _, in := range []*trace.Trace{inst1[i], inst2[i]} {
-			r.addFacts(in)
 			for _, txn := range in.Txns {
+				first[txn] = int32(len(r.facts))
+				if _, err := r.addFacts(txn); err != nil {
+					return nil, st, err
+				}
 				acc, wr := txn.Tables()
-				sigs[txn] = txnSig{acc: acc, wr: wr}
+				tables[txn] = [2]map[string]bool{acc, wr}
 			}
 		}
 	}
 
+	// The reference grouping: chains by their rendered key.
 	byKey := map[string]*chain{}
 	var chains []*chain
-	add := func(cyc Cycle) {
-		key := r.dedupKey(cyc)
+	add := func(cyc Cycle, _ chainID) {
+		key := dedupKey(cyc)
 		ch, ok := byKey[key]
 		if !ok {
-			ch = &chain{key: key}
+			ch = &chain{}
 			byKey[key] = ch
 			chains = append(chains, ch)
 		}
@@ -74,15 +81,15 @@ func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace, phase1 
 						return chains, st, err
 					}
 					st.Pairs++
-					if phase1 && !sigs[t1].conflicts(sigs[t2]) {
+					if phase1 && !(writesWhatAccessed(tables[t1], tables[t2]) && writesWhatAccessed(tables[t2], tables[t1])) {
 						continue
 					}
 					st.PairsAfterPhase1++
 					// Instances are only allocated for pairs that survive the
 					// filters: on large corpora phase 1 rejects the vast
 					// majority of pairs.
-					p1 := &instance{API: traces[i].API, Txn: t1, Trace: inst1[i]}
-					p2 := &instance{API: traces[j].API, Txn: t2, Trace: inst2[j]}
+					p1 := &instance{API: traces[i].API, Txn: t1, Trace: inst1[i], first: first[t1]}
+					p2 := &instance{API: traces[j].API, Txn: t2, Trace: inst2[j], first: first[t2]}
 					st.CoarseCycles += r.enumeratePair(p1, p2, add)
 				}
 			}
@@ -91,25 +98,23 @@ func (r *run) enumerateNaive(ctx context.Context, traces []*trace.Trace, phase1 
 	return chains, st, nil
 }
 
-// conflicts is phase 1: the pair can form a transaction conflict cycle
-// iff each transaction writes a table the other accesses.
-func (s txnSig) conflicts(o txnSig) bool {
-	oneWay := false
-	for t := range s.wr {
-		if o.acc[t] {
-			oneWay = true
-			break
-		}
-	}
-	if !oneWay {
-		return false
-	}
-	for t := range o.wr {
-		if s.acc[t] {
+// writesWhatAccessed is one direction of phase 1 by table names: a
+// transaction with tables {accessed, written} w writes a table a accesses.
+func writesWhatAccessed(w, a [2]map[string]bool) bool {
+	for t := range w[1] {
+		if a[0][t] {
 			return true
 		}
 	}
 	return false
+}
+
+// conflicts is phase 1 over signatures of ids: the pair can form a
+// transaction conflict cycle iff each transaction writes a table the other
+// accesses.
+func (s txnSig) conflicts(o txnSig) bool {
+	return slices.ContainsFunc(s.wr, func(t int32) bool { return slices.Contains(o.acc, t) }) &&
+		slices.ContainsFunc(o.wr, func(t int32) bool { return slices.Contains(s.acc, t) })
 }
 
 // randSchema is a pool of simple keyed tables for the random corpora.
@@ -185,6 +190,15 @@ func enumOf(naive bool) enumFunc {
 	return (*run).enumerateIndexed
 }
 
+// flattenEnumerate is phases 1–2 of a fresh run: flatten, then the
+// indexed enumeration.
+func (r *run) flattenEnumerate(ctx context.Context, traces []*trace.Trace) ([]*chain, Stats, error) {
+	if err := r.flatten(traces); err != nil {
+		return nil, Stats{}, err
+	}
+	return r.enumerateIndexed(ctx, traces)
+}
+
 // AnalyzeWithoutPhase1 is the analysis with phase 1 off: the naive pair
 // loop hands phase 2 every cross-instance transaction pair. Exported for
 // the funnel tests in package core_test, which (unlike this package) may
@@ -212,7 +226,7 @@ func analyzeRecording(ctx context.Context, scm *schema.Schema, traces []*trace.T
 func chainSigs(chains []*chain) []string {
 	var out []string
 	for _, ch := range chains {
-		out = append(out, "chain "+ch.key)
+		out = append(out, "chain "+dedupKey(ch.cycles[0]))
 		for _, c := range ch.cycles {
 			out = append(out, fmt.Sprintf("%s#%d:%d>%d %s#%d:%d>%d %s %s",
 				c.T1.API, c.T1.Txn.ID, c.S1a.Seq, c.S1b.Seq,
@@ -366,15 +380,15 @@ func withRecordedPlans(scm *schema.Schema, traces []*trace.Trace) []*trace.Trace
 // ordinal order.
 func TestEnumIndexSurvivorsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tables := []string{"a", "b", "c", "d", "e"}
+	const tables = 5
 	randSig := func() txnSig {
-		sig := txnSig{acc: map[string]bool{}, wr: map[string]bool{}}
-		for _, tbl := range tables {
+		var sig txnSig
+		for _, tbl := range rng.Perm(tables) {
 			switch rng.Intn(4) {
 			case 0: // write (writes imply access)
-				sig.acc[tbl], sig.wr[tbl] = true, true
+				sig.acc, sig.wr = append(sig.acc, int32(tbl)), append(sig.wr, int32(tbl))
 			case 1: // read only
-				sig.acc[tbl] = true
+				sig.acc = append(sig.acc, int32(tbl))
 			}
 		}
 		return sig
@@ -385,8 +399,7 @@ func TestEnumIndexSurvivorsExact(t *testing.T) {
 		for i := range sigs {
 			sigs[i] = randSig()
 		}
-		ix := buildConflictIndex(sigs)
-		s := newEnumScratch(n)
+		ix := buildConflictIndex(sigs, tables)
 		for li := range sigs {
 			startOrd := rng.Intn(n)
 			var want []int
@@ -395,7 +408,7 @@ func TestEnumIndexSurvivorsExact(t *testing.T) {
 					want = append(want, r)
 				}
 			}
-			got, probes := ix.candidates(sigs[li], startOrd, s)
+			got, probes := ix.candidates(sigs[li], startOrd)
 			if !reflect.DeepEqual(append([]int{}, got...), append([]int{}, want...)) {
 				t.Fatalf("round %d left %d start %d: candidates = %v, want %v", round, li, startOrd, got, want)
 			}
@@ -410,16 +423,15 @@ func TestEnumIndexSurvivorsExact(t *testing.T) {
 // and checks stale marks cannot alias into a fresh query.
 func TestEnumScratchEpochWraparound(t *testing.T) {
 	sigs := []txnSig{
-		{acc: map[string]bool{"x": true, "y": true}, wr: map[string]bool{"x": true, "y": true}},
-		{acc: map[string]bool{"x": true}, wr: map[string]bool{"x": true}},
+		{acc: []int32{0, 1}, wr: []int32{0, 1}},
+		{acc: []int32{0}, wr: []int32{0}},
 	}
-	ix := buildConflictIndex(sigs)
-	s := newEnumScratch(len(sigs))
-	s.epoch = ^uint32(0) - 1 // two bumps away from wrapping to zero
+	ix := buildConflictIndex(sigs, 2)
+	ix.epoch = ^uint32(0) - 1 // two bumps away from wrapping to zero
 	for i := 0; i < 4; i++ {
-		got, _ := ix.candidates(sigs[0], 0, s)
+		got, _ := ix.candidates(sigs[0], 0)
 		if want := []int{0, 1}; !reflect.DeepEqual(append([]int{}, got...), want) {
-			t.Fatalf("bump %d (epoch %d): candidates = %v, want %v", i, s.epoch, got, want)
+			t.Fatalf("bump %d (epoch %d): candidates = %v, want %v", i, ix.epoch, got, want)
 		}
 	}
 }
@@ -581,3 +593,47 @@ func benchEnum(b *testing.B, naive bool) {
 func BenchmarkEnumNaive(b *testing.B) { benchEnum(b, true) }
 
 func BenchmarkEnumIndexed(b *testing.B) { benchEnum(b, false) }
+
+// EnumSettle runs what precedes phase 3's workers on a fresh one-worker
+// run — flatten with its schema check, the indexed enumeration and settle
+// — and returns the enumeration's funnel counters. Exported for the
+// allocation ceiling and BenchmarkEnumerate1056 in package core_test,
+// which (unlike this package) may import the apps.
+func EnumSettle(tb testing.TB, scm *schema.Schema, traces []*trace.Trace) Stats {
+	r := NewAnalyzer(scm, WithParallelism(1)).newRun()
+	chains, st, err := r.flattenEnumerate(context.Background(), traces)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.settle(chains)
+	return st
+}
+
+// EnumAllocsPerPair measures EnumSettle: heap allocations per phase-1
+// survivor, the least of three runs.
+func EnumAllocsPerPair(t *testing.T, scm *schema.Schema, traces []*trace.Trace) float64 {
+	t.Helper()
+	best := -1.0
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st := EnumSettle(t, scm, traces)
+		runtime.ReadMemStats(&after)
+		if st.PairsAfterPhase1 == 0 {
+			t.Fatal("no pair survives phase 1")
+		}
+		if per := float64(after.Mallocs-before.Mallocs) / float64(st.PairsAfterPhase1); best < 0 || per < best {
+			best = per
+		}
+	}
+	return best
+}
+
+// CheckEnumAgainstNaive holds the indexed enumeration to the naive oracle
+// on a corpus: chain keys, the order of the cycles within each chain, the
+// reports and the funnel counters, with phase 3 on one worker and on four.
+// Exported for the corpus test in package core_test.
+func CheckEnumAgainstNaive(t *testing.T, scm *schema.Schema, traces []*trace.Trace) {
+	t.Helper()
+	diffRun(t, scm, traces, []int{1, 4})
+}

@@ -80,7 +80,7 @@ func solveFormula(m *memoTable, ctx context.Context, f smt.Expr, tid int, out *S
 func testGroups(t testing.TB, scm *schema.Schema, traces []*trace.Trace, workers int, opts ...Option) (*run, []Cycle) {
 	t.Helper()
 	r := NewAnalyzer(scm, append([]Option{WithParallelism(workers)}, opts...)...).newRun()
-	chains, _, err := r.enumerateIndexed(context.Background(), traces)
+	chains, _, err := r.flattenEnumerate(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func CheckFormulasBuilt(t *testing.T, scm *schema.Schema, traces []*trace.Trace,
 	ctx := context.Background()
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	r := NewAnalyzer(scm, WithParallelism(workers), WithObserver(o)).newRun()
-	chains, _, err := r.enumerateIndexed(ctx, traces)
+	chains, _, err := r.flattenEnumerate(ctx, traces)
 	res := &Result{}
 	if err == nil {
 		err = r.discharge(ctx, chains, res)
@@ -484,7 +484,7 @@ func BenchGroupHits(b *testing.B, scm *schema.Schema, traces []*trace.Trace, sat
 	var hits []Cycle
 	var out chainOutcome
 	for _, c := range groups {
-		if d := r.fineCheckOne(ctx, c, "", 1, &out); (d != nil) == sat {
+		if d := r.fineCheckOne(ctx, c, 1, &out); (d != nil) == sat {
 			hits = append(hits, c)
 		}
 	}
@@ -495,7 +495,7 @@ func BenchGroupHits(b *testing.B, scm *schema.Schema, traces []*trace.Trace, sat
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out = chainOutcome{}
-		r.fineCheckOne(ctx, hits[i%len(hits)], "", 1, &out)
+		r.fineCheckOne(ctx, hits[i%len(hits)], 1, &out)
 		if out.stats.MemoHits != 1 {
 			b.Fatal("expected a memo hit")
 		}

@@ -27,9 +27,8 @@ import (
 	"weseer/internal/trace"
 )
 
-// chain is the ordered list of coarse cycles sharing one dedup key.
+// chain is the ordered list of coarse cycles sharing one chainID.
 type chain struct {
-	key    string
 	cycles []Cycle
 }
 
@@ -55,7 +54,7 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 		for _, ch := range chains {
 			cyc := ch.cycles[0]
 			res.Deadlocks = append(res.Deadlocks, &Deadlock{
-				Key:   ch.key,
+				Key:   dedupKey(cyc),
 				APIs:  [2]string{cyc.T1.API, cyc.T2.API},
 				Cycle: cyc,
 				Count: len(ch.cycles),
@@ -134,7 +133,7 @@ func (r *run) evalChain(ctx context.Context, ch *chain, tid int) chainOutcome {
 			out.err = err
 			return out
 		}
-		d := r.fineCheckOne(ctx, cyc, ch.key, tid, &out)
+		d := r.fineCheckOne(ctx, cyc, tid, &out)
 		if out.err != nil {
 			return out
 		}
@@ -151,7 +150,7 @@ func (r *run) evalChain(ctx context.Context, ch *chain, tid int) chainOutcome {
 // templates' Collide bits, then the memo by skeleton key, which builds the
 // SMT formula of conflict + path conditions only to solve it or to translate
 // a model into it. It returns a Deadlock when the cycle is confirmed SAT.
-func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, out *chainOutcome) *Deadlock {
+func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, tid int, out *chainOutcome) *Deadlock {
 	sc := &r.memo.scratch[tid]
 	t := r.templates(cyc, &sc.sh)
 	// The filter is exact: a C-edge without a modeled lock collision has a
@@ -178,7 +177,7 @@ func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, key string, tid int, 
 	case solver.SAT:
 		out.stats.SolverSAT++
 		return &Deadlock{
-			Key:     key,
+			Key:     dedupKey(cyc),
 			APIs:    [2]string{cyc.T1.API, cyc.T2.API},
 			Cycle:   cyc,
 			Formula: formula,
@@ -221,8 +220,8 @@ func (r *run) cycleFormula(cyc Cycle, t [2]*edgeTmpl, sc *scratch) smt.Expr {
 func (r *run) edges(cyc Cycle, t [2]*edgeTmpl) [2]smt.Expr {
 	r.m.edgeInstances.Add(2)
 	return [2]smt.Expr{
-		lockmodel.EdgeCond(t[0].Edge, r.facts[cyc.S1b].skel, r.facts[cyc.S2a].skel, cyc.T1.Prefix, cyc.T2.Prefix),
-		lockmodel.EdgeCond(t[1].Edge, r.facts[cyc.S2b].skel, r.facts[cyc.S1a].skel, cyc.T2.Prefix, cyc.T1.Prefix),
+		lockmodel.EdgeCond(t[0].Edge, r.facts[cyc.at[1]].names, r.facts[cyc.at[2]].names, cyc.T1.Prefix, cyc.T2.Prefix),
+		lockmodel.EdgeCond(t[1].Edge, r.facts[cyc.at[3]].names, r.facts[cyc.at[0]].names, cyc.T2.Prefix, cyc.T1.Prefix),
 	}
 }
 
@@ -230,10 +229,10 @@ func (r *run) edges(cyc Cycle, t [2]*edgeTmpl) [2]smt.Expr {
 // cycle of the traces, in enumeration order — the memo's test oracle,
 // exposed for canonicalization tests and for dumping a run's queries.
 func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]smt.Expr, error) {
-	if err := checkTraces(a.scm, traces); err != nil {
+	r := a.newRun()
+	if err := r.flatten(traces); err != nil {
 		return nil, err
 	}
-	r := a.newRun()
 	chains, _, err := r.enumerateIndexed(ctx, traces)
 	r.settle(chains)
 	var out []smt.Expr
@@ -272,20 +271,27 @@ type pathCond struct {
 }
 
 // settle, once per run between enumeration and the workers, gives each
-// statement the chains' cycles name its skeleton and the skeleton key's id,
-// each key its lock model, and each trace they name its path conditions.
+// statement the chains' cycles name its skeleton key's id and its names'
+// symbol ids, each key its lock model — the one renamed copy of a
+// statement settle makes — and each trace they name its path conditions.
 func (r *run) settle(chains []*chain) {
 	ids := map[string]int32{}
+	var key []byte
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {
-			for _, st := range [4]*trace.Stmt{cyc.S1a, cyc.S1b, cyc.S2a, cyc.S2b} {
-				if f := r.facts[st]; f.skel == nil {
-					f.skel = lockmodel.SkeletonOf(st)
-					if _, ok := ids[f.skel.Key]; !ok {
-						ids[f.skel.Key] = int32(len(ids))
-						r.models = append(r.models, lockmodel.ModelOf(f.skel, r.scm, r.opts.UseConcretePlans))
+			for k, st := range [4]*trace.Stmt{cyc.S1a, cyc.S1b, cyc.S2a, cyc.S2b} {
+				if f := &r.facts[cyc.at[k]]; f.skelID < 0 {
+					names, syms := len(r.strs), len(r.ids)
+					key, r.strs = lockmodel.SkeletonKey(key[:0], r.strs, st)
+					r.ids = r.symbols(r.ids, r.strs[names:])
+					f.names, f.syms = r.strs[names:len(r.strs):len(r.strs)], r.carve(syms)
+					id, ok := ids[string(key)]
+					if !ok {
+						id = int32(len(ids))
+						ids[string(key)] = id
+						r.models = append(r.models, lockmodel.ModelOf(lockmodel.SkeletonOf(st), r.scm, r.opts.UseConcretePlans))
 					}
-					f.skelID, f.syms = ids[f.skel.Key], r.symbols(f.skel.Names)
+					f.skelID = id
 				}
 			}
 			for _, tr := range [2]*trace.Trace{cyc.T1.Trace, cyc.T2.Trace} {
@@ -300,14 +306,25 @@ func (r *run) settle(chains []*chain) {
 // pathConds returns the recorded trace's path conditions.
 func (r *run) pathConds(tr *trace.Trace) []pathCond {
 	conds := make([]pathCond, len(tr.PathConds))
+	var occ []smt.Var
+	r.mu.Lock()
 	for i, pc := range tr.PathConds {
-		c := &conds[i]
-		c.cond, c.vars, c.after = pc.Cond, r.symbols(smt.VarNames(pc.Cond)), pc.AfterStmt
-		for j := range conds[:i] {
-			if slices.ContainsFunc(conds[j].vars, func(v int32) bool { return slices.Contains(c.vars, v) }) {
-				c.adj, conds[j].adj = append(c.adj, int32(j)), append(conds[j].adj, int32(i))
+		c, vars := &conds[i], len(r.ids)
+		occ = smt.Vars(occ[:0], pc.Cond)
+		for _, v := range occ {
+			r.addOnce(vars, r.symbol(v.Name))
+		}
+		c.cond, c.vars, c.after = pc.Cond, r.carve(vars), pc.AfterStmt
+	}
+	r.mu.Unlock()
+	for i := range conds { // the conditions sharing a variable with i
+		adj := len(r.ids)
+		for j := range conds {
+			if j != i && slices.ContainsFunc(conds[j].vars, func(v int32) bool { return slices.Contains(conds[i].vars, v) }) {
+				r.ids = append(r.ids, int32(j))
 			}
 		}
+		conds[i].adj = r.carve(adj)
 	}
 	return conds
 }
@@ -321,7 +338,7 @@ func (r *run) pathConds(tr *trace.Trace) []pathCond {
 func (r *run) skeletonKey(cyc Cycle, t [2]*edgeTmpl, sc *scratch) []byte {
 	sc.begin()
 	k := sc.key[:0]
-	for j, xy := range [2][2]*trace.Stmt{{cyc.S1b, cyc.S2a}, {cyc.S2b, cyc.S1a}} {
+	for j, xy := range [2][2]int32{{cyc.at[1], cyc.at[2]}, {cyc.at[3], cyc.at[0]}} {
 		syms := [2][]int32{r.facts[xy[0]].syms, r.facts[xy[1]].syms}
 		k = binary.AppendUvarint(k, uint64(t[j].form))
 		for _, p := range t[j].syms {
@@ -344,7 +361,7 @@ func (r *run) skeletonKey(cyc Cycle, t [2]*edgeTmpl, sc *scratch) []byte {
 			c.once.Do(func() {
 				var names []string
 				c.form, names = r.alpha(c.cond, &sc.sh)
-				c.syms = r.symbols(names)
+				c.syms = r.symbols(nil, names)
 			})
 			k = binary.AppendUvarint(k, uint64(c.form))
 			for _, n := range c.syms {
@@ -359,8 +376,8 @@ func (r *run) skeletonKey(cyc Cycle, t [2]*edgeTmpl, sc *scratch) []byte {
 // templates returns the cycle's C-edge templates, (S1b, S2a) of role 0
 // (rows "r1.") and (S2b, S1a) of role 1 ("r2."), each built once per run.
 func (r *run) templates(cyc Cycle, sh *smt.Shape) (out [2]*edgeTmpl) {
-	for j, xy := range [2][2]*trace.Stmt{{cyc.S1b, cyc.S2a}, {cyc.S2b, cyc.S1a}} {
-		fx, fy := r.facts[xy[0]], r.facts[xy[1]]
+	for j, xy := range [2][2]int32{{cyc.at[1], cyc.at[2]}, {cyc.at[3], cyc.at[0]}} {
+		fx, fy := &r.facts[xy[0]], &r.facts[xy[1]]
 		k := [3]int32{fx.skelID, fy.skelID, int32(j)}
 		r.mu.Lock()
 		t := r.tmpls[k]
@@ -386,20 +403,24 @@ func (r *run) templates(cyc Cycle, sh *smt.Shape) (out [2]*edgeTmpl) {
 	return out
 }
 
-// symbols returns the run's ids of names, interning new ones.
-func (r *run) symbols(names []string) []int32 {
-	ids := make([]int32, len(names))
+// symbols appends the run's ids of names to ids, interning new ones.
+func (r *run) symbols(ids []int32, names []string) []int32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, n := range names {
-		id, ok := r.syms[n]
-		if !ok {
-			id = int32(len(r.syms))
-			r.syms[n] = id
-		}
-		ids[i] = id
+	for _, n := range names {
+		ids = append(ids, r.symbol(n))
 	}
 	return ids
+}
+
+// symbol returns the run's id of name, interning it; r.mu is held.
+func (r *run) symbol(name string) int32 {
+	id, ok := r.syms[name]
+	if !ok {
+		id = int32(len(r.syms))
+		r.syms[name] = id
+	}
+	return id
 }
 
 // alpha interns e's alpha-normal form, its smt.Shape key, and returns it

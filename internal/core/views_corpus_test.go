@@ -52,18 +52,61 @@ func TestEdgeTemplatesMatchDirectBuild(t *testing.T) {
 // solved group on gen:7,templates=96 at one worker. An UNSAT or UNKNOWN
 // memo hit builds no formula, so a lost skeleton hit — a group whose key
 // misses although its formula's shape is known — costs a formula, its
-// canonicalization and a level-two probe, and breaks the ceiling: 114
-// measured plus 10 % (144 with every skeleton lookup missing).
+// canonicalization and a level-two probe, and breaks the ceiling: 98
+// measured plus 10 % (130 with every skeleton lookup missing).
 // TestEdgeTemplatesMatchDirectBuild catches a lost C-edge template hit.
 func TestFineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 125
+	const ceiling = 108
 	app, traces := corpusTraces(t, "gen:7,templates=96")
 	if got := core.FineAllocsPerGroup(t, app.Schema(), traces); got > ceiling {
 		t.Errorf("phase 3 allocates %.0f times per solved group, ceiling %d", got, ceiling)
 	} else {
 		t.Logf("phase 3 allocates %.0f times per solved group (ceiling %d)", got, ceiling)
 	}
+}
+
+// TestEnumAgainstNaiveOnCorpora holds the indexed enumeration over dense
+// ids to the naive oracle, which groups cycles by their rendered keys, on
+// the Table II apps and a generated corpus.
+func TestEnumAgainstNaiveOnCorpora(t *testing.T) {
+	for _, spec := range corpusSpecs {
+		t.Run(spec, func(t *testing.T) {
+			app, traces := corpusTraces(t, spec)
+			core.CheckEnumAgainstNaive(t, app.Schema(), traces)
+		})
+	}
+}
+
+// TestEnumAllocs is the allocation ceiling of what precedes phase 3's
+// workers — flatten, phases 1–2 and settle — per phase-1 survivor on
+// gen:7,templates=96 at one worker: 7.9 measured plus 10 %. A per-pair or
+// per-cycle map, string or statement copy breaks it.
+func TestEnumAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const ceiling = 9
+	app, traces := corpusTraces(t, "gen:7,templates=96")
+	if got := core.EnumAllocsPerPair(t, app.Schema(), traces); got > ceiling {
+		t.Errorf("enumeration and settle allocate %.1f times per surviving pair, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("enumeration and settle allocate %.1f times per surviving pair (ceiling %d)", got, ceiling)
+	}
+}
+
+// BenchmarkEnumerate1056 times what precedes phase 3's workers on the
+// 1,056-template generated corpus: flatten with its schema check, phases
+// 1–2 and settle, at one worker.
+func BenchmarkEnumerate1056(b *testing.B) {
+	app, traces := corpusTraces(b, "gen:7,templates=1056")
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cycles int
+	for range b.N {
+		cycles = core.EnumSettle(b, app.Schema(), traces).CoarseCycles
+	}
+	b.ReportMetric(float64(cycles), "cycles")
 }

@@ -106,7 +106,11 @@ type Store struct {
 	// indexes it. Scans range over it rather than the map, three times
 	// faster in its allocation order, and skip a duplicate record (one
 	// whose ord is not its index).
-	byOrd     []*entry
+	byOrd []*entry
+	// byTable lists, by a table's dictionary id, the ordinals of the events
+	// naming it, each once, in log order: a table= query walks its list,
+	// not byOrd. Ordinals, not pointers, so the collector never scans it.
+	byTable   [][]int32
 	dict      []string           // dictionary id → string; dict[0] is ""
 	ids       map[string]uint32  // string → dictionary id, for encoding and queries
 	tables    []*Rollup          // by the table's dictionary id
@@ -169,7 +173,7 @@ func newStore(opts []StoreOption) *Store {
 		events: map[string]*entry{},
 		dict:   []string{""},
 		ids:    map[string]uint32{"": 0},
-		tables: []*Rollup{nil}, classes: []*Rollup{nil},
+		tables: []*Rollup{nil}, classes: []*Rollup{nil}, byTable: [][]int32{nil},
 		pairs: map[uint64]*Rollup{},
 		now:   time.Now,
 	}
@@ -281,7 +285,7 @@ func (s *Store) apply(rec record) error {
 		}
 		s.ids[rec.def] = uint32(len(s.dict))
 		s.dict = append(s.dict, rec.def)
-		s.tables, s.classes = append(s.tables, nil), append(s.classes, nil)
+		s.tables, s.classes, s.byTable = append(s.tables, nil), append(s.classes, nil), append(s.byTable, nil)
 	case recEvent:
 		e := rec.e
 		if e.fp == "" {
@@ -311,6 +315,11 @@ func (s *Store) apply(rec record) error {
 		}
 		e.ord = len(s.byOrd)
 		s.byOrd = append(s.byOrd, e)
+		for _, t := range e.tables {
+			if l := s.byTable[t]; len(l) == 0 || l[len(l)-1] != int32(e.ord) { // a table named twice
+				s.byTable[t] = append(l, int32(e.ord))
+			}
+		}
 		s.events[e.fp] = e
 		s.sightings += e.seen
 		s.bumpRollups(e, true)
@@ -557,9 +566,17 @@ func (s *Store) Events(q EventQuery) []Event {
 		return []Event{} // a name no event holds
 	}
 	var hits []*entry
-	for i, e := range s.byOrd {
-		if e.ord == i && q.match(e, table, class, api) {
-			hits = append(hits, e)
+	if table != 0 {
+		for _, ord := range s.byTable[table] {
+			if e := s.byOrd[ord]; q.match(e, table, class, api) {
+				hits = append(hits, e)
+			}
+		}
+	} else {
+		for i, e := range s.byOrd {
+			if e.ord == i && q.match(e, table, class, api) {
+				hits = append(hits, e)
+			}
 		}
 	}
 	slices.SortFunc(hits, func(a, b *entry) int { return strings.Compare(a.fp, b.fp) })

@@ -626,3 +626,106 @@ func TestTableCountsRollupMatchesScan(t *testing.T) {
 	defer s.Close()
 	check(s, "reopen")
 }
+
+// TestTableEventsMatchFullScan: a table= query, which walks the table's
+// own list of events, answers what a scan of every event record answers,
+// on random stores — live (a duplicate event record of a racing writer
+// included), after a reopen, and after the reopen that rewrites a log
+// whose touches outnumber its events.
+func TestTableEventsMatchFullScan(t *testing.T) {
+	// fullScan is Events before the per-table lists: every event record,
+	// a duplicate one skipped.
+	fullScan := func(s *Store, q EventQuery) []Event {
+		table, ok1 := s.ids[q.Table]
+		class, ok2 := s.ids[q.Class]
+		api, ok3 := s.ids[q.API]
+		out := []Event{}
+		if !ok1 || !ok2 || !ok3 {
+			return out
+		}
+		var hits []*entry
+		for i, e := range s.byOrd {
+			if e.ord == i && q.match(e, table, class, api) {
+				hits = append(hits, e)
+			}
+		}
+		slices.SortFunc(hits, func(a, b *entry) int { return strings.Compare(a.fp, b.fp) })
+		if q.Limit > 0 && len(hits) > q.Limit {
+			hits = hits[:q.Limit]
+		}
+		for _, e := range hits {
+			out = append(out, s.event(e))
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		path := filepath.Join(t.TempDir(), "history.wal")
+		s, err := Open(path, WithClock(fixedClock()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pool []Event
+		for i := 0; i < 60; i++ {
+			pool = append(pool, Event{
+				Fingerprint: fmt.Sprintf("%016x", rng.Uint64()),
+				APIs:        [2]string{fmt.Sprint("A", rng.Intn(4)), fmt.Sprint("A", rng.Intn(4))},
+				Class:       fmt.Sprint("c", rng.Intn(3)),
+				Tables:      []string{fmt.Sprint("T", rng.Intn(6)), fmt.Sprint("T", rng.Intn(6)), fmt.Sprint("T", rng.Intn(6))},
+			})
+		}
+		for b := 0; b < 30; b++ { // re-sightings outnumber the events
+			batch := make([]Event, 1+rng.Intn(10))
+			for i := range batch {
+				batch[i] = pool[rng.Intn(len(pool))]
+			}
+			if _, err := s.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(stage string) {
+			t.Helper()
+			for i := 0; i < 200; i++ {
+				q := EventQuery{Limit: rng.Intn(4) * rng.Intn(20)}
+				if rng.Intn(4) > 0 {
+					q.Table = fmt.Sprint("T", rng.Intn(7)) // T6 names no table
+				}
+				if rng.Intn(2) == 0 {
+					q.API = fmt.Sprint("A", rng.Intn(4))
+				}
+				if got, want := toJSON(t, s.Events(q)), toJSON(t, fullScan(s, q)); got != want {
+					t.Fatalf("seed %d, %s: Events(%+v) =\n%s\nfull scan\n%s", seed, stage, q, got, want)
+				}
+			}
+		}
+		// A racing writer's duplicate of a stored event record.
+		dup := *s.byOrd[rng.Intn(len(s.byOrd))]
+		payload := s.encode(record{kind: recEvent, e: &dup})
+		if err := s.log.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.applyPayload(payload); err != nil {
+			t.Fatal(err)
+		}
+		check("live")
+		reopen := func() {
+			t.Helper()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reopen() // rewrites: the touches outnumber the events
+		if s.touches != 0 {
+			t.Fatalf("seed %d: the reopen kept %d touches, want a rewritten log", seed, s.touches)
+		}
+		check("rewritten")
+		reopen()
+		check("reopen")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

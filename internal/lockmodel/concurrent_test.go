@@ -55,7 +55,7 @@ func TestTemplatesConcurrent(t *testing.T) {
 				vars := slices.Clone(e.Vars)
 				slices.Sort(vars) // a set, listed in no set order
 				return strconv.FormatBool(e.Collide) + " " +
-					smt.TypedString(lockmodel.EdgeCond(e, skels[x], skels[y], "A1.", "A2.")) + " " + strings.Join(vars, ",")
+					smt.TypedString(lockmodel.EdgeCond(e, skels[x].Names, skels[y].Names, "A1.", "A2.")) + " " + strings.Join(vars, ",")
 			}
 			fresh := func(i int) *lockmodel.Model { return lockmodel.ModelOf(skels[i], scm, false) }
 			want := make([]string, n*n)

@@ -3,6 +3,7 @@ package lockmodel
 import (
 	"context"
 	"slices"
+	"strconv"
 	"testing"
 
 	"weseer/internal/minidb"
@@ -472,7 +473,7 @@ func checkEdgeCond(t *testing.T, x, y *trace.Stmt, mx, my *Model, usePlans bool)
 	t.Helper()
 	scm := mx.scm
 	tmpl := EdgeTemplate(mx, my, "r1.")
-	got := EdgeCond(tmpl, SkeletonOf(x), SkeletonOf(y), "A1.", "A2.")
+	got := EdgeCond(tmpl, SkeletonOf(x).Names, SkeletonOf(y).Names, "A1.", "A2.")
 	vars := tmpl.Vars
 	if want := PotentialConflict(x, y, scm, usePlans); tmpl.Collide != want {
 		t.Errorf("EdgeTemplate(%q, %q, plans=%v): Collide %v, PotentialConflict %v", x.SQL, y.SQL, usePlans, tmpl.Collide, want)
@@ -497,5 +498,68 @@ func checkEdgeCond(t *testing.T, x, y *trace.Stmt, mx, my *Model, usePlans bool)
 	}
 	if len(vars) != len(set) {
 		t.Errorf("EdgeCond(%q, %q, plans=%v): %d variables listed, the condition has %d", x.SQL, y.SQL, usePlans, len(vars), len(set))
+	}
+}
+
+// TestSkeletonKeyMatchesRenamedCopy holds SkeletonKey, which renames
+// nothing, to the key rendered from the statement's renamed copy, as
+// SkeletonOf built it before: parameters by TypedString of the copy, result
+// cells by their copied names. The statements cover a name repeated across
+// parameters and cells, both operands of an arithmetic parameter named (a
+// copy's rename meets the right one first), an array read, a concrete-only
+// parameter, a NULL cell's empty name and a plan.
+func TestSkeletonKeyMatchesRenamedCopy(t *testing.T) {
+	v := func(n string) smt.Var { return smt.NewVar(n, smt.SortInt) }
+	arr := smt.NewArray("cache@1", smt.SortInt).Store(v("k"), true)
+	planned := mkStmt(`SELECT * FROM Product p WHERE p.ID = ?`, []smt.Expr{v("c")},
+		&trace.Result{Cols: []string{"p.ID", "p.QTY"}, Sym: [][]smt.Var{{v("c"), {Name: "", S: smt.SortInt}}}})
+	planned.Plan = []trace.PlanStep{{Alias: "p", Table: "Product", Index: "PRIMARY"}}
+	stmts := []*trace.Stmt{
+		planned,
+		mkStmt(q6, []smt.Expr{smt.Add(v("a"), v("b")), v("a")}, nil),
+		mkStmt(q6, []smt.Expr{smt.Sub(v("q"), smt.Int(1)), nil}, nil),
+		mkStmt(q6, []smt.Expr{smt.Read(arr, v("j")), v("k")}, nil),
+		mkStmt(q4, []smt.Expr{v("o")}, &trace.Result{Cols: []string{"oi.ID"}, Empty: true}),
+	}
+	for _, st := range stmts {
+		var names []string
+		cp := renameStmt(st, func(n string) string {
+			if !slices.Contains(names, n) {
+				names = append(names, n)
+			}
+			return "\x00" + strconv.Itoa(slices.Index(names, n))
+		})
+		want := strconv.AppendQuote(nil, st.SQL)
+		for _, p := range cp.Params {
+			e, ok := p.Sym, p.Sym != nil
+			if !ok {
+				e, ok = datumExpr(p.Concrete)
+			}
+			if want = append(want, '|'); ok {
+				want = append(want, smt.TypedString(e)...)
+			}
+		}
+		if res := cp.Res; res != nil {
+			want = strconv.AppendBool(append(want, '#'), res.Empty)
+			for _, c := range res.Cols {
+				want = strconv.AppendQuote(want, c)
+			}
+			for _, row := range res.Sym {
+				want = append(want, '/')
+				for _, c := range row {
+					want = append(strconv.AppendQuote(want, c.Name), '0'+byte(c.S))
+				}
+			}
+		}
+		for _, p := range st.Plan {
+			want = strconv.AppendQuote(strconv.AppendQuote(strconv.AppendQuote(append(want, '@'), p.Alias), p.Table), p.Index)
+		}
+		key, gotNames := SkeletonKey([]byte("junk"), []string{"junk"}, st)
+		if string(key[4:]) != string(want) || !slices.Equal(gotNames[1:], names) {
+			t.Errorf("%s:\n key %q names %q\nwant %q names %q", st.SQL, key[4:], gotNames[1:], want, names)
+		}
+		if sk := SkeletonOf(st); sk.Key != string(want) || !slices.Equal(sk.Names, names) {
+			t.Errorf("%s: SkeletonOf key %q names %q", st.SQL, sk.Key, sk.Names)
+		}
 	}
 }

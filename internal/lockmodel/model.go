@@ -82,27 +82,40 @@ type Skeleton struct {
 
 // SkeletonOf returns the statement's skeleton.
 func SkeletonOf(st *trace.Stmt) *Skeleton {
-	sk := &Skeleton{}
-	index := map[string]string{}
-	sk.st = renameStmt(st, func(n string) string {
-		p, ok := index[n]
-		if !ok {
-			p = "\x00" + strconv.Itoa(len(sk.Names))
-			index[n], sk.Names = p, append(sk.Names, n)
+	key, names := SkeletonKey(nil, nil, st)
+	sk := &Skeleton{Key: string(key), Names: names}
+	sk.st = renameStmt(st, func(n string) string { return "\x00" + strconv.Itoa(slices.Index(names, n)) })
+	return sk
+}
+
+// SkeletonKey appends the statement's skeleton key to b and its names to
+// names, copying nothing: SkeletonOf's Key and Names, for a caller that
+// needs the renamed statement only once per key.
+func SkeletonKey(b []byte, names []string, st *trace.Stmt) ([]byte, []string) {
+	base := len(names)
+	see := func(n string) string {
+		if !slices.Contains(names[base:], n) {
+			names = append(names, n)
 		}
-		return p
-	})
-	b := strconv.AppendQuote(nil, st.SQL)
-	for _, p := range sk.st.Params {
+		return n
+	}
+	// placeholder renders a name as its renamed copy's quoted "\x00i".
+	placeholder := func(b []byte, n string) []byte {
+		return append(strconv.AppendInt(append(b, `"\x00`...), int64(slices.Index(names[base:], n)), 10), '"')
+	}
+	b = strconv.AppendQuote(b, st.SQL)
+	for _, p := range st.Params {
 		e, ok := p.Sym, p.Sym != nil // what unifier.operand reads
-		if !ok {
+		if ok {
+			smt.Rename(e, see) // numbers e's names in the order a copy's rename meets them
+		} else {
 			e, ok = datumExpr(p.Concrete)
 		}
 		if b = append(b, '|'); ok {
-			b = append(b, smt.TypedString(e)...)
+			b = smt.AppendTypedString(b, e, placeholder)
 		}
 	}
-	if res := sk.st.Res; res != nil {
+	if res := st.Res; res != nil {
 		b = strconv.AppendBool(append(b, '#'), res.Empty)
 		for _, c := range res.Cols {
 			b = strconv.AppendQuote(b, c)
@@ -110,15 +123,15 @@ func SkeletonOf(st *trace.Stmt) *Skeleton {
 		for _, row := range res.Sym {
 			b = append(b, '/')
 			for _, v := range row {
-				b = append(strconv.AppendQuote(b, v.Name), '0'+byte(v.S))
+				see(v.Name)
+				b = append(placeholder(b, v.Name), '0'+byte(v.S))
 			}
 		}
 	}
 	for _, p := range st.Plan {
 		b = strconv.AppendQuote(strconv.AppendQuote(strconv.AppendQuote(append(b, '@'), p.Alias), p.Table), p.Index)
 	}
-	sk.Key = string(b)
-	return sk
+	return b, names
 }
 
 // renameStmt returns a shallow copy of st whose parameter and result
@@ -193,10 +206,10 @@ func collide(x, y *Model) bool {
 	})
 }
 
-// EdgeCond returns the instance of template e between statements of
-// skeletons x, its symbols in the space px, and y in py.
-func EdgeCond(e *Edge, x, y *Skeleton, px, py string) smt.Expr {
-	prefix, names := [2]string{px, py}, [2][]string{x.Names, y.Names}
+// EdgeCond returns the instance of template e between statements whose
+// skeletons' names are x and y, x's symbols in the space px and y's in py.
+func EdgeCond(e *Edge, x, y []string, px, py string) smt.Expr {
+	prefix, names := [2]string{px, py}, [2][]string{x, y}
 	return smt.Rename(e.Cond, func(n string) string {
 		if p := Placeholder(n); p >= 0 {
 			return prefix[p&1] + names[p&1][p>>1]

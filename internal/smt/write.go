@@ -8,11 +8,13 @@ import "strconv"
 // first-occurrence placeholder; with typed set it keeps the names, quoted,
 // and renders sorts as the shape key does, so the string is injective.
 // (Canon's sort keys are rendered from its compiled form — canonizer.render
-// prints the same syntax.)
+// prints the same syntax.) With rename set too, a typed name is whatever
+// rename appends in place of its quoted form.
 type writer struct {
-	buf   []byte
-	sh    *Shape
-	typed bool
+	buf    []byte
+	sh     *Shape
+	typed  bool
+	rename func([]byte, string) []byte
 }
 
 func exprString(e Expr) string {
@@ -30,6 +32,15 @@ func TypedString(e Expr) string {
 	return string(w.buf)
 }
 
+// AppendTypedString appends TypedString(e) to b, each name rendered by
+// rename(b, name) instead of quoted: TypedString of e renamed, without the
+// renamed copy.
+func AppendTypedString(b []byte, e Expr, rename func([]byte, string) []byte) []byte {
+	w := writer{buf: b, typed: true, rename: rename}
+	w.expr(e)
+	return w.buf
+}
+
 func (w *writer) str(s string) { w.buf = append(w.buf, s...) }
 
 // name renders a variable name or array root ID of the given (key) sort.
@@ -41,7 +52,11 @@ func (w *writer) name(n string, s Sort) {
 		w.buf = strconv.AppendInt(w.buf, int64(w.sh.index(n)), 10)
 		w.buf = append(w.buf, ':', '0'+byte(s))
 	case w.typed:
-		w.buf = strconv.AppendQuote(w.buf, n)
+		if w.rename != nil {
+			w.buf = w.rename(w.buf, n)
+		} else {
+			w.buf = strconv.AppendQuote(w.buf, n)
+		}
 		w.buf = append(w.buf, ':', '0'+byte(s))
 	default:
 		w.str(n)

@@ -107,8 +107,8 @@ go test -race -count=3 ./internal/history
 # lost share in the reader (one parse per SQL text, one decode per call
 # stack) breaks, and a warm solver call, which a workspace table
 # reallocated per call breaks.
-echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestSolveAllocs|TestDecodeAllocs' (minidb, workload, core, solver, trace, no -race)"
-go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestSolveAllocs|TestDecodeAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/solver ./internal/trace
+echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs' (minidb, workload, core, solver, trace, no -race)"
+go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/solver ./internal/trace
 
 # The two-level memo table (skeleton key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
