@@ -20,10 +20,10 @@ package appgen
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"weseer/internal/apps/appkit"
-	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
 	"weseer/internal/orm"
@@ -81,38 +81,33 @@ func New(cfg Config, dbCfg minidb.Config, fixed []string) (*App, error) {
 	return a, nil
 }
 
-// seed inserts cfg.Rows rows into every table: ID = 1..Rows, every other
-// INT column mirroring the id (so child OWNER_IDs line up with parent
-// ids), VARCHARs a short tag. Runs with concolic recording off, exactly
-// like the model apps' seeding.
+// seed loads cfg.Rows rows into every table through the database's
+// fixture path (minidb.Load): ID = 1..Rows, every other INT or DECIMAL
+// column mirroring the id as an integer datum (so child OWNER_IDs line up
+// with parent ids), VARCHARs a short tag.
 func (a *App) seed() {
-	e := concolic.New(concolic.ModeOff)
-	s := orm.NewSession(a.mapping, concolic.NewConn(e, a.db))
-	tags := make([]concolic.Value, a.cfg.Rows+1) // row i's VARCHAR tag, the same in every table
+	tags := make([]minidb.Datum, a.cfg.Rows+1) // row i's VARCHAR tag, the same in every table
 	for i := range tags {
-		tags[i] = concolic.Str("r" + strconv.Itoa(i))
+		tags[i] = minidb.Str("r" + strconv.Itoa(i))
 	}
-	err := s.Transactional(func() error {
-		for _, t := range a.scm.Tables() {
-			for i := 1; i <= a.cfg.Rows; i++ {
-				en := s.NewEntity(t.Name)
-				for _, c := range t.Columns {
-					switch c.Type {
-					case schema.Varchar:
-						s.Set(en, c.Name, tags[i])
-					default:
-						s.Set(en, c.Name, concolic.Int(int64(i)))
-					}
-				}
-				s.Persist(en)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("appgen: seeding failed: %v", err))
-	}
+	var cells minidb.Row // the rows' datums, row after row; Load keeps none
+	rows := make([]minidb.Row, a.cfg.Rows)
 	for _, t := range a.scm.Tables() {
+		w := len(t.Columns)
+		cells = slices.Grow(cells[:0], w*len(rows))
+		for i := range rows {
+			for _, c := range t.Columns {
+				d := minidb.I64(int64(i + 1))
+				if c.Type == schema.Varchar {
+					d = tags[i+1]
+				}
+				cells = append(cells, d)
+			}
+			rows[i] = cells[i*w : (i+1)*w]
+		}
+		if err := a.db.Load(t.Name, rows); err != nil {
+			panic(fmt.Sprintf("appgen: seeding failed: %v", err))
+		}
 		a.db.BumpID(t.Name, int64(a.cfg.Rows))
 	}
 }

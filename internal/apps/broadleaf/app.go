@@ -58,37 +58,20 @@ func New(fixes []string, cfg minidb.Config) (*App, error) {
 }
 
 // seed loads the product catalog with its per-product offer and
-// fulfillment-option rows.
+// fulfillment-option rows, through the database's fixture path. PRICE is
+// DECIMAL but holds an integer datum, as an INSERT of an integer stores it.
 func (a *App) seed() {
-	e := concolic.New(concolic.ModeOff)
-	s := a.session(e)
-	err := s.Transactional(func() error {
-		for i := 1; i <= a.NumProducts; i++ {
-			id := concolic.Int(int64(i))
-			p := s.NewEntity("Product")
-			s.Set(p, "ID", id)
-			s.Set(p, "QTY", concolic.Int(1_000_000))
-			s.Set(p, "PRICE", concolic.Int(int64(10+i)))
-			s.Persist(p)
-			of := s.NewEntity("Offer")
-			s.Set(of, "ID", id)
-			s.Set(of, "USES", concolic.Int(0))
-			s.Persist(of)
-			fo := s.NewEntity("FulfillmentOption")
-			s.Set(fo, "ID", id)
-			s.Set(fo, "USES", concolic.Int(0))
-			s.Persist(fo)
-			os := s.NewEntity("OfferStat")
-			s.Set(os, "ID", id)
-			s.Set(os, "VIEWS", concolic.Int(0))
-			s.Persist(os)
-			fs := s.NewEntity("FulfillmentStat")
-			s.Set(fs, "ID", id)
-			s.Set(fs, "VIEWS", concolic.Int(0))
-			s.Persist(fs)
-		}
-		return nil
-	})
+	products := make([]minidb.Row, a.NumProducts)
+	counters := make([]minidb.Row, a.NumProducts) // ID and a zero USES or VIEWS
+	for i := range products {
+		id := minidb.I64(int64(i + 1))
+		products[i] = minidb.Row{id, minidb.I64(1_000_000), minidb.I64(int64(11 + i))}
+		counters[i] = minidb.Row{id, minidb.I64(0)}
+	}
+	err := a.db.Load("Product", products)
+	for _, t := range []string{"Offer", "FulfillmentOption", "OfferStat", "FulfillmentStat"} {
+		err = errors.Join(err, a.db.Load(t, counters))
+	}
 	if err != nil {
 		panic(fmt.Sprintf("broadleaf: seeding failed: %v", err))
 	}

@@ -60,22 +60,15 @@ func New(fixes []string, cfg minidb.Config) (*App, error) {
 	return a, nil
 }
 
+// seed loads the product catalog through the database's fixture path.
+// PRICE is DECIMAL but holds an integer datum, as an INSERT of an integer
+// stores it.
 func (a *App) seed() {
-	e := concolic.New(concolic.ModeOff)
-	s := a.session(e)
-	err := s.Transactional(func() error {
-		for i := 1; i <= a.NumProducts; i++ {
-			p := s.NewEntity("Product")
-			s.Set(p, "ID", concolic.Int(int64(i)))
-			s.Set(p, "QTY", concolic.Int(1_000_000))
-			s.Set(p, "PRICE", concolic.Int(int64(5+i)))
-			s.Set(p, "SOLD", concolic.Int(0))
-			s.Set(p, "POPULARITY", concolic.Int(0))
-			s.Persist(p)
-		}
-		return nil
-	})
-	if err != nil {
+	products := make([]minidb.Row, a.NumProducts)
+	for i := range products {
+		products[i] = minidb.Row{minidb.I64(int64(i + 1)), minidb.I64(1_000_000), minidb.I64(int64(6 + i)), minidb.I64(0), minidb.I64(0)}
+	}
+	if err := a.db.Load("Product", products); err != nil {
 		panic(fmt.Sprintf("shopizer: seeding failed: %v", err))
 	}
 	a.db.BumpID("Product", int64(a.NumProducts))

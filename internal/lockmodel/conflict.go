@@ -139,23 +139,30 @@ func CheckStmt(st *trace.Stmt, scm *schema.Schema) error {
 			return fmt.Errorf("table %s is not in the schema", table)
 		}
 	}
-	cond := sqlast.QueryCondOf(st.Parsed)
-	preds := slices.Clone(cond.Preds)
-	for _, g := range cond.Ors {
-		for _, dj := range g.Disjuncts {
-			preds = append(preds, dj...)
-		}
-	}
 	u := &unifier{scm: scm, aliases: sqlast.AliasMapOf(st.Parsed)}
 	onlyEq := func(s smt.Sort) bool { return s == smt.SortString || s == smt.SortBool }
-	for _, p := range preds {
-		l, lok := u.operand(p.L, st)
-		r, rok := u.operand(p.R, st)
-		if p.IsNull || !lok || !rok {
-			continue
+	check := func(preds []sqlast.Pred) error {
+		for _, p := range preds {
+			l, lok := u.operand(p.L, st)
+			r, rok := u.operand(p.R, st)
+			if p.IsNull || !lok || !rok {
+				continue
+			}
+			if ls, rs := l.Sort(), r.Sort(); (onlyEq(ls) || onlyEq(rs)) && (ls != rs || p.Op != smt.EQ && p.Op != smt.NE) {
+				return fmt.Errorf("predicate %s compares %s with %s", p, ls, rs)
+			}
 		}
-		if ls, rs := l.Sort(), r.Sort(); (onlyEq(ls) || onlyEq(rs)) && (ls != rs || p.Op != smt.EQ && p.Op != smt.NE) {
-			return fmt.Errorf("predicate %s compares %s with %s", p, ls, rs)
+		return nil
+	}
+	cond := sqlast.QueryCondOf(st.Parsed)
+	if err := check(cond.Preds); err != nil {
+		return err
+	}
+	for _, g := range cond.Ors {
+		for _, dj := range g.Disjuncts {
+			if err := check(dj); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

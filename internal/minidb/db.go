@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,6 +211,59 @@ func (db *DB) BumpID(table string, v int64) {
 			return
 		}
 	}
+}
+
+// Load is the fixture path: it writes rows, each in the table's column
+// order, straight into the table's primary and secondary trees as
+// committed data, storing exactly what an INSERT of the same values stores
+// (an unset column holds the NULL datum of its kind), with no transaction,
+// lock, undo record or statement. It checks the whole batch first — row
+// width, NULL primary keys, duplicate primary or unique keys against the
+// stored rows and within the batch — and refuses while any lock is held or
+// queued, since fixtures load before traffic; an error writes nothing.
+func (db *DB) Load(table string, rows []Row) error {
+	ts, ok := db.tables[table]
+	if !ok {
+		return fmt.Errorf("minidb: Load into unknown table %s", table)
+	}
+	db.latch.Lock() // before lm.mu, as a statement pass takes them
+	defer db.latch.Unlock()
+	db.lm.mu.Lock()
+	defer db.lm.mu.Unlock()
+	if len(db.lm.queues) > 0 {
+		return fmt.Errorf("minidb: Load into %s while locks are held or queued", table)
+	}
+	// keys holds every row's entry keys in index order, row after row.
+	type taken struct{ ix, pfx string } // an index name and a unique prefix
+	n, seen := len(ts.indexes), make(map[taken]bool, len(rows))
+	keys := make([]string, 0, n*len(rows))
+	var buf []byte
+	for _, row := range rows {
+		if len(row) != len(ts.meta.Columns) {
+			return fmt.Errorf("minidb: Load into %s: row %v has %d columns, want %d", table, row, len(row), len(ts.meta.Columns))
+		}
+		if slices.ContainsFunc(ts.indexes[0].cols, func(c int) bool { return row[c].Null }) {
+			return fmt.Errorf("minidb: NULL primary key in Load into %s", table)
+		}
+		for _, ix := range ts.indexes {
+			buf = ix.appendKey(buf[:0], row)
+			keys = append(keys, string(buf))
+			if pfx, live, tomb := ix.probe(row, keys[len(keys)-1]); pfx != "" {
+				if live+tomb != "" || seen[taken{ix.Name, pfx}] {
+					return fmt.Errorf("%w: Load into %s: %s of %v", ErrDuplicateKey, table, ix.Name, row)
+				}
+				seen[taken{ix.Name, pfx}] = true
+			}
+		}
+	}
+	for r, row := range rows {
+		buf = appendEntry(buf[:0], row)
+		ts.indexes[0].entries.Put(keys[r*n], buf)
+		for i, ix := range ts.indexes[1:] {
+			ix.entries.Put(keys[r*n+1+i], []byte{liveEntry})
+		}
+	}
+	return nil
 }
 
 // StatsSnapshot returns current counters.

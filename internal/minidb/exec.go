@@ -301,30 +301,42 @@ func (ex *executor) rewrite(ts *tableStore, pk, stored string, set []assign, cla
 			ex.txn.put(ix, newK, []byte{liveEntry})
 		}
 	}
-	ex.txn.put(ts.indexes[0], pk, ex.encodeRow())
+	ex.buf = appendEntry(ex.buf[:0], ex.row)
+	ex.txn.put(ts.indexes[0], pk, ex.buf)
 	return true, nil
 }
 
-// encodeRow encodes ex.row as a live primary entry's value, in ex.buf.
-func (ex *executor) encodeRow() []byte {
-	ex.buf = append(ex.buf[:0], liveEntry)
-	for _, d := range ex.row {
-		ex.buf = appendRowField(ex.buf, d)
+// appendEntry appends the encoding of row as a live primary entry's value.
+func appendEntry(b []byte, row Row) []byte {
+	b = append(b, liveEntry)
+	for _, d := range row {
+		b = appendRowField(b, d)
 	}
-	return ex.buf
+	return b
 }
 
 // duplicate looks for a live entry of the unique index ix that shares the
 // unique columns of key, the entry of row, and returns its primary key, or
-// "". A key with a NULL there collides with nothing, as in InnoDB. A
-// tombstone there S-locks, serializing the check against its deleter;
-// false means that lock blocked.
+// "". A tombstone there S-locks, serializing the check against its
+// deleter; false means that lock blocked.
 func (ex *executor) duplicate(ix *index, row Row, key string) (string, bool) {
-	if !ix.Unique || slices.ContainsFunc(ix.cols[:len(ix.Columns)], func(c int) bool { return row[c].Null }) {
-		return "", true
+	_, live, tomb := ix.probe(row, key)
+	if live != "" {
+		return ix.pkOf(live), true
 	}
-	pfx := key[:len(key)-len(ix.pkOf(key))]
-	var dup, tomb string
+	return "", tomb == "" || ex.lock(ix, RecordLock, tomb, LockS)
+}
+
+// probe looks up the entries that share key's unique columns, its prefix
+// pfx (on the primary, all of key), in the unique index ix, where key is
+// row's entry: a live one's key, or else a tombstone's. pfx is "" when ix
+// is not unique or row has a NULL there, which collides with nothing, as
+// in InnoDB.
+func (ix *index) probe(row Row, key string) (pfx, live, tomb string) {
+	if !ix.Unique || slices.ContainsFunc(ix.cols[:len(ix.Columns)], func(c int) bool { return row[c].Null }) {
+		return "", "", ""
+	}
+	pfx = key[:len(key)-len(ix.pkOf(key))]
 	ix.entries.Ascend(pfx, func(k, v string) bool {
 		if !strings.HasPrefix(k, pfx) {
 			return false
@@ -333,13 +345,10 @@ func (ex *executor) duplicate(ix *index, row Row, key string) (string, bool) {
 			tomb = k
 			return true // a tombstone is not a duplicate; keep looking
 		}
-		dup = ix.pkOf(k)
+		live = k
 		return false
 	})
-	if dup == "" && tomb != "" && !ex.lock(ix, RecordLock, tomb, LockS) {
-		return "", false
-	}
-	return dup, true
+	return pfx, live, tomb
 }
 
 // duplicateKey locks the primary record pk a write collided with shared,
@@ -437,7 +446,8 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 		}
 	}
 
-	ex.txn.put(primary, pk, ex.encodeRow())
+	ex.buf = appendEntry(ex.buf[:0], ex.row)
+	ex.txn.put(primary, pk, ex.buf)
 	for i, ix := range secondaries {
 		ex.txn.put(ix, ex.keys[i], []byte{liveEntry})
 	}

@@ -103,12 +103,13 @@ go test -race -count=3 ./internal/history
 # with the engine off (orm, driver, executor, lock table) — a regression
 # there is a throughput regression on the load workload — phase 3 per
 # solved group, which a lost skeleton hit (a group building the formula
-# of a known key) breaks, and a decoded trace-batch statement, which a
+# of a known key) breaks, a decoded trace-batch statement, which a
 # lost share in the reader (one parse per SQL text, one decode per call
-# stack) breaks, and a warm solver call, which a workspace table
-# reallocated per call breaks.
-echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs' (minidb, workload, core, solver, trace, no -race)"
-go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/solver ./internal/trace
+# stack) breaks, a warm solver call, which a workspace table
+# reallocated per call breaks, and opening the 1,056-template corpus,
+# which a seed sent through the ORM and SQL instead of minidb.Load breaks.
+echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs' (minidb, workload, core, solver, trace, apps, no -race)"
+go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/solver ./internal/trace ./internal/apps
 
 # The two-level memo table (skeleton key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
