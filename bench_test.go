@@ -119,23 +119,26 @@ func BenchmarkAblation_ConcretePlans(b *testing.B) {
 const gen1056 = "gen:7,templates=1056"
 
 // BenchmarkCollect1056 measures concolic collection of the generated
-// corpus and reports the stack walks it pays per recorded statement (one
-// per ORM operation: ≈ 1.0).
+// corpus and reports the stack captures it pays per recorded statement
+// (one per ORM operation: ≈ 1.0) and the runtime.Callers unwinds per
+// collection (one per new call site: 0 once the table is warm).
 func BenchmarkCollect1056(b *testing.B) {
 	app := openApp(b, gen1056)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var walks, stmts int64
+	var walks, unwinds, stmts int64
 	for i := 0; i < b.N; i++ {
-		before := concolic.StackWalks()
+		walks0, unwinds0 := concolic.StackWalks(), concolic.StackUnwinds()
 		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 		if err != nil {
 			b.Fatal(err)
 		}
-		walks += concolic.StackWalks() - before
+		walks += concolic.StackWalks() - walks0
+		unwinds += concolic.StackUnwinds() - unwinds0
 		for _, tr := range traces {
 			stmts += int64(tr.Stats.Statements)
 		}
 	}
 	b.ReportMetric(float64(walks)/float64(stmts), "walks/stmt")
+	b.ReportMetric(float64(unwinds)/float64(b.N), "unwinds/op")
 }

@@ -65,7 +65,7 @@ func New(cfg Config, dbCfg minidb.Config, fixed []string) (*App, error) {
 		return nil, err
 	}
 	r := newRNG(cfg.Seed)
-	a.templates = a.fillers(r, buildModules(cfg, r, a.scm))
+	a.templates = a.fillers(r, buildModules(cfg, r, a.scm), stmtTexts{})
 	for _, cc := range cfg.Classes {
 		for i := 0; i < cc.N; i++ {
 			inst := plant(a.scm, cc.Class, i)

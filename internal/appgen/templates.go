@@ -49,7 +49,7 @@ const (
 // op is one statement (or guard) of a template body.
 type op struct {
 	Kind       opKind
-	Table, SQL string // SQL is the statement's text, formatted once by stmtOp
+	Table, SQL string // SQL is the statement's text, shared by every op of its Kind and Table
 	A, B       int    // input indexes
 	Thr        int64  // opGuard threshold
 	Skip       int    // opGuard: ops skipped when the branch fails
@@ -95,7 +95,7 @@ var fillerVerbs = []string{
 // fillers generates the cfg.Templates filler templates over the module
 // layout. Templates round-robin across modules so every hub sees
 // contention.
-func (a *App) fillers(r *rng, mods []module) []genTemplate {
+func (a *App) fillers(r *rng, mods []module, texts stmtTexts) []genTemplate {
 	cfg := a.cfg
 	rowID := func(name string, v int64) genInput {
 		return genInput{Name: name, Val: v, Lo: 1, Hi: int64(cfg.Rows)}
@@ -117,7 +117,7 @@ func (a *App) fillers(r *rng, mods []module) []genTemplate {
 		// Warm phase: 0–2 reference reads outside the transaction.
 		var warm []op
 		for i, n := 0, r.intn(3); i < n && len(mod.Reads) > 0; i++ {
-			warm = append(warm, stmtOp(opPointRead, mod.Reads[r.intn(len(mod.Reads))], 2, 0))
+			warm = append(warm, texts.op(opPointRead, mod.Reads[r.intn(len(mod.Reads))], 2, 0))
 		}
 
 		// Body: reads, then ordered inserts, then (for hot templates)
@@ -128,16 +128,16 @@ func (a *App) fillers(r *rng, mods []module) []genTemplate {
 			if r.pct(50) {
 				kind = opRangeRead
 			}
-			body = append(body, stmtOp(kind, mod.Reads[r.intn(len(mod.Reads))], r.intn(3), 0))
+			body = append(body, texts.op(kind, mod.Reads[r.intn(len(mod.Reads))], r.intn(3), 0))
 		}
 		for i, tab := range mod.Ins {
 			// Subset of insert satellites, module order preserved.
 			if r.pct(70) {
-				body = append(body, stmtOp(opInsertRow, tab, i%2, 0))
+				body = append(body, texts.op(opInsertRow, tab, i%2, 0))
 			}
 		}
 		if r.pct(cfg.HotPct) {
-			body = append(body, stmtOp(opOrderedPair, mod.Hub, 0, 1))
+			body = append(body, texts.op(opOrderedPair, mod.Hub, 0, 1))
 		}
 		// Nesting: wrap suffixes of the body in input guards, innermost
 		// first, so depth-d templates carry d extra path conditions.
@@ -220,8 +220,23 @@ var opSQL = [...]string{
 	opOrderedPair: `UPDATE %s SET BALANCE = ? WHERE ID = ?`,
 }
 
-// stmtOp builds a statement op on a table over inputs a and b, formatting
-// its SQL here, once, and not on every execution.
-func stmtOp(kind opKind, table string, a, b int) op {
-	return op{Kind: kind, Table: table, SQL: fmt.Sprintf(opSQL[kind], table), A: a, B: b}
+// stmtTexts holds a corpus's statement texts, one string per op kind and
+// table.
+type stmtTexts map[stmtKey]string
+
+type stmtKey struct {
+	kind  opKind
+	table string
+}
+
+// op builds a statement op on a table over inputs a and b. Its SQL is
+// formatted once per (kind, table), not per op and not on every execution.
+func (texts stmtTexts) op(kind opKind, table string, a, b int) op {
+	k := stmtKey{kind, table}
+	sql, ok := texts[k]
+	if !ok {
+		sql = fmt.Sprintf(opSQL[kind], table)
+		texts[k] = sql
+	}
+	return op{Kind: kind, Table: table, SQL: sql, A: a, B: b}
 }

@@ -2,10 +2,12 @@ package apps
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"weseer/internal/appgen"
+	"weseer/internal/apps/appkit"
 	"weseer/internal/apps/broadleaf"
 	"weseer/internal/apps/shopizer"
 	"weseer/internal/concolic"
@@ -121,14 +123,15 @@ func TestLoadMatchesSQLSeed(t *testing.T) {
 }
 
 // TestOpenAllocs pins what opening the 1,056-template corpus allocates:
-// the measured 54.6 K plus 10 %. It was 91.3 K while the apps seeded
-// through one ORM transaction of INSERTs; an SQL-path seed coming back
-// trips it.
+// the measured 46.2 K plus 10 %. It was 91.3 K while the apps seeded
+// through one ORM transaction of INSERTs, and 54.6 K while appgen
+// formatted one SQL string per op rather than per (op kind, table); an
+// SQL-path seed or a per-op format coming back trips it.
 func TestOpenAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 60_000
+	const ceiling = 50_800
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := Open("gen:7,templates=1056", Options{}); err != nil {
 			t.Fatal(err)
@@ -137,6 +140,47 @@ func TestOpenAllocs(t *testing.T) {
 	t.Logf("apps.Open(gen:7,templates=1056) allocates %.0f times (ceiling %d)", got, ceiling)
 	if got > ceiling {
 		t.Errorf("apps.Open(gen:7,templates=1056) allocates %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
+// TestCollectAllocs pins what collecting gen:7,templates=96 allocates per
+// recorded statement, every call site already in the call-site table:
+// the statement's record, its parameters, result aliases and the
+// symbolic state around it. The measured 31.3 plus 5 % (33.9 while a
+// record grew its parameters and result rows by append): a capture that
+// allocates, or a record built by append again, breaks it.
+func TestCollectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const ceiling = 32.9
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	collect := func() (allocs uint64, stmts int) {
+		app, err := Open("gen:7,templates=96", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range traces {
+			stmts += tr.Stats.Statements
+		}
+		return after.Mallocs - before.Mallocs, stmts
+	}
+	collect() // fills the call-site table and the prepared-statement cache
+	allocs, stmts := collect()
+	if stmts == 0 {
+		t.Fatal("collection recorded no statement")
+	}
+	per := float64(allocs) / float64(stmts)
+	t.Logf("appkit.Collect(gen:7,templates=96) allocates %.1f times per statement (%d for %d; ceiling %.1f)", per, allocs, stmts, ceiling)
+	if per > ceiling {
+		t.Errorf("appkit.Collect(gen:7,templates=96) allocates %.1f times per statement, ceiling %.1f", per, ceiling)
 	}
 }
 

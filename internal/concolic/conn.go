@@ -210,28 +210,32 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 			Trigger: trigger,
 			Sent:    sent,
 		}
+		if len(params) > 0 {
+			rec.Params = make([]trace.Param, len(params))
+		}
 		for i, p := range params {
-			var sym smt.Expr
+			rec.Params[i].Concrete = datums[i]
 			if c.e.concolic() {
-				sym = p.Sym()
+				rec.Params[i].Sym = p.Sym()
 			}
-			rec.Params = append(rec.Params, trace.Param{Sym: sym, Concrete: datums[i]})
 		}
 		if rows != nil {
 			res := &trace.Result{Cols: rows.Cols, Empty: rows.Empty()}
-			for ri := 0; ri < rows.Len(); ri++ {
-				var syms []smt.Var
-				var concs []minidb.Datum
-				for _, v := range rows.Row(ri) {
+			if n := rows.Len(); n > 0 {
+				res.Sym = make([][]smt.Var, n)
+				res.Concrete = make([][]minidb.Datum, n)
+			}
+			for ri := range res.Sym {
+				row := rows.Row(ri)
+				syms := make([]smt.Var, len(row)) // a NULL cell keeps the zero Var: no alias
+				concs := make([]minidb.Datum, len(row))
+				for ci, v := range row {
 					if sv, ok := v.S.(smt.Var); ok {
-						syms = append(syms, sv)
-					} else {
-						syms = append(syms, smt.Var{}) // NULL cell: no alias
+						syms[ci] = sv
 					}
-					concs = append(concs, datumOf(v))
+					concs[ci] = datumOf(v)
 				}
-				res.Sym = append(res.Sym, syms)
-				res.Concrete = append(res.Concrete, concs)
+				res.Sym[ri], res.Concrete[ri] = syms, concs
 			}
 			rec.Res = res
 		}

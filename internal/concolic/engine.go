@@ -480,44 +480,89 @@ func (e *Engine) LibraryCall(name string, branches int, out Value) Value {
 // ---------------------------------------------------------------------------
 // Stack capture
 
-// stackDepth is how many raw frames Here walks.
+// stackDepth is how many logical frames a capture unwinds and symbolizes.
 const stackDepth = 24
 
-// sites maps the raw return PCs of a stack walk to its filtered,
-// symbolized frames. Symbolizing (inline expansion, file/line lookup,
-// string building) costs an order of magnitude more than the walk and
-// depends only on the PCs, so it is done once per distinct PC sequence.
-// The table is process-wide because call sites are a property of the
-// binary, not of an engine or a run: it is bounded by the program's
-// static call paths into the engine, whatever the input.
+// keyDepth is how many physical frames a call-site key holds. A capture
+// whose chain of callers is longer is keyed by its logical unwind instead.
+// It exceeds stackDepth plus Here's largest skip (3), the
+// physical frames runtime.Callers(skip+1, stackDepth) reaches when no
+// elided wrapper frame sits among them.
+const keyDepth = 32
+
+// siteKey identifies a capture's stack. A frame-pointer walk fills pcs with
+// the return address of every physical frame above Here, out to the
+// goroutine's entry, and skip is Here's argument: the physical PCs fix
+// every logical (inlined) frame and which wrappers an unwind elides, so
+// equal keys unwind to equal PCs. A chain deeper than keyDepth, or a GOARCH
+// without the walk, is keyed by runtime.Callers' own PCs, with skip -1.
+type siteKey struct {
+	pcs  [keyDepth]uintptr
+	skip int
+}
+
+// site is one call-site table entry: the logical PCs its first capture
+// unwound and the application frames symbolized from them.
+type site struct {
+	pcs    []uintptr
+	frames []trace.Frame
+}
+
+// sites maps a capture's key to its call site. Unwinding with
+// runtime.Callers costs microseconds and symbolizing (file/line lookup,
+// string building) more again, while reading the frame-pointer chain
+// costs a load per frame; so the unwind and the symbolization run once
+// per key, and every later capture there is a walk and a lookup. The
+// table is process-wide because call sites are a property of the binary,
+// not of an engine or a run: it is bounded by the program's static call
+// paths into the engine, whatever the input.
 var sites = struct {
 	sync.Mutex
-	m     map[[stackDepth]uintptr][]trace.Frame
-	walks atomic.Int64
-}{m: map[[stackDepth]uintptr][]trace.Frame{}}
+	m                 map[siteKey]site
+	captures, unwinds atomic.Int64
+}{m: map[siteKey]site{}}
 
-// StackWalks returns how many stacks Here has walked in this process.
-func StackWalks() int64 { return sites.walks.Load() }
+// StackWalks returns how many stacks Here has captured in this process.
+func StackWalks() int64 { return sites.captures.Load() }
+
+// StackUnwinds returns how many of those captures paid a runtime.Callers
+// unwind: one per call-site key, plus every capture keyed by its unwind.
+func StackUnwinds() int64 { return sites.unwinds.Load() }
 
 // Here captures the current application stack, skipping `skip` frames of
 // the caller's own machinery and filtering out engine/ORM internals so
 // that reported trigger code points into application source. Every
 // capture at one call site returns the same Frames slice, which callers
-// must not modify.
+// must not modify. Here is never inlined: its key starts at its own
+// return address.
+//
+//go:noinline
 func Here(skip int) trace.CodeLoc {
+	sites.captures.Add(1)
+	k := siteKey{skip: skip}
 	var pcs [stackDepth]uintptr
-	n := runtime.Callers(skip+1, pcs[:])
-	sites.walks.Add(1)
+	n := 0
+	if !framePCs(&k.pcs) {
+		n = runtime.Callers(skip+1, pcs[:])
+		sites.unwinds.Add(1)
+		k = siteKey{skip: -1}
+		copy(k.pcs[:], pcs[:n])
+	}
 	sites.Lock()
-	frames, ok := sites.m[pcs]
+	s, ok := sites.m[k]
 	if !ok {
+		if k.skip >= 0 {
+			n = runtime.Callers(skip+1, pcs[:])
+			sites.unwinds.Add(1)
+		}
 		// The symbolizer retains its argument; handing it a copy keeps pcs
 		// on the stack for the hits.
-		frames = symbolize(append([]uintptr(nil), pcs[:n]...))
-		sites.m[pcs] = frames
+		s.pcs = append([]uintptr(nil), pcs[:n]...)
+		s.frames = symbolize(s.pcs)
+		sites.m[k] = s
 	}
 	sites.Unlock()
-	return trace.CodeLoc{Frames: frames}
+	return trace.CodeLoc{Frames: s.frames}
 }
 
 // modulePrefix is what the build put in front of a main-module file's

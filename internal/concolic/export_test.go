@@ -1,20 +1,52 @@
 package concolic
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 
 	"weseer/internal/trace"
 )
 
-// EagerHere is the stack capture Here replaced — walk, symbolize and
-// filter on every call, nothing shared — kept as the oracle the call-site
-// table is tested against.
-func EagerHere(skip int) trace.CodeLoc {
+// Unwind is what the stack capture Here replaced returns: the logical PCs
+// of one runtime.Callers unwind and the application frames symbolized and
+// filtered from them, nothing shared.
+type Unwind struct {
+	PCs []uintptr
+	Loc trace.CodeLoc
+}
+
+// EagerHere is the stack capture Here replaced — unwind, symbolize and
+// filter on every call — kept as the oracle the call-site table is tested
+// against.
+func EagerHere(skip int) Unwind {
 	var pcs [stackDepth]uintptr
 	n := runtime.Callers(skip+1, pcs[:])
-	return trace.CodeLoc{Frames: EagerFrames(pcs[:n])}
+	return Unwind{PCs: pcs[:n], Loc: trace.CodeLoc{Frames: EagerFrames(pcs[:n])}}
 }
+
+// Lines renders every logical frame of an unwind, unfiltered and uncapped,
+// as "function file:line": two unwinds from one source line of the same
+// stack render alike, whichever call instruction each came from.
+func Lines(pcs []uintptr) []string {
+	var out []string
+	frames := runtime.CallersFrames(pcs)
+	for {
+		f, more := frames.Next()
+		out = append(out, fmt.Sprintf("%s %s:%d", f.Function, f.File, f.Line))
+		if !more {
+			return out
+		}
+	}
+}
+
+// FramePointerKeys reports whether this GOARCH keys captures by a
+// frame-pointer walk, so that a capture at a known site unwinds nothing:
+// whether the walk reaches the end of package initialization's short chain.
+var FramePointerKeys = func() bool {
+	var pcs [keyDepth]uintptr
+	return framePCs(&pcs)
+}()
 
 // EagerFrames symbolizes and filters raw PCs the way EagerHere does.
 func EagerFrames(pcs []uintptr) []trace.Frame {
@@ -35,26 +67,30 @@ func EagerFrames(pcs []uintptr) []trace.Frame {
 	return out
 }
 
-// SitePCs returns the raw PCs of every stack in the call-site table,
-// keyed by the first element of the Frames slice the table hands out for
-// it — so a test can tell that a collected location is a table entry and
-// recompute it from scratch.
+// KeyDepth is how many physical frames a call-site key holds.
+const KeyDepth = keyDepth
+
+// SitePCs returns the logical PCs of every call-site table entry, keyed by
+// the first element of the Frames slice the table hands out for it — so a
+// test can tell that a collected location is a table entry and recompute
+// it from scratch.
 func SitePCs() map[*trace.Frame][]uintptr {
 	sites.Lock()
 	defer sites.Unlock()
 	out := make(map[*trace.Frame][]uintptr, len(sites.m))
-	for pcs, frames := range sites.m {
-		if len(frames) == 0 {
-			continue
+	for _, s := range sites.m {
+		if len(s.frames) > 0 {
+			out[&s.frames[0]] = s.pcs
 		}
-		n := 0
-		for n < len(pcs) && pcs[n] != 0 {
-			n++
-		}
-		k := pcs
-		out[&frames[0]] = k[:n]
 	}
 	return out
+}
+
+// Sites returns how many keys the call-site table holds.
+func Sites() int {
+	sites.Lock()
+	defer sites.Unlock()
+	return len(sites.m)
 }
 
 // forgetSites empties the call-site table, so the next Here at any site
@@ -62,7 +98,5 @@ func SitePCs() map[*trace.Frame][]uintptr {
 func forgetSites() {
 	sites.Lock()
 	defer sites.Unlock()
-	for k := range sites.m {
-		delete(sites.m, k)
-	}
+	clear(sites.m)
 }

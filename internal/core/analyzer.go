@@ -169,14 +169,7 @@ type enumFunc func(r *run, ctx context.Context, traces []*trace.Trace) ([]*chain
 // production; the differential tests also pass their naive pair loop.
 func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate enumFunc) (*Result, error) {
 	r := a.newRun()
-	if err := r.flatten(traces); err != nil {
-		return nil, err
-	}
 	res := &Result{}
-	res.Stats.Traces = len(traces)
-	res.Stats.Parallelism = r.workers
-	r.m.publish(&Stats{Traces: len(traces)})
-
 	o := a.opts.Observer
 	var spAnalyze, spEnum obs.Span
 	if o != nil {
@@ -185,9 +178,18 @@ func (a *Analyzer) analyze(ctx context.Context, traces []*trace.Trace, enumerate
 		spEnum = o.StartSpan(0, "enumerate")
 	}
 
-	// Stages 1–2 (serial): pair filtering and coarse-cycle enumeration,
-	// grouped into dedup-key chains in first-occurrence order.
+	// Stages 1–2 (serial), after flatten has indexed the statements and
+	// checked them against the schema: pair filtering and coarse-cycle
+	// enumeration, grouped into dedup-key chains in first-occurrence order.
 	start := time.Now()
+	if err := r.flatten(traces); err != nil {
+		spEnum.End()
+		finishObs(o, spAnalyze, res, err)
+		return nil, err
+	}
+	res.Stats.Traces = len(traces)
+	res.Stats.Parallelism = r.workers
+	r.m.publish(&Stats{Traces: len(traces)})
 	chains, enum, err := enumerate(r, ctx, traces)
 	res.Stats.EnumTime = time.Since(start)
 	res.Stats.add(&enum)

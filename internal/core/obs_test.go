@@ -11,6 +11,7 @@ import (
 
 	"weseer/internal/obs"
 	"weseer/internal/obs/obstest"
+	"weseer/internal/schema"
 	"weseer/internal/trace"
 )
 
@@ -103,6 +104,40 @@ func TestObserverPreservesDeterminism(t *testing.T) {
 		}
 		if got := o.Progress.Snapshot().Phase; got != "done" {
 			t.Errorf("p%d: final progress phase = %q, want done", workers, got)
+		}
+	}
+}
+
+// TestSchemaErrorClosesSpans: a batch the schema cannot describe is an
+// error and no result. flatten, which checks it, runs inside the enumerate
+// span and EnumTime's clock, so the failure closes both spans, marks the
+// run aborted and publishes no funnel number.
+func TestSchemaErrorClosesSpans(t *testing.T) {
+	o := obs.NewObserver()
+	res, err := NewAnalyzer(schema.New(), WithObserver(o)).AnalyzeContext(context.Background(), pipelineTraces())
+	if err == nil || res != nil {
+		t.Fatalf("analysis against an empty schema: result %v, error %v; want no result and an error", res, err)
+	}
+	var buf bytes.Buffer
+	if err := o.Tracer.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := obstest.ValidateChromeTrace(&buf)
+	if err != nil {
+		t.Fatalf("invalid Chrome trace: %v", err)
+	}
+	for _, name := range []string{"analyze", "enumerate"} {
+		if sum.NameCount[name] != 1 {
+			t.Errorf("trace has %d %q spans, want 1", sum.NameCount[name], name)
+		}
+	}
+	if got := o.Progress.Snapshot().Phase; got != "aborted" {
+		t.Errorf("progress phase = %q, want aborted", got)
+	}
+	snap := o.Metrics.Snapshot()
+	for i := range StatsTable {
+		if m := StatsTable[i].Metric; m != "" && snap[m] != 0 {
+			t.Errorf("%s = %v after a rejected batch, want 0", m, snap[m])
 		}
 	}
 }

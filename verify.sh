@@ -19,6 +19,15 @@ if [ -n "$fmt" ]; then
     exit 1
 fi
 
+# Cross-arch: the call-site table keys a capture by a frame-pointer walk
+# written in amd64 assembly; every other GOARCH keys it by its
+# runtime.Callers unwind (internal/concolic/fp_other.go). Vet the package
+# for a 64-bit port and build everything for a 32-bit one, so the
+# portable key keeps compiling.
+echo "== cross-arch (GOARCH=arm64 go vet ./internal/concolic; GOARCH=386 go build ./...)"
+GOARCH=arm64 go vet ./internal/concolic
+GOARCH=386 go build ./...
+
 echo "== go test ./..."
 go test ./...
 
@@ -106,10 +115,13 @@ go test -race -count=3 ./internal/history
 # of a known key) breaks, a decoded trace-batch statement, which a
 # lost share in the reader (one parse per SQL text, one decode per call
 # stack) breaks, a warm solver call, which a workspace table
-# reallocated per call breaks, and opening the 1,056-template corpus,
-# which a seed sent through the ORM and SQL instead of minidb.Load breaks.
-echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs' (minidb, workload, core, solver, trace, apps, no -race)"
-go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/solver ./internal/trace ./internal/apps
+# reallocated per call breaks, opening the 1,056-template corpus, which a
+# seed sent through the ORM and SQL instead of minidb.Load (or a SQL string
+# formatted per op) breaks, and a statement recorded by concolic
+# collection, which a stack capture that allocates or a record grown by
+# append breaks.
+echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs|TestCollectAllocs' (minidb, workload, core, solver, trace, apps, no -race)"
+go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs|TestCollectAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/solver ./internal/trace ./internal/apps
 
 # The two-level memo table (skeleton key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
