@@ -96,6 +96,7 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/fixapply"
+	"weseer/internal/history"
 	"weseer/internal/minidb"
 	"weseer/internal/obs"
 	"weseer/internal/replay"
@@ -613,6 +614,9 @@ type jsonDeadlck struct {
 	APIs        [2]string `json:"apis"`
 	Tables      [2]string `json:"tables"`
 	Count       int       `json:"count"` // coarse cycles folded into the report
+	// Txns is what each transaction holds and where it waits, as the
+	// history store keeps it.
+	Txns [2]history.TxnLock `json:"txns"`
 }
 
 func printJSON(res *core.Result, classify func(*core.Deadlock) string, partial bool) error {
@@ -624,6 +628,7 @@ func printJSON(res *core.Result, classify func(*core.Deadlock) string, partial b
 			APIs:        d.APIs,
 			Tables:      [2]string{d.Cycle.Table1, d.Cycle.Table2},
 			Count:       d.Count,
+			Txns:        history.Txns(d),
 		})
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -203,6 +203,7 @@ func reportEvents(report []byte, app string) ([]byte, error) {
 			Class:       d.Catalog,
 			APIs:        d.APIs,
 			Tables:      d.Tables[:],
+			Txns:        d.Txns,
 			Count:       d.Count,
 		})
 	}

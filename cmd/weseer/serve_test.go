@@ -261,6 +261,50 @@ func TestIngestReportFormat(t *testing.T) {
 	}
 }
 
+// TestIngestReportMatchesTraces: one corpus posted to two fresh daemons,
+// once as traces the daemon analyzes and once as this command's -json
+// report of the same traces, stores the same events — holds and waits
+// included — once their timestamps are masked.
+func TestIngestReportMatchesTraces(t *testing.T) {
+	dir := t.TempDir()
+	traces, report := filepath.Join(dir, "traces.json"), filepath.Join(dir, "report.json")
+	if err := os.WriteFile(traces, collectTraces(t, "broadleaf"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, status := weseer(t, "analyze -app broadleaf -json -i "+traces)
+	if status != 0 {
+		t.Fatalf("analyze -json: exit %d\n%s", status, stderr)
+	}
+	if err := os.WriteFile(report, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var bodies [2][]byte
+	var err error
+	for i, c := range []struct{ format, file string }{{"traces", traces}, {"report", report}} {
+		d := startDaemon(t, filepath.Join(t.TempDir(), "history.wal"))
+		if err = cmdIngest([]string{"-addr", d.base, "-i", c.file, "-format", c.format, "-app", "broadleaf"}); err != nil {
+			t.Fatal(err)
+		}
+		var events []history.Event
+		if err = json.Unmarshal(getBody(t, d.base+"/history/events"), &events); err != nil {
+			t.Fatal(err)
+		}
+		d.stop(t)
+		for j := range events {
+			events[j].FirstSeen, events[j].LastSeen = time.Time{}, time.Time{}
+		}
+		if len(events) == 0 || events[0].Txns[0].HoldsAt == "" {
+			t.Fatalf("-format %s stored %d events, the first without its holds", c.format, len(events))
+		}
+		if bodies[i], err = json.MarshalIndent(events, "", " "); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("events ingested from the report:\n%s\nfrom the traces:\n%s", bodies[1], bodies[0])
+	}
+}
+
 // TestDaemonObserverRetainsNothing re-analyzes one corpus 20 times
 // through the daemon's own wiring — newHistoryServer's Analyze with
 // newDaemonObserver's observer, as every POST /ingest does. A daemon has

@@ -51,22 +51,3 @@ type Expectation struct {
 	Fix   string // e.g. "f1: Use correct ORM operation"
 	Table string // the conflict table identifying the deadlock
 }
-
-// RunPrefix executes the first n unit tests natively (ModeOff), rebuilding
-// the database state a later test's trace was collected against — the
-// replay framework uses it before reproducing a reported deadlock.
-func RunPrefix(tests []UnitTest, n int) error {
-	if n > len(tests) {
-		n = len(tests)
-	}
-	for _, ut := range tests[:n] {
-		e := concolic.New(concolic.ModeOff)
-		e.StartConcolic(ut.Name)
-		err := ut.Run(e)
-		e.EndConcolic()
-		if err != nil {
-			return fmt.Errorf("appkit: replaying %s: %w", ut.Name, err)
-		}
-	}
-	return nil
-}

@@ -231,35 +231,41 @@ func (l *Log) Append(rec []byte) error {
 const RewriteSuffix = ".rewrite"
 
 // Rewrite replaces the log at path with a new one holding what fill
-// appends. The new log is written to path+RewriteSuffix (a leftover from
-// an interrupted rewrite is discarded first), synced, and renamed over
-// path, so a crash leaves either the old log or the new one whole.
-func Rewrite(path string, fill func(*Log) error) error {
+// appends and returns it, positioned for appending. The new log is written
+// to path+RewriteSuffix (a leftover from an interrupted rewrite is
+// discarded first), synced, and renamed over path, so a crash leaves
+// either the old log or the new one whole. An error before the rename
+// returns no log and leaves path as it was; after it, path names the
+// returned log, which comes back too when the directory sync that makes
+// the rename durable fails.
+func Rewrite(path string, fill func(*Log) error) (*Log, error) {
 	tmp := path + RewriteSuffix
 	if err := os.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
+		return nil, err
 	}
 	l, err := OpenLog(tmp, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	err = fill(l)
-	if cerr := l.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = l.Sync()
 	}
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
+		l.f.Close()
 		os.Remove(tmp) // best effort: the next Rewrite discards it too
-		return err
+		return nil, err
 	}
+	l.path = path
 	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
+	if err == nil {
+		err = dir.Sync()
+		dir.Close()
 	}
-	defer dir.Close()
-	return dir.Sync() // makes the rename durable
+	return l, err
 }
 
 // Sync flushes appended records to stable storage.

@@ -245,8 +245,8 @@ func TestLogAppendRefusesOversized(t *testing.T) {
 }
 
 // TestLogRewrite: Rewrite replaces the log with what fill appends, over a
-// leftover temp file of an interrupted rewrite, and a fill that fails
-// leaves the old log and no temp file.
+// leftover temp file of an interrupted rewrite, and returns it open for
+// appending at path; a fill that fails leaves the old log and no temp file.
 func TestLogRewrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rewrite.wal")
 	l, _ := openCollect(t, path)
@@ -261,17 +261,28 @@ func TestLogRewrite(t *testing.T) {
 	if err := os.WriteFile(path+RewriteSuffix, []byte("leftover"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Rewrite(path, func(l *Log) error { return l.Append([]byte("new")) }); err != nil {
+	l, err := Rewrite(path, func(l *Log) error { return l.Append([]byte("new")) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, frames("new")) {
 		t.Fatalf("rewritten log %x, want %x", got, frames("new"))
 	}
-	refused := errors.New("fill refused")
-	if err := Rewrite(path, func(l *Log) error { return refused }); !errors.Is(err, refused) {
-		t.Fatalf("Rewrite with a failing fill: %v", err)
+	if err := l.Append([]byte("appended")); err != nil {
+		t.Fatal(err)
 	}
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, frames("new")) {
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := frames("new", "appended")
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) || l.Size() != int64(len(want)) {
+		t.Fatalf("log after an append to the rewritten one %x (size %d), want %x", got, l.Size(), want)
+	}
+	refused := errors.New("fill refused")
+	if l, err := Rewrite(path, func(l *Log) error { return refused }); !errors.Is(err, refused) || l != nil {
+		t.Fatalf("Rewrite with a failing fill: %v, %v", l, err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
 		t.Fatal("a failed rewrite changed the log")
 	}
 	if _, err := os.Stat(path + RewriteSuffix); !errors.Is(err, os.ErrNotExist) {

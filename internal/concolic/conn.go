@@ -3,6 +3,7 @@ package concolic
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"weseer/internal/minidb"
@@ -177,13 +178,19 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 	seq := c.e.stmtSeq
 	if rs.Cols != nil {
 		rows = &Rows{Cols: rs.Cols, Cells: make([]Value, 0, len(rs.Rows)*len(rs.Cols))}
+		var names string // the aliases still to hand out
+		if c.e.concolic() {
+			names = aliases(seq, rs)
+		}
 		for ri, row := range rs.Rows {
+			var buf [32]byte
+			pre := len(aliasPrefix(buf[:0], seq, ri))
 			for ci, d := range row {
 				v := valueOf(d)
 				if c.e.concolic() && !d.Null {
-					// Symbolic alias for fetched database state, e.g.
-					// "res4.row0.p.ID" (Fig. 3).
-					v.S = smt.NewVar("res"+strconv.Itoa(seq)+".row"+strconv.Itoa(ri)+"."+rs.Cols[ci], v.C.S)
+					n := pre + len(rs.Cols[ci])
+					v.S = smt.NewVar(names[:n], v.C.S)
+					names = names[n:]
 				}
 				rows.Cells = append(rows.Cells, v)
 			}
@@ -246,6 +253,42 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 		c.e.stmtSeq++
 	}
 	return rows, nil
+}
+
+// aliases returns the symbolic aliases of rs's non-NULL cells for fetched
+// database state, e.g. "res4.row0.p.ID" (Fig. 3), back to back in
+// row-major order in one string: a result costs one allocation, not one
+// a cell.
+func aliases(seq int, rs *minidb.ResultSet) string {
+	var buf [32]byte
+	size := 0
+	for ri, row := range rs.Rows {
+		pre := len(aliasPrefix(buf[:0], seq, ri))
+		for ci, d := range row {
+			if !d.Null {
+				size += pre + len(rs.Cols[ci])
+			}
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for ri, row := range rs.Rows {
+		pre := aliasPrefix(buf[:0], seq, ri)
+		for ci, d := range row {
+			if !d.Null {
+				b.Write(pre)
+				b.WriteString(rs.Cols[ci])
+			}
+		}
+	}
+	return b.String()
+}
+
+// aliasPrefix appends what the aliases of row ri of statement seq's
+// result start with, "res4.row0.", to dst.
+func aliasPrefix(dst []byte, seq, ri int) []byte {
+	dst = strconv.AppendInt(append(dst, "res"...), int64(seq), 10)
+	return append(strconv.AppendInt(append(dst, ".row"...), int64(ri), 10), '.')
 }
 
 // datumOf converts a concolic value to a database datum.

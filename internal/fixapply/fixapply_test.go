@@ -94,7 +94,7 @@ func rowsSnapshot(a *appgen.App) string {
 func runConcrete(t *testing.T, a *appgen.App) {
 	t.Helper()
 	tests := a.UnitTests()
-	if err := appkit.RunPrefix(tests, len(tests)); err != nil {
+	if _, err := appkit.Collect(tests, concolic.ModeOff); err != nil {
 		t.Fatalf("%s: concrete run: %v", a.Name(), err)
 	}
 }

@@ -3,6 +3,7 @@ package history
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -129,60 +130,12 @@ func frameKinds(t *testing.T, path string) map[byte]int {
 	return kinds
 }
 
-// TestV1LogMigrates: Open rewrites a version-1 log as a version-2 one —
-// definitions and events only, touches folded in — that answers the
-// three queries byte for byte as the version-1 store did; a second Open
-// reads it as it is; and a leftover temp file of an interrupted rewrite
-// changes neither.
-func TestV1LogMigrates(t *testing.T) {
-	want := readGolden(t, "legacy_http.golden")
-	path := filepath.Join(t.TempDir(), "history.wal")
-	if err := os.WriteFile(path, readGolden(t, "v1.wal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	leftover := func() {
-		if err := os.WriteFile(path+btree.RewriteSuffix, []byte("an interrupted rewrite"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	leftover()
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := historyBodies(t, s); !bytes.Equal(got, want) {
-		t.Fatalf("migrated bodies differ from the version-1 store's:\n%s\nwant:\n%s", got, want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if kinds := frameKinds(t, path); kinds[recEvent] != 4 || kinds[recTouch] != 0 || kinds[recDef] == 0 {
-		t.Fatalf("migrated log holds records of kinds %v, want 4 events, defs and no touch", kinds)
-	}
-	v2, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	leftover()
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := historyBodies(t, s2); !bytes.Equal(got, want) {
-		t.Fatalf("bodies after the second open differ:\n%s\nwant:\n%s", got, want)
-	}
-	if again, _ := os.ReadFile(path); !bytes.Equal(again, v2) {
-		t.Fatal("the second open rewrote the migrated log")
-	}
-}
-
-// TestForeignLogRefused: a file Open cannot read as either format — a
-// version-1 log with a JSON payload, as the store before the binary codec
-// wrote, a headerless file without one intact version-1 frame, a version-2
-// log with a record that does not decode, a log of an unknown version —
-// fails to open and is left byte for byte as it was.
+// TestForeignLogRefused: a file Open cannot read — a valid version-1 log,
+// one with a JSON payload, as the store before the binary codec wrote, a
+// headerless file without one intact version-1 frame, a version-2 log with
+// a record that does not decode, a log of an unknown version — fails to
+// open and is left byte for byte as it was. A file without the version-2
+// header is refused as a *btree.FormatError.
 func TestForeignLogRefused(t *testing.T) {
 	v1 := readGolden(t, "v1.wal")
 	firstV1 := v1[:8+binary.LittleEndian.Uint32(v1)]
@@ -207,15 +160,21 @@ func TestForeignLogRefused(t *testing.T) {
 		"undecodable":    v2,
 		"version 3":      append([]byte("WSLG\x03\x00\x00\x00"), v2[8:]...),
 		"version-1 head": v1[:40],
+		"version 1":      v1,
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "history.wal")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if s, err := Open(path); err == nil {
+			s, err := Open(path)
+			if err == nil {
 				s.Close()
 				t.Fatal("opened")
+			}
+			var fe *btree.FormatError
+			if foreign := !bytes.HasPrefix(data, v2[:8]); foreign != errors.As(err, &fe) {
+				t.Fatalf("refused with %v, want a *btree.FormatError exactly for a file without the version-2 header", err)
 			}
 			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
 				t.Fatalf("the refused open changed the log: %d bytes, was %d", len(after), len(data))
@@ -335,9 +294,9 @@ func TestOpenFailsOnBadRecord(t *testing.T) {
 // queryable byte of the live store, and the three /history/* bodies, with
 // the reopened one and with a second reopen, on its own and behind enough
 // new events that its replay spans several of Open's batches. On its own
-// the sequence leaves more touch records than event records, so the first
-// reopen folds the touches into the events (a compaction) and the second
-// reads the rewritten log; behind the prefill neither rewrites the log.
+// the sequence re-sights more than it stores, so its ingests compact the
+// log while the store is live; behind the prefill none does. Neither
+// reopen changes a byte of the log.
 func TestReplayEqualsLiveRandom(t *testing.T) {
 	for _, prefill := range []int{0, 5 * benchBatch} {
 		t.Run(fmt.Sprintf("prefill=%d", prefill), func(t *testing.T) { replayEqualsLive(t, prefill) })
@@ -358,7 +317,7 @@ func replayEqualsLive(t *testing.T, prefill int) {
 			t.Fatal(err)
 		}
 	}
-	received := 0
+	received, compactions := 0, 0
 	for i := 0; i < 300; i++ {
 		batch := make([]Event, 1+rng.Intn(8))
 		for j := range batch {
@@ -368,9 +327,20 @@ func replayEqualsLive(t *testing.T, prefill int) {
 			batch = append(batch, batch[0])
 		}
 		received += len(batch)
-		if _, err := s.Ingest(batch); err != nil {
+		touches := s.touches
+		sum, err := s.Ingest(batch)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if s.touches != touches+sum.Deduped {
+			compactions++
+		}
+		if s.touches > len(s.byOrd) {
+			t.Fatalf("ingest %d left %d touch records over %d event records", i, s.touches, len(s.byOrd))
+		}
+	}
+	if (compactions > 0) != (prefill == 0) {
+		t.Fatalf("the sequence compacted the log %d times; want compactions only without the prefill", compactions)
 	}
 	if n := s.Len() - prefill; s.Patterns().Sightings-prefill != received || n < 100 || n == received {
 		t.Fatalf("sequence stored %d events over %d sightings of %d received", n, s.Patterns().Sightings-prefill, received)
@@ -387,10 +357,9 @@ func replayEqualsLive(t *testing.T, prefill int) {
 		}
 		return raw
 	}
-	kinds := frameKinds(t, path)
-	if compacts := kinds[recTouch] > kinds[recEvent]; compacts != (prefill == 0) {
-		t.Fatalf("the log holds %d touch and %d event records; want more touches only without the prefill",
-			kinds[recTouch], kinds[recEvent])
+	if kinds := frameKinds(t, path); kinds[recTouch] != s.touches || kinds[recEvent] != len(s.byOrd) {
+		t.Fatalf("the log holds %d touch and %d event records, the store counted %d and %d",
+			kinds[recTouch], kinds[recEvent], s.touches, len(s.byOrd))
 	}
 	written := readLog()
 	reopen := func(stage string) *Store {
@@ -410,17 +379,10 @@ func replayEqualsLive(t *testing.T, prefill int) {
 	if err := reopen("the first reopen").Close(); err != nil {
 		t.Fatal(err)
 	}
-	rewritten := readLog()
-	if prefill == 0 && (frameKinds(t, path)[recTouch] != 0 || len(rewritten) >= len(written)) {
-		t.Fatalf("the reopen left touch records in a log of %d bytes, was %d", len(rewritten), len(written))
-	}
-	if prefill != 0 && !bytes.Equal(rewritten, written) {
-		t.Fatal("a reopen rewrote a log with fewer touches than events")
-	}
 	s2 := reopen("the second reopen")
 	defer s2.Close()
-	if !bytes.Equal(readLog(), rewritten) {
-		t.Fatal("the second reopen rewrote the log")
+	if !bytes.Equal(readLog(), written) {
+		t.Fatal("a reopen rewrote the log")
 	}
 
 	// The memory half of the codec: equal strings of different events are

@@ -12,11 +12,11 @@
 // embedded, stdlib-only append-only event store over internal/btree: a
 // WAL-style record log (btree.Log, crash-safe reload with torn-tail
 // truncation; strings written once, in a dictionary; rewritten whole only
-// by Open) is the single source of truth, and the in-memory indexes —
-// a map of events by fingerprint, plus incrementally maintained
-// per-table / per-class / per-API-pair pattern rollups — are rebuilt by
-// replaying it, so live state and reloaded state are identical by
-// construction. Ingest is idempotent by fingerprint: re-ingesting a
+// when Ingest compacts it) is the single source of truth, and the
+// in-memory indexes — a map of events by fingerprint, plus incrementally
+// maintained per-table / per-class / per-API-pair pattern rollups — are
+// rebuilt by replaying it, so live state and reloaded state are identical
+// by construction. Ingest is idempotent by fingerprint: re-ingesting a
 // corpus appends lightweight "touch" records (last-seen, sighting
 // counts) instead of duplicating events.
 package history
@@ -100,6 +100,7 @@ var ErrInvalidEvent = errors.New("history: invalid event")
 // use; queries take a read lock, ingest a write lock.
 type Store struct {
 	mu     sync.RWMutex
+	path   string
 	log    *btree.Log
 	events map[string]*entry // fingerprint → event
 	// byOrd holds the event records in log order: a touch's ordinal
@@ -140,34 +141,6 @@ func WithClock(now func() time.Time) StoreOption {
 // goroutine at a time.
 const replayBatch = 1024
 
-// Open opens (creating if absent) the store at path, replaying the
-// record log to rebuild the event index and pattern rollups. A torn
-// final record from a crash mid-append is dropped and truncated away. The
-// first record that fails to decode or apply fails Open, named by its
-// offset, with the file left as it was. Open rewrites the log
-// (btree.Rewrite) and replays the new one when it is of the format before
-// the dictionary (see readV1) or its touch records outnumber its event
-// records, which the rewrite folds into the events.
-func Open(path string, opts ...StoreOption) (*Store, error) {
-	s, err := openLog(path, opts)
-	var fe *btree.FormatError
-	switch {
-	case errors.As(err, &fe) && fe.Version == 0:
-		s, err = readV1(path, opts)
-	case err == nil && s.touches > len(s.byOrd):
-		err = s.log.Close()
-	default:
-		return s, err
-	}
-	if err == nil {
-		err = btree.Rewrite(path, s.writeSnapshot)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return openLog(path, opts)
-}
-
 func newStore(opts []StoreOption) *Store {
 	s := &Store{
 		events: map[string]*entry{},
@@ -183,9 +156,15 @@ func newStore(opts []StoreOption) *Store {
 	return s
 }
 
-// openLog replays the log at path. The log's reader decodes each record
-// while a second goroutine applies the ones before it in log order.
-func openLog(path string, opts []StoreOption) (*Store, error) {
+// Open opens (creating if absent) the store at path, replaying the
+// record log to rebuild the event index and pattern rollups: the log's
+// reader decodes each record while a second goroutine applies the ones
+// before it in log order. A torn final record from a crash mid-append is
+// dropped and truncated away. A file that is not a log of this format
+// fails Open with a *btree.FormatError, and the first record that fails
+// to decode or apply fails it named by its offset; either way the file is
+// left as it was.
+func Open(path string, opts ...StoreOption) (*Store, error) {
 	s := newStore(opts)
 	type frame struct {
 		off int64
@@ -233,8 +212,39 @@ func openLog(path string, opts []StoreOption) (*Store, error) {
 		_ = finish() // stops the applier if the open failed before replay ended; err is the verdict
 		return nil, err
 	}
-	s.log = log
+	s.path, s.log = path, log
 	return s, nil
+}
+
+// compact rewrites the log from memory (btree.Rewrite) and goes on
+// appending to the new one, whose event records are the store's events in
+// log order, each once: the ordinals of byOrd and byTable are renumbered
+// past any duplicate event record the old log held. What the store
+// answers does not change, and neither does its version.
+func (s *Store) compact() error {
+	l, err := btree.Rewrite(s.path, s.writeSnapshot)
+	if l == nil {
+		return err
+	}
+	s.log.Close() // the replaced file: every record of it is in l
+	s.log, s.touches = l, 0
+	if len(s.byOrd) > len(s.events) {
+		ords := make([]int32, len(s.byOrd)) // old ordinal → new
+		kept := s.byOrd[:0]
+		for i, e := range s.byOrd {
+			if e.ord == i { // a duplicate's entry is renumbered already, to below i
+				ords[i], e.ord = int32(len(kept)), len(kept)
+				kept = append(kept, e)
+			}
+		}
+		s.byOrd = kept
+		for _, list := range s.byTable {
+			for j, ord := range list {
+				list[j] = ords[ord]
+			}
+		}
+	}
+	return err
 }
 
 // writeSnapshot appends the store's state to l: the dictionary, then one
@@ -471,7 +481,9 @@ var maxRecord = btree.MaxLogRecord
 // whole batch with ErrInvalidEvent, and one whose record would pass the
 // log's size limit with btree.ErrRecordTooLarge, before anything is
 // written. Ingest neither modifies events nor keeps a reference into it:
-// what the store holds is decoded from the bytes it appended.
+// what the store holds is decoded from the bytes it appended. When the
+// log's touch records then outnumber its event records, Ingest compacts
+// it; an error of the compaction comes with the summary of a stored batch.
 func (s *Store) Ingest(events []Event) (IngestSummary, error) {
 	sum := IngestSummary{Received: len(events)}
 	for i := range events {
@@ -529,7 +541,13 @@ func (s *Store) Ingest(events []Event) (IngestSummary, error) {
 		}
 	}
 	sum.Events = len(s.events)
-	return sum, s.log.Sync()
+	if err := s.log.Sync(); err != nil {
+		return sum, err
+	}
+	if s.touches > len(s.byOrd) {
+		return sum, s.compact()
+	}
+	return sum, nil
 }
 
 // EventQuery filters Events. Zero values match everything.
@@ -718,31 +736,30 @@ func FromResult(res *core.Result, app string, classify func(*core.Deadlock) stri
 		if classify != nil {
 			class = classify(d)
 		}
-		c := d.Cycle
-		e := Event{
+		out = append(out, Event{
 			Fingerprint: fp,
 			App:         app,
 			Class:       class,
 			APIs:        d.APIs,
-			Tables:      []string{c.Table1, c.Table2},
+			Tables:      []string{d.Cycle.Table1, d.Cycle.Table2},
+			Txns:        Txns(d),
 			Count:       d.Count,
+		})
+		byFP[fp] = len(out) - 1
+	}
+	return out
+}
+
+// Txns returns each transaction's side of d's cycle: the statement
+// whose lock it holds and the one it waits at, each with its triggering
+// code location. A side whose statements the cycle lacks is zero.
+func Txns(d *core.Deadlock) [2]TxnLock {
+	var out [2]TxnLock
+	c := d.Cycle
+	for i, s := range [2][2]*trace.Stmt{{c.S1a, c.S1b}, {c.S2a, c.S2b}} {
+		if s[0] != nil && s[1] != nil {
+			out[i] = TxnLock{API: d.APIs[i], HoldsSQL: s[0].SQL, HoldsAt: locOf(s[0]), WaitsSQL: s[1].SQL, WaitsAt: locOf(s[1])}
 		}
-		if c.S1a != nil && c.S1b != nil {
-			e.Txns[0] = TxnLock{
-				API:      d.APIs[0],
-				HoldsSQL: c.S1a.SQL, HoldsAt: locOf(c.S1a),
-				WaitsSQL: c.S1b.SQL, WaitsAt: locOf(c.S1b),
-			}
-		}
-		if c.S2a != nil && c.S2b != nil {
-			e.Txns[1] = TxnLock{
-				API:      d.APIs[1],
-				HoldsSQL: c.S2a.SQL, HoldsAt: locOf(c.S2a),
-				WaitsSQL: c.S2b.SQL, WaitsAt: locOf(c.S2b),
-			}
-		}
-		byFP[fp] = len(out)
-		out = append(out, e)
 	}
 	return out
 }

@@ -572,7 +572,9 @@ func TestMemoFollowsStore(t *testing.T) {
 // TestMemoConcurrentIngest: readers query all three routes while batches
 // are ingested, and after each ingest every route answers what a fresh
 // Server renders — a reader may still be rendering, but none filed a body
-// rendered before the ingest under the version that followed it. Run it
+// rendered before the ingest under the version that followed it. Each
+// batch of new events is followed by two re-sightings of every stored
+// one, the second of which compacts the log under the readers. Run it
 // under -race.
 func TestMemoConcurrentIngest(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "history.wal"))
@@ -605,17 +607,26 @@ func TestMemoConcurrentIngest(t *testing.T) {
 			}
 		}()
 	}
-	pool := benchBatches(benchBatch)[0]
+	pool, compactions := benchBatches(benchBatch)[0][:400], 0
 	for i := 0; i < len(pool); i += 50 {
-		if _, err := s.Ingest(pool[i : i+50]); err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range queries {
-			got, want := get(mux, http.MethodGet, q), get(routesMux(&Server{Store: s}), http.MethodGet, q)
-			if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-				t.Fatalf("GET %s after ingest %d: served a stale body", q, i/50+1)
+		for _, batch := range [][]Event{pool[i : i+50], pool[:i+50], pool[:i+50]} {
+			size := s.Size()
+			if _, err := s.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+			if s.Size() < size {
+				compactions++
+			}
+			for _, q := range queries {
+				got, want := get(mux, http.MethodGet, q), get(routesMux(&Server{Store: s}), http.MethodGet, q)
+				if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+					t.Fatalf("GET %s after %d events: served a stale body", q, i+50)
+				}
 			}
 		}
+	}
+	if compactions != len(pool)/50 {
+		t.Fatalf("%d of %d ingest rounds compacted the log", compactions, len(pool)/50)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestCatalogReproducesDeadlocked(t *testing.T) {
 				tried[id]++
 				fresh := openCatalogApp(t, name)
 				tests := fresh.UnitTests()
-				if err := appkit.RunPrefix(tests, prefixLen(tests, d.APIs[0], d.APIs[1])); err != nil {
+				if _, err := appkit.Collect(tests[:prefixLen(tests, d.APIs[0], d.APIs[1])], concolic.ModeOff); err != nil {
 					t.Fatalf("%s %s: rebuild state: %v", name, id, err)
 				}
 				out := Reproduce(fresh.DB(), d.Cycle)

@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"weseer/internal/apps/appkit"
+	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
 	"weseer/internal/trace"
@@ -70,10 +71,10 @@ type Outcome struct {
 
 // Reproduce attempts to trigger the reported cycle on db, which must hold
 // the state the traces were collected against (rebuild it by re-running
-// the unit-test sequence; see appkit.RunPrefix). It runs S1a, S2a, S1b and
-// S2b in that order and classifies the outcome from the lock manager's
-// answers. Both transactions are rolled back before returning, so the
-// database state is preserved.
+// the unit tests before the traces' own: appkit.Collect in ModeOff). It
+// runs S1a, S2a, S1b and S2b in that order and classifies the outcome
+// from the lock manager's answers. Both transactions are rolled back
+// before returning, so the database state is preserved.
 func Reproduce(db *minidb.DB, cyc core.Cycle) Outcome {
 	t1, t2 := db.Begin(), db.Begin()
 	defer t1.Rollback()
@@ -119,8 +120,7 @@ func ReproduceReport(res *core.Result, mkState func() (*minidb.DB, []appkit.Unit
 		db, tests := mkState()
 		// Rebuild state up to the earlier of the two involved traces so
 		// the recorded concrete keys refer to live rows.
-		n := prefixLen(tests, d.APIs[0], d.APIs[1])
-		if err := appkit.RunPrefix(tests, n); err != nil {
+		if _, err := appkit.Collect(tests[:prefixLen(tests, d.APIs[0], d.APIs[1])], concolic.ModeOff); err != nil {
 			out[i] = Outcome{Status: SetupFailed, Detail: err.Error()}
 			continue
 		}

@@ -48,7 +48,7 @@ func TestReproduceD1(t *testing.T) {
 			continue
 		}
 		db, tests := mkState()
-		if err := appkit.RunPrefix(tests, prefixLen(tests, d.APIs[0], d.APIs[1])); err != nil {
+		if _, err := appkit.Collect(tests[:prefixLen(tests, d.APIs[0], d.APIs[1])], concolic.ModeOff); err != nil {
 			t.Fatal(err)
 		}
 		out := Reproduce(db, d.Cycle)
@@ -101,7 +101,7 @@ func TestStatePreserved(t *testing.T) {
 	}
 	db, tests := mkState()
 	d := res.Deadlocks[0]
-	if err := appkit.RunPrefix(tests, prefixLen(tests, d.APIs[0], d.APIs[1])); err != nil {
+	if _, err := appkit.Collect(tests[:prefixLen(tests, d.APIs[0], d.APIs[1])], concolic.ModeOff); err != nil {
 		t.Fatal(err)
 	}
 	before := db.StatsSnapshot().Commits

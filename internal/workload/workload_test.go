@@ -177,7 +177,7 @@ func TestStoragePinned(t *testing.T) {
 					t.Fatalf("call %d: %v", i, err)
 				}
 			}
-		} else if err := appkit.RunPrefix(app.UnitTests(), len(app.UnitTests())); err != nil {
+		} else if _, err := appkit.Collect(app.UnitTests(), concolic.ModeOff); err != nil {
 			t.Fatal(err)
 		}
 		h := sha256.New()

@@ -329,6 +329,20 @@ cmp -s "$servedir/patterns.before" "$servedir/patterns.after" || {
     diff "$servedir/patterns.before" "$servedir/patterns.after" | head >&2
     exit 1
 }
+# A version-1 store (no file header) is refused, not read or rewritten:
+# serve must exit non-zero before the timeout (status 124 is a daemon
+# that came up) and leave the file byte for byte as it was.
+cp internal/history/testdata/v1.wal "$servedir/v1.wal"
+status=0
+timeout 10 "$servedir/weseer" serve -store "$servedir/v1.wal" -addr 127.0.0.1:0 >/dev/null 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "serve smoke: serve did not refuse a version-1 store (exit $status)" >&2
+    exit 1
+fi
+cmp -s internal/history/testdata/v1.wal "$servedir/v1.wal" || {
+    echo "serve smoke: serve changed a version-1 store it refused" >&2
+    exit 1
+}
 
 # Relocated checkout: trigger locations, and the fingerprints hashed from
 # them, name source files relative to the module root, so a copy of the
