@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,6 +28,7 @@ import (
 	"time"
 
 	"weseer/internal/apps"
+	"weseer/internal/btree"
 	"weseer/internal/core"
 	"weseer/internal/history"
 	"weseer/internal/obs"
@@ -45,6 +47,10 @@ func cmdServe(args []string) error {
 	parseArgs(fs, args)
 
 	st, err := history.Open(*store)
+	var fe *btree.FormatError
+	if errors.As(err, &fe) {
+		return fmt.Errorf("open store: %w; it is left as it was: start on a new -store and re-ingest (a version-1 store is not read)", err)
+	}
 	if err != nil {
 		return fmt.Errorf("open store: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -15,6 +16,7 @@ import (
 
 	"weseer/internal/apps"
 	"weseer/internal/apps/appkit"
+	"weseer/internal/btree"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/history"
@@ -448,5 +450,27 @@ func TestServeRejectsMalformedTraces(t *testing.T) {
 			t.Errorf("%s: %s %s, want a 4xx naming %q", c.name, resp.Status, body, c.want)
 		}
 		getBody(t, d.base+"/history/patterns")
+	}
+}
+
+// TestServeRefusesV1Store: serve on a version-1 store fails before it
+// listens, names the remedy (a new -store, re-ingested) and leaves the
+// file byte for byte as it was.
+func TestServeRefusesV1Store(t *testing.T) {
+	want, err := os.ReadFile("../../internal/history/testdata/v1.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.wal")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdServe([]string{"-store", path, "-addr", "127.0.0.1:0"})
+	var fe *btree.FormatError
+	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "start on a new -store and re-ingest") {
+		t.Errorf("serve on a version-1 store: %v, want a format error naming the remedy", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("serve changed the version-1 store it refused (read error %v)", err)
 	}
 }

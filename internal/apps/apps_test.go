@@ -373,19 +373,25 @@ func TestCanonicalOrderOnDemand(t *testing.T) {
 }
 
 // TestParentTraceFileStillAnalyses: a trace file written before path
-// conditions lost their code location (every one carries a "loc" key the
-// decoder no longer knows) decodes, and analyses to the report the commit
-// that wrote it produced — internal/trace/testdata/parent_with_loc.json
-// is `weseer collect` of the spec below at that commit, the golden its
-// report without timings.
+// conditions lost their code location and statements their unread facts
+// (it carries "loc", "txn" and result "concrete" keys the decoder no
+// longer knows, and a "sent" on every statement) decodes, and analyses to
+// the report the commit that wrote it produced —
+// internal/trace/testdata/parent_with_loc.json is `weseer collect` of the
+// spec below at that commit, the golden its report without timings.
 func TestParentTraceFileStillAnalyses(t *testing.T) {
 	const fixture = "../trace/testdata/parent_with_loc"
 	data, err := os.ReadFile(fixture + ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"loc": {`) {
-		t.Fatal("fixture carries no path-condition location: not a pre-change trace file")
+	for _, key := range []string{`"loc": {`, `"txn": `, `"concrete": [`} {
+		if !strings.Contains(string(data), key) {
+			t.Fatalf("fixture carries no %s key: not a pre-change trace file", key)
+		}
+	}
+	if strings.Count(string(data), `"sent": `) != strings.Count(string(data), `"seq": `) {
+		t.Fatal("fixture lacks a sent site on some statement: not a pre-change trace file")
 	}
 	var traces []*trace.Trace
 	if err := json.Unmarshal(data, &traces); err != nil {

@@ -180,12 +180,14 @@ func TestF3MovesSelectToSeparateTxn(t *testing.T) {
 	_, fixed := collect(t, "all")
 	locate := func(tr *trace.Trace) (selTxn, insTxn int) {
 		selTxn, insTxn = -1, -1
-		for _, s := range stmtsOf(tr) {
-			if s.Parsed.Kind() == sqlast.KindSelect && len(s.Parsed.Tables()) == 1 && s.Parsed.Tables()[0] == "OrderItem" {
-				selTxn = s.TxnID
-			}
-			if s.Parsed.Kind() == sqlast.KindInsert && s.Parsed.WriteTable() == "OrderItem" {
-				insTxn = s.TxnID
+		for _, txn := range tr.Txns {
+			for _, s := range txn.Stmts {
+				if s.Parsed.Kind() == sqlast.KindSelect && len(s.Parsed.Tables()) == 1 && s.Parsed.Tables()[0] == "OrderItem" {
+					selTxn = txn.ID
+				}
+				if s.Parsed.Kind() == sqlast.KindInsert && s.Parsed.WriteTable() == "OrderItem" {
+					insTxn = txn.ID
+				}
 			}
 		}
 		return

@@ -69,6 +69,7 @@ var ErrRecordTooLarge = errors.New("btree: log record exceeds the size limit")
 // concurrent use.
 type Log struct {
 	f     *os.File
+	w     io.Writer // where Append writes: f, or Rewrite's buffer over it
 	path  string
 	size  int64  // bytes of intact, replayed frames
 	frame []byte // Append's frame buffer, reused
@@ -110,7 +111,7 @@ func OpenLogFrames(path string, replay func(off int64, rec []byte) error, done f
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{f: f, path: path}
+	l := &Log{f: f, w: f, path: path}
 	err = l.readHeader()
 	if err == nil {
 		err = l.replayAll(replay, done)
@@ -210,7 +211,9 @@ func (l *Log) replayError(off int64, err error) error {
 }
 
 // Append writes one record. The frame is written with a single Write
-// call so a crash tears at most the final record.
+// call so a crash tears at most the final record; inside Rewrite's fill
+// it goes to a buffer instead, since a crash there loses the whole
+// replacement anyway.
 func (l *Log) Append(rec []byte) error {
 	if len(rec) > maxLogRecord {
 		return fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, len(rec), maxLogRecord)
@@ -219,7 +222,7 @@ func (l *Log) Append(rec []byte) error {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
 	binary.LittleEndian.PutUint32(hdr[4:8], logChecksum(rec))
 	l.frame = append(append(l.frame[:0], hdr[:]...), rec...)
-	if _, err := l.f.Write(l.frame); err != nil {
+	if _, err := l.w.Write(l.frame); err != nil {
 		return err
 	}
 	l.size += int64(len(l.frame))
@@ -233,11 +236,11 @@ const RewriteSuffix = ".rewrite"
 // Rewrite replaces the log at path with a new one holding what fill
 // appends and returns it, positioned for appending. The new log is written
 // to path+RewriteSuffix (a leftover from an interrupted rewrite is
-// discarded first), synced, and renamed over path, so a crash leaves
-// either the old log or the new one whole. An error before the rename
-// returns no log and leaves path as it was; after it, path names the
-// returned log, which comes back too when the directory sync that makes
-// the rename durable fails.
+// discarded first) through one buffer, flushed, synced, and renamed over
+// path, so a crash leaves either the old log or the new one whole. An
+// error before the rename returns no log and leaves path as it was; after
+// it, path names the returned log, which comes back too when the
+// directory sync that makes the rename durable fails.
 func Rewrite(path string, fill func(*Log) error) (*Log, error) {
 	tmp := path + RewriteSuffix
 	if err := os.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -247,7 +250,13 @@ func Rewrite(path string, fill func(*Log) error) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	buf := bufio.NewWriterSize(l.f, 1<<16)
+	l.w = buf
 	err = fill(l)
+	l.w = l.f
+	if err == nil {
+		err = buf.Flush()
+	}
 	if err == nil {
 		err = l.Sync()
 	}

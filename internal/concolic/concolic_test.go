@@ -384,7 +384,7 @@ func TestStmtSeqOrdering(t *testing.T) {
 			t.Errorf("stmt %d seq = %d", i, s.Seq)
 		}
 	}
-	if all[0].TxnID == all[2].TxnID {
+	if len(tr.Txns) != 2 || tr.Txns[0].ID == tr.Txns[1].ID {
 		t.Error("transactions share an ID")
 	}
 }

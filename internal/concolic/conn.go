@@ -134,10 +134,10 @@ func (r *Rows) Get(row int, col string) Value {
 
 // Exec submits one statement template with concolic parameter values.
 // trigger is the application code responsible for the statement per the
-// Sec. VI ORM-aware mapping, sent where it was physically submitted (the
-// flush site of a write-behind statement). The ORM walks the stack once
-// per operation and passes both, so Exec walks none: a zero sent means the
-// trigger site, and only a zero trigger makes it capture its own call site.
+// Sec. VI ORM-aware mapping; sent is the flush site of a write-behind
+// statement, zero for one sent where it was triggered, and is recorded as
+// given. The ORM walks the stack once per operation and passes both, so
+// Exec walks none: only a zero trigger makes it capture its own call site.
 // Outside an open transaction the statement runs in auto-commit mode
 // (its own single-statement transaction), as JDBC connections do.
 func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*Rows, error) {
@@ -201,16 +201,12 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 		if len(trigger.Frames) == 0 {
 			trigger = Here(2)
 		}
-		if len(sent.Frames) == 0 {
-			sent = trigger
-		}
 		// Plan records the engine's concrete execution plan (Sec. V-D future
 		// work): the analyzer can then model locks on exactly the indexes
 		// execution traverses. It is the database's slice for the template,
 		// shared by every statement recorded from it.
 		rec := &trace.Stmt{
 			Seq:     seq,
-			TxnID:   c.cur.ID,
 			SQL:     sql,
 			Parsed:  st,
 			Plan:    c.db.Explain(st),
@@ -230,19 +226,16 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 			res := &trace.Result{Cols: rows.Cols, Empty: rows.Empty()}
 			if n := rows.Len(); n > 0 {
 				res.Sym = make([][]smt.Var, n)
-				res.Concrete = make([][]minidb.Datum, n)
 			}
 			for ri := range res.Sym {
 				row := rows.Row(ri)
 				syms := make([]smt.Var, len(row)) // a NULL cell keeps the zero Var: no alias
-				concs := make([]minidb.Datum, len(row))
 				for ci, v := range row {
 					if sv, ok := v.S.(smt.Var); ok {
 						syms[ci] = sv
 					}
-					concs[ci] = datumOf(v)
 				}
-				res.Sym[ri], res.Concrete[ri] = syms, concs
+				res.Sym[ri] = syms
 			}
 			rec.Res = res
 		}

@@ -38,7 +38,7 @@ func fig1Schema() *schema.Schema {
 
 func mkStmt(seq int, sql string, syms []smt.Expr, res *trace.Result) *trace.Stmt {
 	st := &trace.Stmt{
-		Seq: seq, TxnID: 1, SQL: sql, Parsed: sqlast.MustParse(sql),
+		Seq: seq, SQL: sql, Parsed: sqlast.MustParse(sql),
 		Trigger: trace.CodeLoc{Frames: []trace.Frame{{Func: "app.fn", File: "app.go", Line: 10 + seq}}},
 	}
 	for i, s := range syms {

@@ -158,7 +158,6 @@ func randTraces(rng *rand.Rand, traces, tables int) []*trace.Trace {
 							{Name: fmt.Sprintf("res%d.row0.t.V", seq), S: smt.SortInt},
 						}}})
 				}
-				st.TxnID = id
 				tr.Inputs = append(tr.Inputs, trace.Input{
 					Name: key.Name, Sort: smt.SortInt, Concrete: smt.IntValue(int64(seq + 1)),
 				})

@@ -47,14 +47,14 @@ func renameTrace(tr *trace.Trace, prefix string) *trace.Trace {
 func renameStmt(st *trace.Stmt, prefix string) *trace.Stmt {
 	f := func(s string) string { return prefix + s }
 	ns := &trace.Stmt{
-		Seq: st.Seq, TxnID: st.TxnID, SQL: st.SQL, Parsed: st.Parsed,
+		Seq: st.Seq, SQL: st.SQL, Parsed: st.Parsed,
 		Plan: st.Plan, Trigger: st.Trigger, Sent: st.Sent,
 	}
 	for _, p := range st.Params {
 		ns.Params = append(ns.Params, trace.Param{Sym: smt.Rename(p.Sym, f), Concrete: p.Concrete})
 	}
 	if st.Res != nil {
-		nr := &trace.Result{Cols: st.Res.Cols, Empty: st.Res.Empty, Concrete: st.Res.Concrete}
+		nr := &trace.Result{Cols: st.Res.Cols, Empty: st.Res.Empty}
 		for _, row := range st.Res.Sym {
 			nrow := make([]smt.Var, len(row))
 			for i, v := range row {

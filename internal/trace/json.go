@@ -341,13 +341,12 @@ type txnJSON struct {
 
 type stmtJSON struct {
 	Seq     int         `json:"seq"`
-	TxnID   int         `json:"txn"`
 	SQL     string      `json:"sql"`
 	Params  []paramJSON `json:"params,omitempty"`
 	Res     *resJSON    `json:"res,omitempty"`
 	Plan    []PlanStep  `json:"plan,omitempty"`
 	Trigger CodeLoc     `json:"trigger"`
-	Sent    CodeLoc     `json:"sent"`
+	Sent    *CodeLoc    `json:"sent,omitempty"` // write-behind statements only
 }
 
 type paramJSON struct {
@@ -356,10 +355,9 @@ type paramJSON struct {
 }
 
 type resJSON struct {
-	Cols     []string      `json:"cols"`
-	Sym      [][]*exprJSON `json:"sym"`
-	Concrete [][]datumJSON `json:"concrete"`
-	Empty    bool          `json:"empty"`
+	Cols  []string      `json:"cols"`
+	Sym   [][]*exprJSON `json:"sym"`
+	Empty bool          `json:"empty"`
 }
 
 type pcJSON struct {
@@ -376,7 +374,10 @@ func (tr *Trace) MarshalJSON() ([]byte, error) {
 	for _, txn := range tr.Txns {
 		tj := txnJSON{ID: txn.ID, Committed: txn.Committed}
 		for _, st := range txn.Stmts {
-			sj := stmtJSON{Seq: st.Seq, TxnID: st.TxnID, SQL: st.SQL, Plan: st.Plan, Trigger: st.Trigger, Sent: st.Sent}
+			sj := stmtJSON{Seq: st.Seq, SQL: st.SQL, Plan: st.Plan, Trigger: st.Trigger}
+			if len(st.Sent.Frames) > 0 {
+				sj.Sent = &st.Sent
+			}
 			for _, p := range st.Params {
 				sj.Params = append(sj.Params, paramJSON{Sym: encodeExpr(p.Sym), Concrete: encodeDatum(p.Concrete)})
 			}
@@ -388,13 +389,6 @@ func (tr *Trace) MarshalJSON() ([]byte, error) {
 						r = append(r, encodeExpr(v))
 					}
 					rj.Sym = append(rj.Sym, r)
-				}
-				for _, row := range st.Res.Concrete {
-					var r []datumJSON
-					for _, d := range row {
-						r = append(r, encodeDatum(d))
-					}
-					rj.Concrete = append(rj.Concrete, r)
 				}
 				sj.Res = rj
 			}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"weseer/internal/minidb"
 	"weseer/internal/smt"
 	"weseer/internal/sqlast"
 )
@@ -50,7 +49,10 @@ func (tr *Trace) fromJSON(in *traceJSON) error {
 			if err != nil {
 				return fmt.Errorf("trace: re-parsing %q: %w", sj.SQL, err)
 			}
-			st := &Stmt{Seq: sj.Seq, TxnID: sj.TxnID, SQL: sj.SQL, Parsed: parsed, Plan: sj.Plan, Trigger: sj.Trigger, Sent: sj.Sent}
+			st := &Stmt{Seq: sj.Seq, SQL: sj.SQL, Parsed: parsed, Plan: sj.Plan, Trigger: sj.Trigger}
+			if sj.Sent != nil {
+				st.Sent = *sj.Sent
+			}
 			for _, pj := range sj.Params {
 				var sym smt.Expr // nil: a concrete-only parameter
 				if pj.Sym != nil {
@@ -83,20 +85,6 @@ func (tr *Trace) fromJSON(in *traceJSON) error {
 						r = append(r, v)
 					}
 					res.Sym = append(res.Sym, r)
-				}
-				for _, row := range sj.Res.Concrete {
-					if len(row) != len(res.Cols) {
-						return fmt.Errorf("trace: result concrete row has %d cells for %d columns", len(row), len(res.Cols))
-					}
-					var r []minidb.Datum
-					for _, dj := range row {
-						d, err := decodeDatum(dj)
-						if err != nil {
-							return err
-						}
-						r = append(r, d)
-					}
-					res.Concrete = append(res.Concrete, r)
 				}
 				st.Res = res
 			}

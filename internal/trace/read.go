@@ -10,7 +10,6 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
-	"weseer/internal/minidb"
 	"weseer/internal/smt"
 	"weseer/internal/sqlast"
 )
@@ -133,7 +132,7 @@ func (r *reader) txn() *Txn {
 
 func (r *reader) stmt() *Stmt {
 	st := alloc(&r.stmts)
-	r.object("seq", &st.Seq, "txn", &st.TxnID, "sql", &st.SQL,
+	r.object("seq", &st.Seq, "sql", &st.SQL,
 		"params", func() {
 			r.array(func() { r.params = append(r.params, r.param()) })
 			st.Params = carve(&r.params)
@@ -181,27 +180,11 @@ func (r *reader) result() *Result {
 			r.array(func() { r.vars = append(r.vars, r.alias()) })
 			res.Sym = append(res.Sym, carve(&r.vars))
 		})
-	}, "concrete", func() {
-		r.array(func() {
-			var row []minidb.Datum
-			r.array(func() {
-				d, err := decodeDatum(r.datum())
-				r.check(err)
-				row = append(row, d)
-			})
-			res.Concrete = append(res.Concrete, row)
-		})
 	}, "empty", &res.Empty)
-	width := func(what string, cells int) {
-		if cells != len(res.Cols) {
-			r.check(fmt.Errorf("trace: result %s row has %d cells for %d columns", what, cells, len(res.Cols)))
-		}
-	}
 	for _, row := range res.Sym {
-		width("sym", len(row))
-	}
-	for _, row := range res.Concrete {
-		width("concrete", len(row))
+		if len(row) != len(res.Cols) {
+			r.check(fmt.Errorf("trace: result sym row has %d cells for %d columns", len(row), len(res.Cols)))
+		}
 	}
 	return res
 }

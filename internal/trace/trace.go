@@ -30,9 +30,8 @@ func (f Frame) String() string {
 
 // CodeLoc is a captured stack trace, innermost frame first. Frames is
 // shared and immutable: the collector hands every event captured at one
-// call site the same slice — a statement sent where it was triggered has
-// one slice for both — so a holder that wants different frames builds a
-// new slice.
+// call site the same slice, so a holder that wants different frames builds
+// a new slice.
 type CodeLoc struct {
 	Frames []Frame `json:"frames,omitempty"`
 }
@@ -71,14 +70,12 @@ type Param struct {
 }
 
 // Result describes a SELECT's result set: symbolic aliases for every cell
-// (the "res4.row0.p.ID" variables of Fig. 3) plus the concrete values.
+// (the "res4.row0.p.ID" variables of Fig. 3).
 type Result struct {
 	// Cols are "alias.column" names.
 	Cols []string
 	// Sym[r][c] is the symbolic alias of row r, column c.
 	Sym [][]smt.Var
-	// Concrete[r][c] is the fetched value.
-	Concrete [][]minidb.Datum
 	// Empty reports a zero-row result — the case where range locks
 	// protect an empty read set (Alg. 2).
 	Empty bool
@@ -99,8 +96,6 @@ type Stmt struct {
 	// Seq is the statement's 0-based position in the whole trace
 	// (chronological send order, i.e. post-ORM-reordering).
 	Seq int
-	// TxnID identifies the enclosing transaction within the trace.
-	TxnID int
 	// SQL is the statement template text.
 	SQL string
 	// Parsed is the template AST (reconstructed from SQL on load).
@@ -115,8 +110,9 @@ type Stmt struct {
 	// Trigger is the application code that caused this statement
 	// (Sec. VI's ORM-aware mapping).
 	Trigger CodeLoc
-	// Sent is where the statement was physically submitted; for
-	// write-behind statements this is the flush/commit site.
+	// Sent is the flush/commit site of a write-behind statement, which an
+	// ORM flush submitted away from its trigger; it is zero for a
+	// statement sent where it was triggered.
 	Sent CodeLoc
 }
 

@@ -33,20 +33,19 @@ func sampleTrace() *Trace {
 			Committed: true,
 			Stmts: []*Stmt{
 				{
-					Seq: 0, TxnID: 1,
+					Seq:    0,
 					SQL:    `SELECT * FROM Product p WHERE p.ID = ?`,
 					Parsed: sqlast.MustParse(`SELECT * FROM Product p WHERE p.ID = ?`),
 					Params: []Param{{Sym: orderID, Concrete: minidb.I64(7)}},
 					Res: &Result{
-						Cols:     []string{"p.ID", "p.QTY"},
-						Sym:      [][]smt.Var{{resVar, {Name: "res0.row0.p.QTY", S: smt.SortInt}}},
-						Concrete: [][]minidb.Datum{{minidb.I64(7), minidb.I64(3)}},
+						Cols: []string{"p.ID", "p.QTY"},
+						Sym:  [][]smt.Var{{resVar, {Name: "res0.row0.p.QTY", S: smt.SortInt}}},
 					},
 					Trigger: CodeLoc{Frames: []Frame{{Func: "app.Checkout", File: "checkout.go", Line: 42}}},
 					Sent:    CodeLoc{Frames: []Frame{{Func: "app.Checkout", File: "checkout.go", Line: 99}}},
 				},
 				{
-					Seq: 1, TxnID: 1,
+					Seq:    1,
 					SQL:    `UPDATE Product SET QTY = ? WHERE ID = ?`,
 					Parsed: sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`),
 					Params: []Param{
@@ -97,9 +96,20 @@ func TestJSONRoundTrip(t *testing.T) {
 	if s0.Trigger.Top().Line != 42 {
 		t.Errorf("trigger = %v", s0.Trigger)
 	}
+	if s0.Sent.Top().Line != 99 || !s0.Deferred() {
+		t.Errorf("sent = %v", s0.Sent)
+	}
 	s1 := back.Txns[0].Stmts[1]
 	if s1.Params[0].Sym.String() != "(res0.row0.p.ID - 1)" {
 		t.Errorf("arith param = %v", s1.Params[0].Sym)
+	}
+	// A statement sent where it was triggered has a zero Sent: no key on
+	// the wire, and zero again once read.
+	if n := strings.Count(string(data), `"sent":`); n != 1 {
+		t.Errorf("%d sent keys for one write-behind statement:\n%s", n, data)
+	}
+	if s1.Sent.Frames != nil || s1.Deferred() {
+		t.Errorf("zero sent decoded as %#v", s1.Sent)
 	}
 	// The array-read path condition survives with its store chain.
 	if got := back.PathConds[1].Cond.String(); got != tr.PathConds[1].Cond.String() {
@@ -118,7 +128,7 @@ func TestJSONRejectsGarbageIntegers(t *testing.T) {
 		{`{"k":"int","v":"-1"}`, `{"k":"int","v":"-1abc"}`},
 		{`{"k":"int","v":"-1"}`, `{"k":"int","v":"7 8"}`},
 		{`{"k":"int","v":"-1"}`, `{"k":"int","v":""}`},
-		{`{"kind":0,"v":"3"}`, `{"kind":0,"v":"3x"}`},
+		{`{"kind":0,"v":"2"}`, `{"kind":0,"v":"2x"}`},
 	} {
 		if !strings.Contains(string(data), c.good) {
 			t.Fatalf("sample trace no longer encodes %s:\n%s", c.good, data)
@@ -179,7 +189,9 @@ func TestJSONRejectsMalformedExprs(t *testing.T) {
 // another error in the first value before it meets the repeat.) A batch
 // Decode accepts must re-encode stably: decoding its encoding and encoding
 // again gives the same bytes. The checked-in seeds are the three bodies
-// that used to panic, a null trace and a small gen: collection; fuzzSeeds
+// that used to panic, a null trace, a small gen: collection in the older
+// form (a "txn" per statement, result "concrete" rows, every statement's
+// "sent") and two gen: traces without those keys; fuzzSeeds
 // adds key matching, integer fields, string repair, trailing bytes, nulls,
 // repeated keys and the malformed shapes the analyzer used to crash on.
 func FuzzTraceJSON(f *testing.F) {
