@@ -11,6 +11,7 @@ package weseer_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"weseer/internal/apps"
@@ -141,4 +142,31 @@ func BenchmarkCollect1056(b *testing.B) {
 	}
 	b.ReportMetric(float64(walks)/float64(stmts), "walks/stmt")
 	b.ReportMetric(float64(unwinds)/float64(b.N), "unwinds/op")
+}
+
+// BenchmarkDiagnose1056 runs the path of the gen1056 benchmark's diagnosis
+// child, `weseer run` with one analysis worker: open the 1,056-template
+// corpus, collect it under concolic execution, analyze, render. Besides
+// B/op and allocs/op it reports the garbage collections per op, which
+// follow the bytes allocated rather than the objects.
+func BenchmarkDiagnose1056(b *testing.B) {
+	b.ReportAllocs()
+	var gcs uint32
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		app := openApp(b, gen1056)
+		traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.NewAnalyzer(app.Schema(), core.WithParallelism(1)).AnalyzeContext(context.Background(), traces)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = res.Render()
+		runtime.ReadMemStats(&after)
+		gcs += after.NumGC - before.NumGC
+	}
+	b.ReportMetric(float64(gcs)/float64(b.N), "gc/op")
 }

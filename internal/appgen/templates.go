@@ -2,6 +2,7 @@ package appgen
 
 import (
 	"fmt"
+	"slices"
 
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
@@ -48,16 +49,15 @@ const (
 
 // op is one statement (or guard) of a template body.
 type op struct {
-	Kind       opKind
 	Table, SQL string // SQL is the statement's text, shared by every op of its Kind and Table
-	A, B       int    // input indexes
 	Thr        int64  // opGuard threshold
-	Skip       int    // opGuard: ops skipped when the branch fails
+	Skip       int32  // opGuard: ops skipped when the branch fails
+	Kind       opKind
+	A, B       uint8 // input indexes
 }
 
-// genInput is one template input: its symbolic name, the concrete value
-// unit tests collect with, and the inclusive range workload clients draw
-// from.
+// genInput is one template input: its symbolic name, the concrete value unit
+// tests collect with, and the inclusive range workload clients draw from.
 type genInput struct {
 	Name   string
 	Val    int64
@@ -122,7 +122,7 @@ func (a *App) fillers(r *rng, mods []module, texts stmtTexts) []genTemplate {
 
 		// Body: reads, then ordered inserts, then (for hot templates)
 		// the hub pair update.
-		var body []op
+		body := make([]op, 0, 3+len(mod.Ins)+cfg.Nest) // reads, inserts, the pair, the guards
 		for i, n := 0, r.rangeInt(1, 2); i < n && len(mod.Reads) > 0; i++ {
 			kind := opPointRead
 			if r.pct(50) {
@@ -147,8 +147,8 @@ func (a *App) fillers(r *rng, mods []module, texts stmtTexts) []genTemplate {
 			if r.pct(15) {
 				thr = 0 // concretely false: this suffix is dead on this path
 			}
-			g := op{Kind: opGuard, A: r.intn(3), Thr: thr, Skip: len(body) - at}
-			body = append(body[:at:at], append([]op{g}, body[at:]...)...)
+			g := op{Kind: opGuard, A: uint8(r.intn(3)), Thr: thr, Skip: int32(len(body) - at)}
+			body = slices.Insert(body, at, g)
 		}
 		out = append(out, a.filler(name, inputs, warm, body))
 	}
@@ -176,7 +176,7 @@ func (a *App) runOps(e *concolic.Engine, s *orm.Session, ops []op, in []concolic
 		switch o.Kind {
 		case opGuard:
 			if !e.If(e.Le(in[o.A], concolic.Int(o.Thr))) {
-				i += o.Skip
+				i += int(o.Skip)
 			}
 		case opPointRead:
 			s.Query(o.SQL, // line breaks in runOps stay put: recorded trigger locations name these lines
@@ -238,5 +238,5 @@ func (texts stmtTexts) op(kind opKind, table string, a, b int) op {
 		sql = fmt.Sprintf(opSQL[kind], table)
 		texts[k] = sql
 	}
-	return op{Kind: kind, Table: table, SQL: sql, A: a, B: b}
+	return op{Kind: kind, Table: table, SQL: sql, A: uint8(a), B: uint8(b)}
 }

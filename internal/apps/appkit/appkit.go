@@ -21,13 +21,13 @@ type UnitTest struct {
 	Run  func(e *concolic.Engine) error
 }
 
-// Collect runs the unit tests sequentially under one engine mode and
-// returns their traces. The tests share the application's database, so
-// state accumulates exactly as in the paper's methodology.
+// Collect runs the unit tests sequentially on one engine, which carves
+// every trace's records from its arenas. The tests share the application's
+// database, so state accumulates exactly as in the paper's methodology.
 func Collect(tests []UnitTest, mode concolic.Mode, opts ...concolic.Option) ([]*trace.Trace, error) {
 	var out []*trace.Trace
+	e := concolic.New(mode, opts...)
 	for _, ut := range tests {
-		e := concolic.New(mode, opts...)
 		e.StartConcolic(ut.Name)
 		err := ut.Run(e)
 		tr := e.EndConcolic()

@@ -123,15 +123,17 @@ func TestLoadMatchesSQLSeed(t *testing.T) {
 }
 
 // TestOpenAllocs pins what opening the 1,056-template corpus allocates:
-// the measured 46.2 K plus 10 %. It was 91.3 K while the apps seeded
-// through one ORM transaction of INSERTs, and 54.6 K while appgen
-// formatted one SQL string per op rather than per (op kind, table); an
-// SQL-path seed or a per-op format coming back trips it.
+// the measured 37.5 K plus 10 %. It was 46.2 K while appgen rebuilt a
+// filler's body for every guard and the parser grew its tokens by append,
+// 91.3 K while the apps seeded through one ORM transaction of INSERTs, and
+// 54.6 K while appgen formatted one SQL string per op rather than per (op
+// kind, table); an SQL-path seed, a per-op format or a per-guard copy
+// coming back trips it.
 func TestOpenAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 50_800
+	const ceiling = 41_300
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := Open("gen:7,templates=1056", Options{}); err != nil {
 			t.Fatal(err)
@@ -146,18 +148,21 @@ func TestOpenAllocs(t *testing.T) {
 // TestCollectAllocs pins what collecting gen:7,templates=96 allocates per
 // recorded statement, every call site already in the call-site table:
 // the statement's record, its parameters, result aliases and the
-// symbolic state around it. The measured 29.0 plus 5 % (31.4 while a
+// symbolic state around it. Objects: the measured 19.2 plus 5 % (29.0
+// while every unit test had an engine of its own, each record was an
+// allocation of its own and a read cache kept two Go maps, 31.4 while a
 // result also recorded its concrete rows, 32.9 while each fetched cell's
-// alias was a string of its own, 33.9 while a record grew its parameters
-// and result rows by append): a capture that allocates, a record built by
-// append or an alias built per cell again breaks it.
+// alias was a string of its own). Bytes, which set how often the
+// collector runs: the measured 2,150 plus 5 % (2,512 before the arenas).
+// A capture that allocates, a record allocated by itself or an alias
+// built per cell again breaks it.
 func TestCollectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 30.5
+	const ceiling, bytesCeiling = 20.2, 2_260.0
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	collect := func() (allocs uint64, stmts int) {
+	collect := func() (allocs, bytes uint64, stmts int) {
 		app, err := Open("gen:7,templates=96", Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -172,17 +177,21 @@ func TestCollectAllocs(t *testing.T) {
 		for _, tr := range traces {
 			stmts += tr.Stats.Statements
 		}
-		return after.Mallocs - before.Mallocs, stmts
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, stmts
 	}
 	collect() // fills the call-site table and the prepared-statement cache
-	allocs, stmts := collect()
+	allocs, bytes, stmts := collect()
 	if stmts == 0 {
 		t.Fatal("collection recorded no statement")
 	}
-	per := float64(allocs) / float64(stmts)
-	t.Logf("appkit.Collect(gen:7,templates=96) allocates %.1f times per statement (%d for %d; ceiling %.1f)", per, allocs, stmts, ceiling)
+	per, perBytes := float64(allocs)/float64(stmts), float64(bytes)/float64(stmts)
+	t.Logf("appkit.Collect(gen:7,templates=96) allocates %.1f times and %.0f bytes per statement (%d and %d for %d; ceilings %.1f and %.0f)",
+		per, perBytes, allocs, bytes, stmts, ceiling, bytesCeiling)
 	if per > ceiling {
 		t.Errorf("appkit.Collect(gen:7,templates=96) allocates %.1f times per statement, ceiling %.1f", per, ceiling)
+	}
+	if perBytes > bytesCeiling {
+		t.Errorf("appkit.Collect(gen:7,templates=96) allocates %.0f bytes per statement, ceiling %.0f", perBytes, bytesCeiling)
 	}
 }
 

@@ -69,11 +69,12 @@ func (n *pageNode) leaf() bool { return n.kids == nil }
 type page []byte
 
 // newPage returns an empty page with slots for 2n+2 entries (no more than
-// a page holds) and room for size bytes of entries and half as much again.
+// a page holds) and room for size bytes of entries and as much again, or
+// half as much from half a page on, where a page splits rather than grows.
 func newPage(n, size int) page {
 	m := min(2*n+2, maxPageEntries)
 	start := pageHeader + slotBytes*m
-	p := make(page, start, start+size+size/2)
+	p := make(page, start, start+size+size>>min(n/(pageDegree-1), 1))
 	binary.LittleEndian.PutUint16(p[2:], uint16(m))
 	return p
 }
@@ -207,7 +208,8 @@ func (t *Pages) Get(k string) (string, bool) {
 // Put stores v under k and returns the value it replaced, if any.
 func (t *Pages) Put(k string, v []byte) (old string, existed bool) {
 	if t.root == nil {
-		t.root = &pageNode{page: newPage(0, len(k)+len(v))}
+		// Slots and room for eight entries like the first: no tiny pages.
+		t.root = &pageNode{page: newPage(3, 4*(len(k)+len(v)))}
 	}
 	if t.root.page.len() == maxPageEntries {
 		t.root = &pageNode{page: newPage(0, 0), kids: []*pageNode{t.root}}

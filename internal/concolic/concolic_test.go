@@ -2,6 +2,7 @@ package concolic
 
 import (
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,11 @@ import (
 	"weseer/internal/smt"
 	"weseer/internal/trace"
 )
+
+// cell returns the cell of a result at (row, "alias.column").
+func cell(r *Rows, row int, col string) Value {
+	return r.Row(row)[slices.Index(r.Cols, col)]
+}
 
 func testDB() *minidb.DB {
 	s := schema.New()
@@ -154,7 +160,8 @@ func TestSymMapAlg1(t *testing.T) {
 
 // TestSymMapKeyClasses pins which concrete keys a SymMap treats as one:
 // numerics by exact value whatever their sort, strings apart from numbers.
-// Only a concolic engine's maps carry the symbolic array.
+// Only a concolic engine's maps carry symbolic state, and only once a
+// symbolic key reaches them.
 func TestSymMapKeyClasses(t *testing.T) {
 	huge := func() Value { return Real(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 70))) }
 	cases := []struct {
@@ -178,15 +185,19 @@ func TestSymMapKeyClasses(t *testing.T) {
 		e.StartConcolic("t")
 		for _, c := range cases {
 			m := e.NewSymMap("cache", c.put.Sort())
-			if built := m.arr != nil || m.keyOf != nil; built != (mode == ModeConcolic) {
-				t.Errorf("%s: symbolic array built = %v", mode, built)
-			}
 			m.Put(c.put, c.name)
 			if _, hit := m.Get(c.get); hit != c.same {
 				t.Errorf("%s: %s: hit = %v, want %v", mode, c.name, hit, c.same)
 			}
 			if _, hit := m.Get(c.put); !hit || m.Len() != 1 {
 				t.Errorf("%s: %s: stored key not found (%d entries)", mode, c.name, m.Len())
+			}
+			if symbolicState(m) {
+				t.Errorf("%s: %s: concrete keys built symbolic state", mode, c.name)
+			}
+			m.Put(e.MakeSymbolic("k", c.put), c.name)
+			if built := symbolicState(m); built != (mode == ModeConcolic) {
+				t.Errorf("%s: %s: symbolic state built = %v", mode, c.name, built)
 			}
 		}
 	}
@@ -252,7 +263,7 @@ func TestConnRecordsStatements(t *testing.T) {
 	if rows.Len() != 1 {
 		t.Fatalf("rows = %d", rows.Len())
 	}
-	qty := rows.Get(0, "p.QTY")
+	qty := cell(rows, 0, "p.QTY")
 	if qty.C.I != 20 {
 		t.Errorf("qty = %v", qty.C)
 	}
@@ -323,7 +334,7 @@ func TestConnInterpretMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Get(0, "p.ID").S != nil {
+	if cell(rows, 0, "p.ID").S != nil {
 		t.Error("interpret mode must not create symbolic aliases")
 	}
 	c.Commit()

@@ -24,9 +24,6 @@ type Conn struct {
 	db  *minidb.DB
 	txn *minidb.Txn
 	cur *trace.Txn
-	// args is the statement parameters' scratch: minidb copies the datums
-	// it keeps, so one buffer serves every statement.
-	args []minidb.Datum
 }
 
 // NewConn wraps a database for one engine session.
@@ -48,7 +45,8 @@ func (c *Conn) Begin() error {
 	c.txn = c.db.Begin()
 	if c.e.recording() {
 		c.e.txnSeq++
-		c.cur = &trace.Txn{ID: c.e.txnSeq}
+		c.cur = &c.e.rec.txns.carve(1)[0]
+		c.cur.ID, c.cur.Stmts = c.e.txnSeq, c.e.rec.stmtRefs.carve(4)[:0] // room for most transactions
 		c.e.tr.Txns = append(c.e.tr.Txns, c.cur)
 	}
 	return nil
@@ -122,16 +120,6 @@ func (r *Rows) Row(i int) []Value {
 	return r.Cells[i*w : (i+1)*w : (i+1)*w]
 }
 
-// Get returns the cell at (row, "alias.column").
-func (r *Rows) Get(row int, col string) Value {
-	for i, c := range r.Cols {
-		if c == col {
-			return r.Row(row)[i]
-		}
-	}
-	panic(fmt.Sprintf("concolic: no column %q in result (%v)", col, r.Cols))
-}
-
 // Exec submits one statement template with concolic parameter values.
 // trigger is the application code responsible for the statement per the
 // Sec. VI ORM-aware mapping; sent is the flush site of a write-behind
@@ -160,11 +148,11 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 		return nil, err
 	}
 	st := prep.Stmt
-	datums := c.args[:0]
+	datums := c.e.rec.args[:0]
 	for _, p := range params {
 		datums = append(datums, datumOf(p))
 	}
-	c.args = datums
+	c.e.rec.args = datums
 	rs, err := c.txn.Exec(st, datums)
 	if err != nil {
 		return nil, err
@@ -175,9 +163,10 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 	c.e.AccountLibrary("driver.exec", 420+len(sql)*3+len(rs.Rows)*160)
 
 	var rows *Rows
-	seq := c.e.stmtSeq
+	seq, a := c.e.stmtSeq, &c.e.rec
 	if rs.Cols != nil {
-		rows = &Rows{Cols: rs.Cols, Cells: make([]Value, 0, len(rs.Rows)*len(rs.Cols))}
+		rows = &a.rows.carve(1)[0]
+		rows.Cols, rows.Cells = rs.Cols, a.cells.carve(len(rs.Rows) * len(rs.Cols))[:0]
 		var names string // the aliases still to hand out
 		if c.e.concolic() {
 			names = aliases(seq, rs)
@@ -205,16 +194,15 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 		// work): the analyzer can then model locks on exactly the indexes
 		// execution traverses. It is the database's slice for the template,
 		// shared by every statement recorded from it.
-		rec := &trace.Stmt{
+		rec := &a.stmts.carve(1)[0]
+		*rec = trace.Stmt{
 			Seq:     seq,
 			SQL:     sql,
 			Parsed:  st,
 			Plan:    c.db.Explain(st),
 			Trigger: trigger,
 			Sent:    sent,
-		}
-		if len(params) > 0 {
-			rec.Params = make([]trace.Param, len(params))
+			Params:  a.params.carve(len(params)),
 		}
 		for i, p := range params {
 			rec.Params[i].Concrete = datums[i]
@@ -223,19 +211,17 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 			}
 		}
 		if rows != nil {
-			res := &trace.Result{Cols: rows.Cols, Empty: rows.Empty()}
-			if n := rows.Len(); n > 0 {
-				res.Sym = make([][]smt.Var, n)
-			}
-			for ri := range res.Sym {
-				row := rows.Row(ri)
-				syms := make([]smt.Var, len(row)) // a NULL cell keeps the zero Var: no alias
-				for ci, v := range row {
-					if sv, ok := v.S.(smt.Var); ok {
-						syms[ci] = sv
-					}
+			res := &a.results.carve(1)[0]
+			res.Cols, res.Empty, res.Sym = rows.Cols, rows.Empty(), a.aliasRows.carve(rows.Len())
+			syms := a.aliases.carve(len(rows.Cells)) // a NULL cell keeps the zero Var: no alias
+			for ci, v := range rows.Cells {
+				if sv, ok := v.S.(smt.Var); ok {
+					syms[ci] = sv
 				}
-				res.Sym[ri] = syms
+			}
+			w := len(rows.Cols)
+			for ri := range res.Sym {
+				res.Sym[ri] = syms[ri*w : (ri+1)*w : (ri+1)*w]
 			}
 			rec.Res = res
 		}
@@ -329,4 +315,54 @@ func valueOf(d minidb.Datum) Value {
 		return Str(d.S)
 	}
 	panic("concolic: bad datum kind")
+}
+
+// records are the arenas an engine carves what it records from, so that a
+// statement pays per chunk, not per record. An engine spans one collection
+// (appkit.Collect); no arena is process-wide, as collectors run concurrently.
+type records struct {
+	traces    arena[trace.Trace]
+	txns      arena[trace.Txn]
+	stmtRefs  arena[*trace.Stmt]
+	stmts     arena[trace.Stmt]
+	params    arena[trace.Param]
+	results   arena[trace.Result]
+	aliasRows arena[[]smt.Var]
+	aliases   arena[smt.Var]
+	inputs    arena[trace.Input]
+	pathConds arena[trace.PathCond]
+	txnRefs   arena[*trace.Txn]
+	rows      arena[Rows]
+	cells     arena[Value]
+
+	// Scratch: a trace grows its inputs, transactions and path conditions
+	// here during its test and keeps exact copies; minidb copies the
+	// parameters it keeps.
+	inputBuf []trace.Input
+	txnBuf   []*trace.Txn
+	pcBuf    []trace.PathCond
+	args     []minidb.Datum
+}
+
+// arena carves slices from chunks of 128 elements or more. A chunk is
+// never reused: it lives as long as anything carved from it.
+type arena[T any] struct{ free []T }
+
+// carve returns n zero elements, nil for none, with no capacity beyond
+// them: an append by the holder copies instead of writing into the chunk.
+func (a *arena[T]) carve(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > len(a.free) {
+		a.free = make([]T, max(n, 128))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
+}
+
+// keep returns a copy of s carved from a, and s emptied for reuse.
+func keep[T any](a *arena[T], s []T) (kept, scratch []T) {
+	return append(a.carve(len(s))[:0], s...), s[:0]
 }

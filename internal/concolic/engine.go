@@ -75,6 +75,8 @@ type Engine struct {
 	txnSeq  int
 	symSeq  int
 
+	rec records
+
 	// obs, when non-nil, receives one "extract" span per
 	// StartConcolic/EndConcolic pair; the extraction counters live on its
 	// registry.
@@ -124,7 +126,8 @@ func (e *Engine) recording() bool { return e.mode != ModeOff && e.active }
 // StartConcolic begins trace collection for one API unit test.
 func (e *Engine) StartConcolic(api string) {
 	e.active = true
-	e.tr = &trace.Trace{API: api}
+	e.tr = &e.rec.traces.carve(1)[0]
+	e.tr.API, e.tr.Inputs, e.tr.Txns, e.tr.PathConds = api, e.rec.inputBuf, e.rec.txnBuf, e.rec.pcBuf
 	e.stmtSeq = 0
 	e.txnSeq = 0
 	e.symSeq = 0
@@ -139,6 +142,11 @@ func (e *Engine) EndConcolic() *trace.Trace {
 	e.active = false
 	tr := e.tr
 	e.tr = nil
+	if tr != nil {
+		tr.Inputs, e.rec.inputBuf = keep(&e.rec.inputs, tr.Inputs)
+		tr.Txns, e.rec.txnBuf = keep(&e.rec.txnRefs, tr.Txns)
+		tr.PathConds, e.rec.pcBuf = keep(&e.rec.pathConds, tr.PathConds)
+	}
 	if e.mode == ModeOff {
 		tr = nil
 	}

@@ -270,14 +270,13 @@ feed:
 }
 
 // stmtFacts is what the phases re-read of one recorded statement: flatten's
-// ids of its key (stmtKey), tables and write table (-1: none); for a
-// statement a cycle names, settle's id of its skeleton key (-1 before) and
-// its skeleton's names with their symbol ids.
+// id of its key (stmtKey) and its template's facts (tables and write
+// table); for a statement a cycle names, settle's id of its skeleton key
+// (-1 before) and its skeleton's names with their symbol ids.
 type stmtFacts struct {
 	key    int32
-	tables []int32
-	write  int32
 	skelID int32
+	tmpl   *tmplFacts
 	names  []string
 	syms   []int32
 }

@@ -134,18 +134,18 @@ func (r *run) addFacts(txn *trace.Txn) (txnSig, error) {
 			key = int32(len(r.keys))
 			r.keys[k] = key
 		}
-		r.facts = append(r.facts, stmtFacts{key: key, tables: t.tables, write: t.write, skelID: -1})
+		r.facts = append(r.facts, stmtFacts{key: key, tmpl: t, skelID: -1})
 	}
 	acc := len(r.ids)
 	for _, f := range r.facts[first:] {
-		for _, tab := range f.tables {
+		for _, tab := range f.tmpl.tables {
 			r.addOnce(acc, tab)
 		}
 	}
 	wr := len(r.ids)
 	for _, f := range r.facts[first:] {
-		if f.write >= 0 {
-			r.addOnce(wr, f.write)
+		if f.tmpl.write >= 0 {
+			r.addOnce(wr, f.tmpl.write)
 		}
 	}
 	return txnSig{acc: r.ids[acc:wr:wr], wr: r.carve(wr)}, nil
@@ -265,6 +265,7 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*c
 			}
 			slab = append(slab, chain{})
 			ch = &slab[len(slab)-1]
+			ch.cycles = ch.first[:0]
 			byID[id] = ch
 			chains = append(chains, ch)
 		}
@@ -310,7 +311,7 @@ type cedge struct{ i, j, table int32 }
 
 // coarseConflictTable is the coarse-grained C-edge test: a common table
 // at least one statement writes. It returns the table's id (-1 if none).
-func coarseConflictTable(s, t *stmtFacts) int32 {
+func coarseConflictTable(s, t *tmplFacts) int32 {
 	for _, ts := range s.tables {
 		for _, tt := range t.tables {
 			if ts == tt && (s.write == ts || t.write == ts) {
@@ -331,9 +332,9 @@ func (r *run) enumeratePair(p1, p2 *instance, emit func(Cycle, chainID)) int {
 	s1, s2 := p1.Txn.Stmts, p2.Txn.Stmts
 	edges := r.cedges[:0] // in (i, j) order
 	for i := range s1 {
-		fi := &r.facts[p1.first+int32(i)]
+		fi := r.facts[p1.first+int32(i)].tmpl
 		for j := range s2 {
-			if tab := coarseConflictTable(fi, &r.facts[p2.first+int32(j)]); tab >= 0 {
+			if tab := coarseConflictTable(fi, r.facts[p2.first+int32(j)].tmpl); tab >= 0 {
 				edges = append(edges, cedge{int32(i), int32(j), tab})
 			}
 		}

@@ -30,6 +30,7 @@ import (
 // chain is the ordered list of coarse cycles sharing one chainID.
 type chain struct {
 	cycles []Cycle
+	first  [1]Cycle // cycles' first backing array
 }
 
 // chainOutcome is one chain's contribution to the report and stats.
@@ -75,9 +76,14 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 	// only adds: total minus done is the chains in flight.
 	r.m.chainsTotal.Add(int64(len(chains)))
 	var ran atomic.Int64
-	outcomes := make([]chainOutcome, len(chains))
+	// Per chain its report; per worker its chain in hand and their counts.
+	reports := make([]*Deadlock, len(chains))
+	held, sums := make([]chainOutcome, r.workers+1), make([]Stats, r.workers+1)
 	forEachIndex(ctx, len(chains), r.workers, func(i, tid int) {
-		outcomes[i] = r.evalChain(ctx, chains[i], tid)
+		out := &held[tid]
+		*out = r.evalChain(ctx, chains[i], tid)
+		reports[i] = out.deadlock
+		sums[tid].add(&out.stats)
 		// The live view: what the stage-4 merge below adds to res.Stats is
 		// added to the counters here, as each chain finishes.
 		if o != nil {
@@ -85,23 +91,20 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 		}
 		r.m.chainsDone.Add(1)
 		ran.Add(1)
-		r.m.publish(&outcomes[i].stats)
+		r.m.publish(&out.stats)
 	})
 	// Chains a cancellation kept from starting are no longer in flight.
 	r.m.chainsTotal.Add(ran.Load() - int64(len(chains)))
 
-	// Stage 4: merge per chain index — chain order is the serial
-	// first-occurrence order, so aggregation is deterministic.
-	var err error
-	for i := range outcomes {
-		out := &outcomes[i]
-		if out.err != nil && err == nil {
-			err = out.err
+	// Stage 4: the reports in chain order — the serial first-occurrence
+	// order, so the report is deterministic. A chain fails only with ctx.
+	for _, d := range reports {
+		if d != nil {
+			res.Deadlocks = append(res.Deadlocks, d)
 		}
-		res.Stats.add(&out.stats)
-		if out.deadlock != nil {
-			res.Deadlocks = append(res.Deadlocks, out.deadlock)
-		}
+	}
+	for i := range sums {
+		res.Stats.add(&sums[i])
 	}
 	// The memo's first level is counted by the table, not by the chains:
 	// its size does not depend on which worker met a shape first.
@@ -109,10 +112,7 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 	res.Stats.add(&canon)
 	r.m.publish(&canon)
 	r.m.edgeTemplates.Add(int64(len(r.tmpls)))
-	if err == nil {
-		err = ctx.Err()
-	}
-	return err
+	return ctx.Err()
 }
 
 // evalChain discharges one chain on logical worker tid: candidates are

@@ -82,19 +82,20 @@ func TestEnumAgainstNaiveOnCorpora(t *testing.T) {
 
 // TestEnumAllocs is the allocation ceiling of what precedes phase 3's
 // workers — flatten, phases 1–2 and settle — per phase-1 survivor on
-// gen:7,templates=96 at one worker: 7.7 measured (7.9 while CheckStmt
-// cloned its predicates) plus 10 %. A per-pair or
-// per-cycle map, string or statement copy breaks it.
+// gen:7,templates=96 at one worker: 7.0 measured (7.7 while each chain's
+// first cycle was an allocation of its own, 7.9 while CheckStmt cloned its
+// predicates) plus 10 %. A per-pair or per-cycle map, string or statement
+// copy breaks it.
 func TestEnumAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 9
+	const ceiling = 7.7
 	app, traces := corpusTraces(t, "gen:7,templates=96")
 	if got := core.EnumAllocsPerPair(t, app.Schema(), traces); got > ceiling {
-		t.Errorf("enumeration and settle allocate %.1f times per surviving pair, ceiling %d", got, ceiling)
+		t.Errorf("enumeration and settle allocate %.1f times per surviving pair, ceiling %.1f", got, ceiling)
 	} else {
-		t.Logf("enumeration and settle allocate %.1f times per surviving pair (ceiling %d)", got, ceiling)
+		t.Logf("enumeration and settle allocate %.1f times per surviving pair (ceiling %.1f)", got, ceiling)
 	}
 }
 

@@ -113,6 +113,7 @@ func (db *DB) build(st sqlast.Stmt) (*prepared, error) {
 				}
 			}
 		}
+		p.cols, p.out = make([]string, 0, len(cols)), make([]operand, 0, len(cols))
 		for _, c := range cols {
 			o := p.operand(sqlast.C(c.Table, c.Column))
 			if o.slot < 0 {
@@ -165,7 +166,7 @@ func (db *DB) build(st sqlast.Stmt) (*prepared, error) {
 func (p *prepared) insert(db *DB, ins *sqlast.Insert) {
 	ts := db.table(ins.Table)
 	p.plan = []access{{alias: ins.Table, ts: ts}}
-	p.blank = make(Row, len(ts.meta.Columns))
+	p.blank, p.set = make(Row, len(ts.meta.Columns)), make([]assign, 0, len(ins.Values))
 	for i, c := range ts.meta.Columns {
 		p.blank[i] = NullDatum(KindOf(c.Type))
 		if op, ok := ins.ValueOf(c.Name); ok {

@@ -54,7 +54,7 @@ type Mapping struct {
 
 // textKey names one generated statement: its kind ('S' point SELECT, 'I'
 // INSERT, 'U' UPDATE, 'D' DELETE), table, and the participating columns
-// as a bit set over the table's column order.
+// as a bit set over the table's column order ('C': a read cache's name).
 type textKey struct {
 	kind  byte
 	table string

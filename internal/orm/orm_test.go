@@ -540,14 +540,21 @@ func TestModeOffCapturesNoStacks(t *testing.T) {
 	if n := concolic.StackWalks() - before; n != 0 {
 		t.Errorf("ModeOff round walked %d stacks, want 0", n)
 	}
-	// Nor does its read cache build the Alg. 1 array nothing would read.
-	// The field is concolic's own, so the test looks at it by reflection.
-	if len(s.cache) == 0 {
+	// Nor does its read cache build the Alg. 1 array or keyOf symbols
+	// nothing would read. The fields are concolic's own, so the test looks
+	// at them by reflection.
+	if len(s.caches) == 0 {
 		t.Fatal("ModeOff round left no table cache to inspect")
 	}
-	for table, c := range s.cache {
-		if !reflect.ValueOf(c).Elem().FieldByName("arr").IsNil() {
-			t.Errorf("ModeOff cache of %s holds a symbolic array", table)
+	for i, c := range s.caches {
+		m := reflect.ValueOf(c).Elem()
+		if !m.FieldByName("arr").IsNil() {
+			t.Errorf("ModeOff cache of %s holds a symbolic array", s.tables[i])
+		}
+		for j, entries := 0, m.FieldByName("entries"); j < entries.Len(); j++ {
+			if !entries.Index(j).FieldByName("sym").IsNil() {
+				t.Errorf("ModeOff cache of %s holds a keyOf symbol", s.tables[i])
+			}
 		}
 	}
 	// The same round on a recording engine does walk, so the counter

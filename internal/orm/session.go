@@ -2,6 +2,7 @@ package orm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"weseer/internal/concolic"
@@ -18,9 +19,10 @@ type Session struct {
 	m    *Mapping
 	conn *concolic.Conn
 
-	// cache maps table → (pk → *Entity). It is a SymMap so cache probes
-	// generate the Alg. 1 existence path conditions.
-	cache map[string]*concolic.SymMap
+	// caches[i] is the read cache (pk → *Entity) of tables[i]. It is a
+	// SymMap so cache probes generate the Alg. 1 existence path conditions.
+	tables []string
+	caches []*concolic.SymMap
 
 	// Write-behind state: pending INSERTs (Persist/Merge), dirty managed
 	// entities in first-modification order, and pending DELETEs.
@@ -35,7 +37,7 @@ type Session struct {
 
 // NewSession opens a persistence context over a connection.
 func NewSession(m *Mapping, conn *concolic.Conn) *Session {
-	return &Session{m: m, conn: conn, cache: map[string]*concolic.SymMap{}}
+	return &Session{m: m, conn: conn}
 }
 
 // Conn exposes the underlying driver connection.
@@ -57,13 +59,14 @@ func (s *Session) here() trace.CodeLoc {
 	return concolic.Here(3)
 }
 
+// tableCache returns the table's read cache, creating it on first use.
 func (s *Session) tableCache(table string) *concolic.SymMap {
-	c := s.cache[table]
-	if c == nil {
-		pk := s.m.pkColumn(table)
-		c = s.engine().NewSymMap("cache."+table, pk.Type.Sort())
-		s.cache[table] = c
+	if i := slices.Index(s.tables, table); i >= 0 {
+		return s.caches[i]
 	}
+	hint := s.m.text(textKey{kind: 'C', table: table}, func() string { return "cache." + table })
+	c := s.engine().NewSymMap(hint, s.m.pkColumn(table).Type.Sort())
+	s.tables, s.caches = append(s.tables, table), append(s.caches, c)
 	return c
 }
 
@@ -88,7 +91,7 @@ func (s *Session) Rollback() error {
 		en.dirty = 0
 	}
 	s.pendingNew, s.dirtyOrder, s.pendingDel = nil, nil, nil
-	clear(s.cache)
+	s.tables, s.caches = nil, nil
 	return s.conn.Rollback()
 }
 
@@ -187,9 +190,10 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	if rows.Empty() {
 		return nil
 	}
-	cols := make([]colRun, len(refs))
-	for i, ref := range refs {
-		cols[i] = s.aliasColumns(ref.Table, ref.Alias(), rows)
+	var colBuf [4]colRun
+	cols := colBuf[:0]
+	for _, ref := range refs {
+		cols = append(cols, s.aliasColumns(ref.Table, ref.Alias(), rows))
 	}
 	var out []*Entity
 	seen := map[*Entity]bool{}

@@ -13,7 +13,7 @@ import (
 // placeholders '?' are numbered left to right. Keywords are
 // case-insensitive; identifiers are case-sensitive.
 func Parse(sql string) (Stmt, error) {
-	p := &parser{}
+	p := &parser{toks: make([]token, 0, len(sql)/2)} // a token every two bytes at most, as a rule
 	if err := p.tokenize(sql); err != nil {
 		return nil, err
 	}
