@@ -159,18 +159,22 @@ type fixgainJSON struct {
 }
 
 // fixgainAnalyze serially re-collects and re-analyzes one app
-// configuration and scores it against the applied fixes' fingerprints
-// (plan == nil is the baseline, from which the plan is then derived).
-func fixgainAnalyze(spec string, apply []string, workers int, plan []fixapply.Fix) (fixgainAnalysis, *core.Result, apps.App) {
+// configuration and scores it against the applied fixes' fingerprints.
+// plan == nil is the baseline, from which the plan is derived and
+// returned, each fix ranked against the canonical lock order, which no
+// later configuration needs.
+func fixgainAnalyze(spec string, apply []string, workers int, plan []fixapply.Fix) (fixgainAnalysis, []fixapply.Fix, apps.App) {
 	app, err := apps.Open(spec, apps.Options{Apply: apply})
 	check(err)
 	traces, err := appkit.Collect(app.UnitTests(), concolic.ModeConcolic)
 	check(err)
 	res := analyze(app.Schema(), traces, core.WithParallelism(workers))
 	if plan == nil {
-		// The baseline run: fixapply.Plan reads its suggestion ranks off
-		// the canonical order, which no later configuration needs.
-		res.CanonicalOrder = staticlint.CanonicalizeTraces(traces, app.Schema())
+		plan = fixapply.Plan(app, res)
+		co := staticlint.CanonicalizeTraces(traces, app.Schema())
+		for i := range plan {
+			plan[i].SuggestionRank = co.Rank(plan[i].APIs)
+		}
 	}
 
 	out := fixgainAnalysis{Deadlocks: len(res.Deadlocks), Classes: map[string]int{}}
@@ -197,7 +201,7 @@ func fixgainAnalyze(spec string, apply []string, workers int, plan []fixapply.Fi
 		}
 	}
 	sort.Strings(out.RemainingTargeted)
-	return out, res, app
+	return out, plan, app
 }
 
 // fixgainMeasure opens a fresh app configuration on the contended
@@ -221,8 +225,7 @@ func fixgainMeasure(spec string, apply []string, clients int, dur time.Duration)
 // diagnosis, fix plan, and serial re-analysis of every individual and
 // cumulative fix configuration.
 func fixgainStaticFor(spec string, workers int) (fixgainStatic, []fixapply.Fix) {
-	baseline, res, app := fixgainAnalyze(spec, nil, workers, nil)
-	plan := fixapply.Plan(app, res)
+	baseline, plan, app := fixgainAnalyze(spec, nil, workers, nil)
 	st := fixgainStatic{Baseline: baseline, Plan: plan}
 	_, cataloged := app.(fixapply.Cataloged)
 

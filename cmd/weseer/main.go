@@ -186,10 +186,10 @@ func registerAnalysisFlags(fs *flag.FlagSet) *analysisFlags {
 }
 
 // report is the shared tail of "run" and "analyze": analyze the traces
-// under the flags (plus the caller's extra options), attach the canonical
-// lock order when -fixplan wants it, and print the report as text or
-// JSON. The result is returned for "run -reproduce"; after a partial
-// report the error is errPartial.
+// under the flags (plus the caller's extra options), compute the canonical
+// lock order beside the result when -fixplan wants it, and print the
+// report as text or JSON. The result is returned for "run -reproduce";
+// after a partial report the error is errPartial.
 func (f *analysisFlags) report(app apps.App, traces []*trace.Trace, o *obs.Observer, opts ...core.Option) (*core.Result, error) {
 	if *f.coarse {
 		opts = append(opts, core.WithCoarseOnly())
@@ -201,16 +201,21 @@ func (f *analysisFlags) report(app apps.App, traces []*trace.Trace, o *obs.Obser
 	if err != nil {
 		return nil, err
 	}
+	var co *staticlint.CanonicalOrder
 	if *f.fixplan {
-		res.CanonicalOrder = staticlint.CanonicalizeTraces(traces, app.Schema())
+		co = staticlint.CanonicalizeTraces(traces, app.Schema())
 	}
 	if *f.jsonOut {
-		err = printJSON(res, app.Classify, partial)
+		err = printJSON(res, co, app.Classify, partial)
 	} else {
-		printReport(res, app, *f.verbose)
+		printReport(res, co, app, *f.verbose)
 		if *f.fixplan {
+			plan := fixapply.Plan(app, res)
+			for i := range plan {
+				plan[i].SuggestionRank = co.Rank(plan[i].APIs)
+			}
 			fmt.Println()
-			fmt.Print(fixapply.Render(fixapply.Plan(app, res)))
+			fmt.Print(fixapply.Render(plan))
 		}
 	}
 	if err == nil && partial {
@@ -619,8 +624,8 @@ type jsonDeadlck struct {
 	Txns [2]history.TxnLock `json:"txns"`
 }
 
-func printJSON(res *core.Result, classify func(*core.Deadlock) string, partial bool) error {
-	rep := jsonReport{Version: 1, Partial: partial, Stats: statsObject(res.Stats), Reports: []jsonDeadlck{}, Canonical: res.CanonicalOrder}
+func printJSON(res *core.Result, co *staticlint.CanonicalOrder, classify func(*core.Deadlock) string, partial bool) error {
+	rep := jsonReport{Version: 1, Partial: partial, Stats: statsObject(res.Stats), Reports: []jsonDeadlck{}, Canonical: co}
 	for _, d := range res.Deadlocks {
 		rep.Reports = append(rep.Reports, jsonDeadlck{
 			Fingerprint: d.Fingerprint(),
@@ -639,11 +644,9 @@ func printJSON(res *core.Result, classify func(*core.Deadlock) string, partial b
 	return nil
 }
 
-func printReport(res *core.Result, app apps.App, verbose bool) {
+func printReport(res *core.Result, co *staticlint.CanonicalOrder, app apps.App, verbose bool) {
 	fmt.Println(res.Stats.Render())
-	if s := core.RenderSuggestions(res.CanonicalOrder); s != "" {
-		fmt.Print(s)
-	}
+	fmt.Print(co.RenderSuggestions())
 	counts := map[string][]*core.Deadlock{}
 	for _, d := range res.Deadlocks {
 		id := app.Classify(d)

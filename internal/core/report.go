@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
 	"weseer/internal/smt"
-	"weseer/internal/staticlint"
 	"weseer/internal/trace"
 )
 
@@ -22,14 +20,6 @@ import (
 type Result struct {
 	Deadlocks []*Deadlock
 	Stats     Stats
-	// CanonicalOrder is the cross-API lock-order canonicalization over
-	// the run's transaction shapes: the global acquisition order plus the
-	// ranked feedback-edge reorder suggestions — the f9–f11-style fixes
-	// that kill whole inversion families at once. AnalyzeContext leaves it
-	// nil; a caller that prints it (Render, the -json report, the fix
-	// plan's suggestion ranks) attaches
-	// staticlint.CanonicalizeTraces(traces, scm) first.
-	CanonicalOrder *staticlint.CanonicalOrder
 }
 
 // Render formats the analysis result for developers.
@@ -37,7 +27,6 @@ func (r *Result) Render() string {
 	var b strings.Builder
 	writeLine(&b, "WeSEER deadlock report: ", strconv.Itoa(len(r.Deadlocks)), " potential deadlock(s)")
 	writeLine(&b, r.Stats.Render())
-	b.WriteString(RenderSuggestions(r.CanonicalOrder))
 	for i, d := range r.Deadlocks {
 		writeLine(&b, "\n=== Deadlock ", strconv.Itoa(i+1), " ===")
 		d.render(&b)
@@ -51,29 +40,6 @@ func writeLine(b *strings.Builder, parts ...string) {
 		b.WriteString(p)
 	}
 	b.WriteByte('\n')
-}
-
-// RenderSuggestions formats the canonical order's ranked reorder
-// suggestions for the text report ("" when there are none or co is nil).
-func RenderSuggestions(co *staticlint.CanonicalOrder) string {
-	if co == nil || len(co.Suggestions) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "ranked lock-order fixes (canonical order over %d templates, %d conflicting edge(s)):\n",
-		co.Templates, len(co.Suggestions))
-	for _, s := range co.Suggestions {
-		fmt.Fprintf(&b, "  #%d acquire %s before %s (%d violating vs %d supporting template(s))\n",
-			s.Rank, s.To, s.From, s.Violators, s.Supporters)
-		for _, v := range s.Sites {
-			site := "(template)"
-			if v.File != "" {
-				site = fmt.Sprintf("%s:%d", v.File, v.Line)
-			}
-			fmt.Fprintf(&b, "      reorder %s at %s\n", v.API, site)
-		}
-	}
-	return b.String()
 }
 
 // Render formats one deadlock.

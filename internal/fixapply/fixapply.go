@@ -62,9 +62,10 @@ type Fix struct {
 	// Reports counts the diagnosed reports folded into this fix.
 	Reports int `json:"reports"`
 	// SuggestionRank is the rank of the best canonical-order reorder
-	// suggestion whose violating sites lie in this fix's templates
-	// (0 when no suggestion backs the fix — not every edit family is a
-	// lock-order inversion).
+	// suggestion whose violating sites lie in this fix's templates (0
+	// when no suggestion backs the fix — not every edit family is a
+	// lock-order inversion). Plan leaves it 0; a caller holding the
+	// order sets it to staticlint's CanonicalOrder.Rank(APIs).
 	SuggestionRank int `json:"suggestion_rank,omitempty"`
 }
 
@@ -134,7 +135,6 @@ func Plan(app apps.App, res *core.Result) []Fix {
 				f.Kinds = append(f.Kinds, h.String())
 			}
 		}
-		f.SuggestionRank = suggestionRank(res, g.apis)
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -166,23 +166,6 @@ func fixFor(cl string, catalog map[string]appkit.Expectation) (string, string) {
 		return cl, ""
 	}
 	return "", ""
-}
-
-// suggestionRank returns the best (lowest) canonical-order suggestion
-// rank whose violating sites lie in apis, or 0 when none does.
-func suggestionRank(res *core.Result, apis map[string]bool) int {
-	if res.CanonicalOrder == nil {
-		return 0
-	}
-	best := 0
-	for _, s := range res.CanonicalOrder.Suggestions {
-		for _, api := range s.TemplateAPIs() {
-			if apis[api] && (best == 0 || s.Rank < best) {
-				best = s.Rank
-			}
-		}
-	}
-	return best
 }
 
 func fixOrd(name string) int {

@@ -193,9 +193,9 @@ func TestFixPropertiesOverCorpora(t *testing.T) {
 	}
 }
 
-// TestShopizerReordersCarrySuggestions: a fix's suggestion rank comes
-// from the canonical order its caller attached. Shopizer's three fixes are
-// all row reorders, so each is backed by a suggestion.
+// TestShopizerReordersCarrySuggestions: a fix's suggestion rank is the
+// canonical order's Rank over the fix's templates. Shopizer's three fixes
+// are all row reorders, so each is backed by a suggestion.
 func TestShopizerReordersCarrySuggestions(t *testing.T) {
 	app, err := apps.Open("shopizer", apps.Options{})
 	if err != nil {
@@ -209,11 +209,12 @@ func TestShopizerReordersCarrySuggestions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.CanonicalOrder = staticlint.CanonicalizeTraces(traces, app.Schema())
+	co := staticlint.CanonicalizeTraces(traces, app.Schema())
 	fixes := fixapply.Plan(app, res)
 	ranks := map[string]int{}
-	for _, f := range fixes {
-		ranks[f.Name] = f.SuggestionRank
+	for i, f := range fixes {
+		fixes[i].SuggestionRank = co.Rank(f.APIs)
+		ranks[f.Name] = fixes[i].SuggestionRank
 	}
 	for _, name := range []string{"f9", "f10", "f11"} {
 		if ranks[name] == 0 {

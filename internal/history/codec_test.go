@@ -159,7 +159,7 @@ func TestDecodeRecordHostileCount(t *testing.T) {
 	raw := binary.AppendUvarint([]byte{recEvent, 0, 0, 0, 0, 0}, 1<<28) // 1 GiB of ids
 	raw = append(raw, bytes.Repeat([]byte{0}, 64)...)
 	hostileID := &entry{fp: "hostile", tables: []uint32{1 << 31}}
-	s := newStore(nil)
+	s := newStore()
 	for name, apply := range map[string]func() error{
 		"table count": func() error { _, err := decodeRecord(raw); return err },
 		"id past uint32": func() error {

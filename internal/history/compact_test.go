@@ -38,7 +38,7 @@ func handMadeLog(t *testing.T) [][]byte {
 	t.Helper()
 	at := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	events := append(testEvents(), Event{Fingerprint: "00000000000000d4", APIs: [2]string{"Refund", "Checkout"}, Tables: []string{"Order", "Payment"}})
-	s := newStore(nil)
+	s := newStore()
 	var out [][]byte
 	emit := func(p []byte) error {
 		out = append(out, slices.Clone(p))
@@ -102,7 +102,7 @@ func TestOpenLeavesLogAlone(t *testing.T) {
 // name, live and reopened alike.
 func TestCompactionKeepsBodies(t *testing.T) {
 	ingested := func(t *testing.T, path string) {
-		s, err := Open(path, WithClock(fixedClock()))
+		s, err := openClocked(path, fixedClock())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestCompactionKeepsBodies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := Open(path, WithClock(fixedClock()))
+			s, err := openClocked(path, fixedClock())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestCompactionKeepsBodies(t *testing.T) {
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if s, err = Open(path, WithClock(fixedClock())); err != nil {
+				if s, err = openClocked(path, fixedClock()); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -75,7 +75,7 @@ func readGolden(t *testing.T, name string) []byte {
 func TestBodiesMatchParentCommit(t *testing.T) {
 	want := readGolden(t, "legacy_http.golden")
 	path := filepath.Join(t.TempDir(), "history.wal")
-	s, err := Open(path, WithClock(fixedClock()))
+	s, err := openClocked(path, fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestForeignLogRefused(t *testing.T) {
 // new fingerprint: the def of each string it meets first, then the event.
 func ingestPayloads(t *testing.T, events []Event) [][]byte {
 	t.Helper()
-	s := newStore(nil)
+	s := newStore()
 	var out [][]byte
 	for i := range events {
 		if err := s.emitEvent(&events[i], func(p []byte) error {
@@ -308,7 +308,7 @@ func replayEqualsLive(t *testing.T, prefill int) {
 	batches := benchBatches(benchBatch + prefill)
 	pool := batches[0][:200]
 	path := filepath.Join(t.TempDir(), "history.wal")
-	s, err := Open(path, WithClock(fixedClock()))
+	s, err := openClocked(path, fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}

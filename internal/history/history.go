@@ -128,21 +128,12 @@ type Store struct {
 	now       func() time.Time
 }
 
-// StoreOption configures Open.
-type StoreOption func(*Store)
-
-// WithClock overrides the store's time source (tests pin timestamps so
-// reloaded state is byte-comparable against golden output).
-func WithClock(now func() time.Time) StoreOption {
-	return func(s *Store) { s.now = now }
-}
-
 // replayBatch is how many decoded records Open hands its applying
 // goroutine at a time.
 const replayBatch = 1024
 
-func newStore(opts []StoreOption) *Store {
-	s := &Store{
+func newStore() *Store {
+	return &Store{
 		events: map[string]*entry{},
 		dict:   []string{""},
 		ids:    map[string]uint32{"": 0},
@@ -150,10 +141,6 @@ func newStore(opts []StoreOption) *Store {
 		pairs: map[uint64]*Rollup{},
 		now:   time.Now,
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
 }
 
 // Open opens (creating if absent) the store at path, replaying the
@@ -164,8 +151,8 @@ func newStore(opts []StoreOption) *Store {
 // fails Open with a *btree.FormatError, and the first record that fails
 // to decode or apply fails it named by its offset; either way the file is
 // left as it was.
-func Open(path string, opts ...StoreOption) (*Store, error) {
-	s := newStore(opts)
+func Open(path string) (*Store, error) {
+	s := newStore()
 	type frame struct {
 		off int64
 		rec record

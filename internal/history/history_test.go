@@ -26,6 +26,17 @@ func fixedClock() func() time.Time {
 	}
 }
 
+// openClocked opens the store at path with its clock pinned to now, so
+// ingested timestamps are byte-comparable against golden output. Open
+// reads no clock: replay takes its times from the log.
+func openClocked(path string, now func() time.Time) (*Store, error) {
+	s, err := Open(path)
+	if err == nil {
+		s.now = now
+	}
+	return s, err
+}
+
 func testEvents() []Event {
 	return []Event{
 		{
@@ -79,7 +90,7 @@ func snapshot(t *testing.T, s *Store) []byte {
 // byte-identical to the pre-close state.
 func TestStoreDurability(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.wal")
-	s, err := Open(path, WithClock(fixedClock()))
+	s, err := openClocked(path, fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +132,7 @@ func TestStoreDurability(t *testing.T) {
 // must reopen with the intact prefix, and ingest must work afterwards.
 func TestStoreTornTailRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.wal")
-	s, err := Open(path, WithClock(fixedClock()))
+	s, err := openClocked(path, fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +151,7 @@ func TestStoreTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(path, WithClock(fixedClock()))
+	s2, err := openClocked(path, fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +182,7 @@ func TestStoreTornTailRecovery(t *testing.T) {
 
 func TestRollupsAndQueries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.wal")
-	s, err := Open(path, WithClock(fixedClock()))
+	s, err := openClocked(path, fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +265,7 @@ func TestEventsMatchSortedScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	path := filepath.Join(t.TempDir(), "history.wal")
-	s, err := Open(path, WithClock(func() time.Time { return now }))
+	s, err := openClocked(path, func() time.Time { return now })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +393,7 @@ func TestIngestRejectsFingerprintless(t *testing.T) {
 // TestBatchInternalDedup: the same fingerprint twice in one batch
 // stores once and touches once.
 func TestBatchInternalDedup(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	s, err := openClocked(filepath.Join(t.TempDir(), "history.wal"), fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +411,7 @@ func TestBatchInternalDedup(t *testing.T) {
 // TestManyEventsReload pins replay fidelity at size.
 func TestManyEventsReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.wal")
-	s, err := Open(path, WithClock(fixedClock()))
+	s, err := openClocked(path, fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +447,7 @@ func TestManyEventsReload(t *testing.T) {
 // TestIngestAllOrNothing: an invalid event anywhere in a batch fails the
 // batch before a byte is appended or a rollup touched.
 func TestIngestAllOrNothing(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	s, err := openClocked(filepath.Join(t.TempDir(), "history.wal"), fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +477,7 @@ func TestIngestAllOrNothing(t *testing.T) {
 // before the first append, so the events ahead of it in the batch are not
 // stored either.
 func TestIngestRefusesOversizedRecord(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	s, err := openClocked(filepath.Join(t.TempDir(), "history.wal"), fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +508,7 @@ func TestIngestRefusesOversizedRecord(t *testing.T) {
 // TestEventsResultIsTheCallers: sorting or overwriting a returned event's
 // Tables must not reach the store's index.
 func TestEventsResultIsTheCallers(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	s, err := openClocked(filepath.Join(t.TempDir(), "history.wal"), fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +535,7 @@ func TestEventsResultIsTheCallers(t *testing.T) {
 // caller's Tables in place, and the stored event does not change when the
 // caller later writes to what it passed in.
 func TestIngestLeavesCallerMemoryAlone(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	s, err := openClocked(filepath.Join(t.TempDir(), "history.wal"), fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +590,7 @@ func scanTableCounts(events []Event, since time.Time) []TableCount {
 // after new events, after touches, and after a reopen.
 func TestTableCountsRollupMatchesScan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.wal")
-	s, err := Open(path, WithClock(fixedClock()))
+	s, err := openClocked(path, fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +630,7 @@ func TestTableCountsRollupMatchesScan(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err = Open(path, WithClock(fixedClock()))
+	s, err = openClocked(path, fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +672,7 @@ func TestTableEventsMatchFullScan(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		path := filepath.Join(t.TempDir(), "history.wal")
-		s, err := Open(path, WithClock(fixedClock()))
+		s, err := openClocked(path, fixedClock())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ import (
 // that maps each trace to one event keyed by the trace's API name.
 func newTestServer(t *testing.T) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
-	store, err := Open(filepath.Join(t.TempDir(), "history.wal"), WithClock(fixedClock()))
+	store, err := openClocked(filepath.Join(t.TempDir(), "history.wal"), fixedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestIngestOversizedEvent(t *testing.T) {
 func FuzzIngest(f *testing.F) {
 	defer func(old int) { maxRecord = old }(maxRecord)
 	maxRecord = 512
-	store, err := Open(filepath.Join(f.TempDir(), "history.wal"), WithClock(fixedClock()))
+	store, err := openClocked(filepath.Join(f.TempDir(), "history.wal"), fixedClock())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -505,8 +505,8 @@ func TestMemoFollowsStore(t *testing.T) {
 	pool := benchBatches(benchBatch)[0][:300]
 	path := filepath.Join(t.TempDir(), "history.wal")
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	clock := WithClock(func() time.Time { return now })
-	s, err := Open(path, clock)
+	clock := func() time.Time { return now }
+	s, err := openClocked(path, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestMemoFollowsStore(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if s, err = Open(path, clock); err != nil {
+			if s, err = openClocked(path, clock); err != nil {
 				t.Fatal(err)
 			}
 			srv.Store = s

@@ -2,6 +2,7 @@ package staticlint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,20 +54,6 @@ type Suggestion struct {
 	Evidence []Vote `json:"evidence,omitempty"`
 }
 
-// TemplateAPIs returns the distinct transaction templates whose
-// acquisition sites violate the suggestion — the identities a fix plan
-// uses to match a suggestion to the templates it would rewrite. Sites
-// are already sorted and deduplicated, so the result is deterministic.
-func (s Suggestion) TemplateAPIs() []string {
-	var out []string
-	for _, v := range s.Sites {
-		if n := len(out); n == 0 || out[n-1] != v.API {
-			out = append(out, v.API)
-		}
-	}
-	return out
-}
-
 // CanonicalOrder is the result of lock-order canonicalization: the
 // global acquisition order plus the ranked reorder suggestions where
 // templates disagree.
@@ -87,28 +74,45 @@ type CanonicalOrder struct {
 // from the shapes and canonicalize it. scm may be nil (no row-level
 // node narrowing).
 func CanonicalizeShapes(shapes []TxnShape, scm *schema.Schema) *CanonicalOrder {
-	return BuildLockOrderGraph(shapes, scm).Canonicalize()
+	return buildLockOrderGraph(shapes, scm).canonicalize()
 }
 
 // CanonicalizeTraces canonicalizes a collected workload: every
-// transaction instance of every trace is one voting template. This is
-// what `-fixplan` and the fixgain experiment attach to
-// core.Result.CanonicalOrder; the analysis itself never computes it
-// (most of a second on a thousand traces). Serial and input-order driven,
-// so the result is byte-identical however the analysis was run.
+// transaction instance of every trace is one voting template. `-fixplan`
+// and the fixgain experiment compute it beside the analysis result,
+// which never carries it (a few hundred milliseconds on a thousand
+// traces). Serial and input-order driven, so the result is byte-identical
+// however the analysis was run.
 func CanonicalizeTraces(traces []*trace.Trace, scm *schema.Schema) *CanonicalOrder {
 	var shapes []TxnShape
 	for _, tr := range traces {
 		for _, txn := range tr.Txns {
-			shapes = append(shapes, ShapeFromTxn(tr.API, txn))
+			shapes = append(shapes, shapeFromTxn(tr.API, txn))
 		}
 	}
 	return CanonicalizeShapes(shapes, scm)
 }
 
-// Canonicalize computes the canonical global lock order and the ranked
+// Rank returns the rank of the best suggestion with a violating site in
+// one of apis — the reorder that a fix rewriting those templates carries
+// out — or 0 when no suggestion names them or co is nil.
+func (co *CanonicalOrder) Rank(apis []string) int {
+	if co == nil {
+		return 0
+	}
+	for _, s := range co.Suggestions { // best first
+		for _, v := range s.Sites {
+			if slices.Contains(apis, v.API) {
+				return s.Rank
+			}
+		}
+	}
+	return 0
+}
+
+// canonicalize computes the canonical global lock order and the ranked
 // feedback-edge suggestions.
-func (g *LockOrderGraph) Canonicalize() *CanonicalOrder {
+func (g *lockOrderGraph) canonicalize() *CanonicalOrder {
 	fb, cut := g.feedbackEdges()
 	order, _ := g.kahn(cut) // complete: fb breaks every cycle
 	co := &CanonicalOrder{Order: make([]string, 0, len(order)), Templates: g.templates}
@@ -155,7 +159,7 @@ func (g *LockOrderGraph) Canonicalize() *CanonicalOrder {
 // feedbackEdges returns a small edge set whose removal makes the graph
 // acyclic, as sorted [from, to] index pairs and as a set. Empty when the
 // graph already is.
-func (g *LockOrderGraph) feedbackEdges() ([][2]int, map[[2]int]bool) {
+func (g *lockOrderGraph) feedbackEdges() ([][2]int, map[[2]int]bool) {
 	n := len(g.nodes)
 	if n == 0 {
 		return nil, nil
@@ -217,37 +221,34 @@ func (g *LockOrderGraph) feedbackEdges() ([][2]int, map[[2]int]bool) {
 // an acyclic graph the result is a topological order (no back edges).
 // Ties break on the (sorted-key) node index, making the sequence — and
 // everything derived from it — deterministic.
-func (g *LockOrderGraph) elsPositions() []int {
+func (g *lockOrderGraph) elsPositions() []int {
 	n := len(g.nodes)
 	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
+	// outW and inW are each node's weight to and from the alive nodes;
+	// peel keeps them current.
+	outW, inW := make([]int, n), make([]int, n)
+	for u := 0; u < n; u++ {
+		alive[u] = true
+		for v := 0; v < n; v++ {
+			outW[u] += g.w[u][v]
+			inW[v] += g.w[u][v]
+		}
 	}
 	left := n
-	outW := func(u int) int {
-		s := 0
-		for v := 0; v < n; v++ {
-			if alive[v] && g.w[u][v] > 0 {
-				s += g.w[u][v]
-			}
+	peel := func(x int) {
+		alive[x] = false
+		left--
+		for u := 0; u < n; u++ {
+			outW[u] -= g.w[u][x]
+			inW[u] -= g.w[x][u]
 		}
-		return s
-	}
-	inW := func(u int) int {
-		s := 0
-		for v := 0; v < n; v++ {
-			if alive[v] && g.w[v][u] > 0 {
-				s += g.w[v][u]
-			}
-		}
-		return s
 	}
 	var s1, s2 []int // s2 is built back-to-front
 	for left > 0 {
 		for {
 			sink := -1
 			for u := 0; u < n; u++ {
-				if alive[u] && outW(u) == 0 {
+				if alive[u] && outW[u] == 0 {
 					sink = u
 					break
 				}
@@ -255,14 +256,13 @@ func (g *LockOrderGraph) elsPositions() []int {
 			if sink < 0 {
 				break
 			}
-			alive[sink] = false
-			left--
+			peel(sink)
 			s2 = append(s2, sink)
 		}
 		for {
 			src := -1
 			for u := 0; u < n; u++ {
-				if alive[u] && inW(u) == 0 {
+				if alive[u] && inW[u] == 0 {
 					src = u
 					break
 				}
@@ -270,8 +270,7 @@ func (g *LockOrderGraph) elsPositions() []int {
 			if src < 0 {
 				break
 			}
-			alive[src] = false
-			left--
+			peel(src)
 			s1 = append(s1, src)
 		}
 		if left == 0 {
@@ -282,13 +281,12 @@ func (g *LockOrderGraph) elsPositions() []int {
 			if !alive[u] {
 				continue
 			}
-			d := outW(u) - inW(u)
+			d := outW[u] - inW[u]
 			if best < 0 || d > bestDelta {
 				best, bestDelta = u, d
 			}
 		}
-		alive[best] = false
-		left--
+		peel(best)
 		s1 = append(s1, best)
 	}
 	pos := make([]int, n)
@@ -306,7 +304,7 @@ func (g *LockOrderGraph) elsPositions() []int {
 // node, so the order is unique and deterministic. It returns the nodes
 // it emitted and whether that was all of them — false exactly when the
 // remaining edges still close a cycle.
-func (g *LockOrderGraph) kahn(excluded map[[2]int]bool) ([]int, bool) {
+func (g *lockOrderGraph) kahn(excluded map[[2]int]bool) ([]int, bool) {
 	n := len(g.nodes)
 	indeg := make([]int, n)
 	for u := 0; u < n; u++ {
@@ -354,17 +352,39 @@ func (co *CanonicalOrder) Render() string {
 		return b.String()
 	}
 	b.WriteString("reorder suggestions (feedback edges, strongest majority first):\n")
-	for _, s := range co.Suggestions {
-		fmt.Fprintf(&b, "  #%d acquire %s before %s: %d template(s) against %d\n",
-			s.Rank, s.To, s.From, s.Violators, s.Supporters)
-		for _, v := range s.Sites {
-			fmt.Fprintf(&b, "      reorder %s at %s\n", v.API, siteOf(v))
-		}
-		for _, v := range s.Evidence {
-			fmt.Fprintf(&b, "      keeps   %s at %s\n", v.API, siteOf(v))
-		}
+	for i := range co.Suggestions {
+		co.Suggestions[i].render(&b)
 	}
 	return b.String()
+}
+
+// RenderSuggestions formats only the ranked suggestions, as `-fixplan`
+// prints them beside the analysis report: no node list, and "" when co is
+// nil or has no conflicts.
+func (co *CanonicalOrder) RenderSuggestions() string {
+	if co == nil || len(co.Suggestions) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "ranked lock-order fixes (canonical order over %d templates, %d conflicting edge(s)):\n",
+		co.Templates, len(co.Suggestions))
+	for i := range co.Suggestions {
+		co.Suggestions[i].render(&b)
+	}
+	return b.String()
+}
+
+// render writes one suggestion as both reports print it: the reorder it
+// asks for, the sites to reorder and the sites that already agree.
+func (s *Suggestion) render(b *strings.Builder) {
+	fmt.Fprintf(b, "  #%d acquire %s before %s: %d template(s) against %d\n",
+		s.Rank, s.To, s.From, s.Violators, s.Supporters)
+	for _, v := range s.Sites {
+		fmt.Fprintf(b, "      reorder %s at %s\n", v.API, siteOf(v))
+	}
+	for _, v := range s.Evidence {
+		fmt.Fprintf(b, "      keeps   %s at %s\n", v.API, siteOf(v))
+	}
 }
 
 func siteOf(v Vote) string {

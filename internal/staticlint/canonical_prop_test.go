@@ -63,11 +63,11 @@ func randomShapes(seed int64) []TxnShape {
 // one workload.
 func checkCanonicalProperties(t *testing.T, seed int64, shapes []TxnShape) {
 	t.Helper()
-	g := BuildLockOrderGraph(shapes, nil)
-	co := g.Canonicalize()
+	g := buildLockOrderGraph(shapes, nil)
+	co := g.canonicalize()
 
 	// The order lists every node exactly once.
-	keys := g.NodeKeys()
+	keys := g.nodeKeys()
 	if len(co.Order) != len(keys) {
 		t.Fatalf("seed %d: order has %d entries, graph %d nodes", seed, len(co.Order), len(keys))
 	}
@@ -86,17 +86,17 @@ func checkCanonicalProperties(t *testing.T, seed int64, shapes []TxnShape) {
 
 	// Feedback edges must be real graph edges with consistent weights,
 	// and the order a valid topological order of the remaining edges.
-	edges := g.EdgeKeys()
+	edges := g.edgeKeys()
 	if co.Edges != len(edges) {
 		t.Fatalf("seed %d: co.Edges = %d, graph has %d", seed, co.Edges, len(edges))
 	}
 	feedback := map[[2]string]bool{}
 	for _, s := range co.Suggestions {
-		if w := g.Weight(s.From, s.To); w == 0 || w != s.Violators {
+		if w := g.weight(s.From, s.To); w == 0 || w != s.Violators {
 			t.Fatalf("seed %d: suggestion %s->%s: violators %d, edge weight %d",
 				seed, s.From, s.To, s.Violators, w)
 		}
-		if w := g.Weight(s.To, s.From); w != s.Supporters {
+		if w := g.weight(s.To, s.From); w != s.Supporters {
 			t.Fatalf("seed %d: suggestion %s->%s: supporters %d, reverse weight %d",
 				seed, s.From, s.To, s.Supporters, w)
 		}
@@ -142,6 +142,29 @@ func checkCanonicalProperties(t *testing.T, seed int64, shapes []TxnShape) {
 		}
 	}
 
+	// Rank is the best rank among the suggestions with a site in one of
+	// the APIs: 0 on a nil order and for APIs no suggestion names.
+	var none *CanonicalOrder
+	if r := none.Rank([]string{shapes[0].API}); r != 0 {
+		t.Fatalf("seed %d: nil order ranks %d", seed, r)
+	}
+	if r := co.Rank([]string{"NoSuchAPI"}); r != 0 {
+		t.Fatalf("seed %d: an API no suggestion names ranks %d", seed, r)
+	}
+	for _, sh := range shapes {
+		want := 0
+		for _, s := range co.Suggestions {
+			for _, v := range s.Sites {
+				if v.API == sh.API && (want == 0 || s.Rank < want) {
+					want = s.Rank
+				}
+			}
+		}
+		if got := co.Rank([]string{"NoSuchAPI", sh.API}); got != want {
+			t.Fatalf("seed %d: Rank(%s) = %d, want %d", seed, sh.API, got, want)
+		}
+	}
+
 	// Byte determinism: rebuilding — from the same shapes and from
 	// shuffled shapes — must reproduce the text and JSON output exactly.
 	// Map iteration order differs per rebuild, so this also catches
@@ -151,7 +174,7 @@ func checkCanonicalProperties(t *testing.T, seed int64, shapes []TxnShape) {
 	rng := rand.New(rand.NewSource(seed + 1))
 	for trial := 0; trial < 3; trial++ {
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		again := BuildLockOrderGraph(shuffled, nil).Canonicalize()
+		again := buildLockOrderGraph(shuffled, nil).canonicalize()
 		if got := again.Render(); got != text {
 			t.Fatalf("seed %d: render not deterministic under input shuffle:\n got %q\nwant %q", seed, got, text)
 		}
@@ -188,4 +211,47 @@ func FuzzCanonicalOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		checkCanonicalProperties(t, seed, randomShapes(seed))
 	})
+}
+
+// nodeKeys returns every node key in canonical (sorted) order.
+func (g *lockOrderGraph) nodeKeys() []string {
+	out := make([]string, len(g.nodes))
+	for i, n := range g.nodes {
+		out[i] = n.Key()
+	}
+	return out
+}
+
+// edgeKeys returns every edge as a [from, to] key pair, in canonical
+// order.
+func (g *lockOrderGraph) edgeKeys() [][2]string {
+	var out [][2]string
+	for u := range g.nodes {
+		for v := range g.nodes {
+			if g.w[u][v] > 0 {
+				out = append(out, [2]string{g.nodes[u].Key(), g.nodes[v].Key()})
+			}
+		}
+	}
+	return out
+}
+
+// weight returns how many templates acquire from before to (0 when the
+// edge is absent or either node unknown).
+func (g *lockOrderGraph) weight(from, to string) int {
+	u, okU := g.keyIndex(from)
+	v, okV := g.keyIndex(to)
+	if !okU || !okV {
+		return 0
+	}
+	return g.w[u][v]
+}
+
+func (g *lockOrderGraph) keyIndex(key string) (int, bool) {
+	for i, n := range g.nodes {
+		if n.Key() == key {
+			return i, true
+		}
+	}
+	return 0, false
 }

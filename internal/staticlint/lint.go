@@ -146,7 +146,7 @@ func provenance(what string, ev event) string {
 // scm may be nil (no schema → synthesized point statements are skipped).
 func (p *Program) Findings(scm *schema.Schema) []Finding {
 	out := p.lint()
-	out = append(out, PrescreenTxns(p.Shapes(scm))...)
+	out = append(out, prescreenTxns(p.Shapes(scm))...)
 	Sort(out)
 	return out
 }

@@ -60,11 +60,11 @@ func voteLess(a, b Vote) bool {
 	return a.Line < b.Line
 }
 
-// LockOrderGraph is the merged acquisition-order graph over every
+// lockOrderGraph is the merged acquisition-order graph over every
 // template's lock-order constraints. Node indexes are assigned in
 // sorted-key order, so every index-order iteration is deterministic
 // regardless of input order or map iteration.
-type LockOrderGraph struct {
+type lockOrderGraph struct {
 	nodes     []OrderNode
 	idx       map[OrderNode]int
 	w         [][]int // w[u][v]: templates acquiring u before v
@@ -185,7 +185,7 @@ func isColRef(o sqlast.Operand, alias, col string) bool {
 	return o.Kind == sqlast.Col && o.Column == col && (o.Table == alias || o.Table == "")
 }
 
-// BuildLockOrderGraph merges every shape's per-template lock-order
+// buildLockOrderGraph merges every shape's per-template lock-order
 // constraints into one directed graph: for each ordered node pair (u
 // acquired strictly before v) the template adds one vote to the edge
 // u -> v, located at v's acquisition site (the statement a fix would
@@ -193,7 +193,7 @@ func isColRef(o sqlast.Operand, alias, col string) bool {
 // events mean it may vote both directions of the same pair — that
 // self-disagreement is the f10/f11 signature, not a bug. scm may be
 // nil (no row-level node narrowing).
-func BuildLockOrderGraph(shapes []TxnShape, scm *schema.Schema) *LockOrderGraph {
+func buildLockOrderGraph(shapes []TxnShape, scm *schema.Schema) *lockOrderGraph {
 	nodeSet := map[OrderNode]bool{}
 	seqs := make([][]acquisition, len(shapes))
 	for i, sh := range shapes {
@@ -202,7 +202,7 @@ func BuildLockOrderGraph(shapes []TxnShape, scm *schema.Schema) *LockOrderGraph 
 			nodeSet[a.node] = true
 		}
 	}
-	g := &LockOrderGraph{idx: map[OrderNode]int{}, votes: map[[2]int][]Vote{}}
+	g := &lockOrderGraph{idx: map[OrderNode]int{}, votes: map[[2]int][]Vote{}}
 	for n := range nodeSet {
 		g.nodes = append(g.nodes, n)
 	}
@@ -236,51 +236,8 @@ func BuildLockOrderGraph(shapes []TxnShape, scm *schema.Schema) *LockOrderGraph 
 	return g
 }
 
-// NodeKeys returns every node key in canonical (sorted) order.
-func (g *LockOrderGraph) NodeKeys() []string {
-	out := make([]string, len(g.nodes))
-	for i, n := range g.nodes {
-		out[i] = n.Key()
-	}
-	return out
-}
-
-// EdgeKeys returns every edge as a [from, to] key pair, in canonical
-// order.
-func (g *LockOrderGraph) EdgeKeys() [][2]string {
-	var out [][2]string
-	for u := range g.nodes {
-		for v := range g.nodes {
-			if g.w[u][v] > 0 {
-				out = append(out, [2]string{g.nodes[u].Key(), g.nodes[v].Key()})
-			}
-		}
-	}
-	return out
-}
-
-// Weight returns how many templates acquire from before to (0 when the
-// edge is absent or either node unknown).
-func (g *LockOrderGraph) Weight(from, to string) int {
-	u, okU := g.keyIndex(from)
-	v, okV := g.keyIndex(to)
-	if !okU || !okV {
-		return 0
-	}
-	return g.w[u][v]
-}
-
-func (g *LockOrderGraph) keyIndex(key string) (int, bool) {
-	for i, n := range g.nodes {
-		if n.Key() == key {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // edgeVotes returns the deduplicated, sorted votes of one edge.
-func (g *LockOrderGraph) edgeVotes(u, v int) []Vote {
+func (g *lockOrderGraph) edgeVotes(u, v int) []Vote {
 	raw := g.votes[[2]int{u, v}]
 	seen := map[Vote]bool{}
 	var out []Vote
@@ -298,7 +255,7 @@ func (g *LockOrderGraph) edgeVotes(u, v int) []Vote {
 // reaches reports whether to is reachable from from along graph edges.
 // Callers only ask about distinct nodes (no template acquires a node
 // before itself), so the zero-length path never arises.
-func (g *LockOrderGraph) reaches(from, to int) bool {
+func (g *lockOrderGraph) reaches(from, to int) bool {
 	seen := make([]bool, len(g.nodes))
 	stack := []int{from}
 	seen[from] = true

@@ -9,9 +9,9 @@ import "fmt"
 // `weseer vet -canonical-order`), one global order instead of a warning
 // per pair.
 
-// PrescreenTxns runs Analyzer 1 over transaction shapes: each
+// prescreenTxns runs Analyzer 1 over transaction shapes: each
 // read-then-write lock upgrade is one lock-order-inversion finding.
-func PrescreenTxns(shapes []TxnShape) []Finding {
+func prescreenTxns(shapes []TxnShape) []Finding {
 	var out []Finding
 	for _, sh := range shapes {
 		out = append(out, upgradeFindings(sh)...)

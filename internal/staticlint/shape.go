@@ -30,9 +30,9 @@ type TxnShape struct {
 	Stmts []StmtShape
 }
 
-// ShapeFromTxn abstracts a recorded transaction: parameters whose
+// shapeFromTxn abstracts a recorded transaction: parameters whose
 // symbolic shadow is a literal become rigid.
-func ShapeFromTxn(api string, txn *trace.Txn) TxnShape {
+func shapeFromTxn(api string, txn *trace.Txn) TxnShape {
 	sh := TxnShape{API: api}
 	for _, st := range txn.Stmts {
 		s := StmtShape{Stmt: st.Parsed}

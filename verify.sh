@@ -468,10 +468,17 @@ ablation fig11 "enable all, disable all, disable f9, disable f10, disable f11"
 # lockmodel imports no sync: no shared cache comes back into it. The page
 # tree's views are strings over page bytes, so unsafe stays in its one
 # file, and the collector's work is cut by what the heap holds, never by
-# a knob: no program code sets the GC percent or a memory limit.
-echo "== layering (solver imports no obs; obs names no pipeline metric; only lockmodel reads Lock.Exclusive; core calls no PotentialConflict; lockmodel imports no sync; unsafe only in btree/pages.go; no GC knobs)"
+# a knob: no program code sets the GC percent or a memory limit. The
+# canonical lock order is vet's (staticlint), computed beside a result by
+# the commands that print it, so the analysis core links no staticlint and
+# the root API no Go type checker.
+echo "== layering (solver imports no obs; core links no staticlint; the root package links no go/types; obs names no pipeline metric; only lockmodel reads Lock.Exclusive; core calls no PotentialConflict; lockmodel imports no sync; unsafe only in btree/pages.go; no GC knobs)"
 ! go list -deps ./internal/solver | grep 'weseer/internal/obs' ||
     { echo "layering: internal/solver depends on internal/obs" >&2; exit 1; }
+! go list -deps ./internal/core | grep -x 'weseer/internal/staticlint' ||
+    { echo "layering: internal/core depends on internal/staticlint; keep the canonical order beside the result" >&2; exit 1; }
+! go list -deps . | grep -x 'go/types' ||
+    { echo "layering: the root weseer package links go/types" >&2; exit 1; }
 ! find internal/obs -name '*.go' -not -name '*_test.go' | xargs grep -l 'weseer_funnel\|weseer_cdcl' ||
     { echo "layering: internal/obs names a pipeline metric (files above)" >&2; exit 1; }
 ! grep -rln '\.Exclusive\b' --include='*.go' internal cmd | grep -v -e '_test\.go$' -e '^internal/lockmodel/' ||
