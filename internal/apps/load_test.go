@@ -123,7 +123,8 @@ func TestLoadMatchesSQLSeed(t *testing.T) {
 }
 
 // TestOpenAllocs pins what opening the 1,056-template corpus allocates:
-// the measured 37.5 K plus 10 %. It was 46.2 K while appgen rebuilt a
+// the measured 34.4 K plus 10 %. It was 37.5 K while minidb.Load made a
+// string of every index key, 46.2 K while appgen rebuilt a
 // filler's body for every guard and the parser grew its tokens by append,
 // 91.3 K while the apps seeded through one ORM transaction of INSERTs, and
 // 54.6 K while appgen formatted one SQL string per op rather than per (op
@@ -133,7 +134,7 @@ func TestOpenAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 41_300
+	const ceiling = 37_800
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := Open("gen:7,templates=1056", Options{}); err != nil {
 			t.Fatal(err)
@@ -148,19 +149,21 @@ func TestOpenAllocs(t *testing.T) {
 // TestCollectAllocs pins what collecting gen:7,templates=96 allocates per
 // recorded statement, every call site already in the call-site table:
 // the statement's record, its parameters, result aliases and the
-// symbolic state around it. Objects: the measured 19.2 plus 5 % (29.0
-// while every unit test had an engine of its own, each record was an
-// allocation of its own and a read cache kept two Go maps, 31.4 while a
-// result also recorded its concrete rows, 32.9 while each fetched cell's
-// alias was a string of its own). Bytes, which set how often the
-// collector runs: the measured 2,150 plus 5 % (2,512 before the arenas).
-// A capture that allocates, a record allocated by itself or an alias
-// built per cell again breaks it.
+// symbolic state around it. Objects: the measured 15.0 plus 5 % (19.2
+// while minidb copied each result out and every fetched cell's alias was
+// an expression of its own, 29.0 while every unit test had an engine of
+// its own, each record was an allocation of its own and a read cache kept
+// two Go maps, 31.4 while a result also recorded its concrete rows, 32.9
+// while each fetched cell's alias was a string of its own). Bytes, which
+// set how often the collector runs: the measured 1,915 plus 5 % (2,150
+// before, 2,512 before the arenas). A capture that allocates, a record
+// allocated by itself, a result copied or an alias built per cell again
+// breaks it.
 func TestCollectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling, bytesCeiling = 20.2, 2_260.0
+	const ceiling, bytesCeiling = 15.8, 2_010.0
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	collect := func() (allocs, bytes uint64, stmts int) {
 		app, err := Open("gen:7,templates=96", Options{})

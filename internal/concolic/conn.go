@@ -3,7 +3,6 @@ package concolic
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"weseer/internal/minidb"
@@ -77,11 +76,10 @@ func (c *Conn) Rollback() error {
 	return err
 }
 
-// Prepared is one parsed statement template with its alias → table map.
-// Prepared statements are shared process-wide and must not be modified.
+// Prepared is one parsed statement template. Prepared statements are
+// shared process-wide and must not be modified.
 type Prepared struct {
-	Stmt    sqlast.Stmt
-	Aliases map[string]string
+	Stmt sqlast.Stmt
 }
 
 // stmtCache memoizes template parsing — the "statement preparation"
@@ -97,7 +95,7 @@ func Prepare(sql string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, _ := stmtCache.LoadOrStore(sql, &Prepared{Stmt: st, Aliases: sqlast.AliasMapOf(st)})
+	p, _ := stmtCache.LoadOrStore(sql, &Prepared{Stmt: st})
 	return p.(*Prepared), nil
 }
 
@@ -153,35 +151,29 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 		datums = append(datums, datumOf(p))
 	}
 	c.e.rec.args = datums
-	rs, err := c.txn.Exec(st, datums)
+	rs, cells, err := c.txn.ExecAppend(c.e.rec.fetched[:0], st, datums)
+	c.e.rec.fetched = cells
 	if err != nil {
 		return nil, err
+	}
+	nrows := 0
+	if w := len(rs.Cols); w > 0 {
+		nrows = len(cells) / w
 	}
 	// Driver internals — statement preparation, wire protocol, result
 	// parsing — are ignored for concolic execution (Sec. IV-A); their
 	// avoided branch count scales with statement and result size.
-	c.e.AccountLibrary("driver.exec", 420+len(sql)*3+len(rs.Rows)*160)
+	c.e.AccountLibrary("driver.exec", 420+len(sql)*3+nrows*160)
 
 	var rows *Rows
 	seq, a := c.e.stmtSeq, &c.e.rec
 	if rs.Cols != nil {
 		rows = &a.rows.carve(1)[0]
-		rows.Cols, rows.Cells = rs.Cols, a.cells.carve(len(rs.Rows) * len(rs.Cols))[:0]
-		var names string // the aliases still to hand out
-		if c.e.concolic() {
-			names = aliases(seq, rs)
-		}
-		for ri, row := range rs.Rows {
-			var buf [32]byte
-			pre := len(aliasPrefix(buf[:0], seq, ri))
-			for ci, d := range row {
-				v := valueOf(d)
-				if c.e.concolic() && !d.Null {
-					n := pre + len(rs.Cols[ci])
-					v.S = smt.NewVar(names[:n], v.C.S)
-					names = names[n:]
-				}
-				rows.Cells = append(rows.Cells, v)
+		rows.Cols, rows.Cells = rs.Cols, a.cells.carve(len(cells))
+		for i, d := range cells {
+			v := &rows.Cells[i]
+			if *v = valueOf(d); c.e.concolic() && !d.Null {
+				v.S = a.alias(seq, i/len(rs.Cols), rs.Cols[i%len(rs.Cols)], v.C.S)
 			}
 		}
 	}
@@ -234,33 +226,23 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 	return rows, nil
 }
 
-// aliases returns the symbolic aliases of rs's non-NULL cells for fetched
-// database state, e.g. "res4.row0.p.ID" (Fig. 3), back to back in
-// row-major order in one string: a result costs one allocation, not one
-// a cell.
-func aliases(seq int, rs *minidb.ResultSet) string {
-	var buf [32]byte
-	size := 0
-	for ri, row := range rs.Rows {
-		pre := len(aliasPrefix(buf[:0], seq, ri))
-		for ci, d := range row {
-			if !d.Null {
-				size += pre + len(rs.Cols[ci])
-			}
+// alias returns the symbolic alias of a fetched cell of sort so, column
+// col of row ri of statement seq's result, e.g. "res4.row0.p.ID" (Fig. 3).
+// Each (name, sort) is one expression per engine: every trace numbers its
+// statements from 0, so most aliases recur.
+func (a *records) alias(seq, ri int, col string, so smt.Sort) smt.Expr {
+	k := append(append(aliasPrefix(a.aliasKey[:0], seq, ri), col...), byte(so))
+	a.aliasKey = k
+	v, ok := a.aliasVars[string(k)]
+	if !ok {
+		name := string(k)
+		v = smt.NewVar(name[:len(name)-1], so)
+		if a.aliasVars == nil {
+			a.aliasVars = map[string]smt.Expr{}
 		}
+		a.aliasVars[name] = v
 	}
-	var b strings.Builder
-	b.Grow(size)
-	for ri, row := range rs.Rows {
-		pre := aliasPrefix(buf[:0], seq, ri)
-		for ci, d := range row {
-			if !d.Null {
-				b.Write(pre)
-				b.WriteString(rs.Cols[ci])
-			}
-		}
-	}
-	return b.String()
+	return v
 }
 
 // aliasPrefix appends what the aliases of row ri of statement seq's
@@ -337,11 +319,17 @@ type records struct {
 
 	// Scratch: a trace grows its inputs, transactions and path conditions
 	// here during its test and keeps exact copies; minidb copies the
-	// parameters it keeps.
+	// parameters it keeps, and a result's cells become Values at once.
 	inputBuf []trace.Input
 	txnBuf   []*trace.Txn
 	pcBuf    []trace.PathCond
 	args     []minidb.Datum
+	fetched  []minidb.Datum
+
+	// aliasVars holds the fetched cells' aliases by name and sort, the
+	// key built in aliasKey (records.alias).
+	aliasVars map[string]smt.Expr
+	aliasKey  []byte
 }
 
 // arena carves slices from chunks of 128 elements or more. A chunk is

@@ -55,8 +55,9 @@ type run struct {
 	// flatten's, dying with the run (a process-wide table of recorded
 	// statements would keep every batch a daemon re-ingested reachable):
 	// statement facts (settle completes them) and transactions by ordinal,
-	// interned names, statement keys and templates, and the backing stores
-	// of id and name lists (carve).
+	// interned names, statement keys and templates, the scratch id lists
+	// are built in and the slab they are carved to, and settle's statement
+	// names with their symbol ids.
 	facts   []stmtFacts
 	insts   []enumInst
 	sigs    []txnSig
@@ -66,11 +67,16 @@ type run struct {
 	keys    map[stmtKeyOf]int32
 	parsed  map[sqlast.Stmt]*tmplFacts
 	ids     []int32
+	lists   slab[int32]
 	strs    []string
+	strIDs  []int32
 	sorts   []byte  // addFacts' scratch
 	cedges  []cedge // enumeratePair's scratch
-	// conds is settle's: each recorded trace's path conditions, for both roles.
+	// conds is settle's: each recorded trace's path conditions, for both
+	// roles; occ and vars are pathConds' scratch.
 	conds map[*trace.Trace][]pathCond
+	occ   []uint64
+	vars  []smt.Var
 	// models is settle's: per skeleton id, its key's lock model.
 	models []*lockmodel.Model
 	// mu guards the interned alpha-normal forms of formula parts, symbol
@@ -272,13 +278,13 @@ feed:
 // stmtFacts is what the phases re-read of one recorded statement: flatten's
 // id of its key (stmtKey) and its template's facts (tables and write
 // table); for a statement a cycle names, settle's id of its skeleton key
-// (-1 before) and its skeleton's names with their symbol ids.
+// (-1 before) and where its skeleton's names, r.strs[names[0]:names[1]],
+// and their symbol ids, the same range of r.strIDs, lie.
 type stmtFacts struct {
 	key    int32
 	skelID int32
+	names  [2]int32
 	tmpl   *tmplFacts
-	names  []string
-	syms   []int32
 }
 
 // identity is the one builder of a cycle's identity: per side, who it is,

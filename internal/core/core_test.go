@@ -299,7 +299,7 @@ func CheckLockFilterIsExact(t *testing.T, scm *schema.Schema, traces []*trace.Tr
 		plans := r.opts.UseConcretePlans
 		for _, ch := range chains {
 			for _, cyc := range ch.cycles {
-				tm := r.templates(cyc, &r.memo.scratch[0].sh)
+				tm := r.templates(cyc, &r.memo.scratch[0])
 				for i, e := range [2]struct {
 					x, y   *trace.Stmt
 					px, py string

@@ -59,7 +59,7 @@ func CheckEdgeTemplatesMatchDirectBuild(t *testing.T, scm *schema.Schema, traces
 			var bad atomic.Int64
 			forEachIndex(ctx, len(cycles), r.workers, func(i, tid int) {
 				c := cycles[i]
-				tm := r.templates(c, &r.memo.scratch[tid].sh)
+				tm := r.templates(c, &r.memo.scratch[tid])
 				edges := r.edges(c, tm)
 				for rx, e := range [2]struct {
 					x, y   *trace.Stmt
@@ -90,13 +90,13 @@ func CheckEdgeTemplatesMatchDirectBuild(t *testing.T, scm *schema.Schema, traces
 	return edges, templates
 }
 
-// FineAllocsPerGroup measures phase 3 on one worker: heap allocations of
-// discharging the traces' chains, per solved group — the least of three
-// fresh runs, enumeration left out.
-func FineAllocsPerGroup(t *testing.T, scm *schema.Schema, traces []*trace.Trace) float64 {
+// FineAllocsPerGroup measures phase 3 on one worker: heap allocations and
+// bytes of discharging the traces' chains, per solved group — the least of
+// three fresh runs each, enumeration left out.
+func FineAllocsPerGroup(t *testing.T, scm *schema.Schema, traces []*trace.Trace) (allocs, bytes float64) {
 	t.Helper()
 	ctx := context.Background()
-	best := -1.0
+	allocs, bytes = -1, -1
 	for range 3 {
 		r := NewAnalyzer(scm, WithParallelism(1)).newRun()
 		chains, _, err := r.flattenEnumerate(ctx, traces)
@@ -111,9 +111,16 @@ func FineAllocsPerGroup(t *testing.T, scm *schema.Schema, traces []*trace.Trace)
 		if err != nil || res.Stats.GroupsSolved == 0 {
 			t.Fatalf("discharge: %d groups solved, err %v", res.Stats.GroupsSolved, err)
 		}
-		if per := float64(after.Mallocs-before.Mallocs) / float64(res.Stats.GroupsSolved); best < 0 || per < best {
-			best = per
-		}
+		n := float64(res.Stats.GroupsSolved)
+		allocs, bytes = least(allocs, float64(after.Mallocs-before.Mallocs)/n), least(bytes, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	return allocs, bytes
+}
+
+// least is the smaller of best and x, x when best is unset (negative).
+func least(best, x float64) float64 {
+	if best < 0 || x < best {
+		return x
 	}
 	return best
 }

@@ -608,11 +608,11 @@ func EnumSettle(tb testing.TB, scm *schema.Schema, traces []*trace.Trace) Stats 
 	return st
 }
 
-// EnumAllocsPerPair measures EnumSettle: heap allocations per phase-1
-// survivor, the least of three runs.
-func EnumAllocsPerPair(t *testing.T, scm *schema.Schema, traces []*trace.Trace) float64 {
+// EnumAllocsPerPair measures EnumSettle: heap allocations and bytes per
+// phase-1 survivor, the least of three runs each.
+func EnumAllocsPerPair(t *testing.T, scm *schema.Schema, traces []*trace.Trace) (allocs, bytes float64) {
 	t.Helper()
-	best := -1.0
+	allocs, bytes = -1, -1
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -621,11 +621,10 @@ func EnumAllocsPerPair(t *testing.T, scm *schema.Schema, traces []*trace.Trace) 
 		if st.PairsAfterPhase1 == 0 {
 			t.Fatal("no pair survives phase 1")
 		}
-		if per := float64(after.Mallocs-before.Mallocs) / float64(st.PairsAfterPhase1); best < 0 || per < best {
-			best = per
-		}
+		n := float64(st.PairsAfterPhase1)
+		allocs, bytes = least(allocs, float64(after.Mallocs-before.Mallocs)/n), least(bytes, float64(after.TotalAlloc-before.TotalAlloc)/n)
 	}
-	return best
+	return allocs, bytes
 }
 
 // CheckEnumAgainstNaive holds the indexed enumeration to the naive oracle

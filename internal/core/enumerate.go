@@ -136,31 +136,35 @@ func (r *run) addFacts(txn *trace.Txn) (txnSig, error) {
 		}
 		r.facts = append(r.facts, stmtFacts{key: key, tmpl: t, skelID: -1})
 	}
-	acc := len(r.ids)
+	base := len(r.ids)
 	for _, f := range r.facts[first:] {
 		for _, tab := range f.tmpl.tables {
-			r.addOnce(acc, tab)
+			r.addOnce(base, tab)
 		}
 	}
-	wr := len(r.ids)
+	acc := r.carve(base)
 	for _, f := range r.facts[first:] {
 		if f.tmpl.write >= 0 {
-			r.addOnce(wr, f.tmpl.write)
+			r.addOnce(base, f.tmpl.write)
 		}
 	}
-	return txnSig{acc: r.ids[acc:wr:wr], wr: r.carve(wr)}, nil
+	return txnSig{acc: acc, wr: r.carve(base)}, nil
 }
 
-// addOnce appends id to the list begun at base in r.ids, the backing store
-// of flatten's and settle's id lists, unless it is there; carve cuts it off.
+// addOnce appends id to the list begun at base in r.ids, the scratch
+// flatten's and settle's id lists are built in, unless it is there.
 func (r *run) addOnce(base int, id int32) {
 	if !slices.Contains(r.ids[base:], id) {
 		r.ids = append(r.ids, id)
 	}
 }
 
+// carve moves the list begun at base in r.ids to r.lists and returns it.
 func (r *run) carve(base int) []int32 {
-	return r.ids[base:len(r.ids):len(r.ids)]
+	l := r.lists.carve(len(r.ids) - base)
+	copy(l, r.ids[base:])
+	r.ids = r.ids[:base]
+	return l
 }
 
 // intern returns the run's id of a table or API name.
@@ -175,30 +179,53 @@ func (r *run) intern(s string) int32 {
 }
 
 // conflictIndex holds the per-table posting lists over the instances, by
-// table id, and the pass's marks. Lists are built in ordinal order, so
-// they are sorted ascending and suffix scans (ordinal >= some start) are a
-// binary search plus a linear walk. The epoch trick makes clearing the
-// marks O(1): a mark is live only when its slot equals the current epoch,
-// so bumping the epoch invalidates every mark at once.
+// table id: accessors, then writers, back to back in post, list k at
+// post[at[k]:at[k+1]]. Lists are built in ordinal order, so they are
+// sorted ascending and suffix scans (ordinal >= some start) are a binary
+// search plus a linear walk. The epoch trick makes clearing the marks
+// O(1): a mark is live only when its slot equals the current epoch, so
+// bumping the epoch invalidates every mark at once.
 type conflictIndex struct {
-	accessors, writers [][]int
-	epoch              uint32
-	markA, markB       []uint32
-	cand               []int
+	ids          int
+	at, post     []int32
+	epoch        uint32
+	markA, markB []uint32
+	cand         []int
 }
 
 func buildConflictIndex(sigs []txnSig, ids int) *conflictIndex {
-	ix := &conflictIndex{accessors: make([][]int, ids), writers: make([][]int, ids),
+	ix := &conflictIndex{ids: ids, at: make([]int32, 2*ids+1),
 		markA: make([]uint32, len(sigs)), markB: make([]uint32, len(sigs))}
-	for ord, sig := range sigs {
+	for _, sig := range sigs { // each list's length, at its end
 		for _, t := range sig.acc {
-			ix.accessors[t] = append(ix.accessors[t], ord)
+			ix.at[t+1]++
 		}
 		for _, t := range sig.wr {
-			ix.writers[t] = append(ix.writers[t], ord)
+			ix.at[ids+int(t)+1]++
+		}
+	}
+	for k := range 2 * ids {
+		ix.at[k+1] += ix.at[k]
+	}
+	ix.post = make([]int32, ix.at[2*ids])
+	next := slices.Clone(ix.at[:2*ids])
+	for ord, sig := range sigs {
+		for _, t := range sig.acc {
+			ix.post[next[t]], next[t] = int32(ord), next[t]+1
+		}
+		for _, t := range sig.wr {
+			k := ids + int(t)
+			ix.post[next[k]], next[k] = int32(ord), next[k]+1
 		}
 	}
 	return ix
+}
+
+// list returns the ordinals of list k from ordinal start on.
+func (ix *conflictIndex) list(k, start int) []int32 {
+	l := ix.post[ix.at[k]:ix.at[k+1]]
+	i, _ := slices.BinarySearch(l, int32(start))
+	return l[i:]
 }
 
 // candidates computes the exact phase-1 survivor set for one instance
@@ -215,8 +242,7 @@ func (ix *conflictIndex) candidates(sig txnSig, startOrd int) (cands []int, prob
 	}
 	// Direction A: instances that access a table L writes.
 	for _, t := range sig.wr {
-		list := ix.accessors[t]
-		for _, r := range list[sort.SearchInts(list, startOrd):] {
+		for _, r := range ix.list(int(t), startOrd) {
 			probes++
 			ix.markA[r] = ix.epoch
 		}
@@ -225,13 +251,12 @@ func (ix *conflictIndex) candidates(sig txnSig, startOrd int) (cands []int, prob
 	// survivor exactly when both directions hold.
 	ix.cand = ix.cand[:0]
 	for _, t := range sig.acc {
-		list := ix.writers[t]
-		for _, r := range list[sort.SearchInts(list, startOrd):] {
+		for _, r := range ix.list(ix.ids+int(t), startOrd) {
 			probes++
 			if ix.markB[r] != ix.epoch {
 				ix.markB[r] = ix.epoch
 				if ix.markA[r] == ix.epoch {
-					ix.cand = append(ix.cand, r)
+					ix.cand = append(ix.cand, int(r))
 				}
 			}
 		}
@@ -254,24 +279,7 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*c
 	insts, start := r.insts, r.start
 	ix := buildConflictIndex(r.sigs, len(r.names))
 
-	byID := map[chainID]*chain{}
-	var chains []*chain
-	var slab []chain // chains are allocated from slabs
-	add := func(cyc Cycle, id chainID) {
-		ch, ok := byID[id]
-		if !ok {
-			if len(slab) == cap(slab) {
-				slab = make([]chain, 0, 256)
-			}
-			slab = append(slab, chain{})
-			ch = &slab[len(slab)-1]
-			ch.cycles = ch.first[:0]
-			byID[id] = ch
-			chains = append(chains, ch)
-		}
-		ch.cycles = append(ch.cycles, cyc)
-	}
-
+	var chains chainTable
 	type pair struct{ left, right int }
 	var pairs []pair
 	for i := range traces {
@@ -295,14 +303,14 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*c
 				rt := insts[p.right].trace
 				jlo, jhi := start[rt], start[rt+1]
 				st.Pairs += (hi-lo)*(jlo-lo) + (p.left-lo)*(jhi-jlo) + (p.right - jlo)
-				return chains, st, err
+				return chains.chains, st, err
 			}
 			st.PairsAfterPhase1++
-			st.CoarseCycles += r.enumeratePair(&insts[p.left].role[0], &insts[p.right].role[1], add)
+			st.CoarseCycles += r.enumeratePair(&insts[p.left].role[0], &insts[p.right].role[1], chains.add)
 		}
 		st.Pairs += (hi - lo) * (len(insts) - lo)
 	}
-	return chains, st, ctx.Err()
+	return chains.chains, st, ctx.Err()
 }
 
 // cedge is a coarse C-edge of a pair: statement i of the left transaction,
@@ -374,3 +382,67 @@ func (r *run) enumeratePair(p1, p2 *instance, emit func(Cycle, chainID)) int {
 // tables of the C-edges it holds and waits on; the sides in a fixed order,
 // so the mirror pairing agrees.
 type chainID [2][5]int32
+
+// hash mixes the keys of the statements the identity names.
+func (id *chainID) hash() uint32 {
+	return (uint32(id[0][1])*31+uint32(id[0][2]))*2654435761 ^ (uint32(id[1][1])*31+uint32(id[1][2]))*2246822519
+}
+
+// chainTable is the enumeration's chains in first-occurrence order, found
+// by identity through open addressing: a slot holds 1 + a chain's index
+// (0 is empty), and the slots are at most 3/4 full.
+type chainTable struct {
+	chains []*chain
+	slots  []int32
+	slab   slab[chain]
+}
+
+// add appends cyc, of identity id, to its chain, a new one if none has it.
+func (t *chainTable) add(cyc Cycle, id chainID) {
+	if 4*len(t.chains) >= 3*len(t.slots) {
+		t.grow()
+	}
+	i := t.find(&id)
+	if c := t.slots[i]; c > 0 {
+		t.chains[c-1].cycles = append(t.chains[c-1].cycles, cyc)
+		return
+	}
+	ch := &t.slab.carve(1)[0]
+	ch.cycles, ch.id = append(ch.first[:0], cyc), id
+	t.chains = append(t.chains, ch)
+	t.slots[i] = int32(len(t.chains))
+}
+
+// find returns the slot of id's chain, or the empty slot it would take.
+func (t *chainTable) find(id *chainID) int {
+	mask := len(t.slots) - 1
+	i := int(id.hash()) & mask
+	for t.slots[i] > 0 && t.chains[t.slots[i]-1].id != *id {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the slots, from 1,024, and places the chains again; the
+// chains get room for as many as the slots take.
+func (t *chainTable) grow() {
+	t.slots = make([]int32, max(2*len(t.slots), 1024))
+	t.chains = slices.Grow(t.chains, 3*len(t.slots)/4-len(t.chains))
+	for c, ch := range t.chains {
+		t.slots[t.find(&ch.id)] = int32(c + 1)
+	}
+}
+
+// slab carves slices from chunks of 256 elements or more, so that what a
+// run keeps per chain or per path condition costs one allocation a chunk.
+type slab[T any] struct{ free []T }
+
+// carve returns n zero elements with no capacity beyond them.
+func (s *slab[T]) carve(n int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(n, 256))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}

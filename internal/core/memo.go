@@ -72,13 +72,13 @@ func (m *memoTable) solve(ctx context.Context, key []byte, build func() smt.Expr
 	sh := &m.scratch[tid].sh
 	var f smt.Expr
 	hit := true
-	s := m.flight(ctx, m.skels, string(key), func(s *memoEntry) bool {
+	s := m.flight(ctx, m.skels, key, func(s *memoEntry) bool {
 		f = build()
 		sh.Reset(f)
 		start := time.Now()
 		s.canon = sh.Canon()
 		m.canonNanos.Add(int64(time.Since(start)))
-		e := m.flight(ctx, m.entries, s.canon.Key(), func(e *memoEntry) bool {
+		e := m.flight(ctx, m.entries, []byte(s.canon.Key()), func(e *memoEntry) bool {
 			hit = false
 			return m.call(ctx, e, s.canon, tid, out)
 		})
@@ -104,19 +104,19 @@ func (m *memoTable) solve(ctx context.Context, key []byte, build func() smt.Expr
 // has: concurrent callers wait for the first. A fill that reports failure
 // — its context was canceled — leaves no entry, and its waiters try again;
 // nil if the caller's fill fails or ctx is done first.
-func (m *memoTable) flight(ctx context.Context, table map[string]*memoEntry, key string, fill func(*memoEntry) bool) *memoEntry {
+func (m *memoTable) flight(ctx context.Context, table map[string]*memoEntry, key []byte, fill func(*memoEntry) bool) *memoEntry {
 	for {
 		m.mu.Lock()
-		e, ok := table[key]
+		e, ok := table[string(key)]
 		if !ok {
 			e = &memoEntry{ready: make(chan struct{})}
-			table[key] = e
+			table[string(key)] = e
 		}
 		m.mu.Unlock()
 		if !ok {
 			if e.ok = fill(e); !e.ok {
 				m.mu.Lock()
-				delete(table, key)
+				delete(table, string(key))
 				m.mu.Unlock()
 			}
 			close(e.ready)
@@ -161,10 +161,11 @@ func (m *memoTable) call(ctx context.Context, e *memoEntry, c *smt.ShapeCanon, t
 
 // scratch is a phase-3 worker's: the group's key, its symbols' slots, per
 // side its path conditions and cone; the memo's Shape; the Solver its
-// solver calls reuse.
+// solver calls reuse; run.alpha's names.
 type scratch struct {
 	sh    smt.Shape
 	sv    solver.Solver
+	names []string
 	key   []byte
 	slots []symSlot // at 2·id+side, for run.symbols id
 	epoch uint32    // the group's: a slot field marked with another is unset
@@ -216,13 +217,13 @@ func (sc *scratch) number(side int, id int32) uint64 {
 func (sc *scratch) cone(side, seq int) {
 	conds, in := sc.conds[side], sc.in[side][:0]
 	for i := range conds {
-		if c := &conds[i]; c.after <= seq && slices.ContainsFunc(c.vars, func(v int32) bool { return sc.slot(side, v).seedAt == sc.epoch }) {
+		if c := &conds[i]; int(c.after) <= seq && slices.ContainsFunc(c.vars(), func(v int32) bool { return sc.slot(side, v).seedAt == sc.epoch }) {
 			in = append(in, int32(i))
 		}
 	}
 	for k := 0; k < len(in); k++ { // and those sharing a variable with one in the cone
-		for _, j := range conds[in[k]].adj {
-			if conds[j].after <= seq && !slices.Contains(in, j) {
+		for _, j := range conds[in[k]].adj() {
+			if int(conds[j].after) <= seq && !slices.Contains(in, j) {
 				in = append(in, j)
 			}
 		}

@@ -88,7 +88,7 @@ func testGroups(t testing.TB, scm *schema.Schema, traces []*trace.Trace, workers
 	var groups []Cycle
 	for _, ch := range chains {
 		for _, c := range ch.cycles {
-			if tm := r.templates(c, &r.memo.scratch[0].sh); tm[0].Collide && tm[1].Collide {
+			if tm := r.templates(c, &r.memo.scratch[0]); tm[0].Collide && tm[1].Collide {
 				groups = append(groups, c)
 			}
 		}
@@ -100,7 +100,7 @@ func testGroups(t testing.TB, scm *schema.Schema, traces []*trace.Trace, workers
 // worker tid's scratch.
 func (r *run) solveGroup(ctx context.Context, c Cycle, tid int, out *Stats) (solver.Result, smt.Expr, bool) {
 	sc := &r.memo.scratch[tid]
-	t := r.templates(c, &sc.sh)
+	t := r.templates(c, sc)
 	return r.memo.solve(ctx, r.skeletonKey(c, t, sc), func() smt.Expr { return r.cycleFormula(c, t, sc) }, tid, out)
 }
 
@@ -120,7 +120,7 @@ func CheckMemoAgainstDirect(t *testing.T, scm *schema.Schema, traces []*trace.Tr
 	sc := &r.memo.scratch[1]
 	for i, c := range groups {
 		got, built, _ := r.solveGroup(ctx, c, 1, &out)
-		f := r.cycleFormula(c, r.templates(c, &sc.sh), sc)
+		f := r.cycleFormula(c, r.templates(c, sc), sc)
 		if want := new(solver.Solver).Solve(ctx, f); got.Status != want.Status {
 			t.Errorf("group %d: memoized verdict %v, direct solve %v: %s", i, got.Status, want.Status, f)
 		}
@@ -143,7 +143,7 @@ func SkeletonAndShapeKeys(t *testing.T, scm *schema.Schema, traces []*trace.Trac
 	r, groups := testGroups(t, scm, traces, 1)
 	sc := &r.memo.scratch[1]
 	for _, c := range groups {
-		tm := r.templates(c, &sc.sh)
+		tm := r.templates(c, sc)
 		skel = append(skel, string(r.skeletonKey(c, tm, sc)))
 		sc.sh.Reset(r.cycleFormula(c, tm, sc))
 		shape = append(shape, string(sc.sh.Key()))
@@ -482,9 +482,9 @@ func BenchGroupHits(b *testing.B, scm *schema.Schema, traces []*trace.Trace, sat
 	ctx := context.Background()
 	r, groups := testGroups(b, scm, traces, 1)
 	var hits []Cycle
-	var out chainOutcome
+	var st Stats
 	for _, c := range groups {
-		if d := r.fineCheckOne(ctx, c, 1, &out); (d != nil) == sat {
+		if d := r.fineCheckOne(ctx, c, 1, &st); (d != nil) == sat {
 			hits = append(hits, c)
 		}
 	}
@@ -494,9 +494,9 @@ func BenchGroupHits(b *testing.B, scm *schema.Schema, traces []*trace.Trace, sat
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = chainOutcome{}
-		r.fineCheckOne(ctx, hits[i%len(hits)], 1, &out)
-		if out.stats.MemoHits != 1 {
+		st = Stats{}
+		r.fineCheckOne(ctx, hits[i%len(hits)], 1, &st)
+		if st.MemoHits != 1 {
 			b.Fatal("expected a memo hit")
 		}
 	}
@@ -510,7 +510,7 @@ func BenchSkeletonKey(b *testing.B, scm *schema.Schema, traces []*trace.Trace) {
 	sc := &r.memo.scratch[1]
 	tmpls := make([][2]*edgeTmpl, len(groups))
 	for i, c := range groups {
-		tmpls[i] = r.templates(c, &sc.sh)
+		tmpls[i] = r.templates(c, sc)
 		r.skeletonKey(c, tmpls[i], sc)
 	}
 	b.ReportAllocs()

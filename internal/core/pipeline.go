@@ -16,7 +16,6 @@ import (
 	"context"
 	"encoding/binary"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,16 +30,7 @@ import (
 type chain struct {
 	cycles []Cycle
 	first  [1]Cycle // cycles' first backing array
-}
-
-// chainOutcome is one chain's contribution to the report and stats.
-type chainOutcome struct {
-	deadlock *Deadlock
-	// stats is what this chain counted; solver time and the CDCL(T)
-	// counters are those of the solver calls it owned (memo hits charge
-	// nothing — the owning call counted).
-	stats Stats
-	err   error
+	id     chainID
 }
 
 // discharge runs phase 3 over the chains on r.workers goroutines and
@@ -65,6 +55,9 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 	}
 
 	r.settle(chains)
+	for tid := 1; tid <= min(r.workers, len(chains)); tid++ { // slots for settle's symbols, and half as many more
+		r.memo.scratch[tid].slots = make([]symSlot, 2*len(r.syms), 3*len(r.syms))
+	}
 	if o != nil {
 		o.Progress.SetPhase("fine")
 		o.Progress.SetChains(int64(len(chains)))
@@ -76,14 +69,13 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 	// only adds: total minus done is the chains in flight.
 	r.m.chainsTotal.Add(int64(len(chains)))
 	var ran atomic.Int64
-	// Per chain its report; per worker its chain in hand and their counts.
+	// Per chain its report; per worker the sum of what its chains counted.
 	reports := make([]*Deadlock, len(chains))
-	held, sums := make([]chainOutcome, r.workers+1), make([]Stats, r.workers+1)
+	sums, prev := make([]Stats, r.workers+1), make([]Stats, r.workers+1)
 	forEachIndex(ctx, len(chains), r.workers, func(i, tid int) {
-		out := &held[tid]
-		*out = r.evalChain(ctx, chains[i], tid)
-		reports[i] = out.deadlock
-		sums[tid].add(&out.stats)
+		sum := &sums[tid]
+		prev[tid] = *sum
+		reports[i] = r.evalChain(ctx, chains[i], tid, sum)
 		// The live view: what the stage-4 merge below adds to res.Stats is
 		// added to the counters here, as each chain finishes.
 		if o != nil {
@@ -91,7 +83,7 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 		}
 		r.m.chainsDone.Add(1)
 		ran.Add(1)
-		r.m.publish(&out.stats)
+		r.m.publishSince(sum, &prev[tid])
 	})
 	// Chains a cancellation kept from starting are no longer in flight.
 	r.m.chainsTotal.Add(ran.Load() - int64(len(chains)))
@@ -115,67 +107,61 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 	return ctx.Err()
 }
 
-// evalChain discharges one chain on logical worker tid: candidates are
-// checked in enumeration order until one is confirmed SAT; later
-// duplicates fold into Count.
-func (r *run) evalChain(ctx context.Context, ch *chain, tid int) chainOutcome {
-	var out chainOutcome
+// evalChain discharges one chain on logical worker tid, counting into st:
+// candidates are checked in enumeration order until one is confirmed SAT;
+// later duplicates fold into Count.
+func (r *run) evalChain(ctx context.Context, ch *chain, tid int, st *Stats) (d *Deadlock) {
 	if o := r.opts.Observer; o != nil {
 		sp := o.StartSpan(tid, "chain", obs.Int("cycles", len(ch.cycles)))
+		solved, hits := st.GroupsSolved, st.MemoHits
 		defer func() {
-			sp.End(obs.Bool("deadlock", out.deadlock != nil),
-				obs.Int("groups_solved", out.stats.GroupsSolved),
-				obs.Int("memo_hits", out.stats.MemoHits))
+			sp.End(obs.Bool("deadlock", d != nil),
+				obs.Int("groups_solved", st.GroupsSolved-solved),
+				obs.Int("memo_hits", st.MemoHits-hits))
 		}()
 	}
 	for idx, cyc := range ch.cycles {
-		if err := ctx.Err(); err != nil {
-			out.err = err
-			return out
+		if ctx.Err() != nil {
+			return nil
 		}
-		d := r.fineCheckOne(ctx, cyc, tid, &out)
-		if out.err != nil {
-			return out
-		}
-		if d != nil {
+		if d := r.fineCheckOne(ctx, cyc, tid, st); d != nil {
 			d.Count = len(ch.cycles) - idx
-			out.deadlock = d
-			return out
+			return d
 		}
 	}
-	return out
+	return nil
 }
 
-// fineCheckOne is phase 3 for one coarse cycle: the lock filter, its C-edge
-// templates' Collide bits, then the memo by skeleton key, which builds the
-// SMT formula of conflict + path conditions only to solve it or to translate
-// a model into it. It returns a Deadlock when the cycle is confirmed SAT.
-func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, tid int, out *chainOutcome) *Deadlock {
+// fineCheckOne is phase 3 for one coarse cycle, counted into st: the lock
+// filter, its C-edge templates' Collide bits, then the memo by skeleton
+// key, which builds the SMT formula of conflict + path conditions only to
+// solve it or to translate a model into it. It returns a Deadlock when the
+// cycle is confirmed SAT.
+func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, tid int, st *Stats) *Deadlock {
 	sc := &r.memo.scratch[tid]
-	t := r.templates(cyc, &sc.sh)
+	t := r.templates(cyc, sc)
 	// The filter is exact: a C-edge without a modeled lock collision has a
 	// false conflict condition.
 	if !t[0].Collide || !t[1].Collide {
-		out.stats.LockFiltered++
+		st.LockFiltered++
 		return nil
 	}
 
-	out.stats.GroupsSolved++
+	st.GroupsSolved++
 	sres, formula, hit := r.memo.solve(ctx, r.skeletonKey(cyc, t, sc),
-		func() smt.Expr { return r.cycleFormula(cyc, t, sc) }, tid, &out.stats)
+		func() smt.Expr { return r.cycleFormula(cyc, t, sc) }, tid, st)
 	if hit {
-		out.stats.MemoHits++
+		st.MemoHits++
 	}
-	if err := ctx.Err(); err != nil {
+	if ctx.Err() != nil {
 		// A canceled solve reports UNKNOWN; don't let it skew the funnel.
-		out.stats.GroupsSolved--
-		out.err = err
+		st.GroupsSolved--
 		return nil
 	}
 
 	switch sres.Status {
 	case solver.SAT:
-		out.stats.SolverSAT++
+		st.SolverSAT++
 		return &Deadlock{
 			Key:     dedupKey(cyc),
 			APIs:    [2]string{cyc.T1.API, cyc.T2.API},
@@ -185,10 +171,10 @@ func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, tid int, out *chainOu
 			Count:   1,
 		}
 	case solver.UNSAT:
-		out.stats.SolverUNSAT++
+		st.SolverUNSAT++
 	default:
 		// Timeouts are treated as "no deadlock reported" (Sec. III-B).
-		out.stats.SolverUnknown++
+		st.SolverUnknown++
 	}
 	return nil
 }
@@ -199,17 +185,17 @@ func (r *run) fineCheckOne(ctx context.Context, cyc Cycle, tid int, out *chainOu
 // the cone skeletonKey left in sc, T1's first. t is the cycle's templates.
 func (r *run) cycleFormula(cyc Cycle, t [2]*edgeTmpl, sc *scratch) smt.Expr {
 	e := r.edges(cyc, t)
-	out := []smt.Expr{e[0], e[1]}
+	out := append(make([]smt.Expr, 0, 2+len(sc.in[0])+len(sc.in[1])), e[0], e[1])
 	for role, in := range [2]*instance{cyc.T1, cyc.T2} {
 		for _, i := range sc.in[role] {
-			c := &sc.conds[role][i]
-			p := c.renamed[role].Load()
-			if p == nil {
-				x := smt.Rename(c.cond, func(s string) string { return in.Prefix + s })
-				p = &x
-				c.renamed[role].Store(p)
+			p := sc.conds[role][i].part.Load() // skeletonKey's
+			x := p.renamed[role].Load()
+			if x == nil {
+				e := smt.Rename(in.Trace.PathConds[i].Cond, func(s string) string { return in.Prefix + s })
+				x = &e
+				p.renamed[role].Store(x)
 			}
-			out = append(out, *p)
+			out = append(out, *x)
 		}
 	}
 	return smt.And(out...)
@@ -220,9 +206,15 @@ func (r *run) cycleFormula(cyc Cycle, t [2]*edgeTmpl, sc *scratch) smt.Expr {
 func (r *run) edges(cyc Cycle, t [2]*edgeTmpl) [2]smt.Expr {
 	r.m.edgeInstances.Add(2)
 	return [2]smt.Expr{
-		lockmodel.EdgeCond(t[0].Edge, r.facts[cyc.at[1]].names, r.facts[cyc.at[2]].names, cyc.T1.Prefix, cyc.T2.Prefix),
-		lockmodel.EdgeCond(t[1].Edge, r.facts[cyc.at[3]].names, r.facts[cyc.at[0]].names, cyc.T2.Prefix, cyc.T1.Prefix),
+		lockmodel.EdgeCond(t[0].Edge, r.stmtNames(cyc.at[1]), r.stmtNames(cyc.at[2]), cyc.T1.Prefix, cyc.T2.Prefix),
+		lockmodel.EdgeCond(t[1].Edge, r.stmtNames(cyc.at[3]), r.stmtNames(cyc.at[0]), cyc.T2.Prefix, cyc.T1.Prefix),
 	}
+}
+
+// stmtNames returns the skeleton names of the statement at ordinal o.
+func (r *run) stmtNames(o int32) []string {
+	n := r.facts[o].names
+	return r.strs[n[0]:n[1]]
 }
 
 // CycleFormulas returns the formula phase 3 builds for every coarse
@@ -239,7 +231,7 @@ func (a *Analyzer) CycleFormulas(ctx context.Context, traces []*trace.Trace) ([]
 	sc := &r.memo.scratch[0]
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {
-			t := r.templates(cyc, &sc.sh)
+			t := r.templates(cyc, sc)
 			r.skeletonKey(cyc, t, sc)
 			out = append(out, r.cycleFormula(cyc, t, sc))
 		}
@@ -256,15 +248,22 @@ type edgeTmpl struct {
 	syms, seeds []int32
 }
 
-// pathCond is a recorded path condition: its variables' symbol ids, the
-// trace's conditions sharing one, and from its first cone its form and
-// symbols (run.alpha) and per role its copy in that role's symbol space.
+// pathCond is a recorded path condition as a cone reads it: its variables'
+// symbol ids, the trace's conditions sharing one, the statement it was
+// recorded after, and from the first cone that takes it in, its part.
 type pathCond struct {
-	cond    smt.Expr
-	vars    []int32
-	adj     []int32
-	after   int // PathCond.AfterStmt
-	once    sync.Once
+	ids   []int32 // vars, then adj
+	nvars int32
+	after int32 // PathCond.AfterStmt
+	part  atomic.Pointer[condPart]
+}
+
+func (c *pathCond) vars() []int32 { return c.ids[:c.nvars] }
+func (c *pathCond) adj() []int32  { return c.ids[c.nvars:] }
+
+// condPart is what a path condition's first cone gives it: its form and
+// symbols (run.alpha), and per role its copy in that role's symbol space.
+type condPart struct {
 	form    int32
 	syms    []int32
 	renamed [2]atomic.Pointer[smt.Expr]
@@ -281,10 +280,10 @@ func (r *run) settle(chains []*chain) {
 		for _, cyc := range ch.cycles {
 			for k, st := range [4]*trace.Stmt{cyc.S1a, cyc.S1b, cyc.S2a, cyc.S2b} {
 				if f := &r.facts[cyc.at[k]]; f.skelID < 0 {
-					names, syms := len(r.strs), len(r.ids)
+					names := len(r.strs)
 					key, r.strs = lockmodel.SkeletonKey(key[:0], r.strs, st)
-					r.ids = r.symbols(r.ids, r.strs[names:])
-					f.names, f.syms = r.strs[names:len(r.strs):len(r.strs)], r.carve(syms)
+					r.strIDs = r.symbols(r.strIDs, r.strs[names:])
+					f.names = [2]int32{int32(names), int32(len(r.strs))}
 					id, ok := ids[string(key)]
 					if !ok {
 						id = int32(len(ids))
@@ -303,30 +302,58 @@ func (r *run) settle(chains []*chain) {
 	}
 }
 
-// pathConds returns the recorded trace's path conditions.
+// pathConds returns the recorded trace's path conditions, each
+// condition's neighbours found through the trace's (variable, condition)
+// pairs.
 func (r *run) pathConds(tr *trace.Trace) []pathCond {
 	conds := make([]pathCond, len(tr.PathConds))
-	var occ []smt.Var
+	base, occ := len(r.ids), r.occ[:0]
 	r.mu.Lock()
-	for i, pc := range tr.PathConds {
-		c, vars := &conds[i], len(r.ids)
-		occ = smt.Vars(occ[:0], pc.Cond)
-		for _, v := range occ {
+	for i, pc := range tr.PathConds { // the variables, from base
+		vars := len(r.ids)
+		r.vars = smt.Vars(r.vars[:0], pc.Cond)
+		for _, v := range r.vars {
 			r.addOnce(vars, r.symbol(v.Name))
 		}
-		c.cond, c.vars, c.after = pc.Cond, r.carve(vars), pc.AfterStmt
+		for _, v := range r.ids[vars:] {
+			occ = append(occ, uint64(v)<<32|uint64(i))
+		}
+		conds[i].nvars, conds[i].after = int32(len(r.ids)-vars), int32(pc.AfterStmt)
 	}
 	r.mu.Unlock()
-	for i := range conds { // the conditions sharing a variable with i
-		adj := len(r.ids)
-		for j := range conds {
-			if j != i && slices.ContainsFunc(conds[j].vars, func(v int32) bool { return slices.Contains(conds[i].vars, v) }) {
-				r.ids = append(r.ids, int32(j))
+	slices.Sort(occ)
+	from := base
+	for i := range conds { // a condition's variables, then those sharing one
+		c := &conds[i]
+		vars, list := r.ids[from:from+int(c.nvars)], len(r.ids)
+		r.ids, from = append(r.ids, vars...), from+int(c.nvars)
+		for _, v := range vars {
+			at, _ := slices.BinarySearch(occ, uint64(v)<<32)
+			for ; at < len(occ) && int32(occ[at]>>32) == v; at++ {
+				if j := int32(occ[at]); int(j) != i && !slices.Contains(r.ids[list+len(vars):], j) {
+					r.ids = append(r.ids, j)
+				}
 			}
 		}
-		conds[i].adj = r.carve(adj)
+		slices.Sort(r.ids[list+len(vars):])
+		c.ids = r.carve(list)
 	}
+	r.ids, r.occ = r.ids[:base], occ
 	return conds
+}
+
+// part returns c's part, giving c one on the first call; cond is c's
+// recorded condition. Racing workers compute equal parts; one is kept.
+func (r *run) part(c *pathCond, cond smt.Expr, sc *scratch) *condPart {
+	if p := c.part.Load(); p != nil {
+		return p
+	}
+	form, names := r.alpha(cond, sc)
+	p := &condPart{form: form, syms: r.symbols(make([]int32, 0, len(names)), names)}
+	if !c.part.CompareAndSwap(nil, p) {
+		return c.part.Load()
+	}
+	return p
 }
 
 // skeletonKey renders the group's memo key into sc.key, and its cone into
@@ -339,7 +366,8 @@ func (r *run) skeletonKey(cyc Cycle, t [2]*edgeTmpl, sc *scratch) []byte {
 	sc.begin()
 	k := sc.key[:0]
 	for j, xy := range [2][2]int32{{cyc.at[1], cyc.at[2]}, {cyc.at[3], cyc.at[0]}} {
-		syms := [2][]int32{r.facts[xy[0]].syms, r.facts[xy[1]].syms}
+		x, y := r.facts[xy[0]].names, r.facts[xy[1]].names
+		syms := [2][]int32{r.strIDs[x[0]:x[1]], r.strIDs[y[0]:y[1]]}
 		k = binary.AppendUvarint(k, uint64(t[j].form))
 		for _, p := range t[j].syms {
 			n := uint64(0)
@@ -357,14 +385,9 @@ func (r *run) skeletonKey(cyc Cycle, t [2]*edgeTmpl, sc *scratch) []byte {
 		sc.conds[side] = r.conds[in.Trace]
 		sc.cone(side, seqs[side])
 		for _, i := range sc.in[side] {
-			c := &sc.conds[side][i]
-			c.once.Do(func() {
-				var names []string
-				c.form, names = r.alpha(c.cond, &sc.sh)
-				c.syms = r.symbols(nil, names)
-			})
-			k = binary.AppendUvarint(k, uint64(c.form))
-			for _, n := range c.syms {
+			p := r.part(&sc.conds[side][i], in.Trace.PathConds[i].Cond, sc)
+			k = binary.AppendUvarint(k, uint64(p.form))
+			for _, n := range p.syms {
 				k = binary.AppendUvarint(k, sc.number(side, n))
 			}
 		}
@@ -375,7 +398,7 @@ func (r *run) skeletonKey(cyc Cycle, t [2]*edgeTmpl, sc *scratch) []byte {
 
 // templates returns the cycle's C-edge templates, (S1b, S2a) of role 0
 // (rows "r1.") and (S2b, S1a) of role 1 ("r2."), each built once per run.
-func (r *run) templates(cyc Cycle, sh *smt.Shape) (out [2]*edgeTmpl) {
+func (r *run) templates(cyc Cycle, sc *scratch) (out [2]*edgeTmpl) {
 	for j, xy := range [2][2]int32{{cyc.at[1], cyc.at[2]}, {cyc.at[3], cyc.at[0]}} {
 		fx, fy := &r.facts[xy[0]], &r.facts[xy[1]]
 		k := [3]int32{fx.skelID, fy.skelID, int32(j)}
@@ -385,7 +408,7 @@ func (r *run) templates(cyc Cycle, sh *smt.Shape) (out [2]*edgeTmpl) {
 		if t == nil {
 			t = &edgeTmpl{Edge: lockmodel.EdgeTemplate(r.models[fx.skelID], r.models[fy.skelID], [2]string{"r1.", "r2."}[j])}
 			var syms []string
-			t.form, syms = r.alpha(t.Cond, sh)
+			t.form, syms = r.alpha(t.Cond, sc)
 			for _, n := range syms {
 				t.syms = append(t.syms, int32(lockmodel.Placeholder(n)))
 			}
@@ -424,23 +447,25 @@ func (r *run) symbol(name string) int32 {
 }
 
 // alpha interns e's alpha-normal form, its smt.Shape key, and returns it
-// with e's symbols in the order Rename visits them: fixed by e's structure
-// (an array's versions carry its root's ID), so alike for equal forms.
-func (r *run) alpha(e smt.Expr, sh *smt.Shape) (int32, []string) {
-	var names []string
+// with e's symbols in the order Rename visits them, in sc's scratch: fixed
+// by e's structure (an array's versions carry its root's ID), so alike for
+// equal forms.
+func (r *run) alpha(e smt.Expr, sc *scratch) (int32, []string) {
+	names := sc.names[:0]
 	smt.Rename(e, func(n string) string {
 		if !slices.Contains(names, n) {
 			names = append(names, n)
 		}
 		return n
 	})
-	sh.Reset(e)
+	sc.names = names
+	sc.sh.Reset(e)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	form, ok := r.forms[string(sh.Key())]
+	form, ok := r.forms[string(sc.sh.Key())]
 	if !ok {
 		form = int32(len(r.forms))
-		r.forms[string(sh.Key())] = form
+		r.forms[string(sc.sh.Key())] = form
 	}
 	return form, names
 }

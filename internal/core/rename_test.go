@@ -121,7 +121,7 @@ func CheckViewsAgainstRenamedCopies(t *testing.T, scm *schema.Schema, traces []*
 	sc := &r.memo.scratch[0]
 	for _, ch := range chains {
 		for _, cyc := range ch.cycles {
-			tm := r.templates(cyc, &sc.sh)
+			tm := r.templates(cyc, sc)
 			r.skeletonKey(cyc, tm, sc)
 			if want := r.cycleFormula(cyc, tm, sc).String(); n >= len(got) || got[n].String() != want {
 				t.Fatalf("cycle formula %d differs from the one over renamed copies:\nwant %s", n, want)

@@ -175,8 +175,8 @@ func (r *StatsRow) JSONValue(s *Stats) int64 { return r.value(s, time.Millisecon
 // MetricValue is what one run with stats s adds to the row's counter.
 func (r *StatsRow) MetricValue(s *Stats) int64 { return r.value(s, time.Microsecond) }
 
-// add sums d into s, field by field: how a worker's outcome, itself a
-// Stats holding only what that worker counted, joins the run's total.
+// add sums d into s, field by field: how a stage's or a worker's sum
+// joins the run's total.
 func (s *Stats) add(d *Stats) {
 	for i := range StatsTable {
 		if r := &StatsTable[i]; r.dur != nil {
@@ -227,12 +227,16 @@ func RegisterMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-// publish adds d — what one stage or one chain counted — to the
-// counters, as the merge adds it to Result.Stats.
-func (m *Metrics) publish(d *Stats) {
+// publish adds d — what one stage counted — to the counters, as the merge
+// adds it to Result.Stats.
+func (m *Metrics) publish(d *Stats) { m.publishSince(d, &Stats{}) }
+
+// publishSince adds what a worker's sum counted since before — one chain's
+// share — to the counters.
+func (m *Metrics) publishSince(now, before *Stats) {
 	for i, c := range m.rows {
 		if c != nil {
-			c.Add(StatsTable[i].MetricValue(d))
+			c.Add(StatsTable[i].MetricValue(now) - StatsTable[i].MetricValue(before))
 		}
 	}
 }

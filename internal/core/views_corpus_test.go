@@ -31,6 +31,19 @@ func TestViewsMatchRenamedCopies(t *testing.T) {
 	}
 }
 
+// TestConesMatchOracle runs the cone differential over the same corpora:
+// every group's cone and skeleton key, from conditions whose neighbours
+// phase 3 finds through a per-trace index, are those of the pairwise
+// oracle, on one worker and on four.
+func TestConesMatchOracle(t *testing.T) {
+	for _, spec := range differentialSpecs() {
+		t.Run(spec, func(t *testing.T) {
+			app, traces := corpusTraces(t, spec)
+			core.CheckConesAgainstOracle(t, app.Schema(), traces)
+		})
+	}
+}
+
 // TestEdgeTemplatesMatchDirectBuild runs the templates-vs-copies
 // differential over the same corpora: every C-edge condition renamed from
 // a per-template build is the one built from the prefixed statements. On
@@ -52,19 +65,24 @@ func TestEdgeTemplatesMatchDirectBuild(t *testing.T) {
 // solved group on gen:7,templates=96 at one worker. An UNSAT or UNKNOWN
 // memo hit builds no formula, so a lost skeleton hit — a group whose key
 // misses although its formula's shape is known — costs a formula, its
-// canonicalization and a level-two probe, and breaks the ceiling: 98
-// measured plus 10 % (130 with every skeleton lookup missing).
+// canonicalization and a level-two probe, and breaks the ceiling: 95
+// measured plus 10 % (98 while a level-one probe copied its key, 130 with
+// every skeleton lookup missing). Bytes, which set how often the
+// collector runs: the measured 5,925 plus 5 % (6,382 before).
 // TestEdgeTemplatesMatchDirectBuild catches a lost C-edge template hit.
 func TestFineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 108
+	const ceiling, bytesCeiling = 104, 6_220
 	app, traces := corpusTraces(t, "gen:7,templates=96")
-	if got := core.FineAllocsPerGroup(t, app.Schema(), traces); got > ceiling {
+	got, gotBytes := core.FineAllocsPerGroup(t, app.Schema(), traces)
+	t.Logf("phase 3 allocates %.0f times and %.0f bytes per solved group (ceilings %d and %d)", got, gotBytes, ceiling, bytesCeiling)
+	if got > ceiling {
 		t.Errorf("phase 3 allocates %.0f times per solved group, ceiling %d", got, ceiling)
-	} else {
-		t.Logf("phase 3 allocates %.0f times per solved group (ceiling %d)", got, ceiling)
+	}
+	if gotBytes > bytesCeiling {
+		t.Errorf("phase 3 allocates %.0f bytes per solved group, ceiling %d", gotBytes, bytesCeiling)
 	}
 }
 
@@ -82,20 +100,25 @@ func TestEnumAgainstNaiveOnCorpora(t *testing.T) {
 
 // TestEnumAllocs is the allocation ceiling of what precedes phase 3's
 // workers — flatten, phases 1–2 and settle — per phase-1 survivor on
-// gen:7,templates=96 at one worker: 7.0 measured (7.7 while each chain's
-// first cycle was an allocation of its own, 7.9 while CheckStmt cloned its
-// predicates) plus 10 %. A per-pair or per-cycle map, string or statement
-// copy breaks it.
+// gen:7,templates=96 at one worker: 5.0 measured (7.0 while path
+// conditions were built whole and the chain table was a Go map, 7.7 while
+// each chain's first cycle was an allocation of its own, 7.9 while
+// CheckStmt cloned its predicates) plus 10 %. A per-pair or per-cycle map,
+// string or statement copy breaks it. Bytes: the measured 772 plus 5 %
+// (1,309 while every path condition was built whole).
 func TestEnumAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 7.7
+	const ceiling, bytesCeiling = 5.5, 810.0
 	app, traces := corpusTraces(t, "gen:7,templates=96")
-	if got := core.EnumAllocsPerPair(t, app.Schema(), traces); got > ceiling {
+	got, gotBytes := core.EnumAllocsPerPair(t, app.Schema(), traces)
+	t.Logf("enumeration and settle allocate %.1f times and %.0f bytes per surviving pair (ceilings %.1f and %.0f)", got, gotBytes, ceiling, bytesCeiling)
+	if got > ceiling {
 		t.Errorf("enumeration and settle allocate %.1f times per surviving pair, ceiling %.1f", got, ceiling)
-	} else {
-		t.Logf("enumeration and settle allocate %.1f times per surviving pair (ceiling %.1f)", got, ceiling)
+	}
+	if gotBytes > bytesCeiling {
+		t.Errorf("enumeration and settle allocate %.0f bytes per surviving pair, ceiling %.0f", gotBytes, bytesCeiling)
 	}
 }
 

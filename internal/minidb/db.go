@@ -233,11 +233,13 @@ func (db *DB) Load(table string, rows []Row) error {
 	if len(db.lm.queues) > 0 {
 		return fmt.Errorf("minidb: Load into %s while locks are held or queued", table)
 	}
-	// keys holds every row's entry keys in index order, row after row.
+	// keys holds every row's entry keys in index order, row after row: the
+	// views of one string per row.
 	type taken struct{ ix, pfx string } // an index name and a unique prefix
 	n, seen := len(ts.indexes), make(map[taken]bool, len(rows))
 	keys := make([]string, 0, n*len(rows))
 	var buf []byte
+	ends := make([]int, n)
 	for _, row := range rows {
 		if len(row) != len(ts.meta.Columns) {
 			return fmt.Errorf("minidb: Load into %s: row %v has %d columns, want %d", table, row, len(row), len(ts.meta.Columns))
@@ -245,9 +247,14 @@ func (db *DB) Load(table string, rows []Row) error {
 		if slices.ContainsFunc(ts.indexes[0].cols, func(c int) bool { return row[c].Null }) {
 			return fmt.Errorf("minidb: NULL primary key in Load into %s", table)
 		}
-		for _, ix := range ts.indexes {
-			buf = ix.appendKey(buf[:0], row)
-			keys = append(keys, string(buf))
+		buf = buf[:0]
+		for i, ix := range ts.indexes {
+			buf = ix.appendKey(buf, row)
+			ends[i] = len(buf)
+		}
+		all, start := string(buf), 0
+		for i, ix := range ts.indexes {
+			keys, start = append(keys, all[start:ends[i]]), ends[i]
 			if pfx, live, tomb := ix.probe(row, keys[len(keys)-1]); pfx != "" {
 				if live+tomb != "" || seen[taken{ix.Name, pfx}] {
 					return fmt.Errorf("%w: Load into %s: %s of %v", ErrDuplicateKey, table, ix.Name, row)

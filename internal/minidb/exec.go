@@ -240,18 +240,18 @@ func (ex *executor) result(width int) [][]Datum {
 // ---------------------------------------------------------------------------
 // UPDATE
 
-func (ex *executor) execUpdate(p *prepared) (*ResultSet, error) {
+func (ex *executor) execUpdate(p *prepared) (ResultSet, error) {
 	hits := ex.writeScan(p)
 	if ex.blocked != nil {
-		return nil, nil
+		return ResultSet{}, nil
 	}
 	if p.setErr != nil {
-		return nil, p.setErr
+		return ResultSet{}, p.setErr
 	}
-	rs := &ResultSet{}
+	var rs ResultSet
 	for _, h := range hits {
 		if ok, err := ex.rewrite(p.plan[0].ts, h.pk, h.row, p.set, "SET"); !ok {
-			return nil, err
+			return ResultSet{}, err
 		}
 		rs.Affected++
 	}
@@ -382,20 +382,20 @@ func (ex *executor) writeScan(p *prepared) []scanHit {
 // ---------------------------------------------------------------------------
 // INSERT / UPSERT
 
-func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
+func (ex *executor) execInsert(p *prepared) (ResultSet, error) {
 	ts := p.plan[0].ts
 	table, primary, secondaries := ts.meta.Name, ts.indexes[0], ts.indexes[1:]
 	ex.row = append(ex.row[:0], p.blank...)
 	for i := range p.set {
 		d, ok := ex.resolve(&p.set[i].val)
 		if !ok {
-			return nil, fmt.Errorf("minidb: unresolvable INSERT value %s", p.set[i].val.Operand)
+			return ResultSet{}, fmt.Errorf("minidb: unresolvable INSERT value %s", p.set[i].val.Operand)
 		}
 		ex.row[p.set[i].pos] = d
 	}
 	for _, c := range primary.cols {
 		if ex.row[c].Null {
-			return nil, fmt.Errorf("minidb: NULL primary key in INSERT INTO %s", table)
+			return ResultSet{}, fmt.Errorf("minidb: NULL primary key in INSERT INTO %s", table)
 		}
 	}
 	pk := ex.key(primary, ex.row)
@@ -408,7 +408,7 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 			return ex.insertDuplicate(p, pk)
 		}
 		if !ex.lock(primary, RecordLock, pk, LockX) {
-			return nil, nil
+			return ResultSet{}, nil
 		}
 	}
 	// Duplicate on a unique secondary?
@@ -418,7 +418,7 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 		ex.keys = append(ex.keys, k)
 		dup, ok := ex.duplicate(ix, ex.row, k)
 		if !ok {
-			return nil, nil
+			return ResultSet{}, nil
 		}
 		if dup != "" {
 			return ex.insertDuplicate(p, dup)
@@ -430,19 +430,19 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 	// collision underlying the paper's d1 (merge) and d2 (check-then-
 	// insert) deadlocks.
 	if !ex.lockGapAbove(primary, pk, LockII) {
-		return nil, nil
+		return ResultSet{}, nil
 	}
 	for i, ix := range secondaries {
 		if !ex.lockGapAbove(ix, ex.keys[i], LockII) {
-			return nil, nil
+			return ResultSet{}, nil
 		}
 	}
 	if !ex.lock(primary, RecordLock, pk, LockX) {
-		return nil, nil
+		return ResultSet{}, nil
 	}
 	for i, ix := range secondaries {
 		if !ex.lock(ix, RecordLock, ex.keys[i], LockX) {
-			return nil, nil
+			return ResultSet{}, nil
 		}
 	}
 
@@ -451,34 +451,34 @@ func (ex *executor) execInsert(p *prepared) (*ResultSet, error) {
 	for i, ix := range secondaries {
 		ex.txn.put(ix, ex.keys[i], []byte{liveEntry})
 	}
-	return &ResultSet{Affected: 1}, nil
+	return ResultSet{Affected: 1}, nil
 }
 
 // insertDuplicate handles a uniqueness collision: plain INSERT locks the
 // existing record shared (as InnoDB does) and fails; UPSERT locks it
 // exclusive and applies the ON DUPLICATE KEY UPDATE assignments.
-func (ex *executor) insertDuplicate(p *prepared, pk string) (*ResultSet, error) {
+func (ex *executor) insertDuplicate(p *prepared, pk string) (ResultSet, error) {
 	ts := p.plan[0].ts
 	if p.onDup == nil {
-		return nil, ex.duplicateKey(ts, pk)
+		return ResultSet{}, ex.duplicateKey(ts, pk)
 	}
 	if !ex.lock(ts.indexes[0], RecordLock, pk, LockX) {
-		return nil, nil
+		return ResultSet{}, nil
 	}
 	v, ok := ts.indexes[0].entries.Get(pk)
 	if !ok || deleted(v) {
-		return nil, fmt.Errorf("minidb: upsert target vanished")
+		return ResultSet{}, fmt.Errorf("minidb: upsert target vanished")
 	}
 	if ok, err := ex.rewrite(ts, pk, v[1:], p.onDup, "UPSERT"); !ok {
-		return nil, err
+		return ResultSet{}, err
 	}
-	return &ResultSet{Affected: 2}, nil
+	return ResultSet{Affected: 2}, nil
 }
 
 // ---------------------------------------------------------------------------
 // DELETE
 
-func (ex *executor) execDelete(p *prepared) *ResultSet {
+func (ex *executor) execDelete(p *prepared) ResultSet {
 	ts := p.plan[0].ts
 	hits := ex.writeScan(p)
 	// keys holds each hit's secondary keys, hit by hit.
@@ -489,7 +489,7 @@ func (ex *executor) execDelete(p *prepared) *ResultSet {
 			k := ex.key(ix, row)
 			ex.keys = append(ex.keys, k)
 			if !ex.lock(ix, RecordLock, k, LockX) {
-				return nil
+				return ResultSet{}
 			}
 		}
 		// Gap inheritance: when a delete-marked record is purged, the
@@ -497,18 +497,18 @@ func (ex *executor) execDelete(p *prepared) *ResultSet {
 		// probing the vanished key still block on the deleter. Model it
 		// by locking the successor's gap on every touched index.
 		if !ex.lockGapAbove(ts.indexes[0], h.pk, LockX) {
-			return nil
+			return ResultSet{}
 		}
 		for i, ix := range ts.indexes[1:] {
 			if !ex.lockGapAbove(ix, ex.keys[first+i], LockX) {
-				return nil
+				return ResultSet{}
 			}
 		}
 	}
 	if ex.blocked != nil {
-		return nil
+		return ResultSet{}
 	}
-	rs := &ResultSet{}
+	var rs ResultSet
 	n := len(ts.indexes) - 1
 	for i, h := range hits {
 		ex.buf = append(append(ex.buf[:0], deadEntry), h.row...)

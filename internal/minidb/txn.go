@@ -86,7 +86,22 @@ type ResultSet struct {
 // (detect-and-recover) and the error is returned; ErrDuplicateKey fails
 // only the statement and leaves the transaction active.
 func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
-	return t.exec(st, params, true)
+	return boxed(t.exec(st, params, true, nil))
+}
+
+// ExecAppend is Exec that appends a SELECT's rows to cells, len(rs.Cols)
+// a row, in place of rs.Rows, and allocates no result: a caller that
+// converts the cells at once reuses one buffer for them.
+func (t *Txn) ExecAppend(cells []Datum, st sqlast.Stmt, params []Datum) (ResultSet, []Datum, error) {
+	rs, err := t.exec(st, params, true, &cells)
+	return rs, cells, err
+}
+
+func boxed(rs ResultSet, err error) (*ResultSet, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &rs, nil
 }
 
 // TryExec is Exec without the wait. When the statement needs a lock
@@ -95,19 +110,19 @@ func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
 // and TryExec returns ErrWouldBlock with the request left queued. The
 // transaction is then TxnWaiting and accepts only Rollback.
 func (t *Txn) TryExec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
-	return t.exec(st, params, false)
+	return boxed(t.exec(st, params, false, nil))
 }
 
-func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool) (*ResultSet, error) {
+func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool, cells *[]Datum) (ResultSet, error) {
 	if t.state != TxnActive {
-		return nil, ErrTxnDone
+		return ResultSet{}, ErrTxnDone
 	}
 	p, err := t.db.prepare(st)
 	if err != nil {
-		return nil, err
+		return ResultSet{}, err
 	}
 	if got, want := len(params), p.nparams; got != want {
-		return nil, fmt.Errorf("minidb: statement %q wants %d params, got %d", st, want, got)
+		return ResultSet{}, fmt.Errorf("minidb: statement %q wants %d params, got %d", st, want, got)
 	}
 	t.db.statements.Add(1)
 	if d := t.db.cfg.StatementDelay; d > 0 {
@@ -115,7 +130,7 @@ func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool) (*ResultSet, error
 	}
 	undone, purged := len(t.undo), len(t.purge) // a failed statement undoes its writes
 	for {
-		rs, blocked, err := t.attempt(p, params, undone, purged)
+		rs, blocked, err := t.attempt(p, params, undone, purged, cells)
 		if blocked == nil {
 			if t.db.afterStmt != nil {
 				t.db.afterStmt(t, st)
@@ -128,13 +143,13 @@ func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool) (*ResultSet, error
 		if req != nil {
 			if !wait {
 				t.state = TxnWaiting
-				return nil, ErrWouldBlock
+				return ResultSet{}, ErrWouldBlock
 			}
 			err = t.db.lm.wait(req, t.db.cfg.LockWaitTimeout)
 		}
 		if err != nil {
 			t.rollbackInternal()
-			return nil, err
+			return ResultSet{}, err
 		}
 	}
 }
@@ -142,8 +157,9 @@ func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool) (*ResultSet, error
 // attempt runs one statement pass under the storage latch. It returns a
 // non-nil blocked descriptor when a needed lock is unavailable; the
 // caller waits and retries. A statement that fails undoes the writes of
-// all its passes, the undo and purge records past undone and purged.
-func (t *Txn) attempt(p *prepared, params []Datum, undone, purged int) (rs *ResultSet, blocked *blockedOn, err error) {
+// all its passes, the undo and purge records past undone and purged. A
+// SELECT's rows are appended to cells, if given, not copied into rs.Rows.
+func (t *Txn) attempt(p *prepared, params []Datum, undone, purged int, cells *[]Datum) (rs ResultSet, blocked *blockedOn, err error) {
 	t.db.latch.Lock()
 	defer t.db.latch.Unlock()
 	ex := &t.db.ex
@@ -158,7 +174,11 @@ func (t *Txn) attempt(p *prepared, params []Datum, undone, purged int) (rs *Resu
 	case sqlast.KindSelect:
 		ex.out = ex.out[:0]
 		ex.join(p, 0)
-		rs = &ResultSet{Cols: p.cols, Rows: ex.result(len(p.out))}
+		if rs.Cols = p.cols; cells == nil {
+			rs.Rows = ex.result(len(p.out))
+		} else if ex.blocked == nil { // a blocked pass restarts
+			*cells = append(*cells, ex.out...)
+		}
 	case sqlast.KindUpdate:
 		rs, err = ex.execUpdate(p)
 	case sqlast.KindDelete:
@@ -167,7 +187,7 @@ func (t *Txn) attempt(p *prepared, params []Datum, undone, purged int) (rs *Resu
 		rs, err = ex.execInsert(p)
 	}
 	if ex.blocked != nil {
-		return nil, ex.blocked, nil
+		return ResultSet{}, ex.blocked, nil
 	}
 	if err != nil {
 		t.undoTo(undone, purged)

@@ -173,7 +173,7 @@ func (s *Session) query(sql string, params []concolic.Value, target string, trig
 	if !ok {
 		panic("orm: Query requires a SELECT")
 	}
-	if _, ok := prep.Aliases[target]; !ok {
+	if _, ok := sqlast.AliasMapOf(sel)[target]; !ok {
 		panic(fmt.Sprintf("orm: target alias %q not in %q", target, sql))
 	}
 	// Hydrate in FROM/JOIN order, never map order: which entity cache is

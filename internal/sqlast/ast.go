@@ -203,7 +203,18 @@ type Stmt interface {
 	Tables() []string
 	// WriteTable returns the written table, or "" for SELECT.
 	WriteTable() string
+	derivedOf() *derived
 }
+
+// derived is what Parse derives once for a statement's readers: its alias
+// map (AliasMapOf) and query condition (QueryCondOf). A statement built by
+// hand has neither, and each call derives them anew.
+type derived struct {
+	aliases map[string]string
+	cond    *Cond
+}
+
+func (d *derived) derivedOf() *derived { return d }
 
 // TableRef names a table with an optional alias; Alias() falls back to the
 // table name, as SQL scoping does.
@@ -242,6 +253,7 @@ func (c ColRef) String() string {
 // Select is SELECT cols FROM t [JOIN ...]* WHERE cond. An empty Cols list
 // means '*' (all columns of all referenced tables).
 type Select struct {
+	derived
 	Cols  []ColRef
 	From  TableRef
 	Joins []Join
@@ -292,6 +304,7 @@ type Assign struct {
 
 // Update is UPDATE tab SET ... WHERE cond. Fig. 6 allows no alias.
 type Update struct {
+	derived
 	Table string
 	Set   []Assign
 	Where Cond
@@ -320,6 +333,7 @@ func (u *Update) WrittenColumns() []string {
 
 // Insert is INSERT INTO tab (cols) VALUES (vals).
 type Insert struct {
+	derived
 	Table   string
 	Columns []string
 	Values  []Operand
@@ -368,6 +382,7 @@ func (*Upsert) Kind() StmtKind { return KindUpsert }
 
 // Delete is DELETE FROM tab WHERE cond.
 type Delete struct {
+	derived
 	Table string
 	Where Cond
 }
@@ -387,7 +402,7 @@ func (d *Delete) QueryCond() Cond { return d.Where }
 // NumParams implementations count '?' placeholders in order of appearance.
 
 // NumParams implements Stmt.
-func (s *Select) NumParams() int { return countCondParams(s.QueryCond()) }
+func (s *Select) NumParams() int { return countCondParams(QueryCondOf(s)) }
 
 // NumParams implements Stmt.
 func (u *Update) NumParams() int {
@@ -450,8 +465,12 @@ func countCondParams(c Cond) int {
 }
 
 // AliasMapOf returns alias→table for any statement kind. Unaliased write
-// statements map the table name to itself.
+// statements map the table name to itself. A parsed statement's map is
+// built once and shared: callers must not modify it.
 func AliasMapOf(st Stmt) map[string]string {
+	if m := st.derivedOf().aliases; m != nil {
+		return m
+	}
 	switch t := st.(type) {
 	case *Select:
 		return t.AliasMap()
@@ -480,8 +499,13 @@ func AliasesOf(st Stmt, table string) []string {
 }
 
 // QueryCondOf returns the query condition of any statement; for INSERT and
-// UPSERT, the equations on the inserted row (Insert.QueryCond).
+// UPSERT, the equations on the inserted row (Insert.QueryCond). A parsed
+// statement's condition is built once and shared: callers must not modify
+// it.
 func QueryCondOf(st Stmt) Cond {
+	if c := st.derivedOf().cond; c != nil {
+		return *c
+	}
 	switch t := st.(type) {
 	case *Select:
 		return t.QueryCond()

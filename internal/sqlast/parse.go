@@ -25,6 +25,8 @@ func Parse(sql string) (Stmt, error) {
 		return nil, fmt.Errorf("sqlast: trailing input %q in %q", p.peek().text, sql)
 	}
 	Normalize(st)
+	c := QueryCondOf(st)
+	*st.derivedOf() = derived{aliases: AliasMapOf(st), cond: &c}
 	return st, nil
 }
 

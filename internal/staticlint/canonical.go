@@ -1,6 +1,7 @@
 package staticlint
 
 import (
+	"container/heap"
 	"fmt"
 	"slices"
 	"sort"
@@ -119,20 +120,15 @@ func (g *lockOrderGraph) canonicalize() *CanonicalOrder {
 	for _, u := range order {
 		co.Order = append(co.Order, g.nodes[u].Key())
 	}
-	for u := range g.nodes {
-		for v := range g.nodes {
-			if g.w[u][v] > 0 {
-				co.Edges++
-			}
-		}
-	}
-	for _, e := range fb {
-		u, v := e[0], e[1]
+	co.Edges = len(g.edges)
+	for _, id := range fb {
+		e := g.edges[id]
+		u, v := e.u, e.v
 		co.Suggestions = append(co.Suggestions, Suggestion{
 			From:       g.nodes[u].Key(),
 			To:         g.nodes[v].Key(),
-			Violators:  g.w[u][v],
-			Supporters: g.w[v][u],
+			Violators:  e.w,
+			Supporters: g.weight(v, u),
 			Sites:      g.edgeVotes(u, v),
 			Evidence:   g.edgeVotes(v, u),
 		})
@@ -157,60 +153,41 @@ func (g *lockOrderGraph) canonicalize() *CanonicalOrder {
 }
 
 // feedbackEdges returns a small edge set whose removal makes the graph
-// acyclic, as sorted [from, to] index pairs and as a set. Empty when the
+// acyclic, as ascending edge ids and as a set by edge id. Empty when the
 // graph already is.
-func (g *lockOrderGraph) feedbackEdges() ([][2]int, map[[2]int]bool) {
-	n := len(g.nodes)
-	if n == 0 {
-		return nil, nil
-	}
+func (g *lockOrderGraph) feedbackEdges() ([]int, []bool) {
 	pos := g.elsPositions()
 
 	// Back edges of the ELS sequence break every cycle; keep only those
 	// genuinely on a cycle (the target reaches the source), which still
 	// breaks every cycle — all of a cycle's edges are on that cycle, so
 	// each cycle retains at least one of its back edges in the set.
-	var fb [][2]int
-	inFB := map[[2]int]bool{}
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if g.w[u][v] > 0 && pos[u] > pos[v] && g.reaches(v, u) {
-				fb = append(fb, [2]int{u, v})
-				inFB[[2]int{u, v}] = true
-			}
+	var fb []int
+	inFB := make([]bool, len(g.edges))
+	for id, e := range g.edges {
+		if pos[e.u] > pos[e.v] && g.reaches(e.v, e.u) {
+			fb = append(fb, id)
+			inFB[id] = true
 		}
 	}
 
 	// Irredundancy pass: re-admit edges the set does not actually need,
 	// heaviest (best-supported) first, so the cuts that remain fall on
 	// the lightest-supported directions.
-	cands := append([][2]int(nil), fb...)
-	sort.Slice(cands, func(i, j int) bool {
-		wi, wj := g.w[cands[i][0]][cands[i][1]], g.w[cands[j][0]][cands[j][1]]
-		if wi != wj {
-			return wi > wj
-		}
-		if cands[i][0] != cands[j][0] {
-			return cands[i][0] < cands[j][0]
-		}
-		return cands[i][1] < cands[j][1]
-	})
-	for _, e := range cands {
-		delete(inFB, e)
+	cands := slices.Clone(fb)
+	sort.SliceStable(cands, func(i, j int) bool { return g.edges[cands[i]].w > g.edges[cands[j]].w })
+	for _, id := range cands {
+		inFB[id] = false
 		if _, acyclic := g.kahn(inFB); !acyclic {
-			inFB[e] = true
+			inFB[id] = true
 		}
 	}
 	fb = fb[:0]
-	for e := range inFB {
-		fb = append(fb, e)
-	}
-	sort.Slice(fb, func(i, j int) bool {
-		if fb[i][0] != fb[j][0] {
-			return fb[i][0] < fb[j][0]
+	for id, cut := range inFB {
+		if cut {
+			fb = append(fb, id)
 		}
-		return fb[i][1] < fb[j][1]
-	})
+	}
 	return fb, inFB
 }
 
@@ -223,24 +200,23 @@ func (g *lockOrderGraph) feedbackEdges() ([][2]int, map[[2]int]bool) {
 // everything derived from it — deterministic.
 func (g *lockOrderGraph) elsPositions() []int {
 	n := len(g.nodes)
-	alive := make([]bool, n)
-	// outW and inW are each node's weight to and from the alive nodes;
+	dead := make([]bool, n)
+	// outW and inW are each node's weight to and from the live nodes;
 	// peel keeps them current.
 	outW, inW := make([]int, n), make([]int, n)
-	for u := 0; u < n; u++ {
-		alive[u] = true
-		for v := 0; v < n; v++ {
-			outW[u] += g.w[u][v]
-			inW[v] += g.w[u][v]
-		}
+	for _, e := range g.edges {
+		outW[e.u] += e.w
+		inW[e.v] += e.w
 	}
 	left := n
 	peel := func(x int) {
-		alive[x] = false
+		dead[x] = true
 		left--
-		for u := 0; u < n; u++ {
-			outW[u] -= g.w[u][x]
-			inW[u] -= g.w[x][u]
+		for _, id := range g.out[x] {
+			inW[g.edges[id].v] -= g.edges[id].w
+		}
+		for _, id := range g.in[x] {
+			outW[g.edges[id].u] -= g.edges[id].w
 		}
 	}
 	var s1, s2 []int // s2 is built back-to-front
@@ -248,7 +224,7 @@ func (g *lockOrderGraph) elsPositions() []int {
 		for {
 			sink := -1
 			for u := 0; u < n; u++ {
-				if alive[u] && outW[u] == 0 {
+				if !dead[u] && outW[u] == 0 {
 					sink = u
 					break
 				}
@@ -262,7 +238,7 @@ func (g *lockOrderGraph) elsPositions() []int {
 		for {
 			src := -1
 			for u := 0; u < n; u++ {
-				if alive[u] && inW[u] == 0 {
+				if !dead[u] && inW[u] == 0 {
 					src = u
 					break
 				}
@@ -278,7 +254,7 @@ func (g *lockOrderGraph) elsPositions() []int {
 		}
 		best, bestDelta := -1, 0
 		for u := 0; u < n; u++ {
-			if !alive[u] {
+			if dead[u] {
 				continue
 			}
 			d := outW[u] - inW[u]
@@ -299,43 +275,48 @@ func (g *lockOrderGraph) elsPositions() []int {
 	return pos
 }
 
-// kahn linearizes the graph minus the excluded edges by Kahn's
-// algorithm, always emitting the smallest-index (smallest-key) ready
-// node, so the order is unique and deterministic. It returns the nodes
-// it emitted and whether that was all of them — false exactly when the
-// remaining edges still close a cycle.
-func (g *lockOrderGraph) kahn(excluded map[[2]int]bool) ([]int, bool) {
+// kahn linearizes the graph minus the excluded edges (by edge id) by
+// Kahn's algorithm, always emitting the smallest-index (smallest-key)
+// ready node, so the order is unique and deterministic. It returns the
+// nodes it emitted and whether that was all of them — false exactly when
+// the remaining edges still close a cycle.
+func (g *lockOrderGraph) kahn(excluded []bool) ([]int, bool) {
 	n := len(g.nodes)
 	indeg := make([]int, n)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if g.w[u][v] > 0 && !excluded[[2]int{u, v}] {
-				indeg[v]++
-			}
+	for id, e := range g.edges {
+		if !excluded[id] {
+			indeg[e.v]++
 		}
 	}
-	emitted := make([]bool, n)
+	var ready intHeap
+	for u := range indeg {
+		if indeg[u] == 0 {
+			ready.IntSlice = append(ready.IntSlice, u) // ascending: already a heap
+		}
+	}
 	order := make([]int, 0, n)
-	for len(order) < n {
-		next := -1
-		for u := 0; u < n; u++ {
-			if !emitted[u] && indeg[u] == 0 {
-				next = u
-				break
-			}
-		}
-		if next < 0 {
-			return order, false
-		}
-		emitted[next] = true
+	for ready.Len() > 0 {
+		next := heap.Pop(&ready).(int)
 		order = append(order, next)
-		for v := 0; v < n; v++ {
-			if g.w[next][v] > 0 && !excluded[[2]int{next, v}] {
-				indeg[v]--
+		for _, id := range g.out[next] {
+			if v := g.edges[id].v; !excluded[id] {
+				if indeg[v]--; indeg[v] == 0 {
+					heap.Push(&ready, v)
+				}
 			}
 		}
 	}
-	return order, true
+	return order, len(order) == n
+}
+
+// intHeap is a min-heap of node indexes (container/heap).
+type intHeap struct{ sort.IntSlice }
+
+func (h *intHeap) Push(x any) { h.IntSlice = append(h.IntSlice, x.(int)) }
+func (h *intHeap) Pop() any {
+	x := h.IntSlice[len(h.IntSlice)-1]
+	h.IntSlice = h.IntSlice[:len(h.IntSlice)-1]
+	return x
 }
 
 // Render formats the canonical order and its ranked suggestions as the

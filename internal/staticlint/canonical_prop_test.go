@@ -92,11 +92,11 @@ func checkCanonicalProperties(t *testing.T, seed int64, shapes []TxnShape) {
 	}
 	feedback := map[[2]string]bool{}
 	for _, s := range co.Suggestions {
-		if w := g.weight(s.From, s.To); w == 0 || w != s.Violators {
+		if w := g.keyWeight(s.From, s.To); w == 0 || w != s.Violators {
 			t.Fatalf("seed %d: suggestion %s->%s: violators %d, edge weight %d",
 				seed, s.From, s.To, s.Violators, w)
 		}
-		if w := g.weight(s.To, s.From); w != s.Supporters {
+		if w := g.keyWeight(s.To, s.From); w != s.Supporters {
 			t.Fatalf("seed %d: suggestion %s->%s: supporters %d, reverse weight %d",
 				seed, s.From, s.To, s.Supporters, w)
 		}
@@ -226,25 +226,21 @@ func (g *lockOrderGraph) nodeKeys() []string {
 // order.
 func (g *lockOrderGraph) edgeKeys() [][2]string {
 	var out [][2]string
-	for u := range g.nodes {
-		for v := range g.nodes {
-			if g.w[u][v] > 0 {
-				out = append(out, [2]string{g.nodes[u].Key(), g.nodes[v].Key()})
-			}
-		}
+	for _, e := range g.edges {
+		out = append(out, [2]string{g.nodes[e.u].Key(), g.nodes[e.v].Key()})
 	}
 	return out
 }
 
-// weight returns how many templates acquire from before to (0 when the
+// keyWeight returns how many templates acquire from before to (0 when the
 // edge is absent or either node unknown).
-func (g *lockOrderGraph) weight(from, to string) int {
+func (g *lockOrderGraph) keyWeight(from, to string) int {
 	u, okU := g.keyIndex(from)
 	v, okV := g.keyIndex(to)
 	if !okU || !okV {
 		return 0
 	}
-	return g.w[u][v]
+	return g.weight(u, v)
 }
 
 func (g *lockOrderGraph) keyIndex(key string) (int, bool) {

@@ -65,12 +65,22 @@ func voteLess(a, b Vote) bool {
 // sorted-key order, so every index-order iteration is deterministic
 // regardless of input order or map iteration.
 type lockOrderGraph struct {
-	nodes     []OrderNode
-	idx       map[OrderNode]int
-	w         [][]int // w[u][v]: templates acquiring u before v
+	nodes []OrderNode
+	idx   map[OrderNode]int
+	// edges are sorted by (u, v); out[u] and in[u] hold the ids (indexes
+	// into edges) of u's out- and in-edges.
+	edges     []orderEdge
+	out, in   [][]int
 	votes     map[[2]int][]Vote
 	templates int // shapes that contributed at least one node
 }
+
+// orderEdge is an edge u -> v: w templates acquire u before v.
+type orderEdge struct{ u, v, w int }
+
+// weight returns the weight of u -> v, 0 when there is no such edge: its
+// votes before deduplication, one a template.
+func (g *lockOrderGraph) weight(u, v int) int { return len(g.votes[[2]int{u, v}]) }
 
 // acquisition is one node's first acquisition within a template.
 type acquisition struct {
@@ -210,10 +220,6 @@ func buildLockOrderGraph(shapes []TxnShape, scm *schema.Schema) *lockOrderGraph 
 	for i, n := range g.nodes {
 		g.idx[n] = i
 	}
-	g.w = make([][]int, len(g.nodes))
-	for i := range g.w {
-		g.w[i] = make([]int, len(g.nodes))
-	}
 	for si, seq := range seqs {
 		if len(seq) > 0 {
 			g.templates++
@@ -226,12 +232,22 @@ func buildLockOrderGraph(shapes []TxnShape, scm *schema.Schema) *lockOrderGraph 
 					continue
 				}
 				voted[[2]int{u, v}] = true
-				g.w[u][v]++
 				g.votes[[2]int{u, v}] = append(g.votes[[2]int{u, v}], Vote{
 					API: shapes[si].API, File: seq[j].file, Line: seq[j].line,
 				})
 			}
 		}
+	}
+	for e := range g.votes {
+		g.edges = append(g.edges, orderEdge{u: e[0], v: e[1], w: g.weight(e[0], e[1])})
+	}
+	sort.Slice(g.edges, func(i, j int) bool {
+		a, b := g.edges[i], g.edges[j]
+		return a.u < b.u || a.u == b.u && a.v < b.v
+	})
+	g.out, g.in = make([][]int, len(g.nodes)), make([][]int, len(g.nodes))
+	for id, e := range g.edges {
+		g.out[e.u], g.in[e.v] = append(g.out[e.u], id), append(g.in[e.v], id)
 	}
 	return g
 }
@@ -265,8 +281,8 @@ func (g *lockOrderGraph) reaches(from, to int) bool {
 		if u == to {
 			return true
 		}
-		for v := range g.nodes {
-			if g.w[u][v] > 0 && !seen[v] {
+		for _, id := range g.out[u] {
+			if v := g.edges[id].v; !seen[v] {
 				seen[v] = true
 				stack = append(stack, v)
 			}

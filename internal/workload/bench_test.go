@@ -12,7 +12,8 @@ import (
 // TestNativeCallAllocs pins what one API call allocates on the path of the
 // load workload and Figs. 10/11 with the engine off, averaged over whole
 // customer cycles driven as BenchmarkBroadleafFlow drives them. The ceiling
-// is the measured 82.3 plus 10 %; it was 107 (97.6 measured) while each
+// is the measured 65.0 plus 10 %; it was 91 (82.3 measured) while minidb
+// copied each result out and allocated it, 107 (97.6 measured) while each
 // read cache kept two Go maps in a Go map per session and each result set
 // was an allocation of its own, 113 (103 measured) while minidb's indexes
 // stored a string per row, 144 (132 measured) while minidb stored Datum
@@ -23,7 +24,7 @@ func TestNativeCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const ceiling = 91
+	const ceiling = 72
 	_, flow := open(t, "broadleaf", minidb.Config{})
 	next := flow(1, rand.New(rand.NewSource(7)))
 	e := concolic.New(concolic.ModeOff)

@@ -119,9 +119,12 @@ go test -race -count=3 ./internal/history
 # seed sent through the ORM and SQL instead of minidb.Load (or a SQL string
 # formatted per op) breaks, and a statement recorded by concolic
 # collection, which a stack capture that allocates or a record grown by
-# append breaks.
-echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs|TestCollectAllocs' (minidb, workload, core, solver, trace, apps, no -race)"
-go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs|TestCollectAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/solver ./internal/trace ./internal/apps
+# append breaks. Phase 3 and enumeration also pin their bytes, and next
+# to them every group's cone and skeleton key is held to the pairwise
+# neighbour oracle (TestConesMatchOracle), which a path condition's
+# neighbour lost to the per-trace index breaks.
+echo "== go test -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestConesMatchOracle|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs|TestCollectAllocs' (minidb, workload, core, solver, trace, apps, no -race)"
+go test -count=1 -run 'TestStatementAllocs|TestNativeCallAllocs|TestFineAllocs|TestEnumAllocs|TestConesMatchOracle|TestSolveAllocs|TestDecodeAllocs|TestOpenAllocs|TestCollectAllocs' ./internal/minidb ./internal/workload ./internal/core ./internal/solver ./internal/trace ./internal/apps
 
 # The two-level memo table (skeleton key -> canonical key -> verdict) is
 # two singleflights sharing one mutex; hammer its concurrency and
