@@ -29,7 +29,7 @@ func testDB() *minidb.DB {
 	prep, _ := Prepare(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`)
 	st := prep.Stmt
 	for i := int64(1); i <= 3; i++ {
-		if _, err := txn.Exec(st, []minidb.Datum{minidb.I64(i), minidb.I64(10 * i)}); err != nil {
+		if _, err := txn.Exec(nil, st, []minidb.Datum{minidb.I64(i), minidb.I64(10 * i)}); err != nil {
 			panic(err)
 		}
 	}

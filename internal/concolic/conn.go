@@ -151,11 +151,11 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 		datums = append(datums, datumOf(p))
 	}
 	c.e.rec.args = datums
-	rs, cells, err := c.txn.ExecAppend(c.e.rec.fetched[:0], st, datums)
-	c.e.rec.fetched = cells
+	rs, err := c.txn.Exec(c.e.rec.fetched[:0], st, datums)
 	if err != nil {
 		return nil, err
 	}
+	cells := rs.Cells
 	nrows := 0
 	if w := len(rs.Cols); w > 0 {
 		nrows = len(cells) / w
@@ -168,6 +168,7 @@ func (c *Conn) Exec(sql string, params []Value, trigger, sent trace.CodeLoc) (*R
 	var rows *Rows
 	seq, a := c.e.stmtSeq, &c.e.rec
 	if rs.Cols != nil {
+		a.fetched = cells
 		rows = &a.rows.carve(1)[0]
 		rows.Cols, rows.Cells = rs.Cols, a.cells.carve(len(cells))
 		for i, d := range cells {

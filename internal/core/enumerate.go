@@ -279,7 +279,23 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*c
 	insts, start := r.insts, r.start
 	ix := buildConflictIndex(r.sigs, len(r.names))
 
-	var chains chainTable
+	// The chains in first-occurrence order, found by identity; byID is
+	// sized for a chain per instance (gen:7 at 1,056 templates: 2,103
+	// instances, 2,842 chains), which spares it most of its growth.
+	var chains []*chain
+	var slab slab[chain]
+	byID := make(map[chainID]*chain, len(insts))
+	add := func(cyc Cycle, id chainID) {
+		ch, ok := byID[id]
+		if !ok {
+			ch = &slab.carve(1)[0]
+			ch.cycles = ch.first[:0]
+			byID[id] = ch
+			chains = append(chains, ch)
+		}
+		ch.cycles = append(ch.cycles, cyc)
+	}
+
 	type pair struct{ left, right int }
 	var pairs []pair
 	for i := range traces {
@@ -303,14 +319,14 @@ func (r *run) enumerateIndexed(ctx context.Context, traces []*trace.Trace) ([]*c
 				rt := insts[p.right].trace
 				jlo, jhi := start[rt], start[rt+1]
 				st.Pairs += (hi-lo)*(jlo-lo) + (p.left-lo)*(jhi-jlo) + (p.right - jlo)
-				return chains.chains, st, err
+				return chains, st, err
 			}
 			st.PairsAfterPhase1++
-			st.CoarseCycles += r.enumeratePair(&insts[p.left].role[0], &insts[p.right].role[1], chains.add)
+			st.CoarseCycles += r.enumeratePair(&insts[p.left].role[0], &insts[p.right].role[1], add)
 		}
 		st.Pairs += (hi - lo) * (len(insts) - lo)
 	}
-	return chains.chains, st, ctx.Err()
+	return chains, st, ctx.Err()
 }
 
 // cedge is a coarse C-edge of a pair: statement i of the left transaction,
@@ -382,56 +398,6 @@ func (r *run) enumeratePair(p1, p2 *instance, emit func(Cycle, chainID)) int {
 // tables of the C-edges it holds and waits on; the sides in a fixed order,
 // so the mirror pairing agrees.
 type chainID [2][5]int32
-
-// hash mixes the keys of the statements the identity names.
-func (id *chainID) hash() uint32 {
-	return (uint32(id[0][1])*31+uint32(id[0][2]))*2654435761 ^ (uint32(id[1][1])*31+uint32(id[1][2]))*2246822519
-}
-
-// chainTable is the enumeration's chains in first-occurrence order, found
-// by identity through open addressing: a slot holds 1 + a chain's index
-// (0 is empty), and the slots are at most 3/4 full.
-type chainTable struct {
-	chains []*chain
-	slots  []int32
-	slab   slab[chain]
-}
-
-// add appends cyc, of identity id, to its chain, a new one if none has it.
-func (t *chainTable) add(cyc Cycle, id chainID) {
-	if 4*len(t.chains) >= 3*len(t.slots) {
-		t.grow()
-	}
-	i := t.find(&id)
-	if c := t.slots[i]; c > 0 {
-		t.chains[c-1].cycles = append(t.chains[c-1].cycles, cyc)
-		return
-	}
-	ch := &t.slab.carve(1)[0]
-	ch.cycles, ch.id = append(ch.first[:0], cyc), id
-	t.chains = append(t.chains, ch)
-	t.slots[i] = int32(len(t.chains))
-}
-
-// find returns the slot of id's chain, or the empty slot it would take.
-func (t *chainTable) find(id *chainID) int {
-	mask := len(t.slots) - 1
-	i := int(id.hash()) & mask
-	for t.slots[i] > 0 && t.chains[t.slots[i]-1].id != *id {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// grow doubles the slots, from 1,024, and places the chains again; the
-// chains get room for as many as the slots take.
-func (t *chainTable) grow() {
-	t.slots = make([]int32, max(2*len(t.slots), 1024))
-	t.chains = slices.Grow(t.chains, 3*len(t.slots)/4-len(t.chains))
-	for c, ch := range t.chains {
-		t.slots[t.find(&ch.id)] = int32(c + 1)
-	}
-}
 
 // slab carves slices from chunks of 256 elements or more, so that what a
 // run keeps per chain or per path condition costs one allocation a chunk.

@@ -72,13 +72,13 @@ func (m *memoTable) solve(ctx context.Context, key []byte, build func() smt.Expr
 	sh := &m.scratch[tid].sh
 	var f smt.Expr
 	hit := true
-	s := m.flight(ctx, m.skels, key, func(s *memoEntry) bool {
+	s := flight(ctx, m, m.skels, key, func(s *memoEntry) bool {
 		f = build()
 		sh.Reset(f)
 		start := time.Now()
 		s.canon = sh.Canon()
 		m.canonNanos.Add(int64(time.Since(start)))
-		e := m.flight(ctx, m.entries, []byte(s.canon.Key()), func(e *memoEntry) bool {
+		e := flight(ctx, m, m.entries, s.canon.Key(), func(e *memoEntry) bool {
 			hit = false
 			return m.call(ctx, e, s.canon, tid, out)
 		})
@@ -101,10 +101,11 @@ func (m *memoTable) solve(ctx context.Context, key []byte, build func() smt.Expr
 }
 
 // flight returns table's entry for key, calling fill on it if no caller
-// has: concurrent callers wait for the first. A fill that reports failure
+// has: concurrent callers wait for the first. A key held in bytes is
+// copied only when it becomes an entry's. A fill that reports failure
 // — its context was canceled — leaves no entry, and its waiters try again;
 // nil if the caller's fill fails or ctx is done first.
-func (m *memoTable) flight(ctx context.Context, table map[string]*memoEntry, key []byte, fill func(*memoEntry) bool) *memoEntry {
+func flight[K string | []byte](ctx context.Context, m *memoTable, table map[string]*memoEntry, key K, fill func(*memoEntry) bool) *memoEntry {
 	for {
 		m.mu.Lock()
 		e, ok := table[string(key)]

@@ -30,7 +30,6 @@ import (
 type chain struct {
 	cycles []Cycle
 	first  [1]Cycle // cycles' first backing array
-	id     chainID
 }
 
 // discharge runs phase 3 over the chains on r.workers goroutines and
@@ -55,9 +54,6 @@ func (r *run) discharge(ctx context.Context, chains []*chain, res *Result) error
 	}
 
 	r.settle(chains)
-	for tid := 1; tid <= min(r.workers, len(chains)); tid++ { // slots for settle's symbols, and half as many more
-		r.memo.scratch[tid].slots = make([]symSlot, 2*len(r.syms), 3*len(r.syms))
-	}
 	if o != nil {
 		o.Progress.SetPhase("fine")
 		o.Progress.SetChains(int64(len(chains)))

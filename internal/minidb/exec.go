@@ -223,20 +223,6 @@ func (ex *executor) join(p *prepared, i int) {
 	ex.steps[i].bound = false
 }
 
-// result copies the output cells out of the scratch, in one allocation cut
-// into rows of the given width.
-func (ex *executor) result(width int) [][]Datum {
-	if len(ex.out) == 0 {
-		return nil
-	}
-	cells := append([]Datum(nil), ex.out...)
-	rows := make([][]Datum, len(cells)/width)
-	for i := range rows {
-		rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
-	}
-	return rows
-}
-
 // ---------------------------------------------------------------------------
 // UPDATE
 

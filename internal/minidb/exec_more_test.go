@@ -31,15 +31,15 @@ func TestDecimalColumnRoundTrip(t *testing.T) {
 	db := Open(decimalSchema(), Config{})
 	txn := db.Begin()
 	for id, bal := range []Datum{Real(big.NewRat(355, 113)), I64(7), NullDatum(KReal)} {
-		if _, err := txn.Exec(sqlast.MustParse(`INSERT INTO Acct (ID, BAL) VALUES (?, ?)`),
+		if _, err := txn.Exec(nil, sqlast.MustParse(`INSERT INTO Acct (ID, BAL) VALUES (?, ?)`),
 			[]Datum{I64(int64(id)), bal}); err != nil {
 			t.Fatal(err)
 		}
-		rs, err := txn.Exec(sqlast.MustParse(`SELECT a.BAL FROM Acct a WHERE a.ID = ?`), []Datum{I64(int64(id))})
+		rs, err := txn.Exec(nil, sqlast.MustParse(`SELECT a.BAL FROM Acct a WHERE a.ID = ?`), []Datum{I64(int64(id))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rs.Rows[0][0]; got.Null != bal.Null || got.Kind != bal.Kind || got.String() != bal.String() {
+		if got := rs.rows()[0][0]; got.Null != bal.Null || got.Kind != bal.Kind || got.String() != bal.String() {
 			t.Errorf("stored %#v, read back %#v", bal, got)
 		}
 	}
@@ -50,25 +50,25 @@ func TestNullColumnsAndIsNull(t *testing.T) {
 	db := Open(decimalSchema(), Config{})
 	txn := db.Begin()
 	// NOTE omitted: stored as NULL.
-	if _, err := txn.Exec(sqlast.MustParse(`INSERT INTO Acct (ID, BAL) VALUES (?, ?)`),
+	if _, err := txn.Exec(nil, sqlast.MustParse(`INSERT INTO Acct (ID, BAL) VALUES (?, ?)`),
 		[]Datum{I64(1), RealInt(5)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := txn.Exec(sqlast.MustParse(`INSERT INTO Acct (ID, BAL, NOTE) VALUES (?, ?, ?)`),
+	if _, err := txn.Exec(nil, sqlast.MustParse(`INSERT INTO Acct (ID, BAL, NOTE) VALUES (?, ?, ?)`),
 		[]Datum{I64(2), RealInt(6), Str("x")}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := txn.Exec(sqlast.MustParse(`SELECT a.ID FROM Acct a WHERE a.NOTE IS NULL`), nil)
+	rs, err := txn.Exec(nil, sqlast.MustParse(`SELECT a.ID FROM Acct a WHERE a.NOTE IS NULL`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 1 {
-		t.Errorf("IS NULL rows = %v", rs.Rows)
+	if len(rs.rows()) != 1 || rs.rows()[0][0].I != 1 {
+		t.Errorf("IS NULL rows = %v", rs.rows())
 	}
 	// Comparisons against NULL are not satisfied.
-	rs, _ = txn.Exec(sqlast.MustParse(`SELECT a.ID FROM Acct a WHERE a.NOTE = 'x'`), nil)
-	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 2 {
-		t.Errorf("= over NULL rows = %v", rs.Rows)
+	rs, _ = txn.Exec(nil, sqlast.MustParse(`SELECT a.ID FROM Acct a WHERE a.NOTE = 'x'`), nil)
+	if len(rs.rows()) != 1 || rs.rows()[0][0].I != 2 {
+		t.Errorf("= over NULL rows = %v", rs.rows())
 	}
 	txn.Commit()
 }
@@ -86,10 +86,10 @@ func TestUpsertRollback(t *testing.T) {
 	txn.Rollback()
 	check := db.Begin()
 	rs := exec(t, check, `SELECT p.QTY FROM Product p WHERE p.ID = ?`, I64(1))
-	if rs.Rows[0][0].I != 100 {
-		t.Errorf("upsert-update not rolled back: %v", rs.Rows[0][0])
+	if rs.rows()[0][0].I != 100 {
+		t.Errorf("upsert-update not rolled back: %v", rs.rows()[0][0])
 	}
-	if rs := exec(t, check, `SELECT * FROM Product p WHERE p.ID = ?`, I64(70)); len(rs.Rows) != 0 {
+	if rs := exec(t, check, `SELECT * FROM Product p WHERE p.ID = ?`, I64(70)); len(rs.rows()) != 0 {
 		t.Errorf("upsert-insert not rolled back")
 	}
 	check.Commit()
@@ -104,8 +104,8 @@ func TestDeleteThenReinsert(t *testing.T) {
 	txn.Commit()
 	check := db.Begin()
 	rs := exec(t, check, `SELECT p.QTY FROM Product p WHERE p.ID = ?`, I64(2))
-	if rs.Rows[0][0].I != 55 {
-		t.Errorf("qty = %v", rs.Rows[0][0])
+	if rs.rows()[0][0].I != 55 {
+		t.Errorf("qty = %v", rs.rows()[0][0])
 	}
 	check.Commit()
 }
@@ -118,13 +118,13 @@ func TestDeleteBlocksConcurrentPointRead(t *testing.T) {
 	got := make(chan int, 1)
 	go func() {
 		r := db.Begin()
-		rs, err := r.Exec(sqlast.MustParse(`SELECT * FROM Product p WHERE p.ID = ?`), []Datum{I64(1)})
+		rs, err := r.Exec(nil, sqlast.MustParse(`SELECT * FROM Product p WHERE p.ID = ?`), []Datum{I64(1)})
 		if err != nil {
 			got <- -1
 			return
 		}
 		r.Commit()
-		got <- len(rs.Rows)
+		got <- len(rs.rows())
 	}()
 	select {
 	case <-got:
@@ -150,13 +150,13 @@ func TestConcurrentInsertDeleteConsistency(t *testing.T) {
 			for i := int64(0); i < 30; i++ {
 				id := base + i
 				txn := db.Begin()
-				if _, err := txn.Exec(sqlast.MustParse(`INSERT INTO OrderItem (ID, O_ID, P_ID, QTY) VALUES (?, ?, ?, ?)`),
+				if _, err := txn.Exec(nil, sqlast.MustParse(`INSERT INTO OrderItem (ID, O_ID, P_ID, QTY) VALUES (?, ?, ?, ?)`),
 					[]Datum{I64(id), I64(id % 7), I64(id % 5), I64(1)}); err != nil {
 					txn.Rollback()
 					continue
 				}
 				if i%3 == 0 {
-					if _, err := txn.Exec(sqlast.MustParse(`DELETE FROM OrderItem WHERE ID = ?`), []Datum{I64(id)}); err != nil {
+					if _, err := txn.Exec(nil, sqlast.MustParse(`DELETE FROM OrderItem WHERE ID = ?`), []Datum{I64(id)}); err != nil {
 						txn.Rollback()
 						continue
 					}
@@ -170,16 +170,16 @@ func TestConcurrentInsertDeleteConsistency(t *testing.T) {
 	// row, and vice versa.
 	txn := db.Begin()
 	for o := int64(0); o < 7; o++ {
-		rs, err := txn.Exec(sqlast.MustParse(`SELECT oi.ID, oi.O_ID FROM OrderItem oi WHERE oi.O_ID = ?`), []Datum{I64(o)})
+		rs, err := txn.Exec(nil, sqlast.MustParse(`SELECT oi.ID, oi.O_ID FROM OrderItem oi WHERE oi.O_ID = ?`), []Datum{I64(o)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range rs.Rows {
+		for _, row := range rs.rows() {
 			if row[1].I != o {
 				t.Fatalf("index returned row with O_ID %d for lookup %d", row[1].I, o)
 			}
-			prs, err := txn.Exec(sqlast.MustParse(`SELECT * FROM OrderItem oi WHERE oi.ID = ?`), []Datum{row[0]})
-			if err != nil || len(prs.Rows) != 1 {
+			prs, err := txn.Exec(nil, sqlast.MustParse(`SELECT * FROM OrderItem oi WHERE oi.ID = ?`), []Datum{row[0]})
+			if err != nil || len(prs.rows()) != 1 {
 				t.Fatalf("index entry %v has no primary row (err=%v)", row[0], err)
 			}
 		}
@@ -200,7 +200,7 @@ func TestUpdateMissingRowTakesGapLock(t *testing.T) {
 	ins := db.Begin()
 	done := make(chan error, 1)
 	go func() {
-		_, err := ins.Exec(sqlast.MustParse(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`), []Datum{I64(50), I64(1)})
+		_, err := ins.Exec(nil, sqlast.MustParse(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`), []Datum{I64(50), I64(1)})
 		done <- err
 	}()
 	select {
@@ -231,18 +231,18 @@ func TestExecErrors(t *testing.T) {
 	seed(t, db)
 	txn := db.Begin()
 	// Unsupported: updating a primary key column.
-	if _, err := txn.Exec(sqlast.MustParse(`UPDATE Product SET ID = ? WHERE ID = ?`), []Datum{I64(9), I64(1)}); err == nil {
+	if _, err := txn.Exec(nil, sqlast.MustParse(`UPDATE Product SET ID = ? WHERE ID = ?`), []Datum{I64(9), I64(1)}); err == nil {
 		t.Error("primary-key update should fail")
 	}
 	// NULL primary key.
-	if _, err := txn.Exec(sqlast.MustParse(`INSERT INTO Product (QTY) VALUES (?)`), []Datum{I64(1)}); err == nil {
+	if _, err := txn.Exec(nil, sqlast.MustParse(`INSERT INTO Product (QTY) VALUES (?)`), []Datum{I64(1)}); err == nil {
 		t.Error("NULL primary key should fail")
 	}
 	txn.Rollback()
 	// Duplicate via unique secondary keeps the statement error typed.
 	t2 := db.Begin()
 	exec(t, t2, `INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`, I64(1), Str("a"))
-	_, err := t2.Exec(sqlast.MustParse(`INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`), []Datum{I64(2), Str("a")})
+	_, err := t2.Exec(nil, sqlast.MustParse(`INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`), []Datum{I64(2), Str("a")})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Errorf("unique violation err = %v", err)
 	}

@@ -85,10 +85,10 @@ func TestLoadStoresWhatInsertStores(t *testing.T) {
 	}
 	// The loaded rows are committed data a transaction reads and locks.
 	txn = db.Begin()
-	if rs := exec(t, txn, `SELECT i.ID FROM Item i WHERE i.BIN = ?`, I64(3)); len(rs.Rows) != 2 {
-		t.Errorf("BIN = 3 reads %v", rs.Rows)
+	if rs := exec(t, txn, `SELECT i.ID FROM Item i WHERE i.BIN = ?`, I64(3)); len(rs.rows()) != 2 {
+		t.Errorf("BIN = 3 reads %v", rs.rows())
 	}
-	if _, err := txn.Exec(sqlast.MustParse(`INSERT INTO Item (ID, SKU) VALUES (?, ?)`), []Datum{I64(9), Str("a")}); !errors.Is(err, ErrDuplicateKey) {
+	if _, err := txn.Exec(nil, sqlast.MustParse(`INSERT INTO Item (ID, SKU) VALUES (?, ?)`), []Datum{I64(9), Str("a")}); !errors.Is(err, ErrDuplicateKey) {
 		t.Errorf("INSERT over a loaded SKU: %v", err)
 	}
 	if err := txn.Commit(); err != nil {

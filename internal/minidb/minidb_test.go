@@ -42,13 +42,22 @@ func openTest(t *testing.T) *DB {
 	return Open(testSchema(), Config{LockWaitTimeout: 2 * time.Second})
 }
 
-func exec(t *testing.T, txn *Txn, sql string, params ...Datum) *ResultSet {
+func exec(t *testing.T, txn *Txn, sql string, params ...Datum) ResultSet {
 	t.Helper()
-	rs, err := txn.Exec(sqlast.MustParse(sql), params)
+	rs, err := txn.Exec(nil, sqlast.MustParse(sql), params)
 	if err != nil {
 		t.Fatalf("Exec(%s): %v", sql, err)
 	}
 	return rs
+}
+
+// rows cuts a result's cells into its rows.
+func (rs ResultSet) rows() [][]Datum {
+	var rows [][]Datum
+	for c := rs.Cells; len(c) > 0; c = c[len(rs.Cols):] {
+		rows = append(rows, c[:len(rs.Cols)])
+	}
+	return rows
 }
 
 func seed(t *testing.T, db *DB) {
@@ -72,19 +81,19 @@ func TestInsertSelect(t *testing.T) {
 	seed(t, db)
 	txn := db.Begin()
 	rs := exec(t, txn, `SELECT * FROM Product p WHERE p.ID = ?`, I64(2))
-	if len(rs.Rows) != 1 {
-		t.Fatalf("rows = %d", len(rs.Rows))
+	if len(rs.rows()) != 1 {
+		t.Fatalf("rows = %d", len(rs.rows()))
 	}
 	if rs.Cols[0] != "p.ID" || rs.Cols[1] != "p.QTY" {
 		t.Errorf("cols = %v", rs.Cols)
 	}
-	if rs.Rows[0][0].I != 2 || rs.Rows[0][1].I != 100 {
-		t.Errorf("row = %v", rs.Rows[0])
+	if rs.rows()[0][0].I != 2 || rs.rows()[0][1].I != 100 {
+		t.Errorf("row = %v", rs.rows()[0])
 	}
 	// Projection.
 	rs = exec(t, txn, `SELECT p.QTY FROM Product p WHERE p.ID = ?`, I64(3))
-	if len(rs.Cols) != 1 || rs.Cols[0] != "p.QTY" || rs.Rows[0][0].I != 100 {
-		t.Errorf("projection: %v %v", rs.Cols, rs.Rows)
+	if len(rs.Cols) != 1 || rs.Cols[0] != "p.QTY" || rs.rows()[0][0].I != 100 {
+		t.Errorf("projection: %v %v", rs.Cols, rs.rows())
 	}
 	txn.Commit()
 }
@@ -94,8 +103,8 @@ func TestSelectEmpty(t *testing.T) {
 	seed(t, db)
 	txn := db.Begin()
 	rs := exec(t, txn, `SELECT * FROM Product p WHERE p.ID = ?`, I64(99))
-	if len(rs.Rows) != 0 {
-		t.Fatalf("rows = %d", len(rs.Rows))
+	if len(rs.rows()) != 0 {
+		t.Fatalf("rows = %d", len(rs.rows()))
 	}
 	txn.Commit()
 }
@@ -108,15 +117,15 @@ func TestJoinQ4(t *testing.T) {
 	rs := exec(t, txn,
 		`SELECT * FROM OrderItem oi JOIN Orders o ON o.ID = oi.O_ID JOIN Product p ON p.ID = oi.P_ID WHERE oi.O_ID = ?`,
 		I64(1))
-	if len(rs.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 order items", len(rs.Rows))
+	if len(rs.rows()) != 2 {
+		t.Fatalf("rows = %d, want 2 order items", len(rs.rows()))
 	}
 	// Column layout: oi.* then o.* then p.* in statement order.
 	if rs.Cols[0] != "oi.ID" || rs.Cols[4] != "o.ID" || rs.Cols[5] != "p.ID" {
 		t.Errorf("cols = %v", rs.Cols)
 	}
 	// Each row's p.ID must equal oi.P_ID.
-	for _, row := range rs.Rows {
+	for _, row := range rs.rows() {
 		if row[2].I != row[5].I {
 			t.Errorf("join mismatch: %v", row)
 		}
@@ -135,8 +144,8 @@ func TestUpdate(t *testing.T) {
 	txn.Commit()
 	txn2 := db.Begin()
 	rs = exec(t, txn2, `SELECT p.QTY FROM Product p WHERE p.ID = ?`, I64(1))
-	if rs.Rows[0][0].I != 42 {
-		t.Errorf("qty = %v", rs.Rows[0][0])
+	if rs.rows()[0][0].I != 42 {
+		t.Errorf("qty = %v", rs.rows()[0][0])
 	}
 	txn2.Commit()
 }
@@ -149,12 +158,12 @@ func TestUpdateSecondaryIndexMaintenance(t *testing.T) {
 	txn.Commit()
 	txn2 := db.Begin()
 	rs := exec(t, txn2, `SELECT * FROM OrderItem oi WHERE oi.O_ID = ?`, I64(9))
-	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 1 {
-		t.Fatalf("index lookup after update: %v", rs.Rows)
+	if len(rs.rows()) != 1 || rs.rows()[0][0].I != 1 {
+		t.Fatalf("index lookup after update: %v", rs.rows())
 	}
 	rs = exec(t, txn2, `SELECT * FROM OrderItem oi WHERE oi.O_ID = ?`, I64(1))
-	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 2 {
-		t.Fatalf("stale index entry: %v", rs.Rows)
+	if len(rs.rows()) != 1 || rs.rows()[0][0].I != 2 {
+		t.Fatalf("stale index entry: %v", rs.rows())
 	}
 	txn2.Commit()
 }
@@ -169,8 +178,8 @@ func TestDelete(t *testing.T) {
 	}
 	txn.Commit()
 	txn2 := db.Begin()
-	if rs := exec(t, txn2, `SELECT * FROM OrderItem oi WHERE oi.O_ID = ?`, I64(1)); len(rs.Rows) != 0 {
-		t.Errorf("rows after delete: %v", rs.Rows)
+	if rs := exec(t, txn2, `SELECT * FROM OrderItem oi WHERE oi.O_ID = ?`, I64(1)); len(rs.rows()) != 0 {
+		t.Errorf("rows after delete: %v", rs.rows())
 	}
 	txn2.Commit()
 }
@@ -179,7 +188,7 @@ func TestDuplicateKey(t *testing.T) {
 	db := openTest(t)
 	seed(t, db)
 	txn := db.Begin()
-	_, err := txn.Exec(sqlast.MustParse(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`), []Datum{I64(1), I64(9)})
+	_, err := txn.Exec(nil, sqlast.MustParse(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`), []Datum{I64(1), I64(9)})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("err = %v", err)
 	}
@@ -192,7 +201,7 @@ func TestUniqueSecondaryDuplicate(t *testing.T) {
 	db := openTest(t)
 	txn := db.Begin()
 	exec(t, txn, `INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`, I64(1), Str("a@x.com"))
-	_, err := txn.Exec(sqlast.MustParse(`INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`), []Datum{I64(2), Str("a@x.com")})
+	_, err := txn.Exec(nil, sqlast.MustParse(`INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`), []Datum{I64(2), Str("a@x.com")})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("err = %v", err)
 	}
@@ -210,25 +219,25 @@ func TestUpdateKeepsUniqueIndex(t *testing.T) {
 	txn.Commit()
 
 	txn = db.Begin()
-	_, err := txn.Exec(sqlast.MustParse(`UPDATE Users SET EMAIL = ? WHERE ID = ?`), []Datum{Str("a"), I64(2)})
+	_, err := txn.Exec(nil, sqlast.MustParse(`UPDATE Users SET EMAIL = ? WHERE ID = ?`), []Datum{Str("a"), I64(2)})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("UPDATE onto a taken unique key: err = %v", err)
 	}
 	if g := GrantsOf(txn); g[len(g)-1] != (Grant{Table: "Users", Index: "PRIMARY", Key: "(1)", Mode: LockS}) {
 		t.Errorf("last grant %+v, want an S lock on the colliding row", g[len(g)-1])
 	}
-	_, err = txn.Exec(sqlast.MustParse(`UPDATE Users SET EMAIL = ? WHERE ID > ?`), []Datum{Str("c"), I64(0)})
+	_, err = txn.Exec(nil, sqlast.MustParse(`UPDATE Users SET EMAIL = ? WHERE ID > ?`), []Datum{Str("c"), I64(0)})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("UPDATE of two rows onto one key: err = %v", err)
 	}
 	for _, email := range []string{"a", "b"} {
 		rs := exec(t, txn, `SELECT u.ID FROM Users u WHERE u.EMAIL = ?`, Str(email))
-		if len(rs.Rows) != 1 {
-			t.Errorf("EMAIL %s: %v", email, rs.Rows)
+		if len(rs.rows()) != 1 {
+			t.Errorf("EMAIL %s: %v", email, rs.rows())
 		}
 	}
-	if rs := exec(t, txn, `SELECT u.ID FROM Users u WHERE u.EMAIL = ?`, Str("c")); len(rs.Rows) != 0 {
-		t.Errorf("the failed UPDATE left EMAIL c on %v", rs.Rows)
+	if rs := exec(t, txn, `SELECT u.ID FROM Users u WHERE u.EMAIL = ?`, Str("c")); len(rs.rows()) != 0 {
+		t.Errorf("the failed UPDATE left EMAIL c on %v", rs.rows())
 	}
 	txn.Commit()
 	if rows := db.TableRows("Users"); fmt.Sprint(rows) != "[[1 'a'] [2 'b']]" {
@@ -270,8 +279,8 @@ func TestUpsert(t *testing.T) {
 	txn.Commit()
 	check := db.Begin()
 	rs = exec(t, check, `SELECT p.QTY FROM Product p WHERE p.ID = ?`, I64(1))
-	if rs.Rows[0][0].I != 77 {
-		t.Errorf("qty = %v", rs.Rows[0][0])
+	if rs.rows()[0][0].I != 77 {
+		t.Errorf("qty = %v", rs.rows()[0][0])
 	}
 	check.Commit()
 }
@@ -287,13 +296,13 @@ func TestRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := db.Begin()
-	if rs := exec(t, check, `SELECT * FROM Product p WHERE p.ID = ?`, I64(20)); len(rs.Rows) != 0 {
+	if rs := exec(t, check, `SELECT * FROM Product p WHERE p.ID = ?`, I64(20)); len(rs.rows()) != 0 {
 		t.Error("insert not rolled back")
 	}
-	if rs := exec(t, check, `SELECT p.QTY FROM Product p WHERE p.ID = ?`, I64(1)); rs.Rows[0][0].I != 100 {
+	if rs := exec(t, check, `SELECT p.QTY FROM Product p WHERE p.ID = ?`, I64(1)); rs.rows()[0][0].I != 100 {
 		t.Error("update not rolled back")
 	}
-	if rs := exec(t, check, `SELECT * FROM Product p WHERE p.ID = ?`, I64(2)); len(rs.Rows) != 1 {
+	if rs := exec(t, check, `SELECT * FROM Product p WHERE p.ID = ?`, I64(2)); len(rs.rows()) != 1 {
 		t.Error("delete not rolled back")
 	}
 	check.Commit()
@@ -306,7 +315,7 @@ func TestTxnDone(t *testing.T) {
 	db := openTest(t)
 	txn := db.Begin()
 	txn.Commit()
-	if _, err := txn.Exec(sqlast.MustParse(`SELECT * FROM Product p`), nil); !errors.Is(err, ErrTxnDone) {
+	if _, err := txn.Exec(nil, sqlast.MustParse(`SELECT * FROM Product p`), nil); !errors.Is(err, ErrTxnDone) {
 		t.Errorf("Exec after commit: %v", err)
 	}
 	if err := txn.Commit(); !errors.Is(err, ErrTxnDone) {
@@ -323,13 +332,13 @@ func TestWriteBlocksRead(t *testing.T) {
 	done := make(chan int64, 1)
 	go func() {
 		r := db.Begin()
-		rs, err := r.Exec(sqlast.MustParse(`SELECT p.QTY FROM Product p WHERE p.ID = ?`), []Datum{I64(1)})
+		rs, err := r.Exec(nil, sqlast.MustParse(`SELECT p.QTY FROM Product p WHERE p.ID = ?`), []Datum{I64(1)})
 		if err != nil {
 			done <- -1
 			return
 		}
 		r.Commit()
-		done <- rs.Rows[0][0].I
+		done <- rs.rows()[0][0].I
 	}()
 	select {
 	case <-done:
@@ -365,13 +374,13 @@ func TestGapInsertDeadlock(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, err := t1.Exec(sqlast.MustParse(`INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`),
+		_, err := t1.Exec(nil, sqlast.MustParse(`INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`),
 			[]Datum{I64(500), Str("a@x")})
 		errs <- err
 	}()
 	go func() {
 		defer wg.Done()
-		_, err := t2.Exec(sqlast.MustParse(`INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`),
+		_, err := t2.Exec(nil, sqlast.MustParse(`INSERT INTO Users (ID, EMAIL) VALUES (?, ?)`),
 			[]Datum{I64(501), Str("b@x")})
 		errs <- err
 	}()
@@ -421,7 +430,7 @@ func TestUpgradeDeadlock(t *testing.T) {
 	for _, txn := range []*Txn{t1, t2} {
 		go func(txn *Txn) {
 			defer wg.Done()
-			_, err := txn.Exec(sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`),
+			_, err := txn.Exec(nil, sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`),
 				[]Datum{I64(9), I64(1)})
 			errs <- err
 		}(txn)
@@ -464,12 +473,12 @@ func TestOrderedUpdateDeadlock(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, err := t1.Exec(sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`), []Datum{I64(1), I64(2)})
+		_, err := t1.Exec(nil, sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`), []Datum{I64(1), I64(2)})
 		errs <- err
 	}()
 	go func() {
 		defer wg.Done()
-		_, err := t2.Exec(sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`), []Datum{I64(2), I64(1)})
+		_, err := t2.Exec(nil, sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`), []Datum{I64(2), I64(1)})
 		errs <- err
 	}()
 	wg.Wait()
@@ -507,7 +516,7 @@ func TestNoFalseDeadlock(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				txn := db.Begin()
 				id := I64(int64(100 + g)) // per-goroutine key
-				_, err := txn.Exec(sqlast.MustParse(`INSERT INTO Product (ID, QTY) VALUES (?, ?) ON DUPLICATE KEY UPDATE QTY = ?`),
+				_, err := txn.Exec(nil, sqlast.MustParse(`INSERT INTO Product (ID, QTY) VALUES (?, ?) ON DUPLICATE KEY UPDATE QTY = ?`),
 					[]Datum{id, I64(int64(i)), I64(int64(i))})
 				if err != nil {
 					t.Errorf("goroutine %d iter %d: %v", g, i, err)
@@ -541,10 +550,10 @@ func TestConcurrentCounterConsistency(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				for { // retry deadlock/timeout victims
 					txn := db.Begin()
-					rs, err := txn.Exec(sqlast.MustParse(`SELECT p.QTY FROM Product p WHERE p.ID = ?`), []Datum{I64(3)})
+					rs, err := txn.Exec(nil, sqlast.MustParse(`SELECT p.QTY FROM Product p WHERE p.ID = ?`), []Datum{I64(3)})
 					if err == nil {
-						qty := rs.Rows[0][0].I
-						_, err = txn.Exec(sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`),
+						qty := rs.rows()[0][0].I
+						_, err = txn.Exec(nil, sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`),
 							[]Datum{I64(qty + 1), I64(3)})
 					}
 					if err == nil {
@@ -565,8 +574,8 @@ func TestConcurrentCounterConsistency(t *testing.T) {
 	rs := exec(t, check, `SELECT p.QTY FROM Product p WHERE p.ID = ?`, I64(3))
 	check.Commit()
 	want := int64(100) + committed
-	if rs.Rows[0][0].I != want {
-		t.Errorf("final qty = %d, want %d (committed=%d)", rs.Rows[0][0].I, want, committed)
+	if rs.rows()[0][0].I != want {
+		t.Errorf("final qty = %d, want %d (committed=%d)", rs.rows()[0][0].I, want, committed)
 	}
 	if committed != goroutines*iters {
 		t.Errorf("committed = %d, want %d", committed, goroutines*iters)
@@ -595,7 +604,7 @@ func TestLockWaitTimeout(t *testing.T) {
 	holder := db.Begin()
 	exec(t, holder, `UPDATE Product SET QTY = ? WHERE ID = ?`, I64(0), I64(1))
 	waiter := db.Begin()
-	_, err := waiter.Exec(sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`), []Datum{I64(1), I64(1)})
+	_, err := waiter.Exec(nil, sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`), []Datum{I64(1), I64(1)})
 	if !errors.Is(err, ErrLockWaitTimeout) {
 		t.Fatalf("err = %v", err)
 	}
@@ -612,7 +621,7 @@ func seedQuick(t *testing.T, db *DB) {
 func TestParamCountMismatch(t *testing.T) {
 	db := openTest(t)
 	txn := db.Begin()
-	_, err := txn.Exec(sqlast.MustParse(`SELECT * FROM Product p WHERE p.ID = ?`), nil)
+	_, err := txn.Exec(nil, sqlast.MustParse(`SELECT * FROM Product p WHERE p.ID = ?`), nil)
 	if err == nil {
 		t.Fatal("expected param count error")
 	}
@@ -629,7 +638,7 @@ func TestFullScanLocksSupremum(t *testing.T) {
 	ins := db.Begin()
 	done := make(chan error, 1)
 	go func() {
-		_, err := ins.Exec(sqlast.MustParse(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`), []Datum{I64(99), I64(1)})
+		_, err := ins.Exec(nil, sqlast.MustParse(`INSERT INTO Product (ID, QTY) VALUES (?, ?)`), []Datum{I64(99), I64(1)})
 		done <- err
 	}()
 	select {
@@ -679,8 +688,8 @@ func TestRangeScanBySecondaryIndex(t *testing.T) {
 	seed(t, db)
 	txn := db.Begin()
 	rs := exec(t, txn, `SELECT oi.ID FROM OrderItem oi WHERE oi.O_ID = ?`, I64(1))
-	if len(rs.Rows) != 2 {
-		t.Fatalf("rows = %d", len(rs.Rows))
+	if len(rs.rows()) != 2 {
+		t.Fatalf("rows = %d", len(rs.rows()))
 	}
 	txn.Commit()
 }
@@ -695,8 +704,8 @@ func TestManyRowsScanFilter(t *testing.T) {
 	q := db.Begin()
 	// No index on QTY: full scan with a filter predicate.
 	rs := exec(t, q, `SELECT p.ID FROM Product p WHERE p.QTY = 3`)
-	if len(rs.Rows) != 10 {
-		t.Fatalf("rows = %d", len(rs.Rows))
+	if len(rs.rows()) != 10 {
+		t.Fatalf("rows = %d", len(rs.rows()))
 	}
 	q.Commit()
 }

@@ -23,7 +23,7 @@ func TestPreparedFormPerTemplate(t *testing.T) {
 	var last sqlast.Stmt
 	for i := 0; i < 10_000; i++ {
 		last = sqlast.MustParse(fmt.Sprintf("SELECT * FROM %s p WHERE p.ID = ?", "Product"))
-		if rs, err := txn.Exec(last, []Datum{I64(2)}); err != nil || len(rs.Rows) != 1 {
+		if rs, err := txn.Exec(nil, last, []Datum{I64(2)}); err != nil || len(rs.rows()) != 1 {
 			t.Fatalf("copy %d: %v, %v", i, rs, err)
 		}
 	}
@@ -106,10 +106,10 @@ func TestDistinctStringKeysDoNotConflict(t *testing.T) {
 	}
 	t1, t2 := db.Begin(), db.Begin()
 	update := sqlast.MustParse(`UPDATE Pair SET N = ? WHERE A = ? AND B = ?`)
-	if rs, err := t1.Exec(update, []Datum{I64(10), Str("a','b"), Str("c")}); err != nil || rs.Affected != 1 {
+	if rs, err := t1.Exec(nil, update, []Datum{I64(10), Str("a','b"), Str("c")}); err != nil || rs.Affected != 1 {
 		t.Fatalf("first writer: %v, %v", rs, err)
 	}
-	rs, err := t2.Exec(update, []Datum{I64(20), Str("a"), Str("b','c")})
+	rs, err := t2.Exec(nil, update, []Datum{I64(20), Str("a"), Str("b','c")})
 	if errors.Is(err, ErrLockWaitTimeout) {
 		t.Fatal("the writer of a different row waited for the first writer's record lock")
 	}
@@ -158,7 +158,7 @@ func benchDB(tb testing.TB) *DB {
 	db := Open(testSchema(), Config{})
 	txn := db.Begin()
 	run := func(sql string, params ...Datum) {
-		if _, err := txn.Exec(sqlast.MustParse(sql), params); err != nil {
+		if _, err := txn.Exec(nil, sqlast.MustParse(sql), params); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -182,13 +182,16 @@ func benchDB(tb testing.TB) *DB {
 func benchmarkStatement(b *testing.B, sb stmtBench) {
 	db := benchDB(b)
 	st := sqlast.MustParse(sb.sql)
+	var cells []Datum // reused, as concolic.Conn reuses its buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		txn := db.Begin()
-		if _, err := txn.Exec(st, sb.params(int64(i))); err != nil {
+		rs, err := txn.Exec(cells[:0], st, sb.params(int64(i)))
+		if err != nil {
 			b.Fatal(err)
 		}
+		cells = rs.Cells
 		if sb.undo {
 			txn.Rollback()
 		} else {
@@ -206,7 +209,9 @@ func BenchmarkStatementDelete(b *testing.B)      { benchmarkStatement(b, stmtBen
 
 // TestStatementAllocs pins what a statement may allocate once its
 // template is prepared and the lock table has queues to recycle. Each
-// ceiling sits a little above the measured count (4, 3 and 0; logged); while the indexes kept a string per row the three cost 4, 4
+// ceiling sits a little above the measured count (1, 2 and 0; logged);
+// while a result was a boxed ResultSet of rows copied out of the executor
+// the three cost 4, 3 and 0, while the indexes kept a string per row 4, 4
 // and 0, before rows and index keys were stored as strings 6, 9 and 0
 // allocations, and before statements were prepared 32, 40 and 3.
 // A per-execution map, a heap-allocated grant, tree entry or hit list, or
@@ -226,7 +231,7 @@ func TestStatementAllocs(t *testing.T) {
 		inserts = append(inserts, stmtBenches[3].params(i))
 		txn := db.Begin()
 		for id := 10 * i; id < 10*i+10; id++ {
-			if _, err := txn.Exec(update, []Datum{I64(1), I64(id)}); err != nil {
+			if _, err := txn.Exec(nil, update, []Datum{I64(1), I64(id)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -240,25 +245,28 @@ func TestStatementAllocs(t *testing.T) {
 		committers = append(committers, txn)
 	}
 	reader, writer := db.Begin(), db.Begin()
+	var cells []Datum // reused, as concolic.Conn reuses its buffer
 	n := 0
 	cases := []struct {
 		name    string
 		ceiling float64
 		run     func(i int)
 	}{
-		// ResultSet, the encoded equality prefix, output row and row list.
-		// The two new queues are named by views of the pages' keys.
-		{"point SELECT on a unique key", 5, func(i int) {
-			if rs, err := reader.Exec(point, selects[i]); err != nil || len(rs.Rows) != 1 {
+		// The encoded equality prefix; the row goes into the caller's
+		// buffer. The two new queues are named by views of the pages' keys.
+		{"point SELECT on a unique key", 2, func(i int) {
+			rs, err := reader.Exec(cells[:0], point, selects[i])
+			if err != nil || len(rs.Cells) != len(rs.Cols) {
 				t.Fatalf("point select: %v, %v", rs, err)
 			}
+			cells = rs.Cells
 		}},
-		// The primary key, the secondary key and the ResultSet; the row
-		// is encoded in the executor's scratch and appended to its page,
-		// queues are named by the keys, and a page compaction or the undo
-		// and lock lists' growth come now and then.
-		{"INSERT into a table with one secondary index", 3, func(i int) {
-			if _, err := writer.Exec(insert, inserts[i]); err != nil {
+		// The primary key and the secondary key; the row is encoded in the
+		// executor's scratch and appended to its page, queues are named by
+		// the keys, and a page compaction or the undo and lock lists'
+		// growth come now and then.
+		{"INSERT into a table with one secondary index", 2, func(i int) {
+			if _, err := writer.Exec(nil, insert, inserts[i]); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -297,8 +305,8 @@ func TestPrepareConcurrently(t *testing.T) {
 			for i := int64(0); i < 200; i++ {
 				txn := db.Begin()
 				for _, sb := range benches {
-					rs, err := txn.Exec(sqlast.MustParse(sb.sql), sb.params(10*c+i%10))
-					if err != nil || len(rs.Rows)+rs.Affected == 0 {
+					rs, err := txn.Exec(nil, sqlast.MustParse(sb.sql), sb.params(10*c+i%10))
+					if err != nil || len(rs.rows())+rs.Affected == 0 {
 						t.Errorf("client %d, %q: %v, %v", c, sb.sql, rs, err)
 					}
 				}

@@ -11,7 +11,7 @@ var updateQty = sqlast.MustParse(`UPDATE Product SET QTY = ? WHERE ID = ?`)
 
 // tryUpdate sets product id's quantity through TryExec.
 func tryUpdate(txn *Txn, id int64) error {
-	_, err := txn.TryExec(updateQty, []Datum{I64(0), I64(id)})
+	_, err := txn.TryExec(nil, updateQty, []Datum{I64(0), I64(id)})
 	return err
 }
 
@@ -62,7 +62,7 @@ func TestTryExecLeavesOnlyRollback(t *testing.T) {
 	if waiter.State() != TxnWaiting {
 		t.Errorf("state = %d, want TxnWaiting", waiter.State())
 	}
-	if _, err := waiter.Exec(updateQty, []Datum{I64(0), I64(3)}); err == nil {
+	if _, err := waiter.Exec(nil, updateQty, []Datum{I64(0), I64(3)}); err == nil {
 		t.Error("Exec after ErrWouldBlock succeeded")
 	}
 	if err := tryUpdate(waiter, 3); err == nil {

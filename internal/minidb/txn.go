@@ -74,34 +74,22 @@ func (t *Txn) State() TxnState { return t.state }
 
 // ResultSet is the outcome of one statement.
 type ResultSet struct {
-	// Cols holds "alias.column" names for SELECT results.
-	Cols []string
-	Rows [][]Datum
+	// Cols holds "alias.column" names for SELECT results, and Cells the
+	// rows, back to back, len(Cols) cells a row.
+	Cols  []string
+	Cells []Datum
 	// Affected counts rows changed by UPDATE/INSERT/DELETE/UPSERT.
 	Affected int
 }
 
-// Exec executes one statement with the given parameter values. On a
-// deadlock or lock-wait timeout the whole transaction is rolled back
+// Exec executes one statement with the given parameter values. A
+// SELECT's rows are appended to cells and returned as the result's Cells,
+// so a caller that passes the last result's Cells[:0] reuses one buffer.
+// On a deadlock or lock-wait timeout the whole transaction is rolled back
 // (detect-and-recover) and the error is returned; ErrDuplicateKey fails
 // only the statement and leaves the transaction active.
-func (t *Txn) Exec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
-	return boxed(t.exec(st, params, true, nil))
-}
-
-// ExecAppend is Exec that appends a SELECT's rows to cells, len(rs.Cols)
-// a row, in place of rs.Rows, and allocates no result: a caller that
-// converts the cells at once reuses one buffer for them.
-func (t *Txn) ExecAppend(cells []Datum, st sqlast.Stmt, params []Datum) (ResultSet, []Datum, error) {
-	rs, err := t.exec(st, params, true, &cells)
-	return rs, cells, err
-}
-
-func boxed(rs ResultSet, err error) (*ResultSet, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &rs, nil
+func (t *Txn) Exec(cells []Datum, st sqlast.Stmt, params []Datum) (ResultSet, error) {
+	return t.exec(cells, st, params, true)
 }
 
 // TryExec is Exec without the wait. When the statement needs a lock
@@ -109,11 +97,11 @@ func boxed(rs ResultSet, err error) (*ResultSet, error) {
 // one that closes a cycle still aborts the transaction with ErrDeadlock —
 // and TryExec returns ErrWouldBlock with the request left queued. The
 // transaction is then TxnWaiting and accepts only Rollback.
-func (t *Txn) TryExec(st sqlast.Stmt, params []Datum) (*ResultSet, error) {
-	return boxed(t.exec(st, params, false, nil))
+func (t *Txn) TryExec(cells []Datum, st sqlast.Stmt, params []Datum) (ResultSet, error) {
+	return t.exec(cells, st, params, false)
 }
 
-func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool, cells *[]Datum) (ResultSet, error) {
+func (t *Txn) exec(cells []Datum, st sqlast.Stmt, params []Datum, wait bool) (ResultSet, error) {
 	if t.state != TxnActive {
 		return ResultSet{}, ErrTxnDone
 	}
@@ -158,8 +146,8 @@ func (t *Txn) exec(st sqlast.Stmt, params []Datum, wait bool, cells *[]Datum) (R
 // non-nil blocked descriptor when a needed lock is unavailable; the
 // caller waits and retries. A statement that fails undoes the writes of
 // all its passes, the undo and purge records past undone and purged. A
-// SELECT's rows are appended to cells, if given, not copied into rs.Rows.
-func (t *Txn) attempt(p *prepared, params []Datum, undone, purged int, cells *[]Datum) (rs ResultSet, blocked *blockedOn, err error) {
+// SELECT's rows are appended to cells.
+func (t *Txn) attempt(p *prepared, params []Datum, undone, purged int, cells []Datum) (rs ResultSet, blocked *blockedOn, err error) {
 	t.db.latch.Lock()
 	defer t.db.latch.Unlock()
 	ex := &t.db.ex
@@ -174,11 +162,7 @@ func (t *Txn) attempt(p *prepared, params []Datum, undone, purged int, cells *[]
 	case sqlast.KindSelect:
 		ex.out = ex.out[:0]
 		ex.join(p, 0)
-		if rs.Cols = p.cols; cells == nil {
-			rs.Rows = ex.result(len(p.out))
-		} else if ex.blocked == nil { // a blocked pass restarts
-			*cells = append(*cells, ex.out...)
-		}
+		rs.Cols, rs.Cells = p.cols, append(cells, ex.out...)
 	case sqlast.KindUpdate:
 		rs, err = ex.execUpdate(p)
 	case sqlast.KindDelete:

@@ -55,7 +55,7 @@ func setup(t *testing.T, mode concolic.Mode) (*Session, *concolic.Engine, *minid
 	seed := db.Begin()
 	mustExec := func(sql string, ps ...minidb.Datum) {
 		t.Helper()
-		if _, err := seed.Exec(sqlast.MustParse(sql), ps); err != nil {
+		if _, err := seed.Exec(nil, sqlast.MustParse(sql), ps); err != nil {
 			t.Fatal(err)
 		}
 	}

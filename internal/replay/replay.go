@@ -148,6 +148,6 @@ func execStmt(txn *minidb.Txn, st *trace.Stmt) error {
 	for i, p := range st.Params {
 		params[i] = p.Concrete
 	}
-	_, err := txn.TryExec(st.Parsed, params)
+	_, err := txn.TryExec(nil, st.Parsed, params)
 	return err
 }
